@@ -3,8 +3,11 @@
 //! Unlike the figure/table binaries — which report *simulated* bandwidth —
 //! this bench measures the **host wall-clock** cost of pushing blocks
 //! through the driver stack and the simulated TCP: blocks/sec and
-//! allocations/block. It is the regression harness for the zero-copy block
-//! pipeline; results land in `BENCH_datapath.json`.
+//! allocations/block, and on the e2e rows the sender's TCP segments/block
+//! and bytes copied/block (simulation-determined, so a re-fragmenting or
+//! re-copying sender fails the gate on any host). It is the regression
+//! harness for the zero-copy block pipeline; results land in
+//! `BENCH_datapath.json`.
 //!
 //! Scenarios:
 //!   * `tcb/transfer`        — raw Tcb<->Tcb pump, app writes via `&[u8]`
@@ -118,7 +121,7 @@ fn tcb_transfer(total: usize) -> usize {
 
 /// Full-stack run over a fat low-latency link with free CPU: host time is
 /// dominated by the data path, not the simulated WAN.
-fn e2e_run(spec: &StackSpec, msg_size: usize, n_msgs: usize) {
+fn e2e_run(spec: &StackSpec, msg_size: usize, n_msgs: usize) -> BwPoint {
     let wan = Wan {
         name: "bench-lan",
         capacity: 1e9,
@@ -132,6 +135,7 @@ fn e2e_run(spec: &StackSpec, msg_size: usize, n_msgs: usize) {
     run.window = 1 << 20;
     let point = measure_bandwidth(&run);
     assert!(point.bandwidth > 0.0);
+    point
 }
 
 // ----------------------------------------------------- per-stage benches
@@ -243,6 +247,9 @@ struct Entry {
     median_ns: f64,
     bytes: u64,
     allocs_per_run: u64,
+    /// e2e rows: (segments sent, bytes copied) by the sending host's TCP —
+    /// simulation-determined, so `check_bench` gates them exactly.
+    tcp: Option<(u64, u64)>,
 }
 
 fn json_escape(s: &str) -> String {
@@ -281,6 +288,7 @@ fn main() {
             median_ns: r.median_ns,
             bytes: tcb_bytes as u64,
             allocs_per_run: per_run,
+            tcp: None,
         });
     }
 
@@ -296,7 +304,7 @@ fn main() {
         g.bench_function(name, |b| b.iter(|| e2e_run(&spec, e2e_msg, e2e_msgs)));
         g.finish();
         let a0 = allocs();
-        e2e_run(&spec, e2e_msg, e2e_msgs);
+        let point = e2e_run(&spec, e2e_msg, e2e_msgs);
         let per_run = allocs() - a0;
         let r = c.results().last().unwrap();
         entries.push(Entry {
@@ -304,6 +312,7 @@ fn main() {
             median_ns: r.median_ns,
             bytes: e2e_bytes,
             allocs_per_run: per_run,
+            tcp: Some((point.segs_sent, point.bytes_copied)),
         });
     }
 
@@ -339,6 +348,7 @@ fn main() {
                 median_ns: r.median_ns,
                 bytes: stage_bytes as u64,
                 allocs_per_run: per_run,
+                tcp: None,
             });
         }
     }
@@ -351,9 +361,17 @@ fn main() {
         let secs = e.median_ns * 1e-9;
         let bps = e.bytes as f64 / secs;
         let blocks_per_sec = bps / block as f64;
-        let allocs_per_block = e.allocs_per_run as f64 / (e.bytes / block) as f64;
+        let n_blocks = (e.bytes / block) as f64;
+        let allocs_per_block = e.allocs_per_run as f64 / n_blocks;
+        let tcp = e.tcp.map_or(String::new(), |(segs, copied)| {
+            format!(
+                ", \"segs_per_block\": {:.2}, \"copied_per_block\": {:.1}",
+                segs as f64 / n_blocks,
+                copied as f64 / n_blocks
+            )
+        });
         out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"median_ns\": {:.0}, \"bytes\": {}, \"mb_per_sec\": {:.2}, \"blocks_per_sec\": {:.0}, \"allocs_per_run\": {}, \"allocs_per_block\": {:.1}}}{}\n",
+            "  {{\"id\": \"{}\", \"median_ns\": {:.0}, \"bytes\": {}, \"mb_per_sec\": {:.2}, \"blocks_per_sec\": {:.0}, \"allocs_per_run\": {}, \"allocs_per_block\": {:.1}{}}}{}\n",
             json_escape(&e.id),
             e.median_ns,
             e.bytes,
@@ -361,6 +379,7 @@ fn main() {
             blocks_per_sec,
             e.allocs_per_run,
             allocs_per_block,
+            tcp,
             if i + 1 == entries.len() { "" } else { "," }
         ));
     }

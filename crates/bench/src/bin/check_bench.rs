@@ -19,7 +19,9 @@
 //!
 //! Rules (per scenario, matched by `id` / `down_ms` / `channels` / `nodes`):
 //!   * datapath: fresh `mb_per_sec` below `(1 - tolerance) x` baseline fails;
-//!     fresh `allocs_per_block` above `(1 + tolerance) x baseline + 1` fails.
+//!     fresh `allocs_per_block` above `(1 + tolerance) x baseline + 1` fails;
+//!     on rows that carry them, fresh `segs_per_block` / `copied_per_block`
+//!     above the baseline at all fails (simulation-determined counts).
 //!   * faults: fresh `recovery_ms` above `2 x baseline + 50 ms` fails
 //!     (baselines at or below zero are skipped — no recovery happened);
 //!     fresh `total_ms` above `(1 + tolerance) x baseline + 50 ms` fails.
@@ -156,6 +158,24 @@ fn check_datapath(fresh_path: &str, base_path: &str, tolerance: f64, failures: &
                 "datapath {id:?}: {fresh_ab:.1} allocs/block grew more than {:.0}% over baseline {base_ab:.1}",
                 tolerance * 100.0
             ));
+        }
+        // Segmentation gate (e2e rows): segments and copied bytes per block
+        // are decided by the simulation, not the host, so there is no
+        // tolerance — any rise is the sender fragmenting or copying again.
+        for key in ["segs_per_block", "copied_per_block"] {
+            if !b.contains_key(key) {
+                continue;
+            }
+            let (base_v, fresh_v) = (num(b, key, base_path), num(f, key, fresh_path));
+            let verdict = if fresh_v > base_v { "FAIL" } else { "ok" };
+            println!(
+                "datapath {id:>24}: {fresh_v:>9.2} {key} vs baseline {base_v:>9.2} (exact or lower)  {verdict}"
+            );
+            if fresh_v > base_v {
+                failures.push(format!(
+                    "datapath {id:?}: {key} rose from {base_v} to {fresh_v} (machine-independent count)"
+                ));
+            }
         }
     }
 }

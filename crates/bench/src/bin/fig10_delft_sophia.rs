@@ -75,7 +75,7 @@ fn main() {
         for (_, spec) in &methods {
             let mut run = BwRun::new(wan.clone(), spec.clone(), size);
             run.window = window;
-            run.total_bytes = if quick { 12 << 20 } else { 40 << 20 };
+            run.total_bytes = if quick { 12 << 20 } else { 48 << 20 };
             if window > 64 * 1024 {
                 run.total_bytes = 80 << 20; // amortize the longer slow-start ramp
             }

@@ -9,7 +9,7 @@
 //! Usage: `fig9_amsterdam_rennes [--loss 0.004] [--quick]`
 //!   `--loss`  ablation: vary the bottleneck loss rate (drives the plain
 //!             TCP gap — see DESIGN.md §5)
-//!   `--quick` fewer message sizes / less data per point
+//!   `--quick` fewer message sizes, 3 MiB per point instead of 48 MiB
 
 use netgrid::StackSpec;
 use netgrid_bench::*;
@@ -52,9 +52,9 @@ fn main() {
         print!("{size:>9} |");
         for (_, spec) in &methods {
             let mut run = BwRun::new(wan.clone(), spec.clone(), size);
-            if quick {
-                run.total_bytes = 3 << 20;
-            }
+            // 0.4 % loss: below ~48 MiB a point samples too few loss
+            // events to tell two TCP variants apart (EXPERIMENTS.md E3).
+            run.total_bytes = if quick { 3 << 20 } else { 48 << 20 };
             let p = measure_bandwidth(&run);
             print!(" {:>24} MB/s |", fmt_mb(p.bandwidth));
         }

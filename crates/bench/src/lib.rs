@@ -212,6 +212,11 @@ pub struct BwPoint {
     /// Application-level goodput in bytes/sec.
     pub bandwidth: f64,
     pub method: EstablishMethod,
+    /// Segments the sending host's TCP connections had emitted, and bytes
+    /// their data paths had copied, when the receiver took the last
+    /// message. Simulation-determined, so identical on every machine.
+    pub segs_sent: u64,
+    pub bytes_copied: u64,
 }
 
 /// Options for a bandwidth run.
@@ -301,9 +306,12 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     let t_end = Arc::new(Mutex::new(None::<gridsim_net::SimTime>));
     let method_slot = Arc::new(Mutex::new(None::<EstablishMethod>));
 
+    let tcp_totals = Arc::new(Mutex::new((0u64, 0u64)));
+
     let env_b = env.clone();
     let te = Arc::clone(&t_end);
     let spec = run.spec.clone();
+    let (sender_host, totals) = (ha.clone(), Arc::clone(&tcp_totals));
     sim.spawn("receiver", move || {
         let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::open()).unwrap();
         let rp = node.create_receive_port("bw", spec).unwrap();
@@ -312,6 +320,15 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
             assert!(!m.is_empty());
         }
         *te.lock() = Some(gridsim_net::ctx::now());
+        // The sender's connections are still open here (it closes after
+        // its last send returns); once closed the stack reaps them.
+        *totals.lock() = sender_host.net().with(|w| {
+            gridsim_tcp::stack::with_host(w, sender_host.node(), |host, _| {
+                host.conns.values().fold((0, 0), |(segs, copied), tcb| {
+                    (segs + tcb.stats.segs_sent, copied + tcb.stats.bytes_copied)
+                })
+            })
+        });
     });
     let env_a = env.clone();
     let ts = Arc::clone(&t0);
@@ -334,11 +351,14 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     let secs = end.since(start).as_secs_f64();
     let bytes = n_msgs * run.msg_size;
     let m = method_slot.lock().expect("connected");
+    let (segs_sent, bytes_copied) = *tcp_totals.lock();
     BwPoint {
         label: run.spec.describe(),
         msg_size: run.msg_size,
         bandwidth: bytes as f64 / secs,
         method: m,
+        segs_sent,
+        bytes_copied,
     }
 }
 

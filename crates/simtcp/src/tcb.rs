@@ -14,7 +14,14 @@
 //!   "window size limit imposed by the operating system" (paper §4.2) that
 //!   caps single-stream WAN bandwidth at `window / RTT`,
 //! * NewReno congestion control: slow start, congestion avoidance, fast
-//!   retransmit/recovery with partial-ACK retransmission,
+//!   retransmit/recovery with partial-ACK retransmission. The congestion
+//!   window is *spent in whole segments* (`⌊cwnd/MSS⌋ − ⌈flight/MSS⌉`, as
+//!   Linux counts packets), the receive window is *filled to the byte*: a
+//!   fractional `cwnd` never leaks a sub-MSS runt ahead of queued data
+//!   (sender-side silly-window syndrome), and a window-bound path loses
+//!   no goodput to rounding (a 64 KiB window is 44.9 MSS — holding every
+//!   sub-MSS segment instead, RFC 1122 §4.2.3.4 style, costs the
+//!   Fig. 10 path 2.8 %),
 //! * retransmission timeout per RFC 6298 (SRTT/RTTVAR, Karn's rule,
 //!   exponential backoff),
 //! * Nagle's algorithm (switchable — `TCP_NODELAY`, paper §4.1),
@@ -137,10 +144,21 @@ pub struct ConnStats {
 /// chunk are both O(1) refcount operations instead of per-byte copies.
 /// Only ranges straddling a chunk boundary are coalesced (counted in
 /// [`ConnStats::bytes_copied`]).
+///
+/// A staged write refills the queue one sliver of its block per ACK; were
+/// each sliver its own chunk, segment and chunk boundaries would drift
+/// apart as soon as `cwnd < send_buf` and almost every carve would copy.
+/// [`push_prefix`](ChunkDeque::push_prefix) therefore grows the back chunk
+/// in place whenever a refill continues the block the back chunk came from.
 #[derive(Default)]
 struct ChunkDeque {
     chunks: VecDeque<Bytes>,
     len: usize,
+    /// The block the back chunk was last pushed from. Only ever re-sliced
+    /// after an address-range check against the live back chunk, so a
+    /// stale value is harmless; dropped with the last chunk so an idle
+    /// queue pins no application buffer.
+    parent: Option<Bytes>,
 }
 
 impl ChunkDeque {
@@ -166,6 +184,31 @@ impl ChunkDeque {
             self.len += data.len();
             self.chunks.push_back(data);
         }
+    }
+
+    /// Append the first `n` bytes of `block` zero-copy. When `block` starts
+    /// exactly where the back chunk ends inside the retained parent (the
+    /// caller retried with `parent.slice(k..)` after a partial accept), the
+    /// back chunk is re-sliced from the parent to cover both instead of
+    /// gaining a neighbour. The parent is held alive and immutable, and the
+    /// re-sliced chunk spans exactly the addresses of the old back chunk
+    /// followed by the new bytes: same content, whatever the views' origin.
+    fn push_prefix(&mut self, block: &Bytes, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.len += n;
+        if let (Some(back), Some(parent)) = (self.chunks.back_mut(), &self.parent) {
+            let base = parent.as_ptr() as usize;
+            let start = back.as_ptr() as usize;
+            let end = start + back.len();
+            if start >= base && block.as_ptr() as usize == end && end + n <= base + parent.len() {
+                *back = parent.slice(start - base..end - base + n);
+                return;
+            }
+        }
+        self.parent = Some(block.clone());
+        self.chunks.push_back(block.slice(..n));
     }
 
     /// The byte at logical index `idx` (zero-window probe).
@@ -225,6 +268,9 @@ impl ChunkDeque {
                 front.split_to(n);
                 n = 0;
             }
+        }
+        if self.chunks.is_empty() {
+            self.parent = None;
         }
     }
 
@@ -720,11 +766,7 @@ impl Tcb {
             return Ok(WriteOutcome::Full);
         }
         let n = space.min(block.len());
-        self.send_q.push_bytes(if n == block.len() {
-            block.clone()
-        } else {
-            block.slice(..n)
-        });
+        self.send_q.push_prefix(block, n);
         if n == block.len() {
             self.stats.blocks_sent += 1;
         }
@@ -733,7 +775,7 @@ impl Tcb {
     }
 
     /// Try to read received bytes.
-    pub fn try_read(&mut self, now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+    pub fn try_read(&mut self, _now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
         if self.recv_q.is_empty() {
             if let Some(e) = self.error {
                 // A reset with buffered data still delivers the data first;
@@ -757,7 +799,6 @@ impl Tcb {
         // opened space, tell the sender (it has no other way to learn).
         let after_free = self.rwnd();
         if before_free < self.cfg.mss && after_free >= self.cfg.mss && !self.state.is_terminal() {
-            let _ = now;
             self.send_ack();
         }
         Ok(ReadOutcome::Read(n))
@@ -770,7 +811,7 @@ impl Tcb {
     /// same points on either path.
     pub fn try_read_chunks(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<ReadOutcome> {
@@ -790,7 +831,6 @@ impl Tcb {
         let n = self.recv_q.pop_chunks(max, out);
         let after_free = self.rwnd();
         if before_free < self.cfg.mss && after_free >= self.cfg.mss && !self.state.is_terminal() {
-            let _ = now;
             self.send_ack();
         }
         Ok(ReadOutcome::Read(n))
@@ -1025,8 +1065,13 @@ impl Tcb {
         }
         let mss = self.cfg.mss as u64;
         loop {
-            let wnd = (self.cwnd as u64).min(self.peer_wnd as u64);
-            let usable = wnd.saturating_sub(self.flight());
+            // The congestion window is spent in whole segments (as Linux
+            // counts it in packets): a fractional cwnd never releases a
+            // sub-MSS remainder that would go out as a runt while full
+            // segments wait behind it. The receive window is byte-exact.
+            let flight = self.flight();
+            let cwnd_room = (self.cwnd as u64 / mss).saturating_sub(flight.div_ceil(mss)) * mss;
+            let usable = cwnd_room.min((self.peer_wnd as u64).saturating_sub(flight));
             let unsent = self.data_end().saturating_sub(self.snd_nxt);
             let take = usable.min(unsent).min(mss);
             if take == 0 {
@@ -1046,14 +1091,23 @@ impl Tcb {
                     self.persist_timer
                         .arm(now + d * (1 << self.persist_backoff.min(6)));
                 }
-                return;
+                break;
             }
             // Nagle: hold sub-MSS segments while data is in flight.
-            if take < mss && self.flight() > 0 && !self.cfg.nodelay && take == unsent {
-                return;
+            if take < mss && flight > 0 && !self.cfg.nodelay && take == unsent {
+                break;
             }
             self.emit_data(now, take as usize, false);
         }
+        self.debug_check_sender();
+    }
+
+    /// Sender invariants, checked after every transmit pass and ACK.
+    fn debug_check_sender(&self) {
+        debug_assert!(self.snd_una <= self.snd_nxt && self.snd_nxt <= self.snd_max);
+        debug_assert!(self.cwnd >= self.cfg.mss as f64);
+        debug_assert!(self.ssthresh >= (2 * self.cfg.mss) as f64);
+        debug_assert!(self.send_q.len() <= self.cfg.send_buf as usize);
     }
 
     /// Emit one data segment starting at `snd_nxt` (or `snd_una` when
@@ -1421,6 +1475,7 @@ impl Tcb {
             }
         }
         // ACK beyond snd_max or below snd_una (old duplicate): ignore.
+        self.debug_check_sender();
     }
 
     fn on_dupack(&mut self, now: SimTime) {
@@ -1561,7 +1616,10 @@ mod tests {
     }
 
     fn established_pair() -> (Tcb, Tcb) {
-        let cfg = TcpConfig::default();
+        pair_with(TcpConfig::default())
+    }
+
+    fn pair_with(cfg: TcpConfig) -> (Tcb, Tcb) {
         let mut a = Tcb::client(cfg, la(), ra(), 1000, T0);
         let syn = a.take_out().remove(0);
         assert!(syn.flags.syn && !syn.flags.ack);
@@ -2199,5 +2257,242 @@ mod tests {
         let (mut a, _b) = established_pair();
         assert!(a.take_established());
         assert!(!a.take_established());
+    }
+
+    // ---------------- whole-segment sender ----------------
+
+    const MSS: usize = 1460;
+
+    fn bigwin_pair() -> (Tcb, Tcb) {
+        pair_with(TcpConfig {
+            send_buf: 1 << 20,
+            recv_buf: 1 << 20,
+            ..TcpConfig::default()
+        })
+    }
+
+    /// `pump` with the wire made visible: segments from `a` cross one at a
+    /// time over a lossless zero-delay pipe, `b` reads everything at once
+    /// and every ACK returns immediately, so `a` is purely ACK-clocked.
+    /// `refill` runs wherever the host stack would service a staged write
+    /// (after every mutation of `a`); the `lose`-th data segment is dropped
+    /// once. Returns the payload size of every data segment `a` originated
+    /// and the bytes `b`'s application received.
+    fn clocked_transfer(
+        a: &mut Tcb,
+        b: &mut Tcb,
+        mut refill: impl FnMut(&mut Tcb),
+        lose: Option<usize>,
+    ) -> (Vec<usize>, usize) {
+        let mut wire = VecDeque::new();
+        let mut sizes = Vec::new();
+        let mut delivered = 0;
+        let mut sink = Vec::new();
+        loop {
+            refill(a);
+            wire.extend(a.take_out());
+            let Some(seg) = wire.pop_front() else {
+                return (sizes, delivered);
+            };
+            if !seg.data.is_empty() {
+                sizes.push(seg.data.len());
+                if lose == Some(sizes.len()) {
+                    continue;
+                }
+            }
+            b.on_segment(T0, seg);
+            while let ReadOutcome::Read(n) = b.try_read_chunks(T0, usize::MAX, &mut sink).unwrap() {
+                delivered += n;
+                sink.clear();
+            }
+            for ack in b.take_out() {
+                a.on_segment(T0, ack);
+                refill(a);
+                wire.extend(a.take_out());
+            }
+        }
+    }
+
+    /// The refill `service_pending_write` performs, without a waker.
+    fn staged_refill(blocks: &mut VecDeque<Bytes>) -> impl FnMut(&mut Tcb) + '_ {
+        move |a| {
+            while let Some(cur) = blocks.front_mut() {
+                match a.try_write_bytes(T0, cur).unwrap() {
+                    WriteOutcome::Wrote(n) if n == cur.len() => {
+                        blocks.pop_front();
+                    }
+                    WriteOutcome::Wrote(n) => *cur = cur.slice(n..),
+                    WriteOutcome::Full => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fractional_cwnd_emits_only_full_segments() {
+        let (mut a, mut b) = bigwin_pair();
+        // Congestion avoidance, window not a whole number of segments.
+        a.ssthresh = (4 * MSS) as f64;
+        a.cwnd = 10.37 * MSS as f64;
+        let total = 210 * MSS + 600;
+        a.try_write(T0, &vec![5u8; total]).unwrap();
+        let first = a.take_out();
+        assert_eq!(first.len(), 10, "floor(cwnd / MSS) segments, no runt");
+        a.out = first;
+        let (sizes, delivered) = clocked_transfer(&mut a, &mut b, |_| {}, None);
+        assert_eq!(delivered, total);
+        let (tail, body) = sizes.split_last().unwrap();
+        assert!(
+            body.iter().all(|&n| n == MSS),
+            "sub-MSS segment ahead of queued data: {body:?}"
+        );
+        assert_eq!(*tail, 600, "only the queue tail is short");
+    }
+
+    /// The cascade: at 1 MiB buffers one loss puts the sender in congestion
+    /// avoidance with `cwnd < send_buf`; a byte-granular window then leaks a
+    /// runt per ACK whose own ACKs free runt-sized space, and per-ACK
+    /// refill slivers make every carve straddle two chunks.
+    #[test]
+    fn bigwin_loss_does_not_fragment_or_copy() {
+        let (mut a, mut b) = bigwin_pair();
+        let total = 8 << 20;
+        let block = Bytes::from(
+            (0..256 * 1024)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let mut blocks: VecDeque<Bytes> = (0..total / block.len()).map(|_| block.clone()).collect();
+        let (sizes, delivered) =
+            clocked_transfer(&mut a, &mut b, staged_refill(&mut blocks), Some(400));
+        assert_eq!(delivered, total);
+        assert_eq!(a.stats.fast_retransmits, 1, "the loss was repaired once");
+        assert_eq!(a.stats.rtx_timeouts, 0);
+        let sent: usize = sizes.iter().sum();
+        let mean = sent as f64 / sizes.len() as f64;
+        assert!(
+            mean >= 0.95 * MSS as f64,
+            "mean data segment {mean:.0} B over {} segments",
+            sizes.len()
+        );
+        assert!(
+            (a.stats.bytes_copied as usize) * 100 < sent,
+            "{} of {sent} bytes copied",
+            a.stats.bytes_copied
+        );
+    }
+
+    #[test]
+    fn peer_window_is_filled_to_the_byte() {
+        // 10 000 B is 6 MSS + 1240: rounding it down would idle 12 % of it.
+        let (mut a, mut b) = pair_with(TcpConfig {
+            send_buf: 1 << 20,
+            recv_buf: 10_000,
+            init_cwnd_segs: 16,
+            ..TcpConfig::default()
+        });
+        a.try_write(T0, &vec![3u8; 50_000]).unwrap();
+        let burst = a.take_out();
+        let sizes: Vec<usize> = burst.iter().map(|s| s.data.len()).collect();
+        assert_eq!(sizes, [MSS, MSS, MSS, MSS, MSS, MSS, 1240]);
+        assert_eq!(a.flight(), 10_000, "advertised window fully used");
+        for s in burst {
+            b.on_segment(T0, s);
+        }
+        assert_eq!(b.recv_queued(), 10_000);
+    }
+
+    #[test]
+    fn short_queue_tail_keeps_nagle_and_nodelay_semantics() {
+        for nodelay in [false, true] {
+            let (mut a, mut b) = pair_with(TcpConfig {
+                nodelay,
+                init_cwnd_segs: 8,
+                ..TcpConfig::default()
+            });
+            a.try_write(T0, &vec![1u8; 2 * MSS + 100]).unwrap();
+            let sizes: Vec<usize> = a.out.iter().map(|s| s.data.len()).collect();
+            if nodelay {
+                assert_eq!(sizes, [MSS, MSS, 100], "TCP_NODELAY: tail leaves at once");
+            } else {
+                assert_eq!(
+                    sizes,
+                    [MSS, MSS],
+                    "Nagle holds the tail behind data in flight"
+                );
+                pump(&mut a, &mut b, T0);
+                assert_eq!(b.recv_queued(), 2 * MSS + 100, "and the ACK releases it");
+            }
+        }
+    }
+
+    mod chunk_deque_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Partial refills of successive parent blocks, interleaved
+            /// with copied pushes, `consume` and `slice`, read back the
+            /// same bytes as a flat model; a refill that continues the back
+            /// chunk's parent never adds a chunk.
+            #[test]
+            fn matches_flat_model(
+                ops in proptest::collection::vec((0u8..4, 1usize..5000, 0usize..5000), 1..200),
+            ) {
+                let block = |k: usize| {
+                    Bytes::from((0..4096).map(|i| (i * 7 + k * 13) as u8).collect::<Vec<u8>>())
+                };
+                let mut q = ChunkDeque::default();
+                let mut model: Vec<u8> = Vec::new();
+                let (mut next_block, mut rest) = (1, block(0));
+                // Does the back chunk come from the block `rest` continues?
+                let mut back_is_rest = false;
+                let mut copied = 0;
+                for (op, x, y) in ops {
+                    match op {
+                        0 => {
+                            let n = x.min(rest.len());
+                            let chunks = q.chunks.len();
+                            q.push_prefix(&rest, n);
+                            model.extend_from_slice(&rest[..n]);
+                            if back_is_rest && chunks > 0 {
+                                prop_assert_eq!(q.chunks.len(), chunks);
+                            }
+                            rest = rest.slice(n..);
+                            back_is_rest = !rest.is_empty();
+                            if rest.is_empty() {
+                                rest = block(next_block);
+                                next_block += 1;
+                            }
+                        }
+                        1 => {
+                            let data = vec![x as u8; x % 64 + 1];
+                            q.push_slice(&data);
+                            model.extend_from_slice(&data);
+                            back_is_rest = false;
+                        }
+                        2 => {
+                            let n = x % (model.len() + 1);
+                            q.consume(n);
+                            model.drain(..n);
+                        }
+                        _ => {
+                            let start = x % (model.len() + 1);
+                            let len = y % (model.len() - start + 1);
+                            if len > 0 {
+                                let got = q.slice(start, len, &mut copied);
+                                prop_assert_eq!(&got[..], &model[start..start + len]);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(q.len(), model.len());
+                }
+                let mut all = vec![0u8; model.len()];
+                prop_assert_eq!(q.copy_out(&mut all), model.len());
+                prop_assert_eq!(all, model);
+            }
+        }
     }
 }
