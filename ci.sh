@@ -2,7 +2,7 @@
 # Repo gate, organized as named stages:
 #
 #   fmt     cargo fmt --check
-#   clippy  cargo clippy --workspace -D warnings
+#   clippy  cargo clippy --workspace --all-targets -D warnings
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -72,7 +72,7 @@ stage_fmt() {
 }
 
 stage_clippy() {
-  cargo clippy --workspace -- -D warnings
+  cargo clippy --workspace --all-targets -- -D warnings
 }
 
 stage_golden() {

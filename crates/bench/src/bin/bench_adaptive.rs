@@ -7,7 +7,7 @@
 //! compression multiplies goodput, while at 10 MB/s with paper-era
 //! 64 KiB windows a single stream is window-limited and striping wins.
 //! The controller must shed compression and walk the stripe ladder up
-//! as the ramp passes — `check_bench --adaptive` gates that it lands
+//! as the ramp passes — `check_bench` gates that it lands
 //! within 0.9x of the best static run and at least 1.5x above the
 //! worst. Writes `BENCH_adaptive.json`.
 

@@ -1,21 +1,14 @@
-//! Bench-regression gate: compare fresh `bench_datapath` / `bench_faults`
-//! output against the committed baselines and fail CI on meaningful
-//! regressions.
+//! Bench-regression gate: compare fresh `BENCH_*.json` output against the
+//! baselines and fail CI on meaningful regressions.
 //!
 //! Usage:
-//!   check_bench [--datapath fresh.json]  [--base-datapath BENCH_datapath.json]
-//!               [--faults fresh.json]    [--base-faults BENCH_faults.json]
-//!               [--mux fresh.json]       [--base-mux BENCH_mux.json]
-//!               [--storm fresh.json]     [--base-storm BENCH_storm.json]
-//!               [--relaymesh fresh.json] [--base-relaymesh BENCH_relaymesh.json]
-//!               [--adaptive fresh.json]  [--base-adaptive BENCH_adaptive.json]
-//!               [--all [--fresh-dir DIR]]
-//!               [--tolerance 0.2]
+//!   check_bench --all --fresh-dir DIR [--base-dir DIR] [--tolerance 0.2]
 //!
-//! `--all` discovers every `BENCH_*.json` baseline at the repo root and
+//! Discovers every `BENCH_*.json` baseline in `--base-dir` (default: the
+//! current directory, i.e. the committed set at the repo root) and
 //! requires a same-named fresh run in `--fresh-dir`: a baseline with no
 //! fresh run (a bench not wired into the quick gate) or a fresh file with
-//! no committed baseline is exit 2, naming the file.
+//! no baseline is exit 2, naming the file.
 //!
 //! Rules (per scenario, matched by `id` / `down_ms` / `channels` / `nodes`):
 //!   * datapath: fresh `mb_per_sec` below `(1 - tolerance) x` baseline fails;
@@ -482,16 +475,16 @@ fn discover(dir: &str) -> Vec<String> {
     out
 }
 
-/// `--all`: every committed repo-root baseline must have a fresh
-/// counterpart in `fresh_dir` (and nothing unaccounted-for the other way),
-/// each must parse, and known suites get their typed gate. A missing or
-/// extra file is a coverage hole in the bench harness itself — exit 2,
-/// naming it — not a perf regression.
-fn check_all(fresh_dir: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let base_files = discover(".");
+/// Every baseline in `base_dir` must have a fresh counterpart in
+/// `fresh_dir` (and nothing unaccounted-for the other way), each must
+/// parse, and known suites get their typed gate. A missing or extra file
+/// is a coverage hole in the bench harness itself — exit 2, naming it —
+/// not a perf regression.
+fn check_all(fresh_dir: &str, base_dir: &str, tolerance: f64, failures: &mut Vec<String>) {
+    let base_files = discover(base_dir);
     let fresh_files = discover(fresh_dir);
     if base_files.is_empty() {
-        eprintln!("check_bench: no BENCH_*.json baselines in the current directory");
+        eprintln!("check_bench: no BENCH_*.json baselines in {base_dir}");
         std::process::exit(2);
     }
     let missing: Vec<&String> = base_files
@@ -507,25 +500,26 @@ fn check_all(fresh_dir: &str, tolerance: f64, failures: &mut Vec<String>) {
             eprintln!("check_bench: baseline {f} has no fresh run in {fresh_dir} (bench not wired into the quick gate?)");
         }
         for f in &extra {
-            eprintln!("check_bench: fresh {fresh_dir}/{f} has no committed repo-root baseline (run the full suite and commit it)");
+            eprintln!("check_bench: fresh {fresh_dir}/{f} has no baseline in {base_dir} (run the full suite and commit it)");
         }
         std::process::exit(2);
     }
     for name in &base_files {
         let fresh = format!("{fresh_dir}/{name}");
+        let base = format!("{base_dir}/{name}");
         println!("--- {name}");
         match name.as_str() {
-            "BENCH_datapath.json" => check_datapath(&fresh, name, tolerance, failures),
-            "BENCH_faults.json" => check_faults(&fresh, name, tolerance, failures),
-            "BENCH_mux.json" => check_mux(&fresh, name, failures),
-            "BENCH_storm.json" => check_storm(&fresh, name, failures),
-            "BENCH_relaymesh.json" => check_relaymesh(&fresh, name, tolerance, failures),
-            "BENCH_adaptive.json" => check_adaptive(&fresh, name, tolerance, failures),
+            "BENCH_datapath.json" => check_datapath(&fresh, &base, tolerance, failures),
+            "BENCH_faults.json" => check_faults(&fresh, &base, tolerance, failures),
+            "BENCH_mux.json" => check_mux(&fresh, &base, failures),
+            "BENCH_storm.json" => check_storm(&fresh, &base, failures),
+            "BENCH_relaymesh.json" => check_relaymesh(&fresh, &base, tolerance, failures),
+            "BENCH_adaptive.json" => check_adaptive(&fresh, &base, tolerance, failures),
             _ => {
                 // Unknown suite: no typed gate yet, but both sides must at
                 // least be well-formed bench output.
                 load(&fresh);
-                load(name);
+                load(&base);
                 println!("{name}: parses on both sides (no typed gate for this suite)");
             }
         }
@@ -537,55 +531,15 @@ fn main() {
     let tolerance: f64 = arg_value(&args, "--tolerance")
         .map(|s| s.parse().expect("--tolerance takes a fraction"))
         .unwrap_or(0.2);
-    let datapath = arg_value(&args, "--datapath");
-    let faults = arg_value(&args, "--faults");
-    let mux = arg_value(&args, "--mux");
-    let storm = arg_value(&args, "--storm");
-    let relaymesh = arg_value(&args, "--relaymesh");
-    let adaptive = arg_value(&args, "--adaptive");
-    let all = has_flag(&args, "--all");
-    assert!(
-        all || datapath.is_some()
-            || faults.is_some()
-            || mux.is_some()
-            || storm.is_some()
-            || relaymesh.is_some()
-            || adaptive.is_some(),
-        "nothing to check: pass --datapath, --faults, --mux, --storm, --relaymesh, --adaptive and/or --all"
-    );
+    let (Some(fresh_dir), true) = (arg_value(&args, "--fresh-dir"), has_flag(&args, "--all"))
+    else {
+        eprintln!("usage: check_bench --all --fresh-dir DIR [--base-dir DIR] [--tolerance 0.2]");
+        std::process::exit(2);
+    };
+    let base_dir = arg_value(&args, "--base-dir").unwrap_or_else(|| ".".into());
 
     let mut failures = Vec::new();
-    if all {
-        let fresh_dir = arg_value(&args, "--fresh-dir").unwrap_or_else(|| ".".into());
-        check_all(&fresh_dir, tolerance, &mut failures);
-    }
-    if let Some(fresh) = datapath {
-        let base =
-            arg_value(&args, "--base-datapath").unwrap_or_else(|| "BENCH_datapath.json".into());
-        check_datapath(&fresh, &base, tolerance, &mut failures);
-    }
-    if let Some(fresh) = faults {
-        let base = arg_value(&args, "--base-faults").unwrap_or_else(|| "BENCH_faults.json".into());
-        check_faults(&fresh, &base, tolerance, &mut failures);
-    }
-    if let Some(fresh) = mux {
-        let base = arg_value(&args, "--base-mux").unwrap_or_else(|| "BENCH_mux.json".into());
-        check_mux(&fresh, &base, &mut failures);
-    }
-    if let Some(fresh) = storm {
-        let base = arg_value(&args, "--base-storm").unwrap_or_else(|| "BENCH_storm.json".into());
-        check_storm(&fresh, &base, &mut failures);
-    }
-    if let Some(fresh) = relaymesh {
-        let base =
-            arg_value(&args, "--base-relaymesh").unwrap_or_else(|| "BENCH_relaymesh.json".into());
-        check_relaymesh(&fresh, &base, tolerance, &mut failures);
-    }
-    if let Some(fresh) = adaptive {
-        let base =
-            arg_value(&args, "--base-adaptive").unwrap_or_else(|| "BENCH_adaptive.json".into());
-        check_adaptive(&fresh, &base, tolerance, &mut failures);
-    }
+    check_all(&fresh_dir, &base_dir, tolerance, &mut failures);
     if failures.is_empty() {
         println!("check_bench: no regressions");
     } else {

@@ -8,7 +8,7 @@ use gridsim_net::{topology, LinkParams, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, CpuRates, EstablishMethod, GridEnv,
-    GridNode, StackSpec,
+    GridNode, PathControlConfig, StackSpec,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -232,6 +232,8 @@ pub struct BwRun {
     pub window: u32,
     /// Payload redundancy for the synthetic workload (compressibility).
     pub redundancy: f64,
+    /// Run the live path controller on the link (`GridEnv::path_control`).
+    pub path_control: Option<PathControlConfig>,
 }
 
 impl BwRun {
@@ -245,6 +247,7 @@ impl BwRun {
             rates: CpuRates::default(),
             window: 64 * 1024,
             redundancy: gridzip::synth::GRID_REDUNDANCY,
+            path_control: None,
         }
     }
 }
@@ -298,7 +301,8 @@ pub fn measurement_world(sim: &Sim, wan: &Wan, window: u32) -> (GridEnv, SimHost
 pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     let sim = Sim::new(run.seed);
     let (env, ha, hb) = measurement_world(&sim, &run.wan, run.window);
-    let env = env.with_rates(run.rates);
+    let mut env = env.with_rates(run.rates);
+    env.path_control = run.path_control;
     let n_msgs = (run.total_bytes / run.msg_size).max(4);
     let payload = gridzip::synth::grid_payload(run.msg_size, run.redundancy, run.seed);
 

@@ -27,67 +27,54 @@ pub trait BlockWrite: Write {
     fn write_block(&mut self, block: Bytes) -> io::Result<()> {
         self.write_all(&block)
     }
-
-    /// Submit a run of blocks in one call. Byte-stream equivalent to
-    /// `write_block` per element; vectored writers override so the whole
-    /// run crosses the layer (and ultimately the simulated socket) in a
-    /// single submission instead of one handoff per block.
-    fn write_blocks(&mut self, blocks: &[Bytes]) -> io::Result<()> {
-        for b in blocks {
-            self.write_block(b.clone())?;
-        }
-        Ok(())
-    }
 }
 
 /// A byte source that can also hand data out as refcounted chunks.
 pub trait BlockRead: Read {
-    /// Pull up to `max` bytes, appending them to `out` as chunks. Returns
-    /// the byte count; `Ok(0)` means EOF. The default copies through one
-    /// `read` call; zero-copy readers override.
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        copy_read_chunks(self, max, out)
-    }
-
     /// Pull at least `min` bytes unless EOF intervenes, with up to `max`
-    /// bytes of read-ahead past the demand. Returns the byte count
-    /// appended; less than `min` means EOF. Stating the real demand lets a
-    /// demand-aware source (the simulated TCP socket) satisfy it with one
-    /// parked wait serviced at event time instead of one wakeup per
-    /// arriving chunk. The default loops `read_chunks`.
+    /// bytes of read-ahead past the demand, appending them to `out` as
+    /// chunks. Returns the byte count appended; less than `min` means EOF.
+    /// Stating the real demand lets a demand-aware source (the simulated
+    /// TCP socket) satisfy it with one parked wait serviced at event time
+    /// instead of one wakeup per arriving chunk. The default copies
+    /// through `read`; zero-copy readers override.
     fn read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        let mut got = 0;
-        while got < min {
-            let n = self.read_chunks((min - got).max(max), out)?;
-            if n == 0 {
-                break;
-            }
-            got += n;
-        }
-        Ok(got)
+        copy_read_chunks(self, min, max, out)
+    }
+
+    /// Pull up to `max` bytes: a demand of one byte. `Ok(0)` means EOF.
+    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
+        self.read_chunks_min(1, max, out)
     }
 }
 
-/// The copying `read_chunks` fallback, callable by name from enum impls
-/// that delegate only some variants to a zero-copy source.
+/// The copying `read_chunks_min` fallback, callable by name from enum
+/// impls that delegate only some variants to a zero-copy source: `read`
+/// calls of up to `max(remaining, max)` bytes (at most 64 KiB each), one
+/// chunk per call, until the demand is met.
 pub fn copy_read_chunks<R: Read + ?Sized>(
     r: &mut R,
+    min: usize,
     max: usize,
     out: &mut Vec<Bytes>,
 ) -> io::Result<usize> {
-    let mut v = vec![0u8; max.min(64 * 1024)];
-    let n = r.read(&mut v)?;
-    if n == 0 {
-        return Ok(0);
+    let mut got = 0;
+    while got < min {
+        let mut v = vec![0u8; (min - got).max(max).min(64 * 1024)];
+        let n = r.read(&mut v)?;
+        if n == 0 {
+            break;
+        }
+        v.truncate(n);
+        out.push(Bytes::from(v));
+        got += n;
     }
-    v.truncate(n);
-    out.push(Bytes::from(v));
-    Ok(n)
+    Ok(got)
 }
 
 // Trait-object plumbing: the assembled stacks are boxed, and a boxed
@@ -97,15 +84,9 @@ impl BlockWrite for Box<dyn BlockWrite + Send> {
     fn write_block(&mut self, block: Bytes) -> io::Result<()> {
         (**self).write_block(block)
     }
-    fn write_blocks(&mut self, blocks: &[Bytes]) -> io::Result<()> {
-        (**self).write_blocks(blocks)
-    }
 }
 
 impl BlockRead for Box<dyn BlockRead + Send> {
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        (**self).read_chunks(max, out)
-    }
     fn read_chunks_min(
         &mut self,
         min: usize,
@@ -136,16 +117,8 @@ impl<W: Write> CpuWrite<W> {
         CpuWrite { inner, cpu, rate }
     }
 
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
     pub fn get_ref(&self) -> &W {
         &self.inner
-    }
-
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.inner
     }
 }
 
@@ -172,10 +145,6 @@ pub struct CpuRead<R> {
 impl<R: Read> CpuRead<R> {
     pub fn new(inner: R, cpu: HostCpu, rate: f64) -> CpuRead<R> {
         CpuRead { inner, cpu, rate }
-    }
-
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 }
 
@@ -207,24 +176,12 @@ pub struct BlockWriter<W: BlockWrite> {
     inner: W,
     pool: BlockPool,
     buf: BlockBuf,
-    /// Reused staging for vectored runs (`write_blocks`), so a batched
-    /// submit costs no allocation in steady state.
-    run: Vec<Bytes>,
 }
 
 impl<W: BlockWrite> BlockWriter<W> {
     pub fn new(inner: W, pool: BlockPool) -> BlockWriter<W> {
         let buf = pool.checkout();
-        BlockWriter {
-            inner,
-            pool,
-            buf,
-            run: Vec::new(),
-        }
-    }
-
-    pub fn get_ref(&self) -> &W {
-        &self.inner
+        BlockWriter { inner, pool, buf }
     }
 
     fn flush_buf(&mut self) -> io::Result<()> {
@@ -271,36 +228,6 @@ impl<W: BlockWrite> BlockWrite for BlockWriter<W> {
             self.buf.extend_from_slice(&block);
             Ok(())
         }
-    }
-
-    /// Vectored submit: the same buffering decisions as `write_block` per
-    /// element (identical byte stream), but every block the run produces —
-    /// frozen coalescing buffers and passthrough blocks alike — goes to the
-    /// inner sink in ONE `write_blocks` call, so consecutive frames share
-    /// one simulated-socket submission.
-    fn write_blocks(&mut self, blocks: &[Bytes]) -> io::Result<()> {
-        let cap = self.pool.block_size();
-        let mut run = std::mem::take(&mut self.run);
-        debug_assert!(run.is_empty());
-        for block in blocks {
-            if self.buf.len() + block.len() > cap && !self.buf.is_empty() {
-                let full = std::mem::replace(&mut self.buf, self.pool.checkout());
-                run.push(full.freeze());
-            }
-            if block.len() >= cap {
-                run.push(block.clone());
-            } else {
-                self.buf.extend_from_slice(block);
-            }
-        }
-        let r = if run.is_empty() {
-            Ok(())
-        } else {
-            self.inner.write_blocks(&run)
-        };
-        run.clear();
-        self.run = run;
-        r
     }
 }
 
@@ -366,12 +293,9 @@ impl<R: BlockRead> Read for BlockReader<R> {
     }
 }
 
-impl<R: BlockRead> BlockRead for BlockReader<R> {
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        if self.avail == 0 {
-            // Nothing buffered: pull straight from the source, zero-copy.
-            return self.inner.read_chunks(max, out);
-        }
+impl<R: BlockRead> BlockReader<R> {
+    /// Move up to `max` buffered bytes to `out`.
+    fn take_buffered(&mut self, max: usize, out: &mut Vec<Bytes>) -> usize {
         let mut taken = 0;
         while taken < max && self.avail > 0 {
             let front = self.chunks.front_mut().expect("avail > 0");
@@ -386,9 +310,11 @@ impl<R: BlockRead> BlockRead for BlockReader<R> {
                 taken += remaining;
             }
         }
-        Ok(taken)
+        taken
     }
+}
 
+impl<R: BlockRead> BlockRead for BlockReader<R> {
     fn read_chunks_min(
         &mut self,
         min: usize,
@@ -397,13 +323,10 @@ impl<R: BlockRead> BlockRead for BlockReader<R> {
     ) -> io::Result<usize> {
         // Serve what is buffered, then state the remaining demand to the
         // source in one call (not a per-chunk loop) so a demand-aware
-        // source can satisfy it with a single parked wait.
-        let mut got = 0;
-        if self.avail > 0 {
-            got = self.read_chunks(max.max(min), out)?;
-            if got >= min {
-                return Ok(got);
-            }
+        // source can satisfy it zero-copy with a single parked wait.
+        let got = self.take_buffered(max.max(min), out);
+        if got >= min {
+            return Ok(got);
         }
         let n = self.inner.read_chunks_min(min - got, max, out)?;
         Ok(got + n)

@@ -15,11 +15,15 @@
 //!       └ (streams = 1: plain TCP_Block, optionally under GTLS)
 //! ```
 //!
+//! Whether (and how hard) to compress, how many streams and which block
+//! size are [`PathParams`]: fixed by the [`StackSpec`] at establishment,
+//! retuned live by `tune::PathController` through a RECONFIG stack swap.
+//! There is no in-driver policy.
+//!
 //! Establishment and utilization stay orthogonal: the stack builders accept
 //! any [`RawLink`] — native TCP from any establishment method, or a routed
 //! relay stream.
 
-pub mod adaptive;
 pub mod blockio;
 pub mod stripe;
 
@@ -36,7 +40,6 @@ use crate::pool::BlockPool;
 use crate::relay::RoutedStream;
 use crate::wire::{FrameReader, FrameWriter};
 
-pub use adaptive::{AdaptiveCompressWriter, AdaptiveStats};
 pub use blockio::{
     copy_read_chunks, BlockRead, BlockReader, BlockWrite, BlockWriter, CpuRead, CpuWrite,
 };
@@ -157,28 +160,9 @@ impl BlockWrite for RawLink {
             RawLink::Routed(s) => s.write_all(&block),
         }
     }
-    fn write_blocks(&mut self, blocks: &[Bytes]) -> io::Result<()> {
-        match self {
-            // One vectored submit: the whole run enters the simulated send
-            // queue under a single parked wait.
-            RawLink::Tcp(s) => s.write_all_blocks(blocks),
-            RawLink::Routed(s) => {
-                for b in blocks {
-                    s.write_all(b)?;
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
 impl BlockRead for RawLink {
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        match self {
-            RawLink::Tcp(s) => s.read_chunks(max, out),
-            RawLink::Routed(s) => copy_read_chunks(s, max, out),
-        }
-    }
     fn read_chunks_min(
         &mut self,
         min: usize,
@@ -189,24 +173,14 @@ impl BlockRead for RawLink {
             // Demand-aware drain: the socket parks once and is serviced at
             // event time until `min` bytes (or EOF) accumulated.
             RawLink::Tcp(s) => s.read_chunks_min(min, max, out),
-            RawLink::Routed(s) => {
-                let mut got = 0;
-                while got < min {
-                    let n = copy_read_chunks(s, (min - got).max(max), out)?;
-                    if n == 0 {
-                        break;
-                    }
-                    got += n;
-                }
-                Ok(got)
-            }
+            RawLink::Routed(s) => copy_read_chunks(s, min, max, out),
         }
     }
 }
 
 /// The runtime-tunable half of a [`StackSpec`]: the knobs a live
 /// `RECONFIG` exchange may change mid-connection. Everything else on the
-/// spec (security, adaptive mode) is fixed at establishment.
+/// spec (security) is fixed at establishment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathParams {
     /// Number of parallel TCP streams (1 = plain).
@@ -249,15 +223,12 @@ impl PathParams {
 /// assemble matching stacks (the paper's "driver assembly consistency").
 ///
 /// The tunable knobs (stripe count, block size, compression level) live in
-/// the embedded [`PathParams`]; `adaptive`/`secure` are establishment-time
-/// properties a live reconfiguration never changes.
+/// the embedded [`PathParams`]; `secure` is an establishment-time property
+/// a live reconfiguration never changes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StackSpec {
     /// Tunable path parameters (stripes, block size, compression level).
     pub path: PathParams,
-    /// Adaptive compression (paper §8 future work): toggle the compressor
-    /// on and off at runtime depending on where the bottleneck is.
-    pub adaptive: bool,
     /// GTLS encryption filter on every stream.
     pub secure: bool,
 }
@@ -293,13 +264,6 @@ impl StackSpec {
         self
     }
 
-    /// Compression that turns itself off when CPU-bound (AdOC-style).
-    pub fn with_adaptive_compression(mut self, level: u8) -> Self {
-        self.path.compression_level = Some(level.clamp(1, 9));
-        self.adaptive = true;
-        self
-    }
-
     pub fn with_security(mut self) -> Self {
         self.secure = true;
         self
@@ -312,7 +276,7 @@ impl StackSpec {
     }
 
     /// The spec that results from applying live `params` to this
-    /// establishment spec: tunables swap, `adaptive`/`secure` persist.
+    /// establishment spec: tunables swap, `secure` persists.
     pub fn with_path(&self, params: PathParams) -> StackSpec {
         StackSpec {
             path: params,
@@ -328,11 +292,7 @@ impl StackSpec {
             format!("{} streams", self.streams())
         }];
         if let Some(l) = self.compress() {
-            if self.adaptive {
-                parts.push(format!("adaptive compression(level {l})"));
-            } else {
-                parts.push(format!("compression(level {l})"));
-            }
+            parts.push(format!("compression(level {l})"));
         }
         if self.secure {
             parts.push("gtls".to_string());
@@ -346,7 +306,7 @@ impl StackSpec {
             .u64(self.block_size() as u64)
             .u8(self.compress().map(|l| l + 1).unwrap_or(0))
             .u8(self.secure as u8)
-            .u8(self.adaptive as u8)
+            .u8(0) // reserved, see `decode`
             .into_bytes()
     }
 
@@ -359,8 +319,11 @@ impl StackSpec {
             l => Some(l - 1),
         };
         let secure = r.u8()? != 0;
-        let adaptive = r.u8()? != 0;
-        if streams == 0 || block_size == 0 {
+        // Once the in-driver adaptive-compression flag; still written (as
+        // 0) so name-service records keep their bytes. A peer that sets it
+        // asks for a driver this stack cannot assemble.
+        let reserved = r.u8()?;
+        if streams == 0 || block_size == 0 || reserved != 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad stack spec"));
         }
         Ok(StackSpec {
@@ -369,7 +332,6 @@ impl StackSpec {
                 block_size,
                 compression_level: compress,
             },
-            adaptive,
             secure,
         })
     }
@@ -423,26 +385,9 @@ impl BlockWrite for WireStream {
             WireStream::Secure(s) => s.write_all(&block),
         }
     }
-    fn write_blocks(&mut self, blocks: &[Bytes]) -> io::Result<()> {
-        match self {
-            WireStream::Plain(s) => s.write_blocks(blocks),
-            WireStream::Secure(s) => {
-                for b in blocks {
-                    s.write_all(b)?;
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
 impl BlockRead for WireStream {
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        match self {
-            WireStream::Plain(s) => s.read_chunks(max, out),
-            WireStream::Secure(s) => copy_read_chunks(s, max, out),
-        }
-    }
     fn read_chunks_min(
         &mut self,
         min: usize,
@@ -451,17 +396,7 @@ impl BlockRead for WireStream {
     ) -> io::Result<usize> {
         match self {
             WireStream::Plain(s) => s.read_chunks_min(min, max, out),
-            WireStream::Secure(s) => {
-                let mut got = 0;
-                while got < min {
-                    let n = copy_read_chunks(s, (min - got).max(max), out)?;
-                    if n == 0 {
-                        break;
-                    }
-                    got += n;
-                }
-                Ok(got)
-            }
+            WireStream::Secure(s) => copy_read_chunks(s, min, max, out),
         }
     }
 }
@@ -545,21 +480,11 @@ fn secure_wires(
 ///
 /// Also returns the [`BlockPool`] the stack's aggregation/striping layers
 /// draw their staging buffers from, so callers can surface pool hit/miss
-/// counters alongside link stats.
-pub fn build_sender(
-    links: Vec<RawLink>,
-    spec: &StackSpec,
-    cpu: HostCpu,
-    sec: Option<&SecurityContext>,
-) -> io::Result<(SenderStack, BlockPool)> {
-    build_sender_parts(links, spec, cpu, sec).map(|(s, p, _)| (s, p))
-}
-
-/// [`build_sender`] variant that also hands back the striped layer's
+/// counters alongside link stats, and the striped layer's
 /// segment-terminator handle (None for single-stream stacks). The session
 /// layer uses it during a live reconfiguration to end the stripe segment
 /// in-band, so the receiver's pump tasks exit before the stack swap.
-pub fn build_sender_parts(
+pub fn build_sender(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: HostCpu,
@@ -607,10 +532,6 @@ pub fn build_sender_parts(
         Box::new(sw)
     };
     let stack: SenderStack = match spec.compress() {
-        Some(level) if spec.adaptive => {
-            let rate = cpu.rates.compress_at_level(level);
-            Box::new(AdaptiveCompressWriter::new(base, level, block, cpu, rate))
-        }
         Some(level) => {
             let rate = cpu.rates.compress_at_level(level);
             let cw = gridzip::CompressWriter::with_block_size(base, level, block);
@@ -623,21 +544,12 @@ pub fn build_sender_parts(
 
 /// Assemble the receiver stack over accepted raw links (same order as the
 /// sender's streams).
+///
+/// Also returns the striped layer's quiesce handle (None for single-stream
+/// stacks). The pump holds it so a live reconfiguration can wait for the
+/// retired stack's reader tasks to exit before a replacement stack reads
+/// the same sockets.
 pub fn build_receiver(
-    links: Vec<RawLink>,
-    spec: &StackSpec,
-    cpu: HostCpu,
-    sec: Option<&SecurityContext>,
-    sched: &gridsim_net::SchedHandle,
-) -> io::Result<ReceiverStack> {
-    build_receiver_parts(links, spec, cpu, sec, sched).map(|(s, _)| s)
-}
-
-/// [`build_receiver`] variant that also hands back the striped layer's
-/// quiesce handle (None for single-stream stacks). The pump holds it so a
-/// live reconfiguration can wait for the retired stack's reader tasks to
-/// exit before a replacement stack reads the same sockets.
-pub fn build_receiver_parts(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: HostCpu,

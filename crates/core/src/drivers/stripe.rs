@@ -399,13 +399,19 @@ impl Read for StripeReader {
 }
 
 impl BlockRead for StripeReader {
-    fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        if self.eof || !self.refill()? {
-            return Ok(0);
+    fn read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        let mut got = 0;
+        while got < min && !self.eof && self.refill()? {
+            let n = (min - got).max(max).min(self.current.len());
+            out.push(self.current.split_to(n));
+            got += n;
         }
-        let n = max.min(self.current.len());
-        out.push(self.current.split_to(n));
-        Ok(n)
+        Ok(got)
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::cpu::{CpuModel, CpuRates, HostCpu};
-use crate::drivers::{build_sender_parts, PathParams, RawLink, SecurityContext, StackSpec};
+use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
 use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
 use crate::nameservice::{GridId, NsClient, PortRecord};
 use crate::port::{
@@ -921,7 +921,7 @@ impl GridNode {
         let sec = ctx.security(&spec_eff);
         let probes = links.clone();
         let (writer, pool, term) =
-            build_sender_parts(links, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
+            build_sender(links, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
         Ok((
             LinkIo {
                 writer,
@@ -1040,7 +1040,7 @@ impl GridNode {
         let sec = ctx.security(&spec_eff);
         let raw: Vec<RawLink> = io.links[..params.stripes as usize].to_vec();
         let (writer, pool, term) =
-            build_sender_parts(raw, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
+            build_sender(raw, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
         io.writer = writer;
         io.pool = pool;
         io.term = term;

@@ -23,11 +23,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::drivers::{
-    build_receiver_parts, PathParams, RawLink, ReceiverStack, StackSpec, StripeQuiesce,
+    build_receiver, PathParams, RawLink, ReceiverStack, StackSpec, StripeQuiesce,
 };
 use crate::establish::EstablishMethod;
 use crate::node::{GridNode, NodeCtx};
-use crate::pool::{BlockBuf, BlockPool, PoolStats};
+use crate::pool::{BlockBuf, BlockPool};
 use crate::relay::RelayClient;
 use crate::session::{Channel, SharedLink};
 use crate::wire::{mux, FrameWriter};
@@ -326,12 +326,6 @@ impl SendPort {
         self.conns.len()
     }
 
-    /// Establishment method of connection `i` (of its underlying link,
-    /// which recovery may have migrated to a different method).
-    pub fn method_of(&self, i: usize) -> Option<EstablishMethod> {
-        self.conns.get(i).map(|c| c.link.method())
-    }
-
     /// (peer port name, method, channel id) per connection — diagnostics.
     pub fn connections(&self) -> Vec<(String, EstablishMethod, u64)> {
         self.conns
@@ -391,25 +385,6 @@ impl SendPort {
     pub fn message(&mut self) -> WriteMessage<'_> {
         let buf = self.msg_pool.checkout();
         WriteMessage { port: self, buf }
-    }
-
-    /// Buffer-pool counters aggregated over the message pool and every
-    /// distinct link's driver-stack pool (connections sharing a link share
-    /// its pool — counted once).
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut agg = self.msg_pool.stats();
-        let mut seen: Vec<*const SharedLink> = Vec::new();
-        for c in &self.conns {
-            let p = Arc::as_ptr(&c.link);
-            if seen.contains(&p) {
-                continue;
-            }
-            seen.push(p);
-            let s = c.link.io().pool.stats();
-            agg.hits += s.hits;
-            agg.misses += s.misses;
-        }
-        agg
     }
 
     /// One-shot convenience: send `data` as a single message.
@@ -796,7 +771,7 @@ impl ReceivePortInner {
             // Health probes for the GC decision at pump exit: clones
             // sharing the underlying sockets, like the sender's.
             let probes = links.clone();
-            let (stack, quiesce) = build_receiver_parts(
+            let (stack, quiesce) = build_receiver(
                 links,
                 &spec,
                 ctx.cpu.clone(),
@@ -1010,13 +985,9 @@ impl ReceivePortInner {
                         let spec = self.spec.clone().with_path(params);
                         let sec = ctx.security(&spec);
                         let links: Vec<RawLink> = probes[..params.stripes as usize].to_vec();
-                        let Ok((stack, q)) = build_receiver_parts(
-                            links,
-                            &spec,
-                            ctx.cpu.clone(),
-                            sec.as_ref(),
-                            &ctx.sched,
-                        ) else {
+                        let Ok((stack, q)) =
+                            build_receiver(links, &spec, ctx.cpu.clone(), sec.as_ref(), &ctx.sched)
+                        else {
                             break;
                         };
                         quiesce = q;

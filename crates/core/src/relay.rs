@@ -1210,12 +1210,6 @@ impl RelayClient {
             .send(&mut *w);
     }
 
-    /// The relay address this client is currently connected to.
-    pub fn current_relay(&self) -> SockAddr {
-        let idx = self.inner.current.load(Ordering::Relaxed);
-        self.inner.relay_addrs[idx.min(self.inner.relay_addrs.len() - 1)]
-    }
-
     pub fn id(&self) -> GridId {
         self.inner.id
     }

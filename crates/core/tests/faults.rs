@@ -88,6 +88,7 @@ fn wan() -> LinkParams {
 /// Send `msgs` sequenced messages a→b. The receiver asserts strict
 /// `0..msgs` order: one assert covers no-loss, no-duplicate, and
 /// no-reorder at once. Returns the establishment method used.
+#[allow(clippy::too_many_arguments)]
 fn sequenced_roundtrip(
     sim: &Sim,
     env: &netgrid::GridEnv,
@@ -144,6 +145,7 @@ fn sequenced_roundtrip(
 /// Flap the whole a↔b path mid-transfer (which also cuts both endpoints
 /// off from the services host — relay and name service included) at 1.5 s,
 /// restore at 2.7 s: squarely inside the transfer window.
+#[allow(clippy::too_many_arguments)]
 fn flap_roundtrip(
     sim: &Sim,
     env: &netgrid::GridEnv,
@@ -779,6 +781,7 @@ fn tcp_config_by_ip(net: &gridsim_net::Net, ip: gridsim_net::Ip, cfg: TcpConfig)
 /// full-path outage. Recovery must replay exactly once from the ack point,
 /// and the resend buffer's *pre-eviction* peak must stay within the cap:
 /// proof the cumulative-ack protocol, not the eviction cliff, bounded it.
+#[allow(clippy::too_many_arguments)]
 fn capped_flap_roundtrip(
     sim: &Sim,
     env: &netgrid::GridEnv,

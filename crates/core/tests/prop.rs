@@ -58,17 +58,22 @@ proptest! {
         streams in 1u16..64,
         block in 1u32..1_000_000,
         level in proptest::option::of(1u8..=9),
-        adaptive in any::<bool>(),
         secure in any::<bool>(),
+        reserved in 1u8..=255,
     ) {
         let mut spec = StackSpec::plain().with_streams(streams).with_block_size(block);
         if let Some(l) = level {
-            spec = if adaptive { spec.with_adaptive_compression(l) } else { spec.with_compression(l) };
+            spec = spec.with_compression(l);
         }
         if secure {
             spec = spec.with_security();
         }
-        prop_assert_eq!(StackSpec::decode(&spec.encode()).unwrap(), spec);
+        let mut bytes = spec.encode();
+        prop_assert_eq!(StackSpec::decode(&bytes).unwrap(), spec);
+        // The trailing byte is reserved: anything but 0 is refused.
+        *bytes.last_mut().unwrap() = reserved;
+        let err = StackSpec::decode(&bytes).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     /// Profile encoding round-trips (all field combinations).

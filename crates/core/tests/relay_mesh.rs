@@ -131,7 +131,7 @@ fn mesh_world_cfg(
         .collect();
     if let Some(cfg) = relay_tcp {
         for h in &relay_hosts {
-            h.set_tcp_config(cfg.clone());
+            h.set_tcp_config(cfg);
         }
     }
     let ns_addr = SockAddr::new(hsrv.ip(), NS_PORT);

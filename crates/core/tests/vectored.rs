@@ -1,9 +1,8 @@
-//! Property tests for the batched vectored datapath (DESIGN.md §5c): the
-//! run-oriented submit/drain APIs (`BlockWrite::write_blocks`,
-//! `BlockRead::read_chunks_min`) must be byte-identical to the scalar
-//! per-block path for arbitrary block-size sequences, on every driver
-//! stack. Batching may change how many host calls carry the bytes — never
-//! which bytes, in what order.
+//! Property test for the demand-stated drain (DESIGN.md §5c):
+//! `BlockRead::read_chunks_min` must recover the same bytes as the
+//! one-byte-demand `read_chunks` loop for arbitrary block-size and demand
+//! sequences, on every driver stack. Stating the demand may change how
+//! many host calls carry the bytes — never which bytes, in what order.
 
 use bytes::Bytes;
 use netgrid::drivers::{
@@ -69,8 +68,7 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Cut `data` into pooled `Bytes` blocks of the given sizes (zero-size
-/// entries exercise the empty-block edge).
+/// Cut `data` into pooled `Bytes` blocks of the given sizes.
 fn cut_blocks(data: &[u8], sizes: &[usize], pool: &BlockPool) -> Vec<Bytes> {
     let mut blocks = Vec::new();
     let mut off = 0;
@@ -94,7 +92,7 @@ fn cut_blocks(data: &[u8], sizes: &[usize], pool: &BlockPool) -> Vec<Bytes> {
 
 /// The driver stacks under test. GTLS record framing sits below the block
 /// layer and routes both paths through the same sealed-record writer, so
-/// the block-layer stacks are where batching could diverge.
+/// the block-layer stacks are where the two drains could diverge.
 #[derive(Clone, Copy, Debug)]
 enum Stack {
     /// Single-stream aggregation (TCP_Block).
@@ -107,10 +105,9 @@ enum Stack {
 
 const STACKS: [Stack; 3] = [Stack::Agg, Stack::Stripe4, Stack::Gridzip];
 
-/// Push `blocks` through `stack`; `vectored` picks one `write_blocks`
-/// run vs. a scalar `write_block` loop. Returns each sink's captured
-/// byte stream.
-fn capture(stack: Stack, blocks: &[Bytes], block_size: usize, vectored: bool) -> Vec<Vec<u8>> {
+/// Push `blocks` through `stack`, one `write_block` each. Returns each
+/// sink's captured byte stream.
+fn capture(stack: Stack, blocks: &[Bytes], block_size: usize) -> Vec<Vec<u8>> {
     let sim = gridsim_net::Sim::new(11);
     let out: Arc<parking_lot::Mutex<Vec<Vec<u8>>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let out2 = Arc::clone(&out);
@@ -148,12 +145,8 @@ fn capture(stack: Stack, blocks: &[Bytes], block_size: usize, vectored: bool) ->
                 Box::new(gridzip::CompressWriter::with_block_size(agg, 3, block_size))
             }
         };
-        if vectored {
-            w.write_blocks(&blocks).unwrap();
-        } else {
-            for b in &blocks {
-                w.write_block(b.clone()).unwrap();
-            }
+        for b in &blocks {
+            w.write_block(b.clone()).unwrap();
         }
         w.flush().unwrap();
         drop(w); // stripe: close queues so daemons drain and exit
@@ -224,29 +217,6 @@ fn drain(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One vectored `write_blocks` run emits byte-for-byte the same
-    /// stream(s) as the scalar `write_block` loop, for arbitrary block
-    /// size sequences, on every stack.
-    #[test]
-    fn vectored_submit_matches_scalar(
-        sizes in proptest::collection::vec(0usize..5000, 1..16),
-        block_size in 256usize..4096,
-        seed in any::<u64>(),
-    ) {
-        let total: usize = sizes.iter().sum();
-        let data = payload(total, seed);
-        let pool = BlockPool::new(block_size.max(8));
-        let blocks = cut_blocks(&data, &sizes, &pool);
-        for stack in STACKS {
-            let scalar = capture(stack, &blocks, block_size, false);
-            let vectored = capture(stack, &blocks, block_size, true);
-            prop_assert_eq!(
-                &scalar, &vectored,
-                "write path diverged on {:?}", stack
-            );
-        }
-    }
-
     /// The demand-stating drain (`read_chunks_min`) recovers the same
     /// payload as the scalar chunk loop from identical wire streams, for
     /// arbitrary (min, max) demand sequences, on every stack.
@@ -262,7 +232,7 @@ proptest! {
         let pool = BlockPool::new(block_size.max(8));
         let blocks = cut_blocks(&data, &sizes, &pool);
         for stack in STACKS {
-            let wire = capture(stack, &blocks, block_size, true);
+            let wire = capture(stack, &blocks, block_size);
             let scalar = drain(stack, wire.clone(), block_size, &demands, false);
             let vectored = drain(stack, wire, block_size, &demands, true);
             prop_assert_eq!(&scalar, &data, "scalar drain corrupted payload on {:?}", stack);

@@ -169,17 +169,6 @@ impl Nat {
         admit.then_some(m.internal)
     }
 
-    /// The external port currently mapped for `internal` (+`dst` when
-    /// symmetric), if any. Used by tests and diagnostics.
-    pub fn external_port_of(&self, internal: SockAddr, dst: Option<SockAddr>) -> Option<u16> {
-        let key = if self.kind.is_symmetric() {
-            (internal, dst)
-        } else {
-            (internal, None)
-        };
-        self.by_key.get(&key).copied()
-    }
-
     /// Number of active mappings.
     pub fn mapping_count(&self) -> usize {
         self.by_external.len()

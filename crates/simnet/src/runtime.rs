@@ -217,15 +217,9 @@ fn spin_cfg() -> &'static SpinCfg {
         }
         let per_iter_ns = (t0.elapsed().as_nanos() as f64 / BURST as f64).clamp(0.5, 100.0);
         let iters = |us: f64| ((us * 1000.0 / per_iter_ns) as u32).max(64);
-        let env_us = |key: &str, default: f64| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(default)
-        };
         SpinCfg {
-            sched: iters(env_us("NETGRID_SPIN_SCHED_US", 40.0)),
-            task: iters(env_us("NETGRID_SPIN_TASK_US", 15.0)),
+            sched: iters(40.0),
+            task: iters(15.0),
             yields: 0,
         }
     })

@@ -344,10 +344,6 @@ impl World {
         &self.nodes[id.0]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
-        &mut self.nodes[id.0]
-    }
-
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -388,11 +384,6 @@ impl World {
     /// `0..n_link_dirs()`).
     pub fn n_link_dirs(&self) -> usize {
         self.links.len()
-    }
-
-    /// The outgoing link-direction id of `node`'s interface `iface`.
-    pub fn iface_link(&self, node: NodeId, iface: usize) -> LinkDirId {
-        self.nodes[node.0].ifaces[iface].link_out
     }
 
     // ---------------- fault injection ----------------
@@ -488,22 +479,6 @@ impl World {
     /// Install a tracer called for every packet disposition.
     pub fn set_tracer(&mut self, t: Tracer) {
         self.tracer = Some(t);
-    }
-
-    /// Mutable access to a gateway's NAT (tests/diagnostics).
-    pub fn nat_of(&mut self, node: NodeId) -> Option<&mut Nat> {
-        match &mut self.nodes[node.0].kind {
-            NodeKind::Gateway { nat, .. } => nat.as_mut(),
-            NodeKind::Host => None,
-        }
-    }
-
-    /// Mutable access to a gateway's firewall (tests/diagnostics).
-    pub fn firewall_of(&mut self, node: NodeId) -> Option<&mut Firewall> {
-        match &mut self.nodes[node.0].kind {
-            NodeKind::Gateway { firewall, .. } => Some(firewall),
-            NodeKind::Host => None,
-        }
     }
 
     // ---------------- protocol plumbing ----------------

@@ -272,50 +272,29 @@ impl TcpStream {
 
     /// Blocking write of one whole block, zero-copy: accepted bytes enter
     /// the send queue as refcounted slices of `block`, which stay alive
-    /// until acknowledged by the peer.
+    /// until acknowledged by the peer. When the send buffer fills, the
+    /// remainder is *staged* on the TCB: ACK processing refills the queue
+    /// at event time and this call parks just once, waking when every byte
+    /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
-        self.write_all_blocks(&[block])
-    }
-
-    /// Blocking vectored write of whole blocks, zero-copy. Consecutive
-    /// blocks are appended under a single stack lock while send-buffer
-    /// space lasts. When the buffer fills, the remainder is *staged* on
-    /// the TCB: ACK processing refills the queue at event time and this
-    /// call parks just once, waking when every byte is queued (or the
-    /// connection dies) instead of once per ACK.
-    pub fn write_all_blocks(&self, blocks: &[Bytes]) -> io::Result<()> {
         enum Next {
             Done(io::Result<()>),
             Staged,
             LegacyPark,
         }
-        let mut idx = 0;
-        // Remainder of blocks[idx] not yet accepted.
-        let mut rest: Option<Bytes> = None;
+        // The part of the block not yet accepted.
+        let mut rest = block;
         loop {
             let r = self.with_tcb(|tcb, now| {
-                while idx < blocks.len() {
-                    let cur = rest.take().unwrap_or_else(|| blocks[idx].clone());
-                    if cur.is_empty() {
-                        idx += 1;
-                        continue;
-                    }
-                    match tcb.try_write_bytes(now, &cur) {
-                        Ok(WriteOutcome::Wrote(n)) if n == cur.len() => idx += 1,
-                        Ok(WriteOutcome::Wrote(n)) => rest = Some(cur.slice(n..)),
+                while !rest.is_empty() {
+                    match tcb.try_write_bytes(now, &rest) {
+                        Ok(WriteOutcome::Wrote(n)) => rest = rest.slice(n..),
                         Ok(WriteOutcome::Full) => {
-                            if tcb.write_stage_free() {
-                                let mut staged =
-                                    std::collections::VecDeque::with_capacity(blocks.len() - idx);
-                                staged.push_back(cur);
-                                staged.extend(blocks[idx + 1..].iter().cloned());
-                                let ok = tcb.stage_write(staged, ctx::waker());
-                                debug_assert!(ok);
+                            if tcb.stage_write(rest.clone(), ctx::waker()) {
                                 return Next::Staged;
                             }
                             // Another task's write is staged on this
                             // connection: fall back to waker-parking.
-                            rest = Some(cur);
                             tcb.write_wakers.push(ctx::waker());
                             return Next::LegacyPark;
                         }
@@ -337,22 +316,17 @@ impl TcpStream {
         }
     }
 
-    /// Blocking read handing out up to `max` bytes as zero-copy chunks
-    /// (slices of received segment buffers) appended to `out`. Returns the
-    /// byte count; `Ok(0)` means EOF.
-    pub fn read_chunks(&self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        self.read_chunks_min(1, max, out)
-    }
-
     /// Blocking read of at least `min` bytes (unless EOF intervenes),
-    /// appended to `out` as zero-copy chunks. Each drain call consumes up
-    /// to `max(remaining, max)` bytes — the same granularity as a
-    /// BufReader with capacity `max` doing large-read bypass — so the
-    /// result may exceed `min` by up to `max` bytes of read-ahead. While
-    /// short of `min`, the demand is staged on the TCB: arriving segments
-    /// are moved into the result at delivery time and this call parks just
-    /// once, waking when the demand is met — one wakeup drains everything
-    /// available instead of one wakeup per delivered segment.
+    /// appended to `out` as zero-copy chunks (slices of received segment
+    /// buffers); `min = 1` is a plain "whatever is there, up to `max`"
+    /// read. Each drain call consumes up to `max(remaining, max)` bytes —
+    /// the same granularity as a BufReader with capacity `max` doing
+    /// large-read bypass — so the result may exceed `min` by up to `max`
+    /// bytes of read-ahead. While short of `min`, the demand is staged on
+    /// the TCB: arriving segments are moved into the result at delivery
+    /// time and this call parks just once, waking when the demand is met —
+    /// one wakeup drains everything available instead of one wakeup per
+    /// delivered segment.
     ///
     /// Returns the byte count appended; `< min` only at EOF, `0` = EOF
     /// before any byte. Buffered data is always delivered before an error

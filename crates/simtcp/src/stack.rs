@@ -414,11 +414,6 @@ impl TcpHost {
             self.by_tuple.remove(&(tcb.local, tcb.remote));
         }
     }
-
-    /// Look up a connection id by 4-tuple (diagnostics).
-    pub fn conn_by_tuple(&self, local: SockAddr, remote: SockAddr) -> Option<ConnId> {
-        self.by_tuple.get(&(local, remote)).copied()
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -338,8 +338,8 @@ impl TimerSlot {
     }
 }
 
-/// A vectored write parked in `TcpStream::write_all_blocks` with its
-/// un-queued remainder staged on the TCB. While staged, every
+/// A block write parked in `TcpStream::write_block` with its un-queued
+/// remainder staged on the TCB. While staged, every
 /// [`Tcb::service_pending`] pass (run from `flush_conn` after each stack
 /// mutation) refills freed send-buffer space *at event time*, under the
 /// same lock that processed the ACK — the segments it generates leave in
@@ -347,10 +347,9 @@ impl TimerSlot {
 /// The writer task itself is woken only once everything is queued or the
 /// connection dies, instead of once per ACK.
 pub(crate) struct PendingWrite {
-    /// Blocks not yet fully accepted; the front may be a partial remainder.
-    blocks: VecDeque<Bytes>,
-    /// Every byte queued: the staged write awaits pickup by its task.
-    done: bool,
+    /// The part of the block not yet accepted. Empty once every byte is
+    /// queued: the staged write then awaits pickup by its task.
+    rest: Bytes,
     err: Option<io::ErrorKind>,
     waker: Waker,
 }
@@ -460,7 +459,7 @@ pub struct Tcb {
     /// (or the connection errors), not on every advancing ACK — a settle
     /// over a full window would otherwise take one host slice per ACK.
     pub drain_wakers: Vec<Waker>,
-    /// Staged vectored write serviced at event time (see [`PendingWrite`]).
+    /// Staged block write serviced at event time (see [`PendingWrite`]).
     pending_write: Option<PendingWrite>,
     /// Staged chunk-read demand serviced at event time ([`PendingRead`]).
     pending_read: Option<PendingRead>,
@@ -846,22 +845,15 @@ impl Tcb {
     // same segments in the same order — the wire is byte-identical while
     // task wakes collapse from per-segment to per-completion.
 
-    /// Is the staged-write slot free? Callers check before building the
-    /// staged deque so a partial remainder is never lost to a failed stage.
-    pub fn write_stage_free(&self) -> bool {
-        self.pending_write.is_none()
-    }
-
-    /// Park a vectored write: hand the un-queued remainder to the TCB.
-    /// Returns `false` when another task's staged write already occupies
-    /// the slot (the caller falls back to waker-parking).
-    pub fn stage_write(&mut self, blocks: VecDeque<Bytes>, waker: Waker) -> bool {
+    /// Park a block write: hand the un-queued, non-empty remainder to the
+    /// TCB. Returns `false` when another task's staged write already
+    /// occupies the slot (the caller falls back to waker-parking).
+    pub fn stage_write(&mut self, rest: Bytes, waker: Waker) -> bool {
         if self.pending_write.is_some() {
             return false;
         }
         self.pending_write = Some(PendingWrite {
-            blocks,
-            done: false,
+            rest,
             err: None,
             waker,
         });
@@ -905,24 +897,10 @@ impl Tcb {
         let Some(mut pw) = self.pending_write.take() else {
             return;
         };
-        if !pw.done && pw.err.is_none() {
-            loop {
-                let Some(cur) = pw.blocks.front_mut() else {
-                    pw.done = true;
-                    break;
-                };
-                if cur.is_empty() {
-                    pw.blocks.pop_front();
-                    continue;
-                }
-                match self.try_write_bytes(now, cur) {
-                    Ok(WriteOutcome::Wrote(n)) if n == cur.len() => {
-                        pw.blocks.pop_front();
-                    }
-                    Ok(WriteOutcome::Wrote(n)) => {
-                        let rest = cur.slice(n..);
-                        *cur = rest;
-                    }
+        if !pw.rest.is_empty() && pw.err.is_none() {
+            while !pw.rest.is_empty() {
+                match self.try_write_bytes(now, &pw.rest) {
+                    Ok(WriteOutcome::Wrote(n)) => pw.rest = pw.rest.slice(n..),
                     Ok(WriteOutcome::Full) => break,
                     Err(e) => {
                         pw.err = Some(e.kind());
@@ -930,7 +908,7 @@ impl Tcb {
                     }
                 }
             }
-            if pw.done || pw.err.is_some() {
+            if pw.rest.is_empty() || pw.err.is_some() {
                 pw.waker.wake();
             }
         }
@@ -981,7 +959,7 @@ impl Tcb {
         let finished = self
             .pending_write
             .as_ref()
-            .is_some_and(|pw| pw.done || pw.err.is_some());
+            .is_some_and(|pw| pw.rest.is_empty() || pw.err.is_some());
         if !finished {
             return None;
         }
@@ -2283,10 +2261,10 @@ mod tests {
         b: &mut Tcb,
         mut refill: impl FnMut(&mut Tcb),
         lose: Option<usize>,
-    ) -> (Vec<usize>, usize) {
+    ) -> (Vec<usize>, Vec<u8>) {
         let mut wire = VecDeque::new();
         let mut sizes = Vec::new();
-        let mut delivered = 0;
+        let mut delivered = Vec::new();
         let mut sink = Vec::new();
         loop {
             refill(a);
@@ -2301,9 +2279,10 @@ mod tests {
                 }
             }
             b.on_segment(T0, seg);
-            while let ReadOutcome::Read(n) = b.try_read_chunks(T0, usize::MAX, &mut sink).unwrap() {
-                delivered += n;
-                sink.clear();
+            while let ReadOutcome::Read(_) = b.try_read_chunks(T0, usize::MAX, &mut sink).unwrap() {
+                for c in sink.drain(..) {
+                    delivered.extend_from_slice(&c);
+                }
             }
             for ack in b.take_out() {
                 a.on_segment(T0, ack);
@@ -2313,19 +2292,47 @@ mod tests {
         }
     }
 
-    /// The refill `service_pending_write` performs, without a waker.
-    fn staged_refill(blocks: &mut VecDeque<Bytes>) -> impl FnMut(&mut Tcb) + '_ {
-        move |a| {
-            while let Some(cur) = blocks.front_mut() {
-                match a.try_write_bytes(T0, cur).unwrap() {
-                    WriteOutcome::Wrote(n) if n == cur.len() => {
-                        blocks.pop_front();
-                    }
-                    WriteOutcome::Wrote(n) => *cur = cur.slice(n..),
-                    WriteOutcome::Full => break,
-                }
+    /// The refill `service_pending_write` performs, without a waker: one
+    /// remainder at a time, the next `write_block` starting once the
+    /// previous block is fully queued.
+    fn staged_refill(blocks: impl IntoIterator<Item = Bytes>) -> impl FnMut(&mut Tcb) {
+        let mut blocks = blocks.into_iter();
+        let mut rest = Bytes::new();
+        move |a| loop {
+            if rest.is_empty() {
+                let Some(next) = blocks.next() else { return };
+                rest = next;
+            }
+            match a.try_write_bytes(T0, &rest).unwrap() {
+                WriteOutcome::Wrote(n) => rest = rest.slice(n..),
+                WriteOutcome::Full => return,
             }
         }
+    }
+
+    /// `TcpStream::write_block` of a block larger than the send buffer:
+    /// the remainder is staged once and `service_pending` alone carries
+    /// it, ACK by ACK, to a byte-exact delivery.
+    #[test]
+    fn block_larger_than_send_buffer_stages_once_and_completes() {
+        let (mut a, mut b) = established_pair();
+        let block = Bytes::from((0..300_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        // No task is behind it, so its wakes are no-ops.
+        let waker = gridsim_net::Sim::new(0)
+            .scheduler()
+            .handle()
+            .waker(gridsim_net::TaskId(u64::MAX));
+        let WriteOutcome::Wrote(n) = a.try_write_bytes(T0, &block).unwrap() else {
+            panic!("an empty send buffer accepts a prefix");
+        };
+        assert_eq!(n, a.cfg.send_buf as usize);
+        assert!(a.stage_write(block.slice(n..), waker.clone()));
+        assert!(!a.stage_write(block.clone(), waker), "one staged write");
+        assert!(a.collect_staged_write(T0).is_none(), "buffer still full");
+        let (_, delivered) = clocked_transfer(&mut a, &mut b, |a| a.service_pending(T0), None);
+        assert_eq!(delivered, block);
+        assert_eq!(a.stats.blocks_sent, 1);
+        assert!(matches!(a.collect_staged_write(T0), Some(Ok(()))));
     }
 
     #[test]
@@ -2340,7 +2347,7 @@ mod tests {
         assert_eq!(first.len(), 10, "floor(cwnd / MSS) segments, no runt");
         a.out = first;
         let (sizes, delivered) = clocked_transfer(&mut a, &mut b, |_| {}, None);
-        assert_eq!(delivered, total);
+        assert_eq!(delivered.len(), total);
         let (tail, body) = sizes.split_last().unwrap();
         assert!(
             body.iter().all(|&n| n == MSS),
@@ -2362,10 +2369,9 @@ mod tests {
                 .map(|i| (i % 251) as u8)
                 .collect::<Vec<u8>>(),
         );
-        let mut blocks: VecDeque<Bytes> = (0..total / block.len()).map(|_| block.clone()).collect();
-        let (sizes, delivered) =
-            clocked_transfer(&mut a, &mut b, staged_refill(&mut blocks), Some(400));
-        assert_eq!(delivered, total);
+        let blocks = vec![block.clone(); total / block.len()];
+        let (sizes, delivered) = clocked_transfer(&mut a, &mut b, staged_refill(blocks), Some(400));
+        assert_eq!(delivered.len(), total);
         assert_eq!(a.stats.fast_retransmits, 1, "the loss was repaired once");
         assert_eq!(a.stats.rtx_timeouts, 0);
         let sent: usize = sizes.iter().sum();

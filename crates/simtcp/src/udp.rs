@@ -147,16 +147,6 @@ impl UdpSocket {
             }
         }
     }
-
-    /// Non-blocking receive.
-    pub fn try_recv_from(&self) -> Option<(SockAddr, Vec<u8>)> {
-        let port = self.addr.port;
-        self.net.with(|w| {
-            with_udp(w, self.node, |h, _| {
-                h.sockets.get_mut(&port)?.queue.pop_front()
-            })
-        })
-    }
 }
 
 impl Drop for UdpSocket {

@@ -24,13 +24,8 @@ done
 
 # Snapshot the previous baselines so the regression gate compares the new
 # full runs against what was committed before this invocation.
-mkdir -p target
-cp BENCH_datapath.json target/BENCH_datapath.baseline.json
-cp BENCH_faults.json target/BENCH_faults.baseline.json
-cp BENCH_mux.json target/BENCH_mux.baseline.json
-cp BENCH_storm.json target/BENCH_storm.baseline.json
-cp BENCH_relaymesh.json target/BENCH_relaymesh.baseline.json
-cp BENCH_adaptive.json target/BENCH_adaptive.baseline.json
+rm -rf target/bench-base && mkdir -p target/bench-base
+cp BENCH_*.json target/bench-base/
 
 echo "################################################################"
 echo "### bench_datapath (writes BENCH_datapath.json)"
@@ -71,11 +66,4 @@ echo
 echo "################################################################"
 echo "### check_bench (fresh full runs vs previous baselines)"
 echo "################################################################"
-"$BIN/check_bench" \
-  --datapath BENCH_datapath.json --base-datapath target/BENCH_datapath.baseline.json \
-  --faults BENCH_faults.json --base-faults target/BENCH_faults.baseline.json \
-  --mux BENCH_mux.json --base-mux target/BENCH_mux.baseline.json \
-  --storm BENCH_storm.json --base-storm target/BENCH_storm.baseline.json \
-  --relaymesh BENCH_relaymesh.json --base-relaymesh target/BENCH_relaymesh.baseline.json \
-  --adaptive BENCH_adaptive.json --base-adaptive target/BENCH_adaptive.baseline.json \
-  --tolerance 0.2
+"$BIN/check_bench" --all --fresh-dir . --base-dir target/bench-base --tolerance 0.2
