@@ -19,7 +19,9 @@
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
 #           command is printed on failure).
-#   test    full workspace test suite.
+#   test    full workspace test suite; then, where `taskset` exists, the
+#           scheduler's own tests and the root scheduler smoke again on
+#           one CPU, the regime gridbench measures.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -148,6 +150,16 @@ stage_faults() {
 
 stage_test() {
   cargo test -q --workspace
+  # CI machines have >= 2 cores, gridbench pins every rep to one: there a
+  # granted thread runs only once its granter sleeps, a different
+  # interleaving of the same handoff. First CPU of the allowed set.
+  if command -v taskset > /dev/null; then
+    local cpu
+    cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
+    echo "--- scheduler tests pinned to CPU $cpu"
+    taskset -c "$cpu" cargo test -q --release -p gridsim-net
+    taskset -c "$cpu" cargo test -q --release --test scheduler
+  fi
 }
 
 SUMMARY=""

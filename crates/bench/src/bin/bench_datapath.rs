@@ -10,6 +10,8 @@
 //! `BENCH_datapath.json`.
 //!
 //! Scenarios:
+//!   * `sched/*`             — the scheduler alone (layer L0): one slice per
+//!     32 KiB block, so `blocks_per_sec` is slices per second
 //!   * `tcb/transfer`        — raw Tcb<->Tcb pump, app writes via `&[u8]`
 //!   * `e2e/tcp_block_plain` — full sim, plain TCP_Block stack (headline)
 //!   * `e2e/stripe4`         — full sim, 4 parallel streams
@@ -117,6 +119,43 @@ fn tcb_transfer(total: usize) -> usize {
         }
     }
     rcvd
+}
+
+/// Slices per `sched/*` run; each stands for one 32 KiB block changing hands.
+const SCHED_SLICES: usize = 65_536;
+
+/// One task yielding to itself: every slice is a trip through the scheduler
+/// loop that ends where it began, with no thread switch.
+fn sched_yield_self() {
+    let sim = gridsim_net::Sim::new(3);
+    sim.spawn("yielder", || {
+        for _ in 0..SCHED_SLICES {
+            gridsim_net::ctx::yield_now();
+        }
+    });
+    sim.run();
+}
+
+/// Two tasks answering each other over a pair of one-slot queues: every
+/// slice ends in a park and one cross-thread grant.
+fn sched_pingpong2() {
+    let sim = gridsim_net::Sim::new(3);
+    let ping = gridsim_net::SimQueue::<usize>::bounded(1);
+    let pong = gridsim_net::SimQueue::<usize>::bounded(1);
+    let (ping2, pong2) = (ping.clone(), pong.clone());
+    sim.spawn("echo", move || {
+        while let Some(v) = ping2.pop() {
+            pong2.push(v).unwrap();
+        }
+    });
+    sim.spawn("client", move || {
+        for i in 0..SCHED_SLICES / 2 {
+            ping.push(i).unwrap();
+            assert_eq!(pong.pop(), Some(i));
+        }
+        ping.close();
+    });
+    sim.run();
 }
 
 /// Full-stack run over a fat low-latency link with free CPU: host time is
@@ -252,6 +291,35 @@ struct Entry {
     tcp: Option<(u64, u64)>,
 }
 
+/// Time `run` as row `group/name` for `secs` of measurement over `bytes` of
+/// payload, then run it once more under the allocation counter; what that
+/// last run returns is the row's TCP (segments, bytes copied), if any.
+fn bench_row(
+    c: &mut Criterion,
+    entries: &mut Vec<Entry>,
+    (group, name, secs, bytes): (&str, &str, u64, u64),
+    mut run: impl FnMut() -> Option<(u64, u64)>,
+) {
+    let mut g = c.benchmark_group(group);
+    g.warm_up_time(Duration::from_millis(300));
+    g.measurement_time(Duration::from_secs(secs));
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(bytes));
+    g.bench_function(name, |b| b.iter(&mut run));
+    g.finish();
+    let a0 = allocs();
+    let tcp = run();
+    let allocs_per_run = allocs() - a0;
+    let r = c.results().last().unwrap();
+    entries.push(Entry {
+        id: r.id.clone(),
+        median_ns: r.median_ns,
+        bytes,
+        allocs_per_run,
+        tcp,
+    });
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -271,48 +339,35 @@ fn main() {
     let e2e_msgs = 32;
     let e2e_bytes = (e2e_msg * e2e_msgs) as u64;
 
-    {
-        let mut g = c.benchmark_group("tcb");
-        g.warm_up_time(Duration::from_millis(300));
-        g.measurement_time(Duration::from_secs(if quick { 1 } else { 3 }));
-        g.sample_size(10);
-        g.throughput(Throughput::Bytes(tcb_bytes as u64));
-        g.bench_function("transfer", |b| b.iter(|| tcb_transfer(tcb_bytes)));
-        g.finish();
-        let a0 = allocs();
-        tcb_transfer(tcb_bytes);
-        let per_run = allocs() - a0;
-        let r = c.results().last().unwrap();
-        entries.push(Entry {
-            id: r.id.clone(),
-            median_ns: r.median_ns,
-            bytes: tcb_bytes as u64,
-            allocs_per_run: per_run,
-            tcp: None,
+    let secs = |quick_secs, full_secs| if quick { quick_secs } else { full_secs };
+
+    let sched_bytes = (SCHED_SLICES * STAGE_BLOCK) as u64;
+    let scheds: [(&str, fn()); 2] = [
+        ("yield_self", sched_yield_self),
+        ("pingpong2", sched_pingpong2),
+    ];
+    for (name, run) in scheds {
+        let row = ("sched", name, secs(1, 3), sched_bytes);
+        bench_row(&mut c, &mut entries, row, || {
+            run();
+            None
         });
     }
+
+    let row = ("tcb", "transfer", secs(1, 3), tcb_bytes as u64);
+    bench_row(&mut c, &mut entries, row, || {
+        std::hint::black_box(tcb_transfer(tcb_bytes));
+        None
+    });
 
     for (name, spec) in [
         ("tcp_block_plain", StackSpec::plain()),
         ("stripe4", StackSpec::plain().with_streams(4)),
     ] {
-        let mut g = c.benchmark_group("e2e");
-        g.warm_up_time(Duration::from_millis(300));
-        g.measurement_time(Duration::from_secs(if quick { 2 } else { 6 }));
-        g.sample_size(10);
-        g.throughput(Throughput::Bytes(e2e_bytes));
-        g.bench_function(name, |b| b.iter(|| e2e_run(&spec, e2e_msg, e2e_msgs)));
-        g.finish();
-        let a0 = allocs();
-        let point = e2e_run(&spec, e2e_msg, e2e_msgs);
-        let per_run = allocs() - a0;
-        let r = c.results().last().unwrap();
-        entries.push(Entry {
-            id: r.id.clone(),
-            median_ns: r.median_ns,
-            bytes: e2e_bytes,
-            allocs_per_run: per_run,
-            tcp: Some((point.segs_sent, point.bytes_copied)),
+        let row = ("e2e", name, secs(2, 6), e2e_bytes);
+        bench_row(&mut c, &mut entries, row, || {
+            let point = e2e_run(&spec, e2e_msg, e2e_msgs);
+            Some((point.segs_sent, point.bytes_copied))
         });
     }
 
@@ -332,23 +387,10 @@ fn main() {
             ("crypt", stage_crypt),
         ];
         for (name, run) in stages {
-            let mut g = c.benchmark_group("stage");
-            g.warm_up_time(Duration::from_millis(300));
-            g.measurement_time(Duration::from_secs(if quick { 1 } else { 3 }));
-            g.sample_size(10);
-            g.throughput(Throughput::Bytes(stage_bytes as u64));
-            g.bench_function(name, |b| b.iter(|| run(&blocks)));
-            g.finish();
-            let a0 = allocs();
-            run(&blocks);
-            let per_run = allocs() - a0;
-            let r = c.results().last().unwrap();
-            entries.push(Entry {
-                id: r.id.clone(),
-                median_ns: r.median_ns,
-                bytes: stage_bytes as u64,
-                allocs_per_run: per_run,
-                tcp: None,
+            let row = ("stage", name, secs(1, 3), stage_bytes as u64);
+            bench_row(&mut c, &mut entries, row, || {
+                run(&blocks);
+                None
             });
         }
     }

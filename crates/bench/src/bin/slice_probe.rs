@@ -1,18 +1,18 @@
-//! Scheduler microbench: host cost of one task slice (a full baton
-//! round trip through `yield_now`), plus the slice/event budget of the
+//! Scheduler microbench: host cost of one task slice (a trip through the
+//! scheduler loop in `yield_now`), plus the grant/event budget of the
 //! e2e datapath scenario. Not a paper figure — this watches the simulator
 //! itself, the denominator of every host-side number in BENCH_datapath.
 //!
 //! Run: `cargo run --release -p netgrid-bench --bin slice_probe`
 
-use gridsim_net::runtime::{host_work_counters, host_work_ns, park_stats};
+use gridsim_net::runtime::{host_event_ns, host_work_counters, park_stats};
 use gridsim_net::{ctx, Sim};
 use netgrid::StackSpec;
 use netgrid_bench::*;
 use std::time::{Duration, Instant};
 
 fn main() {
-    // 1. Raw handoff cost: one task ping-ponging with the scheduler.
+    // 1. Raw slice cost: one task yielding to itself (no thread switch).
     const YIELDS: u32 = 200_000;
     let sim = Sim::new(0);
     sim.spawn("yielder", || {
@@ -106,12 +106,12 @@ fn main() {
     }
     let parks0: std::collections::HashMap<&str, u64> = park_stats().into_iter().collect();
     let (s0, e0) = host_work_counters();
-    let (sn0, en0) = host_work_ns();
+    let en0 = host_event_ns();
     let t0 = Instant::now();
     let point = measure_bandwidth(&run);
     let dt = t0.elapsed();
     let (s1, e1) = host_work_counters();
-    let (sn1, en1) = host_work_ns();
+    let en1 = host_event_ns();
     println!("park reasons (this run):");
     for (reason, n) in park_stats() {
         let before = parks0.get(reason).copied().unwrap_or(0);
@@ -166,26 +166,23 @@ fn main() {
             }
         });
     }
-    let (slices, events) = (s1 - s0, e1 - e0);
+    let (grants, events) = (s1 - s0, e1 - e0);
     let segs = (msg * msgs / 1448) as u64;
     println!(
-        "e2e plain: {:?}, {} slices, {} events ({} data segments)",
-        dt, slices, events, segs
+        "e2e plain: {:?}, {} cross-thread grants, {} events ({} data segments)",
+        dt, grants, events, segs
     );
     println!(
-        "  {:.2} slices/segment, {:.2} events/segment, {:.1} us/slice-equivalent",
-        slices as f64 / segs as f64,
+        "  {:.2} grants/segment, {:.2} events/segment",
+        grants as f64 / segs as f64,
         events as f64 / segs as f64,
-        dt.as_secs_f64() * 1e6 / slices as f64
     );
-    let (slice_ns, event_ns) = (sn1 - sn0, en1 - en0);
+    let event_ns = en1 - en0;
     println!(
-        "  time split: slices {:.3}s ({:.1} us each), events {:.3}s ({:.2} us each), other {:.3}s",
-        slice_ns as f64 * 1e-9,
-        slice_ns as f64 * 1e-3 / slices as f64,
+        "  time split: events {:.3}s ({:.2} us each), tasks + handoffs {:.3}s",
         event_ns as f64 * 1e-9,
         event_ns as f64 * 1e-3 / events as f64,
-        dt.as_secs_f64() - (slice_ns + event_ns) as f64 * 1e-9
+        dt.as_secs_f64() - event_ns as f64 * 1e-9
     );
     assert!(point.bandwidth > 0.0);
 }

@@ -1,10 +1,19 @@
 //! Deterministic cooperative runtime.
 //!
 //! Simulated processes are real OS threads, but *exactly one* of them runs at
-//! any moment: the scheduler hands a baton to a task, and the task returns it
-//! when it blocks (parks), sleeps, or finishes. Combined with a totally
-//! ordered event queue (time, then insertion sequence) and seeded RNGs, every
-//! run of a simulation is bit-for-bit reproducible.
+//! any moment: the one holding the baton. There is no scheduler thread. A
+//! task that blocks (parks), sleeps, yields or finishes runs the scheduler
+//! loop itself ([`SchedCore::drive`]) — pop the run queue, else fire the next
+//! event — until the loop names the next task. If that is the caller, it
+//! simply returns: no syscall, no thread switch (a reader parked on a socket
+//! whose next event wakes it; a `sleep`). Otherwise the caller grants that
+//! task's baton and waits on its own: one switch. When nothing is left to do
+//! before the `run_until` limit the baton goes back to the thread that
+//! called `run_until` (the root), which alone computes the [`RunOutcome`].
+//! Combined with a totally ordered event queue (time, then insertion
+//! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
+//! reproducible — the run-queue and event order do not depend on which thread
+//! happens to drive.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -12,7 +21,9 @@
 //! * Inside a process, [`crate::ctx`] functions (`now`, `sleep`, `park`) block
 //!   the process in *simulated* time.
 //! * Protocol code (packet delivery, retransmit timers) runs as scheduled
-//!   closure events on the scheduler thread, never concurrently with a task.
+//!   closure events on the thread holding the baton, never concurrently with
+//!   a task, and with task context masked: inside an event `ctx::in_task()`
+//!   is false and `ctx::park`/`ctx::now` panic, whichever thread fires it.
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
@@ -20,43 +31,43 @@
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::time::SimTime;
 
 /// Host-side work counters, summed across all schedulers in the process.
 /// Purely observational (benchmarks, tuning); they never affect simulation.
-static HOST_SLICES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static HOST_EVENTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static HOST_SLICE_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static HOST_EVENT_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static HOST_GRANTS: AtomicU64 = AtomicU64::new(0);
+static HOST_EVENTS: AtomicU64 = AtomicU64::new(0);
+static HOST_EVENT_NS: AtomicU64 = AtomicU64::new(0);
 
-/// (task slices granted, events dispatched) since process start — host-side
-/// cost counters for benchmarking the scheduler itself.
+/// (cross-thread baton grants, events dispatched) since process start —
+/// host-side cost counters for benchmarking the scheduler itself.
+///
+/// A grant is one thread handing the baton to another: a task to the next
+/// task, `run_until`'s caller to the first task, the last task back to it.
+/// A task that parks, sleeps or yields and is itself the next to run costs
+/// no grant. Each scheduler adds its counts when a `run_until` returns.
 pub fn host_work_counters() -> (u64, u64) {
     (
-        HOST_SLICES.load(Ordering::Relaxed),
+        HOST_GRANTS.load(Ordering::Relaxed),
         HOST_EVENTS.load(Ordering::Relaxed),
     )
 }
 
-/// Host nanoseconds spent (granting task slices — handoff plus the slice
-/// body, dispatching events) since process start. Splits the scheduler's
-/// wall clock into its two cost centers for the datapath benchmarks.
-pub fn host_work_ns() -> (u64, u64) {
-    (
-        HOST_SLICE_NS.load(Ordering::Relaxed),
-        HOST_EVENT_NS.load(Ordering::Relaxed),
-    )
+/// Host nanoseconds spent inside closure and hook events since process
+/// start: the protocol-code share of the run loop, as opposed to task
+/// bodies and baton handoffs.
+pub fn host_event_ns() -> u64 {
+    HOST_EVENT_NS.load(Ordering::Relaxed)
 }
 
 /// Park-reason histogram: how many times tasks actually parked (wake-token
 /// misses only), keyed by the `ctx::park` reason string. Observational —
-/// the profiling side of the slice counters: each entry is a task handoff
-/// round trip, the dominant host cost of the simulator on small-core
-/// machines, attributed to the wait that caused it.
+/// the profiling side of the grant counter: each entry is a trip through
+/// the scheduler loop, attributed to the wait that caused it.
 static PARK_STATS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
 
 fn note_park(reason: &'static str) {
@@ -81,13 +92,25 @@ pub fn park_stats() -> Vec<(&'static str, u64)> {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
+impl TaskId {
+    /// Position in the task table: ids are handed out densely in spawn order.
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// What a scheduled event does when it fires.
 enum EventAction {
     /// Wake a parked task (used by `sleep`).
     WakeTask(TaskId),
-    /// Run an arbitrary closure on the scheduler thread.
+    /// Run protocol code on the thread holding the baton.
+    Run(Callback),
+}
+
+enum Callback {
+    /// An arbitrary one-shot closure.
     Call(Box<dyn FnOnce() + Send>),
-    /// Invoke a pre-registered recurring callback ([`SchedHandle::
+    /// A pre-registered recurring callback ([`SchedHandle::
     /// register_hook`]). Unlike `Call`, the event itself carries no
     /// allocation — the hot packet-delivery path schedules one of these
     /// per hop instead of boxing a closure.
@@ -136,160 +159,61 @@ enum TaskState {
     Finished,
 }
 
-/// Per-task baton used to hand execution back and forth between the
-/// scheduler thread and the task thread.
+/// The right to run, one per thread that takes part in a simulation (each
+/// task thread, and the caller of `run_until` for the length of that call).
 ///
-/// The handoff is the hot path of the whole simulator — every park, wake,
-/// yield, and event-driven task slice crosses it twice — so it is built on
-/// a single atomic with a spin-then-park wait. In the common ping-pong
-/// (task yields, scheduler processes a couple of queue events, grants the
-/// same task again) both sides catch the transition inside the spin window
-/// and a handoff costs ~100 ns of shared-memory traffic instead of two
-/// futex sleep/wake round trips. Exactly one task thread is ever spinning
-/// (the one in a handoff), so the spin cannot oversubscribe the host.
+/// Exactly one baton is ever in the `go` state or held by a running thread.
+/// The holder decides who is next ([`SchedCore::drive`]), calls
+/// [`Baton::grant`] on that thread's baton and [`Baton::wait`] on its own.
 struct Baton {
-    state: AtomicU32,
-    /// The parked side's thread handles, registered before waiting so the
-    /// other side can `unpark` it (std's token semantics make a too-early
-    /// unpark safe: the next park returns immediately).
-    sched_thread: Mutex<Option<std::thread::Thread>>,
-    task_thread: Mutex<Option<std::thread::Thread>>,
-}
-
-/// Task thread must wait.
-const BATON_HELD: u32 = 0;
-/// Task thread may run.
-const BATON_GO: u32 = 1;
-/// Task thread yielded back to the scheduler.
-const BATON_YIELDED: u32 = 2;
-/// Task thread finished (or panicked).
-const BATON_DONE: u32 = 3;
-
-/// Baton spin windows, calibrated once at startup.
-///
-/// The two sides of a handoff have very different wait profiles, so they
-/// get different spin budgets:
-///
-/// * `sched`: the scheduler in `grant_and_wait`, waiting for the running
-///   task to yield back. While it spins, exactly one other thread (the
-///   task) is doing real work, so the spin never oversubscribes a ≥2-core
-///   host. The window is sized to cover a typical task slice plus the
-///   futex wake latency of a task that had gone to sleep (~5–25 µs), so
-///   the yield-back lands in the spin phase as a ~100 ns cache-line
-///   transfer instead of a sched_yield/futex round trip (~10–25 µs on
-///   older or throttled kernels).
-/// * `task`: a task in `yield_and_wait`/`wait_first`, waiting for its next
-///   grant. That grant may be far away (the task is parked on I/O), and
-///   meanwhile another task plus the scheduler may both be active, so a
-///   long spin here *steals* a core from the thread doing real work. The
-///   short window only covers the common immediate re-grant (scheduler
-///   pops a delivery event and grants the same task again within a few
-///   µs), then the thread goes straight to the futex.
-///
-/// `pause` latency spans 2–50 ns across x86/ARM generations, so iteration
-/// counts are calibrated from a timed burst rather than hard-coded. On a
-/// single-core host both windows are zero (the partner cannot run while we
-/// spin) and the yield phase below is the fast path.
-struct SpinCfg {
-    sched: u32,
-    task: u32,
-    yields: u32,
-}
-
-fn spin_cfg() -> &'static SpinCfg {
-    static CFG: std::sync::OnceLock<SpinCfg> = std::sync::OnceLock::new();
-    CFG.get_or_init(|| {
-        let multi = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        if !multi {
-            return SpinCfg {
-                sched: 0,
-                task: 0,
-                yields: 200,
-            };
-        }
-        // Time a burst of pauses to convert "µs of patience" into
-        // iterations. Clamp defensively: a preemption mid-burst inflates
-        // the measurement, which would only make us spin less, not more.
-        const BURST: u32 = 10_000;
-        let t0 = std::time::Instant::now();
-        for _ in 0..BURST {
-            std::hint::spin_loop();
-        }
-        let per_iter_ns = (t0.elapsed().as_nanos() as f64 / BURST as f64).clamp(0.5, 100.0);
-        let iters = |us: f64| ((us * 1000.0 / per_iter_ns) as u32).max(64);
-        SpinCfg {
-            sched: iters(40.0),
-            task: iters(15.0),
-            yields: 0,
-        }
-    })
+    /// Set by the granter (`Release`), read and cleared by the owner
+    /// (`Acquire`): everything the granter did happens-before the owner's
+    /// next step.
+    go: AtomicBool,
+    /// The one thread that waits on this baton. For a task it is filled in
+    /// by the spawner before the task first becomes runnable, so no granter
+    /// can find it empty.
+    owner: OnceLock<std::thread::Thread>,
 }
 
 impl Baton {
-    fn new() -> Arc<Self> {
+    fn new(owner: Option<std::thread::Thread>) -> Arc<Self> {
         Arc::new(Baton {
-            state: AtomicU32::new(BATON_HELD),
-            sched_thread: Mutex::new(None),
-            task_thread: Mutex::new(None),
+            go: AtomicBool::new(false),
+            owner: owner.map_or_else(OnceLock::new, OnceLock::from),
         })
     }
 
-    /// Spin briefly, then yield the core, then park, until `state` is
-    /// something other than `not`.
-    fn await_change(&self, not: u32, spins: u32) -> u32 {
-        let yields = spin_cfg().yields;
-        let mut tries = 0u32;
-        loop {
-            let s = self.state.load(Ordering::Acquire);
-            if s != not {
-                return s;
-            }
-            if tries < spins {
-                std::hint::spin_loop();
-            } else if tries < spins + yields {
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
-            }
-            tries += 1;
-        }
+    /// Let the owner run. The caller must stop touching simulation state
+    /// and wait on its own baton (or exit).
+    fn grant(&self) {
+        self.go.store(true, Ordering::Release);
+        // std's park token makes a too-early unpark safe: the owner's next
+        // `park` returns immediately and it re-checks `go`.
+        self.owner
+            .get()
+            .expect("a baton's owner is registered before its first grant")
+            .unpark();
     }
 
-    /// Scheduler side: let the task run, then wait until it yields or finishes.
-    fn grant_and_wait(&self) -> u32 {
-        *self.sched_thread.lock() = Some(std::thread::current());
-        self.state.store(BATON_GO, Ordering::Release);
-        if let Some(t) = self.task_thread.lock().as_ref() {
-            t.unpark();
-        }
-        self.await_change(BATON_GO, spin_cfg().sched)
-    }
-
-    /// Task side: give the baton back and wait for the next grant.
-    fn yield_and_wait(&self) {
-        self.state.store(BATON_YIELDED, Ordering::Release);
-        if let Some(t) = self.sched_thread.lock().as_ref() {
-            t.unpark();
-        }
-        self.await_change(BATON_YIELDED, spin_cfg().task);
-    }
-
-    /// Task side: wait for the first grant (start of the task body).
-    fn wait_first(&self) {
-        *self.task_thread.lock() = Some(std::thread::current());
-        self.await_change(BATON_HELD, spin_cfg().task);
-    }
-
-    /// Task side: mark the task done and release the scheduler.
-    fn finish(&self) {
-        self.state.store(BATON_DONE, Ordering::Release);
-        if let Some(t) = self.sched_thread.lock().as_ref() {
-            t.unpark();
+    /// Owner side: sleep until granted, then take the baton.
+    ///
+    /// No spin phase, on any host. With one CPU in the affinity mask the
+    /// granter cannot run while the owner spins; with more, measurements
+    /// (EXPERIMENTS.md, "Baton holder drives") have a spin window lose on
+    /// every datapath row: each thread that handed the baton on within the
+    /// window is spinning too, and a sleeping owner is woken next to its
+    /// granter, cache-warm, instead of across cores.
+    fn wait(&self) {
+        // Only the owner clears `go`, and `park` may return spuriously.
+        while !self.go.swap(false, Ordering::Acquire) {
+            std::thread::park();
         }
     }
 }
 
 struct TaskSlot {
+    /// Emptied when the task finishes.
     name: String,
     /// Daemon tasks (servers, pumps) do not keep the simulation alive: the
     /// run loop reports Idle when only daemons remain parked.
@@ -297,24 +221,65 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
-    baton: Arc<Baton>,
+    /// `None` once the task has finished.
+    baton: Option<Arc<Baton>>,
     join_handle: Option<std::thread::JoinHandle<()>>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
-    /// Human-readable reason the task is parked (deadlock diagnostics).
+    /// Human-readable reason the task is parked (deadlock diagnostics);
+    /// meaningful only while `state` is `Blocked`.
     blocked_on: &'static str,
 }
 
 struct SchedState {
     now: SimTime,
     seq: u64,
-    next_task: u64,
     events: BinaryHeap<EventEntry>,
     runnable: VecDeque<TaskId>,
-    tasks: HashMap<TaskId, TaskSlot>,
-    live_tasks: usize,
-    /// First panic observed in a task; resumed by the scheduler loop.
+    /// Indexed by `TaskId`: slots are pushed in spawn order and never
+    /// removed (a finished slot drops its baton and name).
+    tasks: Vec<TaskSlot>,
+    /// First panic observed in a task or an event; stops the loop and is
+    /// resumed on `run_until`'s caller.
     panic: Option<Box<dyn std::any::Any + Send>>,
+    /// The `run_until` call in progress: events later than `limit` stay in
+    /// the heap, and `root` is its caller's baton.
+    limit: SimTime,
+    root: Option<Arc<Baton>>,
+    /// Thread of the most recently finished task. Each finishing task
+    /// joins its predecessor and `run_until`'s caller joins the last, so
+    /// no finished thread outlives the run.
+    last_finished: Option<std::thread::JoinHandle<()>>,
+    /// This scheduler's share of [`host_work_counters`].
+    grants: u64,
+    fired: u64,
+}
+
+impl SchedState {
+    /// Queue an event at `at`, clamped to be no earlier than now; ties
+    /// fire in scheduling order.
+    fn schedule(&mut self, at: SimTime, action: EventAction) {
+        let at = at.max(self.now);
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push(EventEntry { at, seq, action });
+    }
+
+    /// Wake `tid` per unpark semantics.
+    fn wake(&mut self, tid: TaskId) {
+        let Some(slot) = self.tasks.get_mut(tid.index()) else {
+            return;
+        };
+        match slot.state {
+            TaskState::Blocked => {
+                slot.state = TaskState::Runnable;
+                slot.notified = false;
+                self.runnable.push_back(tid);
+            }
+            TaskState::Runnable | TaskState::Running => slot.notified = true,
+            TaskState::Finished => {}
+        }
+    }
 }
 
 /// A registered recurring callback; the slot is `None` while it runs.
@@ -323,11 +288,121 @@ type HookSlot = Option<Box<dyn FnMut() + Send>>;
 /// Shared core of the scheduler; cheap to clone via [`SchedHandle`].
 pub struct SchedCore {
     state: Mutex<SchedState>,
-    /// Recurring callbacks fired by `EventAction::Hook` events. Kept
+    /// Recurring callbacks fired by `Callback::Hook` events. Kept
     /// outside `state` so a running hook can schedule further events; the
     /// slot is taken for the duration of the call (hooks never re-enter
     /// themselves — events only fire from the scheduler loop).
     hooks: Mutex<Vec<HookSlot>>,
+}
+
+/// Who is running the scheduler loop.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    /// The thread inside `run_until`.
+    Root,
+    /// A task thread that has just parked, yielded or finished.
+    Task(TaskId),
+}
+
+impl SchedCore {
+    /// Run the scheduler loop on the calling thread, which holds the baton:
+    /// run-queue head first, else the next event, until someone is to run.
+    ///
+    /// Returns `None` when that someone is the caller — its own task came
+    /// off the run queue, or it is the root and the run is over — and
+    /// otherwise the baton the caller must grant: the next task's, or the
+    /// root's when the run is over (a panic is pending, the event heap is
+    /// empty, or the next event lies past the `run_until` limit).
+    fn drive(&self, me: Driver) -> Option<Arc<Baton>> {
+        loop {
+            let callback = {
+                let mut st = self.state.lock();
+                let st = &mut *st;
+                loop {
+                    if st.panic.is_none() {
+                        if let Some(tid) = st.runnable.pop_front() {
+                            let slot = &mut st.tasks[tid.index()];
+                            slot.state = TaskState::Running;
+                            if me == Driver::Task(tid) {
+                                return None;
+                            }
+                            st.grants += 1;
+                            return Some(Arc::clone(
+                                slot.baton.as_ref().expect("a runnable task has a baton"),
+                            ));
+                        }
+                        if st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
+                            let ev = st.events.pop().expect("peeked");
+                            debug_assert!(ev.at >= st.now, "time went backwards");
+                            st.now = ev.at;
+                            st.fired += 1;
+                            match ev.action {
+                                EventAction::WakeTask(tid) => {
+                                    st.wake(tid);
+                                    continue;
+                                }
+                                EventAction::Run(callback) => break callback,
+                            }
+                        }
+                    }
+                    if me == Driver::Root {
+                        return None;
+                    }
+                    st.grants += 1;
+                    return Some(Arc::clone(
+                        st.root.as_ref().expect("tasks run only inside run_until"),
+                    ));
+                }
+            };
+            self.fire(callback);
+        }
+    }
+
+    /// Run one closure or hook event. The thread may be a task's, so a
+    /// panic must not unwind into it: it is caught and kept (first one
+    /// wins, as for task panics) for `run_until`'s caller.
+    fn fire(&self, callback: Callback) {
+        let t0 = std::time::Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match callback {
+            Callback::Call(f) => f(),
+            Callback::Hook(i) => {
+                let mut f = self.hooks.lock()[i].take().expect("hook in use");
+                f();
+                self.hooks.lock()[i] = Some(f);
+            }
+        }));
+        HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Err(p) = outcome {
+            self.state.lock().panic.get_or_insert(p);
+        }
+    }
+
+    /// End of a task's thread: record the outcome, wake the joiners, hand
+    /// the baton on and join the previously finished thread.
+    fn finish(&self, tid: TaskId, panic: Option<Box<dyn std::any::Any + Send>>) {
+        let predecessor = {
+            let mut st = self.state.lock();
+            if let Some(p) = panic {
+                st.panic.get_or_insert(p);
+            }
+            let slot = &mut st.tasks[tid.index()];
+            slot.state = TaskState::Finished;
+            slot.name = String::new();
+            slot.baton = None;
+            let me = slot.join_handle.take();
+            for j in std::mem::take(&mut slot.joiners) {
+                st.wake(j);
+            }
+            std::mem::replace(&mut st.last_finished, me)
+        };
+        self.drive(Driver::Task(tid))
+            .expect("a finished task is never runnable, so someone else is next")
+            .grant();
+        if let Some(jh) = predecessor {
+            // It has handed the baton on, so it is exiting or gone.
+            let _ = jh.join();
+        }
+    }
 }
 
 /// A cloneable handle to the scheduler, used to schedule events and wake
@@ -366,12 +441,21 @@ pub enum RunOutcome {
     /// The time limit passed to `run_until` was reached.
     TimeLimit,
     /// No events or runnable tasks remain but some tasks are still parked.
-    /// Contains `(task name, blocked_on reason)` for each parked task.
+    /// Contains `(task name, blocked_on reason)` for each parked task, in
+    /// spawn order.
     Deadlock(Vec<(String, &'static str)>),
 }
 
+/// What a task thread knows about itself. Taken out of `CURRENT` while the
+/// thread drives the scheduler loop, so events it fires see no task context.
+struct Current {
+    handle: SchedHandle,
+    tid: TaskId,
+    baton: Arc<Baton>,
+}
+
 thread_local! {
-    static CURRENT: std::cell::RefCell<Option<(SchedHandle, TaskId)>> =
+    static CURRENT: std::cell::RefCell<Option<Current>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -395,12 +479,15 @@ impl Scheduler {
                 state: Mutex::new(SchedState {
                     now: SimTime::ZERO,
                     seq: 0,
-                    next_task: 0,
                     events: BinaryHeap::new(),
                     runnable: VecDeque::new(),
-                    tasks: HashMap::new(),
-                    live_tasks: 0,
+                    tasks: Vec::new(),
                     panic: None,
+                    limit: SimTime::ZERO,
+                    root: None,
+                    last_finished: None,
+                    grants: 0,
+                    fired: 0,
                 }),
                 hooks: Mutex::new(Vec::new()),
             }),
@@ -435,76 +522,51 @@ impl Scheduler {
 
     /// Drive the simulation until it is idle, a deadlock is detected, or
     /// simulated time would exceed `limit`.
+    ///
+    /// The caller starts the scheduler loop; from the first task slice on,
+    /// whichever task holds the baton continues it, and the caller sleeps
+    /// until the loop has nothing left to do within `limit`.
     pub fn run_until(&self, limit: SimTime) -> RunOutcome {
-        loop {
-            // Run every runnable task to its next yield point.
-            loop {
-                let (tid, baton) = {
-                    let mut st = self.core.state.lock();
-                    if let Some(p) = st.panic.take() {
-                        drop(st);
-                        std::panic::resume_unwind(p);
-                    }
-                    match st.runnable.pop_front() {
-                        Some(tid) => {
-                            let slot = st.tasks.get_mut(&tid).expect("runnable task exists");
-                            slot.state = TaskState::Running;
-                            (tid, Arc::clone(&slot.baton))
-                        }
-                        None => break,
-                    }
-                };
-                HOST_SLICES.fetch_add(1, Ordering::Relaxed);
-                let t0 = std::time::Instant::now();
-                let end = baton.grant_and_wait();
-                HOST_SLICE_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if end == BATON_DONE {
-                    self.finish_task(tid);
-                }
-            }
-            // Advance to the next event.
-            let action = {
-                let mut st = self.core.state.lock();
-                if let Some(p) = st.panic.take() {
-                    drop(st);
-                    std::panic::resume_unwind(p);
-                }
-                match st.events.peek() {
-                    None => {
-                        let stuck: Vec<(String, &'static str)> = st
-                            .tasks
-                            .values()
-                            .filter(|t| t.state == TaskState::Blocked && !t.daemon)
-                            .map(|t| (t.name.clone(), t.blocked_on))
-                            .collect();
-                        return if stuck.is_empty() {
-                            RunOutcome::Idle
-                        } else {
-                            RunOutcome::Deadlock(stuck)
-                        };
-                    }
-                    Some(ev) if ev.at > limit => return RunOutcome::TimeLimit,
-                    Some(_) => {
-                        let ev = st.events.pop().unwrap();
-                        debug_assert!(ev.at >= st.now, "time went backwards");
-                        st.now = ev.at;
-                        ev.action
+        let root = Baton::new(Some(std::thread::current()));
+        let (grants0, fired0) = {
+            let mut st = self.core.state.lock();
+            st.limit = limit;
+            st.root = Some(Arc::clone(&root));
+            (st.grants, st.fired)
+        };
+        if let Some(first) = self.core.drive(Driver::Root) {
+            first.grant();
+            root.wait();
+        }
+        let (last_finished, panic, outcome) = {
+            let mut st = self.core.state.lock();
+            HOST_GRANTS.fetch_add(st.grants - grants0, Ordering::Relaxed);
+            HOST_EVENTS.fetch_add(st.fired - fired0, Ordering::Relaxed);
+            let outcome = match st.events.peek() {
+                Some(_) => RunOutcome::TimeLimit,
+                None => {
+                    let stuck: Vec<(String, &'static str)> = st
+                        .tasks
+                        .iter()
+                        .filter(|t| t.state == TaskState::Blocked && !t.daemon)
+                        .map(|t| (t.name.clone(), t.blocked_on))
+                        .collect();
+                    if stuck.is_empty() {
+                        RunOutcome::Idle
+                    } else {
+                        RunOutcome::Deadlock(stuck)
                     }
                 }
             };
-            HOST_EVENTS.fetch_add(1, Ordering::Relaxed);
-            let t0 = std::time::Instant::now();
-            match action {
-                EventAction::WakeTask(tid) => self.handle().wake_task(tid),
-                EventAction::Call(f) => f(),
-                EventAction::Hook(i) => {
-                    let mut f = self.core.hooks.lock()[i].take().expect("hook in use");
-                    f();
-                    self.core.hooks.lock()[i] = Some(f);
-                }
-            }
-            HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            (st.last_finished.take(), st.panic.take(), outcome)
+        };
+        if let Some(jh) = last_finished {
+            let _ = jh.join();
         }
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
+        }
+        outcome
     }
 
     /// Drive until idle; panic with diagnostics if parked tasks remain.
@@ -526,26 +588,6 @@ impl Scheduler {
     pub fn now(&self) -> SimTime {
         self.core.state.lock().now
     }
-
-    fn finish_task(&self, tid: TaskId) {
-        let (joiners, jh) = {
-            let mut st = self.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("finished task exists");
-            slot.state = TaskState::Finished;
-            let joiners = std::mem::take(&mut slot.joiners);
-            let jh = slot.join_handle.take();
-            st.live_tasks -= 1;
-            (joiners, jh)
-        };
-        if let Some(jh) = jh {
-            // The thread has signalled Done; joining is immediate.
-            let _ = jh.join();
-        }
-        let h = self.handle();
-        for j in joiners {
-            h.wake_task(j);
-        }
-    }
 }
 
 impl SchedHandle {
@@ -554,18 +596,15 @@ impl SchedHandle {
         self.core.state.lock().now
     }
 
-    /// Schedule `f` to run on the scheduler thread at absolute time `at`
-    /// (clamped to be no earlier than now).
+    /// Schedule `f` to run at absolute time `at` (clamped to be no earlier
+    /// than now). It runs on the thread holding the baton — `run_until`'s
+    /// caller or whichever task thread is driving the scheduler loop — never
+    /// concurrently with a task, with task context masked
+    /// (`ctx::in_task()` is false). A panic in `f` surfaces from
+    /// `run_until`.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
-        let mut st = self.core.state.lock();
-        let at = at.max(st.now);
-        let seq = st.seq;
-        st.seq += 1;
-        st.events.push(EventEntry {
-            at,
-            seq,
-            action: EventAction::Call(Box::new(f)),
-        });
+        let action = EventAction::Run(Callback::Call(Box::new(f)));
+        self.core.state.lock().schedule(at, action);
     }
 
     /// Schedule `f` to run after `d` of simulated time.
@@ -575,7 +614,9 @@ impl SchedHandle {
     }
 
     /// Register a recurring callback and get a handle for scheduling it.
-    /// The callback stays registered for the scheduler's lifetime.
+    /// The callback stays registered for the scheduler's lifetime. Like a
+    /// `call_at` closure it runs on the thread holding the baton, never
+    /// concurrently with a task, with task context masked.
     pub fn register_hook(&self, f: impl FnMut() + Send + 'static) -> HookId {
         let mut hooks = self.core.hooks.lock();
         hooks.push(Some(Box::new(f)));
@@ -587,32 +628,13 @@ impl SchedHandle {
     /// event-heap growth; ties with other events break in schedule order,
     /// exactly like `call_at`.
     pub fn call_hook_at(&self, at: SimTime, hook: HookId) {
-        let mut st = self.core.state.lock();
-        let at = at.max(st.now);
-        let seq = st.seq;
-        st.seq += 1;
-        st.events.push(EventEntry {
-            at,
-            seq,
-            action: EventAction::Hook(hook.0),
-        });
+        let action = EventAction::Run(Callback::Hook(hook.0));
+        self.core.state.lock().schedule(at, action);
     }
 
     /// Wake `tid` per unpark semantics.
     pub fn wake_task(&self, tid: TaskId) {
-        let mut st = self.core.state.lock();
-        let Some(slot) = st.tasks.get_mut(&tid) else {
-            return;
-        };
-        match slot.state {
-            TaskState::Blocked => {
-                slot.state = TaskState::Runnable;
-                slot.notified = false;
-                st.runnable.push_back(tid);
-            }
-            TaskState::Runnable | TaskState::Running => slot.notified = true,
-            TaskState::Finished => {}
-        }
+        self.core.state.lock().wake(tid);
     }
 
     /// A waker for the given task.
@@ -647,57 +669,54 @@ impl SchedHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let baton = Baton::new();
+        let baton = Baton::new(None);
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let tid = {
-            let mut st = self.core.state.lock();
-            let tid = TaskId(st.next_task);
-            st.next_task += 1;
-            tid
-        };
+        // One critical section from id to run queue keeps the table dense.
+        // The new thread does not touch the state before its first grant.
+        let mut st = self.core.state.lock();
+        let tid = TaskId(st.tasks.len() as u64);
         let thread = {
             let baton = Arc::clone(&baton);
             let result = Arc::clone(&result);
             let handle = self.clone();
-            let tname = name.clone();
             std::thread::Builder::new()
-                .name(format!("sim:{tname}"))
+                .name(format!("sim:{name}"))
                 .spawn(move || {
-                    baton.wait_first();
-                    CURRENT.with(|c| *c.borrow_mut() = Some((handle.clone(), tid)));
+                    baton.wait();
+                    CURRENT.set(Some(Current {
+                        handle: handle.clone(),
+                        tid,
+                        baton,
+                    }));
                     let out = std::panic::catch_unwind(AssertUnwindSafe(f));
-                    CURRENT.with(|c| *c.borrow_mut() = None);
-                    match out {
-                        Ok(v) => *result.lock() = Some(v),
-                        Err(p) => {
-                            let mut st = handle.core.state.lock();
-                            if st.panic.is_none() {
-                                st.panic = Some(p);
-                            }
+                    CURRENT.set(None);
+                    let panic = match out {
+                        Ok(v) => {
+                            *result.lock() = Some(v);
+                            None
                         }
+                        Err(p) => Some(p),
                     };
-                    baton.finish();
+                    handle.core.finish(tid, panic);
                 })
                 .expect("spawn sim task thread")
         };
-        {
-            let mut st = self.core.state.lock();
-            st.tasks.insert(
-                tid,
-                TaskSlot {
-                    name,
-                    daemon,
-                    state: TaskState::Runnable,
-                    notified: false,
-                    baton,
-                    join_handle: Some(thread),
-                    joiners: Vec::new(),
-                    blocked_on: "",
-                },
-            );
-            st.live_tasks += 1;
-            st.runnable.push_back(tid);
-        }
+        baton
+            .owner
+            .set(thread.thread().clone())
+            .expect("a fresh baton has no owner");
+        st.tasks.push(TaskSlot {
+            name,
+            daemon,
+            state: TaskState::Runnable,
+            notified: false,
+            baton: Some(baton),
+            join_handle: Some(thread),
+            joiners: Vec::new(),
+            blocked_on: "",
+        });
+        st.runnable.push_back(tid);
+        drop(st);
         JoinHandle {
             handle: self.clone(),
             tid,
@@ -723,28 +742,26 @@ impl<T> JoinHandle<T> {
     /// Has the task finished?
     pub fn is_finished(&self) -> bool {
         let st = self.handle.core.state.lock();
-        st.tasks
-            .get(&self.tid)
-            .map(|t| t.state == TaskState::Finished)
-            .unwrap_or(true)
+        st.tasks[self.tid.index()].state == TaskState::Finished
     }
 
     /// Block the calling simulated task until the target finishes, then
     /// return its result. Must be called from within a simulated task.
     pub fn join(self) -> T {
+        let me = ctx::current_task();
+        let mut registered = false;
         loop {
             {
                 let mut st = self.handle.core.state.lock();
-                let done = st
-                    .tasks
-                    .get(&self.tid)
-                    .map(|t| t.state == TaskState::Finished)
-                    .unwrap_or(true);
-                if done {
+                let target = &mut st.tasks[self.tid.index()];
+                if target.state == TaskState::Finished {
                     break;
                 }
-                let me = ctx::current_task();
-                st.tasks.get_mut(&self.tid).unwrap().joiners.push(me);
+                // Once: a stray wake token must not queue a second wake.
+                if !registered {
+                    target.joiners.push(me);
+                    registered = true;
+                }
             }
             ctx::park("join");
         }
@@ -753,19 +770,20 @@ impl<T> JoinHandle<T> {
 }
 
 /// Task-side context functions. Valid only on threads spawned through the
-/// scheduler; calling them elsewhere panics.
+/// scheduler, and not inside events those threads fire while they drive the
+/// scheduler loop; calling them elsewhere panics.
 pub mod ctx {
     use super::*;
 
     fn with_current<R>(f: impl FnOnce(&SchedHandle, TaskId) -> R) -> R {
         CURRENT.with(|c| {
             let b = c.borrow();
-            let (h, tid) = b.as_ref().expect("not inside a simulated task");
-            f(h, *tid)
+            let cur = b.as_ref().expect("not inside a simulated task");
+            f(&cur.handle, cur.tid)
         })
     }
 
-    /// Is the calling thread a simulated task?
+    /// Is the calling thread running a simulated task's own code?
     pub fn in_task() -> bool {
         CURRENT.with(|c| c.borrow().is_some())
     }
@@ -790,51 +808,47 @@ pub mod ctx {
         with_current(|h, tid| h.waker(tid))
     }
 
+    /// Take the calling task out of the running state as `leave` dictates
+    /// (`false`: stay running after all), then run the scheduler loop with
+    /// task context masked until this task is the one to run again.
+    /// Returns what `leave` returned.
+    fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) -> bool {
+        let cur = CURRENT.take().expect("not inside a simulated task");
+        let left = leave(&mut cur.handle.core.state.lock(), cur.tid);
+        if left {
+            if let Some(next) = cur.handle.core.drive(Driver::Task(cur.tid)) {
+                next.grant();
+                cur.baton.wait();
+            }
+        }
+        CURRENT.set(Some(cur));
+        left
+    }
+
     /// Park the calling task until woken. `reason` appears in deadlock
     /// diagnostics. Consumes a pending wake token if present.
     pub fn park(reason: &'static str) {
-        let (baton, proceed) = with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("current task slot");
-            if slot.notified {
-                slot.notified = false;
-                (Arc::clone(&slot.baton), true)
-            } else {
-                slot.state = TaskState::Blocked;
-                slot.blocked_on = reason;
-                (Arc::clone(&slot.baton), false)
+        let parked = reschedule(|st, tid| {
+            let slot = &mut st.tasks[tid.index()];
+            if std::mem::take(&mut slot.notified) {
+                return false;
             }
+            slot.state = TaskState::Blocked;
+            slot.blocked_on = reason;
+            true
         });
-        if proceed {
-            return;
+        if parked {
+            super::note_park(reason);
         }
-        super::note_park(reason);
-        baton.yield_and_wait();
-        with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("current task slot");
-            slot.state = TaskState::Running;
-            slot.blocked_on = "";
-        });
     }
 
     /// Yield the baton but stay runnable (cooperative yield at the same
     /// simulated instant).
     pub fn yield_now() {
-        with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            let slot = st.tasks.get_mut(&tid).expect("current task slot");
-            slot.state = TaskState::Runnable;
+        reschedule(|st, tid| {
+            st.tasks[tid.index()].state = TaskState::Runnable;
             st.runnable.push_back(tid);
-        });
-        let baton = with_current(|h, tid| {
-            let st = h.core.state.lock();
-            Arc::clone(&st.tasks.get(&tid).unwrap().baton)
-        });
-        baton.yield_and_wait();
-        with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            st.tasks.get_mut(&tid).unwrap().state = TaskState::Running;
+            true
         });
     }
 
@@ -844,26 +858,19 @@ pub mod ctx {
             yield_now();
             return;
         }
-        let (h, tid) = with_current(|h, tid| (h.clone(), tid));
-        let at = h.now() + d;
-        {
+        let at = with_current(|h, tid| {
             let mut st = h.core.state.lock();
-            let seq = st.seq;
-            st.seq += 1;
-            st.events.push(EventEntry {
-                at,
-                seq,
-                action: EventAction::WakeTask(tid),
-            });
-        }
+            let at = st.now + d;
+            st.schedule(at, EventAction::WakeTask(tid));
+            at
+        });
         // A stray wake token could end the sleep early; loop on the clock.
         loop {
             park("sleep");
-            if h.now() >= at {
+            if now() >= at {
                 break;
             }
         }
-        let _ = tid;
     }
 }
 
@@ -904,6 +911,28 @@ mod tests {
     }
 
     #[test]
+    fn join_registers_once_despite_stray_wakes() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let joiner = sched.spawn("joiner", move || {
+            let target = h.spawn("target", || ctx::sleep(Duration::from_millis(10)));
+            for ms in [1, 2] {
+                let me = ctx::waker();
+                h.call_after(Duration::from_millis(ms), move || me.wake());
+            }
+            target.join();
+            // The target woke us once, so no token is left over to cut
+            // this park short of its own wake.
+            let me = ctx::waker();
+            h.call_after(Duration::from_millis(5), move || me.wake());
+            ctx::park("probe");
+            ctx::now().as_nanos()
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(joiner.result.lock().take(), Some(15_000_000));
+    }
+
+    #[test]
     fn wake_before_park_is_remembered() {
         let sched = Scheduler::new();
         let h = sched.handle();
@@ -927,10 +956,22 @@ mod tests {
     fn deadlock_is_reported_with_reasons() {
         let sched = Scheduler::new();
         sched.spawn("stuck", || ctx::park("never-signalled"));
+        sched.spawn("done", || ctx::sleep(Duration::from_secs(1)));
+        sched.spawn_daemon("server", || ctx::park("accept"));
+        sched.spawn("stuck-too", || {
+            ctx::sleep(Duration::from_secs(2));
+            ctx::park("lost-wake");
+        });
+        // Found by the last task to park, on its own thread; reported to
+        // the caller in spawn order, daemons and finished tasks left out.
         match sched.run_until(SimTime::MAX) {
-            RunOutcome::Deadlock(v) => {
-                assert_eq!(v, vec![("stuck".to_string(), "never-signalled")]);
-            }
+            RunOutcome::Deadlock(v) => assert_eq!(
+                v,
+                vec![
+                    ("stuck".to_string(), "never-signalled"),
+                    ("stuck-too".to_string(), "lost-wake"),
+                ]
+            ),
             o => panic!("expected deadlock, got {o:?}"),
         }
     }
@@ -988,5 +1029,274 @@ mod tests {
         }
         sched.run();
         assert_eq!(*log.lock(), vec!["x", "y", "x", "y", "x", "y"]);
+    }
+
+    /// This scheduler's cross-thread grants so far.
+    fn grants(h: &SchedHandle) -> u64 {
+        h.core.state.lock().grants
+    }
+
+    #[test]
+    fn lone_task_never_switches_threads() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let inside = sched.spawn("lone", move || {
+            let g0 = grants(&h);
+            for _ in 0..1000 {
+                ctx::yield_now();
+            }
+            for _ in 0..1000 {
+                ctx::sleep(Duration::from_micros(3));
+            }
+            grants(&h) - g0
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(sched.now().as_nanos(), 3_000_000);
+        assert_eq!(inside.result.lock().take(), Some(0));
+        // Caller to the task, and the task back to the caller.
+        assert_eq!(grants(&sched.handle()), 2);
+    }
+
+    #[test]
+    fn ping_pong_costs_one_grant_per_message() {
+        const ROUNDS: u64 = 500;
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let ping = crate::sync::SimQueue::<u64>::bounded(1);
+        let pong = crate::sync::SimQueue::<u64>::bounded(1);
+        let (ping2, pong2) = (ping.clone(), pong.clone());
+        sched.spawn("echo", move || {
+            while let Some(v) = ping2.pop() {
+                pong2.push(v).unwrap();
+            }
+        });
+        let spent = sched.spawn("client", move || {
+            // One warm-up round trip so both sides sit in their loops.
+            ping.push(0).unwrap();
+            pong.pop().unwrap();
+            let g0 = grants(&h);
+            for i in 1..=ROUNDS {
+                ping.push(i).unwrap();
+                assert_eq!(pong.pop(), Some(i));
+            }
+            let spent = grants(&h) - g0;
+            ping.close();
+            spent
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        // Each message crosses threads once: client -> echo, echo -> client.
+        assert_eq!(spent.result.lock().take(), Some(2 * ROUNDS));
+    }
+
+    #[test]
+    fn time_limit_hit_on_a_task_thread_returns_to_the_caller() {
+        let sched = Scheduler::new();
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let t2 = Arc::clone(&ticks);
+        let ticker = sched.spawn("ticker", move || {
+            for _ in 0..10 {
+                ctx::sleep(Duration::from_secs(1));
+                t2.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // The ticker is alone, so it is the one driving when the next
+        // event (its own wake at t=4s) lies past the limit.
+        assert_eq!(
+            sched.run_for(Duration::from_millis(3500)),
+            RunOutcome::TimeLimit
+        );
+        assert_eq!(ticks.load(Ordering::SeqCst), 3);
+        assert_eq!(sched.now().as_nanos(), 3_000_000_000);
+        assert!(!ticker.is_finished());
+        // A later run picks the same parked task up where it stopped.
+        assert_eq!(sched.run_for(Duration::from_secs(2)), RunOutcome::TimeLimit);
+        assert_eq!(ticks.load(Ordering::SeqCst), 5);
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(ticks.load(Ordering::SeqCst), 10);
+        assert!(ticker.is_finished());
+    }
+
+    #[test]
+    fn task_finishing_among_runnable_tasks_hands_the_baton_on() {
+        let sched = Scheduler::new();
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        for (name, rounds) in [("short", 1), ("long", 3), ("mid", 2)] {
+            let log = Arc::clone(&log);
+            sched.spawn(name, move || {
+                for i in 0..rounds {
+                    log.lock().push(format!("{name}{i}"));
+                    ctx::yield_now();
+                }
+            });
+        }
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(
+            *log.lock(),
+            ["short0", "long0", "mid0", "long1", "mid1", "long2"]
+        );
+    }
+
+    #[test]
+    fn slice_and_event_order_is_reproduced_exactly() {
+        fn scenario() -> Vec<String> {
+            let sched = Scheduler::new();
+            let h = sched.handle();
+            let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+            let note = {
+                let (log, h) = (Arc::clone(&log), h.clone());
+                move |what: &str| {
+                    let at = h.now().as_nanos() / 1_000_000;
+                    log.lock().push(format!("{at}ms {what}"));
+                }
+            };
+            let q = crate::sync::SimQueue::<u32>::bounded(1);
+            let (q2, n) = (q.clone(), note.clone());
+            sched.spawn("producer", move || {
+                for i in 0..3 {
+                    ctx::sleep(Duration::from_millis(10));
+                    n(&format!("produce {i}"));
+                    q2.push(i).unwrap();
+                }
+                q2.close();
+            });
+            let n = note.clone();
+            sched.spawn("consumer", move || {
+                while let Some(i) = q.pop() {
+                    n(&format!("consume {i}"));
+                    ctx::sleep(Duration::from_millis(15));
+                }
+                n("consumer done");
+            });
+            let n = note.clone();
+            sched.spawn("ticker", move || {
+                for i in 0..3 {
+                    ctx::yield_now();
+                    n(&format!("tick {i}"));
+                    ctx::sleep(Duration::from_millis(20));
+                }
+            });
+            for (at, tag) in [(20u64, "timer A"), (10, "timer B"), (20, "timer C")] {
+                let n = note.clone();
+                h.call_at(SimTime::ZERO + Duration::from_millis(at), move || n(tag));
+            }
+            assert_eq!(sched.run(), RunOutcome::Idle);
+            let out = log.lock().clone();
+            out
+        }
+        let first = scenario();
+        assert_eq!(
+            first,
+            [
+                "0ms tick 0",
+                "10ms timer B",
+                "10ms produce 0",
+                "10ms consume 0",
+                "20ms timer A",
+                "20ms timer C",
+                "20ms tick 1",
+                "20ms produce 1",
+                "25ms consume 1",
+                "30ms produce 2",
+                "40ms tick 2",
+                "40ms consume 2",
+                "55ms consumer done",
+            ]
+        );
+        assert_eq!(scenario(), first);
+    }
+
+    #[test]
+    fn events_fired_by_a_task_thread_see_no_task_context() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let seen: Arc<Mutex<Vec<(bool, bool)>>> = Arc::new(Mutex::new(Vec::new()));
+        let s2 = Arc::clone(&seen);
+        sched.spawn("sleeper", move || {
+            let me = std::thread::current().id();
+            // Fires while this task is asleep and alone, so on its thread.
+            h.call_after(Duration::from_millis(1), move || {
+                let on_task_thread = std::thread::current().id() == me;
+                s2.lock().push((on_task_thread, ctx::in_task()));
+            });
+            ctx::sleep(Duration::from_millis(2));
+            assert!(ctx::in_task(), "context is back after the drive");
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(*seen.lock(), [(true, false)]);
+
+        // And the task-only calls panic there as they do on the caller.
+        let calls: [fn(); 2] = [
+            || ctx::park("in-event"),
+            || {
+                ctx::now();
+            },
+        ];
+        for call in calls {
+            let sched = Scheduler::new();
+            let h = sched.handle();
+            sched.spawn("sleeper", move || {
+                h.call_after(Duration::from_millis(1), call);
+                ctx::sleep(Duration::from_millis(2));
+            });
+            let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+            // `expect` formats its message, so the payload is a `String`.
+            let msg = p.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("not inside a simulated task"));
+        }
+    }
+
+    #[test]
+    fn event_panic_on_a_task_thread_resumes_on_the_caller() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let after = Arc::new(AtomicUsize::new(0));
+        let a2 = Arc::clone(&after);
+        sched.spawn("sleeper", move || {
+            h.call_after(Duration::from_millis(1), || panic!("first"));
+            h.call_after(Duration::from_millis(1), || panic!("second"));
+            ctx::sleep(Duration::from_millis(2));
+            a2.store(1, Ordering::SeqCst);
+        });
+        let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"first"));
+        // The loop stopped at the panic: nothing later ran, and the
+        // sleeper's thread survived it, still parked.
+        assert_eq!(after.load(Ordering::SeqCst), 0);
+        assert_eq!(sched.now().as_nanos(), 1_000_000);
+        let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"second"));
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(after.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn finished_threads_are_joined_before_run_returns() {
+        struct CountOnExit(Arc<AtomicUsize>);
+        impl Drop for CountOnExit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<CountOnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        const TASKS: usize = 40;
+        let exited = Arc::new(AtomicUsize::new(0));
+        let sched = Scheduler::new();
+        for i in 0..TASKS {
+            let exited = Arc::clone(&exited);
+            sched.spawn(format!("t{i}"), move || {
+                // Dropped by the thread-local destructor, i.e. when the OS
+                // thread is really going away.
+                ON_EXIT.set(Some(CountOnExit(exited)));
+                ctx::sleep(Duration::from_millis(i as u64 % 7));
+            });
+        }
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(exited.load(Ordering::SeqCst), TASKS);
+        let st = sched.core.state.lock();
+        assert!(st.last_finished.is_none());
+        assert!(st.tasks.iter().all(|t| t.join_handle.is_none()));
     }
 }
