@@ -19,9 +19,12 @@
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
 #           command is printed on failure).
-#   test    full workspace test suite; then, where `taskset` exists, the
-#           scheduler's own tests and the root scheduler smoke again on
-#           one CPU, the regime gridbench measures.
+#   test    full workspace test suite (debug); the gridzip and gridcrypt
+#           suites again in release, where the vectorised ChaCha20 pass
+#           and the bounds-check-free matcher loops actually exist; then,
+#           where `taskset` exists, the scheduler's own tests and the root
+#           scheduler smoke again on one CPU, the regime gridbench
+#           measures.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -150,6 +153,8 @@ stage_faults() {
 
 stage_test() {
   cargo test -q --workspace
+  # The kernels' differential and boundary tests against release codegen.
+  cargo test -q --release -p gridzip -p gridcrypt
   # CI machines have >= 2 cores, gridbench pins every rep to one: there a
   # granted thread runs only once its granter sleeps, a different
   # interleaving of the same handoff. First CPU of the allowed set.

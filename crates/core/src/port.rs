@@ -143,9 +143,20 @@ impl WriteMessage<'_> {
     /// Frame the message and flush it down every connection's stack. This
     /// is the explicit flush of §4.1: nothing hits the wire until a full
     /// buffer or this call.
+    ///
+    /// A message that fills less than an eighth of its pooled buffer is
+    /// frozen as an exact-size copy and the buffer goes straight back to
+    /// the pool: the channel's resend buffer holds the payload until the
+    /// receiver's next cumulative ack (6 MiB of payload by default), and
+    /// budgets it by length, so a 256 B message must not pin 32 KiB there.
     pub fn finish(self) -> io::Result<usize> {
         let len = self.buf.len();
-        self.port.send_framed(self.buf.freeze())?;
+        let payload = if len < self.buf.capacity() / 8 {
+            Bytes::copy_from_slice(&self.buf)
+        } else {
+            self.buf.freeze()
+        };
+        self.port.send_framed(payload)?;
         Ok(len)
     }
 }
@@ -1262,5 +1273,60 @@ mod tests {
         assert!(m.read_u64().is_err());
         assert!(m.read_str().is_err());
         assert!(m.read_bytes(2).is_err(), "read past the truncated end");
+    }
+
+    /// The resend buffer keeps every payload until the next cumulative ack
+    /// (none comes within this test's 6 MiB). Small messages must not keep
+    /// their 32 KiB pool buffers there with them: one buffer serves them
+    /// all. A message that fills a fair share of its buffer still travels
+    /// as that buffer, refcounted.
+    #[test]
+    fn small_messages_leave_their_pool_buffer_behind() {
+        use crate::{spawn_name_service, ConnectivityProfile, GridEnv};
+        use gridsim_net::{topology, Sim, SockAddr};
+        use gridsim_tcp::SimHost;
+        const SMALL: usize = 300;
+        const LARGE: usize = 8 * 1024;
+
+        let sim = Sim::new(3);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), 563));
+        let env_b = env.clone();
+        let receiver = sim.spawn("receiver", move || {
+            spawn_name_service(&hb, 563).unwrap();
+            let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::open()).unwrap();
+            let rp = node
+                .create_receive_port("sink", StackSpec::plain())
+                .unwrap();
+            for i in 0..SMALL {
+                let m = rp.receive().unwrap();
+                assert!(m.as_slice() == vec![i as u8; 1 + i].as_slice());
+            }
+            for i in 0..4 {
+                assert!(rp.receive().unwrap().as_slice() == vec![i; LARGE].as_slice());
+            }
+        });
+        let sender = sim.spawn("sender", move || {
+            gridsim_net::ctx::sleep(Duration::from_millis(100));
+            let node = GridNode::join(&env, ha, "send", ConnectivityProfile::open()).unwrap();
+            let mut sp = node.create_send_port();
+            sp.connect("sink").unwrap();
+            for i in 0..SMALL {
+                sp.send(&vec![i as u8; 1 + i]).unwrap();
+            }
+            assert_eq!(sp.msg_pool.stats().misses, 1, "small messages share one");
+            for i in 0..4 {
+                sp.send(&vec![i; LARGE]).unwrap();
+            }
+            // The first takes the idle buffer; each is then held for replay.
+            assert_eq!(sp.msg_pool.stats().misses, 4, "large ones keep theirs");
+            let retained: usize = (1..=SMALL).sum::<usize>() + 4 * LARGE;
+            assert_eq!(sp.resend_stats(), vec![(retained, retained)]);
+            sp.close().unwrap();
+        });
+        sim.run();
+        assert!(receiver.is_finished() && sender.is_finished());
     }
 }

@@ -1,4 +1,28 @@
 //! ChaCha20 stream cipher (RFC 8439).
+//!
+//! [`block`] is the RFC's block function, one state in sixteen scalars; it
+//! keys Poly1305 and covers anything shorter than 1 KiB. Bulk data goes
+//! through a pass that computes sixteen blocks at once, written so that
+//! the compiler vectorises it on the baseline target: the crate root
+//! forbids the escape hatches (per-architecture intrinsics, CPU-feature
+//! attributes), so plain Rust that LLVM can widen is the only road to SIMD.
+//!
+//! The form that vectorises (rustc 1.95, x86-64 baseline: 0.97 ns/B
+//! against 1.92 for the block function): the state lane-major,
+//! `[[u32; 16]; 16]` indexed `[word][block]`, and **one loop over the
+//! blocks per quarter-round**, which loads the four words of a block into
+//! locals, runs the whole quarter-round on them and stores them back. It
+//! needs sixteen blocks or more: the same code at four blocks runs at 1.75
+//! ns/B and at eight at 1.96, no better than the block function (32 gains
+//! nothing over 16). Three other portable formulations compile to scalar
+//! `rol` and are slower still — do not retry them:
+//!
+//! * one loop over the blocks per *operation* (add, xor, rotate) rather
+//!   than per quarter-round: 2.87 ns/B,
+//! * quarter-round helpers taking and returning `[u32; 4]` or `[u32; 8]`
+//!   lanes by value: 1.8–2.8 ns/B (measured for the issue that asked for
+//!   this pass, as was the next),
+//! * generating the keystream into a buffer and XOR-ing it in afterwards.
 
 /// Key size in bytes.
 pub const KEY_LEN: usize = 32;
@@ -19,8 +43,8 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// Compute one 64-byte keystream block for (key, nonce, counter).
-pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
+/// The initial state for (key, nonce, counter), RFC 8439 §2.3.
+fn initial_state(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u32; 16] {
     let mut state = [0u32; 16];
     state[0] = 0x61707865;
     state[1] = 0x3320646e;
@@ -39,6 +63,12 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
             nonce[4 * i + 3],
         ]);
     }
+    state
+}
+
+/// Compute one 64-byte keystream block for (key, nonce, counter).
+pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
+    let state = initial_state(key, nonce, counter);
     let mut w = state;
     for _ in 0..10 {
         quarter_round(&mut w, 0, 4, 8, 12);
@@ -58,6 +88,73 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
     out
 }
 
+/// Blocks generated per wide pass.
+const LANES: usize = 16;
+/// Bytes covered by one wide pass.
+const WIDE_LEN: usize = LANES * BLOCK_LEN;
+
+/// One quarter-round on the same four words of all [`LANES`] blocks:
+/// `x[word][lane]`, one loop over the lanes, the whole quarter-round of a
+/// lane in locals between one load and one store.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `l` indexes four rows of `x`, not `x`
+fn quarter_round_wide(x: &mut [[u32; LANES]; 16], a: usize, b: usize, c: usize, d: usize) {
+    for l in 0..LANES {
+        let (mut xa, mut xb, mut xc, mut xd) = (x[a][l], x[b][l], x[c][l], x[d][l]);
+        xa = xa.wrapping_add(xb);
+        xd = (xd ^ xa).rotate_left(16);
+        xc = xc.wrapping_add(xd);
+        xb = (xb ^ xc).rotate_left(12);
+        xa = xa.wrapping_add(xb);
+        xd = (xd ^ xa).rotate_left(8);
+        xc = xc.wrapping_add(xd);
+        xb = (xb ^ xc).rotate_left(7);
+        x[a][l] = xa;
+        x[b][l] = xb;
+        x[c][l] = xc;
+        x[d][l] = xd;
+    }
+}
+
+/// XOR one [`WIDE_LEN`] stretch with the keystream of blocks
+/// `state[12]..state[12] + LANES` (wrapping, as the per-block counter does).
+fn xor_wide(state: &[u32; 16], data: &mut [u8; WIDE_LEN]) {
+    let mut x: [[u32; LANES]; 16] = std::array::from_fn(|word| [state[word]; LANES]);
+    for (l, ctr) in x[12].iter_mut().enumerate() {
+        *ctr = state[12].wrapping_add(l as u32);
+    }
+    let init = x;
+    for _ in 0..10 {
+        quarter_round_wide(&mut x, 0, 4, 8, 12);
+        quarter_round_wide(&mut x, 1, 5, 9, 13);
+        quarter_round_wide(&mut x, 2, 6, 10, 14);
+        quarter_round_wide(&mut x, 3, 7, 11, 15);
+        quarter_round_wide(&mut x, 0, 5, 10, 15);
+        quarter_round_wide(&mut x, 1, 6, 11, 12);
+        quarter_round_wide(&mut x, 2, 7, 8, 13);
+        quarter_round_wide(&mut x, 3, 4, 9, 14);
+    }
+    for (l, blk) in data.chunks_exact_mut(BLOCK_LEN).enumerate() {
+        for (word, bytes) in blk.chunks_exact_mut(4).enumerate() {
+            let ks = x[word][l].wrapping_add(init[word][l]);
+            let v = u32::from_le_bytes((&*bytes).try_into().expect("4 bytes")) ^ ks;
+            bytes.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// XOR `data` with the keystream one [`block`] at a time, from block
+/// `counter` on.
+fn xor_by_blocks(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], mut counter: u32, data: &mut [u8]) {
+    for chunk in data.chunks_mut(BLOCK_LEN) {
+        let ks = block(key, nonce, counter);
+        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+            *b ^= k;
+        }
+        counter = counter.wrapping_add(1);
+    }
+}
+
 /// XOR `data` in place with the ChaCha20 keystream starting at block
 /// `initial_counter`.
 pub fn xor_in_place(
@@ -66,14 +163,13 @@ pub fn xor_in_place(
     initial_counter: u32,
     data: &mut [u8],
 ) {
-    let mut counter = initial_counter;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        let ks = block(key, nonce, counter);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-        counter = counter.wrapping_add(1);
+    let mut state = initial_state(key, nonce, initial_counter);
+    let mut wide = data.chunks_exact_mut(WIDE_LEN);
+    for stretch in &mut wide {
+        xor_wide(&state, stretch.try_into().expect("WIDE_LEN bytes"));
+        state[12] = state[12].wrapping_add(LANES as u32);
     }
+    xor_by_blocks(key, nonce, state[12], wide.into_remainder());
 }
 
 #[cfg(test)]
@@ -124,6 +220,38 @@ mod tests {
                  5af90bbf74a35be6b40b8eedf2785e42874d"
             )
         );
+    }
+
+    /// `xor_in_place` against `xor_by_blocks` from the first byte, which is
+    /// `xor_in_place` as it was before the wide pass.
+    fn assert_matches_block_reference(initial_counter: u32, len: usize) {
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 7 + 3) as u8);
+        let nonce: [u8; 12] = std::array::from_fn(|i| (i * 13 + 1) as u8);
+        let plain: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let (mut got, mut want) = (plain.clone(), plain);
+        xor_in_place(&key, &nonce, initial_counter, &mut got);
+        xor_by_blocks(&key, &nonce, initial_counter, &mut want);
+        assert!(got == want, "counter {initial_counter:#x}, {len} bytes");
+    }
+
+    /// Every length around the 1 KiB wide pass: none, one and two passes,
+    /// each alone, with whole-block tails, with a partial tail, with both.
+    #[test]
+    fn wide_pass_equals_block_reference_at_every_length() {
+        for len in (0..=2100).chain([16 * 1024 + 17]) {
+            assert_matches_block_reference(1, len);
+        }
+    }
+
+    /// The block counter wraps inside a wide pass, between passes and in
+    /// the tail exactly as the per-block loop wraps it.
+    #[test]
+    fn counter_wraps_like_the_scalar_loop() {
+        for back in 0..=16 {
+            for len in [64, 1024, 1024 + 64 + 5, 2100] {
+                assert_matches_block_reference(u32::MAX - back, len);
+            }
+        }
     }
 
     #[test]

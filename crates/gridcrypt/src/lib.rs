@@ -25,6 +25,8 @@
 //! assert_eq!(m.len(), 32);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aead;
 pub mod chacha20;
 pub mod gtls;

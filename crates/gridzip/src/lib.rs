@@ -27,6 +27,8 @@
 //! assert_eq!(decompress(&packed, data.len()).unwrap(), data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod huffman;
 pub mod lzss;
 pub mod stream;

@@ -265,8 +265,10 @@ impl<R: Read> DecompressReader<R> {
     }
 }
 
-impl<R: Read> Read for DecompressReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl<R: Read> DecompressReader<R> {
+    /// Decode the next frame once the current block is used up, exactly
+    /// when [`Read::read`] would. `false` means clean EOF.
+    fn refill(&mut self) -> io::Result<bool> {
         if self.pos == self.current.len() {
             match read_block_with(&mut self.inner, self.max_block, &mut self.payload)? {
                 Some(b) => {
@@ -274,8 +276,32 @@ impl<R: Read> Read for DecompressReader<R> {
                     self.current = b;
                     self.pos = 0;
                 }
-                None => return Ok(0),
+                None => return Ok(false),
             }
+        }
+        Ok(true)
+    }
+
+    /// What one `read` into a `cap`-byte buffer would deliver, as an owned
+    /// buffer: an untouched decoded block of at most `cap` bytes is handed
+    /// on as it is, anything else is copied out. Empty means EOF.
+    pub fn next_chunk(&mut self, cap: usize) -> io::Result<Vec<u8>> {
+        if !self.refill()? {
+            return Ok(Vec::new());
+        }
+        if self.pos == 0 && self.current.len() <= cap {
+            return Ok(std::mem::take(&mut self.current));
+        }
+        let start = self.pos;
+        self.pos += cap.min(self.current.len() - start);
+        Ok(self.current[start..self.pos].to_vec())
+    }
+}
+
+impl<R: Read> Read for DecompressReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.refill()? {
+            return Ok(0);
         }
         let n = buf.len().min(self.current.len() - self.pos);
         buf[..n].copy_from_slice(&self.current[self.pos..self.pos + n]);
@@ -355,6 +381,49 @@ mod tests {
         let mut r = DecompressReader::new(io::Cursor::new(&framed[..framed.len() - 10]));
         let mut back = Vec::new();
         assert!(r.read_to_end(&mut back).is_err());
+    }
+
+    #[test]
+    fn declared_length_far_beyond_the_payload_is_rejected() {
+        // A frame claiming 16 MiB of output for a 3-byte LZSS payload (a
+        // token with two literals): a typed error, and — see
+        // `lzss::tests::decode_buffer_is_sized_by_the_input_not_by_the_bound`
+        // — no buffer sized by the claim on the way to it.
+        let mut frame = vec![FLAG_LZSS];
+        varint::put(&mut frame, 16 << 20);
+        varint::put(&mut frame, 3);
+        frame.extend_from_slice(&[0x20, b'h', b'i']);
+        let mut r = DecompressReader::new(io::Cursor::new(frame.clone()));
+        let err = r.read(&mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut r = DecompressReader::new(io::Cursor::new(frame));
+        assert_eq!(
+            r.next_chunk(64 * 1024).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn next_chunk_delivers_what_read_would() {
+        // Blocks of 1000 bytes against caps below, at and above that.
+        let data = synth::grid_payload(10_500, 0.6, 9);
+        let mut w = CompressWriter::with_block_size(Vec::new(), 1, 1000);
+        w.write_all(&data).unwrap();
+        let framed = w.finish().unwrap();
+        for cap in [1, 999, 1000, 1001, 64 * 1024] {
+            let mut by_read = DecompressReader::new(io::Cursor::new(&framed));
+            let mut by_chunk = DecompressReader::new(io::Cursor::new(&framed));
+            let mut buf = vec![0u8; cap];
+            loop {
+                let n = by_read.read(&mut buf).unwrap();
+                let chunk = by_chunk.next_chunk(cap).unwrap();
+                assert_eq!(chunk, &buf[..n], "cap {cap}");
+                if n == 0 {
+                    break;
+                }
+            }
+            assert_eq!(by_chunk.bytes_out, data.len() as u64);
+        }
     }
 
     #[test]
