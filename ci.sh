@@ -30,7 +30,8 @@
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
 # repeat or comma-separate to pick several (`--stage fmt,clippy`);
 # `./ci.sh --stage list` prints the stage names and exits.
-# Every run ends with a per-stage wall-clock summary.
+# Every run ends with a per-stage wall-clock summary and the size ROADMAP
+# tracks: lines in crates/*/src outside bench/src/bin.
 # run_benches.sh covers the full (slow) perf side separately.
 set -eu
 cd "$(dirname "$0")"
@@ -184,4 +185,6 @@ for s in $STAGES; do
 done
 printf 'ci summary (wall clock):\n%b' "$SUMMARY"
 printf '  %-8s %5ss\n' total $((SECONDS - t_total))
+src_lines=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*' -print0 | xargs -0 cat | wc -l)
+echo "source size: $src_lines lines in crates/*/src outside bench/src/bin"
 echo "ci: all stages passed"

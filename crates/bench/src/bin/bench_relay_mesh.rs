@@ -42,8 +42,9 @@ struct MeshWorld {
 }
 
 /// Build `pairs` sender/receiver sites plus `relays` meshed relays, each
-/// relay on its own public host behind [`relay_uplink`].
-fn build_world(seed: u64, relays: usize, pairs: usize, queue_frames: usize) -> MeshWorld {
+/// relay on its own public host behind [`relay_uplink`]. `queue_frames`
+/// overrides the relays' default shard-queue depth.
+fn build_world(seed: u64, relays: usize, pairs: usize, queue_frames: Option<usize>) -> MeshWorld {
     let sim = Sim::new(seed);
     trace::install(&sim);
     let net = sim.net();
@@ -91,16 +92,13 @@ fn build_world(seed: u64, relays: usize, pairs: usize, queue_frames: usize) -> M
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &a)| a)
                 .collect();
-            spawn_relay_mesh(
-                h,
-                RELAY_PORT,
-                RelayConfig {
-                    mesh_id: i as u64 + 1,
-                    peers,
-                    queue_frames,
-                },
-            )
-            .unwrap();
+            let mut cfg = RelayConfig {
+                mesh_id: i as u64 + 1,
+                peers,
+                ..RelayConfig::default()
+            };
+            cfg.queue_frames = queue_frames.unwrap_or(cfg.queue_frames);
+            spawn_relay_mesh(h, RELAY_PORT, cfg).unwrap();
         }
     });
     sim.run();
@@ -145,7 +143,7 @@ fn run_bulk(
     relays: usize,
     pairs: usize,
     bytes: usize,
-    queue_frames: usize,
+    queue_frames: Option<usize>,
     home: impl Fn(usize) -> usize,
 ) -> SpreadOut {
     let w = build_world(seed, relays, pairs, queue_frames);
@@ -215,7 +213,7 @@ fn run_bulk(
 /// killed mid-stream: returns 1 if the full strict-FIFO sequence arrived
 /// exactly once after route-around, 0 otherwise.
 fn run_kill(seed: u64, msgs: u64) -> u64 {
-    let w = build_world(seed, 2, 1, 64);
+    let w = build_world(seed, 2, 1, None);
     let (send_profile, recv_profile) = profiles();
     let victim = w.relay_nodes[1];
     w.net.with(|win| {
@@ -279,7 +277,7 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     let mut spread = Vec::new();
     for &k in &[1usize, 2, 4] {
-        let o = run_bulk(47, k, pairs, bytes, 64, |i| i);
+        let o = run_bulk(47, k, pairs, bytes, None, |i| i);
         println!(
             "spread  relays={k}  pairs={pairs}  aggregate={:>8} MB/s",
             fmt_mb(o.mb_s * (1 << 20) as f64)
@@ -292,7 +290,7 @@ fn main() {
     }
     // One-hot skew: four relays up, every pair funneled through relay 0
     // with small shard queues — typed backpressure must engage.
-    let skew = run_bulk(47, 4, pairs, bytes, 16, |_| 0);
+    let skew = run_bulk(47, 4, pairs, bytes, Some(16), |_| 0);
     println!(
         "skew    relays=4  pairs={pairs}  aggregate={:>8} MB/s  busy_throttles={}",
         fmt_mb(skew.mb_s * (1 << 20) as f64),

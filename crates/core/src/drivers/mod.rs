@@ -90,9 +90,11 @@ impl RawLink {
         }
     }
 
-    /// Block until bytes queued on this link have left the host, then
-    /// report whether the link survived the drain. Graceful close runs
-    /// this so buffered writes cannot silently die with the socket.
+    /// Block until the bytes written to this link are confirmed received —
+    /// by the peer host's TCP on a native link, by the peer's relay pump
+    /// (an in-band barrier) on a routed one, where TCP only reaches as far
+    /// as the relay — then report whether the link survived. Graceful close
+    /// runs this so buffered writes cannot silently die with the link.
     pub fn drain(&self) -> io::Result<()> {
         match self {
             RawLink::Tcp(s) => s.drain(),

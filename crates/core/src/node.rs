@@ -137,10 +137,11 @@ impl GridEnv {
     /// Configure an ordered relay list: the first is the primary every
     /// node dials at join; the rest are failover targets.
     ///
-    /// With legacy relays ([`crate::spawn_relay`]) every node must share
-    /// the same order, so failed-over peers converge on one relay. Meshed
-    /// relays ([`crate::spawn_relay_mesh`]) lift that: nodes may home at
-    /// different relays (or permute the list for load spreading), and a
+    /// Relays that do not peer with each other ([`crate::spawn_relay`]) are
+    /// separate islands: every node must share the same order, so
+    /// failed-over peers converge on one relay. Meshed relays
+    /// ([`crate::spawn_relay_mesh`] with `peers`) lift that: nodes may home
+    /// at different relays (or permute the list for load spreading), and a
     /// node that fails over to its backup is route-around-able by live
     /// senders through the mesh routing table — their channels stay up and
     /// recover in place rather than tearing down.
@@ -410,8 +411,8 @@ impl GridNode {
         self.inner.links.recoveries()
     }
 
-    /// Times a sharded relay BUSY-throttled this node's routed writes —
-    /// the typed-backpressure probe (always 0 against a legacy relay).
+    /// Times the relay BUSY-throttled this node's routed writes — the
+    /// typed-backpressure probe.
     pub fn relay_busy_throttles(&self) -> u64 {
         self.inner.relay.as_ref().map_or(0, |r| r.busy_throttles())
     }

@@ -18,14 +18,14 @@
 use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::establish::factory::BootstrapSocketFactory;
 use crate::nameservice::GridId;
-use crate::wire::{read_frame, FrameReader, FrameWriter};
+use crate::wire::{read_frame, write_frame, FrameReader, FrameWriter};
 
 /// Maximum payload per routed DATA frame.
 pub const ROUTED_CHUNK: usize = 8 * 1024;
@@ -37,8 +37,7 @@ mod relay_op {
     pub const SEND: u8 = 2;
     pub const RECV: u8 = 3;
     pub const NOPEER: u8 = 4;
-    // Sharded/mesh extensions (DESIGN.md §10). A legacy client never sees
-    // BUSY/READY unless it talks to a sharded relay; the relay-to-relay ops
+    // Backpressure and mesh ops (DESIGN.md §10). The relay-to-relay ops
     // only ever appear on PEER_HELLO'd connections.
     /// relay → client `{peer}`: `peer`'s receive queue is running hot —
     /// pause DATA towards it until READY.
@@ -73,116 +72,20 @@ mod inner_op {
     pub const OPEN_ERR: u8 = 5;
     pub const DATA: u8 = 6;
     pub const FIN: u8 = 7;
+    /// `{dir, sid, n}`: close barrier — "answer once every chunk I sent
+    /// before this is in the stream's receive queue".
+    pub const SYNC: u8 = 8;
+    /// `{dir, sid, n}`: the answer to SYNC `n`.
+    pub const SYNC_OK: u8 = 9;
 }
 
 // ---------------------------------------------------------------- server
 
-/// Spawn the relay server on `host`, listening on `port`.
+/// Spawn a relay on `host:port` that peers with no other:
+/// [`spawn_relay_mesh`] with the default [`RelayConfig`].
 pub fn spawn_relay(host: &SimHost, port: u16) -> io::Result<()> {
-    let listener = host.listen(port)?;
-    let conns: Arc<Mutex<HashMap<GridId, SimMutex<TcpStream>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
-    let sched = host.net().sched().clone();
-    let sched2 = sched.clone();
-    sched.spawn_daemon("relay-accept", move || loop {
-        let Ok(conn) = listener.accept() else { break };
-        let conns = Arc::clone(&conns);
-        sched2.spawn_daemon("relay-conn", move || {
-            let _ = serve_relay_conn(&conns, conn);
-        });
-    });
-    Ok(())
+    spawn_relay_mesh(host, port, RelayConfig::default())
 }
-
-fn serve_relay_conn(
-    conns: &Mutex<HashMap<GridId, SimMutex<TcpStream>>>,
-    conn: TcpStream,
-) -> io::Result<()> {
-    let mut reader = conn.clone();
-    // First frame must be HELLO.
-    let hello = read_frame(&mut reader)?;
-    let mut r = FrameReader::new(&hello);
-    if r.u8()? != relay_op::HELLO {
-        return Err(io::ErrorKind::InvalidData.into());
-    }
-    let id = r.u64()?;
-    // Register, superseding any stale connection for the same id (a client
-    // that reconnected while its old TCP connection lingers). The old
-    // serve loop's removal below is identity-guarded, so it cannot
-    // unregister this newer connection when it finally exits.
-    let me = SimMutex::new(conn.clone());
-    conns.lock().insert(id, me.clone());
-    let result = (|| -> io::Result<()> {
-        loop {
-            let frame = read_frame(&mut reader)?;
-            let mut r = FrameReader::new(&frame);
-            match r.u8()? {
-                relay_op::SEND => {
-                    let to = r.u64()?;
-                    let inner = r.bytes()?;
-                    let target = conns.lock().get(&to).cloned();
-                    let mut delivered = false;
-                    if let Some(t) = target {
-                        // Forward; the write blocks under backpressure,
-                        // which is exactly the relay-bottleneck behaviour
-                        // of the paper's §3.4. A write *error* means the
-                        // recipient is dead — that must not tear down the
-                        // innocent sender's connection.
-                        let mut w = t.lock();
-                        if FrameWriter::new()
-                            .u8(relay_op::RECV)
-                            .u64(id)
-                            .bytes(inner)
-                            .send(&mut *w)
-                            .is_ok()
-                        {
-                            delivered = true;
-                        } else {
-                            drop(w);
-                            let mut c = conns.lock();
-                            if c.get(&to).is_some_and(|cur| cur.ptr_eq(&t)) {
-                                c.remove(&to);
-                            }
-                        }
-                    }
-                    if !delivered {
-                        // Echo the inner frame so the sender can match the
-                        // failure to the exact outstanding request.
-                        let back = conns.lock().get(&id).cloned();
-                        if let Some(b) = back {
-                            let mut w = b.lock();
-                            FrameWriter::new()
-                                .u8(relay_op::NOPEER)
-                                .u64(to)
-                                .bytes(inner)
-                                .send(&mut *w)?;
-                        }
-                    }
-                }
-                relay_op::HELLO => {
-                    // A re-HELLO probe from a client that suspects its link
-                    // after an outage: re-assert the registration, which may
-                    // have been evicted towards this same still-live
-                    // connection when a forward to it failed transiently.
-                    let _ = r.u64()?;
-                    conns.lock().insert(id, me.clone());
-                }
-                _ => return Err(io::ErrorKind::InvalidData.into()),
-            }
-        }
-    })();
-    // Unregister only if the table still holds *this* connection; a
-    // reconnect may have superseded it while this loop was alive.
-    {
-        let mut c = conns.lock();
-        if c.get(&id).is_some_and(|cur| cur.ptr_eq(&me)) {
-            c.remove(&id);
-        }
-    }
-    result
-}
-
-// ------------------------------------------------------ sharded mesh relay
 
 /// Bounded frames per recipient shard queue before senders park.
 const MESH_QUEUE_FRAMES: usize = 64;
@@ -197,8 +100,8 @@ const PEER_DIAL_CAP: std::time::Duration = std::time::Duration::from_secs(2);
 /// Consecutive failed dials before a mesh peer is declared gone for good.
 const PEER_DIAL_STRIKES: u32 = 10;
 
-/// Configuration for [`spawn_relay_mesh`]: a sharded relay that may peer
-/// with other relays into a routed overlay.
+/// Configuration for [`spawn_relay_mesh`]: a relay that may peer with
+/// other relays into a routed overlay.
 #[derive(Clone, Debug)]
 pub struct RelayConfig {
     /// Unique id of this relay in the mesh. Routing-table ties (two relays
@@ -223,20 +126,16 @@ impl Default for RelayConfig {
     }
 }
 
-/// Spawn a sharded relay on `host:port`, optionally meshed with peers.
+/// Spawn the relay on `host:port`, optionally meshed with peers.
 ///
-/// Unlike the legacy [`spawn_relay`] — one serve loop forwarding
-/// synchronously, so one slow receiver head-of-line-blocks every sender —
-/// each registered recipient gets a bounded queue drained by its own
-/// worker task. A sender filling a hot queue is told with a typed BUSY
-/// frame (and parks only when the queue is entirely full); DATA frames are
+/// Each registered recipient gets a bounded queue drained by its own
+/// worker task, so one slow receiver does not head-of-line-block every
+/// sender. A sender filling a hot queue is told with a typed BUSY frame
+/// (and parks only when the queue is entirely full); DATA frames are
 /// never dropped, so per-sender FIFO holds. With `cfg.peers`, relays
 /// exchange a node-id → home-relay routing table (pushed on every
 /// register/unregister, pulled on miss) and forward frames relay-to-relay,
 /// so a client registered at relay A reaches a peer registered at relay B.
-///
-/// The client-facing wire protocol is a superset of the legacy relay's:
-/// legacy clients work unmodified (they just never get BUSY/READY).
 pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Result<()> {
     let listener = host.listen(port)?;
     let relay = Arc::new(MeshRelay {
@@ -247,24 +146,20 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
         peers: Mutex::new(HashMap::new()),
         waiting: Mutex::new(HashMap::new()),
     });
-    let sched = host.net().sched().clone();
-    let sched2 = sched.clone();
-    let accept_relay = Arc::clone(&relay);
-    sched.spawn_daemon("mesh-relay-accept", move || loop {
+    let acceptor = Arc::clone(&relay);
+    relay.sched.spawn_daemon("mesh-relay-accept", move || loop {
         let Ok(conn) = listener.accept() else { break };
-        let r = Arc::clone(&accept_relay);
-        sched2.spawn_daemon("mesh-relay-conn", move || {
+        let r = Arc::clone(&acceptor);
+        acceptor.sched.spawn_daemon("mesh-relay-conn", move || {
             let _ = r.serve_conn(conn);
         });
     });
     for addr in cfg.peers {
-        let r = Arc::clone(&relay);
-        let h = host.clone();
-        host.net()
-            .sched()
-            .spawn_daemon(format!("mesh-peer-dial-{addr}"), move || {
-                r.peer_dial_loop(&h, addr)
-            });
+        let (r, h) = (Arc::clone(&relay), host.clone());
+        let name = format!("mesh-peer-dial-{addr}");
+        relay
+            .sched
+            .spawn_daemon(name, move || r.peer_dial_loop(&h, addr));
     }
     Ok(())
 }
@@ -294,32 +189,36 @@ enum OutItem {
     Deliver { from: GridId, inner: Vec<u8> },
 }
 
-/// One shard: a bounded queue plus the throttle set of senders that were
-/// told BUSY and are owed a READY when the queue drains.
-#[derive(Clone)]
-struct OutQueue {
+impl OutItem {
+    fn into_payload(self) -> Vec<u8> {
+        match self {
+            OutItem::Frame(payload) | OutItem::Deliver { inner: payload, .. } => payload,
+        }
+    }
+}
+
+/// One shard: a connection, the bounded queue its worker drains into it,
+/// and the throttle set of senders that were told BUSY and are owed a READY
+/// when the queue drains.
+struct Shard {
+    owner: Owner,
     q: SimQueue<OutItem>,
-    throttled: Arc<Mutex<std::collections::HashSet<GridId>>>,
+    /// The connection's write half. The worker's frames and the synchronous
+    /// control frames (BUSY/READY/NOPEER) towards a client take turns under
+    /// this lock, so they never interleave mid-frame.
+    w: SimMutex<TcpStream>,
+    throttled: Mutex<std::collections::HashSet<GridId>>,
     /// Set when the registration this queue fed was superseded or died:
     /// the worker stops writing and re-routes what is left.
-    dead: Arc<std::sync::atomic::AtomicBool>,
+    dead: AtomicBool,
     cap: usize,
 }
 
-impl OutQueue {
-    fn new(cap: usize) -> OutQueue {
-        OutQueue {
-            q: SimQueue::bounded(cap.max(2)),
-            throttled: Arc::new(Mutex::new(std::collections::HashSet::new())),
-            dead: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            cap: cap.max(2),
-        }
-    }
-    /// Identity: is this handle the same shard as `other`? Guards registry
-    /// removal the same way the legacy relay's `SimMutex::ptr_eq` does.
-    fn same(&self, other: &OutQueue) -> bool {
-        Arc::ptr_eq(&self.dead, &other.dead)
-    }
+/// A handle on a shard. Registries compare handles by identity before they
+/// remove one: a superseded connection must not unregister its successor.
+type OutQueue = Arc<Shard>;
+
+impl Shard {
     fn kill(&self) {
         self.dead.store(true, Ordering::Relaxed);
         self.q.close();
@@ -328,9 +227,6 @@ impl OutQueue {
 
 struct LocalEntry {
     q: OutQueue,
-    /// Control writer for synchronous BUSY/READY/NOPEER towards this
-    /// client, shared (under the lock) with the shard worker's RECVs.
-    ctl: SimMutex<TcpStream>,
     /// Registration epoch: sim-time ns when this client HELLO'd, globally
     /// ordered across relays because sim time is.
     epoch: u64,
@@ -363,10 +259,6 @@ struct MeshRelay {
 }
 
 impl MeshRelay {
-    fn now_epoch(&self) -> u64 {
-        self.sched.now().as_nanos()
-    }
-
     // -------------------------------------------------------- connections
 
     fn serve_conn(self: &Arc<Self>, conn: TcpStream) -> io::Result<()> {
@@ -376,22 +268,16 @@ impl MeshRelay {
         match r.u8()? {
             relay_op::HELLO => {
                 let id = r.u64()?;
-                let (q, ctl) = self.register_local(id, conn);
-                let res = self.serve_client(id, &q, &ctl, reader);
-                self.client_conn_dead(id, &q);
+                let q = self.spawn_shard(Owner::Client(id), conn);
+                self.assert_local(id, &q);
+                let res = self.serve_client(id, &q, reader);
+                self.conn_dead(&q);
                 res
             }
             relay_op::PEER_HELLO => {
                 let pid = r.u64()?;
-                let mut w = conn.clone();
-                FrameWriter::new()
-                    .u8(relay_op::PEER_HELLO)
-                    .u64(self.cfg.mesh_id)
-                    .send(&mut w)?;
-                let q = self.register_peer(pid, conn);
-                let res = self.serve_peer(pid, reader);
-                self.peer_conn_dead(pid, &q);
-                res
+                self.peer_hello(&conn)?;
+                self.run_peer(pid, conn, reader)
             }
             _ => Err(io::ErrorKind::InvalidData.into()),
         }
@@ -401,7 +287,6 @@ impl MeshRelay {
         self: &Arc<Self>,
         id: GridId,
         q: &OutQueue,
-        ctl: &SimMutex<TcpStream>,
         mut reader: TcpStream,
     ) -> io::Result<()> {
         loop {
@@ -418,69 +303,75 @@ impl MeshRelay {
                     // have been evicted towards this still-live connection)
                     // and re-push the route so the mesh heals with it.
                     let _ = r.u64()?;
-                    self.assert_local(id, q, ctl);
+                    self.assert_local(id, q);
                 }
                 _ => return Err(io::ErrorKind::InvalidData.into()),
             }
         }
     }
 
-    fn register_local(
-        self: &Arc<Self>,
-        id: GridId,
-        conn: TcpStream,
-    ) -> (OutQueue, SimMutex<TcpStream>) {
-        let q = OutQueue::new(self.cfg.queue_frames);
-        let ctl = SimMutex::new(conn.clone());
-        let me = Arc::clone(self);
-        let q2 = q.clone();
-        let ctl2 = ctl.clone();
-        self.sched
-            .spawn_daemon(format!("mesh-shard-{id}"), move || {
-                me.out_worker(Owner::Client(id), q2, Some(ctl2), conn)
-            });
-        self.assert_local(id, &q, &ctl);
-        (q, ctl)
+    /// A fresh shard on `conn`, with the worker task that drains it.
+    fn spawn_shard(self: &Arc<Self>, owner: Owner, conn: TcpStream) -> OutQueue {
+        let cap = self.cfg.queue_frames.max(2);
+        let q = Arc::new(Shard {
+            owner,
+            q: SimQueue::bounded(cap),
+            w: SimMutex::new(conn),
+            throttled: Mutex::default(),
+            dead: AtomicBool::new(false),
+            cap,
+        });
+        let name = match owner {
+            Owner::Client(id) => format!("mesh-shard-{id}"),
+            Owner::Peer(pid) => format!("mesh-peer-out-{pid}"),
+        };
+        let (me, q2) = (Arc::clone(self), Arc::clone(&q));
+        self.sched.spawn_daemon(name, move || me.out_worker(q2));
+        q
     }
 
-    /// (Re-)register `id` as homed here on `q`/`ctl`, superseding any
-    /// older registration, and push the route to the mesh.
-    fn assert_local(self: &Arc<Self>, id: GridId, q: &OutQueue, ctl: &SimMutex<TcpStream>) {
-        let epoch = self.now_epoch();
-        let old = self.local.lock().insert(
-            id,
-            LocalEntry {
-                q: q.clone(),
-                ctl: ctl.clone(),
-                epoch,
-            },
-        );
-        if let Some(old) = old {
-            if !old.q.same(q) {
-                // The superseded shard's worker re-routes its leftovers —
-                // which now resolve to this fresh registration.
-                old.q.kill();
-            }
+    /// (Re-)register `id` as homed here on `q`, superseding any older
+    /// registration, and push the route to the mesh.
+    fn assert_local(self: &Arc<Self>, id: GridId, q: &OutQueue) {
+        let epoch = self.sched.now().as_nanos();
+        let entry = LocalEntry {
+            q: Arc::clone(q),
+            epoch,
+        };
+        let old = self.local.lock().insert(id, entry);
+        if let Some(old) = old.filter(|old| !Arc::ptr_eq(&old.q, q)) {
+            // The superseded shard's worker re-routes its leftovers —
+            // which now resolve to this fresh registration.
+            old.q.kill();
         }
         self.remote.lock().remove(&id);
         self.broadcast_route(relay_op::ROUTE_ADD, id, epoch);
         self.flush_waiting(id);
     }
 
-    fn client_conn_dead(self: &Arc<Self>, id: GridId, q: &OutQueue) {
-        let removed_epoch = {
-            let mut l = self.local.lock();
-            if l.get(&id).is_some_and(|e| e.q.same(q)) {
-                l.remove(&id).map(|e| e.epoch)
-            } else {
+    /// A connection ended: unregister its shard — only if the table still
+    /// holds *this* one, a reconnect may have superseded it — and re-resolve
+    /// what the shard still held.
+    fn conn_dead(self: &Arc<Self>, q: &OutQueue) {
+        let unregistered = match q.owner {
+            Owner::Client(id) => {
+                let mut l = self.local.lock();
+                let ours = l.get(&id).is_some_and(|e| Arc::ptr_eq(&e.q, q));
+                ours.then(|| l.remove(&id)).flatten().map(|e| (id, e.epoch))
+            }
+            Owner::Peer(pid) => {
+                let mut p = self.peers.lock();
+                if p.get(&pid).is_some_and(|cur| Arc::ptr_eq(cur, q)) {
+                    p.remove(&pid);
+                }
                 None
             }
         };
         q.kill();
         while let Some(item) = q.q.try_pop() {
-            self.reroute_item(&Owner::Client(id), item);
+            self.reroute_item(q.owner, item);
         }
-        if let Some(epoch) = removed_epoch {
+        if let Some((id, epoch)) = unregistered {
             self.broadcast_route(relay_op::ROUTE_DEL, id, epoch);
         }
     }
@@ -511,11 +402,7 @@ impl MeshRelay {
     fn peer_dial_once(self: &Arc<Self>, host: &SimHost, addr: SockAddr) -> io::Result<()> {
         let factory = BootstrapSocketFactory::new(host.clone(), None);
         let conn = factory.connect(addr)?;
-        let mut w = conn.clone();
-        FrameWriter::new()
-            .u8(relay_op::PEER_HELLO)
-            .u64(self.cfg.mesh_id)
-            .send(&mut w)?;
+        self.peer_hello(&conn)?;
         let mut reader = conn.clone();
         let hello = read_frame(&mut reader)?;
         let mut r = FrameReader::new(&hello);
@@ -523,20 +410,20 @@ impl MeshRelay {
             return Err(io::ErrorKind::InvalidData.into());
         }
         let pid = r.u64()?;
-        let q = self.register_peer(pid, conn);
-        let res = self.serve_peer(pid, reader);
-        self.peer_conn_dead(pid, &q);
-        res
+        self.run_peer(pid, conn, reader)
     }
 
-    fn register_peer(self: &Arc<Self>, pid: u64, conn: TcpStream) -> OutQueue {
-        let q = OutQueue::new(self.cfg.queue_frames);
-        let me = Arc::clone(self);
-        let q2 = q.clone();
-        self.sched
-            .spawn_daemon(format!("mesh-peer-out-{pid}"), move || {
-                me.out_worker(Owner::Peer(pid), q2, None, conn)
-            });
+    /// Introduce ourselves on a mesh link: the first frame, both ways.
+    fn peer_hello(&self, conn: &TcpStream) -> io::Result<()> {
+        FrameWriter::new()
+            .u8(relay_op::PEER_HELLO)
+            .u64(self.cfg.mesh_id)
+            .send(&mut conn.clone())
+    }
+
+    /// Register a handshaken mesh link and serve it until it dies.
+    fn run_peer(self: &Arc<Self>, pid: u64, conn: TcpStream, reader: TcpStream) -> io::Result<()> {
+        let q = self.spawn_shard(Owner::Peer(pid), conn);
         // Both ends dial, so a pair may hold two links; the latest wins for
         // sends, the older one keeps draining until its connection dies.
         self.peers.lock().insert(pid, q.clone());
@@ -556,7 +443,9 @@ impl MeshRelay {
                 .into_bytes();
             let _ = q.q.push(OutItem::Frame(f));
         }
-        q
+        let res = self.serve_peer(pid, reader);
+        self.conn_dead(&q);
+        res
     }
 
     fn serve_peer(self: &Arc<Self>, pid: u64, mut reader: TcpStream) -> io::Result<()> {
@@ -623,19 +512,6 @@ impl MeshRelay {
         }
     }
 
-    fn peer_conn_dead(self: &Arc<Self>, pid: u64, q: &OutQueue) {
-        {
-            let mut p = self.peers.lock();
-            if p.get(&pid).is_some_and(|cur| cur.same(q)) {
-                p.remove(&pid);
-            }
-        }
-        q.kill();
-        while let Some(item) = q.q.try_pop() {
-            self.reroute_item(&Owner::Peer(pid), item);
-        }
-    }
-
     // ------------------------------------------------------------ routing
 
     fn route_add(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
@@ -653,6 +529,12 @@ impl MeshRelay {
         if let Some(e) = evicted {
             e.q.kill();
         }
+        self.learn_route(pid, node, epoch);
+    }
+
+    /// Note that `node` is homed at relay `pid` since `epoch`, unless a
+    /// newer route is known, and re-resolve the frames parked for it.
+    fn learn_route(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
         {
             let mut rt = self.remote.lock();
             match rt.get(&node) {
@@ -673,75 +555,54 @@ impl MeshRelay {
             // the answering relay's registration may have moved since, and
             // unsolicited learning goes through ADD broadcasts, which
             // carry eviction semantics this path lacks.
-            if !self.waiting.lock().contains_key(&node) {
-                return;
+            if self.waiting.lock().contains_key(&node) {
+                self.learn_route(pid, node, epoch);
             }
-            {
-                let mut rt = self.remote.lock();
-                match rt.get(&node) {
-                    Some(e) if (e.epoch, e.relay) >= (epoch, pid) => {}
-                    _ => {
-                        rt.insert(node, RemoteEntry { relay: pid, epoch });
-                    }
-                }
-            }
-            self.flush_waiting(node);
         } else {
-            let drained = {
+            let all_denied = {
                 let mut w = self.waiting.lock();
-                if let Some(p) = w.get_mut(&node) {
+                w.get_mut(&node).is_some_and(|p| {
                     p.outstanding = p.outstanding.saturating_sub(1);
-                    if p.outstanding == 0 {
-                        w.remove(&node)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                }
+                    p.outstanding == 0
+                })
             };
-            if let Some(p) = drained {
-                for (from, inner) in p.frames {
-                    self.undeliverable(from, node, inner, Origin::Local);
-                }
+            if all_denied {
+                self.fail_waiting(node);
             }
+        }
+    }
+
+    /// Give up on a route pull: NOPEER every frame parked for `node`.
+    fn fail_waiting(self: &Arc<Self>, node: GridId) {
+        let pend = self.waiting.lock().remove(&node);
+        for (from, inner) in pend.map_or(Vec::new(), |p| p.frames) {
+            self.undeliverable(from, node, inner, Origin::Local);
         }
     }
 
     /// Pull: park the frame, ask every peer, resolve on the first positive
     /// answer, NOPEER when all deny or the window closes.
     fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Vec<u8>) {
-        let peer_qs: Vec<OutQueue> = self.peers.lock().values().cloned().collect();
+        let peer_qs = self.peer_queues();
         if peer_qs.is_empty() {
-            self.undeliverable(from, to, inner, Origin::Local);
-            return;
+            return self.undeliverable(from, to, inner, Origin::Local);
         }
-        let fresh = {
+        {
             let mut w = self.waiting.lock();
-            match w.get_mut(&to) {
-                Some(p) => {
-                    if p.frames.len() >= ROUTE_WAIT_CAP {
-                        drop(w);
-                        self.undeliverable(from, to, inner, Origin::Local);
-                        return;
-                    }
+            if let Some(p) = w.get_mut(&to) {
+                // A pull for `to` is out already: ride it, up to the cap.
+                if p.frames.len() < ROUTE_WAIT_CAP {
                     p.frames.push((from, inner));
-                    false
+                    return;
                 }
-                None => {
-                    w.insert(
-                        to,
-                        PendingRoute {
-                            frames: vec![(from, inner)],
-                            outstanding: peer_qs.len(),
-                        },
-                    );
-                    true
-                }
+                drop(w);
+                return self.undeliverable(from, to, inner, Origin::Local);
             }
-        };
-        if !fresh {
-            return;
+            let pull = PendingRoute {
+                frames: vec![(from, inner)],
+                outstanding: peer_qs.len(),
+            };
+            w.insert(to, pull);
         }
         let weak = Arc::downgrade(self);
         self.sched
@@ -749,14 +610,8 @@ impl MeshRelay {
                 let Some(me) = weak.upgrade() else { return };
                 if me.waiting.lock().contains_key(&to) {
                     // Drain in a task: NOPEER writes may park.
-                    me.sched.clone().spawn_daemon("route-timeout", move || {
-                        let Some(p) = me.waiting.lock().remove(&to) else {
-                            return;
-                        };
-                        for (from, inner) in p.frames {
-                            me.undeliverable(from, to, inner, Origin::Local);
-                        }
-                    });
+                    let sched = me.sched.clone();
+                    sched.spawn_daemon("route-timeout", move || me.fail_waiting(to));
                 }
             });
         let f = FrameWriter::new()
@@ -772,22 +627,21 @@ impl MeshRelay {
     /// registered here).
     fn flush_waiting(self: &Arc<Self>, node: GridId) {
         let pend = self.waiting.lock().remove(&node);
-        if let Some(p) = pend {
-            for (from, inner) in p.frames {
-                self.handle_send(from, node, inner, Origin::Local, false);
-            }
+        for (from, inner) in pend.map_or(Vec::new(), |p| p.frames) {
+            self.handle_send(from, node, inner, Origin::Local, false);
         }
     }
 
     fn broadcast_route(self: &Arc<Self>, op: u8, node: GridId, epoch: u64) {
-        let peer_qs: Vec<OutQueue> = self.peers.lock().values().cloned().collect();
-        if peer_qs.is_empty() {
-            return;
-        }
         let f = FrameWriter::new().u8(op).u64(node).u64(epoch).into_bytes();
-        for pq in peer_qs {
+        for pq in self.peer_queues() {
             let _ = pq.q.push(OutItem::Frame(f.clone()));
         }
+    }
+
+    /// Every live mesh link, snapshotted: pushing may park.
+    fn peer_queues(&self) -> Vec<OutQueue> {
+        self.peers.lock().values().cloned().collect()
     }
 
     // --------------------------------------------------------- forwarding
@@ -805,17 +659,13 @@ impl MeshRelay {
     ) {
         let shard = self.local.lock().get(&to).map(|e| e.q.clone());
         if let Some(q) = shard {
-            match self.deliver_local(&q, from, to, inner) {
-                Ok(()) => return,
-                Err(inner) => {
-                    // Shard closed under us: the registration died or moved
-                    // this instant. Re-resolve once, then give up.
-                    if !retried {
-                        return self.handle_send(from, to, inner, origin, true);
-                    }
-                    return self.undeliverable(from, to, inner, origin);
-                }
-            }
+            return match self.deliver_local(&q, from, to, inner) {
+                Ok(()) => (),
+                // Shard closed under us: the registration died or moved
+                // this instant. Re-resolve once, then give up.
+                Err(inner) if !retried => self.handle_send(from, to, inner, origin, true),
+                Err(inner) => self.undeliverable(from, to, inner, origin),
+            };
         }
         match origin {
             // A FWD is never re-forwarded — the origin re-resolves — so a
@@ -853,28 +703,22 @@ impl MeshRelay {
         inner: Vec<u8>,
     ) -> Result<(), Vec<u8>> {
         let is_data = inner.first() == Some(&inner_op::DATA);
-        match q.q.try_push(OutItem::Deliver { from, inner }) {
+        let item = match q.q.try_push(OutItem::Deliver { from, inner }) {
             Ok(()) => {
                 if is_data && q.q.len() >= q.cap - q.cap / 4 {
                     self.throttle(from, to, q);
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(OutItem::Deliver { from, inner }) => {
-                if q.q.is_closed() {
-                    return Err(inner);
-                }
-                if is_data {
-                    self.throttle(from, to, q);
-                }
-                match q.q.push(OutItem::Deliver { from, inner }) {
-                    Ok(()) => Ok(()),
-                    Err(OutItem::Deliver { inner, .. }) => Err(inner),
-                    Err(OutItem::Frame(_)) => unreachable!(),
-                }
-            }
-            Err(OutItem::Frame(_)) => unreachable!(),
+            Err(item) => item,
+        };
+        if q.q.is_closed() {
+            return Err(item.into_payload());
         }
+        if is_data {
+            self.throttle(from, to, q);
+        }
+        q.q.push(item).map_err(OutItem::into_payload)
     }
 
     /// Tell a (local) sender that `to` is running hot. Senders that came
@@ -917,10 +761,9 @@ impl MeshRelay {
     /// bypassing its shard queue — these must not sit behind the very
     /// backlog they report on.
     fn ctl_to_local(&self, to: GridId, payload: &[u8]) {
-        let ctl = self.local.lock().get(&to).map(|e| e.ctl.clone());
-        if let Some(ctl) = ctl {
-            let mut w = ctl.lock();
-            let _ = crate::wire::write_frame(&mut *w, payload);
+        let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
+        if let Some(shard) = shard {
+            let _ = write_frame(&mut *shard.w.lock(), payload);
         }
     }
 
@@ -934,67 +777,44 @@ impl MeshRelay {
     /// Shard worker: drain one queue into one connection. On death or
     /// supersession, leftovers are re-resolved through the routing table —
     /// a moved node's frames follow it to its new home relay.
-    fn out_worker(
-        self: Arc<Self>,
-        owner: Owner,
-        q: OutQueue,
-        ctl: Option<SimMutex<TcpStream>>,
-        conn: TcpStream,
-    ) {
-        let mut plain = conn;
+    fn out_worker(self: Arc<Self>, q: OutQueue) {
         let mut broken = false;
         while let Some(item) = q.q.pop() {
             if broken || q.dead.load(Ordering::Relaxed) {
-                self.reroute_item(&owner, item);
+                self.reroute_item(q.owner, item);
                 continue;
             }
-            let res = match (&item, &ctl) {
-                (OutItem::Frame(payload), _) => crate::wire::write_frame(&mut plain, payload),
-                (OutItem::Deliver { from, inner }, Some(ctl)) => {
-                    // Shares the control writer so RECVs and control frames
-                    // never interleave mid-frame.
-                    let mut w = ctl.lock();
-                    FrameWriter::new()
-                        .u8(relay_op::RECV)
-                        .u64(*from)
-                        .bytes(inner)
-                        .send(&mut *w)
+            let mut w = q.w.lock();
+            let res = match &item {
+                OutItem::Frame(payload) => write_frame(&mut *w, payload),
+                OutItem::Deliver { from, inner } => {
+                    let f = FrameWriter::new().u8(relay_op::RECV).u64(*from);
+                    f.bytes(inner).send(&mut *w)
                 }
-                (OutItem::Deliver { from, inner }, None) => FrameWriter::new()
-                    .u8(relay_op::RECV)
-                    .u64(*from)
-                    .bytes(inner)
-                    .send(&mut plain),
             };
+            drop(w);
             if res.is_err() {
                 broken = true;
-                match owner {
-                    Owner::Client(id) => self.client_conn_dead(id, &q),
-                    Owner::Peer(pid) => self.peer_conn_dead(pid, &q),
-                }
-                self.reroute_item(&owner, item);
+                self.conn_dead(&q);
+                self.reroute_item(q.owner, item);
                 continue;
             }
             if q.q.len() <= q.cap / 4 {
-                self.release_throttled(&owner, &q);
+                self.release_throttled(&q);
             }
         }
         // Whatever ends this shard, parked senders must not stay throttled
         // forever: their next DATA will fail fast through the normal
         // NOPEER/teardown path instead.
-        self.release_throttled(&owner, &q);
+        self.release_throttled(&q);
     }
 
-    fn release_throttled(&self, owner: &Owner, q: &OutQueue) {
-        let drained: Vec<GridId> = {
-            let mut t = q.throttled.lock();
-            if t.is_empty() {
-                return;
-            }
-            t.drain().collect()
-        };
-        if let Owner::Client(id) = owner {
-            let f = FrameWriter::new().u8(relay_op::READY).u64(*id).into_bytes();
+    fn release_throttled(&self, q: &OutQueue) {
+        // Only client shards ever throttle anyone.
+        let Owner::Client(id) = q.owner else { return };
+        let drained: Vec<GridId> = q.throttled.lock().drain().collect();
+        if !drained.is_empty() {
+            let f = FrameWriter::new().u8(relay_op::READY).u64(id).into_bytes();
             for s in drained {
                 self.ctl_to_local(s, &f);
             }
@@ -1002,10 +822,10 @@ impl MeshRelay {
     }
 
     /// Re-resolve a queue leftover after its connection died or moved.
-    fn reroute_item(self: &Arc<Self>, owner: &Owner, item: OutItem) {
+    fn reroute_item(self: &Arc<Self>, owner: Owner, item: OutItem) {
         match (owner, item) {
             (Owner::Client(id), OutItem::Deliver { from, inner }) => {
-                self.handle_send(from, *id, inner, Origin::Local, false);
+                self.handle_send(from, id, inner, Origin::Local, false);
             }
             (Owner::Peer(_), OutItem::Frame(payload)) => {
                 // Undelivered FWDs chase the recipient through whatever
@@ -1041,32 +861,96 @@ pub trait RelayDelegate: Send + Sync {
     ) -> Result<(), String>;
 }
 
-struct Pending {
+/// One request parked on an answer from `to`.
+struct Waiter<T> {
     to: GridId,
-    result: Option<io::Result<Vec<u8>>>,
+    result: Option<T>,
     waker: Option<gridsim_net::Waker>,
 }
 
-struct OpenWait {
-    to: GridId,
-    result: Option<Result<(), String>>,
-    waker: Option<gridsim_net::Waker>,
+impl<T> Waiter<T> {
+    /// Record the outcome and release the parked task.
+    fn set(&mut self, result: T) {
+        self.result = Some(result);
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
 }
+
+/// In-flight requests by id (service calls, stream opens). Ordered, so
+/// failing many at once wakes their tasks in the same order on every run.
+struct Waiters<T>(Mutex<BTreeMap<u64, Waiter<T>>>);
+
+impl<T> Waiters<T> {
+    fn new() -> Waiters<T> {
+        Waiters(Mutex::new(BTreeMap::new()))
+    }
+
+    fn insert(&self, id: u64, to: GridId) {
+        let slot = Waiter {
+            to,
+            result: None,
+            waker: None,
+        };
+        self.0.lock().insert(id, slot);
+    }
+
+    /// The peer's own answer to request `id`; it overrides a failure noted
+    /// in the same instant. False when nobody waits on `id` any more.
+    fn resolve(&self, id: u64, result: T) -> bool {
+        let mut slots = self.0.lock();
+        slots.get_mut(&id).map(|s| s.set(result)).is_some()
+    }
+
+    /// Fail the requests `which(id, to)` selects, unless they already have
+    /// an outcome.
+    fn fail(&self, which: impl Fn(u64, GridId) -> bool, result: impl Fn() -> T) {
+        for (&id, s) in self.0.lock().iter_mut() {
+            if s.result.is_none() && which(id, s.to) {
+                s.set(result());
+            }
+        }
+    }
+
+    fn remove(&self, id: u64) {
+        self.0.lock().remove(&id);
+    }
+
+    /// Park until request `id` has a result and take it; the slot is gone
+    /// afterwards. `None` if the slot vanished while we were parked.
+    fn wait(&self, id: u64, reason: &'static str) -> Option<T> {
+        loop {
+            {
+                let mut slots = self.0.lock();
+                let slot = slots.get_mut(&id)?;
+                if slot.result.is_some() {
+                    return slots.remove(&id)?.result;
+                }
+                slot.waker = Some(gridsim_net::ctx::waker());
+            }
+            gridsim_net::ctx::park(reason);
+        }
+    }
+}
+
+/// Key of a routed stream in a client's table: `(peer, sid, opened_by_peer)`.
+/// Both ends number the streams they open from 1, so the direction bit is
+/// part of the identity.
+type StreamKey = (GridId, u64, bool);
 
 struct RcInner {
     id: GridId,
     writer: SimMutex<TcpStream>,
-    pending: Mutex<HashMap<u64, Pending>>,
-    open_waits: Mutex<HashMap<u64, OpenWait>>,
+    pending: Waiters<io::Result<Vec<u8>>>,
+    open_waits: Waiters<Result<(), String>>,
     next_req: AtomicU64,
     next_sid: AtomicU64,
-    /// Streams opened by a peer towards us, keyed by (peer, peer's sid).
-    inbound: Mutex<HashMap<(GridId, u64), RoutedStream>>,
-    /// Streams we opened, keyed by (peer, our sid).
-    outbound: Mutex<HashMap<(GridId, u64), RoutedStream>>,
+    /// Live routed streams, ours and the peers'.
+    streams: Mutex<BTreeMap<StreamKey, RoutedStream>>,
     delegate: Mutex<Option<Arc<dyn RelayDelegate>>>,
-    /// Peers a sharded relay flagged BUSY: DATA writes towards them park
-    /// here until the READY, with the wakers to release.
+    /// Peers the relay flagged BUSY: DATA writes towards them park here
+    /// until the READY, with the wakers to release.
     congested: Mutex<HashMap<GridId, Vec<gridsim_net::Waker>>>,
     /// Times this client was BUSY-throttled (observability + bench probe).
     busy_throttles: AtomicU64,
@@ -1075,11 +959,11 @@ struct RcInner {
     host: SimHost,
     /// Ordered relay addresses: `[0]` is the primary; the rest are
     /// failover targets once the current relay stays dead past the first
-    /// backoff attempt. Every node must share the order, so failed-over
-    /// peers converge on the same relay.
+    /// backoff attempt. Unless the relays are meshed, every node must share
+    /// the order, so failed-over peers converge on the same relay.
     relay_addrs: Vec<SockAddr>,
     /// Index into `relay_addrs` of the relay currently connected.
-    current: std::sync::atomic::AtomicUsize,
+    current: AtomicUsize,
     via_proxy: Option<SockAddr>,
 }
 
@@ -1156,19 +1040,18 @@ impl RelayClient {
         let inner = Arc::new(RcInner {
             id,
             writer: SimMutex::new(stream.clone()),
-            pending: Mutex::new(HashMap::new()),
-            open_waits: Mutex::new(HashMap::new()),
+            pending: Waiters::new(),
+            open_waits: Waiters::new(),
             next_req: AtomicU64::new(1),
             next_sid: AtomicU64::new(1),
-            inbound: Mutex::new(HashMap::new()),
-            outbound: Mutex::new(HashMap::new()),
+            streams: Mutex::new(BTreeMap::new()),
             delegate: Mutex::new(None),
             congested: Mutex::new(HashMap::new()),
             busy_throttles: AtomicU64::new(0),
             sched: host.net().sched().clone(),
             host: host.clone(),
             relay_addrs,
-            current: std::sync::atomic::AtomicUsize::new(idx),
+            current: AtomicUsize::new(idx),
             via_proxy,
         });
         let client = RelayClient { inner };
@@ -1272,28 +1155,14 @@ impl RelayClient {
         timeout: Option<std::time::Duration>,
     ) -> io::Result<Vec<u8>> {
         let req_id = self.inner.next_req.fetch_add(1, Ordering::Relaxed);
-        self.inner.pending.lock().insert(
-            req_id,
-            Pending {
-                to,
-                result: None,
-                waker: None,
-            },
-        );
         if let Some(dt) = timeout {
             let weak = Arc::downgrade(&self.inner);
             self.inner
                 .sched
                 .call_at(self.inner.sched.now() + dt, move || {
-                    let Some(inner) = weak.upgrade() else { return };
-                    let mut p = inner.pending.lock();
-                    if let Some(slot) = p.get_mut(&req_id) {
-                        if slot.result.is_none() {
-                            slot.result = Some(Err(io::ErrorKind::TimedOut.into()));
-                        }
-                        if let Some(w) = slot.waker.take() {
-                            w.wake();
-                        }
+                    if let Some(inner) = weak.upgrade() {
+                        let timed_out = || Err(io::ErrorKind::TimedOut.into());
+                        inner.pending.fail(|id, _| id == req_id, timed_out);
                     }
                 });
         }
@@ -1302,29 +1171,32 @@ impl RelayClient {
             .u64(req_id)
             .bytes(payload)
             .into_bytes();
+        self.request(&self.inner.pending, req_id, to, frame, "relay svc rsp")?
+    }
+
+    /// Register request `id` in `table`, send `frame` to `to` and park until
+    /// the request resolves. Whichever way this returns, the slot is gone.
+    fn request<T>(
+        &self,
+        table: &Waiters<T>,
+        id: u64,
+        to: GridId,
+        frame: Vec<u8>,
+        reason: &'static str,
+    ) -> io::Result<T> {
+        table.insert(id, to);
         if let Err(e) = self.send_inner(to, frame) {
-            self.inner.pending.lock().remove(&req_id);
+            table.remove(id);
             return Err(e);
         }
-        loop {
-            {
-                let mut p = self.inner.pending.lock();
-                // The slot can vanish under us (relay supervision pruning
-                // in-flight state across a redial): retryable, not a bug.
-                let Some(slot) = p.get_mut(&req_id) else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "relay request dropped during reconnect",
-                    ));
-                };
-                if let Some(result) = slot.result.take() {
-                    p.remove(&req_id);
-                    return result;
-                }
-                slot.waker = Some(gridsim_net::ctx::waker());
-            }
-            gridsim_net::ctx::park("relay svc rsp");
-        }
+        // A slot that vanished while we were parked means the relay
+        // connection churned under the request: retryable, not a bug.
+        table.wait(id, reason).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::ConnectionReset,
+                "relay request dropped during reconnect",
+            )
+        })
     }
 
     /// Open a routed byte stream to `port_name` on node `to`.
@@ -1336,108 +1208,61 @@ impl RelayClient {
     ) -> io::Result<RoutedStream> {
         let sid = self.inner.next_sid.fetch_add(1, Ordering::Relaxed);
         let stream = RoutedStream::new(self.clone(), to, sid, true);
-        self.inner.outbound.lock().insert((to, sid), stream.clone());
-        self.inner.open_waits.lock().insert(
-            sid,
-            OpenWait {
-                to,
-                result: None,
-                waker: None,
-            },
-        );
+        let key = stream.key();
+        self.inner.streams.lock().insert(key, stream.clone());
         let frame = FrameWriter::new()
             .u8(inner_op::OPEN)
             .u64(sid)
             .str(port_name)
             .u64(channel)
             .into_bytes();
-        self.send_inner(to, frame)?;
-        loop {
-            {
-                let mut ow = self.inner.open_waits.lock();
-                // Same supervision race as the service-call wait: a pruned
-                // slot means the relay connection churned — retryable.
-                let Some(slot) = ow.get_mut(&sid) else {
-                    self.inner.outbound.lock().remove(&(to, sid));
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "relay open dropped during reconnect",
-                    ));
-                };
-                if let Some(result) = slot.result.take() {
-                    ow.remove(&sid);
-                    return match result {
-                        Ok(()) => Ok(stream),
-                        Err(msg) => {
-                            self.inner.outbound.lock().remove(&(to, sid));
-                            Err(io::Error::new(io::ErrorKind::ConnectionRefused, msg))
-                        }
-                    };
-                }
-                slot.waker = Some(gridsim_net::ctx::waker());
-            }
-            gridsim_net::ctx::park("relay open");
+        let refused = |msg| io::Error::new(io::ErrorKind::ConnectionRefused, msg);
+        let opened = self
+            .request(&self.inner.open_waits, sid, to, frame, "relay open")
+            .and_then(|answer| answer.map_err(refused));
+        if opened.is_err() {
+            // The table entry holds the stream, and the stream this client:
+            // a failed open must not leave that cycle behind.
+            self.inner.streams.lock().remove(&key);
         }
+        opened.map(|()| stream)
     }
 
     /// The receive pump with supervision: dispatch frames until the relay
     /// connection dies, fail everything in flight with a retryable error,
     /// then redial with exponential backoff and re-HELLO. Gives up after
     /// [`RECONNECT_ATTEMPTS`] consecutive failures.
-    fn pump_loop(&self, stream: TcpStream) {
-        let mut current = stream;
+    fn pump_loop(&self, mut stream: TcpStream) {
         loop {
-            self.pump_one(current);
+            while let Ok(frame) = read_frame(&mut stream) {
+                if self.dispatch(&frame).is_err() {
+                    break;
+                }
+            }
             // Relay connection gone: fail everything in flight. Callers see
             // `ConnectionReset` — retryable once the pump has redialed.
             self.fail_inflight();
             match self.redial() {
-                Some(next) => current = next,
+                Some(next) => stream = next,
                 None => return,
             }
         }
     }
 
-    /// Dispatch frames from one relay connection until it fails.
-    fn pump_one(&self, stream: TcpStream) {
-        let mut reader = stream;
-        while let Ok(frame) = read_frame(&mut reader) {
-            if self.dispatch(&frame).is_err() {
-                break;
-            }
-        }
-    }
-
     fn fail_inflight(&self) {
-        for slot in self.inner.pending.lock().values_mut() {
-            if slot.result.is_none() {
-                slot.result = Some(Err(io::ErrorKind::ConnectionReset.into()));
-            }
-            if let Some(w) = slot.waker.take() {
-                w.wake();
-            }
-        }
-        for slot in self.inner.open_waits.lock().values_mut() {
-            if slot.result.is_none() {
-                slot.result = Some(Err("relay connection lost".into()));
-            }
-            if let Some(w) = slot.waker.take() {
-                w.wake();
-            }
-        }
+        let reset = || Err(io::ErrorKind::ConnectionReset.into());
+        self.inner.pending.fail(|_, _| true, reset);
+        let lost = || Err("relay connection lost".into());
+        self.inner.open_waits.fail(|_, _| true, lost);
         // Congestion gates die with the connection that asserted them.
-        for (_, wakers) in self.inner.congested.lock().drain() {
-            for w in wakers {
-                w.wake();
-            }
+        for w in self.inner.congested.lock().drain().flat_map(|(_, ws)| ws) {
+            w.wake();
         }
         // Routed streams are not resumable across a relay restart: close and
         // forget them so post-reconnect traffic cannot hit a stale stream.
-        for (_, s) in self.inner.inbound.lock().drain() {
-            s.inner.rx.close();
-        }
-        for (_, s) in self.inner.outbound.lock().drain() {
-            s.inner.rx.close();
+        let streams = std::mem::take(&mut *self.inner.streams.lock());
+        for s in streams.into_values() {
+            s.close_rx();
         }
     }
 
@@ -1481,13 +1306,9 @@ impl RelayClient {
                 // fail only the request it actually belonged to. Without the
                 // echo (or if it does not parse), fall back to failing every
                 // outstanding request towards that peer.
-                let echoed = r.bytes().ok().filter(|b| !b.is_empty());
-                if let Some(inner) = echoed {
-                    if self.nopeer_precise(to, inner) {
-                        return Ok(());
-                    }
+                if !r.bytes().is_ok_and(|echo| self.nopeer_precise(to, echo)) {
+                    self.nopeer_all(to);
                 }
-                self.nopeer_all(to);
                 Ok(())
             }
             relay_op::RECV => {
@@ -1496,7 +1317,7 @@ impl RelayClient {
                 self.dispatch_inner(from, inner)
             }
             relay_op::BUSY => {
-                // A sharded relay says this recipient's queue is hot: gate
+                // The relay says this recipient's queue is hot: gate
                 // further DATA towards it until the READY.
                 let peer = r.u64()?;
                 self.inner.busy_throttles.fetch_add(1, Ordering::Relaxed);
@@ -1505,10 +1326,9 @@ impl RelayClient {
             }
             relay_op::READY => {
                 let peer = r.u64()?;
-                if let Some(wakers) = self.inner.congested.lock().remove(&peer) {
-                    for w in wakers {
-                        w.wake();
-                    }
+                let wakers = self.inner.congested.lock().remove(&peer);
+                for w in wakers.unwrap_or_default() {
+                    w.wake();
                 }
                 Ok(())
             }
@@ -1544,88 +1364,53 @@ impl RelayClient {
         let mut r = FrameReader::new(inner);
         let Ok(op) = r.u8() else { return false };
         match op {
+            // An id nobody waits on any more is already resolved; there is
+            // nothing else to fail.
             inner_op::SVC_REQ => {
                 let Ok(req_id) = r.u64() else { return false };
-                let mut p = self.inner.pending.lock();
-                let Some(slot) = p.get_mut(&req_id) else {
-                    return true; // already resolved; nothing else to fail
-                };
-                if slot.result.is_none() {
-                    slot.result = Some(Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("relay: no peer {to}"),
-                    )));
-                }
-                if let Some(w) = slot.waker.take() {
-                    w.wake();
-                }
+                let gone = || Err(no_peer(to));
+                self.inner.pending.fail(|id, _| id == req_id, gone);
                 true
             }
             inner_op::OPEN => {
                 let Ok(sid) = r.u64() else { return false };
-                let mut ow = self.inner.open_waits.lock();
-                let Some(slot) = ow.get_mut(&sid) else {
-                    return true;
-                };
-                if slot.result.is_none() {
-                    slot.result = Some(Err(format!("relay: no peer {to}")));
-                }
-                if let Some(w) = slot.waker.take() {
-                    w.wake();
-                }
+                let gone = || Err(no_peer(to).to_string());
+                self.inner.open_waits.fail(|id, _| id == sid, gone);
                 true
             }
-            inner_op::DATA | inner_op::FIN => {
+            inner_op::DATA | inner_op::FIN | inner_op::SYNC => {
                 // The peer behind an open routed stream vanished: close the
-                // stream so readers see Eof instead of parking forever.
-                let Ok(opener) = r.u8() else { return false };
+                // stream so readers see Eof (and a close barrier fails)
+                // instead of parking forever. The echo is our own frame, so
+                // its direction bit says whether we opened the stream.
+                let Ok(we_opened) = r.u8() else { return false };
                 let Ok(sid) = r.u64() else { return false };
-                let stream = if opener == 1 {
-                    self.inner.outbound.lock().remove(&(to, sid))
-                } else {
-                    self.inner.inbound.lock().remove(&(to, sid))
-                };
+                let stream = self.inner.streams.lock().remove(&(to, sid, we_opened != 1));
                 if let Some(s) = stream {
-                    s.inner.rx.close();
+                    s.close_rx();
                 }
                 true
             }
-            // SVC_RSP / OPEN_OK / OPEN_ERR bounced: the requester is gone,
-            // nothing is waiting on our side.
-            inner_op::SVC_RSP | inner_op::OPEN_OK | inner_op::OPEN_ERR => true,
+            // An answer of ours bounced: the requester is gone, nothing is
+            // waiting on our side.
+            inner_op::SVC_RSP | inner_op::OPEN_OK | inner_op::OPEN_ERR | inner_op::SYNC_OK => true,
             _ => false,
         }
     }
 
-    /// Legacy behaviour: fail every outstanding request towards `to`.
+    /// Fallback for a NOPEER whose echo is missing or does not parse: fail
+    /// every outstanding request towards `to`.
     fn nopeer_all(&self, to: GridId) {
-        let mut p = self.inner.pending.lock();
-        for slot in p.values_mut() {
-            if slot.to == to && slot.result.is_none() {
-                slot.result = Some(Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("relay: no peer {to}"),
-                )));
-                if let Some(w) = slot.waker.take() {
-                    w.wake();
-                }
-            }
-        }
-        drop(p);
-        let mut ow = self.inner.open_waits.lock();
-        for slot in ow.values_mut() {
-            if slot.to == to && slot.result.is_none() {
-                slot.result = Some(Err(format!("relay: no peer {to}")));
-                if let Some(w) = slot.waker.take() {
-                    w.wake();
-                }
-            }
-        }
+        let towards = |_, peer| peer == to;
+        self.inner.pending.fail(towards, || Err(no_peer(to)));
+        let gone = || Err(no_peer(to).to_string());
+        self.inner.open_waits.fail(towards, gone);
     }
 
     fn dispatch_inner(&self, from: GridId, inner: &[u8]) -> io::Result<()> {
         let mut r = FrameReader::new(inner);
-        match r.u8()? {
+        let op = r.u8()?;
+        match op {
             inner_op::SVC_REQ => {
                 let req_id = r.u64()?;
                 let payload = r.bytes()?.to_vec();
@@ -1649,144 +1434,120 @@ impl RelayClient {
             inner_op::SVC_RSP => {
                 let req_id = r.u64()?;
                 let ok = r.u8()?;
-                let payload = r.bytes()?.to_vec();
-                let mut p = self.inner.pending.lock();
-                if let Some(slot) = p.get_mut(&req_id) {
-                    slot.result = Some(if ok == 1 {
-                        Ok(payload)
-                    } else {
-                        Err(io::Error::other(
-                            String::from_utf8_lossy(&payload).into_owned(),
-                        ))
-                    });
-                    if let Some(w) = slot.waker.take() {
-                        w.wake();
-                    }
-                }
+                let payload = r.bytes()?;
+                let answer = if ok == 1 {
+                    Ok(payload.to_vec())
+                } else {
+                    Err(io::Error::other(
+                        String::from_utf8_lossy(payload).into_owned(),
+                    ))
+                };
+                self.inner.pending.resolve(req_id, answer);
                 Ok(())
             }
             inner_op::OPEN => {
                 let sid = r.u64()?;
                 let port_name = r.str()?;
                 let channel = r.u64()?;
+                let refuse = move |msg: &str| {
+                    let f = FrameWriter::new().u8(inner_op::OPEN_ERR);
+                    f.u64(sid).str(msg).into_bytes()
+                };
+                let Some(d) = self.inner.delegate.lock().clone() else {
+                    return self.send_inner(from, refuse("no delegate"));
+                };
                 let stream = RoutedStream::new(self.clone(), from, sid, false);
-                let delegate = self.inner.delegate.lock().clone();
-                let result = match delegate {
-                    Some(d) => {
-                        self.inner
-                            .inbound
-                            .lock()
-                            .insert((from, sid), stream.clone());
-                        // The delegate may block (stack handshakes); run it
-                        // in its own task after acknowledging.
-                        let me = self.clone();
-                        let st2 = stream;
-                        self.inner.sched.spawn_daemon("routed-open", move || {
-                            if let Err(msg) = d.on_open(from, &port_name, channel, st2) {
-                                let _ = me.send_inner(
-                                    from,
-                                    FrameWriter::new()
-                                        .u8(inner_op::OPEN_ERR)
-                                        .u64(sid)
-                                        .str(&msg)
-                                        .into_bytes(),
-                                );
-                            }
-                        });
-                        Ok(())
+                self.inner
+                    .streams
+                    .lock()
+                    .insert(stream.key(), stream.clone());
+                // The delegate may block (stack handshakes); run it in its
+                // own task after acknowledging.
+                let me = self.clone();
+                self.inner.sched.spawn_daemon("routed-open", move || {
+                    if let Err(msg) = d.on_open(from, &port_name, channel, stream) {
+                        let _ = me.send_inner(from, refuse(&msg));
                     }
-                    None => Err("no delegate".to_string()),
-                };
-                let reply = match result {
-                    Ok(()) => FrameWriter::new()
-                        .u8(inner_op::OPEN_OK)
-                        .u64(sid)
-                        .into_bytes(),
-                    Err(m) => FrameWriter::new()
-                        .u8(inner_op::OPEN_ERR)
-                        .u64(sid)
-                        .str(&m)
-                        .into_bytes(),
-                };
-                self.send_inner(from, reply)
+                });
+                let ok = FrameWriter::new().u8(inner_op::OPEN_OK).u64(sid);
+                self.send_inner(from, ok.into_bytes())
             }
             inner_op::OPEN_OK => {
                 let sid = r.u64()?;
-                let mut ow = self.inner.open_waits.lock();
-                if let Some(slot) = ow.get_mut(&sid) {
-                    slot.result = Some(Ok(()));
-                    if let Some(w) = slot.waker.take() {
-                        w.wake();
-                    }
-                }
+                self.inner.open_waits.resolve(sid, Ok(()));
                 Ok(())
             }
             inner_op::OPEN_ERR => {
                 let sid = r.u64()?;
                 let msg = r.str()?;
-                let mut ow = self.inner.open_waits.lock();
-                if let Some(slot) = ow.get_mut(&sid) {
-                    slot.result = Some(Err(msg));
-                    if let Some(w) = slot.waker.take() {
-                        w.wake();
-                    }
-                } else {
+                if !self.inner.open_waits.resolve(sid, Err(msg)) {
                     // Error for an already-open stream: close it.
-                    drop(ow);
-                    if let Some(s) = self.inner.outbound.lock().get(&(from, sid)) {
-                        s.inner.rx.close();
+                    let stream = self.inner.streams.lock().get(&(from, sid, false)).cloned();
+                    if let Some(s) = stream {
+                        s.close_rx();
                     }
                 }
                 Ok(())
             }
-            inner_op::DATA => {
-                let opened_by_sender = r.u8()? == 1;
-                let sid = r.u64()?;
-                let chunk = r.bytes()?.to_vec();
-                let stream = if opened_by_sender {
-                    self.inner.inbound.lock().get(&(from, sid)).cloned()
-                } else {
-                    self.inner.outbound.lock().get(&(from, sid)).cloned()
-                };
-                if let Some(s) = stream {
-                    // push blocks under backpressure, stalling the pump —
-                    // and therefore the relay TCP connection. Crude but
-                    // faithful to a single multiplexed relay link.
-                    let _ = s.inner.rx.push(chunk);
-                } else {
-                    // DATA for a stream we no longer know: our state was
-                    // reset (relay failover) while the peer kept writing
-                    // through its own still-healthy relay. Answer FIN so
-                    // its write side closes and its session layer recovers,
-                    // instead of silently eating the bytes. FIN for an
-                    // unknown stream is a no-op on the peer, so this cannot
-                    // loop.
-                    let fin = FrameWriter::new()
-                        .u8(inner_op::FIN)
-                        .u8((!opened_by_sender) as u8)
-                        .u64(sid)
-                        .into_bytes();
-                    let _ = self.send_inner(from, fin);
-                }
-                Ok(())
-            }
-            inner_op::FIN => {
-                let opened_by_sender = r.u8()? == 1;
-                let sid = r.u64()?;
-                let stream = if opened_by_sender {
-                    self.inner.inbound.lock().remove(&(from, sid))
-                } else {
-                    self.inner.outbound.lock().remove(&(from, sid))
-                };
-                if let Some(s) = stream {
-                    s.inner.fin_received.store(true, Ordering::Relaxed);
-                    s.inner.rx.close();
-                }
-                Ok(())
+            inner_op::DATA | inner_op::SYNC | inner_op::SYNC_OK | inner_op::FIN => {
+                self.dispatch_stream(op, from, r)
             }
             _ => Err(io::ErrorKind::InvalidData.into()),
         }
     }
+
+    /// The per-stream frames, all `{op, dir, sid, ..}`; `dir` says whether
+    /// the frame's sender is the end that opened the stream.
+    fn dispatch_stream(&self, op: u8, from: GridId, mut r: FrameReader) -> io::Result<()> {
+        let opened_by_sender = r.u8()? == 1;
+        let sid = r.u64()?;
+        let key = (from, sid, opened_by_sender);
+        let stream = match op {
+            inner_op::FIN => self.inner.streams.lock().remove(&key),
+            _ => self.inner.streams.lock().get(&key).cloned(),
+        };
+        let answer = |op| stream_frame(op, !opened_by_sender, sid);
+        let answer = match (op, stream) {
+            (inner_op::DATA, Some(s)) => {
+                // push blocks under backpressure, stalling the pump — and
+                // therefore the relay TCP connection. Crude but faithful to
+                // a single multiplexed relay link.
+                let _ = s.inner.rx.push(r.bytes()?.to_vec());
+                return Ok(());
+            }
+            // This pump dispatches in arrival order, so every chunk the peer
+            // sent before its SYNC is in `rx` by now.
+            (inner_op::SYNC, Some(s)) if !s.is_closed() => answer(inner_op::SYNC_OK).u64(r.u64()?),
+            // A frame for a stream we no longer know: our state was reset
+            // (relay failover) while the peer kept writing through its own
+            // still-healthy relay. Answer FIN so its write side closes and
+            // its session layer recovers, instead of silently eating the
+            // bytes. FIN for an unknown stream is a no-op on the peer, so
+            // this cannot loop.
+            (inner_op::DATA | inner_op::SYNC, _) => answer(inner_op::FIN),
+            (inner_op::SYNC_OK, Some(s)) => {
+                s.synced(r.u64()?);
+                return Ok(());
+            }
+            (inner_op::FIN, Some(s)) => {
+                s.inner.fin_received.store(true, Ordering::Relaxed);
+                s.close_rx();
+                return Ok(());
+            }
+            _ => return Ok(()),
+        };
+        let _ = self.send_inner(from, answer.into_bytes());
+        Ok(())
+    }
+}
+
+/// Head of a per-stream inner frame; `sender_opened` is its direction bit.
+fn stream_frame(op: u8, sender_opened: bool, sid: u64) -> FrameWriter {
+    FrameWriter::new().u8(op).u8(sender_opened as u8).u64(sid)
+}
+
+fn no_peer(to: GridId) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("relay: no peer {to}"))
 }
 
 // ---------------------------------------------------------------- stream
@@ -1799,12 +1560,30 @@ struct RsInner {
     opener: bool,
     rx: SimQueue<Vec<u8>>,
     cursor: Mutex<(Vec<u8>, usize)>,
-    fin_sent: Mutex<bool>,
+    fin_sent: AtomicBool,
     /// Set only when the peer's FIN arrived — a *graceful* end of stream.
     /// Relay loss and NOPEER teardowns close `rx` without setting it, so
     /// readers can distinguish clean EOF from an abort.
-    fin_received: std::sync::atomic::AtomicBool,
+    fin_received: AtomicBool,
+    sync: Mutex<SyncState>,
 }
+
+/// Close-barrier state of a stream (see [`RoutedStream::drain`]).
+#[derive(Default)]
+struct SyncState {
+    /// SYNCs issued so far; each `drain` call takes the next number.
+    sent: u64,
+    /// Highest SYNC number the peer has answered.
+    acked: u64,
+    /// The `drain` caller parked on the answer.
+    waker: Option<gridsim_net::Waker>,
+}
+
+/// An unanswered SYNC is sent again this often. Each resend also probes our
+/// own relay connection, and draws a NOPEER or FIN once the relay or the
+/// peer has forgotten the stream — so a recipient that died silently fails
+/// the barrier instead of parking its caller.
+const SYNC_RESEND: std::time::Duration = std::time::Duration::from_secs(1);
 
 /// A byte stream tunneled through the relay ("routed messages" link).
 /// Cloneable; implements `Read`/`Write` like a socket.
@@ -1823,14 +1602,37 @@ impl RoutedStream {
                 opener,
                 rx: SimQueue::bounded(STREAM_QUEUE),
                 cursor: Mutex::new((Vec::new(), 0)),
-                fin_sent: Mutex::new(false),
-                fin_received: std::sync::atomic::AtomicBool::new(false),
+                fin_sent: AtomicBool::new(false),
+                fin_received: AtomicBool::new(false),
+                sync: Mutex::default(),
             }),
         }
     }
 
     pub fn peer(&self) -> GridId {
         self.inner.peer
+    }
+
+    fn key(&self) -> StreamKey {
+        (self.inner.peer, self.inner.sid, !self.inner.opener)
+    }
+
+    /// Tear the receive side down: readers drain what is queued and then
+    /// see Eof, a parked [`drain`](Self::drain) fails.
+    fn close_rx(&self) {
+        self.inner.rx.close();
+        if let Some(w) = self.inner.sync.lock().waker.take() {
+            w.wake();
+        }
+    }
+
+    /// The peer answered SYNC `n`.
+    fn synced(&self, n: u64) {
+        let mut st = self.inner.sync.lock();
+        st.acked = st.acked.max(n);
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
     }
 
     /// Has the stream been torn down (FIN, relay loss, or peer death)?
@@ -1844,19 +1646,47 @@ impl RoutedStream {
         self.inner.fin_received.load(Ordering::Relaxed)
     }
 
-    /// Wait until every frame written so far has been acknowledged by the
-    /// relay host. Surfaces a dead relay connection that silently buffered
-    /// writes — without this, a sender could "finish" into a connection
-    /// whose abort only fires after its last write.
+    /// Wait until the peer has received every byte written so far: an
+    /// in-band barrier, answered by the peer's pump once all earlier chunks
+    /// sit in its end of the stream. A TCP-level drain of the relay
+    /// connection would only confirm receipt by the relay host — whose
+    /// queues can still lose the tail when the recipient's connection dies.
+    /// `Err` if the stream is, or gets, torn down before the answer.
     pub fn drain(&self) -> io::Result<()> {
-        if self.is_closed() {
-            return Err(io::ErrorKind::ConnectionReset.into());
+        let s = &self.inner;
+        let n = {
+            let mut st = s.sync.lock();
+            st.sent += 1;
+            st.sent
+        };
+        let sync = stream_frame(inner_op::SYNC, s.opener, s.sid)
+            .u64(n)
+            .into_bytes();
+        let mut resend_at = gridsim_net::ctx::now();
+        loop {
+            {
+                let mut st = s.sync.lock();
+                if st.acked >= n {
+                    return Ok(());
+                }
+                if s.rx.is_closed() {
+                    return Err(io::ErrorKind::ConnectionReset.into());
+                }
+                st.waker = Some(gridsim_net::ctx::waker());
+            }
+            if gridsim_net::ctx::now() >= resend_at {
+                s.client.send_inner(s.peer, sync.clone())?;
+                resend_at = gridsim_net::ctx::now() + SYNC_RESEND;
+                let timer = gridsim_net::ctx::waker();
+                s.client
+                    .inner
+                    .sched
+                    .call_at(resend_at, move || timer.wake());
+                // The send may have parked: look again before parking.
+                continue;
+            }
+            gridsim_net::ctx::park("relay sync");
         }
-        self.inner.client.inner.writer.lock().drain()?;
-        if self.is_closed() {
-            return Err(io::ErrorKind::ConnectionReset.into());
-        }
-        Ok(())
     }
 
     /// Would a read return without parking (buffered bytes or EOF)?
@@ -1870,17 +1700,7 @@ impl RoutedStream {
 
     /// Signal end of stream to the peer.
     pub fn shutdown_write(&self) -> io::Result<()> {
-        let mut sent = self.inner.fin_sent.lock();
-        if *sent {
-            return Ok(());
-        }
-        *sent = true;
-        let frame = FrameWriter::new()
-            .u8(inner_op::FIN)
-            .u8(self.inner.opener as u8)
-            .u64(self.inner.sid)
-            .into_bytes();
-        self.inner.client.send_inner(self.inner.peer, frame)
+        self.inner.send_fin()
     }
 }
 
@@ -1913,19 +1733,15 @@ impl Write for RoutedStream {
         for chunk in buf.chunks(ROUTED_CHUNK) {
             // An abortive teardown (relay loss, dead peer, reply-FIN from a
             // failed-over peer) must fail the writer — otherwise a zombie
-            // stream keeps pumping DATA into the relay after a redial. A
-            // graceful peer FIN keeps the legacy fire-and-forget behaviour.
+            // stream keeps pumping DATA into the relay after a redial.
+            // After a graceful peer FIN, writes stay fire-and-forget.
             if self.inner.rx.is_closed() && !self.fin_received() {
                 return Err(io::ErrorKind::ConnectionReset.into());
             }
             self.inner.client.wait_ready(self.inner.peer);
-            let frame = FrameWriter::new()
-                .u8(inner_op::DATA)
-                .u8(self.inner.opener as u8)
-                .u64(self.inner.sid)
-                .bytes(chunk)
-                .into_bytes();
-            self.inner.client.send_inner(self.inner.peer, frame)?;
+            let s = &self.inner;
+            let frame = stream_frame(inner_op::DATA, s.opener, s.sid).bytes(chunk);
+            s.client.send_inner(s.peer, frame.into_bytes())?;
         }
         Ok(buf.len())
     }
@@ -1934,17 +1750,50 @@ impl Write for RoutedStream {
     }
 }
 
+impl RsInner {
+    /// Send our FIN, once.
+    fn send_fin(&self) -> io::Result<()> {
+        if self.fin_sent.swap(true, Ordering::Relaxed) {
+            return Ok(());
+        }
+        let fin = stream_frame(inner_op::FIN, self.opener, self.sid);
+        self.client.send_inner(self.peer, fin.into_bytes())
+    }
+}
+
 impl Drop for RsInner {
     fn drop(&mut self) {
         // Best-effort FIN; ignore failures during teardown.
-        let sent = *self.fin_sent.lock();
-        if !sent && gridsim_net::ctx::in_task() {
-            let frame = FrameWriter::new()
-                .u8(inner_op::FIN)
-                .u8(self.opener as u8)
-                .u64(self.sid)
-                .into_bytes();
-            let _ = self.client.send_inner(self.peer, frame);
+        if gridsim_net::ctx::in_task() {
+            let _ = self.send_fin();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim_net::{topology, Sim};
+
+    /// An open that fails before any answer can arrive must leave nothing
+    /// behind: a stream-table entry would keep the stream, and through it
+    /// the client, alive for good.
+    #[test]
+    fn failed_open_leaves_both_tables_empty() {
+        let sim = Sim::new(1);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let relay = SockAddr::new(hb.ip(), 600);
+        let client = sim.spawn("client", move || {
+            spawn_relay(&hb, 600).unwrap();
+            let rc = RelayClient::connect(&ha, relay, None, 1).unwrap();
+            rc.inner.writer.lock().abort();
+            assert!(rc.open_stream(2, "port", 0).is_err());
+            assert!(rc.inner.streams.lock().is_empty(), "stream entry leaked");
+            assert!(rc.inner.open_waits.0.lock().is_empty(), "waiter leaked");
+        });
+        sim.run();
+        assert!(client.is_finished());
     }
 }

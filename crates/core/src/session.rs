@@ -202,7 +202,8 @@ impl LinkIo {
         self.links[..self.active].iter().all(RawLink::is_healthy)
     }
 
-    /// Wait until queued bytes left the host and check the links survived.
+    /// Wait until the peer host has everything written so far
+    /// ([`RawLink::drain`]) and check the links survived.
     pub fn settle(&self) -> io::Result<()> {
         for l in &self.links[..self.active] {
             l.drain()?;

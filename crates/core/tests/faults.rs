@@ -349,7 +349,7 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
             RelayConfig {
                 mesh_id: 1,
                 peers: vec![r2],
-                queue_frames: 64,
+                ..RelayConfig::default()
             },
         )
         .unwrap();
@@ -359,7 +359,7 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
             RelayConfig {
                 mesh_id: 2,
                 peers: vec![r1],
-                queue_frames: 64,
+                ..RelayConfig::default()
             },
         )
         .unwrap();
@@ -764,17 +764,20 @@ fn small_buffers() -> TcpConfig {
     }
 }
 
-/// Apply `cfg` to the host owning `ip` (used for the relay host, which
-/// `fault_world` does not hand back).
+/// The node owning `ip` (used for the relay host, which `fault_world` does
+/// not hand back).
+fn node_by_ip(net: &gridsim_net::Net, ip: gridsim_net::Ip) -> gridsim_net::NodeId {
+    net.with(|w| {
+        (0..w.node_count())
+            .map(gridsim_net::NodeId)
+            .find(|&n| w.node(n).addrs.contains(&ip))
+    })
+    .expect("no host owns the relay ip")
+}
+
+/// Apply `cfg` to the host owning `ip`.
 fn tcp_config_by_ip(net: &gridsim_net::Net, ip: gridsim_net::Ip, cfg: TcpConfig) {
-    let node = net
-        .with(|w| {
-            (0..w.node_count())
-                .map(gridsim_net::NodeId)
-                .find(|&n| w.node(n).addrs.contains(&ip))
-        })
-        .expect("no host owns the relay ip");
-    SimHost::new(net, node).set_tcp_config(cfg);
+    SimHost::new(net, node_by_ip(net, ip)).set_tcp_config(cfg);
 }
 
 /// Send forty 16 KiB messages (640 KiB — 2.5× the cap) through a 5 s
@@ -953,6 +956,79 @@ fn capped_resend_survives_outage_routed() {
         pb,
         EstablishMethod::Routed,
     );
+}
+
+// ------------------------------------------------- routed close contract
+
+/// `close()` on a Routed link must confirm receipt by the *peer*, not by the
+/// relay host. The relay→receiver leg goes dark just before the sender
+/// writes its last three messages; the sender's own leg to the relay stays
+/// clean, so every byte is acknowledged by the relay host and a close that
+/// only drained that connection would report success for messages still
+/// sitting in the relay. Property: `close() == Ok` ⇒ all three delivered,
+/// FIFO. (Here the receiver is idle, never notices its half-open service
+/// link and so never re-registers: the close ends in a typed error.)
+#[test]
+fn routed_close_waits_for_the_receiver() {
+    let sim = Sim::new(seed(66));
+    let (env, ha, hb, _) = fault_world(&sim, routed_specs(), false);
+    let net = ha.net().clone();
+    let relay = node_by_ip(&net, env.relay_addr.unwrap().ip);
+    for h in [&ha, &hb, &SimHost::new(&net, relay)] {
+        h.set_tcp_config(fast_abort());
+    }
+    let plan = net.with(|w| {
+        let keep = w.path_links(relay, ha.node());
+        let cut = w.path_links(relay, hb.node());
+        cut.into_iter()
+            .filter(|l| !keep.contains(l))
+            .fold(FaultPlan::new(), |p, l| {
+                p.flap(Duration::from_millis(950), l, Duration::from_secs(3))
+            })
+    });
+    net.with(|w| w.install_faults(plan));
+    let (pa, pb) = routed_profiles();
+    let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (env_b, got_b) = (env.clone(), got.clone());
+    net.sched().spawn_daemon("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "close-recv", pb).unwrap();
+        let rp = node
+            .create_receive_port("close-routed", StackSpec::plain())
+            .unwrap();
+        while let Ok(mut m) = rp.receive() {
+            got_b.lock().push(m.read_u64().unwrap());
+        }
+    });
+    let send = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "close-send", pa).unwrap();
+        let mut sp = node.create_send_port();
+        assert_eq!(sp.connect("close-routed").unwrap(), EstablishMethod::Routed);
+        gridsim_net::ctx::sleep(Duration::from_millis(800));
+        for i in 0..3u64 {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.write_bytes(&[0x5au8; 4096 - 8]);
+            m.finish().unwrap();
+        }
+        (sp.close(), gridsim_net::ctx::now())
+    });
+    sim.run();
+    assert!(send.is_finished(), "sender wedged in close()");
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(send.join()));
+    sim.run();
+    let (closed, at) = out.lock().take().unwrap();
+    let got = got.lock().clone();
+    if closed.is_ok() {
+        assert_eq!(
+            got,
+            [0, 1, 2],
+            "close() returned Ok at {at:?} but the receiver got {} of 3",
+            got.len()
+        );
+    }
 }
 
 // ----------------------------------------------------- property: no wedge

@@ -55,13 +55,14 @@ fn routed_profiles() -> (ConnectivityProfile, ConnectivityProfile) {
 /// public host, one sender site (symmetric NAT) and one receiver site
 /// (stateful firewall) with `hosts_per_site` hosts each. All public hosts
 /// get the fast-abort TCP config so mesh-link death is detected in about a
-/// second, matching the endpoints.
+/// second, matching the endpoints. `queue_frames` overrides the relays'
+/// default shard-queue depth.
 #[allow(clippy::type_complexity)]
 fn mesh_world(
     sim: &Sim,
     n_relays: usize,
     hosts_per_site: usize,
-    queue_frames: usize,
+    queue_frames: Option<usize>,
 ) -> (
     gridsim_net::Net,
     SockAddr,
@@ -88,7 +89,7 @@ fn mesh_world_cfg(
     sim: &Sim,
     n_relays: usize,
     hosts_per_site: usize,
-    queue_frames: usize,
+    queue_frames: Option<usize>,
     relay_tcp: Option<TcpConfig>,
 ) -> (
     gridsim_net::Net,
@@ -147,16 +148,13 @@ fn mesh_world_cfg(
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &a)| a)
                 .collect();
-            spawn_relay_mesh(
-                h,
-                RELAY_PORT,
-                RelayConfig {
-                    mesh_id: i as u64 + 1,
-                    peers,
-                    queue_frames,
-                },
-            )
-            .unwrap();
+            let mut cfg = RelayConfig {
+                mesh_id: i as u64 + 1,
+                peers,
+                ..RelayConfig::default()
+            };
+            cfg.queue_frames = queue_frames.unwrap_or(cfg.queue_frames);
+            spawn_relay_mesh(h, RELAY_PORT, cfg).unwrap();
         }
     });
     sim.run();
@@ -169,8 +167,8 @@ fn mesh_world_cfg(
 }
 
 /// An env homed at `relays[home]`, keeping the rest as ordered fallbacks.
-/// Different nodes homing at different relays is exactly what the mesh
-/// adds over the legacy shared-order requirement.
+/// Different nodes homing at different relays is exactly what meshing
+/// adds: unmeshed relays need every node to share one order.
 fn env_homed(
     net: &gridsim_net::Net,
     ns_addr: SockAddr,
@@ -242,7 +240,7 @@ fn cross_relay_roundtrip(
 #[test]
 fn mesh_cross_relay_roundtrip() {
     let sim = Sim::new(seed(61));
-    let (net, ns_addr, relays, _nodes, hsend, hrecv) = mesh_world(&sim, 2, 1, 64);
+    let (net, ns_addr, relays, _nodes, hsend, hrecv) = mesh_world(&sim, 2, 1, None);
     let env_a = env_homed(&net, ns_addr, &relays, 0);
     let env_b = env_homed(&net, ns_addr, &relays, 1);
     cross_relay_roundtrip(
@@ -264,7 +262,7 @@ fn mesh_cross_relay_roundtrip() {
 #[test]
 fn mesh_relay_kill_routes_around() {
     let sim = Sim::new(seed(62));
-    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world(&sim, 2, 1, 64);
+    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world(&sim, 2, 1, None);
     let env_a = env_homed(&net, ns_addr, &relays, 0);
     let env_b = env_homed(&net, ns_addr, &relays, 1);
     let victim = relay_nodes[1];
@@ -289,7 +287,7 @@ fn mesh_relay_kill_routes_around() {
 #[test]
 fn mesh_slow_receiver_does_not_block_fast_pair() {
     let sim = Sim::new(seed(63));
-    let (net, ns_addr, relays, _nodes, hsend, hrecv) = mesh_world(&sim, 1, 2, 8);
+    let (net, ns_addr, relays, _nodes, hsend, hrecv) = mesh_world(&sim, 1, 2, Some(8));
     let env = env_homed(&net, ns_addr, &relays, 0);
     let (pa, pb) = routed_profiles();
 
@@ -398,7 +396,7 @@ fn mesh_slow_receiver_does_not_block_fast_pair() {
 #[test]
 fn mesh_route_query_miss_all_deny() {
     let sim = Sim::new(seed(64));
-    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world(&sim, 3, 1, 64);
+    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world(&sim, 3, 1, None);
     let env_a = env_homed(&net, ns_addr, &relays, 0);
     // The receiver gets NO fallback relays: when its home dies it can
     // never re-register, so the mesh has genuinely lost the route.
@@ -468,7 +466,7 @@ fn mesh_route_query_miss_all_deny() {
 #[test]
 fn mesh_route_query_timeout_late_reply() {
     let sim = Sim::new(seed(65));
-    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world_cfg(&sim, 2, 1, 64, None);
+    let (net, ns_addr, relays, relay_nodes, hsend, hrecv) = mesh_world_cfg(&sim, 2, 1, None, None);
     let env_a = env_homed(&net, ns_addr, &relays, 0);
     let env_b = env_homed(&net, ns_addr, &relays, 1);
     let (pa, pb) = routed_profiles();

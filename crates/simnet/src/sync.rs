@@ -75,12 +75,6 @@ impl<T: ?Sized> SimMutex<T> {
         }
     }
 
-    /// Do two handles refer to the same mutex? Lets registries guard
-    /// removal on identity when an entry may have been superseded.
-    pub fn ptr_eq(&self, other: &SimMutex<T>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Are any tasks parked waiting for this lock? Release wakes the
     /// front waiter, but the wake is a scheduled event — a running task
     /// that releases and immediately re-acquires barges past it. Callers
