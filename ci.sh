@@ -6,7 +6,9 @@
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
-#           the snapshots instead of failing (commit the diff).
+#           the snapshots instead of failing and prints, per overwritten
+#           file, each changed run's counters old -> new, or "unchanged"
+#           (commit the diff, quote the log).
 #   bench   quick bench-regression gate: every bench with a committed
 #           BENCH_*.json baseline runs --quick, then check_bench --all
 #           verifies the fresh set matches the baseline set one-to-one
@@ -102,8 +104,24 @@ stage_golden() {
   local fail=0 t
   for t in fig9_quick dbg_bw mux_pair table1; do
     if [ "$BLESS" = 1 ]; then
+      if cmp -s "$GOLD/$t.trace" "$FRESH/$t.trace"; then
+        echo "bless $t: unchanged"
+        continue
+      fi
+      # Size the re-bless in the log: each changed run's counters, old ->
+      # new, as the digest holds them (a stdout snapshot has none and
+      # shows as changed lines).
+      echo "bless $t: $GOLD/$t.trace overwritten"
+      [ -f "$GOLD/$t.trace" ] && awk '
+        NR == FNR { old[FNR] = $0; next }
+        $0 != old[FNR] && /^run=/ {
+          o = old[FNR]; n = $0
+          sub(/ hash=.*/, "", o); sub(/ hash=.*/, "", n); sub(/^run=[0-9]+ /, "", n)
+          print "  " o "\n" (o == $1 " " n ? "    -> unchanged (hash only)" : "    -> " n)
+        }
+        $0 != old[FNR] && !/^run=|^total / { print "  line " FNR ": " old[FNR] " -> " $0 }
+      ' "$GOLD/$t.trace" "$FRESH/$t.trace"
       cp "$FRESH/$t.trace" "$GOLD/$t.trace"
-      echo "blessed $GOLD/$t.trace"
     elif ! cmp -s "$GOLD/$t.trace" "$FRESH/$t.trace"; then
       echo "GOLDEN TRACE DIFF: $t"
       diff "$GOLD/$t.trace" "$FRESH/$t.trace" | head -20 || true

@@ -27,7 +27,7 @@ const DOWN: Duration = Duration::from_millis(1200);
 
 /// The flap must land after ALL channels are connected but well inside the
 /// send window. Batched establishment makes setup near-constant in N (one
-/// lookup + one walk + one OPEN_BATCH for the whole batch), so a fixed flap
+/// lookup + one walk + one OPEN for the whole batch), so a fixed flap
 /// time works for every row and keeps them comparable.
 fn flap_at(_channels: u64) -> Duration {
     Duration::from_millis(1500)
@@ -115,7 +115,7 @@ fn run_one(channels: u64) -> RunOut {
                 .unwrap();
         let t0 = gridsim_net::ctx::now();
         // One batched attach: the whole matrix row pays one name-service
-        // lookup, one establishment walk and one OPEN_BATCH frame.
+        // lookup, one establishment walk and one OPEN frame.
         let mut ports = node.connect_batch("mux", channels as usize).unwrap();
         let setup_ms = gridsim_net::ctx::now().since(t0).as_secs_f64() * 1e3;
         assert!(

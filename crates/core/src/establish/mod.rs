@@ -9,7 +9,7 @@ pub use factory::BootstrapSocketFactory;
 
 /// Identity of a shared data link in the session layer: establishment is
 /// keyed by `(peer node, stack equivalence class)`, so every channel whose
-/// effective [`StackSpec`] encodes identically rides one established link
+/// [`StackSpec`] encodes identically rides one established link
 /// to that peer. The spec is compared in its wire encoding — the same bytes
 /// the name service distributes — which makes "equivalent" exact: any field
 /// that changes the assembled driver stack changes the key.
@@ -19,7 +19,7 @@ pub use factory::BootstrapSocketFactory;
 pub struct LinkKey {
     /// The receive-port owner's grid id.
     pub peer: crate::nameservice::GridId,
-    /// Encoded effective stack spec (stream-count overrides applied).
+    /// The receive port's registered stack spec, encoded.
     pub spec: Vec<u8>,
 }
 

@@ -10,6 +10,9 @@
 //! rides ONE shared, supervised link. Concurrent `connect()`s to the same
 //! peer are deduplicated to a single Figure-4 walk, and a link failure
 //! triggers ONE re-establishment that replays every attached channel.
+//! There is one establishment path (`connect()` is a batch of one) and one
+//! stream preamble, written by `send_preamble` and read by
+//! `handle_incoming_tcp`; its layout is [`crate::wire`]'s.
 
 use gridcrypt::SecureConfig;
 use gridsim_net::{Net, SchedHandle, SockAddr};
@@ -26,33 +29,17 @@ use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSp
 use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
 use crate::nameservice::{GridId, NsClient, PortRecord};
 use crate::port::{
-    AckCell, AckSender, ReceivePort, ReceivePortInner, ResumeMeta, RxShared, SendConnection,
-    SendPort,
+    AckCell, AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort,
 };
 use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
-use crate::wire::{read_frame, FrameReader, FrameWriter};
-
-/// High bit of the stream preamble's channel field: set when the
-/// connection *resumes* an existing channel after a detected failure (the
-/// preamble then carries a fourth field, the reconnect generation). Fresh
-/// connects never set it, so fault-free preambles stay byte-identical.
-pub(crate) const RESUME_FLAG: u64 = 1 << 63;
-
-/// Second-highest preamble bit: the resumed link is *multiplexed* — the
-/// preamble carries, after the generation, the list of extra channels
-/// (id + receive-port name) riding the link, so the receiver can register
-/// their routes before the replay arrives. Single-channel resumes never
-/// set it, keeping their preambles byte-identical to the pre-session
-/// format.
-pub(crate) const MUX_FLAG: u64 = 1 << 62;
-
-/// Upper bound on the extra-channel list a resume preamble may carry
-/// (sanity against corrupt frames).
-const MAX_MUX_CHANNELS: u64 = 1 << 16;
+use crate::wire::{
+    read_frame, read_resume, stream_slot, write_resume, FrameReader, FrameWriter, ResumeMeta,
+    RESUME_FLAG,
+};
 
 /// Reconnect schedule for failed data links: attempts and backoff.
 const RECOVER_ATTEMPTS: u32 = 8;
@@ -72,15 +59,6 @@ const DATA_PORT_BASE: u16 = 20_000;
 /// First local port used for spliced connections (distinct from the
 /// ephemeral range 10000+, data listeners 20000+, NAT mappings 40000+).
 const SPLICE_PORT_BASE: u16 = 31_000;
-
-/// What a resuming sender tells the receiver in the preamble: the
-/// reconnect generation, plus the extra channels multiplexed on the link
-/// (beyond the anchor channel the preamble itself names).
-pub(crate) struct ResumePlan {
-    pub gen: u64,
-    /// `(channel id, receive-port name)` of every non-anchor channel.
-    pub extras: Vec<(u64, String)>,
-}
 
 /// How receive-side pumps resolve OPEN frames (and resume extras) to
 /// receive ports by name: a weak hook back into the node's port table.
@@ -236,8 +214,8 @@ pub(crate) struct NodeInner {
     /// The session layer's cache of established data links (at most one
     /// per peer + stack spec).
     links: LinkTable,
-    /// OPEN / OPEN_BATCH control frames this node has written — the
-    /// batching probe: a batch of N attaches must cost one frame, not N.
+    /// OPEN control frames this node has written — the batching probe: a
+    /// batch of N attaches must cost one frame, not N.
     open_frames: AtomicU64,
     /// Receive-side per-channel state shared across this node's receive
     /// ports (delivered watermarks + ack bookkeeping): mux links can carry
@@ -417,10 +395,10 @@ impl GridNode {
         self.inner.relay.as_ref().map_or(0, |r| r.busy_throttles())
     }
 
-    /// OPEN / OPEN_BATCH control frames written by this node's senders —
-    /// the batching probe. A fresh link's anchor channel rides the stream
-    /// preamble (no frame); each later single attach costs one OPEN; a
-    /// batch of N extras costs exactly one OPEN_BATCH.
+    /// OPEN control frames written by this node's senders — the batching
+    /// probe. A fresh link's anchor channel rides the stream preamble (no
+    /// frame); every later attach, of one channel or a batch of N, costs
+    /// exactly one OPEN.
     pub fn open_control_frames(&self) -> u64 {
         self.inner.open_frames.load(Ordering::Relaxed)
     }
@@ -532,93 +510,57 @@ impl GridNode {
         self.inner.ports.lock().remove(name);
     }
 
-    /// Read the stream preamble and register the link with the port.
+    /// Read the stream preamble — `[channel][idx][total]`, resume fields
+    /// behind it when the channel carries [`RESUME_FLAG`] — and register
+    /// the link with the port.
     fn handle_incoming_tcp(
         &self,
         port: &Arc<ReceivePortInner>,
         stream: TcpStream,
     ) -> io::Result<()> {
         stream.set_nodelay(true)?;
-        let mut r = stream.clone();
-        let frame = read_frame(&mut r)?;
+        let frame = read_frame(&mut stream.clone())?;
         let mut fr = FrameReader::new(&frame);
-        let raw = fr.u64()?;
-        let idx = fr.u64()? as u16;
-        let total = fr.u64()? as u16;
-        let channel = raw & !(RESUME_FLAG | MUX_FLAG);
-        if raw & RESUME_FLAG != 0 {
-            let gen = fr.u64()?;
-            let extras = if raw & MUX_FLAG != 0 {
-                read_mux_extras(&mut fr)?
-            } else {
-                Vec::new()
-            };
-            port.add_resume_link(
-                &self.ctx(),
-                channel,
-                idx,
-                total,
-                ResumeMeta { gen, extras },
-                RawLink::Tcp(stream),
-            )
-        } else {
-            port.add_raw_link(&self.ctx(), channel, idx, total, RawLink::Tcp(stream))
-        }
+        let (raw, idx, total) = (fr.u64()?, fr.u64()?, fr.u64()?);
+        let resume = (raw & RESUME_FLAG != 0)
+            .then(|| read_resume(&mut fr))
+            .transpose()?;
+        let link = RawLink::Tcp(stream);
+        port.add_link(&self.ctx(), raw & !RESUME_FLAG, idx, total, link, resume)
     }
 
     // ------------------------------------------------- establishment
 
-    /// Establish a data connection to a named receive port. The session
-    /// layer deduplicates: if an established link to that peer with the
-    /// same effective stack spec already exists, the new channel attaches
-    /// to it (announced with an OPEN frame) instead of re-running the
-    /// Figure-4 walk. Used by [`SendPort::connect`].
-    /// `streams_override` replaces the registered stream count (receive
-    /// ports accept any count — the stream preamble is authoritative),
-    /// which is what stream-count autotuning builds on.
-    pub(crate) fn establish_connection(
-        &self,
-        port_name: &str,
-        streams_override: Option<u16>,
-    ) -> io::Result<SendConnection> {
-        let channel = self.alloc_channel();
-        let conn = self.establish_channel(port_name, streams_override, channel)?;
-        // Register the channel's ack watermark so CACK service frames
-        // arriving on the relay pump reach it. Survives recovery: the
-        // cell rides the channel, not the link.
-        self.inner
-            .ack_cells
-            .lock()
-            .insert(channel, Arc::clone(&conn.chan.acked));
-        Ok(conn)
+    /// Establish a data connection to a named receive port: a batch of
+    /// one. Used by [`SendPort::connect`].
+    pub(crate) fn establish_connection(&self, port_name: &str) -> io::Result<SendConnection> {
+        let mut conns = self.establish_connections_batch(port_name, 1)?;
+        Ok(conns.pop().expect("a batch of one"))
     }
 
     /// Open `count` channels to the named receive port in one batch,
     /// returning one single-connection [`SendPort`] per channel —
     /// semantically identical to `count` separate `connect()`s, but the
     /// whole batch pays ONE name-service lookup, ONE link claim (a single
-    /// Figure-4 walk when the link is fresh) and ONE `OPEN_BATCH` control
+    /// Figure-4 walk when the link is fresh) and ONE `OPEN` control
     /// frame, where sequential connects pay a lookup round trip and an
     /// OPEN frame per channel.
     pub fn connect_batch(&self, port_name: &str, count: usize) -> io::Result<Vec<SendPort>> {
-        let conns = self.establish_connections_batch(port_name, None, count)?;
-        let mut cells = self.inner.ack_cells.lock();
-        for conn in &conns {
-            cells.insert(conn.chan.channel, Arc::clone(&conn.chan.acked));
-        }
-        drop(cells);
+        let conns = self.establish_connections_batch(port_name, count)?;
         Ok(conns
             .into_iter()
             .map(|conn| SendPort::with_connection(self.clone(), conn))
             .collect())
     }
 
-    /// Batched form of [`Self::establish_channel`]: resolve the peer once,
-    /// claim the link once, attach every channel, announce the batch.
+    /// The one establishment path. The session layer deduplicates: resolve
+    /// the peer once and claim the link once (single-flight per link key);
+    /// if an established link to that peer with the same stack spec
+    /// exists, every channel attaches to it, announced by one OPEN frame,
+    /// instead of re-running the Figure-4 walk.
     fn establish_connections_batch(
         &self,
         port_name: &str,
-        streams_override: Option<u16>,
         count: usize,
     ) -> io::Result<Vec<SendConnection>> {
         if count == 0 {
@@ -626,15 +568,12 @@ impl GridNode {
         }
         let (rec, peer_profile, _peer_name) =
             self.nat_gated(|| self.inner.ns.lookup_port(port_name))?;
-        let mut spec = StackSpec::decode(&rec.stack)?;
-        if let Some(n) = streams_override {
-            spec.path.stripes = n.max(1);
-        }
+        let spec = StackSpec::decode(&rec.stack)?;
         let key = LinkKey::new(rec.owner, &spec);
         let channels: Vec<u64> = (0..count).map(|_| self.alloc_channel()).collect();
         let new_chan =
             |ch: u64| Arc::new(Channel::new(ch, port_name, self.inner.env.resend_budget));
-        loop {
+        let conns: Vec<SendConnection> = loop {
             match self.inner.links.claim(&key) {
                 Claim::Ready(link) => {
                     let chans: Vec<Arc<Channel>> = channels.iter().copied().map(new_chan).collect();
@@ -652,25 +591,25 @@ impl GridNode {
                         self.inner.links.remove(&key, &link);
                         continue;
                     }
-                    if let Err(e) = self.open_batch_on_link(&link, &chans) {
+                    if let Err(e) = self.announce_channels(&link, &chans) {
                         for c in &chans {
                             link.detach(c.channel);
                         }
                         self.gc_link_if_empty(&key, &link);
                         return Err(e);
                     }
-                    return Ok(chans
+                    break chans
                         .into_iter()
                         .map(|chan| SendConnection {
                             link: Arc::clone(&link),
                             chan,
                         })
-                        .collect());
+                        .collect();
                 }
                 Claim::Mine => {
                     // The first channel anchors the walk (announced by the
                     // stream preamble itself); the rest of the batch rides
-                    // one OPEN_BATCH frame behind it.
+                    // one OPEN frame behind it.
                     let result = self.establish_link(
                         &key,
                         &rec,
@@ -698,7 +637,7 @@ impl GridNode {
                     for c in &extras {
                         assert!(link.attach(Arc::clone(c)), "fresh link refused attach");
                     }
-                    if let Err(e) = self.open_batch_on_link(&link, &extras) {
+                    if let Err(e) = self.announce_channels(&link, &extras) {
                         for c in &extras {
                             link.detach(c.channel);
                         }
@@ -709,10 +648,19 @@ impl GridNode {
                         link: Arc::clone(&link),
                         chan,
                     }));
-                    return Ok(conns);
+                    break conns;
                 }
             }
-        }
+        };
+        // Register the channels' ack watermarks so CACK service frames
+        // arriving on the relay pump reach them. Survives recovery: the
+        // cell rides the channel, not the link.
+        self.inner.ack_cells.lock().extend(
+            conns
+                .iter()
+                .map(|c| (c.chan.channel, Arc::clone(&c.chan.acked))),
+        );
+        Ok(conns)
     }
 
     /// Unregister a closed channel's ack watermark.
@@ -720,90 +668,12 @@ impl GridNode {
         self.inner.ack_cells.lock().remove(&channel);
     }
 
-    /// Resolve the peer + spec, then either attach to the cached link or
-    /// run establishment (single-flight per link key).
-    fn establish_channel(
-        &self,
-        port_name: &str,
-        streams_override: Option<u16>,
-        channel: u64,
-    ) -> io::Result<SendConnection> {
-        let (rec, peer_profile, _peer_name) =
-            self.nat_gated(|| self.inner.ns.lookup_port(port_name))?;
-        let mut spec = StackSpec::decode(&rec.stack)?;
-        if let Some(n) = streams_override {
-            spec.path.stripes = n.max(1);
-        }
-        let key = LinkKey::new(rec.owner, &spec);
-        loop {
-            match self.inner.links.claim(&key) {
-                Claim::Ready(link) => {
-                    let chan = Arc::new(Channel::new(
-                        channel,
-                        port_name,
-                        self.inner.env.resend_budget,
-                    ));
-                    if !link.attach(Arc::clone(&chan)) {
-                        // The link is tearing down; GC the stale entry and
-                        // re-claim (next round establishes fresh).
-                        self.inner.links.remove(&key, &link);
-                        continue;
-                    }
-                    if let Err(e) = self.open_on_link(&link, &chan) {
-                        link.detach(channel);
-                        self.gc_link_if_empty(&key, &link);
-                        return Err(e);
-                    }
-                    return Ok(SendConnection { link, chan });
-                }
-                Claim::Mine => {
-                    let result =
-                        self.establish_link(&key, &rec, &peer_profile, &spec, channel, port_name);
-                    self.inner.links.walk_done();
-                    return match result {
-                        Ok(conn) => {
-                            self.inner.links.fulfill(&key, &conn.link);
-                            Ok(conn)
-                        }
-                        Err(e) => {
-                            self.inner.links.abandon(&key);
-                            Err(e)
-                        }
-                    };
-                }
-            }
-        }
-    }
-
-    /// Announce a channel joining an established link. Rewritten after
-    /// any recovery observed mid-open: a recovery whose replay snapshot
-    /// predated our attach did not announce us, and the receiver treats
-    /// duplicate OPENs as no-ops, so always-rewrite is safe.
-    fn open_on_link(&self, link: &Arc<SharedLink>, chan: &Arc<Channel>) -> io::Result<()> {
-        loop {
-            let seen = link.incarnation();
-            let wrote = {
-                let mut io = link.io();
-                if io.healthy() {
-                    io.write_open(chan.channel, &chan.peer_port).is_ok()
-                } else {
-                    false
-                }
-            };
-            if wrote {
-                self.inner.open_frames.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            self.recover_link(link, seen)?;
-        }
-    }
-
-    /// Announce a batch of channels joining an established link with ONE
-    /// `OPEN_BATCH` control frame. Same recovery contract as
-    /// [`Self::open_on_link`]: the whole batch is rewritten after any
-    /// recovery observed mid-open — the receiver treats every entry
+    /// Announce channels joining an established link with ONE `OPEN`
+    /// control frame. The whole frame is rewritten after any recovery
+    /// observed mid-open: a recovery whose replay snapshot predated our
+    /// attach did not announce us, and the receiver treats every entry
     /// idempotently, so always-rewrite is safe.
-    fn open_batch_on_link(&self, link: &Arc<SharedLink>, chans: &[Arc<Channel>]) -> io::Result<()> {
+    fn announce_channels(&self, link: &Arc<SharedLink>, chans: &[Arc<Channel>]) -> io::Result<()> {
         if chans.is_empty() {
             return Ok(());
         }
@@ -816,7 +686,7 @@ impl GridNode {
             let wrote = {
                 let mut io = link.io();
                 if io.healthy() {
-                    io.write_open_batch(&entries).is_ok()
+                    io.write_open(&entries).is_ok()
                 } else {
                     false
                 }
@@ -930,7 +800,6 @@ impl GridNode {
                 active: probes.len(),
                 links: probes,
                 term,
-                mux: false,
             },
             deliveries,
         ))
@@ -1152,13 +1021,7 @@ impl GridNode {
             let r = {
                 let mut io = link.io();
                 let res = io.writer.flush();
-                let res = res.and_then(|()| {
-                    if io.mux {
-                        io.write_close(chan.channel)
-                    } else {
-                        Ok(())
-                    }
-                });
+                let res = res.and_then(|()| io.write_close(chan.channel));
                 // Settle under the gate: no concurrent writer can queue
                 // fresh bytes between our CLOSE and the drain check.
                 res.and_then(|()| io.settle())
@@ -1243,7 +1106,7 @@ impl GridNode {
                 .iter()
                 .map(|c| (c.channel, c.peer_port.clone()))
                 .collect();
-            let plan = ResumePlan { gen, extras };
+            let plan = ResumeMeta { gen, extras };
             let (rec, peer_profile, _) =
                 match self.nat_gated(|| self.inner.ns.lookup_port(&anchor.peer_port)) {
                     Ok(x) => x,
@@ -1329,14 +1192,10 @@ impl GridNode {
     fn swap_and_replay(
         &self,
         link: &Arc<SharedLink>,
-        mut new_io: LinkIo,
+        new_io: LinkIo,
         chans: &[Arc<Channel>],
         replays: &[Vec<bytes::Bytes>],
     ) -> io::Result<()> {
-        // A resumed link re-negotiates framing by channel count: back to
-        // the legacy byte format when one channel remains, tagged when
-        // several do (the resume preamble already told the receiver).
-        new_io.mux = chans.len() > 1;
         let mut io = link.io();
         *io = new_io;
         for (c, msgs) in chans.iter().zip(replays) {
@@ -1356,7 +1215,7 @@ impl GridNode {
         peer_profile: &ConnectivityProfile,
         spec: &StackSpec,
         channel: u64,
-        resume: Option<&ResumePlan>,
+        resume: Option<&ResumeMeta>,
     ) -> io::Result<(Vec<RawLink>, u16)> {
         match method {
             EstablishMethod::ClientServer => {
@@ -1419,25 +1278,13 @@ impl GridNode {
             }
             EstablishMethod::Routed => {
                 let relay = self.relay()?;
-                let wire_channel = match resume {
-                    Some(p) if !p.extras.is_empty() => channel | RESUME_FLAG | MUX_FLAG,
-                    Some(_) => channel | RESUME_FLAG,
-                    None => channel,
-                };
+                let wire_channel = channel | resume.map_or(0, |_| RESUME_FLAG);
                 let stream = relay.open_stream(rec.owner, &rec.name, wire_channel)?;
-                if let Some(p) = resume {
-                    // The generation (and mux channel list) travels as the
-                    // first stream frame (the OPEN frame layout stays
-                    // untouched).
-                    let mut w = stream.clone();
-                    let mut fw = FrameWriter::new().u64(p.gen);
-                    if !p.extras.is_empty() {
-                        fw = fw.u64(p.extras.len() as u64);
-                        for (ch, name) in &p.extras {
-                            fw = fw.u64(*ch).str(name);
-                        }
-                    }
-                    fw.send(&mut w)?;
+                if let Some(meta) = resume {
+                    // The relay's OPEN names the channel (its layout stays
+                    // untouched); the resume fields are the first stream
+                    // frame.
+                    write_resume(FrameWriter::new(), meta).send(&mut stream.clone())?;
                 }
                 Ok((vec![RawLink::Routed(stream)], 1))
             }
@@ -1459,29 +1306,17 @@ impl GridNode {
         channel: u64,
         idx: u16,
         total: u16,
-        resume: Option<&ResumePlan>,
+        resume: Option<&ResumeMeta>,
     ) -> io::Result<()> {
         s.set_nodelay(true)?;
-        let mut w = s.clone();
-        let wire_channel = match resume {
-            Some(p) if !p.extras.is_empty() => channel | RESUME_FLAG | MUX_FLAG,
-            Some(_) => channel | RESUME_FLAG,
-            None => channel,
-        };
         let mut fw = FrameWriter::new()
-            .u64(wire_channel)
+            .u64(channel | resume.map_or(0, |_| RESUME_FLAG))
             .u64(idx as u64)
             .u64(total as u64);
-        if let Some(p) = resume {
-            fw = fw.u64(p.gen);
-            if !p.extras.is_empty() {
-                fw = fw.u64(p.extras.len() as u64);
-                for (ch, name) in &p.extras {
-                    fw = fw.u64(*ch).str(name);
-                }
-            }
+        if let Some(meta) = resume {
+            fw = write_resume(fw, meta);
         }
-        fw.send(&mut w)
+        fw.send(&mut s.clone())
     }
 
     /// TCP configuration used for spliced connects: bounded retries so a
@@ -1541,7 +1376,7 @@ impl GridNode {
         rec: &PortRecord,
         spec: &StackSpec,
         channel: u64,
-        resume: Option<&ResumePlan>,
+        resume: Option<&ResumeMeta>,
     ) -> io::Result<Vec<RawLink>> {
         let relay = self.relay()?.clone();
         let total = spec.streams();
@@ -1645,13 +1480,7 @@ impl GridNode {
     fn handle_splice_request(&self, _from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
         let channel = r.u64()?;
         let port_name = r.str()?;
-        let total = r.u64()? as u16;
-        if total == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad splice request",
-            ));
-        }
+        let (_, total) = stream_slot(0, r.u64()?)?;
         let port = self
             .inner
             .ports
@@ -1744,7 +1573,9 @@ impl GridNode {
                     if stream.wait_established().is_err() {
                         return;
                     }
-                    let _ = node.handle_spliced_stream(&port, stream);
+                    // Same as an accepted connection: read the initiator's
+                    // preamble.
+                    let _ = node.handle_incoming_tcp(&port, stream);
                 });
             }
             Ok(())
@@ -1778,34 +1609,6 @@ impl GridNode {
         }
         Ok(FrameWriter::new().u8(1).into_bytes())
     }
-
-    fn handle_spliced_stream(
-        &self,
-        port: &Arc<ReceivePortInner>,
-        stream: TcpStream,
-    ) -> io::Result<()> {
-        // Same as an accepted connection: read the initiator's preamble.
-        self.handle_incoming_tcp(port, stream)
-    }
-}
-
-/// Decode the resume preamble's extra-channel list: `n`, then `n` pairs of
-/// `(channel id, receive-port name)`.
-fn read_mux_extras(fr: &mut FrameReader<'_>) -> io::Result<Vec<(u64, String)>> {
-    let n = fr.u64()?;
-    if n > MAX_MUX_CHANNELS {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "mux channel list too long",
-        ));
-    }
-    let mut extras = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let ch = fr.u64()?;
-        let name = fr.str()?;
-        extras.push((ch, name));
-    }
-    Ok(extras)
 }
 
 /// Service-message opcodes (carried in SVC_REQ payloads).
@@ -1868,31 +1671,16 @@ impl RelayDelegate for NodeDelegate {
             .get(port_name)
             .cloned()
             .ok_or_else(|| format!("unknown receive port '{port_name}'"))?;
-        if channel & RESUME_FLAG != 0 {
-            // Resumed routed link: the generation (and mux channel list)
-            // is the first stream frame.
-            let mut r = stream.clone();
-            let frame = read_frame(&mut r).map_err(|e| e.to_string())?;
-            let mut fr = FrameReader::new(&frame);
-            let gen = fr.u64().map_err(|e| e.to_string())?;
-            let extras = if channel & MUX_FLAG != 0 {
-                read_mux_extras(&mut fr).map_err(|e| e.to_string())?
-            } else {
-                Vec::new()
-            };
-            port.add_resume_link(
-                &node.ctx(),
-                channel & !(RESUME_FLAG | MUX_FLAG),
-                0,
-                1,
-                ResumeMeta { gen, extras },
-                RawLink::Routed(stream),
-            )
-            .map_err(|e| e.to_string())
+        // Resumed routed link: the resume fields are the first stream frame.
+        let resume = if channel & RESUME_FLAG != 0 {
+            let frame = read_frame(&mut stream.clone()).map_err(|e| e.to_string())?;
+            Some(read_resume(&mut FrameReader::new(&frame)).map_err(|e| e.to_string())?)
         } else {
-            port.add_raw_link(&node.ctx(), channel, 0, 1, RawLink::Routed(stream))
-                .map_err(|e| e.to_string())
-        }
+            None
+        };
+        let link = RawLink::Routed(stream);
+        port.add_link(&node.ctx(), channel & !RESUME_FLAG, 0, 1, link, resume)
+            .map_err(|e| e.to_string())
     }
 }
 

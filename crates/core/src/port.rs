@@ -30,7 +30,7 @@ use crate::node::{GridNode, NodeCtx};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::relay::RelayClient;
 use crate::session::{Channel, SharedLink};
-use crate::wire::{mux, FrameWriter};
+use crate::wire::{mux, stream_slot, FrameWriter, ResumeMeta};
 
 /// Upper bound on a single message (sanity against corrupt frames).
 pub const MAX_MESSAGE: u64 = 256 << 20;
@@ -242,14 +242,6 @@ pub(crate) struct SendConnection {
     pub chan: Arc<Channel>,
 }
 
-/// Decoded resume preamble metadata: the sender's reconnect generation
-/// plus the extra channels multiplexed on the resumed link (beyond the
-/// anchor channel the preamble names), as `(channel, receive-port name)`.
-pub(crate) struct ResumeMeta {
-    pub gen: u64,
-    pub extras: Vec<(u64, String)>,
-}
-
 /// Receive-side per-channel state shared across ALL of a node's receive
 /// ports: exactly-once delivered watermarks and ack bookkeeping. Node-wide
 /// because a multiplexed link can carry channels of several ports, and a
@@ -310,23 +302,7 @@ impl SendPort {
     /// the decision tree runs, single-flighted against concurrent
     /// connects. Returns the link's establishment method.
     pub fn connect(&mut self, port_name: &str) -> io::Result<EstablishMethod> {
-        let conn = self.node.establish_connection(port_name, None)?;
-        let method = conn.link.method();
-        self.conns.push(conn);
-        Ok(method)
-    }
-
-    /// Connect with an explicit parallel-stream count, overriding the
-    /// stream count the receive port registered (paper §8 future work:
-    /// "selection of the optimal number of parallel TCP streams" — see the
-    /// `autotune_streams` benchmark). The override is part of the link
-    /// key: channels with different stream counts use separate links.
-    pub fn connect_with_streams(
-        &mut self,
-        port_name: &str,
-        streams: u16,
-    ) -> io::Result<EstablishMethod> {
-        let conn = self.node.establish_connection(port_name, Some(streams))?;
+        let conn = self.node.establish_connection(port_name)?;
         let method = conn.link.method();
         self.conns.push(conn);
         Ok(method)
@@ -421,9 +397,9 @@ impl SendPort {
     }
 
     /// Flush and close all connections (graceful: the peer observes each
-    /// channel's clean close). A channel sharing its link with others
-    /// announces the close in-band and leaves the link up; the LAST
-    /// channel's close tears the link down and the peer sees EOF. If a
+    /// channel's clean close). Every channel announces its close in-band
+    /// (CLOSE); one sharing its link with others leaves the link up, the
+    /// LAST channel's close tears the link down and the peer sees EOF. If a
     /// link died with messages still unconfirmed, it is recovered and the
     /// tail replayed before closing.
     pub fn close(mut self) -> io::Result<()> {
@@ -653,48 +629,19 @@ impl ReceivePortInner {
 
     /// Register one raw link of a (possibly multi-stream) incoming
     /// connection; assembles and starts the receiver stack when all streams
-    /// have arrived.
-    pub(crate) fn add_raw_link(
+    /// have arrived. `idx` and `total` are the peer's preamble fields as
+    /// sent; `resume` is set when the sender reconnected after a failure
+    /// (its generation and channel list).
+    pub(crate) fn add_link(
         self: &Arc<Self>,
         ctx: &NodeCtx,
         channel: u64,
-        idx: u16,
-        total: u16,
-        link: RawLink,
-    ) -> io::Result<()> {
-        self.add_link(ctx, channel, idx, total, link, None)
-    }
-
-    /// Register one raw link of a *resumed* connection (the sender
-    /// reconnected after a failure; `meta` carries the generation and the
-    /// mux channel list).
-    pub(crate) fn add_resume_link(
-        self: &Arc<Self>,
-        ctx: &NodeCtx,
-        channel: u64,
-        idx: u16,
-        total: u16,
-        meta: ResumeMeta,
-        link: RawLink,
-    ) -> io::Result<()> {
-        self.add_link(ctx, channel, idx, total, link, Some(meta))
-    }
-
-    fn add_link(
-        self: &Arc<Self>,
-        ctx: &NodeCtx,
-        channel: u64,
-        idx: u16,
-        total: u16,
+        idx: u64,
+        total: u64,
         link: RawLink,
         resume: Option<ResumeMeta>,
     ) -> io::Result<()> {
-        if total == 0 || idx >= total {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad stream preamble",
-            ));
-        }
+        let (idx, total) = stream_slot(idx, total)?;
         let gen = resume.as_ref().map(|m| m.gen).unwrap_or(0);
         let ready = {
             let mut pending = self.pending.lock();
@@ -745,14 +692,11 @@ impl ReceivePortInner {
         };
         if let Some(links) = ready {
             // Resume handshake: tell the sender how many messages were
-            // actually delivered — for the anchor channel AND every mux
-            // extra, anchor first, preamble order — so it replays exactly
-            // the gaps. Written before the stack assembles (raw, ahead of
-            // any handshake) and only on resumed connections; a
-            // single-channel resume reply is byte-identical to the
-            // pre-session-layer format.
+            // actually delivered — for the anchor channel AND every extra,
+            // anchor first, preamble order — so it replays exactly the
+            // gaps. Written before the stack assembles (raw, ahead of any
+            // handshake) and only on resumed connections.
             let mut init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)> = Vec::new();
-            let mut muxed_start = false;
             if let Some(meta) = &resume {
                 let watermarks: Vec<u64> = {
                     let mut d = self.rx.delivered.lock();
@@ -772,7 +716,6 @@ impl ReceivePortInner {
                 for ((ch, name), w) in meta.extras.iter().zip(&watermarks[1..]) {
                     init.push((*ch, *w, (ctx.resolve)(name)));
                 }
-                muxed_start = !meta.extras.is_empty();
             } else {
                 init.push((channel, 0, Some(Arc::clone(self))));
             }
@@ -794,17 +737,15 @@ impl ReceivePortInner {
             let pctx = ctx.clone();
             ctx.sched
                 .spawn_daemon(format!("rp-pump-{}-{}", self.name, channel), move || {
-                    me.pump(stack, quiesce, probes, init, muxed_start, pctx);
+                    me.pump(stack, quiesce, probes, init, pctx);
                 });
         }
         Ok(())
     }
 
-    /// The pump: one task per assembled link, draining framed messages and
-    /// routing them to channels. Starts in the legacy single-channel
-    /// format (anchor channel implicit) unless the link resumed
-    /// multiplexed; a [`mux::SENTINEL`] length escapes into tagged frames,
-    /// after which OPEN/CLOSE manage the channel set dynamically.
+    /// The pump: one task per assembled link, draining tagged frames
+    /// ([`mux`]) and routing messages to channels. `init` holds the
+    /// channels the preamble named; OPEN/CLOSE manage the set from there.
     ///
     /// Parsing runs over a [`ChunkCursor`], which states the whole-message
     /// byte demand to the stack in one `read_chunks_min` call: the
@@ -817,7 +758,6 @@ impl ReceivePortInner {
         mut quiesce: Option<StripeQuiesce>,
         probes: Vec<RawLink>,
         init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)>,
-        muxed_start: bool,
         ctx: NodeCtx,
     ) {
         let mut cur = ChunkCursor::new(stack, self.spec.block_size() as usize);
@@ -826,7 +766,6 @@ impl ReceivePortInner {
         // monotonic for the link's life, so any epoch > 0 is acceptable
         // to a fresh pump and stale duplicates are rejected.
         let mut last_epoch = 0u64;
-        let anchor = init[0].0;
         let mut live: HashMap<u64, LiveChan> = HashMap::new();
         {
             let mut st = self.rx.ack_state.lock();
@@ -835,179 +774,150 @@ impl ReceivePortInner {
                 live.insert(ch, LiveChan { seq, inner });
             }
         }
-        let mut muxed = muxed_start;
         // Loop runs until EOF (read error) or a corrupt frame.
-        while let Some(first) = cur.read_varint() {
-            let (ch, len) = if !muxed {
-                if first == mux::SENTINEL {
-                    muxed = true;
+        'frames: while let Some(tag) = cur.read_varint() {
+            let (ch, len) = match tag {
+                mux::MSG => {
+                    let Some(ch) = cur.read_varint() else {
+                        break;
+                    };
+                    let Some(len) = cur.read_varint() else {
+                        break;
+                    };
+                    if len > MAX_MESSAGE {
+                        break;
+                    }
+                    (ch, len as usize)
+                }
+                mux::OPEN => {
+                    let Some(n) = cur.read_varint() else {
+                        break;
+                    };
+                    if n > 4096 {
+                        break; // corrupt count
+                    }
+                    for _ in 0..n {
+                        let (Some(ch), Some(name_len)) = (cur.read_varint(), cur.read_varint())
+                        else {
+                            break 'frames;
+                        };
+                        if name_len > 4096 {
+                            break 'frames;
+                        }
+                        let Some(name) = cur.read_exact_vec(name_len as usize) else {
+                            break 'frames;
+                        };
+                        let Ok(name) = String::from_utf8(name) else {
+                            break 'frames;
+                        };
+                        // Idempotent: a recovery replays OPENs for
+                        // channels whose announcement the flap may have
+                        // eaten, and a recovered batch is rewritten
+                        // wholesale.
+                        if let std::collections::hash_map::Entry::Vacant(slot) = live.entry(ch) {
+                            let seq = {
+                                let mut st = self.rx.ack_state.lock();
+                                st.entry(ch).or_default().pumps += 1;
+                                *self.rx.delivered.lock().entry(ch).or_insert(0)
+                            };
+                            slot.insert(LiveChan {
+                                seq,
+                                inner: (ctx.resolve)(&name),
+                            });
+                        }
+                    }
                     continue;
                 }
-                if first > MAX_MESSAGE {
-                    break; // corrupt
+                mux::CLOSE => {
+                    let Some(ch) = cur.read_varint() else {
+                        break;
+                    };
+                    if live.remove(&ch).is_some() {
+                        self.channel_closed(ch);
+                    }
+                    continue;
                 }
-                (anchor, first as usize)
-            } else {
-                match first {
-                    mux::MSG => {
-                        let Some(ch) = cur.read_varint() else {
-                            break;
-                        };
-                        let Some(len) = cur.read_varint() else {
-                            break;
-                        };
-                        if len > MAX_MESSAGE {
-                            break;
-                        }
-                        (ch, len as usize)
+                mux::RECONFIG => {
+                    // Live path reconfiguration (DESIGN.md §11): the
+                    // sender flushed its stack to this frame boundary
+                    // and is blocked on our ack. Validate, ack with
+                    // the delivered watermarks (exactly-once
+                    // handshake), and rebuild the receiver stack from
+                    // the new parameters over the same connections.
+                    let (Some(epoch), Some(stripes), Some(block), Some(level)) = (
+                        cur.read_varint(),
+                        cur.read_varint(),
+                        cur.read_varint(),
+                        cur.read_varint(),
+                    ) else {
+                        break;
+                    };
+                    // A stale/replayed epoch, impossible parameters,
+                    // or leftover old-format bytes after the frame
+                    // are corrupt: kill the pump. The sender's ack
+                    // wait times out and recovery resynchronizes.
+                    if epoch <= last_epoch
+                        || stripes == 0
+                        || stripes > probes.len() as u64
+                        || block == 0
+                        || block > MAX_MESSAGE
+                        || level > u8::MAX as u64
+                        || cur.avail != 0
+                    {
+                        break;
                     }
-                    mux::OPEN | mux::OPEN_BATCH => {
-                        // OPEN carries one (channel, name) entry; OPEN_BATCH
-                        // prefixes a count and carries `n` of them (the
-                        // RESUME preamble's extras encoding).
-                        let n = if first == mux::OPEN_BATCH {
-                            let Some(n) = cur.read_varint() else {
-                                break;
-                            };
-                            if n > 4096 {
-                                break; // corrupt count
-                            }
-                            n
-                        } else {
-                            1
-                        };
-                        let mut ok = true;
-                        for _ in 0..n {
-                            let (Some(ch), Some(name_len)) = (cur.read_varint(), cur.read_varint())
-                            else {
-                                ok = false;
-                                break;
-                            };
-                            if name_len > 4096 {
-                                ok = false;
-                                break;
-                            }
-                            let Some(name) = cur.read_exact_vec(name_len as usize) else {
-                                ok = false;
-                                break;
-                            };
-                            let Ok(name) = String::from_utf8(name) else {
-                                ok = false;
-                                break;
-                            };
-                            // Idempotent: a recovery replays OPENs for
-                            // channels whose announcement the flap may have
-                            // eaten, and a recovered batch is rewritten
-                            // wholesale.
-                            if let std::collections::hash_map::Entry::Vacant(slot) = live.entry(ch)
-                            {
-                                let seq = {
-                                    let mut st = self.rx.ack_state.lock();
-                                    st.entry(ch).or_default().pumps += 1;
-                                    *self.rx.delivered.lock().entry(ch).or_insert(0)
-                                };
-                                slot.insert(LiveChan {
-                                    seq,
-                                    inner: (ctx.resolve)(&name),
-                                });
-                            }
-                        }
-                        if !ok {
-                            break;
-                        }
-                        continue;
+                    let params = PathParams {
+                        stripes: stripes as u16,
+                        block_size: block as u32,
+                        compression_level: match level {
+                            0 => None,
+                            l => Some((l - 1) as u8),
+                        },
+                    };
+                    // Quiesce the retired stack BEFORE acking: its
+                    // per-stripe pump tasks own socket reads until
+                    // they consume the sender's segment terminator
+                    // (written right after the RECONFIG frame). Ack
+                    // first and a still-parked pump would steal the
+                    // new stack's first bytes.
+                    if let Some(q) = quiesce.take() {
+                        q.wait();
                     }
-                    mux::CLOSE => {
-                        let Some(ch) = cur.read_varint() else {
-                            break;
-                        };
-                        if live.remove(&ch).is_some() {
-                            self.channel_closed(ch);
-                        }
-                        continue;
+                    // Ack raw on stream 0, reverse direction (the
+                    // resume-reply pattern): `[epoch][n][(channel,
+                    // delivered)]*`, channels ascending.
+                    let mut entries: Vec<(u64, u64)> = {
+                        let d = self.rx.delivered.lock();
+                        live.keys()
+                            .map(|&ch| (ch, d.get(&ch).copied().unwrap_or(0)))
+                            .collect()
+                    };
+                    entries.sort_unstable_by_key(|&(ch, _)| ch);
+                    let mut fw = FrameWriter::new().u64(epoch).u64(entries.len() as u64);
+                    for (ch, w) in &entries {
+                        fw = fw.u64(*ch).u64(*w);
                     }
-                    mux::RECONFIG => {
-                        // Live path reconfiguration (DESIGN.md §11): the
-                        // sender flushed its stack to this frame boundary
-                        // and is blocked on our ack. Validate, ack with
-                        // the delivered watermarks (exactly-once
-                        // handshake), and rebuild the receiver stack from
-                        // the new parameters over the same connections.
-                        let (Some(epoch), Some(stripes), Some(block), Some(level)) = (
-                            cur.read_varint(),
-                            cur.read_varint(),
-                            cur.read_varint(),
-                            cur.read_varint(),
-                        ) else {
-                            break;
-                        };
-                        // A stale/replayed epoch, impossible parameters,
-                        // or leftover old-format bytes after the frame
-                        // are corrupt: kill the pump. The sender's ack
-                        // wait times out and recovery resynchronizes.
-                        if epoch <= last_epoch
-                            || stripes == 0
-                            || stripes > probes.len() as u64
-                            || block == 0
-                            || block > MAX_MESSAGE
-                            || level > u8::MAX as u64
-                            || cur.avail != 0
-                        {
-                            break;
-                        }
-                        let params = PathParams {
-                            stripes: stripes as u16,
-                            block_size: block as u32,
-                            compression_level: match level {
-                                0 => None,
-                                l => Some((l - 1) as u8),
-                            },
-                        };
-                        // Quiesce the retired stack BEFORE acking: its
-                        // per-stripe pump tasks own socket reads until
-                        // they consume the sender's segment terminator
-                        // (written right after the RECONFIG frame). Ack
-                        // first and a still-parked pump would steal the
-                        // new stack's first bytes.
-                        if let Some(q) = quiesce.take() {
-                            q.wait();
-                        }
-                        // Ack raw on stream 0, reverse direction (the
-                        // resume-reply pattern): `[epoch][n][(channel,
-                        // delivered)]*`, channels ascending.
-                        let mut entries: Vec<(u64, u64)> = {
-                            let d = self.rx.delivered.lock();
-                            live.keys()
-                                .map(|&ch| (ch, d.get(&ch).copied().unwrap_or(0)))
-                                .collect()
-                        };
-                        entries.sort_unstable_by_key(|&(ch, _)| ch);
-                        let mut fw = FrameWriter::new().u64(epoch).u64(entries.len() as u64);
-                        for (ch, w) in &entries {
-                            fw = fw.u64(*ch).u64(*w);
-                        }
-                        let mut w0 = probes[0].clone();
-                        if fw.send(&mut w0).is_err() {
-                            break;
-                        }
-                        // Rebuild over the first `stripes` connections;
-                        // the rest stay parked. GTLS re-handshakes
-                        // deterministically from the per-stream salt.
-                        let spec = self.spec.clone().with_path(params);
-                        let sec = ctx.security(&spec);
-                        let links: Vec<RawLink> = probes[..params.stripes as usize].to_vec();
-                        let Ok((stack, q)) =
-                            build_receiver(links, &spec, ctx.cpu.clone(), sec.as_ref(), &ctx.sched)
-                        else {
-                            break;
-                        };
-                        quiesce = q;
-                        cur = ChunkCursor::new(stack, spec.block_size() as usize);
-                        last_epoch = epoch;
-                        continue;
+                    let mut w0 = probes[0].clone();
+                    if fw.send(&mut w0).is_err() {
+                        break;
                     }
-                    _ => break, // corrupt tag
+                    // Rebuild over the first `stripes` connections;
+                    // the rest stay parked. GTLS re-handshakes
+                    // deterministically from the per-stream salt.
+                    let spec = self.spec.clone().with_path(params);
+                    let sec = ctx.security(&spec);
+                    let links: Vec<RawLink> = probes[..params.stripes as usize].to_vec();
+                    let Ok((stack, q)) =
+                        build_receiver(links, &spec, ctx.cpu.clone(), sec.as_ref(), &ctx.sched)
+                    else {
+                        break;
+                    };
+                    quiesce = q;
+                    cur = ChunkCursor::new(stack, spec.block_size() as usize);
+                    last_epoch = epoch;
+                    continue;
                 }
+                _ => break, // corrupt tag
             };
             let Some(data) = cur.read_exact_vec(len) else {
                 break;

@@ -8,9 +8,11 @@
 //! single-flight establishment (concurrent `connect()`s to the same peer
 //! run ONE Figure-4 walk and share the result). A [`SharedLink`] owns the
 //! assembled driver stack and multiplexes the channels attached to it with
-//! channel-tagged frames ([`crate::wire::mux`]); per-channel state —
-//! sequence numbers, the resend buffer, the cumulative-ack watermark —
-//! lives in [`Channel`] and survives link re-establishment.
+//! channel-tagged frames ([`crate::wire::mux`]) — the one format a data
+//! link speaks, from its first byte, however many channels ride it;
+//! per-channel state — sequence numbers, the resend buffer, the
+//! cumulative-ack watermark — lives in [`Channel`] and survives link
+//! re-establishment.
 //!
 //! Concurrency model: the shared stack sits behind a [`SimMutex`], the
 //! simulator's FIFO parking lock, so writers from many channels interleave
@@ -191,10 +193,6 @@ pub(crate) struct LinkIo {
     /// uses it to end the stripe segment in-band so the receiver's pump
     /// tasks exit before both ends swap stacks.
     pub term: Option<StripeTerminator>,
-    /// Tagged (multiplexed) framing is active. Starts false: a link speaks
-    /// the legacy single-channel byte format until a second channel
-    /// attaches, so single-channel wire traces stay byte-identical.
-    pub mux: bool,
 }
 
 impl LinkIo {
@@ -215,23 +213,26 @@ impl LinkIo {
         }
     }
 
-    /// Frame and flush one message payload down the shared stack. Legacy
-    /// format while `mux` is off; tagged [`mux::MSG`] frame after.
-    ///
-    /// The header is encoded on the stack (no per-frame Vec) and coalesces
-    /// with the payload in the stack's aggregation buffer; the sink-call
-    /// sequence below it is left untouched, because merging the header and
-    /// body submissions would move a segment boundary whenever the flight
-    /// is empty (Nagle emits sub-MSS segments then) and change wire traces.
-    pub fn write_msg(&mut self, channel: u64, payload: &Bytes) -> io::Result<()> {
-        let mut hdr = [0u8; 30];
+    /// Encode `fields` as consecutive varints on the stack (no per-frame
+    /// Vec) and hand them to the stack as one slice.
+    fn write_varints(&mut self, fields: &[u64]) -> io::Result<()> {
+        let mut hdr = [0u8; 50];
         let mut n = 0;
-        if self.mux {
-            n += varint::put_slice(&mut hdr[n..], mux::MSG);
-            n += varint::put_slice(&mut hdr[n..], channel);
+        for &f in fields {
+            n += varint::put_slice(&mut hdr[n..], f);
         }
-        n += varint::put_slice(&mut hdr[n..], payload.len() as u64);
-        self.writer.write_all(&hdr[..n])?;
+        self.writer.write_all(&hdr[..n])
+    }
+
+    /// Frame and flush one message payload down the shared stack.
+    ///
+    /// The header coalesces with the payload in the stack's aggregation
+    /// buffer; the sink-call sequence below it is left untouched, because
+    /// merging the header and body submissions would move a segment
+    /// boundary whenever the flight is empty (Nagle emits sub-MSS segments
+    /// then) and change wire traces.
+    pub fn write_msg(&mut self, channel: u64, payload: &Bytes) -> io::Result<()> {
+        self.write_varints(&[mux::MSG, channel, payload.len() as u64])?;
         // Refcounted handoff: group communication clones the handle, not
         // the payload, and block-aligned stacks slice it straight onto the
         // wire.
@@ -239,59 +240,16 @@ impl LinkIo {
         self.writer.flush()
     }
 
-    /// Escape into tagged framing (idempotent). Receivers watching the
-    /// legacy stream treat the sentinel length as the upgrade signal; a
-    /// legacy sender can never emit it.
-    fn upgrade_mux(&mut self) -> io::Result<()> {
-        if self.mux {
-            return Ok(());
-        }
-        let mut hdr = [0u8; 10];
-        let n = varint::put_slice(&mut hdr, mux::SENTINEL);
-        self.writer.write_all(&hdr[..n])?;
-        self.mux = true;
-        Ok(())
-    }
-
-    /// Announce a channel joining the link, upgrading to tagged framing
-    /// first if this is the second channel. Control frames never sit in a
-    /// deferred batch: the trailing flush pushes them (and anything
-    /// coalesced ahead of them) to the socket immediately, so channel
-    /// setup is not delayed behind large data runs.
-    pub fn write_open(&mut self, channel: u64, port_name: &str) -> io::Result<()> {
-        self.upgrade_mux()?;
-        let mut hdr = [0u8; 30];
-        let mut n = 0;
-        n += varint::put_slice(&mut hdr[n..], mux::OPEN);
-        n += varint::put_slice(&mut hdr[n..], channel);
-        n += varint::put_slice(&mut hdr[n..], port_name.len() as u64);
-        self.writer.write_all(&hdr[..n])?;
-        self.writer.write_all(port_name.as_bytes())?;
-        self.writer.flush()
-    }
-
-    /// Announce a batch of channels joining the link in ONE control frame
-    /// (and one flush): `OPEN_BATCH [n][(channel, name)]*`, reusing the
-    /// RESUME preamble's extras encoding. Semantically identical to N
-    /// sequential OPENs — the receiver treats every entry idempotently —
-    /// but a storm of attaches costs one frame instead of N. Batches of
-    /// one fall back to the singular OPEN so existing traces hold.
-    pub fn write_open_batch(&mut self, chans: &[(u64, &str)]) -> io::Result<()> {
-        if let [(channel, name)] = chans {
-            return self.write_open(*channel, name);
-        }
-        self.upgrade_mux()?;
-        let mut hdr = [0u8; 20];
-        let mut n = 0;
-        n += varint::put_slice(&mut hdr[n..], mux::OPEN_BATCH);
-        n += varint::put_slice(&mut hdr[n..], chans.len() as u64);
-        self.writer.write_all(&hdr[..n])?;
+    /// Announce channels joining the link in ONE control frame (and one
+    /// flush): `OPEN [n][(channel, name)]*`, the resume preamble's channel
+    /// list encoding. The receiver treats every entry idempotently.
+    /// Control frames never sit in a deferred batch: the trailing flush
+    /// pushes them (and anything coalesced ahead of them) to the socket
+    /// immediately, so channel setup is not delayed behind large data runs.
+    pub fn write_open(&mut self, chans: &[(u64, &str)]) -> io::Result<()> {
+        self.write_varints(&[mux::OPEN, chans.len() as u64])?;
         for (channel, name) in chans {
-            let mut ent = [0u8; 20];
-            let mut m = 0;
-            m += varint::put_slice(&mut ent[m..], *channel);
-            m += varint::put_slice(&mut ent[m..], name.len() as u64);
-            self.writer.write_all(&ent[..m])?;
+            self.write_varints(&[*channel, name.len() as u64])?;
             self.writer.write_all(name.as_bytes())?;
         }
         self.writer.flush()
@@ -302,9 +260,7 @@ impl LinkIo {
     /// [level+1]` through it, then terminate the stripe segment (striped
     /// stacks only). The caller holds the write gate across the whole
     /// exchange (frame → ack → stack swap), so no message bytes can
-    /// interleave with the epoch switch. Reconfiguration always upgrades
-    /// to tagged framing first — the receiver needs the tag to tell the
-    /// frame from a legacy length.
+    /// interleave with the epoch switch.
     ///
     /// The terminator matters for exactly-once delivery: a striped
     /// receiver drains each socket from its own eager pump task, and a
@@ -314,18 +270,13 @@ impl LinkIo {
     /// everything this stack ever wrote) makes each pump exit cleanly, and
     /// the receiver acks only after all of them are gone.
     pub fn write_reconfig(&mut self, epoch: u64, params: PathParams) -> io::Result<()> {
-        self.upgrade_mux()?;
-        let mut hdr = [0u8; 40];
-        let mut n = 0;
-        n += varint::put_slice(&mut hdr[n..], mux::RECONFIG);
-        n += varint::put_slice(&mut hdr[n..], epoch);
-        n += varint::put_slice(&mut hdr[n..], params.stripes as u64);
-        n += varint::put_slice(&mut hdr[n..], params.block_size as u64);
-        n += varint::put_slice(
-            &mut hdr[n..],
+        self.write_varints(&[
+            mux::RECONFIG,
+            epoch,
+            params.stripes as u64,
+            params.block_size as u64,
             params.compression_level.map(|l| l as u64 + 1).unwrap_or(0),
-        );
-        self.writer.write_all(&hdr[..n])?;
+        ])?;
         self.writer.flush()?;
         if let Some(t) = &self.term {
             t.terminate()?;
@@ -333,15 +284,10 @@ impl LinkIo {
         Ok(())
     }
 
-    /// Announce a clean per-channel close (the link itself stays up).
-    /// Only meaningful in tagged framing — a legacy link closes by EOF.
+    /// Announce a clean per-channel close (the link itself stays up until
+    /// its last channel detaches).
     pub fn write_close(&mut self, channel: u64) -> io::Result<()> {
-        debug_assert!(self.mux, "CLOSE frames exist only in mux framing");
-        let mut hdr = [0u8; 20];
-        let mut n = 0;
-        n += varint::put_slice(&mut hdr[n..], mux::CLOSE);
-        n += varint::put_slice(&mut hdr[n..], channel);
-        self.writer.write_all(&hdr[..n])?;
+        self.write_varints(&[mux::CLOSE, channel])?;
         self.writer.flush()
     }
 }
@@ -379,8 +325,7 @@ pub(crate) enum RecoveryRole {
 /// one `(peer node, stack spec)` pair.
 pub(crate) struct SharedLink {
     pub key: LinkKey,
-    /// Effective stack spec (stream-count override applied) — what
-    /// recovery re-establishes with.
+    /// The stack spec recovery re-establishes with.
     pub spec: StackSpec,
     io: SimMutex<LinkIo>,
     channels: Mutex<ChannelMap>,

@@ -2,6 +2,10 @@
 //! relay, service messages): length-prefixed frames of varint-encoded
 //! fields. All control protocols are versioned by a magic byte per frame
 //! kind rather than per connection, keeping parsing stateless.
+//!
+//! Also the one place that defines what a *data* link carries: the stream
+//! preamble (`RESUME_FLAG`, `stream_slot`, `write_resume` / `read_resume`)
+//! and the tagged frames behind it (`mux`).
 
 use gridsim_net::{Ip, SockAddr};
 use gridzip::varint;
@@ -10,45 +14,89 @@ use std::io::{self, Read, Write};
 /// Maximum accepted control frame, to bound allocations from bad peers.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Multiplexed data-path framing (the session layer, DESIGN.md §8).
-///
-/// A data link starts in the legacy single-channel format — each message is
-/// `[varint len][payload]`, exactly what pre-session-layer senders wrote —
-/// and stays there as long as one channel uses it, so single-channel wire
-/// traces are byte-identical to the old format. The moment a second channel
-/// attaches, the sender emits [`mux::SENTINEL`] as a message length: legacy
-/// senders can never produce it (it exceeds any accepted message size), so
-/// it unambiguously escapes the stream into tagged framing. After the
-/// sentinel every frame starts with a varint tag:
+/// Data-link framing (the session layer, DESIGN.md §8). Every frame on a
+/// data link, from the first byte after the stream preamble, starts with a
+/// varint tag:
 ///
 /// ```text
-/// MSG   [tag=0][varint channel][varint len][payload]
-/// OPEN  [tag=1][varint channel][varint name_len][port name]
-/// CLOSE [tag=2][varint channel]
+/// MSG      [0][varint channel][varint len][payload]
+/// OPEN     [1][varint n][(varint channel, varint name_len, port name)]*
+/// CLOSE    [2][varint channel]
+/// RECONFIG [4][varint epoch][varint stripes][varint block_size][varint level+1]
 /// ```
+///
+/// The link's first channel is named by the stream preamble; every later
+/// one is announced by an OPEN before its first MSG.
 pub(crate) mod mux {
-    /// Escapes the legacy `[len][payload]` stream into tagged framing.
-    /// Larger than any legal message length, so it cannot collide.
-    pub const SENTINEL: u64 = u64::MAX;
     /// One message on a channel.
     pub const MSG: u64 = 0;
-    /// A new channel joins the link, bound to a named receive port.
+    /// `n` channels join the link, each bound to a named receive port —
+    /// the resume preamble's channel-list encoding. The receiver handles
+    /// each entry idempotently.
     pub const OPEN: u64 = 1;
     /// A channel closed cleanly; the link itself stays up.
     pub const CLOSE: u64 = 2;
-    /// A batch of channels joins the link in one control frame:
-    /// `[n][(channel, name)]*` — the RESUME preamble's extras encoding.
-    /// Semantically N OPENs; the receiver handles each idempotently.
-    pub const OPEN_BATCH: u64 = 3;
-    /// Live path reconfiguration (DESIGN.md §11):
-    /// `[tag=4][varint epoch][varint stripes][varint block_size][varint level+1]`.
-    /// The sender flushes its current stack to a block boundary, writes
-    /// this frame, and BLOCKS until the receiver's ack. The receiver
-    /// tears its stack down at the frame boundary, replies raw on stream
-    /// 0 (reverse direction) with `[epoch][n][(channel, delivered)]*` —
-    /// its delivered watermarks, the exactly-once handshake — and both
-    /// ends rebuild their driver stacks from the new parameters.
+    /// Live path reconfiguration (DESIGN.md §11). The sender flushes its
+    /// current stack to a block boundary, writes this frame, and BLOCKS
+    /// until the receiver's ack. The receiver tears its stack down at the
+    /// frame boundary, replies raw on stream 0 (reverse direction) with
+    /// `[epoch][n][(channel, delivered)]*` — its delivered watermarks, the
+    /// exactly-once handshake — and both ends rebuild their driver stacks
+    /// from the new parameters.
     pub const RECONFIG: u64 = 4;
+}
+
+/// High bit of the stream preamble's channel field: set when the link
+/// *resumes* existing channels after a detected failure, and the preamble
+/// then ends in the resume fields ([`write_resume`]).
+pub(crate) const RESUME_FLAG: u64 = 1 << 63;
+
+/// Narrow the preamble's stream position, `idx` of `total`, range-checked
+/// as sent: an `as u16` would accept `total = 65 537` as a 1-stream link.
+pub(crate) fn stream_slot(idx: u64, total: u64) -> io::Result<(u16, u16)> {
+    match (u16::try_from(idx), u16::try_from(total)) {
+        (Ok(idx), Ok(total)) if idx < total => Ok((idx, total)),
+        _ => Err(bad("bad stream preamble")),
+    }
+}
+
+/// Upper bound on the channel list a resume preamble may carry (sanity
+/// against corrupt frames).
+const MAX_MUX_CHANNELS: u64 = 1 << 16;
+
+/// What a resuming sender tells the receiver: its reconnect generation and
+/// the channels riding the link beyond the anchor the preamble itself
+/// names, as `(channel, receive-port name)`, so the receiver can register
+/// their routes before the replay arrives.
+pub(crate) struct ResumeMeta {
+    pub gen: u64,
+    pub extras: Vec<(u64, String)>,
+}
+
+/// Append the resume fields `[gen][n][(channel, name)]*` (`n` may be 0).
+/// On a TCP stream they end the preamble frame
+/// `[channel | RESUME_FLAG][idx][total]`; on a routed stream, whose
+/// channel field travels in the relay's OPEN, they are the first stream
+/// frame.
+pub(crate) fn write_resume(mut fw: FrameWriter, meta: &ResumeMeta) -> FrameWriter {
+    fw = fw.u64(meta.gen).u64(meta.extras.len() as u64);
+    for (ch, name) in &meta.extras {
+        fw = fw.u64(*ch).str(name);
+    }
+    fw
+}
+
+/// Decode what [`write_resume`] appended.
+pub(crate) fn read_resume(fr: &mut FrameReader<'_>) -> io::Result<ResumeMeta> {
+    let gen = fr.u64()?;
+    let n = fr.u64()?;
+    if n > MAX_MUX_CHANNELS {
+        return Err(bad("mux channel list too long"));
+    }
+    let extras = (0..n)
+        .map(|_| Ok((fr.u64()?, fr.str()?)))
+        .collect::<io::Result<_>>()?;
+    Ok(ResumeMeta { gen, extras })
 }
 
 /// An encoder for one frame.
@@ -108,11 +156,7 @@ impl FrameWriter {
 
     /// Write the frame (`[varint len][payload]`) to `w` and flush.
     pub fn send<W: Write>(self, w: &mut W) -> io::Result<()> {
-        let mut hdr = [0u8; 10];
-        let n = varint::put_slice(&mut hdr, self.buf.len() as u64);
-        w.write_all(&hdr[..n])?;
-        w.write_all(&self.buf)?;
-        w.flush()
+        write_frame(w, &self.buf)
     }
 
     /// The raw payload (for embedding in other frames).
@@ -121,7 +165,6 @@ impl FrameWriter {
     }
 }
 
-/// Read one length-prefixed frame.
 /// Write one length-prefixed frame from an already-encoded payload (a
 /// [`FrameWriter::into_bytes`] result queued for later delivery).
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
@@ -132,6 +175,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Read one length-prefixed frame.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let len = varint::read_from(r)? as usize;
     if len > MAX_FRAME {

@@ -6,8 +6,7 @@
 //!   walk (`establishment_walks`) even under racing connects.
 //! - Channel close is refcounted: the last detach tears the link down and
 //!   GCs the table entry; a later connect establishes fresh.
-//! - Different effective stack specs (e.g. stream-count overrides) key
-//!   separate links.
+//! - Different stack specs (e.g. stream counts) key separate links.
 //! - Mux routing is cross-port: channels to different receive ports on the
 //!   same peer share one link, and messages land on the right port.
 //! - One mid-transfer flap triggers ONE recovery that replays every
@@ -229,9 +228,9 @@ fn racing_connects_single_flight_and_refcounted_release() {
     assert!(closer.is_finished(), "closer wedged");
 }
 
-/// A stream-count override changes the effective spec, so the channel gets
-/// its own link: the session layer never multiplexes across stacks that
-/// would assemble differently.
+/// Two receive ports of one peer registered at different stream counts
+/// have different specs, so their channels get a link each: the session
+/// layer never multiplexes across stacks that would assemble differently.
 #[test]
 fn different_stream_counts_use_separate_links() {
     let sim = Sim::new(seed(83));
@@ -239,19 +238,22 @@ fn different_stream_counts_use_separate_links() {
     let env_b = env.clone();
     let recv = sim.spawn("receiver", move || {
         let node = GridNode::join(&env_b, hb, "rx", ConnectivityProfile::open()).unwrap();
-        let rp = node
-            .create_receive_port("mux-specs", StackSpec::plain())
+        let rp1 = node
+            .create_receive_port("mux-specs-1", StackSpec::plain())
             .unwrap();
-        let expect: HashMap<u64, u64> = [(0, 1), (1, 1)].into();
-        assert_tagged_fifo(&rp, &expect);
+        let rp2 = node
+            .create_receive_port("mux-specs-2", StackSpec::plain().with_streams(2))
+            .unwrap();
+        assert_tagged_fifo(&rp1, &[(0, 1)].into());
+        assert_tagged_fifo(&rp2, &[(1, 1)].into());
     });
     let send = sim.spawn("sender", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(200));
         let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
         let mut sp1 = node.create_send_port();
-        sp1.connect("mux-specs").unwrap();
+        sp1.connect("mux-specs-1").unwrap();
         let mut sp2 = node.create_send_port();
-        sp2.connect_with_streams("mux-specs", 2).unwrap();
+        sp2.connect("mux-specs-2").unwrap();
         assert_eq!(
             node.data_link_count(),
             2,

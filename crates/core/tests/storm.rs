@@ -6,7 +6,7 @@
 //!   hitting ONE peer cost one walk per node; one node hitting 16 distinct
 //!   peers costs 16 walks — run CONCURRENTLY, not serialized by any global
 //!   ordering.
-//! - Batched establishment announces N channels with ONE `OPEN_BATCH`
+//! - Batched establishment announces N channels with ONE `OPEN`
 //!   control frame (the fresh link's anchor rides the stream preamble);
 //!   sequential connects still cost one OPEN each.
 //! - A mid-storm flap costs each affected link exactly one recovery and
@@ -249,7 +249,7 @@ fn sixteen_distinct_peers_walk_concurrently() {
 
 /// `connect_batch` announces the whole batch with ONE control frame (the
 /// anchor channel rides the fresh link's stream preamble, the 15 extras
-/// ride one OPEN_BATCH) — where sequential connects cost one OPEN frame
+/// ride one OPEN) — where sequential connects cost one OPEN frame
 /// per post-anchor channel. No duplicate OPENs, one walk, one link.
 #[test]
 fn batch_connect_one_open_frame() {
@@ -282,7 +282,7 @@ fn batch_connect_one_open_frame() {
         assert_eq!(
             node.open_control_frames(),
             1,
-            "a batch of {N} must cost exactly one OPEN_BATCH frame"
+            "a batch of {N} must cost exactly one OPEN frame"
         );
         for seq in 0..MSGS {
             for (tag, sp) in ports.iter_mut().enumerate() {

@@ -1,0 +1,168 @@
+//! Tier-1 pin of the data-link wire format (DESIGN.md §8), byte by byte
+//! and independent of our own encoder: a raw client dials a receive
+//! port's listener and hand-encodes the stream preamble and the tagged
+//! frames behind it. Then the same client turns hostile: every malformed
+//! input must end in no delivery and no panic, and must leave a
+//! well-behaved link on the same port unharmed.
+
+use gridsim_net::{topology, Sim, SockAddr};
+use gridsim_tcp::{SimHost, TcpStream};
+use gridzip::varint;
+use netgrid::port::MAX_MESSAGE;
+use netgrid::wire::FrameWriter;
+use netgrid::{spawn_name_service, ConnectivityProfile, GridEnv, GridNode, ReceivePort, StackSpec};
+use std::io::Write;
+use std::time::Duration;
+
+const NS: u16 = 563;
+const MSG: u64 = 0;
+const OPEN: u64 = 1;
+const CLOSE: u64 = 2;
+const RESUME_FLAG: u64 = 1 << 63;
+
+/// Dial `port`'s listener and send the stream preamble: one
+/// length-prefixed frame of varint `fields`.
+fn dial(node: &GridNode, port: &str, fields: &[u64]) -> TcpStream {
+    let (rec, _, _) = node.ns().lookup_port(port).unwrap();
+    let mut s = node.host().connect(rec.listener.unwrap()).unwrap();
+    s.set_nodelay(true).unwrap();
+    let preamble = fields.iter().fold(FrameWriter::new(), |fw, &f| fw.u64(f));
+    preamble.send(&mut s).unwrap();
+    s
+}
+
+fn put(buf: &mut Vec<u8>, fields: &[u64]) {
+    for &f in fields {
+        varint::put(buf, f);
+    }
+}
+
+/// `MSG [0][channel][len][payload]`
+fn msg(buf: &mut Vec<u8>, channel: u64, payload: &[u8]) {
+    put(buf, &[MSG, channel, payload.len() as u64]);
+    buf.extend_from_slice(payload);
+}
+
+fn drain(rp: &ReceivePort) -> Vec<(u64, Vec<u8>)> {
+    std::iter::from_fn(|| rp.try_receive())
+        .map(|m| (m.channel, m.into_vec()))
+        .collect()
+}
+
+#[test]
+fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
+    // Three channels of a client that is not us; ids are the sender's to
+    // choose.
+    const A: u64 = 0x0700_0001;
+    const B: u64 = 0x0700_0002;
+    const C: u64 = 0x0700_0003;
+    /// What a hostile stream carries behind its preamble.
+    type Body = fn(&mut Vec<u8>);
+    let valid_msg: Body = |b| msg(b, A, b"hostile");
+    let hostile: Vec<(&str, Vec<u64>, Body)> = vec![
+        ("seed-format [len][payload] stream", vec![A, 0, 1], |b| {
+            put(b, &[7]);
+            b.extend_from_slice(b"hostile");
+        }),
+        ("MSG on a never-opened channel", vec![A, 0, 1], |b| {
+            msg(b, B, b"hostile")
+        }),
+        ("OPEN with n = 4097", vec![A, 0, 1], |b| {
+            put(b, &[OPEN, 4097]);
+            msg(b, A, b"hostile");
+        }),
+        ("len > MAX_MESSAGE", vec![A, 0, 1], |b| {
+            put(b, &[MSG, A, MAX_MESSAGE + 1]);
+            b.extend_from_slice(b"hostile");
+        }),
+        // `as u16` read these two as stream 0 of a 1-stream link.
+        ("preamble total = 65 537", vec![A, 0, 65_537], valid_msg),
+        ("preamble idx = 65 536", vec![A, 65_536, 1], valid_msg),
+        (
+            "resume preamble with n > MAX_MUX_CHANNELS",
+            vec![A | RESUME_FLAG, 0, 1, 1, (1 << 16) + 1],
+            valid_msg,
+        ),
+    ];
+    let cases = hostile.len();
+
+    let sim = Sim::new(19);
+    let net = sim.net();
+    let (a, b) = net.with(topology::lan_pair);
+    let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+    let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), NS));
+    let env_b = env.clone();
+    let receiver = sim.spawn("receiver", move || {
+        spawn_name_service(&hb, NS).unwrap();
+        let node = GridNode::join(&env_b, hb, "rx", ConnectivityProfile::open()).unwrap();
+        let rp_a = node
+            .create_receive_port("wire-a", StackSpec::plain())
+            .unwrap();
+        let rp_b = node
+            .create_receive_port("wire-b", StackSpec::plain())
+            .unwrap();
+        // The hand-encoded link: exactly its messages, in wire order.
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        let owned = |v: &[(u64, &[u8])]| -> Vec<(u64, Vec<u8>)> {
+            v.iter().map(|&(ch, p)| (ch, p.to_vec())).collect()
+        };
+        assert_eq!(
+            drain(&rp_a),
+            owned(&[(A, b"a0"), (B, b"b0"), (A, b"a1"), (B, b""), (A, b"a2")])
+        );
+        assert_eq!(drain(&rp_b), owned(&[(C, b"c0"), (C, b"c1")]));
+        assert_eq!(rp_a.connection_count(), 0, "EOF ends the link");
+        // Then, per hostile input, only the bystander's next message.
+        for i in 0..cases {
+            let m = rp_a.receive().unwrap();
+            assert_eq!(m.as_slice(), format!("bystander {i}").as_bytes());
+            assert_eq!(rp_a.connection_count(), 1, "hostile link {i} still up");
+        }
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        assert_eq!((drain(&rp_a), drain(&rp_b)), (vec![], vec![]));
+    });
+    let client = sim.spawn("client", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
+
+        // Preamble [channel][idx][total] names channel A; OPEN adds B on
+        // the same port and C on another port of the node.
+        let mut s = dial(&node, "wire-a", &[A, 0, 1]);
+        let mut wire = Vec::new();
+        put(&mut wire, &[OPEN, 2]);
+        put(&mut wire, &[B, 6]);
+        wire.extend_from_slice(b"wire-a");
+        put(&mut wire, &[C, 6]);
+        wire.extend_from_slice(b"wire-b");
+        msg(&mut wire, A, b"a0");
+        msg(&mut wire, C, b"c0");
+        msg(&mut wire, B, b"b0");
+        msg(&mut wire, A, b"a1");
+        msg(&mut wire, B, b"");
+        put(&mut wire, &[CLOSE, B]);
+        msg(&mut wire, C, b"c1");
+        msg(&mut wire, A, b"a2");
+        put(&mut wire, &[CLOSE, A, CLOSE, C]);
+        s.write_all(&wire).unwrap();
+        s.shutdown_write().unwrap();
+        drop(s);
+
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        let mut bystander = node.create_send_port();
+        bystander.connect("wire-a").unwrap();
+        for (i, (what, preamble, body)) in hostile.into_iter().enumerate() {
+            let mut s = dial(&node, "wire-a", &preamble);
+            let mut wire = Vec::new();
+            body(&mut wire);
+            // The peer may already have hung up on the preamble.
+            let _ = s.write_all(&wire);
+            gridsim_net::ctx::sleep(Duration::from_millis(100));
+            bystander
+                .send(format!("bystander {i}").as_bytes())
+                .unwrap_or_else(|e| panic!("bystander harmed by {what}: {e}"));
+        }
+        bystander.close().unwrap();
+    });
+    sim.run();
+    assert!(receiver.is_finished() && client.is_finished());
+}
