@@ -25,8 +25,8 @@
 #           suites again in release, where the vectorised ChaCha20 pass
 #           and the bounds-check-free matcher loops actually exist; then,
 #           where `taskset` exists, the scheduler's own tests and the root
-#           scheduler smoke again on one CPU, the regime gridbench
-#           measures.
+#           scheduler, relay and relay park-count smokes again on one CPU,
+#           the regime gridbench measures.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -183,6 +183,9 @@ stage_test() {
     echo "--- scheduler tests pinned to CPU $cpu"
     taskset -c "$cpu" cargo test -q --release -p gridsim-net
     taskset -c "$cpu" cargo test -q --release --test scheduler
+    # The relay's reader -> shard worker -> client pump handoffs interleave
+    # differently there too.
+    taskset -c "$cpu" cargo test -q --release --test relay --test relay_parks
   fi
 }
 

@@ -63,11 +63,11 @@ pub trait BlockRead: Read {
 /// The chunking every byte-stream source shares: ask `next_chunk` for up
 /// to `max(remaining, max)` bytes (at most 64 KiB) at a time, one chunk per
 /// call, until the demand is met; an empty chunk is EOF.
-fn chunks_until(
+pub(crate) fn chunks_until(
     min: usize,
     max: usize,
     out: &mut Vec<Bytes>,
-    mut next_chunk: impl FnMut(usize) -> io::Result<Vec<u8>>,
+    mut next_chunk: impl FnMut(usize) -> io::Result<Bytes>,
 ) -> io::Result<usize> {
     let mut got = 0;
     while got < min {
@@ -76,7 +76,7 @@ fn chunks_until(
             break;
         }
         got += chunk.len();
-        out.push(Bytes::from(chunk));
+        out.push(chunk);
     }
     Ok(got)
 }
@@ -94,7 +94,7 @@ pub fn copy_read_chunks<R: Read + ?Sized>(
         let mut v = vec![0u8; cap];
         let n = r.read(&mut v)?;
         v.truncate(n);
-        Ok(v)
+        Ok(v.into())
     })
 }
 
@@ -196,7 +196,7 @@ impl<R: Read> BlockRead for gridzip::DecompressReader<R> {
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        chunks_until(min, max, out, |cap| self.next_chunk(cap))
+        chunks_until(min, max, out, |cap| self.next_chunk(cap).map(Bytes::from))
     }
 }
 
@@ -271,17 +271,30 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
     }
 }
 
-/// Buffered reader over a [`BlockRead`] source, mirroring
-/// `std::io::BufReader` semantics: small reads are served from buffered
-/// chunks, reads at least as large as the buffer capacity bypass it. The
-/// buffer holds refcounted chunks instead of a flat array, so chunked
-/// consumers get them back out copy-free via `read_chunks`.
+/// Buffered reader over a [`BlockRead`] source: refcounted chunks buffered
+/// in front, `read_chunks_min` behind. As a byte reader it mirrors
+/// `std::io::BufReader` — small reads are served from buffered chunks,
+/// reads at least as large as the capacity bypass it — and chunked
+/// consumers get the chunks back out copy-free via `read_chunks`.
+///
+/// It is also the demand-stating parse cursor of the port pump (over an
+/// assembled receiver stack) and of a frame reader (over a bare socket):
+/// each shortfall crosses the source as ONE call stating the real byte
+/// demand, so a demand-aware source (the simulated TCP socket) parks once
+/// and is serviced at event time until the demand is met. Read-ahead past
+/// the demand is capped at `cap` — under the pump the stack's block size,
+/// so socket drain sizes (and hence window-update acks and wire traces)
+/// are what the byte-oriented parser produced. Only bytes that have
+/// arrived are ever held.
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
     /// Total bytes buffered in `chunks`.
     avail: usize,
+    /// Read-ahead unit.
     cap: usize,
+    /// Reused landing pad for `read_chunks_min`, drained into `chunks`.
+    scratch: Vec<Bytes>,
 }
 
 impl<R: BlockRead> BlockReader<R> {
@@ -290,17 +303,85 @@ impl<R: BlockRead> BlockReader<R> {
             inner,
             chunks: VecDeque::new(),
             avail: 0,
-            cap,
+            cap: cap.max(1),
+            scratch: Vec::new(),
         }
     }
 
-    fn fill(&mut self) -> io::Result<usize> {
-        debug_assert!(self.chunks.is_empty());
-        let mut fresh = Vec::new();
-        let n = self.inner.read_chunks(self.cap, &mut fresh)?;
-        self.chunks.extend(fresh);
-        self.avail = n;
-        Ok(n)
+    /// Bytes buffered and not yet consumed.
+    pub(crate) fn buffered(&self) -> usize {
+        self.avail
+    }
+
+    /// Buffer at least `need` bytes; false if the source ends first, its
+    /// own error if it fails first.
+    fn ensure(&mut self, need: usize) -> io::Result<bool> {
+        if self.avail < need {
+            let (want, cap) = (need - self.avail, self.cap);
+            let res = self.inner.read_chunks_min(want, cap, &mut self.scratch);
+            // Data handed out before an error still counts.
+            self.avail += self.scratch.iter().map(|c| c.len()).sum::<usize>();
+            self.chunks.extend(self.scratch.drain(..));
+            if self.avail < need {
+                res?;
+            }
+        }
+        Ok(self.avail >= need)
+    }
+
+    /// [`ensure`](Self::ensure), for a parser: a short source is an error.
+    fn require(&mut self, need: usize) -> io::Result<()> {
+        let have = self.ensure(need)?;
+        have.then_some(())
+            .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+
+    /// Take up to `n` bytes off the front chunk (there must be one).
+    fn pop_front(&mut self, n: usize) -> Bytes {
+        let part = match self.chunks.front_mut() {
+            Some(front) if front.len() > n => front.split_to(n),
+            _ => self.chunks.pop_front().expect("bytes buffered"),
+        };
+        self.avail -= part.len();
+        part
+    }
+
+    /// Decode one varint; an encoding past ten bytes is `InvalidData`.
+    pub(crate) fn read_varint(&mut self) -> io::Result<u64> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            self.require(1)?;
+            let b = self.pop_front(1)[0];
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "varint too long",
+        ))
+    }
+
+    /// Pull exactly `len` bytes: a slice when they lie in one received
+    /// chunk, one gather otherwise.
+    pub(crate) fn read_exact_bytes(&mut self, len: usize) -> io::Result<Bytes> {
+        self.require(len)?;
+        if self.chunks.front().is_some_and(|front| front.len() >= len) {
+            return Ok(self.pop_front(len));
+        }
+        self.read_exact_vec(len).map(Bytes::from)
+    }
+
+    /// Pull exactly `len` bytes as an owned buffer.
+    pub(crate) fn read_exact_vec(&mut self, len: usize) -> io::Result<Vec<u8>> {
+        self.require(len)?;
+        let mut data = Vec::with_capacity(len);
+        while data.len() < len {
+            let part = self.pop_front(len - data.len());
+            data.extend_from_slice(&part);
+        }
+        Ok(data)
     }
 }
 
@@ -310,40 +391,12 @@ impl<R: BlockRead> Read for BlockReader<R> {
             // BufReader bypass: large reads skip the buffer entirely.
             return self.inner.read(buf);
         }
-        if self.avail == 0 && self.fill()? == 0 {
+        if !self.ensure(1)? {
             return Ok(0);
         }
-        let front = self.chunks.front_mut().expect("avail > 0");
-        let n = buf.len().min(front.len());
-        buf[..n].copy_from_slice(&front[..n]);
-        if n == front.len() {
-            self.chunks.pop_front();
-        } else {
-            front.split_to(n);
-        }
-        self.avail -= n;
-        Ok(n)
-    }
-}
-
-impl<R: BlockRead> BlockReader<R> {
-    /// Move up to `max` buffered bytes to `out`.
-    fn take_buffered(&mut self, max: usize, out: &mut Vec<Bytes>) -> usize {
-        let mut taken = 0;
-        while taken < max && self.avail > 0 {
-            let front = self.chunks.front_mut().expect("avail > 0");
-            let remaining = max - taken;
-            if front.len() <= remaining {
-                taken += front.len();
-                self.avail -= front.len();
-                out.push(self.chunks.pop_front().expect("non-empty"));
-            } else {
-                out.push(front.split_to(remaining));
-                self.avail -= remaining;
-                taken += remaining;
-            }
-        }
-        taken
+        let part = self.pop_front(buf.len());
+        buf[..part.len()].copy_from_slice(&part);
+        Ok(part.len())
     }
 }
 
@@ -357,7 +410,12 @@ impl<R: BlockRead> BlockRead for BlockReader<R> {
         // Serve what is buffered, then state the remaining demand to the
         // source in one call (not a per-chunk loop) so a demand-aware
         // source can satisfy it zero-copy with a single parked wait.
-        let got = self.take_buffered(max.max(min), out);
+        let mut got = 0;
+        while got < max.max(min) && self.avail > 0 {
+            let part = self.pop_front(max.max(min) - got);
+            got += part.len();
+            out.push(part);
+        }
         if got >= min {
             return Ok(got);
         }

@@ -154,12 +154,19 @@ impl Write for RawLink {
 
 // Native TCP is the zero-copy floor of the stack: blocks are handed to the
 // simulated TCP send queue as refcounted slices and read back out as views
-// of received segments. Routed links copy (the relay recodes frames).
+// of received segments. A routed stream cuts a block into DATA frames and
+// hands received chunks on by ownership (DESIGN.md §5b).
+impl BlockWrite for TcpStream {
+    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
+        TcpStream::write_block(self, block)
+    }
+}
+
 impl BlockWrite for RawLink {
     fn write_block(&mut self, block: Bytes) -> io::Result<()> {
         match self {
             RawLink::Tcp(s) => s.write_block(block),
-            RawLink::Routed(s) => s.write_all(&block),
+            RawLink::Routed(s) => s.write_block(block),
         }
     }
 }
@@ -175,7 +182,7 @@ impl BlockRead for RawLink {
             // Demand-aware drain: the socket parks once and is serviced at
             // event time until `min` bytes (or EOF) accumulated.
             RawLink::Tcp(s) => s.read_chunks_min(min, max, out),
-            RawLink::Routed(s) => copy_read_chunks(s, min, max, out),
+            RawLink::Routed(s) => s.read_chunks_min(min, max, out),
         }
     }
 }

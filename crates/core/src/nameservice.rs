@@ -15,6 +15,7 @@
 //! discovery the paper lists under future work ("automated selection of the
 //! proper communication methods").
 
+use bytes::Bytes;
 use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
@@ -24,7 +25,7 @@ use std::sync::Arc;
 
 use crate::establish::factory::BootstrapSocketFactory;
 use crate::profile::{ConnectivityProfile, NatClass};
-use crate::wire::{read_frame, FrameReader, FrameWriter};
+use crate::wire::{FrameReader, FrameStream, FrameWriter};
 
 /// A registered node's identity.
 pub type GridId = u64;
@@ -101,9 +102,9 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
 }
 
 fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Result<()> {
-    let mut stream = conn.clone();
+    let (mut stream, mut requests) = (conn.clone(), FrameStream::new(conn.clone()));
     loop {
-        let req = match read_frame(&mut stream) {
+        let req = match requests.next_frame() {
             Ok(f) => f,
             Err(_) => return Ok(()), // client closed
         };
@@ -266,13 +267,13 @@ impl NsClient {
         self.factory.connect(addr)
     }
 
-    fn request(&self, frame: FrameWriter) -> io::Result<Vec<u8>> {
+    fn request(&self, frame: FrameWriter) -> io::Result<Bytes> {
         let mut stream = self.dial(self.ns_addr)?;
         frame.send(&mut stream)?;
-        read_frame(&mut stream)
+        FrameStream::new(stream).next_frame()
     }
 
-    fn request_ok(&self, frame: FrameWriter) -> io::Result<Vec<u8>> {
+    fn request_ok(&self, frame: FrameWriter) -> io::Result<Bytes> {
         let rsp = self.request(frame)?;
         let mut r = FrameReader::new(&rsp);
         if r.u8()? == 1 {
@@ -418,7 +419,7 @@ impl NsClient {
             )?,
         };
         FrameWriter::new().u8(op::OBSERVED).send(&mut stream)?;
-        let rsp = read_frame(&mut stream)?;
+        let rsp = FrameStream::new(stream).next_frame()?;
         let mut r = FrameReader::new(&rsp);
         r.u8()?;
         r.addr()

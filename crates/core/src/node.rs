@@ -1671,16 +1671,23 @@ impl RelayDelegate for NodeDelegate {
             .get(port_name)
             .cloned()
             .ok_or_else(|| format!("unknown receive port '{port_name}'"))?;
-        // Resumed routed link: the resume fields are the first stream frame.
-        let resume = if channel & RESUME_FLAG != 0 {
-            let frame = read_frame(&mut stream.clone()).map_err(|e| e.to_string())?;
-            Some(read_resume(&mut FrameReader::new(&frame)).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
-        let link = RawLink::Routed(stream);
-        port.add_link(&node.ctx(), channel & !RESUME_FLAG, 0, 1, link, resume)
-            .map_err(|e| e.to_string())
+        // Admitted. Reading the resume fields (a resumed link's first stream
+        // frame) and assembling the stack block, so they run in a task; the
+        // opener hears of a failure there through a late refusal.
+        gridsim_net::ctx::handle().spawn_daemon("routed-open", move || {
+            let resume = (channel & RESUME_FLAG != 0).then(|| {
+                let frame = read_frame(&mut stream.clone())?;
+                read_resume(&mut FrameReader::new(&frame))
+            });
+            let link = RawLink::Routed(stream.clone());
+            let opened = resume.transpose().and_then(|resume| {
+                port.add_link(&node.ctx(), channel & !RESUME_FLAG, 0, 1, link, resume)
+            });
+            if let Err(e) = opened {
+                stream.refuse(&e.to_string());
+            }
+        });
+        Ok(())
     }
 }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::drivers::{
-    build_receiver, PathParams, RawLink, ReceiverStack, StackSpec, StripeQuiesce,
+    build_receiver, BlockReader, PathParams, RawLink, ReceiverStack, StackSpec, StripeQuiesce,
 };
 use crate::establish::EstablishMethod;
 use crate::node::{GridNode, NodeCtx};
@@ -474,7 +474,13 @@ impl AckSender {
                 .u64(delivered)
                 .into_bytes();
             // Channel ids embed the sender's grid id in the high bits.
-            let _ = relay.service_request_timeout(channel >> 24, &frame, Some(ACK_SVC_TIMEOUT));
+            let sent = relay.service_request_timeout(channel >> 24, &frame, Some(ACK_SVC_TIMEOUT));
+            // Silence may be our own service link gone half-open (an idle
+            // receiver writes nothing else that would tell it): the probe
+            // draws the reset, and the pump redials and re-registers.
+            if sent.is_err_and(|e| e.kind() == io::ErrorKind::TimedOut) {
+                relay.nudge();
+            }
         });
     }
 }
@@ -502,111 +508,6 @@ struct ChannelAck {
 struct LiveChan {
     seq: u64,
     inner: Option<Arc<ReceivePortInner>>,
-}
-
-/// Demand-stating parse cursor over the assembled receiver stack:
-/// refcounted chunks buffered in front, [`BlockRead::read_chunks_min`]
-/// behind. Each shortfall crosses the stack as ONE call stating the real
-/// byte demand, so a demand-aware source (the simulated TCP socket) parks
-/// once and is serviced at event time until the demand is met. Read-ahead
-/// past the demand is capped at the stack's block size — the same fill
-/// granularity the byte-oriented parser had through `BlockReader`, so
-/// socket drain sizes (and hence window-update acks and wire traces) are
-/// unchanged.
-///
-/// [`BlockRead::read_chunks_min`]: crate::drivers::BlockRead::read_chunks_min
-struct ChunkCursor {
-    stack: ReceiverStack,
-    chunks: std::collections::VecDeque<Bytes>,
-    /// Total bytes buffered in `chunks`.
-    avail: usize,
-    /// Read-ahead unit (the stack's block size).
-    cap: usize,
-    /// Reused landing pad for `read_chunks_min`, drained into `chunks`.
-    scratch: Vec<Bytes>,
-}
-
-impl ChunkCursor {
-    fn new(stack: ReceiverStack, cap: usize) -> ChunkCursor {
-        ChunkCursor {
-            stack,
-            chunks: std::collections::VecDeque::new(),
-            avail: 0,
-            cap: cap.max(1),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Buffer at least `need` bytes; `false` means EOF or a read error
-    /// intervened first (the pump treats both as end-of-stream, exactly as
-    /// the old `read_exact`-based parser did).
-    fn ensure(&mut self, need: usize) -> bool {
-        if self.avail >= need {
-            return true;
-        }
-        let want = need - self.avail;
-        let got = match self
-            .stack
-            .read_chunks_min(want, self.cap, &mut self.scratch)
-        {
-            Ok(got) => got,
-            // Data handed out before the error still counts; the error
-            // itself ends the stream below.
-            Err(_) => self.scratch.iter().map(|c| c.len()).sum(),
-        };
-        self.avail += got;
-        self.chunks.extend(self.scratch.drain(..));
-        self.avail >= need
-    }
-
-    fn pop_u8(&mut self) -> u8 {
-        let front = self.chunks.front_mut().expect("ensured");
-        let b = front[0];
-        if front.len() == 1 {
-            self.chunks.pop_front();
-        } else {
-            front.split_to(1);
-        }
-        self.avail -= 1;
-        b
-    }
-
-    /// Decode one varint; `None` on end-of-stream or an overlong encoding
-    /// (both end the pump loop, like the old `while let Ok(..)`).
-    fn read_varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        for i in 0..10 {
-            if !self.ensure(1) {
-                return None;
-            }
-            let b = self.pop_u8();
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// Pull exactly `len` bytes as an owned buffer; `None` on early EOF.
-    fn read_exact_vec(&mut self, len: usize) -> Option<Vec<u8>> {
-        if !self.ensure(len) {
-            return None;
-        }
-        let mut data = Vec::with_capacity(len);
-        while data.len() < len {
-            let front = self.chunks.front_mut().expect("ensured");
-            let take = front.len().min(len - data.len());
-            data.extend_from_slice(&front[..take]);
-            if take == front.len() {
-                self.chunks.pop_front();
-            } else {
-                front.split_to(take);
-            }
-            self.avail -= take;
-        }
-        Some(data)
-    }
 }
 
 impl ReceivePortInner {
@@ -747,7 +648,7 @@ impl ReceivePortInner {
     /// ([`mux`]) and routing messages to channels. `init` holds the
     /// channels the preamble named; OPEN/CLOSE manage the set from there.
     ///
-    /// Parsing runs over a [`ChunkCursor`], which states the whole-message
+    /// Parsing runs over a [`BlockReader`], which states the whole-message
     /// byte demand to the stack in one `read_chunks_min` call: the
     /// simulated socket parks once per message and is serviced at event
     /// time, so one wakeup drains everything available instead of the pump
@@ -760,7 +661,7 @@ impl ReceivePortInner {
         init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)>,
         ctx: NodeCtx,
     ) {
-        let mut cur = ChunkCursor::new(stack, self.spec.block_size() as usize);
+        let mut cur = BlockReader::new(stack, self.spec.block_size() as usize);
         // Epoch of the last committed RECONFIG this pump saw. Starts at 0
         // for every (re-)established pump: the link-level epoch is
         // monotonic for the link's life, so any epoch > 0 is acceptable
@@ -775,13 +676,13 @@ impl ReceivePortInner {
             }
         }
         // Loop runs until EOF (read error) or a corrupt frame.
-        'frames: while let Some(tag) = cur.read_varint() {
+        'frames: while let Ok(tag) = cur.read_varint() {
             let (ch, len) = match tag {
                 mux::MSG => {
-                    let Some(ch) = cur.read_varint() else {
+                    let Ok(ch) = cur.read_varint() else {
                         break;
                     };
-                    let Some(len) = cur.read_varint() else {
+                    let Ok(len) = cur.read_varint() else {
                         break;
                     };
                     if len > MAX_MESSAGE {
@@ -790,21 +691,20 @@ impl ReceivePortInner {
                     (ch, len as usize)
                 }
                 mux::OPEN => {
-                    let Some(n) = cur.read_varint() else {
+                    let Ok(n) = cur.read_varint() else {
                         break;
                     };
                     if n > 4096 {
                         break; // corrupt count
                     }
                     for _ in 0..n {
-                        let (Some(ch), Some(name_len)) = (cur.read_varint(), cur.read_varint())
-                        else {
+                        let (Ok(ch), Ok(name_len)) = (cur.read_varint(), cur.read_varint()) else {
                             break 'frames;
                         };
                         if name_len > 4096 {
                             break 'frames;
                         }
-                        let Some(name) = cur.read_exact_vec(name_len as usize) else {
+                        let Ok(name) = cur.read_exact_vec(name_len as usize) else {
                             break 'frames;
                         };
                         let Ok(name) = String::from_utf8(name) else {
@@ -829,7 +729,7 @@ impl ReceivePortInner {
                     continue;
                 }
                 mux::CLOSE => {
-                    let Some(ch) = cur.read_varint() else {
+                    let Ok(ch) = cur.read_varint() else {
                         break;
                     };
                     if live.remove(&ch).is_some() {
@@ -844,7 +744,7 @@ impl ReceivePortInner {
                     // the delivered watermarks (exactly-once
                     // handshake), and rebuild the receiver stack from
                     // the new parameters over the same connections.
-                    let (Some(epoch), Some(stripes), Some(block), Some(level)) = (
+                    let (Ok(epoch), Ok(stripes), Ok(block), Ok(level)) = (
                         cur.read_varint(),
                         cur.read_varint(),
                         cur.read_varint(),
@@ -862,7 +762,7 @@ impl ReceivePortInner {
                         || block == 0
                         || block > MAX_MESSAGE
                         || level > u8::MAX as u64
-                        || cur.avail != 0
+                        || cur.buffered() != 0
                     {
                         break;
                     }
@@ -913,13 +813,13 @@ impl ReceivePortInner {
                         break;
                     };
                     quiesce = q;
-                    cur = ChunkCursor::new(stack, spec.block_size() as usize);
+                    cur = BlockReader::new(stack, spec.block_size() as usize);
                     last_epoch = epoch;
                     continue;
                 }
                 _ => break, // corrupt tag
             };
-            let Some(data) = cur.read_exact_vec(len) else {
+            let Ok(data) = cur.read_exact_vec(len) else {
                 break;
             };
             let Some(lc) = live.get_mut(&ch) else {

@@ -2,19 +2,21 @@
 //! Figure 3): every node opens one outbound connection to a relay on a
 //! public gateway; the relay forwards frames to their final recipient.
 //!
-//! The relay connection carries three things, multiplexed:
+//! The relay connection carries two things, multiplexed — the relay never
+//! inspects inner payloads:
 //!
 //! * **service requests/responses** — the brokering channel for connection
 //!   establishment (paper Fig. 7: "the data link uses TCP splicing with
 //!   brokering through the service link"),
 //! * **routed link streams** — last-resort data links ([`RoutedStream`],
-//!   a byte stream tunneled frame-by-frame through the relay),
-//! * nothing else: the relay never inspects inner payloads.
+//!   a byte stream tunneled frame-by-frame through the relay).
 //!
-//! Because every frame crosses the relay host, routed links share its
-//! connection capacity — the bottleneck Table 1 warns about and bench E9
-//! measures.
+//! Every frame crosses the relay host — the bottleneck Table 1 warns about
+//! and bench E9 measures — so a frame is one write and one stated read at
+//! every hop and its payload travels as `Bytes` from the read it arrived in
+//! to the write it leaves by (DESIGN.md §5b, §10).
 
+use bytes::Bytes;
 use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
@@ -23,9 +25,11 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::drivers::blockio::chunks_until;
+use crate::drivers::{BlockRead, BlockWrite};
 use crate::establish::factory::BootstrapSocketFactory;
 use crate::nameservice::GridId;
-use crate::wire::{read_frame, write_frame, FrameReader, FrameWriter};
+use crate::wire::{frame_onto, FrameReader, FrameStream, FrameWriter};
 
 /// Maximum payload per routed DATA frame.
 pub const ROUTED_CHUNK: usize = 8 * 1024;
@@ -89,6 +93,8 @@ pub fn spawn_relay(host: &SimHost, port: u16) -> io::Result<()> {
 
 /// Bounded frames per recipient shard queue before senders park.
 const MESH_QUEUE_FRAMES: usize = 64;
+/// Most a shard worker encodes into one write: one (default) send buffer.
+const RUN_BYTES: usize = 64 * 1024;
 /// Frames parked per unresolved route pull before overflow is bounced.
 const ROUTE_WAIT_CAP: usize = 256;
 /// A route pull that no peer answers within this window fails its parked
@@ -180,21 +186,16 @@ enum Origin {
     Peer(u64),
 }
 
-enum OutItem {
-    /// Pre-encoded relay-to-relay payload (FWD / ROUTE_*). Dropped — after
-    /// FWD frames are re-resolved — when the connection dies.
-    Frame(Vec<u8>),
-    /// A client delivery, kept unencoded so queue leftovers can be
-    /// re-routed (or NOPEER'd) when the registration dies or moves.
-    Deliver { from: GridId, inner: Vec<u8> },
-}
-
-impl OutItem {
-    fn into_payload(self) -> Vec<u8> {
-        match self {
-            OutItem::Frame(payload) | OutItem::Deliver { inner: payload, .. } => payload,
-        }
-    }
+/// One queued frame. With a `route`, `(from, to)`, it is a client frame on
+/// its way — RECV towards a client, FWD towards a peer relay — and `bytes`
+/// its inner frame, as the slice of the read it arrived in: encoded only
+/// into the worker's run, so queue leftovers can be re-routed (or NOPEER'd)
+/// when the connection dies or the registration moves. Without one it is an
+/// encoded relay-to-relay control frame (ROUTE_*, FWD_FAIL), length prefix
+/// included, and dies with its connection.
+struct OutItem {
+    route: Option<(GridId, GridId)>,
+    bytes: Bytes,
 }
 
 /// One shard: a connection, the bounded queue its worker drains into it,
@@ -212,6 +213,9 @@ struct Shard {
     /// the worker stops writing and re-routes what is left.
     dead: AtomicBool,
     cap: usize,
+    /// Frames the worker has popped into the run it is writing: still
+    /// backlog, as far as the high watermark is concerned.
+    in_hand: AtomicUsize,
 }
 
 /// A handle on a shard. Registries compare handles by identity before they
@@ -240,7 +244,7 @@ struct RemoteEntry {
 
 /// Frames parked on an outstanding route pull.
 struct PendingRoute {
-    frames: Vec<(GridId, Vec<u8>)>,
+    frames: Vec<(GridId, Bytes)>,
     /// Peer answers still expected; the entry resolves on the first
     /// positive one, fails when all are negative (or on timeout).
     outstanding: usize,
@@ -262,8 +266,8 @@ impl MeshRelay {
     // -------------------------------------------------------- connections
 
     fn serve_conn(self: &Arc<Self>, conn: TcpStream) -> io::Result<()> {
-        let mut reader = conn.clone();
-        let first = read_frame(&mut reader)?;
+        let mut reader = FrameStream::new(conn.clone());
+        let first = reader.next_frame()?;
         let mut r = FrameReader::new(&first);
         match r.u8()? {
             relay_op::HELLO => {
@@ -287,15 +291,15 @@ impl MeshRelay {
         self: &Arc<Self>,
         id: GridId,
         q: &OutQueue,
-        mut reader: TcpStream,
+        mut reader: FrameStream,
     ) -> io::Result<()> {
         loop {
-            let frame = read_frame(&mut reader)?;
+            let frame = reader.next_frame()?;
             let mut r = FrameReader::new(&frame);
             match r.u8()? {
                 relay_op::SEND => {
                     let to = r.u64()?;
-                    let inner = r.bytes()?.to_vec();
+                    let inner = r.bytes_in(&frame)?;
                     self.handle_send(id, to, inner, Origin::Local, false);
                 }
                 relay_op::HELLO => {
@@ -320,6 +324,7 @@ impl MeshRelay {
             throttled: Mutex::default(),
             dead: AtomicBool::new(false),
             cap,
+            in_hand: AtomicUsize::new(0),
         });
         let name = match owner {
             Owner::Client(id) => format!("mesh-shard-{id}"),
@@ -369,7 +374,7 @@ impl MeshRelay {
         };
         q.kill();
         while let Some(item) = q.q.try_pop() {
-            self.reroute_item(q.owner, item);
+            self.reroute_item(item);
         }
         if let Some((id, epoch)) = unregistered {
             self.broadcast_route(relay_op::ROUTE_DEL, id, epoch);
@@ -403,8 +408,8 @@ impl MeshRelay {
         let factory = BootstrapSocketFactory::new(host.clone(), None);
         let conn = factory.connect(addr)?;
         self.peer_hello(&conn)?;
-        let mut reader = conn.clone();
-        let hello = read_frame(&mut reader)?;
+        let mut reader = FrameStream::new(conn.clone());
+        let hello = reader.next_frame()?;
         let mut r = FrameReader::new(&hello);
         if r.u8()? != relay_op::PEER_HELLO {
             return Err(io::ErrorKind::InvalidData.into());
@@ -422,7 +427,12 @@ impl MeshRelay {
     }
 
     /// Register a handshaken mesh link and serve it until it dies.
-    fn run_peer(self: &Arc<Self>, pid: u64, conn: TcpStream, reader: TcpStream) -> io::Result<()> {
+    fn run_peer(
+        self: &Arc<Self>,
+        pid: u64,
+        conn: TcpStream,
+        reader: FrameStream,
+    ) -> io::Result<()> {
         let q = self.spawn_shard(Owner::Peer(pid), conn);
         // Both ends dial, so a pair may hold two links; the latest wins for
         // sends, the older one keeps draining until its connection dies.
@@ -439,18 +449,18 @@ impl MeshRelay {
             let f = FrameWriter::new()
                 .u8(relay_op::ROUTE_ADD)
                 .u64(id)
-                .u64(epoch)
-                .into_bytes();
-            let _ = q.q.push(OutItem::Frame(f));
+                .u64(epoch);
+            let (route, bytes) = (None, f.into_frame());
+            let _ = q.q.push(OutItem { route, bytes });
         }
         let res = self.serve_peer(pid, reader);
         self.conn_dead(&q);
         res
     }
 
-    fn serve_peer(self: &Arc<Self>, pid: u64, mut reader: TcpStream) -> io::Result<()> {
+    fn serve_peer(self: &Arc<Self>, pid: u64, mut reader: FrameStream) -> io::Result<()> {
         loop {
-            let frame = read_frame(&mut reader)?;
+            let frame = reader.next_frame()?;
             let mut r = FrameReader::new(&frame);
             match r.u8()? {
                 relay_op::ROUTE_ADD => {
@@ -476,8 +486,7 @@ impl MeshRelay {
                         .u8(relay_op::ROUTE_RSP)
                         .u64(node)
                         .u8(ans.is_some() as u8)
-                        .u64(ans.unwrap_or(0))
-                        .into_bytes();
+                        .u64(ans.unwrap_or(0));
                     self.frame_to_peer(pid, f);
                 }
                 relay_op::ROUTE_RSP => {
@@ -486,16 +495,13 @@ impl MeshRelay {
                     let epoch = r.u64()?;
                     self.route_rsp(pid, node, found, epoch);
                 }
-                relay_op::FWD => {
-                    let from = r.u64()?;
-                    let to = r.u64()?;
-                    let inner = r.bytes()?.to_vec();
-                    self.handle_send(from, to, inner, Origin::Peer(pid), false);
-                }
-                relay_op::FWD_FAIL => {
-                    let from = r.u64()?;
-                    let to = r.u64()?;
-                    let inner = r.bytes()?.to_vec();
+                op @ (relay_op::FWD | relay_op::FWD_FAIL) => {
+                    let (from, to) = (r.u64()?, r.u64()?);
+                    let inner = r.bytes_in(&frame)?;
+                    if op == relay_op::FWD {
+                        self.handle_send(from, to, inner, Origin::Peer(pid), false);
+                        continue;
+                    }
                     // Our route was stale: drop it and re-resolve — the
                     // node may have re-registered at a third relay (or back
                     // here) between our FWD and the bounce.
@@ -582,7 +588,7 @@ impl MeshRelay {
 
     /// Pull: park the frame, ask every peer, resolve on the first positive
     /// answer, NOPEER when all deny or the window closes.
-    fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Vec<u8>) {
+    fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Bytes) {
         let peer_qs = self.peer_queues();
         if peer_qs.is_empty() {
             return self.undeliverable(from, to, inner, Origin::Local);
@@ -614,12 +620,11 @@ impl MeshRelay {
                     sched.spawn_daemon("route-timeout", move || me.fail_waiting(to));
                 }
             });
-        let f = FrameWriter::new()
-            .u8(relay_op::ROUTE_QUERY)
-            .u64(to)
-            .into_bytes();
+        let f = FrameWriter::new().u8(relay_op::ROUTE_QUERY).u64(to);
+        let f = f.into_frame();
         for pq in peer_qs {
-            let _ = pq.q.push(OutItem::Frame(f.clone()));
+            let (route, bytes) = (None, f.clone());
+            let _ = pq.q.push(OutItem { route, bytes });
         }
     }
 
@@ -633,9 +638,10 @@ impl MeshRelay {
     }
 
     fn broadcast_route(self: &Arc<Self>, op: u8, node: GridId, epoch: u64) {
-        let f = FrameWriter::new().u8(op).u64(node).u64(epoch).into_bytes();
+        let f = FrameWriter::new().u8(op).u64(node).u64(epoch).into_frame();
         for pq in self.peer_queues() {
-            let _ = pq.q.push(OutItem::Frame(f.clone()));
+            let (route, bytes) = (None, f.clone());
+            let _ = pq.q.push(OutItem { route, bytes });
         }
     }
 
@@ -653,18 +659,18 @@ impl MeshRelay {
         self: &Arc<Self>,
         from: GridId,
         to: GridId,
-        inner: Vec<u8>,
+        inner: Bytes,
         origin: Origin,
         retried: bool,
     ) {
         let shard = self.local.lock().get(&to).map(|e| e.q.clone());
         if let Some(q) = shard {
-            return match self.deliver_local(&q, from, to, inner) {
-                Ok(()) => (),
+            return match self.deliver_local(&q, from, to, &inner) {
+                true => (),
                 // Shard closed under us: the registration died or moved
                 // this instant. Re-resolve once, then give up.
-                Err(inner) if !retried => self.handle_send(from, to, inner, origin, true),
-                Err(inner) => self.undeliverable(from, to, inner, origin),
+                false if !retried => self.handle_send(from, to, inner, origin, true),
+                false => self.undeliverable(from, to, inner, origin),
             };
         }
         match origin {
@@ -676,13 +682,8 @@ impl MeshRelay {
                 if let Some(relay) = hop {
                     let pq = self.peers.lock().get(&relay).cloned();
                     if let Some(pq) = pq {
-                        let f = FrameWriter::new()
-                            .u8(relay_op::FWD)
-                            .u64(from)
-                            .u64(to)
-                            .bytes(&inner)
-                            .into_bytes();
-                        if pq.q.push(OutItem::Frame(f)).is_ok() {
+                        let (route, bytes) = (Some((from, to)), inner.clone());
+                        if pq.q.push(OutItem { route, bytes }).is_ok() {
                             return;
                         }
                     }
@@ -694,39 +695,39 @@ impl MeshRelay {
 
     /// Enqueue into a recipient shard with typed backpressure: BUSY at the
     /// high watermark, a parked push (never a drop — per-sender FIFO) when
-    /// full. `Err(inner)` when the shard closed.
+    /// full. False when the shard closed.
     fn deliver_local(
         self: &Arc<Self>,
         q: &OutQueue,
         from: GridId,
         to: GridId,
-        inner: Vec<u8>,
-    ) -> Result<(), Vec<u8>> {
+        inner: &Bytes,
+    ) -> bool {
         let is_data = inner.first() == Some(&inner_op::DATA);
-        let item = match q.q.try_push(OutItem::Deliver { from, inner }) {
+        let (route, bytes) = (Some((from, to)), inner.clone());
+        let item = match q.q.try_push(OutItem { route, bytes }) {
             Ok(()) => {
-                if is_data && q.q.len() >= q.cap - q.cap / 4 {
+                if is_data && q.q.len() + q.in_hand.load(Ordering::Relaxed) >= q.cap - q.cap / 4 {
                     self.throttle(from, to, q);
                 }
-                return Ok(());
+                return true;
             }
             Err(item) => item,
         };
         if q.q.is_closed() {
-            return Err(item.into_payload());
+            return false;
         }
         if is_data {
             self.throttle(from, to, q);
         }
-        q.q.push(item).map_err(OutItem::into_payload)
+        q.q.push(item).is_ok()
     }
 
     /// Tell a (local) sender that `to` is running hot. Senders that came
     /// in over the mesh are backpressured by the FWD path instead.
     fn throttle(self: &Arc<Self>, from: GridId, to: GridId, q: &OutQueue) {
         if q.throttled.lock().insert(from) {
-            let f = FrameWriter::new().u8(relay_op::BUSY).u64(to).into_bytes();
-            self.ctl_to_local(from, &f);
+            self.ctl_to_local(from, FrameWriter::new().u8(relay_op::BUSY).u64(to));
         }
     }
 
@@ -735,24 +736,15 @@ impl MeshRelay {
     /// FWD_FAIL back to the origin relay otherwise. A non-local sender on
     /// the Local path (a re-routed leftover) has nowhere to report to; the
     /// sender's own timeout/stream-teardown machinery recovers.
-    fn undeliverable(self: &Arc<Self>, from: GridId, to: GridId, inner: Vec<u8>, origin: Origin) {
+    fn undeliverable(self: &Arc<Self>, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
         match origin {
             Origin::Local => {
-                let f = FrameWriter::new()
-                    .u8(relay_op::NOPEER)
-                    .u64(to)
-                    .bytes(&inner)
-                    .into_bytes();
-                self.ctl_to_local(from, &f);
+                let f = FrameWriter::new().u8(relay_op::NOPEER).u64(to);
+                self.ctl_to_local(from, f.bytes(&inner));
             }
             Origin::Peer(pid) => {
-                let f = FrameWriter::new()
-                    .u8(relay_op::FWD_FAIL)
-                    .u64(from)
-                    .u64(to)
-                    .bytes(&inner)
-                    .into_bytes();
-                self.frame_to_peer(pid, f);
+                let f = FrameWriter::new().u8(relay_op::FWD_FAIL).u64(from);
+                self.frame_to_peer(pid, f.u64(to).bytes(&inner));
             }
         }
     }
@@ -760,47 +752,64 @@ impl MeshRelay {
     /// Synchronous control write (BUSY/READY/NOPEER) to a local client,
     /// bypassing its shard queue — these must not sit behind the very
     /// backlog they report on.
-    fn ctl_to_local(&self, to: GridId, payload: &[u8]) {
+    fn ctl_to_local(&self, to: GridId, frame: FrameWriter) {
         let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
         if let Some(shard) = shard {
-            let _ = write_frame(&mut *shard.w.lock(), payload);
+            let _ = frame.send(&mut *shard.w.lock());
         }
     }
 
-    fn frame_to_peer(&self, pid: u64, payload: Vec<u8>) {
+    fn frame_to_peer(&self, pid: u64, frame: FrameWriter) {
         let pq = self.peers.lock().get(&pid).cloned();
         if let Some(pq) = pq {
-            let _ = pq.q.push(OutItem::Frame(payload));
+            let (route, bytes) = (None, frame.into_frame());
+            let _ = pq.q.push(OutItem { route, bytes });
         }
     }
 
-    /// Shard worker: drain one queue into one connection. On death or
-    /// supersession, leftovers are re-resolved through the routing table —
-    /// a moved node's frames follow it to its new home relay.
+    /// Shard worker: drain one queue into one connection, a run at a time —
+    /// whatever is queued when it wakes, up to one send buffer, encoded into
+    /// one buffer (the one copy a forwarded payload gets here) and written
+    /// as one block. On death or supersession, leftovers are re-resolved
+    /// through the routing table — a moved node's frames follow it to its
+    /// new home relay.
     fn out_worker(self: Arc<Self>, q: OutQueue) {
         let mut broken = false;
-        while let Some(item) = q.q.pop() {
-            if broken || q.dead.load(Ordering::Relaxed) {
-                self.reroute_item(q.owner, item);
-                continue;
+        while let Some(first) = q.q.pop() {
+            let mut bytes = first.bytes.len();
+            let mut items = vec![first];
+            while bytes < RUN_BYTES {
+                let Some(next) = q.q.try_pop() else { break };
+                bytes += next.bytes.len();
+                items.push(next);
             }
-            let mut w = q.w.lock();
-            let res = match &item {
-                OutItem::Frame(payload) => write_frame(&mut *w, payload),
-                OutItem::Deliver { from, inner } => {
-                    let f = FrameWriter::new().u8(relay_op::RECV).u64(*from);
-                    f.bytes(inner).send(&mut *w)
+            if !(broken || q.dead.load(Ordering::Relaxed)) {
+                let mut run = Vec::with_capacity(bytes + 32 * items.len());
+                for item in &items {
+                    match (item.route, q.owner) {
+                        (None, _) => run.extend_from_slice(&item.bytes),
+                        (Some((from, _)), Owner::Client(_)) => {
+                            frame_onto(&mut run, relay_op::RECV, &[from], &item.bytes)
+                        }
+                        (Some((from, to)), Owner::Peer(_)) => {
+                            frame_onto(&mut run, relay_op::FWD, &[from, to], &item.bytes)
+                        }
+                    }
                 }
-            };
-            drop(w);
-            if res.is_err() {
+                q.in_hand.store(items.len(), Ordering::Relaxed);
+                let written = q.w.lock().write_block(run.into());
+                q.in_hand.store(0, Ordering::Relaxed);
+                if written.is_ok() {
+                    if q.q.len() <= q.cap / 4 {
+                        self.release_throttled(&q);
+                    }
+                    continue;
+                }
                 broken = true;
                 self.conn_dead(&q);
-                self.reroute_item(q.owner, item);
-                continue;
             }
-            if q.q.len() <= q.cap / 4 {
-                self.release_throttled(&q);
+            for item in items {
+                self.reroute_item(item);
             }
         }
         // Whatever ends this shard, parked senders must not stay throttled
@@ -813,34 +822,17 @@ impl MeshRelay {
         // Only client shards ever throttle anyone.
         let Owner::Client(id) = q.owner else { return };
         let drained: Vec<GridId> = q.throttled.lock().drain().collect();
-        if !drained.is_empty() {
-            let f = FrameWriter::new().u8(relay_op::READY).u64(id).into_bytes();
-            for s in drained {
-                self.ctl_to_local(s, &f);
-            }
+        for s in drained {
+            self.ctl_to_local(s, FrameWriter::new().u8(relay_op::READY).u64(id));
         }
     }
 
-    /// Re-resolve a queue leftover after its connection died or moved.
-    fn reroute_item(self: &Arc<Self>, owner: Owner, item: OutItem) {
-        match (owner, item) {
-            (Owner::Client(id), OutItem::Deliver { from, inner }) => {
-                self.handle_send(from, id, inner, Origin::Local, false);
-            }
-            (Owner::Peer(_), OutItem::Frame(payload)) => {
-                // Undelivered FWDs chase the recipient through whatever
-                // route resolution finds now that this mesh link is gone.
-                let mut r = FrameReader::new(&payload);
-                if r.u8().ok() == Some(relay_op::FWD) {
-                    if let (Ok(from), Ok(to), Ok(inner)) = (r.u64(), r.u64(), r.bytes()) {
-                        let inner = inner.to_vec();
-                        self.handle_send(from, to, inner, Origin::Local, false);
-                    }
-                }
-            }
-            // Control frames towards a dead client, or deliveries riding a
-            // peer queue (never queued): nothing to save.
-            _ => {}
+    /// Re-resolve a queue leftover after its connection died or moved: an
+    /// undelivered client frame chases its recipient through whatever route
+    /// resolution finds now. Control frames are dropped with their link.
+    fn reroute_item(self: &Arc<Self>, item: OutItem) {
+        if let Some((from, to)) = item.route {
+            self.handle_send(from, to, item.bytes, Origin::Local, false);
         }
     }
 }
@@ -851,7 +843,11 @@ impl MeshRelay {
 pub trait RelayDelegate: Send + Sync {
     /// Handle a service (brokering) request; return the response payload.
     fn on_service_request(&self, from: GridId, payload: &[u8]) -> Vec<u8>;
-    /// An incoming routed link targeting `port_name`.
+    /// An incoming routed link targeting `port_name`: admit or refuse it.
+    /// Runs in the relay pump, before the OPEN is answered, so it must not
+    /// block — whatever does (handshakes, reading the stream) goes into a
+    /// task of the delegate's own, which reports a late failure with
+    /// [`RoutedStream::refuse`].
     fn on_open(
         &self,
         from: GridId,
@@ -896,11 +892,12 @@ impl<T> Waiters<T> {
         self.0.lock().insert(id, slot);
     }
 
-    /// The peer's own answer to request `id`; it overrides a failure noted
-    /// in the same instant. False when nobody waits on `id` any more.
+    /// The peer's answer to request `id`. False when nobody waits on `id`
+    /// any more or it has an outcome already: the first one stands.
     fn resolve(&self, id: u64, result: T) -> bool {
         let mut slots = self.0.lock();
-        slots.get_mut(&id).map(|s| s.set(result)).is_some()
+        let open = slots.get_mut(&id).filter(|s| s.result.is_none());
+        open.map(|s| s.set(result)).is_some()
     }
 
     /// Fail the requests `which(id, to)` selects, unless they already have
@@ -1071,11 +1068,8 @@ impl RelayClient {
         id: GridId,
     ) -> io::Result<TcpStream> {
         let stream = factory.connect(addr)?;
-        let mut w = stream.clone();
-        FrameWriter::new()
-            .u8(relay_op::HELLO)
-            .u64(id)
-            .send(&mut w)?;
+        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(id);
+        hello.send(&mut stream.clone())?;
         Ok(stream)
     }
 
@@ -1086,11 +1080,8 @@ impl RelayClient {
     /// reset that wakes the pump into its redial-and-re-HELLO path. Errors
     /// are ignored — the pump owns reconnection.
     pub fn nudge(&self) {
-        let mut w = self.inner.writer.lock();
-        let _ = FrameWriter::new()
-            .u8(relay_op::HELLO)
-            .u64(self.inner.id)
-            .send(&mut *w);
+        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(self.inner.id);
+        let _ = hello.send(&mut *self.inner.writer.lock());
     }
 
     pub fn id(&self) -> GridId {
@@ -1102,14 +1093,11 @@ impl RelayClient {
         *self.inner.delegate.lock() = Some(d);
     }
 
-    /// Send one inner frame to `to` through the relay.
-    fn send_inner(&self, to: GridId, inner: Vec<u8>) -> io::Result<()> {
-        let mut w = self.inner.writer.lock();
-        FrameWriter::new()
-            .u8(relay_op::SEND)
-            .u64(to)
-            .bytes(&inner)
-            .send(&mut *w)
+    /// Send one inner frame to `to` through the relay: the SEND fields go
+    /// into `inner`'s headroom, the whole frame out as one block.
+    fn send_inner(&self, to: GridId, inner: FrameWriter) -> io::Result<()> {
+        let send = FrameWriter::new().u8(relay_op::SEND).u64(to).wrap(inner);
+        send.send(&mut *self.inner.writer.lock())
     }
 
     /// Blocking service request/response — the brokering channel.
@@ -1169,8 +1157,7 @@ impl RelayClient {
         let frame = FrameWriter::new()
             .u8(inner_op::SVC_REQ)
             .u64(req_id)
-            .bytes(payload)
-            .into_bytes();
+            .bytes(payload);
         self.request(&self.inner.pending, req_id, to, frame, "relay svc rsp")?
     }
 
@@ -1181,7 +1168,7 @@ impl RelayClient {
         table: &Waiters<T>,
         id: u64,
         to: GridId,
-        frame: Vec<u8>,
+        frame: FrameWriter,
         reason: &'static str,
     ) -> io::Result<T> {
         table.insert(id, to);
@@ -1214,8 +1201,7 @@ impl RelayClient {
             .u8(inner_op::OPEN)
             .u64(sid)
             .str(port_name)
-            .u64(channel)
-            .into_bytes();
+            .u64(channel);
         let refused = |msg| io::Error::new(io::ErrorKind::ConnectionRefused, msg);
         let opened = self
             .request(&self.inner.open_waits, sid, to, frame, "relay open")
@@ -1232,20 +1218,19 @@ impl RelayClient {
     /// connection dies, fail everything in flight with a retryable error,
     /// then redial with exponential backoff and re-HELLO. Gives up after
     /// [`RECONNECT_ATTEMPTS`] consecutive failures.
-    fn pump_loop(&self, mut stream: TcpStream) {
-        loop {
-            while let Ok(frame) = read_frame(&mut stream) {
-                if self.dispatch(&frame).is_err() {
+    fn pump_loop(&self, stream: TcpStream) {
+        let mut conn = Some(stream);
+        // Read-ahead lives in the reader: a fresh one per connection.
+        while let Some(mut frames) = conn.map(FrameStream::new) {
+            while let Ok(frame) = frames.next_frame() {
+                if self.dispatch(frame).is_err() {
                     break;
                 }
             }
             // Relay connection gone: fail everything in flight. Callers see
             // `ConnectionReset` — retryable once the pump has redialed.
             self.fail_inflight();
-            match self.redial() {
-                Some(next) => stream = next,
-                None => return,
-            }
+            conn = self.redial();
         }
     }
 
@@ -1297,8 +1282,8 @@ impl RelayClient {
         None
     }
 
-    fn dispatch(&self, frame: &[u8]) -> io::Result<()> {
-        let mut r = FrameReader::new(frame);
+    fn dispatch(&self, frame: Bytes) -> io::Result<()> {
+        let mut r = FrameReader::new(&frame);
         match r.u8()? {
             relay_op::NOPEER => {
                 let to = r.u64()?;
@@ -1313,8 +1298,7 @@ impl RelayClient {
             }
             relay_op::RECV => {
                 let from = r.u64()?;
-                let inner = r.bytes()?;
-                self.dispatch_inner(from, inner)
+                self.dispatch_inner(from, r.bytes_in(&frame)?)
             }
             relay_op::BUSY => {
                 // The relay says this recipient's queue is hot: gate
@@ -1407,8 +1391,8 @@ impl RelayClient {
         self.inner.open_waits.fail(towards, gone);
     }
 
-    fn dispatch_inner(&self, from: GridId, inner: &[u8]) -> io::Result<()> {
-        let mut r = FrameReader::new(inner);
+    fn dispatch_inner(&self, from: GridId, inner: Bytes) -> io::Result<()> {
+        let mut r = FrameReader::new(&inner);
         let op = r.u8()?;
         match op {
             inner_op::SVC_REQ => {
@@ -1421,13 +1405,8 @@ impl RelayClient {
                         Some(d) => (1u8, d.on_service_request(from, &payload)),
                         None => (0u8, b"no service handler".to_vec()),
                     };
-                    let frame = FrameWriter::new()
-                        .u8(inner_op::SVC_RSP)
-                        .u64(req_id)
-                        .u8(rsp.0)
-                        .bytes(&rsp.1)
-                        .into_bytes();
-                    let _ = me.send_inner(from, frame);
+                    let frame = FrameWriter::new().u8(inner_op::SVC_RSP).u64(req_id);
+                    let _ = me.send_inner(from, frame.u8(rsp.0).bytes(&rsp.1));
                 });
                 Ok(())
             }
@@ -1449,28 +1428,24 @@ impl RelayClient {
                 let sid = r.u64()?;
                 let port_name = r.str()?;
                 let channel = r.u64()?;
-                let refuse = move |msg: &str| {
-                    let f = FrameWriter::new().u8(inner_op::OPEN_ERR);
-                    f.u64(sid).str(msg).into_bytes()
-                };
                 let Some(d) = self.inner.delegate.lock().clone() else {
-                    return self.send_inner(from, refuse("no delegate"));
+                    return self.send_inner(from, open_err(sid, "no delegate"));
                 };
                 let stream = RoutedStream::new(self.clone(), from, sid, false);
-                self.inner
-                    .streams
-                    .lock()
-                    .insert(stream.key(), stream.clone());
-                // The delegate may block (stack handshakes); run it in its
-                // own task after acknowledging.
-                let me = self.clone();
-                self.inner.sched.spawn_daemon("routed-open", move || {
-                    if let Err(msg) = d.on_open(from, &port_name, channel, stream) {
-                        let _ = me.send_inner(from, refuse(&msg));
+                // Exactly one answer: the delegate admits or refuses here,
+                // and does what may block in a task of its own.
+                let answer = match d.on_open(from, &port_name, channel, stream.clone()) {
+                    Ok(()) => {
+                        self.inner.streams.lock().insert(stream.key(), stream);
+                        FrameWriter::new().u8(inner_op::OPEN_OK).u64(sid)
                     }
-                });
-                let ok = FrameWriter::new().u8(inner_op::OPEN_OK).u64(sid);
-                self.send_inner(from, ok.into_bytes())
+                    Err(msg) => {
+                        // Never open: its last handle owes the peer no FIN.
+                        stream.inner.fin_sent.store(true, Ordering::Relaxed);
+                        open_err(sid, &msg)
+                    }
+                };
+                self.send_inner(from, answer)
             }
             inner_op::OPEN_OK => {
                 let sid = r.u64()?;
@@ -1490,15 +1465,16 @@ impl RelayClient {
                 Ok(())
             }
             inner_op::DATA | inner_op::SYNC | inner_op::SYNC_OK | inner_op::FIN => {
-                self.dispatch_stream(op, from, r)
+                self.dispatch_stream(op, from, inner.slice(1..))
             }
             _ => Err(io::ErrorKind::InvalidData.into()),
         }
     }
 
-    /// The per-stream frames, all `{op, dir, sid, ..}`; `dir` says whether
-    /// the frame's sender is the end that opened the stream.
-    fn dispatch_stream(&self, op: u8, from: GridId, mut r: FrameReader) -> io::Result<()> {
+    /// The per-stream frames, all `{op, dir, sid, ..}`, here from `dir` on;
+    /// `dir` says whether the frame's sender is the end that opened the stream.
+    fn dispatch_stream(&self, op: u8, from: GridId, body: Bytes) -> io::Result<()> {
+        let mut r = FrameReader::new(&body);
         let opened_by_sender = r.u8()? == 1;
         let sid = r.u64()?;
         let key = (from, sid, opened_by_sender);
@@ -1512,7 +1488,7 @@ impl RelayClient {
                 // push blocks under backpressure, stalling the pump — and
                 // therefore the relay TCP connection. Crude but faithful to
                 // a single multiplexed relay link.
-                let _ = s.inner.rx.push(r.bytes()?.to_vec());
+                let _ = s.inner.rx.push(r.bytes_in(&body)?);
                 return Ok(());
             }
             // This pump dispatches in arrival order, so every chunk the peer
@@ -1536,7 +1512,7 @@ impl RelayClient {
             }
             _ => return Ok(()),
         };
-        let _ = self.send_inner(from, answer.into_bytes());
+        let _ = self.send_inner(from, answer);
         Ok(())
     }
 }
@@ -1544,6 +1520,10 @@ impl RelayClient {
 /// Head of a per-stream inner frame; `sender_opened` is its direction bit.
 fn stream_frame(op: u8, sender_opened: bool, sid: u64) -> FrameWriter {
     FrameWriter::new().u8(op).u8(sender_opened as u8).u64(sid)
+}
+
+fn open_err(sid: u64, msg: &str) -> FrameWriter {
+    FrameWriter::new().u8(inner_op::OPEN_ERR).u64(sid).str(msg)
 }
 
 fn no_peer(to: GridId) -> io::Error {
@@ -1558,8 +1538,9 @@ struct RsInner {
     sid: u64,
     /// Did this node open the stream? Determines the direction bit.
     opener: bool,
-    rx: SimQueue<Vec<u8>>,
-    cursor: Mutex<(Vec<u8>, usize)>,
+    rx: SimQueue<Bytes>,
+    /// What a reader left of the chunk it took last.
+    cursor: Mutex<Bytes>,
     fin_sent: AtomicBool,
     /// Set only when the peer's FIN arrived — a *graceful* end of stream.
     /// Relay loss and NOPEER teardowns close `rx` without setting it, so
@@ -1601,7 +1582,7 @@ impl RoutedStream {
                 sid,
                 opener,
                 rx: SimQueue::bounded(STREAM_QUEUE),
-                cursor: Mutex::new((Vec::new(), 0)),
+                cursor: Mutex::default(),
                 fin_sent: AtomicBool::new(false),
                 fin_received: AtomicBool::new(false),
                 sync: Mutex::default(),
@@ -1659,9 +1640,6 @@ impl RoutedStream {
             st.sent += 1;
             st.sent
         };
-        let sync = stream_frame(inner_op::SYNC, s.opener, s.sid)
-            .u64(n)
-            .into_bytes();
         let mut resend_at = gridsim_net::ctx::now();
         loop {
             {
@@ -1675,7 +1653,8 @@ impl RoutedStream {
                 st.waker = Some(gridsim_net::ctx::waker());
             }
             if gridsim_net::ctx::now() >= resend_at {
-                s.client.send_inner(s.peer, sync.clone())?;
+                let sync = stream_frame(inner_op::SYNC, s.opener, s.sid).u64(n);
+                s.client.send_inner(s.peer, sync)?;
                 resend_at = gridsim_net::ctx::now() + SYNC_RESEND;
                 let timer = gridsim_net::ctx::waker();
                 s.client
@@ -1691,11 +1670,31 @@ impl RoutedStream {
 
     /// Would a read return without parking (buffered bytes or EOF)?
     pub fn readable(&self) -> bool {
-        if !self.inner.rx.is_empty() || self.inner.rx.is_closed() {
-            return true;
+        !self.inner.rx.is_empty()
+            || self.inner.rx.is_closed()
+            || !self.inner.cursor.lock().is_empty()
+    }
+
+    /// The acceptor's late refusal: what admitted the stream in `on_open`
+    /// failed afterwards. The opener's end closes as on an abort.
+    pub(crate) fn refuse(&self, msg: &str) {
+        let s = &self.inner;
+        let _ = s.client.send_inner(s.peer, open_err(s.sid, msg));
+    }
+
+    /// The next received chunk, up to `cap` bytes of it, by ownership;
+    /// parks while none is queued. `None` at end of stream.
+    fn next_chunk(&self, cap: usize) -> Option<Bytes> {
+        let mut chunk = std::mem::take(&mut *self.inner.cursor.lock());
+        while chunk.is_empty() {
+            chunk = self.inner.rx.pop()?; // may park — no lock held
         }
-        let cur = self.inner.cursor.lock();
-        cur.1 < cur.0.len()
+        if chunk.len() > cap {
+            let head = chunk.split_to(cap);
+            *self.inner.cursor.lock() = chunk;
+            return Some(head);
+        }
+        Some(chunk)
     }
 
     /// Signal end of stream to the peer.
@@ -1706,27 +1705,28 @@ impl RoutedStream {
 
 impl Read for RoutedStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            {
-                let mut cur = self.inner.cursor.lock();
-                if cur.1 < cur.0.len() {
-                    let n = buf.len().min(cur.0.len() - cur.1);
-                    buf[..n].copy_from_slice(&cur.0[cur.1..cur.1 + n]);
-                    cur.1 += n;
-                    return Ok(n);
-                }
-            }
-            // Refill (may park — no lock held).
-            match self.inner.rx.pop() {
-                Some(chunk) => {
-                    let mut cur = self.inner.cursor.lock();
-                    *cur = (chunk, 0);
-                }
-                None => return Ok(0),
-            }
-        }
+        let chunk = self.next_chunk(buf.len()).unwrap_or_default();
+        buf[..chunk.len()].copy_from_slice(&chunk);
+        Ok(chunk.len())
     }
 }
+
+/// Received DATA payloads are handed on as they sit in the pump's read.
+impl BlockRead for RoutedStream {
+    fn read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        chunks_until(min, max, out, |cap| {
+            Ok(self.next_chunk(cap).unwrap_or_default())
+        })
+    }
+}
+
+/// A block goes out as DATA frames, each chunk copied once, into its frame.
+impl BlockWrite for RoutedStream {}
 
 impl Write for RoutedStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -1741,7 +1741,7 @@ impl Write for RoutedStream {
             self.inner.client.wait_ready(self.inner.peer);
             let s = &self.inner;
             let frame = stream_frame(inner_op::DATA, s.opener, s.sid).bytes(chunk);
-            s.client.send_inner(s.peer, frame.into_bytes())?;
+            s.client.send_inner(s.peer, frame)?;
         }
         Ok(buf.len())
     }
@@ -1757,7 +1757,7 @@ impl RsInner {
             return Ok(());
         }
         let fin = stream_frame(inner_op::FIN, self.opener, self.sid);
-        self.client.send_inner(self.peer, fin.into_bytes())
+        self.client.send_inner(self.peer, fin)
     }
 }
 

@@ -18,17 +18,15 @@ const REP_OK: u8 = 0;
 const REP_FAIL: u8 = 1;
 const REP_REFUSED: u8 = 5;
 
-/// Copy bytes one way until EOF, then propagate the EOF.
+/// Move bytes one way until EOF, then propagate the EOF: received chunks
+/// go into the other socket's send queue as they are, by refcount.
 fn pump_one_way(sched: &SchedHandle, from: TcpStream, to: TcpStream, label: &'static str) {
     sched.spawn_daemon(format!("socks-pump-{label}"), move || {
-        let mut buf = vec![0u8; 16 * 1024];
-        loop {
-            match from.read_some(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    if to.write_all_blocking(&buf[..n]).is_err() {
-                        break;
-                    }
+        let mut chunks = Vec::new();
+        'pump: while matches!(from.read_chunks_min(1, 64 * 1024, &mut chunks), Ok(1..)) {
+            for chunk in chunks.drain(..) {
+                if to.write_block(chunk).is_err() {
+                    break 'pump;
                 }
             }
         }

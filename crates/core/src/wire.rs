@@ -3,13 +3,26 @@
 //! fields. All control protocols are versioned by a magic byte per frame
 //! kind rather than per connection, keeping parsing stateless.
 //!
+//! A frame is one write and one stated read (paper §4.1: aggregate in user
+//! space, one explicit flush). [`FrameWriter`] hands header and payload to
+//! the socket as one block — a header written on its own leaves as its own
+//! segment and, under Nagle, holds the payload back for a round trip. A
+//! connection that is frames from first byte to last (relay and mesh links,
+//! the name service) is read through [`FrameStream`]; [`read_frame`] is the
+//! exact-length read for the few frames on *data* links, where the bytes
+//! behind the frame belong to the driver stack.
+//!
 //! Also the one place that defines what a *data* link carries: the stream
 //! preamble (`RESUME_FLAG`, `stream_slot`, `write_resume` / `read_resume`)
 //! and the tagged frames behind it (`mux`).
 
+use bytes::Bytes;
 use gridsim_net::{Ip, SockAddr};
+use gridsim_tcp::TcpStream;
 use gridzip::varint;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
+
+use crate::drivers::{BlockReader, BlockWrite, RawLink};
 
 /// Maximum accepted control frame, to bound allocations from bad peers.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -99,17 +112,39 @@ pub(crate) fn read_resume(fr: &mut FrameReader<'_>) -> io::Result<ResumeMeta> {
     Ok(ResumeMeta { gen, extras })
 }
 
-/// An encoder for one frame.
+/// Room kept free in front of a payload: its length prefix plus the
+/// fields of one enclosing frame ([`FrameWriter::wrap`]).
+const HEADROOM: usize = 32;
+
+/// An encoder for one frame: the payload is `buf[head..]`, growing at the
+/// back; `buf[..head]` is headroom that prefixes grow into, so they never
+/// move the payload. (The derived default has none, and makes it on demand.)
 #[derive(Default)]
 pub struct FrameWriter {
     buf: Vec<u8>,
+    head: usize,
 }
 
 impl FrameWriter {
     pub fn new() -> FrameWriter {
-        FrameWriter {
-            buf: Vec::with_capacity(64),
+        let (mut buf, head) = (Vec::with_capacity(HEADROOM + 64), HEADROOM);
+        buf.resize(head, 0);
+        FrameWriter { buf, head }
+    }
+
+    /// Put `fields`, then `varint(payload length)`, in front of the payload.
+    fn prefix(&mut self, fields: &[u8]) {
+        let mut pre = [0u8; 10];
+        let n = varint::put_slice(&mut pre, (self.buf.len() - self.head) as u64);
+        let need = fields.len() + n;
+        if need > self.head {
+            // Out of headroom (no frame of ours nests this deep): make more.
+            self.buf.splice(..0, vec![0; need]);
+            self.head += need;
         }
+        self.head -= need;
+        self.buf[self.head..][..fields.len()].copy_from_slice(fields);
+        self.buf[self.head + fields.len()..][..n].copy_from_slice(&pre[..n]);
     }
 
     pub fn u8(mut self, v: u8) -> Self {
@@ -123,6 +158,7 @@ impl FrameWriter {
     }
 
     pub fn bytes(mut self, v: &[u8]) -> Self {
+        self.buf.reserve(v.len() + 10);
         varint::put(&mut self.buf, v.len() as u64);
         self.buf.extend_from_slice(v);
         self
@@ -154,39 +190,82 @@ impl FrameWriter {
         self
     }
 
-    /// Write the frame (`[varint len][payload]`) to `w` and flush.
-    pub fn send<W: Write>(self, w: &mut W) -> io::Result<()> {
-        write_frame(w, &self.buf)
+    /// These fields followed by `inner`'s payload as a last `bytes` field —
+    /// assembled in `inner`'s headroom, so its payload is not copied again.
+    pub(crate) fn wrap(self, mut inner: FrameWriter) -> FrameWriter {
+        inner.prefix(&self.buf[self.head..]);
+        inner
+    }
+
+    /// The frame as it goes on the wire, `[varint len][payload]`.
+    pub(crate) fn into_frame(mut self) -> Bytes {
+        self.prefix(&[]);
+        Bytes::from(self.buf).slice(self.head..)
+    }
+
+    /// Write the frame to `w` as one block (on TCP by refcount: header and
+    /// payload share segments, the writer parks once) and flush.
+    pub fn send<W: BlockWrite>(self, w: &mut W) -> io::Result<()> {
+        w.write_block(self.into_frame())?;
+        w.flush()
     }
 
     /// The raw payload (for embedding in other frames).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.split_off(self.head)
     }
 }
 
-/// Write one length-prefixed frame from an already-encoded payload (a
-/// [`FrameWriter::into_bytes`] result queued for later delivery).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let mut hdr = [0u8; 10];
-    let n = varint::put_slice(&mut hdr, payload.len() as u64);
-    w.write_all(&hdr[..n])?;
-    w.write_all(payload)?;
-    w.flush()
+/// Append to `run` the wire frame `[op][varint id]*[bytes tail]`: how a
+/// forwarder re-heads a payload it holds by reference, many frames to one
+/// write, without allocating.
+pub(crate) fn frame_onto(run: &mut Vec<u8>, op: u8, ids: &[u64], tail: &[u8]) {
+    let mut head = [0u8; 41];
+    head[0] = op;
+    let mut n = 1;
+    for &v in ids.iter().chain([&(tail.len() as u64)]) {
+        n += varint::put_slice(&mut head[n..], v);
+    }
+    varint::put(run, (n + tail.len()) as u64);
+    run.extend_from_slice(&head[..n]);
+    run.extend_from_slice(tail);
 }
 
-/// Read one length-prefixed frame.
+/// Read one length-prefixed frame and not a byte more: for frames on data
+/// links (and non-TCP readers). Frame-only connections use [`FrameStream`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let len = varint::read_from(r)? as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "control frame too large",
-        ));
+    let len = varint::read_from(r)?;
+    if len > MAX_FRAME as u64 {
+        return Err(bad("control frame too large"));
     }
-    let mut buf = vec![0u8; len];
+    let mut buf = vec![0u8; len as usize];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Most bytes one read takes off the socket beyond the frame in hand.
+const READ_AHEAD: usize = 64 * 1024;
+
+/// The read half of a connection that carries frames and nothing else.
+/// Read-ahead lives here, so one connection has one `FrameStream` for life.
+pub struct FrameStream(BlockReader<RawLink>);
+
+impl FrameStream {
+    pub fn new(conn: TcpStream) -> FrameStream {
+        FrameStream(BlockReader::new(RawLink::Tcp(conn), READ_AHEAD))
+    }
+
+    /// The next frame's payload. A length over [`MAX_FRAME`] or a header
+    /// that is no varint is `InvalidData`, a connection ending inside a
+    /// frame `UnexpectedEof`; memory is held for bytes that have arrived,
+    /// never for a declared length.
+    pub fn next_frame(&mut self) -> io::Result<Bytes> {
+        let len = self.0.read_varint()?;
+        if len > MAX_FRAME as u64 {
+            return Err(bad("control frame too large"));
+        }
+        self.0.read_exact_bytes(len as usize)
+    }
 }
 
 /// Cursor-style decoder over a frame payload.
@@ -228,6 +307,14 @@ impl<'a> FrameReader<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    /// The bytes field as a slice of `frame`, the buffer this reader is
+    /// over: the payload travels on by reference.
+    pub(crate) fn bytes_in(&mut self, frame: &Bytes) -> io::Result<Bytes> {
+        debug_assert!(std::ptr::eq(self.buf, &frame[..]));
+        let len = self.bytes()?.len();
+        Ok(frame.slice(self.pos - len..self.pos))
     }
 
     /// Borrow the string field without copying; `str()` is the owned form.

@@ -186,3 +186,84 @@ fn ends_homed_at_different_relays_reach_each_other() {
         "receiver did not get every message"
     );
 }
+
+/// Hostile bytes on a relay connection (ROADMAP aim 3): each malformed
+/// stream ends in a typed error in the relay's reader — the relay hangs up
+/// on that connection, and on no other — while a routed pair through the
+/// same relay keeps delivering exactly once, in order.
+#[test]
+fn malformed_frames_end_their_own_connection_only() {
+    use gridzip::varint;
+    use netgrid::wire::{FrameWriter, MAX_FRAME};
+    const OP_HELLO: u8 = 1;
+
+    let sim = Sim::new(13);
+    let (net, ns, relays, senders, receivers) = world(&sim, 1, 2);
+    let env = GridEnv::new(net, ns).with_relay(relays[0]);
+    let bystander = start_pair(
+        &sim,
+        (env.clone(), senders[0].clone()),
+        (env, receivers[0].clone()),
+        "bystander",
+        (400, 4096),
+        Duration::from_millis(200),
+        Duration::from_millis(10),
+    );
+    let (hostile, relay) = (senders[1].clone(), relays[0]);
+    let varint_of = |v: u64| {
+        let mut bytes = Vec::new();
+        varint::put(&mut bytes, v);
+        bytes
+    };
+    // (what, the bytes, is the connection HELLO'd first, does the relay
+    // hang up on the bytes alone)
+    let huge = [varint_of(MAX_FRAME as u64), vec![7; 10]].concat();
+    let cases: Vec<(&str, Vec<u8>, bool, bool)> = vec![
+        ("1 MiB declared, 10 bytes sent", huge.clone(), true, false),
+        ("1 MiB declared as the first frame", huge, false, false),
+        ("all-continuation varint", vec![0x80; 10], true, true),
+        (
+            "length over MAX_FRAME",
+            varint_of(MAX_FRAME as u64 + 1),
+            false,
+            true,
+        ),
+        ("zero-length frame", vec![0], true, true),
+        ("zero-length first frame", vec![0], false, true),
+    ];
+    let done = sim.spawn("hostile", move || {
+        // Mid-transfer: the bystander streams from 0.3 s to past 4 s, the
+        // six cases take until 2.8 s.
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        for (i, (what, bytes, hello, fatal)) in cases.into_iter().enumerate() {
+            let s = hostile.connect(relay).unwrap();
+            if hello {
+                let hello = FrameWriter::new().u8(OP_HELLO).u64(9000 + i as u64);
+                hello.send(&mut s.clone()).unwrap();
+            }
+            s.write_all_blocking(&bytes).unwrap();
+            if !fatal {
+                // A frame that is still arriving is no error: the relay
+                // waits (holding the ten bytes, not the declared MiB) until
+                // the connection ends inside the frame.
+                gridsim_net::ctx::sleep(Duration::from_secs(1));
+                assert!(!s.readable(), "{what}: relay answered or hung up early");
+                s.shutdown_write().unwrap();
+            }
+            let hung_up = matches!(s.read_some(&mut [0u8; 16]), Ok(0) | Err(_));
+            assert!(
+                hung_up,
+                "{what}: the relay sent bytes instead of hanging up"
+            );
+        }
+    });
+    sim.run();
+    assert!(
+        done.is_finished(),
+        "a malformed stream wedged its connection"
+    );
+    assert!(
+        bystander.lock().0.is_some(),
+        "the bystander pair did not get every message"
+    );
+}
