@@ -16,7 +16,9 @@
 #           applies each suite's typed gates (loose tolerance — quick
 #           runs are noisier; the structural invariants stay exact:
 #           mux links/walks==1, storm walks==pairs, relaymesh 4-relay
-#           scaling >= 2x + BUSY engagement + failover FIFO).
+#           scaling >= 2x + BUSY engagement + failover FIFO). Then
+#           compression_crossover --levels, which asserts the paper's
+#           "only level 1 pays" as an inequality.
 #   faults  fault-matrix smoke under three fixed RNG seeds, over the
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
@@ -32,8 +34,9 @@
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
 # repeat or comma-separate to pick several (`--stage fmt,clippy`);
 # `./ci.sh --stage list` prints the stage names and exits.
-# Every run ends with a per-stage wall-clock summary and the size ROADMAP
-# tracks: lines in crates/*/src outside bench/src/bin.
+# Every run ends with a per-stage wall-clock summary and the two sizes
+# ROADMAP tracks: lines in crates/*/src outside bench/src/bin, and the
+# bench bins' count and lines.
 # run_benches.sh covers the full (slow) perf side separately.
 set -eu
 cd "$(dirname "$0")"
@@ -93,7 +96,6 @@ stage_golden() {
     NETGRID_TRACE="$FRESH/$name.trace" "$@" > /dev/null
   }
   run_trace fig9_quick "$BIN/fig9_amsterdam_rennes" --quick
-  run_trace dbg_bw "$BIN/dbg_bw" --total 2097152
   run_trace mux_pair "$BIN/bench_mux" --pair
   # table1's golden is the binary's full stdout (method matrix +
   # establishment outcomes), which pins the same simulations at the
@@ -102,7 +104,7 @@ stage_golden() {
   "$BIN/table1_matrix" > "$FRESH/table1.trace"
 
   local fail=0 t
-  for t in fig9_quick dbg_bw mux_pair table1; do
+  for t in fig9_quick mux_pair table1; do
     if [ "$BLESS" = 1 ]; then
       if cmp -s "$GOLD/$t.trace" "$FRESH/$t.trace"; then
         echo "bless $t: unchanged"
@@ -154,6 +156,9 @@ stage_bench() {
   # speed varies, so the drift tolerance is loose. run_benches.sh applies
   # the strict 20% gate on full runs.
   "$BIN/check_bench" --all --fresh-dir "$QUICK" --tolerance 0.35
+  # E6's level claim (sim clock, exact): exits non-zero unless level 1
+  # beats plain TCP at 4 MB/s and every deeper level is slower.
+  "$BIN/compression_crossover" --levels > /dev/null
 }
 
 stage_faults() {
@@ -208,4 +213,6 @@ printf 'ci summary (wall clock):\n%b' "$SUMMARY"
 printf '  %-8s %5ss\n' total $((SECONDS - t_total))
 src_lines=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*' -print0 | xargs -0 cat | wc -l)
 echo "source size: $src_lines lines in crates/*/src outside bench/src/bin"
+bins=(crates/bench/src/bin/*.rs)
+echo "bench bins: ${#bins[@]} bins / $(cat "${bins[@]}" | wc -l) lines in crates/bench/src/bin"
 echo "ci: all stages passed"

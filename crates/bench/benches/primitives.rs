@@ -19,7 +19,7 @@ fn bench_gridzip(c: &mut Criterion) {
     let mut g = c.benchmark_group("gridzip");
     tune(&mut g);
     g.throughput(Throughput::Bytes(data.len() as u64));
-    for level in [1u8, 3, 6, 9] {
+    for level in [1u8, 3, 6] {
         g.bench_with_input(BenchmarkId::new("compress", level), &level, |b, &level| {
             let mut comp = gridzip::Compressor::new(level);
             let mut out = Vec::with_capacity(data.len());

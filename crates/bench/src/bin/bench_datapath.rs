@@ -259,7 +259,7 @@ fn stage_gridzip(blocks: &[Bytes]) {
     let blocks = blocks.to_vec();
     sim.spawn("zip", move || {
         let agg = BlockWriter::new(NullSink, BlockPool::new(STAGE_BLOCK));
-        let mut w = gridzip::CompressWriter::with_block_size(agg, 3, STAGE_BLOCK);
+        let mut w = gridzip::CompressWriter::with_block_size(agg, 1, STAGE_BLOCK);
         for b in &blocks {
             w.write_block(b.clone()).unwrap();
         }

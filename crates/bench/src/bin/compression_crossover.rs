@@ -9,9 +9,11 @@
 //! crossover falls at capacity ≈ CPU rate, i.e. ≈5.5 MB/s.
 //!
 //! Usage: `compression_crossover [--levels]`
-//!   `--levels` additionally sweeps compression levels 1..9 on a mid-speed
-//!              link (the paper: "only the first level of compression
-//!              turned out to be useful")
+//!   `--levels` additionally sweeps every compression level on a mid-speed
+//!              link and exits non-zero unless the paper's sentence holds
+//!              ("only the first level of compression turned out to be
+//!              useful"): level 1 beats plain TCP there and every deeper
+//!              level is strictly slower than the one before
 
 use netgrid::{CpuRates, StackSpec};
 use netgrid_bench::*;
@@ -76,7 +78,9 @@ fn main() {
         println!("Compression level sweep at 4 MB/s capacity (paper §4.3: only level 1 pays)");
         println!("{}", "-".repeat(72));
         println!("{:>6} | {:>12} | {:>14}", "level", "bandwidth", "CPU rate");
-        for level in 1..=9u8 {
+        let plain = point(4e6, StackSpec::plain());
+        let mut bws = Vec::new();
+        for level in 1..=gridzip::MAX_LEVEL {
             let bw = point(4e6, StackSpec::plain().with_compression(level));
             println!(
                 "{:>6} | {:>7} MB/s | {:>9.2} MB/s",
@@ -84,6 +88,12 @@ fn main() {
                 fmt_mb(bw),
                 CpuRates::default().compress_at_level(level) / 1e6
             );
+            bws.push(bw);
+        }
+        println!("{:>6} | {:>7} MB/s |", "plain", fmt_mb(plain));
+        if bws[0] <= plain || bws.windows(2).any(|w| w[0] <= w[1]) {
+            eprintln!("FAIL: level 1 must beat plain and each level the next");
+            std::process::exit(1);
         }
     }
 }

@@ -45,16 +45,13 @@ impl CpuRates {
     /// Compression rate at a given level: deeper match search costs more,
     /// mirroring the paper's observation that only level 1 is worthwhile.
     pub fn compress_at_level(&self, level: u8) -> f64 {
-        let factor = match level.clamp(1, 9) {
+        let factor = match level.clamp(1, gridzip::MAX_LEVEL) {
             1 => 1.0,
             2 => 1.35,
             3 => 1.8,
             4 => 2.5,
             5 => 3.4,
-            6 => 4.6,
-            7 => 6.5,
-            8 => 10.0,
-            _ => 16.0,
+            _ => 4.6,
         };
         self.compress_l1 / factor
     }
@@ -215,7 +212,7 @@ mod tests {
     #[test]
     fn level_scaling_is_monotone() {
         let r = CpuRates::default();
-        for l in 1..9 {
+        for l in 1..gridzip::MAX_LEVEL {
             assert!(r.compress_at_level(l) > r.compress_at_level(l + 1));
         }
     }

@@ -213,7 +213,10 @@ impl Default for PathParams {
 impl PathParams {
     /// Are these parameters usable for a stack over `avail` raw links?
     pub fn valid_for(&self, avail: usize) -> bool {
-        self.stripes >= 1 && (self.stripes as usize) <= avail && self.block_size > 0
+        self.stripes >= 1
+            && (self.stripes as usize) <= avail
+            && self.block_size > 0
+            && level_in_range(self.compression_level)
     }
 
     /// Short description, e.g. `"4x64KiB+z1"`.
@@ -224,6 +227,14 @@ impl PathParams {
         }
         s
     }
+}
+
+/// Is this a compression setting gridzip has? `Compressor` clamps the level
+/// it is given, so one outside the ladder would assemble the same stack as
+/// a valid one under a different spec — and the encoded spec is the link
+/// key. Every level a peer supplies is checked against this.
+fn level_in_range(level: Option<u8>) -> bool {
+    level.is_none_or(|l| (1..=gridzip::MAX_LEVEL).contains(&l))
 }
 
 /// Configuration of a driver stack — what NetIbis reads from its
@@ -269,7 +280,7 @@ impl StackSpec {
     }
 
     pub fn with_compression(mut self, level: u8) -> Self {
-        self.path.compression_level = Some(level.clamp(1, 9));
+        self.path.compression_level = Some(level.clamp(1, gridzip::MAX_LEVEL));
         self
     }
 
@@ -332,7 +343,7 @@ impl StackSpec {
         // 0) so name-service records keep their bytes. A peer that sets it
         // asks for a driver this stack cannot assemble.
         let reserved = r.u8()?;
-        if streams == 0 || block_size == 0 || reserved != 0 {
+        if streams == 0 || block_size == 0 || reserved != 0 || !level_in_range(compress) {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad stack spec"));
         }
         Ok(StackSpec {
@@ -629,7 +640,7 @@ mod tests {
             StackSpec::plain().with_compression(1),
             StackSpec::plain()
                 .with_streams(4)
-                .with_compression(9)
+                .with_compression(gridzip::MAX_LEVEL)
                 .with_security(),
             StackSpec::plain().with_block_size(4096),
         ];
@@ -656,5 +667,21 @@ mod tests {
         assert!(StackSpec::decode(&[]).is_err());
         let zero_streams = FrameWriter::new().u64(0).u64(1024).u8(0).u8(0).into_bytes();
         assert!(StackSpec::decode(&zero_streams).is_err());
+        // The compression byte is `level + 1`: the ladder's top decodes,
+        // one past it and level 0 do not (`Compressor` would clamp both to
+        // a valid level's stack under a different link key).
+        let with_level_byte = |b: u8| {
+            let mut bytes = StackSpec::plain().with_compression(1).encode();
+            let at = bytes.len() - 3;
+            assert_eq!(bytes[at], 2, "the level byte");
+            bytes[at] = b;
+            StackSpec::decode(&bytes)
+        };
+        let top = with_level_byte(gridzip::MAX_LEVEL + 1).unwrap();
+        assert_eq!(top.compress(), Some(gridzip::MAX_LEVEL));
+        for b in [1, gridzip::MAX_LEVEL + 2, u8::MAX] {
+            let err = with_level_byte(b).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "level byte {b}");
+        }
     }
 }

@@ -757,9 +757,7 @@ impl ReceivePortInner {
                     // are corrupt: kill the pump. The sender's ack
                     // wait times out and recovery resynchronizes.
                     if epoch <= last_epoch
-                        || stripes == 0
                         || stripes > probes.len() as u64
-                        || block == 0
                         || block > MAX_MESSAGE
                         || level > u8::MAX as u64
                         || cur.buffered() != 0
@@ -774,6 +772,11 @@ impl ReceivePortInner {
                             l => Some((l - 1) as u8),
                         },
                     };
+                    // The sender's own check (`try_reconfigure`): zero
+                    // stripes or block, a level gridzip does not have.
+                    if !params.valid_for(probes.len()) {
+                        break;
+                    }
                     // Quiesce the retired stack BEFORE acking: its
                     // per-stripe pump tasks own socket reads until
                     // they consume the sender's segment terminator

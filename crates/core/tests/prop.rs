@@ -57,7 +57,7 @@ proptest! {
     fn stack_spec_roundtrip(
         streams in 1u16..64,
         block in 1u32..1_000_000,
-        level in proptest::option::of(1u8..=9),
+        level in proptest::option::of(1..=gridzip::MAX_LEVEL),
         secure in any::<bool>(),
         reserved in 1u8..=255,
     ) {

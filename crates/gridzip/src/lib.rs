@@ -3,8 +3,9 @@
 //! The compression substrate for the NetIbis (HPDC 2004) reproduction,
 //! standing in for zlib: the paper's compression driver uses "zlib
 //! compression level-1" (§4.3) and reports that higher levels cost far more
-//! CPU than they gain. gridzip exposes the same trade-off: levels 1–9
-//! control hash-chain search depth and lazy matching.
+//! CPU than they gain. gridzip exposes the same trade-off: levels
+//! 1–[`MAX_LEVEL`] control hash-chain search depth and lazy matching. There
+//! is no entropy stage: a block is LZSS tokens or stored bytes.
 //!
 //! * [`Compressor`] / [`decompress`]: independent block (de)compression,
 //! * [`CompressWriter`] / [`DecompressReader`]: block-framed streaming over
@@ -29,14 +30,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod huffman;
-pub mod lzss;
-pub mod stream;
+mod lzss;
+mod stream;
 pub mod synth;
 pub mod varint;
 
-pub use lzss::{decompress, Compressor, CorruptBlock, MIN_MATCH, WINDOW};
-pub use stream::{
-    frame_block, frame_block_with, read_block, read_block_with, CompressWriter, DecompressReader,
-    DEFAULT_BLOCK, HUFFMAN_FROM_LEVEL,
-};
+pub use lzss::{decompress, Compressor, CorruptBlock, MAX_LEVEL};
+pub use stream::{CompressWriter, DecompressReader};

@@ -12,10 +12,10 @@
 //!
 //! The final sequence of a block carries only literals (no offset/match).
 //!
-//! The `level` parameter (1..=9) trades CPU for ratio exactly as the paper
-//! describes for zlib (§4.3: "higher levels consumed much more CPU time for
-//! only a limited gain"): it controls the hash-chain search depth and
-//! enables lazy matching at higher levels.
+//! The `level` parameter (1..=[`MAX_LEVEL`]) trades CPU for ratio exactly
+//! as the paper describes for zlib (§4.3: "higher levels consumed much more
+//! CPU time for only a limited gain"): it controls the hash-chain search
+//! depth and enables lazy matching from level 4.
 //!
 //! ## The stamped match table
 //!
@@ -46,25 +46,26 @@
 use std::fmt;
 
 /// Minimum match length that pays for its encoding.
-pub const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 /// Window size (maximum match offset).
-pub const WINDOW: usize = 65535;
+const WINDOW: usize = 65535;
 
 const HASH_BITS: u32 = 16;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
-/// Search effort per compression level 1..=9 (chain depth).
+/// The deepest compression level; [`Compressor::new`] clamps to
+/// `1..=MAX_LEVEL`.
+pub const MAX_LEVEL: u8 = 6;
+
+/// Search effort (chain depth) per level, as clamped by [`Compressor`].
 fn depth_for_level(level: u8) -> u32 {
-    match level.clamp(1, 9) {
+    match level {
         1 => 4,
         2 => 8,
         3 => 16,
         4 => 32,
         5 => 64,
-        6 => 128,
-        7 => 256,
-        8 => 1024,
-        _ => 4096,
+        _ => 128,
     }
 }
 
@@ -123,7 +124,7 @@ impl Compressor {
 
     fn with_base(level: u8, base: u32) -> Compressor {
         Compressor {
-            level: level.clamp(1, 9),
+            level: level.clamp(1, MAX_LEVEL),
             head: vec![0; HASH_SIZE]
                 .into_boxed_slice()
                 .try_into()
@@ -131,10 +132,6 @@ impl Compressor {
             chain: Vec::new(),
             base,
         }
-    }
-
-    pub fn level(&self) -> u8 {
-        self.level
     }
 
     /// Compress one independent block. Output is appended to `out`; returns
@@ -399,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for level in [1, 5, 9] {
+        for level in [1, 5, MAX_LEVEL] {
             roundtrip(level, b"");
             roundtrip(level, b"a");
             roundtrip(level, b"abc");
@@ -461,8 +458,11 @@ mod tests {
             data.push(b' ');
         }
         let n1 = roundtrip(1, &data);
-        let n9 = roundtrip(9, &data);
-        assert!(n9 <= n1, "level 9 ({n9}) must not lose to level 1 ({n1})");
+        let top = roundtrip(MAX_LEVEL, &data);
+        assert!(
+            top <= n1,
+            "level {MAX_LEVEL} ({top}) must not lose to level 1 ({n1})"
+        );
     }
 
     #[test]
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn decompression_bomb_is_bounded() {
         let data = vec![0u8; 1 << 20];
-        let mut c = Compressor::new(9);
+        let mut c = Compressor::new(MAX_LEVEL);
         let mut out = Vec::new();
         c.compress(&data, &mut out);
         // Declaring a smaller bound must fail, not allocate 1 MiB.
@@ -524,7 +524,7 @@ mod tests {
     fn epoch_rollover_compresses_like_a_fresh_compressor() {
         // Start a few KiB short of the stamp space: the first blocks fit,
         // one straddles u32::MAX and triggers the reset, the rest follow it.
-        for level in [1, 4, 9] {
+        for level in [1, 4, MAX_LEVEL] {
             let mut c = Compressor::with_base(level, u32::MAX - 5000);
             let mut resets = 0;
             for k in 0..8u8 {

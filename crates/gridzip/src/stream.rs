@@ -7,58 +7,31 @@
 //! block := flag(u8) varint(orig_len) varint(payload_len) payload
 //! flag  := 0 stored (payload = original bytes)
 //!        | 1 LZSS block
-//!        | 2 LZSS block + Huffman entropy stage (levels >= 7, like zlib)
 //! ```
 //!
-//! The stored fallback guarantees bounded expansion on incompressible data.
-//! Each block is independently decodable, matching how the NetIbis
-//! compression driver frames message blocks.
+//! Any other flag is corrupt input. The stored fallback guarantees bounded
+//! expansion on incompressible data. Each block is independently decodable,
+//! matching how the NetIbis compression driver frames message blocks.
 
 use std::io::{self, Read, Write};
 
-use crate::huffman;
 use crate::lzss::{decompress, Compressor};
 use crate::varint;
 
 /// Default block size for the streaming writer.
-pub const DEFAULT_BLOCK: usize = 32 * 1024;
+const DEFAULT_BLOCK: usize = 32 * 1024;
 
 const FLAG_STORED: u8 = 0;
 const FLAG_LZSS: u8 = 1;
-const FLAG_LZSS_HUFF: u8 = 2;
 
-/// Levels at and above this apply the Huffman entropy stage after LZSS,
-/// like zlib's deflate (more CPU, some extra ratio — the paper's §4.3
-/// trade-off).
-pub const HUFFMAN_FROM_LEVEL: u8 = 7;
-
-/// Compress one block with the stored fallback; appends a framed block to
-/// `out`. Returns the payload length written (excluding the header).
-pub fn frame_block(c: &mut Compressor, data: &[u8], out: &mut Vec<u8>) -> usize {
-    let mut scratch = Vec::with_capacity(data.len() / 2 + 64);
-    frame_block_with(c, data, out, &mut scratch)
-}
-
-/// [`frame_block`] with a caller-owned compression scratch buffer, so a
-/// streaming writer emitting many blocks reuses one allocation. The
-/// scratch holds no state between calls — only capacity.
-pub fn frame_block_with(
-    c: &mut Compressor,
-    data: &[u8],
-    out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-) -> usize {
+/// Compress one block with the stored fallback and append it, framed, to
+/// `out`. `scratch` holds no state between calls — only capacity, so a
+/// writer emitting many blocks reuses one allocation.
+fn frame_block(c: &mut Compressor, data: &[u8], out: &mut Vec<u8>, scratch: &mut Vec<u8>) {
     scratch.clear();
     c.compress(data, scratch);
-    let mut flag = FLAG_LZSS;
-    if c.level() >= HUFFMAN_FROM_LEVEL {
-        if let Some(packed) = huffman::encode(scratch) {
-            *scratch = packed;
-            flag = FLAG_LZSS_HUFF;
-        }
-    }
     let (flag, payload): (u8, &[u8]) = if scratch.len() < data.len() {
-        (flag, scratch)
+        (FLAG_LZSS, scratch)
     } else {
         (FLAG_STORED, data)
     };
@@ -66,19 +39,13 @@ pub fn frame_block_with(
     varint::put(out, data.len() as u64);
     varint::put(out, payload.len() as u64);
     out.extend_from_slice(payload);
-    payload.len()
 }
 
 /// Read and decode one framed block from `r`. Returns `None` on clean EOF
-/// at a block boundary. `max_block` bounds the decoded size.
-pub fn read_block<R: Read>(r: &mut R, max_block: usize) -> io::Result<Option<Vec<u8>>> {
-    read_block_with(r, max_block, &mut Vec::new())
-}
-
-/// [`read_block`] with a caller-owned payload scratch buffer; a streaming
-/// reader decoding many blocks reuses one allocation for the compressed
-/// payload (the decoded block is returned owned either way).
-pub fn read_block_with<R: Read>(
+/// at a block boundary. `max_block` bounds the decoded size; `payload` is
+/// reused scratch for the compressed bytes (the decoded block is returned
+/// owned).
+fn read_block<R: Read>(
     r: &mut R,
     max_block: usize,
     payload: &mut Vec<u8>,
@@ -110,19 +77,6 @@ pub fn read_block_with<R: Read>(
         }
         FLAG_LZSS => {
             let out = decompress(payload, orig_len)?;
-            if out.len() != orig_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "decoded length mismatch",
-                ));
-            }
-            Ok(Some(out))
-        }
-        FLAG_LZSS_HUFF => {
-            // Entropy stage first (bounded by a generous LZSS expansion
-            // estimate), then the LZSS stage.
-            let lzss_bytes = huffman::decode(payload, max_block + max_block / 8 + 64)?;
-            let out = decompress(&lzss_bytes, orig_len)?;
             if out.len() != orig_len {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -177,7 +131,7 @@ impl<W: Write> CompressWriter<W> {
             return Ok(());
         }
         self.framed.clear();
-        frame_block_with(
+        frame_block(
             &mut self.comp,
             &self.buf,
             &mut self.framed,
@@ -237,7 +191,7 @@ pub struct DecompressReader<R: Read> {
     current: Vec<u8>,
     pos: usize,
     max_block: usize,
-    /// Reused compressed-payload scratch for [`read_block_with`].
+    /// Reused compressed-payload scratch for [`read_block`].
     payload: Vec<u8>,
     pub bytes_in_compressed: u64,
     pub bytes_out: u64,
@@ -270,7 +224,7 @@ impl<R: Read> DecompressReader<R> {
     /// when [`Read::read`] would. `false` means clean EOF.
     fn refill(&mut self) -> io::Result<bool> {
         if self.pos == self.current.len() {
-            match read_block_with(&mut self.inner, self.max_block, &mut self.payload)? {
+            match read_block(&mut self.inner, self.max_block, &mut self.payload)? {
                 Some(b) => {
                     self.bytes_out += b.len() as u64;
                     self.current = b;
@@ -313,7 +267,7 @@ impl<R: Read> Read for DecompressReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth;
+    use crate::{synth, MAX_LEVEL};
 
     #[test]
     fn writer_reader_roundtrip() {
@@ -333,7 +287,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let data: Vec<u8> = (0..100_000).map(|_| rng.random()).collect();
-        let mut w = CompressWriter::new(Vec::new(), 9);
+        let mut w = CompressWriter::new(Vec::new(), MAX_LEVEL);
         w.write_all(&data).unwrap();
         let framed = w.finish().unwrap();
         // Overhead: ~8 bytes per 32K block.
@@ -383,6 +337,19 @@ mod tests {
         assert!(r.read_to_end(&mut back).is_err());
     }
 
+    /// Both delivery paths end in a typed `InvalidData` with nothing
+    /// delivered.
+    fn assert_rejected(frame: &[u8]) {
+        let mut r = DecompressReader::new(io::Cursor::new(frame));
+        let err = r.read(&mut [0u8; 16]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(r.bytes_out, 0);
+        let mut r = DecompressReader::new(io::Cursor::new(frame));
+        let err = r.next_chunk(64 * 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(r.bytes_out, 0);
+    }
+
     #[test]
     fn declared_length_far_beyond_the_payload_is_rejected() {
         // A frame claiming 16 MiB of output for a 3-byte LZSS payload (a
@@ -393,14 +360,19 @@ mod tests {
         varint::put(&mut frame, 16 << 20);
         varint::put(&mut frame, 3);
         frame.extend_from_slice(&[0x20, b'h', b'i']);
-        let mut r = DecompressReader::new(io::Cursor::new(frame.clone()));
-        let err = r.read(&mut [0u8; 16]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut r = DecompressReader::new(io::Cursor::new(frame));
-        assert_eq!(
-            r.next_chunk(64 * 1024).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        assert_rejected(&frame);
+    }
+
+    #[test]
+    fn unknown_block_flag_is_rejected() {
+        // Well-formed in everything but its flag (2, the first unassigned
+        // one): the payload must not reach a decoder.
+        let mut w = CompressWriter::new(Vec::new(), 1);
+        w.write_all(&synth::grid_payload(4096, 0.6, 2)).unwrap();
+        let mut frame = w.finish().unwrap();
+        assert_eq!(frame[0], FLAG_LZSS);
+        frame[0] = 2;
+        assert_rejected(&frame);
     }
 
     #[test]
@@ -424,32 +396,6 @@ mod tests {
             }
             assert_eq!(by_chunk.bytes_out, data.len() as u64);
         }
-    }
-
-    #[test]
-    fn huffman_stage_improves_high_level_ratio() {
-        // Text-like data: the entropy stage squeezes the LZSS output
-        // further at level 9 than plain LZSS at level 6.
-        let data = synth::grid_payload(300_000, 0.55, 21);
-        let size_at = |level: u8| {
-            let mut w = CompressWriter::new(Vec::new(), level);
-            w.write_all(&data).unwrap();
-            w.finish().unwrap().len()
-        };
-        let l6 = size_at(6);
-        let l9 = size_at(9);
-        assert!(
-            l9 < l6,
-            "level 9 (huffman, {l9}) must beat level 6 (lzss only, {l6})"
-        );
-        // And the level-9 stream decodes.
-        let mut w = CompressWriter::new(Vec::new(), 9);
-        w.write_all(&data).unwrap();
-        let framed = w.finish().unwrap();
-        let mut r = DecompressReader::new(io::Cursor::new(framed));
-        let mut back = Vec::new();
-        r.read_to_end(&mut back).unwrap();
-        assert_eq!(back, data);
     }
 
     #[test]

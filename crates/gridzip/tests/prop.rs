@@ -1,5 +1,6 @@
 //! Property-based tests: compression must be lossless for every input.
 
+use gridzip::MAX_LEVEL;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 
@@ -51,7 +52,7 @@ proptest! {
         raw in proptest::collection::vec(any::<u8>(), 0..100_000),
         alphabet in 1u16..=256,
         cuts in proptest::collection::vec((any::<bool>(), 1usize..=64, 1usize..=100_000), 1..6),
-        level in 1u8..=9,
+        level in 1..=MAX_LEVEL,
     ) {
         let data: Vec<u8> = raw.iter().map(|&b| (b as u16 % alphabet) as u8).collect();
         same_as_reference(level, &cut_blocks(&data, &cuts))?;
@@ -64,7 +65,7 @@ proptest! {
         pattern in proptest::collection::vec(any::<u8>(), 1..24),
         reps in 1usize..6000,
         cuts in proptest::collection::vec((any::<bool>(), 1usize..=64, 1usize..=100_000), 1..6),
-        level in 1u8..=9,
+        level in 1..=MAX_LEVEL,
     ) {
         let data: Vec<u8> = pattern.iter().cycle().take(pattern.len() * reps).copied().collect();
         same_as_reference(level, &cut_blocks(&data, &cuts))?;
@@ -76,7 +77,7 @@ proptest! {
 
     /// Round-trip identity at every compression level, arbitrary bytes.
     #[test]
-    fn lzss_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..20_000), level in 1u8..=9) {
+    fn lzss_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..20_000), level in 1..=MAX_LEVEL) {
         let mut c = gridzip::Compressor::new(level);
         let mut out = Vec::new();
         c.compress(&data, &mut out);
@@ -89,7 +90,7 @@ proptest! {
     fn lzss_roundtrip_repetitive(
         pattern in proptest::collection::vec(any::<u8>(), 1..8),
         reps in 1usize..4000,
-        level in 1u8..=9,
+        level in 1..=MAX_LEVEL,
     ) {
         let data: Vec<u8> = pattern.iter().cycle().take(pattern.len() * reps).copied().collect();
         let mut c = gridzip::Compressor::new(level);
@@ -99,14 +100,13 @@ proptest! {
     }
 
     /// The streaming writer/reader preserves bytes across arbitrary write
-    /// chunkings, block sizes and levels (including the Huffman stage at
-    /// levels >= 7).
+    /// chunkings, block sizes and levels.
     #[test]
     fn stream_roundtrip(
         data in proptest::collection::vec(any::<u8>(), 0..40_000),
         block in 64usize..4096,
         chunk in 1usize..5000,
-        level in 1u8..=9,
+        level in 1..=MAX_LEVEL,
     ) {
         let mut w = gridzip::CompressWriter::with_block_size(Vec::new(), level, block);
         for piece in data.chunks(chunk) {

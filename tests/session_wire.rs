@@ -9,7 +9,7 @@ use gridsim_net::{topology, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use gridzip::varint;
 use netgrid::port::MAX_MESSAGE;
-use netgrid::wire::FrameWriter;
+use netgrid::wire::{read_frame, FrameReader, FrameWriter};
 use netgrid::{spawn_name_service, ConnectivityProfile, GridEnv, GridNode, ReceivePort, StackSpec};
 use std::io::Write;
 use std::time::Duration;
@@ -18,6 +18,7 @@ const NS: u16 = 563;
 const MSG: u64 = 0;
 const OPEN: u64 = 1;
 const CLOSE: u64 = 2;
+const RECONFIG: u64 = 4;
 const RESUME_FLAG: u64 = 1 << 63;
 
 /// Dial `port`'s listener and send the stream preamble: one
@@ -162,6 +163,73 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
                 .unwrap_or_else(|e| panic!("bystander harmed by {what}: {e}"));
         }
         bystander.close().unwrap();
+    });
+    sim.run();
+    assert!(receiver.is_finished() && client.is_finished());
+}
+
+#[test]
+fn reconfig_level_is_bounded_by_the_ladder() {
+    // `RECONFIG [4][epoch][stripes][block][level + 1]` from a raw client.
+    // At gridzip's top level the receiver acks with its watermark and swaps
+    // to a decompressing stack, so the next message arrives inside a
+    // (stored) gridzip block. One level past it the frame kills the pump:
+    // no ack, no swap, and what follows is never delivered.
+    const A: u64 = 0x0700_0001;
+    const B: u64 = 0x0700_0002;
+    let top = gridzip::MAX_LEVEL as u64;
+
+    let sim = Sim::new(23);
+    let net = sim.net();
+    let (a, b) = net.with(topology::lan_pair);
+    let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+    let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), NS));
+    let env_b = env.clone();
+    let receiver = sim.spawn("receiver", move || {
+        spawn_name_service(&hb, NS).unwrap();
+        let node = GridNode::join(&env_b, hb, "rx", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("wire", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::sleep(Duration::from_secs(1));
+        assert_eq!(
+            drain(&rp),
+            vec![
+                (A, b"a0".to_vec()),
+                (A, b"a1".to_vec()),
+                (B, b"b0".to_vec())
+            ]
+        );
+        assert_eq!(rp.connection_count(), 0, "both pumps are gone");
+    });
+    let client = sim.spawn("client", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
+        // One message, the RECONFIG, and (once the receiver has answered
+        // or hung up) a second message as a stored gridzip block.
+        let exchange = |ch: u64, level: u64, first: &[u8], second: &[u8]| {
+            let mut s = dial(&node, "wire", &[ch, 0, 1]);
+            let mut wire = Vec::new();
+            msg(&mut wire, ch, first);
+            put(&mut wire, &[RECONFIG, 1, 1, 32 * 1024, level + 1]);
+            s.write_all(&wire).unwrap();
+            let ack = read_frame(&mut s);
+            let mut frame = Vec::new();
+            msg(&mut frame, ch, second);
+            let mut block = vec![0u8];
+            put(&mut block, &[frame.len() as u64, frame.len() as u64]);
+            block.extend_from_slice(&frame);
+            // The peer may already have hung up.
+            let _ = s.write_all(&block);
+            let _ = s.shutdown_write();
+            ack
+        };
+        // Ack: [epoch][n][(channel, delivered)]*.
+        let ack = exchange(A, top, b"a0", b"a1").expect("top level is acked");
+        let mut r = FrameReader::new(&ack);
+        let fields: Vec<u64> = std::iter::from_fn(|| r.u64().ok()).collect();
+        assert_eq!(fields, [1, 1, A, 1]);
+        assert!(exchange(B, top + 1, b"b0", b"b1").is_err(), "no ack");
     });
     sim.run();
     assert!(receiver.is_finished() && client.is_finished());
