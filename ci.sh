@@ -2,7 +2,9 @@
 # Repo gate, organized as named stages:
 #
 #   fmt     cargo fmt --check
-#   clippy  cargo clippy --workspace --all-targets -D warnings
+#   clippy  cargo clippy --workspace --all-targets -D warnings, then the
+#           simulator's own rule: no `Instant::now` / `SystemTime` in the
+#           five product crates' src — host time is gridbench's to read
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -17,8 +19,8 @@
 #           runs are noisier; the structural invariants stay exact:
 #           mux links/walks==1, storm walks==pairs, relaymesh 4-relay
 #           scaling >= 2x + BUSY engagement + failover FIFO). Then
-#           compression_crossover --levels, which asserts the paper's
-#           "only level 1 pays" as an inequality.
+#           `figures crossover --levels`, which asserts the paper's "only
+#           level 1 pays" as an inequality.
 #   faults  fault-matrix smoke under three fixed RNG seeds, over the
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
@@ -34,9 +36,9 @@
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
 # repeat or comma-separate to pick several (`--stage fmt,clippy`);
 # `./ci.sh --stage list` prints the stage names and exits.
-# Every run ends with a per-stage wall-clock summary and the two sizes
-# ROADMAP tracks: lines in crates/*/src outside bench/src/bin, and the
-# bench bins' count and lines.
+# Every run ends with a per-stage wall-clock summary and the sizes
+# ROADMAP tracks: lines in crates/*/src outside bench/src/bin, the bench
+# bins' count, and crates/bench as a whole.
 # run_benches.sh covers the full (slow) perf side separately.
 set -eu
 cd "$(dirname "$0")"
@@ -84,6 +86,12 @@ stage_fmt() {
 
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
+  # The simulator does not read the host clock: a read per event is a fifth
+  # of a bulk run's CPU, and every number it could feed is gridbench's.
+  if grep -rnE 'Instant::now|SystemTime' crates/{simnet,simtcp,gridzip,gridcrypt,core}/src; then
+    echo "host clock read in a product crate (lines above); measure from benchmark/ instead"
+    return 1
+  fi
 }
 
 stage_golden() {
@@ -95,8 +103,8 @@ stage_golden() {
     echo "--- $name: $*"
     NETGRID_TRACE="$FRESH/$name.trace" "$@" > /dev/null
   }
-  run_trace fig9_quick "$BIN/fig9_amsterdam_rennes" --quick
-  run_trace mux_pair "$BIN/bench_mux" --pair
+  run_trace fig9_quick "$BIN/figures" fig9 --quick
+  run_trace mux_pair "$BIN/bench_suite" mux --pair
   # table1's golden is the binary's full stdout (method matrix +
   # establishment outcomes), which pins the same simulations at the
   # application level.
@@ -147,18 +155,17 @@ stage_bench() {
   local QUICK="$FRESH/bench"
   rm -rf "$QUICK" && mkdir -p "$QUICK"
   "$BIN/bench_datapath" --quick --out "$QUICK/BENCH_datapath.json" > /dev/null 2>&1
-  "$BIN/bench_faults" --quick --out "$QUICK/BENCH_faults.json" > /dev/null
-  "$BIN/bench_mux" --quick --out "$QUICK/BENCH_mux.json" > /dev/null
-  "$BIN/bench_storm" --quick --out "$QUICK/BENCH_storm.json" > /dev/null
-  "$BIN/bench_relay_mesh" --quick --out "$QUICK/BENCH_relaymesh.json" > /dev/null
-  "$BIN/bench_adaptive" --quick --out "$QUICK/BENCH_adaptive.json" > /dev/null
+  local suite
+  for suite in faults mux storm relaymesh adaptive; do
+    "$BIN/bench_suite" $suite --quick --out "$QUICK/BENCH_$suite.json" > /dev/null
+  done
   # Quick runs shorten the workload only, so structural gates hold; host
   # speed varies, so the drift tolerance is loose. run_benches.sh applies
   # the strict 20% gate on full runs.
   "$BIN/check_bench" --all --fresh-dir "$QUICK" --tolerance 0.35
   # E6's level claim (sim clock, exact): exits non-zero unless level 1
   # beats plain TCP at 4 MB/s and every deeper level is slower.
-  "$BIN/compression_crossover" --levels > /dev/null
+  "$BIN/figures" crossover --levels > /dev/null
 }
 
 stage_faults() {
@@ -189,7 +196,7 @@ stage_test() {
     taskset -c "$cpu" cargo test -q --release -p gridsim-net
     taskset -c "$cpu" cargo test -q --release --test scheduler
     # The relay's reader -> shard worker -> client pump handoffs interleave
-    # differently there too.
+    # differently there too; the park counts must not.
     taskset -c "$cpu" cargo test -q --release --test relay --test relay_parks
   fi
 }
@@ -213,6 +220,7 @@ printf 'ci summary (wall clock):\n%b' "$SUMMARY"
 printf '  %-8s %5ss\n' total $((SECONDS - t_total))
 src_lines=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*' -print0 | xargs -0 cat | wc -l)
 echo "source size: $src_lines lines in crates/*/src outside bench/src/bin"
-bins=(crates/bench/src/bin/*.rs)
-echo "bench bins: ${#bins[@]} bins / $(cat "${bins[@]}" | wc -l) lines in crates/bench/src/bin"
+bins=(crates/bench/src/bin/*)
+bench_lines=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
+echo "bench: ${#bins[@]} bins / $bench_lines lines in crates/bench (src + bins)"
 echo "ci: all stages passed"

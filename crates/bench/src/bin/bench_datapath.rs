@@ -320,14 +320,9 @@ fn bench_row(
     });
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = has_flag(&args, "--quick");
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_datapath.json".into());
+    let cli = Cli::from_env();
+    let quick = cli.quick();
     let mut c = Criterion::default();
     let mut entries: Vec<Entry> = Vec::new();
 
@@ -398,35 +393,35 @@ fn main() {
     // BENCH_datapath.json: one object per scenario. blocks/sec uses the
     // stack's 32 KiB aggregation block as the unit.
     let block = 32 * 1024u64;
-    let mut out = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        let secs = e.median_ns * 1e-9;
-        let bps = e.bytes as f64 / secs;
-        let blocks_per_sec = bps / block as f64;
-        let n_blocks = (e.bytes / block) as f64;
-        let allocs_per_block = e.allocs_per_run as f64 / n_blocks;
-        let tcp = e.tcp.map_or(String::new(), |(segs, copied)| {
-            format!(
-                ", \"segs_per_block\": {:.2}, \"copied_per_block\": {:.1}",
-                segs as f64 / n_blocks,
-                copied as f64 / n_blocks
-            )
-        });
-        out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"median_ns\": {:.0}, \"bytes\": {}, \"mb_per_sec\": {:.2}, \"blocks_per_sec\": {:.0}, \"allocs_per_run\": {}, \"allocs_per_block\": {:.1}{}}}{}\n",
-            json_escape(&e.id),
-            e.median_ns,
-            e.bytes,
-            bps / 1e6,
-            blocks_per_sec,
-            e.allocs_per_run,
-            allocs_per_block,
-            tcp,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("]\n");
-    std::fs::write(&out_path, &out).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("\nwrote {out_path}");
-    print!("{out}");
+    let rows: Vec<JsonRow> = entries
+        .iter()
+        .map(|e| {
+            let bps = e.bytes as f64 / (e.median_ns * 1e-9);
+            let n_blocks = (e.bytes / block) as f64;
+            let row = JsonRow::default()
+                .text("id", &e.id)
+                .num("median_ns", format_args!("{:.0}", e.median_ns))
+                .num("bytes", e.bytes)
+                .num("mb_per_sec", format_args!("{:.2}", bps / 1e6))
+                .num("blocks_per_sec", format_args!("{:.0}", bps / block as f64))
+                .num("allocs_per_run", e.allocs_per_run)
+                .num(
+                    "allocs_per_block",
+                    format_args!("{:.1}", e.allocs_per_run as f64 / n_blocks),
+                );
+            match e.tcp {
+                None => row,
+                Some((segs, copied)) => row
+                    .num(
+                        "segs_per_block",
+                        format_args!("{:.2}", segs as f64 / n_blocks),
+                    )
+                    .num(
+                        "copied_per_block",
+                        format_args!("{:.1}", copied as f64 / n_blocks),
+                    ),
+            }
+        })
+        .collect();
+    print!("{}", write_json(&cli.out("BENCH_datapath.json"), &rows));
 }

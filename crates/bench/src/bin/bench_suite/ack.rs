@@ -15,19 +15,12 @@
 //! binary is not part of the golden-trace set since the service-link
 //! packet mix varies by design.
 
-use gridsim_net::Sim;
+use super::*;
 use netgrid::StackSpec;
-use netgrid_bench::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 const MSG: usize = 64 * 1024;
 const MSGS: u64 = 256;
-
-struct Point {
-    label: &'static str,
-    ack_bytes: usize,
-}
 
 struct Out {
     peak: usize,
@@ -41,9 +34,7 @@ fn run_one(ack_bytes: usize) -> Out {
 
     let env_b = env.clone();
     sim.spawn("receiver", move || {
-        let node =
-            netgrid::GridNode::join(&env_b, hb, "recv", netgrid::ConnectivityProfile::open())
-                .unwrap();
+        let node = join_open(&env_b, hb, "recv");
         let rp = node.create_receive_port("ack", StackSpec::plain()).unwrap();
         for i in 0..MSGS {
             let mut m = rp.receive().unwrap();
@@ -57,9 +48,7 @@ fn run_one(ack_bytes: usize) -> Out {
     let env_a = env.clone();
     sim.spawn("sender", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(100));
-        let node =
-            netgrid::GridNode::join(&env_a, ha, "send", netgrid::ConnectivityProfile::open())
-                .unwrap();
+        let node = join_open(&env_a, ha, "send");
         let mut sp = node.create_send_port();
         sp.connect("ack").unwrap();
         let t0 = gridsim_net::ctx::now();
@@ -83,28 +72,13 @@ fn run_one(ack_bytes: usize) -> Out {
     }
 }
 
-fn main() {
+pub fn run(_: &Cli) {
     let points = [
-        Point {
-            label: "disabled",
-            ack_bytes: usize::MAX,
-        },
-        Point {
-            label: "4 MiB",
-            ack_bytes: 4 << 20,
-        },
-        Point {
-            label: "1 MiB",
-            ack_bytes: 1 << 20,
-        },
-        Point {
-            label: "256 KiB",
-            ack_bytes: 256 * 1024,
-        },
-        Point {
-            label: "64 KiB",
-            ack_bytes: 64 * 1024,
-        },
+        ("disabled", usize::MAX),
+        ("4 MiB", 4 << 20),
+        ("1 MiB", 1 << 20),
+        ("256 KiB", 256 * 1024),
+        ("64 KiB", 64 * 1024),
     ];
     println!(
         "ACK cadence sweep: {} MiB over {} ({:.0} MB/s, {} ms RTT), 8 MiB resend budget",
@@ -117,14 +91,8 @@ fn main() {
         "{:>10}  {:>16}  {:>12}",
         "cadence", "peak resend KiB", "MB/s"
     );
-    for p in &points {
-        let o = run_one(p.ack_bytes);
-        println!(
-            "{:>10}  {:>16}  {:>12.2}",
-            p.label,
-            o.peak / 1024,
-            o.mb_per_sec
-        );
+    for (label, ack_bytes) in points {
+        let o = run_one(ack_bytes);
+        println!("{label:>10}  {:>16}  {:>12.2}", o.peak / 1024, o.mb_per_sec);
     }
-    trace::flush();
 }

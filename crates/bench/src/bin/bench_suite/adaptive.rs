@@ -11,12 +11,10 @@
 //! within 0.9x of the best static run and at least 1.5x above the
 //! worst. Writes `BENCH_adaptive.json`.
 
-use gridsim_net::{FaultPlan, Sim};
-use netgrid::{ConnectivityProfile, GridNode, PathControlConfig, PathParams, StackSpec};
-use netgrid_bench::*;
+use super::*;
+use netgrid::{PathControlConfig, PathParams, StackSpec};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Payload bytes per message (after the varint sequence number).
 const MSG: usize = 32 * 1024;
@@ -114,7 +112,7 @@ fn run_one(sc: &Scenario, spec: StackSpec, start: Option<PathParams>, control: b
     let spec_b = spec.clone();
     let d = Arc::clone(&done);
     sim.spawn("receiver", move || {
-        let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::open()).unwrap();
+        let node = join_open(&env_b, hb, "recv");
         let rp = node.create_receive_port("ramp", spec_b).unwrap();
         let mut expect = 0u64;
         loop {
@@ -138,7 +136,7 @@ fn run_one(sc: &Scenario, spec: StackSpec, start: Option<PathParams>, control: b
     let send_for = sc.send_for;
     sim.spawn("sender", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(100));
-        let node = GridNode::join(&env_a, ha, "send", ConnectivityProfile::open()).unwrap();
+        let node = join_open(&env_a, ha, "send");
         let mut sp = node.create_send_port();
         sp.connect("ramp").unwrap();
         if let Some(p) = start {
@@ -177,11 +175,8 @@ fn run_one(sc: &Scenario, spec: StackSpec, start: Option<PathParams>, control: b
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = has_flag(&args, "--quick");
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_adaptive.json".into());
-    let sc = Scenario::new(quick);
+pub fn run(cli: &Cli) {
+    let sc = Scenario::new(cli.quick());
     println!(
         "Adaptive control: capacity ramp {:.0} -> {:.0} MB/s at t={:?} over {:?}, 40 ms RTT, 64 KiB windows",
         CAP_LOW / 1e6,
@@ -248,21 +243,18 @@ fn main() {
         ctl / worst
     );
 
-    let mut json = String::from("[\n");
-    for (i, (id, o)) in outs.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"id\": \"{}\", \"mb_s\": {:.3}, \"bytes\": {}, \"secs\": {:.3}, \"stripes\": {}, \"compression\": {}, \"epochs\": {}}}{}\n",
-            id,
-            o.mb_s(),
-            o.bytes,
-            o.secs,
-            o.final_stripes,
-            o.final_compression,
-            o.epochs,
-            if i + 1 == outs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    eprintln!("wrote {out_path}");
+    let rows: Vec<JsonRow> = outs
+        .iter()
+        .map(|(id, o)| {
+            JsonRow::default()
+                .text("id", id)
+                .num("mb_s", format_args!("{:.3}", o.mb_s()))
+                .num("bytes", o.bytes)
+                .num("secs", format_args!("{:.3}", o.secs))
+                .num("stripes", o.final_stripes)
+                .num("compression", o.final_compression)
+                .num("epochs", o.epochs)
+        })
+        .collect();
+    write_json(&cli.out("BENCH_adaptive.json"), &rows);
 }

@@ -10,41 +10,23 @@
 //! fresh run (a bench not wired into the quick gate) or a fresh file with
 //! no baseline is exit 2, naming the file.
 //!
-//! Rules (per scenario, matched by `id` / `down_ms` / `channels` / `nodes`):
-//!   * datapath: fresh `mb_per_sec` below `(1 - tolerance) x` baseline fails;
-//!     fresh `allocs_per_block` above `(1 + tolerance) x baseline + 1` fails;
-//!     on rows that carry them, fresh `segs_per_block` / `copied_per_block`
-//!     above the baseline at all fails (simulation-determined counts).
-//!   * faults: fresh `recovery_ms` above `2 x baseline + 50 ms` fails
-//!     (baselines at or below zero are skipped — no recovery happened);
-//!     fresh `total_ms` above `(1 + tolerance) x baseline + 50 ms` fails.
-//!   * mux: `links` / `walks` other than exactly 1 fail unconditionally (N
-//!     same-spec channels must share ONE link found by ONE walk — no
-//!     baseline involved); fresh `setup_ms` or `recovery_ms` above
-//!     `2 x baseline + 50 ms` fails.
-//!   * storm: `walks` other than exactly `pairs` fails unconditionally (one
-//!     Figure-4 walk per distinct sender→peer pair, no more — the
-//!     single-flight dedupe — and no fewer); fresh aggregate `setup_ms`
-//!     above `2 x baseline + 50 ms` fails.
-//!   * relaymesh: structural gates on the fresh run — 4-relay spread
-//!     aggregate below `2 x` the 1-relay aggregate fails (the mesh must
-//!     scale), skew `busy_throttles` of zero fails (typed backpressure
-//!     must engage under one-hot load), kill `fifo_ok != 1` fails
-//!     (exactly-once FIFO across relay failover) — plus the usual
-//!     tolerance floor on spread `mb_s` against the baseline.
-//!   * adaptive: structural gates on the fresh run — the controller row's
-//!     `mb_s` below `0.9 x` the best static row fails (the control loop
-//!     stopped tracking the capacity ramp), below `1.5 x` the worst
-//!     static row fails (adaptation buys nothing) — plus the tolerance
-//!     floor on the controller row against the baseline.
+//! What is checked is [`SUITES`], one entry per file: the columns that key
+//! a row, gates on single columns (a fresh row against the baseline row of
+//! the same key, or a fresh row against a constant — the structural
+//! invariants, which hold at any host speed and any matrix size) and the
+//! gates that span rows. One evaluator applies them all; a new
+//! `BENCH_*.json` is a new table entry plus its cases in the test below.
+//! A file with no entry must still parse on both sides.
 //!
 //! Baselines are host-speed sensitive, so the default tolerance is loose;
-//! quick CI runs pass `--tolerance 0.3`. The JSON is the flat array of
-//! flat objects our bench binaries emit — parsed by hand, no serde. A
-//! truncated or malformed file (an interrupted `run_benches.sh`) is a
-//! named-file diagnostic and a nonzero exit, never a panic.
+//! quick CI runs pass a looser one still. Exit 1 means "parsed fine, found
+//! regressions". The JSON is the flat array of flat objects our bench
+//! binaries emit — parsed by hand, no serde. A truncated or malformed file
+//! (an interrupted `run_benches.sh`), a row without a column a gate reads,
+//! a value that is not a number or two rows with one key are exit 2 with
+//! the file, row and column named — never a panic.
 
-use netgrid_bench::*;
+use netgrid_bench::Cli;
 use std::collections::HashMap;
 
 type Obj = HashMap<String, String>;
@@ -79,481 +61,476 @@ fn parse_objects(src: &str, path: &str) -> Result<Vec<Obj>, String> {
     Ok(out)
 }
 
-/// Load a bench file or exit(2) with a diagnostic naming it. Distinct from
-/// exit(1), which means "parsed fine, found regressions".
-fn load(path: &str) -> Vec<Obj> {
-    let fail = |msg: String| -> ! {
-        eprintln!("check_bench: {msg}");
-        std::process::exit(2);
-    };
-    let src = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    parse_objects(&src, path).unwrap_or_else(|e| fail(e))
+/// How a gate judges its column. The first four compare a fresh row with
+/// the baseline row of the same key; the rest read the fresh row alone.
+enum Rule {
+    /// Fresh below `(1 - tolerance) x` baseline fails.
+    Floor,
+    /// Fresh above `(1 + tolerance) x baseline + slack` fails; the absolute
+    /// slack keeps near-zero baselines from failing on jitter.
+    Ceiling(f64),
+    /// Fresh above `2 x baseline + 50` (ms) fails. A baseline at or below
+    /// zero is skipped: nothing happened there to take twice as long.
+    Doubled,
+    /// Fresh above the baseline at all fails, on rows whose baseline has
+    /// the column: a count the simulation decides, not the host.
+    NoRise,
+    Equals(f64),
+    EqualsColumn(&'static str),
+    AtLeast(f64),
+    /// The column's text must be one of these.
+    OneOf(&'static [&'static str]),
 }
 
-fn num(o: &Obj, key: &str, path: &str) -> f64 {
-    o.get(key)
-        .unwrap_or_else(|| panic!("{path}: missing key {key:?} in {o:?}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{path}: non-numeric {key:?}: {e}"))
+/// `(column, value)`: the rows a gate judges; `None` is every row.
+type On = Option<(&'static str, &'static str)>;
+
+/// `(rows, column, rule, what a failure means)`.
+struct Gate(On, &'static str, Rule, &'static str);
+
+/// Gates over several rows of the fresh file.
+enum Cross {
+    /// Among the rows `on`, `column` where `by` reads `num` must be at least
+    /// `min x` `column` where `by` reads `den`.
+    Ratio {
+        on: On,
+        by: &'static str,
+        num: &'static str,
+        den: &'static str,
+        column: &'static str,
+        min: f64,
+        why: &'static str,
+    },
+    /// `column` of the row `row` must reach `best x` the largest and
+    /// `worst x` the smallest `column` among the other rows.
+    AgainstRest {
+        row: (&'static str, &'static str),
+        column: &'static str,
+        best: f64,
+        worst: f64,
+    },
 }
 
-/// Index rows by a key column, panicking on duplicates.
-fn index<'a>(rows: &'a [Obj], key: &str, path: &str) -> HashMap<String, &'a Obj> {
-    let mut m = HashMap::new();
-    for r in rows {
-        let k = r
-            .get(key)
-            .unwrap_or_else(|| panic!("{path}: row without {key:?}"))
-            .clone();
-        assert!(m.insert(k, r).is_none(), "{path}: duplicate {key:?}");
+struct Suite {
+    file: &'static str,
+    /// Short name: prefixes report lines and gate ids.
+    name: &'static str,
+    /// The columns that identify a row; two rows with one key are an error.
+    key: &'static [&'static str],
+    /// A baseline row with no fresh row of its key is a failure — or, for
+    /// suites whose quick run covers a subset of the matrix, skipped.
+    missing_fails: bool,
+    gates: &'static [Gate],
+    cross: &'static [Cross],
+}
+
+#[rustfmt::skip] // one gate, one line
+const SUITES: &[Suite] = &[
+    Suite {
+        file: "BENCH_datapath.json", name: "datapath", key: &["id"], missing_fails: true,
+        gates: &[
+            Gate(None, "mb_per_sec", Rule::Floor, ""),
+            Gate(None, "allocs_per_block", Rule::Ceiling(1.0), "a pool stopped recycling or a per-block Box came back"),
+            Gate(None, "segs_per_block", Rule::NoRise, "the sender is fragmenting again"),
+            Gate(None, "copied_per_block", Rule::NoRise, "the sender is copying again"),
+        ],
+        cross: &[],
+    },
+    Suite {
+        file: "BENCH_faults.json", name: "faults", key: &["down_ms"], missing_fails: false,
+        gates: &[
+            Gate(None, "recovery_ms", Rule::Doubled, ""),
+            Gate(None, "total_ms", Rule::Ceiling(50.0), ""),
+        ],
+        cross: &[],
+    },
+    Suite {
+        file: "BENCH_mux.json", name: "mux", key: &["channels"], missing_fails: false,
+        gates: &[
+            // N same-spec channels must share ONE link found by ONE walk.
+            Gate(None, "links", Rule::Equals(1.0), "channels stopped sharing a link"),
+            Gate(None, "walks", Rule::Equals(1.0), "channels stopped sharing a walk"),
+            Gate(None, "setup_ms", Rule::Doubled, ""),
+            Gate(None, "recovery_ms", Rule::Doubled, ""),
+        ],
+        cross: &[],
+    },
+    Suite {
+        file: "BENCH_storm.json", name: "storm", key: &["nodes"], missing_fails: false,
+        gates: &[
+            // One Figure-4 walk per distinct sender→peer pair.
+            Gate(None, "walks", Rule::EqualsColumn("pairs"), "more: single-flight dedupe broke under the storm; fewer: connects silently failed"),
+            Gate(None, "setup_ms", Rule::Doubled, ""),
+        ],
+        cross: &[],
+    },
+    Suite {
+        // `pairs` in the key: the quick matrix runs fewer pairs than the
+        // committed full one and aggregate MB/s is workload-shaped, so only
+        // identical points compare.
+        file: "BENCH_relaymesh.json", name: "relaymesh", key: &["round", "relays", "pairs"], missing_fails: false,
+        gates: &[
+            Gate(None, "round", Rule::OneOf(&["spread", "skew", "kill"]), ""),
+            Gate(Some(("round", "skew")), "busy_throttles", Rule::AtLeast(1.0), "one-hot overload drew no typed backpressure: sharded plane not throttling"),
+            Gate(Some(("round", "kill")), "fifo_ok", Rule::Equals(1.0), "transfer across a mid-stream relay kill was not exactly-once FIFO"),
+            Gate(Some(("round", "spread")), "mb_s", Rule::Floor, ""),
+        ],
+        cross: &[Cross::Ratio {
+            on: Some(("round", "spread")), by: "relays", num: "4", den: "1", column: "mb_s", min: 2.0,
+            why: "the mesh must scale",
+        }],
+    },
+    Suite {
+        file: "BENCH_adaptive.json", name: "adaptive", key: &["id"], missing_fails: false,
+        // Quick runs use a shorter ramp schedule than the committed full
+        // baseline, so absolute MB/s differ by workload shape: only the
+        // controller row compares.
+        gates: &[Gate(Some(("id", "controller")), "mb_s", Rule::Floor, "")],
+        // Near the best static configuration (adaptation is nearly free)
+        // and well above the worst (it pays on the ramp).
+        cross: &[Cross::AgainstRest { row: ("id", "controller"), column: "mb_s", best: 0.9, worst: 1.5 }],
+    },
+];
+
+impl Rule {
+    fn name(&self) -> &'static str {
+        match self {
+            Rule::Floor => "floor",
+            Rule::Ceiling(_) => "ceiling",
+            Rule::Doubled => "doubled",
+            Rule::NoRise => "no-rise",
+            Rule::Equals(_) => "equals",
+            Rule::EqualsColumn(_) => "equals-column",
+            Rule::AtLeast(_) => "at-least",
+            Rule::OneOf(_) => "one-of",
+        }
     }
-    m
 }
 
-fn check_datapath(fresh_path: &str, base_path: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    let fresh_by_id = index(&fresh, "id", fresh_path);
-    for b in &base {
-        let id = &b["id"];
-        let Some(f) = fresh_by_id.get(id) else {
-            failures.push(format!(
-                "datapath: scenario {id:?} missing from {fresh_path}"
-            ));
+/// One parsed file: where it came from (for diagnostics) and its rows.
+struct Table<'a> {
+    path: &'a str,
+    rows: &'a [Obj],
+}
+
+/// A regression: the gate that found it, as `suite/column/rule`, and the
+/// line for the report.
+#[derive(Debug)]
+struct Failure {
+    gate: String,
+    msg: String,
+}
+
+fn selects(on: On, row: &Obj) -> bool {
+    on.is_none_or(|(column, value)| row.get(column).map(String::as_str) == Some(value))
+}
+
+/// `row`'s key as `column=value ...`; `n` is its position, to name a row
+/// that lacks a key column.
+fn key_of(suite: &Suite, row: &Obj, path: &str, n: usize) -> Result<String, String> {
+    let parts: Result<Vec<String>, String> = suite
+        .key
+        .iter()
+        .map(|k| match row.get(*k) {
+            Some(v) => Ok(format!("{k}={v}")),
+            None => Err(format!("{path}: row {n}: missing key column {k:?}")),
+        })
+        .collect();
+    Ok(parts?.join(" "))
+}
+
+/// Rows by key, in file order.
+fn keyed<'a>(suite: &Suite, t: &Table<'a>) -> Result<Vec<(String, &'a Obj)>, String> {
+    let mut out: Vec<(String, &Obj)> = Vec::new();
+    for (n, row) in t.rows.iter().enumerate() {
+        let key = key_of(suite, row, t.path, n)?;
+        if out.iter().any(|(k, _)| *k == key) {
+            return Err(format!("{}: two rows with key {key}", t.path));
+        }
+        out.push((key, row));
+    }
+    Ok(out)
+}
+
+fn num(row: &Obj, column: &str, path: &str, key: &str) -> Result<f64, String> {
+    let v = row
+        .get(column)
+        .ok_or_else(|| format!("{path}: row {key}: missing column {column:?}"))?;
+    v.parse()
+        .map_err(|_| format!("{path}: row {key}: column {column:?} is not a number: {v:?}"))
+}
+
+/// Apply every gate of `suite`: a report line per judgement on stdout, a
+/// [`Failure`] per regression. `Err` is input no gate can judge.
+fn evaluate(
+    suite: &Suite,
+    fresh: &Table,
+    base: &Table,
+    tolerance: f64,
+    failures: &mut Vec<Failure>,
+) -> Result<(), String> {
+    let name = suite.name;
+    let fresh_rows = keyed(suite, fresh)?;
+    let base_rows = keyed(suite, base)?;
+    // Every comparison below is the failing one, so a NaN passes as it
+    // always has.
+    let mut judge = |gate: String, bad: bool, line: String, why: &str| {
+        println!("{name} {line}  {}", if bad { "FAIL" } else { "ok" });
+        if bad {
+            let sep = if why.is_empty() { "" } else { " — " };
+            failures.push(Failure {
+                gate: format!("{name}/{gate}"),
+                msg: format!("{name} {line}{sep}{why}"),
+            });
+        }
+    };
+
+    // The fresh run alone: these hold whatever the baseline says.
+    for (key, row) in &fresh_rows {
+        for Gate(_, column, rule, why) in suite.gates.iter().filter(|g| selects(g.0, row)) {
+            let text = row.get(*column).map_or("", String::as_str);
+            let value = || num(row, column, fresh.path, key);
+            let (bad, line) = match *rule {
+                Rule::Equals(c) => (value()? != c, format!("must be exactly {c}")),
+                Rule::AtLeast(c) => (value()? < c, format!("must be at least {c}")),
+                Rule::EqualsColumn(other) => {
+                    let o = num(row, other, fresh.path, key)?;
+                    (value()? != o, format!("must equal {other} = {o}"))
+                }
+                Rule::OneOf(known) => (!known.contains(&text), format!("must be one of {known:?}")),
+                _ => continue,
+            };
+            let line = format!("{key}: {column} = {text} ({line})");
+            judge(format!("{column}/{}", rule.name()), bad, line, why);
+        }
+    }
+    for c in suite.cross {
+        match *c {
+            Cross::Ratio {
+                on,
+                by,
+                num: top,
+                den,
+                column,
+                min,
+                why,
+            } => {
+                let of = |value: &str| {
+                    fresh_rows.iter().find(|(_, r)| {
+                        selects(on, r) && r.get(by).map(String::as_str) == Some(value)
+                    })
+                };
+                let (Some((kt, rt)), Some((kd, rd))) = (of(top), of(den)) else {
+                    let line = format!("{} lacks rows for {by}={den} and {by}={top}", fresh.path);
+                    judge(format!("{column}/ratio-rows"), true, line, "");
+                    continue;
+                };
+                let ratio = num(rt, column, fresh.path, kt)? / num(rd, column, fresh.path, kd)?;
+                let line =
+                    format!("{column}: {by}={top} / {by}={den} = {ratio:.2}x (need {min:.2}x)");
+                judge(format!("{column}/ratio"), ratio < min, line, why);
+            }
+            Cross::AgainstRest {
+                row,
+                column,
+                best,
+                worst,
+            } => {
+                let mut rest = Vec::new();
+                for (key, r) in fresh_rows.iter().filter(|(_, r)| !selects(Some(row), r)) {
+                    rest.push(num(r, column, fresh.path, key)?);
+                }
+                let subject = fresh_rows.iter().find(|(_, r)| selects(Some(row), r));
+                let (Some((key, r)), false) = (subject, rest.is_empty()) else {
+                    let line = format!(
+                        "{} lacks a {}={} row and/or rows to hold it against",
+                        fresh.path, row.0, row.1
+                    );
+                    judge(format!("{column}/vs-rest-rows"), true, line, "");
+                    continue;
+                };
+                let v = num(r, column, fresh.path, key)?;
+                let hi = rest.iter().cloned().fold(f64::MIN, f64::max);
+                let lo = rest.iter().cloned().fold(f64::MAX, f64::min);
+                for (what, of_rest, factor) in [("best", hi, best), ("worst", lo, worst)] {
+                    let need = of_rest * factor;
+                    let line = format!(
+                        "{key}: {column} {v:.2} vs {what} of the rest {of_rest:.2} (need {need:.2}, {factor}x)"
+                    );
+                    judge(format!("{column}/vs-{what}"), v < need, line, "");
+                }
+            }
+        }
+    }
+
+    // Against the baseline, row by row.
+    for (key, b) in &base_rows {
+        let Some((_, f)) = fresh_rows.iter().find(|(k, _)| k == key) else {
+            if suite.missing_fails {
+                let line = format!("{key}: missing from {}", fresh.path);
+                judge("missing-row".into(), true, line, "");
+            }
             continue;
         };
-        let base_mb = num(b, "mb_per_sec", base_path);
-        let fresh_mb = num(f, "mb_per_sec", fresh_path);
-        let floor = base_mb * (1.0 - tolerance);
-        let verdict = if fresh_mb < floor { "FAIL" } else { "ok" };
-        println!(
-            "datapath {id:>24}: {fresh_mb:>9.2} MB/s vs baseline {base_mb:>9.2} (floor {floor:>9.2})  {verdict}"
-        );
-        if fresh_mb < floor {
-            failures.push(format!(
-                "datapath {id:?}: {fresh_mb:.2} MB/s regressed more than {:.0}% below baseline {base_mb:.2}",
-                tolerance * 100.0
-            ));
-        }
-        // Allocation gate: allocs/block creeping past the blessed baseline
-        // means a pool stopped recycling or a per-block Box came back.
-        // One alloc of absolute slack keeps near-zero baselines (the stage
-        // rows) from failing on counting jitter.
-        let base_ab = num(b, "allocs_per_block", base_path);
-        let fresh_ab = num(f, "allocs_per_block", fresh_path);
-        let ceil = base_ab * (1.0 + tolerance) + 1.0;
-        let verdict = if fresh_ab > ceil { "FAIL" } else { "ok" };
-        println!(
-            "datapath {id:>24}: {fresh_ab:>9.1} allocs/block vs baseline {base_ab:>9.1} (ceil {ceil:>9.1})  {verdict}"
-        );
-        if fresh_ab > ceil {
-            failures.push(format!(
-                "datapath {id:?}: {fresh_ab:.1} allocs/block grew more than {:.0}% over baseline {base_ab:.1}",
-                tolerance * 100.0
-            ));
-        }
-        // Segmentation gate (e2e rows): segments and copied bytes per block
-        // are decided by the simulation, not the host, so there is no
-        // tolerance — any rise is the sender fragmenting or copying again.
-        for key in ["segs_per_block", "copied_per_block"] {
-            if !b.contains_key(key) {
+        for Gate(_, column, rule, why) in suite.gates.iter().filter(|g| selects(g.0, b)) {
+            let judged = match rule {
+                Rule::Floor | Rule::Ceiling(_) | Rule::Doubled => true,
+                Rule::NoRise => b.contains_key(*column),
+                _ => false,
+            };
+            if !judged {
                 continue;
             }
-            let (base_v, fresh_v) = (num(b, key, base_path), num(f, key, fresh_path));
-            let verdict = if fresh_v > base_v { "FAIL" } else { "ok" };
-            println!(
-                "datapath {id:>24}: {fresh_v:>9.2} {key} vs baseline {base_v:>9.2} (exact or lower)  {verdict}"
-            );
-            if fresh_v > base_v {
-                failures.push(format!(
-                    "datapath {id:?}: {key} rose from {base_v} to {fresh_v} (machine-independent count)"
-                ));
-            }
-        }
-    }
-}
-
-fn check_faults(fresh_path: &str, base_path: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    let fresh_by_down = index(&fresh, "down_ms", fresh_path);
-    for b in &base {
-        let down = &b["down_ms"];
-        let Some(f) = fresh_by_down.get(down) else {
-            // Quick runs cover a subset of the outage matrix; only points
-            // present in BOTH files are compared.
-            continue;
-        };
-        let base_rec = num(b, "recovery_ms", base_path);
-        let fresh_rec = num(f, "recovery_ms", fresh_path);
-        if base_rec > 0.0 {
-            let ceil = base_rec * 2.0 + 50.0;
-            let verdict = if fresh_rec > ceil { "FAIL" } else { "ok" };
-            println!(
-                "faults down={down:>5} ms recovery: {fresh_rec:>8.1} ms vs baseline {base_rec:>8.1} (ceil {ceil:>8.1})  {verdict}"
-            );
-            if fresh_rec > ceil {
-                failures.push(format!(
-                    "faults down={down}: recovery {fresh_rec:.1} ms more than doubled baseline {base_rec:.1} ms"
-                ));
-            }
-        }
-        let base_total = num(b, "total_ms", base_path);
-        let fresh_total = num(f, "total_ms", fresh_path);
-        let ceil = base_total * (1.0 + tolerance) + 50.0;
-        let verdict = if fresh_total > ceil { "FAIL" } else { "ok" };
-        println!(
-            "faults down={down:>5} ms total:    {fresh_total:>8.1} ms vs baseline {base_total:>8.1} (ceil {ceil:>8.1})  {verdict}"
-        );
-        if fresh_total > ceil {
-            failures.push(format!(
-                "faults down={down}: total {fresh_total:.1} ms regressed more than {:.0}% over baseline {base_total:.1} ms",
-                tolerance * 100.0
-            ));
-        }
-    }
-}
-
-fn check_mux(fresh_path: &str, base_path: &str, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    // Invariant gate first: every fresh row must show exactly one link and
-    // one establishment walk, whatever the baseline says.
-    for f in &fresh {
-        let n = &f["channels"];
-        for key in ["links", "walks"] {
-            let v = num(f, key, fresh_path);
-            if v != 1.0 {
-                failures.push(format!(
-                    "mux channels={n}: {key} = {v} (must be exactly 1 — channels stopped sharing a link)"
-                ));
-            }
-        }
-    }
-    let fresh_by_n = index(&fresh, "channels", fresh_path);
-    for b in &base {
-        let n = &b["channels"];
-        let Some(f) = fresh_by_n.get(n) else {
-            // Quick runs cover a subset of the channel matrix.
-            continue;
-        };
-        for key in ["setup_ms", "recovery_ms"] {
-            let base_v = num(b, key, base_path);
-            let fresh_v = num(f, key, fresh_path);
-            let ceil = base_v * 2.0 + 50.0;
-            let verdict = if fresh_v > ceil { "FAIL" } else { "ok" };
-            println!(
-                "mux channels={n:>3} {key:>11}: {fresh_v:>8.1} ms vs baseline {base_v:>8.1} (ceil {ceil:>8.1})  {verdict}"
-            );
-            if fresh_v > ceil {
-                failures.push(format!(
-                    "mux channels={n}: {key} {fresh_v:.1} ms more than doubled baseline {base_v:.1} ms"
-                ));
-            }
-        }
-    }
-}
-
-fn check_storm(fresh_path: &str, base_path: &str, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    // Invariant gate first: one establishment walk per distinct
-    // sender→peer pair, exactly — more means single-flight dedupe broke
-    // under the storm, fewer means connects silently failed.
-    for f in &fresh {
-        let n = &f["nodes"];
-        let pairs = num(f, "pairs", fresh_path);
-        let walks = num(f, "walks", fresh_path);
-        if walks != pairs {
-            failures.push(format!(
-                "storm nodes={n}: walks = {walks} but distinct pairs = {pairs} (must match exactly)"
-            ));
-        }
-    }
-    let fresh_by_n = index(&fresh, "nodes", fresh_path);
-    for b in &base {
-        let n = &b["nodes"];
-        let Some(f) = fresh_by_n.get(n) else {
-            // Quick runs cover a subset of the storm matrix.
-            continue;
-        };
-        let base_v = num(b, "setup_ms", base_path);
-        let fresh_v = num(f, "setup_ms", fresh_path);
-        let ceil = base_v * 2.0 + 50.0;
-        let verdict = if fresh_v > ceil { "FAIL" } else { "ok" };
-        println!(
-            "storm nodes={n:>3} setup: {fresh_v:>8.1} ms vs baseline {base_v:>8.1} (ceil {ceil:>8.1})  {verdict}"
-        );
-        if fresh_v > ceil {
-            failures.push(format!(
-                "storm nodes={n}: aggregate setup {fresh_v:.1} ms more than doubled baseline {base_v:.1} ms"
-            ));
-        }
-    }
-}
-
-fn check_adaptive(fresh_path: &str, base_path: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    // Structural gate on the FRESH run alone: the controller must land
-    // within 0.9x of the best static configuration (adaptation is nearly
-    // free) and at least 1.5x above the worst (adaptation actually pays
-    // on the ramp). Host-speed independent — the simulation clock is
-    // deterministic.
-    let ctl = fresh
-        .iter()
-        .find(|r| r.get("id").map(String::as_str) == Some("controller"));
-    let statics: Vec<f64> = fresh
-        .iter()
-        .filter(|r| r.get("id").map(String::as_str) != Some("controller"))
-        .map(|r| num(r, "mb_s", fresh_path))
-        .collect();
-    match (ctl, statics.is_empty()) {
-        (Some(c), false) => {
-            let ctl_mb = num(c, "mb_s", fresh_path);
-            let best = statics.iter().cloned().fold(f64::MIN, f64::max);
-            let worst = statics.iter().cloned().fold(f64::MAX, f64::min);
-            let floor_best = best * 0.9;
-            let floor_worst = worst * 1.5;
-            let verdict = if ctl_mb >= floor_best { "ok" } else { "FAIL" };
-            println!(
-                "adaptive controller: {ctl_mb:>6.2} MB/s vs static best {best:>6.2} (floor {floor_best:>6.2})  {verdict}"
-            );
-            if ctl_mb < floor_best {
-                failures.push(format!(
-                    "adaptive: controller {ctl_mb:.2} MB/s below 0.9x static best {best:.2} \
-                     (control loop not tracking the ramp)"
-                ));
-            }
-            let verdict = if ctl_mb >= floor_worst { "ok" } else { "FAIL" };
-            println!(
-                "adaptive controller: {ctl_mb:>6.2} MB/s vs static worst {worst:>6.2} (need {floor_worst:>6.2})  {verdict}"
-            );
-            if ctl_mb < floor_worst {
-                failures.push(format!(
-                    "adaptive: controller {ctl_mb:.2} MB/s under 1.5x static worst {worst:.2} \
-                     (adaptation buys nothing over a bad static pick)"
-                ));
-            }
-        }
-        _ => failures.push(format!(
-            "adaptive: {fresh_path} lacks a controller row and/or static rows"
-        )),
-    }
-    // Baseline drift, per configuration id. Quick runs use a shorter ramp
-    // schedule than the committed full baseline, so absolute MB/s differ
-    // by workload shape — only the controller row compares, and with the
-    // loose stage tolerance.
-    let fresh_by_id = index(&fresh, "id", fresh_path);
-    for b in &base {
-        let id = &b["id"];
-        if id != "controller" {
-            continue;
-        }
-        let Some(f) = fresh_by_id.get(id) else {
-            continue;
-        };
-        let base_mb = num(b, "mb_s", base_path);
-        let fresh_mb = num(f, "mb_s", fresh_path);
-        let floor = base_mb * (1.0 - tolerance);
-        let verdict = if fresh_mb < floor { "FAIL" } else { "ok" };
-        println!(
-            "adaptive {id:>16}: {fresh_mb:>6.2} MB/s vs baseline {base_mb:>6.2} (floor {floor:>6.2})  {verdict}"
-        );
-        if fresh_mb < floor {
-            failures.push(format!(
-                "adaptive {id:?}: {fresh_mb:.2} MB/s regressed more than {:.0}% below baseline {base_mb:.2}",
-                tolerance * 100.0
-            ));
-        }
-    }
-}
-
-fn check_relaymesh(fresh_path: &str, base_path: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-    // Structural gates first, on the FRESH run alone — these hold at any
-    // host speed and any quick/full matrix size.
-    let mut spread: HashMap<String, f64> = HashMap::new();
-    for f in &fresh {
-        let round = f.get("round").cloned().unwrap_or_default();
-        match round.as_str() {
-            "spread" => {
-                spread.insert(f["relays"].clone(), num(f, "mb_s", fresh_path));
-            }
-            "skew" => {
-                let busy = num(f, "busy_throttles", fresh_path);
-                let verdict = if busy >= 1.0 { "ok" } else { "FAIL" };
-                println!("relaymesh skew: busy_throttles = {busy}  {verdict}");
-                if busy < 1.0 {
-                    failures.push(
-                        "relaymesh skew: busy_throttles = 0 (one-hot overload drew no typed \
-                         backpressure — sharded plane not throttling)"
-                            .into(),
-                    );
+            let bv = num(b, column, base.path, key)?;
+            let fv = num(f, column, fresh.path, key)?;
+            let (bad, bound) = match *rule {
+                Rule::Floor => {
+                    let floor = bv * (1.0 - tolerance);
+                    (fv < floor, format!("floor {floor:.2}"))
                 }
-            }
-            "kill" => {
-                let ok = num(f, "fifo_ok", fresh_path);
-                let verdict = if ok == 1.0 { "ok" } else { "FAIL" };
-                println!("relaymesh kill: fifo_ok = {ok}  {verdict}");
-                if ok != 1.0 {
-                    failures.push(
-                        "relaymesh kill: transfer across a mid-stream relay kill was not \
-                         exactly-once FIFO"
-                            .into(),
-                    );
+                Rule::Ceiling(slack) => {
+                    let ceil = bv * (1.0 + tolerance) + slack;
+                    (fv > ceil, format!("ceiling {ceil:.2}"))
                 }
-            }
-            _ => failures.push(format!(
-                "relaymesh: unknown round {round:?} in {fresh_path}"
-            )),
+                Rule::Doubled if bv <= 0.0 => continue,
+                Rule::Doubled => {
+                    let ceil = bv * 2.0 + 50.0;
+                    (fv > ceil, format!("ceiling {ceil:.2}, 2x + 50"))
+                }
+                _ => (fv > bv, "exact or lower".to_string()),
+            };
+            let line = format!("{key}: {column} {fv:.2} vs baseline {bv:.2} ({bound})");
+            judge(format!("{column}/{}", rule.name()), bad, line, why);
         }
     }
-    match (spread.get("1"), spread.get("4")) {
-        (Some(&one), Some(&four)) => {
-            let ratio = four / one;
-            let verdict = if ratio >= 2.0 { "ok" } else { "FAIL" };
-            println!(
-                "relaymesh spread: 4-relay {four:.2} MB/s / 1-relay {one:.2} MB/s = {ratio:.2}x (need >= 2.0x)  {verdict}"
-            );
-            if ratio < 2.0 {
-                failures.push(format!(
-                    "relaymesh spread: aggregate throughput scaled only {ratio:.2}x from 1 to 4 \
-                     relays (mesh must buy at least 2x)"
-                ));
-            }
-        }
-        _ => failures.push(format!(
-            "relaymesh: {fresh_path} lacks spread rows for relays=1 and relays=4"
-        )),
-    }
-    // Baseline drift on the spread rows. Keyed by relays AND pairs: the
-    // quick matrix runs fewer pairs than the committed full baseline, and
-    // aggregate MB/s is workload-shaped, so only identical points compare
-    // (rows in just one file are skipped, like the other suites).
-    let keyed = |rows: &[Obj]| -> HashMap<String, Obj> {
-        rows.iter()
-            .filter(|r| r.get("round").map(String::as_str) == Some("spread"))
-            .map(|r| (format!("{} pairs={}", r["relays"], r["pairs"]), r.clone()))
-            .collect()
-    };
-    let fresh_by_k = keyed(&fresh);
-    for (k, b) in keyed(&base) {
-        let Some(f) = fresh_by_k.get(&k) else {
-            continue;
-        };
-        let base_mb = num(&b, "mb_s", base_path);
-        let fresh_mb = num(f, "mb_s", fresh_path);
-        let floor = base_mb * (1.0 - tolerance);
-        let verdict = if fresh_mb < floor { "FAIL" } else { "ok" };
-        println!(
-            "relaymesh spread relays={k}: {fresh_mb:>7.2} MB/s vs baseline {base_mb:>7.2} (floor {floor:>7.2})  {verdict}"
-        );
-        if fresh_mb < floor {
-            failures.push(format!(
-                "relaymesh spread relays={k}: {fresh_mb:.2} MB/s regressed more than {:.0}% below baseline {base_mb:.2}",
-                tolerance * 100.0
-            ));
-        }
-    }
+    Ok(())
 }
 
 /// `BENCH_*.json` filenames in `dir`, sorted.
-fn discover(dir: &str) -> Vec<String> {
+fn discover(dir: &str) -> Result<Vec<String>, String> {
     let mut out: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| {
-            eprintln!("check_bench: read dir {dir}: {e}");
-            std::process::exit(2);
-        })
+        .map_err(|e| format!("read dir {dir}: {e}"))?
         .filter_map(|ent| {
             let name = ent.ok()?.file_name().into_string().ok()?;
             (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(name)
         })
         .collect();
     out.sort();
-    out
+    Ok(out)
 }
 
-/// Every baseline in `base_dir` must have a fresh counterpart in
-/// `fresh_dir` (and nothing unaccounted-for the other way), each must
-/// parse, and known suites get their typed gate. A missing or extra file
-/// is a coverage hole in the bench harness itself — exit 2, naming it —
-/// not a perf regression.
-fn check_all(fresh_dir: &str, base_dir: &str, tolerance: f64, failures: &mut Vec<String>) {
-    let base_files = discover(base_dir);
-    let fresh_files = discover(fresh_dir);
-    if base_files.is_empty() {
-        eprintln!("check_bench: no BENCH_*.json baselines in {base_dir}");
-        std::process::exit(2);
+/// Every baseline must have a fresh counterpart and nothing may be
+/// unaccounted-for the other way: a missing or extra file is a coverage
+/// hole in the bench harness itself, not a perf regression.
+fn pair_up(
+    base: &[String],
+    fresh: &[String],
+    base_dir: &str,
+    fresh_dir: &str,
+) -> Result<(), String> {
+    if base.is_empty() {
+        return Err(format!("no BENCH_*.json baselines in {base_dir}"));
     }
-    let missing: Vec<&String> = base_files
-        .iter()
-        .filter(|f| !fresh_files.contains(f))
-        .collect();
-    let extra: Vec<&String> = fresh_files
-        .iter()
-        .filter(|f| !base_files.contains(f))
-        .collect();
-    if !missing.is_empty() || !extra.is_empty() {
-        for f in &missing {
-            eprintln!("check_bench: baseline {f} has no fresh run in {fresh_dir} (bench not wired into the quick gate?)");
-        }
-        for f in &extra {
-            eprintln!("check_bench: fresh {fresh_dir}/{f} has no baseline in {base_dir} (run the full suite and commit it)");
-        }
-        std::process::exit(2);
+    let mut holes = Vec::new();
+    for f in base.iter().filter(|f| !fresh.contains(f)) {
+        holes.push(format!(
+            "baseline {f} has no fresh run in {fresh_dir} (bench not wired into the quick gate?)"
+        ));
     }
+    for f in fresh.iter().filter(|f| !base.contains(f)) {
+        holes.push(format!(
+            "fresh {fresh_dir}/{f} has no baseline in {base_dir} (run the full suite and commit it)"
+        ));
+    }
+    if holes.is_empty() {
+        Ok(())
+    } else {
+        Err(holes.join("\ncheck_bench: "))
+    }
+}
+
+fn load(path: &str) -> Result<Vec<Obj>, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    parse_objects(&src, path)
+}
+
+/// Pair the two directories' files and evaluate each against its suite.
+fn check_all(fresh_dir: &str, base_dir: &str, tolerance: f64) -> Result<Vec<Failure>, String> {
+    let base_files = discover(base_dir)?;
+    pair_up(&base_files, &discover(fresh_dir)?, base_dir, fresh_dir)?;
+    let mut failures = Vec::new();
     for name in &base_files {
-        let fresh = format!("{fresh_dir}/{name}");
-        let base = format!("{base_dir}/{name}");
+        let (fresh_path, base_path) = (format!("{fresh_dir}/{name}"), format!("{base_dir}/{name}"));
+        let (fresh_rows, base_rows) = (load(&fresh_path)?, load(&base_path)?);
         println!("--- {name}");
-        match name.as_str() {
-            "BENCH_datapath.json" => check_datapath(&fresh, &base, tolerance, failures),
-            "BENCH_faults.json" => check_faults(&fresh, &base, tolerance, failures),
-            "BENCH_mux.json" => check_mux(&fresh, &base, failures),
-            "BENCH_storm.json" => check_storm(&fresh, &base, failures),
-            "BENCH_relaymesh.json" => check_relaymesh(&fresh, &base, tolerance, failures),
-            "BENCH_adaptive.json" => check_adaptive(&fresh, &base, tolerance, failures),
-            _ => {
-                // Unknown suite: no typed gate yet, but both sides must at
-                // least be well-formed bench output.
-                load(&fresh);
-                load(&base);
-                println!("{name}: parses on both sides (no typed gate for this suite)");
+        match SUITES.iter().find(|s| s.file == name) {
+            Some(suite) => {
+                let fresh = Table {
+                    path: &fresh_path,
+                    rows: &fresh_rows,
+                };
+                let base = Table {
+                    path: &base_path,
+                    rows: &base_rows,
+                };
+                evaluate(suite, &fresh, &base, tolerance, &mut failures)?;
             }
+            None => println!("{name}: parses on both sides (no gates for this suite)"),
         }
     }
+    Ok(failures)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let tolerance: f64 = arg_value(&args, "--tolerance")
-        .map(|s| s.parse().expect("--tolerance takes a fraction"))
-        .unwrap_or(0.2);
-    let (Some(fresh_dir), true) = (arg_value(&args, "--fresh-dir"), has_flag(&args, "--all"))
-    else {
+    let cli = Cli::from_env();
+    let tolerance: f64 = cli.value("--tolerance").unwrap_or(0.2);
+    let (Some(fresh_dir), true) = (cli.value::<String>("--fresh-dir"), cli.flag("--all")) else {
         eprintln!("usage: check_bench --all --fresh-dir DIR [--base-dir DIR] [--tolerance 0.2]");
         std::process::exit(2);
     };
-    let base_dir = arg_value(&args, "--base-dir").unwrap_or_else(|| ".".into());
-
-    let mut failures = Vec::new();
-    check_all(&fresh_dir, &base_dir, tolerance, &mut failures);
-    if failures.is_empty() {
-        println!("check_bench: no regressions");
-    } else {
-        eprintln!("check_bench: {} regression(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
+    let base_dir = cli.value("--base-dir").unwrap_or_else(|| ".".to_string());
+    match check_all(&fresh_dir, &base_dir, tolerance) {
+        Err(e) => {
+            eprintln!("check_bench: {e}");
+            std::process::exit(2);
         }
-        std::process::exit(1);
+        Ok(failures) if failures.is_empty() => println!("check_bench: no regressions"),
+        Ok(failures) => {
+            eprintln!("check_bench: {} regression(s):", failures.len());
+            for f in &failures {
+                eprintln!("  {} [{}]", f.msg, f.gate);
+            }
+            std::process::exit(1);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_objects;
+    use super::*;
+
+    /// Every gate `suite` can fail, under the id its [`Failure`] carries: what
+    /// the gate test must have a case for.
+    fn gate_ids(suite: &Suite) -> Vec<String> {
+        let id = |column: &str, rule: &str| format!("{}/{column}/{rule}", suite.name);
+        let mut ids: Vec<String> = suite.gates.iter().map(|g| id(g.1, g.2.name())).collect();
+        for c in suite.cross {
+            match c {
+                Cross::Ratio { column, .. } => {
+                    ids.extend([id(column, "ratio"), id(column, "ratio-rows")])
+                }
+                Cross::AgainstRest { column, .. } => ids.extend([
+                    id(column, "vs-best"),
+                    id(column, "vs-worst"),
+                    id(column, "vs-rest-rows"),
+                ]),
+            }
+        }
+        if suite.missing_fails {
+            ids.push(format!("{}/missing-row", suite.name));
+        }
+        ids
+    }
 
     #[test]
     fn well_formed_array_parses() {
@@ -596,5 +573,163 @@ mod tests {
             err.contains("empty.json") && err.contains("no objects"),
             "{err}"
         );
+    }
+
+    fn committed(suite: &Suite) -> (String, Vec<Obj>) {
+        let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), suite.file);
+        let rows = load(&path).unwrap();
+        (path, rows)
+    }
+
+    /// `fresh` against the committed baseline at tolerance 0.
+    fn run(suite: &Suite, fresh: &[Obj]) -> Result<Vec<Failure>, String> {
+        let (path, base) = committed(suite);
+        let mut failures = Vec::new();
+        let fresh = Table {
+            path: "fresh.json",
+            rows: fresh,
+        };
+        let base = Table {
+            path: &path,
+            rows: &base,
+        };
+        evaluate(suite, &fresh, &base, 0.0, &mut failures).map(|()| failures)
+    }
+
+    /// The row of `rows` keyed `key`.
+    fn row_at(suite: &Suite, rows: &[Obj], key: &str) -> usize {
+        rows.iter()
+            .position(|r| key_of(suite, r, "", 0).unwrap() == key)
+            .unwrap_or_else(|| panic!("{}: no row {key}", suite.file))
+    }
+
+    /// `gate id; row key; edit; what the failure must name`: the one edit to a
+    /// copy of the committed file — `column=value`, or `-` to drop the row —
+    /// that must trip that gate and no other.
+    const CASES: &[&str] = &[
+        "datapath/mb_per_sec/floor; id=e2e/stripe4; mb_per_sec=1.0; mb_per_sec",
+        "datapath/allocs_per_block/ceiling; id=tcb/transfer; allocs_per_block=7.1; allocs_per_block",
+        "datapath/segs_per_block/no-rise; id=e2e/tcp_block_plain; segs_per_block=23.91; segs_per_block",
+        "datapath/copied_per_block/no-rise; id=e2e/stripe4; copied_per_block=1536.5; copied_per_block",
+        "datapath/missing-row; id=stage/crypt; -; id=stage/crypt: missing",
+        "faults/recovery_ms/doubled; down_ms=2000; recovery_ms=925.1; recovery_ms",
+        "faults/total_ms/ceiling; down_ms=500; total_ms=11314.7; total_ms",
+        "mux/links/equals; channels=8; links=2; links = 2",
+        "mux/walks/equals; channels=64; walks=0; walks = 0",
+        "mux/setup_ms/doubled; channels=1; setup_ms=173.7; setup_ms",
+        "mux/recovery_ms/doubled; channels=8; recovery_ms=401.7; recovery_ms",
+        "storm/walks/equals-column; nodes=8; walks=9; must equal pairs",
+        "storm/setup_ms/doubled; nodes=16; setup_ms=584.5; setup_ms",
+        // Raise the 1-relay row: lowering the 4-relay one would also fall
+        // through its baseline floor.
+        "relaymesh/mb_s/ratio; round=spread relays=1 pairs=8; mb_s=6.5; 2.00x",
+        "relaymesh/mb_s/ratio-rows; round=spread relays=1 pairs=8; -; lacks rows for relays=1",
+        "relaymesh/busy_throttles/at-least; round=skew relays=4 pairs=8; busy_throttles=0; busy_throttles",
+        "relaymesh/fifo_ok/equals; round=kill relays=2 pairs=1; fifo_ok=0; fifo_ok",
+        "relaymesh/round/one-of; round=kill relays=2 pairs=1; round=drain; round = drain (must be one of",
+        "relaymesh/mb_s/floor; round=spread relays=2 pairs=8; mb_s=6.743; floor",
+        // Likewise: move the statics, not the controller row with its floor.
+        "adaptive/mb_s/vs-best; id=static-stripe-8; mb_s=4.2; best of the rest",
+        "adaptive/mb_s/vs-worst; id=static-plain-1; mb_s=3.0; worst of the rest",
+        "adaptive/mb_s/vs-rest-rows; id=controller; -; lacks a id=controller row",
+        "adaptive/mb_s/floor; id=controller; mb_s=3.7; floor",
+    ];
+
+    #[test]
+    fn every_gate_passes_the_committed_files_and_fails_its_doctored_copy() {
+        let cases: Vec<Vec<&str>> = CASES.iter().map(|c| c.split("; ").collect()).collect();
+        for suite in SUITES {
+            let (_, rows) = committed(suite);
+            let clean = run(suite, &rows).unwrap();
+            assert!(clean.is_empty(), "{} against itself: {clean:?}", suite.file);
+            for id in gate_ids(suite) {
+                let mine: Vec<_> = cases.iter().filter(|c| c[0] == id).collect();
+                assert_eq!(mine.len(), 1, "gate {id} needs exactly one case");
+                let (key, edit, names) = (mine[0][1], mine[0][2], mine[0][3]);
+                let mut fresh = rows.clone();
+                let at = row_at(suite, &fresh, key);
+                match edit.split_once('=') {
+                    Some((column, value)) => drop(fresh[at].insert(column.into(), value.into())),
+                    None => drop(fresh.remove(at)),
+                }
+                let failures = run(suite, &fresh).unwrap();
+                assert_eq!(failures.len(), 1, "{id}: {failures:?}");
+                assert_eq!(failures[0].gate, id);
+                assert!(failures[0].msg.contains(names), "{id}: {}", failures[0].msg);
+            }
+        }
+        let known: Vec<String> = SUITES.iter().flat_map(gate_ids).collect();
+        for case in &cases {
+            assert!(
+                known.iter().any(|id| id == case[0]),
+                "case for no gate: {}",
+                case[0]
+            );
+        }
+    }
+
+    #[test]
+    fn a_baseline_without_a_fresh_file_and_a_fresh_file_without_a_baseline_are_named() {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let both = names(&["BENCH_faults.json", "BENCH_mux.json"]);
+        assert!(pair_up(&both, &both, "base", "fresh").is_ok());
+        let err = pair_up(&both, &both[..1], "base", "fresh").unwrap_err();
+        assert!(
+            err.contains("baseline BENCH_mux.json has no fresh run"),
+            "{err}"
+        );
+        let err = pair_up(&both[1..], &both, "base", "fresh").unwrap_err();
+        assert!(
+            err.contains("fresh/BENCH_faults.json has no baseline"),
+            "{err}"
+        );
+        assert!(pair_up(&[], &both, "base", "fresh").is_err());
+    }
+
+    /// The datapath suite on its committed file with `column` of row `key`
+    /// overwritten (`None`: removed), which must be refused naming the file.
+    fn refused(key: &str, column: &str, value: Option<&str>) -> String {
+        let suite = &SUITES[0];
+        let (_, mut rows) = committed(suite);
+        let at = row_at(suite, &rows, key);
+        match value {
+            Some(v) => drop(rows[at].insert(column.into(), v.into())),
+            None => drop(rows[at].remove(column)),
+        }
+        let err = run(suite, &rows).unwrap_err();
+        assert!(
+            err.contains("fresh.json"),
+            "error must name the file: {err}"
+        );
+        err
+    }
+
+    #[test]
+    fn missing_column_is_a_named_error_not_a_panic() {
+        let err = refused("id=e2e/stripe4", "mb_per_sec", None);
+        assert!(
+            err.contains("id=e2e/stripe4") && err.contains("missing column \"mb_per_sec\""),
+            "{err}"
+        );
+        let err = refused("id=e2e/stripe4", "id", None);
+        assert!(
+            err.contains("row 4") && err.contains("missing key column \"id\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn non_numeric_column_is_a_named_error_not_a_panic() {
+        let err = refused("id=stage/agg", "allocs_per_block", Some("few"));
+        assert!(
+            err.contains("id=stage/agg") && err.contains("\"allocs_per_block\" is not a number"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn duplicate_key_is_a_named_error_not_a_panic() {
+        let err = refused("id=stage/agg", "id", Some("stage/crypt"));
+        assert!(err.contains("two rows with key id=stage/crypt"), "{err}");
     }
 }

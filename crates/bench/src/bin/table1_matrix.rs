@@ -119,8 +119,7 @@ fn short(m: &EstablishMethod) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if !netgrid_bench::has_flag(&args, "--decision") {
+    if !netgrid_bench::Cli::from_env().flag("--decision") {
         print_table1();
     }
     print_decision_tree();

@@ -4,13 +4,15 @@
 //! `src/bin/` built on these helpers; see `DESIGN.md` §4 for the
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured results.
 
-use gridsim_net::{topology, LinkParams, Sim, SockAddr};
+use gridsim_net::{topology, LinkParams, NodeId, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
-    spawn_name_service, spawn_relay, ConnectivityProfile, CpuRates, EstablishMethod, GridEnv,
-    GridNode, PathControlConfig, StackSpec,
+    spawn_name_service, spawn_proxy, spawn_relay_mesh, ConnectivityProfile, CpuRates, GridEnv,
+    GridNode, PathControlConfig, RelayConfig, StackSpec,
 };
 use parking_lot::Mutex;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,8 +23,8 @@ pub const SOCKS_PORT: u16 = 1080;
 /// Wire-trace digests for the golden-snapshot CI gate.
 ///
 /// When `NETGRID_TRACE=<path>` is set, every simulation built through
-/// [`measurement_world`] (or any binary that calls [`trace::install`] on its
-/// own `Sim`) records a digest of *every packet event* the world sees: a
+/// [`grid_world`] (or any binary that calls [`trace::install`] on its own
+/// `Sim`) records a digest of *every packet event* the world sees: a
 /// rolling FNV-1a hash over `(time_ns, kind, src, dst, proto, wire_len)`
 /// plus per-disposition counters. [`trace::flush`] writes one line per
 /// simulation run and a combined footer to the path. Any wire-level
@@ -177,6 +179,15 @@ pub struct Wan {
     pub queue: u32,
 }
 
+impl Wan {
+    /// The same path with no random loss: for runs that measure something
+    /// other than loss recovery.
+    pub fn lossless(mut self) -> Wan {
+        self.loss = 0.0;
+        self
+    }
+}
+
 /// The Amsterdam—Rennes link of Fig. 9: "capacity 1.6 MB/s, typical latency
 /// 30 ms". Loss calibrated so plain TCP lands near the paper's 56% of
 /// capacity.
@@ -207,11 +218,8 @@ pub fn delft_sophia() -> Wan {
 /// Result of one bandwidth point.
 #[derive(Clone, Debug)]
 pub struct BwPoint {
-    pub label: String,
-    pub msg_size: usize,
     /// Application-level goodput in bytes/sec.
     pub bandwidth: f64,
-    pub method: EstablishMethod,
     /// Segments the sending host's TCP connections had emitted, and bytes
     /// their data paths had copied, when the receiver took the last
     /// message. Simulation-determined, so identical on every machine.
@@ -252,31 +260,101 @@ impl BwRun {
     }
 }
 
+/// What runs on the public backbone beside the name service.
+#[derive(Default)]
+pub struct Services {
+    /// `None`: one relay on the name service's host. `Some((n, uplink))`:
+    /// `n` meshed relays, each on a public host of its own behind `uplink`.
+    pub relay_hosts: Option<(usize, LinkParams)>,
+    /// Shard-queue depth of every relay, when not the default.
+    pub queue_frames: Option<usize>,
+    /// Index of a site whose gateway runs a SOCKS proxy on [`SOCKS_PORT`].
+    pub proxy_site: Option<usize>,
+}
+
+/// A grid of sites with its public services up and listening.
+pub struct GridWorld {
+    /// Name service and relay list (in relay order) for nodes to join with.
+    pub env: GridEnv,
+    /// The built sites, in spec order.
+    pub sites: Vec<topology::BuiltSite>,
+    /// Node and service address of every relay.
+    pub relays: Vec<(NodeId, SockAddr)>,
+}
+
+impl GridWorld {
+    /// Host `i` of site `site`.
+    pub fn host(&self, site: usize, i: usize) -> SimHost {
+        SimHost::new(&self.env.net, self.sites[site].hosts[i])
+    }
+}
+
+/// Build `specs` around a backbone carrying a name service, the relays and
+/// the proxy `services` asks for, and run `sim` until they all listen.
+pub fn grid_world(sim: &Sim, specs: &[topology::SiteSpec], services: Services) -> GridWorld {
+    trace::install(sim);
+    let net = sim.net();
+    let (srv, relay_nodes, sites) = net.with(|w| {
+        let mut grid = topology::Grid::build(w, specs);
+        let (srv, _) = grid.add_public_host(w, "services");
+        let relay_nodes: Vec<NodeId> = match services.relay_hosts {
+            None => vec![srv],
+            Some((n, uplink)) => (0..n)
+                .map(|i| grid.add_public_host_with(w, &format!("relay{i}"), uplink).0)
+                .collect(),
+        };
+        (srv, relay_nodes, grid.sites)
+    });
+    let hsrv = SimHost::new(&net, srv);
+    let relay_hosts: Vec<SimHost> = relay_nodes.iter().map(|&n| SimHost::new(&net, n)).collect();
+    let relay_addrs: Vec<SockAddr> = relay_hosts
+        .iter()
+        .map(|h| SockAddr::new(h.ip(), RELAY_PORT))
+        .collect();
+    let env =
+        GridEnv::new(net.clone(), SockAddr::new(hsrv.ip(), NS_PORT)).with_relays(&relay_addrs);
+    let proxy_host = services
+        .proxy_site
+        .map(|s| SimHost::new(&net, sites[s].gateway));
+    let peers = relay_addrs.clone();
+    sim.spawn("services", move || {
+        spawn_name_service(&hsrv, NS_PORT).unwrap();
+        for (i, host) in relay_hosts.iter().enumerate() {
+            let mut cfg = RelayConfig {
+                mesh_id: i as u64 + 1,
+                peers: peers.iter().copied().filter(|&a| a != peers[i]).collect(),
+                ..RelayConfig::default()
+            };
+            cfg.queue_frames = services.queue_frames.unwrap_or(cfg.queue_frames);
+            spawn_relay_mesh(host, RELAY_PORT, cfg).unwrap();
+        }
+        if let Some(gw) = proxy_host {
+            spawn_proxy(&gw, SOCKS_PORT).unwrap();
+        }
+    });
+    sim.run();
+    GridWorld {
+        env,
+        sites,
+        relays: relay_nodes.into_iter().zip(relay_addrs).collect(),
+    }
+}
+
 /// Build the standard two-site measurement world: sender site A, receiver
 /// site B, services on the public backbone. The bottleneck (capacity,
 /// loss, queue) sits on the sender uplink; delay is split across both.
 pub fn measurement_world(sim: &Sim, wan: &Wan, window: u32) -> (GridEnv, SimHost, SimHost) {
-    trace::install(sim);
-    let net = sim.net();
     let half_delay = wan.rtt / 4; // one-way = rtt/2, split over two uplinks
     let bottleneck = LinkParams::new(wan.capacity, half_delay)
         .with_loss(wan.loss)
         .with_queue(wan.queue);
     let fat = LinkParams::new(1e9, half_delay).with_queue(8 << 20);
-    let (srv, a, b) = net.with(|w| {
-        let mut grid = gridsim_net::topology::Grid::build(
-            w,
-            &[
-                topology::SiteSpec::open("send-site", 1, bottleneck),
-                topology::SiteSpec::open("recv-site", 1, fat),
-            ],
-        );
-        let (srv, _) = grid.add_public_host(w, "services");
-        (srv, grid.sites[0].hosts[0], grid.sites[1].hosts[0])
-    });
-    let hsrv = SimHost::new(&net, srv);
-    let ha = SimHost::new(&net, a);
-    let hb = SimHost::new(&net, b);
+    let specs = [
+        topology::SiteSpec::open("send-site", 1, bottleneck),
+        topology::SiteSpec::open("recv-site", 1, fat),
+    ];
+    let world = grid_world(sim, &specs, Services::default());
+    let (ha, hb) = (world.host(0, 0), world.host(1, 0));
     let cfg = TcpConfig {
         send_buf: window,
         recv_buf: window,
@@ -284,15 +362,7 @@ pub fn measurement_world(sim: &Sim, wan: &Wan, window: u32) -> (GridEnv, SimHost
     };
     ha.set_tcp_config(cfg);
     hb.set_tcp_config(cfg);
-    let env = GridEnv::new(net, SockAddr::new(hsrv.ip(), NS_PORT))
-        .with_relay(SockAddr::new(hsrv.ip(), RELAY_PORT));
-    let hsrv2 = hsrv.clone();
-    sim.spawn("services", move || {
-        spawn_name_service(&hsrv2, NS_PORT).unwrap();
-        spawn_relay(&hsrv2, RELAY_PORT).unwrap();
-    });
-    sim.run();
-    (env, ha, hb)
+    (world.env, ha, hb)
 }
 
 /// Measure application goodput for one (wan, stack, message size) point.
@@ -308,7 +378,6 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
 
     let t0 = Arc::new(Mutex::new(None::<gridsim_net::SimTime>));
     let t_end = Arc::new(Mutex::new(None::<gridsim_net::SimTime>));
-    let method_slot = Arc::new(Mutex::new(None::<EstablishMethod>));
 
     let tcp_totals = Arc::new(Mutex::new((0u64, 0u64)));
 
@@ -336,13 +405,11 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     });
     let env_a = env.clone();
     let ts = Arc::clone(&t0);
-    let ms = Arc::clone(&method_slot);
     sim.spawn("sender", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(100));
         let node = GridNode::join(&env_a, ha, "send", ConnectivityProfile::open()).unwrap();
         let mut sp = node.create_send_port();
-        let method = sp.connect("bw").unwrap();
-        *ms.lock() = Some(method);
+        sp.connect("bw").unwrap();
         *ts.lock() = Some(gridsim_net::ctx::now());
         for _ in 0..n_msgs {
             sp.send(&payload).unwrap();
@@ -354,13 +421,9 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     let end = t_end.lock().expect("receiver finished");
     let secs = end.since(start).as_secs_f64();
     let bytes = n_msgs * run.msg_size;
-    let m = method_slot.lock().expect("connected");
     let (segs_sent, bytes_copied) = *tcp_totals.lock();
     BwPoint {
-        label: run.spec.describe(),
-        msg_size: run.msg_size,
         bandwidth: bytes as f64 / secs,
-        method: m,
         segs_sent,
         bytes_copied,
     }
@@ -384,13 +447,87 @@ pub fn fmt_mb(bps: f64) -> String {
     format!("{:5.2}", bps / 1e6)
 }
 
-/// Parse a `--flag value` style argument.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A bench bin's command line: an optional subcommand, then `--flag` and
+/// `--flag value` arguments in any order.
+pub struct Cli(Vec<String>);
+
+/// A subcommand's name and entry point.
+pub type Subcommand = (&'static str, fn(&Cli));
+
+impl Cli {
+    pub fn from_env() -> Cli {
+        Cli(std::env::args().skip(1).collect())
+    }
+
+    pub fn flag(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    /// The argument after `flag`, parsed; one that does not parse ends the
+    /// run naming the flag.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let v = self.0.get(self.0.iter().position(|a| a == flag)? + 1)?;
+        match v.parse() {
+            Ok(t) => Some(t),
+            Err(_) => {
+                eprintln!("{flag}: cannot parse {v:?}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    pub fn quick(&self) -> bool {
+        self.flag("--quick")
+    }
+
+    /// Where a suite writes its rows: `--out`, else `default` in the cwd.
+    pub fn out(&self, default: &str) -> String {
+        self.value("--out").unwrap_or_else(|| default.into())
+    }
+
+    /// Run the subcommand the first argument names; anything else prints
+    /// the names and exits 2.
+    pub fn dispatch(&self, bin: &str, subcommands: &[Subcommand]) {
+        let named = self.0.first().map(String::as_str);
+        match subcommands.iter().find(|(name, _)| named == Some(name)) {
+            Some((_, run)) => run(self),
+            None => {
+                let names: Vec<&str> = subcommands.iter().map(|(name, _)| *name).collect();
+                eprintln!("usage: {bin} <{}> [flags]", names.join("|"));
+                std::process::exit(2);
+            }
+        }
+    }
 }
 
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// One row of a `BENCH_*.json` file, columns in writing order.
+#[derive(Default)]
+pub struct JsonRow(Vec<String>);
+
+impl JsonRow {
+    /// A numeric column; floats come formatted to the column's precision
+    /// (`format_args!("{:.1}", ms)`), which is part of the file format.
+    pub fn num(mut self, name: &str, value: impl Display) -> JsonRow {
+        self.0.push(format!("\"{name}\": {value}"));
+        self
+    }
+
+    pub fn text(mut self, name: &str, value: &str) -> JsonRow {
+        let value = value.replace('\\', "\\\\").replace('"', "\\\"");
+        self.0.push(format!("\"{name}\": \"{value}\""));
+        self
+    }
+}
+
+/// Write `rows` to `path` as the flat array of flat objects `check_bench`
+/// reads, one row per line, and return the text written.
+pub fn write_json(path: &str, rows: &[JsonRow]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| format!("  {{{}}}", r.0.join(", ")))
+        .collect();
+    let json = format!("[\n{}\n]\n", lines.join(",\n"));
+    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
+    json
 }

@@ -112,6 +112,12 @@ impl Sim {
         self.sched.now()
     }
 
+    /// How many times this simulation's tasks have parked, by `ctx::park`
+    /// reason, sorted by descending count.
+    pub fn park_stats(&self) -> Vec<(&'static str, u64)> {
+        self.sched.handle().park_stats()
+    }
+
     /// The underlying scheduler.
     pub fn scheduler(&self) -> &Scheduler {
         &self.sched

@@ -31,62 +31,11 @@
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::time::SimTime;
-
-/// Host-side work counters, summed across all schedulers in the process.
-/// Purely observational (benchmarks, tuning); they never affect simulation.
-static HOST_GRANTS: AtomicU64 = AtomicU64::new(0);
-static HOST_EVENTS: AtomicU64 = AtomicU64::new(0);
-static HOST_EVENT_NS: AtomicU64 = AtomicU64::new(0);
-
-/// (cross-thread baton grants, events dispatched) since process start —
-/// host-side cost counters for benchmarking the scheduler itself.
-///
-/// A grant is one thread handing the baton to another: a task to the next
-/// task, `run_until`'s caller to the first task, the last task back to it.
-/// A task that parks, sleeps or yields and is itself the next to run costs
-/// no grant. Each scheduler adds its counts when a `run_until` returns.
-pub fn host_work_counters() -> (u64, u64) {
-    (
-        HOST_GRANTS.load(Ordering::Relaxed),
-        HOST_EVENTS.load(Ordering::Relaxed),
-    )
-}
-
-/// Host nanoseconds spent inside closure and hook events since process
-/// start: the protocol-code share of the run loop, as opposed to task
-/// bodies and baton handoffs.
-pub fn host_event_ns() -> u64 {
-    HOST_EVENT_NS.load(Ordering::Relaxed)
-}
-
-/// Park-reason histogram: how many times tasks actually parked (wake-token
-/// misses only), keyed by the `ctx::park` reason string. Observational —
-/// the profiling side of the grant counter: each entry is a trip through
-/// the scheduler loop, attributed to the wait that caused it.
-static PARK_STATS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
-
-fn note_park(reason: &'static str) {
-    let mut g = PARK_STATS.lock();
-    *g.get_or_insert_with(HashMap::new)
-        .entry(reason)
-        .or_insert(0) += 1;
-}
-
-/// Snapshot of the park-reason histogram, sorted by descending count.
-pub fn park_stats() -> Vec<(&'static str, u64)> {
-    let g = PARK_STATS.lock();
-    let mut v: Vec<_> = g
-        .as_ref()
-        .map(|m| m.iter().map(|(k, c)| (*k, *c)).collect())
-        .unwrap_or_default();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    v
-}
 
 /// Identifier of a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -250,9 +199,14 @@ struct SchedState {
     /// joins its predecessor and `run_until`'s caller joins the last, so
     /// no finished thread outlives the run.
     last_finished: Option<std::thread::JoinHandle<()>>,
-    /// This scheduler's share of [`host_work_counters`].
+    /// Cross-thread baton grants so far: one thread handing the baton to
+    /// another. A task that parks, sleeps or yields and is itself the next
+    /// to run costs none (the in-file tests pin exactly that).
     grants: u64,
-    fired: u64,
+    /// How many times tasks actually parked (wake-token misses only), by
+    /// `ctx::park` reason: each is a trip through the scheduler loop,
+    /// attributed to the wait that caused it.
+    parks: HashMap<&'static str, u64>,
 }
 
 impl SchedState {
@@ -335,7 +289,6 @@ impl SchedCore {
                             let ev = st.events.pop().expect("peeked");
                             debug_assert!(ev.at >= st.now, "time went backwards");
                             st.now = ev.at;
-                            st.fired += 1;
                             match ev.action {
                                 EventAction::WakeTask(tid) => {
                                     st.wake(tid);
@@ -362,7 +315,6 @@ impl SchedCore {
     /// panic must not unwind into it: it is caught and kept (first one
     /// wins, as for task panics) for `run_until`'s caller.
     fn fire(&self, callback: Callback) {
-        let t0 = std::time::Instant::now();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match callback {
             Callback::Call(f) => f(),
             Callback::Hook(i) => {
@@ -371,7 +323,6 @@ impl SchedCore {
                 self.hooks.lock()[i] = Some(f);
             }
         }));
-        HOST_EVENT_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Err(p) = outcome {
             self.state.lock().panic.get_or_insert(p);
         }
@@ -487,7 +438,7 @@ impl Scheduler {
                     root: None,
                     last_finished: None,
                     grants: 0,
-                    fired: 0,
+                    parks: HashMap::new(),
                 }),
                 hooks: Mutex::new(Vec::new()),
             }),
@@ -528,20 +479,17 @@ impl Scheduler {
     /// until the loop has nothing left to do within `limit`.
     pub fn run_until(&self, limit: SimTime) -> RunOutcome {
         let root = Baton::new(Some(std::thread::current()));
-        let (grants0, fired0) = {
+        {
             let mut st = self.core.state.lock();
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
-            (st.grants, st.fired)
-        };
+        }
         if let Some(first) = self.core.drive(Driver::Root) {
             first.grant();
             root.wait();
         }
         let (last_finished, panic, outcome) = {
             let mut st = self.core.state.lock();
-            HOST_GRANTS.fetch_add(st.grants - grants0, Ordering::Relaxed);
-            HOST_EVENTS.fetch_add(st.fired - fired0, Ordering::Relaxed);
             let outcome = match st.events.peek() {
                 Some(_) => RunOutcome::TimeLimit,
                 None => {
@@ -594,6 +542,20 @@ impl SchedHandle {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core.state.lock().now
+    }
+
+    /// This scheduler's park-reason histogram, sorted by descending count.
+    pub fn park_stats(&self) -> Vec<(&'static str, u64)> {
+        let mut v: Vec<_> = self
+            .core
+            .state
+            .lock()
+            .parks
+            .iter()
+            .map(|(reason, n)| (*reason, *n))
+            .collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        v
     }
 
     /// Schedule `f` to run at absolute time `at` (clamped to be no earlier
@@ -811,8 +773,7 @@ pub mod ctx {
     /// Take the calling task out of the running state as `leave` dictates
     /// (`false`: stay running after all), then run the scheduler loop with
     /// task context masked until this task is the one to run again.
-    /// Returns what `leave` returned.
-    fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) -> bool {
+    fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) {
         let cur = CURRENT.take().expect("not inside a simulated task");
         let left = leave(&mut cur.handle.core.state.lock(), cur.tid);
         if left {
@@ -822,24 +783,21 @@ pub mod ctx {
             }
         }
         CURRENT.set(Some(cur));
-        left
     }
 
     /// Park the calling task until woken. `reason` appears in deadlock
     /// diagnostics. Consumes a pending wake token if present.
     pub fn park(reason: &'static str) {
-        let parked = reschedule(|st, tid| {
+        reschedule(|st, tid| {
             let slot = &mut st.tasks[tid.index()];
             if std::mem::take(&mut slot.notified) {
                 return false;
             }
             slot.state = TaskState::Blocked;
             slot.blocked_on = reason;
+            *st.parks.entry(reason).or_insert(0) += 1;
             true
         });
-        if parked {
-            super::note_park(reason);
-        }
     }
 
     /// Yield the baton but stay runnable (cooperative yield at the same

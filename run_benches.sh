@@ -8,62 +8,47 @@
 # walks==pairs storm, the relaymesh structural gates — 4-relay scaling
 # >= 2x, BUSY engagement under skew, exactly-once FIFO across a relay
 # kill — and the adaptive controller-vs-static floors).
+#
+# A step that fails (a figure that panics, a gate that trips) does not
+# stop the run: every step still runs, the failed ones are listed at the
+# end and the exit status is non-zero if there were any.
 set -u
 cd "$(dirname "$0")"
 BIN=./target/release
-for b in table1_matrix lan_aggregation establishment_delay latency_streams \
-         qualitative_deployment compression_crossover relay_bottleneck \
-         fig9_amsterdam_rennes fig10_delft_sophia adaptive_compression \
-         autotune_streams bench_ack; do
+FAILED=""
+
+step() { # label cmd...
+  local label=$1; shift
   echo "################################################################"
-  echo "### $b"
+  echo "### $label"
   echo "################################################################"
-  "$BIN/$b" "$@"
+  "$@" || FAILED="$FAILED\n  $label (exit $?)"
   echo
+}
+
+step table1_matrix "$BIN/table1_matrix" "$@"
+for fig in lan latency crossover fig9 fig10 adaptive autotune; do
+  step "figures $fig" "$BIN/figures" $fig "$@"
 done
+for exp in establishment deployment relay; do
+  step "multisite $exp" "$BIN/multisite" $exp "$@"
+done
+step "bench_suite ack" "$BIN/bench_suite" ack "$@"
 
 # Snapshot the previous baselines so the regression gate compares the new
 # full runs against what was committed before this invocation.
 rm -rf target/bench-base && mkdir -p target/bench-base
 cp BENCH_*.json target/bench-base/
 
-echo "################################################################"
-echo "### bench_datapath (writes BENCH_datapath.json)"
-echo "################################################################"
-"$BIN/bench_datapath"
-echo
+step "bench_datapath (writes BENCH_datapath.json)" "$BIN/bench_datapath"
+for suite in faults mux storm relaymesh adaptive; do
+  step "bench_suite $suite (writes BENCH_$suite.json)" "$BIN/bench_suite" $suite
+done
+step "check_bench (fresh full runs vs previous baselines)" \
+  "$BIN/check_bench" --all --fresh-dir . --base-dir target/bench-base --tolerance 0.2
 
-echo "################################################################"
-echo "### bench_faults (writes BENCH_faults.json)"
-echo "################################################################"
-"$BIN/bench_faults"
-echo
-
-echo "################################################################"
-echo "### bench_mux (writes BENCH_mux.json)"
-echo "################################################################"
-"$BIN/bench_mux"
-echo
-
-echo "################################################################"
-echo "### bench_storm (writes BENCH_storm.json)"
-echo "################################################################"
-"$BIN/bench_storm"
-echo
-
-echo "################################################################"
-echo "### bench_relay_mesh (writes BENCH_relaymesh.json)"
-echo "################################################################"
-"$BIN/bench_relay_mesh"
-echo
-
-echo "################################################################"
-echo "### bench_adaptive (writes BENCH_adaptive.json)"
-echo "################################################################"
-"$BIN/bench_adaptive"
-echo
-
-echo "################################################################"
-echo "### check_bench (fresh full runs vs previous baselines)"
-echo "################################################################"
-"$BIN/check_bench" --all --fresh-dir . --base-dir target/bench-base --tolerance 0.2
+if [ -n "$FAILED" ]; then
+  printf 'run_benches: failed steps:%b\n' "$FAILED"
+  exit 1
+fi
+echo "run_benches: every step succeeded"

@@ -1,10 +1,9 @@
 //! What a routed frame costs in scheduler trips (DESIGN.md §5c, §10): the
 //! relay's reader, its shard worker and both clients state whole-frame
 //! demands and write whole frames, so a frame parks them a handful of
-//! times, not once per segment and ACK. `park_stats()` is process-global,
-//! which is why this test has a binary to itself.
+//! times, not once per segment and ACK.
 
-use gridsim_net::{runtime::park_stats, topology, LinkParams, NatKind, Sim, SockAddr};
+use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr};
 use gridsim_tcp::SimHost;
 use netgrid::relay::ROUTED_CHUNK;
 use netgrid::{
@@ -22,8 +21,7 @@ fn pattern(m: usize, i: usize) -> u8 {
     (m * 31 + i % 251) as u8
 }
 
-fn parks(reason: &str) -> u64 {
-    let stats = park_stats();
+fn parks(stats: &[(&str, u64)], reason: &str) -> u64 {
     stats.iter().find(|(r, _)| *r == reason).map_or(0, |s| s.1)
 }
 
@@ -79,8 +77,9 @@ fn a_routed_frame_parks_its_tasks_a_handful_of_times() {
         let node = GridNode::join(&env, ha, "send", profile).unwrap();
         let mut sp = node.create_send_port();
         assert_eq!(sp.connect("bulk").unwrap(), EstablishMethod::Routed);
+        let stats = gridsim_net::ctx::handle().park_stats();
         at_start
-            .send((parks("tcp read"), parks("tcp write")))
+            .send((parks(&stats, "tcp read"), parks(&stats, "tcp write")))
             .unwrap();
         for m in 0..MESSAGES {
             let payload: Vec<u8> = (0..MESSAGE).map(|i| pattern(m, i)).collect();
@@ -94,9 +93,10 @@ fn a_routed_frame_parks_its_tasks_a_handful_of_times() {
     let (reads, writes) = start.recv().unwrap();
     let frames = (MESSAGES * MESSAGE / ROUTED_CHUNK) as f64;
     let per_frame = |now: u64, before: u64| (now - before) as f64 / frames;
+    let stats = sim.park_stats();
     let (reads, writes) = (
-        per_frame(parks("tcp read"), reads),
-        per_frame(parks("tcp write"), writes),
+        per_frame(parks(&stats, "tcp read"), reads),
+        per_frame(parks(&stats, "tcp write"), writes),
     );
     // Two readers and two writers handle each frame (sender, relay in and
     // out, receiver): 2.06 and 1.27 parks, the same on every run. Reading
