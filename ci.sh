@@ -3,8 +3,9 @@
 #
 #   fmt     cargo fmt --check
 #   clippy  cargo clippy --workspace --all-targets -D warnings, then the
-#           simulator's own rule: no `Instant::now` / `SystemTime` in the
-#           five product crates' src — host time is gridbench's to read
+#           repository's own rules: no `Instant::now` / `SystemTime` in
+#           crates/, src/, tests/ or examples/ — host time is gridbench's to
+#           read — and no `std::env::var` in the five product crates' src
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -38,7 +39,7 @@
 # `./ci.sh --stage list` prints the stage names and exits.
 # Every run ends with a per-stage wall-clock summary and the sizes
 # ROADMAP tracks: lines in crates/*/src outside bench/src/bin, the bench
-# bins' count, and crates/bench as a whole.
+# bins' count, crates/bench as a whole, and the vendored stand-ins.
 # run_benches.sh covers the full (slow) perf side separately.
 set -eu
 cd "$(dirname "$0")"
@@ -86,10 +87,15 @@ stage_fmt() {
 
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
-  # The simulator does not read the host clock: a read per event is a fifth
-  # of a bulk run's CPU, and every number it could feed is gridbench's.
-  if grep -rnE 'Instant::now|SystemTime' crates/{simnet,simtcp,gridzip,gridcrypt,core}/src; then
-    echo "host clock read in a product crate (lines above); measure from benchmark/ instead"
+  # Nothing in the workspace reads the host clock: a read per event is a
+  # fifth of a bulk run's CPU, and every number it could feed is gridbench's.
+  if grep -rnE 'Instant::now|SystemTime' crates/ src/ tests/ examples/; then
+    echo "host clock read in the workspace (lines above); measure from benchmark/ instead"
+    return 1
+  fi
+  # A simulation's behaviour is its arguments': no switch in the environment.
+  if grep -rn 'std::env::var' crates/{simnet,simtcp,gridzip,gridcrypt,core}/src; then
+    echo "environment read in a product crate (lines above); pass it in instead"
     return 1
   fi
 }
@@ -154,14 +160,13 @@ stage_bench() {
   # and fail (exit 2) on any bench missing from this stage.
   local QUICK="$FRESH/bench"
   rm -rf "$QUICK" && mkdir -p "$QUICK"
-  "$BIN/bench_datapath" --quick --out "$QUICK/BENCH_datapath.json" > /dev/null 2>&1
   local suite
   for suite in faults mux storm relaymesh adaptive; do
     "$BIN/bench_suite" $suite --quick --out "$QUICK/BENCH_$suite.json" > /dev/null
   done
-  # Quick runs shorten the workload only, so structural gates hold; host
-  # speed varies, so the drift tolerance is loose. run_benches.sh applies
-  # the strict 20% gate on full runs.
+  # Quick runs shorten the workload only, so structural gates hold; the
+  # drift tolerance is loose. run_benches.sh applies the strict 20% gate on
+  # full runs.
   "$BIN/check_bench" --all --fresh-dir "$QUICK" --tolerance 0.35
   # E6's level claim (sim clock, exact): exits non-zero unless level 1
   # beats plain TCP at 4 MB/s and every deeper level is slower.
@@ -223,4 +228,6 @@ echo "source size: $src_lines lines in crates/*/src outside bench/src/bin"
 bins=(crates/bench/src/bin/*)
 bench_lines=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "bench: ${#bins[@]} bins / $bench_lines lines in crates/bench (src + bins)"
+vendor_lines=$(find vendor -name '*.rs' -print0 | xargs -0 cat | wc -l)
+echo "vendor: $vendor_lines lines in vendor/"
 echo "ci: all stages passed"

@@ -27,7 +27,6 @@ struct RunOut {
 
 fn run_one(nodes: usize) -> RunOut {
     let sim = Sim::new(44);
-    netgrid::walk_gauge_reset();
     let wan = LinkParams::mbps(4.0, Duration::from_millis(10));
     let specs = [
         SiteSpec::natted("clients", nodes, NatKind::FullCone, wan),
@@ -97,7 +96,7 @@ fn run_one(nodes: usize) -> RunOut {
     let last = probes.iter().map(|(_, t)| *t).max().unwrap();
     RunOut {
         walks: probes.iter().map(|(w, _)| w).sum(),
-        peak_walks: netgrid::walk_gauge_peak(),
+        peak_walks: world.env.walk_peak(),
         setup_ms: last.since(start).as_secs_f64() * 1e3,
     }
 }

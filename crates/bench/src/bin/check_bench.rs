@@ -18,13 +18,14 @@
 //! `BENCH_*.json` is a new table entry plus its cases in the test below.
 //! A file with no entry must still parse on both sides.
 //!
-//! Baselines are host-speed sensitive, so the default tolerance is loose;
-//! quick CI runs pass a looser one still. Exit 1 means "parsed fine, found
-//! regressions". The JSON is the flat array of flat objects our bench
-//! binaries emit — parsed by hand, no serde. A truncated or malformed file
-//! (an interrupted `run_benches.sh`), a row without a column a gate reads,
-//! a value that is not a number or two rows with one key are exit 2 with
-//! the file, row and column named — never a panic.
+//! Every gated column is on the simulated clock; the tolerance absorbs the
+//! shorter workload of a quick CI run, which passes a looser one than the
+//! default. Exit 1 means "parsed fine, found regressions". The JSON is the
+//! flat array of flat objects our bench binaries emit — parsed by hand, no
+//! serde. A truncated or malformed file (an interrupted `run_benches.sh`),
+//! a row without a column a gate reads, a value that is not a number or two
+//! rows with one key are exit 2 with the file, row and column named — never
+//! a panic.
 
 use netgrid_bench::Cli;
 use std::collections::HashMap;
@@ -61,7 +62,7 @@ fn parse_objects(src: &str, path: &str) -> Result<Vec<Obj>, String> {
     Ok(out)
 }
 
-/// How a gate judges its column. The first four compare a fresh row with
+/// How a gate judges its column. The first three compare a fresh row with
 /// the baseline row of the same key; the rest read the fresh row alone.
 enum Rule {
     /// Fresh below `(1 - tolerance) x` baseline fails.
@@ -72,9 +73,6 @@ enum Rule {
     /// Fresh above `2 x baseline + 50` (ms) fails. A baseline at or below
     /// zero is skipped: nothing happened there to take twice as long.
     Doubled,
-    /// Fresh above the baseline at all fails, on rows whose baseline has
-    /// the column: a count the simulation decides, not the host.
-    NoRise,
     Equals(f64),
     EqualsColumn(&'static str),
     AtLeast(f64),
@@ -117,9 +115,6 @@ struct Suite {
     name: &'static str,
     /// The columns that identify a row; two rows with one key are an error.
     key: &'static [&'static str],
-    /// A baseline row with no fresh row of its key is a failure — or, for
-    /// suites whose quick run covers a subset of the matrix, skipped.
-    missing_fails: bool,
     gates: &'static [Gate],
     cross: &'static [Cross],
 }
@@ -127,17 +122,7 @@ struct Suite {
 #[rustfmt::skip] // one gate, one line
 const SUITES: &[Suite] = &[
     Suite {
-        file: "BENCH_datapath.json", name: "datapath", key: &["id"], missing_fails: true,
-        gates: &[
-            Gate(None, "mb_per_sec", Rule::Floor, ""),
-            Gate(None, "allocs_per_block", Rule::Ceiling(1.0), "a pool stopped recycling or a per-block Box came back"),
-            Gate(None, "segs_per_block", Rule::NoRise, "the sender is fragmenting again"),
-            Gate(None, "copied_per_block", Rule::NoRise, "the sender is copying again"),
-        ],
-        cross: &[],
-    },
-    Suite {
-        file: "BENCH_faults.json", name: "faults", key: &["down_ms"], missing_fails: false,
+        file: "BENCH_faults.json", name: "faults", key: &["down_ms"],
         gates: &[
             Gate(None, "recovery_ms", Rule::Doubled, ""),
             Gate(None, "total_ms", Rule::Ceiling(50.0), ""),
@@ -145,7 +130,7 @@ const SUITES: &[Suite] = &[
         cross: &[],
     },
     Suite {
-        file: "BENCH_mux.json", name: "mux", key: &["channels"], missing_fails: false,
+        file: "BENCH_mux.json", name: "mux", key: &["channels"],
         gates: &[
             // N same-spec channels must share ONE link found by ONE walk.
             Gate(None, "links", Rule::Equals(1.0), "channels stopped sharing a link"),
@@ -156,7 +141,7 @@ const SUITES: &[Suite] = &[
         cross: &[],
     },
     Suite {
-        file: "BENCH_storm.json", name: "storm", key: &["nodes"], missing_fails: false,
+        file: "BENCH_storm.json", name: "storm", key: &["nodes"],
         gates: &[
             // One Figure-4 walk per distinct sender→peer pair.
             Gate(None, "walks", Rule::EqualsColumn("pairs"), "more: single-flight dedupe broke under the storm; fewer: connects silently failed"),
@@ -168,7 +153,7 @@ const SUITES: &[Suite] = &[
         // `pairs` in the key: the quick matrix runs fewer pairs than the
         // committed full one and aggregate MB/s is workload-shaped, so only
         // identical points compare.
-        file: "BENCH_relaymesh.json", name: "relaymesh", key: &["round", "relays", "pairs"], missing_fails: false,
+        file: "BENCH_relaymesh.json", name: "relaymesh", key: &["round", "relays", "pairs"],
         gates: &[
             Gate(None, "round", Rule::OneOf(&["spread", "skew", "kill"]), ""),
             Gate(Some(("round", "skew")), "busy_throttles", Rule::AtLeast(1.0), "one-hot overload drew no typed backpressure: sharded plane not throttling"),
@@ -181,7 +166,7 @@ const SUITES: &[Suite] = &[
         }],
     },
     Suite {
-        file: "BENCH_adaptive.json", name: "adaptive", key: &["id"], missing_fails: false,
+        file: "BENCH_adaptive.json", name: "adaptive", key: &["id"],
         // Quick runs use a shorter ramp schedule than the committed full
         // baseline, so absolute MB/s differ by workload shape: only the
         // controller row compares.
@@ -198,7 +183,6 @@ impl Rule {
             Rule::Floor => "floor",
             Rule::Ceiling(_) => "ceiling",
             Rule::Doubled => "doubled",
-            Rule::NoRise => "no-rise",
             Rule::Equals(_) => "equals",
             Rule::EqualsColumn(_) => "equals-column",
             Rule::AtLeast(_) => "at-least",
@@ -363,22 +347,14 @@ fn evaluate(
         }
     }
 
-    // Against the baseline, row by row.
+    // Against the baseline, row by row. A quick run covers a subset of the
+    // committed matrix, so a baseline row with no fresh row is skipped.
     for (key, b) in &base_rows {
         let Some((_, f)) = fresh_rows.iter().find(|(k, _)| k == key) else {
-            if suite.missing_fails {
-                let line = format!("{key}: missing from {}", fresh.path);
-                judge("missing-row".into(), true, line, "");
-            }
             continue;
         };
         for Gate(_, column, rule, why) in suite.gates.iter().filter(|g| selects(g.0, b)) {
-            let judged = match rule {
-                Rule::Floor | Rule::Ceiling(_) | Rule::Doubled => true,
-                Rule::NoRise => b.contains_key(*column),
-                _ => false,
-            };
-            if !judged {
+            if !matches!(rule, Rule::Floor | Rule::Ceiling(_) | Rule::Doubled) {
                 continue;
             }
             let bv = num(b, column, base.path, key)?;
@@ -393,11 +369,10 @@ fn evaluate(
                     (fv > ceil, format!("ceiling {ceil:.2}"))
                 }
                 Rule::Doubled if bv <= 0.0 => continue,
-                Rule::Doubled => {
+                _ => {
                     let ceil = bv * 2.0 + 50.0;
                     (fv > ceil, format!("ceiling {ceil:.2}, 2x + 50"))
                 }
-                _ => (fv > bv, "exact or lower".to_string()),
             };
             let line = format!("{key}: {column} {fv:.2} vs baseline {bv:.2} ({bound})");
             judge(format!("{column}/{}", rule.name()), bad, line, why);
@@ -526,9 +501,6 @@ mod tests {
                 ]),
             }
         }
-        if suite.missing_fails {
-            ids.push(format!("{}/missing-row", suite.name));
-        }
         ids
     }
 
@@ -607,11 +579,6 @@ mod tests {
     /// copy of the committed file — `column=value`, or `-` to drop the row —
     /// that must trip that gate and no other.
     const CASES: &[&str] = &[
-        "datapath/mb_per_sec/floor; id=e2e/stripe4; mb_per_sec=1.0; mb_per_sec",
-        "datapath/allocs_per_block/ceiling; id=tcb/transfer; allocs_per_block=7.1; allocs_per_block",
-        "datapath/segs_per_block/no-rise; id=e2e/tcp_block_plain; segs_per_block=23.91; segs_per_block",
-        "datapath/copied_per_block/no-rise; id=e2e/stripe4; copied_per_block=1536.5; copied_per_block",
-        "datapath/missing-row; id=stage/crypt; -; id=stage/crypt: missing",
         "faults/recovery_ms/doubled; down_ms=2000; recovery_ms=925.1; recovery_ms",
         "faults/total_ms/ceiling; down_ms=500; total_ms=11314.7; total_ms",
         "mux/links/equals; channels=8; links=2; links = 2",
@@ -686,7 +653,7 @@ mod tests {
         assert!(pair_up(&[], &both, "base", "fresh").is_err());
     }
 
-    /// The datapath suite on its committed file with `column` of row `key`
+    /// The faults suite on its committed file with `column` of row `key`
     /// overwritten (`None`: removed), which must be refused naming the file.
     fn refused(key: &str, column: &str, value: Option<&str>) -> String {
         let suite = &SUITES[0];
@@ -706,30 +673,30 @@ mod tests {
 
     #[test]
     fn missing_column_is_a_named_error_not_a_panic() {
-        let err = refused("id=e2e/stripe4", "mb_per_sec", None);
+        let err = refused("down_ms=2000", "total_ms", None);
         assert!(
-            err.contains("id=e2e/stripe4") && err.contains("missing column \"mb_per_sec\""),
+            err.contains("down_ms=2000") && err.contains("missing column \"total_ms\""),
             "{err}"
         );
-        let err = refused("id=e2e/stripe4", "id", None);
+        let err = refused("down_ms=2000", "down_ms", None);
         assert!(
-            err.contains("row 4") && err.contains("missing key column \"id\""),
+            err.contains("row 3") && err.contains("missing key column \"down_ms\""),
             "{err}"
         );
     }
 
     #[test]
     fn non_numeric_column_is_a_named_error_not_a_panic() {
-        let err = refused("id=stage/agg", "allocs_per_block", Some("few"));
+        let err = refused("down_ms=500", "total_ms", Some("few"));
         assert!(
-            err.contains("id=stage/agg") && err.contains("\"allocs_per_block\" is not a number"),
+            err.contains("down_ms=500") && err.contains("\"total_ms\" is not a number"),
             "{err}"
         );
     }
 
     #[test]
     fn duplicate_key_is_a_named_error_not_a_panic() {
-        let err = refused("id=stage/agg", "id", Some("stage/crypt"));
-        assert!(err.contains("two rows with key id=stage/crypt"), "{err}");
+        let err = refused("down_ms=500", "down_ms", Some("5000"));
+        assert!(err.contains("two rows with key down_ms=5000"), "{err}");
     }
 }

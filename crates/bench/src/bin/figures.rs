@@ -29,11 +29,14 @@
 
 use gridsim_net::{topology, Sim, SimTime};
 use gridsim_tcp::SimHost;
+use netgrid::drivers::{BlockWrite, BlockWriter};
 use netgrid::tune::{pick_best, COMPRESSION_LADDER, STRIPE_LADDER};
-use netgrid::{ConnectivityProfile, CpuRates, GridNode, PathControlConfig, PathParams, StackSpec};
+use netgrid::{
+    BlockPool, ConnectivityProfile, CpuRates, GridNode, PathControlConfig, PathParams, StackSpec,
+};
 use netgrid_bench::*;
 use parking_lot::Mutex;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -260,9 +263,9 @@ fn crossover(cli: &Cli) {
     }
 }
 
-/// Probe-gain margin shared with the live controller's default
-/// (`PathControlConfig::probe_gain_pct`): a costlier rung must beat the
-/// cheaper one by this much to be worth keeping.
+/// Probe-gain margin shared with the live controller (`PROBE_GAIN_PCT` in
+/// `tune.rs`): a costlier rung must beat the cheaper one by this much to be
+/// worth keeping.
 const GAIN_PCT: u64 = 8;
 
 /// Measure every rung of a tuning ladder on `wan`, a printed line each, and
@@ -492,6 +495,8 @@ impl Write for CostedWriter<'_> {
         Ok(())
     }
 }
+// A block handed down is one socket call: the default `write_block`.
+impl BlockWrite for CostedWriter<'_> {}
 
 /// LAN throughput of `write_size`-byte application writes. Each socket
 /// write call is charged `syscall` (50 µs by default — 2004-era Java socket
@@ -523,10 +528,10 @@ fn lan_throughput(write_size: usize, aggregate: bool, syscall: Duration) -> f64 
         s.set_nodelay(true).unwrap();
         let chunk = vec![0xa5u8; write_size];
         let costed = CostedWriter { s: &s, syscall };
-        // TCP_Block: user-space buffer, one syscall per 32 KiB flush;
-        // otherwise one syscall per small application write.
+        // TCP_Block: the product's aggregation driver, one syscall per
+        // 32 KiB block; otherwise one syscall per small application write.
         let mut w: Box<dyn Write> = if aggregate {
-            Box::new(BufWriter::with_capacity(32 * 1024, costed))
+            Box::new(BlockWriter::new(costed, BlockPool::new(32 * 1024)))
         } else {
             Box::new(costed)
         };

@@ -97,6 +97,5 @@ pub use relay::{
     spawn_relay, spawn_relay_mesh, RelayClient, RelayConfig, RelayDelegate, RoutedStream,
 };
 pub use rpc::RpcClient;
-pub use session::{walk_gauge_peak, walk_gauge_reset};
 pub use socks::{socks_connect, spawn_proxy};
 pub use tune::{PathControlConfig, PathController, PathStats};

@@ -33,7 +33,7 @@ use crate::port::{
 };
 use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
-use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink};
+use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink, WalkGauge};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{
@@ -89,6 +89,7 @@ pub struct GridEnv {
     /// (DESIGN.md §11). Off by default: fault-free wire traces stay
     /// byte-identical unless a deployment opts in.
     pub path_control: Option<PathControlConfig>,
+    walks: Arc<WalkGauge>,
 }
 
 impl GridEnv {
@@ -104,7 +105,14 @@ impl GridEnv {
             resend_budget: crate::port::RESEND_BUDGET,
             ack_bytes: crate::port::ACK_BYTES_DEFAULT,
             path_control: None,
+            walks: Arc::default(),
         }
+    }
+
+    /// Highest number of Figure-4 walks in flight at once, across every
+    /// node joined through this environment or a clone of it.
+    pub fn walk_peak(&self) -> u64 {
+        self.walks.peak()
     }
 
     pub fn with_relay(mut self, relay: SockAddr) -> Self {
@@ -200,6 +208,9 @@ pub(crate) struct NodeInner {
     next_data_port: AtomicU64,
     next_splice_port: AtomicU64,
     next_channel: AtomicU64,
+    /// Numbers this node's RPC reply ports. Per node, not per process: the
+    /// number is in the port's name and the name is on the wire.
+    next_rpc_client: AtomicU64,
     seed_base: u64,
     /// Serializes NAT-mapping-creating operations on this node so that
     /// splicing port predictions hold: a symmetric NAT allocates one
@@ -318,11 +329,12 @@ impl GridNode {
             next_data_port: AtomicU64::new(DATA_PORT_BASE as u64),
             next_splice_port: AtomicU64::new(SPLICE_PORT_BASE as u64),
             next_channel: AtomicU64::new(1),
+            next_rpc_client: AtomicU64::new(1),
             seed_base,
             nat_gate: NatGate::default(),
             pending_splices: Mutex::new(HashMap::new()),
             ack_cells: Mutex::new(HashMap::new()),
-            links: LinkTable::new(),
+            links: LinkTable::new(Arc::clone(&env.walks)),
             open_frames: AtomicU64::new(0),
             rx: RxShared::new(),
         });
@@ -415,6 +427,10 @@ impl GridNode {
                     .and_then(|inner| inner.ports.lock().get(name).cloned())
             }),
         }
+    }
+
+    pub(crate) fn alloc_rpc_client(&self) -> u64 {
+        self.inner.next_rpc_client.fetch_add(1, Ordering::Relaxed)
     }
 
     fn alloc_channel(&self) -> u64 {
@@ -712,48 +728,45 @@ impl GridNode {
     ) -> io::Result<SendConnection> {
         self.inner.links.note_walk();
         let methods = choose_methods(&self.inner.profile, peer_profile, LinkPurpose::Data);
-        let mut last_err = io::Error::new(
-            io::ErrorKind::NotFound,
-            "no establishment method applicable",
-        );
+        // Every method's own error, in walk order; the kind is the last one's.
+        let mut kind = io::ErrorKind::NotFound;
+        let mut failed: Vec<String> = Vec::new();
         for method in methods {
-            match self.try_method(method, rec, peer_profile, spec, channel, None) {
-                Ok((links, total)) => match self.build_link_io(links, total, spec, None) {
-                    Ok((io, _)) => {
-                        let chan = Arc::new(Channel::new(
-                            channel,
-                            port_name,
-                            self.inner.env.resend_budget,
-                        ));
-                        let link = Arc::new(SharedLink::new(
-                            key.clone(),
-                            spec.clone(),
-                            method,
-                            io,
-                            channel,
-                        ));
-                        link.attach(Arc::clone(&chan));
-                        self.spawn_path_controller(&link);
-                        return Ok(SendConnection { link, chan });
-                    }
-                    Err(e) => {
-                        if std::env::var("NETGRID_DEBUG").is_ok() {
-                            eprintln!("[netgrid] method {method} stack failed: {e}");
-                        }
-                        last_err = e;
-                    }
-                },
+            let built = self
+                .try_method(method, rec, peer_profile, spec, channel, None)
+                .and_then(|(links, total)| self.build_link_io(links, total, spec, None));
+            match built {
+                Ok((io, _)) => {
+                    let chan = Arc::new(Channel::new(
+                        channel,
+                        port_name,
+                        self.inner.env.resend_budget,
+                    ));
+                    let link = Arc::new(SharedLink::new(
+                        key.clone(),
+                        spec.clone(),
+                        method,
+                        io,
+                        channel,
+                    ));
+                    link.attach(Arc::clone(&chan));
+                    self.spawn_path_controller(&link);
+                    return Ok(SendConnection { link, chan });
+                }
                 Err(e) => {
-                    if std::env::var("NETGRID_DEBUG").is_ok() {
-                        eprintln!("[netgrid] method {method} failed: {e}");
-                    }
-                    last_err = e;
+                    kind = e.kind();
+                    failed.push(format!("{method}: {e}"));
                 }
             }
         }
+        let why = if failed.is_empty() {
+            "no establishment method applicable".to_string()
+        } else {
+            failed.join("; ")
+        };
         Err(io::Error::new(
-            last_err.kind(),
-            format!("all establishment methods failed for '{port_name}': {last_err}"),
+            kind,
+            format!("all establishment methods failed for '{port_name}': {why}"),
         ))
     }
 
@@ -1088,9 +1101,12 @@ impl GridNode {
             io::ErrorKind::ConnectionReset,
             format!("data link to '{peer_desc}' lost"),
         );
+        // The last attempt's failures, method by method.
+        let mut failed: Vec<String> = Vec::new();
         for _ in 0..RECOVER_ATTEMPTS {
             gridsim_net::ctx::sleep(delay);
             delay = (delay * 2).min(RECOVER_DELAY_CAP);
+            failed.clear();
             let chans = link.replay_order();
             let Some(anchor) = chans.first() else {
                 // Every channel detached while we backed off: nothing to
@@ -1132,9 +1148,7 @@ impl GridNode {
                 let (io, deliveries) = match built {
                     Ok(x) => x,
                     Err(e) => {
-                        if std::env::var("NETGRID_DEBUG").is_ok() {
-                            eprintln!("[netgrid] recovery method {method} failed: {e}");
-                        }
+                        failed.push(format!("{method}: {e}"));
                         last_err = e;
                         continue;
                     }
@@ -1173,15 +1187,21 @@ impl GridNode {
                     Err(e) => {
                         // Replay write failure: the fresh link died too.
                         // Messages stay retained; fall into another attempt.
+                        failed.push(format!("{method}: replay: {e}"));
                         last_err = e;
                     }
                 }
             }
         }
+        let why = if failed.is_empty() {
+            last_err.to_string()
+        } else {
+            failed.join("; ")
+        };
         Err(io::Error::new(
             last_err.kind(),
             format!(
-                "could not recover link to '{peer_desc}' after {RECOVER_ATTEMPTS} attempts: {last_err}"
+                "could not recover link to '{peer_desc}' after {RECOVER_ATTEMPTS} attempts: {why}"
             ),
         ))
     }

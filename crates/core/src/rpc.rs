@@ -79,8 +79,6 @@ pub fn serve_with_spec(
     Ok(())
 }
 
-static CLIENT_COUNTER: AtomicU64 = AtomicU64::new(1);
-
 /// A client handle for one remote service. Cloneable; calls from multiple
 /// tasks multiplex over the same connection pair and are matched by
 /// request id.
@@ -96,7 +94,7 @@ impl RpcClient {
     /// Connect to `service_name`: establishes the request connection and
     /// publishes a private response port.
     pub fn connect(node: &GridNode, service_name: &str) -> io::Result<RpcClient> {
-        let n = CLIENT_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let n = node.alloc_rpc_client();
         let reply_name = format!("rpc-rsp-{}-{n}", node.name());
         let reply_port = node.create_receive_port(&reply_name, StackSpec::plain())?;
         let mut sp = node.create_send_port();

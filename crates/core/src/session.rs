@@ -611,34 +611,35 @@ pub(crate) struct LinkTable {
     /// Completed link-level recoveries (each re-established ONE link and
     /// replayed every attached channel).
     recoveries: AtomicU64,
+    /// The deployment's gauge, which this table's walks move.
+    gauge: Arc<WalkGauge>,
 }
 
-/// Process-wide walk concurrency gauge, across every node in the
-/// simulation: single-flight is per-`LinkKey`, so walks to *different*
-/// peers run concurrently, and a storm bench proves it by watching the
-/// peak here. Purely observational — never read by protocol code.
-static WALKS_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
-static WALKS_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// Reset the process-wide walk concurrency gauge (call between storm
-/// scenarios sharing one process).
-pub fn walk_gauge_reset() {
-    WALKS_IN_FLIGHT.store(0, Ordering::Relaxed);
-    WALKS_PEAK.store(0, Ordering::Relaxed);
+/// Walk concurrency gauge of one deployment (a [`crate::GridEnv`] and its
+/// clones), across every node joined through it: single-flight is
+/// per-`LinkKey`, so walks to *different* peers run concurrently, and a
+/// storm proves it by watching the peak here. Purely observational — never
+/// read by protocol code.
+#[derive(Default)]
+pub(crate) struct WalkGauge {
+    in_flight: AtomicU64,
+    peak: AtomicU64,
 }
 
-/// Highest number of Figure-4 walks in flight at once since the last
-/// [`walk_gauge_reset`], across all nodes.
-pub fn walk_gauge_peak() -> u64 {
-    WALKS_PEAK.load(Ordering::Relaxed)
+impl WalkGauge {
+    /// Highest number of walks in flight at once so far.
+    pub fn peak(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
 }
 
 impl LinkTable {
-    pub fn new() -> LinkTable {
+    pub fn new(gauge: Arc<WalkGauge>) -> LinkTable {
         LinkTable {
             entries: Mutex::new(HashMap::new()),
             walks: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
+            gauge,
         }
     }
 
@@ -698,17 +699,14 @@ impl LinkTable {
 
     pub fn note_walk(&self) {
         self.walks.fetch_add(1, Ordering::Relaxed);
-        let now = WALKS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
-        WALKS_PEAK.fetch_max(now, Ordering::Relaxed);
+        let now = self.gauge.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.gauge.peak.fetch_max(now, Ordering::Relaxed);
     }
 
     /// The walk counted by the matching [`note_walk`] finished (either
     /// way); keeps the concurrency gauge honest.
     pub fn walk_done(&self) {
-        // Saturating: a reset mid-walk must not wrap the gauge.
-        let _ = WALKS_IN_FLIGHT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(1))
-        });
+        self.gauge.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub fn walks(&self) -> u64 {

@@ -105,18 +105,6 @@ pub struct PathControlConfig {
     /// Steady windows required after any change before the next probe
     /// (hysteresis — a committed change must prove itself this long).
     pub cooldown: u32,
-    /// Percent goodput gain a probe must show over its baseline window
-    /// to be kept; below this it is reverted.
-    pub probe_gain_pct: u64,
-    /// Loss-recovery events in one window that count as congestion.
-    pub loss_rtx: u64,
-    /// Floor for the multiplicative block-size decrease under loss.
-    pub min_block: u32,
-    /// Ceiling for stripe probes.
-    pub max_stripes: u16,
-    /// Send-buffer occupancy (bytes) below which the path is considered
-    /// application/CPU-bound rather than network-bound.
-    pub idle_backlog: u64,
 }
 
 impl Default for PathControlConfig {
@@ -124,14 +112,22 @@ impl Default for PathControlConfig {
         PathControlConfig {
             interval: Duration::from_millis(250),
             cooldown: 3,
-            probe_gain_pct: 8,
-            loss_rtx: 3,
-            min_block: 4 * 1024,
-            max_stripes: 16,
-            idle_backlog: 4 * 1024,
         }
     }
 }
+
+/// Percent goodput gain a probe must show over its baseline window to be
+/// kept; below this it is reverted.
+const PROBE_GAIN_PCT: u64 = 8;
+/// Loss-recovery events in one window that count as congestion.
+const LOSS_RTX: u64 = 3;
+/// Floor for the multiplicative block-size decrease under loss.
+const MIN_BLOCK: u32 = 4 * 1024;
+/// Ceiling for stripe probes.
+const MAX_STRIPES: u16 = 16;
+/// Send-buffer occupancy (bytes) below which the path is considered
+/// application/CPU-bound rather than network-bound.
+const IDLE_BACKLOG: u64 = 4 * 1024;
 
 #[derive(Clone, Copy, Debug)]
 enum Mode {
@@ -153,11 +149,11 @@ enum ProbeKind {
 /// Deterministic AIMD-style control loop over [`PathStats`] samples.
 ///
 /// Policy (DESIGN.md §11):
-/// - **Loss** (≥ `loss_rtx` recovery events in a window): halve the block
-///   size toward `min_block`; a live probe is reverted instead.
+/// - **Loss** (≥ `LOSS_RTX` recovery events in a window): halve the block
+///   size toward `MIN_BLOCK`; a live probe is reverted instead.
 /// - **Probe up**: after `cooldown` clean windows with the send buffer
 ///   backed up (network-bound), try the next stripe rung; keep it only
-///   if the next window's goodput beats the baseline by `probe_gain_pct`.
+///   if the next window's goodput beats the baseline by `PROBE_GAIN_PCT`.
 /// - **Shed CPU**: if compressing while the send buffer idles (the wire
 ///   drains faster than the compressor fills), step compression down.
 /// - **Hysteresis**: a reverted probe is blocked until measured goodput
@@ -229,13 +225,13 @@ impl PathController {
 
         // Congestion beats everything: revert a live probe, else shrink
         // the block so a loss costs less to retransmit.
-        if drtx >= self.cfg.loss_rtx {
+        if drtx >= LOSS_RTX {
             self.cooldown = self.cfg.cooldown;
             if let Mode::Probing { prev, .. } = self.mode {
                 self.mode = Mode::Steady;
                 return self.revert_to(prev, rate);
             }
-            let shrunk = (self.params.block_size / 2).max(self.cfg.min_block);
+            let shrunk = (self.params.block_size / 2).max(MIN_BLOCK);
             if shrunk < self.params.block_size {
                 self.params.block_size = shrunk;
                 return Some(self.params);
@@ -247,7 +243,7 @@ impl PathController {
         if let Mode::Probing { prev, baseline } = self.mode {
             self.mode = Mode::Steady;
             self.cooldown = self.cfg.cooldown;
-            let needed = baseline.saturating_mul(100 + self.cfg.probe_gain_pct) / 100;
+            let needed = baseline.saturating_mul(100 + PROBE_GAIN_PCT) / 100;
             if rate >= needed {
                 self.blocked = None; // the environment rewards probing again
                 return None; // keep — params are already live
@@ -270,7 +266,7 @@ impl PathController {
             }
         }
 
-        let app_bound = s.tx_backlog <= self.cfg.idle_backlog;
+        let app_bound = s.tx_backlog <= IDLE_BACKLOG;
 
         // CPU shed: compressing while the wire idles means the compressor
         // is the bottleneck — step it down one level.
@@ -288,7 +284,7 @@ impl PathController {
 
         // Headroom probe: network-bound and clean — try the next rung.
         if !app_bound && !self.is_blocked(ProbeKind::StripeUp) {
-            if let Some(next) = next_stripe(self.params.stripes, self.cfg.max_stripes) {
+            if let Some(next) = next_stripe(self.params.stripes, MAX_STRIPES) {
                 let prev = self.params;
                 self.params.stripes = next;
                 self.mode = Mode::Probing {
@@ -405,12 +401,12 @@ mod tests {
         let mut expect = PathParams::default().block_size;
         // Loss acts immediately, ignoring cooldown: every lossy window
         // halves the block until the floor.
-        while expect > ctl.config().min_block {
+        while expect > MIN_BLOCK {
             t += 100;
             b += 100_000;
             rtx += 10;
             let p = ctl.on_sample(sample(t, b, rtx, 64 * 1024)).expect("shrink");
-            expect = (expect / 2).max(ctl.config().min_block);
+            expect = (expect / 2).max(MIN_BLOCK);
             assert_eq!(p.block_size, expect);
         }
         // At the floor, further loss changes nothing.
@@ -418,7 +414,7 @@ mod tests {
         b += 100_000;
         rtx += 10;
         assert_eq!(ctl.on_sample(sample(t, b, rtx, 64 * 1024)), None);
-        assert_eq!(ctl.params().block_size, ctl.config().min_block);
+        assert_eq!(ctl.params().block_size, MIN_BLOCK);
     }
 
     #[test]

@@ -278,3 +278,46 @@ fn try_receive_and_queue_accounting() {
     sim.run();
     assert!(*checked.lock());
 }
+
+/// Two firewalled sites and no relay: neither brokered method can work,
+/// and the error says what each one ran into.
+#[test]
+fn failed_connect_names_every_method_it_tried() {
+    let sim = Sim::new(95);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(5));
+    let (mut env, hosts) = world(
+        &sim,
+        &[
+            topology::SiteSpec::firewalled("a", 1, wan),
+            topology::SiteSpec::firewalled("b", 1, wan),
+        ],
+    );
+    env.relay_addr = None;
+    let net = env.net.clone();
+    let (env_b, host_b) = (env.clone(), SimHost::new(&net, hosts[1]));
+    sim.spawn("b", move || {
+        let node = GridNode::join(&env_b, host_b, "b0", ConnectivityProfile::firewalled()).unwrap();
+        let _rp = node
+            .create_receive_port("walled", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::sleep(Duration::from_secs(5));
+    });
+    let done = sim.spawn("a", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let host_a = SimHost::new(&net, hosts[0]);
+        let node = GridNode::join(&env, host_a, "a0", ConnectivityProfile::firewalled()).unwrap();
+        let err = node
+            .create_send_port()
+            .connect("walled")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with("all establishment methods failed for 'walled': ")
+                && err.contains("TCP splicing: no relay")
+                && err.contains("; routed messages: no relay"),
+            "{err}"
+        );
+    });
+    sim.run();
+    assert!(done.is_finished());
+}

@@ -182,3 +182,47 @@ fn large_payloads_cross_intact() {
     sim.run();
     assert!(*ok.lock());
 }
+
+/// The reply port's name goes on the wire in every call, so a simulation's
+/// packets must not depend on how many clients the process made before it:
+/// the first client of a fresh node is client 1, in every `Sim`.
+#[test]
+fn reply_port_name_counts_per_node_not_per_process() {
+    let ports_after_first_client = || {
+        let sim = Sim::new(44);
+        let wan = LinkParams::mbps(4.0, Duration::from_millis(5));
+        let (env, hosts) = grid(
+            &sim,
+            &[
+                topology::SiteSpec::open("srv", 1, wan),
+                topology::SiteSpec::open("cli", 1, wan),
+            ],
+        );
+        let net = env.net.clone();
+        let (env_s, host_s) = (env.clone(), SimHost::new(&net, hosts[0]));
+        sim.spawn("server", move || {
+            let node =
+                GridNode::join(&env_s, host_s, "server", ConnectivityProfile::open()).unwrap();
+            rpc::serve(&node, "echo", Arc::new(|req: &[u8]| req.to_vec())).unwrap();
+        });
+        let host_c = SimHost::new(&net, hosts[1]);
+        let ports = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&ports);
+        sim.spawn("client", move || {
+            gridsim_net::ctx::sleep(Duration::from_millis(200));
+            let node = GridNode::join(&env, host_c, "client", ConnectivityProfile::open()).unwrap();
+            let client = RpcClient::connect(&node, "echo").unwrap();
+            assert_eq!(client.call(b"ping").unwrap(), b"ping");
+            *out.lock() = node.ns().list_ports().unwrap();
+        });
+        sim.run();
+        let ports = ports.lock().clone();
+        ports
+    };
+    let ports = ports_after_first_client();
+    assert!(
+        ports.iter().any(|p| p == "rpc-rsp-client-1"),
+        "first client's reply port: {ports:?}"
+    );
+    assert_eq!(ports_after_first_client(), ports);
+}

@@ -165,7 +165,6 @@ fn sixteen_distinct_peers_walk_concurrently() {
     const N: usize = 16;
     let sim = Sim::new(seed(92));
     let (env, ha, hb) = world_n(&sim, 1, N);
-    netgrid::walk_gauge_reset();
     let receivers: Vec<_> = hb
         .into_iter()
         .enumerate()
@@ -210,6 +209,7 @@ fn sixteen_distinct_peers_walk_concurrently() {
         })
         .collect();
     let nc = Arc::clone(&node_cell);
+    let env_c = env.clone();
     let closer = sim.spawn("closer", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(1500));
         let node = nc.lock().clone().unwrap();
@@ -223,14 +223,13 @@ fn sixteen_distinct_peers_walk_concurrently() {
             N,
             "distinct peers must not share links"
         );
-        // The gauge is process-global (other tests in this binary can only
-        // inflate it past N, never below): all 16 racers park inside their
-        // walks before any completes, so serialized establishment — the old
-        // global claim ordering — would cap the peak at 1.
-        assert!(
-            netgrid::walk_gauge_peak() >= N as u64,
-            "walks to distinct peers were serialized (peak {} < {N})",
-            netgrid::walk_gauge_peak()
+        // All 16 racers park inside their walks before any completes, so
+        // serialized establishment — the old global claim ordering — would
+        // cap this world's peak at 1.
+        assert_eq!(
+            env_c.walk_peak(),
+            N as u64,
+            "walks to distinct peers were serialized"
         );
         for sp in ports.lock().drain(..) {
             sp.close().unwrap();

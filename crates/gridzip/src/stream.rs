@@ -213,10 +213,6 @@ impl<R: Read> DecompressReader<R> {
     pub fn get_ref(&self) -> &R {
         &self.inner
     }
-
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
 }
 
 impl<R: Read> DecompressReader<R> {

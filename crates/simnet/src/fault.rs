@@ -38,14 +38,6 @@ use crate::world::{NodeId, World};
 /// installed (usually simulation start).
 #[derive(Clone, Debug)]
 enum FaultEvent {
-    LinkDown {
-        at: Duration,
-        link: LinkDirId,
-    },
-    LinkUp {
-        at: Duration,
-        link: LinkDirId,
-    },
     Flap {
         at: Duration,
         link: LinkDirId,
@@ -67,11 +59,6 @@ enum FaultEvent {
         at: Duration,
         node: NodeId,
         down_for: Duration,
-    },
-    BandwidthStep {
-        at: Duration,
-        link: LinkDirId,
-        bps: f64,
     },
     DelayStep {
         at: Duration,
@@ -103,18 +90,6 @@ pub struct FaultPlan {
 impl FaultPlan {
     pub fn new() -> FaultPlan {
         FaultPlan::default()
-    }
-
-    /// Take one link direction down at `at` and leave it down.
-    pub fn link_down(mut self, at: Duration, link: LinkDirId) -> FaultPlan {
-        self.events.push(FaultEvent::LinkDown { at, link });
-        self
-    }
-
-    /// Bring one link direction back up at `at`.
-    pub fn link_up(mut self, at: Duration, link: LinkDirId) -> FaultPlan {
-        self.events.push(FaultEvent::LinkUp { at, link });
-        self
     }
 
     /// Flap: down at `at`, back up `down_for` later.
@@ -162,15 +137,6 @@ impl FaultPlan {
     pub fn node_down(mut self, at: Duration, node: NodeId, down_for: Duration) -> FaultPlan {
         self.events
             .push(FaultEvent::NodeDown { at, node, down_for });
-        self
-    }
-
-    /// Set one link direction's capacity to `bps` at `at` and leave it
-    /// there (a persistent capacity change, not a burst).
-    pub fn bandwidth_step(mut self, at: Duration, link: LinkDirId, bps: f64) -> FaultPlan {
-        assert!(bps > 0.0, "bandwidth must be positive");
-        self.events
-            .push(FaultEvent::BandwidthStep { at, link, bps });
         self
     }
 
@@ -238,12 +204,6 @@ impl FaultPlan {
     pub(crate) fn install(self, w: &World) {
         for ev in self.events {
             match ev {
-                FaultEvent::LinkDown { at, link } => {
-                    w.schedule_after(at, move |w| w.set_link_up(link, false));
-                }
-                FaultEvent::LinkUp { at, link } => {
-                    w.schedule_after(at, move |w| w.set_link_up(link, true));
-                }
                 FaultEvent::Flap { at, link, down_for } => {
                     w.schedule_after(at, move |w| {
                         w.set_link_up(link, false);
@@ -281,11 +241,6 @@ impl FaultPlan {
                     w.schedule_after(at, move |w| {
                         w.set_node_up(node, false);
                         w.schedule_after(down_for, move |w| w.set_node_up(node, true));
-                    });
-                }
-                FaultEvent::BandwidthStep { at, link, bps } => {
-                    w.schedule_after(at, move |w| {
-                        w.link_mut(link).params.bandwidth_bps = bps;
                     });
                 }
                 FaultEvent::DelayStep { at, link, delay } => {

@@ -628,29 +628,6 @@ impl Tcb {
         self.recv_q.len()
     }
 
-    /// One-line state dump for diagnostics.
-    pub fn debug_summary(&self) -> String {
-        format!(
-            "{}->{} {:?} una={} nxt={} max={} sendq={} flight={} peer_wnd={} rwnd={} recvq={} ooo={} cwnd={} rtx_to={} frtx={} persist={:?}",
-            self.local,
-            self.remote,
-            self.state,
-            self.snd_una,
-            self.snd_nxt,
-            self.snd_max,
-            self.send_q.len(),
-            self.flight(),
-            self.peer_wnd,
-            self.rwnd(),
-            self.recv_q.len(),
-            self.ooo_bytes,
-            self.cwnd as u64,
-            self.stats.rtx_timeouts,
-            self.stats.fast_retransmits,
-            self.persist_timer.deadline,
-        )
-    }
-
     /// Space left in the send buffer.
     pub fn send_space(&self) -> usize {
         (self.cfg.send_buf as usize).saturating_sub(self.send_q.len())

@@ -1,8 +1,8 @@
 #!/bin/bash
 # Regenerates every table and figure (see EXPERIMENTS.md). ~15-30 min.
-# Also refreshes the committed bench baselines (BENCH_datapath.json,
-# BENCH_faults.json, BENCH_mux.json, BENCH_storm.json,
-# BENCH_relaymesh.json, BENCH_adaptive.json) and gates the fresh numbers
+# Also refreshes the committed bench baselines (BENCH_faults.json,
+# BENCH_mux.json, BENCH_storm.json, BENCH_relaymesh.json,
+# BENCH_adaptive.json) and gates the fresh numbers
 # against the previous ones with check_bench (strict 20% throughput / 2x
 # recovery rule, plus the exact invariants: one-link-per-peer mux,
 # walks==pairs storm, the relaymesh structural gates — 4-relay scaling
@@ -40,7 +40,6 @@ step "bench_suite ack" "$BIN/bench_suite" ack "$@"
 rm -rf target/bench-base && mkdir -p target/bench-base
 cp BENCH_*.json target/bench-base/
 
-step "bench_datapath (writes BENCH_datapath.json)" "$BIN/bench_datapath"
 for suite in faults mux storm relaymesh adaptive; do
   step "bench_suite $suite (writes BENCH_$suite.json)" "$BIN/bench_suite" $suite
 done
