@@ -5,7 +5,8 @@
 #   clippy  cargo clippy --workspace --all-targets -D warnings, then the
 #           repository's own rules: no `Instant::now` / `SystemTime` in
 #           crates/, src/, tests/ or examples/ — host time is gridbench's to
-#           read — and no `std::env::var` in the five product crates' src
+#           read — no `std::env::var` in the five product crates' src, and
+#           no link-frame field coded outside crates/core/src/wire.rs
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -28,7 +29,9 @@
 #           command is printed on failure).
 #   test    full workspace test suite (debug); the gridzip and gridcrypt
 #           suites again in release, where the vectorised ChaCha20 pass
-#           and the bounds-check-free matcher loops actually exist; then,
+#           and the bounds-check-free matcher loops actually exist, and
+#           the wire-codec properties (core's prop.rs) with them, where
+#           arithmetic on a peer's lengths wraps instead of panicking; then,
 #           where `taskset` exists, the scheduler's own tests and the root
 #           scheduler, relay and relay park-count smokes again on one CPU,
 #           the regime gridbench measures.
@@ -70,15 +73,11 @@ GOLD=tests/golden
 FRESH=target/golden
 mkdir -p "$FRESH"
 
-# The release workspace build backs the golden and bench stages; run it
-# once per invocation, only when a stage needs the bins.
-BUILT=0
+# The release workspace build backs the golden and bench stages (a no-op
+# for the second of them).
 ensure_build() {
-  if [ "$BUILT" = 0 ]; then
-    echo "--- cargo build --release --workspace"
-    cargo build --release --workspace
-    BUILT=1
-  fi
+  echo "--- cargo build --release --workspace"
+  cargo build --release --workspace
 }
 
 stage_fmt() {
@@ -96,6 +95,13 @@ stage_clippy() {
   # A simulation's behaviour is its arguments': no switch in the environment.
   if grep -rn 'std::env::var' crates/{simnet,simtcp,gridzip,gridcrypt,core}/src; then
     echo "environment read in a product crate (lines above); pass it in instead"
+    return 1
+  fi
+  # What a data link carries is wire.rs's to encode and decode: the port
+  # pump, the session layer and the node call its codec (the varints in
+  # port.rs are the application's own, in ReadMessage / WriteMessage).
+  if grep -nE 'read_varint|varint::put_slice|RESUME_FLAG|mux::' crates/core/src/{port,session,node}.rs; then
+    echo "data-link field coded outside wire.rs (lines above); use its codec"
     return 1
   fi
 }
@@ -191,6 +197,7 @@ stage_test() {
   cargo test -q --workspace
   # The kernels' differential and boundary tests against release codegen.
   cargo test -q --release -p gridzip -p gridcrypt
+  cargo test -q --release -p netgrid --test prop
   # CI machines have >= 2 cores, gridbench pins every rep to one: there a
   # granted thread runs only once its granter sleeps, a different
   # interleaving of the same handoff. First CPU of the allowed set.
@@ -211,8 +218,12 @@ t_total=$SECONDS
 for s in $STAGES; do
   echo "=== stage $s ==="
   t0=$SECONDS
-  rc=0
-  "stage_$s" || rc=$?
+  # In a subshell of its own, not as the left side of `||`: there bash
+  # ignores `set -e` and a stage would report its last command only.
+  set +e
+  (set -e; "stage_$s")
+  rc=$?
+  set -e
   dt=$((SECONDS - t0))
   if [ "$rc" != 0 ]; then
     SUMMARY="$SUMMARY$(printf '  %-8s %5ss  FAILED' "$s" "$dt")\n"

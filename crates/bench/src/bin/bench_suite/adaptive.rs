@@ -89,7 +89,6 @@ fn run_one(sc: &Scenario, spec: StackSpec, start: Option<PathParams>, control: b
         env.with_path_control(PathControlConfig {
             interval: Duration::from_millis(50),
             cooldown: 1,
-            ..PathControlConfig::default()
         })
     } else {
         env

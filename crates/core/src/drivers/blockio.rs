@@ -118,8 +118,10 @@ impl BlockRead for Box<dyn BlockRead + Send> {
     }
 }
 
-/// `Vec<u8>` as a block sink (tests and in-memory assembly).
+/// `Vec<u8>` as a block sink, `&[u8]` as a block source (tests and
+/// in-memory assembly).
 impl BlockWrite for Vec<u8> {}
+impl BlockRead for &[u8] {}
 
 /// Granularity of CPU charging: cost is charged per chunk, interleaved
 /// with the writes, modelling a filter that processes data incrementally
@@ -334,6 +336,12 @@ impl<R: BlockRead> BlockReader<R> {
         let have = self.ensure(need)?;
         have.then_some(())
             .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+
+    /// Has the source ended, with nothing buffered — a clean end between
+    /// two of the reader's units?
+    pub(crate) fn at_eof(&mut self) -> io::Result<bool> {
+        Ok(!self.ensure(1)?)
     }
 
     /// Take up to `n` bytes off the front chunk (there must be one).

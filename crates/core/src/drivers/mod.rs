@@ -212,11 +212,17 @@ impl Default for PathParams {
 
 impl PathParams {
     /// Are these parameters usable for a stack over `avail` raw links?
+    /// The level must be one gridzip has: `Compressor` clamps what it is
+    /// given, so one outside the ladder would assemble the same stack as a
+    /// valid one under a different spec — and the encoded spec is the link
+    /// key. Every parameter set a peer supplies is checked against this.
     pub fn valid_for(&self, avail: usize) -> bool {
         self.stripes >= 1
             && (self.stripes as usize) <= avail
             && self.block_size > 0
-            && level_in_range(self.compression_level)
+            && self
+                .compression_level
+                .is_none_or(|l| (1..=gridzip::MAX_LEVEL).contains(&l))
     }
 
     /// Short description, e.g. `"4x64KiB+z1"`.
@@ -227,14 +233,6 @@ impl PathParams {
         }
         s
     }
-}
-
-/// Is this a compression setting gridzip has? `Compressor` clamps the level
-/// it is given, so one outside the ladder would assemble the same stack as
-/// a valid one under a different spec — and the encoded spec is the link
-/// key. Every level a peer supplies is checked against this.
-fn level_in_range(level: Option<u8>) -> bool {
-    level.is_none_or(|l| (1..=gridzip::MAX_LEVEL).contains(&l))
 }
 
 /// Configuration of a driver stack — what NetIbis reads from its
@@ -321,10 +319,11 @@ impl StackSpec {
     }
 
     pub fn encode(&self) -> Vec<u8> {
+        let [stripes, block_size, level] = self.path.wire_fields();
         FrameWriter::new()
-            .u64(self.streams() as u64)
-            .u64(self.block_size() as u64)
-            .u8(self.compress().map(|l| l + 1).unwrap_or(0))
+            .u64(stripes)
+            .u64(block_size)
+            .u64(level)
             .u8(self.secure as u8)
             .u8(0) // reserved, see `decode`
             .into_bytes()
@@ -332,28 +331,15 @@ impl StackSpec {
 
     pub fn decode(bytes: &[u8]) -> io::Result<StackSpec> {
         let mut r = FrameReader::new(bytes);
-        let streams = r.u64()? as u16;
-        let block_size = r.u64()? as u32;
-        let compress = match r.u8()? {
-            0 => None,
-            l => Some(l - 1),
-        };
+        let path = PathParams::from_wire_fields([r.u64()?, r.u64()?, r.u64()?])?;
         let secure = r.u8()? != 0;
         // Once the in-driver adaptive-compression flag; still written (as
         // 0) so name-service records keep their bytes. A peer that sets it
         // asks for a driver this stack cannot assemble.
-        let reserved = r.u8()?;
-        if streams == 0 || block_size == 0 || reserved != 0 || !level_in_range(compress) {
+        if r.u8()? != 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad stack spec"));
         }
-        Ok(StackSpec {
-            path: PathParams {
-                stripes: streams,
-                block_size,
-                compression_level: compress,
-            },
-            secure,
-        })
+        Ok(StackSpec { path, secure })
     }
 }
 
@@ -665,8 +651,22 @@ mod tests {
     #[test]
     fn bad_specs_rejected() {
         assert!(StackSpec::decode(&[]).is_err());
-        let zero_streams = FrameWriter::new().u64(0).u64(1024).u8(0).u8(0).into_bytes();
-        assert!(StackSpec::decode(&zero_streams).is_err());
+        // Counts are range-checked as sent: `as u16` / `as u32` took 65 537
+        // streams for one and a 4 GiB + 4 KiB block for 4 KiB — and the
+        // link key is the *encoded* spec, so two records made one stack.
+        let with_path = |streams: u64, block: u64| {
+            let fw = FrameWriter::new().u64(streams).u64(block);
+            StackSpec::decode(&fw.u8(0).u8(0).u8(0).into_bytes())
+        };
+        assert_eq!(with_path(4, 4096).unwrap().streams(), 4);
+        for (streams, block) in [(0, 1024), (65_537, 1024), (1, 0), (1, (1 << 32) + 4096)] {
+            let err = with_path(streams, block).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{streams} x {block}"
+            );
+        }
         // The compression byte is `level + 1`: the ladder's top decodes,
         // one past it and level 0 do not (`Compressor` would clamp both to
         // a valid level's stack under a different link key).

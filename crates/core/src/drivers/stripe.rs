@@ -18,7 +18,7 @@ use bytes::Bytes;
 use gridzip::varint;
 use std::io::{self, Read, Write};
 
-use super::blockio::{BlockRead, BlockWrite};
+use super::blockio::{BlockRead, BlockReader, BlockWrite};
 use crate::cpu::HostCpu;
 use crate::pool::{BlockBuf, BlockPool};
 
@@ -50,21 +50,12 @@ impl StripeWriter {
         cpu: HostCpu,
         copy_rate: f64,
     ) -> StripeWriter {
-        Self::with_sched(streams, block, cpu, copy_rate, &gridsim_net::ctx::handle())
+        let sched = gridsim_net::ctx::handle();
+        Self::with_pool(streams, BlockPool::new(block), cpu, copy_rate, &sched)
     }
 
-    pub fn with_sched(
-        streams: Vec<Box<dyn BlockWrite + Send>>,
-        block: usize,
-        cpu: HostCpu,
-        copy_rate: f64,
-        sched: &gridsim_net::SchedHandle,
-    ) -> StripeWriter {
-        Self::with_pool(streams, BlockPool::new(block), cpu, copy_rate, sched)
-    }
-
-    /// Like [`with_sched`](Self::with_sched), drawing staging buffers from
-    /// a caller-supplied pool (shared across the stack's layers); the
+    /// Like [`new`](Self::new) on `sched`, drawing staging buffers from a
+    /// caller-supplied pool (shared across the stack's layers); the
     /// striping unit is the pool's block size.
     pub fn with_pool(
         streams: Vec<Box<dyn BlockWrite + Send>>,
@@ -253,25 +244,31 @@ impl StripeReader {
     ) -> StripeReader {
         assert!(streams.len() >= 2, "striping needs at least two streams");
         let mut queues = Vec::with_capacity(streams.len());
-        for (i, mut s) in streams.into_iter().enumerate() {
+        for (i, s) in streams.into_iter().enumerate() {
             let q: gridsim_net::SimQueue<io::Result<Bytes>> =
                 gridsim_net::SimQueue::bounded(READER_QUEUE_BLOCKS);
             let q2 = q.clone();
-            sched.spawn_daemon(format!("stripe-pump-{i}"), move || loop {
-                match read_block(&mut s) {
-                    Ok(Some(block)) => {
-                        if q2.push(Ok(block)).is_err() {
-                            break; // consumer gone
+            sched.spawn_daemon(format!("stripe-pump-{i}"), move || {
+                // Read-ahead of one byte: every read states its exact
+                // demand, so the socket drains as the header and the block
+                // call for and the wire is the byte-wise reader's.
+                let mut cur = BlockReader::new(s, 1);
+                loop {
+                    match read_block(&mut cur) {
+                        Ok(Some(block)) => {
+                            if q2.push(Ok(block)).is_err() {
+                                break; // consumer gone
+                            }
                         }
-                    }
-                    Ok(None) => {
-                        q2.close();
-                        break;
-                    }
-                    Err(e) => {
-                        let _ = q2.push(Err(e));
-                        q2.close();
-                        break;
+                        Ok(None) => {
+                            q2.close();
+                            break;
+                        }
+                        Err(e) => {
+                            let _ = q2.push(Err(e));
+                            q2.close();
+                            break;
+                        }
                     }
                 }
             });
@@ -338,38 +335,14 @@ impl StripeQuiesce {
 
 /// Read one `[varint len][bytes]` block; `Ok(None)` on clean EOF at a block
 /// boundary or on the in-band segment terminator (a zero-length block —
-/// see [`StripeTerminator`]; data blocks are never empty). The one copy of
-/// the stripe receive path lives here (the block must be contiguous to
-/// frame); consumers downstream share it by refcount.
-fn read_block<R: Read>(s: &mut R) -> io::Result<Option<Bytes>> {
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut b = [0u8];
-        let n = s.read(&mut b)?;
-        if n == 0 {
-            if first {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated stripe header",
-            ));
-        }
-        len |= u64::from(b[0] & 0x7f) << shift;
-        shift += 7;
-        first = false;
-        if b[0] & 0x80 == 0 {
-            break;
-        }
-        if shift > 63 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stripe header overflow",
-            ));
-        }
+/// see [`StripeTerminator`]; data blocks are never empty). A block that
+/// arrived as one chunk is handed on as a view of it; one that spans
+/// chunks is gathered here, the one copy of the stripe receive path.
+fn read_block<R: BlockRead>(cur: &mut BlockReader<R>) -> io::Result<Option<Bytes>> {
+    if cur.at_eof()? {
+        return Ok(None);
     }
+    let len = cur.read_varint()?;
     if len == 0 {
         // Segment terminator: the sender retired this stripe layout (live
         // reconfiguration). Clean end-of-segment, same as EOF.
@@ -381,9 +354,7 @@ fn read_block<R: Read>(s: &mut R) -> io::Result<Option<Bytes>> {
             "stripe block too large",
         ));
     }
-    let mut block = vec![0u8; len as usize];
-    s.read_exact(&mut block)?;
-    Ok(Some(Bytes::from(block)))
+    cur.read_exact_bytes(len as usize).map(Some)
 }
 
 impl Read for StripeReader {

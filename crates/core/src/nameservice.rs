@@ -19,7 +19,7 @@ use bytes::Bytes;
 use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ mod op {
 }
 
 /// What the name service knows about a node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeRecord {
     pub id: GridId,
     pub name: String,
@@ -58,7 +58,7 @@ pub struct NodeRecord {
 }
 
 /// What the name service knows about a receive port.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortRecord {
     pub owner: GridId,
     pub name: String,
@@ -69,12 +69,66 @@ pub struct PortRecord {
     pub stack: Vec<u8>,
 }
 
+impl NodeRecord {
+    /// `[name][profile]` and, only when the node registered one (so every
+    /// other record keeps its bytes), the relay list — as a registration
+    /// carries the record and as a lookup returns it.
+    pub fn put(
+        w: FrameWriter,
+        name: &str,
+        profile: &ConnectivityProfile,
+        relays: &[SockAddr],
+    ) -> FrameWriter {
+        let w = profile.encode(w.str(name));
+        if relays.is_empty() {
+            w
+        } else {
+            w.addrs(relays)
+        }
+    }
+
+    pub fn get(id: GridId, r: &mut FrameReader<'_>) -> io::Result<NodeRecord> {
+        let name = r.str()?;
+        let profile = ConnectivityProfile::decode(r)?;
+        let relays = if r.is_empty() { Vec::new() } else { r.addrs()? };
+        Ok(NodeRecord {
+            id,
+            name,
+            profile,
+            relays,
+        })
+    }
+}
+
+impl PortRecord {
+    /// `[owner][label][listener][stack]`. The label is the port's name in
+    /// a registration and its owner's in a lookup reply, whose asker knows
+    /// the port's.
+    pub fn put(&self, label: &str, w: FrameWriter) -> FrameWriter {
+        w.u64(self.owner)
+            .str(label)
+            .opt_addr(self.listener)
+            .bytes(&self.stack)
+    }
+
+    /// Decode what [`put`](Self::put) wrote; `name` holds the label.
+    pub fn get(r: &mut FrameReader<'_>) -> io::Result<PortRecord> {
+        Ok(PortRecord {
+            owner: r.u64()?,
+            name: r.str()?,
+            listener: r.opt_addr()?,
+            stack: r.bytes()?.to_vec(),
+        })
+    }
+}
+
 #[derive(Default)]
 struct NsState {
     next_id: GridId,
     nodes: HashMap<GridId, NodeRecord>,
     by_name: HashMap<String, GridId>,
-    ports: HashMap<String, PortRecord>,
+    /// Ordered, so a LIST_PORTS reply is the same bytes on every run.
+    ports: BTreeMap<String, PortRecord>,
 }
 
 /// Spawn the name service on `host`, listening on `port` and `port + 1`.
@@ -111,44 +165,21 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
         let mut r = FrameReader::new(&req);
         let reply = match r.u8()? {
             op::REGISTER => {
-                let name = r.str()?;
-                let profile = ConnectivityProfile::decode(&mut r)?;
-                // Optional trailing field (older clients omit it): the
-                // node's ordered relay list for failover.
-                let relays = if r.is_empty() { Vec::new() } else { r.addrs()? };
                 let mut st = state.lock();
                 let id = st.next_id;
+                let node = NodeRecord::get(id, &mut r)?;
                 st.next_id += 1;
-                st.nodes.insert(
-                    id,
-                    NodeRecord {
-                        id,
-                        name: name.clone(),
-                        profile,
-                        relays,
-                    },
-                );
-                st.by_name.insert(name, id);
+                st.by_name.insert(node.name.clone(), id);
+                st.nodes.insert(id, node);
                 FrameWriter::new().u8(1).u64(id)
             }
             op::REGISTER_PORT => {
-                let owner = r.u64()?;
-                let name = r.str()?;
-                let listener = r.opt_addr()?;
-                let stack = r.bytes()?.to_vec();
+                let port = PortRecord::get(&mut r)?;
                 let mut st = state.lock();
-                if st.ports.contains_key(&name) {
+                if st.ports.contains_key(&port.name) {
                     FrameWriter::new().u8(0).str("port name already registered")
                 } else {
-                    st.ports.insert(
-                        name.clone(),
-                        PortRecord {
-                            owner,
-                            name,
-                            listener,
-                            stack,
-                        },
-                    );
+                    st.ports.insert(port.name.clone(), port);
                     FrameWriter::new().u8(1)
                 }
             }
@@ -160,22 +191,11 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
             op::LOOKUP_PORT => {
                 let name = r.str()?;
                 let st = state.lock();
-                match st.ports.get(&name) {
-                    Some(p) => {
-                        let owner = st.nodes.get(&p.owner).cloned();
-                        match owner {
-                            Some(n) => {
-                                let w = FrameWriter::new()
-                                    .u8(1)
-                                    .u64(p.owner)
-                                    .str(&n.name)
-                                    .opt_addr(p.listener)
-                                    .bytes(&p.stack);
-                                n.profile.encode(w)
-                            }
-                            None => FrameWriter::new().u8(0).str("owner vanished"),
-                        }
+                match st.ports.get(&name).map(|p| (p, st.nodes.get(&p.owner))) {
+                    Some((p, Some(n))) => {
+                        n.profile.encode(p.put(&n.name, FrameWriter::new().u8(1)))
                     }
+                    Some((_, None)) => FrameWriter::new().u8(0).str("owner vanished"),
                     None => FrameWriter::new().u8(0).str("unknown port"),
                 }
             }
@@ -184,15 +204,7 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
                 let st = state.lock();
                 match st.nodes.get(&id) {
                     Some(n) => {
-                        let w = FrameWriter::new().u8(1).str(&n.name);
-                        let w = n.profile.encode(w);
-                        // Trailing relay list, present only when the node
-                        // registered one (keeps old replies byte-identical).
-                        if n.relays.is_empty() {
-                            w
-                        } else {
-                            w.addrs(&n.relays)
-                        }
+                        NodeRecord::put(FrameWriter::new().u8(1), &n.name, &n.profile, &n.relays)
                     }
                     None => FrameWriter::new().u8(0).str("unknown node"),
                 }
@@ -297,11 +309,8 @@ impl NsClient {
         profile: &ConnectivityProfile,
         relays: &[SockAddr],
     ) -> io::Result<GridId> {
-        let mut w = profile.encode(FrameWriter::new().u8(op::REGISTER).str(name));
-        if !relays.is_empty() {
-            w = w.addrs(relays);
-        }
-        let rsp = self.request_ok(w)?;
+        let w = FrameWriter::new().u8(op::REGISTER);
+        let rsp = self.request_ok(NodeRecord::put(w, name, profile, relays))?;
         let mut r = FrameReader::new(&rsp);
         r.u8()?;
         r.u64()
@@ -315,14 +324,13 @@ impl NsClient {
         listener: Option<SockAddr>,
         stack: &[u8],
     ) -> io::Result<()> {
-        self.request_ok(
-            FrameWriter::new()
-                .u8(op::REGISTER_PORT)
-                .u64(owner)
-                .str(name)
-                .opt_addr(listener)
-                .bytes(stack),
-        )?;
+        let port = PortRecord {
+            owner,
+            name: name.to_string(),
+            listener,
+            stack: stack.to_vec(),
+        };
+        self.request_ok(port.put(name, FrameWriter::new().u8(op::REGISTER_PORT)))?;
         Ok(())
     }
 
@@ -336,21 +344,10 @@ impl NsClient {
         let rsp = self.request_ok(FrameWriter::new().u8(op::LOOKUP_PORT).str(name))?;
         let mut r = FrameReader::new(&rsp);
         r.u8()?;
-        let owner = r.u64()?;
-        let owner_name = r.str()?;
-        let listener = r.opt_addr()?;
-        let stack = r.bytes()?.to_vec();
+        let mut port = PortRecord::get(&mut r)?;
+        let owner_name = std::mem::replace(&mut port.name, name.to_string());
         let profile = ConnectivityProfile::decode(&mut r)?;
-        Ok((
-            PortRecord {
-                owner,
-                name: name.to_string(),
-                listener,
-                stack,
-            },
-            profile,
-            owner_name,
-        ))
+        Ok((port, profile, owner_name))
     }
 
     /// Look up a node by id.
@@ -358,15 +355,7 @@ impl NsClient {
         let rsp = self.request_ok(FrameWriter::new().u8(op::LOOKUP_NODE).u64(id))?;
         let mut r = FrameReader::new(&rsp);
         r.u8()?;
-        let name = r.str()?;
-        let profile = ConnectivityProfile::decode(&mut r)?;
-        let relays = if r.is_empty() { Vec::new() } else { r.addrs()? };
-        Ok(NodeRecord {
-            id,
-            name,
-            profile,
-            relays,
-        })
+        NodeRecord::get(id, &mut r)
     }
 
     /// All registered port names (diagnostics).
@@ -380,7 +369,7 @@ impl NsClient {
 
     /// Ask the name service to attempt a connection back to `target` and
     /// report whether it succeeded — the firewall-detection probe.
-    pub fn connect_back(&self, target: SockAddr) -> io::Result<bool> {
+    fn connect_back(&self, target: SockAddr) -> io::Result<bool> {
         let rsp = self.request_ok(FrameWriter::new().u8(op::CONNECT_BACK).addr(target))?;
         let mut r = FrameReader::new(&rsp);
         r.u8()?;

@@ -37,17 +37,18 @@ use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{
-    read_frame, read_resume, stream_slot, write_resume, FrameReader, FrameWriter, ResumeMeta,
-    RESUME_FLAG,
+    read_frame, stream_slot, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, ResumeMeta,
+    ResumeReply,
 };
 
 /// Reconnect schedule for failed data links: attempts and backoff.
 const RECOVER_ATTEMPTS: u32 = 8;
 const RECOVER_BASE: Duration = Duration::from_millis(50);
 const RECOVER_DELAY_CAP: Duration = Duration::from_secs(2);
-/// How long a resuming sender waits for the receiver's delivered-count
-/// reply before abandoning the attempt (polled, so a second failure during
-/// resume cannot wedge recovery).
+/// How long a sender waits for the receiver's reply on stream 0 (the
+/// delivered counts after a resume preamble, the ack of a RECONFIG) before
+/// abandoning the attempt (polled, so a second failure right there cannot
+/// wedge it).
 const RESUME_REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 /// Service-request deadline used during recovery, where the peer may have
 /// died mid-request. Fault-free establishment passes no deadline (and thus
@@ -270,6 +271,41 @@ impl NatGate {
         if let Some(w) = st.1.pop_front() {
             w.wake();
         }
+    }
+}
+
+/// One walk of the Figure-4 decision tree: the methods still to try, in
+/// the tree's order, and what became of the ones tried.
+struct Walk {
+    methods: std::vec::IntoIter<EstablishMethod>,
+    /// Every failed method's own error, in walk order.
+    failed: Vec<String>,
+    /// The last failure's kind; the kind of the walk's error.
+    kind: io::ErrorKind,
+}
+
+impl Walk {
+    fn new(methods: Vec<EstablishMethod>) -> Walk {
+        Walk {
+            methods: methods.into_iter(),
+            failed: Vec::new(),
+            kind: io::ErrorKind::NotFound,
+        }
+    }
+
+    fn failed(&mut self, why: String, kind: io::ErrorKind) {
+        self.kind = kind;
+        self.failed.push(why);
+    }
+
+    /// `what` failed, and why: each step's error.
+    fn into_error(self, what: String) -> io::Error {
+        let why = if self.failed.is_empty() {
+            "no establishment method applicable".to_string()
+        } else {
+            self.failed.join("; ")
+        };
+        io::Error::new(self.kind, format!("{what}: {why}"))
     }
 }
 
@@ -526,23 +562,15 @@ impl GridNode {
         self.inner.ports.lock().remove(name);
     }
 
-    /// Read the stream preamble — `[channel][idx][total]`, resume fields
-    /// behind it when the channel carries [`RESUME_FLAG`] — and register
-    /// the link with the port.
+    /// Read the stream preamble and register the link with the port.
     fn handle_incoming_tcp(
         &self,
         port: &Arc<ReceivePortInner>,
         stream: TcpStream,
     ) -> io::Result<()> {
         stream.set_nodelay(true)?;
-        let frame = read_frame(&mut stream.clone())?;
-        let mut fr = FrameReader::new(&frame);
-        let (raw, idx, total) = (fr.u64()?, fr.u64()?, fr.u64()?);
-        let resume = (raw & RESUME_FLAG != 0)
-            .then(|| read_resume(&mut fr))
-            .transpose()?;
-        let link = RawLink::Tcp(stream);
-        port.add_link(&self.ctx(), raw & !RESUME_FLAG, idx, total, link, resume)
+        let pre = Preamble::decode(&read_frame(&mut stream.clone())?)?;
+        port.add_link(&self.ctx(), pre, RawLink::Tcp(stream))
     }
 
     // ------------------------------------------------- establishment
@@ -693,19 +721,17 @@ impl GridNode {
         if chans.is_empty() {
             return Ok(());
         }
-        let entries: Vec<(u64, &str)> = chans
-            .iter()
-            .map(|c| (c.channel, c.peer_port.as_str()))
-            .collect();
+        let open = Frame::Open(
+            chans
+                .iter()
+                .map(|c| (c.channel, c.peer_port.clone()))
+                .collect(),
+        );
         loop {
             let seen = link.incarnation();
             let wrote = {
                 let mut io = link.io();
-                if io.healthy() {
-                    io.write_open(&entries).is_ok()
-                } else {
-                    false
-                }
+                io.healthy() && io.write_control(&open).is_ok()
             };
             if wrote {
                 self.inner.open_frames.fetch_add(1, Ordering::Relaxed);
@@ -727,78 +753,77 @@ impl GridNode {
         port_name: &str,
     ) -> io::Result<SendConnection> {
         self.inner.links.note_walk();
-        let methods = choose_methods(&self.inner.profile, peer_profile, LinkPurpose::Data);
-        // Every method's own error, in walk order; the kind is the last one's.
-        let mut kind = io::ErrorKind::NotFound;
-        let mut failed: Vec<String> = Vec::new();
-        for method in methods {
+        let mut walk = Walk::new(choose_methods(
+            &self.inner.profile,
+            peer_profile,
+            LinkPurpose::Data,
+        ));
+        let Some((method, io, _)) = self.walk_on(&mut walk, rec, peer_profile, spec, channel, None)
+        else {
+            let what = format!("all establishment methods failed for '{port_name}'");
+            return Err(walk.into_error(what));
+        };
+        let chan = Arc::new(Channel::new(
+            channel,
+            port_name,
+            self.inner.env.resend_budget,
+        ));
+        let link = Arc::new(SharedLink::new(
+            key.clone(),
+            spec.clone(),
+            method,
+            io,
+            channel,
+        ));
+        link.attach(Arc::clone(&chan));
+        self.spawn_path_controller(&link);
+        Ok(SendConnection { link, chan })
+    }
+
+    /// The Figure-4 walk, for a fresh link (`resume` is `None`) and for a
+    /// recovery alike: go on down `walk`'s methods to the next one that
+    /// establishes its raw links and assembles the sender stack over
+    /// them (after the receiver's resume reply, when resuming — returned
+    /// beside the stack). A method that does not leaves its error in
+    /// `walk`; `None` when none is left.
+    fn walk_on(
+        &self,
+        walk: &mut Walk,
+        rec: &PortRecord,
+        peer_profile: &ConnectivityProfile,
+        spec: &StackSpec,
+        channel: u64,
+        resume: Option<&ResumeMeta>,
+    ) -> Option<(EstablishMethod, LinkIo, Vec<u64>)> {
+        while let Some(method) = walk.methods.next() {
             let built = self
-                .try_method(method, rec, peer_profile, spec, channel, None)
-                .and_then(|(links, total)| self.build_link_io(links, total, spec, None));
+                .try_method(method, rec, peer_profile, spec, channel, resume)
+                .and_then(|(links, total)| self.build_link_io(links, total, spec, resume));
             match built {
-                Ok((io, _)) => {
-                    let chan = Arc::new(Channel::new(
-                        channel,
-                        port_name,
-                        self.inner.env.resend_budget,
-                    ));
-                    let link = Arc::new(SharedLink::new(
-                        key.clone(),
-                        spec.clone(),
-                        method,
-                        io,
-                        channel,
-                    ));
-                    link.attach(Arc::clone(&chan));
-                    self.spawn_path_controller(&link);
-                    return Ok(SendConnection { link, chan });
-                }
-                Err(e) => {
-                    kind = e.kind();
-                    failed.push(format!("{method}: {e}"));
-                }
+                Ok((io, deliveries)) => return Some((method, io, deliveries)),
+                Err(e) => walk.failed(format!("{method}: {e}"), e.kind()),
             }
         }
-        let why = if failed.is_empty() {
-            "no establishment method applicable".to_string()
-        } else {
-            failed.join("; ")
-        };
-        Err(io::Error::new(
-            kind,
-            format!("all establishment methods failed for '{port_name}': {why}"),
-        ))
+        None
     }
 
     /// Read the resume reply (if resuming) and assemble the sender stack.
-    /// `resume_expect` is the number of delivered-count values the reply
-    /// must carry (anchor first, then the extras in preamble order).
+    /// The reply carries one delivered count per channel the preamble
+    /// listed (anchor first, then the extras in preamble order).
     fn build_link_io(
         &self,
         links: Vec<RawLink>,
         total: u16,
         spec: &StackSpec,
-        resume_expect: Option<usize>,
+        resume: Option<&ResumeMeta>,
     ) -> io::Result<(LinkIo, Vec<u64>)> {
-        let deliveries = if let Some(n) = resume_expect {
-            // The receiver replies on stream 0 once every stream arrived.
-            // Poll readability first: a plain blocking read on a link that
-            // dies again right here would park forever.
-            let mut l0 = links[0].clone();
-            let ready = wait_until(RESUME_REPLY_TIMEOUT, Duration::from_millis(10), || {
-                link_readable(&l0)
-            });
-            if !ready {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "no resume reply from receiver",
-                ));
+        let deliveries = match resume {
+            // The receiver replies once every stream arrived.
+            Some(meta) => {
+                let frame = read_reply(&links[0], "resume reply")?;
+                ResumeReply::decode(&frame, 1 + meta.extras.len())?.0
             }
-            let frame = read_frame(&mut l0)?;
-            let mut fr = FrameReader::new(&frame);
-            (0..n).map(|_| fr.u64()).collect::<io::Result<Vec<_>>>()?
-        } else {
-            Vec::new()
+            None => Vec::new(),
         };
         let spec_eff = spec.clone().with_streams(total.max(1));
         let ctx = self.ctx();
@@ -879,27 +904,13 @@ impl GridNode {
         // always order frames, and recovery never rewinds it.
         let epoch = link.next_path_epoch();
         io.write_reconfig(epoch, params)?;
-        // Block for the receiver's ack (raw on stream 0, reverse — the
-        // resume-reply pattern): it proves the receiver consumed every
-        // old-format byte and swapped. Poll readability first so a link
-        // that dies right here cannot park us forever.
-        let mut l0 = io.links[0].clone();
-        let ready = wait_until(RESUME_REPLY_TIMEOUT, Duration::from_millis(10), || {
-            link_readable(&l0)
-        });
-        if !ready {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no reconfig ack from receiver",
-            ));
-        }
-        let frame = read_frame(&mut l0)?;
-        let mut fr = FrameReader::new(&frame);
-        let got = fr.u64()?;
-        if got != epoch {
+        // Block for the receiver's ack: it proves the receiver consumed
+        // every old-format byte and swapped.
+        let ack = ReconfigAck::decode(&read_reply(&io.links[0], "reconfig ack")?)?;
+        if ack.epoch != epoch {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("reconfig ack epoch {got}, expected {epoch}"),
+                format!("reconfig ack epoch {}, expected {epoch}", ack.epoch),
             ));
         }
         // The ack carries the receiver's delivered watermarks — the
@@ -907,10 +918,7 @@ impl GridNode {
         // RECONFIG frame, so these cover every sent message; advancing
         // the ack cells prunes the resend buffers for free.
         let chans = link.replay_order();
-        let n = fr.u64()? as usize;
-        for _ in 0..n {
-            let ch = fr.u64()?;
-            let delivered = fr.u64()?;
+        for (ch, delivered) in ack.delivered {
             if let Some(c) = chans.iter().find(|c| c.channel == ch) {
                 c.acked.advance(delivered);
             }
@@ -1034,7 +1042,8 @@ impl GridNode {
             let r = {
                 let mut io = link.io();
                 let res = io.writer.flush();
-                let res = res.and_then(|()| io.write_close(chan.channel));
+                let channel = chan.channel;
+                let res = res.and_then(|()| io.write_control(&Frame::Close { channel }));
                 // Settle under the gate: no concurrent writer can queue
                 // fresh bytes between our CLOSE and the drain check.
                 res.and_then(|()| io.settle())
@@ -1097,16 +1106,11 @@ impl GridNode {
             .map(|c| c.peer_port.clone())
             .unwrap_or_default();
         let mut delay = RECOVER_BASE;
-        let mut last_err: io::Error = io::Error::new(
-            io::ErrorKind::ConnectionReset,
-            format!("data link to '{peer_desc}' lost"),
-        );
-        // The last attempt's failures, method by method.
-        let mut failed: Vec<String> = Vec::new();
+        // The last attempt's walk: what each of its methods ran into.
+        let mut walk = Walk::new(Vec::new());
         for _ in 0..RECOVER_ATTEMPTS {
             gridsim_net::ctx::sleep(delay);
             delay = (delay * 2).min(RECOVER_DELAY_CAP);
-            failed.clear();
             let chans = link.replay_order();
             let Some(anchor) = chans.first() else {
                 // Every channel detached while we backed off: nothing to
@@ -1127,47 +1131,32 @@ impl GridNode {
                 match self.nat_gated(|| self.inner.ns.lookup_port(&anchor.peer_port)) {
                     Ok(x) => x,
                     Err(e) => {
-                        last_err = e;
+                        walk = Walk::new(Vec::new());
+                        walk.failed(e.to_string(), e.kind());
                         continue;
                     }
                 };
-            let methods = choose_methods(&self.inner.profile, &peer_profile, LinkPurpose::Data);
-            for method in methods {
-                let built = self
-                    .try_method(
-                        method,
-                        &rec,
-                        &peer_profile,
-                        &link.spec,
-                        anchor.channel,
-                        Some(&plan),
-                    )
-                    .and_then(|(raw, total)| {
-                        self.build_link_io(raw, total, &link.spec, Some(chans.len()))
-                    });
-                let (io, deliveries) = match built {
-                    Ok(x) => x,
-                    Err(e) => {
-                        failed.push(format!("{method}: {e}"));
-                        last_err = e;
-                        continue;
-                    }
-                };
+            walk = Walk::new(choose_methods(
+                &self.inner.profile,
+                &peer_profile,
+                LinkPurpose::Data,
+            ));
+            while let Some((method, io, deliveries)) = self.walk_on(
+                &mut walk,
+                &rec,
+                &peer_profile,
+                &link.spec,
+                anchor.channel,
+                Some(&plan),
+            ) {
                 // Validate every channel's replay BEFORE swapping the
                 // stack in: a resume-bounds violation (evicted gap,
                 // impossible watermark) is fatal and must not be retried.
-                let mut replays = Vec::with_capacity(chans.len());
-                let mut fatal = Ok(());
-                for (c, &e) in chans.iter().zip(&deliveries) {
-                    match c.prepare_replay(e) {
-                        Ok(r) => replays.push(r),
-                        Err(err) => {
-                            fatal = Err(err);
-                            break;
-                        }
-                    }
-                }
-                fatal?;
+                let replays = chans
+                    .iter()
+                    .zip(&deliveries)
+                    .map(|(c, &e)| c.prepare_replay(e))
+                    .collect::<io::Result<Vec<_>>>()?;
                 let active = io.active as u16;
                 match self.swap_and_replay(link, io, &chans, &replays) {
                     Ok(()) => {
@@ -1184,26 +1173,15 @@ impl GridNode {
                         link.bump_incarnation();
                         return Ok(());
                     }
-                    Err(e) => {
-                        // Replay write failure: the fresh link died too.
-                        // Messages stay retained; fall into another attempt.
-                        failed.push(format!("{method}: replay: {e}"));
-                        last_err = e;
-                    }
+                    // Replay write failure: the fresh link died too.
+                    // Messages stay retained; walk on, then another attempt.
+                    Err(e) => walk.failed(format!("{method}: replay: {e}"), e.kind()),
                 }
             }
         }
-        let why = if failed.is_empty() {
-            last_err.to_string()
-        } else {
-            failed.join("; ")
-        };
-        Err(io::Error::new(
-            last_err.kind(),
-            format!(
-                "could not recover link to '{peer_desc}' after {RECOVER_ATTEMPTS} attempts: {why}"
-            ),
-        ))
+        let what =
+            format!("could not recover link to '{peer_desc}' after {RECOVER_ATTEMPTS} attempts");
+        Err(walk.into_error(what))
     }
 
     /// Swap the fresh stack in and replay every channel's retained gap
@@ -1298,13 +1276,15 @@ impl GridNode {
             }
             EstablishMethod::Routed => {
                 let relay = self.relay()?;
-                let wire_channel = channel | resume.map_or(0, |_| RESUME_FLAG);
-                let stream = relay.open_stream(rec.owner, &rec.name, wire_channel)?;
-                if let Some(meta) = resume {
-                    // The relay's OPEN names the channel (its layout stays
-                    // untouched); the resume fields are the first stream
-                    // frame.
-                    write_resume(FrameWriter::new(), meta).send(&mut stream.clone())?;
+                let pre = Preamble {
+                    channel,
+                    idx: 0,
+                    total: 1,
+                    resume: resume.cloned(),
+                };
+                let stream = relay.open_stream(rec.owner, &rec.name, pre.routed_channel())?;
+                if let Some(fields) = pre.resume_frame() {
+                    fields.send(&mut stream.clone())?;
                 }
                 Ok((vec![RawLink::Routed(stream)], 1))
             }
@@ -1329,14 +1309,14 @@ impl GridNode {
         resume: Option<&ResumeMeta>,
     ) -> io::Result<()> {
         s.set_nodelay(true)?;
-        let mut fw = FrameWriter::new()
-            .u64(channel | resume.map_or(0, |_| RESUME_FLAG))
-            .u64(idx as u64)
-            .u64(total as u64);
-        if let Some(meta) = resume {
-            fw = write_resume(fw, meta);
-        }
-        fw.send(&mut s.clone())
+        let resume = resume.cloned();
+        let pre = Preamble {
+            channel,
+            idx,
+            total,
+            resume,
+        };
+        pre.frame().send(&mut s.clone())
     }
 
     /// TCP configuration used for spliced connects: bounded retries so a
@@ -1695,14 +1675,9 @@ impl RelayDelegate for NodeDelegate {
         // frame) and assembling the stack block, so they run in a task; the
         // opener hears of a failure there through a late refusal.
         gridsim_net::ctx::handle().spawn_daemon("routed-open", move || {
-            let resume = (channel & RESUME_FLAG != 0).then(|| {
-                let frame = read_frame(&mut stream.clone())?;
-                read_resume(&mut FrameReader::new(&frame))
-            });
             let link = RawLink::Routed(stream.clone());
-            let opened = resume.transpose().and_then(|resume| {
-                port.add_link(&node.ctx(), channel & !RESUME_FLAG, 0, 1, link, resume)
-            });
+            let opened = Preamble::decode_routed(channel, || read_frame(&mut stream.clone()))
+                .and_then(|pre| port.add_link(&node.ctx(), pre, link));
             if let Err(e) = opened {
                 stream.refuse(&e.to_string());
             }
@@ -1711,17 +1686,27 @@ impl RelayDelegate for NodeDelegate {
     }
 }
 
-/// Does the link have bytes (or a pending error/EOF) to read right now?
-fn link_readable(l: &RawLink) -> bool {
-    match l {
+/// Read the frame the receiver writes raw on stream 0 (`l0`), in the
+/// reverse direction, to answer a resume preamble or a RECONFIG. Polls
+/// readability first: a plain blocking read on a link that dies again
+/// right here would park forever.
+fn read_reply(l0: &RawLink, what: &str) -> io::Result<Vec<u8>> {
+    let readable = || match l0 {
         RawLink::Tcp(s) => s.readable(),
         RawLink::Routed(s) => s.readable(),
+    };
+    if !wait_until(RESUME_REPLY_TIMEOUT, Duration::from_millis(10), readable) {
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("no {what} from receiver"),
+        ));
     }
+    read_frame(&mut l0.clone())
 }
 
 /// Block the calling task until `cond` holds or `timeout` elapses; polls at
-/// the given interval. A pragmatic helper for tests and examples.
-pub fn wait_until(timeout: Duration, poll: Duration, mut cond: impl FnMut() -> bool) -> bool {
+/// the given interval.
+fn wait_until(timeout: Duration, poll: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = gridsim_net::ctx::now() + timeout;
     while gridsim_net::ctx::now() < deadline {
         if cond() {

@@ -30,10 +30,7 @@ use crate::node::{GridNode, NodeCtx};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::relay::RelayClient;
 use crate::session::{Channel, SharedLink};
-use crate::wire::{mux, stream_slot, FrameWriter, ResumeMeta};
-
-/// Upper bound on a single message (sanity against corrupt frames).
-pub const MAX_MESSAGE: u64 = 256 << 20;
+use crate::wire::{Frame, FrameWriter, Preamble, ReconfigAck, ResumeReply, MAX_MESSAGE};
 
 /// A received message with typed readers.
 pub struct ReadMessage {
@@ -497,7 +494,7 @@ struct ChannelAck {
     seen: u64,
     /// An idle-flush timer is pending.
     timer: bool,
-    /// The sender announced a clean close (mux CLOSE frame) — the channel
+    /// The sender announced a clean close (a CLOSE frame) — the channel
     /// will never resume even though its link stays up.
     closed: bool,
 }
@@ -508,6 +505,13 @@ struct ChannelAck {
 struct LiveChan {
     seq: u64,
     inner: Option<Arc<ReceivePortInner>>,
+}
+
+/// Answer the link's sender raw on stream 0, in the reverse direction and
+/// outside the driver stack — how a resume preamble and a RECONFIG are
+/// both answered, while neither end has a stack assembled to speak through.
+fn reply_on_stream0(links: &[RawLink], reply: FrameWriter) -> io::Result<()> {
+    reply.send(&mut links[0].clone())
 }
 
 impl ReceivePortInner {
@@ -529,20 +533,22 @@ impl ReceivePortInner {
     }
 
     /// Register one raw link of a (possibly multi-stream) incoming
-    /// connection; assembles and starts the receiver stack when all streams
-    /// have arrived. `idx` and `total` are the peer's preamble fields as
-    /// sent; `resume` is set when the sender reconnected after a failure
-    /// (its generation and channel list).
+    /// connection, opened by `pre`; assembles and starts the receiver stack
+    /// when all streams have arrived. A preamble with resume fields comes
+    /// from a sender that reconnected after a failure (its generation and
+    /// channel list).
     pub(crate) fn add_link(
         self: &Arc<Self>,
         ctx: &NodeCtx,
-        channel: u64,
-        idx: u64,
-        total: u64,
+        pre: Preamble,
         link: RawLink,
-        resume: Option<ResumeMeta>,
     ) -> io::Result<()> {
-        let (idx, total) = stream_slot(idx, total)?;
+        let Preamble {
+            channel,
+            idx,
+            total,
+            resume,
+        } = pre;
         let gen = resume.as_ref().map(|m| m.gen).unwrap_or(0);
         let ready = {
             let mut pending = self.pending.lock();
@@ -599,22 +605,17 @@ impl ReceivePortInner {
             // handshake) and only on resumed connections.
             let mut init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)> = Vec::new();
             if let Some(meta) = &resume {
-                let watermarks: Vec<u64> = {
+                let reply = {
                     let mut d = self.rx.delivered.lock();
                     let mut ws = vec![*d.entry(channel).or_insert(0)];
                     for (ch, _) in &meta.extras {
                         ws.push(*d.entry(*ch).or_insert(0));
                     }
-                    ws
+                    ResumeReply(ws)
                 };
-                let mut fw = FrameWriter::new();
-                for w in &watermarks {
-                    fw = fw.u64(*w);
-                }
-                let mut w0 = links[0].clone();
-                fw.send(&mut w0)?;
-                init.push((channel, watermarks[0], Some(Arc::clone(self))));
-                for ((ch, name), w) in meta.extras.iter().zip(&watermarks[1..]) {
+                reply_on_stream0(&links, reply.frame())?;
+                init.push((channel, reply.0[0], Some(Arc::clone(self))));
+                for ((ch, name), w) in meta.extras.iter().zip(&reply.0[1..]) {
                     init.push((*ch, *w, (ctx.resolve)(name)));
                 }
             } else {
@@ -644,11 +645,12 @@ impl ReceivePortInner {
         Ok(())
     }
 
-    /// The pump: one task per assembled link, draining tagged frames
-    /// ([`mux`]) and routing messages to channels. `init` holds the
-    /// channels the preamble named; OPEN/CLOSE manage the set from there.
+    /// The pump: one task per assembled link, a state machine over the
+    /// link's decoded [`Frame`]s that routes messages to channels. `init`
+    /// holds the channels the preamble named; OPEN/CLOSE manage the set
+    /// from there.
     ///
-    /// Parsing runs over a [`BlockReader`], which states the whole-message
+    /// Decoding runs over a [`BlockReader`], which states the whole-message
     /// byte demand to the stack in one `read_chunks_min` call: the
     /// simulated socket parks once per message and is serviced at event
     /// time, so one wakeup drains everything available instead of the pump
@@ -675,41 +677,13 @@ impl ReceivePortInner {
                 live.insert(ch, LiveChan { seq, inner });
             }
         }
-        // Loop runs until EOF (read error) or a corrupt frame.
-        'frames: while let Ok(tag) = cur.read_varint() {
-            let (ch, len) = match tag {
-                mux::MSG => {
-                    let Ok(ch) = cur.read_varint() else {
-                        break;
-                    };
-                    let Ok(len) = cur.read_varint() else {
-                        break;
-                    };
-                    if len > MAX_MESSAGE {
-                        break;
-                    }
-                    (ch, len as usize)
-                }
-                mux::OPEN => {
-                    let Ok(n) = cur.read_varint() else {
-                        break;
-                    };
-                    if n > 4096 {
-                        break; // corrupt count
-                    }
-                    for _ in 0..n {
-                        let (Ok(ch), Ok(name_len)) = (cur.read_varint(), cur.read_varint()) else {
-                            break 'frames;
-                        };
-                        if name_len > 4096 {
-                            break 'frames;
-                        }
-                        let Ok(name) = cur.read_exact_vec(name_len as usize) else {
-                            break 'frames;
-                        };
-                        let Ok(name) = String::from_utf8(name) else {
-                            break 'frames;
-                        };
+        // Runs until EOF (a read error), a corrupt frame, or one this
+        // pump's state forbids.
+        while let Ok(frame) = Frame::read(&mut cur) {
+            let (ch, len) = match frame {
+                Frame::Msg { channel, len } => (channel, len),
+                Frame::Open(chans) => {
+                    for (ch, name) in chans {
                         // Idempotent: a recovery replays OPENs for
                         // channels whose announcement the flap may have
                         // eaten, and a recovered batch is rewritten
@@ -728,85 +702,51 @@ impl ReceivePortInner {
                     }
                     continue;
                 }
-                mux::CLOSE => {
-                    let Ok(ch) = cur.read_varint() else {
-                        break;
-                    };
-                    if live.remove(&ch).is_some() {
-                        self.channel_closed(ch);
+                Frame::Close { channel } => {
+                    if live.remove(&channel).is_some() {
+                        self.channel_closed(channel);
                     }
                     continue;
                 }
-                mux::RECONFIG => {
+                Frame::Reconfig { epoch, params } => {
                     // Live path reconfiguration (DESIGN.md §11): the
-                    // sender flushed its stack to this frame boundary
-                    // and is blocked on our ack. Validate, ack with
-                    // the delivered watermarks (exactly-once
-                    // handshake), and rebuild the receiver stack from
-                    // the new parameters over the same connections.
-                    let (Ok(epoch), Ok(stripes), Ok(block), Ok(level)) = (
-                        cur.read_varint(),
-                        cur.read_varint(),
-                        cur.read_varint(),
-                        cur.read_varint(),
-                    ) else {
-                        break;
-                    };
-                    // A stale/replayed epoch, impossible parameters,
-                    // or leftover old-format bytes after the frame
-                    // are corrupt: kill the pump. The sender's ack
-                    // wait times out and recovery resynchronizes.
-                    if epoch <= last_epoch
-                        || stripes > probes.len() as u64
-                        || block > MAX_MESSAGE
-                        || level > u8::MAX as u64
-                        || cur.buffered() != 0
+                    // sender flushed its stack to this frame boundary and
+                    // is blocked on our ack. A stale/replayed epoch, more
+                    // stripes than this link has connections (the sender's
+                    // own check, `try_reconfigure`) or leftover old-format
+                    // bytes after the frame are corrupt: kill the pump.
+                    // The sender's ack wait times out and recovery
+                    // resynchronizes.
+                    if epoch <= last_epoch || !params.valid_for(probes.len()) || cur.buffered() != 0
                     {
                         break;
                     }
-                    let params = PathParams {
-                        stripes: stripes as u16,
-                        block_size: block as u32,
-                        compression_level: match level {
-                            0 => None,
-                            l => Some((l - 1) as u8),
-                        },
-                    };
-                    // The sender's own check (`try_reconfigure`): zero
-                    // stripes or block, a level gridzip does not have.
-                    if !params.valid_for(probes.len()) {
-                        break;
-                    }
                     // Quiesce the retired stack BEFORE acking: its
-                    // per-stripe pump tasks own socket reads until
-                    // they consume the sender's segment terminator
-                    // (written right after the RECONFIG frame). Ack
-                    // first and a still-parked pump would steal the
-                    // new stack's first bytes.
+                    // per-stripe pump tasks own socket reads until they
+                    // consume the sender's segment terminator (written
+                    // right after the RECONFIG frame). Ack first and a
+                    // still-parked pump would steal the new stack's first
+                    // bytes.
                     if let Some(q) = quiesce.take() {
                         q.wait();
                     }
-                    // Ack raw on stream 0, reverse direction (the
-                    // resume-reply pattern): `[epoch][n][(channel,
-                    // delivered)]*`, channels ascending.
-                    let mut entries: Vec<(u64, u64)> = {
+                    // Ack with the delivered watermarks (the exactly-once
+                    // handshake), then rebuild the receiver stack from
+                    // the new parameters over the first `stripes`
+                    // connections; the rest stay parked. GTLS
+                    // re-handshakes deterministically from the per-stream
+                    // salt.
+                    let mut delivered: Vec<(u64, u64)> = {
                         let d = self.rx.delivered.lock();
                         live.keys()
                             .map(|&ch| (ch, d.get(&ch).copied().unwrap_or(0)))
                             .collect()
                     };
-                    entries.sort_unstable_by_key(|&(ch, _)| ch);
-                    let mut fw = FrameWriter::new().u64(epoch).u64(entries.len() as u64);
-                    for (ch, w) in &entries {
-                        fw = fw.u64(*ch).u64(*w);
-                    }
-                    let mut w0 = probes[0].clone();
-                    if fw.send(&mut w0).is_err() {
+                    delivered.sort_unstable_by_key(|&(ch, _)| ch);
+                    let ack = ReconfigAck { epoch, delivered };
+                    if reply_on_stream0(&probes, ack.frame()).is_err() {
                         break;
                     }
-                    // Rebuild over the first `stripes` connections;
-                    // the rest stay parked. GTLS re-handshakes
-                    // deterministically from the per-stream salt.
                     let spec = self.spec.clone().with_path(params);
                     let sec = ctx.security(&spec);
                     let links: Vec<RawLink> = probes[..params.stripes as usize].to_vec();
@@ -820,7 +760,6 @@ impl ReceivePortInner {
                     last_epoch = epoch;
                     continue;
                 }
-                _ => break, // corrupt tag
             };
             let Ok(data) = cur.read_exact_vec(len) else {
                 break;
@@ -876,7 +815,7 @@ impl ReceivePortInner {
         }
     }
 
-    /// A channel announced a clean in-band close (mux CLOSE frame): it
+    /// A channel announced a clean in-band close (a CLOSE frame): it
     /// will never resume, so its watermark and ack state go now unless a
     /// superseding pump still references them.
     fn channel_closed(&self, channel: u64) {

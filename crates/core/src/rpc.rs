@@ -28,17 +28,7 @@ pub type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 /// so slow handlers do not stall the port. Returns once the service is
 /// registered in the name service.
 pub fn serve(node: &GridNode, service_name: &str, handler: Handler) -> io::Result<()> {
-    serve_with_spec(node, service_name, StackSpec::plain(), handler)
-}
-
-/// Serve with an explicit driver stack for the request direction.
-pub fn serve_with_spec(
-    node: &GridNode,
-    service_name: &str,
-    spec: StackSpec,
-    handler: Handler,
-) -> io::Result<()> {
-    let rp = node.create_receive_port(service_name, spec)?;
+    let rp = node.create_receive_port(service_name, StackSpec::plain())?;
     let node = node.clone();
     let service = service_name.to_string();
     // Reply send ports are cached: one connection back per client port.

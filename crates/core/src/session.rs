@@ -8,7 +8,7 @@
 //! single-flight establishment (concurrent `connect()`s to the same peer
 //! run ONE Figure-4 walk and share the result). A [`SharedLink`] owns the
 //! assembled driver stack and multiplexes the channels attached to it with
-//! channel-tagged frames ([`crate::wire::mux`]) — the one format a data
+//! channel-tagged frames ([`crate::wire::Frame`]) — the one format a data
 //! link speaks, from its first byte, however many channels ride it;
 //! per-channel state — sequence numbers, the resend buffer, the
 //! cumulative-ack watermark — lives in [`Channel`] and survives link
@@ -22,7 +22,6 @@
 
 use bytes::Bytes;
 use gridsim_net::{SimMutex, SimMutexGuard, Waker};
-use gridzip::varint;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Write};
@@ -34,7 +33,7 @@ use crate::establish::{EstablishMethod, LinkKey};
 use crate::pool::BlockPool;
 use crate::port::{AckCell, ResendOverflow};
 use crate::tune::PathStats;
-use crate::wire::mux;
+use crate::wire::Frame;
 
 // ------------------------------------------------------------- channels
 
@@ -213,17 +212,6 @@ impl LinkIo {
         }
     }
 
-    /// Encode `fields` as consecutive varints on the stack (no per-frame
-    /// Vec) and hand them to the stack as one slice.
-    fn write_varints(&mut self, fields: &[u64]) -> io::Result<()> {
-        let mut hdr = [0u8; 50];
-        let mut n = 0;
-        for &f in fields {
-            n += varint::put_slice(&mut hdr[n..], f);
-        }
-        self.writer.write_all(&hdr[..n])
-    }
-
     /// Frame and flush one message payload down the shared stack.
     ///
     /// The header coalesces with the payload in the stack's aggregation
@@ -232,7 +220,8 @@ impl LinkIo {
     /// boundary whenever the flight is empty (Nagle emits sub-MSS segments
     /// then) and change wire traces.
     pub fn write_msg(&mut self, channel: u64, payload: &Bytes) -> io::Result<()> {
-        self.write_varints(&[mux::MSG, channel, payload.len() as u64])?;
+        let len = payload.len();
+        Frame::Msg { channel, len }.write(&mut self.writer)?;
         // Refcounted handoff: group communication clones the handle, not
         // the payload, and block-aligned stacks slice it straight onto the
         // wire.
@@ -240,27 +229,22 @@ impl LinkIo {
         self.writer.flush()
     }
 
-    /// Announce channels joining the link in ONE control frame (and one
-    /// flush): `OPEN [n][(channel, name)]*`, the resume preamble's channel
-    /// list encoding. The receiver treats every entry idempotently.
-    /// Control frames never sit in a deferred batch: the trailing flush
-    /// pushes them (and anything coalesced ahead of them) to the socket
+    /// Write one control frame and flush. An OPEN announces every channel
+    /// of a batch in ONE frame; a CLOSE announces a clean per-channel close
+    /// (the link itself stays up until its last channel detaches). Control
+    /// frames never sit in a deferred batch: the trailing flush pushes
+    /// them (and anything coalesced ahead of them) to the socket
     /// immediately, so channel setup is not delayed behind large data runs.
-    pub fn write_open(&mut self, chans: &[(u64, &str)]) -> io::Result<()> {
-        self.write_varints(&[mux::OPEN, chans.len() as u64])?;
-        for (channel, name) in chans {
-            self.write_varints(&[*channel, name.len() as u64])?;
-            self.writer.write_all(name.as_bytes())?;
-        }
+    pub fn write_control(&mut self, frame: &Frame) -> io::Result<()> {
+        frame.write(&mut self.writer)?;
         self.writer.flush()
     }
 
     /// Announce a live path reconfiguration: flush the current stack to a
-    /// block boundary and write `RECONFIG [epoch][stripes][block_size]
-    /// [level+1]` through it, then terminate the stripe segment (striped
-    /// stacks only). The caller holds the write gate across the whole
-    /// exchange (frame → ack → stack swap), so no message bytes can
-    /// interleave with the epoch switch.
+    /// block boundary and write the RECONFIG through it, then terminate the
+    /// stripe segment (striped stacks only). The caller holds the write
+    /// gate across the whole exchange (frame → ack → stack swap), so no
+    /// message bytes can interleave with the epoch switch.
     ///
     /// The terminator matters for exactly-once delivery: a striped
     /// receiver drains each socket from its own eager pump task, and a
@@ -270,25 +254,11 @@ impl LinkIo {
     /// everything this stack ever wrote) makes each pump exit cleanly, and
     /// the receiver acks only after all of them are gone.
     pub fn write_reconfig(&mut self, epoch: u64, params: PathParams) -> io::Result<()> {
-        self.write_varints(&[
-            mux::RECONFIG,
-            epoch,
-            params.stripes as u64,
-            params.block_size as u64,
-            params.compression_level.map(|l| l as u64 + 1).unwrap_or(0),
-        ])?;
-        self.writer.flush()?;
+        self.write_control(&Frame::Reconfig { epoch, params })?;
         if let Some(t) = &self.term {
             t.terminate()?;
         }
         Ok(())
-    }
-
-    /// Announce a clean per-channel close (the link itself stays up until
-    /// its last channel detaches).
-    pub fn write_close(&mut self, channel: u64) -> io::Result<()> {
-        self.write_varints(&[mux::CLOSE, channel])?;
-        self.writer.flush()
     }
 }
 

@@ -46,14 +46,14 @@ pub struct PathStats {
 
 impl PathStats {
     /// Total loss-recovery events (timeouts + fast retransmits).
-    pub fn rtx_events(&self) -> u64 {
+    fn rtx_events(&self) -> u64 {
         self.rtx_timeouts + self.fast_retransmits
     }
 }
 
 /// Goodput between two cumulative samples, in bytes/second. Returns
 /// `None` for an empty or backwards window (counter reset by recovery).
-pub fn rate_between(prev: &PathStats, cur: &PathStats) -> Option<u64> {
+fn rate_between(prev: &PathStats, cur: &PathStats) -> Option<u64> {
     let dt = cur.at_micros.checked_sub(prev.at_micros)?;
     if dt == 0 || cur.bytes_sent < prev.bytes_sent {
         return None;
@@ -68,7 +68,7 @@ pub fn rate_between(prev: &PathStats, cur: &PathStats) -> Option<u64> {
 pub const STRIPE_LADDER: [u16; 7] = [1, 2, 4, 6, 8, 12, 16];
 
 /// The next rung above `cur`, capped at `max`.
-pub fn next_stripe(cur: u16, max: u16) -> Option<u16> {
+fn next_stripe(cur: u16, max: u16) -> Option<u16> {
     STRIPE_LADDER.iter().copied().find(|&s| s > cur && s <= max)
 }
 

@@ -218,7 +218,6 @@ fn controller_probes_stripes_up_live() {
     let env = env.with_path_control(PathControlConfig {
         interval: Duration::from_millis(100),
         cooldown: 2,
-        ..PathControlConfig::default()
     });
     let spec = StackSpec::plain().with_streams(4);
     const MSGS: u64 = 300;

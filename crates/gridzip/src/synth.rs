@@ -44,17 +44,17 @@ pub fn grid_payload(len: usize, redundancy: f64, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Measure the level-1 compression ratio of a payload (input/output).
-pub fn measure_ratio(data: &[u8], level: u8) -> f64 {
-    let mut c = crate::Compressor::new(level);
-    let mut out = Vec::new();
-    c.compress(data, &mut out);
-    data.len() as f64 / out.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compression ratio of a payload (input/output).
+    fn measure_ratio(data: &[u8], level: u8) -> f64 {
+        let mut c = crate::Compressor::new(level);
+        let mut out = Vec::new();
+        c.compress(data, &mut out);
+        data.len() as f64 / out.len() as f64
+    }
 
     #[test]
     fn redundancy_moves_ratio_monotonically() {

@@ -1,7 +1,7 @@
 //! LEB128-style unsigned varints, shared by the gridzip framing and the
 //! netgrid wire protocols.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Append `v` to `out` as a varint (7 bits per byte, LSB first).
 pub fn put(out: &mut Vec<u8>, mut v: u64) {
@@ -45,13 +45,6 @@ pub fn get(buf: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
-/// Write a varint to an `io::Write`.
-pub fn write_to<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(10);
-    put(&mut buf, v);
-    w.write_all(&buf)
-}
-
 /// Read a varint from an `io::Read`.
 pub fn read_from<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut v = 0u64;
@@ -91,7 +84,7 @@ mod tests {
     fn io_roundtrip() {
         let mut buf = Vec::new();
         for v in [0u64, 300, 1 << 40] {
-            write_to(&mut buf, v).unwrap();
+            put(&mut buf, v);
         }
         let mut cur = std::io::Cursor::new(buf);
         assert_eq!(read_from(&mut cur).unwrap(), 0);

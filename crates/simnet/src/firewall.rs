@@ -90,11 +90,6 @@ impl Firewall {
             },
         }
     }
-
-    /// Number of tracked flows (diagnostics).
-    pub fn flow_count(&self) -> usize {
-        self.established.len()
-    }
 }
 
 #[cfg(test)]
@@ -204,6 +199,6 @@ mod tests {
             fw.filter(Direction::InsideToOutside, sa(1, 1), pub_sa(1, 1)),
             Verdict::Accept
         );
-        assert_eq!(fw.flow_count(), 1);
+        assert_eq!(fw.established.len(), 1);
     }
 }

@@ -50,7 +50,7 @@ impl LinkParams {
     }
 
     /// Time to serialize `len` bytes onto the wire.
-    pub fn tx_time(&self, len: u32) -> Duration {
+    fn tx_time(&self, len: u32) -> Duration {
         Duration::from_secs_f64(len as f64 / self.bandwidth_bps)
     }
 }

@@ -35,7 +35,7 @@ pub enum NatKind {
 
 impl NatKind {
     /// Does this NAT allocate one mapping per destination?
-    pub fn is_symmetric(self) -> bool {
+    fn is_symmetric(self) -> bool {
         matches!(
             self,
             NatKind::SymmetricSequential | NatKind::SymmetricRandom
@@ -168,11 +168,6 @@ impl Nat {
         };
         admit.then_some(m.internal)
     }
-
-    /// Number of active mappings.
-    pub fn mapping_count(&self) -> usize {
-        self.by_external.len()
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +243,7 @@ mod tests {
             !sequential,
             "random allocation must not look sequential: {ports:?}"
         );
-        assert_eq!(nat.mapping_count(), 8);
+        assert_eq!(nat.by_external.len(), 8);
     }
 
     #[test]

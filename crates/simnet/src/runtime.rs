@@ -569,12 +569,6 @@ impl SchedHandle {
         self.core.state.lock().schedule(at, action);
     }
 
-    /// Schedule `f` to run after `d` of simulated time.
-    pub fn call_after(&self, d: Duration, f: impl FnOnce() + Send + 'static) {
-        let now = self.now();
-        self.call_at(now + d, f);
-    }
-
     /// Register a recurring callback and get a handle for scheduling it.
     /// The callback stays registered for the scheduler's lifetime. Like a
     /// `call_at` closure it runs on the thread holding the baton, never
@@ -595,7 +589,7 @@ impl SchedHandle {
     }
 
     /// Wake `tid` per unpark semantics.
-    pub fn wake_task(&self, tid: TaskId) {
+    fn wake_task(&self, tid: TaskId) {
         self.core.state.lock().wake(tid);
     }
 
@@ -751,7 +745,7 @@ pub mod ctx {
     }
 
     /// The calling task's id.
-    pub fn current_task() -> TaskId {
+    pub(crate) fn current_task() -> TaskId {
         with_current(|_, tid| tid)
     }
 
@@ -876,13 +870,13 @@ mod tests {
             let target = h.spawn("target", || ctx::sleep(Duration::from_millis(10)));
             for ms in [1, 2] {
                 let me = ctx::waker();
-                h.call_after(Duration::from_millis(ms), move || me.wake());
+                h.call_at(h.now() + Duration::from_millis(ms), move || me.wake());
             }
             target.join();
             // The target woke us once, so no token is left over to cut
             // this park short of its own wake.
             let me = ctx::waker();
-            h.call_after(Duration::from_millis(5), move || me.wake());
+            h.call_at(h.now() + Duration::from_millis(5), move || me.wake());
             ctx::park("probe");
             ctx::now().as_nanos()
         });
@@ -955,7 +949,7 @@ mod tests {
         let h = sched.handle();
         let fired = Arc::new(AtomicUsize::new(0));
         let f2 = Arc::clone(&fired);
-        h.call_after(Duration::from_secs(10), move || {
+        h.call_at(h.now() + Duration::from_secs(10), move || {
             f2.store(1, Ordering::SeqCst);
         });
         assert_eq!(sched.run_for(Duration::from_secs(5)), RunOutcome::TimeLimit);
@@ -1172,7 +1166,7 @@ mod tests {
         sched.spawn("sleeper", move || {
             let me = std::thread::current().id();
             // Fires while this task is asleep and alone, so on its thread.
-            h.call_after(Duration::from_millis(1), move || {
+            h.call_at(h.now() + Duration::from_millis(1), move || {
                 let on_task_thread = std::thread::current().id() == me;
                 s2.lock().push((on_task_thread, ctx::in_task()));
             });
@@ -1193,7 +1187,7 @@ mod tests {
             let sched = Scheduler::new();
             let h = sched.handle();
             sched.spawn("sleeper", move || {
-                h.call_after(Duration::from_millis(1), call);
+                h.call_at(h.now() + Duration::from_millis(1), call);
                 ctx::sleep(Duration::from_millis(2));
             });
             let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
@@ -1210,8 +1204,8 @@ mod tests {
         let after = Arc::new(AtomicUsize::new(0));
         let a2 = Arc::clone(&after);
         sched.spawn("sleeper", move || {
-            h.call_after(Duration::from_millis(1), || panic!("first"));
-            h.call_after(Duration::from_millis(1), || panic!("second"));
+            h.call_at(h.now() + Duration::from_millis(1), || panic!("first"));
+            h.call_at(h.now() + Duration::from_millis(1), || panic!("second"));
             ctx::sleep(Duration::from_millis(2));
             a2.store(1, Ordering::SeqCst);
         });

@@ -83,17 +83,6 @@ impl<T: ?Sized> SimMutex<T> {
     pub fn has_waiters(&self) -> bool {
         !self.inner.ctl.lock().waiters.is_empty()
     }
-
-    /// Try to acquire without parking.
-    pub fn try_lock(&self) -> Option<SimMutexGuard<'_, T>> {
-        let mut ctl = self.inner.ctl.lock();
-        if ctl.locked {
-            None
-        } else {
-            ctl.locked = true;
-            Some(SimMutexGuard { m: self })
-        }
-    }
 }
 
 /// RAII guard; unlocks and wakes the next waiter on drop.
@@ -411,7 +400,10 @@ mod tests {
         /// Test helper: lock from outside the simulation (single-threaded
         /// by then).
         fn lock_outside(&self) -> SimMutexGuard<'_, T> {
-            self.try_lock().expect("uncontended after run")
+            let mut ctl = self.inner.ctl.lock();
+            assert!(!ctl.locked, "uncontended after run");
+            ctl.locked = true;
+            SimMutexGuard { m: self }
         }
     }
 }

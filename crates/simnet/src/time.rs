@@ -41,17 +41,11 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
-
-    /// The instant `d` after this one, saturating at [`SimTime::MAX`].
-    #[inline]
-    pub fn saturating_add(self, d: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(dur_nanos(d)))
-    }
 }
 
 /// Convert a [`Duration`] to simulator nanoseconds, saturating at `u64::MAX`.
 #[inline]
-pub fn dur_nanos(d: Duration) -> u64 {
+fn dur_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -108,13 +102,5 @@ mod tests {
     fn ordering_and_display() {
         assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
         assert_eq!(format!("{}", SimTime::from_secs(1)), "1.000000s");
-    }
-
-    #[test]
-    fn saturating_add_caps() {
-        assert_eq!(
-            SimTime::MAX.saturating_add(Duration::from_secs(1)),
-            SimTime::MAX
-        );
     }
 }

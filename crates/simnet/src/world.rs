@@ -402,39 +402,6 @@ impl World {
         self.links[id.0].up = up;
     }
 
-    /// Is this link direction administratively up?
-    pub fn link_up(&self, id: LinkDirId) -> bool {
-        self.links[id.0].up
-    }
-
-    /// Every link direction incident to `node` (both the node's outgoing
-    /// directions and the peers' directions pointing at it).
-    pub fn node_links(&self, node: NodeId) -> Vec<LinkDirId> {
-        let mut out: Vec<LinkDirId> = self.nodes[node.0]
-            .ifaces
-            .iter()
-            .map(|i| i.link_out)
-            .collect();
-        out.extend(
-            self.links
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.to_node == node)
-                .map(|(i, _)| LinkDirId(i)),
-        );
-        out.sort_by_key(|l| l.0);
-        out.dedup();
-        out
-    }
-
-    /// Take every link incident to `node` down (or back up): the network
-    /// view of a host or relay crash.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        for id in self.node_links(node) {
-            self.links[id.0].up = up;
-        }
-    }
-
     /// The link directions on the routed path from `a` to `b` *and* back,
     /// following each hop's routing table (bounded at 32 hops). Used to
     /// partition two nodes that are not directly adjacent.

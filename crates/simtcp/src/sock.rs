@@ -358,7 +358,7 @@ impl TcpStream {
                     match tcb.try_read_chunks(now, cap, out) {
                         Ok(ReadOutcome::Read(n)) => got += n,
                         Ok(ReadOutcome::Empty) => {
-                            return if tcb.stage_read(min - got, max, ctx::waker()) {
+                            return if tcb.stage_read(min - got, max, out, ctx::waker()) {
                                 Next::Staged
                             } else {
                                 // Another task's read is staged here: fall
@@ -381,16 +381,15 @@ impl TcpStream {
                 Next::Staged => loop {
                     ctx::park("tcp read");
                     let picked = self.with_tcb(|tcb, now| tcb.collect_staged_read(now))?;
-                    match picked {
-                        None => continue, // spurious wake; demand still staged
-                        Some(Ok((chunks, n, _eof))) => {
-                            out.extend(chunks);
-                            return Ok(got + n);
-                        }
-                        Some(Err(e)) => {
-                            return if got > 0 { Ok(got) } else { Err(e) };
-                        }
-                    }
+                    let Some((chunks, read)) = picked else {
+                        continue; // spurious wake; demand still staged
+                    };
+                    *out = chunks;
+                    return match read {
+                        Ok(n) => Ok(got + n),
+                        Err(_) if got > 0 => Ok(got),
+                        Err(e) => Err(e),
+                    };
                 },
             }
         }

@@ -140,19 +140,6 @@ impl TcpHost {
         ))
     }
 
-    /// Bind a specific port (for listeners and spliced connects).
-    pub fn bind_port(&mut self, port: u16) -> io::Result<u16> {
-        if self.bound_ports.contains(&port) || self.listeners.contains_key(&port) {
-            return Err(io::ErrorKind::AddrInUse.into());
-        }
-        self.bound_ports.insert(port);
-        Ok(port)
-    }
-
-    pub fn release_port(&mut self, port: u16) {
-        self.bound_ports.remove(&port);
-    }
-
     // ---------------- outbound API used by sockets ----------------
 
     /// Start an active open. Returns the new connection id.
@@ -429,9 +416,6 @@ enum Timer {
 /// restarted service simply binds again on the fresh stack; packets from
 /// old connections arriving afterwards hit an empty connection table and
 /// are answered with RST, so remote peers learn of the crash quickly.
-///
-/// Combine with `World::set_node_up` for a full kill-restart: take the
-/// node's links down, crash the stack, bring the links back up.
 pub fn crash_node(w: &mut World, node: NodeId) {
     let Some(boxed) = w.take_proto_state(node, proto::TCP) else {
         return;
@@ -477,7 +461,7 @@ mod tests {
         let mut h = TcpHost::new(NodeId(0));
         let ip = Ip(0x0a00_0001);
         for p in EPHEMERAL_BASE..EPHEMERAL_BASE + EPHEMERAL_SPAN {
-            h.bind_port(p).unwrap();
+            h.bound_ports.insert(p);
         }
         let err = h.alloc_ephemeral(ip).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
@@ -490,10 +474,10 @@ mod tests {
         // Recycle a few ports: allocation succeeds again and hands back
         // ports from the freed set.
         for p in [EPHEMERAL_BASE + 7, EPHEMERAL_BASE + 8] {
-            h.release_port(p);
+            h.bound_ports.remove(&p);
         }
         let a = h.alloc_ephemeral(ip).unwrap();
-        h.bind_port(a).unwrap();
+        h.bound_ports.insert(a);
         let b = h.alloc_ephemeral(ip).unwrap();
         assert_ne!(a, b);
         assert!((a == EPHEMERAL_BASE + 7 || a == EPHEMERAL_BASE + 8) && b != a);

@@ -566,7 +566,7 @@ impl Tcb {
     /// (as real stacks do), so that duplicate ACKs generated while
     /// out-of-order data accumulates carry an *unchanged* window and are
     /// recognizable as duplicates (RFC 5681's definition).
-    pub fn rwnd(&self) -> u32 {
+    fn rwnd(&self) -> u32 {
         (self.cfg.recv_buf as usize)
             .saturating_sub(self.recv_q.len())
             .min(u32::MAX as usize) as u32
@@ -616,16 +616,6 @@ impl Tcb {
     /// Current congestion window in bytes (diagnostics/tests).
     pub fn cwnd(&self) -> u64 {
         self.cwnd as u64
-    }
-
-    /// Current smoothed RTO (diagnostics/tests).
-    pub fn rto(&self) -> Duration {
-        self.rto
-    }
-
-    /// Bytes queued but not yet read by the application.
-    pub fn recv_queued(&self) -> usize {
-        self.recv_q.len()
     }
 
     /// Space left in the send buffer.
@@ -838,16 +828,25 @@ impl Tcb {
     }
 
     /// Park a chunk read: stage a demand for `min` bytes, drained in
-    /// `max`-capped calls. Returns `false` when another task's staged read
+    /// `max`-capped calls onto the end of `out`, which the TCB holds until
+    /// [`collect_staged_read`](Self::collect_staged_read) hands it back (a
+    /// reader that reuses its chunk list then allocates nothing per read).
+    /// Returns `false`, `out` untouched, when another task's staged read
     /// already occupies the slot.
-    pub fn stage_read(&mut self, min: usize, max: usize, waker: Waker) -> bool {
+    pub fn stage_read(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+        waker: Waker,
+    ) -> bool {
         if self.pending_read.is_some() {
             return false;
         }
         self.pending_read = Some(PendingRead {
             min: min.max(1),
             max: max.max(1),
-            out: Vec::new(),
+            out: std::mem::take(out),
             got: 0,
             eof: false,
             ready: false,
@@ -948,29 +947,23 @@ impl Tcb {
     }
 
     /// Task-side pickup of a staged read after a wake. `None` = re-park;
-    /// `Some(Ok((chunks, n, eof)))` hands out the collected chunks. Errors
+    /// otherwise the chunk list staged with the read, whatever arrived
+    /// appended to it, and the count of bytes appended (0 = EOF). Errors
     /// follow `try_read_chunks` semantics: surfaced only with no data in
     /// hand (buffered bytes are delivered first; the error resurfaces on
     /// the next call).
-    #[allow(clippy::type_complexity)]
-    pub fn collect_staged_read(
-        &mut self,
-        now: SimTime,
-    ) -> Option<io::Result<(Vec<Bytes>, usize, bool)>> {
+    pub fn collect_staged_read(&mut self, now: SimTime) -> Option<(Vec<Bytes>, io::Result<usize>)> {
         self.service_pending_read(now);
         let finished = self.pending_read.as_ref().is_some_and(|pr| pr.ready);
         if !finished {
             return None;
         }
         let pr = self.pending_read.take().expect("checked above");
-        Some(if pr.got == 0 {
-            match pr.err {
-                Some(e) => Err(e.into()),
-                None => Ok((pr.out, 0, true)),
-            }
-        } else {
-            Ok((pr.out, pr.got, pr.eof))
-        })
+        let read = match pr.err {
+            Some(e) if pr.got == 0 => Err(e.into()),
+            _ => Ok(pr.got),
+        };
+        Some((pr.out, read))
     }
 
     /// Graceful close: send FIN once queued data drains.
@@ -2035,14 +2028,14 @@ mod tests {
         let ack = b.take_out().remove(0);
         a.on_segment(t(40), ack);
         // SRTT = 40 ms, RTTVAR = 20 ms: RTO = clamp(40 + 80) = 200ms (min).
-        assert_eq!(a.rto(), Duration::from_millis(200));
+        assert_eq!(a.rto, Duration::from_millis(200));
         // A much longer path raises RTO above the minimum.
         a.try_write(t(40), b"pong").unwrap();
         let seg = a.take_out().remove(0);
         b.on_segment(t(1040), seg);
         let ack = b.take_out().remove(0);
         a.on_segment(t(1040), ack);
-        assert!(a.rto() > Duration::from_millis(200));
+        assert!(a.rto > Duration::from_millis(200));
     }
 
     /// Regression: the zero-window persist probe must consume sequence
@@ -2382,7 +2375,7 @@ mod tests {
         for s in burst {
             b.on_segment(T0, s);
         }
-        assert_eq!(b.recv_queued(), 10_000);
+        assert_eq!(b.recv_q.len(), 10_000);
     }
 
     #[test]
@@ -2404,7 +2397,7 @@ mod tests {
                     "Nagle holds the tail behind data in flight"
                 );
                 pump(&mut a, &mut b, T0);
-                assert_eq!(b.recv_queued(), 2 * MSS + 100, "and the ACK releases it");
+                assert_eq!(b.recv_q.len(), 2 * MSS + 100, "and the ACK releases it");
             }
         }
     }

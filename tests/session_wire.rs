@@ -8,8 +8,7 @@
 use gridsim_net::{topology, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use gridzip::varint;
-use netgrid::port::MAX_MESSAGE;
-use netgrid::wire::{read_frame, FrameReader, FrameWriter};
+use netgrid::wire::{read_frame, FrameReader, FrameWriter, MAX_MESSAGE};
 use netgrid::{spawn_name_service, ConnectivityProfile, GridEnv, GridNode, ReceivePort, StackSpec};
 use std::io::Write;
 use std::time::Duration;
@@ -57,32 +56,86 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
     const A: u64 = 0x0700_0001;
     const B: u64 = 0x0700_0002;
     const C: u64 = 0x0700_0003;
-    /// What a hostile stream carries behind its preamble.
-    type Body = fn(&mut Vec<u8>);
-    let valid_msg: Body = |b| msg(b, A, b"hostile");
-    let hostile: Vec<(&str, Vec<u64>, Body)> = vec![
-        ("seed-format [len][payload] stream", vec![A, 0, 1], |b| {
-            put(b, &[7]);
-            b.extend_from_slice(b"hostile");
+    /// What a hostile client does behind its preamble: usually one write
+    /// (the peer may already have hung up on the preamble).
+    type Body = fn(&mut TcpStream);
+    fn write(s: &mut TcpStream, encode: impl FnOnce(&mut Vec<u8>)) {
+        let mut wire = Vec::new();
+        encode(&mut wire);
+        let _ = s.write_all(&wire);
+    }
+    let valid_msg: Body = |s| write(s, |b| msg(b, A, b"hostile"));
+    fn reconfig_1(b: &mut Vec<u8>) {
+        put(b, &[RECONFIG, 1, 1, 32 * 1024, 0]);
+    }
+    // Each case dials its preambles in order and runs its body on the last
+    // stream; every stream stays open to the end of the test, so a pump
+    // that is gone is one the receiver ended.
+    let hostile: Vec<(&str, Vec<Vec<u64>>, Body)> = vec![
+        (
+            "seed-format [len][payload] stream",
+            vec![vec![A, 0, 1]],
+            |s| {
+                write(s, |b| {
+                    put(b, &[7]);
+                    b.extend_from_slice(b"hostile");
+                })
+            },
+        ),
+        ("MSG on a never-opened channel", vec![vec![A, 0, 1]], |s| {
+            write(s, |b| msg(b, B, b"hostile"))
         }),
-        ("MSG on a never-opened channel", vec![A, 0, 1], |b| {
-            msg(b, B, b"hostile")
+        ("OPEN with n = 4097", vec![vec![A, 0, 1]], |s| {
+            write(s, |b| {
+                put(b, &[OPEN, 4097]);
+                msg(b, A, b"hostile");
+            })
         }),
-        ("OPEN with n = 4097", vec![A, 0, 1], |b| {
-            put(b, &[OPEN, 4097]);
-            msg(b, A, b"hostile");
+        ("OPEN with a 4097-byte name", vec![vec![A, 0, 1]], |s| {
+            write(s, |b| {
+                put(b, &[OPEN, 1, B, 4097]);
+                b.extend_from_slice(&[b'w'; 4097]);
+                msg(b, A, b"hostile");
+            })
         }),
-        ("len > MAX_MESSAGE", vec![A, 0, 1], |b| {
-            put(b, &[MSG, A, MAX_MESSAGE + 1]);
-            b.extend_from_slice(b"hostile");
+        ("len > MAX_MESSAGE", vec![vec![A, 0, 1]], |s| {
+            write(s, |b| {
+                put(b, &[MSG, A, MAX_MESSAGE + 1]);
+                b.extend_from_slice(b"hostile");
+            })
+        }),
+        // Epoch 1 is acked and the stack swapped; epoch 1 again is a
+        // replay: no second ack, and nothing behind it is delivered.
+        ("RECONFIG with a stale epoch", vec![vec![A, 0, 1]], |s| {
+            write(s, reconfig_1);
+            let ack = read_frame(s).expect("the first is acked");
+            assert_eq!(FrameReader::new(&ack).u64().unwrap(), 1);
+            write(s, reconfig_1);
+            assert!(read_frame(s).is_err(), "the replay is not");
+            write(s, |b| msg(b, A, b"hostile"));
         }),
         // `as u16` read these two as stream 0 of a 1-stream link.
-        ("preamble total = 65 537", vec![A, 0, 65_537], valid_msg),
-        ("preamble idx = 65 536", vec![A, 65_536, 1], valid_msg),
+        (
+            "preamble total = 65 537",
+            vec![vec![A, 0, 65_537]],
+            valid_msg,
+        ),
+        ("preamble idx = 65 536", vec![vec![A, 65_536, 1]], valid_msg),
         (
             "resume preamble with n > MAX_MUX_CHANNELS",
-            vec![A | RESUME_FLAG, 0, 1, 1, (1 << 16) + 1],
+            vec![vec![A | RESUME_FLAG, 0, 1, 1, (1 << 16) + 1]],
             valid_msg,
+        ),
+        // Stream 0 of a generation-5 resume waits for stream 1; a stream 1
+        // of generation 3 is a straggler of an older attempt and must not
+        // complete the link (which would start a pump).
+        (
+            "resume preamble with a stale generation",
+            vec![
+                vec![C | RESUME_FLAG, 0, 2, 5, 0],
+                vec![C | RESUME_FLAG, 1, 2, 3, 0],
+            ],
+            |_| {},
         ),
     ];
     let cases = hostile.len();
@@ -117,7 +170,7 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
         for i in 0..cases {
             let m = rp_a.receive().unwrap();
             assert_eq!(m.as_slice(), format!("bystander {i}").as_bytes());
-            assert_eq!(rp_a.connection_count(), 1, "hostile link {i} still up");
+            assert_eq!(rp_a.connection_count(), 1, "hostile link {i} has a pump");
         }
         gridsim_net::ctx::sleep(Duration::from_millis(500));
         assert_eq!((drain(&rp_a), drain(&rp_b)), (vec![], vec![]));
@@ -151,12 +204,10 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
         gridsim_net::ctx::sleep(Duration::from_millis(500));
         let mut bystander = node.create_send_port();
         bystander.connect("wire-a").unwrap();
-        for (i, (what, preamble, body)) in hostile.into_iter().enumerate() {
-            let mut s = dial(&node, "wire-a", &preamble);
-            let mut wire = Vec::new();
-            body(&mut wire);
-            // The peer may already have hung up on the preamble.
-            let _ = s.write_all(&wire);
+        let mut streams = Vec::new();
+        for (i, (what, preambles, body)) in hostile.into_iter().enumerate() {
+            streams.extend(preambles.iter().map(|p| dial(&node, "wire-a", p)));
+            body(streams.last_mut().unwrap());
             gridsim_net::ctx::sleep(Duration::from_millis(100));
             bystander
                 .send(format!("bystander {i}").as_bytes())
