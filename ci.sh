@@ -34,7 +34,9 @@
 #           arithmetic on a peer's lengths wraps instead of panicking; then,
 #           where `taskset` exists, the scheduler's own tests and the root
 #           scheduler, relay and relay park-count smokes again on one CPU,
-#           the regime gridbench measures.
+#           the regime gridbench measures; with them the connection storm
+#           and E10's establishment budget, whose ticketed name-service
+#           replies interleave differently when pinned.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -210,6 +212,11 @@ stage_test() {
     # The relay's reader -> shard worker -> client pump handoffs interleave
     # differently there too; the park counts must not.
     taskset -c "$cpu" cargo test -q --release --test relay --test relay_parks
+    # So do the name-service link's pipelined replies: the storm's 16
+    # concurrent walks must still overlap, and each method keep its
+    # round-trip budget.
+    taskset -c "$cpu" cargo test -q --release --test establish_budget
+    taskset -c "$cpu" cargo test -q --release -p netgrid --test storm
   fi
 }
 

@@ -575,9 +575,10 @@ mod tests {
             .unwrap_or_else(|| panic!("{}: no row {key}", suite.file))
     }
 
-    /// `gate id; row key; edit; what the failure must name`: the one edit to a
-    /// copy of the committed file — `column=value`, or `-` to drop the row —
-    /// that must trip that gate and no other.
+    /// `gate id; row keys; edit; what the failure must name`: the one edit to
+    /// a copy of the committed file — `column=value`, or `-` to drop the row,
+    /// on each row the keys (joined by ` + `) name — that must trip that gate
+    /// and no other.
     const CASES: &[&str] = &[
         "faults/recovery_ms/doubled; down_ms=2000; recovery_ms=925.1; recovery_ms",
         "faults/total_ms/ceiling; down_ms=500; total_ms=11314.7; total_ms",
@@ -595,9 +596,10 @@ mod tests {
         "relaymesh/fifo_ok/equals; round=kill relays=2 pairs=1; fifo_ok=0; fifo_ok",
         "relaymesh/round/one-of; round=kill relays=2 pairs=1; round=drain; round = drain (must be one of",
         "relaymesh/mb_s/floor; round=spread relays=2 pairs=8; mb_s=6.743; floor",
-        // Likewise: move the statics, not the controller row with its floor.
-        "adaptive/mb_s/vs-best; id=static-stripe-8; mb_s=4.2; best of the rest",
-        "adaptive/mb_s/vs-worst; id=static-plain-1; mb_s=3.0; worst of the rest",
+        // Likewise: move the statics, not the controller row with its floor;
+        // the worst of them is the lowest, so two must rise to move it.
+        "adaptive/mb_s/vs-best; id=static-stripe-8; mb_s=5.5; best of the rest",
+        "adaptive/mb_s/vs-worst; id=static-plain-1 + id=static-comp-1; mb_s=3.5; worst of the rest",
         "adaptive/mb_s/vs-rest-rows; id=controller; -; lacks a id=controller row",
         "adaptive/mb_s/floor; id=controller; mb_s=3.7; floor",
     ];
@@ -612,12 +614,16 @@ mod tests {
             for id in gate_ids(suite) {
                 let mine: Vec<_> = cases.iter().filter(|c| c[0] == id).collect();
                 assert_eq!(mine.len(), 1, "gate {id} needs exactly one case");
-                let (key, edit, names) = (mine[0][1], mine[0][2], mine[0][3]);
+                let (keys, edit, names) = (mine[0][1], mine[0][2], mine[0][3]);
                 let mut fresh = rows.clone();
-                let at = row_at(suite, &fresh, key);
-                match edit.split_once('=') {
-                    Some((column, value)) => drop(fresh[at].insert(column.into(), value.into())),
-                    None => drop(fresh.remove(at)),
+                for key in keys.split(" + ") {
+                    let at = row_at(suite, &fresh, key);
+                    match edit.split_once('=') {
+                        Some((column, value)) => {
+                            drop(fresh[at].insert(column.into(), value.into()))
+                        }
+                        None => drop(fresh.remove(at)),
+                    }
                 }
                 let failures = run(suite, &fresh).unwrap();
                 assert_eq!(failures.len(), 1, "{id}: {failures:?}");

@@ -26,123 +26,23 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-struct Scenario {
-    name: &'static str,
-    sites: [SiteSpec; 2],
-    sender_profile: ConnectivityProfile,
-    receiver_profile: ConnectivityProfile,
-    proxy_on_receiver_gw: bool,
-    expect: EstablishMethod,
-}
-
-/// How long `connect` took in `sc`, and the method it settled on.
-fn connect_delay(sc: &Scenario) -> (Duration, EstablishMethod) {
-    let sim = Sim::new(31);
-    let services = Services {
-        proxy_site: sc.proxy_on_receiver_gw.then_some(1),
-        ..Services::default()
-    };
-    let world = grid_world(&sim, &sc.sites, services);
-    let mut receiver_profile = sc.receiver_profile.clone();
-    if sc.proxy_on_receiver_gw {
-        let proxy = gridsim_net::SockAddr::new(world.sites[1].gateway_public_ip, SOCKS_PORT);
-        receiver_profile = receiver_profile.with_proxy(proxy);
-    }
-    let out: Arc<Mutex<Option<(SimTime, SimTime, EstablishMethod)>>> = Arc::new(Mutex::new(None));
-    {
-        let env = world.env.clone();
-        let host = world.host(1, 0);
-        sim.spawn("recv", move || {
-            let node = GridNode::join(&env, host, "recv", receiver_profile).unwrap();
-            let rp = node
-                .create_receive_port("delay", StackSpec::plain())
-                .unwrap();
-            let _ = rp.receive();
-        });
-    }
-    {
-        let env = world.env.clone();
-        let host = world.host(0, 0);
-        let profile = sc.sender_profile.clone();
-        let out = Arc::clone(&out);
-        sim.spawn("send", move || {
-            gridsim_net::ctx::sleep(Duration::from_millis(200));
-            let node = GridNode::join(&env, host, "send", profile).unwrap();
-            let mut sp = node.create_send_port();
-            let t0 = gridsim_net::ctx::now();
-            let m = sp.connect("delay").unwrap();
-            let t1 = gridsim_net::ctx::now();
-            sp.send(b"done").unwrap();
-            let _ = sp.close();
-            *out.lock() = Some((t0, t1, m));
-        });
-    }
-    sim.run();
-    let (t0, t1, m) = out.lock().take().expect("connected");
-    (t1.since(t0), m)
-}
-
 fn establishment(_: &Cli) {
-    let wan = LinkParams::mbps(4.0, Duration::from_millis(5));
-    let open = || SiteSpec::open("a", 1, wan);
-    let firewalled = |name| SiteSpec::firewalled(name, 1, wan);
-    let random_nat = || SiteSpec::natted("a", 1, NatKind::SymmetricRandom, wan);
-    let scenarios = [
-        Scenario {
-            name: "client/server (no brokering)",
-            sites: [open(), SiteSpec::open("b", 1, wan)],
-            sender_profile: ConnectivityProfile::open(),
-            receiver_profile: ConnectivityProfile::open(),
-            proxy_on_receiver_gw: false,
-            expect: EstablishMethod::ClientServer,
-        },
-        Scenario {
-            name: "TCP splicing (brokered via relay)",
-            sites: [firewalled("a"), firewalled("b")],
-            sender_profile: ConnectivityProfile::firewalled(),
-            receiver_profile: ConnectivityProfile::firewalled(),
-            proxy_on_receiver_gw: false,
-            expect: EstablishMethod::Splicing,
-        },
-        Scenario {
-            name: "splicing + NAT port prediction",
-            sites: [
-                SiteSpec::natted("a", 1, NatKind::SymmetricSequential, wan),
-                firewalled("b"),
-            ],
-            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricPredictable),
-            receiver_profile: ConnectivityProfile::firewalled(),
-            proxy_on_receiver_gw: false,
-            expect: EstablishMethod::Splicing,
-        },
-        Scenario {
-            name: "SOCKS proxy",
-            sites: [random_nat(), firewalled("b")],
-            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricRandom),
-            receiver_profile: ConnectivityProfile::firewalled(),
-            proxy_on_receiver_gw: true,
-            expect: EstablishMethod::Proxy,
-        },
-        Scenario {
-            name: "routed messages",
-            sites: [random_nat(), firewalled("b")],
-            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricRandom),
-            receiver_profile: ConnectivityProfile::firewalled(),
-            proxy_on_receiver_gw: false,
-            expect: EstablishMethod::Routed,
-        },
-    ];
-    println!("Connection establishment delay per method (10 ms RTT paths)");
+    let rtt_ms = E10_RTT.as_secs_f64() * 1e3;
+    println!("Connection establishment delay per method ({rtt_ms:.0} ms RTT paths)");
     println!("{}", "=".repeat(72));
-    println!("{:<36} | {:>12} | {:>10}", "scenario", "delay", "brokered");
+    println!(
+        "{:<36} | {:>12} | {:>6} | {:>10}",
+        "scenario", "delay", "RTTs", "brokered"
+    );
     println!("{}", "-".repeat(72));
-    for sc in &scenarios {
+    for sc in &e10_scenarios() {
         let (d, m) = connect_delay(sc);
         assert_eq!(m, sc.expect, "scenario '{}' used {m}", sc.name);
         println!(
-            "{:<36} | {:>9.1} ms | {:>10}",
+            "{:<36} | {:>9.1} ms | {:>6.1} | {:>10}",
             sc.name,
             d.as_secs_f64() * 1e3,
+            d.as_secs_f64() / E10_RTT.as_secs_f64(),
             if m.properties().needs_brokering {
                 "yes"
             } else {

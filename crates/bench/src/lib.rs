@@ -4,11 +4,11 @@
 //! `src/bin/` built on these helpers; see `DESIGN.md` §4 for the
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured results.
 
-use gridsim_net::{topology, LinkParams, NodeId, Sim, SockAddr};
+use gridsim_net::{topology, LinkParams, NatKind, NodeId, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
-    spawn_name_service, spawn_proxy, spawn_relay_mesh, ConnectivityProfile, CpuRates, GridEnv,
-    GridNode, PathControlConfig, RelayConfig, StackSpec,
+    spawn_name_service, spawn_proxy, spawn_relay_mesh, ConnectivityProfile, CpuRates,
+    EstablishMethod, GridEnv, GridNode, NatClass, PathControlConfig, RelayConfig, StackSpec,
 };
 use parking_lot::Mutex;
 use std::fmt::Display;
@@ -220,9 +220,10 @@ pub fn delft_sophia() -> Wan {
 pub struct BwPoint {
     /// Application-level goodput in bytes/sec.
     pub bandwidth: f64,
-    /// Segments the sending host's TCP connections had emitted, and bytes
-    /// their data paths had copied, when the receiver took the last
-    /// message. Simulation-determined, so identical on every machine.
+    /// Segments the sending host's data connections (every TCP connection
+    /// but its name-service link) had emitted, and bytes their data paths
+    /// had copied, when the receiver took the last message.
+    /// Simulation-determined, so identical on every machine.
     pub segs_sent: u64,
     pub bytes_copied: u64,
 }
@@ -384,6 +385,7 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
     let env_b = env.clone();
     let te = Arc::clone(&t_end);
     let spec = run.spec.clone();
+    let ns_addr = env.ns_addr;
     let (sender_host, totals) = (ha.clone(), Arc::clone(&tcp_totals));
     sim.spawn("receiver", move || {
         let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::open()).unwrap();
@@ -394,12 +396,16 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
         }
         *te.lock() = Some(gridsim_net::ctx::now());
         // The sender's connections are still open here (it closes after
-        // its last send returns); once closed the stack reaps them.
+        // its last send returns); once closed the stack reaps them. Its
+        // name-service link is not the data path: left out.
         *totals.lock() = sender_host.net().with(|w| {
             gridsim_tcp::stack::with_host(w, sender_host.node(), |host, _| {
-                host.conns.values().fold((0, 0), |(segs, copied), tcb| {
-                    (segs + tcb.stats.segs_sent, copied + tcb.stats.bytes_copied)
-                })
+                host.conns
+                    .values()
+                    .filter(|tcb| tcb.remote != ns_addr)
+                    .fold((0, 0), |(segs, copied), tcb| {
+                        (segs + tcb.stats.segs_sent, copied + tcb.stats.bytes_copied)
+                    })
             })
         });
     });
@@ -427,6 +433,126 @@ pub fn measure_bandwidth(run: &BwRun) -> BwPoint {
         segs_sent,
         bytes_copied,
     }
+}
+
+/// E10 (§2/§3.4): one establishment method's world — two one-host sites,
+/// the receiver's profile and the method the Fig-4 walk must settle on.
+pub struct E10Scenario {
+    pub name: &'static str,
+    sites: [topology::SiteSpec; 2],
+    sender_profile: ConnectivityProfile,
+    receiver_profile: ConnectivityProfile,
+    proxy_on_receiver_gw: bool,
+    pub expect: EstablishMethod,
+}
+
+/// One-way delay of every E10 site uplink.
+const E10_UPLINK: Duration = Duration::from_millis(5);
+/// A host's round trip to the public backbone (name service, relay): the
+/// unit E10 counts establishment in. Site to site is two of them.
+pub const E10_RTT: Duration = E10_UPLINK.saturating_mul(2);
+
+/// E10's five worlds, in the order `multisite establishment` prints them.
+pub fn e10_scenarios() -> [E10Scenario; 5] {
+    use topology::SiteSpec;
+    let wan = LinkParams::mbps(4.0, E10_UPLINK);
+    let open = || SiteSpec::open("a", 1, wan);
+    let firewalled = |name| SiteSpec::firewalled(name, 1, wan);
+    let random_nat = || SiteSpec::natted("a", 1, NatKind::SymmetricRandom, wan);
+    [
+        E10Scenario {
+            name: "client/server (no brokering)",
+            sites: [open(), SiteSpec::open("b", 1, wan)],
+            sender_profile: ConnectivityProfile::open(),
+            receiver_profile: ConnectivityProfile::open(),
+            proxy_on_receiver_gw: false,
+            expect: EstablishMethod::ClientServer,
+        },
+        E10Scenario {
+            name: "TCP splicing (brokered via relay)",
+            sites: [firewalled("a"), firewalled("b")],
+            sender_profile: ConnectivityProfile::firewalled(),
+            receiver_profile: ConnectivityProfile::firewalled(),
+            proxy_on_receiver_gw: false,
+            expect: EstablishMethod::Splicing,
+        },
+        E10Scenario {
+            name: "splicing + NAT port prediction",
+            sites: [
+                SiteSpec::natted("a", 1, NatKind::SymmetricSequential, wan),
+                firewalled("b"),
+            ],
+            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricPredictable),
+            receiver_profile: ConnectivityProfile::firewalled(),
+            proxy_on_receiver_gw: false,
+            expect: EstablishMethod::Splicing,
+        },
+        E10Scenario {
+            name: "SOCKS proxy",
+            sites: [random_nat(), firewalled("b")],
+            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricRandom),
+            receiver_profile: ConnectivityProfile::firewalled(),
+            proxy_on_receiver_gw: true,
+            expect: EstablishMethod::Proxy,
+        },
+        E10Scenario {
+            name: "routed messages",
+            sites: [random_nat(), firewalled("b")],
+            sender_profile: ConnectivityProfile::natted(NatClass::SymmetricRandom),
+            receiver_profile: ConnectivityProfile::firewalled(),
+            proxy_on_receiver_gw: false,
+            expect: EstablishMethod::Routed,
+        },
+    ]
+}
+
+/// How long `SendPort::connect` took in `sc`'s world (sim time), and the
+/// method it settled on.
+pub fn connect_delay(sc: &E10Scenario) -> (Duration, EstablishMethod) {
+    let sim = Sim::new(31);
+    let services = Services {
+        proxy_site: sc.proxy_on_receiver_gw.then_some(1),
+        ..Services::default()
+    };
+    let world = grid_world(&sim, &sc.sites, services);
+    let mut receiver_profile = sc.receiver_profile.clone();
+    if sc.proxy_on_receiver_gw {
+        let proxy = SockAddr::new(world.sites[1].gateway_public_ip, SOCKS_PORT);
+        receiver_profile = receiver_profile.with_proxy(proxy);
+    }
+    let out: Arc<Mutex<Option<(gridsim_net::SimTime, gridsim_net::SimTime, EstablishMethod)>>> =
+        Arc::new(Mutex::new(None));
+    {
+        let env = world.env.clone();
+        let host = world.host(1, 0);
+        sim.spawn("recv", move || {
+            let node = GridNode::join(&env, host, "recv", receiver_profile).unwrap();
+            let rp = node
+                .create_receive_port("delay", StackSpec::plain())
+                .unwrap();
+            let _ = rp.receive();
+        });
+    }
+    {
+        let env = world.env.clone();
+        let host = world.host(0, 0);
+        let profile = sc.sender_profile.clone();
+        let out = Arc::clone(&out);
+        sim.spawn("send", move || {
+            gridsim_net::ctx::sleep(Duration::from_millis(200));
+            let node = GridNode::join(&env, host, "send", profile).unwrap();
+            let mut sp = node.create_send_port();
+            let t0 = gridsim_net::ctx::now();
+            let m = sp.connect("delay").unwrap();
+            let t1 = gridsim_net::ctx::now();
+            sp.send(b"done").unwrap();
+            let _ = sp.close();
+            *out.lock() = Some((t0, t1, m));
+        });
+    }
+    sim.run();
+    let (t0, t1, m) = out.lock().take().expect("connected");
+    (t1.since(t0), m)
 }
 
 /// Pretty-print helpers shared by the figure binaries.

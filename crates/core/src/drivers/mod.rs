@@ -122,11 +122,12 @@ impl RawLink {
         }
     }
 
-    /// Unacknowledged bytes sitting in the transport's send buffer.
-    pub fn tx_backlog(&self) -> usize {
+    /// Free space in the transport's send buffer; unbounded on a routed
+    /// link, whose writes show no transport buffer.
+    pub fn send_room(&self) -> usize {
         match self {
-            RawLink::Tcp(s) => s.tx_backlog().unwrap_or(0),
-            RawLink::Routed(_) => 0,
+            RawLink::Tcp(s) => s.send_room().unwrap_or(0),
+            RawLink::Routed(_) => usize::MAX,
         }
     }
 }

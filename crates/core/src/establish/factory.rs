@@ -13,8 +13,10 @@
 //!   endpoints, NAT predictions) and therefore lives with the node runtime
 //!   that owns those links.
 
-use gridsim_net::SockAddr;
+use gridsim_net::{SockAddr, Waker};
 use gridsim_tcp::{SimHost, TcpStream};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::io;
 use std::time::Duration;
 
@@ -41,6 +43,68 @@ pub(crate) fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> i
         }
     }
     Err(last.expect("retry loop ran at least once"))
+}
+
+/// Serializes a node's NAT-mapping-creating operations so that splicing
+/// port predictions hold: a symmetric NAT allocates one external port per
+/// outbound flow, so any connection opened between "predict" and "SYN"
+/// would shift the counter. A FIFO gate (not RAII), so a splice
+/// negotiation can hold it across separate service-handler invocations.
+///
+/// Only a gate built with `serializes` set ever parks anyone: a cone NAT
+/// maps per internal endpoint, so concurrent flows cannot shift each
+/// other's mappings, and gating them would serialize a connection storm
+/// for nothing.
+pub(crate) struct NatGate {
+    serializes: bool,
+    state: Mutex<(bool, VecDeque<Waker>)>,
+}
+
+impl NatGate {
+    pub(crate) fn new(serializes: bool) -> NatGate {
+        NatGate {
+            serializes,
+            state: Mutex::default(),
+        }
+    }
+
+    /// Does [`run`](Self::run) take the gate?
+    pub(crate) fn serializes(&self) -> bool {
+        self.serializes
+    }
+
+    pub(crate) fn acquire(&self) {
+        loop {
+            {
+                let mut st = self.state.lock();
+                if !st.0 {
+                    st.0 = true;
+                    return;
+                }
+                st.1.push_back(gridsim_net::ctx::waker());
+            }
+            gridsim_net::ctx::park("nat gate");
+        }
+    }
+
+    pub(crate) fn release(&self) {
+        let mut st = self.state.lock();
+        st.0 = false;
+        if let Some(w) = st.1.pop_front() {
+            w.wake();
+        }
+    }
+
+    /// Run `f` holding the gate, if this gate serializes.
+    pub(crate) fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !self.serializes {
+            return f();
+        }
+        self.acquire();
+        let r = f();
+        self.release();
+        r
+    }
 }
 
 /// Builds bootstrap connections: direct TCP when the site allows outbound,
@@ -70,9 +134,14 @@ impl BootstrapSocketFactory {
     /// concurrent dials can transiently exhaust the ephemeral port space;
     /// that surfaces as `AddrInUse` and is retried after a short backoff.
     pub fn connect(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        retry_addr_in_use(|| match self.via_proxy {
+        retry_addr_in_use(|| self.dial(addr))
+    }
+
+    /// One connection attempt, no retry.
+    pub(crate) fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        match self.via_proxy {
             Some(proxy) => socks_connect(&self.host, proxy, addr),
             None => self.host.connect(addr),
-        })
+        }
     }
 }

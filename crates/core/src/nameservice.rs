@@ -4,10 +4,13 @@
 //! prediction (the paper's splicing through "known and predictable port
 //! translation" needs exactly this).
 //!
-//! Protocol: one length-prefixed request frame per connection-turn;
-//! clients open a fresh connection per request (requests are rare —
-//! registration and lookups — and this keeps firewalled clients simple:
-//! every request is an ordinary outbound client/server connection).
+//! Protocol: length-prefixed request frames, each answered by one reply
+//! frame, in order, on the connection it arrived on. A client keeps one
+//! persistent outbound connection — its *bootstrap link* (paper §5) — and
+//! pipelines every request on it ([`NsClient`]), so a lookup costs one
+//! round trip and no new NAT flow. Only NAT-prediction probes (`OBSERVED`)
+//! open fresh connections: what they measure is the mapping a new flow
+//! gets.
 //!
 //! The server listens on two consecutive ports; probing both from the same
 //! local port distinguishes cone NAT (same external port observed twice)
@@ -16,14 +19,15 @@
 //! proper communication methods").
 
 use bytes::Bytes;
-use gridsim_net::SockAddr;
+use gridsim_net::{SimMutex, SockAddr};
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::establish::factory::BootstrapSocketFactory;
+use crate::establish::factory::{retry_addr_in_use, BootstrapSocketFactory, NatGate};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameReader, FrameStream, FrameWriter};
 
@@ -249,8 +253,12 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
     }
 }
 
-/// Client handle: opens one connection per request, built by the
-/// bootstrap socket factory (paper Fig. 8).
+/// Client handle over the node's *bootstrap link* (paper §5): one
+/// persistent connection to the name service, built by the bootstrap
+/// socket factory (paper Fig. 8) on the first request and shared by every
+/// clone of the handle. NAT-prediction probes are the exception: each is a
+/// fresh connection, because what it measures is the mapping a new flow
+/// gets.
 #[derive(Clone)]
 pub struct NsClient {
     host: SimHost,
@@ -258,6 +266,73 @@ pub struct NsClient {
     factory: BootstrapSocketFactory,
     /// Dial through this SOCKS proxy (for strictly firewalled sites).
     via_proxy: Option<SockAddr>,
+    /// The owning node's NAT gate: the link's dial creates a NAT flow.
+    nat_gate: Arc<NatGate>,
+    link: Arc<SimMutex<Option<Arc<LinkConn>>>>,
+}
+
+/// One connection of the bootstrap link. Requests are pipelined: each is
+/// written under the link's lock and takes the next ticket, and the server
+/// answers a connection's frames in order, so the n-th reply read off it
+/// is ticket n's.
+struct LinkConn {
+    stream: TcpStream,
+    /// Tickets handed out; advanced under the link's lock.
+    issued: AtomicU64,
+    replies: SimMutex<Replies>,
+    /// Set once a read failed: every ticket still unanswered fails, and
+    /// the next request redials. Publishes nothing else (`Relaxed`).
+    dead: AtomicBool,
+}
+
+struct Replies {
+    frames: FrameStream,
+    /// Ticket of the next reply off the wire.
+    next: u64,
+    /// Replies read for earlier tickets whose owners have not had the lock
+    /// yet: a running task can take a just-released lock ahead of the
+    /// waiter it woke, so tickets do not reach it strictly in order.
+    early: BTreeMap<u64, Bytes>,
+}
+
+impl LinkConn {
+    fn usable(&self) -> bool {
+        !self.dead.load(Ordering::Relaxed) && self.stream.health().is_none()
+    }
+
+    /// Ticket `ticket`'s reply. Whoever holds the reply lock reads for
+    /// everyone, in arrival order; a reply that is not its own is left
+    /// for its owner.
+    fn reply(&self, ticket: u64) -> io::Result<Bytes> {
+        let mut rx = self.replies.lock();
+        loop {
+            if let Some(frame) = rx.early.remove(&ticket) {
+                return Ok(frame);
+            }
+            if self.dead.load(Ordering::Relaxed) {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "name-service link lost",
+                ));
+            }
+            let frame = match rx.frames.next_frame() {
+                Ok(frame) => frame,
+                Err(e) => {
+                    // EOF, reset or a malformed reply: the stream is out of
+                    // step with its tickets and cannot be reused.
+                    self.dead.store(true, Ordering::Relaxed);
+                    self.stream.abort();
+                    return Err(e);
+                }
+            };
+            let t = rx.next;
+            rx.next += 1;
+            if t == ticket {
+                return Ok(frame);
+            }
+            rx.early.insert(t, frame);
+        }
+    }
 }
 
 impl NsClient {
@@ -268,21 +343,60 @@ impl NsClient {
             ns_addr,
             factory,
             via_proxy,
+            nat_gate: Arc::new(NatGate::new(false)),
+            link: Arc::new(SimMutex::new(None)),
         }
+    }
+
+    /// Dial the link under `gate` (a symmetric-NAT node's).
+    pub(crate) fn with_nat_gate(mut self, gate: Arc<NatGate>) -> NsClient {
+        self.nat_gate = gate;
+        self
     }
 
     pub fn addr(&self) -> SockAddr {
         self.ns_addr
     }
 
-    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        self.factory.connect(addr)
-    }
-
+    /// Send one request on the link and wait for its reply. A dead link
+    /// is dropped and redialed first. A request that dies in flight
+    /// returns its error and is not resent: REGISTER and REGISTER_PORT
+    /// are not idempotent.
+    ///
+    /// Lock order: the link, then the NAT gate (taken by the dial, once
+    /// per attempt). No holder of the gate issues a link request — the
+    /// probes it covers dial their own connections.
     fn request(&self, frame: FrameWriter) -> io::Result<Bytes> {
-        let mut stream = self.dial(self.ns_addr)?;
-        frame.send(&mut stream)?;
-        FrameStream::new(stream).next_frame()
+        let (conn, ticket) = {
+            let mut link = self.link.lock();
+            let conn = match link.as_ref().filter(|c| c.usable()) {
+                Some(conn) => Arc::clone(conn),
+                None => {
+                    *link = None;
+                    let stream = retry_addr_in_use(|| {
+                        self.nat_gate.run(|| self.factory.dial(self.ns_addr))
+                    })?;
+                    let conn = Arc::new(LinkConn {
+                        replies: SimMutex::new(Replies {
+                            frames: FrameStream::new(stream.clone()),
+                            next: 0,
+                            early: BTreeMap::new(),
+                        }),
+                        stream,
+                        issued: AtomicU64::new(0),
+                        dead: AtomicBool::new(false),
+                    });
+                    link.insert(conn).clone()
+                }
+            };
+            if let Err(e) = frame.send(&mut conn.stream.clone()) {
+                *link = None;
+                return Err(e);
+            }
+            let ticket = conn.issued.fetch_add(1, Ordering::Relaxed);
+            (conn, ticket)
+        };
+        conn.reply(ticket)
     }
 
     fn request_ok(&self, frame: FrameWriter) -> io::Result<Bytes> {
@@ -397,7 +511,7 @@ impl NsClient {
             Some(_) => {
                 // Observed-through-proxy shows the proxy, which is what a
                 // strict-firewall site genuinely looks like from outside.
-                self.dial(target)?
+                self.factory.connect(target)?
             }
             None => self.host.connect_opts(
                 target,

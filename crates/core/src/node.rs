@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use crate::cpu::{CpuModel, CpuRates, HostCpu};
 use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
+use crate::establish::factory::{retry_addr_in_use, NatGate};
 use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
 use crate::nameservice::{GridId, NsClient, PortRecord};
 use crate::port::{
@@ -213,11 +214,9 @@ pub(crate) struct NodeInner {
     /// number is in the port's name and the name is on the wire.
     next_rpc_client: AtomicU64,
     seed_base: u64,
-    /// Serializes NAT-mapping-creating operations on this node so that
-    /// splicing port predictions hold: a symmetric NAT allocates one
-    /// external port per outbound flow, so any concurrent connection
-    /// between "predict" and "SYN" would shift the counter.
-    nat_gate: NatGate,
+    /// Serializes NAT-mapping-creating operations on this node; shared
+    /// with the name-service client, whose link dial creates a flow.
+    nat_gate: Arc<NatGate>,
     /// Responder-side splice negotiations awaiting the initiator's GO.
     pending_splices: Mutex<HashMap<u64, PendingSplice>>,
     /// Cumulative-ack watermarks of this node's open send channels, keyed
@@ -244,34 +243,17 @@ struct PendingSplice {
     holds_gate: bool,
 }
 
-/// A FIFO gate (non-RAII mutex) that can be held across separate service
-/// handler invocations.
-#[derive(Default)]
-struct NatGate {
-    state: Mutex<(bool, std::collections::VecDeque<gridsim_net::Waker>)>,
-}
-
-impl NatGate {
-    fn acquire(&self) {
-        loop {
-            {
-                let mut st = self.state.lock();
-                if !st.0 {
-                    st.0 = true;
-                    return;
-                }
-                st.1.push_back(gridsim_net::ctx::waker());
-            }
-            gridsim_net::ctx::park("nat gate");
-        }
-    }
-    fn release(&self) {
-        let mut st = self.state.lock();
-        st.0 = false;
-        if let Some(w) = st.1.pop_front() {
-            w.wake();
-        }
-    }
+/// Does a node with this profile need the NAT gate at all? Only symmetric
+/// NATs allocate one external port per *flow*, so only they make port
+/// predictions order-sensitive. A cone NAT maps per internal endpoint:
+/// concurrent flows cannot shift each other's mappings, so gating them
+/// would only serialize a connection storm for nothing — walks to
+/// unrelated peers run concurrently (single-flight stays per-LinkKey).
+fn nat_serializes(profile: &ConnectivityProfile) -> bool {
+    matches!(
+        profile.nat,
+        Some(NatClass::SymmetricPredictable | NatClass::SymmetricRandom)
+    )
 }
 
 /// One walk of the Figure-4 decision tree: the methods still to try, in
@@ -332,7 +314,9 @@ impl GridNode {
         } else {
             None
         };
-        let ns = NsClient::new(host.clone(), env.ns_addr, via_proxy);
+        let nat_gate = Arc::new(NatGate::new(nat_serializes(&profile)));
+        let ns = NsClient::new(host.clone(), env.ns_addr, via_proxy)
+            .with_nat_gate(Arc::clone(&nat_gate));
         // Publish the ordered relay list only when there are fallbacks —
         // single-relay deployments keep their registration frames (and
         // wire traces) byte-identical.
@@ -367,7 +351,7 @@ impl GridNode {
             next_channel: AtomicU64::new(1),
             next_rpc_client: AtomicU64::new(1),
             seed_base,
-            nat_gate: NatGate::default(),
+            nat_gate,
             pending_splices: Mutex::new(HashMap::new()),
             ack_cells: Mutex::new(HashMap::new()),
             links: LinkTable::new(Arc::clone(&env.walks)),
@@ -473,32 +457,6 @@ impl GridNode {
         (self.inner.id << 24) | self.inner.next_channel.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Does this node need the NAT gate at all? Only symmetric NATs
-    /// allocate one external port per *flow*, so only they make port
-    /// predictions order-sensitive. A cone NAT maps per internal endpoint:
-    /// concurrent flows cannot shift each other's mappings, so gating them
-    /// would only serialize a connection storm for nothing — walks to
-    /// unrelated peers run concurrently (single-flight stays per-LinkKey).
-    fn nat_serializes(&self) -> bool {
-        matches!(
-            self.inner.profile.nat,
-            Some(NatClass::SymmetricPredictable | NatClass::SymmetricRandom)
-        )
-    }
-
-    /// Run `f` while holding the NAT gate (no-op unless the node's NAT
-    /// makes mapping creation order-sensitive — see [`Self::nat_serializes`]).
-    fn nat_gated<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.nat_serializes() {
-            self.inner.nat_gate.acquire();
-            let r = f();
-            self.inner.nat_gate.release();
-            r
-        } else {
-            f()
-        }
-    }
-
     fn alloc_splice_ports(&self, n: u16) -> Vec<u16> {
         (0..n)
             .map(|_| self.inner.next_splice_port.fetch_add(1, Ordering::Relaxed) as u16)
@@ -514,11 +472,9 @@ impl GridNode {
         let data_port = self.inner.next_data_port.fetch_add(1, Ordering::Relaxed) as u16;
         let listener = self.inner.host.listen(data_port)?;
         let listen_addr = SockAddr::new(self.inner.host.ip(), data_port);
-        self.nat_gated(|| {
-            self.inner
-                .ns
-                .register_port(self.inner.id, name, Some(listen_addr), &spec.encode())
-        })?;
+        self.inner
+            .ns
+            .register_port(self.inner.id, name, Some(listen_addr), &spec.encode())?;
         // The receive port acks over the service link when one exists;
         // without a relay the watermark still travels in resume replies.
         let ack = match &self.inner.relay {
@@ -610,8 +566,7 @@ impl GridNode {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let (rec, peer_profile, _peer_name) =
-            self.nat_gated(|| self.inner.ns.lookup_port(port_name))?;
+        let (rec, peer_profile, _peer_name) = self.inner.ns.lookup_port(port_name)?;
         let spec = StackSpec::decode(&rec.stack)?;
         let key = LinkKey::new(rec.owner, &spec);
         let channels: Vec<u64> = (0..count).map(|_| self.alloc_channel()).collect();
@@ -959,8 +914,8 @@ impl GridNode {
                 if link.channel_count() == 0 {
                     break;
                 }
-                let now = gridsim_net::ctx::now().as_nanos() / 1_000;
-                let sample = link.sample_stats(now);
+                let now = || gridsim_net::ctx::now().as_nanos() / 1_000;
+                let sample = link.sample_stats(now());
                 let ctl = ctl.get_or_insert_with(|| PathController::new(link.path_params(), cfg));
                 // A recovery may have reset the live parameters behind our
                 // back; resync before and after deciding.
@@ -968,6 +923,8 @@ impl GridNode {
                 if let Some(p) = ctl.on_sample(sample) {
                     let _ = node.reconfigure_link(&link, p);
                     ctl.applied(link.path_params());
+                    // The next window starts once the swap is done.
+                    ctl.on_sample(link.sample_stats(now()));
                 }
             }
         });
@@ -1127,15 +1084,14 @@ impl GridNode {
                 .map(|c| (c.channel, c.peer_port.clone()))
                 .collect();
             let plan = ResumeMeta { gen, extras };
-            let (rec, peer_profile, _) =
-                match self.nat_gated(|| self.inner.ns.lookup_port(&anchor.peer_port)) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        walk = Walk::new(Vec::new());
-                        walk.failed(e.to_string(), e.kind());
-                        continue;
-                    }
-                };
+            let (rec, peer_profile, _) = match self.inner.ns.lookup_port(&anchor.peer_port) {
+                Ok(x) => x,
+                Err(e) => {
+                    walk = Walk::new(Vec::new());
+                    walk.failed(e.to_string(), e.kind());
+                    continue;
+                }
+            };
             walk = Walk::new(choose_methods(
                 &self.inner.profile,
                 &peer_profile,
@@ -1225,8 +1181,10 @@ impl GridNode {
                     // Storm hardening: transient ephemeral-port exhaustion
                     // (AddrInUse) retries outside the NAT gate, so a
                     // symmetric-NAT node never sleeps while holding it.
-                    let s = crate::establish::factory::retry_addr_in_use(|| {
-                        self.nat_gated(|| self.inner.host.connect(listener))
+                    let s = retry_addr_in_use(|| {
+                        self.inner
+                            .nat_gate
+                            .run(|| self.inner.host.connect(listener))
                     })?;
                     self.send_preamble(&s, channel, idx, spec.streams(), resume)?;
                     links.push(RawLink::Tcp(s));
@@ -1249,7 +1207,10 @@ impl GridNode {
                 })?;
                 let mut links = Vec::with_capacity(spec.streams() as usize);
                 for idx in 0..spec.streams() {
-                    let s = self.nat_gated(|| socks_connect(&self.inner.host, proxy, listener))?;
+                    let s = self
+                        .inner
+                        .nat_gate
+                        .run(|| socks_connect(&self.inner.host, proxy, listener))?;
                     self.send_preamble(&s, channel, idx, spec.streams(), resume)?;
                     links.push(RawLink::Tcp(s));
                 }
@@ -1409,7 +1370,7 @@ impl GridNode {
         let peer_eps: Vec<SockAddr> = (0..n).map(|_| r.addr()).collect::<io::Result<_>>()?;
 
         // 2. Predict and emit SYNs under the NAT gate.
-        let natted = self.nat_serializes();
+        let natted = self.inner.nat_gate.serializes();
         if natted {
             self.inner.nat_gate.acquire();
         }
@@ -1502,7 +1463,7 @@ impl GridNode {
                 self.inner.nat_gate.release();
             }
         }
-        let natted = self.nat_serializes();
+        let natted = self.inner.nat_gate.serializes();
         if natted {
             self.inner.nat_gate.acquire();
         }

@@ -392,6 +392,7 @@ impl SharedLink {
             let io = self.io.lock();
             let mut agg = PathStats {
                 at_micros,
+                tx_room: u64::MAX,
                 ..PathStats::default()
             };
             let mut srtt_sum = 0u64;
@@ -406,7 +407,7 @@ impl SharedLink {
                         srtt_n += 1;
                     }
                 }
-                agg.tx_backlog += l.tx_backlog() as u64;
+                agg.tx_room = agg.tx_room.min(l.send_room() as u64);
             }
             agg.srtt_micros = srtt_sum.checked_div(srtt_n).unwrap_or(0);
             (agg, io.active as u16)

@@ -34,10 +34,13 @@ pub struct PathStats {
     pub fast_retransmits: u64,
     /// Mean smoothed RTT over stripes that have a sample, in micros.
     pub srtt_micros: u64,
-    /// Bytes sitting unacknowledged in transport send buffers. Near zero
-    /// means the network drains faster than the application (or the
-    /// compressor) can fill it — the path is not the bottleneck.
-    pub tx_backlog: u64,
+    /// Free send-buffer space of the fullest active stripe. The writer
+    /// waiting on the transport keeps that buffer full; room on every
+    /// stripe means the network drains faster than the application (or
+    /// the compressor) can fill it — the path is not the bottleneck. On a
+    /// window-bound path the bytes in flight say nothing of this: they
+    /// are the window, whoever is waiting.
+    pub tx_room: u64,
     /// Active stripe count at sample time.
     pub stripes: u16,
     /// Parameters the sampled stack was built from.
@@ -125,9 +128,9 @@ const LOSS_RTX: u64 = 3;
 const MIN_BLOCK: u32 = 4 * 1024;
 /// Ceiling for stripe probes.
 const MAX_STRIPES: u16 = 16;
-/// Send-buffer occupancy (bytes) below which the path is considered
-/// application/CPU-bound rather than network-bound.
-const IDLE_BACKLOG: u64 = 4 * 1024;
+/// Send-buffer room (bytes, on every active stripe) above which the path
+/// is considered application/CPU-bound rather than network-bound.
+const IDLE_ROOM: u64 = 4 * 1024;
 
 #[derive(Clone, Copy, Debug)]
 enum Mode {
@@ -210,8 +213,20 @@ impl PathController {
         }
     }
 
-    /// Feed one sample; `Some(params)` asks the caller to reconfigure.
+    /// Feed one sample; `Some(params)` asks the caller to reconfigure,
+    /// and to feed the next sample as soon as that returns: the time in
+    /// between holds the swap itself (quiesce and ack, at least one RTT)
+    /// and is no configuration's goodput, so that sample only opens the
+    /// next window.
     pub fn on_sample(&mut self, s: PathStats) -> Option<PathParams> {
+        let decision = self.decide(s);
+        if decision.is_some() {
+            self.last = None;
+        }
+        decision
+    }
+
+    fn decide(&mut self, s: PathStats) -> Option<PathParams> {
         let prev_sample = self.last.replace(s);
         let prev_sample = prev_sample?;
         let Some(rate) = rate_between(&prev_sample, &s) else {
@@ -266,7 +281,7 @@ impl PathController {
             }
         }
 
-        let app_bound = s.tx_backlog <= IDLE_BACKLOG;
+        let app_bound = s.tx_room > IDLE_ROOM;
 
         // CPU shed: compressing while the wire idles means the compressor
         // is the bottleneck — step it down one level.
@@ -328,75 +343,114 @@ mod tests {
         }
     }
 
-    fn sample(at_ms: u64, bytes: u64, rtx: u64, backlog: u64) -> PathStats {
+    /// Send-buffer room of a writer waiting on the transport, and of one
+    /// that is not.
+    const FULL: u64 = 0;
+    const IDLE: u64 = 64 * 1024;
+
+    fn sample(at_ms: u64, bytes: u64, rtx: u64, room: u64) -> PathStats {
         PathStats {
             at_micros: at_ms * 1000,
             bytes_sent: bytes,
             rtx_timeouts: rtx,
-            tx_backlog: backlog,
+            tx_room: room,
             ..PathStats::default()
         }
     }
 
     /// Drive the controller to the end of its initial cooldown.
-    fn warmed(ctl: &mut PathController, bytes_per_ms: u64, backlog: u64) -> (u64, u64) {
+    fn warmed(ctl: &mut PathController, bytes_per_ms: u64, room: u64) -> (u64, u64) {
         let mut t = 0;
         let mut b = 0;
-        ctl.on_sample(sample(t, b, 0, backlog));
+        ctl.on_sample(sample(t, b, 0, room));
         for _ in 0..ctl.config().cooldown {
             t += 100;
             b += bytes_per_ms * 100;
-            assert_eq!(ctl.on_sample(sample(t, b, 0, backlog)), None);
+            assert_eq!(ctl.on_sample(sample(t, b, 0, room)), None);
         }
         (t, b)
+    }
+
+    /// The sample the caller takes when a swap returns: it decides
+    /// nothing, it opens the next window.
+    fn swapped(ctl: &mut PathController, s: PathStats) {
+        assert_eq!(ctl.on_sample(s), None);
     }
 
     #[test]
     fn probes_stripes_up_when_network_bound() {
         let mut ctl = PathController::new(PathParams::default(), cfg());
-        let (mut t, mut b) = warmed(&mut ctl, 1000, 64 * 1024);
+        let (mut t, mut b) = warmed(&mut ctl, 1000, FULL);
         t += 100;
         b += 100_000;
-        let p = ctl.on_sample(sample(t, b, 0, 64 * 1024)).expect("probe");
+        let p = ctl.on_sample(sample(t, b, 0, FULL)).expect("probe");
         assert_eq!(p.stripes, 2);
+        swapped(&mut ctl, sample(t, b, 0, FULL));
         // Probe pays off: 30% more goodput next window → kept.
         t += 100;
         b += 130_000;
-        assert_eq!(ctl.on_sample(sample(t, b, 0, 64 * 1024)), None);
+        assert_eq!(ctl.on_sample(sample(t, b, 0, FULL)), None);
+        assert_eq!(ctl.params().stripes, 2);
+    }
+
+    /// A probe is judged on the window that starts once its swap is done,
+    /// not on the one that starts at the sample which decided it: that
+    /// one holds the swap's own stall (here 40 ms of a 90 ms window with
+    /// nothing sent), and a probe judged on it reverts however well it
+    /// does.
+    #[test]
+    fn probe_is_judged_from_the_end_of_its_swap() {
+        let mut ctl = PathController::new(PathParams::default(), cfg());
+        let (mut t, mut b) = warmed(&mut ctl, 1000, FULL);
+        t += 100;
+        b += 100_000;
+        assert_eq!(
+            ctl.on_sample(sample(t, b, 0, FULL)).map(|p| p.stripes),
+            Some(2)
+        );
+        // Quiesce + ack: 40 ms, no bytes.
+        t += 40;
+        swapped(&mut ctl, sample(t, b, 0, FULL));
+        // 10% more goodput once live: above the 8% bar.
+        t += 50;
+        b += 55_000;
+        assert_eq!(ctl.on_sample(sample(t, b, 0, FULL)), None);
         assert_eq!(ctl.params().stripes, 2);
     }
 
     #[test]
     fn reverts_flat_probe_and_blocks_retry() {
         let mut ctl = PathController::new(PathParams::default(), cfg());
-        let (mut t, mut b) = warmed(&mut ctl, 1000, 64 * 1024);
+        let (mut t, mut b) = warmed(&mut ctl, 1000, FULL);
         t += 100;
         b += 100_000;
-        assert!(ctl.on_sample(sample(t, b, 0, 64 * 1024)).is_some());
+        assert!(ctl.on_sample(sample(t, b, 0, FULL)).is_some());
+        swapped(&mut ctl, sample(t, b, 0, FULL));
         // Flat goodput → revert to 1 stripe.
         t += 100;
         b += 100_000;
-        let p = ctl.on_sample(sample(t, b, 0, 64 * 1024)).expect("revert");
+        let p = ctl.on_sample(sample(t, b, 0, FULL)).expect("revert");
         assert_eq!(p.stripes, 1);
+        swapped(&mut ctl, sample(t, b, 0, FULL));
         // Same conditions: the failed probe must NOT be retried.
         for _ in 0..6 {
             t += 100;
             b += 100_000;
-            assert_eq!(ctl.on_sample(sample(t, b, 0, 64 * 1024)), None);
+            assert_eq!(ctl.on_sample(sample(t, b, 0, FULL)), None);
         }
         // Goodput collapses 50% — environment changed, probe unblocked.
         for _ in 0..4 {
             t += 100;
             b += 40_000;
         }
-        let got = ctl.on_sample(sample(t, b, 0, 64 * 1024));
+        let got = ctl.on_sample(sample(t, b, 0, FULL));
         assert_eq!(got.map(|p| p.stripes), Some(2));
     }
 
     #[test]
     fn loss_halves_block_size_to_floor() {
         let mut ctl = PathController::new(PathParams::default(), cfg());
-        let (mut t, mut b) = warmed(&mut ctl, 1000, 64 * 1024);
+        let (mut t, mut b) = warmed(&mut ctl, 1000, FULL);
         let mut rtx = 0;
         let mut expect = PathParams::default().block_size;
         // Loss acts immediately, ignoring cooldown: every lossy window
@@ -405,15 +459,16 @@ mod tests {
             t += 100;
             b += 100_000;
             rtx += 10;
-            let p = ctl.on_sample(sample(t, b, rtx, 64 * 1024)).expect("shrink");
+            let p = ctl.on_sample(sample(t, b, rtx, FULL)).expect("shrink");
             expect = (expect / 2).max(MIN_BLOCK);
             assert_eq!(p.block_size, expect);
+            swapped(&mut ctl, sample(t, b, rtx, FULL));
         }
         // At the floor, further loss changes nothing.
         t += 100;
         b += 100_000;
         rtx += 10;
-        assert_eq!(ctl.on_sample(sample(t, b, rtx, 64 * 1024)), None);
+        assert_eq!(ctl.on_sample(sample(t, b, rtx, FULL)), None);
         assert_eq!(ctl.params().block_size, MIN_BLOCK);
     }
 
@@ -424,27 +479,47 @@ mod tests {
             ..PathParams::default()
         };
         let mut ctl = PathController::new(initial, cfg());
-        // Tiny backlog: wire drains faster than the compressor fills.
-        let (mut t, mut b) = warmed(&mut ctl, 1000, 0);
+        // Room in the send buffer: the wire drains faster than the
+        // compressor fills.
+        let (mut t, mut b) = warmed(&mut ctl, 1000, IDLE);
         t += 100;
         b += 100_000;
-        let p = ctl.on_sample(sample(t, b, 0, 0)).expect("shed");
+        let p = ctl.on_sample(sample(t, b, 0, IDLE)).expect("shed");
         assert_eq!(p.compression_level, None);
+        swapped(&mut ctl, sample(t, b, 0, IDLE));
         // 20% faster once the CPU is free → kept.
         t += 100;
         b += 120_000;
-        assert_eq!(ctl.on_sample(sample(t, b, 0, 0)), None);
+        assert_eq!(ctl.on_sample(sample(t, b, 0, IDLE)), None);
         assert_eq!(ctl.params().compression_level, None);
+    }
+
+    /// A window-bound fast path: the whole 64 KiB window is in flight
+    /// (40 KiB unacknowledged at every sample), yet the writer never
+    /// waits — 24 KiB of send buffer stay free. The compressor is the
+    /// bottleneck and is shed; counting the bytes in flight as a backlog
+    /// would call this path network-bound for ever.
+    #[test]
+    fn sheds_compression_on_a_window_bound_path() {
+        let initial = PathParams {
+            compression_level: Some(1),
+            ..PathParams::default()
+        };
+        let mut ctl = PathController::new(initial, cfg());
+        let room = 24 * 1024;
+        let (t, b) = warmed(&mut ctl, 1000, room);
+        let p = ctl.on_sample(sample(t + 100, b + 100_000, 0, room));
+        assert_eq!(p.map(|p| p.compression_level), Some(None));
     }
 
     #[test]
     fn counter_reset_treated_as_disturbance() {
         let mut ctl = PathController::new(PathParams::default(), cfg());
-        let (t, _) = warmed(&mut ctl, 1000, 64 * 1024);
+        let (t, _) = warmed(&mut ctl, 1000, FULL);
         // Recovery swapped the sockets: bytes_sent rewinds to near zero.
-        assert_eq!(ctl.on_sample(sample(t + 100, 5, 0, 64 * 1024)), None);
+        assert_eq!(ctl.on_sample(sample(t + 100, 5, 0, FULL)), None);
         // Cooldown restarted — no probe on the very next window.
-        assert_eq!(ctl.on_sample(sample(t + 200, 100_005, 0, 64 * 1024)), None);
+        assert_eq!(ctl.on_sample(sample(t + 200, 100_005, 0, FULL)), None);
     }
 
     #[test]

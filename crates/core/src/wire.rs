@@ -583,7 +583,7 @@ impl<'a> FrameReader<'a> {
     }
 
     pub fn addr(&mut self) -> io::Result<SockAddr> {
-        let ip = self.u64()? as u32;
+        let ip = u32::try_from(self.u64()?).map_err(|_| bad("ip out of range"))?;
         let port = self.u64()?;
         if port > u16::MAX as u64 {
             return Err(bad("port out of range"));

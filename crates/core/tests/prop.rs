@@ -399,3 +399,21 @@ fn declared_counts_are_not_believed() {
     );
     assert_eq!(msg(MAX_MESSAGE + 1).map_err(kind), Err(invalid));
 }
+
+/// An IP is 32 bits: a wider varint is refused, not truncated to another
+/// host — alone, in a name-service record and in an address list (splice
+/// endpoints, relay lists) alike. The port beside it always was checked.
+#[test]
+fn wide_addresses_are_refused() {
+    let kind = |e: io::Error| e.kind();
+    let invalid = io::ErrorKind::InvalidData;
+    for ip in [1 << 32, (1 << 32) | 0x0a00_0001, u64::MAX] {
+        let addr = FrameWriter::new().u64(ip).u64(80).into_bytes();
+        assert_eq!(FrameReader::new(&addr).addr().map_err(kind), Err(invalid));
+        let list = FrameWriter::new().u64(1).u64(ip).u64(80).into_bytes();
+        assert_eq!(FrameReader::new(&list).addrs().map_err(kind), Err(invalid));
+        let record = FrameWriter::new().u64(7).str("port").u8(1).u64(ip).u64(80);
+        let record = record.bytes(b"").into_bytes();
+        assert_eq!(PortRecord::dec(&record).map_err(kind), Err(invalid));
+    }
+}

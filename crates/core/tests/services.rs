@@ -88,6 +88,149 @@ fn name_service_crud() {
     assert!(done.is_finished());
 }
 
+/// Requests from concurrent tasks share one link and each gets its own
+/// reply, including when a task that just got its reply issues the next
+/// request and takes the reply lock ahead of the waiters it woke: it then
+/// reads their replies first and must leave them to their owners.
+#[test]
+fn pipelined_replies_reach_their_own_requests() {
+    let sim = Sim::new(75);
+    let (ha, _hb, hs) = star(&sim);
+    let ns_addr = SockAddr::new(hs.ip(), 563);
+    sim.spawn("ns", move || spawn_name_service(&hs, 563).unwrap());
+    sim.run();
+    let ns = NsClient::new(ha.clone(), ns_addr, None);
+    let setup = {
+        let ns = ns.clone();
+        sim.spawn("setup", move || {
+            let id = ns
+                .register("node-a", &ConnectivityProfile::open(), &[])
+                .unwrap();
+            for p in 0..3u16 {
+                let listener = SockAddr::new(ha.ip(), 20_000 + p);
+                ns.register_port(id, &format!("port-{p}"), Some(listener), b"")
+                    .unwrap();
+            }
+        })
+    };
+    sim.run();
+    assert!(setup.is_finished());
+    let tasks: Vec<_> = (0..3u16)
+        .map(|p| {
+            let ns = ns.clone();
+            sim.spawn(format!("lookup-{p}"), move || {
+                for _ in 0..4 {
+                    let (rec, _, _) = ns.lookup_port(&format!("port-{p}")).unwrap();
+                    assert_eq!(rec.listener.map(|l| l.port), Some(20_000 + p));
+                }
+            })
+        })
+        .collect();
+    sim.run();
+    assert!(tasks.iter().all(|t| t.is_finished()));
+}
+
+/// Hostile request bodies as `serve_conn` reads them. A raw client sends,
+/// each on a connection of its own, for every opcode with a body a
+/// truncated and a damaged one (damaged so that it cannot decode as some
+/// other valid request), then an unknown opcode, an empty frame and a
+/// header declaring more than `MAX_FRAME`. Each ends in the server closing
+/// that connection or answering an error; none registers anything or
+/// takes the server down: a node's persistent link answers lookups
+/// between every two of them, on the one connection it dialed.
+#[test]
+fn hostile_requests_end_their_own_connection_only() {
+    use netgrid::wire::{FrameStream, FrameWriter, MAX_FRAME};
+    let sim = Sim::new(74);
+    let (ha, hb, hs) = star(&sim);
+    let ns_addr = SockAddr::new(hs.ip(), 563);
+    sim.spawn("ns", move || spawn_name_service(&hs, 563).unwrap());
+    sim.run();
+    let done = sim.spawn("client", move || {
+        let ns = NsClient::new(ha.clone(), ns_addr, None);
+        let id = ns
+            .register("node-a", &ConnectivityProfile::open(), &[])
+            .unwrap();
+        ns.register_port(id, "good", None, b"spec").unwrap();
+        let link_port = ha.net().with(|w| {
+            gridsim_tcp::stack::with_host(w, ha.node(), |h, _| {
+                let mut ports = h.conns.values().map(|tcb| tcb.local.port);
+                let port = ports.next();
+                assert!(ports.next().is_none(), "one connection: the link");
+                port
+            })
+        });
+
+        // Request frames: opcode, then body. Opcodes are the protocol's
+        // (`nameservice.rs`, `mod op`).
+        let frame = |op: u8, body: &[u8]| {
+            let mut f = Vec::new();
+            gridzip::varint::put(&mut f, 1 + body.len() as u64);
+            f.push(op);
+            f.extend_from_slice(body);
+            f
+        };
+        let node = FrameWriter::new().str("evil");
+        let node = ConnectivityProfile::open().encode(node).into_bytes();
+        let port = FrameWriter::new()
+            .u64(id)
+            .str("evil")
+            .opt_addr(None)
+            .bytes(b"");
+        let port = port.into_bytes();
+        let bad_utf8 = FrameWriter::new().bytes(&[0xff, 0xfe]).into_bytes();
+        let mut bad_tag = FrameWriter::new().u64(id).str("evil").into_bytes();
+        bad_tag.push(7); // neither "no listener" (0) nor "listener" (1)
+        let wide_ip = FrameWriter::new().u64(1 << 32).u64(80).into_bytes();
+        let mut hostile = vec![
+            frame(1, &node[..node.len() / 2]), // REGISTER, truncated
+            frame(1, &bad_utf8),               // REGISTER, name not UTF-8
+            frame(2, &port[..port.len() - 2]), // REGISTER_PORT, truncated
+            frame(2, &bad_tag),                // REGISTER_PORT, bad option tag
+            frame(3, &[5, b'g']),              // LOOKUP_PORT, truncated name
+            frame(3, &bad_utf8),               // LOOKUP_PORT, name not UTF-8
+            frame(4, &[]),                     // LOOKUP_NODE, no id
+            frame(4, &[0xff; 11]),             // LOOKUP_NODE, overlong varint
+            frame(7, &[9, b'g', b'o']),        // UNREGISTER_PORT, truncated
+            frame(7, &bad_utf8),               // UNREGISTER_PORT, not UTF-8
+            frame(8, &wide_ip[..1]),           // CONNECT_BACK, truncated
+            frame(8, &wide_ip),                // CONNECT_BACK, 33-bit IP
+            frame(99, b"whatever"),            // unknown opcode
+            vec![0],                           // no opcode at all
+        ];
+        let mut oversize = Vec::new();
+        gridzip::varint::put(&mut oversize, MAX_FRAME as u64 + 1);
+        hostile.push(oversize);
+
+        for (i, bytes) in hostile.into_iter().enumerate() {
+            let raw = hb.connect(ns_addr).unwrap();
+            raw.write_all_blocking(&bytes).unwrap();
+            // An error reply, or the server closed the connection.
+            if let Ok(reply) = FrameStream::new(raw.clone()).next_frame() {
+                assert_eq!(reply.first(), Some(&0), "case {i} answered {reply:?}");
+            }
+            let (rec, _, owner) = ns.lookup_port("good").unwrap();
+            assert_eq!((rec.owner, owner.as_str()), (id, "node-a"), "case {i}");
+        }
+
+        // Nothing registered, nothing unregistered.
+        assert_eq!(ns.list_ports().unwrap(), vec!["good".to_string()]);
+        assert!(ns.lookup_node(id + 1).is_err());
+        // Every answer came over the link the first request dialed.
+        let still = ha.net().with(|w| {
+            gridsim_tcp::stack::with_host(w, ha.node(), |h, _| {
+                h.conns
+                    .values()
+                    .map(|tcb| tcb.local.port)
+                    .collect::<Vec<_>>()
+            })
+        });
+        assert_eq!(still, Vec::from_iter(link_port));
+    });
+    sim.run();
+    assert!(done.is_finished());
+}
+
 struct EchoDelegate;
 
 impl RelayDelegate for EchoDelegate {

@@ -421,12 +421,12 @@ impl TcpStream {
         self.with_tcb(|tcb, _| tcb.stats)
     }
 
-    /// Bytes written by the application but not yet acknowledged by the
-    /// peer (send-buffer occupancy). A persistently near-zero backlog
-    /// means the sender can't fill the pipe — the application, not the
-    /// network, is the bottleneck. Never blocks.
-    pub fn tx_backlog(&self) -> io::Result<usize> {
-        self.with_tcb(|tcb, _| tcb.cfg.send_buf as usize - tcb.send_space())
+    /// Free space in the send buffer. A writer waiting on the transport
+    /// keeps it near zero (a staged write refills the buffer on every
+    /// ACK); room that persists means the writer is not waiting — the
+    /// application, not the network, is the bottleneck. Never blocks.
+    pub fn send_room(&self) -> io::Result<usize> {
+        self.with_tcb(|tcb, _| tcb.send_space())
     }
 
     /// Health probe for supervision code: `Some(kind)` if the connection
