@@ -5,8 +5,9 @@
 #   clippy  cargo clippy --workspace --all-targets -D warnings, then the
 #           repository's own rules: no `Instant::now` / `SystemTime` in
 #           crates/, src/, tests/ or examples/ — host time is gridbench's to
-#           read — no `std::env::var` in the five product crates' src, and
-#           no link-frame field coded outside crates/core/src/wire.rs
+#           read — no `std::env::var` in the five product crates' src, no
+#           link-frame field coded outside crates/core/src/wire.rs, and no
+#           request table, reply stash or redial loop outside link.rs
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -104,6 +105,12 @@ stage_clippy() {
   # port.rs are the application's own, in ReadMessage / WriteMessage).
   if grep -nE 'read_varint|varint::put_slice|RESUME_FLAG|mux::' crates/core/src/{port,session,node}.rs; then
     echo "data-link field coded outside wire.rs (lines above); use its codec"
+    return 1
+  fi
+  # How a service link is dialed, read, redialed and answered is link.rs's:
+  # no second request table, reply stash or reconnect loop beside it.
+  if grep -rnE 'struct Waiters|early:|fn redial|RECONNECT_' crates/core/src --exclude=link.rs; then
+    echo "link supervision outside link.rs (lines above); use ServiceLink / Pending / Backoff"
     return 1
   fi
 }

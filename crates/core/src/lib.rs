@@ -73,6 +73,7 @@
 pub mod cpu;
 pub mod drivers;
 pub mod establish;
+pub(crate) mod link;
 pub mod nameservice;
 pub mod node;
 pub mod pool;

@@ -19,15 +19,15 @@
 //! proper communication methods").
 
 use bytes::Bytes;
-use gridsim_net::{SimMutex, SockAddr};
+use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::establish::factory::{retry_addr_in_use, BootstrapSocketFactory, NatGate};
+use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameReader, FrameStream, FrameWriter};
 
@@ -256,147 +256,98 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
 /// Client handle over the node's *bootstrap link* (paper §5): one
 /// persistent connection to the name service, built by the bootstrap
 /// socket factory (paper Fig. 8) on the first request and shared by every
-/// clone of the handle. NAT-prediction probes are the exception: each is a
-/// fresh connection, because what it measures is the mapping a new flow
-/// gets.
+/// clone of the handle; the last handle closes it. NAT-prediction probes
+/// are the exception: each is a fresh connection, because what it
+/// measures is the mapping a new flow gets.
 #[derive(Clone)]
 pub struct NsClient {
     host: SimHost,
     ns_addr: SockAddr,
-    factory: BootstrapSocketFactory,
     /// Dial through this SOCKS proxy (for strictly firewalled sites).
     via_proxy: Option<SockAddr>,
+    /// No ladder: a lost link stays down until the next request dials it.
+    link: Arc<ServiceLink>,
+    tickets: Tickets,
+}
+
+/// The link's requests, pipelined: filed under the connection they went out
+/// on, and taken under the writer lock, in the order they go out. The
+/// server answers a connection's requests in that order, so each reply is
+/// the oldest outstanding ticket's. A reply with no ticket outstanding kills
+/// the connection: it is out of step with its requests, and every later
+/// reply would reach the wrong one.
+#[derive(Clone)]
+struct Tickets {
+    pending: Arc<Pending<Bytes>>,
+    factory: BootstrapSocketFactory,
     /// The owning node's NAT gate: the link's dial creates a NAT flow.
-    nat_gate: Arc<NatGate>,
-    link: Arc<SimMutex<Option<Arc<LinkConn>>>>,
+    gate: Arc<NatGate>,
 }
 
-/// One connection of the bootstrap link. Requests are pipelined: each is
-/// written under the link's lock and takes the next ticket, and the server
-/// answers a connection's frames in order, so the n-th reply read off it
-/// is ticket n's.
-struct LinkConn {
-    stream: TcpStream,
-    /// Tickets handed out; advanced under the link's lock.
-    issued: AtomicU64,
-    replies: SimMutex<Replies>,
-    /// Set once a read failed: every ticket still unanswered fails, and
-    /// the next request redials. Publishes nothing else (`Relaxed`).
-    dead: AtomicBool,
-}
-
-struct Replies {
-    frames: FrameStream,
-    /// Ticket of the next reply off the wire.
-    next: u64,
-    /// Replies read for earlier tickets whose owners have not had the lock
-    /// yet: a running task can take a just-released lock ahead of the
-    /// waiter it woke, so tickets do not reach it strictly in order.
-    early: BTreeMap<u64, Bytes>,
-}
-
-impl LinkConn {
-    fn usable(&self) -> bool {
-        !self.dead.load(Ordering::Relaxed) && self.stream.health().is_none()
+impl LinkOwner for Tickets {
+    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        retry_addr_in_use(|| self.gate.run(|| self.factory.dial(addr)))
     }
 
-    /// Ticket `ticket`'s reply. Whoever holds the reply lock reads for
-    /// everyone, in arrival order; a reply that is not its own is left
-    /// for its owner.
-    fn reply(&self, ticket: u64) -> io::Result<Bytes> {
-        let mut rx = self.replies.lock();
-        loop {
-            if let Some(frame) = rx.early.remove(&ticket) {
-                return Ok(frame);
-            }
-            if self.dead.load(Ordering::Relaxed) {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "name-service link lost",
-                ));
-            }
-            let frame = match rx.frames.next_frame() {
-                Ok(frame) => frame,
-                Err(e) => {
-                    // EOF, reset or a malformed reply: the stream is out of
-                    // step with its tickets and cannot be reused.
-                    self.dead.store(true, Ordering::Relaxed);
-                    self.stream.abort();
-                    return Err(e);
-                }
-            };
-            let t = rx.next;
-            rx.next += 1;
-            if t == ticket {
-                return Ok(frame);
-            }
-            rx.early.insert(t, frame);
+    fn dispatch(&self, gen: u64, frame: Bytes) -> io::Result<()> {
+        if self.pending.resolve_oldest(gen, frame) {
+            return Ok(());
         }
+        let stray = "name service: reply with no request outstanding";
+        Err(io::Error::new(io::ErrorKind::InvalidData, stray))
+    }
+
+    fn lost(&self, gen: u64) {
+        self.pending.reset(|tag| tag == gen);
     }
 }
 
 impl NsClient {
     pub fn new(host: SimHost, ns_addr: SockAddr, via_proxy: Option<SockAddr>) -> NsClient {
-        let factory = BootstrapSocketFactory::new(host.clone(), via_proxy);
+        Self::gated(host, ns_addr, via_proxy, Arc::new(NatGate::new(false)))
+    }
+
+    /// A client whose link dials under `gate` (a symmetric-NAT node's).
+    pub(crate) fn gated(
+        host: SimHost,
+        ns_addr: SockAddr,
+        via_proxy: Option<SockAddr>,
+        gate: Arc<NatGate>,
+    ) -> NsClient {
+        let tickets = Tickets {
+            pending: Arc::new(Pending::new()),
+            factory: BootstrapSocketFactory::new(host.clone(), via_proxy),
+            gate,
+        };
         NsClient {
             host,
             ns_addr,
-            factory,
             via_proxy,
-            nat_gate: Arc::new(NatGate::new(false)),
-            link: Arc::new(SimMutex::new(None)),
+            link: ServiceLink::new("ns-link".into(), vec![ns_addr], Backoff::ms(0, 0, 0)),
+            tickets,
         }
-    }
-
-    /// Dial the link under `gate` (a symmetric-NAT node's).
-    pub(crate) fn with_nat_gate(mut self, gate: Arc<NatGate>) -> NsClient {
-        self.nat_gate = gate;
-        self
     }
 
     pub fn addr(&self) -> SockAddr {
         self.ns_addr
     }
 
-    /// Send one request on the link and wait for its reply. A dead link
-    /// is dropped and redialed first. A request that dies in flight
-    /// returns its error and is not resent: REGISTER and REGISTER_PORT
-    /// are not idempotent.
+    /// Send one request on the link and wait for its reply. A request that
+    /// dies in flight returns `ConnectionReset` and is not resent:
+    /// REGISTER and REGISTER_PORT are not idempotent.
     ///
-    /// Lock order: the link, then the NAT gate (taken by the dial, once
-    /// per attempt). No holder of the gate issues a link request — the
-    /// probes it covers dial their own connections.
+    /// Lock order: the link's writer, then the NAT gate (taken by the
+    /// dial, once per attempt). No holder of the gate issues a link
+    /// request — the probes it covers dial their own connections.
     fn request(&self, frame: FrameWriter) -> io::Result<Bytes> {
-        let (conn, ticket) = {
-            let mut link = self.link.lock();
-            let conn = match link.as_ref().filter(|c| c.usable()) {
-                Some(conn) => Arc::clone(conn),
-                None => {
-                    *link = None;
-                    let stream = retry_addr_in_use(|| {
-                        self.nat_gate.run(|| self.factory.dial(self.ns_addr))
-                    })?;
-                    let conn = Arc::new(LinkConn {
-                        replies: SimMutex::new(Replies {
-                            frames: FrameStream::new(stream.clone()),
-                            next: 0,
-                            early: BTreeMap::new(),
-                        }),
-                        stream,
-                        issued: AtomicU64::new(0),
-                        dead: AtomicBool::new(false),
-                    });
-                    link.insert(conn).clone()
-                }
-            };
-            if let Err(e) = frame.send(&mut conn.stream.clone()) {
-                *link = None;
-                return Err(e);
-            }
-            let ticket = conn.issued.fetch_add(1, Ordering::Relaxed);
-            (conn, ticket)
-        };
-        conn.reply(ticket)
+        let pending = &self.tickets.pending;
+        let ticket = self.link.send(&self.tickets, |stream, gen| {
+            let ticket = pending.next_id();
+            pending
+                .post(ticket, gen, || frame.send(stream))
+                .map(|()| ticket)
+        })?;
+        pending.wait(ticket, "ns reply")
     }
 
     fn request_ok(&self, frame: FrameWriter) -> io::Result<Bytes> {
@@ -511,7 +462,7 @@ impl NsClient {
             Some(_) => {
                 // Observed-through-proxy shows the proxy, which is what a
                 // strict-firewall site genuinely looks like from outside.
-                self.factory.connect(target)?
+                self.tickets.factory.connect(target)?
             }
             None => self.host.connect_opts(
                 target,
@@ -590,5 +541,45 @@ impl NsClient {
         } else {
             Ok(Some(NatClass::SymmetricRandom))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim_net::{topology, Sim};
+    use std::time::Duration;
+
+    /// The link's connection dies under a lookup in flight, and the next
+    /// lookup runs before the pump has noticed. That lookup dials a fresh
+    /// connection and gets its record; the one in flight on the dead
+    /// connection ends in `ConnectionReset` instead of parking.
+    #[test]
+    fn a_lookup_that_beats_the_pump_to_a_dead_link_dials_afresh() {
+        let sim = Sim::new(1);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let ns_addr = SockAddr::new(hb.ip(), 500);
+        let client = sim.spawn("client", move || {
+            spawn_name_service(&hb, 500).unwrap();
+            let ns = NsClient::new(ha, ns_addr, None);
+            let id = ns.register("a", &ConnectivityProfile::open(), &[]).unwrap();
+            ns.register_port(id, "p", None, b"").unwrap();
+            let racing = ns.clone();
+            let in_flight = gridsim_net::ctx::handle().spawn("lookup", move || {
+                racing.lookup_port("p").map(|_| ()).unwrap_err().kind()
+            });
+            gridsim_net::ctx::sleep(Duration::from_micros(1)); // its request is out
+            let abort = |s: &mut TcpStream, _| {
+                s.abort();
+                io::Result::Ok(())
+            };
+            ns.link.send(&ns.tickets, abort).unwrap();
+            assert_eq!(ns.lookup_port("p").unwrap().0.owner, id);
+            assert_eq!(in_flight.join(), io::ErrorKind::ConnectionReset);
+        });
+        sim.run();
+        assert!(client.is_finished());
     }
 }

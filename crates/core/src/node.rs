@@ -28,6 +28,7 @@ use crate::cpu::{CpuModel, CpuRates, HostCpu};
 use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
 use crate::establish::factory::{retry_addr_in_use, NatGate};
 use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
+use crate::link::Backoff;
 use crate::nameservice::{GridId, NsClient, PortRecord};
 use crate::port::{
     AckCell, AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort,
@@ -42,10 +43,8 @@ use crate::wire::{
     ResumeReply,
 };
 
-/// Reconnect schedule for failed data links: attempts and backoff.
-const RECOVER_ATTEMPTS: u32 = 8;
-const RECOVER_BASE: Duration = Duration::from_millis(50);
-const RECOVER_DELAY_CAP: Duration = Duration::from_secs(2);
+/// Reconnect schedule for failed data links.
+pub(crate) const RECOVER: Backoff = Backoff::ms(8, 50, 2000);
 /// How long a sender waits for the receiver's reply on stream 0 (the
 /// delivered counts after a resume preamble, the ack of a RECONFIG) before
 /// abandoning the attempt (polled, so a second failure right there cannot
@@ -315,8 +314,7 @@ impl GridNode {
             None
         };
         let nat_gate = Arc::new(NatGate::new(nat_serializes(&profile)));
-        let ns = NsClient::new(host.clone(), env.ns_addr, via_proxy)
-            .with_nat_gate(Arc::clone(&nat_gate));
+        let ns = NsClient::gated(host.clone(), env.ns_addr, via_proxy, Arc::clone(&nat_gate));
         // Publish the ordered relay list only when there are fallbacks —
         // single-relay deployments keep their registration frames (and
         // wire traces) byte-identical.
@@ -1062,12 +1060,10 @@ impl GridNode {
             .first()
             .map(|c| c.peer_port.clone())
             .unwrap_or_default();
-        let mut delay = RECOVER_BASE;
         // The last attempt's walk: what each of its methods ran into.
         let mut walk = Walk::new(Vec::new());
-        for _ in 0..RECOVER_ATTEMPTS {
+        for delay in RECOVER.delays() {
             gridsim_net::ctx::sleep(delay);
-            delay = (delay * 2).min(RECOVER_DELAY_CAP);
             let chans = link.replay_order();
             let Some(anchor) = chans.first() else {
                 // Every channel detached while we backed off: nothing to
@@ -1135,8 +1131,8 @@ impl GridNode {
                 }
             }
         }
-        let what =
-            format!("could not recover link to '{peer_desc}' after {RECOVER_ATTEMPTS} attempts");
+        let attempts = RECOVER.attempts;
+        let what = format!("could not recover link to '{peer_desc}' after {attempts} attempts");
         Err(walk.into_error(what))
     }
 

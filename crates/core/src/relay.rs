@@ -28,6 +28,7 @@ use std::sync::Arc;
 use crate::drivers::blockio::chunks_until;
 use crate::drivers::{BlockRead, BlockWrite};
 use crate::establish::factory::BootstrapSocketFactory;
+use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::nameservice::GridId;
 use crate::wire::{frame_onto, FrameReader, FrameStream, FrameWriter};
 
@@ -100,11 +101,9 @@ const ROUTE_WAIT_CAP: usize = 256;
 /// A route pull that no peer answers within this window fails its parked
 /// frames with NOPEER.
 const ROUTE_QUERY_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(500);
-/// Mesh peer redial backoff (a peer relay may restart at any time).
-const PEER_DIAL_BASE: std::time::Duration = std::time::Duration::from_millis(200);
-const PEER_DIAL_CAP: std::time::Duration = std::time::Duration::from_secs(2);
-/// Consecutive failed dials before a mesh peer is declared gone for good.
-const PEER_DIAL_STRIKES: u32 = 10;
+/// Between a relay's dials of a mesh peer: the tenth in a row that ends,
+/// served or not, is the last.
+pub(crate) const PEER_DIAL: Backoff = Backoff::ms(9, 200, 2000);
 
 /// Configuration for [`spawn_relay_mesh`]: a relay that may peer with
 /// other relays into a routed overlay.
@@ -381,25 +380,17 @@ impl MeshRelay {
         }
     }
 
+    /// Dial a mesh peer (which may restart at any time) along
+    /// [`PEER_DIAL`]. Every dial counts, one whose link served and then
+    /// died included: a peer dead past the whole ladder is assumed gone for
+    /// good (its clients fail over to the survivors), and giving up lets a
+    /// simulation with a crashed relay wind down instead of redialing
+    /// forever.
     fn peer_dial_loop(self: &Arc<Self>, host: &SimHost, addr: SockAddr) {
-        let mut delay = PEER_DIAL_BASE;
-        let mut strikes = 0u32;
-        loop {
-            if self.peer_dial_once(host, addr).is_ok() {
-                delay = PEER_DIAL_BASE;
-                strikes = 0;
-            } else {
-                // A peer dead past the whole backoff ladder is assumed gone
-                // for good (its clients fail over to the survivors); giving
-                // up also lets a simulation with a crashed relay wind down
-                // instead of redialing forever.
-                strikes += 1;
-                if strikes >= PEER_DIAL_STRIKES {
-                    return;
-                }
-            }
+        let _ = self.peer_dial_once(host, addr);
+        for delay in PEER_DIAL.delays() {
             gridsim_net::ctx::sleep(delay);
-            delay = (delay * 2).min(PEER_DIAL_CAP);
+            let _ = self.peer_dial_once(host, addr);
         }
     }
 
@@ -857,80 +848,6 @@ pub trait RelayDelegate: Send + Sync {
     ) -> Result<(), String>;
 }
 
-/// One request parked on an answer from `to`.
-struct Waiter<T> {
-    to: GridId,
-    result: Option<T>,
-    waker: Option<gridsim_net::Waker>,
-}
-
-impl<T> Waiter<T> {
-    /// Record the outcome and release the parked task.
-    fn set(&mut self, result: T) {
-        self.result = Some(result);
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-/// In-flight requests by id (service calls, stream opens). Ordered, so
-/// failing many at once wakes their tasks in the same order on every run.
-struct Waiters<T>(Mutex<BTreeMap<u64, Waiter<T>>>);
-
-impl<T> Waiters<T> {
-    fn new() -> Waiters<T> {
-        Waiters(Mutex::new(BTreeMap::new()))
-    }
-
-    fn insert(&self, id: u64, to: GridId) {
-        let slot = Waiter {
-            to,
-            result: None,
-            waker: None,
-        };
-        self.0.lock().insert(id, slot);
-    }
-
-    /// The peer's answer to request `id`. False when nobody waits on `id`
-    /// any more or it has an outcome already: the first one stands.
-    fn resolve(&self, id: u64, result: T) -> bool {
-        let mut slots = self.0.lock();
-        let open = slots.get_mut(&id).filter(|s| s.result.is_none());
-        open.map(|s| s.set(result)).is_some()
-    }
-
-    /// Fail the requests `which(id, to)` selects, unless they already have
-    /// an outcome.
-    fn fail(&self, which: impl Fn(u64, GridId) -> bool, result: impl Fn() -> T) {
-        for (&id, s) in self.0.lock().iter_mut() {
-            if s.result.is_none() && which(id, s.to) {
-                s.set(result());
-            }
-        }
-    }
-
-    fn remove(&self, id: u64) {
-        self.0.lock().remove(&id);
-    }
-
-    /// Park until request `id` has a result and take it; the slot is gone
-    /// afterwards. `None` if the slot vanished while we were parked.
-    fn wait(&self, id: u64, reason: &'static str) -> Option<T> {
-        loop {
-            {
-                let mut slots = self.0.lock();
-                let slot = slots.get_mut(&id)?;
-                if slot.result.is_some() {
-                    return slots.remove(&id)?.result;
-                }
-                slot.waker = Some(gridsim_net::ctx::waker());
-            }
-            gridsim_net::ctx::park(reason);
-        }
-    }
-}
-
 /// Key of a routed stream in a client's table: `(peer, sid, opened_by_peer)`.
 /// Both ends number the streams they open from 1, so the direction bit is
 /// part of the identity.
@@ -938,11 +855,13 @@ type StreamKey = (GridId, u64, bool);
 
 struct RcInner {
     id: GridId,
-    writer: SimMutex<TcpStream>,
-    pending: Waiters<io::Result<Vec<u8>>>,
-    open_waits: Waiters<Result<(), String>>,
-    next_req: AtomicU64,
-    next_sid: AtomicU64,
+    /// The service link, redialed along [`REDIAL`].
+    link: Arc<ServiceLink>,
+    factory: BootstrapSocketFactory,
+    /// Service requests by id, filed under the peer they went to.
+    pending: Pending<io::Result<Vec<u8>>>,
+    /// Stream opens by sid, filed under the peer they went to.
+    open_waits: Pending<Result<(), String>>,
     /// Live routed streams, ours and the peers'.
     streams: Mutex<BTreeMap<StreamKey, RoutedStream>>,
     delegate: Mutex<Option<Arc<dyn RelayDelegate>>>,
@@ -952,23 +871,12 @@ struct RcInner {
     /// Times this client was BUSY-throttled (observability + bench probe).
     busy_throttles: AtomicU64,
     sched: SchedHandle,
-    /// Redial state so the pump can reconnect after a relay restart.
-    host: SimHost,
-    /// Ordered relay addresses: `[0]` is the primary; the rest are
-    /// failover targets once the current relay stays dead past the first
-    /// backoff attempt. Unless the relays are meshed, every node must share
-    /// the order, so failed-over peers converge on the same relay.
-    relay_addrs: Vec<SockAddr>,
-    /// Index into `relay_addrs` of the relay currently connected.
-    current: AtomicUsize,
-    via_proxy: Option<SockAddr>,
 }
 
-/// Redial schedule after the relay connection drops: attempts and backoff.
-const RECONNECT_ATTEMPTS: u32 = 6;
-const RECONNECT_BASE: std::time::Duration = std::time::Duration::from_millis(100);
-const RECONNECT_CAP: std::time::Duration = std::time::Duration::from_secs(2);
-/// Initial-connect sweeps over the relay list before `join` gives up.
+/// Before each redial of a lost relay connection.
+pub(crate) const REDIAL: Backoff = Backoff::ms(6, 100, 2000);
+/// Sweeps of the ordered relay list at join: a login storm can refuse dials
+/// (accept backlog full) to a healthy relay.
 const HELLO_SWEEPS: u32 = 3;
 const HELLO_SWEEP_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
 /// In-flight service requests failed by a relay loss are retried for this
@@ -994,9 +902,12 @@ impl RelayClient {
         Self::connect_multi(host, vec![relay_addr], via_proxy, id)
     }
 
-    /// Like [`connect`](Self::connect), with an ordered relay list: the
-    /// first reachable relay wins (in order), and the pump's redial fails
-    /// over along the same list when the current relay stays dead.
+    /// Like [`connect`](Self::connect), with an ordered relay list:
+    /// `[0]` is the primary, the rest failover targets. The first reachable
+    /// relay wins (in order), and the pump's redial fails over along the
+    /// same list when the current relay stays dead past the first attempt.
+    /// Unless the relays are meshed, every node must share the order, so
+    /// failed-over peers converge on the same relay.
     pub fn connect_multi(
         host: &SimHost,
         relay_addrs: Vec<SockAddr>,
@@ -1009,68 +920,33 @@ impl RelayClient {
                 "no relay addresses",
             ));
         }
-        let factory = BootstrapSocketFactory::new(host.clone(), via_proxy);
-        let mut dialed = None;
-        let mut last_err: io::Error = io::ErrorKind::AddrNotAvailable.into();
-        // A login storm can transiently refuse dials (relay accept backlog
-        // full) even though the relay is healthy; sweep the ordered list a
-        // few times with a short backoff before declaring failure. Local
-        // ephemeral-port exhaustion is retried below this, inside
-        // `factory.connect`.
-        'sweep: for round in 0..HELLO_SWEEPS {
-            if round > 0 {
-                gridsim_net::ctx::sleep(HELLO_SWEEP_BACKOFF);
-            }
-            for (idx, &addr) in relay_addrs.iter().enumerate() {
-                match Self::dial_hello(&factory, addr, id) {
-                    Ok(stream) => {
-                        dialed = Some((stream, idx));
-                        break 'sweep;
-                    }
-                    Err(e) => last_err = e,
-                }
-            }
-        }
-        let Some((stream, idx)) = dialed else {
-            return Err(last_err);
+        let client = RelayClient {
+            inner: Arc::new(RcInner {
+                id,
+                link: ServiceLink::new(format!("relay-pump-{id}"), relay_addrs, REDIAL),
+                factory: BootstrapSocketFactory::new(host.clone(), via_proxy),
+                pending: Pending::new(),
+                open_waits: Pending::new(),
+                streams: Mutex::new(BTreeMap::new()),
+                delegate: Mutex::new(None),
+                congested: Mutex::new(HashMap::new()),
+                busy_throttles: AtomicU64::new(0),
+                sched: host.net().sched().clone(),
+            }),
         };
-        let inner = Arc::new(RcInner {
-            id,
-            writer: SimMutex::new(stream.clone()),
-            pending: Waiters::new(),
-            open_waits: Waiters::new(),
-            next_req: AtomicU64::new(1),
-            next_sid: AtomicU64::new(1),
-            streams: Mutex::new(BTreeMap::new()),
-            delegate: Mutex::new(None),
-            congested: Mutex::new(HashMap::new()),
-            busy_throttles: AtomicU64::new(0),
-            sched: host.net().sched().clone(),
-            host: host.clone(),
-            relay_addrs,
-            current: AtomicUsize::new(idx),
-            via_proxy,
-        });
-        let client = RelayClient { inner };
-        let pump = client.clone();
-        host.net()
-            .sched()
-            .spawn_daemon(format!("relay-pump-{id}"), move || {
-                pump.pump_loop(stream);
-            });
-        Ok(client)
-    }
-
-    /// One connect + HELLO towards a relay address.
-    fn dial_hello(
-        factory: &BootstrapSocketFactory,
-        addr: SockAddr,
-        id: GridId,
-    ) -> io::Result<TcpStream> {
-        let stream = factory.connect(addr)?;
-        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(id);
-        hello.send(&mut stream.clone())?;
-        Ok(stream)
+        // Up to `HELLO_SWEEPS` sweeps of the list (a send with the link
+        // down dials it); ephemeral-port exhaustion is retried inside each
+        // dial.
+        let join = || client.inner.link.send(&client, |_, _| Ok(()));
+        let mut joined = join();
+        for _ in 1..HELLO_SWEEPS {
+            if joined.is_ok() {
+                break;
+            }
+            gridsim_net::ctx::sleep(HELLO_SWEEP_BACKOFF);
+            joined = join();
+        }
+        joined.map(|()| client)
     }
 
     /// Probe the service link after a suspected outage by re-sending
@@ -1078,10 +954,11 @@ impl RelayClient {
     /// the registration (harmless, and it heals a one-sided eviction). Dead
     /// link whose RST was lost in the outage: the write provokes a fresh
     /// reset that wakes the pump into its redial-and-re-HELLO path. Errors
-    /// are ignored — the pump owns reconnection.
+    /// are ignored — the pump owns reconnection; a link whose ladder ran
+    /// out is dialed again here, as by any request.
     pub fn nudge(&self) {
         let hello = FrameWriter::new().u8(relay_op::HELLO).u64(self.inner.id);
-        let _ = hello.send(&mut *self.inner.writer.lock());
+        let _ = self.inner.link.send(self, |w, _| hello.send(w));
     }
 
     pub fn id(&self) -> GridId {
@@ -1097,7 +974,7 @@ impl RelayClient {
     /// into `inner`'s headroom, the whole frame out as one block.
     fn send_inner(&self, to: GridId, inner: FrameWriter) -> io::Result<()> {
         let send = FrameWriter::new().u8(relay_op::SEND).u64(to).wrap(inner);
-        send.send(&mut *self.inner.writer.lock())
+        self.inner.link.send(self, |w, _| send.send(w))
     }
 
     /// Blocking service request/response — the brokering channel.
@@ -1117,7 +994,7 @@ impl RelayClient {
         timeout: Option<std::time::Duration>,
     ) -> io::Result<Vec<u8>> {
         // A request failed by a relay-connection loss (`ConnectionReset`,
-        // from `fail_inflight` or a dead writer) is retried while the pump
+        // from `lost` or a dead writer) is retried while the pump
         // redials — possibly onto a failover relay — until the window
         // closes. Fault-free requests resolve on the first try and never
         // enter the loop; other errors (TimedOut, NotFound, refusals)
@@ -1142,7 +1019,7 @@ impl RelayClient {
         payload: &[u8],
         timeout: Option<std::time::Duration>,
     ) -> io::Result<Vec<u8>> {
-        let req_id = self.inner.next_req.fetch_add(1, Ordering::Relaxed);
+        let req_id = self.inner.pending.next_id();
         if let Some(dt) = timeout {
             let weak = Arc::downgrade(&self.inner);
             self.inner
@@ -1158,32 +1035,9 @@ impl RelayClient {
             .u8(inner_op::SVC_REQ)
             .u64(req_id)
             .bytes(payload);
-        self.request(&self.inner.pending, req_id, to, frame, "relay svc rsp")?
-    }
-
-    /// Register request `id` in `table`, send `frame` to `to` and park until
-    /// the request resolves. Whichever way this returns, the slot is gone.
-    fn request<T>(
-        &self,
-        table: &Waiters<T>,
-        id: u64,
-        to: GridId,
-        frame: FrameWriter,
-        reason: &'static str,
-    ) -> io::Result<T> {
-        table.insert(id, to);
-        if let Err(e) = self.send_inner(to, frame) {
-            table.remove(id);
-            return Err(e);
-        }
-        // A slot that vanished while we were parked means the relay
-        // connection churned under the request: retryable, not a bug.
-        table.wait(id, reason).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "relay request dropped during reconnect",
-            )
-        })
+        let pending = &self.inner.pending;
+        pending.post(req_id, to, || self.send_inner(to, frame))?;
+        pending.wait(req_id, "relay svc rsp")?
     }
 
     /// Open a routed byte stream to `port_name` on node `to`.
@@ -1193,7 +1047,7 @@ impl RelayClient {
         port_name: &str,
         channel: u64,
     ) -> io::Result<RoutedStream> {
-        let sid = self.inner.next_sid.fetch_add(1, Ordering::Relaxed);
+        let sid = self.inner.open_waits.next_id();
         let stream = RoutedStream::new(self.clone(), to, sid, true);
         let key = stream.key();
         self.inner.streams.lock().insert(key, stream.clone());
@@ -1203,9 +1057,9 @@ impl RelayClient {
             .str(port_name)
             .u64(channel);
         let refused = |msg| io::Error::new(io::ErrorKind::ConnectionRefused, msg);
-        let opened = self
-            .request(&self.inner.open_waits, sid, to, frame, "relay open")
-            .and_then(|answer| answer.map_err(refused));
+        let waits = &self.inner.open_waits;
+        let posted = waits.post(sid, to, || self.send_inner(to, frame));
+        let opened = posted.and_then(|()| waits.wait(sid, "relay open")?.map_err(refused));
         if opened.is_err() {
             // The table entry holds the stream, and the stream this client:
             // a failed open must not leave that cycle behind.
@@ -1214,115 +1068,9 @@ impl RelayClient {
         opened.map(|()| stream)
     }
 
-    /// The receive pump with supervision: dispatch frames until the relay
-    /// connection dies, fail everything in flight with a retryable error,
-    /// then redial with exponential backoff and re-HELLO. Gives up after
-    /// [`RECONNECT_ATTEMPTS`] consecutive failures.
-    fn pump_loop(&self, stream: TcpStream) {
-        let mut conn = Some(stream);
-        // Read-ahead lives in the reader: a fresh one per connection.
-        while let Some(mut frames) = conn.map(FrameStream::new) {
-            while let Ok(frame) = frames.next_frame() {
-                if self.dispatch(frame).is_err() {
-                    break;
-                }
-            }
-            // Relay connection gone: fail everything in flight. Callers see
-            // `ConnectionReset` — retryable once the pump has redialed.
-            self.fail_inflight();
-            conn = self.redial();
-        }
-    }
-
-    fn fail_inflight(&self) {
-        let reset = || Err(io::ErrorKind::ConnectionReset.into());
-        self.inner.pending.fail(|_, _| true, reset);
-        let lost = || Err("relay connection lost".into());
-        self.inner.open_waits.fail(|_, _| true, lost);
-        // Congestion gates die with the connection that asserted them.
-        for w in self.inner.congested.lock().drain().flat_map(|(_, ws)| ws) {
-            w.wake();
-        }
-        // Routed streams are not resumable across a relay restart: close and
-        // forget them so post-reconnect traffic cannot hit a stale stream.
-        let streams = std::mem::take(&mut *self.inner.streams.lock());
-        for s in streams.into_values() {
-            s.close_rx();
-        }
-    }
-
-    /// Reconnect with exponential backoff; on success re-HELLO, swap the
-    /// shared writer, and return the fresh stream for the pump. The first
-    /// attempt targets only the relay that just died (a restart is the
-    /// common case); once it stays dead past that backoff step, each
-    /// attempt walks the whole ordered relay list from the current index —
-    /// the failover the ordered registration promises.
-    fn redial(&self) -> Option<TcpStream> {
-        let n = self.inner.relay_addrs.len();
-        let mut delay = RECONNECT_BASE;
-        for attempt in 0..RECONNECT_ATTEMPTS {
-            gridsim_net::ctx::sleep(delay);
-            delay = (delay * 2).min(RECONNECT_CAP);
-            let factory =
-                BootstrapSocketFactory::new(self.inner.host.clone(), self.inner.via_proxy);
-            let start = self.inner.current.load(Ordering::Relaxed).min(n - 1);
-            let span = if attempt == 0 { 1 } else { n };
-            for k in 0..span {
-                let idx = (start + k) % n;
-                let Ok(stream) =
-                    Self::dial_hello(&factory, self.inner.relay_addrs[idx], self.inner.id)
-                else {
-                    continue;
-                };
-                self.inner.current.store(idx, Ordering::Relaxed);
-                *self.inner.writer.lock() = stream.clone();
-                return Some(stream);
-            }
-        }
-        None
-    }
-
-    fn dispatch(&self, frame: Bytes) -> io::Result<()> {
-        let mut r = FrameReader::new(&frame);
-        match r.u8()? {
-            relay_op::NOPEER => {
-                let to = r.u64()?;
-                // The relay echoes the undeliverable inner frame, letting us
-                // fail only the request it actually belonged to. Without the
-                // echo (or if it does not parse), fall back to failing every
-                // outstanding request towards that peer.
-                if !r.bytes().is_ok_and(|echo| self.nopeer_precise(to, echo)) {
-                    self.nopeer_all(to);
-                }
-                Ok(())
-            }
-            relay_op::RECV => {
-                let from = r.u64()?;
-                self.dispatch_inner(from, r.bytes_in(&frame)?)
-            }
-            relay_op::BUSY => {
-                // The relay says this recipient's queue is hot: gate
-                // further DATA towards it until the READY.
-                let peer = r.u64()?;
-                self.inner.busy_throttles.fetch_add(1, Ordering::Relaxed);
-                self.inner.congested.lock().entry(peer).or_default();
-                Ok(())
-            }
-            relay_op::READY => {
-                let peer = r.u64()?;
-                let wakers = self.inner.congested.lock().remove(&peer);
-                for w in wakers.unwrap_or_default() {
-                    w.wake();
-                }
-                Ok(())
-            }
-            _ => Err(io::ErrorKind::InvalidData.into()),
-        }
-    }
-
     /// Park while the relay holds `to` BUSY. A lost READY cannot strand the
     /// caller: the relay re-READYs when the shard drains or dies, and a
-    /// relay-connection loss clears the whole map via `fail_inflight`.
+    /// relay-connection loss clears the whole map (`lost`).
     fn wait_ready(&self, to: GridId) {
         loop {
             {
@@ -1514,6 +1262,76 @@ impl RelayClient {
         };
         let _ = self.send_inner(from, answer);
         Ok(())
+    }
+}
+
+/// The relay client is its service link's owner: it greets the relay,
+/// dispatches what the relay sends and cleans up after a lost connection.
+impl LinkOwner for RelayClient {
+    /// Dial outside the node's NAT gate — a splice responder holds the gate
+    /// across a relay round trip, so a dial under it could wait on itself —
+    /// and say HELLO.
+    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        let stream = self.inner.factory.connect(addr)?;
+        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(self.inner.id);
+        hello.send(&mut stream.clone())?;
+        Ok(stream)
+    }
+
+    fn dispatch(&self, _gen: u64, frame: Bytes) -> io::Result<()> {
+        let mut r = FrameReader::new(&frame);
+        match r.u8()? {
+            relay_op::NOPEER => {
+                let to = r.u64()?;
+                // The relay echoes the undeliverable inner frame, letting us
+                // fail only the request it actually belonged to. Without the
+                // echo (or if it does not parse), fall back to failing every
+                // outstanding request towards that peer.
+                if !r.bytes().is_ok_and(|echo| self.nopeer_precise(to, echo)) {
+                    self.nopeer_all(to);
+                }
+                Ok(())
+            }
+            relay_op::RECV => {
+                let from = r.u64()?;
+                self.dispatch_inner(from, r.bytes_in(&frame)?)
+            }
+            relay_op::BUSY => {
+                // The relay says this recipient's queue is hot: gate
+                // further DATA towards it until the READY.
+                let peer = r.u64()?;
+                self.inner.busy_throttles.fetch_add(1, Ordering::Relaxed);
+                self.inner.congested.lock().entry(peer).or_default();
+                Ok(())
+            }
+            relay_op::READY => {
+                let peer = r.u64()?;
+                let wakers = self.inner.congested.lock().remove(&peer);
+                for w in wakers.unwrap_or_default() {
+                    w.wake();
+                }
+                Ok(())
+            }
+            _ => Err(io::ErrorKind::InvalidData.into()),
+        }
+    }
+
+    /// Relay connection gone: everything in flight fails `ConnectionReset`
+    /// (retryable once the pump has redialed), and what the connection
+    /// asserted dies with it.
+    fn lost(&self, _gen: u64) {
+        self.inner.pending.reset(|_| true);
+        self.inner.open_waits.reset(|_| true);
+        // Congestion gates die with the connection that asserted them.
+        for w in self.inner.congested.lock().drain().flat_map(|(_, ws)| ws) {
+            w.wake();
+        }
+        // Routed streams are not resumable across a relay restart: close and
+        // forget them so post-reconnect traffic cannot hit a stale stream.
+        let streams = std::mem::take(&mut *self.inner.streams.lock());
+        for s in streams.into_values() {
+            s.close_rx();
+        }
     }
 }
 
@@ -1775,11 +1593,9 @@ mod tests {
     use super::*;
     use gridsim_net::{topology, Sim};
 
-    /// An open that fails before any answer can arrive must leave nothing
-    /// behind: a stream-table entry would keep the stream, and through it
-    /// the client, alive for good.
-    #[test]
-    fn failed_open_leaves_both_tables_empty() {
+    /// Run `f` on a client of a relay across a LAN, its link just aborted
+    /// under it.
+    fn with_aborted_link(f: impl FnOnce(RelayClient) + Send + 'static) {
         let sim = Sim::new(1);
         let net = sim.net();
         let (a, b) = net.with(topology::lan_pair);
@@ -1788,12 +1604,40 @@ mod tests {
         let client = sim.spawn("client", move || {
             spawn_relay(&hb, 600).unwrap();
             let rc = RelayClient::connect(&ha, relay, None, 1).unwrap();
-            rc.inner.writer.lock().abort();
-            assert!(rc.open_stream(2, "port", 0).is_err());
-            assert!(rc.inner.streams.lock().is_empty(), "stream entry leaked");
-            assert!(rc.inner.open_waits.0.lock().is_empty(), "waiter leaked");
+            let abort = |w: &mut TcpStream, _| {
+                w.abort();
+                io::Result::Ok(())
+            };
+            rc.inner.link.send(&rc, abort).unwrap();
+            f(rc);
         });
         sim.run();
         assert!(client.is_finished());
+    }
+
+    /// An open that fails before any answer can arrive must leave nothing
+    /// behind: a stream-table entry would keep the stream, and through it
+    /// the client, alive for good.
+    #[test]
+    fn failed_open_leaves_both_tables_empty() {
+        with_aborted_link(|rc| {
+            assert!(rc.open_stream(2, "port", 0).is_err());
+            assert!(rc.inner.streams.lock().is_empty(), "stream entry leaked");
+            assert!(rc.inner.open_waits.is_empty(), "waiter leaked");
+        });
+    }
+
+    /// While the pump redials, the link is the pump's to dial: a request
+    /// fails `ConnectionReset` instead of dialing a second connection, and
+    /// the pump's first redial brings up the one next connection.
+    #[test]
+    fn a_request_leaves_the_redial_to_the_pump() {
+        with_aborted_link(|rc| {
+            let gen = || rc.inner.link.send(&rc, |_, gen| Ok(gen));
+            gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap() / 2);
+            assert_eq!(gen().unwrap_err().kind(), io::ErrorKind::ConnectionReset);
+            gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap());
+            assert_eq!(gen().unwrap(), 2);
+        });
     }
 }

@@ -10,14 +10,14 @@
 //! methods the decision tree picks — the request may even travel a spliced
 //! link while the response comes back through a proxy.
 
-use gridsim_net::{SimMutex, SimQueue};
+use gridsim_net::SimMutex;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::drivers::StackSpec;
+use crate::link::Pending;
 use crate::node::GridNode;
 use crate::port::SendPort;
 
@@ -76,8 +76,7 @@ pub fn serve(node: &GridNode, service_name: &str, handler: Handler) -> io::Resul
 pub struct RpcClient {
     reply_name: Arc<String>,
     request_port: Arc<SimMutex<SendPort>>,
-    pending: Arc<Mutex<HashMap<u64, SimQueue<Vec<u8>>>>>,
-    next_id: Arc<AtomicU64>,
+    pending: Arc<Pending<Vec<u8>>>,
 }
 
 impl RpcClient {
@@ -92,8 +91,7 @@ impl RpcClient {
         let client = RpcClient {
             reply_name: Arc::new(reply_name.clone()),
             request_port: Arc::new(SimMutex::new(sp)),
-            pending: Arc::new(Mutex::new(HashMap::new())),
-            next_id: Arc::new(AtomicU64::new(1)),
+            pending: Arc::new(Pending::new()),
         };
         let pending = Arc::clone(&client.pending);
         #[allow(clippy::while_let_loop)]
@@ -105,28 +103,23 @@ impl RpcClient {
                     break;
                 };
                 let Ok(id) = m.read_u64() else { continue };
-                let body = m.remaining().to_vec();
-                if let Some(q) = pending.lock().remove(&id) {
-                    let _ = q.push(body);
-                }
+                pending.resolve(id, m.remaining().to_vec());
             });
         Ok(client)
     }
 
     /// Perform one call, blocking (in simulated time) for the response.
     pub fn call(&self, payload: &[u8]) -> io::Result<Vec<u8>> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let q: SimQueue<Vec<u8>> = SimQueue::bounded(1);
-        self.pending.lock().insert(id, q.clone());
-        {
+        let id = self.pending.next_id();
+        let send = || {
             let mut port = self.request_port.lock();
             let mut m = port.message();
             m.write_str(&self.reply_name);
             m.write_u64(id);
             m.write_bytes(payload);
-            m.finish()?;
-        }
-        q.pop()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::ConnectionReset, "rpc client closed"))
+            m.finish().map(drop)
+        };
+        self.pending.post(id, 0, send)?;
+        self.pending.wait(id, "rpc reply")
     }
 }

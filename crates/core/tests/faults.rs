@@ -7,7 +7,7 @@ use gridsim_tcp::{crash_node, SimHost, TcpConfig};
 use netgrid::wire::{read_frame, FrameReader, FrameWriter};
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, spawn_relay_mesh, ConnectivityProfile,
-    EstablishMethod, GridNode, RelayClient, RelayConfig, RelayDelegate, StackSpec,
+    EstablishMethod, GridNode, NsClient, RelayClient, RelayConfig, RelayDelegate, StackSpec,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -1029,6 +1029,82 @@ fn routed_close_waits_for_the_receiver() {
             got.len()
         );
     }
+}
+
+/// A silently dead bootstrap link: the name-service host's access link goes
+/// dark — no RST — with three lookups in flight on the node's link. TCP
+/// aborts the connection after its strikes at the RTO ceiling; each lookup
+/// ends in `ConnectionReset`, the retryable kind, within that budget. Once
+/// the link heals, the next lookup dials a fresh connection and succeeds.
+#[test]
+fn silent_ns_partition_fails_lookups_within_the_abort_budget() {
+    let sim = Sim::new(seed(67));
+    let specs = vec![
+        topology::SiteSpec::open("site-a", 1, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    let tcp = fast_abort();
+    ha.set_tcp_config(tcp);
+    // First expiry at most at the ceiling, then one per strike there.
+    let budget = tcp.max_rto * (tcp.max_rto_strikes + 1);
+    let net = ha.net().clone();
+    let ns_host = node_by_ip(&net, env.ns_addr.ip);
+    let access: Vec<_> = net.with(|w| {
+        let to_a = w.path_links(ns_host, ha.node());
+        let to_b = w.path_links(ns_host, hb.node());
+        to_a.into_iter().filter(|l| to_b.contains(l)).collect()
+    });
+    let outage = Duration::from_secs(3);
+    let done = sim.spawn("client", move || {
+        let ns = NsClient::new(ha.clone(), env.ns_addr, None);
+        let id = ns.register("a", &ConnectivityProfile::open(), &[]).unwrap();
+        ns.register_port(id, "p", None, b"").unwrap();
+        let ports = || {
+            let node = ha.node();
+            let net = ha.net();
+            net.with(|w| {
+                gridsim_tcp::stack::with_host(w, node, |h, _| {
+                    h.conns
+                        .values()
+                        .map(|tcb| tcb.local.port)
+                        .collect::<Vec<_>>()
+                })
+            })
+        };
+        let dead = ports();
+        let plan = access
+            .iter()
+            .fold(FaultPlan::new(), |p, &l| p.flap(Duration::ZERO, l, outage));
+        net.with(|w| w.install_faults(plan));
+        let t0 = gridsim_net::ctx::now();
+        let lookups: Vec<_> = (0..3)
+            .map(|_| {
+                let ns = ns.clone();
+                gridsim_net::ctx::handle().spawn("lookup", move || {
+                    let kind = ns.lookup_port("p").unwrap_err().kind();
+                    (kind, gridsim_net::ctx::now() - t0)
+                })
+            })
+            .collect();
+        for lookup in lookups {
+            let (kind, took) = lookup.join();
+            assert_eq!(kind, std::io::ErrorKind::ConnectionReset);
+            assert!(
+                took <= budget,
+                "lookup failed after {took:?}, budget {budget:?}"
+            );
+        }
+        gridsim_net::ctx::sleep(outage);
+        let (rec, _, _) = ns.lookup_port("p").expect("lookup after the outage");
+        assert_eq!(rec.owner, id);
+        assert!(
+            ports().iter().any(|p| !dead.contains(p)),
+            "no fresh connection"
+        );
+    });
+    sim.run();
+    assert!(done.is_finished());
 }
 
 // ----------------------------------------------------- property: no wedge

@@ -231,6 +231,71 @@ fn hostile_requests_end_their_own_connection_only() {
     assert!(done.is_finished());
 }
 
+/// A name server that answers one request with two frames, in one write.
+/// The stray frame is never delivered: the link it arrived on dies, and
+/// the next lookup gets its own record over a fresh connection — not the
+/// stray, and not one request late for the rest of the link's life.
+#[test]
+fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
+    use netgrid::nameservice::PortRecord;
+    use netgrid::wire::{FrameReader, FrameStream, FrameWriter};
+    let sim = Sim::new(76);
+    let (ha, _hb, hs) = star(&sim);
+    let ns_addr = SockAddr::new(hs.ip(), 563);
+    // A LOOKUP_PORT reply (`nameservice.rs`) for a port owned by `owner`,
+    // length prefix included.
+    let reply = |owner: u64| {
+        let rec = PortRecord {
+            owner,
+            name: String::new(),
+            listener: None,
+            stack: Vec::new(),
+        };
+        let w = rec.put("owner", FrameWriter::new().u8(1));
+        let body = ConnectivityProfile::open().encode(w).into_bytes();
+        let mut f = Vec::new();
+        gridzip::varint::put(&mut f, body.len() as u64);
+        f.extend_from_slice(&body);
+        f
+    };
+    let accepted = Arc::new(Mutex::new(0));
+    let acc = Arc::clone(&accepted);
+    sim.spawn("hostile-ns", move || {
+        let listener = hs.listen(563).unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("accept", move || loop {
+            let Ok(conn) = listener.accept() else { break };
+            *acc.lock() += 1;
+            let mut stray = *acc.lock() == 1;
+            gridsim_net::ctx::handle().spawn_daemon("conn", move || {
+                let mut requests = FrameStream::new(conn.clone());
+                while let Ok(req) = requests.next_frame() {
+                    let mut r = FrameReader::new(&req);
+                    assert_eq!(r.u8().unwrap(), 3, "LOOKUP_PORT");
+                    let port = r.str().unwrap();
+                    let mut out = reply(port.trim_start_matches("port-").parse().unwrap());
+                    if std::mem::take(&mut stray) {
+                        out.extend(reply(999));
+                    }
+                    if conn.write_all_blocking(&out).is_err() {
+                        break;
+                    }
+                }
+            });
+        });
+    });
+    sim.run();
+    let done = sim.spawn("client", move || {
+        let ns = NsClient::new(ha, ns_addr, None);
+        for p in 1..=3 {
+            let (rec, _, _) = ns.lookup_port(&format!("port-{p}")).unwrap();
+            assert_eq!(rec.owner, p, "lookup {p} got another request's reply");
+        }
+    });
+    sim.run();
+    assert!(done.is_finished());
+    assert_eq!(*accepted.lock(), 2, "the stray's link was not replaced");
+}
+
 struct EchoDelegate;
 
 impl RelayDelegate for EchoDelegate {
