@@ -6,8 +6,9 @@
 #           repository's own rules: no `Instant::now` / `SystemTime` in
 #           crates/, src/, tests/ or examples/ — host time is gridbench's to
 #           read — no `std::env::var` in the five product crates' src, no
-#           link-frame field coded outside crates/core/src/wire.rs, and no
-#           request table, reply stash or redial loop outside link.rs
+#           link-frame field coded outside crates/core/src/wire.rs, no
+#           request table, reply stash or redial loop outside link.rs, and
+#           no second way to wait on a simulated socket in simtcp
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -37,7 +38,8 @@
 #           scheduler, relay and relay park-count smokes again on one CPU,
 #           the regime gridbench measures; with them the connection storm
 #           and E10's establishment budget, whose ticketed name-service
-#           replies interleave differently when pinned.
+#           replies interleave differently when pinned, and simtcp and GTLS
+#           over it, whose staged socket waits do too.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -111,6 +113,12 @@ stage_clippy() {
   # no second request table, reply stash or reconnect loop beside it.
   if grep -rnE 'struct Waiters|early:|fn redial|RECONNECT_' crates/core/src --exclude=link.rs; then
     echo "link supervision outside link.rs (lines above); use ServiceLink / Pending / Backoff"
+    return 1
+  fi
+  # A socket call waits one way: its demand staged on the TCB, serviced at
+  # event time (TcpStream::wait). No per-ACK waker lists beside it.
+  if grep -rnE 'read_wakers|write_wakers|LegacyPark' crates/simtcp/src; then
+    echo "a second socket wait path in simtcp (lines above); stage on the TCB instead"
     return 1
   fi
 }
@@ -224,6 +232,10 @@ stage_test() {
     # round-trip budget.
     taskset -c "$cpu" cargo test -q --release --test establish_budget
     taskset -c "$cpu" cargo test -q --release -p netgrid --test storm
+    # A granted thread runs only after its granter sleeps, so a staged
+    # socket pickup interleaves differently there.
+    taskset -c "$cpu" cargo test -q --release -p gridsim-tcp
+    taskset -c "$cpu" cargo test -q --release -p gridcrypt --test gtls_over_simtcp
   fi
 }
 

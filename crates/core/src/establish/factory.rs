@@ -18,6 +18,7 @@ use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::socks::socks_connect;
@@ -48,8 +49,8 @@ pub(crate) fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> i
 /// Serializes a node's NAT-mapping-creating operations so that splicing
 /// port predictions hold: a symmetric NAT allocates one external port per
 /// outbound flow, so any connection opened between "predict" and "SYN"
-/// would shift the counter. A FIFO gate (not RAII), so a splice
-/// negotiation can hold it across separate service-handler invocations.
+/// would shift the counter. A FIFO gate whose hold is a value, so a splice
+/// negotiation can keep it across separate service-handler invocations.
 ///
 /// Only a gate built with `serializes` set ever parks anyone: a cone NAT
 /// maps per internal endpoint, so concurrent flows cannot shift each
@@ -60,6 +61,19 @@ pub(crate) struct NatGate {
     state: Mutex<(bool, VecDeque<Waker>)>,
 }
 
+/// A held [`NatGate`]; dropping it releases the gate to the next waiter.
+pub(crate) struct GateHold(Arc<NatGate>);
+
+impl Drop for GateHold {
+    fn drop(&mut self) {
+        let mut st = self.0.state.lock();
+        st.0 = false;
+        if let Some(w) = st.1.pop_front() {
+            w.wake();
+        }
+    }
+}
+
 impl NatGate {
     pub(crate) fn new(serializes: bool) -> NatGate {
         NatGate {
@@ -68,18 +82,17 @@ impl NatGate {
         }
     }
 
-    /// Does [`run`](Self::run) take the gate?
-    pub(crate) fn serializes(&self) -> bool {
-        self.serializes
-    }
-
-    pub(crate) fn acquire(&self) {
+    /// Take the gate, waiting in FIFO order, if this gate serializes.
+    pub(crate) fn hold(self: &Arc<Self>) -> Option<GateHold> {
+        if !self.serializes {
+            return None;
+        }
         loop {
             {
                 let mut st = self.state.lock();
                 if !st.0 {
                     st.0 = true;
-                    return;
+                    return Some(GateHold(Arc::clone(self)));
                 }
                 st.1.push_back(gridsim_net::ctx::waker());
             }
@@ -87,23 +100,10 @@ impl NatGate {
         }
     }
 
-    pub(crate) fn release(&self) {
-        let mut st = self.state.lock();
-        st.0 = false;
-        if let Some(w) = st.1.pop_front() {
-            w.wake();
-        }
-    }
-
     /// Run `f` holding the gate, if this gate serializes.
-    pub(crate) fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        if !self.serializes {
-            return f();
-        }
-        self.acquire();
-        let r = f();
-        self.release();
-        r
+    pub(crate) fn run<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
+        let _hold = self.hold();
+        f()
     }
 }
 

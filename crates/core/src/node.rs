@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use crate::cpu::{CpuModel, CpuRates, HostCpu};
 use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
-use crate::establish::factory::{retry_addr_in_use, NatGate};
+use crate::establish::factory::{retry_addr_in_use, GateHold, NatGate};
 use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
 use crate::link::Backoff;
 use crate::nameservice::{GridId, NsClient, PortRecord};
@@ -238,9 +238,17 @@ struct PendingSplice {
     port: Arc<ReceivePortInner>,
     my_ports: Vec<u16>,
     total: u16,
-    /// This negotiation holds the NAT gate until GO/ABORT.
-    holds_gate: bool,
+    /// The NAT gate, held from REQ until the negotiation is dropped: on
+    /// GO, ABORT, a duplicate REQ or [`SPLICE_GO_DEADLINE`].
+    _gate: Option<GateHold>,
 }
+
+/// How long a responder holding its NAT gate waits for the initiator's
+/// `SPLICE_GO` before dropping the negotiation, so a dead initiator or a
+/// lost GO cannot park every later dial under the gate. The GO follows the
+/// REQ's reply by the initiator's own gate wait, one name-service probe
+/// and its SYNs: round trips, not seconds.
+const SPLICE_GO_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Does a node with this profile need the NAT gate at all? Only symmetric
 /// NATs allocate one external port per *flow*, so only they make port
@@ -1366,10 +1374,7 @@ impl GridNode {
         let peer_eps: Vec<SockAddr> = (0..n).map(|_| r.addr()).collect::<io::Result<_>>()?;
 
         // 2. Predict and emit SYNs under the NAT gate.
-        let natted = self.inner.nat_gate.serializes();
-        if natted {
-            self.inner.nat_gate.acquire();
-        }
+        let gate = self.inner.nat_gate.hold();
         let launched = (|| -> io::Result<(Vec<TcpStream>, Vec<SockAddr>)> {
             let my_ports = self.alloc_splice_ports(total);
             let my_eps = self.predict_endpoints(&my_ports)?;
@@ -1386,9 +1391,7 @@ impl GridNode {
             }
             Ok((streams, my_eps))
         })();
-        if natted {
-            self.inner.nat_gate.release();
-        }
+        drop(gate);
         let (streams, my_eps) = match launched {
             Ok(x) => x,
             Err(e) => {
@@ -1433,7 +1436,8 @@ impl GridNode {
     // -------------------------------------------- responder-side splice
 
     /// Handle `SPLICE_REQ`: allocate ports, predict endpoints (taking the
-    /// NAT gate, held until GO/ABORT), reply with the predictions.
+    /// NAT gate, held until GO, ABORT or the deadline), reply with the
+    /// predictions.
     fn handle_splice_request(&self, _from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
         let channel = r.u64()?;
         let port_name = r.str()?;
@@ -1454,36 +1458,31 @@ impl GridNode {
         // A duplicate REQ for the same channel is a retry whose response
         // was lost to a relay failover: drop the stale negotiation (and
         // its gate hold) instead of deadlocking on a second acquire.
-        if let Some(p) = self.inner.pending_splices.lock().remove(&channel) {
-            if p.holds_gate {
-                self.inner.nat_gate.release();
-            }
-        }
-        let natted = self.inner.nat_gate.serializes();
-        if natted {
-            self.inner.nat_gate.acquire();
-        }
-        let predicted = (|| -> io::Result<(Vec<u16>, Vec<SockAddr>)> {
-            let my_ports = self.alloc_splice_ports(total);
-            let eps = self.predict_endpoints(&my_ports)?;
-            Ok((my_ports, eps))
-        })();
-        let (my_ports, my_endpoints) = match predicted {
-            Ok(x) => x,
-            Err(e) => {
-                if natted {
-                    self.inner.nat_gate.release();
+        self.inner.pending_splices.lock().remove(&channel);
+        let gate = self.inner.nat_gate.hold();
+        let my_ports = self.alloc_splice_ports(total);
+        let my_endpoints = self.predict_endpoints(&my_ports)?;
+        if gate.is_some() {
+            // Drop this negotiation, if it is still waiting, at the
+            // deadline. Its ports are fresh, so they tell it from a later
+            // REQ's for the same channel.
+            let (inner, ports) = (Arc::downgrade(&self.inner), my_ports.clone());
+            let sched = self.inner.env.net.sched();
+            sched.call_at(sched.now() + SPLICE_GO_DEADLINE, move || {
+                let Some(inner) = inner.upgrade() else { return };
+                let mut pending = inner.pending_splices.lock();
+                if pending.get(&channel).is_some_and(|p| p.my_ports == ports) {
+                    pending.remove(&channel);
                 }
-                return Err(e);
-            }
-        };
+            });
+        }
         self.inner.pending_splices.lock().insert(
             channel,
             PendingSplice {
                 port,
                 my_ports,
                 total,
-                holds_gate: natted,
+                _gate: gate,
             },
         );
         let mut w = FrameWriter::new().u8(1).u64(my_endpoints.len() as u64);
@@ -1495,7 +1494,7 @@ impl GridNode {
 
     /// Handle `SPLICE_GO`: emit our SYNs towards the initiator's endpoints
     /// (mappings land on the predicted ports because the gate was held
-    /// since REQ), then release the gate.
+    /// since REQ), then drop the negotiation and with it the gate.
     fn handle_splice_go(&self, _from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
         let channel = r.u64()?;
         let n = r.u64()? as usize;
@@ -1537,9 +1536,6 @@ impl GridNode {
             }
             Ok(())
         })();
-        if pending.holds_gate {
-            self.inner.nat_gate.release();
-        }
         result.map(|()| FrameWriter::new().u8(1).into_bytes())
     }
 
@@ -1559,11 +1555,7 @@ impl GridNode {
     /// Handle `SPLICE_ABORT`: drop the pending negotiation and free the gate.
     fn handle_splice_abort(&self, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
         let channel = r.u64()?;
-        if let Some(p) = self.inner.pending_splices.lock().remove(&channel) {
-            if p.holds_gate {
-                self.inner.nat_gate.release();
-            }
-        }
+        self.inner.pending_splices.lock().remove(&channel);
         Ok(FrameWriter::new().u8(1).into_bytes())
     }
 }

@@ -1107,6 +1107,84 @@ fn silent_ns_partition_fails_lookups_within_the_abort_budget() {
     assert!(done.is_finished());
 }
 
+/// A splice responder behind a symmetric NAT holds its NAT gate from the
+/// initiator's SPLICE_REQ until the GO. An initiator that asks and then
+/// goes silent (dead, or its GO lost) must not keep that gate forever: the
+/// responder drops the negotiation at its GO deadline (10 s), and its own
+/// next dial, parked behind the gate until then, goes through.
+#[test]
+fn unanswered_splice_request_releases_the_nat_gate() {
+    const GO_DEADLINE: Duration = Duration::from_secs(10);
+    const SPLICE_REQ: u8 = 1;
+    let sim = Sim::new(seed(68));
+    let specs = vec![
+        topology::SiteSpec::natted("nat", 1, NatKind::SymmetricSequential, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    let relay_addr = env.relay_addr.unwrap();
+    let responder_id = gridsim_net::SimQueue::bounded(1);
+    let asked = gridsim_net::SimQueue::bounded(1);
+    let env_b = env.clone();
+    sim.spawn("open", move || {
+        let node = GridNode::join(&env_b, hb, "open", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("open-port", StackSpec::plain())
+            .unwrap();
+        assert_eq!(rp.receive().unwrap().read_u64().unwrap(), 7);
+    });
+    let (id_tx, asked_rx) = (responder_id.clone(), asked.clone());
+    let ha2 = ha.clone();
+    let responder = sim.spawn("responder", move || {
+        let profile = ConnectivityProfile::natted(netgrid::NatClass::SymmetricPredictable);
+        let node = GridNode::join(&env, ha2, "responder", profile).unwrap();
+        node.create_receive_port("splice-port", StackSpec::plain())
+            .unwrap();
+        id_tx.push(node.id()).unwrap();
+        asked_rx.pop().unwrap();
+        let t0 = gridsim_net::ctx::now();
+        let mut sp = node.create_send_port();
+        assert_eq!(
+            sp.connect("open-port").unwrap(),
+            EstablishMethod::ClientServer
+        );
+        let waited = gridsim_net::ctx::now() - t0;
+        let mut m = sp.message();
+        m.write_u64(7);
+        m.finish().unwrap();
+        sp.close().unwrap();
+        waited
+    });
+    // An initiator that asks and never says GO.
+    sim.spawn("initiator", move || {
+        let to = responder_id.pop().unwrap();
+        let rc = RelayClient::connect(&ha, relay_addr, None, 9_999).unwrap();
+        let req = FrameWriter::new()
+            .u8(SPLICE_REQ)
+            .u64(1)
+            .str("splice-port")
+            .u64(1)
+            .into_bytes();
+        let rsp = rc.service_request(to, &req).unwrap();
+        assert_eq!(rsp[0], 1, "the responder predicts its endpoint");
+        asked.push(()).unwrap();
+    });
+    sim.run();
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(responder.join()));
+    sim.run();
+    let waited = out.lock().take().unwrap();
+    assert!(
+        waited > GO_DEADLINE / 2,
+        "connect took {waited:?}: the REQ never held the gate"
+    );
+    assert!(
+        waited <= GO_DEADLINE + Duration::from_secs(1),
+        "connect took {waited:?} behind the gate"
+    );
+}
+
 // ----------------------------------------------------- property: no wedge
 
 use proptest::prelude::*;

@@ -7,12 +7,12 @@
 //! channel — stack on top exactly as they would on a real socket.
 
 use bytes::Bytes;
-use gridsim_net::{ctx, Ip, Net, NodeId, SockAddr};
+use gridsim_net::{ctx, Ip, Net, NodeId, SimTime, SockAddr};
 use std::io;
 use std::sync::Arc;
 
 use crate::stack::{with_host, ConnId, TcpHost};
-use crate::tcb::{ConnStats, ReadOutcome, State, TcpConfig, WriteOutcome};
+use crate::tcb::{ConnStats, State, Tcb, TcpConfig};
 
 /// Options for [`SimHost::connect_opts`].
 ///
@@ -174,10 +174,7 @@ impl TcpStream {
     }
 
     /// Run `f` on the connection's TCB, then flush any produced segments.
-    fn with_tcb<R>(
-        &self,
-        f: impl FnOnce(&mut crate::tcb::Tcb, gridsim_net::SimTime) -> R,
-    ) -> io::Result<R> {
+    fn with_tcb<R>(&self, f: impl FnOnce(&mut Tcb, SimTime) -> R) -> io::Result<R> {
         let id = self.inner.id;
         self.inner.net.with(|w| {
             with_host(w, self.inner.node, |h, w| {
@@ -193,81 +190,78 @@ impl TcpStream {
         })
     }
 
-    /// Block until the connection is established (used right after
-    /// `connect`). Returns immediately if already established.
-    pub fn wait_established(&self) -> io::Result<()> {
+    /// Run `poll` on the TCB until it answers, parking in between: the one
+    /// way a call waits on this socket. Before answering `None`, `poll`
+    /// leaves the task a way to be woken — a waker on a TCB list, or its
+    /// work staged on the TCB.
+    fn wait<R>(
+        &self,
+        why: &'static str,
+        mut poll: impl FnMut(&mut Tcb, SimTime) -> Option<R>,
+    ) -> io::Result<R> {
         loop {
-            let st = self.with_tcb(|tcb, _| {
-                if let Some(e) = tcb.error() {
-                    return Some(Err(io::Error::from(e)));
-                }
-                if tcb.is_established() || tcb.state.can_send() {
-                    return Some(Ok(()));
-                }
-                if tcb.state.is_terminal() {
-                    return Some(Err(io::Error::from(io::ErrorKind::NotConnected)));
-                }
-                tcb.conn_wakers.push(ctx::waker());
-                None
-            })?;
-            match st {
-                Some(r) => return r,
-                None => ctx::park("tcp connect"),
+            if let Some(r) = self.with_tcb(&mut poll)? {
+                return Ok(r);
             }
+            ctx::park(why);
         }
     }
 
-    /// Blocking write of as much of `buf` as fits the send buffer (at least
-    /// one byte, like POSIX `send`).
+    /// Block until the connection is established (used right after
+    /// `connect`). Returns immediately if already established.
+    pub fn wait_established(&self) -> io::Result<()> {
+        self.wait("tcp connect", |tcb, _| {
+            if let Some(e) = tcb.error() {
+                return Some(Err(io::Error::from(e)));
+            }
+            if tcb.is_established() || tcb.state.can_send() {
+                return Some(Ok(()));
+            }
+            if tcb.state.is_terminal() {
+                return Some(Err(io::Error::from(io::ErrorKind::NotConnected)));
+            }
+            tcb.conn_wakers.push(ctx::waker());
+            None
+        })?
+    }
+
+    /// Blocking write of all of `buf`; returns `buf.len()`. What fits the
+    /// send buffer is copied in at once; a copy of the rest is staged on
+    /// the TCB like [`write_block`](Self::write_block)'s remainder, and the
+    /// call parks once, until every byte is queued or the connection dies.
     pub fn write_some(&self, buf: &[u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        loop {
-            let r = self.with_tcb(|tcb, now| match tcb.try_write(now, buf) {
-                Ok(WriteOutcome::Wrote(n)) => Some(Ok(n)),
-                Ok(WriteOutcome::Full) => {
-                    tcb.write_wakers.push(ctx::waker());
-                    None
-                }
-                Err(e) => Some(Err(e)),
-            })?;
-            match r {
-                Some(r) => return r,
-                None => ctx::park("tcp write"),
-            }
-        }
+        let mut first = Some(buf);
+        self.wait("tcp write", |tcb, now| match first.take() {
+            Some(buf) => tcb.write_some_staged(now, buf, ctx::waker()),
+            None => tcb.collect_staged_write(now),
+        })??;
+        Ok(buf.len())
     }
 
-    /// Blocking read; `Ok(0)` means EOF.
+    /// Blocking read; `Ok(0)` means EOF. Buffered bytes are copied out at
+    /// once; otherwise a demand for 1 to `buf.len()` bytes is staged on the
+    /// TCB like [`read_chunks_min`](Self::read_chunks_min)'s, and what it
+    /// collects is copied into `buf` on pickup.
     pub fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        loop {
-            let r = self.with_tcb(|tcb, now| match tcb.try_read(now, buf) {
-                Ok(ReadOutcome::Read(n)) => Some(Ok(n)),
-                Ok(ReadOutcome::Eof) => Some(Ok(0)),
-                Ok(ReadOutcome::Empty) => {
-                    tcb.read_wakers.push(ctx::waker());
-                    None
-                }
-                Err(e) => Some(Err(e)),
-            })?;
-            match r {
-                Some(r) => return r,
-                None => ctx::park("tcp read"),
+        let mut first = true;
+        self.wait("tcp read", |tcb, now| {
+            if std::mem::take(&mut first) {
+                tcb.read_some_staged(now, buf, ctx::waker())
+            } else {
+                tcb.collect_read_some(now, buf)
             }
-        }
+        })?
     }
 
     /// Write the entire buffer (blocking).
-    pub fn write_all_blocking(&self, mut buf: &[u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            let n = self.write_some(buf)?;
-            buf = &buf[n..];
-        }
-        Ok(())
+    pub fn write_all_blocking(&self, buf: &[u8]) -> io::Result<()> {
+        self.write_some(buf).map(drop)
     }
 
     /// Blocking write of one whole block, zero-copy: accepted bytes enter
@@ -277,43 +271,11 @@ impl TcpStream {
     /// at event time and this call parks just once, waking when every byte
     /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
-        enum Next {
-            Done(io::Result<()>),
-            Staged,
-            LegacyPark,
-        }
-        // The part of the block not yet accepted.
-        let mut rest = block;
-        loop {
-            let r = self.with_tcb(|tcb, now| {
-                while !rest.is_empty() {
-                    match tcb.try_write_bytes(now, &rest) {
-                        Ok(WriteOutcome::Wrote(n)) => rest = rest.slice(n..),
-                        Ok(WriteOutcome::Full) => {
-                            if tcb.stage_write(rest.clone(), ctx::waker()) {
-                                return Next::Staged;
-                            }
-                            // Another task's write is staged on this
-                            // connection: fall back to waker-parking.
-                            tcb.write_wakers.push(ctx::waker());
-                            return Next::LegacyPark;
-                        }
-                        Err(e) => return Next::Done(Err(e)),
-                    }
-                }
-                Next::Done(Ok(()))
-            })?;
-            match r {
-                Next::Done(r) => return r,
-                Next::LegacyPark => ctx::park("tcp write"),
-                Next::Staged => loop {
-                    ctx::park("tcp write");
-                    if let Some(r) = self.with_tcb(|tcb, now| tcb.collect_staged_write(now))? {
-                        return r;
-                    }
-                },
-            }
-        }
+        let mut first = Some(block);
+        self.wait("tcp write", |tcb, now| match first.take() {
+            Some(block) => tcb.write_staged(now, block, ctx::waker()),
+            None => tcb.collect_staged_write(now),
+        })?
     }
 
     /// Blocking read of at least `min` bytes (unless EOF intervenes),
@@ -340,59 +302,13 @@ impl TcpStream {
         if max == 0 || min == 0 {
             return Ok(0);
         }
-        enum Next {
-            Ret(io::Result<usize>),
-            Staged,
-            LegacyPark,
-        }
-        let mut got = 0usize;
-        loop {
-            let r = self.with_tcb(|tcb, now| {
-                while got < min {
-                    // Same per-call cap policy as the staged service pass
-                    // (see `Tcb::service_pending_read`): `max(remaining,
-                    // max)` keeps consumption granularity — and thus ACK
-                    // emission — identical to the BufReader-style loop
-                    // this replaces.
-                    let cap = (min - got).max(max);
-                    match tcb.try_read_chunks(now, cap, out) {
-                        Ok(ReadOutcome::Read(n)) => got += n,
-                        Ok(ReadOutcome::Empty) => {
-                            return if tcb.stage_read(min - got, max, out, ctx::waker()) {
-                                Next::Staged
-                            } else {
-                                // Another task's read is staged here: fall
-                                // back to waker-parking.
-                                tcb.read_wakers.push(ctx::waker());
-                                Next::LegacyPark
-                            };
-                        }
-                        Ok(ReadOutcome::Eof) => return Next::Ret(Ok(got)),
-                        Err(e) => {
-                            return Next::Ret(if got > 0 { Ok(got) } else { Err(e) });
-                        }
-                    }
-                }
-                Next::Ret(Ok(got))
-            })?;
-            match r {
-                Next::Ret(r) => return r,
-                Next::LegacyPark => ctx::park("tcp read"),
-                Next::Staged => loop {
-                    ctx::park("tcp read");
-                    let picked = self.with_tcb(|tcb, now| tcb.collect_staged_read(now))?;
-                    let Some((chunks, read)) = picked else {
-                        continue; // spurious wake; demand still staged
-                    };
-                    *out = chunks;
-                    return match read {
-                        Ok(n) => Ok(got + n),
-                        Err(_) if got > 0 => Ok(got),
-                        Err(e) => Err(e),
-                    };
-                },
-            }
-        }
+        let mut first = Some(&mut *out);
+        let (chunks, read) = self.wait("tcp read", |tcb, now| match first.take() {
+            Some(out) => tcb.read_staged(min, max, out, ctx::waker()),
+            None => tcb.collect_staged_read(now),
+        })?;
+        *out = chunks;
+        read
     }
 
     /// Toggle Nagle's algorithm (paper §4.1: NetIbis disables it and
@@ -454,22 +370,14 @@ impl TcpStream {
     /// Block until all written data has been acknowledged by the peer —
     /// useful for bandwidth measurements that must not count buffered bytes.
     pub fn drain(&self) -> io::Result<()> {
-        loop {
-            let done = self.with_tcb(|tcb, _| {
-                if tcb.error().is_some() || tcb.send_space() == tcb.cfg.send_buf as usize {
-                    true
-                } else {
-                    // Dedicated list: woken once when the queue empties,
-                    // not on every ACK like `write_wakers`.
-                    tcb.drain_wakers.push(ctx::waker());
-                    false
-                }
-            })?;
-            if done {
-                return Ok(());
+        self.wait("tcp drain", |tcb, _| {
+            if tcb.error().is_some() || tcb.send_space() == tcb.cfg.send_buf as usize {
+                return Some(());
             }
-            ctx::park("tcp drain");
-        }
+            // Woken once when the queue empties, not on every ACK.
+            tcb.drain_wakers.push(ctx::waker());
+            None
+        })
     }
 }
 

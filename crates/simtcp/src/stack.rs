@@ -298,8 +298,7 @@ impl TcpHost {
         // Service staged I/O *before* draining `out`: freed window space is
         // refilled and arrived bytes handed to a parked reader at event
         // time, so any segments they generate leave in this same flush,
-        // after the event's own segments — exactly the order the legacy
-        // woken-task path produced with per-ACK/per-segment wakeups.
+        // after the event's own segments.
         tcb.service_pending(now);
         let (local, remote) = (tcb.local, tcb.remote);
         let node = self.node;

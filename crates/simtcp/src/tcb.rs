@@ -127,8 +127,6 @@ pub struct ConnStats {
     pub rtx_timeouts: u64,
     pub fast_retransmits: u64,
     pub dup_acks_rcvd: u64,
-    /// Application blocks fully accepted via [`Tcb::try_write_bytes`].
-    pub blocks_sent: u64,
     /// Host-side byte copies on this connection's data path: slice-path
     /// writes, segment carves that straddle buffer chunks, and reads
     /// copied out to a caller's buffer. Zero-copy handoffs don't count.
@@ -170,7 +168,7 @@ impl ChunkDeque {
         self.len == 0
     }
 
-    /// Append by copy (the `&[u8]` write path). Returns bytes copied.
+    /// Append by copy (the `&[u8]` write path).
     fn push_slice(&mut self, data: &[u8]) {
         if !data.is_empty() {
             self.len += data.len();
@@ -338,41 +336,65 @@ impl TimerSlot {
     }
 }
 
-/// A block write parked in `TcpStream::write_block` with its un-queued
-/// remainder staged on the TCB. While staged, every
+/// A write parked in `TcpStream::write_block` or `write_some` with its
+/// un-queued remainder staged on the TCB. While staged, every
 /// [`Tcb::service_pending`] pass (run from `flush_conn` after each stack
 /// mutation) refills freed send-buffer space *at event time*, under the
-/// same lock that processed the ACK — the segments it generates leave in
-/// the same flush, in the same order the woken-task path would produce.
-/// The writer task itself is woken only once everything is queued or the
-/// connection dies, instead of once per ACK.
+/// same lock that processed the ACK, so the segments it generates leave in
+/// that same flush. The writer task itself is woken only once everything
+/// is queued or the connection dies, instead of once per ACK.
 pub(crate) struct PendingWrite {
-    /// The part of the block not yet accepted. Empty once every byte is
-    /// queued: the staged write then awaits pickup by its task.
+    /// The part of the block not yet accepted.
     rest: Bytes,
     err: Option<io::ErrorKind>,
     waker: Waker,
 }
 
-/// A blocking chunk read parked in `TcpStream::read_chunks_min` with its
-/// demand staged on the TCB: arriving segments are drained into `out` at
-/// delivery time (same `try_read_chunks(max)` call sequence the woken task
-/// would issue, so window-update ACKs keep identical emission points and
-/// `wnd` values) and the reader wakes once `min` bytes are buffered, EOF
-/// is reached, or the connection errors.
+impl PendingWrite {
+    /// Every byte queued, or the connection failed.
+    fn done(&self) -> bool {
+        self.rest.is_empty() || self.err.is_some()
+    }
+
+    fn result(self) -> io::Result<()> {
+        self.err.map_or(Ok(()), |e| Err(e.into()))
+    }
+}
+
+/// A blocking read parked in `TcpStream::read_chunks_min` or `read_some`
+/// with its demand staged on the TCB: arriving segments are drained into
+/// `out` at delivery time, in the `try_read_chunks` calls a reader task
+/// would issue, so window-update ACKs keep their emission points and `wnd`
+/// values, and the reader wakes once `min` bytes are buffered, EOF is
+/// reached, or the connection errors.
 pub(crate) struct PendingRead {
     /// Wake once this many bytes have been collected.
     min: usize,
-    /// Per-call drain cap; must match the cap the task-side path uses so
-    /// consumption granularity (and thus ACK timing) is identical.
+    /// Per-call drain cap (see [`Tcb::drain`]).
     max: usize,
     out: Vec<Bytes>,
     got: usize,
     eof: bool,
-    /// Demand satisfied (or terminated); awaiting pickup by the task.
-    ready: bool,
     err: Option<io::ErrorKind>,
     waker: Waker,
+}
+
+impl PendingRead {
+    /// Demand met, EOF reached, or the connection failed.
+    fn done(&self) -> bool {
+        self.got >= self.min || self.eof || self.err.is_some()
+    }
+
+    /// The chunk list and the count of bytes appended to it (0 = EOF).
+    /// Buffered bytes are delivered before an error, which resurfaces on
+    /// the next call.
+    fn result(self) -> (Vec<Bytes>, io::Result<usize>) {
+        let read = match self.err {
+            Some(e) if self.got == 0 => Err(e.into()),
+            _ => Ok(self.got),
+        };
+        (self.out, read)
+    }
 }
 
 /// Result of an application write attempt.
@@ -452,8 +474,6 @@ pub struct Tcb {
 
     // --- plumbing to the stack ---
     out: Vec<Segment>,
-    pub read_wakers: Vec<Waker>,
-    pub write_wakers: Vec<Waker>,
     pub conn_wakers: Vec<Waker>,
     /// Waiters in `drain()`: woken only when the send queue fully empties
     /// (or the connection errors), not on every advancing ACK — a settle
@@ -463,6 +483,9 @@ pub struct Tcb {
     pending_write: Option<PendingWrite>,
     /// Staged chunk-read demand serviced at event time ([`PendingRead`]).
     pending_read: Option<PendingRead>,
+    /// The chunk list a staged `read_some` collects into, kept between
+    /// reads so a scalar read allocates nothing.
+    read_scratch: Vec<Bytes>,
     became_established: bool,
     error: Option<io::ErrorKind>,
     /// Set when the owning socket handle has been dropped: the stack may
@@ -510,12 +533,11 @@ impl Tcb {
             persist_backoff: 0,
             tw_timer: TimerSlot::default(),
             out: Vec::new(),
-            read_wakers: Vec::new(),
-            write_wakers: Vec::new(),
             conn_wakers: Vec::new(),
             drain_wakers: Vec::new(),
             pending_write: None,
             pending_read: None,
+            read_scratch: Vec::new(),
             became_established: false,
             error: None,
             detached: false,
@@ -630,8 +652,6 @@ impl Tcb {
     }
 
     fn wake_all(&mut self) {
-        Self::wake(&mut self.read_wakers);
-        Self::wake(&mut self.write_wakers);
         Self::wake(&mut self.conn_wakers);
         Self::wake(&mut self.drain_wakers);
         // Staged I/O holders observe the state change on pickup (their
@@ -687,24 +707,27 @@ impl Tcb {
 
     // ---------------- application interface ----------------
 
-    /// Try to queue application bytes for sending.
-    pub fn try_write(&mut self, now: SimTime, buf: &[u8]) -> io::Result<WriteOutcome> {
+    /// Send-buffer room the application may fill now: `Ok(0)` = wait (no
+    /// room, or the handshake is still running), `Err` = the connection
+    /// can no longer send.
+    fn write_room(&self) -> io::Result<usize> {
         if let Some(e) = self.error {
             return Err(e.into());
         }
         match self.state {
-            State::SynSent | State::SynRcvd => return Ok(WriteOutcome::Full), // wait for establish
-            s if !s.can_send() => return Err(io::ErrorKind::BrokenPipe.into()),
-            _ => {}
+            State::SynSent | State::SynRcvd => Ok(0), // wait for establish
+            s if !s.can_send() || self.fin_queued => Err(io::ErrorKind::BrokenPipe.into()),
+            _ => Ok(self.send_space()),
         }
-        if self.fin_queued {
-            return Err(io::ErrorKind::BrokenPipe.into());
-        }
-        let space = self.send_space();
-        if space == 0 {
+    }
+
+    /// Try to queue application bytes for sending.
+    pub fn try_write(&mut self, now: SimTime, buf: &[u8]) -> io::Result<WriteOutcome> {
+        let room = self.write_room()?;
+        if room == 0 {
             return Ok(WriteOutcome::Full);
         }
-        let n = space.min(buf.len());
+        let n = room.min(buf.len());
         self.send_q.push_slice(&buf[..n]);
         self.stats.bytes_copied += n as u64;
         self.transmit(now);
@@ -715,33 +738,25 @@ impl Tcb {
     /// accepted bytes enter the send queue as a zero-copy slice of the
     /// caller's buffer. The caller retries with `block.slice(n..)` on a
     /// partial accept.
-    pub fn try_write_bytes(&mut self, now: SimTime, block: &Bytes) -> io::Result<WriteOutcome> {
-        if let Some(e) = self.error {
-            return Err(e.into());
-        }
-        match self.state {
-            State::SynSent | State::SynRcvd => return Ok(WriteOutcome::Full),
-            s if !s.can_send() => return Err(io::ErrorKind::BrokenPipe.into()),
-            _ => {}
-        }
-        if self.fin_queued {
-            return Err(io::ErrorKind::BrokenPipe.into());
-        }
-        let space = self.send_space();
-        if space == 0 {
+    fn try_write_bytes(&mut self, now: SimTime, block: &Bytes) -> io::Result<WriteOutcome> {
+        let room = self.write_room()?;
+        if room == 0 {
             return Ok(WriteOutcome::Full);
         }
-        let n = space.min(block.len());
+        let n = room.min(block.len());
         self.send_q.push_prefix(block, n);
-        if n == block.len() {
-            self.stats.blocks_sent += 1;
-        }
         self.transmit(now);
         Ok(WriteOutcome::Wrote(n))
     }
 
-    /// Try to read received bytes.
-    pub fn try_read(&mut self, _now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+    /// Hand queued received bytes to the application through `take`, which
+    /// pops some from the queue and returns how many, then send the window
+    /// update the sender may be waiting for. Both read paths consume
+    /// through here, so ACKs leave at the same points on either.
+    fn read_queued(
+        &mut self,
+        take: impl FnOnce(&mut ChunkDeque) -> usize,
+    ) -> io::Result<ReadOutcome> {
         if self.recv_q.is_empty() {
             if let Some(e) = self.error {
                 // A reset with buffered data still delivers the data first;
@@ -759,211 +774,229 @@ impl Tcb {
             return Ok(ReadOutcome::Empty);
         }
         let before_free = self.rwnd();
-        let n = self.recv_q.copy_out(buf);
-        self.stats.bytes_copied += n as u64;
+        let n = take(&mut self.recv_q);
         // Window update: if we were nearly closed and the application just
         // opened space, tell the sender (it has no other way to learn).
         let after_free = self.rwnd();
         if before_free < self.cfg.mss && after_free >= self.cfg.mss && !self.state.is_terminal() {
             self.send_ack();
         }
+        self.debug_check_receiver();
         Ok(ReadOutcome::Read(n))
+    }
+
+    /// Try to read received bytes.
+    pub fn try_read(&mut self, _now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+        let read = self.read_queued(|q| q.copy_out(buf))?;
+        if let ReadOutcome::Read(n) = read {
+            self.stats.bytes_copied += n as u64;
+        }
+        Ok(read)
     }
 
     /// Like [`try_read`](Tcb::try_read), but hands received data out as
     /// zero-copy chunks (slices of the segment buffers) instead of copying
     /// into a caller buffer. Consumes exactly the bytes a `try_read` with a
-    /// `max`-sized buffer would, so window-update ACKs are emitted at the
-    /// same points on either path.
-    pub fn try_read_chunks(
-        &mut self,
-        _now: SimTime,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<ReadOutcome> {
-        if self.recv_q.is_empty() {
-            if let Some(e) = self.error {
-                if matches!(e, io::ErrorKind::ConnectionReset | io::ErrorKind::TimedOut) {
-                    return Err(e.into());
-                }
-                return Ok(ReadOutcome::Eof);
-            }
-            if self.fin_rcvd {
-                return Ok(ReadOutcome::Eof);
-            }
-            return Ok(ReadOutcome::Empty);
-        }
-        let before_free = self.rwnd();
-        let n = self.recv_q.pop_chunks(max, out);
-        let after_free = self.rwnd();
-        if before_free < self.cfg.mss && after_free >= self.cfg.mss && !self.state.is_terminal() {
-            self.send_ack();
-        }
-        Ok(ReadOutcome::Read(n))
+    /// `max`-sized buffer would.
+    fn try_read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<ReadOutcome> {
+        self.read_queued(|q| q.pop_chunks(max, out))
     }
 
     // ---------------- staged (event-time serviced) I/O ----------------
     //
-    // A task that would park per-ACK (writer) or per-segment (reader)
-    // instead stages its remaining work on the TCB and parks once. Every
-    // `flush_conn` runs [`Tcb::service_pending`] *before* draining `out`,
-    // so the try_write/try_read calls the woken task would have made happen
-    // at the same simulated instant, under the same lock, producing the
-    // same segments in the same order — the wire is byte-identical while
-    // task wakes collapse from per-segment to per-completion.
+    // A task that would wait on the socket stages its remaining work on
+    // the TCB and parks once. Every `flush_conn` runs
+    // [`Tcb::service_pending`] *before* draining `out`, so the refill and
+    // drain calls happen at the simulated instant of the ACK or segment
+    // that made room or data, under the same lock, and their segments leave
+    // in that flush: one wake per demand instead of one per ACK or segment.
+    // A connection has one reader and one writer at a time; where several
+    // tasks write one socket, they already take turns under a lock.
 
-    /// Park a block write: hand the un-queued, non-empty remainder to the
-    /// TCB. Returns `false` when another task's staged write already
-    /// occupies the slot (the caller falls back to waker-parking).
-    pub fn stage_write(&mut self, rest: Bytes, waker: Waker) -> bool {
-        if self.pending_write.is_some() {
-            return false;
-        }
-        self.pending_write = Some(PendingWrite {
-            rest,
+    /// Write `block` zero-copy: queue what the send buffer takes now and
+    /// stage the rest. `None` = staged; the writer parks until
+    /// [`collect_staged_write`](Self::collect_staged_write) answers.
+    pub(crate) fn write_staged(
+        &mut self,
+        now: SimTime,
+        block: Bytes,
+        waker: Waker,
+    ) -> Option<io::Result<()>> {
+        let mut pw = PendingWrite {
+            rest: block,
             err: None,
             waker,
-        });
-        true
+        };
+        if self.refill(now, &mut pw) {
+            return Some(pw.result());
+        }
+        debug_assert!(self.pending_write.is_none(), "one writer at a time");
+        self.pending_write = Some(pw);
+        None
     }
 
-    /// Park a chunk read: stage a demand for `min` bytes, drained in
-    /// `max`-capped calls onto the end of `out`, which the TCB holds until
-    /// [`collect_staged_read`](Self::collect_staged_read) hands it back (a
-    /// reader that reuses its chunk list then allocates nothing per read).
-    /// Returns `false`, `out` untouched, when another task's staged read
-    /// already occupies the slot.
-    pub fn stage_read(
+    /// Write all of `buf`: copy in what fits, then stage a copy of the rest
+    /// as [`write_staged`](Self::write_staged) stages a block's. Both copies
+    /// are counted in `bytes_copied`.
+    pub(crate) fn write_some_staged(
+        &mut self,
+        now: SimTime,
+        buf: &[u8],
+        waker: Waker,
+    ) -> Option<io::Result<()>> {
+        let n = match self.try_write(now, buf) {
+            Ok(WriteOutcome::Wrote(n)) => n,
+            Ok(WriteOutcome::Full) => 0,
+            Err(e) => return Some(Err(e)),
+        };
+        let rest = &buf[n..];
+        self.stats.bytes_copied += rest.len() as u64;
+        self.write_staged(now, Bytes::copy_from_slice(rest), waker)
+    }
+
+    /// Read at least `min` bytes as zero-copy chunks appended to `out`:
+    /// drain what is queued now and stage the rest of the demand. `None` =
+    /// staged, `out` taken; the reader parks until
+    /// [`collect_staged_read`](Self::collect_staged_read) hands it back.
+    pub(crate) fn read_staged(
         &mut self,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
         waker: Waker,
-    ) -> bool {
-        if self.pending_read.is_some() {
-            return false;
-        }
-        self.pending_read = Some(PendingRead {
+    ) -> Option<(Vec<Bytes>, io::Result<usize>)> {
+        let mut pr = PendingRead {
             min: min.max(1),
             max: max.max(1),
             out: std::mem::take(out),
             got: 0,
             eof: false,
-            ready: false,
             err: None,
             waker,
-        });
+        };
+        if self.drain(&mut pr) {
+            return Some(pr.result());
+        }
+        debug_assert!(self.pending_read.is_none(), "one reader at a time");
+        self.pending_read = Some(pr);
+        None
+    }
+
+    /// Read into `buf`: copy out what is queued, or stage a demand for 1 to
+    /// `buf.len()` bytes into the TCB's own chunk list (`None`; pick it up
+    /// with [`collect_read_some`](Self::collect_read_some)).
+    pub(crate) fn read_some_staged(
+        &mut self,
+        now: SimTime,
+        buf: &mut [u8],
+        waker: Waker,
+    ) -> Option<io::Result<usize>> {
+        match self.try_read(now, buf) {
+            Ok(ReadOutcome::Read(n)) => Some(Ok(n)),
+            Ok(ReadOutcome::Eof) => Some(Ok(0)),
+            Ok(ReadOutcome::Empty) => {
+                let mut scratch = std::mem::take(&mut self.read_scratch);
+                let staged = self.read_staged(1, buf.len(), &mut scratch, waker);
+                debug_assert!(staged.is_none(), "an empty queue stages");
+                None
+            }
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Queue as much of `pw`'s remainder as fits; `true` once it is done.
+    fn refill(&mut self, now: SimTime, pw: &mut PendingWrite) -> bool {
+        while !pw.done() {
+            match self.try_write_bytes(now, &pw.rest) {
+                Ok(WriteOutcome::Wrote(n)) => pw.rest = pw.rest.slice(n..),
+                Ok(WriteOutcome::Full) => return false,
+                Err(e) => pw.err = Some(e.kind()),
+            }
+        }
         true
     }
 
-    /// Service staged I/O at event time. Write side first, matching the
-    /// legacy wake order (`process_ack` wakes writers before `process_data`
-    /// wakes readers), so segments generated by a refill precede any
-    /// window-update ACK from the drain within one flush.
-    pub fn service_pending(&mut self, now: SimTime) {
-        if self.pending_write.is_some() {
-            self.service_pending_write(now);
+    /// Drain queued bytes toward `pr`'s demand; `true` once it is done.
+    fn drain(&mut self, pr: &mut PendingRead) -> bool {
+        while !pr.done() {
+            // Per-call drain cap `max(remaining, max)`, the granularity of
+            // a BufReader with capacity `max` doing large-read bypass:
+            // reads for at least `max` bytes pass through at full size
+            // (shrinking as data arrives), smaller tails still drain up to
+            // `max`. It fixes the window-update ACK points and
+            // advertised-window values on the wire.
+            let cap = (pr.min - pr.got).max(pr.max);
+            match self.try_read_chunks(cap, &mut pr.out) {
+                Ok(ReadOutcome::Read(n)) => pr.got += n,
+                Ok(ReadOutcome::Empty) => return false,
+                Ok(ReadOutcome::Eof) => pr.eof = true,
+                Err(e) => pr.err = Some(e.kind()),
+            }
         }
-        if self.pending_read.is_some() {
-            self.service_pending_read(now);
-        }
+        true
     }
 
-    fn service_pending_write(&mut self, now: SimTime) {
-        let Some(mut pw) = self.pending_write.take() else {
-            return;
-        };
-        if !pw.rest.is_empty() && pw.err.is_none() {
-            while !pw.rest.is_empty() {
-                match self.try_write_bytes(now, &pw.rest) {
-                    Ok(WriteOutcome::Wrote(n)) => pw.rest = pw.rest.slice(n..),
-                    Ok(WriteOutcome::Full) => break,
-                    Err(e) => {
-                        pw.err = Some(e.kind());
-                        break;
-                    }
-                }
-            }
-            if pw.rest.is_empty() || pw.err.is_some() {
+    /// Service staged I/O at event time. Write side first, so segments
+    /// generated by a refill precede any window-update ACK from the drain
+    /// within one flush. Each side wakes its task once, when it is done.
+    pub fn service_pending(&mut self, now: SimTime) {
+        if let Some(mut pw) = self.pending_write.take() {
+            if !pw.done() && self.refill(now, &mut pw) {
                 pw.waker.wake();
             }
+            self.pending_write = Some(pw);
         }
-        self.pending_write = Some(pw);
-    }
-
-    fn service_pending_read(&mut self, now: SimTime) {
-        let Some(mut pr) = self.pending_read.take() else {
-            return;
-        };
-        if !pr.ready {
-            while pr.got < pr.min {
-                // Per-call drain cap `max(remaining, max)`: mirrors the
-                // BufReader-style consumer this replaces — reads for at
-                // least `max` bytes pass through at full size (shrinking
-                // as data arrives), smaller tails still drain up to `max`
-                // into the caller's buffer. Keeping the legacy per-call
-                // consumption sizes keeps window-update ACK points and
-                // advertised-window values byte-identical on the wire.
-                let cap = (pr.min - pr.got).max(pr.max);
-                match self.try_read_chunks(now, cap, &mut pr.out) {
-                    Ok(ReadOutcome::Read(n)) => pr.got += n,
-                    Ok(ReadOutcome::Empty) => break,
-                    Ok(ReadOutcome::Eof) => {
-                        pr.eof = true;
-                        break;
-                    }
-                    Err(e) => {
-                        pr.err = Some(e.kind());
-                        break;
-                    }
-                }
-            }
-            if pr.got >= pr.min || pr.eof || pr.err.is_some() {
-                pr.ready = true;
+        if let Some(mut pr) = self.pending_read.take() {
+            if !pr.done() && self.drain(&mut pr) {
                 pr.waker.wake();
             }
+            self.pending_read = Some(pr);
         }
-        self.pending_read = Some(pr);
+        self.debug_check_receiver();
     }
 
     /// Task-side pickup of a staged write after a wake. Runs a service pass
     /// first (so wakes racing ahead of the next flush still progress), then
-    /// reports `None` = still waiting (re-park) or `Some(result)` with the
-    /// write unstaged.
+    /// reports `None` = still waiting (re-park) or the write's result, with
+    /// the write unstaged.
     pub fn collect_staged_write(&mut self, now: SimTime) -> Option<io::Result<()>> {
-        self.service_pending_write(now);
-        let finished = self
-            .pending_write
-            .as_ref()
-            .is_some_and(|pw| pw.rest.is_empty() || pw.err.is_some());
-        if !finished {
+        self.service_pending(now);
+        if !self.pending_write.as_ref()?.done() {
             return None;
         }
-        let pw = self.pending_write.take().expect("checked above");
-        Some(match pw.err {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
-        })
+        self.pending_write.take().map(PendingWrite::result)
     }
 
-    /// Task-side pickup of a staged read after a wake. `None` = re-park;
-    /// otherwise the chunk list staged with the read, whatever arrived
-    /// appended to it, and the count of bytes appended (0 = EOF). Errors
-    /// follow `try_read_chunks` semantics: surfaced only with no data in
-    /// hand (buffered bytes are delivered first; the error resurfaces on
-    /// the next call).
+    /// Task-side pickup of a staged read after a wake, as
+    /// [`collect_staged_write`](Self::collect_staged_write): `None` =
+    /// re-park, otherwise the chunk list staged with the read, whatever
+    /// arrived appended to it, and the count of bytes appended (0 = EOF).
     pub fn collect_staged_read(&mut self, now: SimTime) -> Option<(Vec<Bytes>, io::Result<usize>)> {
-        self.service_pending_read(now);
-        let finished = self.pending_read.as_ref().is_some_and(|pr| pr.ready);
-        if !finished {
+        self.service_pending(now);
+        if !self.pending_read.as_ref()?.done() {
             return None;
         }
-        let pr = self.pending_read.take().expect("checked above");
-        let read = match pr.err {
-            Some(e) if pr.got == 0 => Err(e.into()),
-            _ => Ok(pr.got),
-        };
-        Some((pr.out, read))
+        self.pending_read.take().map(PendingRead::result)
+    }
+
+    /// Pickup of a [`read_some_staged`](Self::read_some_staged) read, as
+    /// [`collect_staged_read`](Self::collect_staged_read), with what
+    /// arrived copied into `buf` (never more than it holds) and counted in
+    /// `bytes_copied`, as `try_read` counts its copy.
+    pub(crate) fn collect_read_some(
+        &mut self,
+        now: SimTime,
+        buf: &mut [u8],
+    ) -> Option<io::Result<usize>> {
+        let (mut chunks, read) = self.collect_staged_read(now)?;
+        let mut n = 0;
+        for c in chunks.drain(..) {
+            buf[n..n + c.len()].copy_from_slice(&c);
+            n += c.len();
+        }
+        self.stats.bytes_copied += n as u64;
+        self.read_scratch = chunks;
+        Some(read)
     }
 
     /// Graceful close: send FIN once queued data drains.
@@ -1219,11 +1252,8 @@ impl Tcb {
     /// Process an incoming segment.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
         self.stats.segs_rcvd += 1;
-        if seg.flags.rst {
-            self.on_rst();
-            return;
-        }
         match self.state {
+            _ if seg.flags.rst => self.on_rst(),
             State::SynSent => self.on_segment_syn_sent(now, seg),
             State::SynRcvd => self.on_segment_syn_rcvd(now, seg),
             State::Closed => {
@@ -1231,6 +1261,29 @@ impl Tcb {
             }
             _ => self.on_segment_synchronized(now, seg),
         }
+        self.debug_check_receiver();
+    }
+
+    /// Receiver invariants, checked after every segment, read and service
+    /// pass. A TCB that has not seen the peer's SYN (`rcv_nxt` still 0)
+    /// has no receive sequence space to check yet.
+    fn debug_check_receiver(&self) {
+        if self.rcv_nxt == 0 {
+            return;
+        }
+        debug_assert!(
+            self.recv_q.len() <= self.cfg.recv_buf as usize,
+            "recv_q overflow"
+        );
+        let ooo = || self.ooo.values().map(Bytes::len).sum::<usize>();
+        debug_assert_eq!(self.ooo_bytes, ooo(), "ooo_bytes");
+        debug_assert!(self.ooo.keys().all(|&seq| seq > self.rcv_nxt), "stale ooo");
+        let fin = u64::from(self.fin_rcvd);
+        debug_assert_eq!(
+            self.rcv_nxt,
+            self.irs + 1 + self.stats.bytes_rcvd + fin,
+            "rcv_nxt"
+        );
     }
 
     fn on_rst(&mut self) {
@@ -1321,7 +1374,6 @@ impl Tcb {
                     }
                     _ => {}
                 }
-                Self::wake(&mut self.read_wakers);
             }
         }
         if had {
@@ -1399,7 +1451,6 @@ impl Tcb {
                     _ => {}
                 }
             }
-            Self::wake(&mut self.write_wakers);
             if self.send_q.is_empty() {
                 Self::wake(&mut self.drain_wakers);
             }
@@ -1475,7 +1526,6 @@ impl Tcb {
                     self.accept_data(odata.slice(trim..));
                 }
             }
-            Self::wake(&mut self.read_wakers);
         } else {
             // Out of order: buffer within the window.
             let window_end = self.rcv_nxt + self.rwnd() as u64;
@@ -2249,7 +2299,7 @@ mod tests {
                 }
             }
             b.on_segment(T0, seg);
-            while let ReadOutcome::Read(_) = b.try_read_chunks(T0, usize::MAX, &mut sink).unwrap() {
+            while let ReadOutcome::Read(_) = b.try_read_chunks(usize::MAX, &mut sink).unwrap() {
                 for c in sink.drain(..) {
                     delivered.extend_from_slice(&c);
                 }
@@ -2262,7 +2312,7 @@ mod tests {
         }
     }
 
-    /// The refill `service_pending_write` performs, without a waker: one
+    /// The refill `service_pending` performs, without a waker: one
     /// remainder at a time, the next `write_block` starting once the
     /// previous block is fully queued.
     fn staged_refill(blocks: impl IntoIterator<Item = Bytes>) -> impl FnMut(&mut Tcb) {
@@ -2280,6 +2330,14 @@ mod tests {
         }
     }
 
+    /// A waker with no task behind it, so its wakes are no-ops.
+    fn idle_waker() -> Waker {
+        gridsim_net::Sim::new(0)
+            .scheduler()
+            .handle()
+            .waker(gridsim_net::TaskId(u64::MAX))
+    }
+
     /// `TcpStream::write_block` of a block larger than the send buffer:
     /// the remainder is staged once and `service_pending` alone carries
     /// it, ACK by ACK, to a byte-exact delivery.
@@ -2287,22 +2345,46 @@ mod tests {
     fn block_larger_than_send_buffer_stages_once_and_completes() {
         let (mut a, mut b) = established_pair();
         let block = Bytes::from((0..300_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-        // No task is behind it, so its wakes are no-ops.
-        let waker = gridsim_net::Sim::new(0)
-            .scheduler()
-            .handle()
-            .waker(gridsim_net::TaskId(u64::MAX));
-        let WriteOutcome::Wrote(n) = a.try_write_bytes(T0, &block).unwrap() else {
-            panic!("an empty send buffer accepts a prefix");
-        };
-        assert_eq!(n, a.cfg.send_buf as usize);
-        assert!(a.stage_write(block.slice(n..), waker.clone()));
-        assert!(!a.stage_write(block.clone(), waker), "one staged write");
+        assert!(a.write_staged(T0, block.clone(), idle_waker()).is_none());
+        assert_eq!(
+            a.send_q.len(),
+            a.cfg.send_buf as usize,
+            "a prefix is queued"
+        );
         assert!(a.collect_staged_write(T0).is_none(), "buffer still full");
         let (_, delivered) = clocked_transfer(&mut a, &mut b, |a| a.service_pending(T0), None);
         assert_eq!(delivered, block);
-        assert_eq!(a.stats.blocks_sent, 1);
         assert!(matches!(a.collect_staged_write(T0), Some(Ok(()))));
+    }
+
+    /// `TcpStream::read_some` on an empty queue: the staged demand takes
+    /// no more than the caller's buffer, the pickup copies it there, and
+    /// the rest stays queued for the next read.
+    #[test]
+    fn scalar_read_stages_and_takes_at_most_its_buffer() {
+        let (mut a, mut b) = established_pair();
+        let mut buf = [0u8; 10];
+        assert!(b.read_some_staged(T0, &mut buf, idle_waker()).is_none());
+        assert!(b.collect_read_some(T0, &mut buf).is_none(), "nothing yet");
+        a.try_write(T0, b"hello, staged world").unwrap();
+        pump(&mut a, &mut b, T0);
+        assert_eq!(b.collect_read_some(T0, &mut buf).unwrap().unwrap(), 10);
+        assert_eq!(&buf, b"hello, sta");
+        assert_eq!(b.try_read(T0, &mut buf).unwrap(), ReadOutcome::Read(9));
+        assert_eq!(&buf[..9], b"ged world");
+        assert_eq!(b.stats.bytes_copied, 19, "both copies counted");
+    }
+
+    /// The receiver's invariants are checked, not assumed: bookkeeping that
+    /// drifted trips the check at the next segment.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ooo_bytes")]
+    fn receiver_bookkeeping_drift_is_caught() {
+        let (mut a, mut b) = established_pair();
+        b.ooo_bytes += 1;
+        a.try_write(T0, b"x").unwrap();
+        pump(&mut a, &mut b, T0);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   * `tcb/transfer`        — raw Tcb<->Tcb pump, app writes via `&[u8]`
 //!   * `e2e/tcp_block_plain` — full sim, plain TCP_Block stack
 //!   * `e2e/stripe4`         — full sim, 4 parallel streams
+//!   * `e2e/gtls`            — full sim, plain stack under GTLS
 //!   * `stage/*`             — a driver-stack stage alone over a null sink
 
 use bytes::Bytes;
@@ -264,6 +265,14 @@ fn datapath_counts_are_the_recorded_ones() {
         (6157, 393258),
         "e2e/stripe4 (segs_sent, bytes_copied)"
     );
+    // Every GTLS record crosses the scalar `write_some` / `read_some` path.
+    // A write's copied remainder is staged as one chunk that refills grow
+    // in place, so few carves straddle chunks. More bytes copied: the
+    // remainder is being queued one copied sliver per ACK.
+    let gtls = allocs_within("e2e/gtls", e2e_bytes, 57.6, || {
+        e2e_run(StackSpec::plain().with_security())
+    });
+    assert_eq!(gtls, (6136, 10653366), "e2e/gtls (segs_sent, bytes_copied)");
 
     // Compressible grid payload, cut into pooled blocks outside the counted
     // region: a stage's allocations are its own.
