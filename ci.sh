@@ -7,8 +7,9 @@
 #           crates/, src/, tests/ or examples/ — host time is gridbench's to
 #           read — no `std::env::var` in the five product crates' src, no
 #           link-frame field coded outside crates/core/src/wire.rs, no
-#           request table, reply stash or redial loop outside link.rs, and
-#           no second way to wait on a simulated socket in simtcp
+#           request table, reply stash or redial loop outside link.rs, no
+#           second way to wait on a simulated socket in simtcp, and no
+#           second single-flight beside a data link's write gate
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -119,6 +120,12 @@ stage_clippy() {
   # event time (TcpStream::wait). No per-ACK waker lists beside it.
   if grep -rnE 'read_wakers|write_wakers|LegacyPark' crates/simtcp/src; then
     echo "a second socket wait path in simtcp (lines above); stage on the TCB instead"
+    return 1
+  fi
+  # A data link's write gate orders its writes and is its recovery's single
+  # flight (GridNode::on_link): no round counter or waiter list beside it.
+  if grep -rnE 'RecoveryCtl|RecoveryRole|begin_recovery|incarnation' crates/core/src; then
+    echo "second single-flight beside the link gate (lines above); recover under the gate instead"
     return 1
   fi
 }

@@ -35,7 +35,7 @@ use crate::port::{
 };
 use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
-use crate::session::{Channel, Claim, LinkIo, LinkTable, RecoveryRole, SharedLink, WalkGauge};
+use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink, WalkGauge};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{
@@ -576,45 +576,13 @@ impl GridNode {
         let spec = StackSpec::decode(&rec.stack)?;
         let key = LinkKey::new(rec.owner, &spec);
         let channels: Vec<u64> = (0..count).map(|_| self.alloc_channel()).collect();
-        let new_chan =
-            |ch: u64| Arc::new(Channel::new(ch, port_name, self.inner.env.resend_budget));
         let conns: Vec<SendConnection> = loop {
-            match self.inner.links.claim(&key) {
-                Claim::Ready(link) => {
-                    let chans: Vec<Arc<Channel>> = channels.iter().copied().map(new_chan).collect();
-                    let attached = chans
-                        .iter()
-                        .take_while(|c| link.attach(Arc::clone(c)))
-                        .count();
-                    if attached < chans.len() {
-                        // The link is tearing down; undo the partial batch,
-                        // GC the stale entry and re-claim (next round
-                        // establishes fresh).
-                        for c in &chans[..attached] {
-                            link.detach(c.channel);
-                        }
-                        self.inner.links.remove(&key, &link);
-                        continue;
-                    }
-                    if let Err(e) = self.announce_channels(&link, &chans) {
-                        for c in &chans {
-                            link.detach(c.channel);
-                        }
-                        self.gc_link_if_empty(&key, &link);
-                        return Err(e);
-                    }
-                    break chans
-                        .into_iter()
-                        .map(|chan| SendConnection {
-                            link: Arc::clone(&link),
-                            chan,
-                        })
-                        .collect();
-                }
+            let (link, mut conns) = match self.inner.links.claim(&key) {
+                Claim::Ready(link) => (link, Vec::new()),
                 Claim::Mine => {
-                    // The first channel anchors the walk (announced by the
-                    // stream preamble itself); the rest of the batch rides
-                    // one OPEN frame behind it.
+                    // The first channel anchors the walk, announced by the
+                    // stream preamble itself. The fresh link is then
+                    // attached to like a cached one.
                     let result = self.establish_link(
                         &key,
                         &rec,
@@ -624,38 +592,42 @@ impl GridNode {
                         port_name,
                     );
                     self.inner.links.walk_done();
-                    let anchor = match result {
-                        Ok(conn) => {
-                            self.inner.links.fulfill(&key, &conn.link);
-                            conn
+                    match result {
+                        Ok(anchor) => {
+                            self.inner.links.fulfill(&key, &anchor.link);
+                            (Arc::clone(&anchor.link), vec![anchor])
                         }
                         Err(e) => {
                             self.inner.links.abandon(&key);
                             return Err(e);
                         }
-                    };
-                    let link = Arc::clone(&anchor.link);
-                    let extras: Vec<Arc<Channel>> =
-                        channels[1..].iter().copied().map(new_chan).collect();
-                    // A just-established link still holds its anchor, so it
-                    // cannot be closing: attach cannot fail here.
-                    for c in &extras {
-                        assert!(link.attach(Arc::clone(c)), "fresh link refused attach");
                     }
-                    if let Err(e) = self.announce_channels(&link, &extras) {
-                        for c in &extras {
-                            link.detach(c.channel);
-                        }
-                        return Err(e);
-                    }
-                    let mut conns = vec![anchor];
-                    conns.extend(extras.into_iter().map(|chan| SendConnection {
-                        link: Arc::clone(&link),
-                        chan,
-                    }));
-                    break conns;
                 }
+            };
+            let chans: Vec<Arc<Channel>> = channels[conns.len()..]
+                .iter()
+                .map(|&ch| Arc::new(Channel::new(ch, port_name, self.inner.env.resend_budget)))
+                .collect();
+            // A link holding an anchor is never closing: only a cached one
+            // that is tearing down refuses, and then the next round
+            // establishes fresh.
+            if !link.attach(&chans) {
+                self.inner.links.remove(&key, &link);
+                continue;
             }
+            // The rest of the batch rides one OPEN frame.
+            if let Err(e) = self.announce_channels(&link, &chans) {
+                for c in conns.iter().map(|c| &c.chan).chain(&chans) {
+                    link.detach(c.channel);
+                }
+                self.gc_link_if_empty(&key, &link);
+                return Err(e);
+            }
+            conns.extend(chans.into_iter().map(|chan| SendConnection {
+                link: Arc::clone(&link),
+                chan,
+            }));
+            break conns;
         };
         // Register the channels' ack watermarks so CACK service frames
         // arriving on the relay pump reach them. Survives recovery: the
@@ -674,10 +646,10 @@ impl GridNode {
     }
 
     /// Announce channels joining an established link with ONE `OPEN`
-    /// control frame. The whole frame is rewritten after any recovery
-    /// observed mid-open: a recovery whose replay snapshot predated our
-    /// attach did not announce us, and the receiver treats every entry
-    /// idempotently, so always-rewrite is safe.
+    /// control frame. The whole frame is rewritten after a recovery: one
+    /// whose resume preamble predated our attach did not announce us, and
+    /// the receiver treats every entry idempotently, so always-rewrite is
+    /// safe.
     fn announce_channels(&self, link: &Arc<SharedLink>, chans: &[Arc<Channel>]) -> io::Result<()> {
         if chans.is_empty() {
             return Ok(());
@@ -688,18 +660,12 @@ impl GridNode {
                 .map(|c| (c.channel, c.peer_port.clone()))
                 .collect(),
         );
-        loop {
-            let seen = link.incarnation();
-            let wrote = {
-                let mut io = link.io();
-                io.healthy() && io.write_control(&open).is_ok()
-            };
-            if wrote {
-                self.inner.open_frames.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            self.recover_link(link, seen)?;
-        }
+        self.on_link(link, true, |io| {
+            io.check()?;
+            io.write_control(&open)
+        })?;
+        self.inner.open_frames.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// One full walk of the decision tree for a fresh link, anchored at
@@ -736,7 +702,7 @@ impl GridNode {
             io,
             channel,
         ));
-        link.attach(Arc::clone(&chan));
+        link.attach(std::slice::from_ref(&chan));
         self.spawn_path_controller(&link);
         Ok(SendConnection { link, chan })
     }
@@ -817,29 +783,24 @@ impl GridNode {
     /// the committed format, so the error path funnels into link
     /// recovery: a full re-establishment resynchronizes both sides at the
     /// establishment spec (exactly-once delivery preserved by the resume
-    /// replay), and the caller may retry later.
+    /// replay). The attempt is not repeated; the caller may retry later.
     pub(crate) fn reconfigure_link(
         &self,
         link: &Arc<SharedLink>,
         params: PathParams,
     ) -> io::Result<bool> {
-        let seen = link.incarnation();
-        match self.try_reconfigure(link, params) {
-            Ok(done) => Ok(done),
-            // Parameter validation failed before anything hit the wire.
-            Err(e) if e.kind() == io::ErrorKind::InvalidInput => Err(e),
-            Err(e) => {
-                let _ = self.recover_link(link, seen);
-                Err(e)
-            }
-        }
+        self.on_link(link, false, |io| self.try_reconfigure(link, io, params))
     }
 
-    /// One reconfiguration attempt, entirely under the write gate so no
-    /// channel writer can interleave a message between the old and new
-    /// stack formats.
-    fn try_reconfigure(&self, link: &Arc<SharedLink>, params: PathParams) -> io::Result<bool> {
-        let mut io = link.io();
+    /// One reconfiguration attempt, entirely under the write gate (`io`)
+    /// so no channel writer can interleave a message between the old and
+    /// new stack formats.
+    fn try_reconfigure(
+        &self,
+        link: &Arc<SharedLink>,
+        io: &mut LinkIo,
+        params: PathParams,
+    ) -> io::Result<bool> {
         if params == link.path_params() {
             return Ok(false);
         }
@@ -855,12 +816,7 @@ impl GridNode {
                 ),
             ));
         }
-        if !io.healthy() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "link down before reconfig",
-            ));
-        }
+        io.check()?;
         // The epoch is burned even if this attempt dies: the receiver can
         // always order frames, and recovery never rewinds it.
         let epoch = link.next_path_epoch();
@@ -938,84 +894,54 @@ impl GridNode {
 
     // ------------------------------------------------- the data path
 
-    /// Send one message payload on a channel. The fast path writes under
-    /// the link's FIFO gate; a detected failure (before or during the
-    /// write) funnels into the link's single-flight recovery, whose replay
-    /// covers this message — the `wire_seq` check notices that and skips
-    /// the duplicate write.
+    /// Send one message payload on a channel, written under the link's
+    /// FIFO gate. A failure before or during the write is recovered in
+    /// place ([`on_link`](Self::on_link)), and the recovery's replay covers
+    /// this message: the `wire_seq` check notices that and skips the
+    /// duplicate write.
     pub(crate) fn send_on(&self, c: &SendConnection, payload: &bytes::Bytes) -> io::Result<()> {
         let seq = c.chan.retain(payload);
-        loop {
-            let seen = c.link.incarnation();
-            let (wrote, contended) = {
-                let mut io = c.link.io();
-                if c.chan.wire_seq() > seq {
-                    // A recovery replayed this message while we waited on
-                    // the gate.
-                    return Ok(());
-                }
-                let ok = io.healthy() && io.write_msg(c.chan.channel, payload).is_ok();
-                (ok, c.link.io_contended())
-            };
-            if wrote {
-                c.chan.advance_wire(seq + 1);
-                if contended {
-                    // Releasing the gate wakes the front waiter, but the
-                    // wake is an event: without yielding here, the next
-                    // send_on call re-locks the free gate first and a
-                    // queued OPEN starves behind the entire data run.
-                    gridsim_net::ctx::yield_now();
-                }
-                return Ok(());
+        let contended = self.on_link(&c.link, true, |io| {
+            if c.chan.wire_seq() > seq {
+                return Ok(false);
             }
-            self.recover_link(&c.link, seen)?;
+            io.check()?;
+            io.write_msg(c.chan.channel, payload)?;
+            c.chan.advance_wire(seq + 1);
+            Ok(c.link.io_contended())
+        })?;
+        if contended {
+            // Releasing the gate wakes the front waiter, but the wake is an
+            // event: without yielding here, the next send_on call re-locks
+            // the free gate first and a queued OPEN starves behind the
+            // entire data run.
+            gridsim_net::ctx::yield_now();
         }
+        Ok(())
     }
 
     /// Flush a channel, announce its clean close, and wait for the bytes
-    /// to leave the host; then detach it (tearing the link down if it was
-    /// the last channel) and unregister its ack watermark.
+    /// to leave the host; then release it like [`drop_channel`](Self::drop_channel).
     pub(crate) fn close_channel(&self, c: &SendConnection) -> io::Result<()> {
-        let r = self.graceful_close(&c.link, &c.chan);
-        if c.link.attached(c.chan.channel) {
-            c.link.detach(c.chan.channel);
-        }
-        self.gc_link_if_empty(&c.link.key, &c.link);
-        self.release_channel(c.chan.channel);
+        let channel = c.chan.channel;
+        let r = self.on_link(&c.link, true, |io| {
+            io.writer.flush()?;
+            io.write_control(&Frame::Close { channel })?;
+            // Settle under the gate: no concurrent writer can queue fresh
+            // bytes between our CLOSE and the drain check.
+            io.settle()
+        });
+        self.drop_channel(c);
         r
     }
 
     /// Abrupt release (port dropped without `close()`): detach without
-    /// touching the wire — exactly what dropping a dedicated stack did
-    /// before the session layer.
+    /// touching the wire (tearing the link down if it was the last
+    /// channel) and unregister the channel's ack watermark.
     pub(crate) fn drop_channel(&self, c: &SendConnection) {
-        if c.link.attached(c.chan.channel) {
-            c.link.detach(c.chan.channel);
-        }
+        c.link.detach(c.chan.channel);
         self.gc_link_if_empty(&c.link.key, &c.link);
         self.release_channel(c.chan.channel);
-    }
-
-    fn graceful_close(&self, link: &Arc<SharedLink>, chan: &Arc<Channel>) -> io::Result<()> {
-        loop {
-            if !link.attached(chan.channel) {
-                return Ok(());
-            }
-            let seen = link.incarnation();
-            let r = {
-                let mut io = link.io();
-                let res = io.writer.flush();
-                let channel = chan.channel;
-                let res = res.and_then(|()| io.write_control(&Frame::Close { channel }));
-                // Settle under the gate: no concurrent writer can queue
-                // fresh bytes between our CLOSE and the drain check.
-                res.and_then(|()| io.settle())
-            };
-            match r {
-                Ok(()) => return Ok(()),
-                Err(_) => self.recover_link(link, seen)?,
-            }
-        }
     }
 
     fn gc_link_if_empty(&self, key: &LinkKey, link: &Arc<SharedLink>) {
@@ -1026,27 +952,54 @@ impl GridNode {
 
     // ------------------------------------------------- link recovery
 
-    /// Funnel a failed write into the link's single-flight recovery:
-    /// exactly one task re-establishes and replays all channels; everyone
-    /// else parks until that round completes (or learns a completed round
-    /// already covered them).
-    pub(crate) fn recover_link(&self, link: &Arc<SharedLink>, seen: u64) -> io::Result<()> {
-        match link.begin_recovery(seen) {
-            RecoveryRole::Recovered => Ok(()),
-            RecoveryRole::Failed(e) => Err(e),
-            RecoveryRole::Recoverer => {
-                let result = self.do_recover_link(link);
-                match &result {
-                    Ok(()) => self.inner.links.note_recovery(),
-                    // A dead link must not be handed to new claimants;
-                    // attached channels keep their state and retry
-                    // recovery on their next send.
-                    Err(_) => self.inner.links.remove(&link.key, link),
-                }
-                link.finish_recovery(&result);
-                result
+    /// The one way to act on a shared link: run `op` under the link's write
+    /// gate. When `op` fails, the task keeps the gate and recovers the link
+    /// in place, so every other writer waits in the gate's FIFO and finds
+    /// the recovered stack. Then `op` runs again on it if `retry`;
+    /// otherwise `op`'s own error is returned. `InvalidInput` is the
+    /// caller's mistake, caught before anything hit the wire, and is
+    /// returned as is. A task that waited on the gate through a failed
+    /// recovery returns that recovery's error instead of walking again; a
+    /// call made after it walks a fresh ladder.
+    fn on_link<T>(
+        &self,
+        link: &Arc<SharedLink>,
+        retry: bool,
+        mut op: impl FnMut(&mut LinkIo) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let failures = link.failures();
+        let mut io = link.io();
+        loop {
+            if let Some(e) = link.failed_since(failures) {
+                return Err(e);
+            }
+            let e = match op(&mut io) {
+                Err(e) if e.kind() != io::ErrorKind::InvalidInput => e,
+                done => return done,
+            };
+            let recovered = self.recover_link(link, &mut io);
+            if !retry {
+                return Err(e);
+            }
+            recovered?;
+        }
+    }
+
+    /// Recover a failed shared link under its write gate (`io`), count a
+    /// success, and record a failure on the link for the writers queued
+    /// behind it. A dead link must not be handed to new claimants; its
+    /// attached channels keep their state and walk a fresh ladder on their
+    /// next send.
+    fn recover_link(&self, link: &Arc<SharedLink>, io: &mut LinkIo) -> io::Result<()> {
+        let result = self.do_recover_link(link, io);
+        match &result {
+            Ok(()) => self.inner.links.note_recovery(),
+            Err(e) => {
+                self.inner.links.remove(&link.key, link);
+                link.note_failure(e);
             }
         }
+        result
     }
 
     /// Re-establish a failed shared link in place: back off, walk the
@@ -1055,7 +1008,7 @@ impl GridNode {
     /// receiver's delivered count for EVERY attached channel, and replay
     /// the retained gaps. Exactly-once holds because the receiver drops
     /// anything below its per-channel watermark.
-    fn do_recover_link(&self, link: &Arc<SharedLink>) -> io::Result<()> {
+    fn do_recover_link(&self, link: &Arc<SharedLink>, cur: &mut LinkIo) -> io::Result<()> {
         // Whatever killed the data link may also have silently killed the
         // idle relay service link (an abort whose RST the outage
         // swallowed). Probe it now so incoming service traffic — the
@@ -1101,7 +1054,7 @@ impl GridNode {
                 &peer_profile,
                 LinkPurpose::Data,
             ));
-            while let Some((method, io, deliveries)) = self.walk_on(
+            while let Some((method, fresh, deliveries)) = self.walk_on(
                 &mut walk,
                 &rec,
                 &peer_profile,
@@ -1117,8 +1070,8 @@ impl GridNode {
                     .zip(&deliveries)
                     .map(|(c, &e)| c.prepare_replay(e))
                     .collect::<io::Result<Vec<_>>>()?;
-                let active = io.active as u16;
-                match self.swap_and_replay(link, io, &chans, &replays) {
+                let active = fresh.active as u16;
+                match cur.swap_and_replay(fresh, &chans, &replays) {
                     Ok(()) => {
                         link.set_method(method);
                         // Live path parameters reset to the establishment
@@ -1130,7 +1083,6 @@ impl GridNode {
                             stripes: active.max(1),
                             ..link.spec.path
                         });
-                        link.bump_incarnation();
                         return Ok(());
                     }
                     // Replay write failure: the fresh link died too.
@@ -1142,26 +1094,6 @@ impl GridNode {
         let attempts = RECOVER.attempts;
         let what = format!("could not recover link to '{peer_desc}' after {attempts} attempts");
         Err(walk.into_error(what))
-    }
-
-    /// Swap the fresh stack in and replay every channel's retained gap
-    /// through it, all under the write gate so concurrent senders observe
-    /// either the dead stack or the fully replayed one.
-    fn swap_and_replay(
-        &self,
-        link: &Arc<SharedLink>,
-        new_io: LinkIo,
-        chans: &[Arc<Channel>],
-        replays: &[Vec<bytes::Bytes>],
-    ) -> io::Result<()> {
-        let mut io = link.io();
-        *io = new_io;
-        for (c, msgs) in chans.iter().zip(replays) {
-            for p in msgs {
-                io.write_msg(c.channel, p)?;
-            }
-        }
-        Ok(())
     }
 
     /// Attempt one establishment method; returns the raw links in stream

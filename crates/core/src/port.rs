@@ -239,25 +239,38 @@ pub(crate) struct SendConnection {
     pub chan: Arc<Channel>,
 }
 
-/// Receive-side per-channel state shared across ALL of a node's receive
-/// ports: exactly-once delivered watermarks and ack bookkeeping. Node-wide
-/// because a multiplexed link can carry channels of several ports, and a
-/// resume can re-anchor a channel on a different port's listener — the
-/// watermark must follow the channel, not the port.
-pub(crate) struct RxShared {
-    /// Messages delivered per channel — the exactly-once watermark a
-    /// resuming sender replays from.
-    delivered: Mutex<HashMap<u64, u64>>,
-    /// Per-channel ack and lifecycle bookkeeping.
-    ack_state: Mutex<HashMap<u64, ChannelAck>>,
-}
+/// Receive-side state of every channel a node's receive ports carry: one
+/// [`RxChannel`] record per channel under one lock. Node-wide because a
+/// multiplexed link can carry channels of several ports, and a resume can
+/// re-anchor a channel on a different port's listener — the watermark must
+/// follow the channel, not the port.
+pub(crate) struct RxShared(Mutex<HashMap<u64, RxChannel>>);
 
 impl RxShared {
     pub(crate) fn new() -> Arc<RxShared> {
-        Arc::new(RxShared {
-            delivered: Mutex::new(HashMap::new()),
-            ack_state: Mutex::new(HashMap::new()),
-        })
+        Arc::new(RxShared(Mutex::new(HashMap::new())))
+    }
+
+    /// The record of `channel`, created on first use.
+    fn with<R>(&self, channel: u64, f: impl FnOnce(&mut RxChannel) -> R) -> R {
+        f(self.0.lock().entry(channel).or_default())
+    }
+
+    /// A pump lets go of `channel`: at its CLOSE frame (`closed`) or when
+    /// the pump exits (`clean`: every link under it ended in a clean EOF).
+    /// The last pump to let go drops the record once the channel cannot
+    /// resume: it was closed in-band, or its link ended cleanly. Any
+    /// aborted link keeps it for the resume handshake.
+    fn release(&self, channel: u64, closed: bool, clean: bool) {
+        let mut rx = self.0.lock();
+        let Some(r) = rx.get_mut(&channel) else {
+            return;
+        };
+        r.closed |= closed;
+        r.pumps -= 1;
+        if r.pumps == 0 && (clean || r.closed) {
+            rx.remove(&channel);
+        }
     }
 }
 
@@ -435,8 +448,8 @@ pub struct ReceivePortInner {
     connections: Mutex<u64>,
     /// CACK transport + cadence (`None`: no relay, or acks disabled).
     ack: Option<AckSender>,
-    /// Node-wide delivered watermarks + ack state (channels can migrate
-    /// between ports' pumps via mux routing).
+    /// Node-wide per-channel records (channels can migrate between ports'
+    /// pumps via mux routing).
     rx: Arc<RxShared>,
 }
 
@@ -482,10 +495,17 @@ impl AckSender {
     }
 }
 
+/// One channel's receive-side record.
 #[derive(Default)]
-struct ChannelAck {
+struct RxChannel {
+    /// Messages delivered — the exactly-once watermark a resuming sender
+    /// replays from.
+    delivered: u64,
     /// Live pump tasks (briefly 2 while a resume supersedes a stale pump).
     pumps: u32,
+    /// The sender announced a clean close (a CLOSE frame) — the channel
+    /// will never resume even though its link stays up.
+    closed: bool,
     /// Delivered bytes not yet covered by a sent CACK.
     bytes_since: usize,
     /// Total delivered bytes, for idle detection.
@@ -494,9 +514,6 @@ struct ChannelAck {
     seen: u64,
     /// An idle-flush timer is pending.
     timer: bool,
-    /// The sender announced a clean close (a CLOSE frame) — the channel
-    /// will never resume even though its link stays up.
-    closed: bool,
 }
 
 /// One channel a pump is routing: its next expected sequence number and
@@ -513,6 +530,13 @@ struct LiveChan {
 fn reply_on_stream0(links: &[RawLink], reply: FrameWriter) -> io::Result<()> {
     reply.send(&mut links[0].clone())
 }
+
+/// How long the first stream of a multi-stream link waits for the others
+/// before [`ReceivePortInner::add_link`] drops the partial assembly and
+/// closes its sockets, so a peer that opens stream 0 of N and stops cannot
+/// hold them for the port's life. A sender dials its streams back to back:
+/// a link completes in round trips, not seconds.
+const PENDING_STREAMS_DEADLINE: Duration = Duration::from_secs(10);
 
 impl ReceivePortInner {
     pub(crate) fn new(
@@ -558,10 +582,25 @@ impl ReceivePortInner {
             if pending.get(&channel).is_some_and(|e| e.gen < gen) {
                 pending.remove(&channel);
             }
-            let entry = pending.entry(channel).or_insert_with(|| PendingChannel {
-                links: (0..total).map(|_| None).collect(),
-                received: 0,
-                gen,
+            let entry = pending.entry(channel).or_insert_with(|| {
+                if total > 1 {
+                    // A no-op once the assembly completed or a newer
+                    // generation superseded it.
+                    let weak = Arc::downgrade(self);
+                    let at = ctx.sched.now() + PENDING_STREAMS_DEADLINE;
+                    ctx.sched.call_at(at, move || {
+                        let Some(me) = weak.upgrade() else { return };
+                        let mut pending = me.pending.lock();
+                        if pending.get(&channel).is_some_and(|e| e.gen == gen) {
+                            pending.remove(&channel);
+                        }
+                    });
+                }
+                PendingChannel {
+                    links: (0..total).map(|_| None).collect(),
+                    received: 0,
+                    gen,
+                }
             });
             if gen < entry.gen {
                 return Err(io::Error::new(
@@ -605,14 +644,9 @@ impl ReceivePortInner {
             // handshake) and only on resumed connections.
             let mut init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)> = Vec::new();
             if let Some(meta) = &resume {
-                let reply = {
-                    let mut d = self.rx.delivered.lock();
-                    let mut ws = vec![*d.entry(channel).or_insert(0)];
-                    for (ch, _) in &meta.extras {
-                        ws.push(*d.entry(*ch).or_insert(0));
-                    }
-                    ResumeReply(ws)
-                };
+                let chans = std::iter::once(channel).chain(meta.extras.iter().map(|(ch, _)| *ch));
+                let reply =
+                    ResumeReply(chans.map(|ch| self.rx.with(ch, |r| r.delivered)).collect());
                 reply_on_stream0(&links, reply.frame())?;
                 init.push((channel, reply.0[0], Some(Arc::clone(self))));
                 for ((ch, name), w) in meta.extras.iter().zip(&reply.0[1..]) {
@@ -670,12 +704,9 @@ impl ReceivePortInner {
         // to a fresh pump and stale duplicates are rejected.
         let mut last_epoch = 0u64;
         let mut live: HashMap<u64, LiveChan> = HashMap::new();
-        {
-            let mut st = self.rx.ack_state.lock();
-            for (ch, seq, inner) in init {
-                st.entry(ch).or_default().pumps += 1;
-                live.insert(ch, LiveChan { seq, inner });
-            }
+        for (ch, seq, inner) in init {
+            self.rx.with(ch, |r| r.pumps += 1);
+            live.insert(ch, LiveChan { seq, inner });
         }
         // Runs until EOF (a read error), a corrupt frame, or one this
         // pump's state forbids.
@@ -689,11 +720,10 @@ impl ReceivePortInner {
                         // eaten, and a recovered batch is rewritten
                         // wholesale.
                         if let std::collections::hash_map::Entry::Vacant(slot) = live.entry(ch) {
-                            let seq = {
-                                let mut st = self.rx.ack_state.lock();
-                                st.entry(ch).or_default().pumps += 1;
-                                *self.rx.delivered.lock().entry(ch).or_insert(0)
-                            };
+                            let seq = self.rx.with(ch, |r| {
+                                r.pumps += 1;
+                                r.delivered
+                            });
                             slot.insert(LiveChan {
                                 seq,
                                 inner: (ctx.resolve)(&name),
@@ -704,7 +734,7 @@ impl ReceivePortInner {
                 }
                 Frame::Close { channel } => {
                     if live.remove(&channel).is_some() {
-                        self.channel_closed(channel);
+                        self.rx.release(channel, true, false);
                     }
                     continue;
                 }
@@ -736,12 +766,10 @@ impl ReceivePortInner {
                     // connections; the rest stay parked. GTLS
                     // re-handshakes deterministically from the per-stream
                     // salt.
-                    let mut delivered: Vec<(u64, u64)> = {
-                        let d = self.rx.delivered.lock();
-                        live.keys()
-                            .map(|&ch| (ch, d.get(&ch).copied().unwrap_or(0)))
-                            .collect()
-                    };
+                    let mut delivered: Vec<(u64, u64)> = live
+                        .keys()
+                        .map(|&ch| (ch, self.rx.with(ch, |r| r.delivered)))
+                        .collect();
                     delivered.sort_unstable_by_key(|&(ch, _)| ch);
                     let ack = ReconfigAck { epoch, delivered };
                     if reply_on_stream0(&probes, ack.frame()).is_err() {
@@ -770,18 +798,15 @@ impl ReceivePortInner {
             let seq = lc.seq;
             lc.seq += 1;
             // Exactly-once dedupe: advance the watermark under the lock,
-            // then deliver. A message a previous incarnation of this
-            // channel already delivered is dropped.
-            let fresh = {
-                let mut d = self.rx.delivered.lock();
-                let e = d.entry(ch).or_insert(0);
-                if seq < *e {
-                    false
-                } else {
-                    *e = seq + 1;
-                    true
+            // then deliver. A message an earlier link of this channel
+            // already delivered is dropped.
+            let fresh = self.rx.with(ch, |r| {
+                let fresh = seq >= r.delivered;
+                if fresh {
+                    r.delivered = seq + 1;
                 }
-            };
+                fresh
+            });
             if !fresh {
                 continue;
             }
@@ -806,33 +831,10 @@ impl ReceivePortInner {
         }
         *self.connections.lock() -= 1;
         // Clean EOF — every link closed gracefully — means the sender
-        // flushed and closed its channels: they will never resume, so the
-        // exactly-once watermarks and ack state can be garbage-collected.
-        // Any aborted link keeps them for the resume handshake.
+        // flushed and closed its channels: they will never resume.
         let clean = probes.iter().all(|l| l.closed_cleanly());
-        for ch in live.keys().copied().collect::<Vec<_>>() {
-            self.pump_exit(ch, clean);
-        }
-    }
-
-    /// A channel announced a clean in-band close (a CLOSE frame): it
-    /// will never resume, so its watermark and ack state go now unless a
-    /// superseding pump still references them.
-    fn channel_closed(&self, channel: u64) {
-        let last = {
-            let mut st = self.rx.ack_state.lock();
-            match st.get_mut(&channel) {
-                Some(e) => {
-                    e.closed = true;
-                    e.pumps -= 1;
-                    e.pumps == 0
-                }
-                None => true,
-            }
-        };
-        if last {
-            self.rx.delivered.lock().remove(&channel);
-            self.rx.ack_state.lock().remove(&channel);
+        for &ch in live.keys() {
+            self.rx.release(ch, false, clean);
         }
     }
 
@@ -843,9 +845,7 @@ impl ReceivePortInner {
         let Some(ack) = &self.ack else { return };
         let mut send = false;
         let mut arm = false;
-        {
-            let mut st = self.rx.ack_state.lock();
-            let e = st.entry(channel).or_default();
+        self.rx.with(channel, |e| {
             e.total += bytes as u64;
             e.bytes_since += bytes;
             if e.bytes_since >= ack.every {
@@ -856,7 +856,7 @@ impl ReceivePortInner {
                 e.seen = e.total;
                 arm = true;
             }
-        }
+        });
         if send {
             ack.send(channel, watermark);
         }
@@ -882,11 +882,11 @@ impl ReceivePortInner {
     /// fault-free transfers never emit timer-driven acks mid-flight.
     fn idle_flush(self: &Arc<Self>, channel: u64) {
         let Some(ack) = &self.ack else { return };
-        let mut send = false;
+        let mut send = None;
         let mut rearm = false;
         {
-            let mut st = self.rx.ack_state.lock();
-            let Some(e) = st.get_mut(&channel) else {
+            let mut rx = self.rx.0.lock();
+            let Some(e) = rx.get_mut(&channel) else {
                 return;
             };
             if e.pumps == 0 {
@@ -900,34 +900,16 @@ impl ReceivePortInner {
             } else if e.bytes_since > 0 {
                 e.bytes_since = 0;
                 e.timer = false;
-                send = true;
+                send = Some(e.delivered);
             } else {
                 e.timer = false;
             }
         }
-        if send {
-            let d = *self.rx.delivered.lock().get(&channel).unwrap_or(&0);
-            ack.send(channel, d);
+        if let Some(delivered) = send {
+            ack.send(channel, delivered);
         }
         if rearm {
             self.schedule_idle_flush(channel);
-        }
-    }
-
-    fn pump_exit(&self, channel: u64, clean: bool) {
-        let (last, closed) = {
-            let mut st = self.rx.ack_state.lock();
-            match st.get_mut(&channel) {
-                Some(e) => {
-                    e.pumps -= 1;
-                    (e.pumps == 0, e.closed)
-                }
-                None => (true, false),
-            }
-        };
-        if last && (clean || closed) {
-            self.rx.delivered.lock().remove(&channel);
-            self.rx.ack_state.lock().remove(&channel);
         }
     }
 

@@ -17,8 +17,10 @@
 //! Concurrency model: the shared stack sits behind a [`SimMutex`], the
 //! simulator's FIFO parking lock, so writers from many channels interleave
 //! at message granularity and flush fairness is arrival order — no channel
-//! can starve another. Channel bookkeeping uses short `parking_lot`
-//! sections that are never held across a parking operation.
+//! can starve another. The same gate is a recovery's single flight: the
+//! writer that finds the stack dead recovers it while holding the gate, and
+//! every other writer waits in its FIFO. Channel bookkeeping uses short
+//! `parking_lot` sections that are never held across a parking operation.
 
 use bytes::Bytes;
 use gridsim_net::{SimMutex, SimMutexGuard, Waker};
@@ -54,9 +56,9 @@ struct ChanState {
     /// Messages sent on this channel so far; doubles as the next implicit
     /// sequence number (never on the wire in fault-free runs).
     next_seq: u64,
-    /// First sequence number NOT yet written to the current link
-    /// incarnation. A recovery replay advances it past everything it
-    /// replayed, so a sender that lost the write race simply skips.
+    /// First sequence number NOT yet written to the current stack. A
+    /// recovery replay advances it past everything it replayed, so a
+    /// sender that waited on the gate through the recovery simply skips.
     wire_seq: u64,
     /// Retained `(seq, payload)` pairs for post-reconnect replay.
     resend: VecDeque<(u64, Bytes)>,
@@ -195,8 +197,13 @@ pub(crate) struct LinkIo {
 }
 
 impl LinkIo {
-    pub fn healthy(&self) -> bool {
-        self.links[..self.active].iter().all(RawLink::is_healthy)
+    /// `ConnectionReset` once a link under the current stack failed.
+    pub fn check(&self) -> io::Result<()> {
+        if self.links[..self.active].iter().all(RawLink::is_healthy) {
+            Ok(())
+        } else {
+            Err(io::ErrorKind::ConnectionReset.into())
+        }
     }
 
     /// Wait until the peer host has everything written so far
@@ -205,11 +212,7 @@ impl LinkIo {
         for l in &self.links[..self.active] {
             l.drain()?;
         }
-        if self.healthy() {
-            Ok(())
-        } else {
-            Err(io::ErrorKind::ConnectionReset.into())
-        }
+        self.check()
     }
 
     /// Frame and flush one message payload down the shared stack.
@@ -227,6 +230,24 @@ impl LinkIo {
         // wire.
         self.writer.write_block(payload.clone())?;
         self.writer.flush()
+    }
+
+    /// Swap a recovery's fresh stack in and replay every channel's
+    /// retained gap through it, all under the write gate the recovery
+    /// holds, so the writers queued there find the fully replayed stack.
+    pub fn swap_and_replay(
+        &mut self,
+        fresh: LinkIo,
+        chans: &[Arc<Channel>],
+        replays: &[Vec<Bytes>],
+    ) -> io::Result<()> {
+        *self = fresh;
+        for (c, msgs) in chans.iter().zip(replays) {
+            for p in msgs {
+                self.write_msg(c.channel, p)?;
+            }
+        }
+        Ok(())
     }
 
     /// Write one control frame and flush. An OPEN announces every channel
@@ -269,28 +290,6 @@ struct ChannelMap {
     closing: bool,
 }
 
-struct RecoveryCtl {
-    running: bool,
-    /// Completed recovery rounds, so waiters can match an outcome to the
-    /// round they actually waited on.
-    round: u64,
-    /// Outcome of the last completed round (kind + message; `io::Error`
-    /// is not `Clone`).
-    last_err: Option<(io::ErrorKind, String)>,
-    waiters: Vec<Waker>,
-}
-
-/// What [`SharedLink::begin_recovery`] decided for the caller.
-pub(crate) enum RecoveryRole {
-    /// The caller must run the recovery and report via `finish_recovery`.
-    Recoverer,
-    /// Another task's recovery already advanced the incarnation; the
-    /// caller's failed write was covered by its replay.
-    Recovered,
-    /// The recovery the caller waited on failed; the link is down.
-    Failed(io::Error),
-}
-
 /// One established, supervised data link shared by every channel between
 /// one `(peer node, stack spec)` pair.
 pub(crate) struct SharedLink {
@@ -306,12 +305,12 @@ pub(crate) struct SharedLink {
     /// Reconnect attempt counter; rides the resume preamble so the
     /// receiver can supersede stale partial assemblies.
     gen: AtomicU64,
-    /// Bumped once per completed recovery. Writers snapshot it before a
-    /// write; a failed write with an already-advanced incarnation needs no
-    /// recovery of its own.
-    incarnation: AtomicU64,
+    /// Failed recoveries so far, and the last one's error (kind and
+    /// message: `io::Error` is not `Clone`). A writer that waited on the
+    /// gate through a failed recovery returns that error instead of
+    /// walking again.
+    failed: Mutex<(u64, io::ErrorKind, String)>,
     method: Mutex<EstablishMethod>,
-    recovery: Mutex<RecoveryCtl>,
     /// Live path state: the epoch of the last committed RECONFIG and the
     /// parameters the current stack was built from. The epoch is monotonic
     /// for the life of the link (recovery resets the *parameters* to the
@@ -345,14 +344,8 @@ impl SharedLink {
             }),
             anchor: AtomicU64::new(anchor_channel),
             gen: AtomicU64::new(0),
-            incarnation: AtomicU64::new(0),
+            failed: Mutex::new((0, io::ErrorKind::Other, String::new())),
             method: Mutex::new(method),
-            recovery: Mutex::new(RecoveryCtl {
-                running: false,
-                round: 0,
-                last_err: None,
-                waiters: Vec::new(),
-            }),
             path: Mutex::new((0, path)),
             stats: Mutex::new(VecDeque::with_capacity(PATH_STATS_RING)),
         }
@@ -386,7 +379,7 @@ impl SharedLink {
 
     /// Sample the transport counters of the active stripes into the
     /// telemetry ring and return the sample. Takes the write gate briefly
-    /// (the raw-link set may be swapped by a concurrent recovery).
+    /// (a recovery swaps the raw-link set under it).
     pub fn sample_stats(&self, at_micros: u64) -> PathStats {
         let (agg, stripes) = {
             let io = self.io.lock();
@@ -429,7 +422,7 @@ impl SharedLink {
     }
 
     /// Acquire the write gate. FIFO and sim-aware: contending channel
-    /// writers and recovery line up in arrival order.
+    /// writers line up in arrival order, behind a recovery if one runs.
     pub fn io(&self) -> SimMutexGuard<'_, LinkIo> {
         self.io.lock()
     }
@@ -442,13 +435,15 @@ impl SharedLink {
         self.io.has_waiters()
     }
 
-    /// Attach a channel; fails when the link is already tearing down.
-    pub fn attach(&self, chan: Arc<Channel>) -> bool {
+    /// Attach channels, all or none: none when the link is already
+    /// tearing down.
+    pub fn attach(&self, chans: &[Arc<Channel>]) -> bool {
         let mut cm = self.channels.lock();
         if cm.closing {
             return false;
         }
-        cm.map.insert(chan.channel, chan);
+        cm.map
+            .extend(chans.iter().map(|c| (c.channel, Arc::clone(c))));
         true
     }
 
@@ -460,10 +455,6 @@ impl SharedLink {
         if cm.map.is_empty() {
             cm.closing = true;
         }
-    }
-
-    pub fn attached(&self, channel: u64) -> bool {
-        self.channels.lock().map.contains_key(&channel)
     }
 
     pub fn channel_count(&self) -> usize {
@@ -496,62 +487,22 @@ impl SharedLink {
         self.gen.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation.load(Ordering::SeqCst)
+    /// Failed recoveries so far: what a writer notes before it queues on
+    /// the gate.
+    pub fn failures(&self) -> u64 {
+        self.failed.lock().0
     }
 
-    pub fn bump_incarnation(&self) {
-        self.incarnation.fetch_add(1, Ordering::SeqCst);
+    /// The last failed recovery's error, if one failed since the caller
+    /// saw `failures`.
+    pub fn failed_since(&self, failures: u64) -> Option<io::Error> {
+        let f = self.failed.lock();
+        (f.0 != failures).then(|| io::Error::new(f.1, f.2.clone()))
     }
 
-    /// Single-flight recovery entry. `seen` is the incarnation the caller
-    /// observed when its write failed: if it already advanced, the replay
-    /// of the completed recovery covered the caller's retained message.
-    /// Otherwise the first caller becomes the recoverer and everyone else
-    /// parks until that round completes.
-    pub fn begin_recovery(&self, seen: u64) -> RecoveryRole {
-        loop {
-            if self.incarnation() != seen {
-                return RecoveryRole::Recovered;
-            }
-            let waited_round = {
-                let mut rc = self.recovery.lock();
-                if !rc.running {
-                    rc.running = true;
-                    return RecoveryRole::Recoverer;
-                }
-                rc.waiters.push(gridsim_net::ctx::waker());
-                rc.round
-            };
-            gridsim_net::ctx::park("link recovery wait");
-            let completed = {
-                let rc = self.recovery.lock();
-                if rc.round > waited_round {
-                    Some(rc.last_err.clone())
-                } else {
-                    None // spurious wake; re-queue
-                }
-            };
-            match completed {
-                Some(_) if self.incarnation() != seen => return RecoveryRole::Recovered,
-                Some(Some((kind, msg))) => return RecoveryRole::Failed(io::Error::new(kind, msg)),
-                // Round completed without error but the incarnation is
-                // unchanged — cannot happen (success always bumps it), but
-                // looping is the safe answer.
-                _ => {}
-            }
-        }
-    }
-
-    /// Report the outcome of a recovery round and wake the waiters.
-    pub fn finish_recovery(&self, result: &io::Result<()>) {
-        let mut rc = self.recovery.lock();
-        rc.running = false;
-        rc.round += 1;
-        rc.last_err = result.as_ref().err().map(|e| (e.kind(), e.to_string()));
-        for w in rc.waiters.drain(..) {
-            w.wake();
-        }
+    pub fn note_failure(&self, e: &io::Error) {
+        let mut f = self.failed.lock();
+        *f = (f.0 + 1, e.kind(), e.to_string());
     }
 }
 

@@ -1185,6 +1185,69 @@ fn unanswered_splice_request_releases_the_nat_gate() {
     );
 }
 
+/// A failed recovery is shared, not repeated. Two channels of one link each
+/// have a sender when the receiver's host dies for good: one sender walks the
+/// `RECOVER` ladder while the other waits for it, and both get its error at
+/// the same instant, with no recovery counted. A send made after that
+/// failure is a new attempt and walks a fresh ladder.
+#[test]
+fn a_failed_recovery_fails_its_waiters_and_the_next_send_walks_again() {
+    // The sum of `RECOVER`'s delays: 50 + 100 + … + 2000 + 2000 ms.
+    const LADDER: Duration = Duration::from_millis(7150);
+    let sim = Sim::new(seed(69));
+    let specs = vec![
+        topology::SiteSpec::open("site-a", 1, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    ha.set_tcp_config(fast_abort());
+    hb.set_tcp_config(fast_abort());
+    let net = ha.net().clone();
+    let doomed = hb.node();
+    let env_b = env.clone();
+    net.sched().spawn_daemon("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "doomed-recv", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("doomed", StackSpec::plain())
+            .unwrap();
+        while rp.receive().is_ok() {}
+    });
+    net.with(|w| w.schedule_after(Duration::from_secs(1), move |w| crash_node(w, doomed)));
+    let done = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "doomed-send", ConnectivityProfile::open()).unwrap();
+        let senders: Vec<_> = node
+            .connect_batch("doomed", 2)
+            .unwrap()
+            .into_iter()
+            .map(|mut sp| {
+                gridsim_net::ctx::handle().spawn("channel", move || {
+                    let err = loop {
+                        if let Err(e) = sp.send(&[0x5a; 64]) {
+                            break e;
+                        }
+                        gridsim_net::ctx::sleep(Duration::from_millis(40));
+                    };
+                    (err.kind(), gridsim_net::ctx::now(), sp)
+                })
+            })
+            .collect();
+        let mut failed: Vec<_> = senders.into_iter().map(|s| s.join()).collect();
+        assert_eq!(
+            (failed[0].0, failed[0].1),
+            (failed[1].0, failed[1].1),
+            "one ladder: one error kind at one instant"
+        );
+        assert_eq!(node.link_recoveries(), 0);
+        let t0 = gridsim_net::ctx::now();
+        assert!(failed[0].2.send(&[0x5a; 64]).is_err());
+        let took = gridsim_net::ctx::now() - t0;
+        assert!(took >= LADDER, "the third send failed after {took:?}");
+    });
+    sim.run();
+    assert!(done.is_finished());
+}
+
 // ----------------------------------------------------- property: no wedge
 
 use proptest::prelude::*;

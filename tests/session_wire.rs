@@ -220,6 +220,44 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
 }
 
 #[test]
+fn a_link_whose_other_streams_never_arrive_is_dropped_at_its_deadline() {
+    // A raw client opens stream 0 of a 4-stream link and sends nothing
+    // else. The receiver holds that stream only until the assembly's
+    // deadline, 10 s after its first stream, then closes it: the client
+    // reads EOF.
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let sim = Sim::new(29);
+    let net = sim.net();
+    let (a, b) = net.with(topology::lan_pair);
+    let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+    let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), NS));
+    let env_b = env.clone();
+    net.sched().spawn_daemon("receiver", move || {
+        spawn_name_service(&hb, NS).unwrap();
+        let node = GridNode::join(&env_b, hb, "rx", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("wire", StackSpec::plain())
+            .unwrap();
+        assert!(rp.receive().is_err(), "nothing is ever delivered");
+    });
+    let client = sim.spawn("client", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
+        let mut s = dial(&node, "wire", &[0x0700_0001, 0, 4]);
+        let t0 = gridsim_net::ctx::now();
+        let got = std::io::Read::read(&mut s, &mut [0u8; 16]).unwrap();
+        let waited = gridsim_net::ctx::now() - t0;
+        assert_eq!(got, 0, "EOF, not bytes");
+        assert!(
+            waited > DEADLINE / 2 && waited <= DEADLINE + Duration::from_secs(1),
+            "EOF after {waited:?}"
+        );
+    });
+    sim.run();
+    assert!(client.is_finished());
+}
+
+#[test]
 fn reconfig_level_is_bounded_by_the_ladder() {
     // `RECONFIG [4][epoch][stripes][block][level + 1]` from a raw client.
     // At gridzip's top level the receiver acks with its watermark and swaps
