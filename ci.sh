@@ -8,8 +8,9 @@
 #           read — no `std::env::var` in the five product crates' src, no
 #           link-frame field coded outside crates/core/src/wire.rs, no
 #           request table, reply stash or redial loop outside link.rs, no
-#           second way to wait on a simulated socket in simtcp, and no
-#           second single-flight beside a data link's write gate
+#           second way to wait on a simulated socket in simtcp, no
+#           second single-flight beside a data link's write gate, and no
+#           probe field or accessor beside the world's metrics registry
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -126,6 +127,12 @@ stage_clippy() {
   # flight (GridNode::on_link): no round counter or waiter list beside it.
   if grep -rnE 'RecoveryCtl|RecoveryRole|begin_recovery|incarnation' crates/core/src; then
     echo "second single-flight beside the link gate (lines above); recover under the gate instead"
+    return 1
+  fi
+  # A count is a name in the world's metrics registry (DESIGN.md §12),
+  # not a field with its own accessor and forwarders.
+  if grep -rnE 'fn establishment_walks|fn link_recoveries|fn walk_peak|fn park_stats|fn path_telemetry|WalkGauge|busy_throttles:|open_frames:|PATH_STATS_RING' crates/*/src; then
+    echo "probe beside the metrics registry (lines above); count with SchedHandle::metric_add instead"
     return 1
   fi
 }

@@ -17,7 +17,7 @@
 //!   live path controller (DESIGN.md §11).
 //! * `ack` — cumulative-ACK cadence against resend-buffer memory.
 
-use gridsim_net::{FaultPlan, Sim, SimTime};
+use gridsim_net::{FaultPlan, Metric, Sim, SimTime};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{ConnectivityProfile, GridEnv, GridNode, ReadMessage};
 use netgrid_bench::*;
@@ -71,6 +71,12 @@ fn flap_world(
 /// Join the grid from an open, publicly addressed host.
 fn join_open(env: &GridEnv, host: SimHost, name: &str) -> GridNode {
     GridNode::join(env, host, name, ConnectivityProfile::open()).unwrap()
+}
+
+/// `node/<id>/<name>` from the world's metrics registry, read in a task.
+fn node_metric(node: &GridNode, name: &'static str) -> u64 {
+    let value = gridsim_net::ctx::handle().metric(Metric("node", Some(node.id()), name));
+    value as u64
 }
 
 /// Receiver-side exactly-once FIFO check for messages that start with a

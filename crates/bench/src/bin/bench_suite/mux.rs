@@ -56,7 +56,7 @@ fn run_one(channels: u64) -> RunOut {
         }
     });
     // setup_ms, links after connect, walks — reported from inside the
-    // sender task where the probes live.
+    // sender task, where the node's metrics are read.
     let probe_out: Arc<parking_lot::Mutex<Option<(f64, u64, u64)>>> =
         Arc::new(parking_lot::Mutex::new(None));
     let probes = probe_out.clone();
@@ -72,8 +72,8 @@ fn run_one(channels: u64) -> RunOut {
         );
         *probes.lock() = Some((
             setup_ms,
-            node.data_link_count() as u64,
-            node.establishment_walks(),
+            node_metric(&node, "links"),
+            node_metric(&node, "walks"),
         ));
         let body = vec![0xa5u8; MSG];
         for seq in 0..MSGS {
@@ -89,10 +89,14 @@ fn run_one(channels: u64) -> RunOut {
         for sp in ports.drain(..) {
             sp.close().unwrap();
         }
-        assert_eq!(node.data_link_count(), 0, "last close did not GC the link");
+        assert_eq!(
+            node_metric(&node, "links"),
+            0,
+            "last close did not GC the link"
+        );
         if channels > 0 {
             assert_eq!(
-                node.link_recoveries(),
+                node_metric(&node, "recoveries"),
                 1,
                 "one flap must cost exactly one link recovery"
             );
@@ -144,7 +148,7 @@ fn pair_trace() {
         sp0.connect("pair").unwrap();
         let mut sp1 = node.create_send_port();
         sp1.connect("pair").unwrap();
-        assert_eq!(node.data_link_count(), 1);
+        assert_eq!(node_metric(&node, "links"), 1);
         for seq in 0..8u64 {
             for (tag, sp) in [&mut sp0, &mut sp1].into_iter().enumerate() {
                 let mut m = sp.message();

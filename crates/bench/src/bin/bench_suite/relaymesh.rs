@@ -58,7 +58,8 @@ fn profiles() -> (ConnectivityProfile, ConnectivityProfile) {
 
 struct BulkOut {
     mb_s: f64,
-    busy_throttles: u64,
+    /// BUSY frames the senders drew, summed (`node/<id>/busy_throttles`).
+    throttled: u64,
 }
 
 /// `pairs` bulk transfers of `bytes` each; `home(i)` picks the relay pair
@@ -115,7 +116,7 @@ fn run_bulk(
                 left -= n;
             }
             sp.close().unwrap();
-            *busy.lock() += node.relay_busy_throttles();
+            *busy.lock() += node_metric(&node, "busy_throttles");
         });
     }
     let outcome = sim.run_for(Duration::from_secs(600));
@@ -127,10 +128,10 @@ fn run_bulk(
     );
     let start = t0.lock().expect("no sender started");
     let last = ends.iter().copied().max().unwrap();
-    let busy_throttles = *busy.lock();
+    let throttled = *busy.lock();
     BulkOut {
         mb_s: (pairs * bytes) as f64 / last.since(start).as_secs_f64() / (1 << 20) as f64,
-        busy_throttles,
+        throttled,
     }
 }
 
@@ -221,12 +222,12 @@ pub fn run(cli: &Cli) {
     println!(
         "skew    relays=4  pairs={pairs}  aggregate={:>8} MB/s  busy_throttles={}",
         fmt_mb(skew.mb_s * (1 << 20) as f64),
-        skew.busy_throttles
+        skew.throttled
     );
     rows.push(
         round("skew", 4, pairs)
             .num("mb_s", format_args!("{:.3}", skew.mb_s))
-            .num("busy_throttles", skew.busy_throttles),
+            .num("busy_throttles", skew.throttled),
     );
     let fifo_ok = run_kill(kill_msgs);
     println!("kill    relays=2  msgs={kill_msgs}  fifo_ok={fifo_ok}");

@@ -18,6 +18,8 @@ use std::sync::Arc;
 const CHANNELS: usize = 4;
 /// Messages per channel after the storm settles (proves delivery).
 const MSGS: u64 = 8;
+/// The most Figure-4 walks in flight at once, across the world.
+const WALK_PEAK: Metric = Metric("world", None, "walk_peak");
 
 struct RunOut {
     walks: u64,
@@ -69,7 +71,7 @@ fn run_one(nodes: usize) -> RunOut {
             let mut ports = node.connect_batch(&format!("storm-{i}"), CHANNELS).unwrap();
             probes
                 .lock()
-                .push((node.establishment_walks(), gridsim_net::ctx::now()));
+                .push((node_metric(&node, "walks"), gridsim_net::ctx::now()));
             for seq in 0..MSGS {
                 for (tag, sp) in ports.iter_mut().enumerate() {
                     let mut m = sp.message();
@@ -96,7 +98,7 @@ fn run_one(nodes: usize) -> RunOut {
     let last = probes.iter().map(|(_, t)| *t).max().unwrap();
     RunOut {
         walks: probes.iter().map(|(w, _)| w).sum(),
-        peak_walks: world.env.walk_peak(),
+        peak_walks: sim.scheduler().handle().metric(WALK_PEAK) as u64,
         setup_ms: last.since(start).as_secs_f64() * 1e3,
     }
 }

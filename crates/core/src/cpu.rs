@@ -68,16 +68,11 @@ impl CpuRates {
     }
 }
 
-#[derive(Default)]
-struct CpuState {
-    busy_until: HashMap<NodeId, SimTime>,
-    consumed: HashMap<NodeId, Duration>,
-}
-
-/// Shared CPU accounting across all hosts of one simulation.
+/// Shared CPU accounting across all hosts of one simulation: when each
+/// node's CPU is next free.
 #[derive(Clone, Default)]
 pub struct CpuModel {
-    state: Arc<Mutex<CpuState>>,
+    busy_until: Arc<Mutex<HashMap<NodeId, SimTime>>>,
 }
 
 impl CpuModel {
@@ -95,29 +90,13 @@ impl CpuModel {
         let service = Duration::from_secs_f64(bytes as f64 / rate);
         let now = ctx::now();
         let end = {
-            let mut st = self.state.lock();
-            let start = st
-                .busy_until
-                .get(&node)
-                .copied()
-                .unwrap_or(SimTime::ZERO)
-                .max(now);
+            let mut busy = self.busy_until.lock();
+            let start = busy.get(&node).copied().unwrap_or(SimTime::ZERO).max(now);
             let end = start + service;
-            st.busy_until.insert(node, end);
-            *st.consumed.entry(node).or_default() += service;
+            busy.insert(node, end);
             end
         };
         ctx::sleep(end - now);
-    }
-
-    /// Total CPU time charged to a node so far (diagnostics/benchmarks).
-    pub fn consumed(&self, node: NodeId) -> Duration {
-        self.state
-            .lock()
-            .consumed
-            .get(&node)
-            .copied()
-            .unwrap_or_default()
     }
 }
 
@@ -137,10 +116,6 @@ impl HostCpu {
     /// Charge `bytes` at `rate` to this host.
     pub fn consume(&self, bytes: usize, rate: f64) {
         self.model.consume(self.node, bytes, rate);
-    }
-
-    pub fn consumed(&self) -> Duration {
-        self.model.consumed(self.node)
     }
 
     pub fn node(&self) -> NodeId {
@@ -180,7 +155,6 @@ mod tests {
         sim.run();
         // One CPU: 2 × 100 ms = 200 ms total, not 100 ms.
         assert_eq!(sim.now().as_nanos(), 200_000_000);
-        assert_eq!(model.consumed(NodeId(0)), Duration::from_millis(200));
     }
 
     #[test]

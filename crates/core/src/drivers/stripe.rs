@@ -36,8 +36,6 @@ pub struct StripeWriter {
     next: usize,
     cpu: HostCpu,
     copy_rate: f64,
-    /// Total blocks emitted (diagnostics).
-    pub blocks_sent: u64,
 }
 
 /// Blocks buffered per stream before the producer backpressures.
@@ -102,7 +100,6 @@ impl StripeWriter {
             next: 0,
             cpu,
             copy_rate,
-            blocks_sent: 0,
         }
     }
 
@@ -132,7 +129,6 @@ impl StripeWriter {
             ));
         }
         self.next = (self.next + 1) % self.queues.len();
-        self.blocks_sent += 1;
         Ok(())
     }
 
@@ -507,7 +503,6 @@ mod tests {
             let mut w = StripeWriter::new(writers, 1000, cpu, f64::INFINITY);
             w.write_all(&vec![1u8; 8000]).unwrap();
             w.flush().unwrap();
-            assert_eq!(w.blocks_sent, 8);
             drop(w);
             gridsim_net::ctx::sleep(std::time::Duration::from_millis(1));
             // Each of 4 pipes got exactly 2 blocks (2 * (1000 + hdr)).

@@ -15,7 +15,7 @@
 //! `handle_incoming_tcp`; its layout is [`crate::wire`]'s.
 
 use gridcrypt::SecureConfig;
-use gridsim_net::{Net, SchedHandle, SockAddr};
+use gridsim_net::{Metric, Net, SchedHandle, SockAddr};
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -35,12 +35,11 @@ use crate::port::{
 };
 use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
-use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink, WalkGauge};
+use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{
-    read_frame, stream_slot, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, ResumeMeta,
-    ResumeReply,
+    read_frame, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, ResumeMeta, ResumeReply,
 };
 
 /// Reconnect schedule for failed data links.
@@ -54,6 +53,10 @@ const RESUME_REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 /// died mid-request. Fault-free establishment passes no deadline (and thus
 /// schedules no timer events).
 const RECOVER_SVC_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Figure-4 walks in flight across the world, and the most at once.
+const WALKS_IN_FLIGHT: Metric = Metric("world", None, "walks_in_flight");
+const WALK_PEAK: Metric = Metric("world", None, "walk_peak");
 
 /// First local port used for receive-port data listeners.
 const DATA_PORT_BASE: u16 = 20_000;
@@ -90,7 +93,6 @@ pub struct GridEnv {
     /// (DESIGN.md §11). Off by default: fault-free wire traces stay
     /// byte-identical unless a deployment opts in.
     pub path_control: Option<PathControlConfig>,
-    walks: Arc<WalkGauge>,
 }
 
 impl GridEnv {
@@ -106,14 +108,7 @@ impl GridEnv {
             resend_budget: crate::port::RESEND_BUDGET,
             ack_bytes: crate::port::ACK_BYTES_DEFAULT,
             path_control: None,
-            walks: Arc::default(),
         }
-    }
-
-    /// Highest number of Figure-4 walks in flight at once, across every
-    /// node joined through this environment or a clone of it.
-    pub fn walk_peak(&self) -> u64 {
-        self.walks.peak()
     }
 
     pub fn with_relay(mut self, relay: SockAddr) -> Self {
@@ -218,15 +213,12 @@ pub(crate) struct NodeInner {
     nat_gate: Arc<NatGate>,
     /// Responder-side splice negotiations awaiting the initiator's GO.
     pending_splices: Mutex<HashMap<u64, PendingSplice>>,
-    /// Cumulative-ack watermarks of this node's open send channels, keyed
-    /// by channel id, advanced by incoming CACK service frames.
-    ack_cells: Mutex<HashMap<u64, Arc<AckCell>>>,
+    /// Cumulative-ack watermarks of this node's open send channels by channel
+    /// id, each beside the one receiver whose CACK frames advance it.
+    ack_cells: Mutex<HashMap<u64, (GridId, Arc<AckCell>)>>,
     /// The session layer's cache of established data links (at most one
     /// per peer + stack spec).
     links: LinkTable,
-    /// OPEN control frames this node has written — the batching probe: a
-    /// batch of N attaches must cost one frame, not N.
-    open_frames: AtomicU64,
     /// Receive-side per-channel state shared across this node's receive
     /// ports (delivered watermarks + ack bookkeeping): mux links can carry
     /// channels of several ports, and a resume can re-anchor a channel on
@@ -236,8 +228,8 @@ pub(crate) struct NodeInner {
 
 struct PendingSplice {
     port: Arc<ReceivePortInner>,
+    /// One per stream of the port's spec.
     my_ports: Vec<u16>,
-    total: u16,
     /// The NAT gate, held from REQ until the negotiation is dropped: on
     /// GO, ABORT, a duplicate REQ or [`SPLICE_GO_DEADLINE`].
     _gate: Option<GateHold>,
@@ -360,8 +352,7 @@ impl GridNode {
             nat_gate,
             pending_splices: Mutex::new(HashMap::new()),
             ack_cells: Mutex::new(HashMap::new()),
-            links: LinkTable::new(Arc::clone(&env.walks)),
-            open_frames: AtomicU64::new(0),
+            links: LinkTable::new(env.net.sched().clone(), Metric("node", Some(id), "links")),
             rx: RxShared::new(),
         });
         let node = GridNode { inner };
@@ -408,37 +399,10 @@ impl GridNode {
         &self.inner.cpu
     }
 
-    /// Established data links right now (the session layer's link cache).
-    /// N same-spec channels to one peer count as ONE link here.
-    pub fn data_link_count(&self) -> usize {
-        self.inner.links.ready_count()
-    }
-
-    /// Fresh Figure-4 establishment walks this node has run — the
-    /// single-flight dedupe probe: racing `connect()`s to the same peer
-    /// must not add more than one.
-    pub fn establishment_walks(&self) -> u64 {
-        self.inner.links.walks()
-    }
-
-    /// Completed link-level recoveries: each re-established ONE shared
-    /// link and replayed every channel attached to it.
-    pub fn link_recoveries(&self) -> u64 {
-        self.inner.links.recoveries()
-    }
-
-    /// Times the relay BUSY-throttled this node's routed writes — the
-    /// typed-backpressure probe.
-    pub fn relay_busy_throttles(&self) -> u64 {
-        self.inner.relay.as_ref().map_or(0, |r| r.busy_throttles())
-    }
-
-    /// OPEN control frames written by this node's senders — the batching
-    /// probe. A fresh link's anchor channel rides the stream preamble (no
-    /// frame); every later attach, of one channel or a batch of N, costs
-    /// exactly one OPEN.
-    pub fn open_control_frames(&self) -> u64 {
-        self.inner.open_frames.load(Ordering::Relaxed)
+    /// Count one more of this node's `node/<id>/<name>` (DESIGN.md §12).
+    fn count(&self, name: &'static str) {
+        let sched = self.inner.env.net.sched();
+        sched.metric_add(Metric("node", Some(self.inner.id), name), 1);
     }
 
     fn ctx(&self) -> NodeCtx {
@@ -582,7 +546,11 @@ impl GridNode {
                 Claim::Mine => {
                     // The first channel anchors the walk, announced by the
                     // stream preamble itself. The fresh link is then
-                    // attached to like a cached one.
+                    // attached to like a cached one. Walks to different
+                    // peers run concurrently, which the world's peak shows.
+                    self.count("walks");
+                    let sched = self.inner.env.net.sched();
+                    sched.metric_max(WALK_PEAK, sched.metric_add(WALKS_IN_FLIGHT, 1));
                     let result = self.establish_link(
                         &key,
                         &rec,
@@ -591,7 +559,7 @@ impl GridNode {
                         channels[0],
                         port_name,
                     );
-                    self.inner.links.walk_done();
+                    sched.metric_add(WALKS_IN_FLIGHT, -1);
                     match result {
                         Ok(anchor) => {
                             self.inner.links.fulfill(&key, &anchor.link);
@@ -629,20 +597,15 @@ impl GridNode {
             }));
             break conns;
         };
-        // Register the channels' ack watermarks so CACK service frames
-        // arriving on the relay pump reach them. Survives recovery: the
-        // cell rides the channel, not the link.
+        // Register the channels' ack watermarks so the receiver's CACK
+        // service frames arriving on the relay pump reach them. Survives
+        // recovery: the cell rides the channel, not the link.
         self.inner.ack_cells.lock().extend(
             conns
                 .iter()
-                .map(|c| (c.chan.channel, Arc::clone(&c.chan.acked))),
+                .map(|c| (c.chan.channel, (rec.owner, Arc::clone(&c.chan.acked)))),
         );
         Ok(conns)
-    }
-
-    /// Unregister a closed channel's ack watermark.
-    pub(crate) fn release_channel(&self, channel: u64) {
-        self.inner.ack_cells.lock().remove(&channel);
     }
 
     /// Announce channels joining an established link with ONE `OPEN`
@@ -664,7 +627,7 @@ impl GridNode {
             io.check()?;
             io.write_control(&open)
         })?;
-        self.inner.open_frames.fetch_add(1, Ordering::Relaxed);
+        self.count("open_frames");
         Ok(())
     }
 
@@ -679,7 +642,6 @@ impl GridNode {
         channel: u64,
         port_name: &str,
     ) -> io::Result<SendConnection> {
-        self.inner.links.note_walk();
         let mut walk = Walk::new(choose_methods(
             &self.inner.profile,
             peer_profile,
@@ -876,17 +838,20 @@ impl GridNode {
                 if link.channel_count() == 0 {
                     break;
                 }
-                let now = || gridsim_net::ctx::now().as_nanos() / 1_000;
-                let sample = link.sample_stats(now());
+                let sample = || {
+                    node.count("path_samples");
+                    link.sample_stats(gridsim_net::ctx::now().as_nanos() / 1_000)
+                };
+                let first = sample();
                 let ctl = ctl.get_or_insert_with(|| PathController::new(link.path_params(), cfg));
                 // A recovery may have reset the live parameters behind our
                 // back; resync before and after deciding.
                 ctl.applied(link.path_params());
-                if let Some(p) = ctl.on_sample(sample) {
+                if let Some(p) = ctl.on_sample(first) {
                     let _ = node.reconfigure_link(&link, p);
                     ctl.applied(link.path_params());
                     // The next window starts once the swap is done.
-                    ctl.on_sample(link.sample_stats(now()));
+                    ctl.on_sample(sample());
                 }
             }
         });
@@ -941,7 +906,7 @@ impl GridNode {
     pub(crate) fn drop_channel(&self, c: &SendConnection) {
         c.link.detach(c.chan.channel);
         self.gc_link_if_empty(&c.link.key, &c.link);
-        self.release_channel(c.chan.channel);
+        self.inner.ack_cells.lock().remove(&c.chan.channel);
     }
 
     fn gc_link_if_empty(&self, key: &LinkKey, link: &Arc<SharedLink>) {
@@ -993,7 +958,7 @@ impl GridNode {
     fn recover_link(&self, link: &Arc<SharedLink>, io: &mut LinkIo) -> io::Result<()> {
         let result = self.do_recover_link(link, io);
         match &result {
-            Ok(()) => self.inner.links.note_recovery(),
+            Ok(()) => self.count("recoveries"),
             Err(e) => {
                 self.inner.links.remove(&link.key, link);
                 link.note_failure(e);
@@ -1369,11 +1334,12 @@ impl GridNode {
 
     /// Handle `SPLICE_REQ`: allocate ports, predict endpoints (taking the
     /// NAT gate, held until GO, ABORT or the deadline), reply with the
-    /// predictions.
-    fn handle_splice_request(&self, _from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = r.u64()?;
+    /// predictions. The stream count must be the named port's own, so a
+    /// peer cannot make us allocate (and probe for) more.
+    fn handle_splice_request(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
+        let channel = own_channel(from, r.u64()?)?;
         let port_name = r.str()?;
-        let (_, total) = stream_slot(0, r.u64()?)?;
+        let asked = r.u64()?;
         let port = self
             .inner
             .ports
@@ -1381,6 +1347,11 @@ impl GridNode {
             .get(&port_name)
             .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown receive port"))?;
+        let total = port.spec.streams();
+        if asked != total as u64 {
+            let why = "not the port's stream count";
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+        }
         if !self.inner.profile.splice_capable() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -1413,7 +1384,6 @@ impl GridNode {
             PendingSplice {
                 port,
                 my_ports,
-                total,
                 _gate: gate,
             },
         );
@@ -1427,8 +1397,8 @@ impl GridNode {
     /// Handle `SPLICE_GO`: emit our SYNs towards the initiator's endpoints
     /// (mappings land on the predicted ports because the gate was held
     /// since REQ), then drop the negotiation and with it the gate.
-    fn handle_splice_go(&self, _from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = r.u64()?;
+    fn handle_splice_go(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
+        let channel = own_channel(from, r.u64()?)?;
         let n = r.u64()? as usize;
         let peer_eps: Vec<SockAddr> = (0..n).map(|_| r.addr()).collect::<io::Result<_>>()?;
         let pending = self
@@ -1437,59 +1407,63 @@ impl GridNode {
             .lock()
             .remove(&channel)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no pending splice"))?;
-        let result = (|| -> io::Result<()> {
-            if peer_eps.len() != pending.total as usize || peer_eps.len() != pending.my_ports.len()
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "endpoint count mismatch",
-                ));
-            }
-            let cfg = self.splice_cfg();
-            let sched = self.inner.env.net.sched().clone();
-            for (i, (&lp, &ep)) in pending.my_ports.iter().zip(&peer_eps).enumerate() {
-                let stream = self.inner.host.connect_start(
-                    ep,
-                    ConnectOpts {
-                        local_port: Some(lp),
-                        cfg: Some(cfg),
-                    },
-                )?;
-                let node = self.clone();
-                let port = Arc::clone(&pending.port);
-                sched.spawn_daemon(format!("splice-accept-{i}"), move || {
-                    if stream.wait_established().is_err() {
-                        return;
-                    }
-                    // Same as an accepted connection: read the initiator's
-                    // preamble.
-                    let _ = node.handle_incoming_tcp(&port, stream);
-                });
-            }
-            Ok(())
-        })();
-        result.map(|()| FrameWriter::new().u8(1).into_bytes())
+        if peer_eps.len() != pending.my_ports.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "endpoint count mismatch",
+            ));
+        }
+        let cfg = self.splice_cfg();
+        let sched = self.inner.env.net.sched().clone();
+        for (i, (&lp, &ep)) in pending.my_ports.iter().zip(&peer_eps).enumerate() {
+            let stream = self.inner.host.connect_start(
+                ep,
+                ConnectOpts {
+                    local_port: Some(lp),
+                    cfg: Some(cfg),
+                },
+            )?;
+            let node = self.clone();
+            let port = Arc::clone(&pending.port);
+            sched.spawn_daemon(format!("splice-accept-{i}"), move || {
+                if stream.wait_established().is_err() {
+                    return;
+                }
+                // Same as an accepted connection: read the initiator's
+                // preamble.
+                let _ = node.handle_incoming_tcp(&port, stream);
+            });
+        }
+        Ok(FrameWriter::new().u8(1).into_bytes())
     }
 
-    /// Handle `CACK{channel, delivered}` from a receive port: advance the
-    /// matching send channel's cumulative-ack watermark. Unknown channels
-    /// (already closed) still ack — the frame is advisory and a stale CACK
-    /// needs no error.
-    fn handle_cack(&self, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
+    /// Handle `CACK{channel, delivered}`: advance the matching send channel's
+    /// cumulative-ack watermark if `from` is that channel's receiver. Anything
+    /// else (a closed channel, another sender) still gets an ack: the frame is
+    /// advisory and a stale CACK needs no error.
+    fn handle_cack(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
         let channel = r.u64()?;
         let delivered = r.u64()?;
-        if let Some(cell) = self.inner.ack_cells.lock().get(&channel) {
+        let cells = self.inner.ack_cells.lock();
+        if let Some((_, cell)) = cells.get(&channel).filter(|(peer, _)| *peer == from) {
             cell.advance(delivered);
         }
         Ok(FrameWriter::new().u8(1).into_bytes())
     }
 
     /// Handle `SPLICE_ABORT`: drop the pending negotiation and free the gate.
-    fn handle_splice_abort(&self, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = r.u64()?;
+    fn handle_splice_abort(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
+        let channel = own_channel(from, r.u64()?)?;
         self.inner.pending_splices.lock().remove(&channel);
         Ok(FrameWriter::new().u8(1).into_bytes())
     }
+}
+
+/// The channel of a splice message from `from`, refused unless `from`
+/// allocated it: its high bits are the initiator's grid id (`alloc_channel`).
+fn own_channel(from: GridId, channel: u64) -> io::Result<u64> {
+    let theirs = || io::Error::new(io::ErrorKind::PermissionDenied, "not the sender's channel");
+    Some(channel).filter(|c| c >> 24 == from).ok_or_else(theirs)
 }
 
 /// Service-message opcodes (carried in SVC_REQ payloads).
@@ -1522,8 +1496,8 @@ impl RelayDelegate for NodeDelegate {
         let result = match r.u8() {
             Ok(svc::SPLICE_REQ) => node.handle_splice_request(from, &mut r),
             Ok(svc::SPLICE_GO) => node.handle_splice_go(from, &mut r),
-            Ok(svc::SPLICE_ABORT) => node.handle_splice_abort(&mut r),
-            Ok(svc::CACK) => node.handle_cack(&mut r),
+            Ok(svc::SPLICE_ABORT) => node.handle_splice_abort(from, &mut r),
+            Ok(svc::CACK) => node.handle_cack(from, &mut r),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "unknown service request",

@@ -343,14 +343,6 @@ impl SendPort {
         self.conns.get(i).map(|c| c.link.path_epoch())
     }
 
-    /// Telemetry ring of connection `i`'s link, oldest first — the
-    /// samples the session-layer control loop decides from. Empty unless
-    /// path control is on (`GridEnv::with_path_control`) or the caller
-    /// samples by hand.
-    pub fn path_telemetry(&self, i: usize) -> Option<Vec<crate::tune::PathStats>> {
-        self.conns.get(i).map(|c| c.link.stats_ring())
-    }
-
     /// Reconfigure every distinct underlying link to `params` live
     /// (DESIGN.md §11): stripe count, block size and compression switch
     /// at a frame boundary without tearing the connections down, and

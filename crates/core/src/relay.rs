@@ -17,12 +17,12 @@
 //! to the write it leaves by (DESIGN.md §5b, §10).
 
 use bytes::Bytes;
-use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr};
+use gridsim_net::{Metric, SchedHandle, SimMutex, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::drivers::blockio::chunks_until;
@@ -868,8 +868,6 @@ struct RcInner {
     /// Peers the relay flagged BUSY: DATA writes towards them park here
     /// until the READY, with the wakers to release.
     congested: Mutex<HashMap<GridId, Vec<gridsim_net::Waker>>>,
-    /// Times this client was BUSY-throttled (observability + bench probe).
-    busy_throttles: AtomicU64,
     sched: SchedHandle,
 }
 
@@ -930,7 +928,6 @@ impl RelayClient {
                 streams: Mutex::new(BTreeMap::new()),
                 delegate: Mutex::new(None),
                 congested: Mutex::new(HashMap::new()),
-                busy_throttles: AtomicU64::new(0),
                 sched: host.net().sched().clone(),
             }),
         };
@@ -1082,11 +1079,6 @@ impl RelayClient {
             }
             gridsim_net::ctx::park("relay peer busy");
         }
-    }
-
-    /// Times the relay BUSY-throttled this client (monotonic).
-    pub fn busy_throttles(&self) -> u64 {
-        self.inner.busy_throttles.load(Ordering::Relaxed)
     }
 
     /// Fail exactly the request the echoed inner frame belonged to. Returns
@@ -1300,7 +1292,8 @@ impl LinkOwner for RelayClient {
                 // The relay says this recipient's queue is hot: gate
                 // further DATA towards it until the READY.
                 let peer = r.u64()?;
-                self.inner.busy_throttles.fetch_add(1, Ordering::Relaxed);
+                let throttles = Metric("node", Some(self.inner.id), "busy_throttles");
+                self.inner.sched.metric_add(throttles, 1);
                 self.inner.congested.lock().entry(peer).or_default();
                 Ok(())
             }

@@ -23,7 +23,7 @@
 //! `parking_lot` sections that are never held across a parking operation.
 
 use bytes::Bytes;
-use gridsim_net::{SimMutex, SimMutexGuard, Waker};
+use gridsim_net::{Metric, SchedHandle, SimMutex, SimMutexGuard, Waker};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Write};
@@ -317,13 +317,7 @@ pub(crate) struct SharedLink {
     /// establishment spec but never rewinds the epoch, so a receiver can
     /// always reject stale frames).
     path: Mutex<(u64, PathParams)>,
-    /// Telemetry ring: transport-level samples ([`PathStats`]) pushed by
-    /// the session-layer sampler, read by the path controller.
-    stats: Mutex<VecDeque<PathStats>>,
 }
-
-/// Capacity of the per-link [`PathStats`] ring.
-const PATH_STATS_RING: usize = 64;
 
 impl SharedLink {
     pub fn new(
@@ -347,7 +341,6 @@ impl SharedLink {
             failed: Mutex::new((0, io::ErrorKind::Other, String::new())),
             method: Mutex::new(method),
             path: Mutex::new((0, path)),
-            stats: Mutex::new(VecDeque::with_capacity(PATH_STATS_RING)),
         }
     }
 
@@ -377,48 +370,33 @@ impl SharedLink {
         self.path.lock().1 = params;
     }
 
-    /// Sample the transport counters of the active stripes into the
-    /// telemetry ring and return the sample. Takes the write gate briefly
-    /// (a recovery swaps the raw-link set under it).
+    /// Sample the transport counters of the active stripes for the path
+    /// controller. Takes the write gate briefly (a recovery swaps the
+    /// raw-link set under it).
     pub fn sample_stats(&self, at_micros: u64) -> PathStats {
-        let (agg, stripes) = {
-            let io = self.io.lock();
-            let mut agg = PathStats {
-                at_micros,
-                tx_room: u64::MAX,
-                ..PathStats::default()
-            };
-            let mut srtt_sum = 0u64;
-            let mut srtt_n = 0u64;
-            for l in &io.links[..io.active] {
-                if let Some(cs) = l.conn_stats() {
-                    agg.bytes_sent += cs.bytes_sent;
-                    agg.rtx_timeouts += cs.rtx_timeouts;
-                    agg.fast_retransmits += cs.fast_retransmits;
-                    if let Some(srtt) = cs.srtt {
-                        srtt_sum += srtt.as_micros() as u64;
-                        srtt_n += 1;
-                    }
-                }
-                agg.tx_room = agg.tx_room.min(l.send_room() as u64);
-            }
-            agg.srtt_micros = srtt_sum.checked_div(srtt_n).unwrap_or(0);
-            (agg, io.active as u16)
+        let io = self.io.lock();
+        let mut agg = PathStats {
+            at_micros,
+            tx_room: u64::MAX,
+            stripes: io.active as u16,
+            params: self.path_params(),
+            ..PathStats::default()
         };
-        let mut sample = agg;
-        sample.stripes = stripes;
-        sample.params = self.path_params();
-        let mut ring = self.stats.lock();
-        if ring.len() == PATH_STATS_RING {
-            ring.pop_front();
+        let (mut srtt_sum, mut srtt_n) = (0u64, 0u64);
+        for l in &io.links[..io.active] {
+            if let Some(cs) = l.conn_stats() {
+                agg.bytes_sent += cs.bytes_sent;
+                agg.rtx_timeouts += cs.rtx_timeouts;
+                agg.fast_retransmits += cs.fast_retransmits;
+                if let Some(srtt) = cs.srtt {
+                    srtt_sum += srtt.as_micros() as u64;
+                    srtt_n += 1;
+                }
+            }
+            agg.tx_room = agg.tx_room.min(l.send_room() as u64);
         }
-        ring.push_back(sample);
-        sample
-    }
-
-    /// Snapshot of the telemetry ring, oldest first.
-    pub fn stats_ring(&self) -> Vec<PathStats> {
-        self.stats.lock().iter().copied().collect()
+        agg.srtt_micros = srtt_sum.checked_div(srtt_n).unwrap_or(0);
+        agg
     }
 
     /// Acquire the write gate. FIFO and sim-aware: contending channel
@@ -528,40 +506,17 @@ pub(crate) enum Claim {
 /// Figure-4 walk; concurrent claimants park and attach to the result.
 pub(crate) struct LinkTable {
     entries: Mutex<HashMap<LinkKey, Entry>>,
-    /// Fresh Figure-4 walks run (establishment dedupe probe).
-    walks: AtomicU64,
-    /// Completed link-level recoveries (each re-established ONE link and
-    /// replayed every attached channel).
-    recoveries: AtomicU64,
-    /// The deployment's gauge, which this table's walks move.
-    gauge: Arc<WalkGauge>,
-}
-
-/// Walk concurrency gauge of one deployment (a [`crate::GridEnv`] and its
-/// clones), across every node joined through it: single-flight is
-/// per-`LinkKey`, so walks to *different* peers run concurrently, and a
-/// storm proves it by watching the peak here. Purely observational — never
-/// read by protocol code.
-#[derive(Default)]
-pub(crate) struct WalkGauge {
-    in_flight: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl WalkGauge {
-    /// Highest number of walks in flight at once so far.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
+    /// Where `node/<id>/links`, the ready entries right now, is counted.
+    sched: SchedHandle,
+    ready: Metric,
 }
 
 impl LinkTable {
-    pub fn new(gauge: Arc<WalkGauge>) -> LinkTable {
+    pub fn new(sched: SchedHandle, ready: Metric) -> LinkTable {
         LinkTable {
             entries: Mutex::new(HashMap::new()),
-            walks: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            gauge,
+            sched,
+            ready,
         }
     }
 
@@ -588,6 +543,7 @@ impl LinkTable {
             .entries
             .lock()
             .insert(key.clone(), Entry::Ready(Arc::clone(link)));
+        self.sched.metric_add(self.ready, 1);
         wake_entry(prev);
     }
 
@@ -606,41 +562,9 @@ impl LinkTable {
         if let Some(Entry::Ready(l)) = e.get(key) {
             if Arc::ptr_eq(l, link) {
                 e.remove(key);
+                self.sched.metric_add(self.ready, -1);
             }
         }
-    }
-
-    /// Established (ready) links right now.
-    pub fn ready_count(&self) -> usize {
-        self.entries
-            .lock()
-            .values()
-            .filter(|e| matches!(e, Entry::Ready(_)))
-            .count()
-    }
-
-    pub fn note_walk(&self) {
-        self.walks.fetch_add(1, Ordering::Relaxed);
-        let now = self.gauge.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.gauge.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// The walk counted by the matching [`note_walk`] finished (either
-    /// way); keeps the concurrency gauge honest.
-    pub fn walk_done(&self) {
-        self.gauge.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn walks(&self) -> u64 {
-        self.walks.load(Ordering::Relaxed)
-    }
-
-    pub fn note_recovery(&self) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
     }
 }
 

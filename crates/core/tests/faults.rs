@@ -2,7 +2,7 @@
 //! establishment method (exactly-once FIFO recovery), relay crash handling,
 //! and relay registry regressions (stale unregister, innocent senders).
 
-use gridsim_net::{topology, FaultPlan, LinkParams, NatKind, Sim, SockAddr};
+use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
 use netgrid::wire::{read_frame, FrameReader, FrameWriter};
 use netgrid::{
@@ -1115,7 +1115,6 @@ fn silent_ns_partition_fails_lookups_within_the_abort_budget() {
 #[test]
 fn unanswered_splice_request_releases_the_nat_gate() {
     const GO_DEADLINE: Duration = Duration::from_secs(10);
-    const SPLICE_REQ: u8 = 1;
     let sim = Sim::new(seed(68));
     let specs = vec![
         topology::SiteSpec::natted("nat", 1, NatKind::SymmetricSequential, wan()),
@@ -1161,7 +1160,7 @@ fn unanswered_splice_request_releases_the_nat_gate() {
         let rc = RelayClient::connect(&ha, relay_addr, None, 9_999).unwrap();
         let req = FrameWriter::new()
             .u8(SPLICE_REQ)
-            .u64(1)
+            .u64(9_999 << 24 | 1)
             .str("splice-port")
             .u64(1)
             .into_bytes();
@@ -1183,6 +1182,133 @@ fn unanswered_splice_request_releases_the_nat_gate() {
         waited <= GO_DEADLINE + Duration::from_secs(1),
         "connect took {waited:?} behind the gate"
     );
+}
+
+const SPLICE_REQ: u8 = 1;
+const SPLICE_GO: u8 = 2;
+const CACK: u8 = 4;
+
+/// The reason a node's service reply gives for refusing; `None` if it
+/// accepted.
+fn refusal(rsp: &[u8]) -> Option<String> {
+    let mut r = FrameReader::new(rsp);
+    (r.u8().unwrap() == 0).then(|| r.str().unwrap())
+}
+
+/// A firewalled splice responder with a one-stream port `one`, kept alive
+/// while raw relay clients on the other site's host, given its id and the
+/// relay, run `ask`.
+fn ask_splice_responder(seed: u64, ask: impl FnOnce(u64, SockAddr, SimHost) + Send + 'static) {
+    let sim = Sim::new(seed);
+    let specs = vec![
+        topology::SiteSpec::open("site-a", 1, wan()),
+        topology::SiteSpec::firewalled("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    let relay_addr = env.relay_addr.unwrap();
+    let responder = gridsim_net::SimQueue::bounded(1);
+    let r = responder.clone();
+    sim.spawn("responder", move || {
+        let node = GridNode::join(&env, hb, "responder", ConnectivityProfile::firewalled());
+        let node = node.unwrap();
+        let port = node.create_receive_port("one", StackSpec::plain());
+        assert!(r.push((node, port.unwrap())).is_ok());
+    });
+    let done = sim.spawn("initiator", move || {
+        let (node, _port) = responder.pop().unwrap();
+        ask(node.id(), relay_addr, ha);
+    });
+    sim.run();
+    assert!(done.is_finished());
+}
+
+/// An honest initiator asks for the registered port's own stream count, so
+/// a SPLICE_REQ for more is refused before the responder allocates a port
+/// or sends a probe.
+#[test]
+fn a_splice_request_for_more_streams_than_the_port_has_is_refused() {
+    ask_splice_responder(seed(70), |to, relay, host| {
+        let rc = RelayClient::connect(&host, relay, None, 9_998).unwrap();
+        let req = FrameWriter::new().u8(SPLICE_REQ).u64(9_998 << 24 | 1);
+        let req = req.str("one").u64(2).into_bytes();
+        let why = refusal(&rc.service_request(to, &req).unwrap());
+        assert!(
+            why.as_ref().is_some_and(|w| w.contains("stream count")),
+            "{why:?}"
+        );
+    });
+}
+
+/// A splice channel's high bits are its initiator's grid id, so only the
+/// node that opened a negotiation can say GO to it.
+#[test]
+fn a_splice_go_from_anyone_but_the_initiator_is_refused() {
+    ask_splice_responder(seed(71), |to, relay, host| {
+        let channel = 9_996 << 24 | 1;
+        let first = RelayClient::connect(&host, relay, None, 9_996).unwrap();
+        let req = FrameWriter::new().u8(SPLICE_REQ).u64(channel).str("one");
+        let rsp = first.service_request(to, &req.u64(1).into_bytes()).unwrap();
+        assert_eq!(refusal(&rsp), None, "the initiator's own REQ");
+        let second = RelayClient::connect(&host, relay, None, 9_995).unwrap();
+        let go = FrameWriter::new().u8(SPLICE_GO).u64(channel).u64(1);
+        let go = go.addr(SockAddr::new(host.ip(), 31_000)).into_bytes();
+        let why = refusal(&second.service_request(to, &go).unwrap());
+        assert!(
+            why.as_ref().is_some_and(|w| w.contains("sender's channel")),
+            "{why:?}"
+        );
+    });
+}
+
+/// A CACK advances a channel's watermark only when its receiver sends it: a
+/// third party's would prune messages the receiver never got, and the next
+/// recovery would then fail `ResendOverflow`.
+#[test]
+fn a_cack_from_anyone_but_the_receiver_prunes_nothing() {
+    let sim = Sim::new(seed(72));
+    let specs = vec![
+        topology::SiteSpec::open("site-a", 1, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (mut env, ha, hb, _) = fault_world(&sim, specs, false);
+    // The receiver acks nothing itself: only the third party could prune.
+    env.ack_bytes = usize::MAX;
+    let relay_addr = env.relay_addr.unwrap();
+    let env_b = env.clone();
+    sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "acked-recv", ConnectivityProfile::open()).unwrap();
+        let rp = node.create_receive_port("acked", StackSpec::plain());
+        let rp = rp.unwrap();
+        for _ in 0..5 {
+            rp.receive().unwrap();
+        }
+    });
+    let done = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let profile = ConnectivityProfile::open();
+        let node = GridNode::join(&env, ha.clone(), "acked-send", profile).unwrap();
+        let mut sp = node.create_send_port();
+        sp.connect("acked").unwrap();
+        for _ in 0..4 {
+            sp.send(&[0x5a; 64]).unwrap();
+        }
+        let before = sp.resend_stats()[0];
+        let third = RelayClient::connect(&ha, relay_addr, None, 9_997).unwrap();
+        let cack = FrameWriter::new()
+            .u8(CACK)
+            .u64(sp.connections()[0].2)
+            .u64(4);
+        third
+            .service_request(node.id(), &cack.into_bytes())
+            .unwrap();
+        // Pruning happens as the next message is retained.
+        sp.send(&[0x5a; 64]).unwrap();
+        let after = sp.resend_stats()[0];
+        assert!(after.0 > before.0, "pruned from {before:?} to {after:?}");
+        sp.close().unwrap();
+    });
+    sim.run();
+    assert!(done.is_finished());
 }
 
 /// A failed recovery is shared, not repeated. Two channels of one link each
@@ -1238,7 +1364,8 @@ fn a_failed_recovery_fails_its_waiters_and_the_next_send_walks_again() {
             (failed[1].0, failed[1].1),
             "one ladder: one error kind at one instant"
         );
-        assert_eq!(node.link_recoveries(), 0);
+        let recoveries = Metric("node", Some(node.id()), "recoveries");
+        assert_eq!(gridsim_net::ctx::handle().metric(recoveries), 0);
         let t0 = gridsim_net::ctx::now();
         assert!(failed[0].2.send(&[0x5a; 64]).is_err());
         let took = gridsim_net::ctx::now() - t0;

@@ -2,8 +2,8 @@
 //!
 //! The invariants under test, per DESIGN.md §8:
 //! - N same-spec channels between one node pair ride exactly ONE
-//!   established link (`data_link_count`), found by exactly ONE Figure-4
-//!   walk (`establishment_walks`) even under racing connects.
+//!   established link (`node/<id>/links`), found by exactly ONE Figure-4
+//!   walk (`node/<id>/walks`) even under racing connects.
 //! - Channel close is refcounted: the last detach tears the link down and
 //!   GCs the table entry; a later connect establishes fresh.
 //! - Different stack specs (e.g. stream counts) key separate links.
@@ -12,7 +12,7 @@
 //! - One mid-transfer flap triggers ONE recovery that replays every
 //!   attached channel, preserving per-channel exactly-once FIFO.
 
-use gridsim_net::{topology, FaultPlan, LinkParams, Sim, SockAddr};
+use gridsim_net::{topology, FaultPlan, LinkParams, Metric, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, EstablishMethod, GridNode, SendPort,
@@ -98,6 +98,11 @@ fn assert_tagged_fifo(rp: &netgrid::ReceivePort, expect: &HashMap<u64, u64>) {
     }
 }
 
+/// `node/<id>/<name>` from the world's metrics registry, read in a task.
+fn metric(node: &GridNode, name: &'static str) -> i64 {
+    gridsim_net::ctx::handle().metric(Metric("node", Some(node.id()), name))
+}
+
 fn send_tagged(sp: &mut SendPort, tag: u64, seq: u64) {
     let mut m = sp.message();
     m.write_u64(tag);
@@ -136,8 +141,8 @@ fn channels_share_one_link_fifo() {
             );
             ports.push(sp);
         }
-        assert_eq!(node.establishment_walks(), 1, "connects were not deduped");
-        assert_eq!(node.data_link_count(), 1, "channels did not share a link");
+        assert_eq!(metric(&node, "walks"), 1, "connects were not deduped");
+        assert_eq!(metric(&node, "links"), 1, "channels did not share a link");
         for seq in 0..MSGS {
             for (tag, sp) in ports.iter_mut().enumerate() {
                 send_tagged(sp, tag as u64, seq);
@@ -147,8 +152,8 @@ fn channels_share_one_link_fifo() {
         for sp in ports.drain(..) {
             sp.close().unwrap();
         }
-        assert_eq!(node.data_link_count(), 0, "last close did not GC the link");
-        assert_eq!(node.link_recoveries(), 0);
+        assert_eq!(metric(&node, "links"), 0, "last close did not GC the link");
+        assert_eq!(metric(&node, "recoveries"), 0);
     });
     sim.run();
     assert!(recv.is_finished(), "receiver wedged");
@@ -205,20 +210,20 @@ fn racing_connects_single_flight_and_refcounted_release() {
     let closer = sim.spawn("closer", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(900));
         let node = nc.lock().clone().unwrap();
-        assert_eq!(node.establishment_walks(), 1, "race ran two walks");
-        assert_eq!(node.data_link_count(), 1, "race created two links");
+        assert_eq!(metric(&node, "walks"), 1, "race ran two walks");
+        assert_eq!(metric(&node, "links"), 1, "race created two links");
         let mut ps = ports.lock();
         let first = ps.pop().unwrap();
         let second = ps.pop().unwrap();
         drop(ps);
         first.close().unwrap();
         assert_eq!(
-            node.data_link_count(),
+            metric(&node, "links"),
             1,
             "close of ONE channel tore down the shared link"
         );
         second.close().unwrap();
-        assert_eq!(node.data_link_count(), 0, "last close did not GC the link");
+        assert_eq!(metric(&node, "links"), 0, "last close did not GC the link");
     });
     sim.run();
     for r in &racers {
@@ -255,16 +260,16 @@ fn different_stream_counts_use_separate_links() {
         let mut sp2 = node.create_send_port();
         sp2.connect("mux-specs-2").unwrap();
         assert_eq!(
-            node.data_link_count(),
+            metric(&node, "links"),
             2,
             "different stream counts must not share a link"
         );
-        assert_eq!(node.establishment_walks(), 2);
+        assert_eq!(metric(&node, "walks"), 2);
         send_tagged(&mut sp1, 0, 0);
         send_tagged(&mut sp2, 1, 0);
         sp1.close().unwrap();
         sp2.close().unwrap();
-        assert_eq!(node.data_link_count(), 0);
+        assert_eq!(metric(&node, "links"), 0);
     });
     sim.run();
     assert!(recv.is_finished(), "receiver wedged");
@@ -300,11 +305,11 @@ fn mux_routes_across_receive_ports() {
         let mut sp_b = node.create_send_port();
         sp_b.connect("route-b").unwrap();
         assert_eq!(
-            node.data_link_count(),
+            metric(&node, "links"),
             1,
             "same-spec channels to one peer must share a link across ports"
         );
-        assert_eq!(node.establishment_walks(), 1);
+        assert_eq!(metric(&node, "walks"), 1);
         sp_a.send(b"to-a").unwrap();
         sp_b.send(b"to-b").unwrap();
         sp_a.close().unwrap();
@@ -337,11 +342,11 @@ fn reconnect_after_teardown_walks_again() {
         sp.connect("mux-regc").unwrap();
         send_tagged(&mut sp, 0, 0);
         sp.close().unwrap();
-        assert_eq!(node.data_link_count(), 0);
+        assert_eq!(metric(&node, "links"), 0);
         let mut sp = node.create_send_port();
         sp.connect("mux-regc").unwrap();
         assert_eq!(
-            node.establishment_walks(),
+            metric(&node, "walks"),
             2,
             "a torn-down link must not be reused"
         );
@@ -388,7 +393,7 @@ fn one_flap_one_recovery_replays_all_channels() {
             sp.connect("mux-flap").unwrap();
             ports.push(sp);
         }
-        assert_eq!(node.data_link_count(), 1);
+        assert_eq!(metric(&node, "links"), 1);
         for seq in 0..MSGS {
             for (tag, sp) in ports.iter_mut().enumerate() {
                 send_tagged(sp, tag as u64, seq);
@@ -399,16 +404,16 @@ fn one_flap_one_recovery_replays_all_channels() {
             sp.close().unwrap();
         }
         assert_eq!(
-            node.establishment_walks(),
+            metric(&node, "walks"),
             1,
             "recovery must not re-walk per channel"
         );
         assert_eq!(
-            node.link_recoveries(),
+            metric(&node, "recoveries"),
             1,
             "one flap must cost exactly one link recovery"
         );
-        assert_eq!(node.data_link_count(), 0);
+        assert_eq!(metric(&node, "links"), 0);
     });
     sim.run();
     assert!(recv.is_finished(), "receiver wedged after flap");
@@ -463,7 +468,7 @@ proptest! {
                 sp.connect("mux-prop").unwrap();
                 ports.push(sp);
             }
-            prop_assert_eq!(node.data_link_count(), 1);
+            prop_assert_eq!(metric(&node, "links"), 1);
             let mut seqs = [0u64; 3];
             for &tag in &order {
                 send_tagged(&mut ports[tag as usize], tag, seqs[tag as usize]);
@@ -568,7 +573,7 @@ fn opens_not_delayed_behind_bulk_data_run() {
             ports.push(sp);
         }
         assert_eq!(
-            node.data_link_count(),
+            metric(&node, "links"),
             1,
             "late channels opened a second link"
         );

@@ -3,7 +3,7 @@
 //! route-around after a mid-transfer relay kill, and the sharded
 //! forwarding plane's typed backpressure isolating a slow receiver.
 
-use gridsim_net::{topology, FaultPlan, LinkParams, NatKind, Sim, SockAddr};
+use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay_mesh, ConnectivityProfile, EstablishMethod, GridNode,
@@ -335,7 +335,7 @@ fn mesh_slow_receiver_does_not_block_fast_pair() {
     // One sender node drives both pairs; the bulk pump to the slow
     // receiver runs as its own sim task so BUSY parks it without stalling
     // the fast pump.
-    let throttles = Arc::new(parking_lot::Mutex::new(0u64));
+    let throttles = Arc::new(parking_lot::Mutex::new(0i64));
     {
         let env = env.clone();
         let ha = hsend[0].clone();
@@ -360,7 +360,8 @@ fn mesh_slow_receiver_does_not_block_fast_pair() {
                     m.finish().unwrap();
                 }
                 sp_slow.close().unwrap();
-                *throttles.lock() = slow_node.relay_busy_throttles();
+                let busy = Metric("node", Some(slow_node.id()), "busy_throttles");
+                *throttles.lock() = gridsim_net::ctx::handle().metric(busy);
             });
             // Start the fast pump after the slow pair is already congested.
             gridsim_net::ctx::sleep(Duration::from_millis(400));

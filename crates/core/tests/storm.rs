@@ -12,7 +12,7 @@
 //! - A mid-storm flap costs each affected link exactly one recovery and
 //!   preserves per-channel exactly-once FIFO.
 
-use gridsim_net::{topology, FaultPlan, LinkParams, Sim, SockAddr};
+use gridsim_net::{topology, FaultPlan, LinkParams, Metric, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, GridNode, SendPort, StackSpec,
@@ -100,6 +100,11 @@ fn assert_tagged_fifo(rp: &netgrid::ReceivePort, expect: &HashMap<u64, u64>) {
     }
 }
 
+/// `node/<id>/<name>` from the world's metrics registry, read in a task.
+fn metric(node: &GridNode, name: &'static str) -> i64 {
+    gridsim_net::ctx::handle().metric(Metric("node", Some(node.id()), name))
+}
+
 fn send_tagged(sp: &mut SendPort, tag: u64, seq: u64) {
     let mut m = sp.message();
     m.write_u64(tag);
@@ -145,8 +150,8 @@ fn sixteen_nodes_storm_one_peer() {
                     send_tagged(&mut sp, i as u64, seq);
                 }
                 sp.close().unwrap();
-                assert_eq!(node.establishment_walks(), 1, "node {i} walked twice");
-                assert_eq!(node.data_link_count(), 0, "node {i} leaked its link");
+                assert_eq!(metric(&node, "walks"), 1, "node {i} walked twice");
+                assert_eq!(metric(&node, "links"), 0, "node {i} leaked its link");
             })
         })
         .collect();
@@ -209,32 +214,32 @@ fn sixteen_distinct_peers_walk_concurrently() {
         })
         .collect();
     let nc = Arc::clone(&node_cell);
-    let env_c = env.clone();
     let closer = sim.spawn("closer", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(1500));
         let node = nc.lock().clone().unwrap();
         assert_eq!(
-            node.establishment_walks(),
-            N as u64,
+            metric(&node, "walks"),
+            N as i64,
             "walks must equal distinct LinkKeys"
         );
         assert_eq!(
-            node.data_link_count(),
-            N,
+            metric(&node, "links"),
+            N as i64,
             "distinct peers must not share links"
         );
         // All 16 racers park inside their walks before any completes, so
         // serialized establishment — the old global claim ordering — would
         // cap this world's peak at 1.
+        let peak = Metric("world", None, "walk_peak");
         assert_eq!(
-            env_c.walk_peak(),
-            N as u64,
+            gridsim_net::ctx::handle().metric(peak),
+            N as i64,
             "walks to distinct peers were serialized"
         );
         for sp in ports.lock().drain(..) {
             sp.close().unwrap();
         }
-        assert_eq!(node.data_link_count(), 0, "close did not GC the links");
+        assert_eq!(metric(&node, "links"), 0, "close did not GC the links");
     });
     sim.run();
     for (i, r) in racers.iter().enumerate() {
@@ -276,10 +281,10 @@ fn batch_connect_one_open_frame() {
         let node = GridNode::join(&env_a, ha0, "tx", ConnectivityProfile::open()).unwrap();
         // Round 1: batched. One walk, one link, ONE control frame.
         let mut ports = node.connect_batch("storm-batch", N).unwrap();
-        assert_eq!(node.establishment_walks(), 1, "batch ran extra walks");
-        assert_eq!(node.data_link_count(), 1, "batch split across links");
+        assert_eq!(metric(&node, "walks"), 1, "batch ran extra walks");
+        assert_eq!(metric(&node, "links"), 1, "batch split across links");
         assert_eq!(
-            node.open_control_frames(),
+            metric(&node, "open_frames"),
             1,
             "a batch of {N} must cost exactly one OPEN frame"
         );
@@ -291,7 +296,7 @@ fn batch_connect_one_open_frame() {
         for sp in ports.drain(..) {
             sp.close().unwrap();
         }
-        assert_eq!(node.data_link_count(), 0, "batch close did not GC the link");
+        assert_eq!(metric(&node, "links"), 0, "batch close did not GC the link");
         // Round 2: sequential connects to the SAME port. The first connect
         // establishes fresh (anchor on the preamble, no frame); each of the
         // other 15 costs one OPEN.
@@ -302,8 +307,8 @@ fn batch_connect_one_open_frame() {
             ports.push(sp);
         }
         assert_eq!(
-            node.open_control_frames(),
-            1 + (N as u64 - 1),
+            metric(&node, "open_frames"),
+            1 + (N as i64 - 1),
             "sequential connects must cost one OPEN per post-anchor channel"
         );
         for seq in 0..MSGS {
@@ -343,10 +348,10 @@ fn batch_connect_degenerate_sizes() {
         let node = GridNode::join(&env_a, ha0, "tx", ConnectivityProfile::open()).unwrap();
         let empty = node.connect_batch("storm-degen", 0).unwrap();
         assert!(empty.is_empty());
-        assert_eq!(node.establishment_walks(), 0, "empty batch ran a walk");
+        assert_eq!(metric(&node, "walks"), 0, "empty batch ran a walk");
         let mut one = node.connect_batch("storm-degen", 1).unwrap();
         assert_eq!(one.len(), 1);
-        assert_eq!(node.establishment_walks(), 1);
+        assert_eq!(metric(&node, "walks"), 1);
         send_tagged(&mut one[0], 7, 0);
         for sp in one.drain(..) {
             sp.close().unwrap();
@@ -402,7 +407,7 @@ fn mid_storm_flap_exactly_once_fifo() {
                     GridNode::join(&env, host, &format!("tx-{i}"), ConnectivityProfile::open())
                         .unwrap();
                 let mut ports = node.connect_batch("storm-flap", CHANS).unwrap();
-                assert_eq!(node.establishment_walks(), 1);
+                assert_eq!(metric(&node, "walks"), 1);
                 for seq in 0..MSGS {
                     for (c, sp) in ports.iter_mut().enumerate() {
                         send_tagged(sp, i as u64 * 100 + c as u64, seq);
@@ -413,7 +418,7 @@ fn mid_storm_flap_exactly_once_fifo() {
                     sp.close().unwrap();
                 }
                 assert_eq!(
-                    node.link_recoveries(),
+                    metric(&node, "recoveries"),
                     1,
                     "node {i}: one flap must cost exactly one recovery"
                 );

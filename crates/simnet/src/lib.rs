@@ -53,7 +53,7 @@ pub use firewall::{Firewall, FirewallPolicy};
 pub use link::{LinkDirId, LinkParams, LinkStats};
 pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};
-pub use runtime::{ctx, JoinHandle, RunOutcome, SchedHandle, Scheduler, TaskId, Waker};
+pub use runtime::{ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, TaskId, Waker};
 pub use sync::{SimMutex, SimMutexGuard, SimQueue};
 pub use time::SimTime;
 pub use world::{Net, NodeId, TraceKind, Trust, World, WorldStats};
@@ -112,13 +112,7 @@ impl Sim {
         self.sched.now()
     }
 
-    /// How many times this simulation's tasks have parked, by `ctx::park`
-    /// reason, sorted by descending count.
-    pub fn park_stats(&self) -> Vec<(&'static str, u64)> {
-        self.sched.handle().park_stats()
-    }
-
-    /// The underlying scheduler.
+    /// The underlying scheduler; its handle holds the metrics registry.
     pub fn scheduler(&self) -> &Scheduler {
         &self.sched
     }

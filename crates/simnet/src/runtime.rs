@@ -27,9 +27,12 @@
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
+//! * The world's one metrics registry, named counters and gauges
+//!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
+//!   and friends. Only counters move; nothing in the simulation reads them.
 
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -203,10 +206,27 @@ struct SchedState {
     /// another. A task that parks, sleeps or yields and is itself the next
     /// to run costs none (the in-file tests pin exactly that).
     grants: u64,
-    /// How many times tasks actually parked (wake-token misses only), by
-    /// `ctx::park` reason: each is a trip through the scheduler loop,
+    /// The metrics registry, in name order. Among its names,
+    /// `task/parks/<reason>` counts the times tasks actually parked
+    /// (wake-token misses only): each is a trip through the scheduler loop,
     /// attributed to the wait that caused it.
-    parks: HashMap<&'static str, u64>,
+    metrics: BTreeMap<Metric, i64>,
+}
+
+/// A name in the metrics registry: static text, at most one id, static
+/// text. `Metric("node", Some(3), "walks")` prints `node/3/walks`, and
+/// `Metric("task/parks", None, "sleep")` prints `task/parks/sleep`. A name
+/// already in the registry is moved in place, without allocating.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct Metric(pub &'static str, pub Option<u64>, pub &'static str);
+
+impl std::fmt::Display for Metric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.1 {
+            Some(id) => write!(f, "{}/{id}/{}", self.0, self.2),
+            None => write!(f, "{}/{}", self.0, self.2),
+        }
+    }
 }
 
 impl SchedState {
@@ -438,7 +458,7 @@ impl Scheduler {
                     root: None,
                     last_finished: None,
                     grants: 0,
-                    parks: HashMap::new(),
+                    metrics: BTreeMap::new(),
                 }),
                 hooks: Mutex::new(Vec::new()),
             }),
@@ -544,18 +564,31 @@ impl SchedHandle {
         self.core.state.lock().now
     }
 
-    /// This scheduler's park-reason histogram, sorted by descending count.
-    pub fn park_stats(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self
-            .core
-            .state
-            .lock()
-            .parks
-            .iter()
-            .map(|(reason, n)| (*reason, *n))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        v
+    /// Add `delta` to the named counter or gauge; returns its new value.
+    pub fn metric_add(&self, name: Metric, delta: i64) -> i64 {
+        let mut st = self.core.state.lock();
+        let v = st.metrics.entry(name).or_insert(0);
+        *v += delta;
+        *v
+    }
+
+    /// Raise the named peak to `v` if that is higher.
+    pub fn metric_max(&self, name: Metric, v: i64) {
+        let mut st = self.core.state.lock();
+        let peak = st.metrics.entry(name).or_insert(v);
+        *peak = v.max(*peak);
+    }
+
+    /// The named value: 0 for a name that never moved.
+    pub fn metric(&self, name: Metric) -> i64 {
+        let st = self.core.state.lock();
+        st.metrics.get(&name).copied().unwrap_or(0)
+    }
+
+    /// Every name moved so far with its value, in name order. A phase's
+    /// deltas are two snapshots subtracted.
+    pub fn metrics(&self) -> BTreeMap<Metric, i64> {
+        self.core.state.lock().metrics.clone()
     }
 
     /// Schedule `f` to run at absolute time `at` (clamped to be no earlier
@@ -789,7 +822,8 @@ pub mod ctx {
             }
             slot.state = TaskState::Blocked;
             slot.blocked_on = reason;
-            *st.parks.entry(reason).or_insert(0) += 1;
+            let parks = Metric("task/parks", None, reason);
+            *st.metrics.entry(parks).or_insert(0) += 1;
             true
         });
     }
@@ -1250,5 +1284,77 @@ mod tests {
         let st = sched.core.state.lock();
         assert!(st.last_finished.is_none());
         assert!(st.tasks.iter().all(|t| t.join_handle.is_none()));
+    }
+
+    #[test]
+    fn a_snapshot_lists_names_in_the_same_order_on_every_run() {
+        let names = || {
+            let sched = Scheduler::new();
+            let h = sched.handle();
+            h.metric_add(Metric("node", Some(12), "walks"), 1);
+            h.metric_max(Metric("world", None, "walk_peak"), 2);
+            h.metric_add(Metric("node", Some(3), "links"), 1);
+            sched.spawn("t", || ctx::sleep(Duration::from_millis(1)));
+            sched.run();
+            let names: Vec<_> = h.metrics().keys().map(Metric::to_string).collect();
+            names.join(" ")
+        };
+        let expect = "node/3/links node/12/walks task/parks/sleep world/walk_peak";
+        assert_eq!(names(), expect);
+        assert_eq!(names(), expect);
+    }
+
+    #[test]
+    fn add_and_max_keep_a_gauge_and_its_peak() {
+        let h = Scheduler::new().handle();
+        let (up, peak) = (Metric("world", None, "up"), Metric("world", None, "peak"));
+        for delta in [1, 1, -1, 1, 1, -1, -1, -1] {
+            h.metric_max(peak, h.metric_add(up, delta));
+        }
+        let never = h.metric(Metric("world", None, "never"));
+        assert_eq!([h.metric(up), h.metric(peak), never], [0, 3, 0]);
+    }
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local!(static ALLOCS: Cell<u64> = const { Cell::new(0) });
+
+    /// Counts each thread's allocations in `ALLOCS`.
+    struct CountingAlloc;
+
+    // SAFETY: every call goes to `System` with the caller's arguments
+    // unchanged; the counter is a statistic and guards nothing.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn moving_a_name_already_present_does_not_allocate() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let lone = sched.spawn("lone", move || {
+            let m = Metric("node", Some(1), "walks");
+            h.metric_add(m, 1);
+            ctx::sleep(Duration::from_micros(1));
+            let before = ALLOCS.with(Cell::get);
+            for _ in 0..100 {
+                h.metric_max(m, h.metric_add(m, 1));
+                // A park, counted under `task/parks/sleep`.
+                ctx::sleep(Duration::from_micros(1));
+            }
+            ALLOCS.with(Cell::get) - before
+        });
+        sched.run();
+        assert_eq!(lone.result.lock().take(), Some(0));
     }
 }

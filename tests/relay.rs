@@ -3,7 +3,7 @@
 //! sender so with a typed BUSY; two meshed relays join clients that are
 //! homed at different ones.
 
-use gridsim_net::{topology, LinkParams, NatKind, Net, Sim, SimTime, SockAddr};
+use gridsim_net::{topology, LinkParams, Metric, NatKind, Net, Sim, SimTime, SockAddr};
 use gridsim_tcp::SimHost;
 use netgrid::{
     spawn_name_service, spawn_relay, spawn_relay_mesh, ConnectivityProfile, EstablishMethod,
@@ -69,7 +69,7 @@ fn world(
 
 /// What one pair reports once `sim.run()` returns: when the receiver had
 /// everything, and how often the relay throttled the sender.
-type Outcome = std::sync::Arc<parking_lot::Mutex<(Option<SimTime>, u64)>>;
+type Outcome = std::sync::Arc<parking_lot::Mutex<(Option<SimTime>, i64)>>;
 
 /// Start `n` numbered messages of `len` bytes from `ha` to `hb` over port
 /// `port`, the sender starting at `start`, the receiver pausing `pause`
@@ -115,7 +115,8 @@ fn start_pair(
             m.finish().unwrap();
         }
         sp.close().unwrap();
-        out.lock().1 = node.relay_busy_throttles();
+        let busy = Metric("node", Some(node.id()), "busy_throttles");
+        out.lock().1 = gridsim_net::ctx::handle().metric(busy);
     });
     outcome
 }

@@ -3,13 +3,14 @@
 //! demands and write whole frames, so a frame parks them a handful of
 //! times, not once per segment and ACK.
 
-use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr};
+use gridsim_net::{topology, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::SimHost;
 use netgrid::relay::ROUTED_CHUNK;
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv, GridNode,
     NatClass, StackSpec,
 };
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 const MESSAGES: usize = 32;
@@ -21,8 +22,10 @@ fn pattern(m: usize, i: usize) -> u8 {
     (m * 31 + i % 251) as u8
 }
 
-fn parks(stats: &[(&str, u64)], reason: &str) -> u64 {
-    stats.iter().find(|(r, _)| *r == reason).map_or(0, |s| s.1)
+/// `task/parks/<reason>` in a snapshot of the world's metrics registry.
+fn parks(snapshot: &BTreeMap<Metric, i64>, reason: &'static str) -> i64 {
+    let name = Metric("task/parks", None, reason);
+    snapshot.get(&name).copied().unwrap_or(0)
 }
 
 #[test]
@@ -77,10 +80,7 @@ fn a_routed_frame_parks_its_tasks_a_handful_of_times() {
         let node = GridNode::join(&env, ha, "send", profile).unwrap();
         let mut sp = node.create_send_port();
         assert_eq!(sp.connect("bulk").unwrap(), EstablishMethod::Routed);
-        let stats = gridsim_net::ctx::handle().park_stats();
-        at_start
-            .send((parks(&stats, "tcp read"), parks(&stats, "tcp write")))
-            .unwrap();
+        at_start.send(gridsim_net::ctx::handle().metrics()).unwrap();
         for m in 0..MESSAGES {
             let payload: Vec<u8> = (0..MESSAGE).map(|i| pattern(m, i)).collect();
             sp.send(&payload).unwrap();
@@ -90,14 +90,11 @@ fn a_routed_frame_parks_its_tasks_a_handful_of_times() {
     sim.run();
     assert!(receiver.is_finished(), "receiver did not get every message");
 
-    let (reads, writes) = start.recv().unwrap();
+    // The phase's deltas: two snapshots subtracted.
+    let (before, after) = (start.recv().unwrap(), sim.scheduler().handle().metrics());
     let frames = (MESSAGES * MESSAGE / ROUTED_CHUNK) as f64;
-    let per_frame = |now: u64, before: u64| (now - before) as f64 / frames;
-    let stats = sim.park_stats();
-    let (reads, writes) = (
-        per_frame(parks(&stats, "tcp read"), reads),
-        per_frame(parks(&stats, "tcp write"), writes),
-    );
+    let per_frame = |reason| (parks(&after, reason) - parks(&before, reason)) as f64 / frames;
+    let (reads, writes) = (per_frame("tcp read"), per_frame("tcp write"));
     // Two readers and two writers handle each frame (sender, relay in and
     // out, receiver): 2.06 and 1.27 parks, the same on every run. Reading
     // and writing a segment at a time they took 11.3 and 10.5.
