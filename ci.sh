@@ -8,9 +8,10 @@
 #           read — no `std::env::var` in the five product crates' src, no
 #           link-frame field coded outside crates/core/src/wire.rs, no
 #           request table, reply stash or redial loop outside link.rs, no
-#           second way to wait on a simulated socket in simtcp, no
-#           second single-flight beside a data link's write gate, and no
-#           probe field or accessor beside the world's metrics registry
+#           second way to wait on a simulated socket in simtcp, no timer
+#           named in simtcp's host stack, no second single-flight beside a
+#           data link's write gate, and no probe field or accessor beside
+#           the world's metrics registry
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -121,6 +122,13 @@ stage_clippy() {
   # event time (TcpStream::wait). No per-ACK waker lists beside it.
   if grep -rnE 'read_wakers|write_wakers|LegacyPark' crates/simtcp/src; then
     echo "a second socket wait path in simtcp (lines above); stage on the TCB instead"
+    return 1
+  fi
+  # Which timers a connection has and what each one does is the TCB's: the
+  # host stack schedules the events Tcb::timer_events asks for and hands
+  # each back to Tcb::on_timer.
+  if grep -nE 'rtx_timer|persist_timer|tw_timer|on_rto|on_persist|on_time_wait_expire|Timer::Rtx|Timer::Persist|Timer::TimeWait' crates/simtcp/src/stack.rs; then
+    echo "the stack schedules timers it does not name (lines above); ask the Tcb instead"
     return 1
   fi
   # A data link's write gate orders its writes and is its recovery's single

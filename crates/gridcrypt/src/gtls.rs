@@ -550,22 +550,85 @@ mod tests {
         assert_eq!(buf, b"bye");
     }
 
+    /// Hostile bytes on the record layer after genuine records: each case
+    /// ends in a typed error from `read`, or a clean EOF for bytes after
+    /// CLOSE, and delivers nothing but the genuine records.
     #[test]
     fn corrupted_record_is_rejected() {
-        let (client, server) = handshake_pair(b"k", b"k");
-        let mut client = client.unwrap();
-        let mut server = server.unwrap();
-        client.write_all(b"data!").unwrap();
-        // Corrupt a ciphertext byte in flight (past the 3-byte header).
-        {
-            let ch = &server.get_ref().rx;
-            let mut sh = ch.0.lock().unwrap();
-            let n = sh.q.len();
-            *sh.q.get_mut(n - 1).unwrap() ^= 0xff;
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        fn xor(record: &[u8], at: usize, x: u8) -> Vec<u8> {
+            let mut r = record.to_vec();
+            r[at] ^= x;
+            r
         }
-        let mut buf = [0u8; 5];
-        let err = server.read_exact(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        type Wire = fn(&[u8], &[u8], &[u8]) -> Vec<u8>;
+        let cases: [(&str, Wire, Result<(), io::ErrorKind>); 7] = [
+            (
+                "truncated header",
+                |r1, r2, _| [r1, &r2[..2]].concat(),
+                Err(UnexpectedEof),
+            ),
+            (
+                "truncated body",
+                |r1, r2, _| [r1, &r2[..10]].concat(),
+                Err(UnexpectedEof),
+            ),
+            (
+                "length inflated past the body",
+                |r1, r2, _| [r1, &xor(r2, 1, 1)].concat(),
+                Err(UnexpectedEof),
+            ),
+            (
+                "flipped tag byte",
+                |r1, r2, _| [r1, &xor(r2, r2.len() - 1, 0xff)].concat(),
+                Err(InvalidData),
+            ),
+            (
+                "replayed earlier record",
+                |r1, _, _| [r1, r1].concat(),
+                Err(InvalidData),
+            ),
+            (
+                "handshake record after the handshake",
+                |r1, r2, _| [r1, &xor(r2, 0, TYPE_DATA ^ TYPE_HANDSHAKE)].concat(),
+                Err(InvalidData),
+            ),
+            (
+                "bytes after CLOSE",
+                |r1, r2, close| [r1, r2, close, r1].concat(),
+                Ok(()),
+            ),
+        ];
+        for (name, wire, end) in cases {
+            let (client, server) = handshake_pair(b"k", b"k");
+            let (mut client, mut server) = (client.unwrap(), server.unwrap());
+            client.write_all(b"first").unwrap();
+            client.write_all(b"second").unwrap();
+            client.close().unwrap();
+            drop(client); // the server reads EOF after what is queued
+            {
+                let mut sh = server.get_ref().rx.0.lock().unwrap();
+                let sent: Vec<u8> = sh.q.drain(..).collect();
+                let (r1, rest) = sent.split_at(3 + 5 + aead::AEAD_TAG_LEN);
+                let (r2, close) = rest.split_at(3 + 6 + aead::AEAD_TAG_LEN);
+                sh.q.extend(wire(r1, r2, close));
+            }
+            let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+            let outcome = loop {
+                match server.read(&mut buf) {
+                    Ok(0) => break Ok(()),
+                    Ok(n) => got.extend_from_slice(&buf[..n]),
+                    Err(e) => break Err(e.kind()),
+                }
+            };
+            assert_eq!(outcome, end, "{name}");
+            let genuine: &[u8] = if end.is_ok() {
+                b"firstsecond"
+            } else {
+                b"first"
+            };
+            assert_eq!(got, genuine, "{name}: only the genuine records");
+        }
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl TcpStream {
         }
         let mut first = Some(&mut *out);
         let (chunks, read) = self.wait("tcp read", |tcb, now| match first.take() {
-            Some(out) => tcb.read_staged(min, max, out, ctx::waker()),
+            Some(out) => tcb.read_staged(now, min, max, out, ctx::waker()),
             None => tcb.collect_staged_read(now),
         })?;
         *out = chunks;
@@ -329,7 +329,7 @@ impl TcpStream {
 
     /// Hard reset.
     pub fn abort(&self) {
-        let _ = self.with_tcb(|tcb, _| tcb.abort());
+        let _ = self.with_tcb(|tcb, now| tcb.abort(now));
     }
 
     /// Connection counters.
@@ -360,11 +360,6 @@ impl TcpStream {
     /// read. Never blocks.
     pub fn readable(&self) -> bool {
         self.with_tcb(|tcb, _| tcb.readable()).unwrap_or(true)
-    }
-
-    /// Current congestion window (diagnostics).
-    pub fn cwnd(&self) -> io::Result<u64> {
-        self.with_tcb(|tcb, _| tcb.cwnd())
     }
 
     /// Block until all written data has been acknowledged by the peer —

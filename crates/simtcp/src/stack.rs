@@ -9,7 +9,7 @@ use std::io;
 use std::sync::Arc;
 
 use crate::seg::{Flags, Segment};
-use crate::tcb::{Tcb, TcpConfig};
+use crate::tcb::{Tcb, TcpConfig, Timer};
 
 /// Identifier of a connection within one host's stack.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -190,7 +190,7 @@ impl TcpHost {
             let pending: Vec<ConnId> = l.pending.drain(..).collect();
             for id in pending {
                 if let Some(tcb) = self.conns.get_mut(&id) {
-                    tcb.abort();
+                    tcb.abort(w.sched().now());
                 }
                 self.flush_conn(w, id);
             }
@@ -308,75 +308,35 @@ impl TcpHost {
             w.send_from(node, Packet::new(local, remote, proto::TCP, b));
         }
         self.out_scratch = out;
-        // Timer sync: make sure an event exists at or before each armed
-        // deadline. A deadline moved later rides the already-outstanding
-        // event, which lazily reschedules itself on firing.
+        self.schedule_timers(w, id);
+    }
+
+    /// Schedule the timer events the connection's TCB asks for: one exists
+    /// at or before each armed deadline.
+    fn schedule_timers(&mut self, w: &mut World, id: ConnId) {
+        let (node, now) = (self.node, w.sched().now());
         let Some(tcb) = self.conns.get_mut(&id) else {
             return;
         };
-        for which in [Timer::Rtx, Timer::Persist, Timer::TimeWait] {
-            let slot = match which {
-                Timer::Rtx => &mut tcb.rtx_timer,
-                Timer::Persist => &mut tcb.persist_timer,
-                Timer::TimeWait => &mut tcb.tw_timer,
-            };
-            if let Some(deadline) = slot.deadline {
-                let at = deadline.max(now);
-                if slot.covered.is_none_or(|c| c > at) {
-                    slot.covered = Some(at);
-                    w.schedule_at(at, move |w| {
-                        with_host(w, node, |host, w| host.on_timer(w, id, which));
-                    });
-                }
-            }
+        for (which, at) in tcb.timer_events(now) {
+            w.schedule_at(at, move |w| {
+                with_host(w, node, |host, w| host.on_timer(w, id, which));
+            });
         }
     }
 
     fn on_timer(&mut self, w: &mut World, id: ConnId, which: Timer) {
         let now = w.sched().now();
-        let node = self.node;
         let Some(tcb) = self.conns.get_mut(&id) else {
             return;
         };
-        let slot = match which {
-            Timer::Rtx => &mut tcb.rtx_timer,
-            Timer::Persist => &mut tcb.persist_timer,
-            Timer::TimeWait => &mut tcb.tw_timer,
-        };
-        if slot.covered == Some(now) {
-            slot.covered = None;
+        if tcb.on_timer(which, now) {
+            self.flush_conn(w, id);
+            self.reap(id);
+        } else {
+            // Not due: the deadline moved later or was disarmed.
+            self.schedule_timers(w, id);
         }
-        match slot.deadline {
-            // Due: fall through and fire. Firing always disarms or moves
-            // the deadline strictly later, so a second event landing at the
-            // same instant cannot fire twice.
-            Some(d) if d <= now => {}
-            // Deadline moved later since this event was scheduled: push the
-            // firing forward instead (the lazy half of the scheme).
-            Some(d) => {
-                if slot.covered.is_none_or(|c| c > d) {
-                    slot.covered = Some(d);
-                    w.schedule_at(d, move |w| {
-                        with_host(w, node, |host, w| host.on_timer(w, id, which));
-                    });
-                }
-                return;
-            }
-            // Disarmed while the event was in flight.
-            None => return,
-        }
-        match which {
-            Timer::Rtx => tcb.on_rto(now),
-            Timer::Persist => tcb.on_persist(now),
-            Timer::TimeWait => {
-                tcb.on_time_wait_expire();
-                // Expiry is terminal; clear the deadline so the sync pass
-                // does not schedule another (no-op) firing.
-                tcb.tw_timer.disarm();
-            }
-        }
-        self.flush_conn(w, id);
-        self.reap(id);
     }
 
     /// Remove fully closed connections from the tables.
@@ -400,13 +360,6 @@ impl TcpHost {
             self.by_tuple.remove(&(tcb.local, tcb.remote));
         }
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Timer {
-    Rtx,
-    Persist,
-    TimeWait,
 }
 
 /// Simulate a process/host crash at the TCP level: every connection fails

@@ -2,9 +2,13 @@
 //!
 //! The TCB is deliberately independent of the simulator: inputs are segments
 //! and timer firings (with the current time), outputs are segments pushed to
-//! an internal queue plus timer (re)arm requests, both drained by the host
-//! stack in `stack.rs`. This keeps the whole protocol unit-testable without
-//! a network.
+//! an internal queue plus the timer events to schedule, both drained by the
+//! host stack in `stack.rs`. This keeps the whole protocol unit-testable
+//! without a network.
+//!
+//! [`Tcb`] is RFC 793's state machine over three parts, each tested alone
+//! below: a `Sender` (`SND.*`), a `Receiver` (`RCV.*`) and its `Timers`.
+//! Every segment is built in one place, `Tcb::emit`.
 //!
 //! Implemented behaviour (the parts of RFC 793 / 5681 / 6582 / 6298 that the
 //! paper's results depend on):
@@ -115,6 +119,11 @@ impl State {
     pub fn is_terminal(self) -> bool {
         matches!(self, State::Closed | State::TimeWait)
     }
+
+    /// May data or our FIN leave in this state?
+    fn sends(self) -> bool {
+        !matches!(self, State::SynSent | State::SynRcvd | State::FinWait2) && !self.is_terminal()
+    }
 }
 
 /// Per-connection counters.
@@ -207,17 +216,6 @@ impl ChunkDeque {
         }
         self.parent = Some(block.clone());
         self.chunks.push_back(block.slice(..n));
-    }
-
-    /// The byte at logical index `idx` (zero-window probe).
-    fn byte_at(&self, mut idx: usize) -> u8 {
-        for c in &self.chunks {
-            if idx < c.len() {
-                return c[idx];
-            }
-            idx -= c.len();
-        }
-        panic!("byte_at past end of queue");
     }
 
     /// A view of `len` bytes starting at logical offset `start`. Zero-copy
@@ -313,26 +311,440 @@ impl ChunkDeque {
     }
 }
 
-/// A timer slot with lazy host-side scheduling. `deadline` is the simulated
-/// time the timer should fire; `covered` is the earliest still-outstanding
-/// scheduled firing event. Restarting the timer (the per-ACK rtx pattern)
-/// just moves `deadline` — the existing event fires at the old time, sees
-/// the deadline is later, and reschedules itself once. This keeps one live
-/// event per timer instead of one per restart.
-#[derive(Debug, Default)]
-pub struct TimerSlot {
-    pub deadline: Option<SimTime>,
-    /// Earliest outstanding scheduled firing event (host bookkeeping only;
-    /// never affects simulated behavior).
-    pub covered: Option<SimTime>,
+/// The send side: RFC 793's send sequence variables, the send queue,
+/// NewReno congestion control (RFC 5681 / 6582), the RFC 6298 round-trip
+/// estimator and the staged write. It decides what may leave and advances
+/// its sequence space; the [`Tcb`] builds the segments.
+#[derive(Default)]
+struct Sender {
+    /// ISS, SND.UNA, SND.NXT, and the highest sequence ever sent
+    /// (retransmissions keep `nxt` lower).
+    iss: u64,
+    una: u64,
+    nxt: u64,
+    max: u64,
+    /// SND.WND: the peer's advertised window.
+    wnd: u32,
+    /// Unacknowledged + unsent data; the front byte has sequence `una`.
+    q: ChunkDeque,
+    fin_queued: bool,
+    fin_acked: bool,
+    cwnd: f64,
+    ssthresh: f64,
+    dupacks: u32,
+    /// Recovery point: fast recovery ends when `una` passes this.
+    recover: u64,
+    in_recovery: bool,
+    srtt: Option<Duration>,
+    rttvar: Duration,
+    rto: Duration,
+    /// Outstanding RTT sample: (sequence that acks it, send time).
+    rtt_sample: Option<(u64, SimTime)>,
+    syn_rtx_left: u32,
+    /// Consecutive RTO expiries with the backoff saturated at `max_rto`;
+    /// reset whenever an ACK advances `una`.
+    rto_strikes: u32,
+    persist_backoff: u32,
+    /// Staged block write serviced at event time (see [`PendingWrite`]).
+    pending: Option<PendingWrite>,
 }
 
-impl TimerSlot {
-    pub fn arm(&mut self, at: SimTime) {
-        self.deadline = Some(at);
+impl Sender {
+    fn new(cfg: &TcpConfig, iss: u64) -> Sender {
+        Sender {
+            iss,
+            una: iss,
+            nxt: iss,
+            max: iss,
+            wnd: cfg.mss, // conservative until the peer advertises
+            cwnd: (cfg.init_cwnd_segs * cfg.mss) as f64,
+            ssthresh: f64::MAX,
+            recover: iss,
+            rto: cfg.initial_rto,
+            syn_rtx_left: cfg.syn_retries,
+            ..Sender::default()
+        }
     }
-    pub fn disarm(&mut self) {
-        self.deadline = None;
+
+    /// Sequence space in flight.
+    fn flight(&self) -> u64 {
+        self.nxt - self.una
+    }
+
+    /// End of the data currently in the send queue, in sequence space.
+    fn data_end(&self) -> u64 {
+        self.una + self.q.len() as u64
+    }
+
+    /// Queued bytes not yet sent.
+    fn unsent(&self) -> u64 {
+        self.data_end().saturating_sub(self.nxt)
+    }
+
+    /// Our FIN is queued and not yet acknowledged.
+    fn fin_pending(&self) -> bool {
+        self.fin_queued && !self.fin_acked
+    }
+
+    /// Payload size of the next data segment the windows and Nagle let
+    /// leave now; 0 = none.
+    fn next_len(&self, cfg: &TcpConfig) -> usize {
+        // The congestion window is spent in whole segments (as Linux
+        // counts it in packets): a fractional cwnd never releases a
+        // sub-MSS remainder that would go out as a runt while full
+        // segments wait behind it. The receive window is byte-exact.
+        let mss = cfg.mss as u64;
+        let flight = self.flight();
+        let cwnd_room = (self.cwnd as u64 / mss).saturating_sub(flight.div_ceil(mss)) * mss;
+        let usable = cwnd_room.min((self.wnd as u64).saturating_sub(flight));
+        let unsent = self.unsent();
+        let take = usable.min(unsent).min(mss);
+        // Nagle: hold sub-MSS segments while data is in flight.
+        if take < mss && flight > 0 && !cfg.nodelay && take == unsent {
+            return 0;
+        }
+        take as usize
+    }
+
+    /// Take `len` bytes at `nxt` for one data segment, the FIN riding on
+    /// the last. A fresh segment starts an RTT sample if `sample` (Karn:
+    /// never on a retransmission) and none is outstanding.
+    fn carve(
+        &mut self,
+        now: SimTime,
+        len: usize,
+        sample: bool,
+        copied: &mut u64,
+    ) -> (Flags, u64, Bytes) {
+        let seq = self.nxt;
+        let data = self.q.slice((seq - self.una) as usize, len, copied);
+        self.nxt += len as u64;
+        let fin = self.fin_pending() && self.nxt == self.data_end();
+        self.nxt += u64::from(fin);
+        if sample && self.nxt > self.max && self.rtt_sample.is_none() {
+            self.rtt_sample = Some((self.nxt, now));
+        }
+        self.max = self.max.max(self.nxt);
+        (Flags { fin, ..Flags::ACK }, seq, data)
+    }
+
+    /// Advance `nxt` past `n` units of sequence space just emitted.
+    fn advance(&mut self, n: u64) -> u64 {
+        self.nxt += n;
+        self.max = self.max.max(self.nxt);
+        self.nxt - n
+    }
+
+    /// An ACK of new data (`una < ack <= max`) carrying window `wnd`:
+    /// release what it covers, take the RTT sample, grow or deflate the
+    /// congestion window. `true` = a NewReno partial ACK, whose next hole
+    /// is lost too and must be retransmitted.
+    fn on_new_ack(&mut self, cfg: &TcpConfig, now: SimTime, ack: u64, wnd: u32) -> bool {
+        let newly = ack - self.una;
+        let data_acked = (newly as usize).min(self.q.len());
+        self.q.consume(data_acked);
+        // Did the ACK cover our FIN?
+        if self.fin_pending() && ack == self.una + data_acked as u64 + 1 {
+            self.fin_acked = true;
+        }
+        self.una = ack;
+        self.nxt = self.nxt.max(ack);
+        self.wnd = wnd;
+        self.rto_strikes = 0;
+        if let Some((_, sent_at)) = self.rtt_sample.filter(|&(end, _)| ack >= end) {
+            self.rtt_update(cfg, now.since(sent_at));
+            self.rtt_sample = None;
+        }
+        let mss = cfg.mss as f64;
+        if !self.in_recovery {
+            self.dupacks = 0;
+            // Slow start grows byte-counted and exponentially, congestion
+            // avoidance about one MSS per RTT.
+            self.cwnd += if self.cwnd < self.ssthresh {
+                (newly as f64).min(mss)
+            } else {
+                mss * mss / self.cwnd
+            };
+            false
+        } else if ack >= self.recover {
+            // Full recovery: deflate.
+            self.in_recovery = false;
+            self.cwnd = self.ssthresh;
+            self.dupacks = 0;
+            false
+        } else {
+            self.cwnd = (self.cwnd - newly as f64 + mss).max(mss);
+            true
+        }
+    }
+
+    /// A duplicate ACK outside fast recovery; `true` on the third, which
+    /// enters fast retransmit and recovery (RFC 5681 / 6582).
+    fn count_dupack(&mut self, cfg: &TcpConfig) -> bool {
+        self.dupacks += 1;
+        if self.dupacks != 3 {
+            return false;
+        }
+        self.ssthresh = (self.flight() as f64 / 2.0).max((2 * cfg.mss) as f64);
+        self.recover = self.max;
+        self.in_recovery = true;
+        self.cwnd = self.ssthresh + 3.0 * cfg.mss as f64;
+        true
+    }
+
+    /// A retransmission timeout with data in flight. Once the backoff has
+    /// saturated at `max_rto` each expiry is a strike, and too many in a
+    /// row give up (`true`) instead of retransmitting forever. Otherwise
+    /// collapse to one segment (Reno), back off, and rewind to `una`
+    /// (go-back-N).
+    fn on_timeout(&mut self, cfg: &TcpConfig) -> bool {
+        if self.rto >= cfg.max_rto {
+            self.rto_strikes += 1;
+            if cfg.max_rto_strikes > 0 && self.rto_strikes >= cfg.max_rto_strikes {
+                return true;
+            }
+        }
+        self.ssthresh = (self.flight() as f64 / 2.0).max((2 * cfg.mss) as f64);
+        self.cwnd = cfg.mss as f64;
+        self.dupacks = 0;
+        self.in_recovery = false;
+        self.rto = (self.rto * 2).min(cfg.max_rto);
+        self.rtt_sample = None;
+        self.nxt = self.una;
+        false
+    }
+
+    /// RFC 6298 (2.2, 2.3): fold a sample into SRTT and RTTVAR.
+    fn rtt_update(&mut self, cfg: &TcpConfig, sample: Duration) {
+        let srtt = match self.srtt {
+            None => {
+                self.rttvar = sample / 2;
+                sample
+            }
+            Some(srtt) => {
+                self.rttvar = (self.rttvar * 3 + srtt.abs_diff(sample)) / 4;
+                (srtt * 7 + sample) / 8
+            }
+        };
+        self.srtt = Some(srtt);
+        self.rto = (srtt + (self.rttvar * 4).max(Duration::from_millis(1)))
+            .clamp(cfg.min_rto, cfg.max_rto);
+    }
+
+    /// The persist (zero-window probe) interval at the current backoff.
+    fn persist_interval(&self) -> Duration {
+        self.rto.max(Duration::from_millis(500)) * (1 << self.persist_backoff.min(6))
+    }
+
+    /// Sender invariants, checked after every transmit pass and ACK.
+    fn debug_check(&self, cfg: &TcpConfig) {
+        debug_assert!(self.una <= self.nxt && self.nxt <= self.max);
+        debug_assert!(self.cwnd >= cfg.mss as f64);
+        debug_assert!(self.ssthresh >= (2 * cfg.mss) as f64);
+        debug_assert!(self.q.len() <= cfg.send_buf as usize);
+    }
+}
+
+/// The receive side: RFC 793's receive sequence variables (IRS, RCV.NXT,
+/// and RCV.WND derived from the buffer), the in-order queue, out-of-order
+/// reassembly and the staged read.
+#[derive(Default)]
+struct Receiver {
+    irs: u64,
+    nxt: u64,
+    q: ChunkDeque,
+    ooo: BTreeMap<u64, Bytes>,
+    ooo_bytes: usize,
+    fin: bool,
+    /// Staged chunk-read demand serviced at event time ([`PendingRead`]).
+    pending: Option<PendingRead>,
+    /// The chunk list a staged `read_some` collects into, kept between
+    /// reads so a scalar read allocates nothing.
+    scratch: Vec<Bytes>,
+}
+
+impl Receiver {
+    /// The peer's SYN at `seq` opens the receive sequence space.
+    fn sync(&mut self, seq: u64) {
+        self.irs = seq;
+        self.nxt = seq + 1;
+    }
+
+    /// Advertised receive window. Computed from the in-order buffer only
+    /// (as real stacks do), so that duplicate ACKs generated while
+    /// out-of-order data accumulates carry an *unchanged* window and are
+    /// recognizable as duplicates (RFC 5681's definition).
+    fn wnd(&self, cfg: &TcpConfig) -> u32 {
+        (cfg.recv_buf as usize)
+            .saturating_sub(self.q.len())
+            .min(u32::MAX as usize) as u32
+    }
+
+    /// A segment's payload at `seq`: queue what is in order and what that
+    /// makes contiguous, buffer what lies past a hole within the window.
+    /// Returns the bytes newly in order.
+    fn on_data(&mut self, cfg: &TcpConfig, seq: u64, data: Bytes) -> u64 {
+        if seq + data.len() as u64 <= self.nxt {
+            return 0; // complete duplicate
+        }
+        if seq > self.nxt {
+            let window_end = self.nxt + self.wnd(cfg) as u64;
+            if seq < window_end && !self.ooo.contains_key(&seq) {
+                let keep = ((window_end - seq) as usize).min(data.len());
+                self.ooo_bytes += keep;
+                self.ooo.insert(seq, data.slice(..keep));
+            }
+            return 0;
+        }
+        let before = self.nxt;
+        let mut next = Some((seq, data));
+        while let Some((seq, data)) = next {
+            // Trim a stale prefix (partial overlap) before queueing.
+            if seq + data.len() as u64 > self.nxt {
+                self.accept(cfg, data.slice((self.nxt - seq) as usize..));
+            }
+            // Then any out-of-order segment that is now contiguous.
+            next = self
+                .ooo
+                .first_entry()
+                .filter(|e| *e.key() <= self.nxt)
+                .map(|e| e.remove_entry());
+            if let Some((_, d)) = &next {
+                self.ooo_bytes -= d.len();
+            }
+        }
+        self.nxt - before
+    }
+
+    fn accept(&mut self, cfg: &TcpConfig, data: Bytes) {
+        // Respect the receive buffer: anything beyond our advertised window
+        // is dropped (the peer will retransmit once we open up). The check
+        // must mirror `wnd()` exactly — in particular it must NOT count
+        // out-of-order bytes, which are admitted under the same advertised
+        // window: otherwise a buffered OOO tail can permanently starve the
+        // retransmitted head segment and wedge the connection (seen as an
+        // RTO-backoff spiral in the 16-stream striping bench). Memory is
+        // still bounded: q ≤ recv_buf here and ooo ≤ wnd at insert.
+        let keep = (cfg.recv_buf as usize)
+            .saturating_sub(self.q.len())
+            .min(data.len());
+        // Zero-copy: the queue shares the segment's buffer until the
+        // application drains it.
+        self.q.push_bytes(if keep == data.len() {
+            data
+        } else {
+            data.slice(..keep)
+        });
+        self.nxt += keep as u64;
+    }
+
+    /// The peer's FIN at `seq`: `true` if it is next in order and new.
+    fn on_fin(&mut self, seq: u64) -> bool {
+        let take = seq == self.nxt && !self.fin;
+        self.fin |= take;
+        self.nxt += u64::from(take);
+        take
+    }
+
+    /// Hand queued bytes to the application through `pop`, which pops some
+    /// and returns how many. Also `true` when that reopened a nearly
+    /// closed window to at least one MSS: the window-update point, where
+    /// the sender must be told (it has no other way to learn).
+    fn take(
+        &mut self,
+        cfg: &TcpConfig,
+        pop: impl FnOnce(&mut ChunkDeque) -> usize,
+    ) -> (usize, bool) {
+        let before = self.wnd(cfg);
+        let n = pop(&mut self.q);
+        (n, before < cfg.mss && self.wnd(cfg) >= cfg.mss)
+    }
+
+    /// Receiver invariants, checked after every segment, read and service
+    /// pass. Before the peer's SYN (`nxt` still 0) there is no receive
+    /// sequence space to check.
+    fn debug_check(&self, cfg: &TcpConfig, bytes_rcvd: u64) {
+        if self.nxt == 0 {
+            return;
+        }
+        debug_assert!(self.q.len() <= cfg.recv_buf as usize, "recv_q overflow");
+        let ooo = || self.ooo.values().map(Bytes::len).sum::<usize>();
+        debug_assert_eq!(self.ooo_bytes, ooo(), "ooo_bytes");
+        debug_assert!(self.ooo.keys().all(|&seq| seq > self.nxt), "stale ooo");
+        let fin = u64::from(self.fin);
+        debug_assert_eq!(self.nxt, self.irs + 1 + bytes_rcvd + fin, "rcv_nxt");
+    }
+}
+
+/// Which of a connection's timers an event is for. The host stack carries
+/// it, unread, from [`Tcb::timer_events`] back to [`Tcb::on_timer`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Timer {
+    Rtx,
+    Persist,
+    TimeWait,
+}
+
+/// A timer's deadline with lazy host-side scheduling. `covered` is the
+/// earliest still-outstanding firing event (host bookkeeping only; it never
+/// affects simulated behaviour). Restarting the timer (the per-ACK rtx
+/// pattern) just moves `deadline`: the existing event fires at the old
+/// time, sees the deadline is later, and is rescheduled once. This keeps
+/// one live event per timer instead of one per restart.
+#[derive(Debug, Default)]
+struct TimerSlot {
+    deadline: Option<SimTime>,
+    covered: Option<SimTime>,
+}
+
+/// The retransmission, persist and TIME-WAIT timers, indexed by [`Timer`].
+#[derive(Debug, Default)]
+struct Timers([TimerSlot; 3]);
+
+impl Timers {
+    fn deadline(&self, which: Timer) -> Option<SimTime> {
+        self.0[which as usize].deadline
+    }
+
+    fn arm(&mut self, which: Timer, at: SimTime) {
+        self.0[which as usize].deadline = Some(at);
+    }
+
+    fn disarm(&mut self, which: Timer) {
+        self.0[which as usize].deadline = None;
+    }
+
+    /// The firing events to schedule so that one exists at or before each
+    /// armed deadline, one per slot in [`Timer`] order. A deadline moved
+    /// later rides the event already outstanding.
+    fn events(&mut self, now: SimTime) -> impl Iterator<Item = (Timer, SimTime)> + '_ {
+        let all = [Timer::Rtx, Timer::Persist, Timer::TimeWait];
+        all.into_iter()
+            .zip(&mut self.0)
+            .filter_map(move |(which, slot)| {
+                let at = slot.deadline?.max(now);
+                if slot.covered.is_some_and(|c| c <= at) {
+                    return None;
+                }
+                slot.covered = Some(at);
+                Some((which, at))
+            })
+    }
+
+    /// An event for `which` arrived at `now`: is the timer due? A due timer
+    /// is disarmed, so a second event at the same instant cannot fire it
+    /// twice; one whose deadline moved later is left for [`events`](Self::events)
+    /// to reschedule.
+    fn fire(&mut self, which: Timer, now: SimTime) -> bool {
+        let slot = &mut self.0[which as usize];
+        if slot.covered == Some(now) {
+            slot.covered = None;
+        }
+        let due = slot.deadline.is_some_and(|d| d <= now);
+        if due {
+            slot.deadline = None;
+        }
+        due
     }
 }
 
@@ -363,10 +775,10 @@ impl PendingWrite {
 
 /// A blocking read parked in `TcpStream::read_chunks_min` or `read_some`
 /// with its demand staged on the TCB: arriving segments are drained into
-/// `out` at delivery time, in the `try_read_chunks` calls a reader task
-/// would issue, so window-update ACKs keep their emission points and `wnd`
-/// values, and the reader wakes once `min` bytes are buffered, EOF is
-/// reached, or the connection errors.
+/// `out` at delivery time, in the reads a reader task would issue, so
+/// window-update ACKs keep their emission points and `wnd` values, and the
+/// reader wakes once `min` bytes are buffered, EOF is reached, or the
+/// connection errors.
 pub(crate) struct PendingRead {
     /// Wake once this many bytes have been collected.
     min: usize,
@@ -419,78 +831,28 @@ pub enum ReadOutcome {
 
 /// The TCP control block.
 pub struct Tcb {
-    pub cfg: TcpConfig,
-    pub state: State,
+    pub(crate) cfg: TcpConfig,
+    pub(crate) state: State,
     pub local: SockAddr,
     pub remote: SockAddr,
     /// Listening port that spawned this connection (server side), used to
     /// notify the listener's accept queue on establishment.
-    pub from_listener: Option<u16>,
-
-    // --- send side ---
-    iss: u64,
-    snd_una: u64,
-    snd_nxt: u64,
-    /// Highest sequence ever sent (retransmissions keep snd_nxt lower).
-    snd_max: u64,
-    /// Unacknowledged + unsent data; front byte has sequence `snd_una`.
-    send_q: ChunkDeque,
-    peer_wnd: u32,
-    fin_queued: bool,
-    fin_acked: bool,
-
-    // --- receive side ---
-    irs: u64,
-    rcv_nxt: u64,
-    recv_q: ChunkDeque,
-    ooo: BTreeMap<u64, Bytes>,
-    ooo_bytes: usize,
-    fin_rcvd: bool,
-
-    // --- congestion control (NewReno) ---
-    cwnd: f64,
-    ssthresh: f64,
-    dupacks: u32,
-    /// Recovery point: fast recovery ends when snd_una passes this.
-    recover: u64,
-    in_recovery: bool,
-
-    // --- RTO state (RFC 6298) ---
-    srtt: Option<Duration>,
-    rttvar: Duration,
-    rto: Duration,
-    /// Outstanding RTT sample: (sequence that acks it, send time).
-    rtt_sample: Option<(u64, SimTime)>,
-    syn_rtx_left: u32,
-    /// Consecutive RTO expiries with the backoff saturated at `max_rto`;
-    /// reset whenever an ACK advances `snd_una`.
-    rto_strikes: u32,
-
-    // --- timers ---
-    pub rtx_timer: TimerSlot,
-    pub persist_timer: TimerSlot,
-    persist_backoff: u32,
-    pub tw_timer: TimerSlot,
-
-    // --- plumbing to the stack ---
+    pub(crate) from_listener: Option<u16>,
+    snd: Sender,
+    rcv: Receiver,
+    timers: Timers,
+    /// Segments emitted and not yet drained by the host stack.
     out: Vec<Segment>,
-    pub conn_wakers: Vec<Waker>,
+    pub(crate) conn_wakers: Vec<Waker>,
     /// Waiters in `drain()`: woken only when the send queue fully empties
     /// (or the connection errors), not on every advancing ACK — a settle
     /// over a full window would otherwise take one host slice per ACK.
-    pub drain_wakers: Vec<Waker>,
-    /// Staged block write serviced at event time (see [`PendingWrite`]).
-    pending_write: Option<PendingWrite>,
-    /// Staged chunk-read demand serviced at event time ([`PendingRead`]).
-    pending_read: Option<PendingRead>,
-    /// The chunk list a staged `read_some` collects into, kept between
-    /// reads so a scalar read allocates nothing.
-    read_scratch: Vec<Bytes>,
+    pub(crate) drain_wakers: Vec<Waker>,
     became_established: bool,
     error: Option<io::ErrorKind>,
     /// Set when the owning socket handle has been dropped: the stack may
     /// reap the connection as soon as it reaches Closed, even on error.
-    pub detached: bool,
+    pub(crate) detached: bool,
 
     pub stats: ConnStats,
 }
@@ -503,41 +865,12 @@ impl Tcb {
             local,
             remote,
             from_listener: None,
-            iss,
-            snd_una: iss,
-            snd_nxt: iss,
-            snd_max: iss,
-            send_q: ChunkDeque::default(),
-            peer_wnd: cfg.mss, // conservative until the peer advertises
-            fin_queued: false,
-            fin_acked: false,
-            irs: 0,
-            rcv_nxt: 0,
-            recv_q: ChunkDeque::default(),
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
-            fin_rcvd: false,
-            cwnd: (cfg.init_cwnd_segs * cfg.mss) as f64,
-            ssthresh: f64::MAX,
-            dupacks: 0,
-            recover: iss,
-            in_recovery: false,
-            srtt: None,
-            rttvar: Duration::ZERO,
-            rto: cfg.initial_rto,
-            rtt_sample: None,
-            syn_rtx_left: cfg.syn_retries,
-            rto_strikes: 0,
-            rtx_timer: TimerSlot::default(),
-            persist_timer: TimerSlot::default(),
-            persist_backoff: 0,
-            tw_timer: TimerSlot::default(),
+            snd: Sender::new(&cfg, iss),
+            rcv: Receiver::default(),
+            timers: Timers::default(),
             out: Vec::new(),
             conn_wakers: Vec::new(),
             drain_wakers: Vec::new(),
-            pending_write: None,
-            pending_read: None,
-            read_scratch: Vec::new(),
             became_established: false,
             error: None,
             detached: false,
@@ -554,10 +887,7 @@ impl Tcb {
         now: SimTime,
     ) -> Tcb {
         let mut t = Tcb::new(cfg, local, remote, iss, State::SynSent);
-        t.send_flags(Flags::SYN, t.iss, 0);
-        t.snd_nxt = t.iss + 1;
-        t.snd_max = t.snd_nxt;
-        t.rtx_timer.arm(now + t.rto);
+        t.send_syn(now);
         t
     }
 
@@ -572,42 +902,61 @@ impl Tcb {
         now: SimTime,
     ) -> Tcb {
         let mut t = Tcb::new(cfg, local, remote, iss, State::SynRcvd);
-        t.irs = syn.seq;
-        t.rcv_nxt = syn.seq + 1;
-        t.peer_wnd = syn.wnd;
-        t.send_flags(Flags::SYN_ACK, t.iss, t.rcv_nxt);
-        t.snd_nxt = t.iss + 1;
-        t.snd_max = t.snd_nxt;
-        t.rtx_timer.arm(now + t.rto);
+        t.rcv.sync(syn.seq);
+        t.snd.wnd = syn.wnd;
+        t.send_syn(now);
         t
     }
 
-    // ---------------- helpers ----------------
+    // ---------------- segment building ----------------
 
-    /// Advertised receive window. Computed from the in-order buffer only
-    /// (as real stacks do), so that duplicate ACKs generated while
-    /// out-of-order data accumulates carry an *unchanged* window and are
-    /// recognizable as duplicates (RFC 5681's definition).
-    fn rwnd(&self) -> u32 {
-        (self.cfg.recv_buf as usize)
-            .saturating_sub(self.recv_q.len())
-            .min(u32::MAX as usize) as u32
-    }
-
-    fn send_flags(&mut self, flags: Flags, seq: u64, ack: u64) {
-        let wnd = self.rwnd();
-        self.stats.segs_sent += 1;
-        self.out.push(Segment {
+    /// Build and queue one segment: the one place a segment is made. Its
+    /// `ack` and `wnd` are read here, at emission, not when the stack
+    /// drains it. One that occupies sequence space starts the
+    /// retransmission timer if it is idle (RFC 6298 5.1).
+    fn emit(&mut self, now: SimTime, flags: Flags, seq: u64, data: Bytes) {
+        let (ack, wnd) = (self.rcv.nxt, self.rcv.wnd(&self.cfg));
+        let seg = Segment {
             flags,
             seq,
             ack,
             wnd,
-            data: Bytes::new(),
-        });
+            data,
+        };
+        if seg.seq_len() > 0 && self.timers.deadline(Timer::Rtx).is_none() {
+            self.timers.arm(Timer::Rtx, now + self.snd.rto);
+        }
+        self.stats.segs_sent += 1;
+        self.stats.bytes_sent += seg.data.len() as u64;
+        self.out.push(seg);
     }
 
-    fn send_ack(&mut self) {
-        self.send_flags(Flags::ACK, self.snd_nxt, self.rcv_nxt);
+    /// Our SYN in SYN-SENT, our SYN+ACK in SYN-RCVD.
+    fn send_syn(&mut self, now: SimTime) {
+        let flags = match self.state {
+            State::SynSent => Flags::SYN,
+            _ => Flags::SYN_ACK,
+        };
+        self.snd.nxt = self.snd.iss + 1;
+        self.snd.max = self.snd.nxt;
+        self.emit(now, flags, self.snd.iss, Bytes::new());
+    }
+
+    fn send_ack(&mut self, now: SimTime) {
+        self.emit(now, Flags::ACK, self.snd.nxt, Bytes::new());
+    }
+
+    /// Our FIN at `snd.nxt` (it consumes no window).
+    fn send_fin(&mut self, now: SimTime) {
+        let seq = self.snd.advance(1);
+        self.emit(now, Flags::FIN_ACK, seq, Bytes::new());
+    }
+
+    /// One data segment of `len` bytes at `snd.nxt`.
+    fn send_data(&mut self, now: SimTime, len: usize, retransmission: bool) {
+        let copied = &mut self.stats.bytes_copied;
+        let (flags, seq, data) = self.snd.carve(now, len, !retransmission, copied);
+        self.emit(now, flags, seq, data);
     }
 
     /// Drain segments queued for transmission.
@@ -635,14 +984,9 @@ impl Tcb {
         self.state == State::Established
     }
 
-    /// Current congestion window in bytes (diagnostics/tests).
-    pub fn cwnd(&self) -> u64 {
-        self.cwnd as u64
-    }
-
     /// Space left in the send buffer.
     pub fn send_space(&self) -> usize {
-        (self.cfg.send_buf as usize).saturating_sub(self.send_q.len())
+        (self.cfg.send_buf as usize).saturating_sub(self.snd.q.len())
     }
 
     fn wake(wakers: &mut Vec<Waker>) {
@@ -657,10 +1001,10 @@ impl Tcb {
         // Staged I/O holders observe the state change on pickup (their
         // collect call re-runs a service pass, which surfaces the error or
         // EOF); waking is spurious-safe.
-        if let Some(pw) = &self.pending_write {
+        if let Some(pw) = &self.snd.pending {
             pw.waker.wake();
         }
-        if let Some(pr) = &self.pending_read {
+        if let Some(pr) = &self.rcv.pending {
             pr.waker.wake();
         }
     }
@@ -668,8 +1012,8 @@ impl Tcb {
     fn fail(&mut self, kind: io::ErrorKind) {
         self.error = Some(kind);
         self.state = State::Closed;
-        self.rtx_timer.disarm();
-        self.persist_timer.disarm();
+        self.timers.disarm(Timer::Rtx);
+        self.timers.disarm(Timer::Persist);
         self.wake_all();
     }
 
@@ -684,25 +1028,20 @@ impl Tcb {
     /// Is data (or a pending EOF/error) immediately available to a reader?
     /// Lets supervision code poll instead of blocking in a read.
     pub fn readable(&self) -> bool {
-        !self.recv_q.is_empty() || self.fin_rcvd || self.error.is_some()
+        !self.rcv.q.is_empty() || self.rcv.fin || self.error.is_some()
     }
 
     fn enter_established(&mut self) {
         self.state = State::Established;
         self.became_established = true;
-        self.syn_rtx_left = self.cfg.syn_retries;
-        self.rtx_timer.disarm();
+        self.snd.syn_rtx_left = self.cfg.syn_retries;
+        self.timers.disarm(Timer::Rtx);
         self.wake_all();
     }
 
-    /// End of the data currently in the send queue, in sequence space.
-    fn data_end(&self) -> u64 {
-        self.snd_una + self.send_q.len() as u64
-    }
-
-    /// Sequence space in flight.
-    fn flight(&self) -> u64 {
-        self.snd_nxt - self.snd_una
+    fn enter_time_wait(&mut self, now: SimTime) {
+        self.state = State::TimeWait;
+        self.timers.arm(Timer::TimeWait, now + self.cfg.time_wait);
     }
 
     // ---------------- application interface ----------------
@@ -716,7 +1055,7 @@ impl Tcb {
         }
         match self.state {
             State::SynSent | State::SynRcvd => Ok(0), // wait for establish
-            s if !s.can_send() || self.fin_queued => Err(io::ErrorKind::BrokenPipe.into()),
+            s if !s.can_send() || self.snd.fin_queued => Err(io::ErrorKind::BrokenPipe.into()),
             _ => Ok(self.send_space()),
         }
     }
@@ -728,7 +1067,7 @@ impl Tcb {
             return Ok(WriteOutcome::Full);
         }
         let n = room.min(buf.len());
-        self.send_q.push_slice(&buf[..n]);
+        self.snd.q.push_slice(&buf[..n]);
         self.stats.bytes_copied += n as u64;
         self.transmit(now);
         Ok(WriteOutcome::Wrote(n))
@@ -744,7 +1083,7 @@ impl Tcb {
             return Ok(WriteOutcome::Full);
         }
         let n = room.min(block.len());
-        self.send_q.push_prefix(block, n);
+        self.snd.q.push_prefix(block, n);
         self.transmit(now);
         Ok(WriteOutcome::Wrote(n))
     }
@@ -755,9 +1094,10 @@ impl Tcb {
     /// through here, so ACKs leave at the same points on either.
     fn read_queued(
         &mut self,
+        now: SimTime,
         take: impl FnOnce(&mut ChunkDeque) -> usize,
     ) -> io::Result<ReadOutcome> {
-        if self.recv_q.is_empty() {
+        if self.rcv.q.is_empty() {
             if let Some(e) = self.error {
                 // A reset with buffered data still delivers the data first;
                 // here the buffer is empty, so surface the error. EOF after
@@ -768,38 +1108,26 @@ impl Tcb {
                 }
                 return Ok(ReadOutcome::Eof);
             }
-            if self.fin_rcvd {
+            if self.rcv.fin {
                 return Ok(ReadOutcome::Eof);
             }
             return Ok(ReadOutcome::Empty);
         }
-        let before_free = self.rwnd();
-        let n = take(&mut self.recv_q);
-        // Window update: if we were nearly closed and the application just
-        // opened space, tell the sender (it has no other way to learn).
-        let after_free = self.rwnd();
-        if before_free < self.cfg.mss && after_free >= self.cfg.mss && !self.state.is_terminal() {
-            self.send_ack();
+        let (n, update) = self.rcv.take(&self.cfg, take);
+        if update && !self.state.is_terminal() {
+            self.send_ack(now);
         }
         self.debug_check_receiver();
         Ok(ReadOutcome::Read(n))
     }
 
     /// Try to read received bytes.
-    pub fn try_read(&mut self, _now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-        let read = self.read_queued(|q| q.copy_out(buf))?;
+    pub fn try_read(&mut self, now: SimTime, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+        let read = self.read_queued(now, |q| q.copy_out(buf))?;
         if let ReadOutcome::Read(n) = read {
             self.stats.bytes_copied += n as u64;
         }
         Ok(read)
-    }
-
-    /// Like [`try_read`](Tcb::try_read), but hands received data out as
-    /// zero-copy chunks (slices of the segment buffers) instead of copying
-    /// into a caller buffer. Consumes exactly the bytes a `try_read` with a
-    /// `max`-sized buffer would.
-    fn try_read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<ReadOutcome> {
-        self.read_queued(|q| q.pop_chunks(max, out))
     }
 
     // ---------------- staged (event-time serviced) I/O ----------------
@@ -830,8 +1158,8 @@ impl Tcb {
         if self.refill(now, &mut pw) {
             return Some(pw.result());
         }
-        debug_assert!(self.pending_write.is_none(), "one writer at a time");
-        self.pending_write = Some(pw);
+        debug_assert!(self.snd.pending.is_none(), "one writer at a time");
+        self.snd.pending = Some(pw);
         None
     }
 
@@ -860,6 +1188,7 @@ impl Tcb {
     /// [`collect_staged_read`](Self::collect_staged_read) hands it back.
     pub(crate) fn read_staged(
         &mut self,
+        now: SimTime,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
@@ -874,11 +1203,11 @@ impl Tcb {
             err: None,
             waker,
         };
-        if self.drain(&mut pr) {
+        if self.drain(now, &mut pr) {
             return Some(pr.result());
         }
-        debug_assert!(self.pending_read.is_none(), "one reader at a time");
-        self.pending_read = Some(pr);
+        debug_assert!(self.rcv.pending.is_none(), "one reader at a time");
+        self.rcv.pending = Some(pr);
         None
     }
 
@@ -895,8 +1224,8 @@ impl Tcb {
             Ok(ReadOutcome::Read(n)) => Some(Ok(n)),
             Ok(ReadOutcome::Eof) => Some(Ok(0)),
             Ok(ReadOutcome::Empty) => {
-                let mut scratch = std::mem::take(&mut self.read_scratch);
-                let staged = self.read_staged(1, buf.len(), &mut scratch, waker);
+                let mut scratch = std::mem::take(&mut self.rcv.scratch);
+                let staged = self.read_staged(now, 1, buf.len(), &mut scratch, waker);
                 debug_assert!(staged.is_none(), "an empty queue stages");
                 None
             }
@@ -917,7 +1246,7 @@ impl Tcb {
     }
 
     /// Drain queued bytes toward `pr`'s demand; `true` once it is done.
-    fn drain(&mut self, pr: &mut PendingRead) -> bool {
+    fn drain(&mut self, now: SimTime, pr: &mut PendingRead) -> bool {
         while !pr.done() {
             // Per-call drain cap `max(remaining, max)`, the granularity of
             // a BufReader with capacity `max` doing large-read bypass:
@@ -926,7 +1255,7 @@ impl Tcb {
             // `max`. It fixes the window-update ACK points and
             // advertised-window values on the wire.
             let cap = (pr.min - pr.got).max(pr.max);
-            match self.try_read_chunks(cap, &mut pr.out) {
+            match self.read_queued(now, |q| q.pop_chunks(cap, &mut pr.out)) {
                 Ok(ReadOutcome::Read(n)) => pr.got += n,
                 Ok(ReadOutcome::Empty) => return false,
                 Ok(ReadOutcome::Eof) => pr.eof = true,
@@ -940,17 +1269,17 @@ impl Tcb {
     /// generated by a refill precede any window-update ACK from the drain
     /// within one flush. Each side wakes its task once, when it is done.
     pub fn service_pending(&mut self, now: SimTime) {
-        if let Some(mut pw) = self.pending_write.take() {
+        if let Some(mut pw) = self.snd.pending.take() {
             if !pw.done() && self.refill(now, &mut pw) {
                 pw.waker.wake();
             }
-            self.pending_write = Some(pw);
+            self.snd.pending = Some(pw);
         }
-        if let Some(mut pr) = self.pending_read.take() {
-            if !pr.done() && self.drain(&mut pr) {
+        if let Some(mut pr) = self.rcv.pending.take() {
+            if !pr.done() && self.drain(now, &mut pr) {
                 pr.waker.wake();
             }
-            self.pending_read = Some(pr);
+            self.rcv.pending = Some(pr);
         }
         self.debug_check_receiver();
     }
@@ -961,10 +1290,10 @@ impl Tcb {
     /// the write unstaged.
     pub fn collect_staged_write(&mut self, now: SimTime) -> Option<io::Result<()>> {
         self.service_pending(now);
-        if !self.pending_write.as_ref()?.done() {
+        if !self.snd.pending.as_ref()?.done() {
             return None;
         }
-        self.pending_write.take().map(PendingWrite::result)
+        self.snd.pending.take().map(PendingWrite::result)
     }
 
     /// Task-side pickup of a staged read after a wake, as
@@ -973,10 +1302,10 @@ impl Tcb {
     /// arrived appended to it, and the count of bytes appended (0 = EOF).
     pub fn collect_staged_read(&mut self, now: SimTime) -> Option<(Vec<Bytes>, io::Result<usize>)> {
         self.service_pending(now);
-        if !self.pending_read.as_ref()?.done() {
+        if !self.rcv.pending.as_ref()?.done() {
             return None;
         }
-        self.pending_read.take().map(PendingRead::result)
+        self.rcv.pending.take().map(PendingRead::result)
     }
 
     /// Pickup of a [`read_some_staged`](Self::read_some_staged) read, as
@@ -995,26 +1324,26 @@ impl Tcb {
             n += c.len();
         }
         self.stats.bytes_copied += n as u64;
-        self.read_scratch = chunks;
+        self.rcv.scratch = chunks;
         Some(read)
     }
+
+    // ---------------- the state machine ----------------
 
     /// Graceful close: send FIN once queued data drains.
     pub fn start_close(&mut self, now: SimTime) {
         match self.state {
             State::SynSent => {
                 self.state = State::Closed;
-                self.rtx_timer.disarm();
+                self.timers.disarm(Timer::Rtx);
                 self.wake_all();
             }
-            State::SynRcvd | State::Established if !self.fin_queued => {
-                self.fin_queued = true;
-                self.state = State::FinWait1;
-                self.transmit(now);
-            }
-            State::CloseWait if !self.fin_queued => {
-                self.fin_queued = true;
-                self.state = State::LastAck;
+            State::SynRcvd | State::Established | State::CloseWait if !self.snd.fin_queued => {
+                self.snd.fin_queued = true;
+                self.state = match self.state {
+                    State::CloseWait => State::LastAck,
+                    _ => State::FinWait1,
+                };
                 self.transmit(now);
             }
             _ => {}
@@ -1022,232 +1351,119 @@ impl Tcb {
     }
 
     /// Hard abort: emit RST, drop everything.
-    pub fn abort(&mut self) {
-        if !matches!(self.state, State::Closed | State::TimeWait) {
-            let (snd_nxt, rcv_nxt) = (self.snd_nxt, self.rcv_nxt);
-            self.send_flags(Flags::RST, snd_nxt, rcv_nxt);
+    pub fn abort(&mut self, now: SimTime) {
+        if !self.state.is_terminal() {
+            self.emit(now, Flags::RST, self.snd.nxt, Bytes::new());
         }
         self.fail(io::ErrorKind::ConnectionAborted);
     }
 
-    // ---------------- transmission ----------------
-
     /// Pump as many segments as windows allow.
     pub fn transmit(&mut self, now: SimTime) {
-        if !matches!(
-            self.state,
-            State::Established
-                | State::CloseWait
-                | State::FinWait1
-                | State::Closing
-                | State::LastAck
-        ) {
+        if !self.state.sends() {
             return;
         }
-        let mss = self.cfg.mss as u64;
         loop {
-            // The congestion window is spent in whole segments (as Linux
-            // counts it in packets): a fractional cwnd never releases a
-            // sub-MSS remainder that would go out as a runt while full
-            // segments wait behind it. The receive window is byte-exact.
-            let flight = self.flight();
-            let cwnd_room = (self.cwnd as u64 / mss).saturating_sub(flight.div_ceil(mss)) * mss;
-            let usable = cwnd_room.min((self.peer_wnd as u64).saturating_sub(flight));
-            let unsent = self.data_end().saturating_sub(self.snd_nxt);
-            let take = usable.min(unsent).min(mss);
-            if take == 0 {
-                // FIN consumes no window.
-                if self.fin_queued && !self.fin_acked && self.snd_nxt == self.data_end() {
-                    let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-                    self.send_flags(Flags::FIN_ACK, seq, ack);
-                    self.snd_nxt += 1;
-                    self.snd_max = self.snd_max.max(self.snd_nxt);
-                    if self.rtx_timer.deadline.is_none() {
-                        self.rtx_timer.arm(now + self.rto);
-                    }
-                }
-                // Peer window exhausted with data pending: arm persist timer.
-                if unsent > 0 && self.peer_wnd == 0 && self.persist_timer.deadline.is_none() {
-                    let d = self.rto.max(Duration::from_millis(500));
-                    self.persist_timer
-                        .arm(now + d * (1 << self.persist_backoff.min(6)));
-                }
-                break;
+            match self.snd.next_len(&self.cfg) {
+                0 => break,
+                len => self.send_data(now, len, false),
             }
-            // Nagle: hold sub-MSS segments while data is in flight.
-            if take < mss && flight > 0 && !self.cfg.nodelay && take == unsent {
-                break;
-            }
-            self.emit_data(now, take as usize, false);
         }
-        self.debug_check_sender();
+        // The FIN consumes no window.
+        if self.snd.fin_pending() && self.snd.nxt == self.snd.data_end() {
+            self.send_fin(now);
+        }
+        // Peer window exhausted with data pending: arm the persist timer.
+        let idle = self.timers.deadline(Timer::Persist).is_none();
+        if self.snd.unsent() > 0 && self.snd.wnd == 0 && idle {
+            self.timers
+                .arm(Timer::Persist, now + self.snd.persist_interval());
+        }
+        self.snd.debug_check(&self.cfg);
     }
 
-    /// Sender invariants, checked after every transmit pass and ACK.
-    fn debug_check_sender(&self) {
-        debug_assert!(self.snd_una <= self.snd_nxt && self.snd_nxt <= self.snd_max);
-        debug_assert!(self.cwnd >= self.cfg.mss as f64);
-        debug_assert!(self.ssthresh >= (2 * self.cfg.mss) as f64);
-        debug_assert!(self.send_q.len() <= self.cfg.send_buf as usize);
-    }
-
-    /// Emit one data segment starting at `snd_nxt` (or `snd_una` when
-    /// retransmitting).
-    fn emit_data(&mut self, now: SimTime, len: usize, retransmission: bool) {
-        let start = (self.snd_nxt - self.snd_una) as usize;
-        let data = self.send_q.slice(start, len, &mut self.stats.bytes_copied);
-        let seq = self.snd_nxt;
-        let mut flags = Flags::ACK;
-        self.snd_nxt += len as u64;
-        // Piggyback FIN on the last data segment.
-        if self.fin_queued && !self.fin_acked && self.snd_nxt == self.data_end() {
-            flags.fin = true;
-            self.snd_nxt += 1;
-        }
-        let fresh = self.snd_nxt > self.snd_max;
-        self.snd_max = self.snd_max.max(self.snd_nxt);
-        let wnd = self.rwnd();
-        self.stats.segs_sent += 1;
-        self.stats.bytes_sent += len as u64;
-        self.out.push(Segment {
-            flags,
-            seq,
-            ack: self.rcv_nxt,
-            wnd,
-            data,
-        });
-        // RTT sampling: only fresh (never retransmitted) segments (Karn).
-        if fresh && !retransmission && self.rtt_sample.is_none() {
-            self.rtt_sample = Some((self.snd_nxt, now));
-        }
-        if self.rtx_timer.deadline.is_none() {
-            self.rtx_timer.arm(now + self.rto);
-        }
-    }
-
-    /// Retransmit one MSS from `snd_una` (fast retransmit / partial ACK).
+    /// Retransmit one MSS from `snd.una` (fast retransmit / partial ACK).
     fn retransmit_head(&mut self, now: SimTime) {
-        let saved_nxt = self.snd_nxt;
-        self.snd_nxt = self.snd_una;
-        let len = (self.send_q.len() as u64).min(self.cfg.mss as u64) as usize;
+        let saved_nxt = self.snd.nxt;
+        self.snd.nxt = self.snd.una;
+        let len = self.snd.q.len().min(self.cfg.mss as usize);
         if len > 0 {
-            self.emit_data(now, len, true);
-        } else if self.fin_queued && !self.fin_acked {
-            let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-            self.send_flags(Flags::FIN_ACK, seq, ack);
-            self.snd_nxt += 1;
+            self.send_data(now, len, true);
+        } else if self.snd.fin_pending() {
+            self.send_fin(now);
         }
-        self.snd_nxt = saved_nxt.max(self.snd_nxt);
-        self.rtt_sample = None; // Karn: the measurement is now ambiguous
+        self.snd.nxt = saved_nxt.max(self.snd.nxt);
+        self.snd.rtt_sample = None; // Karn: the measurement is now ambiguous
     }
 
-    // ---------------- timer events ----------------
+    /// The timer events the host stack must schedule now; it hands each
+    /// back to [`on_timer`](Self::on_timer) when it fires.
+    pub(crate) fn timer_events(
+        &mut self,
+        now: SimTime,
+    ) -> impl Iterator<Item = (Timer, SimTime)> + '_ {
+        self.timers.events(now)
+    }
 
-    /// Retransmission timeout fired.
-    pub fn on_rto(&mut self, now: SimTime) {
-        self.rtx_timer.disarm();
+    /// A timer event at `now`. `false` = not due (the deadline moved later
+    /// or was disarmed since it was scheduled): nothing happened but the
+    /// event bookkeeping.
+    pub(crate) fn on_timer(&mut self, which: Timer, now: SimTime) -> bool {
+        if !self.timers.fire(which, now) {
+            return false;
+        }
+        match which {
+            Timer::Rtx => self.on_rto(now),
+            Timer::Persist => self.on_persist(now),
+            Timer::TimeWait if self.state == State::TimeWait => {
+                self.state = State::Closed;
+                self.wake_all();
+            }
+            Timer::TimeWait => {}
+        }
+        true
+    }
+
+    fn on_rto(&mut self, now: SimTime) {
         match self.state {
             State::SynSent | State::SynRcvd => {
-                if self.syn_rtx_left == 0 {
+                if self.snd.syn_rtx_left == 0 {
                     self.fail(io::ErrorKind::TimedOut);
                     return;
                 }
-                self.syn_rtx_left -= 1;
-                self.rto = (self.rto * 2).min(self.cfg.max_rto);
-                let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-                if self.state == State::SynSent {
-                    self.send_flags(Flags::SYN, iss, 0);
-                } else {
-                    self.send_flags(Flags::SYN_ACK, iss, rcv_nxt);
-                }
-                self.rtx_timer.arm(now + self.rto);
+                self.snd.syn_rtx_left -= 1;
+                self.snd.rto = (self.snd.rto * 2).min(self.cfg.max_rto);
+                self.send_syn(now);
             }
-            State::Established
-            | State::CloseWait
-            | State::FinWait1
-            | State::Closing
-            | State::LastAck => {
-                if self.flight() == 0 {
-                    return; // spurious
-                }
+            s if s.sends() && self.snd.flight() > 0 => {
                 self.stats.rtx_timeouts += 1;
-                // Dead-peer detection: once the backoff has saturated at
-                // max_rto, each further expiry is a strike; too many in a
-                // row and the connection fails detectably instead of
-                // retransmitting forever.
-                if self.rto >= self.cfg.max_rto {
-                    self.rto_strikes += 1;
-                    if self.cfg.max_rto_strikes > 0 && self.rto_strikes >= self.cfg.max_rto_strikes
-                    {
-                        self.fail(io::ErrorKind::TimedOut);
-                        return;
-                    }
+                if self.snd.on_timeout(&self.cfg) {
+                    self.fail(io::ErrorKind::TimedOut);
+                    return;
                 }
-                // Reno on timeout: collapse to one segment, halve ssthresh.
-                let flight = self.flight() as f64;
-                self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-                self.cwnd = self.cfg.mss as f64;
-                self.dupacks = 0;
-                self.in_recovery = false;
-                self.rto = (self.rto * 2).min(self.cfg.max_rto);
-                self.rtt_sample = None;
-                // Go-back-N: rewind and retransmit from the first hole.
-                self.snd_nxt = self.snd_una;
                 self.transmit(now);
-                if self.rtx_timer.deadline.is_none() && self.flight() > 0 {
-                    self.rtx_timer.arm(now + self.rto);
-                }
             }
             _ => {}
         }
     }
 
-    /// Persist (zero-window probe) timer fired.
-    pub fn on_persist(&mut self, now: SimTime) {
-        self.persist_timer.disarm();
-        if self.peer_wnd > 0 || self.data_end() <= self.snd_nxt {
-            self.persist_backoff = 0;
+    /// Persist timer: probe the closed window with one byte beyond it. The
+    /// probe consumes sequence space so the receiver's ACK of it is
+    /// in-window and re-synchronizes the peer window; the retransmission
+    /// timer covers a lost probe.
+    fn on_persist(&mut self, now: SimTime) {
+        if self.snd.wnd > 0 || self.snd.unsent() == 0 {
+            self.snd.persist_backoff = 0;
             return;
         }
-        // Probe with one byte beyond the advertised window. The probe
-        // consumes sequence space (snd_nxt advances) so the receiver's ACK
-        // of it is in-window and re-synchronizes the peer window; the
-        // retransmission timer covers a lost probe.
-        let start = (self.snd_nxt - self.snd_una) as usize;
-        if start < self.send_q.len() {
-            let byte = self.send_q.byte_at(start);
-            let seq = self.snd_nxt;
-            let wnd = self.rwnd();
-            self.stats.segs_sent += 1;
-            self.stats.bytes_sent += 1;
-            self.out.push(Segment {
-                flags: Flags::ACK,
-                seq,
-                ack: self.rcv_nxt,
-                wnd,
-                data: Bytes::copy_from_slice(&[byte]),
-            });
-            self.snd_nxt += 1;
-            self.snd_max = self.snd_max.max(self.snd_nxt);
-            if self.rtx_timer.deadline.is_none() {
-                self.rtx_timer.arm(now + self.rto);
-            }
-        }
-        self.persist_backoff = (self.persist_backoff + 1).min(6);
-        let d = self.rto.max(Duration::from_millis(500));
-        self.persist_timer
-            .arm(now + d * (1 << self.persist_backoff));
+        let start = (self.snd.nxt - self.snd.una) as usize;
+        let byte = self.snd.q.slice(start, 1, &mut self.stats.bytes_copied);
+        let seq = self.snd.advance(1);
+        self.emit(now, Flags::ACK, seq, byte);
+        self.snd.persist_backoff = (self.snd.persist_backoff + 1).min(6);
+        self.timers
+            .arm(Timer::Persist, now + self.snd.persist_interval());
     }
-
-    /// TIME-WAIT expiry.
-    pub fn on_time_wait_expire(&mut self) {
-        if self.state == State::TimeWait {
-            self.state = State::Closed;
-            self.wake_all();
-        }
-    }
-
-    // ---------------- segment processing ----------------
 
     /// Process an incoming segment.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
@@ -1264,26 +1480,8 @@ impl Tcb {
         self.debug_check_receiver();
     }
 
-    /// Receiver invariants, checked after every segment, read and service
-    /// pass. A TCB that has not seen the peer's SYN (`rcv_nxt` still 0)
-    /// has no receive sequence space to check yet.
     fn debug_check_receiver(&self) {
-        if self.rcv_nxt == 0 {
-            return;
-        }
-        debug_assert!(
-            self.recv_q.len() <= self.cfg.recv_buf as usize,
-            "recv_q overflow"
-        );
-        let ooo = || self.ooo.values().map(Bytes::len).sum::<usize>();
-        debug_assert_eq!(self.ooo_bytes, ooo(), "ooo_bytes");
-        debug_assert!(self.ooo.keys().all(|&seq| seq > self.rcv_nxt), "stale ooo");
-        let fin = u64::from(self.fin_rcvd);
-        debug_assert_eq!(
-            self.rcv_nxt,
-            self.irs + 1 + self.stats.bytes_rcvd + fin,
-            "rcv_nxt"
-        );
+        self.rcv.debug_check(&self.cfg, self.stats.bytes_rcvd);
     }
 
     fn on_rst(&mut self) {
@@ -1297,45 +1495,41 @@ impl Tcb {
     fn on_segment_syn_sent(&mut self, now: SimTime, seg: Segment) {
         if seg.flags.syn && seg.flags.ack {
             // Normal handshake reply.
-            if seg.ack != self.iss + 1 {
-                let (seq, _) = (seg.ack, ());
-                self.send_flags(Flags::RST, seq, 0);
+            if seg.ack != self.snd.iss + 1 {
+                self.emit(now, Flags::RST, seg.ack, Bytes::new());
                 return;
             }
-            self.irs = seg.seq;
-            self.rcv_nxt = seg.seq + 1;
-            self.snd_una = self.iss + 1;
-            self.peer_wnd = seg.wnd;
+            self.rcv.sync(seg.seq);
+            self.snd.una = self.snd.iss + 1;
+            self.snd.wnd = seg.wnd;
             self.enter_established();
-            self.send_ack();
+            self.send_ack(now);
             self.transmit(now);
         } else if seg.flags.syn {
             // Simultaneous open (TCP splicing, paper Fig. 1 right): both
-            // sides sent SYN; acknowledge with SYN+ACK and move to SYN-RCVD.
-            self.irs = seg.seq;
-            self.rcv_nxt = seg.seq + 1;
-            self.peer_wnd = seg.wnd;
+            // sides sent SYN; acknowledge with SYN+ACK and move to SYN-RCVD,
+            // restarting the retransmission timer for it.
+            self.rcv.sync(seg.seq);
+            self.snd.wnd = seg.wnd;
             self.state = State::SynRcvd;
-            let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-            self.send_flags(Flags::SYN_ACK, iss, rcv_nxt);
-            self.rtx_timer.arm(now + self.rto);
+            self.send_syn(now);
+            self.timers.arm(Timer::Rtx, now + self.snd.rto);
         }
     }
 
     fn on_segment_syn_rcvd(&mut self, now: SimTime, seg: Segment) {
-        if seg.flags.syn && !seg.flags.ack && seg.seq == self.irs {
+        if seg.flags.syn && !seg.flags.ack && seg.seq == self.rcv.irs {
             // Duplicate SYN (peer missed our SYN+ACK): resend it.
-            let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-            self.send_flags(Flags::SYN_ACK, iss, rcv_nxt);
+            self.send_syn(now);
             return;
         }
-        if seg.flags.ack && seg.ack == self.iss + 1 {
-            self.snd_una = self.iss + 1;
-            self.peer_wnd = seg.wnd;
+        if seg.flags.ack && seg.ack == self.snd.iss + 1 {
+            self.snd.una = self.snd.iss + 1;
+            self.snd.wnd = seg.wnd;
             self.enter_established();
             if seg.flags.syn {
                 // SYN+ACK in simultaneous open: acknowledge it.
-                self.send_ack();
+                self.send_ack(now);
             }
             // The ACK may carry data (or a FIN): reprocess in order.
             if !seg.data.is_empty() || seg.flags.fin {
@@ -1347,235 +1541,88 @@ impl Tcb {
     }
 
     fn on_segment_synchronized(&mut self, now: SimTime, seg: Segment) {
-        // ---- ACK processing ----
         if seg.flags.ack {
             self.process_ack(now, &seg);
         }
-        // ---- payload ----
         let had = seg.seq_len() > 0;
+        let fin_seq = seg.seq + seg.data.len() as u64;
         if !seg.data.is_empty() {
-            self.process_data(seg.seq, seg.data.clone());
+            self.stats.bytes_rcvd += self.rcv.on_data(&self.cfg, seg.seq, seg.data);
         }
-        // ---- FIN ----
-        if seg.flags.fin {
-            let fin_seq = seg.seq + seg.data.len() as u64;
-            if fin_seq == self.rcv_nxt && !self.fin_rcvd {
-                self.fin_rcvd = true;
-                self.rcv_nxt += 1;
-                match self.state {
-                    State::Established => self.state = State::CloseWait,
-                    State::FinWait1 => {
-                        // Our FIN not yet acked: simultaneous close.
-                        self.state = State::Closing;
-                    }
-                    State::FinWait2 => {
-                        self.state = State::TimeWait;
-                        self.tw_timer.arm(now + self.cfg.time_wait);
-                    }
-                    _ => {}
-                }
+        if seg.flags.fin && self.rcv.on_fin(fin_seq) {
+            match self.state {
+                State::Established => self.state = State::CloseWait,
+                // Our FIN not yet acked: simultaneous close.
+                State::FinWait1 => self.state = State::Closing,
+                State::FinWait2 => self.enter_time_wait(now),
+                _ => {}
             }
         }
         if had {
-            self.send_ack();
+            self.send_ack(now);
         }
     }
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
-        let ack = seg.ack;
-        if ack > self.snd_una && ack <= self.snd_max {
-            let newly = ack - self.snd_una;
-            // Pop acknowledged data bytes.
-            let data_acked = (newly as usize).min(self.send_q.len());
-            self.send_q.consume(data_acked);
-            // Did the ACK cover our FIN?
-            if self.fin_queued && !self.fin_acked && ack == self.snd_una + data_acked as u64 + 1 {
-                self.fin_acked = true;
+        if seg.ack > self.snd.una && seg.ack <= self.snd.max {
+            if self.snd.on_new_ack(&self.cfg, now, seg.ack, seg.wnd) {
+                // NewReno partial ACK: the next hole is lost too.
+                self.stats.fast_retransmits += 1;
+                self.retransmit_head(now);
             }
-            self.snd_una = ack;
-            self.snd_nxt = self.snd_nxt.max(ack);
-            self.peer_wnd = seg.wnd;
-            self.rto_strikes = 0;
-            // RTT sample.
-            if let Some((end, sent_at)) = self.rtt_sample {
-                if ack >= end {
-                    self.rtt_update(now.since(sent_at));
-                    self.rtt_sample = None;
-                }
-            }
-            // Congestion window growth / recovery bookkeeping.
-            if self.in_recovery {
-                if ack >= self.recover {
-                    // Full recovery: deflate.
-                    self.in_recovery = false;
-                    self.cwnd = self.ssthresh;
-                    self.dupacks = 0;
-                } else {
-                    // NewReno partial ACK: the next hole is lost too.
-                    self.stats.fast_retransmits += 1;
-                    self.retransmit_head(now);
-                    self.cwnd =
-                        (self.cwnd - newly as f64 + self.cfg.mss as f64).max(self.cfg.mss as f64);
-                }
-            } else {
-                self.dupacks = 0;
-                if self.cwnd < self.ssthresh {
-                    // Slow start: byte-counted exponential growth.
-                    self.cwnd += (newly as f64).min(self.cfg.mss as f64);
-                } else {
-                    // Congestion avoidance: ~one MSS per RTT.
-                    self.cwnd += (self.cfg.mss as f64) * (self.cfg.mss as f64) / self.cwnd;
-                }
-            }
+            self.stats.srtt = self.snd.srtt;
             // RFC 6298 (5.3): restart the timer on new data acked.
-            if self.flight() > 0
-                || (self.fin_queued && !self.fin_acked && self.snd_nxt > self.data_end())
-            {
-                self.rtx_timer.arm(now + self.rto);
+            if self.snd.flight() > 0 {
+                self.timers.arm(Timer::Rtx, now + self.snd.rto);
             } else {
-                self.rtx_timer.disarm();
+                self.timers.disarm(Timer::Rtx);
             }
             // Close-sequence transitions driven by our FIN being acked.
-            if self.fin_acked {
+            if self.snd.fin_acked {
                 match self.state {
                     State::FinWait1 => self.state = State::FinWait2,
-                    State::Closing => {
-                        self.state = State::TimeWait;
-                        self.tw_timer.arm(now + self.cfg.time_wait);
-                    }
+                    State::Closing => self.enter_time_wait(now),
                     State::LastAck => {
                         self.state = State::Closed;
-                        self.rtx_timer.disarm();
                         self.wake_all();
                     }
                     _ => {}
                 }
             }
-            if self.send_q.is_empty() {
+            if self.snd.q.is_empty() {
                 Self::wake(&mut self.drain_wakers);
             }
             self.transmit(now);
-        } else if ack == self.snd_una {
+        } else if seg.ack == self.snd.una {
             // Window update or duplicate ACK.
-            let was_zero = self.peer_wnd == 0;
-            if seg.data.is_empty() && !seg.flags.fin {
-                if seg.wnd != self.peer_wnd {
-                    self.peer_wnd = seg.wnd;
-                    if was_zero && self.peer_wnd > 0 {
-                        self.persist_timer.disarm();
-                        self.persist_backoff = 0;
-                    }
-                    self.transmit(now);
-                } else if self.flight() > 0 {
-                    self.on_dupack(now);
+            if !seg.data.is_empty() || seg.flags.fin {
+                self.snd.wnd = seg.wnd;
+            } else if seg.wnd != self.snd.wnd {
+                if self.snd.wnd == 0 {
+                    self.timers.disarm(Timer::Persist);
+                    self.snd.persist_backoff = 0;
                 }
-            } else {
-                self.peer_wnd = seg.wnd;
+                self.snd.wnd = seg.wnd;
+                self.transmit(now);
+            } else if self.snd.flight() > 0 {
+                self.on_dupack(now);
             }
         }
-        // ACK beyond snd_max or below snd_una (old duplicate): ignore.
-        self.debug_check_sender();
+        // ACK beyond snd.max or below snd.una (old duplicate): ignore.
+        self.snd.debug_check(&self.cfg);
     }
 
     fn on_dupack(&mut self, now: SimTime) {
         self.stats.dup_acks_rcvd += 1;
-        if self.in_recovery {
+        if self.snd.in_recovery {
             // Inflate: each dup ACK means one segment left the network.
-            self.cwnd += self.cfg.mss as f64;
+            self.snd.cwnd += self.cfg.mss as f64;
             self.transmit(now);
-            return;
-        }
-        self.dupacks += 1;
-        if self.dupacks == 3 {
-            // Fast retransmit + fast recovery (RFC 5681/6582).
+        } else if self.snd.count_dupack(&self.cfg) {
             self.stats.fast_retransmits += 1;
-            let flight = self.flight() as f64;
-            self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-            self.recover = self.snd_max;
-            self.in_recovery = true;
             self.retransmit_head(now);
-            self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
-            self.rtx_timer.arm(now + self.rto);
+            self.timers.arm(Timer::Rtx, now + self.snd.rto);
         }
-    }
-
-    fn process_data(&mut self, seq: u64, mut data: Bytes) {
-        let end = seq + data.len() as u64;
-        if end <= self.rcv_nxt {
-            return; // complete duplicate
-        }
-        let mut seq = seq;
-        if seq < self.rcv_nxt {
-            // Partial overlap: trim the stale prefix.
-            let trim = (self.rcv_nxt - seq) as usize;
-            data = data.slice(trim..);
-            seq = self.rcv_nxt;
-        }
-        if seq == self.rcv_nxt {
-            self.accept_data(data);
-            // Drain any out-of-order segments that are now contiguous.
-            while let Some((&oseq, _)) = self.ooo.iter().next() {
-                if oseq > self.rcv_nxt {
-                    break;
-                }
-                let (oseq, odata) = self.ooo.pop_first().unwrap();
-                self.ooo_bytes -= odata.len();
-                let oend = oseq + odata.len() as u64;
-                if oend > self.rcv_nxt {
-                    let trim = (self.rcv_nxt - oseq) as usize;
-                    self.accept_data(odata.slice(trim..));
-                }
-            }
-        } else {
-            // Out of order: buffer within the window.
-            let window_end = self.rcv_nxt + self.rwnd() as u64;
-            if seq < window_end && !self.ooo.contains_key(&seq) {
-                let keep = ((window_end - seq) as usize).min(data.len());
-                let d = data.slice(..keep);
-                self.ooo_bytes += d.len();
-                self.ooo.insert(seq, d);
-            }
-        }
-    }
-
-    fn accept_data(&mut self, data: Bytes) {
-        // Respect the receive buffer: anything beyond our advertised window
-        // is dropped (the peer will retransmit once we open up). The check
-        // must mirror `rwnd()` exactly — in particular it must NOT count
-        // out-of-order bytes, which are admitted under the same advertised
-        // window: otherwise a buffered OOO tail can permanently starve the
-        // retransmitted head segment and wedge the connection (seen as an
-        // RTO-backoff spiral in the 16-stream striping bench). Memory is
-        // still bounded: recv_q ≤ recv_buf here and ooo ≤ rwnd at insert.
-        let free = (self.cfg.recv_buf as usize).saturating_sub(self.recv_q.len());
-        let keep = free.min(data.len());
-        // Zero-copy: the queue shares the segment's buffer until the
-        // application drains it.
-        self.recv_q.push_bytes(if keep == data.len() {
-            data
-        } else {
-            data.slice(..keep)
-        });
-        self.rcv_nxt += keep as u64;
-        self.stats.bytes_rcvd += keep as u64;
-    }
-
-    fn rtt_update(&mut self, sample: Duration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2;
-            }
-            Some(srtt) => {
-                let diff = srtt.abs_diff(sample);
-                self.rttvar = (self.rttvar * 3 + diff) / 4;
-                self.srtt = Some((srtt * 7 + sample) / 8);
-            }
-        }
-        let srtt = self.srtt.unwrap();
-        self.stats.srtt = self.srtt;
-        self.rto = (srtt + (self.rttvar * 4).max(Duration::from_millis(1)))
-            .clamp(self.cfg.min_rto, self.cfg.max_rto);
     }
 }
 
@@ -1595,6 +1642,14 @@ mod tests {
         SockAddr::new(gridsim_net::Ip::new(2, 0, 0, 1), 2000)
     }
 
+    /// Hand `segs` to `to` at `now`. A correct exchange never resets.
+    fn deliver(to: &mut Tcb, segs: Vec<Segment>, now: SimTime) {
+        for s in segs {
+            assert!(!s.flags.rst, "unexpected {s:?}");
+            to.on_segment(now, s);
+        }
+    }
+
     /// Drive two TCBs against each other with a lossless, zero-delay pipe.
     /// Returns when neither has output pending.
     fn pump(a: &mut Tcb, b: &mut Tcb, now: SimTime) {
@@ -1604,12 +1659,8 @@ mod tests {
             if out_a.is_empty() && out_b.is_empty() {
                 break;
             }
-            for s in out_a {
-                b.on_segment(now, s);
-            }
-            for s in out_b {
-                a.on_segment(now, s);
-            }
+            deliver(b, out_a, now);
+            deliver(a, out_b, now);
         }
     }
 
@@ -1636,22 +1687,297 @@ mod tests {
         assert_eq!(b.error(), None);
     }
 
+    /// One step of a scripted exchange between ends `A` and `B`.
+    #[derive(Clone, Copy)]
+    enum Op {
+        /// Take both ends' output first, then deliver each to the other.
+        Cross,
+        /// Deliver everything this end has queued.
+        Send(usize),
+        /// Drop everything this end has queued (there must be something).
+        Lose(usize),
+        /// Fire this end's retransmission timer; it must resend.
+        Rto(usize),
+        Write(usize, &'static [u8]),
+        Close(usize),
+        Pump,
+        Expect(State, State),
+    }
+
+    const A: usize = 0;
+    const B: usize = 1;
+
+    /// Simultaneous open and close (TCP splicing, paper Fig. 1) and the
+    /// losses around them, against the state machine alone. Every case
+    /// ends with both ends' states as listed, every byte delivered once
+    /// and in order, no RST, and TIME-WAIT expiry closing what lingers.
     #[test]
-    fn simultaneous_open_establishes_both() {
-        // Paper Fig. 1 (right): both sides connect() at once.
-        let cfg = TcpConfig::default();
-        let mut a = Tcb::client(cfg, la(), ra(), 1000, T0);
-        let mut b = Tcb::client(cfg, ra(), la(), 5000, T0);
-        let syn_a = a.take_out().remove(0);
-        let syn_b = b.take_out().remove(0);
-        // SYNs cross.
-        a.on_segment(T0, syn_b);
-        b.on_segment(T0, syn_a);
-        assert_eq!(a.state, State::SynRcvd);
-        assert_eq!(b.state, State::SynRcvd);
-        pump(&mut a, &mut b, T0);
-        assert!(a.is_established(), "a: {:?}", a.state);
-        assert!(b.is_established(), "b: {:?}", b.state);
+    fn simultaneous_open_and_close_matrix() {
+        use Op::*;
+        use State::*;
+        const DATA: [Op; 6] = [
+            Write(A, b"from a"),
+            Write(B, b"from b"),
+            Pump,
+            Close(A),
+            Pump,
+            Close(B),
+        ];
+        let cases: [(&str, bool, &[Op], [State; 2]); 6] = [
+            (
+                "the SYNs cross",
+                true,
+                &[
+                    Cross,
+                    Expect(SynRcvd, SynRcvd),
+                    Pump,
+                    Expect(Established, Established),
+                ],
+                [TimeWait, Closed],
+            ),
+            (
+                "the SYNs cross, a's SYN-ACK is lost and its RTO resends it",
+                true,
+                &[Cross, Lose(A), Rto(A), Expect(SynRcvd, SynRcvd), Pump],
+                [TimeWait, Closed],
+            ),
+            (
+                "a's SYN is lost, so it learns of b from b's SYN",
+                true,
+                &[Lose(A), Send(B), Expect(SynRcvd, SynSent), Pump],
+                [TimeWait, Closed],
+            ),
+            (
+                "the FINs cross",
+                false,
+                &[
+                    Write(A, b"from a"),
+                    Write(B, b"from b"),
+                    Pump,
+                    Close(A),
+                    Close(B),
+                    Cross,
+                    Expect(Closing, Closing),
+                ],
+                [TimeWait, TimeWait],
+            ),
+            (
+                "a's FIN crosses b's last data segment",
+                false,
+                &[
+                    Write(A, b"from a"),
+                    Pump,
+                    Write(B, b"last from b"),
+                    Close(A),
+                    Cross,
+                    Expect(FinWait1, CloseWait),
+                    Pump,
+                    Close(B),
+                ],
+                [TimeWait, Closed],
+            ),
+            (
+                "a's FIN is lost",
+                false,
+                &[
+                    Write(B, b"from b"),
+                    Pump,
+                    Close(A),
+                    Lose(A),
+                    Rto(A),
+                    Pump,
+                    Expect(FinWait2, CloseWait),
+                    Close(B),
+                ],
+                [TimeWait, Closed],
+            ),
+        ];
+        for (name, simultaneous, script, end) in cases {
+            let cfg = TcpConfig::default();
+            let mut ends = if simultaneous {
+                [
+                    Tcb::client(cfg, la(), ra(), 1000, T0),
+                    Tcb::client(cfg, ra(), la(), 5000, T0),
+                ]
+            } else {
+                established_pair().into()
+            };
+            let (mut now, mut sent) = (T0, [Vec::new(), Vec::new()]);
+            let tail: &[Op] = if simultaneous { &DATA } else { &[] };
+            for &op in script.iter().chain(tail).chain(&[Pump]) {
+                let [a, b] = &mut ends;
+                match op {
+                    Cross => {
+                        let (out_a, out_b) = (a.take_out(), b.take_out());
+                        deliver(b, out_a, now);
+                        deliver(a, out_b, now);
+                    }
+                    Send(i) => {
+                        let (from, to) = if i == A { (a, b) } else { (b, a) };
+                        deliver(to, from.take_out(), now);
+                    }
+                    Lose(i) => assert!(!ends[i].take_out().is_empty(), "{name}: no loss"),
+                    Rto(i) => {
+                        now = ends[i].timers.deadline(Timer::Rtx).expect(name);
+                        assert!(ends[i].on_timer(Timer::Rtx, now), "{name}");
+                        assert!(!ends[i].out.is_empty(), "{name}: nothing resent");
+                    }
+                    Write(i, m) => {
+                        let wrote = ends[i].try_write(now, m).unwrap();
+                        assert_eq!(wrote, WriteOutcome::Wrote(m.len()), "{name}");
+                        sent[i].extend_from_slice(m);
+                    }
+                    Close(i) => ends[i].start_close(now),
+                    Pump => pump(a, b, now),
+                    Expect(sa, sb) => assert_eq!([a.state, b.state], [sa, sb], "{name}"),
+                }
+            }
+            assert_eq!(ends.each_ref().map(|t| t.state), end, "{name}");
+            for (i, t) in ends.iter_mut().enumerate() {
+                if let Some(expiry) = t.timers.deadline(Timer::TimeWait) {
+                    assert!(t.on_timer(Timer::TimeWait, expiry), "{name}");
+                }
+                assert_eq!((t.state, t.error()), (Closed, None), "{name}");
+                let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+                while let ReadOutcome::Read(n) = t.try_read(now, &mut buf).unwrap() {
+                    got.extend_from_slice(&buf[..n]);
+                }
+                assert_eq!(t.try_read(now, &mut buf).unwrap(), ReadOutcome::Eof);
+                assert_eq!(got, sent[1 - i], "{name}: bytes into end {i}");
+            }
+        }
+    }
+
+    // ---------------- the parts alone ----------------
+
+    /// The sender with no peer: the congestion window is spent in whole
+    /// segments, Nagle holds a sub-MSS tail behind data in flight, and a
+    /// timeout collapses the window and rewinds to the first hole.
+    #[test]
+    fn sender_spends_whole_segments_and_holds_the_nagle_tail() {
+        let cfg = TcpConfig {
+            send_buf: 1 << 20,
+            ..TcpConfig::default()
+        };
+        let mut snd = Sender::new(&cfg, 100);
+        (snd.una, snd.nxt, snd.max, snd.wnd) = (101, 101, 101, 1 << 20);
+        snd.cwnd = 3.7 * MSS as f64;
+        snd.q.push_slice(&vec![1u8; 5 * MSS + 100]);
+        let send_all = |snd: &mut Sender, cfg: &TcpConfig| {
+            let mut sizes = Vec::new();
+            while let n @ 1.. = snd.next_len(cfg) {
+                snd.carve(T0, n, true, &mut 0);
+                sizes.push(n);
+            }
+            sizes
+        };
+        assert_eq!(
+            send_all(&mut snd, &cfg),
+            [MSS; 3],
+            "floor(cwnd / MSS), no runt"
+        );
+        assert_eq!(
+            snd.rtt_sample,
+            Some((101 + MSS as u64, T0)),
+            "first one timed"
+        );
+        assert!(!snd.on_new_ack(&cfg, t(10), snd.nxt, 1 << 20));
+        assert_eq!(snd.srtt, Some(Duration::from_millis(10)));
+        assert_eq!(
+            send_all(&mut snd, &cfg),
+            [MSS; 2],
+            "slow start grew cwnd by one MSS"
+        );
+        assert_eq!(
+            (snd.next_len(&cfg), snd.unsent()),
+            (0, 100),
+            "Nagle holds the tail"
+        );
+        let nodelay = TcpConfig {
+            nodelay: true,
+            ..cfg
+        };
+        assert_eq!(snd.next_len(&nodelay), 100, "TCP_NODELAY releases it");
+        assert!(!snd.on_timeout(&cfg));
+        assert_eq!((snd.cwnd, snd.ssthresh), (MSS as f64, 2.0 * MSS as f64));
+        assert_eq!(
+            (snd.nxt, snd.rto),
+            (snd.una, 2 * cfg.min_rto),
+            "go-back-N, backed off"
+        );
+    }
+
+    /// The receiver alone: segments past a hole wait and join the queue
+    /// when it fills, and only the read that reopens a nearly closed window
+    /// to one MSS is the window-update point.
+    #[test]
+    fn receiver_reassembles_and_finds_the_window_update_point() {
+        let cfg = TcpConfig {
+            recv_buf: 4 * MSS as u32,
+            ..TcpConfig::default()
+        };
+        let mut rcv = Receiver::default();
+        rcv.sync(1000);
+        let at = |k: usize| 1001 + (k * MSS) as u64;
+        let seg = |k: usize| Bytes::from(vec![k as u8; MSS]);
+        assert_eq!(rcv.on_data(&cfg, at(2), seg(2)), 0, "past a hole");
+        assert_eq!(rcv.on_data(&cfg, at(1), seg(1)), 0);
+        assert_eq!(rcv.ooo_bytes, 2 * MSS);
+        assert_eq!(
+            rcv.on_data(&cfg, at(0), seg(0)),
+            3 * MSS as u64,
+            "hole filled"
+        );
+        assert_eq!(rcv.on_data(&cfg, at(0), seg(0)), 0, "a duplicate");
+        assert_eq!(rcv.on_data(&cfg, at(3), seg(3)), MSS as u64);
+        assert_eq!(rcv.wnd(&cfg), 0);
+        let mut buf = vec![0u8; 4 * MSS];
+        let (head, rest) = buf.split_at_mut(100);
+        assert_eq!(rcv.take(&cfg, |q| q.copy_out(head)), (100, false));
+        assert_eq!(
+            rcv.take(&cfg, |q| q.copy_out(&mut rest[..MSS])),
+            (MSS, true)
+        );
+        assert_eq!(
+            rcv.take(&cfg, |q| q.copy_out(&mut rest[MSS..])),
+            (3 * MSS - 100, false)
+        );
+        let want: Vec<u8> = (0..4).flat_map(|k| vec![k as u8; MSS]).collect();
+        assert_eq!(buf, want, "in order, once");
+        assert!(
+            rcv.on_fin(at(4)) && !rcv.on_fin(at(4)),
+            "the FIN counts once"
+        );
+        rcv.debug_check(&cfg, 4 * MSS as u64);
+    }
+
+    /// The timers alone: each armed deadline gets one event, in `Timer`
+    /// order; a deadline moved later rides the event already scheduled,
+    /// which finds it not due and is rescheduled once; a due timer fires
+    /// once and disarms.
+    #[test]
+    fn a_deadline_moved_later_rides_the_scheduled_event() {
+        let mut timers = Timers::default();
+        let events = |timers: &mut Timers, now| timers.events(now).collect::<Vec<_>>();
+        timers.arm(Timer::TimeWait, t(500));
+        timers.arm(Timer::Rtx, t(200));
+        let both = [(Timer::Rtx, t(200)), (Timer::TimeWait, t(500))];
+        assert_eq!(events(&mut timers, T0), both);
+        assert!(events(&mut timers, T0).is_empty(), "already covered");
+        timers.arm(Timer::Rtx, t(300));
+        assert!(
+            events(&mut timers, t(100)).is_empty(),
+            "rides the 200 ms event"
+        );
+        assert!(!timers.fire(Timer::Rtx, t(200)), "not due at 200 ms");
+        assert_eq!(events(&mut timers, t(200)), [(Timer::Rtx, t(300))]);
+        assert!(timers.fire(Timer::Rtx, t(300)) && !timers.fire(Timer::Rtx, t(300)));
+        assert_eq!(timers.deadline(Timer::Rtx), None, "firing disarms");
+        // An overdue deadline fires now; one moved earlier gets its own event.
+        timers.arm(Timer::Persist, t(250));
+        timers.arm(Timer::TimeWait, t(400));
+        let both = [(Timer::Persist, t(300)), (Timer::TimeWait, t(400))];
+        assert_eq!(events(&mut timers, t(300)), both);
     }
 
     #[test]
@@ -1669,8 +1995,8 @@ mod tests {
             o => panic!("{o:?}"),
         }
         // ACK cleared the send queue.
-        assert_eq!(a.send_q.len(), 0);
-        assert_eq!(a.flight(), 0);
+        assert_eq!(a.snd.q.len(), 0);
+        assert_eq!(a.snd.flight(), 0);
     }
 
     #[test]
@@ -1717,14 +2043,14 @@ mod tests {
         a.try_write(T0, &big).unwrap();
         let burst = a.take_out();
         assert_eq!(burst.len(), 2, "initial cwnd = 2 MSS");
-        let cwnd0 = a.cwnd();
+        let cwnd0 = a.snd.cwnd as u64;
         for s in burst {
             b.on_segment(T0, s);
         }
         for s in b.take_out() {
             a.on_segment(T0, s);
         }
-        assert!(a.cwnd() > cwnd0, "slow start grows cwnd on ACK");
+        assert!(a.snd.cwnd as u64 > cwnd0, "slow start grows cwnd on ACK");
         assert!(!a.take_out().is_empty(), "ACK clocks out more data");
     }
 
@@ -1774,8 +2100,8 @@ mod tests {
         for s in b.take_out() {
             a.on_segment(T0, s);
         }
-        assert_eq!(a.flight(), 0, "recovery completes");
-        assert!(!a.in_recovery);
+        assert_eq!(a.snd.flight(), 0, "recovery completes");
+        assert!(!a.snd.in_recovery);
     }
 
     #[test]
@@ -1793,13 +2119,13 @@ mod tests {
         let lost = a.take_out();
         assert!(!lost.is_empty());
         drop(lost); // all segments lost
-        let deadline = a.rtx_timer.deadline.expect("rtx armed");
-        a.on_rto(deadline);
+        let deadline = a.timers.deadline(Timer::Rtx).expect("rtx armed");
+        assert!(a.on_timer(Timer::Rtx, deadline));
         assert_eq!(a.stats.rtx_timeouts, 1);
-        assert_eq!(a.cwnd(), 1460, "cwnd collapses to 1 MSS");
+        assert_eq!(a.snd.cwnd as u64, 1460, "cwnd collapses to 1 MSS");
         let rtx = a.take_out();
         assert_eq!(rtx.len(), 1, "one segment after collapse");
-        assert_eq!(rtx[0].seq, a.snd_una);
+        assert_eq!(rtx[0].seq, a.snd.una);
         // Delivery after retransmission completes the transfer.
         for s in rtx {
             b.on_segment(deadline, s);
@@ -1807,7 +2133,10 @@ mod tests {
         for s in b.take_out() {
             a.on_segment(deadline, s);
         }
-        assert!(a.flight() > 0, "go-back-N continues with remaining data");
+        assert!(
+            a.snd.flight() > 0,
+            "go-back-N continues with remaining data"
+        );
     }
 
     #[test]
@@ -1827,8 +2156,11 @@ mod tests {
         let _lost = a.take_out(); // peer is gone: nothing ever arrives
         let mut fired = 0;
         while a.error().is_none() {
-            let now = a.rtx_timer.deadline.expect("rtx stays armed until abort");
-            a.on_rto(now);
+            let now = a
+                .timers
+                .deadline(Timer::Rtx)
+                .expect("rtx stays armed until abort");
+            assert!(a.on_timer(Timer::Rtx, now));
             let _ = a.take_out();
             fired += 1;
             assert!(fired < 20, "must abort, not retransmit forever");
@@ -1865,8 +2197,8 @@ mod tests {
         a.try_write(T0, &[7u8; 1000]).unwrap();
         let _ = a.take_out();
         // One strike, then the retransmission gets through.
-        let now = a.rtx_timer.deadline.unwrap();
-        a.on_rto(now);
+        let now = a.timers.deadline(Timer::Rtx).unwrap();
+        assert!(a.on_timer(Timer::Rtx, now));
         for s in a.take_out() {
             b.on_segment(now, s);
         }
@@ -1877,8 +2209,8 @@ mod tests {
         // A fresh stall needs the full strike budget again.
         a.try_write(now, &[8u8; 1000]).unwrap();
         let _ = a.take_out();
-        let d1 = a.rtx_timer.deadline.unwrap();
-        a.on_rto(d1);
+        let d1 = a.timers.deadline(Timer::Rtx).unwrap();
+        assert!(a.on_timer(Timer::Rtx, d1));
         let _ = a.take_out();
         assert_eq!(a.error(), None, "strike counter was reset by the ACK");
     }
@@ -1892,12 +2224,12 @@ mod tests {
         let mut a = Tcb::client(cfg, la(), ra(), 1, T0);
         let _syn = a.take_out();
         for _ in 0..2 {
-            let now = a.rtx_timer.deadline.unwrap();
-            a.on_rto(now);
+            let now = a.timers.deadline(Timer::Rtx).unwrap();
+            assert!(a.on_timer(Timer::Rtx, now));
             assert_eq!(a.take_out().len(), 1, "SYN retransmitted");
         }
-        let now = a.rtx_timer.deadline.unwrap();
-        a.on_rto(now);
+        let now = a.timers.deadline(Timer::Rtx).unwrap();
+        assert!(a.on_timer(Timer::Rtx, now));
         assert_eq!(a.error(), Some(io::ErrorKind::TimedOut));
         assert_eq!(a.state, State::Closed);
     }
@@ -1939,28 +2271,9 @@ mod tests {
         pump(&mut a, &mut b, T0);
         assert_eq!(b.state, State::Closed);
         assert_eq!(a.state, State::TimeWait);
-        a.on_time_wait_expire();
+        let expiry = a.timers.deadline(Timer::TimeWait).expect("TIME-WAIT armed");
+        assert!(a.on_timer(Timer::TimeWait, expiry));
         assert_eq!(a.state, State::Closed);
-    }
-
-    #[test]
-    fn simultaneous_close() {
-        let (mut a, mut b) = established_pair();
-        a.start_close(T0);
-        b.start_close(T0);
-        let fa = a.take_out();
-        let fb = b.take_out();
-        for s in fb {
-            a.on_segment(T0, s);
-        }
-        for s in fa {
-            b.on_segment(T0, s);
-        }
-        assert_eq!(a.state, State::Closing);
-        assert_eq!(b.state, State::Closing);
-        pump(&mut a, &mut b, T0);
-        assert_eq!(a.state, State::TimeWait);
-        assert_eq!(b.state, State::TimeWait);
     }
 
     #[test]
@@ -2004,8 +2317,11 @@ mod tests {
         let data = vec![3u8; 20_000];
         a.try_write(T0, &data).unwrap();
         pump(&mut a, &mut b, T0);
-        assert!(b.recv_q.len() <= 4096);
-        assert!(a.flight() == 0, "sender stalled, everything sent is acked");
+        assert!(b.rcv.q.len() <= 4096);
+        assert!(
+            a.snd.flight() == 0,
+            "sender stalled, everything sent is acked"
+        );
         let sent_so_far = a.stats.bytes_sent;
         assert!(sent_so_far <= 4096 + 1460, "window-limited: {sent_so_far}");
         // App drains; the window-update ACK releases the sender.
@@ -2022,7 +2338,7 @@ mod tests {
                         break;
                     }
                     pump(&mut a, &mut b, T0);
-                    if b.recv_q.is_empty() && a.flight() == 0 && a.send_q.is_empty() {
+                    if b.rcv.q.is_empty() && a.snd.flight() == 0 && a.snd.q.is_empty() {
                         break;
                     }
                 }
@@ -2078,14 +2394,14 @@ mod tests {
         let ack = b.take_out().remove(0);
         a.on_segment(t(40), ack);
         // SRTT = 40 ms, RTTVAR = 20 ms: RTO = clamp(40 + 80) = 200ms (min).
-        assert_eq!(a.rto, Duration::from_millis(200));
+        assert_eq!(a.snd.rto, Duration::from_millis(200));
         // A much longer path raises RTO above the minimum.
         a.try_write(t(40), b"pong").unwrap();
         let seg = a.take_out().remove(0);
         b.on_segment(t(1040), seg);
         let ack = b.take_out().remove(0);
         a.on_segment(t(1040), ack);
-        assert!(a.rto > Duration::from_millis(200));
+        assert!(a.snd.rto > Duration::from_millis(200));
     }
 
     /// Regression: the zero-window persist probe must consume sequence
@@ -2106,8 +2422,8 @@ mod tests {
         // Fill the receiver's window completely.
         a.try_write(T0, &vec![1u8; 10_000]).unwrap();
         pump(&mut a, &mut b, T0);
-        assert_eq!(a.peer_wnd, 0, "window closed");
-        assert!(!a.send_q.is_empty(), "data still pending");
+        assert_eq!(a.snd.wnd, 0, "window closed");
+        assert!(!a.snd.q.is_empty(), "data still pending");
         // The app drains, but the window-update ACK is LOST.
         let mut sink = vec![0u8; 1 << 16];
         assert!(matches!(
@@ -2116,13 +2432,13 @@ mod tests {
         ));
         let _lost_update = b.take_out();
         // Persist timer fires: the probe byte must be sequence-consuming.
-        assert!(a.persist_timer.deadline.is_some(), "persist armed");
-        let t1 = a.persist_timer.deadline.unwrap();
-        a.on_persist(t1);
+        assert!(a.timers.deadline(Timer::Persist).is_some(), "persist armed");
+        let t1 = a.timers.deadline(Timer::Persist).unwrap();
+        assert!(a.on_timer(Timer::Persist, t1));
         let probe = a.take_out();
         assert_eq!(probe.len(), 1);
         assert_eq!(probe[0].data.len(), 1);
-        let before_nxt = a.snd_nxt;
+        let before_nxt = a.snd.nxt;
         assert_eq!(probe[0].seq_end(), before_nxt, "probe advanced snd_nxt");
         // The receiver ACKs it with the fresh window, unwedging the sender.
         for s in probe {
@@ -2131,7 +2447,7 @@ mod tests {
         for s in b.take_out() {
             a.on_segment(t1, s);
         }
-        assert!(a.peer_wnd > 0, "window re-opened via the probe ACK");
+        assert!(a.snd.wnd > 0, "window re-opened via the probe ACK");
         assert!(!a.take_out().is_empty(), "transmission resumed");
     }
 
@@ -2167,13 +2483,13 @@ mod tests {
         for s in segs {
             b.on_segment(T0, s);
         }
-        assert!(b.ooo_bytes > 0, "tail buffered out of order");
-        let rcv_before = b.rcv_nxt;
+        assert!(b.rcv.ooo_bytes > 0, "tail buffered out of order");
+        let rcv_before = b.rcv.nxt;
         // The retransmitted head MUST be accepted even though recv_q+ooo
         // exceeds the nominal buffer.
         b.on_segment(T0, head);
         assert!(
-            b.rcv_nxt > rcv_before + 1000,
+            b.rcv.nxt > rcv_before + 1000,
             "head + drained tail advanced rcv_nxt"
         );
         let mut buf = vec![0u8; 1 << 16];
@@ -2183,33 +2499,11 @@ mod tests {
         }
     }
 
-    /// A retransmitted FIN (lost first time) still closes the connection.
-    #[test]
-    fn lost_fin_is_retransmitted() {
-        let (mut a, mut b) = established_pair();
-        a.start_close(T0);
-        let lost_fin = a.take_out();
-        assert!(lost_fin.iter().any(|s| s.flags.fin));
-        drop(lost_fin);
-        let deadline = a.rtx_timer.deadline.expect("rtx armed for FIN");
-        a.on_rto(deadline);
-        let rtx = a.take_out();
-        assert!(rtx.iter().any(|s| s.flags.fin), "FIN retransmitted");
-        for s in rtx {
-            b.on_segment(deadline, s);
-        }
-        for s in b.take_out() {
-            a.on_segment(deadline, s);
-        }
-        assert_eq!(a.state, State::FinWait2);
-        assert_eq!(b.state, State::CloseWait);
-    }
-
     /// Reading after a RST surfaces ConnectionReset.
     #[test]
     fn rst_mid_connection_errors_reads_and_writes() {
         let (mut a, mut b) = established_pair();
-        b.abort();
+        b.abort(T0);
         for s in b.take_out() {
             a.on_segment(T0, s);
         }
@@ -2239,14 +2533,14 @@ mod tests {
         a.try_write(T0, &vec![1u8; 8 * 1460]).unwrap();
         let _ = a.take_out();
         for _ in 0..6 {
-            let dl = match a.rtx_timer.deadline {
+            let dl = match a.timers.deadline(Timer::Rtx) {
                 Some(d) => d,
                 None => break,
             };
-            a.on_rto(dl);
+            assert!(a.on_timer(Timer::Rtx, dl));
             let _ = a.take_out();
-            assert!(a.cwnd() >= 1460, "cwnd floor");
-            assert!(a.ssthresh >= (2 * 1460) as f64, "ssthresh floor");
+            assert!(a.snd.cwnd as u64 >= 1460, "cwnd floor");
+            assert!(a.snd.ssthresh >= (2 * 1460) as f64, "ssthresh floor");
         }
     }
 
@@ -2299,7 +2593,10 @@ mod tests {
                 }
             }
             b.on_segment(T0, seg);
-            while let ReadOutcome::Read(_) = b.try_read_chunks(usize::MAX, &mut sink).unwrap() {
+            while let ReadOutcome::Read(_) = b
+                .read_queued(T0, |q| q.pop_chunks(usize::MAX, &mut sink))
+                .unwrap()
+            {
                 for c in sink.drain(..) {
                     delivered.extend_from_slice(&c);
                 }
@@ -2346,11 +2643,7 @@ mod tests {
         let (mut a, mut b) = established_pair();
         let block = Bytes::from((0..300_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
         assert!(a.write_staged(T0, block.clone(), idle_waker()).is_none());
-        assert_eq!(
-            a.send_q.len(),
-            a.cfg.send_buf as usize,
-            "a prefix is queued"
-        );
+        assert_eq!(a.snd.q.len(), a.cfg.send_buf as usize, "a prefix is queued");
         assert!(a.collect_staged_write(T0).is_none(), "buffer still full");
         let (_, delivered) = clocked_transfer(&mut a, &mut b, |a| a.service_pending(T0), None);
         assert_eq!(delivered, block);
@@ -2382,7 +2675,7 @@ mod tests {
     #[should_panic(expected = "ooo_bytes")]
     fn receiver_bookkeeping_drift_is_caught() {
         let (mut a, mut b) = established_pair();
-        b.ooo_bytes += 1;
+        b.rcv.ooo_bytes += 1;
         a.try_write(T0, b"x").unwrap();
         pump(&mut a, &mut b, T0);
     }
@@ -2391,8 +2684,8 @@ mod tests {
     fn fractional_cwnd_emits_only_full_segments() {
         let (mut a, mut b) = bigwin_pair();
         // Congestion avoidance, window not a whole number of segments.
-        a.ssthresh = (4 * MSS) as f64;
-        a.cwnd = 10.37 * MSS as f64;
+        a.snd.ssthresh = (4 * MSS) as f64;
+        a.snd.cwnd = 10.37 * MSS as f64;
         let total = 210 * MSS + 600;
         a.try_write(T0, &vec![5u8; total]).unwrap();
         let first = a.take_out();
@@ -2453,11 +2746,11 @@ mod tests {
         let burst = a.take_out();
         let sizes: Vec<usize> = burst.iter().map(|s| s.data.len()).collect();
         assert_eq!(sizes, [MSS, MSS, MSS, MSS, MSS, MSS, 1240]);
-        assert_eq!(a.flight(), 10_000, "advertised window fully used");
+        assert_eq!(a.snd.flight(), 10_000, "advertised window fully used");
         for s in burst {
             b.on_segment(T0, s);
         }
-        assert_eq!(b.recv_q.len(), 10_000);
+        assert_eq!(b.rcv.q.len(), 10_000);
     }
 
     #[test]
@@ -2479,7 +2772,7 @@ mod tests {
                     "Nagle holds the tail behind data in flight"
                 );
                 pump(&mut a, &mut b, T0);
-                assert_eq!(b.recv_q.len(), 2 * MSS + 100, "and the ACK releases it");
+                assert_eq!(b.rcv.q.len(), 2 * MSS + 100, "and the ACK releases it");
             }
         }
     }
