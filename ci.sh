@@ -10,8 +10,9 @@
 #           request table, reply stash or redial loop outside link.rs, no
 #           second way to wait on a simulated socket in simtcp, no timer
 #           named in simtcp's host stack, no second single-flight beside a
-#           data link's write gate, and no probe field or accessor beside
-#           the world's metrics registry
+#           data link's write gate, no probe field or accessor beside
+#           the world's metrics registry, and no second event queue
+#           beside the scheduler's (nor a lock around its hooks or clock)
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -49,8 +50,10 @@
 # repeat or comma-separate to pick several (`--stage fmt,clippy`);
 # `./ci.sh --stage list` prints the stage names and exits.
 # Every run ends with a per-stage wall-clock summary and the sizes
-# ROADMAP tracks: lines in crates/*/src outside bench/src/bin, the bench
-# bins' count, crates/bench as a whole, and the vendored stand-ins.
+# ROADMAP tracks: lines in crates/*/src outside bench/src/bin (all of
+# them, and the non-test ones above each file's first top-level
+# `#[cfg(test)]`), the bench bins' count, crates/bench as a whole, and the
+# vendored stand-ins.
 # run_benches.sh covers the full (slow) perf side separately.
 set -eu
 cd "$(dirname "$0")"
@@ -141,6 +144,14 @@ stage_clippy() {
   # not a field with its own accessor and forwarders.
   if grep -rnE 'fn establishment_walks|fn link_recoveries|fn walk_peak|fn park_stats|fn path_telemetry|WalkGauge|busy_throttles:|open_frames:|PATH_STATS_RING' crates/*/src; then
     echo "probe beside the metrics registry (lines above); count with SchedHandle::metric_add instead"
+    return 1
+  fi
+  # A packet in flight is one scheduler event whose hook argument names
+  # its slot: no heap in the world kept in step with the scheduler's, and
+  # hooks and the clock are read without a lock of their own.
+  if grep -nE 'BinaryHeap|PendingDelivery' crates/simnet/src/world.rs \
+    || grep -nE 'hooks: Mutex|hooks\.lock|state\.lock\(\)\.now' crates/simnet/src/runtime.rs; then
+    echo "a second event queue beside the scheduler's (lines above); pass the packet's slot as the hook argument instead"
     return 1
   fi
 }
@@ -282,8 +293,11 @@ for s in $STAGES; do
 done
 printf 'ci summary (wall clock):\n%b' "$SUMMARY"
 printf '  %-8s %5ss\n' total $((SECONDS - t_total))
-src_lines=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*' -print0 | xargs -0 cat | wc -l)
-echo "source size: $src_lines lines in crates/*/src outside bench/src/bin"
+src_files() { find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*' -print0; }
+src_lines=$(src_files | xargs -0 cat | wc -l)
+nontest_lines=$(src_files | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }' \
+  | awk '{ n += $1 } END { print n }')
+echo "source size: $src_lines lines in crates/*/src outside bench/src/bin, $nontest_lines of them non-test"
 bins=(crates/bench/src/bin/*)
 bench_lines=$(find crates/bench -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "bench: ${#bins[@]} bins / $bench_lines lines in crates/bench (src + bins)"

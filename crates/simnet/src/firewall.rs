@@ -8,9 +8,8 @@
 //! its own host's SYN as an *outgoing* connection — exactly the mechanism of
 //! the paper's Figure 2.
 
-use std::collections::HashSet;
-
 use crate::addr::{Ip, SockAddr};
+use crate::hash::FastSet;
 
 /// Firewall policy of a gateway, applied to traffic crossing between its
 /// trusted (inside) and untrusted (outside) interfaces.
@@ -41,7 +40,7 @@ pub type FlowKey = (SockAddr, SockAddr);
 #[derive(Debug)]
 pub struct Firewall {
     policy: FirewallPolicy,
-    established: HashSet<FlowKey>,
+    established: FastSet<FlowKey>,
 }
 
 /// Verdict for one packet.
@@ -55,7 +54,7 @@ impl Firewall {
     pub fn new(policy: FirewallPolicy) -> Firewall {
         Firewall {
             policy,
-            established: HashSet::new(),
+            established: FastSet::default(),
         }
     }
 

@@ -38,6 +38,7 @@
 pub mod addr;
 pub mod fault;
 pub mod firewall;
+pub mod hash;
 pub mod link;
 pub mod nat;
 pub mod packet;
@@ -50,6 +51,7 @@ pub mod world;
 pub use addr::{Ip, SockAddr};
 pub use fault::FaultPlan;
 pub use firewall::{Firewall, FirewallPolicy};
+pub use hash::{FastMap, FastSet};
 pub use link::{LinkDirId, LinkParams, LinkStats};
 pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};

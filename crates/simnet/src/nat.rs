@@ -9,9 +9,9 @@
 //! port allocation.
 
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
 
 use crate::addr::{Ip, SockAddr};
+use crate::hash::{FastMap, FastSet};
 
 /// NAT behaviour variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,7 +57,7 @@ type MapKey = (SockAddr, Option<SockAddr>);
 struct Mapping {
     internal: SockAddr,
     /// Remote endpoints the internal host has sent to through this mapping.
-    remotes: HashSet<SockAddr>,
+    remotes: FastSet<SockAddr>,
 }
 
 /// The NAT translation table of one gateway.
@@ -66,8 +66,8 @@ pub struct Nat {
     kind: NatKind,
     ext_ip: Ip,
     next_port: u16,
-    by_key: HashMap<MapKey, u16>,
-    by_external: HashMap<u16, Mapping>,
+    by_key: FastMap<MapKey, u16>,
+    by_external: FastMap<u16, Mapping>,
 }
 
 /// Range from which NAT external ports are allocated.
@@ -80,8 +80,8 @@ impl Nat {
             kind,
             ext_ip,
             next_port: NAT_PORT_BASE,
-            by_key: HashMap::new(),
-            by_external: HashMap::new(),
+            by_key: FastMap::default(),
+            by_external: FastMap::default(),
         }
     }
 
@@ -140,7 +140,7 @@ impl Nat {
                     p,
                     Mapping {
                         internal: src,
-                        remotes: HashSet::new(),
+                        remotes: FastSet::default(),
                     },
                 );
                 p

@@ -34,7 +34,7 @@
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -55,18 +55,22 @@ impl TaskId {
 enum EventAction {
     /// Wake a parked task (used by `sleep`).
     WakeTask(TaskId),
-    /// Run protocol code on the thread holding the baton.
-    Run(Callback),
-}
-
-enum Callback {
-    /// An arbitrary one-shot closure.
+    /// Run an arbitrary one-shot closure on the thread holding the baton.
     Call(Box<dyn FnOnce() + Send>),
-    /// A pre-registered recurring callback ([`SchedHandle::
-    /// register_hook`]). Unlike `Call`, the event itself carries no
+    /// Fire a pre-registered callback ([`SchedHandle::register_hook`])
+    /// with its argument. Unlike `Call`, the event itself carries no
     /// allocation — the hot packet-delivery path schedules one of these
     /// per hop instead of boxing a closure.
-    Hook(usize),
+    Hook(HookId, u64),
+}
+
+/// A registered recurring callback.
+type Hook = Arc<dyn Fn(u64) + Send + Sync>;
+
+/// An event's code, taken out from under the state lock to run.
+enum Callback {
+    Call(Box<dyn FnOnce() + Send>),
+    Hook(Hook, u64),
 }
 
 /// Handle to a recurring callback registered with
@@ -184,7 +188,6 @@ struct TaskSlot {
 }
 
 struct SchedState {
-    now: SimTime,
     seq: u64,
     events: BinaryHeap<EventEntry>,
     runnable: VecDeque<TaskId>,
@@ -202,6 +205,9 @@ struct SchedState {
     /// joins its predecessor and `run_until`'s caller joins the last, so
     /// no finished thread outlives the run.
     last_finished: Option<std::thread::JoinHandle<()>>,
+    /// Callbacks by [`HookId`]. A firing clones its `Arc` out under the
+    /// lock it pops the event with, so it runs without holding the lock.
+    hooks: Vec<Hook>,
     /// Cross-thread baton grants so far: one thread handing the baton to
     /// another. A task that parks, sleeps or yields and is itself the next
     /// to run costs none (the in-file tests pin exactly that).
@@ -230,15 +236,6 @@ impl std::fmt::Display for Metric {
 }
 
 impl SchedState {
-    /// Queue an event at `at`, clamped to be no earlier than now; ties
-    /// fire in scheduling order.
-    fn schedule(&mut self, at: SimTime, action: EventAction) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(EventEntry { at, seq, action });
-    }
-
     /// Wake `tid` per unpark semantics.
     fn wake(&mut self, tid: TaskId) {
         let Some(slot) = self.tasks.get_mut(tid.index()) else {
@@ -256,17 +253,13 @@ impl SchedState {
     }
 }
 
-/// A registered recurring callback; the slot is `None` while it runs.
-type HookSlot = Option<Box<dyn FnMut() + Send>>;
-
 /// Shared core of the scheduler; cheap to clone via [`SchedHandle`].
 pub struct SchedCore {
     state: Mutex<SchedState>,
-    /// Recurring callbacks fired by `Callback::Hook` events. Kept
-    /// outside `state` so a running hook can schedule further events; the
-    /// slot is taken for the duration of the call (hooks never re-enter
-    /// themselves — events only fire from the scheduler loop).
-    hooks: Mutex<Vec<HookSlot>>,
+    /// Simulated time in nanoseconds, read without the state lock. Only
+    /// the baton holder stores it, and every baton handoff is
+    /// Release/Acquire, so a relaxed load on any thread that runs sees it.
+    clock: AtomicU64,
 }
 
 /// Who is running the scheduler loop.
@@ -279,6 +272,21 @@ enum Driver {
 }
 
 impl SchedCore {
+    /// Current simulated time, without the state lock.
+    fn now(&self) -> SimTime {
+        SimTime(self.clock.load(Ordering::Relaxed))
+    }
+
+    /// Queue an event at `at`, clamped to be no earlier than now; ties
+    /// fire in scheduling order.
+    fn schedule(&self, at: SimTime, action: EventAction) {
+        let at = at.max(self.now());
+        let mut st = self.state.lock();
+        let seq = st.seq;
+        st.seq += 1;
+        st.events.push(EventEntry { at, seq, action });
+    }
+
     /// Run the scheduler loop on the calling thread, which holds the baton:
     /// run-queue head first, else the next event, until someone is to run.
     ///
@@ -307,14 +315,17 @@ impl SchedCore {
                         }
                         if st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
                             let ev = st.events.pop().expect("peeked");
-                            debug_assert!(ev.at >= st.now, "time went backwards");
-                            st.now = ev.at;
+                            debug_assert!(ev.at >= self.now(), "time went backwards");
+                            self.clock.store(ev.at.0, Ordering::Relaxed);
                             match ev.action {
                                 EventAction::WakeTask(tid) => {
                                     st.wake(tid);
                                     continue;
                                 }
-                                EventAction::Run(callback) => break callback,
+                                EventAction::Call(f) => break Callback::Call(f),
+                                EventAction::Hook(hook, arg) => {
+                                    break Callback::Hook(Arc::clone(&st.hooks[hook.0]), arg)
+                                }
                             }
                         }
                     }
@@ -337,11 +348,7 @@ impl SchedCore {
     fn fire(&self, callback: Callback) {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match callback {
             Callback::Call(f) => f(),
-            Callback::Hook(i) => {
-                let mut f = self.hooks.lock()[i].take().expect("hook in use");
-                f();
-                self.hooks.lock()[i] = Some(f);
-            }
+            Callback::Hook(f, arg) => f(arg),
         }));
         if let Err(p) = outcome {
             self.state.lock().panic.get_or_insert(p);
@@ -448,7 +455,6 @@ impl Scheduler {
         Scheduler {
             core: Arc::new(SchedCore {
                 state: Mutex::new(SchedState {
-                    now: SimTime::ZERO,
                     seq: 0,
                     events: BinaryHeap::new(),
                     runnable: VecDeque::new(),
@@ -457,10 +463,11 @@ impl Scheduler {
                     limit: SimTime::ZERO,
                     root: None,
                     last_finished: None,
+                    hooks: Vec::new(),
                     grants: 0,
                     metrics: BTreeMap::new(),
                 }),
-                hooks: Mutex::new(Vec::new()),
+                clock: AtomicU64::new(0),
             }),
         }
     }
@@ -554,14 +561,14 @@ impl Scheduler {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().now
+        self.core.now()
     }
 }
 
 impl SchedHandle {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().now
+        self.core.now()
     }
 
     /// Add `delta` to the named counter or gauge; returns its new value.
@@ -598,27 +605,25 @@ impl SchedHandle {
     /// (`ctx::in_task()` is false). A panic in `f` surfaces from
     /// `run_until`.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
-        let action = EventAction::Run(Callback::Call(Box::new(f)));
-        self.core.state.lock().schedule(at, action);
+        self.core.schedule(at, EventAction::Call(Box::new(f)));
     }
 
     /// Register a recurring callback and get a handle for scheduling it.
     /// The callback stays registered for the scheduler's lifetime. Like a
     /// `call_at` closure it runs on the thread holding the baton, never
     /// concurrently with a task, with task context masked.
-    pub fn register_hook(&self, f: impl FnMut() + Send + 'static) -> HookId {
-        let mut hooks = self.core.hooks.lock();
-        hooks.push(Some(Box::new(f)));
-        HookId(hooks.len() - 1)
+    pub fn register_hook(&self, f: impl Fn(u64) + Send + Sync + 'static) -> HookId {
+        let mut st = self.core.state.lock();
+        st.hooks.push(Arc::new(f));
+        HookId(st.hooks.len() - 1)
     }
 
-    /// Schedule a registered hook to fire at absolute time `at` (clamped
-    /// to be no earlier than now). Allocation-free apart from amortized
-    /// event-heap growth; ties with other events break in schedule order,
-    /// exactly like `call_at`.
-    pub fn call_hook_at(&self, at: SimTime, hook: HookId) {
-        let action = EventAction::Run(Callback::Hook(hook.0));
-        self.core.state.lock().schedule(at, action);
+    /// Schedule a registered hook to fire as `hook(arg)` at absolute time
+    /// `at` (clamped to be no earlier than now). Allocation-free apart from
+    /// amortized event-heap growth; ties with other events break in
+    /// schedule order, exactly like `call_at`.
+    pub fn call_hook_at(&self, at: SimTime, hook: HookId, arg: u64) {
+        self.core.schedule(at, EventAction::Hook(hook, arg));
     }
 
     /// Wake `tid` per unpark semantics.
@@ -845,9 +850,8 @@ pub mod ctx {
             return;
         }
         let at = with_current(|h, tid| {
-            let mut st = h.core.state.lock();
-            let at = st.now + d;
-            st.schedule(at, EventAction::WakeTask(tid));
+            let at = h.now() + d;
+            h.core.schedule(at, EventAction::WakeTask(tid));
             at
         });
         // A stray wake token could end the sleep early; loop on the clock.
@@ -975,6 +979,58 @@ mod tests {
         }
         sched.run();
         assert_eq!(*log.lock(), vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn hooks_closures_and_sleep_wakes_fire_by_time_then_schedule_order() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let note = {
+            let (log, h) = (Arc::clone(&log), h.clone());
+            move |what: String| {
+                let at = h.now().as_nanos() / 1_000_000;
+                log.lock().push(format!("{at} {what}"));
+            }
+        };
+        let hook = {
+            let note = note.clone();
+            h.register_hook(move |arg| note(format!("hook {arg}")))
+        };
+        let ms = |n: u64| SimTime::ZERO + Duration::from_millis(n);
+        // Task i schedules hook(10 + i), then a closure, then its own sleep
+        // wake, in spawn order: the three kinds interleave in schedule order.
+        for (i, (hook_at, call_at, sleep)) in [(5, 5, 5), (1, 5, 1), (5, 1, 5), (3, 3, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            let (h, note) = (h.clone(), note.clone());
+            sched.spawn(format!("t{i}"), move || {
+                h.call_hook_at(ms(hook_at), hook, 10 + i as u64);
+                let n = note.clone();
+                h.call_at(ms(call_at), move || n(format!("call {i}")));
+                ctx::sleep(Duration::from_millis(sleep));
+                note(format!("wake {i}"));
+            });
+        }
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(
+            *log.lock(),
+            [
+                "1 hook 11",
+                "1 wake 1",
+                "1 call 2",
+                "3 hook 13",
+                "3 call 3",
+                "5 hook 10",
+                "5 call 0",
+                "5 wake 0",
+                "5 call 1",
+                "5 hook 12",
+                "5 wake 2",
+                "5 wake 3",
+            ]
+        );
     }
 
     #[test]

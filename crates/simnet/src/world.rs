@@ -10,7 +10,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use crate::addr::{Ip, SockAddr};
@@ -20,7 +19,6 @@ use crate::nat::{Nat, NatKind};
 use crate::packet::Packet;
 use crate::runtime::{HookId, SchedHandle};
 use crate::time::SimTime;
-use std::collections::BinaryHeap;
 
 /// Identifier of a node in the world.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -68,7 +66,8 @@ pub struct NodeState {
     pub kind: NodeKind,
     pub ifaces: Vec<Iface>,
     pub routes: Vec<RouteEntry>,
-    proto_state: HashMap<u8, Box<dyn Any + Send>>,
+    /// Per-protocol state, indexed by protocol number.
+    proto_state: [Option<Box<dyn Any + Send>>; 256],
 }
 
 impl NodeState {
@@ -125,16 +124,16 @@ type ProtoDispatch = Arc<dyn Fn(&mut World, NodeId, Packet) + Send + Sync>;
 pub struct World {
     sched: SchedHandle,
     self_ref: Weak<Mutex<World>>,
-    /// In-flight packets ordered by (arrival time, schedule order). Each
-    /// entry is paired with one `Hook` event in the scheduler, so pops
-    /// track event firings one-to-one; keeping the packets here instead
-    /// of inside boxed event closures makes the per-hop cost a heap push.
-    deliveries: BinaryHeap<PendingDelivery>,
-    delivery_seq: u64,
+    /// In-flight packets, each parked in a slot whose index is the
+    /// argument of its one hook event: the scheduler's (time, schedule
+    /// order) is the only delivery order, and a hop allocates nothing.
+    in_flight: Vec<Option<(Delivery, Packet)>>,
+    free_slots: Vec<usize>,
     delivery_hook: HookId,
     nodes: Vec<NodeState>,
     links: Vec<LinkDir>,
-    dispatch: HashMap<u8, ProtoDispatch>,
+    /// Dispatchers indexed by protocol number.
+    dispatch: [Option<ProtoDispatch>; 256],
     rng: StdRng,
     pub stats: WorldStats,
     tracer: Option<Tracer>,
@@ -146,35 +145,6 @@ enum Delivery {
     Arrive { node: NodeId, iface: usize },
     /// Loopback / own-address send: skip the forwarding engine.
     Local { node: NodeId },
-}
-
-/// One in-flight packet, ordered like the scheduler's event heap:
-/// earliest arrival first, schedule order breaking ties — so popping the
-/// minimum on each hook firing dispatches exactly the packet that event
-/// was scheduled for.
-struct PendingDelivery {
-    at: SimTime,
-    seq: u64,
-    to: Delivery,
-    pkt: Packet,
-}
-
-impl PartialEq for PendingDelivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for PendingDelivery {}
-impl PartialOrd for PendingDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Inverted: BinaryHeap is a max-heap, we pop the earliest.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Shared handle to the world plus its scheduler: the object every socket,
@@ -190,26 +160,20 @@ impl Net {
     pub fn new(sched: SchedHandle, seed: u64) -> Net {
         let world = Arc::new_cyclic(|weak: &Weak<Mutex<World>>| {
             let hook_ref = weak.clone();
-            let delivery_hook = sched.register_hook(move || {
+            let delivery_hook = sched.register_hook(move |slot| {
                 if let Some(m) = hook_ref.upgrade() {
-                    let mut w = m.lock();
-                    if let Some(pd) = w.deliveries.pop() {
-                        match pd.to {
-                            Delivery::Arrive { node, iface } => w.arrive(node, iface, pd.pkt),
-                            Delivery::Local { node } => w.local_deliver(node, pd.pkt),
-                        }
-                    }
+                    m.lock().deliver(slot as usize);
                 }
             });
             Mutex::new(World {
                 sched: sched.clone(),
                 self_ref: weak.clone(),
-                deliveries: BinaryHeap::new(),
-                delivery_seq: 0,
+                in_flight: Vec::new(),
+                free_slots: Vec::new(),
                 delivery_hook,
                 nodes: Vec::new(),
                 links: Vec::new(),
-                dispatch: HashMap::new(),
+                dispatch: [const { None }; 256],
                 rng: StdRng::seed_from_u64(seed),
                 stats: WorldStats::default(),
                 tracer: None,
@@ -272,7 +236,7 @@ impl World {
             kind,
             ifaces: Vec::new(),
             routes: Vec::new(),
-            proto_state: HashMap::new(),
+            proto_state: [const { None }; 256],
         });
         id
     }
@@ -452,12 +416,12 @@ impl World {
 
     /// Register the dispatch function for an IP protocol number.
     pub fn register_proto(&mut self, proto: u8, f: ProtoDispatch) {
-        self.dispatch.insert(proto, f);
+        self.dispatch[usize::from(proto)] = Some(f);
     }
 
     /// Is a dispatcher registered for `proto`?
     pub fn proto_registered(&self, proto: u8) -> bool {
-        self.dispatch.contains_key(&proto)
+        self.dispatch[usize::from(proto)].is_some()
     }
 
     /// Take a node's per-protocol state out of the world (put it back with
@@ -465,11 +429,11 @@ impl World {
     /// borrow its own state mutably while still sending packets through
     /// `&mut World`.
     pub fn take_proto_state(&mut self, node: NodeId, proto: u8) -> Option<Box<dyn Any + Send>> {
-        self.nodes[node.0].proto_state.remove(&proto)
+        self.nodes[node.0].proto_state[usize::from(proto)].take()
     }
 
     pub fn put_proto_state(&mut self, node: NodeId, proto: u8, st: Box<dyn Any + Send>) {
-        self.nodes[node.0].proto_state.insert(proto, st);
+        self.nodes[node.0].proto_state[usize::from(proto)] = Some(st);
     }
 
     /// Schedule `f(world)` at absolute simulated time `at`.
@@ -491,15 +455,29 @@ impl World {
         self.schedule_at(self.sched.now() + d, f);
     }
 
-    /// Queue `pkt` for dispatch at `at` (≥ now). The paired hook event
-    /// shares the scheduler's tie-break sequence, so delivery order is
-    /// identical to scheduling a closure per hop — without the per-hop
+    /// Queue `pkt` for dispatch at `at` (≥ now): park it in a free slot
+    /// and schedule the delivery hook with the slot's index. Delivery order
+    /// is identical to scheduling a closure per hop — without the per-hop
     /// allocation.
     fn push_delivery(&mut self, at: SimTime, to: Delivery, pkt: Packet) {
-        let seq = self.delivery_seq;
-        self.delivery_seq += 1;
-        self.deliveries.push(PendingDelivery { at, seq, to, pkt });
-        self.sched.call_hook_at(at, self.delivery_hook);
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.in_flight.push(None);
+            self.in_flight.len() - 1
+        });
+        self.in_flight[slot] = Some((to, pkt));
+        self.sched.call_hook_at(at, self.delivery_hook, slot as u64);
+    }
+
+    /// The delivery hook fired for `slot`: free it, then land its packet.
+    fn deliver(&mut self, slot: usize) {
+        let (to, pkt) = self.in_flight[slot]
+            .take()
+            .expect("a slot's one event fires once");
+        self.free_slots.push(slot);
+        match to {
+            Delivery::Arrive { node, iface } => self.arrive(node, iface, pkt),
+            Delivery::Local { node } => self.local_deliver(node, pkt),
+        }
     }
 
     fn trace(&self, kind: TraceKind, pkt: &Packet) {
@@ -694,7 +672,7 @@ impl World {
     fn local_deliver(&mut self, node: NodeId, pkt: Packet) {
         self.stats.delivered += 1;
         self.trace(TraceKind::Delivered, &pkt);
-        match self.dispatch.get(&pkt.proto).cloned() {
+        match self.dispatch[usize::from(pkt.proto)].clone() {
             Some(f) => f(self, node, pkt),
             None => {
                 self.stats.drop_no_handler += 1;
@@ -752,6 +730,63 @@ mod tests {
         // 1000 wire bytes at 1 MB/s = 1 ms, + 10 ms propagation.
         assert_eq!(sched.now().as_nanos(), 11_000_000);
         let _ = b;
+    }
+
+    #[test]
+    fn same_instant_arrivals_over_three_links_land_in_send_order() {
+        const ROUNDS: u16 = 20;
+        const ECHO: u16 = 9;
+        let sched = Scheduler::new();
+        let net = Net::new(sched.handle(), 7);
+        let log: Arc<Mutex<Vec<(u64, u16, u16)>>> = Arc::new(Mutex::new(Vec::new()));
+        let l2 = Arc::clone(&log);
+        let hub_ip = Ip::new(10, 0, 0, 1);
+        let senders = net.with(|w| {
+            let hub = w.add_host("hub", vec![hub_ip]);
+            // Three identical links into the hub: the k-th packet on each
+            // arrives at the same instant as on the other two.
+            let p = LinkParams::mbps(1.0, Duration::from_millis(1)).with_queue(1 << 30);
+            let senders: Vec<NodeId> = (1..=3)
+                .map(|i| {
+                    let s = w.add_host(format!("s{i}"), vec![Ip::new(10, 0, i, 2)]);
+                    let (is, ih) = w.connect(s, hub, p);
+                    w.default_route(s, is);
+                    w.route(hub, Ip::new(10, 0, i, 0), 24, ih);
+                    s
+                })
+                .collect();
+            // Each arrival frees its slot, and the hub's echo to itself
+            // takes it again within the same instant.
+            w.register_proto(
+                proto::UDP,
+                Arc::new(move |w, hub, p| {
+                    l2.lock()
+                        .push((w.sched().now().as_nanos(), p.src.port, p.dst.port));
+                    if p.dst.port != ECHO {
+                        w.send_from(hub, pkt(p.src, SockAddr::new(hub_ip, ECHO), 100));
+                    }
+                }),
+            );
+            senders
+        });
+        net.with(|w| {
+            for _ in 0..ROUNDS {
+                for (i, &s) in senders.iter().enumerate() {
+                    let src = SockAddr::new(Ip::new(10, 0, i as u8 + 1, 2), i as u16 + 1);
+                    w.send_from(s, pkt(src, SockAddr::new(hub_ip, 80), 980));
+                }
+            }
+        });
+        sched.run();
+        // 1000 wire bytes at 1 MB/s = 1 ms per packet, + 1 ms propagation.
+        let expect: Vec<(u64, u16, u16)> = (0..u64::from(ROUNDS))
+            .flat_map(|k| {
+                let at = (k + 2) * 1_000_000;
+                let arrivals = (1..=3).map(move |port| (at, port, 80));
+                arrivals.chain((1..=3).map(move |port| (at, port, ECHO)))
+            })
+            .collect();
+        assert_eq!(*log.lock(), expect);
     }
 
     #[test]

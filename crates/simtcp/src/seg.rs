@@ -73,7 +73,7 @@ impl fmt::Debug for Flags {
 /// does not model 32-bit wraparound (documented simplification; connections
 /// in the experiments move far less than 2^32 bytes per direction... and
 /// even if they did, u64 gives headroom beyond any realistic run).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Segment {
     pub flags: Flags,
     /// Sequence number of the first payload byte (or of the SYN/FIN).

@@ -3,8 +3,8 @@
 //! world (packet emission, timer scheduling, RSTs for unknown tuples).
 
 use bytes::Bytes;
-use gridsim_net::{proto, Ip, NodeId, Packet, SockAddr, Waker, World};
-use std::collections::{HashMap, HashSet, VecDeque};
+use gridsim_net::{proto, FastMap, FastSet, Ip, NodeId, Packet, SockAddr, Waker, World};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
@@ -12,7 +12,7 @@ use crate::seg::{Flags, Segment};
 use crate::tcb::{Tcb, TcpConfig, Timer};
 
 /// Identifier of a connection within one host's stack.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
 /// First ephemeral port. NAT external ports start at 40000, so the ranges
@@ -36,10 +36,10 @@ pub struct TcpHost {
     next_conn: u64,
     next_iss: u64,
     next_ephemeral: u16,
-    pub conns: HashMap<ConnId, Tcb>,
-    by_tuple: HashMap<(SockAddr, SockAddr), ConnId>,
-    pub listeners: HashMap<u16, ListenerState>,
-    bound_ports: HashSet<u16>,
+    pub conns: FastMap<ConnId, Tcb>,
+    by_tuple: FastMap<(SockAddr, SockAddr), ConnId>,
+    pub listeners: FastMap<u16, ListenerState>,
+    bound_ports: FastSet<u16>,
     /// Recycled segment boxes: every received packet returns its payload
     /// box here, and every emitted segment takes one, so at steady state
     /// the data/ACK round trip allocates nothing. Bounded so a one-off
@@ -61,10 +61,10 @@ impl TcpHost {
             next_conn: 0,
             next_iss: 1_000_000,
             next_ephemeral: EPHEMERAL_BASE,
-            conns: HashMap::new(),
-            by_tuple: HashMap::new(),
-            listeners: HashMap::new(),
-            bound_ports: HashSet::new(),
+            conns: FastMap::default(),
+            by_tuple: FastMap::default(),
+            listeners: FastMap::default(),
+            bound_ports: FastSet::default(),
             seg_pool: Vec::new(),
             out_scratch: Vec::new(),
         }
@@ -82,11 +82,9 @@ impl TcpHost {
     }
 
     /// Return a payload box to the pool (best effort, bounded).
-    fn recycle(&mut self, pkt: Packet) {
+    fn recycle(&mut self, b: Box<Segment>) {
         if self.seg_pool.len() < 4096 {
-            if let Some(b) = pkt.take_payload::<Segment>() {
-                self.seg_pool.push(b);
-            }
+            self.seg_pool.push(b);
         }
     }
 
@@ -200,13 +198,12 @@ impl TcpHost {
     // ---------------- packet path ----------------
 
     fn on_packet(&mut self, w: &mut World, pkt: Packet) {
-        let Some(seg) = pkt.payload_as::<Segment>() else {
+        let (local, remote) = (pkt.dst, pkt.src);
+        let Some(mut boxed) = pkt.take_payload::<Segment>() else {
             return; // not a TCP segment; ignore
         };
-        let seg = seg.clone();
-        let local = pkt.dst;
-        let remote = pkt.src;
-        self.recycle(pkt);
+        let seg = std::mem::take(&mut *boxed);
+        self.recycle(boxed);
         // Exact tuple match first; then a wildcard-bound local IP.
         let id = self
             .by_tuple
@@ -373,10 +370,16 @@ pub fn crash_node(w: &mut World, node: NodeId) {
         return;
     };
     let mut host = boxed.downcast::<TcpHost>().expect("proto state type");
-    for tcb in host.conns.values_mut() {
+    // Parked tasks run in the order they are woken: connections in ConnId
+    // order, then listeners in port order.
+    let mut conns: Vec<_> = host.conns.iter_mut().collect();
+    conns.sort_unstable_by_key(|(id, _)| **id);
+    for (_, tcb) in conns {
         tcb.crash();
     }
-    for l in host.listeners.values_mut() {
+    let mut listeners: Vec<_> = host.listeners.iter_mut().collect();
+    listeners.sort_unstable_by_key(|(port, _)| **port);
+    for (_, l) in listeners {
         l.closed = true;
         for waker in l.accept_wakers.drain(..) {
             waker.wake();

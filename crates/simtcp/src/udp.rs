@@ -1,9 +1,9 @@
 //! Minimal UDP over the simulator: unreliable datagrams, used by tests and
 //! by NAT-behaviour probing.
 
-use gridsim_net::{ctx, proto, Ip, Net, NodeId, Packet, Payload, SockAddr, Waker, World};
+use gridsim_net::{ctx, proto, FastMap, Ip, Net, NodeId, Packet, Payload, SockAddr, Waker, World};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
@@ -33,13 +33,13 @@ struct SockState {
 
 /// Per-host UDP state.
 pub struct UdpHost {
-    sockets: HashMap<u16, SockState>,
+    sockets: FastMap<u16, SockState>,
 }
 
 impl UdpHost {
     fn new() -> UdpHost {
         UdpHost {
-            sockets: HashMap::new(),
+            sockets: FastMap::default(),
         }
     }
 

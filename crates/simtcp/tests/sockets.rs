@@ -2,7 +2,7 @@
 //! teardown, and connection reuse after TIME-WAIT.
 
 use gridsim_net::{topology, LinkParams, Sim, SockAddr};
-use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig};
+use gridsim_tcp::{crash_node, ConnectOpts, SimHost, TcpConfig};
 use parking_lot::Mutex;
 use std::io::Read;
 use std::sync::Arc;
@@ -177,6 +177,46 @@ fn concurrent_connections_between_same_hosts_are_isolated() {
     got.sort();
     let expect: Vec<(u8, u64)> = (0u8..4).map(|i| (i, (i as u64 + 1) * 10_000)).collect();
     assert_eq!(got, expect);
+}
+
+/// The server host of three connections crashes while a reader is parked
+/// on each; returns the order in which the readers saw the reset.
+fn crash_wake_order() -> Vec<usize> {
+    let sim = Sim::new(85);
+    let (ha, hb) = pair(&sim);
+    let b = SockAddr::new(hb.ip(), 5000);
+    let server = hb.node();
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let o2 = Arc::clone(&order);
+    sim.spawn("server", move || {
+        let l = hb.listen(5000).unwrap();
+        let clients: Vec<_> = (0..3).map(|_| ha.connect(b).unwrap()).collect();
+        let streams: Vec<_> = (0..3).map(|_| l.accept().unwrap()).collect();
+        // Spawned last-accepted first, so spawn order is not wake order.
+        for (i, s) in streams.into_iter().enumerate().rev() {
+            let order = Arc::clone(&o2);
+            gridsim_net::ctx::handle().spawn(format!("reader{i}"), move || {
+                // The crashed stack is gone: the woken read finds no
+                // connection.
+                assert!(s.read_some(&mut [0u8; 16]).is_err());
+                order.lock().push(i);
+            });
+        }
+        gridsim_net::ctx::sleep(Duration::from_millis(50));
+        ha.net().with(|w| crash_node(w, server));
+        gridsim_net::ctx::sleep(Duration::from_millis(50));
+        drop(clients);
+    });
+    sim.run();
+    let order = order.lock().clone();
+    order
+}
+
+#[test]
+fn a_crash_wakes_parked_readers_in_connection_order_on_every_run() {
+    let first = crash_wake_order();
+    assert_eq!(first, [0, 1, 2]);
+    assert_eq!(crash_wake_order(), first);
 }
 
 #[test]
