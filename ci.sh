@@ -6,7 +6,8 @@
 #           repository's own rules: no `Instant::now` / `SystemTime` in
 #           crates/, src/, tests/ or examples/ — host time is gridbench's to
 #           read — no `std::env::var` in the five product crates' src, no
-#           link-frame field coded outside crates/core/src/wire.rs, no
+#           link-frame field coded outside crates/core/src/wire/, no
+#           control frame parsed or opcode named outside it either, no
 #           request table, reply stash or redial loop outside link.rs, no
 #           second way to wait on a simulated socket in simtcp, no timer
 #           named in simtcp's host stack, no second single-flight beside a
@@ -108,11 +109,19 @@ stage_clippy() {
     echo "environment read in a product crate (lines above); pass it in instead"
     return 1
   fi
-  # What a data link carries is wire.rs's to encode and decode: the port
+  # What a data link carries is wire/'s to encode and decode: the port
   # pump, the session layer and the node call its codec (the varints in
   # port.rs are the application's own, in ReadMessage / WriteMessage).
   if grep -nE 'read_varint|varint::put_slice|RESUME_FLAG|mux::' crates/core/src/{port,session,node}.rs; then
-    echo "data-link field coded outside wire.rs (lines above); use its codec"
+    echo "data-link field coded outside wire/ (lines above); use its codec"
+    return 1
+  fi
+  # So is every control protocol (relay, envelope, name service, node
+  # service, rpc, SOCKS): one enum each, decoded whole; handlers match on
+  # its values and name no opcode, reply flag or SOCKS constant.
+  if grep -nE 'FrameReader::new|FrameWriter::new|relay_op|inner_op|mod op\b|svc::|const (VER|CMD_CONNECT|ATYP_V4|REP_)' \
+    crates/core/src/{relay,nameservice,node,port,rpc,socks,session}.rs; then
+    echo "control frame parsed outside wire/; match on its codec's enum"
     return 1
   fi
   # How a service link is dialed, read, redialed and answered is link.rs's:

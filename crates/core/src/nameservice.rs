@@ -29,118 +29,23 @@ use std::sync::Arc;
 use crate::establish::factory::{retry_addr_in_use, BootstrapSocketFactory, NatGate};
 use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
-use crate::wire::{FrameReader, FrameStream, FrameWriter};
+use crate::wire::{FrameStream, NsRequest, Put, Reply, Wire};
+pub use crate::wire::{NodeRecord, PortRecord};
 
 /// A registered node's identity.
 pub type GridId = u64;
 
-/// Request opcodes.
-mod op {
-    pub const REGISTER: u8 = 1;
-    pub const REGISTER_PORT: u8 = 2;
-    pub const LOOKUP_PORT: u8 = 3;
-    pub const LOOKUP_NODE: u8 = 4;
-    pub const OBSERVED: u8 = 5;
-    pub const LIST_PORTS: u8 = 6;
-    pub const UNREGISTER_PORT: u8 = 7;
-    /// Reachability probe: "try to open a TCP connection to this address
-    /// and tell me whether it worked" — lets a node discover whether it is
-    /// behind a firewall that blocks unsolicited inbound connections.
-    pub const CONNECT_BACK: u8 = 8;
-}
-
-/// What the name service knows about a node.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeRecord {
-    pub id: GridId,
-    pub name: String,
-    pub profile: ConnectivityProfile,
-    /// The node's ordered relay list (primary first), published only by
-    /// nodes configured with failover relays. Peers and operators can read
-    /// which relays a node will converge on after a failover.
-    pub relays: Vec<SockAddr>,
-}
-
-/// What the name service knows about a receive port.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortRecord {
-    pub owner: GridId,
-    pub name: String,
-    /// The owner's data listener (site-local address; directly reachable
-    /// only if the owner accepts inbound, via its site proxy otherwise).
-    pub listener: Option<SockAddr>,
-    /// Opaque encoded stack spec (drivers::StackSpec).
-    pub stack: Vec<u8>,
-}
-
-impl NodeRecord {
-    /// `[name][profile]` and, only when the node registered one (so every
-    /// other record keeps its bytes), the relay list — as a registration
-    /// carries the record and as a lookup returns it.
-    pub fn put(
-        w: FrameWriter,
-        name: &str,
-        profile: &ConnectivityProfile,
-        relays: &[SockAddr],
-    ) -> FrameWriter {
-        let w = profile.encode(w.str(name));
-        if relays.is_empty() {
-            w
-        } else {
-            w.addrs(relays)
-        }
-    }
-
-    pub fn get(id: GridId, r: &mut FrameReader<'_>) -> io::Result<NodeRecord> {
-        let name = r.str()?;
-        let profile = ConnectivityProfile::decode(r)?;
-        let relays = if r.is_empty() { Vec::new() } else { r.addrs()? };
-        Ok(NodeRecord {
-            id,
-            name,
-            profile,
-            relays,
-        })
-    }
-}
-
-impl PortRecord {
-    /// `[owner][label][listener][stack]`. The label is the port's name in
-    /// a registration and its owner's in a lookup reply, whose asker knows
-    /// the port's.
-    pub fn put(&self, label: &str, w: FrameWriter) -> FrameWriter {
-        w.u64(self.owner)
-            .str(label)
-            .opt_addr(self.listener)
-            .bytes(&self.stack)
-    }
-
-    /// Decode what [`put`](Self::put) wrote; `name` holds the label.
-    pub fn get(r: &mut FrameReader<'_>) -> io::Result<PortRecord> {
-        Ok(PortRecord {
-            owner: r.u64()?,
-            name: r.str()?,
-            listener: r.opt_addr()?,
-            stack: r.bytes()?.to_vec(),
-        })
-    }
-}
-
+/// Nodes are numbered from 1 as they register, and never unregister.
 #[derive(Default)]
 struct NsState {
-    next_id: GridId,
     nodes: HashMap<GridId, NodeRecord>,
-    by_name: HashMap<String, GridId>,
     /// Ordered, so a LIST_PORTS reply is the same bytes on every run.
     ports: BTreeMap<String, PortRecord>,
 }
 
 /// Spawn the name service on `host`, listening on `port` and `port + 1`.
 pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
-    let state = Arc::new(Mutex::new(NsState {
-        next_id: 1,
-        ..Default::default()
-    }));
+    let state = Arc::new(Mutex::new(NsState::default()));
     for p in [port, port + 1] {
         let listener = host.listen(p)?;
         let state = Arc::clone(&state);
@@ -161,64 +66,47 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
 
 fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Result<()> {
     let (mut stream, mut requests) = (conn.clone(), FrameStream::new(conn.clone()));
-    loop {
-        let req = match requests.next_frame() {
-            Ok(f) => f,
-            Err(_) => return Ok(()), // client closed
-        };
-        let mut r = FrameReader::new(&req);
-        let reply = match r.u8()? {
-            op::REGISTER => {
+    // Until the client closes; a request that does not decode ends the
+    // connection.
+    while let Ok(req) = requests.next_frame() {
+        let reply = match NsRequest::decode(&req)? {
+            NsRequest::Register { node } => {
                 let mut st = state.lock();
-                let id = st.next_id;
-                let node = NodeRecord::get(id, &mut r)?;
-                st.next_id += 1;
-                st.by_name.insert(node.name.clone(), id);
+                let id = st.nodes.len() as GridId + 1;
                 st.nodes.insert(id, node);
-                FrameWriter::new().u8(1).u64(id)
+                Reply::Ok(id).encode()
             }
-            op::REGISTER_PORT => {
-                let port = PortRecord::get(&mut r)?;
+            NsRequest::RegisterPort { port } => {
                 let mut st = state.lock();
-                if st.ports.contains_key(&port.name) {
-                    FrameWriter::new().u8(0).str("port name already registered")
-                } else {
+                let taken = st.ports.contains_key(&port.name);
+                if !taken {
                     st.ports.insert(port.name.clone(), port);
-                    FrameWriter::new().u8(1)
                 }
+                let why = || "port name already registered".to_string();
+                (!taken).then_some(()).ok_or_else(why).encode()
             }
-            op::UNREGISTER_PORT => {
-                let name = r.str()?;
+            NsRequest::UnregisterPort { name } => {
                 state.lock().ports.remove(&name);
-                FrameWriter::new().u8(1)
+                Reply::Ok(()).encode()
             }
-            op::LOOKUP_PORT => {
-                let name = r.str()?;
+            NsRequest::LookupPort { name } => {
                 let st = state.lock();
-                match st.ports.get(&name).map(|p| (p, st.nodes.get(&p.owner))) {
-                    Some((p, Some(n))) => {
-                        n.profile.encode(p.put(&n.name, FrameWriter::new().u8(1)))
-                    }
-                    Some((_, None)) => FrameWriter::new().u8(0).str("owner vanished"),
-                    None => FrameWriter::new().u8(0).str("unknown port"),
-                }
+                let port = st.ports.get(&name).ok_or("unknown port");
+                let found = port.and_then(|p| {
+                    let owner = st.nodes.get(&p.owner).ok_or("owner vanished")?;
+                    let mut port = p.clone();
+                    port.name = owner.name.clone();
+                    Ok((port, owner.profile.clone()))
+                });
+                found.map_err(str::to_string).encode()
             }
-            op::LOOKUP_NODE => {
-                let id = r.u64()?;
-                let st = state.lock();
-                match st.nodes.get(&id) {
-                    Some(n) => {
-                        NodeRecord::put(FrameWriter::new().u8(1), &n.name, &n.profile, &n.relays)
-                    }
-                    None => FrameWriter::new().u8(0).str("unknown node"),
-                }
+            NsRequest::LookupNode { id } => {
+                let node = state.lock().nodes.get(&id).cloned();
+                node.ok_or_else(|| "unknown node".to_string()).encode()
             }
-            op::OBSERVED => {
-                // STUN-like: tell the caller how we see it (post-NAT).
-                FrameWriter::new().u8(1).addr(conn.peer_addr())
-            }
-            op::CONNECT_BACK => {
-                let target = r.addr()?;
+            // STUN-like: tell the caller how we see it (post-NAT).
+            NsRequest::Observed => Reply::Ok(conn.peer_addr()).encode(),
+            NsRequest::ConnectBack { target } => {
                 // Short-fused attempt: one SYN retry is enough to separate
                 // "reachable" from "firewalled" (refused counts as
                 // reachable at the network layer — a host answered).
@@ -233,24 +121,17 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
                         cfg: Some(cfg),
                     },
                 );
-                let reachable = match outcome {
-                    Ok(_) => true,
-                    Err(e) => e.kind() == io::ErrorKind::ConnectionRefused,
-                };
-                FrameWriter::new().u8(1).u8(reachable as u8)
+                let refused = |e: io::Error| e.kind() == io::ErrorKind::ConnectionRefused;
+                Reply::Ok(outcome.map_or_else(refused, |_| true)).encode()
             }
-            op::LIST_PORTS => {
-                let st = state.lock();
-                let mut w = FrameWriter::new().u8(1).u64(st.ports.len() as u64);
-                for name in st.ports.keys() {
-                    w = w.str(name);
-                }
-                w
+            NsRequest::ListPorts => {
+                let names: Vec<_> = state.lock().ports.keys().cloned().collect();
+                Reply::Ok(names).encode()
             }
-            _ => FrameWriter::new().u8(0).str("unknown opcode"),
         };
         reply.send(&mut stream)?;
     }
+    Ok(())
 }
 
 /// Client handle over the node's *bootstrap link* (paper §5): one
@@ -339,29 +220,15 @@ impl NsClient {
     /// Lock order: the link's writer, then the NAT gate (taken by the
     /// dial, once per attempt). No holder of the gate issues a link
     /// request — the probes it covers dial their own connections.
-    fn request(&self, frame: FrameWriter) -> io::Result<Bytes> {
-        let pending = &self.tickets.pending;
+    fn request<T: Wire>(&self, req: NsRequest) -> io::Result<T> {
+        let (pending, frame) = (&self.tickets.pending, req.encode());
         let ticket = self.link.send(&self.tickets, |stream, gen| {
             let ticket = pending.next_id();
             pending
                 .post(ticket, gen, || frame.send(stream))
                 .map(|()| ticket)
         })?;
-        pending.wait(ticket, "ns reply")
-    }
-
-    fn request_ok(&self, frame: FrameWriter) -> io::Result<Bytes> {
-        let rsp = self.request(frame)?;
-        let mut r = FrameReader::new(&rsp);
-        if r.u8()? == 1 {
-            Ok(rsp)
-        } else {
-            let msg = r.str().unwrap_or_else(|_| "request failed".into());
-            Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("name service: {msg}"),
-            ))
-        }
+        answer(&pending.wait(ticket, "ns reply")?)
     }
 
     /// Register this node; returns its grid-wide id. `relays` is the
@@ -374,11 +241,12 @@ impl NsClient {
         profile: &ConnectivityProfile,
         relays: &[SockAddr],
     ) -> io::Result<GridId> {
-        let w = FrameWriter::new().u8(op::REGISTER);
-        let rsp = self.request_ok(NodeRecord::put(w, name, profile, relays))?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        r.u64()
+        let node = NodeRecord {
+            name: name.into(),
+            profile: profile.clone(),
+            relays: relays.to_vec(),
+        };
+        self.request(NsRequest::Register { node })
     }
 
     /// Register a receive port.
@@ -395,50 +263,35 @@ impl NsClient {
             listener,
             stack: stack.to_vec(),
         };
-        self.request_ok(port.put(name, FrameWriter::new().u8(op::REGISTER_PORT)))?;
-        Ok(())
+        self.request(NsRequest::RegisterPort { port })
     }
 
     pub fn unregister_port(&self, name: &str) -> io::Result<()> {
-        self.request_ok(FrameWriter::new().u8(op::UNREGISTER_PORT).str(name))?;
-        Ok(())
+        self.request(NsRequest::UnregisterPort { name: name.into() })
     }
 
-    /// Look up a receive port: returns (record, owner profile).
+    /// Look up a receive port: returns (record, owner profile, owner name).
     pub fn lookup_port(&self, name: &str) -> io::Result<(PortRecord, ConnectivityProfile, String)> {
-        let rsp = self.request_ok(FrameWriter::new().u8(op::LOOKUP_PORT).str(name))?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        let mut port = PortRecord::get(&mut r)?;
-        let owner_name = std::mem::replace(&mut port.name, name.to_string());
-        let profile = ConnectivityProfile::decode(&mut r)?;
+        let lookup = NsRequest::LookupPort { name: name.into() };
+        let (mut port, profile): (PortRecord, _) = self.request(lookup)?;
+        let owner_name = std::mem::replace(&mut port.name, name.into());
         Ok((port, profile, owner_name))
     }
 
     /// Look up a node by id.
     pub fn lookup_node(&self, id: GridId) -> io::Result<NodeRecord> {
-        let rsp = self.request_ok(FrameWriter::new().u8(op::LOOKUP_NODE).u64(id))?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        NodeRecord::get(id, &mut r)
+        self.request(NsRequest::LookupNode { id })
     }
 
     /// All registered port names (diagnostics).
     pub fn list_ports(&self) -> io::Result<Vec<String>> {
-        let rsp = self.request_ok(FrameWriter::new().u8(op::LIST_PORTS))?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        let n = r.u64()? as usize;
-        (0..n).map(|_| r.str()).collect()
+        self.request(NsRequest::ListPorts)
     }
 
     /// Ask the name service to attempt a connection back to `target` and
     /// report whether it succeeded — the firewall-detection probe.
     fn connect_back(&self, target: SockAddr) -> io::Result<bool> {
-        let rsp = self.request_ok(FrameWriter::new().u8(op::CONNECT_BACK).addr(target))?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        Ok(r.u8()? != 0)
+        self.request(NsRequest::ConnectBack { target })
     }
 
     /// Probe the observed (post-NAT) address of a connection made from
@@ -472,11 +325,8 @@ impl NsClient {
                 },
             )?,
         };
-        FrameWriter::new().u8(op::OBSERVED).send(&mut stream)?;
-        let rsp = FrameStream::new(stream).next_frame()?;
-        let mut r = FrameReader::new(&rsp);
-        r.u8()?;
-        r.addr()
+        NsRequest::Observed.encode().send(&mut stream)?;
+        answer(&FrameStream::new(stream).next_frame()?)
     }
 
     /// Fully automated connectivity-profile discovery (paper §8 future
@@ -542,6 +392,12 @@ impl NsClient {
             Ok(Some(NatClass::SymmetricRandom))
         }
     }
+}
+
+/// The body of a name-service reply; a refusal is `NotFound`.
+fn answer<T: Wire>(rsp: &Bytes) -> io::Result<T> {
+    let refused = |why| io::Error::new(io::ErrorKind::NotFound, format!("name service: {why}"));
+    Reply::<T>::decode(rsp)?.map_err(refused)
 }
 
 #[cfg(test)]

@@ -38,9 +38,8 @@ use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
 use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
-use crate::wire::{
-    read_frame, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, ResumeMeta, ResumeReply,
-};
+use crate::wire::{read_frame, Frame, Preamble, Put, ReconfigAck};
+use crate::wire::{ResumeMeta, ResumeReply, SvcMsg, Wire};
 
 /// Reconnect schedule for failed data links.
 pub(crate) const RECOVER: Backoff = Backoff::ms(8, 50, 2000);
@@ -495,7 +494,7 @@ impl GridNode {
         stream: TcpStream,
     ) -> io::Result<()> {
         stream.set_nodelay(true)?;
-        let pre = Preamble::decode(&read_frame(&mut stream.clone())?)?;
+        let pre = Preamble::decode(&read_frame(&mut stream.clone())?.into())?;
         port.add_link(&self.ctx(), pre, RawLink::Tcp(stream))
     }
 
@@ -785,7 +784,7 @@ impl GridNode {
         io.write_reconfig(epoch, params)?;
         // Block for the receiver's ack: it proves the receiver consumed
         // every old-format byte and swapped.
-        let ack = ReconfigAck::decode(&read_reply(&io.links[0], "reconfig ack")?)?;
+        let ack = ReconfigAck::decode(&read_reply(&io.links[0], "reconfig ack")?.into())?;
         if ack.epoch != epoch {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1145,8 +1144,8 @@ impl GridNode {
                     resume: resume.cloned(),
                 };
                 let stream = relay.open_stream(rec.owner, &rec.name, pre.routed_channel())?;
-                if let Some(fields) = pre.resume_frame() {
-                    fields.send(&mut stream.clone())?;
+                if let Some(meta) = resume {
+                    meta.encode().send(&mut stream.clone())?;
                 }
                 Ok((vec![RawLink::Routed(stream)], 1))
             }
@@ -1178,7 +1177,7 @@ impl GridNode {
             total,
             resume,
         };
-        pre.frame().send(&mut s.clone())
+        pre.encode().send(&mut s.clone())
     }
 
     /// TCP configuration used for spliced connects: bounded retries so a
@@ -1246,29 +1245,19 @@ impl GridNode {
         // bound the brokering round-trips so the tree can fall through.
         let svc_timeout = resume.map(|_| RECOVER_SVC_TIMEOUT);
         // 1. Request: responder allocates + predicts.
-        let req = FrameWriter::new()
-            .u8(svc::SPLICE_REQ)
-            .u64(channel)
-            .str(&rec.name)
-            .u64(total as u64)
-            .into_bytes();
-        let rsp = relay.service_request_timeout(rec.owner, &req, svc_timeout)?;
-        let mut r = FrameReader::new(&rsp);
-        if r.u8()? != 1 {
-            let msg = r.str().unwrap_or_default();
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("splice refused: {msg}"),
-            ));
-        }
-        let n = r.u64()? as usize;
-        if n != total as usize {
+        let (port, streams) = (rec.name.clone(), total as u64);
+        let req = SvcMsg::SpliceReq {
+            channel,
+            port,
+            streams,
+        };
+        let peer_eps: Vec<SockAddr> = relay.service_call(rec.owner, &req, svc_timeout)?;
+        if peer_eps.len() != total as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "endpoint count mismatch",
             ));
         }
-        let peer_eps: Vec<SockAddr> = (0..n).map(|_| r.addr()).collect::<io::Result<_>>()?;
 
         // 2. Predict and emit SYNs under the NAT gate.
         let gate = self.inner.nat_gate.hold();
@@ -1294,31 +1283,16 @@ impl GridNode {
             Err(e) => {
                 // Tell the responder to abandon the negotiation (it may be
                 // holding its NAT gate).
-                let abort = FrameWriter::new()
-                    .u8(svc::SPLICE_ABORT)
-                    .u64(channel)
-                    .into_bytes();
-                let _ = relay.service_request(rec.owner, &abort);
+                let abort = SvcMsg::SpliceAbort { channel };
+                let _ = relay.service_call::<_, ()>(rec.owner, &abort, None);
                 return Err(e);
             }
         };
 
         // 3. GO: the responder connects towards us.
-        let mut go = FrameWriter::new()
-            .u8(svc::SPLICE_GO)
-            .u64(channel)
-            .u64(my_eps.len() as u64);
-        for ep in &my_eps {
-            go = go.addr(*ep);
-        }
-        let go_rsp = relay.service_request_timeout(rec.owner, &go.into_bytes(), svc_timeout)?;
-        let mut r = FrameReader::new(&go_rsp);
-        if r.u8()? != 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "splice GO refused",
-            ));
-        }
+        let endpoints = my_eps;
+        let go = SvcMsg::SpliceGo { channel, endpoints };
+        relay.service_call::<_, ()>(rec.owner, &go, svc_timeout)?;
 
         // Wait for establishment, then send the stream preambles.
         let mut links = Vec::with_capacity(streams.len());
@@ -1336,15 +1310,19 @@ impl GridNode {
     /// NAT gate, held until GO, ABORT or the deadline), reply with the
     /// predictions. The stream count must be the named port's own, so a
     /// peer cannot make us allocate (and probe for) more.
-    fn handle_splice_request(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = own_channel(from, r.u64()?)?;
-        let port_name = r.str()?;
-        let asked = r.u64()?;
+    fn handle_splice_request(
+        &self,
+        from: GridId,
+        channel: u64,
+        port: &str,
+        asked: u64,
+    ) -> io::Result<Vec<SockAddr>> {
+        let channel = own_channel(from, channel)?;
         let port = self
             .inner
             .ports
             .lock()
-            .get(&port_name)
+            .get(port)
             .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown receive port"))?;
         let total = port.spec.streams();
@@ -1387,27 +1365,21 @@ impl GridNode {
                 _gate: gate,
             },
         );
-        let mut w = FrameWriter::new().u8(1).u64(my_endpoints.len() as u64);
-        for ep in &my_endpoints {
-            w = w.addr(*ep);
-        }
-        Ok(w.into_bytes())
+        Ok(my_endpoints)
     }
 
     /// Handle `SPLICE_GO`: emit our SYNs towards the initiator's endpoints
     /// (mappings land on the predicted ports because the gate was held
     /// since REQ), then drop the negotiation and with it the gate.
-    fn handle_splice_go(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = own_channel(from, r.u64()?)?;
-        let n = r.u64()? as usize;
-        let peer_eps: Vec<SockAddr> = (0..n).map(|_| r.addr()).collect::<io::Result<_>>()?;
+    fn handle_splice_go(&self, from: GridId, channel: u64, eps: &[SockAddr]) -> io::Result<()> {
+        let channel = own_channel(from, channel)?;
         let pending = self
             .inner
             .pending_splices
             .lock()
             .remove(&channel)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no pending splice"))?;
-        if peer_eps.len() != pending.my_ports.len() {
+        if eps.len() != pending.my_ports.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "endpoint count mismatch",
@@ -1415,7 +1387,7 @@ impl GridNode {
         }
         let cfg = self.splice_cfg();
         let sched = self.inner.env.net.sched().clone();
-        for (i, (&lp, &ep)) in pending.my_ports.iter().zip(&peer_eps).enumerate() {
+        for (i, (&lp, &ep)) in pending.my_ports.iter().zip(eps).enumerate() {
             let stream = self.inner.host.connect_start(
                 ep,
                 ConnectOpts {
@@ -1434,28 +1406,26 @@ impl GridNode {
                 let _ = node.handle_incoming_tcp(&port, stream);
             });
         }
-        Ok(FrameWriter::new().u8(1).into_bytes())
+        Ok(())
     }
 
     /// Handle `CACK{channel, delivered}`: advance the matching send channel's
     /// cumulative-ack watermark if `from` is that channel's receiver. Anything
     /// else (a closed channel, another sender) still gets an ack: the frame is
     /// advisory and a stale CACK needs no error.
-    fn handle_cack(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = r.u64()?;
-        let delivered = r.u64()?;
+    fn handle_cack(&self, from: GridId, channel: u64, delivered: u64) -> io::Result<()> {
         let cells = self.inner.ack_cells.lock();
         if let Some((_, cell)) = cells.get(&channel).filter(|(peer, _)| *peer == from) {
             cell.advance(delivered);
         }
-        Ok(FrameWriter::new().u8(1).into_bytes())
+        Ok(())
     }
 
     /// Handle `SPLICE_ABORT`: drop the pending negotiation and free the gate.
-    fn handle_splice_abort(&self, from: GridId, r: &mut FrameReader<'_>) -> io::Result<Vec<u8>> {
-        let channel = own_channel(from, r.u64()?)?;
+    fn handle_splice_abort(&self, from: GridId, channel: u64) -> io::Result<()> {
+        let channel = own_channel(from, channel)?;
         self.inner.pending_splices.lock().remove(&channel);
-        Ok(FrameWriter::new().u8(1).into_bytes())
+        Ok(())
     }
 }
 
@@ -1464,15 +1434,6 @@ impl GridNode {
 fn own_channel(from: GridId, channel: u64) -> io::Result<u64> {
     let theirs = || io::Error::new(io::ErrorKind::PermissionDenied, "not the sender's channel");
     Some(channel).filter(|c| c >> 24 == from).ok_or_else(theirs)
-}
-
-/// Service-message opcodes (carried in SVC_REQ payloads).
-pub(crate) mod svc {
-    pub const SPLICE_REQ: u8 = 1;
-    pub const SPLICE_GO: u8 = 2;
-    pub const SPLICE_ABORT: u8 = 3;
-    /// Receiver-driven cumulative ack: `CACK {channel, delivered}`.
-    pub const CACK: u8 = 4;
 }
 
 /// The relay delegate: routes service requests and routed-link opens into
@@ -1489,23 +1450,26 @@ impl NodeDelegate {
 
 impl RelayDelegate for NodeDelegate {
     fn on_service_request(&self, from: GridId, payload: &[u8]) -> Vec<u8> {
+        fn reply<T: Wire>(r: io::Result<T>) -> Vec<u8> {
+            r.map_err(|e| e.to_string()).encode().into_bytes()
+        }
         let Some(node) = self.node() else {
-            return FrameWriter::new().u8(0).str("node gone").into_bytes();
+            return reply::<()>(Err(io::Error::other("node gone")));
         };
-        let mut r = FrameReader::new(payload);
-        let result = match r.u8() {
-            Ok(svc::SPLICE_REQ) => node.handle_splice_request(from, &mut r),
-            Ok(svc::SPLICE_GO) => node.handle_splice_go(from, &mut r),
-            Ok(svc::SPLICE_ABORT) => node.handle_splice_abort(from, &mut r),
-            Ok(svc::CACK) => node.handle_cack(from, &mut r),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unknown service request",
-            )),
-        };
-        match result {
-            Ok(rsp) => rsp,
-            Err(e) => FrameWriter::new().u8(0).str(&e.to_string()).into_bytes(),
+        match SvcMsg::decode(&payload.to_vec().into()) {
+            Ok(SvcMsg::SpliceReq {
+                channel,
+                port,
+                streams,
+            }) => reply(node.handle_splice_request(from, channel, &port, streams)),
+            Ok(SvcMsg::SpliceGo { channel, endpoints }) => {
+                reply(node.handle_splice_go(from, channel, &endpoints))
+            }
+            Ok(SvcMsg::SpliceAbort { channel }) => reply(node.handle_splice_abort(from, channel)),
+            Ok(SvcMsg::Cack { channel, delivered }) => {
+                reply(node.handle_cack(from, channel, delivered))
+            }
+            Err(e) => reply::<()>(Err(e)),
         }
     }
 

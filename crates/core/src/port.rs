@@ -30,7 +30,9 @@ use crate::node::{GridNode, NodeCtx};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::relay::RelayClient;
 use crate::session::{Channel, SharedLink};
-use crate::wire::{Frame, FrameWriter, Preamble, ReconfigAck, ResumeReply, MAX_MESSAGE};
+use crate::wire::{
+    Frame, FrameWriter, Preamble, Put, ReconfigAck, ResumeReply, SvcMsg, MAX_MESSAGE,
+};
 
 /// A received message with typed readers.
 pub struct ReadMessage {
@@ -470,13 +472,9 @@ impl AckSender {
     fn send(&self, channel: u64, delivered: u64) {
         let relay = self.relay.clone();
         self.sched.spawn_daemon("cack-send", move || {
-            let frame = FrameWriter::new()
-                .u8(crate::node::svc::CACK)
-                .u64(channel)
-                .u64(delivered)
-                .into_bytes();
+            let cack = SvcMsg::Cack { channel, delivered };
             // Channel ids embed the sender's grid id in the high bits.
-            let sent = relay.service_request_timeout(channel >> 24, &frame, Some(ACK_SVC_TIMEOUT));
+            let sent = relay.service_call::<_, ()>(channel >> 24, &cack, Some(ACK_SVC_TIMEOUT));
             // Silence may be our own service link gone half-open (an idle
             // receiver writes nothing else that would tell it): the probe
             // draws the reset, and the pump redials and re-registers.
@@ -764,7 +762,7 @@ impl ReceivePortInner {
                         .collect();
                     delivered.sort_unstable_by_key(|&(ch, _)| ch);
                     let ack = ReconfigAck { epoch, delivered };
-                    if reply_on_stream0(&probes, ack.frame()).is_err() {
+                    if reply_on_stream0(&probes, ack.encode()).is_err() {
                         break;
                     }
                     let spec = self.spec.clone().with_path(params);

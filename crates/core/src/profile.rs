@@ -2,9 +2,6 @@
 //! network (paper Section 3.4's decision inputs — firewall, NAT, bootstrap).
 
 use gridsim_net::SockAddr;
-use std::io;
-
-use crate::wire::{FrameReader, FrameWriter};
 
 /// The node's site firewall, as relevant to connection establishment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +39,7 @@ impl NatClass {
 
 /// A node's connectivity profile: the decision-tree inputs plus the
 /// information peers need to reach it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectivityProfile {
     pub firewall: FirewallClass,
     pub nat: Option<NatClass>,
@@ -105,60 +102,12 @@ impl ConnectivityProfile {
     pub fn splice_capable(&self) -> bool {
         self.firewall != FirewallClass::Strict && self.nat.map(|n| n.predictable()).unwrap_or(true)
     }
-
-    // ---- wire encoding (stored in the name service) ----
-
-    pub fn encode(&self, w: FrameWriter) -> FrameWriter {
-        let fw = match self.firewall {
-            FirewallClass::None => 0,
-            FirewallClass::Stateful => 1,
-            FirewallClass::Strict => 2,
-        };
-        let nat = match self.nat {
-            None => 0,
-            Some(NatClass::Cone) => 1,
-            Some(NatClass::SymmetricPredictable) => 2,
-            Some(NatClass::SymmetricRandom) => 3,
-        };
-        w.u8(fw)
-            .u8(nat)
-            .u8(self.private_addr as u8)
-            .opt_addr(self.socks_proxy)
-    }
-
-    pub fn decode(r: &mut FrameReader<'_>) -> io::Result<ConnectivityProfile> {
-        let fw = match r.u8()? {
-            0 => FirewallClass::None,
-            1 => FirewallClass::Stateful,
-            2 => FirewallClass::Strict,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad firewall class",
-                ))
-            }
-        };
-        let nat = match r.u8()? {
-            0 => None,
-            1 => Some(NatClass::Cone),
-            2 => Some(NatClass::SymmetricPredictable),
-            3 => Some(NatClass::SymmetricRandom),
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad nat class")),
-        };
-        let private_addr = r.u8()? != 0;
-        let socks_proxy = r.opt_addr()?;
-        Ok(ConnectivityProfile {
-            firewall: fw,
-            nat,
-            private_addr,
-            socks_proxy,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Put, Wire};
     use gridsim_net::Ip;
 
     #[test]
@@ -177,9 +126,8 @@ mod tests {
             },
         ];
         for p in profiles {
-            let bytes = p.encode(FrameWriter::new()).into_bytes();
-            let mut r = FrameReader::new(&bytes);
-            assert_eq!(ConnectivityProfile::decode(&mut r).unwrap(), p);
+            let bytes = bytes::Bytes::from(p.encode().into_bytes());
+            assert_eq!(ConnectivityProfile::decode(&bytes).unwrap(), p);
         }
     }
 

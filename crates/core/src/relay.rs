@@ -30,59 +30,12 @@ use crate::drivers::{BlockRead, BlockWrite};
 use crate::establish::factory::BootstrapSocketFactory;
 use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::nameservice::GridId;
-use crate::wire::{frame_onto, FrameReader, FrameStream, FrameWriter};
+use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Reply, Wire};
 
 /// Maximum payload per routed DATA frame.
 pub const ROUTED_CHUNK: usize = 8 * 1024;
 /// Buffered chunks per routed stream before backpressure.
 const STREAM_QUEUE: usize = 32;
-
-mod relay_op {
-    pub const HELLO: u8 = 1;
-    pub const SEND: u8 = 2;
-    pub const RECV: u8 = 3;
-    pub const NOPEER: u8 = 4;
-    // Backpressure and mesh ops (DESIGN.md §10). The relay-to-relay ops
-    // only ever appear on PEER_HELLO'd connections.
-    /// relay → client `{peer}`: `peer`'s receive queue is running hot —
-    /// pause DATA towards it until READY.
-    pub const BUSY: u8 = 5;
-    /// relay → client `{peer}`: `peer`'s queue drained — resume.
-    pub const READY: u8 = 6;
-    /// relay ↔ relay `{mesh_id}`: first frame both ways on a mesh link.
-    pub const PEER_HELLO: u8 = 7;
-    /// relay → relay `{node, epoch}`: `node` is registered locally at the
-    /// sending relay since `epoch` (sim-time ns; ties break on mesh id).
-    pub const ROUTE_ADD: u8 = 8;
-    /// relay → relay `{node, epoch}`: that registration ended.
-    pub const ROUTE_DEL: u8 = 9;
-    /// relay → relay `{node}`: pull — "is `node` registered with you?"
-    pub const ROUTE_QUERY: u8 = 10;
-    /// relay → relay `{node, found, epoch}`: answer, from local state only.
-    pub const ROUTE_RSP: u8 = 11;
-    /// relay → relay `{from, to, inner}`: forward one client frame to the
-    /// relay currently homing `to`. Never re-forwarded (no mesh loops).
-    pub const FWD: u8 = 12;
-    /// relay → relay `{from, to, inner}`: a FWD bounced — `to` is not (or
-    /// no longer) local at the receiving relay. The origin invalidates its
-    /// route entry and re-resolves.
-    pub const FWD_FAIL: u8 = 13;
-}
-
-mod inner_op {
-    pub const SVC_REQ: u8 = 1;
-    pub const SVC_RSP: u8 = 2;
-    pub const OPEN: u8 = 3;
-    pub const OPEN_OK: u8 = 4;
-    pub const OPEN_ERR: u8 = 5;
-    pub const DATA: u8 = 6;
-    pub const FIN: u8 = 7;
-    /// `{dir, sid, n}`: close barrier — "answer once every chunk I sent
-    /// before this is in the stream's receive queue".
-    pub const SYNC: u8 = 8;
-    /// `{dir, sid, n}`: the answer to SYNC `n`.
-    pub const SYNC_OK: u8 = 9;
-}
 
 // ---------------------------------------------------------------- server
 
@@ -266,21 +219,17 @@ impl MeshRelay {
 
     fn serve_conn(self: &Arc<Self>, conn: TcpStream) -> io::Result<()> {
         let mut reader = FrameStream::new(conn.clone());
-        let first = reader.next_frame()?;
-        let mut r = FrameReader::new(&first);
-        match r.u8()? {
-            relay_op::HELLO => {
-                let id = r.u64()?;
+        match RelayMsg::decode(&reader.next_frame()?)? {
+            RelayMsg::Hello { id } => {
                 let q = self.spawn_shard(Owner::Client(id), conn);
                 self.assert_local(id, &q);
                 let res = self.serve_client(id, &q, reader);
                 self.conn_dead(&q);
                 res
             }
-            relay_op::PEER_HELLO => {
-                let pid = r.u64()?;
+            RelayMsg::PeerHello { mesh_id } => {
                 self.peer_hello(&conn)?;
-                self.run_peer(pid, conn, reader)
+                self.run_peer(mesh_id, conn, reader)
             }
             _ => Err(io::ErrorKind::InvalidData.into()),
         }
@@ -293,21 +242,14 @@ impl MeshRelay {
         mut reader: FrameStream,
     ) -> io::Result<()> {
         loop {
-            let frame = reader.next_frame()?;
-            let mut r = FrameReader::new(&frame);
-            match r.u8()? {
-                relay_op::SEND => {
-                    let to = r.u64()?;
-                    let inner = r.bytes_in(&frame)?;
-                    self.handle_send(id, to, inner, Origin::Local, false);
+            match RelayMsg::decode(&reader.next_frame()?)? {
+                RelayMsg::Send { to, inner } => {
+                    self.handle_send(id, to, inner, Origin::Local, false)
                 }
-                relay_op::HELLO => {
-                    // Re-HELLO probe: re-assert the registration (it may
-                    // have been evicted towards this still-live connection)
-                    // and re-push the route so the mesh heals with it.
-                    let _ = r.u64()?;
-                    self.assert_local(id, q);
-                }
+                // Re-HELLO probe: re-assert the registration (it may have
+                // been evicted towards this still-live connection) and
+                // re-push the route so the mesh heals with it.
+                RelayMsg::Hello { .. } => self.assert_local(id, q),
                 _ => return Err(io::ErrorKind::InvalidData.into()),
             }
         }
@@ -349,7 +291,7 @@ impl MeshRelay {
             old.q.kill();
         }
         self.remote.lock().remove(&id);
-        self.broadcast_route(relay_op::ROUTE_ADD, id, epoch);
+        self.broadcast_route(RelayMsg::RouteAdd { node: id, epoch });
         self.flush_waiting(id);
     }
 
@@ -376,7 +318,7 @@ impl MeshRelay {
             self.reroute_item(item);
         }
         if let Some((id, epoch)) = unregistered {
-            self.broadcast_route(relay_op::ROUTE_DEL, id, epoch);
+            self.broadcast_route(RelayMsg::RouteDel { node: id, epoch });
         }
     }
 
@@ -400,20 +342,17 @@ impl MeshRelay {
         let conn = factory.connect(addr)?;
         self.peer_hello(&conn)?;
         let mut reader = FrameStream::new(conn.clone());
-        let hello = reader.next_frame()?;
-        let mut r = FrameReader::new(&hello);
-        if r.u8()? != relay_op::PEER_HELLO {
+        let RelayMsg::PeerHello { mesh_id } = RelayMsg::decode(&reader.next_frame()?)? else {
             return Err(io::ErrorKind::InvalidData.into());
-        }
-        let pid = r.u64()?;
-        self.run_peer(pid, conn, reader)
+        };
+        self.run_peer(mesh_id, conn, reader)
     }
 
     /// Introduce ourselves on a mesh link: the first frame, both ways.
     fn peer_hello(&self, conn: &TcpStream) -> io::Result<()> {
-        FrameWriter::new()
-            .u8(relay_op::PEER_HELLO)
-            .u64(self.cfg.mesh_id)
+        let mesh_id = self.cfg.mesh_id;
+        RelayMsg::PeerHello { mesh_id }
+            .encode()
             .send(&mut conn.clone())
     }
 
@@ -436,11 +375,8 @@ impl MeshRelay {
             .iter()
             .map(|(id, e)| (*id, e.epoch))
             .collect();
-        for (id, epoch) in table {
-            let f = FrameWriter::new()
-                .u8(relay_op::ROUTE_ADD)
-                .u64(id)
-                .u64(epoch);
+        for (node, epoch) in table {
+            let f = RelayMsg::RouteAdd { node, epoch }.encode();
             let (route, bytes) = (None, f.into_frame());
             let _ = q.q.push(OutItem { route, bytes });
         }
@@ -451,17 +387,9 @@ impl MeshRelay {
 
     fn serve_peer(self: &Arc<Self>, pid: u64, mut reader: FrameStream) -> io::Result<()> {
         loop {
-            let frame = reader.next_frame()?;
-            let mut r = FrameReader::new(&frame);
-            match r.u8()? {
-                relay_op::ROUTE_ADD => {
-                    let node = r.u64()?;
-                    let epoch = r.u64()?;
-                    self.route_add(pid, node, epoch);
-                }
-                relay_op::ROUTE_DEL => {
-                    let node = r.u64()?;
-                    let epoch = r.u64()?;
+            match RelayMsg::decode(&reader.next_frame()?)? {
+                RelayMsg::RouteAdd { node, epoch } => self.route_add(pid, node, epoch),
+                RelayMsg::RouteDel { node, epoch } => {
                     let mut rt = self.remote.lock();
                     if rt
                         .get(&node)
@@ -470,29 +398,18 @@ impl MeshRelay {
                         rt.remove(&node);
                     }
                 }
-                relay_op::ROUTE_QUERY => {
-                    let node = r.u64()?;
+                RelayMsg::RouteQuery { node } => {
                     let ans = self.local.lock().get(&node).map(|e| e.epoch);
-                    let f = FrameWriter::new()
-                        .u8(relay_op::ROUTE_RSP)
-                        .u64(node)
-                        .u8(ans.is_some() as u8)
-                        .u64(ans.unwrap_or(0));
-                    self.frame_to_peer(pid, f);
+                    let (found, epoch) = (ans.is_some(), ans.unwrap_or(0));
+                    self.frame_to_peer(pid, RelayMsg::RouteRsp { node, found, epoch });
                 }
-                relay_op::ROUTE_RSP => {
-                    let node = r.u64()?;
-                    let found = r.u8()? == 1;
-                    let epoch = r.u64()?;
-                    self.route_rsp(pid, node, found, epoch);
+                RelayMsg::RouteRsp { node, found, epoch } => {
+                    self.route_rsp(pid, node, found, epoch)
                 }
-                op @ (relay_op::FWD | relay_op::FWD_FAIL) => {
-                    let (from, to) = (r.u64()?, r.u64()?);
-                    let inner = r.bytes_in(&frame)?;
-                    if op == relay_op::FWD {
-                        self.handle_send(from, to, inner, Origin::Peer(pid), false);
-                        continue;
-                    }
+                RelayMsg::Fwd { from, to, inner } => {
+                    self.handle_send(from, to, inner, Origin::Peer(pid), false)
+                }
+                RelayMsg::FwdFail { from, to, inner } => {
                     // Our route was stale: drop it and re-resolve — the
                     // node may have re-registered at a third relay (or back
                     // here) between our FWD and the bounce.
@@ -611,8 +528,7 @@ impl MeshRelay {
                     sched.spawn_daemon("route-timeout", move || me.fail_waiting(to));
                 }
             });
-        let f = FrameWriter::new().u8(relay_op::ROUTE_QUERY).u64(to);
-        let f = f.into_frame();
+        let f = RelayMsg::RouteQuery { node: to }.encode().into_frame();
         for pq in peer_qs {
             let (route, bytes) = (None, f.clone());
             let _ = pq.q.push(OutItem { route, bytes });
@@ -628,8 +544,8 @@ impl MeshRelay {
         }
     }
 
-    fn broadcast_route(self: &Arc<Self>, op: u8, node: GridId, epoch: u64) {
-        let f = FrameWriter::new().u8(op).u64(node).u64(epoch).into_frame();
+    fn broadcast_route(self: &Arc<Self>, route: RelayMsg) {
+        let f = route.encode().into_frame();
         for pq in self.peer_queues() {
             let (route, bytes) = (None, f.clone());
             let _ = pq.q.push(OutItem { route, bytes });
@@ -694,7 +610,7 @@ impl MeshRelay {
         to: GridId,
         inner: &Bytes,
     ) -> bool {
-        let is_data = inner.first() == Some(&inner_op::DATA);
+        let is_data = Envelope::is_data(inner);
         let (route, bytes) = (Some((from, to)), inner.clone());
         let item = match q.q.try_push(OutItem { route, bytes }) {
             Ok(()) => {
@@ -718,7 +634,7 @@ impl MeshRelay {
     /// in over the mesh are backpressured by the FWD path instead.
     fn throttle(self: &Arc<Self>, from: GridId, to: GridId, q: &OutQueue) {
         if q.throttled.lock().insert(from) {
-            self.ctl_to_local(from, FrameWriter::new().u8(relay_op::BUSY).u64(to));
+            self.ctl_to_local(from, RelayMsg::Busy { peer: to });
         }
     }
 
@@ -730,30 +646,27 @@ impl MeshRelay {
     fn undeliverable(self: &Arc<Self>, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
         match origin {
             Origin::Local => {
-                let f = FrameWriter::new().u8(relay_op::NOPEER).u64(to);
-                self.ctl_to_local(from, f.bytes(&inner));
+                let echo = Some(inner);
+                self.ctl_to_local(from, RelayMsg::Nopeer { to, echo });
             }
-            Origin::Peer(pid) => {
-                let f = FrameWriter::new().u8(relay_op::FWD_FAIL).u64(from);
-                self.frame_to_peer(pid, f.u64(to).bytes(&inner));
-            }
+            Origin::Peer(pid) => self.frame_to_peer(pid, RelayMsg::FwdFail { from, to, inner }),
         }
     }
 
     /// Synchronous control write (BUSY/READY/NOPEER) to a local client,
     /// bypassing its shard queue — these must not sit behind the very
     /// backlog they report on.
-    fn ctl_to_local(&self, to: GridId, frame: FrameWriter) {
+    fn ctl_to_local(&self, to: GridId, msg: RelayMsg) {
         let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
         if let Some(shard) = shard {
-            let _ = frame.send(&mut *shard.w.lock());
+            let _ = msg.encode().send(&mut *shard.w.lock());
         }
     }
 
-    fn frame_to_peer(&self, pid: u64, frame: FrameWriter) {
+    fn frame_to_peer(&self, pid: u64, msg: RelayMsg) {
         let pq = self.peers.lock().get(&pid).cloned();
         if let Some(pq) = pq {
-            let (route, bytes) = (None, frame.into_frame());
+            let (route, bytes) = (None, msg.encode().into_frame());
             let _ = pq.q.push(OutItem { route, bytes });
         }
     }
@@ -777,15 +690,16 @@ impl MeshRelay {
             if !(broken || q.dead.load(Ordering::Relaxed)) {
                 let mut run = Vec::with_capacity(bytes + 32 * items.len());
                 for item in &items {
-                    match (item.route, q.owner) {
-                        (None, _) => run.extend_from_slice(&item.bytes),
-                        (Some((from, _)), Owner::Client(_)) => {
-                            frame_onto(&mut run, relay_op::RECV, &[from], &item.bytes)
-                        }
-                        (Some((from, to)), Owner::Peer(_)) => {
-                            frame_onto(&mut run, relay_op::FWD, &[from, to], &item.bytes)
-                        }
-                    }
+                    let Some((from, to)) = item.route else {
+                        run.extend_from_slice(&item.bytes);
+                        continue;
+                    };
+                    let inner = item.bytes.clone();
+                    let msg = match q.owner {
+                        Owner::Client(_) => RelayMsg::Recv { from, inner },
+                        Owner::Peer(_) => RelayMsg::Fwd { from, to, inner },
+                    };
+                    msg.frame_onto(&mut run);
                 }
                 q.in_hand.store(items.len(), Ordering::Relaxed);
                 let written = q.w.lock().write_block(run.into());
@@ -814,7 +728,7 @@ impl MeshRelay {
         let Owner::Client(id) = q.owner else { return };
         let drained: Vec<GridId> = q.throttled.lock().drain().collect();
         for s in drained {
-            self.ctl_to_local(s, FrameWriter::new().u8(relay_op::READY).u64(id));
+            self.ctl_to_local(s, RelayMsg::Ready { peer: id });
         }
     }
 
@@ -954,7 +868,7 @@ impl RelayClient {
     /// are ignored — the pump owns reconnection; a link whose ladder ran
     /// out is dialed again here, as by any request.
     pub fn nudge(&self) {
-        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(self.inner.id);
+        let hello = RelayMsg::Hello { id: self.inner.id }.encode();
         let _ = self.inner.link.send(self, |w, _| hello.send(w));
     }
 
@@ -967,10 +881,9 @@ impl RelayClient {
         *self.inner.delegate.lock() = Some(d);
     }
 
-    /// Send one inner frame to `to` through the relay: the SEND fields go
-    /// into `inner`'s headroom, the whole frame out as one block.
-    fn send_inner(&self, to: GridId, inner: FrameWriter) -> io::Result<()> {
-        let send = FrameWriter::new().u8(relay_op::SEND).u64(to).wrap(inner);
+    /// Send one envelope to `to` through the relay, as one block.
+    fn send_inner(&self, to: GridId, env: Envelope<&[u8]>) -> io::Result<()> {
+        let send = env.send_to(to);
         self.inner.link.send(self, |w, _| send.send(w))
     }
 
@@ -1010,13 +923,26 @@ impl RelayClient {
         }
     }
 
+    /// A service request in a typed protocol: `msg` out, the body of its
+    /// [`Reply`] back; a refusal is `ConnectionRefused`, for its reason.
+    pub(crate) fn service_call<M: Put, T: Wire>(
+        &self,
+        to: GridId,
+        msg: &M,
+        timeout: Option<std::time::Duration>,
+    ) -> io::Result<T> {
+        let rsp = self.service_request_timeout(to, msg.encode().payload(), timeout)?;
+        let refused = |why| io::Error::new(io::ErrorKind::ConnectionRefused, why);
+        Reply::decode(&rsp.into())?.map_err(refused)
+    }
+
     fn try_service_request(
         &self,
         to: GridId,
         payload: &[u8],
         timeout: Option<std::time::Duration>,
     ) -> io::Result<Vec<u8>> {
-        let req_id = self.inner.pending.next_id();
+        let id = self.inner.pending.next_id();
         if let Some(dt) = timeout {
             let weak = Arc::downgrade(&self.inner);
             self.inner
@@ -1024,17 +950,14 @@ impl RelayClient {
                 .call_at(self.inner.sched.now() + dt, move || {
                     if let Some(inner) = weak.upgrade() {
                         let timed_out = || Err(io::ErrorKind::TimedOut.into());
-                        inner.pending.fail(|id, _| id == req_id, timed_out);
+                        inner.pending.fail(|i, _| i == id, timed_out);
                     }
                 });
         }
-        let frame = FrameWriter::new()
-            .u8(inner_op::SVC_REQ)
-            .u64(req_id)
-            .bytes(payload);
+        let req = Envelope::SvcReq { id, body: payload };
         let pending = &self.inner.pending;
-        pending.post(req_id, to, || self.send_inner(to, frame))?;
-        pending.wait(req_id, "relay svc rsp")?
+        pending.post(id, to, || self.send_inner(to, req))?;
+        pending.wait(id, "relay svc rsp")?
     }
 
     /// Open a routed byte stream to `port_name` on node `to`.
@@ -1048,14 +971,11 @@ impl RelayClient {
         let stream = RoutedStream::new(self.clone(), to, sid, true);
         let key = stream.key();
         self.inner.streams.lock().insert(key, stream.clone());
-        let frame = FrameWriter::new()
-            .u8(inner_op::OPEN)
-            .u64(sid)
-            .str(port_name)
-            .u64(channel);
+        let port = port_name.to_string();
+        let open = Envelope::Open { sid, port, channel };
         let refused = |msg| io::Error::new(io::ErrorKind::ConnectionRefused, msg);
         let waits = &self.inner.open_waits;
-        let posted = waits.post(sid, to, || self.send_inner(to, frame));
+        let posted = waits.post(sid, to, || self.send_inner(to, open));
         let opened = posted.and_then(|()| waits.wait(sid, "relay open")?.map_err(refused));
         if opened.is_err() {
             // The table entry holds the stream, and the stream this client:
@@ -1081,48 +1001,36 @@ impl RelayClient {
         }
     }
 
-    /// Fail exactly the request the echoed inner frame belonged to. Returns
-    /// false when the frame doesn't identify one (caller falls back to
-    /// failing everything towards the peer).
-    fn nopeer_precise(&self, to: GridId, inner: &[u8]) -> bool {
-        let mut r = FrameReader::new(inner);
-        let Ok(op) = r.u8() else { return false };
-        match op {
+    /// Fail exactly what the echoed envelope, ours, belonged to. An
+    /// answer of ours that bounced leaves nobody waiting on our side.
+    fn nopeer_precise(&self, to: GridId, echo: Envelope) {
+        match echo {
             // An id nobody waits on any more is already resolved; there is
             // nothing else to fail.
-            inner_op::SVC_REQ => {
-                let Ok(req_id) = r.u64() else { return false };
-                let gone = || Err(no_peer(to));
-                self.inner.pending.fail(|id, _| id == req_id, gone);
-                true
+            Envelope::SvcReq { id, .. } => {
+                self.inner.pending.fail(|i, _| i == id, || Err(no_peer(to)))
             }
-            inner_op::OPEN => {
-                let Ok(sid) = r.u64() else { return false };
+            Envelope::Open { sid, .. } => {
                 let gone = || Err(no_peer(to).to_string());
-                self.inner.open_waits.fail(|id, _| id == sid, gone);
-                true
+                self.inner.open_waits.fail(|i, _| i == sid, gone);
             }
-            inner_op::DATA | inner_op::FIN | inner_op::SYNC => {
-                // The peer behind an open routed stream vanished: close the
-                // stream so readers see Eof (and a close barrier fails)
-                // instead of parking forever. The echo is our own frame, so
-                // its direction bit says whether we opened the stream.
-                let Ok(we_opened) = r.u8() else { return false };
-                let Ok(sid) = r.u64() else { return false };
-                let stream = self.inner.streams.lock().remove(&(to, sid, we_opened != 1));
+            // The peer behind an open routed stream vanished: close the
+            // stream so readers see Eof (and a close barrier fails) instead
+            // of parking forever. `dir` says whether we opened it.
+            Envelope::Data { dir, sid, .. }
+            | Envelope::Fin { dir, sid }
+            | Envelope::Sync { dir, sid, .. } => {
+                let stream = self.inner.streams.lock().remove(&(to, sid, !dir));
                 if let Some(s) = stream {
                     s.close_rx();
                 }
-                true
             }
-            // An answer of ours bounced: the requester is gone, nothing is
-            // waiting on our side.
-            inner_op::SVC_RSP | inner_op::OPEN_OK | inner_op::OPEN_ERR | inner_op::SYNC_OK => true,
-            _ => false,
+            Envelope::SvcRsp { .. } | Envelope::OpenOk { .. } | Envelope::OpenErr { .. } => {}
+            Envelope::SyncOk { .. } => {}
         }
     }
 
-    /// Fallback for a NOPEER whose echo is missing or does not parse: fail
+    /// Fallback for a NOPEER whose echo is missing or does not decode: fail
     /// every outstanding request towards `to`.
     fn nopeer_all(&self, to: GridId) {
         let towards = |_, peer| peer == to;
@@ -1131,127 +1039,97 @@ impl RelayClient {
         self.inner.open_waits.fail(towards, gone);
     }
 
-    fn dispatch_inner(&self, from: GridId, inner: Bytes) -> io::Result<()> {
-        let mut r = FrameReader::new(&inner);
-        let op = r.u8()?;
-        match op {
-            inner_op::SVC_REQ => {
-                let req_id = r.u64()?;
-                let payload = r.bytes()?.to_vec();
+    /// Act on an envelope from node `from`, decoded whole.
+    fn dispatch_inner(&self, from: GridId, env: Envelope) -> io::Result<()> {
+        let stream = |sid, dir| self.inner.streams.lock().get(&(from, sid, dir)).cloned();
+        let answer = match env {
+            Envelope::SvcReq { id, body } => {
                 let delegate = self.inner.delegate.lock().clone();
                 let me = self.clone();
                 self.inner.sched.spawn_daemon("svc-handler", move || {
-                    let rsp = match delegate {
-                        Some(d) => (1u8, d.on_service_request(from, &payload)),
-                        None => (0u8, b"no service handler".to_vec()),
-                    };
-                    let frame = FrameWriter::new().u8(inner_op::SVC_RSP).u64(req_id);
-                    let _ = me.send_inner(from, frame.u8(rsp.0).bytes(&rsp.1));
+                    let rsp = delegate.map(|d| d.on_service_request(from, &body));
+                    let reply = rsp.as_deref().ok_or_else(|| "no service handler".into());
+                    let _ = me.send_inner(from, Envelope::SvcRsp { id, reply });
                 });
-                Ok(())
+                return Ok(());
             }
-            inner_op::SVC_RSP => {
-                let req_id = r.u64()?;
-                let ok = r.u8()?;
-                let payload = r.bytes()?;
-                let answer = if ok == 1 {
-                    Ok(payload.to_vec())
-                } else {
-                    Err(io::Error::other(
-                        String::from_utf8_lossy(payload).into_owned(),
-                    ))
-                };
-                self.inner.pending.resolve(req_id, answer);
-                Ok(())
+            Envelope::SvcRsp { id, reply } => {
+                let answer = reply.map(|body| body.to_vec()).map_err(io::Error::other);
+                self.inner.pending.resolve(id, answer);
+                return Ok(());
             }
-            inner_op::OPEN => {
-                let sid = r.u64()?;
-                let port_name = r.str()?;
-                let channel = r.u64()?;
+            Envelope::Open { sid, port, channel } => {
                 let Some(d) = self.inner.delegate.lock().clone() else {
-                    return self.send_inner(from, open_err(sid, "no delegate"));
+                    let why = "no delegate".into();
+                    return self.send_inner(from, Envelope::OpenErr { sid, why });
                 };
                 let stream = RoutedStream::new(self.clone(), from, sid, false);
                 // Exactly one answer: the delegate admits or refuses here,
                 // and does what may block in a task of its own.
-                let answer = match d.on_open(from, &port_name, channel, stream.clone()) {
+                let answer = match d.on_open(from, &port, channel, stream.clone()) {
                     Ok(()) => {
                         self.inner.streams.lock().insert(stream.key(), stream);
-                        FrameWriter::new().u8(inner_op::OPEN_OK).u64(sid)
+                        Envelope::OpenOk { sid }
                     }
-                    Err(msg) => {
+                    Err(why) => {
                         // Never open: its last handle owes the peer no FIN.
                         stream.inner.fin_sent.store(true, Ordering::Relaxed);
-                        open_err(sid, &msg)
+                        Envelope::OpenErr { sid, why }
                     }
                 };
-                self.send_inner(from, answer)
+                return self.send_inner(from, answer);
             }
-            inner_op::OPEN_OK => {
-                let sid = r.u64()?;
+            Envelope::OpenOk { sid } => {
                 self.inner.open_waits.resolve(sid, Ok(()));
-                Ok(())
+                return Ok(());
             }
-            inner_op::OPEN_ERR => {
-                let sid = r.u64()?;
-                let msg = r.str()?;
-                if !self.inner.open_waits.resolve(sid, Err(msg)) {
+            Envelope::OpenErr { sid, why } => {
+                if !self.inner.open_waits.resolve(sid, Err(why)) {
                     // Error for an already-open stream: close it.
-                    let stream = self.inner.streams.lock().get(&(from, sid, false)).cloned();
-                    if let Some(s) = stream {
+                    if let Some(s) = stream(sid, false) {
                         s.close_rx();
                     }
                 }
-                Ok(())
+                return Ok(());
             }
-            inner_op::DATA | inner_op::SYNC | inner_op::SYNC_OK | inner_op::FIN => {
-                self.dispatch_stream(op, from, inner.slice(1..))
-            }
-            _ => Err(io::ErrorKind::InvalidData.into()),
-        }
-    }
-
-    /// The per-stream frames, all `{op, dir, sid, ..}`, here from `dir` on;
-    /// `dir` says whether the frame's sender is the end that opened the stream.
-    fn dispatch_stream(&self, op: u8, from: GridId, body: Bytes) -> io::Result<()> {
-        let mut r = FrameReader::new(&body);
-        let opened_by_sender = r.u8()? == 1;
-        let sid = r.u64()?;
-        let key = (from, sid, opened_by_sender);
-        let stream = match op {
-            inner_op::FIN => self.inner.streams.lock().remove(&key),
-            _ => self.inner.streams.lock().get(&key).cloned(),
-        };
-        let answer = |op| stream_frame(op, !opened_by_sender, sid);
-        let answer = match (op, stream) {
-            (inner_op::DATA, Some(s)) => {
+            // Per-stream envelopes: `dir` says whether their sender is the
+            // end that opened the stream.
+            Envelope::Data { dir, sid, payload } => match stream(sid, dir) {
                 // push blocks under backpressure, stalling the pump — and
                 // therefore the relay TCP connection. Crude but faithful to
                 // a single multiplexed relay link.
-                let _ = s.inner.rx.push(r.bytes_in(&body)?);
-                return Ok(());
-            }
+                Some(s) => {
+                    let _ = s.inner.rx.push(payload);
+                    return Ok(());
+                }
+                None => Envelope::Fin { dir: !dir, sid },
+            },
             // This pump dispatches in arrival order, so every chunk the peer
             // sent before its SYNC is in `rx` by now.
-            (inner_op::SYNC, Some(s)) if !s.is_closed() => answer(inner_op::SYNC_OK).u64(r.u64()?),
-            // A frame for a stream we no longer know: our state was reset
-            // (relay failover) while the peer kept writing through its own
-            // still-healthy relay. Answer FIN so its write side closes and
-            // its session layer recovers, instead of silently eating the
-            // bytes. FIN for an unknown stream is a no-op on the peer, so
-            // this cannot loop.
-            (inner_op::DATA | inner_op::SYNC, _) => answer(inner_op::FIN),
-            (inner_op::SYNC_OK, Some(s)) => {
-                s.synced(r.u64()?);
+            Envelope::Sync { dir, sid, n } => match stream(sid, dir) {
+                Some(s) if !s.is_closed() => Envelope::SyncOk { dir: !dir, sid, n },
+                _ => Envelope::Fin { dir: !dir, sid },
+            },
+            Envelope::SyncOk { dir, sid, n } => {
+                if let Some(s) = stream(sid, dir) {
+                    s.synced(n);
+                }
                 return Ok(());
             }
-            (inner_op::FIN, Some(s)) => {
-                s.inner.fin_received.store(true, Ordering::Relaxed);
-                s.close_rx();
+            Envelope::Fin { dir, sid } => {
+                let stream = self.inner.streams.lock().remove(&(from, sid, dir));
+                if let Some(s) = stream {
+                    s.inner.fin_received.store(true, Ordering::Relaxed);
+                    s.close_rx();
+                }
                 return Ok(());
             }
-            _ => return Ok(()),
         };
+        // DATA or SYNC for a stream we no longer know: our state was reset
+        // (relay failover) while the peer kept writing through its own
+        // still-healthy relay. Answer FIN so its write side closes and its
+        // session layer recovers, instead of silently eating the bytes. FIN
+        // for an unknown stream is a no-op on the peer, so this cannot loop.
         let _ = self.send_inner(from, answer);
         Ok(())
     }
@@ -1265,48 +1143,45 @@ impl LinkOwner for RelayClient {
     /// and say HELLO.
     fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
         let stream = self.inner.factory.connect(addr)?;
-        let hello = FrameWriter::new().u8(relay_op::HELLO).u64(self.inner.id);
-        hello.send(&mut stream.clone())?;
+        RelayMsg::Hello { id: self.inner.id }
+            .encode()
+            .send(&mut stream.clone())?;
         Ok(stream)
     }
 
     fn dispatch(&self, _gen: u64, frame: Bytes) -> io::Result<()> {
-        let mut r = FrameReader::new(&frame);
-        match r.u8()? {
-            relay_op::NOPEER => {
-                let to = r.u64()?;
-                // The relay echoes the undeliverable inner frame, letting us
-                // fail only the request it actually belonged to. Without the
-                // echo (or if it does not parse), fall back to failing every
-                // outstanding request towards that peer.
-                if !r.bytes().is_ok_and(|echo| self.nopeer_precise(to, echo)) {
-                    self.nopeer_all(to);
+        match RelayMsg::decode(&frame)? {
+            RelayMsg::Recv { from, inner } => match Envelope::decode(&inner) {
+                Ok(env) => return self.dispatch_inner(from, env),
+                // The sending peer's fault, not the relay's: the link stays.
+                Err(_) => {
+                    let bad = Metric("node", Some(self.inner.id), "bad_envelopes");
+                    self.inner.sched.metric_add(bad, 1);
                 }
-                Ok(())
-            }
-            relay_op::RECV => {
-                let from = r.u64()?;
-                self.dispatch_inner(from, r.bytes_in(&frame)?)
-            }
-            relay_op::BUSY => {
+            },
+            // The relay echoes the undeliverable envelope, letting us fail
+            // only what it belonged to. Without the echo (or if it does not
+            // decode), fail everything outstanding towards that peer.
+            RelayMsg::Nopeer { to, echo } => match echo.map(|e| Envelope::decode(&e)) {
+                Some(Ok(echo)) => self.nopeer_precise(to, echo),
+                _ => self.nopeer_all(to),
+            },
+            RelayMsg::Busy { peer } => {
                 // The relay says this recipient's queue is hot: gate
                 // further DATA towards it until the READY.
-                let peer = r.u64()?;
                 let throttles = Metric("node", Some(self.inner.id), "busy_throttles");
                 self.inner.sched.metric_add(throttles, 1);
                 self.inner.congested.lock().entry(peer).or_default();
-                Ok(())
             }
-            relay_op::READY => {
-                let peer = r.u64()?;
+            RelayMsg::Ready { peer } => {
                 let wakers = self.inner.congested.lock().remove(&peer);
                 for w in wakers.unwrap_or_default() {
                     w.wake();
                 }
-                Ok(())
             }
-            _ => Err(io::ErrorKind::InvalidData.into()),
+            _ => return Err(io::ErrorKind::InvalidData.into()),
         }
+        Ok(())
     }
 
     /// Relay connection gone: everything in flight fails `ConnectionReset`
@@ -1326,15 +1201,6 @@ impl LinkOwner for RelayClient {
             s.close_rx();
         }
     }
-}
-
-/// Head of a per-stream inner frame; `sender_opened` is its direction bit.
-fn stream_frame(op: u8, sender_opened: bool, sid: u64) -> FrameWriter {
-    FrameWriter::new().u8(op).u8(sender_opened as u8).u64(sid)
-}
-
-fn open_err(sid: u64, msg: &str) -> FrameWriter {
-    FrameWriter::new().u8(inner_op::OPEN_ERR).u64(sid).str(msg)
 }
 
 fn no_peer(to: GridId) -> io::Error {
@@ -1446,6 +1312,7 @@ impl RoutedStream {
     /// `Err` if the stream is, or gets, torn down before the answer.
     pub fn drain(&self) -> io::Result<()> {
         let s = &self.inner;
+        let (dir, sid) = (s.opener, s.sid);
         let n = {
             let mut st = s.sync.lock();
             st.sent += 1;
@@ -1464,8 +1331,8 @@ impl RoutedStream {
                 st.waker = Some(gridsim_net::ctx::waker());
             }
             if gridsim_net::ctx::now() >= resend_at {
-                let sync = stream_frame(inner_op::SYNC, s.opener, s.sid).u64(n);
-                s.client.send_inner(s.peer, sync)?;
+                s.client
+                    .send_inner(s.peer, Envelope::Sync { dir, sid, n })?;
                 resend_at = gridsim_net::ctx::now() + SYNC_RESEND;
                 let timer = gridsim_net::ctx::waker();
                 s.client
@@ -1490,7 +1357,10 @@ impl RoutedStream {
     /// failed afterwards. The opener's end closes as on an abort.
     pub(crate) fn refuse(&self, msg: &str) {
         let s = &self.inner;
-        let _ = s.client.send_inner(s.peer, open_err(s.sid, msg));
+        let why = msg.to_string();
+        let _ = s
+            .client
+            .send_inner(s.peer, Envelope::OpenErr { sid: s.sid, why });
     }
 
     /// The next received chunk, up to `cap` bytes of it, by ownership;
@@ -1541,7 +1411,7 @@ impl BlockWrite for RoutedStream {}
 
 impl Write for RoutedStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for chunk in buf.chunks(ROUTED_CHUNK) {
+        for payload in buf.chunks(ROUTED_CHUNK) {
             // An abortive teardown (relay loss, dead peer, reply-FIN from a
             // failed-over peer) must fail the writer — otherwise a zombie
             // stream keeps pumping DATA into the relay after a redial.
@@ -1551,8 +1421,9 @@ impl Write for RoutedStream {
             }
             self.inner.client.wait_ready(self.inner.peer);
             let s = &self.inner;
-            let frame = stream_frame(inner_op::DATA, s.opener, s.sid).bytes(chunk);
-            s.client.send_inner(s.peer, frame)?;
+            let (dir, sid) = (s.opener, s.sid);
+            s.client
+                .send_inner(s.peer, Envelope::Data { dir, sid, payload })?;
         }
         Ok(buf.len())
     }
@@ -1567,8 +1438,9 @@ impl RsInner {
         if self.fin_sent.swap(true, Ordering::Relaxed) {
             return Ok(());
         }
-        let fin = stream_frame(inner_op::FIN, self.opener, self.sid);
-        self.client.send_inner(self.peer, fin)
+        let (dir, sid) = (self.opener, self.sid);
+        self.client
+            .send_inner(self.peer, Envelope::Fin { dir, sid })
     }
 }
 

@@ -10,6 +10,7 @@
 //! methods the decision tree picks — the request may even travel a spliced
 //! link while the response comes back through a proxy.
 
+use bytes::Bytes;
 use gridsim_net::SimMutex;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -20,6 +21,7 @@ use crate::drivers::StackSpec;
 use crate::link::Pending;
 use crate::node::GridNode;
 use crate::port::SendPort;
+use crate::wire::{Put, RpcReply, RpcRequest, Wire};
 
 /// A request handler: bytes in, bytes out.
 pub type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
@@ -36,35 +38,27 @@ pub fn serve(node: &GridNode, service_name: &str, handler: Handler) -> io::Resul
     let replies: Arc<Mutex<ReplyPorts>> = Arc::new(Mutex::new(HashMap::new()));
     let sched = node.host().net().sched().clone();
     let sched2 = sched.clone();
-    // `loop + let-else` reads better than while-let here: three fallible
-    // bindings with distinct control flow.
-    #[allow(clippy::while_let_loop)]
-    sched.spawn_daemon(format!("rpc-serve-{service}"), move || loop {
-        let Ok(mut m) = rp.receive() else { break };
-        let Ok(reply_to) = m.read_str() else { continue };
-        let Ok(req_id) = m.read_u64() else { continue };
-        let payload = m.remaining().to_vec();
-        let handler = Arc::clone(&handler);
-        let node = node.clone();
-        let replies = Arc::clone(&replies);
-        sched2.spawn_daemon("rpc-handler", move || {
-            let response = handler(&payload);
-            let back = {
-                let mut map = replies.lock();
-                Arc::clone(
-                    map.entry(reply_to.clone())
-                        .or_insert_with(|| Arc::new(SimMutex::new(node.create_send_port()))),
-                )
+    sched.spawn_daemon(format!("rpc-serve-{service}"), move || {
+        while let Ok(m) = rp.receive() {
+            let Ok(req) = RpcRequest::decode(&m.into_vec().into()) else {
+                continue;
             };
-            let mut port = back.lock();
-            if port.connection_count() == 0 && port.connect(&reply_to).is_err() {
-                return; // client gone
-            }
-            let mut msg = port.message();
-            msg.write_u64(req_id);
-            msg.write_bytes(&response);
-            let _ = msg.finish();
-        });
+            let handler = Arc::clone(&handler);
+            let node = node.clone();
+            let replies = Arc::clone(&replies);
+            sched2.spawn_daemon("rpc-handler", move || {
+                let (id, payload) = (req.id, handler(&req.payload).into());
+                let port = || Arc::new(SimMutex::new(node.create_send_port()));
+                let mut map = replies.lock();
+                let back = Arc::clone(map.entry(req.reply_to.clone()).or_insert_with(port));
+                drop(map);
+                let mut port = back.lock();
+                if port.connection_count() == 0 && port.connect(&req.reply_to).is_err() {
+                    return; // client gone
+                }
+                let _ = port.send(RpcReply { id, payload }.encode().payload());
+            });
+        }
     });
     Ok(())
 }
@@ -94,31 +88,27 @@ impl RpcClient {
             pending: Arc::new(Pending::new()),
         };
         let pending = Arc::clone(&client.pending);
-        #[allow(clippy::while_let_loop)]
-        node.host()
-            .net()
-            .sched()
-            .spawn_daemon(format!("rpc-client-{reply_name}"), move || loop {
-                let Ok(mut m) = reply_port.receive() else {
-                    break;
-                };
-                let Ok(id) = m.read_u64() else { continue };
-                pending.resolve(id, m.remaining().to_vec());
-            });
+        let sched = node.host().net().sched().clone();
+        sched.spawn_daemon(format!("rpc-client-{reply_name}"), move || {
+            while let Ok(m) = reply_port.receive() {
+                if let Ok(rsp) = RpcReply::decode(&m.into_vec().into()) {
+                    pending.resolve(rsp.id, rsp.payload.to_vec());
+                }
+            }
+        });
         Ok(client)
     }
 
     /// Perform one call, blocking (in simulated time) for the response.
     pub fn call(&self, payload: &[u8]) -> io::Result<Vec<u8>> {
         let id = self.pending.next_id();
-        let send = || {
-            let mut port = self.request_port.lock();
-            let mut m = port.message();
-            m.write_str(&self.reply_name);
-            m.write_u64(id);
-            m.write_bytes(payload);
-            m.finish().map(drop)
+        let reply_to = self.reply_name.to_string();
+        let req = RpcRequest {
+            reply_to,
+            id,
+            payload: Bytes::copy_from_slice(payload),
         };
+        let send = || self.request_port.lock().send(req.encode().payload());
         self.pending.post(id, 0, send)?;
         self.pending.wait(id, "rpc reply")
     }

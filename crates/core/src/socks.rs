@@ -5,18 +5,12 @@
 //! and a client-side dialer. No authentication method beyond "none" — site
 //! proxies of the paper's era gated access by network position.
 
-use gridsim_net::{Ip, SchedHandle, SockAddr};
+use gridsim_net::{SchedHandle, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
-const VER: u8 = 5;
-const METHOD_NONE: u8 = 0;
-const CMD_CONNECT: u8 = 1;
-const ATYP_V4: u8 = 1;
-
-const REP_OK: u8 = 0;
-const REP_FAIL: u8 = 1;
-const REP_REFUSED: u8 = 5;
+use crate::wire::{Choice, Greeting, SocksReply, SocksRequest};
+use crate::wire::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_REFUSED};
 
 /// Move bytes one way until EOF, then propagate the EOF: received chunks
 /// go into the other socket's send queue as they are, by refcount.
@@ -56,37 +50,27 @@ pub fn spawn_proxy(host: &SimHost, port: u16) -> io::Result<()> {
 
 fn serve_one(sched: &SchedHandle, host: &SimHost, client: TcpStream) -> io::Result<()> {
     let mut c = client.clone();
-    // Greeting.
-    let mut hdr = [0u8; 2];
-    c.read_exact(&mut hdr)?;
-    if hdr[0] != VER {
-        return Err(io::ErrorKind::InvalidData.into());
-    }
-    let mut methods = vec![0u8; hdr[1] as usize];
-    c.read_exact(&mut methods)?;
-    if !methods.contains(&METHOD_NONE) {
-        c.write_all(&[VER, 0xff])?;
+    let reply = |c: &mut TcpStream, rep| c.write_all(&SocksReply(rep).encode());
+    let Greeting(methods) = Greeting::read(&mut c)?;
+    let pick = methods.contains(&METHOD_NONE).then_some(METHOD_NONE);
+    c.write_all(&Choice(pick).encode())?;
+    if pick.is_none() {
         return Err(io::ErrorKind::PermissionDenied.into());
     }
-    c.write_all(&[VER, METHOD_NONE])?;
-    // Request.
-    let mut req = [0u8; 4];
-    c.read_exact(&mut req)?;
-    if req[0] != VER || req[3] != ATYP_V4 {
-        reply(&mut c, REP_FAIL)?;
-        return Err(io::ErrorKind::InvalidData.into());
-    }
-    if req[1] != CMD_CONNECT {
-        reply(&mut c, 7)?; // command not supported
+    let req = match SocksRequest::read(&mut c) {
+        // Not a request of this subset: another version or address type.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            reply(&mut c, REP_FAIL)?;
+            return Err(e);
+        }
+        req => req?,
+    };
+    if req.cmd != CMD_CONNECT {
+        reply(&mut c, REP_NO_CMD)?;
         return Err(io::ErrorKind::Unsupported.into());
     }
-    let mut addr = [0u8; 6];
-    c.read_exact(&mut addr)?;
-    let ip = Ip(u32::from_be_bytes([addr[0], addr[1], addr[2], addr[3]]));
-    let port = u16::from_be_bytes([addr[4], addr[5]]);
-    let target = SockAddr::new(ip, port);
     // Dial on behalf of the client.
-    match host.connect(target) {
+    match host.connect(req.target) {
         Ok(upstream) => {
             reply(&mut c, REP_OK)?;
             pump_one_way(sched, client.clone(), upstream.clone(), "c2s");
@@ -100,38 +84,21 @@ fn serve_one(sched: &SchedHandle, host: &SimHost, client: TcpStream) -> io::Resu
     }
 }
 
-fn reply(c: &mut TcpStream, rep: u8) -> io::Result<()> {
-    // BND.ADDR/PORT are not meaningful for CONNECT in this subset; zeros.
-    c.write_all(&[VER, rep, 0, ATYP_V4, 0, 0, 0, 0, 0, 0])
-}
-
 /// Connect to `target` through the SOCKS5 proxy at `proxy`. Returns the
 /// tunneled stream, usable exactly like a direct TCP connection (paper:
 /// "the link may then be used exactly like a direct TCP connection").
 pub fn socks_connect(host: &SimHost, proxy: SockAddr, target: SockAddr) -> io::Result<TcpStream> {
     let stream = host.connect(proxy)?;
     let mut s = stream.clone();
-    s.write_all(&[VER, 1, METHOD_NONE])?;
-    let mut resp = [0u8; 2];
-    s.read_exact(&mut resp)?;
-    if resp != [VER, METHOD_NONE] {
-        return Err(io::Error::new(
-            io::ErrorKind::PermissionDenied,
-            "socks: method rejected",
-        ));
-    }
-    let mut req = Vec::with_capacity(10);
-    req.extend_from_slice(&[VER, CMD_CONNECT, 0, ATYP_V4]);
-    req.extend_from_slice(&target.ip.0.to_be_bytes());
-    req.extend_from_slice(&target.port.to_be_bytes());
-    s.write_all(&req)?;
-    let mut rep = [0u8; 10];
-    s.read_exact(&mut rep)?;
-    if rep[1] != REP_OK {
-        return Err(io::Error::new(
-            io::ErrorKind::ConnectionRefused,
-            format!("socks: connect failed (rep={})", rep[1]),
-        ));
-    }
-    Ok(stream)
+    s.write_all(&Greeting(vec![METHOD_NONE]).encode())?;
+    let rejected = || io::Error::new(io::ErrorKind::PermissionDenied, "socks: method rejected");
+    let Choice(Some(METHOD_NONE)) = Choice::read(&mut s)? else {
+        return Err(rejected());
+    };
+    let cmd = CMD_CONNECT;
+    s.write_all(&SocksRequest { cmd, target }.encode())?;
+    let SocksReply(rep) = SocksReply::read(&mut s)?;
+    let why = move || format!("socks: connect failed (rep={rep})");
+    let failed = || io::Error::new(io::ErrorKind::ConnectionRefused, why());
+    (rep == REP_OK).then_some(stream).ok_or_else(failed)
 }

@@ -2,9 +2,10 @@
 //! establishment method (exactly-once FIFO recovery), relay crash handling,
 //! and relay registry regressions (stale unregister, innocent senders).
 
+use bytes::Bytes;
 use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
-use netgrid::wire::{read_frame, FrameReader, FrameWriter};
+use netgrid::wire::{read_frame, Put, RelayMsg, Reply, SvcMsg, Wire};
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, spawn_relay_mesh, ConnectivityProfile,
     EstablishMethod, GridNode, NsClient, RelayClient, RelayConfig, RelayDelegate, StackSpec,
@@ -262,11 +263,16 @@ fn flap_recovers_routed() {
 
 // ------------------------------------------------------- relay regressions
 
-// Relay protocol opcodes (mirrors the private `relay_op` module; the raw
-// tests below speak the wire protocol directly).
-const OP_HELLO: u8 = 1;
-const OP_SEND: u8 = 2;
-const OP_RECV: u8 = 3;
+/// Say `msg` on a raw relay connection: the tests below speak the relay's
+/// protocol directly.
+fn say(s: &gridsim_tcp::TcpStream, msg: RelayMsg) {
+    msg.encode().send(&mut s.clone()).unwrap();
+}
+
+/// The next frame on a raw relay connection.
+fn heard(s: &gridsim_tcp::TcpStream) -> std::io::Result<RelayMsg> {
+    RelayMsg::decode(&read_frame(&mut s.clone())?.into())
+}
 
 /// A reconnecting client must not be unregistered by its stale predecessor:
 /// when the old serve loop finally exits, the registry entry now belongs to
@@ -284,13 +290,7 @@ fn relay_stale_connection_does_not_unregister_successor() {
     );
     let relay_addr = _env.relay_addr.unwrap();
     let done = sim.spawn("scenario", move || {
-        let hello = |s: &gridsim_tcp::TcpStream, id: u64| {
-            FrameWriter::new()
-                .u8(OP_HELLO)
-                .u64(id)
-                .send(&mut s.clone())
-                .unwrap();
-        };
+        let hello = |s: &gridsim_tcp::TcpStream, id: u64| say(s, RelayMsg::Hello { id });
         let c1 = ha.connect(relay_addr).unwrap();
         hello(&c1, 7);
         gridsim_net::ctx::sleep(Duration::from_millis(50));
@@ -304,17 +304,16 @@ fn relay_stale_connection_does_not_unregister_successor() {
         gridsim_net::ctx::sleep(Duration::from_millis(200));
         let c3 = ha.connect(relay_addr).unwrap();
         hello(&c3, 9);
-        FrameWriter::new()
-            .u8(OP_SEND)
-            .u64(7)
-            .bytes(b"ping")
-            .send(&mut c3.clone())
-            .unwrap();
-        let frame = read_frame(&mut c2.clone()).unwrap();
-        let mut r = FrameReader::new(&frame);
-        assert_eq!(r.u8().unwrap(), OP_RECV, "expected delivery, got NOPEER");
-        assert_eq!(r.u64().unwrap(), 9);
-        assert_eq!(r.bytes().unwrap(), b"ping");
+        let inner = Bytes::from_static(b"ping");
+        say(
+            &c3,
+            RelayMsg::Send {
+                to: 7,
+                inner: inner.clone(),
+            },
+        );
+        let delivered = RelayMsg::Recv { from: 9, inner };
+        assert_eq!(heard(&c2).unwrap(), delivered, "expected delivery");
     });
     sim.run();
     assert!(done.is_finished(), "raw relay scenario wedged");
@@ -370,20 +369,14 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
     let flag = stale_got.clone();
     let sched = net.sched().clone();
     let done = sim.spawn("churn", move || {
-        let hello = |s: &gridsim_tcp::TcpStream, id: u64| {
-            FrameWriter::new()
-                .u8(OP_HELLO)
-                .u64(id)
-                .send(&mut s.clone())
-                .unwrap();
-        };
+        let hello = |s: &gridsim_tcp::TcpStream, id: u64| say(s, RelayMsg::Hello { id });
         // Any frame arriving on a superseded connection is a correctness
         // bug; park a reader on each one we leave behind.
         let watch_stale = |s: gridsim_tcp::TcpStream, tag: usize| {
             let flag = flag.clone();
             sched.spawn_daemon(format!("stale-{tag}"), move || {
-                while let Ok(frame) = read_frame(&mut s.clone()) {
-                    if frame.first() == Some(&OP_RECV) {
+                while let Ok(msg) = heard(&s) {
+                    if let RelayMsg::Recv { .. } = msg {
                         eprintln!("stale registration #{tag} got a delivery");
                         flag.store(true, Ordering::SeqCst);
                     }
@@ -411,17 +404,16 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
         gridsim_net::ctx::sleep(Duration::from_millis(200));
         let cs = ha.connect(r1).unwrap();
         hello(&cs, 9);
-        FrameWriter::new()
-            .u8(OP_SEND)
-            .u64(7)
-            .bytes(b"fresh")
-            .send(&mut cs.clone())
-            .unwrap();
-        let frame = read_frame(&mut cur.clone()).unwrap();
-        let mut r = FrameReader::new(&frame);
-        assert_eq!(r.u8().unwrap(), OP_RECV, "expected delivery, got NOPEER");
-        assert_eq!(r.u64().unwrap(), 9);
-        assert_eq!(r.bytes().unwrap(), b"fresh");
+        let inner = Bytes::from_static(b"fresh");
+        say(
+            &cs,
+            RelayMsg::Send {
+                to: 7,
+                inner: inner.clone(),
+            },
+        );
+        let delivered = RelayMsg::Recv { from: 9, inner };
+        assert_eq!(heard(&cur).unwrap(), delivered, "expected delivery");
         // Give any mis-routed duplicate time to surface before judging.
         gridsim_net::ctx::sleep(Duration::from_millis(300));
     });
@@ -491,11 +483,7 @@ fn relay_dead_peer_fails_precisely_and_spares_sender() {
     let hb2 = hb.clone();
     sched.spawn_daemon("silent-b", move || {
         let cb = hb2.connect(relay_addr).unwrap();
-        FrameWriter::new()
-            .u8(OP_HELLO)
-            .u64(7)
-            .send(&mut cb.clone())
-            .unwrap();
+        say(&cb, RelayMsg::Hello { id: 7 });
         loop {
             gridsim_net::ctx::park("hold relay conn");
         }
@@ -1158,14 +1146,17 @@ fn unanswered_splice_request_releases_the_nat_gate() {
     sim.spawn("initiator", move || {
         let to = responder_id.pop().unwrap();
         let rc = RelayClient::connect(&ha, relay_addr, None, 9_999).unwrap();
-        let req = FrameWriter::new()
-            .u8(SPLICE_REQ)
-            .u64(9_999 << 24 | 1)
-            .str("splice-port")
-            .u64(1)
-            .into_bytes();
-        let rsp = rc.service_request(to, &req).unwrap();
-        assert_eq!(rsp[0], 1, "the responder predicts its endpoint");
+        let req = SvcMsg::SpliceReq {
+            channel: 9_999 << 24 | 1,
+            port: "splice-port".into(),
+            streams: 1,
+        };
+        let rsp = rc.service_request(to, &req.encode().into_bytes()).unwrap();
+        assert_eq!(
+            refusal::<Vec<SockAddr>>(rsp),
+            None,
+            "the responder predicts its endpoint"
+        );
         asked.push(()).unwrap();
     });
     sim.run();
@@ -1184,15 +1175,10 @@ fn unanswered_splice_request_releases_the_nat_gate() {
     );
 }
 
-const SPLICE_REQ: u8 = 1;
-const SPLICE_GO: u8 = 2;
-const CACK: u8 = 4;
-
-/// The reason a node's service reply gives for refusing; `None` if it
-/// accepted.
-fn refusal(rsp: &[u8]) -> Option<String> {
-    let mut r = FrameReader::new(rsp);
-    (r.u8().unwrap() == 0).then(|| r.str().unwrap())
+/// The reason a node's service reply, its body a `T`, gives for refusing;
+/// `None` if it accepted.
+fn refusal<T: Wire>(rsp: Vec<u8>) -> Option<String> {
+    Reply::<T>::decode(&rsp.into()).unwrap().err()
 }
 
 /// A firewalled splice responder with a one-stream port `one`, kept alive
@@ -1229,9 +1215,13 @@ fn ask_splice_responder(seed: u64, ask: impl FnOnce(u64, SockAddr, SimHost) + Se
 fn a_splice_request_for_more_streams_than_the_port_has_is_refused() {
     ask_splice_responder(seed(70), |to, relay, host| {
         let rc = RelayClient::connect(&host, relay, None, 9_998).unwrap();
-        let req = FrameWriter::new().u8(SPLICE_REQ).u64(9_998 << 24 | 1);
-        let req = req.str("one").u64(2).into_bytes();
-        let why = refusal(&rc.service_request(to, &req).unwrap());
+        let req = SvcMsg::SpliceReq {
+            channel: 9_998 << 24 | 1,
+            port: "one".into(),
+            streams: 2,
+        };
+        let rsp = rc.service_request(to, &req.encode().into_bytes());
+        let why = refusal::<Vec<SockAddr>>(rsp.unwrap());
         assert!(
             why.as_ref().is_some_and(|w| w.contains("stream count")),
             "{why:?}"
@@ -1246,13 +1236,28 @@ fn a_splice_go_from_anyone_but_the_initiator_is_refused() {
     ask_splice_responder(seed(71), |to, relay, host| {
         let channel = 9_996 << 24 | 1;
         let first = RelayClient::connect(&host, relay, None, 9_996).unwrap();
-        let req = FrameWriter::new().u8(SPLICE_REQ).u64(channel).str("one");
-        let rsp = first.service_request(to, &req.u64(1).into_bytes()).unwrap();
-        assert_eq!(refusal(&rsp), None, "the initiator's own REQ");
+        let port = "one".into();
+        let req = SvcMsg::SpliceReq {
+            channel,
+            port,
+            streams: 1,
+        };
+        let rsp = first
+            .service_request(to, &req.encode().into_bytes())
+            .unwrap();
+        assert_eq!(
+            refusal::<Vec<SockAddr>>(rsp),
+            None,
+            "the initiator's own REQ"
+        );
         let second = RelayClient::connect(&host, relay, None, 9_995).unwrap();
-        let go = FrameWriter::new().u8(SPLICE_GO).u64(channel).u64(1);
-        let go = go.addr(SockAddr::new(host.ip(), 31_000)).into_bytes();
-        let why = refusal(&second.service_request(to, &go).unwrap());
+        let endpoints = vec![SockAddr::new(host.ip(), 31_000)];
+        let go = SvcMsg::SpliceGo { channel, endpoints };
+        let why = refusal::<()>(
+            second
+                .service_request(to, &go.encode().into_bytes())
+                .unwrap(),
+        );
         assert!(
             why.as_ref().is_some_and(|w| w.contains("sender's channel")),
             "{why:?}"
@@ -1294,12 +1299,13 @@ fn a_cack_from_anyone_but_the_receiver_prunes_nothing() {
         }
         let before = sp.resend_stats()[0];
         let third = RelayClient::connect(&ha, relay_addr, None, 9_997).unwrap();
-        let cack = FrameWriter::new()
-            .u8(CACK)
-            .u64(sp.connections()[0].2)
-            .u64(4);
+        let channel = sp.connections()[0].2;
+        let cack = SvcMsg::Cack {
+            channel,
+            delivered: 4,
+        };
         third
-            .service_request(node.id(), &cack.into_bytes())
+            .service_request(node.id(), &cack.encode().into_bytes())
             .unwrap();
         // Pruning happens as the next message is retained.
         sp.send(&[0x5a; 64]).unwrap();

@@ -1,26 +1,93 @@
 //! Property-based tests of the netgrid wire formats and driver stacks.
 
+use bytes::Bytes;
+use gridsim_net::{Ip, SockAddr};
 use netgrid::drivers::BlockReader;
-use netgrid::nameservice::{NodeRecord, PortRecord};
-use netgrid::wire::{
-    read_frame, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, ResumeMeta, ResumeReply,
-    MAX_MESSAGE,
-};
+use netgrid::wire::{read_frame, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck};
+use netgrid::wire::{Choice, Greeting, SocksReply, SocksRequest};
+use netgrid::wire::{Envelope, NodeRecord, NsRequest, PortRecord, RelayMsg, Reply, SvcMsg};
+use netgrid::wire::{Put, ResumeMeta, ResumeReply, RpcReply, RpcRequest, Wire, MAX_MESSAGE};
 use netgrid::{ConnectivityProfile, FirewallClass, NatClass, PathParams, StackSpec};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::io;
 
-/// One peer-facing encoding — a piece of the data-link protocol
-/// (`wire.rs`) or a name-service record — as bytes out and bytes in, so
+/// One peer-facing encoding — a data-link frame, a control-protocol
+/// message (`wire/`), a record or a reply — as bytes out and bytes in, so
 /// one harness drives every decoder.
 trait Codec: Sized + PartialEq + std::fmt::Debug {
-    /// May a strict prefix of an encoding decode? Only where the encoding
-    /// ends in an optional field.
-    const OPTIONAL_TAIL: bool = false;
+    /// May a strict prefix of this value's encoding decode? Only where the
+    /// encoding ends in an optional tail, or in a payload that runs to the
+    /// end of its message.
+    fn optional_tail(&self) -> bool {
+        false
+    }
     fn enc(&self) -> Vec<u8>;
     fn dec(bytes: &[u8]) -> io::Result<Self>;
 }
+
+/// [`Codec`] for types with a [`Wire`] form, each with the values whose
+/// prefixes may decode.
+macro_rules! wire_codec {
+    ($($t:ty $(=> |$x:ident| $tail:expr)?),* $(,)?) => {$(
+        impl Codec for $t {
+            $(fn optional_tail(&self) -> bool {
+                let $x = self;
+                $tail
+            })?
+            fn enc(&self) -> Vec<u8> {
+                self.encode().into_bytes()
+            }
+            fn dec(bytes: &[u8]) -> io::Result<Self> {
+                <$t>::decode(&Bytes::copy_from_slice(bytes))
+            }
+        }
+    )*};
+}
+
+wire_codec!(
+    Preamble,
+    ReconfigAck,
+    PortRecord,
+    ConnectivityProfile,
+    SvcMsg,
+    Envelope,
+    Reply<u64>,
+    Reply<()>,
+    Reply<bool>,
+    Reply<SockAddr>,
+    Reply<Vec<String>>,
+    Reply<Vec<SockAddr>>,
+    Reply<(PortRecord, ConnectivityProfile)>,
+    // A record cut before its relay list is one without.
+    NodeRecord => |n| !n.relays.is_empty(),
+    Reply<NodeRecord> => |r| r.as_ref().is_ok_and(|n| !n.relays.is_empty()),
+    NsRequest => |q| matches!(q, NsRequest::Register { node } if !node.relays.is_empty()),
+    // A NOPEER may leave its echo out.
+    RelayMsg => |m| matches!(m, RelayMsg::Nopeer { echo: Some(_), .. }),
+    // The payload is the rest of the message.
+    RpcRequest => |r| !r.payload.is_empty(),
+    RpcReply => |r| !r.payload.is_empty(),
+);
+
+/// [`Codec`] for SOCKS's messages, read off a stream: bytes behind the
+/// message are the next one's, so here they are refused.
+macro_rules! socks_codec {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn enc(&self) -> Vec<u8> {
+                self.encode().to_vec()
+            }
+            fn dec(mut bytes: &[u8]) -> io::Result<Self> {
+                let v = <$t>::read(&mut bytes)?;
+                let trailing = io::Error::new(io::ErrorKind::InvalidData, "trailing bytes");
+                bytes.is_empty().then_some(v).ok_or(trailing)
+            }
+        }
+    )*};
+}
+
+socks_codec!(Greeting, Choice, SocksRequest, SocksReply);
 
 /// Decoding `bytes` ends in a value or a typed error. (That it does not
 /// panic, and reserves nothing for a count it has not checked, is the
@@ -52,7 +119,7 @@ fn holds<T: Codec>(x: &T, flip: (usize, u8), garbage: &[u8]) -> Result<(), TestC
     for cut in 0..bytes.len() {
         let short = total::<T>(&bytes[..cut])?;
         prop_assert!(
-            short.is_none() || T::OPTIONAL_TAIL,
+            short.is_none() || x.optional_tail(),
             "{cut} of {} bytes of {x:?} decode to {short:?}",
             bytes.len()
         );
@@ -66,15 +133,6 @@ fn holds<T: Codec>(x: &T, flip: (usize, u8), garbage: &[u8]) -> Result<(), TestC
     Ok(())
 }
 
-impl Codec for Preamble {
-    fn enc(&self) -> Vec<u8> {
-        self.frame().into_bytes()
-    }
-    fn dec(bytes: &[u8]) -> io::Result<Self> {
-        Preamble::decode(bytes)
-    }
-}
-
 /// A resume reply is uncounted: both ends know how many channels the
 /// preamble listed. Here, always four.
 impl Codec for ResumeReply {
@@ -83,15 +141,6 @@ impl Codec for ResumeReply {
     }
     fn dec(bytes: &[u8]) -> io::Result<Self> {
         ResumeReply::decode(bytes, 4)
-    }
-}
-
-impl Codec for ReconfigAck {
-    fn enc(&self) -> Vec<u8> {
-        self.frame().into_bytes()
-    }
-    fn dec(bytes: &[u8]) -> io::Result<Self> {
-        ReconfigAck::decode(bytes)
     }
 }
 
@@ -119,27 +168,6 @@ impl Codec for Frame {
     }
     fn dec(bytes: &[u8]) -> io::Result<Self> {
         Frame::read(&mut BlockReader::new(bytes, 1))
-    }
-}
-
-impl Codec for PortRecord {
-    fn enc(&self) -> Vec<u8> {
-        self.put(&self.name, FrameWriter::new()).into_bytes()
-    }
-    fn dec(bytes: &[u8]) -> io::Result<Self> {
-        PortRecord::get(&mut FrameReader::new(bytes))
-    }
-}
-
-/// The id is the asker's (a lookup) or the registry's to assign; here 7.
-impl Codec for NodeRecord {
-    /// A record cut before its relay list is one without.
-    const OPTIONAL_TAIL: bool = true;
-    fn enc(&self) -> Vec<u8> {
-        NodeRecord::put(FrameWriter::new(), &self.name, &self.profile, &self.relays).into_bytes()
-    }
-    fn dec(bytes: &[u8]) -> io::Result<Self> {
-        NodeRecord::get(7, &mut FrameReader::new(bytes))
     }
 }
 
@@ -189,7 +217,6 @@ proptest! {
             .u64(b)
             .str(&s)
             .bytes(&raw)
-            .addr(addr)
             .opt_addr(Some(addr))
             .opt_addr(None)
             .send(&mut wire)
@@ -200,7 +227,6 @@ proptest! {
         prop_assert_eq!(r.u64().unwrap(), b);
         prop_assert_eq!(r.str().unwrap(), s);
         prop_assert_eq!(r.bytes().unwrap(), &raw[..]);
-        prop_assert_eq!(r.addr().unwrap(), addr);
         prop_assert_eq!(r.opt_addr().unwrap(), Some(addr));
         prop_assert_eq!(r.opt_addr().unwrap(), None);
         prop_assert!(r.is_empty());
@@ -213,7 +239,6 @@ proptest! {
         let _ = r.u8();
         let _ = r.u64();
         let _ = r.str();
-        let _ = r.addr();
         let _ = r.opt_addr();
     }
 
@@ -241,18 +266,17 @@ proptest! {
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
-    /// Profile encoding round-trips (all field combinations).
+    /// Profile encoding holds (all field combinations).
     #[test]
     fn profile_roundtrip(
         fw in 0u8..3,
         nat in 0u8..4,
         private in any::<bool>(),
         proxy in proptest::option::of((any::<u32>(), any::<u16>())),
+        flip in (any::<usize>(), any::<u8>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
     ) {
-        let p = profile_of(fw, nat, private, proxy);
-        let bytes = p.encode(FrameWriter::new()).into_bytes();
-        let mut r = FrameReader::new(&bytes);
-        prop_assert_eq!(ConnectivityProfile::decode(&mut r).unwrap(), p);
+        holds(&profile_of(fw, nat, private, proxy), flip, &garbage)?;
     }
 
     /// The decision tree always returns at least one method, and routed
@@ -297,7 +321,8 @@ proptest! {
         };
         holds(&pre, flip, &garbage)?;
         let routed = Preamble { idx: 0, total: 1, ..pre };
-        let first_frame = || Ok(routed.resume_frame().expect("asked for only then").into_bytes());
+        let meta = routed.resume.as_ref();
+        let first_frame = || Ok(meta.expect("asked for only then").encode().into_bytes());
         let back = Preamble::decode_routed(routed.routed_channel(), first_frame).unwrap();
         prop_assert_eq!(back, routed);
     }
@@ -354,12 +379,182 @@ proptest! {
         holds(&PortRecord { owner, name, listener, stack: stack.clone() }, flip, &stack)?;
         let (name, fw, nat, private) = node;
         let record = NodeRecord {
-            id: 7,
             name,
             profile: profile_of(fw, nat, private, None),
             relays: relays.into_iter().map(addr).collect(),
         };
         holds(&record, flip, &stack)?;
+    }
+
+    /// The name service's requests, and a reply of each body type a
+    /// request names, refusals included.
+    #[test]
+    fn ns_request_and_reply_codecs_hold(
+        text in "\\PC{0,24}",
+        id in any::<u64>(),
+        target in (any::<u32>(), any::<u16>()),
+        names in proptest::collection::vec("\\PC{0,8}", 0..4),
+        relays in proptest::collection::vec((any::<u32>(), any::<u16>()), 0..3),
+        flip in (any::<usize>(), any::<u8>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let addr = |(ip, port)| SockAddr::new(Ip(ip), port);
+        let target = addr(target);
+        let node = NodeRecord {
+            name: text.clone(),
+            profile: ConnectivityProfile::open(),
+            relays: relays.into_iter().map(addr).collect(),
+        };
+        let listener = Some(target);
+        let port = PortRecord { owner: id, name: text.clone(), listener, stack: vec![1] };
+        for req in [
+            NsRequest::Register { node: node.clone() },
+            NsRequest::RegisterPort { port: port.clone() },
+            NsRequest::LookupPort { name: text.clone() },
+            NsRequest::LookupNode { id },
+            NsRequest::Observed,
+            NsRequest::ListPorts,
+            NsRequest::UnregisterPort { name: text.clone() },
+            NsRequest::ConnectBack { target },
+        ] {
+            holds(&req, flip, &garbage)?;
+        }
+        holds(&Reply::Ok(id), flip, &garbage)?;
+        holds(&Reply::Ok(()), flip, &garbage)?;
+        holds(&Reply::<()>::Err(text.clone()), flip, &garbage)?;
+        holds(&Reply::Ok(id % 2 == 0), flip, &garbage)?;
+        holds(&Reply::Ok(target), flip, &garbage)?;
+        holds(&Reply::Ok(names), flip, &garbage)?;
+        holds(&Reply::Ok((port, ConnectivityProfile::firewalled())), flip, &garbage)?;
+        holds(&Reply::<(PortRecord, ConnectivityProfile)>::Err(text.clone()), flip, &garbage)?;
+        holds(&Reply::Ok(node), flip, &garbage)?;
+        holds(&Reply::<NodeRecord>::Err(text.clone()), flip, &garbage)?;
+        holds(&Reply::<Vec<String>>::Err(text), flip, &garbage)?;
+    }
+
+    /// What a relay connection carries, and the envelopes inside it.
+    #[test]
+    fn relay_codecs_hold(
+        ids in (any::<u64>(), any::<u64>(), any::<u64>()),
+        dir in any::<bool>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        text in "\\PC{0,24}",
+        flip in (any::<usize>(), any::<u8>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let ((a, b, c), inner) = (ids, Bytes::from(payload));
+        for msg in [
+            RelayMsg::Hello { id: a },
+            RelayMsg::Send { to: a, inner: inner.clone() },
+            RelayMsg::Recv { from: a, inner: inner.clone() },
+            RelayMsg::Nopeer { to: a, echo: None },
+            RelayMsg::Nopeer { to: a, echo: Some(inner.clone()) },
+            RelayMsg::Busy { peer: a },
+            RelayMsg::Ready { peer: a },
+            RelayMsg::PeerHello { mesh_id: a },
+            RelayMsg::RouteAdd { node: a, epoch: b },
+            RelayMsg::RouteDel { node: a, epoch: b },
+            RelayMsg::RouteQuery { node: a },
+            RelayMsg::RouteRsp { node: a, found: dir, epoch: b },
+            RelayMsg::Fwd { from: a, to: b, inner: inner.clone() },
+            RelayMsg::FwdFail { from: a, to: b, inner: inner.clone() },
+        ] {
+            holds(&msg, flip, &garbage)?;
+        }
+        for env in [
+            Envelope::SvcReq { id: a, body: inner.clone() },
+            Envelope::SvcRsp { id: a, reply: Ok(inner.clone()) },
+            Envelope::SvcRsp { id: a, reply: Err(text.clone()) },
+            Envelope::Open { sid: a, port: text.clone(), channel: b },
+            Envelope::OpenOk { sid: a },
+            Envelope::OpenErr { sid: a, why: text.clone() },
+            Envelope::Data { dir, sid: a, payload: inner.clone() },
+            Envelope::Fin { dir, sid: a },
+            Envelope::Sync { dir, sid: a, n: c },
+            Envelope::SyncOk { dir, sid: a, n: c },
+        ] {
+            holds(&env, flip, &garbage)?;
+        }
+    }
+
+    /// The node's service messages and their replies.
+    #[test]
+    fn service_codecs_hold(
+        ids in (any::<u64>(), any::<u64>()),
+        text in "\\PC{0,24}",
+        endpoints in proptest::collection::vec((any::<u32>(), any::<u16>()), 0..4),
+        flip in (any::<usize>(), any::<u8>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let (channel, n) = ids;
+        let addr = |(ip, port)| SockAddr::new(Ip(ip), port);
+        let endpoints: Vec<_> = endpoints.into_iter().map(addr).collect();
+        for msg in [
+            SvcMsg::SpliceReq { channel, port: text.clone(), streams: n },
+            SvcMsg::SpliceGo { channel, endpoints: endpoints.clone() },
+            SvcMsg::SpliceAbort { channel },
+            SvcMsg::Cack { channel, delivered: n },
+        ] {
+            holds(&msg, flip, &garbage)?;
+        }
+        holds(&Reply::Ok(endpoints), flip, &garbage)?;
+        holds(&Reply::<Vec<SockAddr>>::Err(text), flip, &garbage)?;
+    }
+
+    /// The request/reply layer's messages and SOCKS5's.
+    #[test]
+    fn rpc_and_socks_codecs_hold(
+        id in any::<u64>(),
+        reply_to in "\\PC{0,24}",
+        payload in proptest::collection::vec(any::<u8>(), 0..32),
+        methods in proptest::collection::vec(any::<u8>(), 0..8),
+        byte in any::<u8>(),
+        target in (any::<u32>(), any::<u16>()),
+        flip in (any::<usize>(), any::<u8>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let payload = Bytes::from(payload);
+        let request = RpcRequest { reply_to, id, payload: payload.clone() };
+        holds(&request, flip, &garbage)?;
+        holds(&RpcReply { id, payload }, flip, &garbage)?;
+        holds(&Greeting(methods), flip, &garbage)?;
+        holds(&Choice(Some(byte).filter(|&b| b != 0xff)), flip, &garbage)?;
+        let target = SockAddr::new(Ip(target.0), target.1);
+        holds(&SocksRequest { cmd: byte, target }, flip, &garbage)?;
+        holds(&SocksReply(byte), flip, &garbage)?;
+    }
+}
+
+/// A flag byte is 0 or 1: the bytes that once read "anything but 1 is
+/// false" — a route answer's `found`, a service reply's `ok`, a stream
+/// envelope's `dir` and a reply's flag — refuse a 2.
+#[test]
+fn flag_bytes_are_zero_or_one() {
+    let frame = |fields: &[u64]| {
+        let fw = fields.iter().fold(FrameWriter::new(), |fw, &f| fw.u64(f));
+        Bytes::from(fw.into_bytes())
+    };
+    fn refused<T>(r: io::Result<T>) -> bool {
+        r.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+    }
+    assert!(
+        refused(RelayMsg::decode(&frame(&[11, 7, 2, 9]))),
+        "ROUTE_RSP found"
+    );
+    assert!(
+        refused(<Envelope>::decode(&frame(&[2, 7, 2, 0]))),
+        "SVC_RSP ok"
+    );
+    assert!(refused(<Envelope>::decode(&frame(&[7, 2, 5]))), "FIN dir");
+    assert!(refused(Reply::<()>::decode(&frame(&[2]))), "reply flag");
+    for (flag, found) in [(0, false), (1, true)] {
+        let rsp = RelayMsg::decode(&frame(&[11, 7, flag, 9])).unwrap();
+        let want = RelayMsg::RouteRsp {
+            node: 7,
+            found,
+            epoch: 9,
+        };
+        assert_eq!(rsp, want);
     }
 }
 
@@ -409,9 +604,9 @@ fn wide_addresses_are_refused() {
     let invalid = io::ErrorKind::InvalidData;
     for ip in [1 << 32, (1 << 32) | 0x0a00_0001, u64::MAX] {
         let addr = FrameWriter::new().u64(ip).u64(80).into_bytes();
-        assert_eq!(FrameReader::new(&addr).addr().map_err(kind), Err(invalid));
-        let list = FrameWriter::new().u64(1).u64(ip).u64(80).into_bytes();
-        assert_eq!(FrameReader::new(&list).addrs().map_err(kind), Err(invalid));
+        assert_eq!(SockAddr::decode(&addr.into()).map_err(kind), Err(invalid));
+        let list = Bytes::from(FrameWriter::new().u64(1).u64(ip).u64(80).into_bytes());
+        assert_eq!(Vec::<SockAddr>::decode(&list).map_err(kind), Err(invalid));
         let record = FrameWriter::new().u64(7).str("port").u8(1).u64(ip).u64(80);
         let record = record.bytes(b"").into_bytes();
         assert_eq!(PortRecord::dec(&record).map_err(kind), Err(invalid));

@@ -140,7 +140,8 @@ fn pipelined_replies_reach_their_own_requests() {
 /// between every two of them, on the one connection it dialed.
 #[test]
 fn hostile_requests_end_their_own_connection_only() {
-    use netgrid::wire::{FrameStream, FrameWriter, MAX_FRAME};
+    use netgrid::nameservice::{NodeRecord, PortRecord};
+    use netgrid::wire::{FrameStream, FrameWriter, Put, MAX_FRAME};
     let sim = Sim::new(74);
     let (ha, hb, hs) = star(&sim);
     let ns_addr = SockAddr::new(hs.ip(), 563);
@@ -162,7 +163,7 @@ fn hostile_requests_end_their_own_connection_only() {
         });
 
         // Request frames: opcode, then body. Opcodes are the protocol's
-        // (`nameservice.rs`, `mod op`).
+        // (`NsRequest`'s table in `wire/ns.rs`).
         let frame = |op: u8, body: &[u8]| {
             let mut f = Vec::new();
             gridzip::varint::put(&mut f, 1 + body.len() as u64);
@@ -170,14 +171,19 @@ fn hostile_requests_end_their_own_connection_only() {
             f.extend_from_slice(body);
             f
         };
-        let node = FrameWriter::new().str("evil");
-        let node = ConnectivityProfile::open().encode(node).into_bytes();
-        let port = FrameWriter::new()
-            .u64(id)
-            .str("evil")
-            .opt_addr(None)
-            .bytes(b"");
-        let port = port.into_bytes();
+        let node = NodeRecord {
+            name: "evil".into(),
+            profile: ConnectivityProfile::open(),
+            relays: Vec::new(),
+        };
+        let node = node.encode().into_bytes();
+        let port = PortRecord {
+            owner: id,
+            name: "evil".into(),
+            listener: None,
+            stack: Vec::new(),
+        };
+        let port = port.encode().into_bytes();
         let bad_utf8 = FrameWriter::new().bytes(&[0xff, 0xfe]).into_bytes();
         let mut bad_tag = FrameWriter::new().u64(id).str("evil").into_bytes();
         bad_tag.push(7); // neither "no listener" (0) nor "listener" (1)
@@ -238,7 +244,7 @@ fn hostile_requests_end_their_own_connection_only() {
 #[test]
 fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
     use netgrid::nameservice::PortRecord;
-    use netgrid::wire::{FrameReader, FrameStream, FrameWriter};
+    use netgrid::wire::{FrameStream, NsRequest, Put, Reply, Wire};
     let sim = Sim::new(76);
     let (ha, _hb, hs) = star(&sim);
     let ns_addr = SockAddr::new(hs.ip(), 563);
@@ -247,12 +253,12 @@ fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
     let reply = |owner: u64| {
         let rec = PortRecord {
             owner,
-            name: String::new(),
+            name: "owner".into(),
             listener: None,
             stack: Vec::new(),
         };
-        let w = rec.put("owner", FrameWriter::new().u8(1));
-        let body = ConnectivityProfile::open().encode(w).into_bytes();
+        let body = Reply::Ok((rec, ConnectivityProfile::open())).encode();
+        let body = body.into_bytes();
         let mut f = Vec::new();
         gridzip::varint::put(&mut f, body.len() as u64);
         f.extend_from_slice(&body);
@@ -269,10 +275,10 @@ fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
             gridsim_net::ctx::handle().spawn_daemon("conn", move || {
                 let mut requests = FrameStream::new(conn.clone());
                 while let Ok(req) = requests.next_frame() {
-                    let mut r = FrameReader::new(&req);
-                    assert_eq!(r.u8().unwrap(), 3, "LOOKUP_PORT");
-                    let port = r.str().unwrap();
-                    let mut out = reply(port.trim_start_matches("port-").parse().unwrap());
+                    let Ok(NsRequest::LookupPort { name }) = NsRequest::decode(&req) else {
+                        panic!("not a LOOKUP_PORT");
+                    };
+                    let mut out = reply(name.trim_start_matches("port-").parse().unwrap());
                     if std::mem::take(&mut stray) {
                         out.extend(reply(999));
                     }
@@ -385,6 +391,69 @@ fn relay_service_requests_and_routed_streams() {
         });
         assert!(h1.join().iter().all(|&b| b == 1));
         assert!(h2.join().iter().all(|&b| b == 2));
+    });
+    sim.run();
+    assert!(done.is_finished());
+}
+
+/// An envelope that does not decode is its sender's fault, not the relay
+/// link's: the receiving client drops it whole — before any handler acts
+/// on a field of it — counts it as `bad_envelopes`, and keeps its link. A
+/// raw third-party client (id 66) sends node 2 one broken envelope per
+/// case while node 1 holds a routed echo stream to node 2. No case draws
+/// an answer within a second, each is counted once, and the stream still
+/// echoes after every one.
+#[test]
+fn a_malformed_envelope_is_dropped_before_any_handler_acts() {
+    use bytes::Bytes;
+    use gridsim_net::Metric;
+    use netgrid::wire::{FrameWriter, Put, RelayMsg};
+    let sim = Sim::new(77);
+    let (ha, hb, hs) = star(&sim);
+    let relay_addr = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    // Envelopes as varints, each broken on purpose. Stream 99 is unknown
+    // to node 2.
+    let env = |fields: &[u64]| {
+        let fw = fields.iter().fold(FrameWriter::new(), |fw, &f| fw.u64(f));
+        fw.into_bytes()
+    };
+    let cases = [
+        ("an unknown op", vec![0xee]),
+        ("a DATA cut after {dir, sid}", env(&[6, 1, 99])),
+        ("a SYNC without its n", env(&[8, 1, 99])),
+        ("an OPEN_OK with trailing bytes", env(&[4, 1, 0])),
+        ("an SVC_RSP whose ok byte is 2", env(&[2, 1, 2, 0])),
+    ];
+    let done = sim.spawn("driver", move || {
+        let ca = RelayClient::connect(&ha, relay_addr, None, 1).unwrap();
+        let cb = RelayClient::connect(&hb, relay_addr, None, 2).unwrap();
+        cb.set_delegate(Arc::new(EchoDelegate));
+        gridsim_net::ctx::sleep(Duration::from_millis(50));
+        let mut stream = ca.open_stream(2, "echo", 7).unwrap();
+        let raw = ha.connect(relay_addr).unwrap();
+        RelayMsg::Hello { id: 66 }
+            .encode()
+            .send(&mut raw.clone())
+            .unwrap();
+        let bad = || gridsim_net::ctx::handle().metric(Metric("node", Some(2), "bad_envelopes"));
+        for (i, (what, inner)) in cases.into_iter().enumerate() {
+            let before = bad();
+            let send = RelayMsg::Send {
+                to: 2,
+                inner: Bytes::from(inner),
+            };
+            send.encode().send(&mut raw.clone()).unwrap();
+            gridsim_net::ctx::sleep(Duration::from_secs(1));
+            assert!(!raw.readable(), "{what} was answered");
+            let echo = format!("echo {i}");
+            stream.write_all(echo.as_bytes()).unwrap();
+            let mut back = vec![0; echo.len()];
+            let echoed = stream.read_exact(&mut back).map(|()| back);
+            assert_eq!(echoed.ok(), Some(echo.into_bytes()), "after {what}");
+            assert_eq!(bad(), before + 1, "{what} was not counted once");
+        }
     });
     sim.run();
     assert!(done.is_finished());

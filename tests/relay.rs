@@ -195,8 +195,7 @@ fn ends_homed_at_different_relays_reach_each_other() {
 #[test]
 fn malformed_frames_end_their_own_connection_only() {
     use gridzip::varint;
-    use netgrid::wire::{FrameWriter, MAX_FRAME};
-    const OP_HELLO: u8 = 1;
+    use netgrid::wire::{Put, RelayMsg, MAX_FRAME};
 
     let sim = Sim::new(13);
     let (net, ns, relays, senders, receivers) = world(&sim, 1, 2);
@@ -239,8 +238,10 @@ fn malformed_frames_end_their_own_connection_only() {
         for (i, (what, bytes, hello, fatal)) in cases.into_iter().enumerate() {
             let s = hostile.connect(relay).unwrap();
             if hello {
-                let hello = FrameWriter::new().u8(OP_HELLO).u64(9000 + i as u64);
-                hello.send(&mut s.clone()).unwrap();
+                let hello = RelayMsg::Hello {
+                    id: 9000 + i as u64,
+                };
+                hello.encode().send(&mut s.clone()).unwrap();
             }
             s.write_all_blocking(&bytes).unwrap();
             if !fatal {
