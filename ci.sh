@@ -92,6 +92,15 @@ ensure_build() {
   cargo build --release --workspace
 }
 
+# The functions of Rust file $2 whose bodies match the regex $1, one name
+# per matching line, space-separated.
+fns_calling() {
+  awk -v pat="$1" '
+    match($0, /fn [A-Za-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    $0 ~ pat { printf "%s%s", sep, f; sep = " " }
+  ' "$2"
+}
+
 stage_fmt() {
   cargo fmt --check
 }
@@ -134,6 +143,21 @@ stage_clippy() {
   # event time (TcpStream::wait). No per-ACK waker lists beside it.
   if grep -rnE 'read_wakers|write_wakers|LegacyPark' crates/simtcp/src; then
     echo "a second socket wait path in simtcp (lines above); stage on the TCB instead"
+    return 1
+  fi
+  # ... and parks in one place: `TcpStream::wait` (poll, then park). An
+  # inline caller makes the poll alone and reports the would-block.
+  if [ "$(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)" != "wait" ]; then
+    echo "sock.rs parks outside TcpStream::wait: $(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)"
+    return 1
+  fi
+  # The receive pump is one step function with one host (DESIGN.md §6a):
+  # `Pump::host` alone starts it, and only its thread form parks.
+  if [ "$(fns_calling 'spawn_(daemon|inline)\(' crates/core/src/port.rs)" != "send host host" ] \
+    || [ "$(fns_calling 'ctx::park\(' crates/core/src/port.rs)" != "settle" ]; then
+    echo "port.rs starts or parks a pump outside Pump::host / Pump::settle:"
+    echo "  spawns in: $(fns_calling 'spawn_(daemon|inline)\(' crates/core/src/port.rs)"
+    echo "  parks in: $(fns_calling 'ctx::park\(' crates/core/src/port.rs)"
     return 1
   fi
   # Which timers a connection has and what each one does is the TCB's: the

@@ -24,6 +24,8 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
+use gridzip::varint;
+
 use crate::cpu::HostCpu;
 use crate::pool::{BlockBuf, BlockPool};
 
@@ -57,6 +59,30 @@ pub trait BlockRead: Read {
     /// Pull up to `max` bytes: a demand of one byte. `Ok(0)` means EOF.
     fn read_chunks(&mut self, max: usize, out: &mut Vec<Bytes>) -> io::Result<usize> {
         self.read_chunks_min(1, max, out)
+    }
+
+    /// Can this source be read without parking? `Some(reason)` when
+    /// [`poll_read_chunks_min`](Self::poll_read_chunks_min) works, with the
+    /// park reason its would-block stands for: the one `read_chunks_min`
+    /// would have parked under. A source that parks for other reasons (a
+    /// CPU charge, a stripe's reader tasks) is not pollable.
+    fn pollable(&self) -> Option<&'static str> {
+        None
+    }
+
+    /// [`read_chunks_min`](Self::read_chunks_min) for a caller that must
+    /// not park: the same calls on the source below, but where that would
+    /// park, `Err(WouldBlock)` with the calling task's waker registered.
+    /// Chunks appended to `out` before it are the caller's, and the demand
+    /// still unmet is smaller by their length, so asking again for the
+    /// rest makes the calls the blocking form would have made.
+    fn poll_read_chunks_min(
+        &mut self,
+        _min: usize,
+        _max: usize,
+        _out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 
@@ -115,6 +141,19 @@ impl BlockRead for Box<dyn BlockRead + Send> {
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
         (**self).read_chunks_min(min, max, out)
+    }
+
+    fn pollable(&self) -> Option<&'static str> {
+        (**self).pollable()
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        (**self).poll_read_chunks_min(min, max, out)
     }
 }
 
@@ -288,6 +327,12 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 /// so socket drain sizes (and hence window-update acks and wire traces)
 /// are what the byte-oriented parser produced. Only bytes that have
 /// arrived are ever held.
+///
+/// A [`polling`](Self::polling) reader over a pollable source asks it
+/// through `poll_read_chunks_min` instead: a shortfall the source cannot
+/// meet now is `Err(WouldBlock)`, and every decoder here ([`Parse`]) is
+/// restartable — it consumes nothing until its whole unit has arrived,
+/// and asked again it states the demand it would have stated blocking.
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
@@ -297,6 +342,8 @@ pub struct BlockReader<R: BlockRead> {
     cap: usize,
     /// Reused landing pad for `read_chunks_min`, drained into `chunks`.
     scratch: Vec<Bytes>,
+    /// The source's would-block reason when this reader polls it.
+    polls: Option<&'static str>,
 }
 
 impl<R: BlockRead> BlockReader<R> {
@@ -307,7 +354,24 @@ impl<R: BlockRead> BlockReader<R> {
             avail: 0,
             cap: cap.max(1),
             scratch: Vec::new(),
+            polls: None,
         }
+    }
+
+    /// A reader that polls its source when the source is pollable, and
+    /// blocks on it otherwise.
+    pub fn polling(inner: R, cap: usize) -> BlockReader<R> {
+        let polls = inner.pollable();
+        BlockReader {
+            polls,
+            ..BlockReader::new(inner, cap)
+        }
+    }
+
+    /// `Some(reason)` when this reader polls: a shortfall is
+    /// `Err(WouldBlock)` standing for a park under `reason`.
+    pub fn polls(&self) -> Option<&'static str> {
+        self.polls
     }
 
     /// Bytes buffered and not yet consumed.
@@ -316,11 +380,17 @@ impl<R: BlockRead> BlockReader<R> {
     }
 
     /// Buffer at least `need` bytes; false if the source ends first, its
-    /// own error if it fails first.
+    /// own error if it fails first — `WouldBlock` from a polled source,
+    /// whose chunks handed out so far stay buffered.
     fn ensure(&mut self, need: usize) -> io::Result<bool> {
         if self.avail < need {
             let (want, cap) = (need - self.avail, self.cap);
-            let res = self.inner.read_chunks_min(want, cap, &mut self.scratch);
+            let res = match self.polls {
+                Some(_) => self
+                    .inner
+                    .poll_read_chunks_min(want, cap, &mut self.scratch),
+                None => self.inner.read_chunks_min(want, cap, &mut self.scratch),
+            };
             // Data handed out before an error still counts.
             self.avail += self.scratch.iter().map(|c| c.len()).sum::<usize>();
             self.chunks.extend(self.scratch.drain(..));
@@ -354,21 +424,17 @@ impl<R: BlockRead> BlockReader<R> {
         part
     }
 
-    /// Decode one varint; an encoding past ten bytes is `InvalidData`.
+    /// Start a restartable decode at the front.
+    pub(crate) fn parse(&mut self) -> Parse<'_, R> {
+        Parse { r: self, at: 0 }
+    }
+
+    /// Decode one varint; an encoding past 64 bits is `InvalidData`.
     pub(crate) fn read_varint(&mut self) -> io::Result<u64> {
-        let mut v = 0u64;
-        for i in 0..10 {
-            self.require(1)?;
-            let b = self.pop_front(1)[0];
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "varint too long",
-        ))
+        let mut p = self.parse();
+        let v = p.varint()?;
+        p.commit();
+        Ok(v)
     }
 
     /// Pull exactly `len` bytes: a slice when they lie in one received
@@ -383,13 +449,69 @@ impl<R: BlockRead> BlockReader<R> {
 
     /// Pull exactly `len` bytes as an owned buffer.
     pub(crate) fn read_exact_vec(&mut self, len: usize) -> io::Result<Vec<u8>> {
-        self.require(len)?;
-        let mut data = Vec::with_capacity(len);
-        while data.len() < len {
-            let part = self.pop_front(len - data.len());
-            data.extend_from_slice(&part);
-        }
+        let mut p = self.parse();
+        let data = p.vec(len)?;
+        p.commit();
         Ok(data)
+    }
+}
+
+/// A decode in progress over a [`BlockReader`]'s buffered front: fields are
+/// read at an offset past the front, each shortfall stated to the source as
+/// the demand a consuming decoder would state at that point (the bytes the
+/// field still lacks), and nothing is consumed until [`commit`](Self::commit).
+/// Dropped uncommitted — on an error, `WouldBlock` included — it leaves the
+/// reader as it found it, plus whatever arrived.
+pub(crate) struct Parse<'a, R: BlockRead> {
+    r: &'a mut BlockReader<R>,
+    /// Bytes this decode has read so far.
+    at: usize,
+}
+
+impl<R: BlockRead> Parse<'_, R> {
+    /// Decode one varint ([`gridzip::varint::decode`]).
+    pub(crate) fn varint(&mut self) -> io::Result<u64> {
+        varint::decode(|| {
+            self.r.require(self.at + 1)?;
+            let mut i = self.at;
+            self.at += 1;
+            for c in &self.r.chunks {
+                match c.get(i) {
+                    Some(&b) => return Ok(b),
+                    None => i -= c.len(),
+                }
+            }
+            unreachable!("byte {} of {} buffered", self.at - 1, self.r.avail)
+        })
+    }
+
+    /// The next `len` bytes, copied out.
+    pub(crate) fn vec(&mut self, len: usize) -> io::Result<Vec<u8>> {
+        self.r.require(self.at + len)?;
+        let mut data = Vec::with_capacity(len);
+        let mut skip = self.at;
+        for c in &self.r.chunks {
+            if data.len() == len {
+                break;
+            }
+            if skip >= c.len() {
+                skip -= c.len();
+                continue;
+            }
+            let take = (c.len() - skip).min(len - data.len());
+            data.extend_from_slice(&c[skip..skip + take]);
+            skip = 0;
+        }
+        self.at += len;
+        Ok(data)
+    }
+
+    /// Consume what this decode read.
+    pub(crate) fn commit(self) {
+        let mut left = self.at;
+        while left > 0 {
+            left -= self.r.pop_front(left).len();
+        }
     }
 }
 
@@ -408,6 +530,19 @@ impl<R: BlockRead> Read for BlockReader<R> {
     }
 }
 
+impl<R: BlockRead> BlockReader<R> {
+    /// Serve up to `max(min, max)` buffered bytes into `out`; the count.
+    fn serve(&mut self, min: usize, max: usize, out: &mut Vec<Bytes>) -> usize {
+        let mut got = 0;
+        while got < max.max(min) && self.avail > 0 {
+            let part = self.pop_front(max.max(min) - got);
+            got += part.len();
+            out.push(part);
+        }
+        got
+    }
+}
+
 impl<R: BlockRead> BlockRead for BlockReader<R> {
     fn read_chunks_min(
         &mut self,
@@ -418,16 +553,29 @@ impl<R: BlockRead> BlockRead for BlockReader<R> {
         // Serve what is buffered, then state the remaining demand to the
         // source in one call (not a per-chunk loop) so a demand-aware
         // source can satisfy it zero-copy with a single parked wait.
-        let mut got = 0;
-        while got < max.max(min) && self.avail > 0 {
-            let part = self.pop_front(max.max(min) - got);
-            got += part.len();
-            out.push(part);
-        }
+        let got = self.serve(min, max, out);
         if got >= min {
             return Ok(got);
         }
         let n = self.inner.read_chunks_min(min - got, max, out)?;
+        Ok(got + n)
+    }
+
+    fn pollable(&self) -> Option<&'static str> {
+        self.inner.pollable()
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        let got = self.serve(min, max, out);
+        if got >= min {
+            return Ok(got);
+        }
+        let n = self.inner.poll_read_chunks_min(min - got, max, out)?;
         Ok(got + n)
     }
 }
@@ -503,6 +651,186 @@ mod tests {
             );
             assert!(native.concat() == data);
         }
+    }
+
+    /// Every varint decoder — gridzip's slice and `Read` forms and the
+    /// block reader's — takes the same encodings and refuses the same: a
+    /// tenth byte may carry bit 63 only, so `ff×9 7f` is not a truncated
+    /// `u64` but an error.
+    #[test]
+    fn every_varint_decoder_refuses_an_encoding_past_64_bits() {
+        use io::ErrorKind::{InvalidData, UnexpectedEof};
+        let nines = |last: u8, fill: u8| {
+            let mut v = vec![fill; 9];
+            v.push(last);
+            v
+        };
+        let cases: Vec<(Vec<u8>, Result<u64, io::ErrorKind>)> = vec![
+            (vec![0x00], Ok(0)),
+            (vec![0x7f], Ok(127)),
+            (vec![0x80, 0x01], Ok(128)),
+            (nines(0x01, 0xff), Ok(u64::MAX)),
+            (nines(0x01, 0x80), Ok(1 << 63)),
+            (nines(0x00, 0xff), Ok(u64::MAX >> 1)),
+            (nines(0x7f, 0xff), Err(InvalidData)),
+            (nines(0x02, 0x80), Err(InvalidData)),
+            (nines(0x81, 0xff), Err(InvalidData)),
+            ([nines(0x81, 0xff), vec![0x01]].concat(), Err(InvalidData)),
+            (vec![0x80], Err(UnexpectedEof)),
+            (vec![], Err(UnexpectedEof)),
+        ];
+        for (bytes, want) in cases {
+            let used = want.map(|_| bytes.len());
+            let sliced = gridzip::varint::get(&bytes);
+            assert_eq!(sliced, want.ok().zip(used.ok()), "get {bytes:02x?}");
+            let read = gridzip::varint::read_from(&mut &bytes[..]);
+            assert_eq!(read.map_err(|e| e.kind()), want, "read_from {bytes:02x?}");
+            let mut cur = BlockReader::new(&bytes[..], 1);
+            let block = cur.read_varint().map_err(|e| e.kind());
+            assert_eq!(block, want, "read_varint {bytes:02x?}");
+        }
+    }
+
+    /// A source that hands out `fragments` one chunk call at a time, each
+    /// cut to the call's cap, and logs every cap asked for. Blocking, it
+    /// takes the next fragment as it arrives; polled, only those `arrived`
+    /// so far, and would block past them — a routed stream's shape.
+    struct Fragments {
+        fragments: VecDeque<Bytes>,
+        arrived: usize,
+        caps: Vec<usize>,
+    }
+
+    impl Fragments {
+        fn next(&mut self, cap: usize, polled: bool) -> io::Result<Bytes> {
+            let Some(front) = self.fragments.front_mut() else {
+                return Ok(Bytes::new());
+            };
+            if polled && self.arrived == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.caps.push(cap);
+            if front.len() > cap {
+                return Ok(front.split_to(cap));
+            }
+            self.arrived = self.arrived.saturating_sub(1);
+            Ok(self.fragments.pop_front().expect("front"))
+        }
+    }
+
+    impl Read for Fragments {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("read as chunks")
+        }
+    }
+
+    impl BlockRead for Fragments {
+        fn read_chunks_min(
+            &mut self,
+            min: usize,
+            max: usize,
+            out: &mut Vec<Bytes>,
+        ) -> io::Result<usize> {
+            chunks_until(min, max, out, |cap| self.next(cap, false))
+        }
+
+        fn pollable(&self) -> Option<&'static str> {
+            Some("fragments")
+        }
+
+        fn poll_read_chunks_min(
+            &mut self,
+            min: usize,
+            max: usize,
+            out: &mut Vec<Bytes>,
+        ) -> io::Result<usize> {
+            chunks_until(min, max, out, |cap| self.next(cap, true))
+        }
+    }
+
+    /// Frames and payloads decoded off a polled reader, restarted after
+    /// every would-block with one more fragment arrived, come out as a
+    /// blocking reader decodes them, from the same chunk calls with the
+    /// same caps.
+    #[test]
+    fn a_polled_frame_decode_restarts_where_a_blocking_one_would_wait() {
+        use crate::wire::Frame;
+        let frames = [
+            Frame::Open(vec![(7, "port-a".into()), (1 << 40, "b".into())]),
+            Frame::Msg {
+                channel: 7,
+                len: 300,
+            },
+            Frame::Close { channel: u64::MAX },
+            Frame::Msg {
+                channel: 1 << 40,
+                len: 2,
+            },
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.write(&mut wire).unwrap();
+            if let Frame::Msg { len, .. } = f {
+                wire.extend((0..*len).map(|i| i as u8));
+            }
+        }
+        // Cut so fragments end inside varints, names and payloads.
+        let mut fragments = VecDeque::new();
+        let mut rest = Bytes::from(wire);
+        for n in [1, 2, 1, 5, 3, 1, 40, 7, 150, 1, 2, 200]
+            .into_iter()
+            .cycle()
+        {
+            if rest.is_empty() {
+                break;
+            }
+            fragments.push_back(rest.split_to(n.min(rest.len())));
+        }
+        let decode = |polled: bool| {
+            let source = Fragments {
+                fragments: fragments.clone(),
+                arrived: 0,
+                caps: Vec::new(),
+            };
+            let mut cur = match polled {
+                true => BlockReader::polling(source, 64),
+                false => BlockReader::new(source, 64),
+            };
+            let (mut got, mut stalls) = (Vec::new(), 0);
+            let mut retry = |cur: &mut BlockReader<Fragments>, e: io::Error| {
+                assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
+                cur.inner.arrived += 1;
+                stalls += 1;
+            };
+            while got.len() < frames.len() {
+                let frame = match Frame::read(&mut cur) {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        retry(&mut cur, e);
+                        continue;
+                    }
+                };
+                let payload = loop {
+                    let Frame::Msg { len, .. } = frame else {
+                        break None;
+                    };
+                    match cur.read_exact_vec(len) {
+                        Ok(data) => break Some(data),
+                        Err(e) => retry(&mut cur, e),
+                    }
+                };
+                got.push((frame, payload));
+            }
+            assert!(cur.at_eof().unwrap());
+            (got, cur.inner.caps, stalls)
+        };
+        let (blocking, blocking_caps, _) = decode(false);
+        let (polled, polled_caps, stalls) = decode(true);
+        assert!(stalls >= fragments.len() / 2, "{stalls} stalls");
+        assert_eq!(polled_caps, blocking_caps);
+        assert!(polled == blocking);
+        let heads: Vec<&Frame> = blocking.iter().map(|(f, _)| f).collect();
+        assert_eq!(heads, frames.iter().collect::<Vec<_>>());
     }
 
     #[test]

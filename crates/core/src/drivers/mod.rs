@@ -186,6 +186,25 @@ impl BlockRead for RawLink {
             RawLink::Routed(s) => s.read_chunks_min(min, max, out),
         }
     }
+
+    fn pollable(&self) -> Option<&'static str> {
+        match self {
+            RawLink::Tcp(_) => Some(TcpStream::READ_WAIT),
+            RawLink::Routed(s) => s.pollable(),
+        }
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        match self {
+            RawLink::Tcp(s) => s.poll_read_chunks_min(min, max, out),
+            RawLink::Routed(s) => s.poll_read_chunks_min(min, max, out),
+        }
+    }
 }
 
 /// The runtime-tunable half of a [`StackSpec`]: the knobs a live
@@ -404,6 +423,25 @@ impl BlockRead for WireStream {
         match self {
             WireStream::Plain(s) => s.read_chunks_min(min, max, out),
             WireStream::Secure(s) => copy_read_chunks(s, min, max, out),
+        }
+    }
+
+    fn pollable(&self) -> Option<&'static str> {
+        match self {
+            WireStream::Plain(s) => s.pollable(),
+            WireStream::Secure(_) => None,
+        }
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        match self {
+            WireStream::Plain(s) => s.poll_read_chunks_min(min, max, out),
+            WireStream::Secure(_) => Err(io::ErrorKind::Unsupported.into()),
         }
     }
 }

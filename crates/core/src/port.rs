@@ -13,13 +13,14 @@
 //! the same effective stack spec multiplexes over ONE established link.
 
 use bytes::Bytes;
-use gridsim_net::{SchedHandle, SimQueue};
+use gridsim_net::{ctx, SchedHandle, SimQueue, Step};
 use gridzip::varint;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::drivers::{
@@ -514,6 +515,312 @@ struct LiveChan {
     inner: Option<Arc<ReceivePortInner>>,
 }
 
+/// The receive pump: one task per assembled link, a state machine over the
+/// link's decoded [`Frame`]s that routes messages to channels. `init` holds
+/// the channels the preamble named; OPEN/CLOSE manage the set from there.
+///
+/// Decoding runs over a [`BlockReader`], which states the whole-message
+/// byte demand to the stack in one call: the simulated socket is serviced
+/// at event time until it is met, so one wakeup drains everything
+/// available instead of the pump waking per delivered segment.
+///
+/// One body, [`step`](Self::step), runs until the pump would block, and
+/// [`host`](Self::host) places it where its bytes land: over a stack that
+/// can be polled (one plain stream, TCP or routed) it is an inline task,
+/// stepped on the stack of whoever delivered the bytes; otherwise a thread
+/// that parks between steps. Both make the same calls in the same order.
+struct Pump {
+    port: Arc<ReceivePortInner>,
+    cur: BlockReader<ReceiverStack>,
+    quiesce: Option<StripeQuiesce>,
+    /// The link's raw streams: health probes for the GC decision at exit
+    /// (clones sharing the sockets, like the sender's), and stream 0
+    /// carries the RECONFIG ack.
+    probes: Vec<RawLink>,
+    /// The preamble's channels, registered by the first step.
+    init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)>,
+    live: HashMap<u64, LiveChan>,
+    /// Epoch of the last committed RECONFIG this pump saw. Starts at 0 for
+    /// every (re-)established pump: the link-level epoch is monotonic for
+    /// the link's life, so any epoch > 0 is acceptable to a fresh pump and
+    /// stale duplicates are rejected.
+    last_epoch: u64,
+    ctx: NodeCtx,
+    /// A MSG whose head is decoded and whose payload has not all arrived.
+    head: Option<(u64, usize)>,
+    /// A fresh message waiting for room in its port's queue.
+    held: Option<Held>,
+}
+
+/// A message the pump has taken off the link and not yet queued.
+struct Held {
+    port: Arc<ReceivePortInner>,
+    channel: u64,
+    seq: u64,
+    bytes: usize,
+    msg: Option<ReadMessage>,
+}
+
+/// Why a pump step returned.
+enum Stop {
+    /// The stack or a full port queue would block; the pump's waker is
+    /// registered there. The park reason a thread uses.
+    Blocked(&'static str),
+    /// A RECONFIG frame: quiescing, acking and rebuilding all block.
+    Reconfig { epoch: u64, params: PathParams },
+    /// EOF (a read error), a corrupt frame, or one this pump's state
+    /// forbids.
+    End,
+}
+
+impl Pump {
+    /// Start the pump as a task named `name`: inline while its stack can
+    /// be polled, a thread otherwise. An inline pump moves to a thread of
+    /// its own (a promotion: same task, next to run) for what blocks — a
+    /// RECONFIG and, over a routed stream, the end, whose drop sends the
+    /// stream's FIN.
+    fn host(self, name: String) {
+        let sched = self.ctx.sched.clone();
+        if self.cur.polls().is_none() {
+            sched.spawn_daemon(name, move || self.run());
+            return;
+        }
+        let mut pump = Some(self);
+        sched.spawn_inline(name, move || {
+            let p = pump.as_mut().expect("a pump steps inline until it leaves");
+            match p.step() {
+                Stop::Blocked(why) => Step::Blocked(why),
+                Stop::End if !p.exit_parks() => {
+                    p.finish();
+                    pump = None;
+                    Step::Done
+                }
+                stop => {
+                    let mut p = pump.take().expect("checked above");
+                    Step::Promote(Box::new(move || {
+                        if p.settle(stop) {
+                            p.run();
+                        }
+                    }))
+                }
+            }
+        });
+    }
+
+    /// The thread host: step, and settle each stop.
+    fn run(mut self) {
+        loop {
+            let stop = self.step();
+            if !self.settle(stop) {
+                return;
+            }
+        }
+    }
+
+    /// What a thread does with a step's stop: park until woken, or
+    /// reconfigure; false when the pump has ended.
+    fn settle(&mut self, stop: Stop) -> bool {
+        match stop {
+            Stop::Blocked(why) => {
+                ctx::park(why);
+                true
+            }
+            Stop::Reconfig { epoch, params } if self.reconfigure(epoch, params) => true,
+            _ => {
+                self.finish();
+                false
+            }
+        }
+    }
+
+    /// Route frames until the link would block, ends or reconfigures.
+    /// Never parks: every wait is a [`Stop::Blocked`] with a waker left
+    /// behind, and the step asked again picks up where it stopped.
+    fn step(&mut self) -> Stop {
+        for (ch, seq, inner) in self.init.drain(..) {
+            self.port.rx.with(ch, |r| r.pumps += 1);
+            self.live.insert(ch, LiveChan { seq, inner });
+        }
+        loop {
+            if let Some(stop) = self.deliver_held() {
+                return stop;
+            }
+            let (ch, len) = match self.head {
+                Some(head) => head,
+                None => match Frame::read(&mut self.cur) {
+                    Ok(Frame::Msg { channel, len }) => *self.head.insert((channel, len)),
+                    Ok(Frame::Open(chans)) => {
+                        self.open(chans);
+                        continue;
+                    }
+                    Ok(Frame::Close { channel }) => {
+                        if self.live.remove(&channel).is_some() {
+                            self.port.rx.release(channel, true, false);
+                        }
+                        continue;
+                    }
+                    Ok(Frame::Reconfig { epoch, params }) => {
+                        return Stop::Reconfig { epoch, params }
+                    }
+                    Err(e) => return self.read_failed(e),
+                },
+            };
+            let data = match self.cur.read_exact_vec(len) {
+                Ok(data) => data,
+                Err(e) => return self.read_failed(e),
+            };
+            self.head = None;
+            let Some(lc) = self.live.get_mut(&ch) else {
+                return Stop::End; // MSG on a channel never opened: corrupt
+            };
+            let seq = lc.seq;
+            lc.seq += 1;
+            // Exactly-once dedupe: advance the watermark under the lock,
+            // then deliver. A message an earlier link of this channel
+            // already delivered is dropped.
+            let fresh = self.port.rx.with(ch, |r| {
+                let fresh = seq >= r.delivered;
+                if fresh {
+                    r.delivered = seq + 1;
+                }
+                fresh
+            });
+            // `inner: None` channels are drained and dropped.
+            if let (true, Some(port)) = (fresh, lc.inner.clone()) {
+                self.held = Some(Held {
+                    port,
+                    channel: ch,
+                    seq,
+                    bytes: data.len(),
+                    msg: Some(ReadMessage::new(ch, data)),
+                });
+            }
+        }
+    }
+
+    /// A decode error: the stack would block, or the link is over.
+    fn read_failed(&self, e: io::Error) -> Stop {
+        match self.cur.polls() {
+            Some(why) if e.kind() == io::ErrorKind::WouldBlock => Stop::Blocked(why),
+            _ => Stop::End,
+        }
+    }
+
+    /// Queue the held message, if any. `Some` when the pump stops here:
+    /// the queue is full, or the port closed and no live channel has a
+    /// destination left.
+    fn deliver_held(&mut self) -> Option<Stop> {
+        let held = self.held.as_mut()?;
+        let pushed = match held.port.msgq.poll_push(&mut held.msg) {
+            Poll::Pending => return Some(Stop::Blocked(SimQueue::<ReadMessage>::PUSH_WAIT)),
+            Poll::Ready(pushed) => pushed,
+        };
+        let Held {
+            port,
+            channel,
+            seq,
+            bytes,
+            ..
+        } = self.held.take()?;
+        if pushed.is_ok() {
+            port.note_delivered(channel, seq + 1, bytes);
+            return None;
+        }
+        // That port closed. Keep draining its channel's bytes (the link's
+        // other channels live on), but if no live channel has a
+        // destination left, the pump has no reason to exist.
+        if let Some(lc) = self.live.get_mut(&channel) {
+            lc.inner = None;
+        }
+        self.live
+            .values()
+            .all(|l| l.inner.is_none())
+            .then_some(Stop::End)
+    }
+
+    /// OPEN: channels join the link. Idempotent: a recovery replays OPENs
+    /// for channels whose announcement the flap may have eaten, and a
+    /// recovered batch is rewritten wholesale.
+    fn open(&mut self, chans: Vec<(u64, String)>) {
+        for (ch, name) in chans {
+            if let std::collections::hash_map::Entry::Vacant(slot) = self.live.entry(ch) {
+                let seq = self.port.rx.with(ch, |r| {
+                    r.pumps += 1;
+                    r.delivered
+                });
+                slot.insert(LiveChan {
+                    seq,
+                    inner: (self.ctx.resolve)(&name),
+                });
+            }
+        }
+    }
+
+    /// Live path reconfiguration (DESIGN.md §11): the sender flushed its
+    /// stack to this frame boundary and is blocked on our ack. False when
+    /// the pump must end instead: a stale/replayed epoch, more stripes than
+    /// this link has connections (the sender's own check,
+    /// `try_reconfigure`) or leftover old-format bytes after the frame are
+    /// corrupt, and the sender's ack wait times out and recovery
+    /// resynchronizes.
+    fn reconfigure(&mut self, epoch: u64, params: PathParams) -> bool {
+        if epoch <= self.last_epoch
+            || !params.valid_for(self.probes.len())
+            || self.cur.buffered() != 0
+        {
+            return false;
+        }
+        // Quiesce the retired stack BEFORE acking: its per-stripe pump
+        // tasks own socket reads until they consume the sender's segment
+        // terminator (written right after the RECONFIG frame). Ack first
+        // and a still-parked pump would steal the new stack's first bytes.
+        if let Some(q) = self.quiesce.take() {
+            q.wait();
+        }
+        // Ack with the delivered watermarks (the exactly-once handshake),
+        // then rebuild the receiver stack from the new parameters over the
+        // first `stripes` connections; the rest stay parked. GTLS
+        // re-handshakes deterministically from the per-stream salt.
+        let mut delivered: Vec<(u64, u64)> = self
+            .live
+            .keys()
+            .map(|&ch| (ch, self.port.rx.with(ch, |r| r.delivered)))
+            .collect();
+        delivered.sort_unstable_by_key(|&(ch, _)| ch);
+        let ack = ReconfigAck { epoch, delivered };
+        if reply_on_stream0(&self.probes, ack.encode()).is_err() {
+            return false;
+        }
+        let spec = self.port.spec.clone().with_path(params);
+        let sec = self.ctx.security(&spec);
+        let links: Vec<RawLink> = self.probes[..params.stripes as usize].to_vec();
+        let cpu = self.ctx.cpu.clone();
+        let Ok((stack, q)) = build_receiver(links, &spec, cpu, sec.as_ref(), &self.ctx.sched)
+        else {
+            return false;
+        };
+        self.quiesce = q;
+        self.cur = BlockReader::polling(stack, spec.block_size() as usize);
+        self.last_epoch = epoch;
+        true
+    }
+
+    /// Dropping a routed stream sends its FIN, which may park.
+    fn exit_parks(&self) -> bool {
+        self.probes.iter().any(|l| matches!(l, RawLink::Routed(_)))
+    }
+
+    /// The pump is over. Clean EOF — every link closed gracefully — means
+    /// the sender flushed and closed its channels: they will never resume.
+    fn finish(&mut self) {
+        *self.port.connections.lock() -= 1;
+        let clean = self.probes.iter().all(|l| l.closed_cleanly());
+        for &ch in self.live.keys() {
+            self.port.rx.release(ch, false, clean);
+        }
+    }
+}
+
 /// Answer the link's sender raw on stream 0, in the reverse direction and
 /// outside the driver stack — how a resume preamble and a RECONFIG are
 /// both answered, while neither end has a stack assembled to speak through.
@@ -659,173 +966,21 @@ impl ReceivePortInner {
                 &ctx.sched,
             )?;
             *self.connections.lock() += 1;
-            let me = Arc::clone(self);
-            let pctx = ctx.clone();
-            ctx.sched
-                .spawn_daemon(format!("rp-pump-{}-{}", self.name, channel), move || {
-                    me.pump(stack, quiesce, probes, init, pctx);
-                });
+            let pump = Pump {
+                port: Arc::clone(self),
+                cur: BlockReader::polling(stack, self.spec.block_size() as usize),
+                quiesce,
+                probes,
+                init,
+                live: HashMap::new(),
+                last_epoch: 0,
+                ctx: ctx.clone(),
+                head: None,
+                held: None,
+            };
+            pump.host(format!("rp-pump-{}-{}", self.name, channel));
         }
         Ok(())
-    }
-
-    /// The pump: one task per assembled link, a state machine over the
-    /// link's decoded [`Frame`]s that routes messages to channels. `init`
-    /// holds the channels the preamble named; OPEN/CLOSE manage the set
-    /// from there.
-    ///
-    /// Decoding runs over a [`BlockReader`], which states the whole-message
-    /// byte demand to the stack in one `read_chunks_min` call: the
-    /// simulated socket parks once per message and is serviced at event
-    /// time, so one wakeup drains everything available instead of the pump
-    /// waking per delivered segment.
-    fn pump(
-        self: &Arc<Self>,
-        stack: ReceiverStack,
-        mut quiesce: Option<StripeQuiesce>,
-        probes: Vec<RawLink>,
-        init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)>,
-        ctx: NodeCtx,
-    ) {
-        let mut cur = BlockReader::new(stack, self.spec.block_size() as usize);
-        // Epoch of the last committed RECONFIG this pump saw. Starts at 0
-        // for every (re-)established pump: the link-level epoch is
-        // monotonic for the link's life, so any epoch > 0 is acceptable
-        // to a fresh pump and stale duplicates are rejected.
-        let mut last_epoch = 0u64;
-        let mut live: HashMap<u64, LiveChan> = HashMap::new();
-        for (ch, seq, inner) in init {
-            self.rx.with(ch, |r| r.pumps += 1);
-            live.insert(ch, LiveChan { seq, inner });
-        }
-        // Runs until EOF (a read error), a corrupt frame, or one this
-        // pump's state forbids.
-        while let Ok(frame) = Frame::read(&mut cur) {
-            let (ch, len) = match frame {
-                Frame::Msg { channel, len } => (channel, len),
-                Frame::Open(chans) => {
-                    for (ch, name) in chans {
-                        // Idempotent: a recovery replays OPENs for
-                        // channels whose announcement the flap may have
-                        // eaten, and a recovered batch is rewritten
-                        // wholesale.
-                        if let std::collections::hash_map::Entry::Vacant(slot) = live.entry(ch) {
-                            let seq = self.rx.with(ch, |r| {
-                                r.pumps += 1;
-                                r.delivered
-                            });
-                            slot.insert(LiveChan {
-                                seq,
-                                inner: (ctx.resolve)(&name),
-                            });
-                        }
-                    }
-                    continue;
-                }
-                Frame::Close { channel } => {
-                    if live.remove(&channel).is_some() {
-                        self.rx.release(channel, true, false);
-                    }
-                    continue;
-                }
-                Frame::Reconfig { epoch, params } => {
-                    // Live path reconfiguration (DESIGN.md §11): the
-                    // sender flushed its stack to this frame boundary and
-                    // is blocked on our ack. A stale/replayed epoch, more
-                    // stripes than this link has connections (the sender's
-                    // own check, `try_reconfigure`) or leftover old-format
-                    // bytes after the frame are corrupt: kill the pump.
-                    // The sender's ack wait times out and recovery
-                    // resynchronizes.
-                    if epoch <= last_epoch || !params.valid_for(probes.len()) || cur.buffered() != 0
-                    {
-                        break;
-                    }
-                    // Quiesce the retired stack BEFORE acking: its
-                    // per-stripe pump tasks own socket reads until they
-                    // consume the sender's segment terminator (written
-                    // right after the RECONFIG frame). Ack first and a
-                    // still-parked pump would steal the new stack's first
-                    // bytes.
-                    if let Some(q) = quiesce.take() {
-                        q.wait();
-                    }
-                    // Ack with the delivered watermarks (the exactly-once
-                    // handshake), then rebuild the receiver stack from
-                    // the new parameters over the first `stripes`
-                    // connections; the rest stay parked. GTLS
-                    // re-handshakes deterministically from the per-stream
-                    // salt.
-                    let mut delivered: Vec<(u64, u64)> = live
-                        .keys()
-                        .map(|&ch| (ch, self.rx.with(ch, |r| r.delivered)))
-                        .collect();
-                    delivered.sort_unstable_by_key(|&(ch, _)| ch);
-                    let ack = ReconfigAck { epoch, delivered };
-                    if reply_on_stream0(&probes, ack.encode()).is_err() {
-                        break;
-                    }
-                    let spec = self.spec.clone().with_path(params);
-                    let sec = ctx.security(&spec);
-                    let links: Vec<RawLink> = probes[..params.stripes as usize].to_vec();
-                    let Ok((stack, q)) =
-                        build_receiver(links, &spec, ctx.cpu.clone(), sec.as_ref(), &ctx.sched)
-                    else {
-                        break;
-                    };
-                    quiesce = q;
-                    cur = BlockReader::new(stack, spec.block_size() as usize);
-                    last_epoch = epoch;
-                    continue;
-                }
-            };
-            let Ok(data) = cur.read_exact_vec(len) else {
-                break;
-            };
-            let Some(lc) = live.get_mut(&ch) else {
-                break; // MSG on a channel never opened: corrupt
-            };
-            let seq = lc.seq;
-            lc.seq += 1;
-            // Exactly-once dedupe: advance the watermark under the lock,
-            // then deliver. A message an earlier link of this channel
-            // already delivered is dropped.
-            let fresh = self.rx.with(ch, |r| {
-                let fresh = seq >= r.delivered;
-                if fresh {
-                    r.delivered = seq + 1;
-                }
-                fresh
-            });
-            if !fresh {
-                continue;
-            }
-            // `inner: None` channels are drained and dropped.
-            if let Some(port) = lc.inner.clone() {
-                let bytes = data.len();
-                if port.msgq.push(ReadMessage::new(ch, data)).is_err() {
-                    // That port closed. Keep draining its channel's bytes
-                    // (the link's other channels live on), but if no live
-                    // channel has a destination left, the pump has no
-                    // reason to exist.
-                    if let Some(lc) = live.get_mut(&ch) {
-                        lc.inner = None;
-                    }
-                    if live.values().all(|l| l.inner.is_none()) {
-                        break;
-                    }
-                } else {
-                    port.note_delivered(ch, seq + 1, bytes);
-                }
-            }
-        }
-        *self.connections.lock() -= 1;
-        // Clean EOF — every link closed gracefully — means the sender
-        // flushed and closed its channels: they will never resume.
-        let clean = probes.iter().all(|l| l.closed_cleanly());
-        for &ch in live.keys() {
-            self.rx.release(ch, false, clean);
-        }
     }
 
     /// Ack bookkeeping after delivering one message: send a CACK when the

@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::drivers::blockio::chunks_until;
 use crate::drivers::{BlockRead, BlockWrite};
@@ -1366,16 +1367,30 @@ impl RoutedStream {
     /// The next received chunk, up to `cap` bytes of it, by ownership;
     /// parks while none is queued. `None` at end of stream.
     fn next_chunk(&self, cap: usize) -> Option<Bytes> {
+        loop {
+            if let Poll::Ready(chunk) = self.poll_chunk(cap) {
+                return chunk;
+            }
+            gridsim_net::ctx::park(SimQueue::<Bytes>::POP_WAIT);
+        }
+    }
+
+    /// [`next_chunk`](Self::next_chunk) without parking: `Pending` with
+    /// the task's waker registered on the receive queue.
+    fn poll_chunk(&self, cap: usize) -> Poll<Option<Bytes>> {
         let mut chunk = std::mem::take(&mut *self.inner.cursor.lock());
         while chunk.is_empty() {
-            chunk = self.inner.rx.pop()?; // may park — no lock held
+            let Some(next) = std::task::ready!(self.inner.rx.poll_pop()) else {
+                return Poll::Ready(None);
+            };
+            chunk = next;
         }
         if chunk.len() > cap {
             let head = chunk.split_to(cap);
             *self.inner.cursor.lock() = chunk;
-            return Some(head);
+            return Poll::Ready(Some(head));
         }
-        Some(chunk)
+        Poll::Ready(Some(chunk))
     }
 
     /// Signal end of stream to the peer.
@@ -1402,6 +1417,22 @@ impl BlockRead for RoutedStream {
     ) -> io::Result<usize> {
         chunks_until(min, max, out, |cap| {
             Ok(self.next_chunk(cap).unwrap_or_default())
+        })
+    }
+
+    fn pollable(&self) -> Option<&'static str> {
+        Some(SimQueue::<Bytes>::POP_WAIT)
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        chunks_until(min, max, out, |cap| match self.poll_chunk(cap) {
+            Poll::Ready(chunk) => Ok(chunk.unwrap_or_default()),
+            Poll::Pending => Err(io::ErrorKind::WouldBlock.into()),
         })
     }
 }

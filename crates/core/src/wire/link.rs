@@ -9,6 +9,7 @@ use gridzip::varint;
 use std::io::{self, Write};
 
 use super::{bad, wire, FrameReader, FrameWriter, Put, Wire};
+use crate::drivers::blockio::Parse;
 use crate::drivers::{BlockRead, BlockReader, PathParams};
 
 /// Upper bound on a single message (sanity against corrupt frames).
@@ -246,10 +247,21 @@ impl Frame {
     /// over its limit, a name that is not UTF-8 and path parameters no
     /// stack can be built from are `InvalidData`. Nothing is allocated for
     /// a declared count or length, only for bytes that arrived.
+    ///
+    /// Restartable: the frame is consumed only once all of it has arrived,
+    /// so over a [`polling`](BlockReader::polling) reader a `WouldBlock`
+    /// leaves it to be read again whole, with the same demands stated.
     pub fn read<R: BlockRead>(cur: &mut BlockReader<R>) -> io::Result<Frame> {
-        match cur.read_varint()? {
+        let mut p = cur.parse();
+        let frame = Frame::decode(&mut p)?;
+        p.commit();
+        Ok(frame)
+    }
+
+    fn decode<R: BlockRead>(p: &mut Parse<'_, R>) -> io::Result<Frame> {
+        match p.varint()? {
             tag::MSG => {
-                let (channel, len) = (cur.read_varint()?, cur.read_varint()?);
+                let (channel, len) = (p.varint()?, p.varint()?);
                 if len > MAX_MESSAGE {
                     return Err(bad("message too large"));
                 }
@@ -257,16 +269,16 @@ impl Frame {
                 Ok(Frame::Msg { channel, len })
             }
             tag::OPEN => {
-                let n = cur.read_varint()?;
+                let n = p.varint()?;
                 if n > MAX_OPEN {
                     return Err(bad("OPEN announces too many channels"));
                 }
                 let entry = |_| {
-                    let (channel, name_len) = (cur.read_varint()?, cur.read_varint()?);
+                    let (channel, name_len) = (p.varint()?, p.varint()?);
                     if name_len > MAX_OPEN {
                         return Err(bad("port name too long"));
                     }
-                    let name = cur.read_exact_vec(name_len as usize)?;
+                    let name = p.vec(name_len as usize)?;
                     let name = String::from_utf8(name).map_err(|_| bad("invalid utf-8"))?;
                     Ok((channel, name))
                 };
@@ -275,10 +287,10 @@ impl Frame {
                     .collect::<io::Result<_>>()
                     .map(Frame::Open)
             }
-            tag::CLOSE => cur.read_varint().map(|channel| Frame::Close { channel }),
+            tag::CLOSE => p.varint().map(|channel| Frame::Close { channel }),
             tag::RECONFIG => {
-                let epoch = cur.read_varint()?;
-                let fields = [cur.read_varint()?, cur.read_varint()?, cur.read_varint()?];
+                let epoch = p.varint()?;
+                let fields = [p.varint()?, p.varint()?, p.varint()?];
                 let params = PathParams::from_wire_fields(fields)?;
                 Ok(Frame::Reconfig { epoch, params })
             }

@@ -15,7 +15,7 @@ fn compute_tag(
 ) -> [u8; TAG_LEN] {
     // Poly1305 key = first 32 bytes of keystream block 0.
     let block0 = chacha20::block(key, nonce, 0);
-    let poly_key: [u8; 32] = block0[..32].try_into().unwrap();
+    let poly_key: [u8; 32] = std::array::from_fn(|i| block0[i]);
     let mut mac = Poly1305::new(&poly_key);
     mac.update(aad);
     mac.update(&[0u8; 16][..(16 - aad.len() % 16) % 16]);

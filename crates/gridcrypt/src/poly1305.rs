@@ -1,15 +1,96 @@
-//! Poly1305 one-time authenticator (RFC 8439), 26-bit limb implementation.
+//! Poly1305 one-time authenticator (RFC 8439) over 64-bit limbs: the
+//! accumulator and `r` in three limbs of 44, 44 and 42 bits, products in
+//! `u128`. Four blocks go through one multiply-accumulate and one carry,
+//! as `h = (h + m1)·r⁴ + m2·r³ + m3·r² + m4·r`, with the powers of `r`
+//! computed once per key.
 
 /// Tag size in bytes.
 pub const TAG_LEN: usize = 16;
 /// Key size in bytes (r || s).
 pub const KEY_LEN: usize = 32;
 
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+
+/// A field element in three limbs, at most a few bits past 44, 44 and 42
+/// after [`carry`].
+type Limbs = [u64; 3];
+
+/// A power of `r` with its limbs 1 and 2 premultiplied by 20: the factor a
+/// product past 2^130 folds back with (2^132 ≡ 4·5 mod 2^130 − 5).
+#[derive(Clone, Copy)]
+struct Power {
+    r: Limbs,
+    s1: u64,
+    s2: u64,
+}
+
+impl Power {
+    fn new(r: Limbs) -> Power {
+        Power {
+            r,
+            s1: r[1] * 20,
+            s2: r[2] * 20,
+        }
+    }
+}
+
+/// Add `a · p` to the unreduced product `d`.
+#[inline(always)]
+fn mul_acc(d: &mut [u128; 3], a: Limbs, p: &Power) {
+    let w = |x: u64, y: u64| u128::from(x) * u128::from(y);
+    let [r0, r1, r2] = p.r;
+    d[0] += w(a[0], r0) + w(a[1], p.s2) + w(a[2], p.s1);
+    d[1] += w(a[0], r1) + w(a[1], r0) + w(a[2], p.s2);
+    d[2] += w(a[0], r2) + w(a[1], r1) + w(a[2], r0);
+}
+
+/// One carry pass, folding bits past 2^130 back in times 5.
+#[inline(always)]
+fn carry(d: [u128; 3]) -> Limbs {
+    let mut c = d[0] >> 44;
+    let h0 = d[0] as u64 & MASK44;
+    let d1 = d[1] + c;
+    c = d1 >> 44;
+    let h1 = d1 as u64 & MASK44;
+    let d2 = d[2] + c;
+    let h2 = d2 as u64 & MASK42;
+    let h0 = h0 + (d2 >> 42) as u64 * 5;
+    [h0 & MASK44, h1 + (h0 >> 44), h2]
+}
+
+fn mul(a: Limbs, p: &Power) -> Limbs {
+    let mut d = [0u128; 3];
+    mul_acc(&mut d, a, p);
+    carry(d)
+}
+
+/// A 16-byte block as limbs, with the 2^128 pad bit when `full`.
+#[inline(always)]
+fn limbs(block: &[u8; 16], full: bool) -> Limbs {
+    let t = u128::from_le_bytes(*block);
+    [
+        t as u64 & MASK44,
+        (t >> 44) as u64 & MASK44,
+        (t >> 88) as u64 | u64::from(full) << 40,
+    ]
+}
+
+fn add(a: Limbs, b: Limbs) -> Limbs {
+    [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+}
+
+/// Bytes `at..at + 16` of `bytes`.
+fn block_at<const N: usize>(bytes: &[u8; N], at: usize) -> [u8; 16] {
+    std::array::from_fn(|i| bytes[at + i])
+}
+
 /// Incremental Poly1305.
 pub struct Poly1305 {
-    r: [u32; 5],
-    h: [u32; 5],
-    s: [u32; 4],
+    /// r, r², r³, r⁴.
+    powers: [Power; 4],
+    h: Limbs,
+    s: u128,
     buf: [u8; 16],
     buf_len: usize,
 }
@@ -17,80 +98,34 @@ pub struct Poly1305 {
 impl Poly1305 {
     pub fn new(key: &[u8; KEY_LEN]) -> Poly1305 {
         // Clamp r per the spec.
-        let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap());
-        let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap());
-        let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap());
-        let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap());
-        let r = [
-            t0 & 0x3ffffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
-            (t3 >> 8) & 0x00fffff,
-        ];
-        let s = [
-            u32::from_le_bytes(key[16..20].try_into().unwrap()),
-            u32::from_le_bytes(key[20..24].try_into().unwrap()),
-            u32::from_le_bytes(key[24..28].try_into().unwrap()),
-            u32::from_le_bytes(key[28..32].try_into().unwrap()),
-        ];
+        let r = u128::from_le_bytes(block_at(key, 0)) & 0x0ffffffc_0ffffffc_0ffffffc_0fffffff;
+        let r1 = Power::new(limbs(&r.to_le_bytes(), false));
+        let r2 = Power::new(mul(r1.r, &r1));
+        let r3 = Power::new(mul(r2.r, &r1));
+        let r4 = Power::new(mul(r2.r, &r2));
         Poly1305 {
-            r,
-            h: [0; 5],
-            s,
+            powers: [r1, r2, r3, r4],
+            h: [0; 3],
+            s: u128::from_le_bytes(block_at(key, 16)),
             buf: [0; 16],
             buf_len: 0,
         }
     }
 
-    fn process_block(&mut self, block: &[u8; 16], partial: bool) {
-        let hibit: u32 = if partial { 0 } else { 1 << 24 };
-        let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap());
-        let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap());
-        let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap());
-        let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap());
-        self.h[0] += t0 & 0x3ffffff;
-        self.h[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ffffff;
-        self.h[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ffffff;
-        self.h[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ffffff;
-        self.h[4] += (t3 >> 8) | hibit;
+    /// `h = (h + m)·r` for one block.
+    fn block(&mut self, block: &[u8; 16], full: bool) {
+        self.h = mul(add(self.h, limbs(block, full)), &self.powers[0]);
+    }
 
-        // h *= r (mod 2^130 - 5)
-        let [r0, r1, r2, r3, r4] = self.r.map(u64::from);
-        let (s1, s2, s3, s4) = (r1 * 5, r2 * 5, r3 * 5, r4 * 5);
-        let [h0, h1, h2, h3, h4] = self.h.map(u64::from);
-        let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-        let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-        let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-        // Carry propagation.
-        let mut c: u64;
-        let mut d0 = d0;
-        let mut d1 = d1;
-        let mut d2 = d2;
-        let mut d3 = d3;
-        let mut d4 = d4;
-        c = d0 >> 26;
-        d0 &= 0x3ffffff;
-        d1 += c;
-        c = d1 >> 26;
-        d1 &= 0x3ffffff;
-        d2 += c;
-        c = d2 >> 26;
-        d2 &= 0x3ffffff;
-        d3 += c;
-        c = d3 >> 26;
-        d3 &= 0x3ffffff;
-        d4 += c;
-        c = d4 >> 26;
-        d4 &= 0x3ffffff;
-        d0 += c * 5;
-        c = d0 >> 26;
-        d0 &= 0x3ffffff;
-        d1 += c;
-        self.h = [d0 as u32, d1 as u32, d2 as u32, d3 as u32, d4 as u32];
+    /// Four full blocks, one carry.
+    fn blocks4(&mut self, blocks: &[[u8; 16]; 4]) {
+        let [r1, r2, r3, r4] = &self.powers;
+        let mut d = [0u128; 3];
+        mul_acc(&mut d, add(self.h, limbs(&blocks[0], true)), r4);
+        mul_acc(&mut d, limbs(&blocks[1], true), r3);
+        mul_acc(&mut d, limbs(&blocks[2], true), r2);
+        mul_acc(&mut d, limbs(&blocks[3], true), r1);
+        self.h = carry(d);
     }
 
     pub fn update(&mut self, mut data: &[u8]) {
@@ -101,18 +136,23 @@ impl Poly1305 {
             data = &data[take..];
             if self.buf_len == 16 {
                 let block = self.buf;
-                self.process_block(&block, false);
+                self.block(&block, true);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 16 {
-            let block: [u8; 16] = data[..16].try_into().unwrap();
-            self.process_block(&block, false);
-            data = &data[16..];
+        let (quads, rest) = data.as_chunks::<64>();
+        for quad in quads {
+            let (blocks, _) = quad.as_chunks::<16>();
+            let four: [[u8; 16]; 4] = std::array::from_fn(|i| blocks[i]);
+            self.blocks4(&four);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let (blocks, tail) = rest.as_chunks::<16>();
+        for block in blocks {
+            self.block(block, true);
+        }
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
@@ -121,65 +161,28 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1; // the padding 1-bit for a partial block
-            self.process_block(&block, true);
+            self.block(&block, false);
         }
-        // Full carry and reduction mod 2^130 - 5.
-        let mut h = self.h.map(u64::from);
-        let mut c: u64;
-        c = h[1] >> 26;
-        h[1] &= 0x3ffffff;
-        h[2] += c;
-        c = h[2] >> 26;
-        h[2] &= 0x3ffffff;
-        h[3] += c;
-        c = h[3] >> 26;
-        h[3] &= 0x3ffffff;
-        h[4] += c;
-        c = h[4] >> 26;
-        h[4] &= 0x3ffffff;
-        h[0] += c * 5;
-        c = h[0] >> 26;
-        h[0] &= 0x3ffffff;
-        h[1] += c;
-
-        // Compute h + -p and select.
-        let mut g = [0u64; 5];
-        g[0] = h[0] + 5;
-        c = g[0] >> 26;
-        g[0] &= 0x3ffffff;
-        g[1] = h[1] + c;
-        c = g[1] >> 26;
-        g[1] &= 0x3ffffff;
-        g[2] = h[2] + c;
-        c = g[2] >> 26;
-        g[2] &= 0x3ffffff;
-        g[3] = h[3] + c;
-        c = g[3] >> 26;
-        g[3] &= 0x3ffffff;
-        g[4] = h[4].wrapping_add(c).wrapping_sub(1 << 26);
-
-        // If g[4] did not underflow, h >= p: take g.
-        let mask = (g[4] >> 63).wrapping_sub(1); // all-ones if no underflow
-        for i in 0..5 {
-            h[i] = (h[i] & !mask) | (g[i] & mask);
+        // Full carry: h below 2^130 + a little, then fully reduced.
+        let [mut h0, mut h1, mut h2] = self.h;
+        for _ in 0..2 {
+            h2 += h1 >> 44;
+            h1 &= MASK44;
+            h0 += (h2 >> 42) * 5;
+            h2 &= MASK42;
+            h1 += h0 >> 44;
+            h0 &= MASK44;
         }
-
-        // Serialize h as 128 bits and add s (mod 2^128).
-        let h0 = (h[0] | (h[1] << 26)) as u32;
-        let h1 = ((h[1] >> 6) | (h[2] << 20)) as u32;
-        let h2 = ((h[2] >> 12) | (h[3] << 14)) as u32;
-        let h3 = ((h[3] >> 18) | (h[4] << 8)) as u32;
-        let mut acc: u64;
-        let mut out = [0u8; TAG_LEN];
-        acc = u64::from(h0) + u64::from(self.s[0]);
-        out[0..4].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = u64::from(h1) + u64::from(self.s[1]) + (acc >> 32);
-        out[4..8].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = u64::from(h2) + u64::from(self.s[2]) + (acc >> 32);
-        out[8..12].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = u64::from(h3) + u64::from(self.s[3]) + (acc >> 32);
-        out[12..16].copy_from_slice(&(acc as u32).to_le_bytes());
-        out
+        // h + 5 − 2^130: take it when it does not underflow (h ≥ p).
+        let g0 = h0 + 5;
+        let g1 = h1 + (g0 >> 44);
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        let take_g = (g2 >> 63).wrapping_sub(1); // all-ones if no underflow
+        let pick = |h: u64, g: u64| (h & !take_g) | (g & take_g);
+        let (h0, h1, h2) = (pick(h0, g0 & MASK44), pick(h1, g1 & MASK44), pick(h2, g2));
+        // h mod 2^128, plus s.
+        let h = u128::from(h0) | u128::from(h1) << 44 | u128::from(h2) << 88;
+        h.wrapping_add(self.s).to_le_bytes()
     }
 }
 

@@ -107,3 +107,218 @@ proptest! {
         prop_assert_ne!(gridcrypt::hmac::hmac_sha256(&key, &msg2), base);
     }
 }
+
+/// The 26-bit-limb Poly1305 the library used before its 64-bit, four-block
+/// form: the oracle the library's tags are checked against.
+#[allow(clippy::needless_range_loop)]
+mod one_block {
+    /// Incremental Poly1305, one block and one carry at a time.
+    pub struct Poly1305 {
+        r: [u32; 5],
+        h: [u32; 5],
+        s: [u32; 4],
+        buf: [u8; 16],
+        buf_len: usize,
+    }
+
+    impl Poly1305 {
+        pub fn new(key: &[u8; 32]) -> Poly1305 {
+            // Clamp r per the spec.
+            let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap());
+            let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap());
+            let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap());
+            let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap());
+            let r = [
+                t0 & 0x3ffffff,
+                ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
+                ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
+                ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
+                (t3 >> 8) & 0x00fffff,
+            ];
+            let s = [
+                u32::from_le_bytes(key[16..20].try_into().unwrap()),
+                u32::from_le_bytes(key[20..24].try_into().unwrap()),
+                u32::from_le_bytes(key[24..28].try_into().unwrap()),
+                u32::from_le_bytes(key[28..32].try_into().unwrap()),
+            ];
+            Poly1305 {
+                r,
+                h: [0; 5],
+                s,
+                buf: [0; 16],
+                buf_len: 0,
+            }
+        }
+
+        fn process_block(&mut self, block: &[u8; 16], partial: bool) {
+            let hibit: u32 = if partial { 0 } else { 1 << 24 };
+            let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap());
+            let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap());
+            let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap());
+            let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap());
+            self.h[0] += t0 & 0x3ffffff;
+            self.h[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ffffff;
+            self.h[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ffffff;
+            self.h[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ffffff;
+            self.h[4] += (t3 >> 8) | hibit;
+
+            // h *= r (mod 2^130 - 5)
+            let [r0, r1, r2, r3, r4] = self.r.map(u64::from);
+            let (s1, s2, s3, s4) = (r1 * 5, r2 * 5, r3 * 5, r4 * 5);
+            let [h0, h1, h2, h3, h4] = self.h.map(u64::from);
+            let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
+            let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
+            let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
+            let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
+            let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
+
+            // Carry propagation.
+            let mut c: u64;
+            let mut d0 = d0;
+            let mut d1 = d1;
+            let mut d2 = d2;
+            let mut d3 = d3;
+            let mut d4 = d4;
+            c = d0 >> 26;
+            d0 &= 0x3ffffff;
+            d1 += c;
+            c = d1 >> 26;
+            d1 &= 0x3ffffff;
+            d2 += c;
+            c = d2 >> 26;
+            d2 &= 0x3ffffff;
+            d3 += c;
+            c = d3 >> 26;
+            d3 &= 0x3ffffff;
+            d4 += c;
+            c = d4 >> 26;
+            d4 &= 0x3ffffff;
+            d0 += c * 5;
+            c = d0 >> 26;
+            d0 &= 0x3ffffff;
+            d1 += c;
+            self.h = [d0 as u32, d1 as u32, d2 as u32, d3 as u32, d4 as u32];
+        }
+
+        pub fn update(&mut self, mut data: &[u8]) {
+            if self.buf_len > 0 {
+                let take = data.len().min(16 - self.buf_len);
+                self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+                self.buf_len += take;
+                data = &data[take..];
+                if self.buf_len == 16 {
+                    let block = self.buf;
+                    self.process_block(&block, false);
+                    self.buf_len = 0;
+                }
+            }
+            while data.len() >= 16 {
+                let block: [u8; 16] = data[..16].try_into().unwrap();
+                self.process_block(&block, false);
+                data = &data[16..];
+            }
+            if !data.is_empty() {
+                self.buf[..data.len()].copy_from_slice(data);
+                self.buf_len = data.len();
+            }
+        }
+
+        pub fn finalize(mut self) -> [u8; 16] {
+            if self.buf_len > 0 {
+                let mut block = [0u8; 16];
+                block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+                block[self.buf_len] = 1; // the padding 1-bit for a partial block
+                self.process_block(&block, true);
+            }
+            // Full carry and reduction mod 2^130 - 5.
+            let mut h = self.h.map(u64::from);
+            let mut c: u64;
+            c = h[1] >> 26;
+            h[1] &= 0x3ffffff;
+            h[2] += c;
+            c = h[2] >> 26;
+            h[2] &= 0x3ffffff;
+            h[3] += c;
+            c = h[3] >> 26;
+            h[3] &= 0x3ffffff;
+            h[4] += c;
+            c = h[4] >> 26;
+            h[4] &= 0x3ffffff;
+            h[0] += c * 5;
+            c = h[0] >> 26;
+            h[0] &= 0x3ffffff;
+            h[1] += c;
+
+            // Compute h + -p and select.
+            let mut g = [0u64; 5];
+            g[0] = h[0] + 5;
+            c = g[0] >> 26;
+            g[0] &= 0x3ffffff;
+            g[1] = h[1] + c;
+            c = g[1] >> 26;
+            g[1] &= 0x3ffffff;
+            g[2] = h[2] + c;
+            c = g[2] >> 26;
+            g[2] &= 0x3ffffff;
+            g[3] = h[3] + c;
+            c = g[3] >> 26;
+            g[3] &= 0x3ffffff;
+            g[4] = h[4].wrapping_add(c).wrapping_sub(1 << 26);
+
+            // If g[4] did not underflow, h >= p: take g.
+            let mask = (g[4] >> 63).wrapping_sub(1); // all-ones if no underflow
+            for i in 0..5 {
+                h[i] = (h[i] & !mask) | (g[i] & mask);
+            }
+
+            // Serialize h as 128 bits and add s (mod 2^128).
+            let h0 = (h[0] | (h[1] << 26)) as u32;
+            let h1 = ((h[1] >> 6) | (h[2] << 20)) as u32;
+            let h2 = ((h[2] >> 12) | (h[3] << 14)) as u32;
+            let h3 = ((h[3] >> 18) | (h[4] << 8)) as u32;
+            let mut acc: u64;
+            let mut out = [0u8; 16];
+            acc = u64::from(h0) + u64::from(self.s[0]);
+            out[0..4].copy_from_slice(&(acc as u32).to_le_bytes());
+            acc = u64::from(h1) + u64::from(self.s[1]) + (acc >> 32);
+            out[4..8].copy_from_slice(&(acc as u32).to_le_bytes());
+            acc = u64::from(h2) + u64::from(self.s[2]) + (acc >> 32);
+            out[8..12].copy_from_slice(&(acc as u32).to_le_bytes());
+            acc = u64::from(h3) + u64::from(self.s[3]) + (acc >> 32);
+            out[12..16].copy_from_slice(&(acc as u32).to_le_bytes());
+            out
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The library's Poly1305 tags every message as the one-block oracle
+    /// does, however the message is split across `update` calls.
+    #[test]
+    fn poly1305_matches_the_one_block_oracle(
+        key in proptest::array::uniform32(any::<u8>()),
+        data in proptest::collection::vec(any::<u8>(), 0..1200),
+        splits in proptest::collection::vec(0usize..300, 0..6),
+        saturated in any::<bool>(),
+    ) {
+        // All-ones keys and data drive every limb to its bound.
+        let (key, data) = if saturated {
+            ([0xff; 32], vec![0xff; data.len()])
+        } else {
+            (key, data)
+        };
+        let mut want = one_block::Poly1305::new(&key);
+        want.update(&data);
+        let mut got = gridcrypt::poly1305::Poly1305::new(&key);
+        let mut rest: &[u8] = &data;
+        for s in splits {
+            let (head, tail) = rest.split_at(s.min(rest.len()));
+            got.update(head);
+            rest = tail;
+        }
+        got.update(rest);
+        prop_assert_eq!(got.finalize(), want.finalize());
+    }
+}

@@ -33,33 +33,47 @@ pub fn put_slice(buf: &mut [u8], mut v: u64) -> usize {
     }
 }
 
-/// Decode a varint from the front of `buf`; returns (value, bytes consumed).
-pub fn get(buf: &[u8]) -> Option<(u64, usize)> {
+/// The one varint decoder, over any byte source: 7 bits per byte, LSB
+/// first, at most ten bytes, the tenth carrying bit 63 alone. An encoding
+/// of more than 64 bits is `InvalidData` — truncating it would decode a
+/// different number — and an error from `next` ends the decode as it is.
+pub fn decode(mut next: impl FnMut() -> io::Result<u8>) -> io::Result<u64> {
     let mut v = 0u64;
-    for (i, &b) in buf.iter().enumerate().take(10) {
-        v |= u64::from(b & 0x7f) << (7 * i);
-        if b & 0x80 == 0 {
-            return Some((v, i + 1));
+    for shift in (0..64).step_by(7) {
+        let b = next()?;
+        if shift == 63 && b > 1 {
+            break;
         }
-    }
-    None
-}
-
-/// Read a varint from an `io::Read`.
-pub fn read_from<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    for i in 0..10 {
-        let mut b = [0u8];
-        r.read_exact(&mut b)?;
-        v |= u64::from(b[0] & 0x7f) << (7 * i);
-        if b[0] & 0x80 == 0 {
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
             return Ok(v);
         }
     }
     Err(io::Error::new(
         io::ErrorKind::InvalidData,
-        "varint too long",
+        "varint overflows u64",
     ))
+}
+
+/// Decode a varint from the front of `buf`; returns (value, bytes consumed),
+/// or `None` if `buf` ends inside it or it overflows.
+pub fn get(buf: &[u8]) -> Option<(u64, usize)> {
+    let mut used = 0;
+    let v = decode(|| {
+        let b = *buf.get(used).ok_or(io::ErrorKind::UnexpectedEof)?;
+        used += 1;
+        Ok(b)
+    });
+    Some((v.ok()?, used))
+}
+
+/// Read a varint from an `io::Read`.
+pub fn read_from<R: Read>(r: &mut R) -> io::Result<u64> {
+    decode(|| {
+        let mut b = [0u8];
+        r.read_exact(&mut b)?;
+        Ok(b[0])
+    })
 }
 
 #[cfg(test)]

@@ -55,7 +55,9 @@ pub use hash::{FastMap, FastSet};
 pub use link::{LinkDirId, LinkParams, LinkStats};
 pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};
-pub use runtime::{ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, TaskId, Waker};
+pub use runtime::{
+    ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, Step, TaskId, Waker, GRANTS,
+};
 pub use sync::{SimMutex, SimMutexGuard, SimQueue};
 pub use time::SimTime;
 pub use world::{Net, NodeId, TraceKind, Trust, World, WorldStats};

@@ -2,14 +2,16 @@
 //!
 //! Simulated processes are real OS threads, but *exactly one* of them runs at
 //! any moment: the one holding the baton. There is no scheduler thread. A
-//! task that blocks (parks), sleeps, yields or finishes runs the scheduler
-//! loop itself ([`SchedCore::drive`]) — pop the run queue, else fire the next
+//! task that blocks (parks), sleeps or yields runs the scheduler loop
+//! itself ([`SchedCore::drive`]) — pop the run queue, else fire the next
 //! event — until the loop names the next task. If that is the caller, it
 //! simply returns: no syscall, no thread switch (a reader parked on a socket
 //! whose next event wakes it; a `sleep`). Otherwise the caller grants that
-//! task's baton and waits on its own: one switch. When nothing is left to do
-//! before the `run_until` limit the baton goes back to the thread that
-//! called `run_until` (the root), which alone computes the [`RunOutcome`].
+//! task's baton and waits on its own: one switch. A task that finishes
+//! hands the baton to the next runnable task or else to the thread that
+//! called `run_until` (the root), which drives on. When nothing is left to
+//! do before the `run_until` limit the baton goes back to the root, which
+//! alone computes the [`RunOutcome`].
 //! Combined with a totally ordered event queue (time, then insertion
 //! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
 //! reproducible — the run-queue and event order do not depend on which thread
@@ -27,6 +29,14 @@
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
+//! * An *inline* task ([`SchedHandle::spawn_inline`]) has a [`TaskId`], a
+//!   run-queue slot and [`Waker`]s like any task, but no thread and no
+//!   baton: a step function that whoever pops it runs on its own stack.
+//!   A step never parks; it registers a waker and returns
+//!   [`Step::Blocked`], and the scheduler counts that as the park its
+//!   thread form would have made. A step that must block for real returns
+//!   [`Step::Promote`], and the rest of the task runs on a thread of its
+//!   own under the same id, next.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
@@ -67,10 +77,29 @@ enum EventAction {
 /// A registered recurring callback.
 type Hook = Arc<dyn Fn(u64) + Send + Sync>;
 
-/// An event's code, taken out from under the state lock to run.
+/// What one step of an inline task did.
+pub enum Step {
+    /// It would block, and it has left a waker where the wake will come
+    /// from. Counted as a park under this reason (`task/parks/<reason>`),
+    /// unless a wake arrived during the step: then it runs again at once,
+    /// as `ctx::park` returns at once on a pending wake.
+    Blocked(&'static str),
+    /// The task is over.
+    Done,
+    /// Continue as a thread running this closure: same [`TaskId`], so
+    /// every waker stays valid, and it runs next, so nothing reorders.
+    Promote(Box<dyn FnOnce() + Send>),
+}
+
+/// An inline task's step function.
+type InlineStep = Box<dyn FnMut() -> Step + Send>;
+
+/// An event's or an inline task's code, taken out from under the state
+/// lock to run.
 enum Callback {
     Call(Box<dyn FnOnce() + Send>),
     Hook(Hook, u64),
+    Step(TaskId, InlineStep),
 }
 
 /// Handle to a recurring callback registered with
@@ -177,8 +206,10 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
-    /// `None` once the task has finished.
+    /// `None` once the task has finished, and for an inline task.
     baton: Option<Arc<Baton>>,
+    /// An inline task's step, in the slot while it is not running.
+    step: Option<InlineStep>,
     join_handle: Option<std::thread::JoinHandle<()>>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
@@ -210,7 +241,8 @@ struct SchedState {
     hooks: Vec<Hook>,
     /// Cross-thread baton grants so far: one thread handing the baton to
     /// another. A task that parks, sleeps or yields and is itself the next
-    /// to run costs none (the in-file tests pin exactly that).
+    /// to run costs none (the in-file tests pin exactly that), and neither
+    /// does an inline step. Read into snapshots as [`GRANTS`].
     grants: u64,
     /// The metrics registry, in name order. Among its names,
     /// `task/parks/<reason>` counts the times tasks actually parked
@@ -225,6 +257,11 @@ struct SchedState {
 /// already in the registry is moved in place, without allocating.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Metric(pub &'static str, pub Option<u64>, pub &'static str);
+
+/// The registry name under which snapshots report [`SchedState::grants`].
+/// It is read when a snapshot is taken, so the grant itself stays a bare
+/// increment.
+pub const GRANTS: Metric = Metric("sched", None, "grants");
 
 impl std::fmt::Display for Metric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -251,6 +288,28 @@ impl SchedState {
             TaskState::Finished => {}
         }
     }
+
+    /// Mark `tid` finished, wake its joiners and hand back its thread's
+    /// join handle, if it had a thread.
+    fn retire(&mut self, tid: TaskId) -> Option<std::thread::JoinHandle<()>> {
+        let slot = &mut self.tasks[tid.index()];
+        slot.state = TaskState::Finished;
+        slot.name = String::new();
+        slot.baton = None;
+        let me = slot.join_handle.take();
+        for j in std::mem::take(&mut slot.joiners) {
+            self.wake(j);
+        }
+        me
+    }
+
+    /// Count one park of a task under `reason`.
+    fn count_park(&mut self, reason: &'static str) {
+        *self
+            .metrics
+            .entry(Metric("task/parks", None, reason))
+            .or_insert(0) += 1;
+    }
 }
 
 /// Shared core of the scheduler; cheap to clone via [`SchedHandle`].
@@ -267,8 +326,13 @@ pub struct SchedCore {
 enum Driver {
     /// The thread inside `run_until`.
     Root,
-    /// A task thread that has just parked, yielded or finished.
+    /// A task thread that has just parked or yielded.
     Task(TaskId),
+    /// A task thread that has just finished. It hands the baton to the
+    /// next runnable task, or else back to the root, but fires no event:
+    /// what an event allocates would sit in the malloc arena of a thread
+    /// about to exit, where no live thread reuses the space it frees.
+    Exiting,
 }
 
 impl SchedCore {
@@ -289,13 +353,15 @@ impl SchedCore {
 
     /// Run the scheduler loop on the calling thread, which holds the baton:
     /// run-queue head first, else the next event, until someone is to run.
+    /// An inline task at the head runs its step right here, like an event.
     ///
     /// Returns `None` when that someone is the caller — its own task came
     /// off the run queue, or it is the root and the run is over — and
-    /// otherwise the baton the caller must grant: the next task's, or the
-    /// root's when the run is over (a panic is pending, the event heap is
-    /// empty, or the next event lies past the `run_until` limit).
-    fn drive(&self, me: Driver) -> Option<Arc<Baton>> {
+    /// otherwise the baton the caller must grant: the next task's (a task
+    /// an inline step just promoted to a thread included), or the root's
+    /// when the run is over (a panic is pending, the event heap is empty,
+    /// or the next event lies past the `run_until` limit).
+    fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
         loop {
             let callback = {
                 let mut st = self.state.lock();
@@ -305,6 +371,9 @@ impl SchedCore {
                         if let Some(tid) = st.runnable.pop_front() {
                             let slot = &mut st.tasks[tid.index()];
                             slot.state = TaskState::Running;
+                            if let Some(step) = slot.step.take() {
+                                break Callback::Step(tid, step);
+                            }
                             if me == Driver::Task(tid) {
                                 return None;
                             }
@@ -313,7 +382,8 @@ impl SchedCore {
                                 slot.baton.as_ref().expect("a runnable task has a baton"),
                             ));
                         }
-                        if st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
+                        let fires = me != Driver::Exiting;
+                        if fires && st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
                             let ev = st.events.pop().expect("peeked");
                             debug_assert!(ev.at >= self.now(), "time went backwards");
                             self.clock.store(ev.at.0, Ordering::Relaxed);
@@ -338,7 +408,14 @@ impl SchedCore {
                     ));
                 }
             };
-            self.fire(callback);
+            match callback {
+                Callback::Step(tid, step) => {
+                    if let Some(promoted) = self.run_inline(tid, step) {
+                        return Some(promoted);
+                    }
+                }
+                other => self.fire(other),
+            }
         }
     }
 
@@ -349,32 +426,118 @@ impl SchedCore {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match callback {
             Callback::Call(f) => f(),
             Callback::Hook(f, arg) => f(arg),
+            Callback::Step(..) => unreachable!("inline steps run in `run_inline`"),
         }));
         if let Err(p) = outcome {
             self.state.lock().panic.get_or_insert(p);
         }
     }
 
+    /// Run inline task `tid`'s step on the calling thread, with the task's
+    /// context in place of the driver's (none), until it blocks without a
+    /// wake pending, ends or asks for a thread. Returns the new thread's
+    /// baton on promotion: that task runs next. A panic in the step is kept
+    /// for `run_until`'s caller, as an event's is, and ends the task.
+    fn run_inline(self: &Arc<Self>, tid: TaskId, mut step: InlineStep) -> Option<Arc<Baton>> {
+        loop {
+            let driver = CURRENT.replace(Some(Current {
+                handle: SchedHandle {
+                    core: Arc::clone(self),
+                },
+                tid,
+                baton: None,
+            }));
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(&mut step));
+            CURRENT.set(driver);
+            let mut st = self.state.lock();
+            match outcome {
+                Ok(Step::Blocked(reason)) => {
+                    let slot = &mut st.tasks[tid.index()];
+                    if std::mem::take(&mut slot.notified) {
+                        continue;
+                    }
+                    slot.state = TaskState::Blocked;
+                    slot.blocked_on = reason;
+                    slot.step = Some(step);
+                    st.count_park(reason);
+                    return None;
+                }
+                Ok(Step::Promote(body)) => {
+                    let name = st.tasks[tid.index()].name.clone();
+                    let (baton, thread) = self.start_thread(tid, &name, body);
+                    let slot = &mut st.tasks[tid.index()];
+                    slot.baton = Some(Arc::clone(&baton));
+                    slot.join_handle = Some(thread);
+                    st.grants += 1;
+                    drop(st);
+                    // The step's captures go with the caller's context, as
+                    // a finished event's do.
+                    drop(step);
+                    return Some(baton);
+                }
+                Ok(Step::Done) => {}
+                Err(p) => {
+                    st.panic.get_or_insert(p);
+                }
+            }
+            st.retire(tid);
+            drop(st);
+            drop(step);
+            return None;
+        }
+    }
+
+    /// Start the thread of task `tid`, which runs `body` once its baton is
+    /// first granted and then finishes the task. The caller holds the
+    /// state lock and records the baton and the join handle in the slot;
+    /// the thread touches no state before its first grant.
+    fn start_thread(
+        self: &Arc<Self>,
+        tid: TaskId,
+        name: &str,
+        body: impl FnOnce() + Send + 'static,
+    ) -> (Arc<Baton>, std::thread::JoinHandle<()>) {
+        let baton = Baton::new(None);
+        let thread = {
+            let baton = Arc::clone(&baton);
+            let handle = SchedHandle {
+                core: Arc::clone(self),
+            };
+            std::thread::Builder::new()
+                .name(format!("sim:{name}"))
+                .spawn(move || {
+                    baton.wait();
+                    CURRENT.set(Some(Current {
+                        handle: handle.clone(),
+                        tid,
+                        baton: Some(baton),
+                    }));
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(body));
+                    CURRENT.set(None);
+                    handle.core.finish(tid, out.err());
+                })
+                .expect("spawn sim task thread")
+        };
+        baton
+            .owner
+            .set(thread.thread().clone())
+            .expect("a fresh baton has no owner");
+        (baton, thread)
+    }
+
     /// End of a task's thread: record the outcome, wake the joiners, hand
     /// the baton on and join the previously finished thread.
-    fn finish(&self, tid: TaskId, panic: Option<Box<dyn std::any::Any + Send>>) {
+    fn finish(self: &Arc<Self>, tid: TaskId, panic: Option<Box<dyn std::any::Any + Send>>) {
         let predecessor = {
             let mut st = self.state.lock();
             if let Some(p) = panic {
                 st.panic.get_or_insert(p);
             }
-            let slot = &mut st.tasks[tid.index()];
-            slot.state = TaskState::Finished;
-            slot.name = String::new();
-            slot.baton = None;
-            let me = slot.join_handle.take();
-            for j in std::mem::take(&mut slot.joiners) {
-                st.wake(j);
-            }
+            let me = st.retire(tid);
             std::mem::replace(&mut st.last_finished, me)
         };
-        self.drive(Driver::Task(tid))
-            .expect("a finished task is never runnable, so someone else is next")
+        self.drive(Driver::Exiting)
+            .expect("an exiting thread always hands the baton on")
             .grant();
         if let Some(jh) = predecessor {
             // It has handed the baton on, so it is exiting or gone.
@@ -424,12 +587,14 @@ pub enum RunOutcome {
     Deadlock(Vec<(String, &'static str)>),
 }
 
-/// What a task thread knows about itself. Taken out of `CURRENT` while the
-/// thread drives the scheduler loop, so events it fires see no task context.
+/// What a task knows about itself. Taken out of `CURRENT` while its thread
+/// drives the scheduler loop, so events it fires see no task context; put
+/// in for the length of an inline task's step, with no baton.
 struct Current {
     handle: SchedHandle,
     tid: TaskId,
-    baton: Arc<Baton>,
+    /// `None` for an inline task, which cannot park.
+    baton: Option<Arc<Baton>>,
 }
 
 thread_local! {
@@ -511,7 +676,9 @@ impl Scheduler {
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
         }
-        if let Some(first) = self.core.drive(Driver::Root) {
+        // Granted back, the root drives on: it may only be standing in for
+        // a thread that finished.
+        while let Some(first) = self.core.drive(Driver::Root) {
             first.grant();
             root.wait();
         }
@@ -589,13 +756,19 @@ impl SchedHandle {
     /// The named value: 0 for a name that never moved.
     pub fn metric(&self, name: Metric) -> i64 {
         let st = self.core.state.lock();
+        if name == GRANTS {
+            return st.grants as i64;
+        }
         st.metrics.get(&name).copied().unwrap_or(0)
     }
 
-    /// Every name moved so far with its value, in name order. A phase's
-    /// deltas are two snapshots subtracted.
+    /// Every name moved so far with its value, in name order, and
+    /// [`GRANTS`]. A phase's deltas are two snapshots subtracted.
     pub fn metrics(&self) -> BTreeMap<Metric, i64> {
-        self.core.state.lock().metrics.clone()
+        let st = self.core.state.lock();
+        let mut snapshot = st.metrics.clone();
+        snapshot.insert(GRANTS, st.grants as i64);
+        snapshot
     }
 
     /// Schedule `f` to run at absolute time `at` (clamped to be no earlier
@@ -663,48 +836,21 @@ impl SchedHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let baton = Baton::new(None);
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         // One critical section from id to run queue keeps the table dense.
-        // The new thread does not touch the state before its first grant.
         let mut st = self.core.state.lock();
         let tid = TaskId(st.tasks.len() as u64);
-        let thread = {
-            let baton = Arc::clone(&baton);
-            let result = Arc::clone(&result);
-            let handle = self.clone();
-            std::thread::Builder::new()
-                .name(format!("sim:{name}"))
-                .spawn(move || {
-                    baton.wait();
-                    CURRENT.set(Some(Current {
-                        handle: handle.clone(),
-                        tid,
-                        baton,
-                    }));
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(f));
-                    CURRENT.set(None);
-                    let panic = match out {
-                        Ok(v) => {
-                            *result.lock() = Some(v);
-                            None
-                        }
-                        Err(p) => Some(p),
-                    };
-                    handle.core.finish(tid, panic);
-                })
-                .expect("spawn sim task thread")
-        };
-        baton
-            .owner
-            .set(thread.thread().clone())
-            .expect("a fresh baton has no owner");
+        let out = Arc::clone(&result);
+        let (baton, thread) = self
+            .core
+            .start_thread(tid, &name, move || *out.lock() = Some(f()));
         st.tasks.push(TaskSlot {
             name,
             daemon,
             state: TaskState::Runnable,
             notified: false,
             baton: Some(baton),
+            step: None,
             join_handle: Some(thread),
             joiners: Vec::new(),
             blocked_on: "",
@@ -716,6 +862,35 @@ impl SchedHandle {
             tid,
             result,
         }
+    }
+
+    /// Spawn an inline task: `step` runs on the stack of whoever pops the
+    /// task off the run queue, with the task's context (`ctx::waker`,
+    /// `ctx::now`, `ctx::handle`), each time the task is woken, until it
+    /// returns [`Step::Done`] or [`Step::Promote`]. It takes the run-queue
+    /// place a [`spawn_daemon`](Self::spawn_daemon) would, and counts as a
+    /// daemon: blocked, it is no deadlock. `ctx::park`, `sleep` and
+    /// `yield_now` panic inside a step.
+    pub fn spawn_inline(
+        &self,
+        name: impl Into<String>,
+        step: impl FnMut() -> Step + Send + 'static,
+    ) -> TaskId {
+        let mut st = self.core.state.lock();
+        let tid = TaskId(st.tasks.len() as u64);
+        st.tasks.push(TaskSlot {
+            name: name.into(),
+            daemon: true,
+            state: TaskState::Runnable,
+            notified: false,
+            baton: None,
+            step: Some(Box::new(step)),
+            join_handle: None,
+            joiners: Vec::new(),
+            blocked_on: "",
+        });
+        st.runnable.push_back(tid);
+        tid
     }
 }
 
@@ -807,11 +982,18 @@ pub mod ctx {
     /// task context masked until this task is the one to run again.
     fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) {
         let cur = CURRENT.take().expect("not inside a simulated task");
+        let Some(baton) = &cur.baton else {
+            let name = cur.handle.core.state.lock().tasks[cur.tid.index()]
+                .name
+                .clone();
+            CURRENT.set(Some(cur));
+            panic!("inline task `{name}` cannot park, sleep or yield");
+        };
         let left = leave(&mut cur.handle.core.state.lock(), cur.tid);
         if left {
             if let Some(next) = cur.handle.core.drive(Driver::Task(cur.tid)) {
                 next.grant();
-                cur.baton.wait();
+                baton.wait();
             }
         }
         CURRENT.set(Some(cur));
@@ -827,8 +1009,7 @@ pub mod ctx {
             }
             slot.state = TaskState::Blocked;
             slot.blocked_on = reason;
-            let parks = Metric("task/parks", None, reason);
-            *st.metrics.entry(parks).or_insert(0) += 1;
+            st.count_park(reason);
             true
         });
     }
@@ -1355,7 +1536,7 @@ mod tests {
             let names: Vec<_> = h.metrics().keys().map(Metric::to_string).collect();
             names.join(" ")
         };
-        let expect = "node/3/links node/12/walks task/parks/sleep world/walk_peak";
+        let expect = "node/3/links node/12/walks sched/grants task/parks/sleep world/walk_peak";
         assert_eq!(names(), expect);
         assert_eq!(names(), expect);
     }
@@ -1369,6 +1550,220 @@ mod tests {
         }
         let never = h.metric(Metric("world", None, "never"));
         assert_eq!([h.metric(up), h.metric(peak), never], [0, 3, 0]);
+    }
+
+    /// The producer → relay → consumer scenario of the inline-task tests:
+    /// a relay task moves items from `inbox` to a one-slot `outbox`, on a
+    /// thread or inline, with the same queue calls in the same order. The
+    /// log notes every slice and event, and the parks by reason close it.
+    fn relay_scenario(inline: bool) -> (Vec<String>, u64) {
+        use crate::sync::SimQueue;
+        use std::task::Poll;
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let note = {
+            let (log, h) = (Arc::clone(&log), h.clone());
+            move |what: &str| {
+                let at = h.now().as_nanos() / 1_000_000;
+                log.lock().push(format!("{at}ms {what}"));
+            }
+        };
+        let (inbox, outbox) = (SimQueue::<u32>::bounded(2), SimQueue::<u32>::bounded(1));
+        let (q, n) = (inbox.clone(), note.clone());
+        sched.spawn("producer", move || {
+            for i in 0..6 {
+                ctx::sleep(Duration::from_millis([3, 0, 7][i as usize % 3]));
+                n(&format!("produce {i}"));
+                q.push(i).unwrap();
+            }
+            q.close();
+        });
+        let (from, to, n) = (inbox, outbox.clone(), note.clone());
+        if inline {
+            let mut held = None;
+            h.spawn_inline("relay", move || loop {
+                if held.is_some() {
+                    match to.poll_push(&mut held) {
+                        Poll::Pending => return Step::Blocked(SimQueue::<u32>::PUSH_WAIT),
+                        Poll::Ready(Err(_)) => return Step::Done,
+                        Poll::Ready(Ok(())) => {}
+                    }
+                }
+                match from.poll_pop() {
+                    Poll::Pending => return Step::Blocked(SimQueue::<u32>::POP_WAIT),
+                    Poll::Ready(None) => {
+                        to.close();
+                        return Step::Done;
+                    }
+                    Poll::Ready(Some(i)) => {
+                        n(&format!("relay {i}"));
+                        held = Some(i);
+                    }
+                }
+            });
+        } else {
+            sched.spawn_daemon("relay", move || {
+                while let Some(i) = from.pop() {
+                    n(&format!("relay {i}"));
+                    if to.push(i).is_err() {
+                        return;
+                    }
+                }
+                to.close();
+            });
+        }
+        let n = note.clone();
+        sched.spawn("consumer", move || {
+            while let Some(i) = outbox.pop() {
+                n(&format!("consume {i}"));
+                ctx::sleep(Duration::from_millis(4));
+            }
+            n("consumer done");
+        });
+        for (at, tag) in [(3u64, "timer A"), (8, "timer B")] {
+            let n = note.clone();
+            h.call_at(SimTime::ZERO + Duration::from_millis(at), move || n(tag));
+        }
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let mut out = log.lock().clone();
+        for (name, v) in h.metrics() {
+            if name.0 == "task/parks" {
+                out.push(format!("{name} {v}"));
+            }
+        }
+        (out, h.metric(GRANTS) as u64)
+    }
+
+    #[test]
+    fn an_inline_task_reproduces_its_thread_forms_slices_events_and_parks() {
+        let (threaded, thread_grants) = relay_scenario(false);
+        let (inline, inline_grants) = relay_scenario(true);
+        assert_eq!(inline, threaded);
+        assert!(
+            threaded.iter().any(|l| l == "task/parks/queue push 1"),
+            "the scenario fills the outbox: {threaded:?}"
+        );
+        assert!(
+            inline_grants < thread_grants,
+            "{inline_grants} vs {thread_grants}"
+        );
+        assert_eq!(relay_scenario(true), (inline, inline_grants));
+    }
+
+    #[test]
+    fn park_inside_an_inline_step_panics_with_the_tasks_name() {
+        let calls: [fn(); 3] = [
+            || ctx::park("never"),
+            || ctx::sleep(Duration::from_millis(1)),
+            ctx::yield_now,
+        ];
+        for call in calls {
+            let sched = Scheduler::new();
+            sched.handle().spawn_inline("pumpish", move || {
+                call();
+                Step::Done
+            });
+            let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+            let msg = p.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                msg,
+                Some("inline task `pumpish` cannot park, sleep or yield")
+            );
+        }
+    }
+
+    #[test]
+    fn a_wake_during_a_step_runs_it_again_at_once() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let steps = Arc::new(AtomicUsize::new(0));
+        let s2 = Arc::clone(&steps);
+        h.spawn_inline("self-waker", move || {
+            // Two steps wake themselves before blocking; the third blocks
+            // for good. None of them is a park.
+            if s2.fetch_add(1, Ordering::SeqCst) < 2 {
+                ctx::waker().wake();
+            }
+            Step::Blocked("test-wait")
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(steps.load(Ordering::SeqCst), 3);
+        assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 1);
+        assert_eq!(h.metric(GRANTS), 0, "the root ran every step itself");
+    }
+
+    #[test]
+    fn a_promoted_task_keeps_its_id_and_runs_next() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let (l, h2) = (Arc::clone(&log), h.clone());
+        let mut waker = None;
+        let tid = h.spawn_inline("promoted", move || {
+            let me = ctx::waker();
+            if waker.is_none() {
+                // First step: leave a waker behind, as a socket read would.
+                waker = Some(me);
+                let w = waker.clone();
+                h2.call_at(h2.now() + Duration::from_millis(1), move || {
+                    w.expect("set").wake()
+                });
+                return Step::Blocked("first");
+            }
+            let (l, stale) = (Arc::clone(&l), waker.take().expect("set"));
+            Step::Promote(Box::new(move || {
+                assert_eq!(ctx::waker().task(), stale.task(), "same id on the thread");
+                l.lock().push(format!("thread {}", ctx::now().as_nanos()));
+                // The waker taken inline still reaches the thread.
+                let h = ctx::handle();
+                h.call_at(ctx::now() + Duration::from_millis(1), move || stale.wake());
+                ctx::park("second");
+                l.lock().push(format!("woken {}", ctx::now().as_nanos()));
+            }))
+        });
+        // Runnable behind the promoted task when it is woken: it must not
+        // run in between.
+        let l = Arc::clone(&log);
+        sched.spawn("other", move || {
+            ctx::sleep(Duration::from_millis(1));
+            l.lock().push("other".to_string());
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(
+            *log.lock(),
+            ["thread 1000000", "other", "woken 2000000"],
+            "task {tid:?}"
+        );
+    }
+
+    #[test]
+    fn a_blocked_inline_task_is_not_a_deadlock() {
+        let sched = Scheduler::new();
+        sched
+            .handle()
+            .spawn_inline("idle-pump", || Step::Blocked("tcp read"));
+        sched.spawn("stuck", || ctx::park("never-signalled"));
+        match sched.run_until(SimTime::MAX) {
+            RunOutcome::Deadlock(v) => {
+                assert_eq!(v, vec![("stuck".to_string(), "never-signalled")])
+            }
+            o => panic!("expected deadlock, got {o:?}"),
+        }
+        let sched = Scheduler::new();
+        sched
+            .handle()
+            .spawn_inline("idle-pump", || Step::Blocked("tcp read"));
+        assert_eq!(sched.run(), RunOutcome::Idle);
+    }
+
+    #[test]
+    fn a_panic_in_an_inline_step_surfaces_from_run() {
+        let sched = Scheduler::new();
+        sched.handle().spawn_inline("boom", || panic!("stepped on"));
+        let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"stepped on"));
+        assert_eq!(sched.run(), RunOutcome::Idle, "the task is over");
     }
 
     use std::alloc::{GlobalAlloc, Layout, System};

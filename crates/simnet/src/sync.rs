@@ -13,6 +13,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::runtime::{ctx, Waker};
 
@@ -158,29 +159,45 @@ impl<T> SimQueue<T> {
         }
     }
 
+    /// What a task blocked in [`pop`](Self::pop) is parked on: the park
+    /// reason, and the would-block reason of [`poll_pop`](Self::poll_pop).
+    pub const POP_WAIT: &'static str = "queue pop";
+    /// As [`POP_WAIT`](Self::POP_WAIT), for a push into a full queue.
+    pub const PUSH_WAIT: &'static str = "queue push";
+
     /// Push, parking while the queue is full. Returns `Err(item)` if closed.
-    pub fn push(&self, mut item: T) -> Result<(), T> {
+    pub fn push(&self, item: T) -> Result<(), T> {
+        let mut slot = Some(item);
         loop {
-            {
-                let mut st = self.inner.state.lock();
-                if st.closed {
-                    return Err(item);
-                }
-                if st.items.len() < st.capacity {
-                    st.items.push_back(item);
-                    if let Some(w) = st.pop_waiters.pop_front() {
-                        w.wake();
-                    }
-                    return Ok(());
-                }
-                st.push_waiters.push_back(ctx::waker());
+            if let Poll::Ready(pushed) = self.poll_push(&mut slot) {
+                return pushed;
             }
-            ctx::park("queue push");
-            item = match self.try_reclaim(item) {
-                Ok(()) => return Ok(()),
-                Err(i) => i,
-            };
+            ctx::park(Self::PUSH_WAIT);
         }
+    }
+
+    /// Push the item in `slot` without parking: `Ready(Ok)` with `slot`
+    /// emptied, `Ready(Err(item))` if the queue is closed, or `Pending`
+    /// with the item left in `slot` and the calling task's waker registered
+    /// for the room a pop makes.
+    pub fn poll_push(&self, slot: &mut Option<T>) -> Poll<Result<(), T>> {
+        let mut st = self.inner.state.lock();
+        let Some(item) = slot.take() else {
+            return Poll::Ready(Ok(()));
+        };
+        if st.closed {
+            return Poll::Ready(Err(item));
+        }
+        if st.items.len() < st.capacity {
+            st.items.push_back(item);
+            if let Some(w) = st.pop_waiters.pop_front() {
+                w.wake();
+            }
+            return Poll::Ready(Ok(()));
+        }
+        *slot = Some(item);
+        st.push_waiters.push_back(ctx::waker());
+        Poll::Pending
     }
 
     /// Non-blocking push. `Err(item)` when the queue is full or closed;
@@ -198,41 +215,32 @@ impl<T> SimQueue<T> {
         Ok(())
     }
 
-    // Helper so `push` can retry without re-borrowing issues.
-    fn try_reclaim(&self, item: T) -> Result<(), T> {
-        let mut st = self.inner.state.lock();
-        if st.closed {
-            return Err(item);
-        }
-        if st.items.len() < st.capacity {
-            st.items.push_back(item);
-            if let Some(w) = st.pop_waiters.pop_front() {
-                w.wake();
-            }
-            Ok(())
-        } else {
-            Err(item)
-        }
-    }
-
     /// Pop, parking while empty. `None` when closed and drained.
     pub fn pop(&self) -> Option<T> {
         loop {
-            {
-                let mut st = self.inner.state.lock();
-                if let Some(item) = st.items.pop_front() {
-                    if let Some(w) = st.push_waiters.pop_front() {
-                        w.wake();
-                    }
-                    return Some(item);
-                }
-                if st.closed {
-                    return None;
-                }
-                st.pop_waiters.push_back(ctx::waker());
+            if let Poll::Ready(item) = self.poll_pop() {
+                return item;
             }
-            ctx::park("queue pop");
+            ctx::park(Self::POP_WAIT);
         }
+    }
+
+    /// Pop without parking: `Ready(Some)`, `Ready(None)` when closed and
+    /// drained, or `Pending` with the calling task's waker registered for
+    /// the next push.
+    pub fn poll_pop(&self) -> Poll<Option<T>> {
+        let mut st = self.inner.state.lock();
+        if let Some(item) = st.items.pop_front() {
+            if let Some(w) = st.push_waiters.pop_front() {
+                w.wake();
+            }
+            return Poll::Ready(Some(item));
+        }
+        if st.closed {
+            return Poll::Ready(None);
+        }
+        st.pop_waiters.push_back(ctx::waker());
+        Poll::Pending
     }
 
     /// Non-blocking pop.

@@ -51,43 +51,37 @@ impl TcpListener {
 
     /// Block until a fully established connection is available.
     pub fn accept(&self) -> io::Result<TcpStream> {
-        loop {
-            let port = self.addr.port;
-            let got = self.net.with(|w| {
+        let port = self.addr.port;
+        let id = TcpStream::wait("tcp accept", || {
+            self.net.with(|w| {
                 with_host(w, self.node, |h, _w| match h.listeners.get_mut(&port) {
                     Some(l) => {
                         if let Some(id) = l.pending.pop_front() {
-                            return Some(Ok(id));
+                            return Ok(Some(id));
                         }
                         if l.closed {
-                            return Some(Err(io::Error::from(io::ErrorKind::NotConnected)));
+                            return Err(io::Error::from(io::ErrorKind::NotConnected));
                         }
                         l.accept_wakers.push(ctx::waker());
-                        None
+                        Ok(None)
                     }
-                    None => Some(Err(io::Error::from(io::ErrorKind::NotConnected))),
+                    None => Err(io::Error::from(io::ErrorKind::NotConnected)),
                 })
-            });
-            match got {
-                Some(Ok(id)) => {
-                    let (local, remote) = self.net.with(|w| {
-                        with_host(w, self.node, |h, _| {
-                            let t = h.conns.get(&id).expect("accepted conn");
-                            (t.local, t.remote)
-                        })
-                    });
-                    return Ok(TcpStream::attach(
-                        self.net.clone(),
-                        self.node,
-                        id,
-                        local,
-                        remote,
-                    ));
-                }
-                Some(Err(e)) => return Err(e),
-                None => ctx::park("tcp accept"),
-            }
-        }
+            })
+        })?;
+        let (local, remote) = self.net.with(|w| {
+            with_host(w, self.node, |h, _| {
+                let t = h.conns.get(&id).expect("accepted conn");
+                (t.local, t.remote)
+            })
+        });
+        Ok(TcpStream::attach(
+            self.net.clone(),
+            self.node,
+            id,
+            local,
+            remote,
+        ))
     }
 }
 
@@ -173,6 +167,15 @@ impl TcpStream {
         self.inner.remote
     }
 
+    /// [`wait`](Self::wait) with `poll` run on this connection's TCB.
+    fn wait_tcb<R>(
+        &self,
+        why: &'static str,
+        mut poll: impl FnMut(&mut Tcb, SimTime) -> Option<R>,
+    ) -> io::Result<R> {
+        Self::wait(why, || self.with_tcb(&mut poll))
+    }
+
     /// Run `f` on the connection's TCB, then flush any produced segments.
     fn with_tcb<R>(&self, f: impl FnOnce(&mut Tcb, SimTime) -> R) -> io::Result<R> {
         let id = self.inner.id;
@@ -190,17 +193,23 @@ impl TcpStream {
         })
     }
 
-    /// Run `poll` on the TCB until it answers, parking in between: the one
-    /// way a call waits on this socket. Before answering `None`, `poll`
-    /// leaves the task a way to be woken — a waker on a TCB list, or its
-    /// work staged on the TCB.
+    /// What a task blocked in a read is parked on: the park reason of
+    /// every blocking read, and the would-block reason of
+    /// [`poll_read_chunks_min`](Self::poll_read_chunks_min).
+    pub const READ_WAIT: &'static str = "tcp read";
+
+    /// The one way a call waits on a socket: poll, and park in between.
+    /// `poll` looks once — on a TCB through [`with_tcb`](Self::with_tcb),
+    /// on a listener's queue — and before answering `None` leaves the task
+    /// a way to be woken: a waker on a TCB or listener list, or its work
+    /// staged on the TCB. A caller that must not park (an inline task)
+    /// makes the same poll itself and reports the would-block.
     fn wait<R>(
-        &self,
         why: &'static str,
-        mut poll: impl FnMut(&mut Tcb, SimTime) -> Option<R>,
+        mut poll: impl FnMut() -> io::Result<Option<R>>,
     ) -> io::Result<R> {
         loop {
-            if let Some(r) = self.with_tcb(&mut poll)? {
+            if let Some(r) = poll()? {
                 return Ok(r);
             }
             ctx::park(why);
@@ -210,7 +219,7 @@ impl TcpStream {
     /// Block until the connection is established (used right after
     /// `connect`). Returns immediately if already established.
     pub fn wait_established(&self) -> io::Result<()> {
-        self.wait("tcp connect", |tcb, _| {
+        self.wait_tcb("tcp connect", |tcb, _| {
             if let Some(e) = tcb.error() {
                 return Some(Err(io::Error::from(e)));
             }
@@ -234,7 +243,7 @@ impl TcpStream {
             return Ok(0);
         }
         let mut first = Some(buf);
-        self.wait("tcp write", |tcb, now| match first.take() {
+        self.wait_tcb("tcp write", |tcb, now| match first.take() {
             Some(buf) => tcb.write_some_staged(now, buf, ctx::waker()),
             None => tcb.collect_staged_write(now),
         })??;
@@ -250,7 +259,7 @@ impl TcpStream {
             return Ok(0);
         }
         let mut first = true;
-        self.wait("tcp read", |tcb, now| {
+        self.wait_tcb(Self::READ_WAIT, |tcb, now| {
             if std::mem::take(&mut first) {
                 tcb.read_some_staged(now, buf, ctx::waker())
             } else {
@@ -272,7 +281,7 @@ impl TcpStream {
     /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
         let mut first = Some(block);
-        self.wait("tcp write", |tcb, now| match first.take() {
+        self.wait_tcb("tcp write", |tcb, now| match first.take() {
             Some(block) => tcb.write_staged(now, block, ctx::waker()),
             None => tcb.collect_staged_write(now),
         })?
@@ -299,16 +308,47 @@ impl TcpStream {
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
+        Self::wait(Self::READ_WAIT, || self.poll_chunks(min, max, out))?
+    }
+
+    /// [`read_chunks_min`](Self::read_chunks_min) without parking, for a
+    /// caller that must not park: the same demand staged on the TCB with the
+    /// same `min` and `max`, or picked up if this socket has one staged.
+    /// `Err(WouldBlock)` while the demand is unmet: nothing is appended to
+    /// `out`, and the calling task is woken when the demand is met.
+    pub fn poll_read_chunks_min(
+        &self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        self.poll_chunks(min, max, out)?
+            .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+    }
+
+    /// One look at a chunked read: stage the demand, or collect the one
+    /// staged (a connection has one reader at a time). `None` = still
+    /// short, with the demand and the task's waker on the TCB.
+    fn poll_chunks(
+        &self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<Option<io::Result<usize>>> {
         if max == 0 || min == 0 {
-            return Ok(0);
+            return Ok(Some(Ok(0)));
         }
-        let mut first = Some(&mut *out);
-        let (chunks, read) = self.wait("tcp read", |tcb, now| match first.take() {
-            Some(out) => tcb.read_staged(now, min, max, out, ctx::waker()),
-            None => tcb.collect_staged_read(now),
+        let staged = self.with_tcb(|tcb, now| {
+            if tcb.read_is_staged() {
+                tcb.collect_staged_read(now)
+            } else {
+                tcb.read_staged(now, min, max, out, ctx::waker())
+            }
         })?;
-        *out = chunks;
-        read
+        Ok(staged.map(|(chunks, read)| {
+            *out = chunks;
+            read
+        }))
     }
 
     /// Toggle Nagle's algorithm (paper §4.1: NetIbis disables it and
@@ -365,7 +405,7 @@ impl TcpStream {
     /// Block until all written data has been acknowledged by the peer —
     /// useful for bandwidth measurements that must not count buffered bytes.
     pub fn drain(&self) -> io::Result<()> {
-        self.wait("tcp drain", |tcb, _| {
+        self.wait_tcb("tcp drain", |tcb, _| {
             if tcb.error().is_some() || tcb.send_space() == tcb.cfg.send_buf as usize {
                 return Some(());
             }

@@ -1211,6 +1211,12 @@ impl Tcb {
         None
     }
 
+    /// Is a read demand staged, waiting for
+    /// [`collect_staged_read`](Self::collect_staged_read)?
+    pub(crate) fn read_is_staged(&self) -> bool {
+        self.rcv.pending.is_some()
+    }
+
     /// Read into `buf`: copy out what is queued, or stage a demand for 1 to
     /// `buf.len()` bytes into the TCB's own chunk list (`None`; pick it up
     /// with [`collect_read_some`](Self::collect_read_some)).

@@ -3,7 +3,7 @@
 //! while it waits. Which thread drives must not show on the simulated
 //! clock, on the wire, or in delivery order.
 
-use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr};
+use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr, GRANTS};
 use gridsim_tcp::SimHost;
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv, GridNode,
@@ -123,4 +123,98 @@ fn relay_routed_pair_delivers_exactly_once_fifo() {
     );
     let method = transfer(&sim, hosts, profiles, StackSpec::plain(), 64, 4096);
     assert_eq!(method, EstablishMethod::Routed);
+}
+
+/// Cross-thread baton grants so far in the calling task's world.
+fn grants() -> i64 {
+    gridsim_net::ctx::handle().metric(GRANTS)
+}
+
+/// `rounds` closed-loop round trips of `len` bytes between two nodes over
+/// `hosts`, after one warm-up: the grants they cost, read on the pinger.
+fn ping_pong(
+    sim: &Sim,
+    (env, ha, hb): (GridEnv, SimHost, SimHost),
+    (pa, pb): (ConnectivityProfile, ConnectivityProfile),
+    rounds: u64,
+    len: usize,
+) -> (EstablishMethod, i64) {
+    let env_b = env.clone();
+    sim.spawn("echo", move || {
+        let node = GridNode::join(&env_b, hb, "echo", pb).unwrap();
+        let rp = node
+            .create_receive_port("ping", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::sleep(Duration::from_millis(400));
+        let mut sp = node.create_send_port();
+        sp.connect("pong").unwrap();
+        while let Ok(m) = rp.receive() {
+            sp.send(m.as_slice()).unwrap();
+        }
+    });
+    let pinger = sim.spawn("ping", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "ping", pa).unwrap();
+        let rp = node
+            .create_receive_port("pong", StackSpec::plain())
+            .unwrap();
+        let mut sp = node.create_send_port();
+        let method = sp.connect("ping").unwrap();
+        let mut round_trip = |i: u64| {
+            sp.send(&body(i, len)).unwrap();
+            assert!(rp.receive().unwrap().as_slice() == body(i, len));
+        };
+        round_trip(0);
+        let before = grants();
+        (1..=rounds).for_each(&mut round_trip);
+        (method, grants() - before)
+    });
+    sim.run_for(Duration::from_secs(600));
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(pinger.join()));
+    sim.run_for(Duration::from_secs(1));
+    let spent = out.lock().take().expect("pinger finished");
+    spent
+}
+
+/// Where the receive pump runs (DESIGN.md §6a): over one plain stream it is
+/// an inline task, stepped by whoever delivered its bytes, so a message
+/// costs one thread switch — to the task that receives it. With the pump
+/// on a thread of its own each message took two: driver → pump → receiver.
+#[test]
+fn a_round_trip_over_a_direct_link_costs_two_grants() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(8.0, Duration::from_millis(12));
+    let open = |name| topology::SiteSpec::open(name, 1, wan);
+    let hosts = world(&sim, &[open("a"), open("b")]);
+    let open = ConnectivityProfile::open;
+    let (method, spent) = ping_pong(&sim, hosts, (open(), open()), ROUNDS, 256);
+    assert_eq!(method, EstablishMethod::ClientServer);
+    assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+}
+
+/// The same through the relay: its reader and shard worker and each end's
+/// relay client still take their turns, eight switches a round trip; the
+/// pumps, polling their routed streams, no longer do (ten with them).
+#[test]
+fn a_round_trip_through_the_relay_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
+    let hosts = world(
+        &sim,
+        &[
+            topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
+            topology::SiteSpec::firewalled("walled", 1, wan),
+        ],
+    );
+    let profiles = (
+        ConnectivityProfile::natted(NatClass::SymmetricRandom),
+        ConnectivityProfile::firewalled(),
+    );
+    let (method, spent) = ping_pong(&sim, hosts, profiles, ROUNDS, 256);
+    assert_eq!(method, EstablishMethod::Routed);
+    assert_eq!(spent, 8 * ROUNDS as i64, "grants over {ROUNDS} round trips");
 }
