@@ -360,7 +360,8 @@ impl SchedCore {
     /// otherwise the baton the caller must grant: the next task's (a task
     /// an inline step just promoted to a thread included), or the root's
     /// when the run is over (a panic is pending, the event heap is empty,
-    /// or the next event lies past the `run_until` limit).
+    /// or the next event lies past the `run_until` limit) or when an
+    /// exiting caller finds no task runnable.
     fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
         loop {
             let callback = {
