@@ -12,8 +12,11 @@
 #           second way to wait on a simulated socket in simtcp, no timer
 #           named in simtcp's host stack, no second single-flight beside a
 #           data link's write gate, no probe field or accessor beside
-#           the world's metrics registry, and no second event queue
-#           beside the scheduler's (nor a lock around its hooks or clock)
+#           the world's metrics registry, no second event queue beside
+#           the scheduler's (nor a lock around its hooks or clock), no
+#           Fig-4 method's internals named in node.rs (they live in
+#           crates/core/src/establish/), and no poll loop that sleeps
+#           (`wait_until`) in crates/core/src
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -177,6 +180,14 @@ stage_clippy() {
   # not a field with its own accessor and forwarders.
   if grep -rnE 'fn establishment_walks|fn link_recoveries|fn walk_peak|fn park_stats|fn path_telemetry|WalkGauge|busy_throttles:|open_frames:|PATH_STATS_RING' crates/*/src; then
     echo "probe beside the metrics registry (lines above); count with SchedHandle::metric_add instead"
+    return 1
+  fi
+  # Each Fig-4 method is one connector in establish/, beside its responder
+  # half; node.rs only walks them. A wait with a deadline parks on its
+  # condition plus one sim-time wake, never a sleep-and-look loop.
+  if grep -nE 'splice_initiate|predict_endpoints|socks_connect|retry_addr_in_use|PendingSplice|SPLICE_PORT_BASE|fn try_method' crates/core/src/node.rs \
+    || grep -rn 'wait_until' crates/core/src; then
+    echo "a method's internals in node.rs, or a sleeping poll loop (lines above); use establish/'s connectors and a call_at wake"
     return 1
   fi
   # A packet in flight is one scheduler event whose hook argument names

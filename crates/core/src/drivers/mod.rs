@@ -523,18 +523,16 @@ fn secure_wires(
 /// Assemble the sender stack over established raw links.
 /// `links.len()` must equal `spec.streams()`.
 ///
-/// Also returns the [`BlockPool`] the stack's aggregation/striping layers
-/// draw their staging buffers from, so callers can surface pool hit/miss
-/// counters alongside link stats, and the striped layer's
-/// segment-terminator handle (None for single-stream stacks). The session
-/// layer uses it during a live reconfiguration to end the stripe segment
-/// in-band, so the receiver's pump tasks exit before the stack swap.
+/// Also returns the striped layer's segment-terminator handle (None for
+/// single-stream stacks). The session layer uses it during a live
+/// reconfiguration to end the stripe segment in-band, so the receiver's
+/// pump tasks exit before the stack swap.
 pub fn build_sender(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: HostCpu,
     sec: Option<&SecurityContext>,
-) -> io::Result<(SenderStack, BlockPool, Option<stripe::StripeTerminator>)> {
+) -> io::Result<(SenderStack, Option<stripe::StripeTerminator>)> {
     assert_eq!(
         links.len(),
         spec.streams() as usize,
@@ -584,7 +582,7 @@ pub fn build_sender(
         }
         None => base,
     };
-    Ok((stack, pool, term))
+    Ok((stack, term))
 }
 
 /// Assemble the receiver stack over accepted raw links (same order as the

@@ -3,6 +3,8 @@
 //! paper's §6 reports exactly such fallbacks (splicing failing on
 //! non-compliant NATs, reverting to a SOCKS proxy).
 
+use std::io;
+
 use crate::profile::ConnectivityProfile;
 
 use super::EstablishMethod;
@@ -77,6 +79,45 @@ pub fn choose_methods(
     // node connected to the Internet ... can connect to the relay").
     out.push(EstablishMethod::Routed);
     out
+}
+
+/// One walk of the Figure-4 decision tree: the methods still to try, in
+/// the tree's order, and what became of the ones tried.
+#[derive(Default)]
+pub(crate) struct Walk {
+    pub methods: std::vec::IntoIter<EstablishMethod>,
+    /// Every failed method's own error, in walk order.
+    failed: Vec<String>,
+    /// The last failure's kind; the kind of the walk's error (`NotFound`
+    /// when nothing failed).
+    kind: Option<io::ErrorKind>,
+}
+
+impl Walk {
+    /// A data link's walk from `initiator` to `target`.
+    pub(crate) fn data(initiator: &ConnectivityProfile, target: &ConnectivityProfile) -> Walk {
+        let methods = choose_methods(initiator, target, LinkPurpose::Data).into_iter();
+        Walk {
+            methods,
+            ..Walk::default()
+        }
+    }
+
+    pub(crate) fn failed(&mut self, why: String, kind: io::ErrorKind) {
+        self.kind = Some(kind);
+        self.failed.push(why);
+    }
+
+    /// `what` failed, and why: each step's error.
+    pub(crate) fn into_error(self, what: String) -> io::Error {
+        let why = if self.failed.is_empty() {
+            "no establishment method applicable".to_string()
+        } else {
+            self.failed.join("; ")
+        };
+        let kind = self.kind.unwrap_or(io::ErrorKind::NotFound);
+        io::Error::new(kind, format!("{what}: {why}"))
+    }
 }
 
 #[cfg(test)]

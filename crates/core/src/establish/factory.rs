@@ -5,13 +5,16 @@
 //! Two factories exist, exactly as in NetIbis:
 //!
 //! * [`BootstrapSocketFactory`] — builds connections *without* any
-//!   pre-existing link: plain client/server TCP, optionally through the
-//!   site's SOCKS proxy (for strict sites). Used for name-service and
-//!   relay connections.
-//! * The **brokered** factory is the method-fallback loop in
-//!   [`crate::node::GridNode`]: it negotiates over service links (splicing
-//!   endpoints, NAT predictions) and therefore lives with the node runtime
-//!   that owns those links.
+//!   pre-existing link: plain client/server TCP, optionally through a
+//!   SOCKS proxy. Its dial is the only one: name-service and relay
+//!   connections, and the streams of the client/server and proxy
+//!   connectors.
+//! * [`BrokeredSocketFactory`] — one per node, what its Figure-4
+//!   connectors share ([`EstablishMethod::connector`]): the NAT gate, the
+//!   splice ports and negotiations, and the service link to the relay that
+//!   splicing is brokered over and routed streams ride.
+//!
+//! [`EstablishMethod::connector`]: super::EstablishMethod::connector
 
 use gridsim_net::{SockAddr, Waker};
 use gridsim_tcp::{SimHost, TcpStream};
@@ -21,6 +24,10 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
+pub(crate) use super::splice::Splices;
+use crate::nameservice::NsClient;
+use crate::profile::{ConnectivityProfile, NatClass};
+use crate::relay::RelayClient;
 use crate::socks::socks_connect;
 
 /// Retry budget for transient local dial failures (`AddrInUse`: the
@@ -32,7 +39,7 @@ const DIAL_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Run `dial` with a bounded retry on [`io::ErrorKind::AddrInUse`]. Every
 /// other error — and exhaustion that outlives the budget — propagates.
-pub(crate) fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut last = None;
     for _ in 0..=DIAL_RETRIES {
         match dial() {
@@ -82,6 +89,19 @@ impl NatGate {
         }
     }
 
+    /// The gate of a node with this profile. Only symmetric NATs allocate
+    /// one external port per *flow*, so only they make port predictions
+    /// order-sensitive. A cone NAT maps per internal endpoint: concurrent
+    /// flows cannot shift each other's mappings, so walks to unrelated
+    /// peers run concurrently (single-flight stays per-LinkKey).
+    pub(crate) fn for_profile(profile: &ConnectivityProfile) -> Arc<NatGate> {
+        let symmetric = matches!(
+            profile.nat,
+            Some(NatClass::SymmetricPredictable | NatClass::SymmetricRandom)
+        );
+        Arc::new(NatGate::new(symmetric))
+    }
+
     /// Take the gate, waiting in FIFO order, if this gate serializes.
     pub(crate) fn hold(self: &Arc<Self>) -> Option<GateHold> {
         if !self.serializes {
@@ -99,12 +119,6 @@ impl NatGate {
             gridsim_net::ctx::park("nat gate");
         }
     }
-
-    /// Run `f` holding the gate, if this gate serializes.
-    pub(crate) fn run<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
-        let _hold = self.hold();
-        f()
-    }
 }
 
 /// Builds bootstrap connections: direct TCP when the site allows outbound,
@@ -113,35 +127,62 @@ impl NatGate {
 pub struct BootstrapSocketFactory {
     host: SimHost,
     via_proxy: Option<SockAddr>,
+    /// Taken by each dial attempt; a gate that never serializes unless
+    /// the factory dials for a symmetric-NAT node.
+    gate: Arc<NatGate>,
 }
 
 impl BootstrapSocketFactory {
     pub fn new(host: SimHost, via_proxy: Option<SockAddr>) -> BootstrapSocketFactory {
-        BootstrapSocketFactory { host, via_proxy }
-    }
-
-    /// The host this factory dials from.
-    pub fn host(&self) -> &SimHost {
-        &self.host
-    }
-
-    /// Does this factory tunnel through a proxy?
-    pub fn proxied(&self) -> bool {
-        self.via_proxy.is_some()
-    }
-
-    /// Open a bootstrap connection to a public service. A storm of
-    /// concurrent dials can transiently exhaust the ephemeral port space;
-    /// that surfaces as `AddrInUse` and is retried after a short backoff.
-    pub fn connect(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        retry_addr_in_use(|| self.dial(addr))
-    }
-
-    /// One connection attempt, no retry.
-    pub(crate) fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        match self.via_proxy {
-            Some(proxy) => socks_connect(&self.host, proxy, addr),
-            None => self.host.connect(addr),
+        let gate = Arc::new(NatGate::new(false));
+        BootstrapSocketFactory {
+            host,
+            via_proxy,
+            gate,
         }
+    }
+
+    /// This factory, its dials creating NAT flows under `gate`.
+    pub(crate) fn under(self, gate: Arc<NatGate>) -> BootstrapSocketFactory {
+        BootstrapSocketFactory { gate, ..self }
+    }
+
+    /// The one dial: open a connection to `addr`, direct or through the
+    /// proxy, holding the gate. A storm of concurrent dials can
+    /// transiently exhaust the ephemeral port space; that surfaces as
+    /// `AddrInUse` and is retried after a short backoff, outside the gate,
+    /// so a symmetric-NAT node never sleeps while holding it.
+    pub fn connect(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        retry_addr_in_use(|| {
+            let _hold = self.gate.hold();
+            match self.via_proxy {
+                Some(proxy) => socks_connect(&self.host, proxy, addr),
+                None => self.host.connect(addr),
+            }
+        })
+    }
+}
+
+/// What a node's connectors share. The node holds one and reaches the
+/// methods only through its Figure-4 walk and its relay delegate.
+pub(crate) struct BrokeredSocketFactory {
+    pub host: SimHost,
+    pub profile: ConnectivityProfile,
+    /// The node's bootstrap link; NAT-prediction probes go through it.
+    pub ns: NsClient,
+    /// The node's service link: splicing is brokered over it, routed
+    /// streams ride it.
+    pub relay: Option<RelayClient>,
+    /// Serializes NAT-mapping-creating operations on this node; shared
+    /// with the name-service client, whose link dial creates a flow.
+    pub gate: Arc<NatGate>,
+    pub splices: Splices,
+}
+
+impl BrokeredSocketFactory {
+    pub(super) fn service_link(&self) -> io::Result<&RelayClient> {
+        let why = "no relay configured (needed for brokering/routing)";
+        let none = || io::Error::new(io::ErrorKind::AddrNotAvailable, why);
+        self.relay.as_ref().ok_or_else(none)
     }
 }

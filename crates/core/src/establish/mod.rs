@@ -1,11 +1,47 @@
 //! Connection establishment methods and the method decision tree
-//! (paper Section 3, Table 1 and Figure 4).
+//! (paper Section 3, Table 1 and Figure 4): one connector per method, each
+//! beside its responder half — client/server and proxy in `direct`,
+//! splicing in `splice`, routed messages in `routed` — over the socket
+//! factories of `factory`.
 
 pub mod decision;
+mod direct;
 pub mod factory;
+mod routed;
+mod splice;
 
+use std::io;
+
+pub(crate) use decision::Walk;
 pub use decision::{choose_methods, LinkPurpose};
+pub(crate) use direct::accept;
 pub use factory::BootstrapSocketFactory;
+pub(crate) use factory::BrokeredSocketFactory;
+pub(crate) use routed::on_open;
+pub(crate) use splice::{on_abort, on_go, on_request};
+
+use crate::drivers::{RawLink, StackSpec};
+use crate::nameservice::PortRecord;
+use crate::profile::ConnectivityProfile;
+use crate::wire::ResumeMeta;
+
+/// The receive port a connector dials, as the name service reported it.
+pub(crate) struct Target {
+    pub rec: PortRecord,
+    /// Its owner's profile.
+    pub profile: ConnectivityProfile,
+}
+
+/// A Figure-4 method's initiator half: the raw links to the target, one per
+/// stream in stream order, each carrying its preamble — anchored at the
+/// channel, with the resume fields when resuming.
+pub(crate) type Connector = fn(
+    &BrokeredSocketFactory,
+    &Target,
+    &StackSpec,
+    u64,
+    Option<&ResumeMeta>,
+) -> io::Result<Vec<RawLink>>;
 
 /// Identity of a shared data link in the session layer: establishment is
 /// keyed by `(peer node, stack equivalence class)`, so every channel whose
@@ -138,6 +174,16 @@ impl EstablishMethod {
             EstablishMethod::Splicing => "TCP splicing",
             EstablishMethod::Proxy => "TCP proxy",
             EstablishMethod::Routed => "routed messages",
+        }
+    }
+
+    /// This method's connector.
+    pub(crate) fn connector(self) -> Connector {
+        match self {
+            EstablishMethod::ClientServer => direct::connect::<false>,
+            EstablishMethod::Splicing => splice::splicing,
+            EstablishMethod::Proxy => direct::connect::<true>,
+            EstablishMethod::Routed => routed::routed,
         }
     }
 }

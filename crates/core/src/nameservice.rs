@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self};
 use std::sync::Arc;
 
-use crate::establish::factory::{retry_addr_in_use, BootstrapSocketFactory, NatGate};
+use crate::establish::factory::{BootstrapSocketFactory, NatGate};
 use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameStream, NsRequest, Put, Reply, Wire};
@@ -160,14 +160,13 @@ pub struct NsClient {
 #[derive(Clone)]
 struct Tickets {
     pending: Arc<Pending<Bytes>>,
+    /// Dials under the owning node's NAT gate: the link creates a NAT flow.
     factory: BootstrapSocketFactory,
-    /// The owning node's NAT gate: the link's dial creates a NAT flow.
-    gate: Arc<NatGate>,
 }
 
 impl LinkOwner for Tickets {
     fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        retry_addr_in_use(|| self.gate.run(|| self.factory.dial(addr)))
+        self.factory.connect(addr)
     }
 
     fn dispatch(&self, gen: u64, frame: Bytes) -> io::Result<()> {
@@ -185,20 +184,9 @@ impl LinkOwner for Tickets {
 
 impl NsClient {
     pub fn new(host: SimHost, ns_addr: SockAddr, via_proxy: Option<SockAddr>) -> NsClient {
-        Self::gated(host, ns_addr, via_proxy, Arc::new(NatGate::new(false)))
-    }
-
-    /// A client whose link dials under `gate` (a symmetric-NAT node's).
-    pub(crate) fn gated(
-        host: SimHost,
-        ns_addr: SockAddr,
-        via_proxy: Option<SockAddr>,
-        gate: Arc<NatGate>,
-    ) -> NsClient {
         let tickets = Tickets {
             pending: Arc::new(Pending::new()),
             factory: BootstrapSocketFactory::new(host.clone(), via_proxy),
-            gate,
         };
         NsClient {
             host,
@@ -207,6 +195,12 @@ impl NsClient {
             link: ServiceLink::new("ns-link".into(), vec![ns_addr], Backoff::ms(0, 0, 0)),
             tickets,
         }
+    }
+
+    /// This client, its link dialed under `gate` (a symmetric-NAT node's).
+    pub(crate) fn under(mut self, gate: Arc<NatGate>) -> NsClient {
+        self.tickets.factory = self.tickets.factory.under(gate);
+        self
     }
 
     pub fn addr(&self) -> SockAddr {
@@ -312,10 +306,12 @@ impl NsClient {
             ..self.host.tcp_config()
         };
         let mut stream = match self.via_proxy {
+            // Observed-through-proxy shows the proxy, which is what a
+            // strict-firewall site genuinely looks like from outside. Like
+            // every probe it dials outside the gate: a predictor probes
+            // while holding it.
             Some(_) => {
-                // Observed-through-proxy shows the proxy, which is what a
-                // strict-firewall site genuinely looks like from outside.
-                self.tickets.factory.connect(target)?
+                BootstrapSocketFactory::new(self.host.clone(), self.via_proxy).connect(target)?
             }
             None => self.host.connect_opts(
                 target,

@@ -10,13 +10,13 @@
 //! rides ONE shared, supervised link. Concurrent `connect()`s to the same
 //! peer are deduplicated to a single Figure-4 walk, and a link failure
 //! triggers ONE re-establishment that replays every attached channel.
-//! There is one establishment path (`connect()` is a batch of one) and one
-//! stream preamble, written by `send_preamble` and read by
-//! `handle_incoming_tcp`; its layout is [`crate::wire`]'s.
+//! There is one establishment path (`connect()` is a batch of one): the
+//! walk ([`GridNode::walk_on`]) runs the methods' connectors, which live in
+//! [`crate::establish`] with their responder halves.
 
 use gridcrypt::SecureConfig;
 use gridsim_net::{Metric, Net, SchedHandle, SockAddr};
-use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
+use gridsim_tcp::SimHost;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -26,32 +26,27 @@ use std::time::Duration;
 
 use crate::cpu::{CpuModel, CpuRates, HostCpu};
 use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
-use crate::establish::factory::{retry_addr_in_use, GateHold, NatGate};
-use crate::establish::{choose_methods, EstablishMethod, LinkKey, LinkPurpose};
+use crate::establish::factory::{NatGate, Splices};
+use crate::establish::{self, BrokeredSocketFactory, EstablishMethod, LinkKey, Target, Walk};
 use crate::link::Backoff;
-use crate::nameservice::{GridId, NsClient, PortRecord};
+use crate::nameservice::{GridId, NsClient};
 use crate::port::{
     AckCell, AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort,
 };
-use crate::profile::{ConnectivityProfile, FirewallClass, NatClass};
+use crate::profile::{ConnectivityProfile, FirewallClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
-use crate::socks::socks_connect;
 use crate::tune::{PathControlConfig, PathController};
-use crate::wire::{read_frame, Frame, Preamble, Put, ReconfigAck};
-use crate::wire::{ResumeMeta, ResumeReply, SvcMsg, Wire};
+use crate::wire::{read_frame_within, Frame, Put, ReconfigAck, ResumeMeta, ResumeReply};
+use crate::wire::{SvcMsg, Wire};
 
 /// Reconnect schedule for failed data links.
 pub(crate) const RECOVER: Backoff = Backoff::ms(8, 50, 2000);
 /// How long a sender waits for the receiver's reply on stream 0 (the
 /// delivered counts after a resume preamble, the ack of a RECONFIG) before
-/// abandoning the attempt (polled, so a second failure right there cannot
-/// wedge it).
+/// abandoning the attempt: a sim-time deadline on the read, so a second
+/// failure right there cannot wedge it.
 const RESUME_REPLY_TIMEOUT: Duration = Duration::from_secs(10);
-/// Service-request deadline used during recovery, where the peer may have
-/// died mid-request. Fault-free establishment passes no deadline (and thus
-/// schedules no timer events).
-const RECOVER_SVC_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Figure-4 walks in flight across the world, and the most at once.
 const WALKS_IN_FLIGHT: Metric = Metric("world", None, "walks_in_flight");
@@ -59,9 +54,6 @@ const WALK_PEAK: Metric = Metric("world", None, "walk_peak");
 
 /// First local port used for receive-port data listeners.
 const DATA_PORT_BASE: u16 = 20_000;
-/// First local port used for spliced connections (distinct from the
-/// ephemeral range 10000+, data listeners 20000+, NAT mappings 40000+).
-const SPLICE_PORT_BASE: u16 = 31_000;
 
 /// How receive-side pumps resolve OPEN frames (and resume extras) to
 /// receive ports by name: a weak hook back into the node's port table.
@@ -192,26 +184,19 @@ impl NodeCtx {
 
 pub(crate) struct NodeInner {
     env: GridEnv,
-    host: SimHost,
     name: String,
     id: GridId,
-    profile: ConnectivityProfile,
-    ns: NsClient,
-    relay: Option<RelayClient>,
     cpu: HostCpu,
     ports: Mutex<HashMap<String, Arc<ReceivePortInner>>>,
     next_data_port: AtomicU64,
-    next_splice_port: AtomicU64,
     next_channel: AtomicU64,
     /// Numbers this node's RPC reply ports. Per node, not per process: the
     /// number is in the port's name and the name is on the wire.
     next_rpc_client: AtomicU64,
     seed_base: u64,
-    /// Serializes NAT-mapping-creating operations on this node; shared
-    /// with the name-service client, whose link dial creates a flow.
-    nat_gate: Arc<NatGate>,
-    /// Responder-side splice negotiations awaiting the initiator's GO.
-    pending_splices: Mutex<HashMap<u64, PendingSplice>>,
+    /// The node's host, profile and service links, with what its Figure-4
+    /// methods share: the NAT gate, splice ports and negotiations.
+    brokered: BrokeredSocketFactory,
     /// Cumulative-ack watermarks of this node's open send channels by channel
     /// id, each beside the one receiver whose CACK frames advance it.
     ack_cells: Mutex<HashMap<u64, (GridId, Arc<AckCell>)>>,
@@ -223,70 +208,6 @@ pub(crate) struct NodeInner {
     /// channels of several ports, and a resume can re-anchor a channel on
     /// a different port's listener.
     rx: Arc<RxShared>,
-}
-
-struct PendingSplice {
-    port: Arc<ReceivePortInner>,
-    /// One per stream of the port's spec.
-    my_ports: Vec<u16>,
-    /// The NAT gate, held from REQ until the negotiation is dropped: on
-    /// GO, ABORT, a duplicate REQ or [`SPLICE_GO_DEADLINE`].
-    _gate: Option<GateHold>,
-}
-
-/// How long a responder holding its NAT gate waits for the initiator's
-/// `SPLICE_GO` before dropping the negotiation, so a dead initiator or a
-/// lost GO cannot park every later dial under the gate. The GO follows the
-/// REQ's reply by the initiator's own gate wait, one name-service probe
-/// and its SYNs: round trips, not seconds.
-const SPLICE_GO_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Does a node with this profile need the NAT gate at all? Only symmetric
-/// NATs allocate one external port per *flow*, so only they make port
-/// predictions order-sensitive. A cone NAT maps per internal endpoint:
-/// concurrent flows cannot shift each other's mappings, so gating them
-/// would only serialize a connection storm for nothing — walks to
-/// unrelated peers run concurrently (single-flight stays per-LinkKey).
-fn nat_serializes(profile: &ConnectivityProfile) -> bool {
-    matches!(
-        profile.nat,
-        Some(NatClass::SymmetricPredictable | NatClass::SymmetricRandom)
-    )
-}
-
-/// One walk of the Figure-4 decision tree: the methods still to try, in
-/// the tree's order, and what became of the ones tried.
-struct Walk {
-    methods: std::vec::IntoIter<EstablishMethod>,
-    /// Every failed method's own error, in walk order.
-    failed: Vec<String>,
-    /// The last failure's kind; the kind of the walk's error.
-    kind: io::ErrorKind,
-}
-
-impl Walk {
-    fn new(methods: Vec<EstablishMethod>) -> Walk {
-        Walk {
-            methods: methods.into_iter(),
-            failed: Vec::new(),
-            kind: io::ErrorKind::NotFound,
-        }
-    }
-
-    fn failed(&mut self, why: String, kind: io::ErrorKind) {
-        self.kind = kind;
-        self.failed.push(why);
-    }
-
-    /// `what` failed, and why: each step's error.
-    fn into_error(self, what: String) -> io::Error {
-        let why = if self.failed.is_empty() {
-            "no establishment method applicable".to_string()
-        } else {
-            self.failed.join("; ")
-        };
-        io::Error::new(self.kind, format!("{what}: {why}"))
-    }
 }
 
 /// A node participating in the grid.
@@ -312,8 +233,8 @@ impl GridNode {
         } else {
             None
         };
-        let nat_gate = Arc::new(NatGate::new(nat_serializes(&profile)));
-        let ns = NsClient::gated(host.clone(), env.ns_addr, via_proxy, Arc::clone(&nat_gate));
+        let gate = NatGate::for_profile(&profile);
+        let ns = NsClient::new(host.clone(), env.ns_addr, via_proxy).under(Arc::clone(&gate));
         // Publish the ordered relay list only when there are fallbacks —
         // single-relay deployments keep their registration frames (and
         // wire traces) byte-identical.
@@ -335,21 +256,22 @@ impl GridNode {
         let cpu = HostCpu::new(env.cpu.clone(), host.node(), env.rates);
         let inner = Arc::new(NodeInner {
             env: env.clone(),
-            host,
             name: name.to_string(),
             id,
-            profile,
-            ns,
-            relay: relay.clone(),
             cpu,
             ports: Mutex::new(HashMap::new()),
             next_data_port: AtomicU64::new(DATA_PORT_BASE as u64),
-            next_splice_port: AtomicU64::new(SPLICE_PORT_BASE as u64),
             next_channel: AtomicU64::new(1),
             next_rpc_client: AtomicU64::new(1),
             seed_base,
-            nat_gate,
-            pending_splices: Mutex::new(HashMap::new()),
+            brokered: BrokeredSocketFactory {
+                host,
+                profile,
+                ns,
+                relay: relay.clone(),
+                gate,
+                splices: Splices::default(),
+            },
             ack_cells: Mutex::new(HashMap::new()),
             links: LinkTable::new(env.net.sched().clone(), Metric("node", Some(id), "links")),
             rx: RxShared::new(),
@@ -383,15 +305,15 @@ impl GridNode {
     }
 
     pub fn profile(&self) -> &ConnectivityProfile {
-        &self.inner.profile
+        &self.inner.brokered.profile
     }
 
     pub fn host(&self) -> &SimHost {
-        &self.inner.host
+        &self.inner.brokered.host
     }
 
     pub fn ns(&self) -> &NsClient {
-        &self.inner.ns
+        &self.inner.brokered.ns
     }
 
     pub fn cpu(&self) -> &HostCpu {
@@ -422,14 +344,10 @@ impl GridNode {
         self.inner.next_rpc_client.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// A fresh channel id; its high bits are ours, which is how a splice
+    /// responder tells the initiator's messages from anyone else's.
     fn alloc_channel(&self) -> u64 {
         (self.inner.id << 24) | self.inner.next_channel.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn alloc_splice_ports(&self, n: u16) -> Vec<u16> {
-        (0..n)
-            .map(|_| self.inner.next_splice_port.fetch_add(1, Ordering::Relaxed) as u16)
-            .collect()
     }
 
     // ------------------------------------------------------------ ports
@@ -439,14 +357,13 @@ impl GridNode {
     /// matching stack automatically.
     pub fn create_receive_port(&self, name: &str, spec: StackSpec) -> io::Result<ReceivePort> {
         let data_port = self.inner.next_data_port.fetch_add(1, Ordering::Relaxed) as u16;
-        let listener = self.inner.host.listen(data_port)?;
-        let listen_addr = SockAddr::new(self.inner.host.ip(), data_port);
-        self.inner
-            .ns
-            .register_port(self.inner.id, name, Some(listen_addr), &spec.encode())?;
+        let listener = self.inner.brokered.host.listen(data_port)?;
+        let listen_addr = SockAddr::new(self.inner.brokered.host.ip(), data_port);
+        let ns = &self.inner.brokered.ns;
+        ns.register_port(self.inner.id, name, Some(listen_addr), &spec.encode())?;
         // The receive port acks over the service link when one exists;
         // without a relay the watermark still travels in resume replies.
-        let ack = match &self.inner.relay {
+        let ack = match &self.inner.brokered.relay {
             Some(r) if self.inner.env.ack_bytes != usize::MAX => Some(AckSender {
                 relay: r.clone(),
                 sched: self.inner.env.net.sched().clone(),
@@ -466,10 +383,9 @@ impl GridNode {
         let sched2 = sched.clone();
         sched.spawn_daemon(format!("rp-accept-{name}"), move || loop {
             let Ok(stream) = listener.accept() else { break };
-            let port = Arc::clone(&port);
-            let node = node.clone();
+            let (port, ctx) = (Arc::clone(&port), node.ctx());
             sched2.spawn_daemon("rp-incoming", move || {
-                let _ = node.handle_incoming_tcp(&port, stream);
+                let _ = establish::accept(&ctx, &port, stream);
             });
         });
         Ok(ReceivePort {
@@ -485,17 +401,6 @@ impl GridNode {
 
     pub(crate) fn forget_port(&self, name: &str) {
         self.inner.ports.lock().remove(name);
-    }
-
-    /// Read the stream preamble and register the link with the port.
-    fn handle_incoming_tcp(
-        &self,
-        port: &Arc<ReceivePortInner>,
-        stream: TcpStream,
-    ) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        let pre = Preamble::decode(&read_frame(&mut stream.clone())?.into())?;
-        port.add_link(&self.ctx(), pre, RawLink::Tcp(stream))
     }
 
     // ------------------------------------------------- establishment
@@ -535,9 +440,10 @@ impl GridNode {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let (rec, peer_profile, _peer_name) = self.inner.ns.lookup_port(port_name)?;
-        let spec = StackSpec::decode(&rec.stack)?;
-        let key = LinkKey::new(rec.owner, &spec);
+        let (rec, profile, _peer_name) = self.inner.brokered.ns.lookup_port(port_name)?;
+        let target = Target { rec, profile };
+        let spec = StackSpec::decode(&target.rec.stack)?;
+        let key = LinkKey::new(target.rec.owner, &spec);
         let channels: Vec<u64> = (0..count).map(|_| self.alloc_channel()).collect();
         let conns: Vec<SendConnection> = loop {
             let (link, mut conns) = match self.inner.links.claim(&key) {
@@ -550,14 +456,7 @@ impl GridNode {
                     self.count("walks");
                     let sched = self.inner.env.net.sched();
                     sched.metric_max(WALK_PEAK, sched.metric_add(WALKS_IN_FLIGHT, 1));
-                    let result = self.establish_link(
-                        &key,
-                        &rec,
-                        &peer_profile,
-                        &spec,
-                        channels[0],
-                        port_name,
-                    );
+                    let result = self.establish_link(&key, &target, &spec, channels[0], port_name);
                     sched.metric_add(WALKS_IN_FLIGHT, -1);
                     match result {
                         Ok(anchor) => {
@@ -602,7 +501,7 @@ impl GridNode {
         self.inner.ack_cells.lock().extend(
             conns
                 .iter()
-                .map(|c| (c.chan.channel, (rec.owner, Arc::clone(&c.chan.acked)))),
+                .map(|c| (c.chan.channel, (key.peer, Arc::clone(&c.chan.acked)))),
         );
         Ok(conns)
     }
@@ -635,19 +534,13 @@ impl GridNode {
     fn establish_link(
         &self,
         key: &LinkKey,
-        rec: &PortRecord,
-        peer_profile: &ConnectivityProfile,
+        target: &Target,
         spec: &StackSpec,
         channel: u64,
         port_name: &str,
     ) -> io::Result<SendConnection> {
-        let mut walk = Walk::new(choose_methods(
-            &self.inner.profile,
-            peer_profile,
-            LinkPurpose::Data,
-        ));
-        let Some((method, io, _)) = self.walk_on(&mut walk, rec, peer_profile, spec, channel, None)
-        else {
+        let mut walk = Walk::data(&self.inner.brokered.profile, &target.profile);
+        let Some((method, io, _)) = self.walk_on(&mut walk, target, spec, channel, None) else {
             let what = format!("all establishment methods failed for '{port_name}'");
             return Err(walk.into_error(what));
         };
@@ -669,24 +562,24 @@ impl GridNode {
     }
 
     /// The Figure-4 walk, for a fresh link (`resume` is `None`) and for a
-    /// recovery alike: go on down `walk`'s methods to the next one that
-    /// establishes its raw links and assembles the sender stack over
-    /// them (after the receiver's resume reply, when resuming — returned
-    /// beside the stack). A method that does not leaves its error in
-    /// `walk`; `None` when none is left.
+    /// recovery alike: go on down `walk`'s methods to the next one whose
+    /// connector establishes its raw links, and assemble the sender stack
+    /// over them (after the receiver's resume reply, when resuming —
+    /// returned beside the stack). A method that fails leaves its error in
+    /// `walk`; `None` when none is left. The only node code that knows the
+    /// methods exist.
     fn walk_on(
         &self,
         walk: &mut Walk,
-        rec: &PortRecord,
-        peer_profile: &ConnectivityProfile,
+        target: &Target,
         spec: &StackSpec,
         channel: u64,
         resume: Option<&ResumeMeta>,
     ) -> Option<(EstablishMethod, LinkIo, Vec<u64>)> {
         while let Some(method) = walk.methods.next() {
-            let built = self
-                .try_method(method, rec, peer_profile, spec, channel, resume)
-                .and_then(|(links, total)| self.build_link_io(links, total, spec, resume));
+            let connect = method.connector();
+            let built = connect(&self.inner.brokered, target, spec, channel, resume)
+                .and_then(|links| self.build_link_io(links, spec, resume));
             match built {
                 Ok((io, deliveries)) => return Some((method, io, deliveries)),
                 Err(e) => walk.failed(format!("{method}: {e}"), e.kind()),
@@ -695,40 +588,41 @@ impl GridNode {
         None
     }
 
-    /// Read the resume reply (if resuming) and assemble the sender stack.
-    /// The reply carries one delivered count per channel the preamble
-    /// listed (anchor first, then the extras in preamble order).
+    /// Read the resume reply (if resuming) and assemble the sender stack
+    /// over as many streams as the method delivered (a routed link has
+    /// one). The reply carries one delivered count per channel the
+    /// preamble listed (anchor first, then the extras in preamble order).
     fn build_link_io(
         &self,
         links: Vec<RawLink>,
-        total: u16,
         spec: &StackSpec,
         resume: Option<&ResumeMeta>,
     ) -> io::Result<(LinkIo, Vec<u64>)> {
         let deliveries = match resume {
             // The receiver replies once every stream arrived.
             Some(meta) => {
-                let frame = read_reply(&links[0], "resume reply")?;
+                let frame = read_frame_within(&links[0], RESUME_REPLY_TIMEOUT, "resume reply")?;
                 ResumeReply::decode(&frame, 1 + meta.extras.len())?.0
             }
             None => Vec::new(),
         };
-        let spec_eff = spec.clone().with_streams(total.max(1));
-        let ctx = self.ctx();
-        let sec = ctx.security(&spec_eff);
-        let probes = links.clone();
-        let (writer, pool, term) =
-            build_sender(links, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
-        Ok((
-            LinkIo {
-                writer,
-                pool,
-                active: probes.len(),
-                links: probes,
-                term,
-            },
-            deliveries,
-        ))
+        let n = links.len();
+        let io = self.stack(links, n, &spec.clone().with_streams((n as u16).max(1)))?;
+        Ok((io, deliveries))
+    }
+
+    /// Assemble the sender stack `spec` asks for over the first `stripes`
+    /// of `links`; the rest stay parked (`healthy()` ignores them). GTLS
+    /// stacks handshake deterministically from the per-stream salt.
+    fn stack(&self, links: Vec<RawLink>, stripes: usize, spec: &StackSpec) -> io::Result<LinkIo> {
+        let (raw, sec) = (links[..stripes].to_vec(), self.ctx().security(spec));
+        let (writer, term) = build_sender(raw, spec, self.inner.cpu.clone(), sec.as_ref())?;
+        Ok(LinkIo {
+            writer,
+            active: stripes,
+            links,
+            term,
+        })
     }
 
     // -------------------------------------------- live reconfiguration
@@ -784,7 +678,8 @@ impl GridNode {
         io.write_reconfig(epoch, params)?;
         // Block for the receiver's ack: it proves the receiver consumed
         // every old-format byte and swapped.
-        let ack = ReconfigAck::decode(&read_reply(&io.links[0], "reconfig ack")?.into())?;
+        let ack = read_frame_within(&io.links[0], RESUME_REPLY_TIMEOUT, "reconfig ack")?;
+        let ack = ReconfigAck::decode(&ack.into())?;
         if ack.epoch != epoch {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -801,19 +696,9 @@ impl GridNode {
                 c.acked.advance(delivered);
             }
         }
-        // Rebuild the sender stack over the first `stripes` connections;
-        // the rest stay parked (healthy() ignores them). GTLS stacks
-        // re-handshake deterministically from the per-stream salt.
-        let spec_eff = link.spec.clone().with_path(params);
-        let ctx = self.ctx();
-        let sec = ctx.security(&spec_eff);
-        let raw: Vec<RawLink> = io.links[..params.stripes as usize].to_vec();
-        let (writer, pool, term) =
-            build_sender(raw, &spec_eff, self.inner.cpu.clone(), sec.as_ref())?;
-        io.writer = writer;
-        io.pool = pool;
-        io.term = term;
-        io.active = params.stripes as usize;
+        // Rebuild the sender stack over the first `stripes` connections.
+        let spec = link.spec.clone().with_path(params);
+        *io = self.stack(io.links.clone(), params.stripes as usize, &spec)?;
         link.set_path_params(params);
         Ok(true)
     }
@@ -977,7 +862,7 @@ impl GridNode {
         // idle relay service link (an abort whose RST the outage
         // swallowed). Probe it now so incoming service traffic — the
         // receiver's CACKs in particular — finds us registered again.
-        if let Some(relay) = &self.inner.relay {
+        if let Some(relay) = &self.inner.brokered.relay {
             relay.nudge();
         }
         let peer_desc = link
@@ -986,7 +871,7 @@ impl GridNode {
             .map(|c| c.peer_port.clone())
             .unwrap_or_default();
         // The last attempt's walk: what each of its methods ran into.
-        let mut walk = Walk::new(Vec::new());
+        let mut walk = Walk::default();
         for delay in RECOVER.delays() {
             gridsim_net::ctx::sleep(delay);
             let chans = link.replay_order();
@@ -1005,27 +890,19 @@ impl GridNode {
                 .map(|c| (c.channel, c.peer_port.clone()))
                 .collect();
             let plan = ResumeMeta { gen, extras };
-            let (rec, peer_profile, _) = match self.inner.ns.lookup_port(&anchor.peer_port) {
-                Ok(x) => x,
+            let target = match self.inner.brokered.ns.lookup_port(&anchor.peer_port) {
+                Ok((rec, profile, _)) => Target { rec, profile },
                 Err(e) => {
-                    walk = Walk::new(Vec::new());
+                    walk = Walk::default();
                     walk.failed(e.to_string(), e.kind());
                     continue;
                 }
             };
-            walk = Walk::new(choose_methods(
-                &self.inner.profile,
-                &peer_profile,
-                LinkPurpose::Data,
-            ));
-            while let Some((method, fresh, deliveries)) = self.walk_on(
-                &mut walk,
-                &rec,
-                &peer_profile,
-                &link.spec,
-                anchor.channel,
-                Some(&plan),
-            ) {
+            walk = Walk::data(&self.inner.brokered.profile, &target.profile);
+            let (spec, anchor) = (&link.spec, anchor.channel);
+            while let Some((method, fresh, deliveries)) =
+                self.walk_on(&mut walk, &target, spec, anchor, Some(&plan))
+            {
                 // Validate every channel's replay BEFORE swapping the
                 // stack in: a resume-bounds violation (evicted gap,
                 // impossible watermark) is fatal and must not be retried.
@@ -1060,355 +937,6 @@ impl GridNode {
         Err(walk.into_error(what))
     }
 
-    /// Attempt one establishment method; returns the raw links in stream
-    /// order plus the effective stream count.
-    fn try_method(
-        &self,
-        method: EstablishMethod,
-        rec: &PortRecord,
-        peer_profile: &ConnectivityProfile,
-        spec: &StackSpec,
-        channel: u64,
-        resume: Option<&ResumeMeta>,
-    ) -> io::Result<(Vec<RawLink>, u16)> {
-        match method {
-            EstablishMethod::ClientServer => {
-                let listener = rec.listener.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::AddrNotAvailable, "port has no listener")
-                })?;
-                let mut links = Vec::with_capacity(spec.streams() as usize);
-                for idx in 0..spec.streams() {
-                    // Storm hardening: transient ephemeral-port exhaustion
-                    // (AddrInUse) retries outside the NAT gate, so a
-                    // symmetric-NAT node never sleeps while holding it.
-                    let s = retry_addr_in_use(|| {
-                        self.inner
-                            .nat_gate
-                            .run(|| self.inner.host.connect(listener))
-                    })?;
-                    self.send_preamble(&s, channel, idx, spec.streams(), resume)?;
-                    links.push(RawLink::Tcp(s));
-                }
-                Ok((links, spec.streams()))
-            }
-            EstablishMethod::Proxy => {
-                let listener = rec.listener.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::AddrNotAvailable, "port has no listener")
-                })?;
-                // Use the target's site proxy to reach inward; fall back to
-                // our own proxy for a strictly firewalled initiator.
-                let proxy = if !peer_profile.accepts_inbound() {
-                    peer_profile.socks_proxy
-                } else {
-                    self.inner.profile.socks_proxy
-                }
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::AddrNotAvailable, "no SOCKS proxy available")
-                })?;
-                let mut links = Vec::with_capacity(spec.streams() as usize);
-                for idx in 0..spec.streams() {
-                    let s = self
-                        .inner
-                        .nat_gate
-                        .run(|| socks_connect(&self.inner.host, proxy, listener))?;
-                    self.send_preamble(&s, channel, idx, spec.streams(), resume)?;
-                    links.push(RawLink::Tcp(s));
-                }
-                Ok((links, spec.streams()))
-            }
-            EstablishMethod::Splicing => {
-                // NAT port prediction races with any concurrent outbound
-                // traffic on the same site (each connection consumes
-                // mappings); like real NAT-traversal systems, retry with a
-                // staggered backoff before falling back down the tree.
-                let mut last = None;
-                for attempt in 0..3u32 {
-                    if attempt > 0 {
-                        let stagger =
-                            Duration::from_millis(200 * attempt as u64 + (channel % 7) * 50);
-                        gridsim_net::ctx::sleep(stagger);
-                    }
-                    match self.splice_initiate(rec, spec, channel, resume) {
-                        Ok(links) => return Ok((links, spec.streams())),
-                        Err(e) => last = Some(e),
-                    }
-                }
-                Err(last.expect("at least one attempt"))
-            }
-            EstablishMethod::Routed => {
-                let relay = self.relay()?;
-                let pre = Preamble {
-                    channel,
-                    idx: 0,
-                    total: 1,
-                    resume: resume.cloned(),
-                };
-                let stream = relay.open_stream(rec.owner, &rec.name, pre.routed_channel())?;
-                if let Some(meta) = resume {
-                    meta.encode().send(&mut stream.clone())?;
-                }
-                Ok((vec![RawLink::Routed(stream)], 1))
-            }
-        }
-    }
-
-    fn relay(&self) -> io::Result<&RelayClient> {
-        self.inner.relay.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::AddrNotAvailable,
-                "no relay configured (needed for brokering/routing)",
-            )
-        })
-    }
-
-    fn send_preamble(
-        &self,
-        s: &TcpStream,
-        channel: u64,
-        idx: u16,
-        total: u16,
-        resume: Option<&ResumeMeta>,
-    ) -> io::Result<()> {
-        s.set_nodelay(true)?;
-        let resume = resume.cloned();
-        let pre = Preamble {
-            channel,
-            idx,
-            total,
-            resume,
-        };
-        pre.encode().send(&mut s.clone())
-    }
-
-    /// TCP configuration used for spliced connects: bounded retries so a
-    /// failed prediction falls through to a retry or the next method in a
-    /// few seconds.
-    fn splice_cfg(&self) -> TcpConfig {
-        TcpConfig {
-            syn_retries: 2,
-            ..self.inner.host.tcp_config()
-        }
-    }
-
-    /// Compute the public endpoints peers must dial for our upcoming
-    /// connects from `local_ports` (paper §6's NAT port prediction).
-    fn predict_endpoints(&self, local_ports: &[u16]) -> io::Result<Vec<SockAddr>> {
-        match self.inner.profile.nat {
-            None => Ok(local_ports
-                .iter()
-                .map(|&p| SockAddr::new(self.inner.host.ip(), p))
-                .collect()),
-            Some(NatClass::Cone) => {
-                // One probe per port: the cone mapping persists for any
-                // destination.
-                local_ports
-                    .iter()
-                    .map(|&p| self.inner.ns.probe_observed(Some(p), false))
-                    .collect()
-            }
-            Some(NatClass::SymmetricPredictable) => {
-                // One probe from an ephemeral port reveals the allocation
-                // counter; our next `n` outbound connections (in order)
-                // will take the following ports.
-                let observed = self.inner.ns.probe_observed(None, false)?;
-                Ok((0..local_ports.len() as u16)
-                    .map(|i| SockAddr::new(observed.ip, observed.port + 1 + i))
-                    .collect())
-            }
-            Some(NatClass::SymmetricRandom) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unpredictable NAT: splicing not possible",
-            )),
-        }
-    }
-
-    /// Initiator side of brokered TCP splicing (paper Fig. 7), three
-    /// messages over the service link:
-    ///
-    /// 1. `SPLICE_REQ {channel, port, total}` — the responder predicts its
-    ///    public endpoints (holding its NAT gate if NATted) and replies.
-    /// 2. The initiator predicts its own endpoints and **emits its SYNs
-    ///    before releasing its NAT gate** — the predict→SYN window is
-    ///    therefore race-free on this side.
-    /// 3. `SPLICE_GO {channel, initiator endpoints}` — the responder
-    ///    connects (and releases its gate).
-    fn splice_initiate(
-        &self,
-        rec: &PortRecord,
-        spec: &StackSpec,
-        channel: u64,
-        resume: Option<&ResumeMeta>,
-    ) -> io::Result<Vec<RawLink>> {
-        let relay = self.relay()?.clone();
-        let total = spec.streams();
-        // During recovery the responder may have died mid-negotiation;
-        // bound the brokering round-trips so the tree can fall through.
-        let svc_timeout = resume.map(|_| RECOVER_SVC_TIMEOUT);
-        // 1. Request: responder allocates + predicts.
-        let (port, streams) = (rec.name.clone(), total as u64);
-        let req = SvcMsg::SpliceReq {
-            channel,
-            port,
-            streams,
-        };
-        let peer_eps: Vec<SockAddr> = relay.service_call(rec.owner, &req, svc_timeout)?;
-        if peer_eps.len() != total as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "endpoint count mismatch",
-            ));
-        }
-
-        // 2. Predict and emit SYNs under the NAT gate.
-        let gate = self.inner.nat_gate.hold();
-        let launched = (|| -> io::Result<(Vec<TcpStream>, Vec<SockAddr>)> {
-            let my_ports = self.alloc_splice_ports(total);
-            let my_eps = self.predict_endpoints(&my_ports)?;
-            let cfg = self.splice_cfg();
-            let mut streams = Vec::with_capacity(total as usize);
-            for (&lp, &ep) in my_ports.iter().zip(&peer_eps) {
-                streams.push(self.inner.host.connect_start(
-                    ep,
-                    ConnectOpts {
-                        local_port: Some(lp),
-                        cfg: Some(cfg),
-                    },
-                )?);
-            }
-            Ok((streams, my_eps))
-        })();
-        drop(gate);
-        let (streams, my_eps) = match launched {
-            Ok(x) => x,
-            Err(e) => {
-                // Tell the responder to abandon the negotiation (it may be
-                // holding its NAT gate).
-                let abort = SvcMsg::SpliceAbort { channel };
-                let _ = relay.service_call::<_, ()>(rec.owner, &abort, None);
-                return Err(e);
-            }
-        };
-
-        // 3. GO: the responder connects towards us.
-        let endpoints = my_eps;
-        let go = SvcMsg::SpliceGo { channel, endpoints };
-        relay.service_call::<_, ()>(rec.owner, &go, svc_timeout)?;
-
-        // Wait for establishment, then send the stream preambles.
-        let mut links = Vec::with_capacity(streams.len());
-        for (idx, stream) in streams.into_iter().enumerate() {
-            stream.wait_established()?;
-            self.send_preamble(&stream, channel, idx as u16, total, resume)?;
-            links.push(RawLink::Tcp(stream));
-        }
-        Ok(links)
-    }
-
-    // -------------------------------------------- responder-side splice
-
-    /// Handle `SPLICE_REQ`: allocate ports, predict endpoints (taking the
-    /// NAT gate, held until GO, ABORT or the deadline), reply with the
-    /// predictions. The stream count must be the named port's own, so a
-    /// peer cannot make us allocate (and probe for) more.
-    fn handle_splice_request(
-        &self,
-        from: GridId,
-        channel: u64,
-        port: &str,
-        asked: u64,
-    ) -> io::Result<Vec<SockAddr>> {
-        let channel = own_channel(from, channel)?;
-        let port = self
-            .inner
-            .ports
-            .lock()
-            .get(port)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown receive port"))?;
-        let total = port.spec.streams();
-        if asked != total as u64 {
-            let why = "not the port's stream count";
-            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
-        }
-        if !self.inner.profile.splice_capable() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "this side cannot splice",
-            ));
-        }
-        // A duplicate REQ for the same channel is a retry whose response
-        // was lost to a relay failover: drop the stale negotiation (and
-        // its gate hold) instead of deadlocking on a second acquire.
-        self.inner.pending_splices.lock().remove(&channel);
-        let gate = self.inner.nat_gate.hold();
-        let my_ports = self.alloc_splice_ports(total);
-        let my_endpoints = self.predict_endpoints(&my_ports)?;
-        if gate.is_some() {
-            // Drop this negotiation, if it is still waiting, at the
-            // deadline. Its ports are fresh, so they tell it from a later
-            // REQ's for the same channel.
-            let (inner, ports) = (Arc::downgrade(&self.inner), my_ports.clone());
-            let sched = self.inner.env.net.sched();
-            sched.call_at(sched.now() + SPLICE_GO_DEADLINE, move || {
-                let Some(inner) = inner.upgrade() else { return };
-                let mut pending = inner.pending_splices.lock();
-                if pending.get(&channel).is_some_and(|p| p.my_ports == ports) {
-                    pending.remove(&channel);
-                }
-            });
-        }
-        self.inner.pending_splices.lock().insert(
-            channel,
-            PendingSplice {
-                port,
-                my_ports,
-                _gate: gate,
-            },
-        );
-        Ok(my_endpoints)
-    }
-
-    /// Handle `SPLICE_GO`: emit our SYNs towards the initiator's endpoints
-    /// (mappings land on the predicted ports because the gate was held
-    /// since REQ), then drop the negotiation and with it the gate.
-    fn handle_splice_go(&self, from: GridId, channel: u64, eps: &[SockAddr]) -> io::Result<()> {
-        let channel = own_channel(from, channel)?;
-        let pending = self
-            .inner
-            .pending_splices
-            .lock()
-            .remove(&channel)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no pending splice"))?;
-        if eps.len() != pending.my_ports.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "endpoint count mismatch",
-            ));
-        }
-        let cfg = self.splice_cfg();
-        let sched = self.inner.env.net.sched().clone();
-        for (i, (&lp, &ep)) in pending.my_ports.iter().zip(eps).enumerate() {
-            let stream = self.inner.host.connect_start(
-                ep,
-                ConnectOpts {
-                    local_port: Some(lp),
-                    cfg: Some(cfg),
-                },
-            )?;
-            let node = self.clone();
-            let port = Arc::clone(&pending.port);
-            sched.spawn_daemon(format!("splice-accept-{i}"), move || {
-                if stream.wait_established().is_err() {
-                    return;
-                }
-                // Same as an accepted connection: read the initiator's
-                // preamble.
-                let _ = node.handle_incoming_tcp(&port, stream);
-            });
-        }
-        Ok(())
-    }
-
     /// Handle `CACK{channel, delivered}`: advance the matching send channel's
     /// cumulative-ack watermark if `from` is that channel's receiver. Anything
     /// else (a closed channel, another sender) still gets an ack: the frame is
@@ -1420,20 +948,6 @@ impl GridNode {
         }
         Ok(())
     }
-
-    /// Handle `SPLICE_ABORT`: drop the pending negotiation and free the gate.
-    fn handle_splice_abort(&self, from: GridId, channel: u64) -> io::Result<()> {
-        let channel = own_channel(from, channel)?;
-        self.inner.pending_splices.lock().remove(&channel);
-        Ok(())
-    }
-}
-
-/// The channel of a splice message from `from`, refused unless `from`
-/// allocated it: its high bits are the initiator's grid id (`alloc_channel`).
-fn own_channel(from: GridId, channel: u64) -> io::Result<u64> {
-    let theirs = || io::Error::new(io::ErrorKind::PermissionDenied, "not the sender's channel");
-    Some(channel).filter(|c| c >> 24 == from).ok_or_else(theirs)
 }
 
 /// The relay delegate: routes service requests and routed-link opens into
@@ -1456,16 +970,24 @@ impl RelayDelegate for NodeDelegate {
         let Some(node) = self.node() else {
             return reply::<()>(Err(io::Error::other("node gone")));
         };
+        // The splice responder's port lookups and accept tasks need the
+        // node's context; a CACK does not build one.
+        let f = &node.inner.brokered;
         match SvcMsg::decode(&payload.to_vec().into()) {
             Ok(SvcMsg::SpliceReq {
                 channel,
                 port,
                 streams,
-            }) => reply(node.handle_splice_request(from, channel, &port, streams)),
-            Ok(SvcMsg::SpliceGo { channel, endpoints }) => {
-                reply(node.handle_splice_go(from, channel, &endpoints))
+            }) => {
+                let ctx = node.ctx();
+                reply(establish::on_request(
+                    f, &ctx, from, channel, &port, streams,
+                ))
             }
-            Ok(SvcMsg::SpliceAbort { channel }) => reply(node.handle_splice_abort(from, channel)),
+            Ok(SvcMsg::SpliceGo { channel, endpoints }) => {
+                reply(establish::on_go(f, &node.ctx(), from, channel, &endpoints))
+            }
+            Ok(SvcMsg::SpliceAbort { channel }) => reply(establish::on_abort(f, from, channel)),
             Ok(SvcMsg::Cack { channel, delivered }) => {
                 reply(node.handle_cack(from, channel, delivered))
             }
@@ -1480,58 +1002,7 @@ impl RelayDelegate for NodeDelegate {
         channel: u64,
         stream: RoutedStream,
     ) -> Result<(), String> {
-        let Some(node) = self.node() else {
-            return Err("node gone".into());
-        };
-        let port = node
-            .inner
-            .ports
-            .lock()
-            .get(port_name)
-            .cloned()
-            .ok_or_else(|| format!("unknown receive port '{port_name}'"))?;
-        // Admitted. Reading the resume fields (a resumed link's first stream
-        // frame) and assembling the stack block, so they run in a task; the
-        // opener hears of a failure there through a late refusal.
-        gridsim_net::ctx::handle().spawn_daemon("routed-open", move || {
-            let link = RawLink::Routed(stream.clone());
-            let opened = Preamble::decode_routed(channel, || read_frame(&mut stream.clone()))
-                .and_then(|pre| port.add_link(&node.ctx(), pre, link));
-            if let Err(e) = opened {
-                stream.refuse(&e.to_string());
-            }
-        });
-        Ok(())
+        let node = self.node().ok_or("node gone")?;
+        establish::on_open(node.ctx(), port_name, channel, stream)
     }
-}
-
-/// Read the frame the receiver writes raw on stream 0 (`l0`), in the
-/// reverse direction, to answer a resume preamble or a RECONFIG. Polls
-/// readability first: a plain blocking read on a link that dies again
-/// right here would park forever.
-fn read_reply(l0: &RawLink, what: &str) -> io::Result<Vec<u8>> {
-    let readable = || match l0 {
-        RawLink::Tcp(s) => s.readable(),
-        RawLink::Routed(s) => s.readable(),
-    };
-    if !wait_until(RESUME_REPLY_TIMEOUT, Duration::from_millis(10), readable) {
-        return Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("no {what} from receiver"),
-        ));
-    }
-    read_frame(&mut l0.clone())
-}
-
-/// Block the calling task until `cond` holds or `timeout` elapses; polls at
-/// the given interval.
-fn wait_until(timeout: Duration, poll: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = gridsim_net::ctx::now() + timeout;
-    while gridsim_net::ctx::now() < deadline {
-        if cond() {
-            return true;
-        }
-        gridsim_net::ctx::sleep(poll);
-    }
-    cond()
 }

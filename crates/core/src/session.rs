@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use crate::drivers::{PathParams, RawLink, SenderStack, StackSpec, StripeTerminator};
 use crate::establish::{EstablishMethod, LinkKey};
-use crate::pool::BlockPool;
 use crate::port::{AckCell, ResendOverflow};
 use crate::tune::PathStats;
 use crate::wire::Frame;
@@ -179,8 +178,6 @@ fn prune(st: &mut ChanState, e: u64) {
 /// channels interleave at message granularity in arrival order.
 pub(crate) struct LinkIo {
     pub writer: SenderStack,
-    /// The stack's block pool (aggregation/striping staging buffers).
-    pub pool: BlockPool,
     /// Raw links under the stack, cloned for health probes. A live
     /// reconfiguration may leave more links here than the current stack
     /// uses — only the first [`LinkIo::active`] carry data.

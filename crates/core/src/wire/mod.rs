@@ -11,10 +11,12 @@
 //! and [`FrameReader`] are public as the toolkit for malformed input.
 
 use bytes::Bytes;
-use gridsim_net::{Ip, SockAddr};
+use gridsim_net::{ctx, Ip, SockAddr};
 use gridsim_tcp::TcpStream;
 use gridzip::varint;
 use std::io::{self, Read};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::drivers::{BlockReader, BlockWrite, RawLink};
 
@@ -277,6 +279,47 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; len as usize];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// [`read_frame`] for the one frame a peer writes raw on a data link in the
+/// reverse direction (a resume reply, a RECONFIG ack), with a sim-time
+/// deadline: parks until the frame has landed whole or `within` has passed
+/// — then `TimedOut`, so a link that dies again right there cannot wedge
+/// the reader. Takes exactly the frame's bytes off the link. The deadline
+/// is one timer event, which fires as a no-op once the frame is in.
+pub(crate) fn read_frame_within(l: &RawLink, within: Duration, what: &str) -> io::Result<Vec<u8>> {
+    let sched = ctx::handle();
+    let deadline = sched.now() + within;
+    let (waiting, waker) = (Arc::new(()), ctx::waker());
+    let timer = Arc::downgrade(&waiting);
+    sched.call_at(deadline, move || {
+        if timer.upgrade().is_some() {
+            waker.wake();
+        }
+    });
+    // No read-ahead, and a decode cut short consumes nothing: each demand
+    // is what the frame still lacks.
+    let mut r = BlockReader::polling(l.clone(), 1);
+    let parked_on = r.polls().unwrap_or(TcpStream::READ_WAIT);
+    loop {
+        let mut p = r.parse();
+        let frame = p.varint().and_then(|len| {
+            let len = usize::try_from(len).ok().filter(|&n| n <= MAX_FRAME);
+            p.vec(len.ok_or_else(|| bad("control frame too large"))?)
+        });
+        match frame {
+            Ok(frame) => {
+                p.commit();
+                return Ok(frame);
+            }
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => return Err(e),
+            Err(_) if sched.now() >= deadline => {
+                let why = format!("no {what} from receiver");
+                return Err(io::Error::new(io::ErrorKind::TimedOut, why));
+            }
+            Err(_) => ctx::park(parked_on),
+        }
+    }
 }
 
 /// Most bytes one read takes off the socket beyond the frame in hand.

@@ -3,7 +3,7 @@
 //! flap, and the opt-in session-layer control loop probing stripe count
 //! up on a window-limited WAN path (DESIGN.md §11).
 
-use gridsim_net::{topology, FaultPlan, LinkParams, Metric, Sim, SockAddr};
+use gridsim_net::{topology, FaultPlan, LinkParams, Metric, Sim, SockAddr, TraceKind};
 use gridsim_tcp::{SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay, ConnectivityProfile, GridNode, PathControlConfig, PathParams,
@@ -266,5 +266,68 @@ fn controller_probes_stripes_up_live() {
     assert!(
         params.stripes > 1,
         "controller never probed stripes up: {params:?}"
+    );
+}
+
+/// A RECONFIG ack is taken the sim instant it lands on the sender's host:
+/// the read parks on the link with a sim-time deadline, so the swap
+/// commits at the ack's arrival, not at the next tick of a poll.
+#[test]
+fn a_reconfig_ack_is_taken_the_instant_it_lands() {
+    let sim = Sim::new(seed(74));
+    // 7 ms one way: the ack's round trip ends off any 10 ms tick.
+    let (env, ha, hb) = world(&sim, LinkParams::mbps(4.0, Duration::from_millis(7)));
+    let spec = StackSpec::plain();
+    let recv = spawn_sequenced_receiver(&sim, &env, hb, "ack-now", spec, 2, 64);
+    // Every instant a packet lands on the sender's host.
+    let landings = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (log, a_ip) = (Arc::clone(&landings), ha.ip());
+    sim.net().with(|w| {
+        w.set_tracer(Box::new(move |t, kind, pkt| {
+            if kind == TraceKind::Delivered && pkt.dst.ip == a_ip {
+                log.lock().push(t);
+            }
+        }))
+    });
+    let env_a = env.clone();
+    let send = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env_a, ha, "ack-now-send", ConnectivityProfile::open()).unwrap();
+        let mut sp = node.create_send_port();
+        sp.connect("ack-now").unwrap();
+        let send = |sp: &mut netgrid::SendPort, i: u64| {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.write_bytes(&[0x5au8; 64]);
+            m.finish().unwrap();
+        };
+        send(&mut sp, 0);
+        let compressed = PathParams {
+            compression_level: Some(1),
+            ..sp.path_params(0).unwrap()
+        };
+        let asked = gridsim_net::ctx::now();
+        assert!(sp.reconfigure(compressed).unwrap());
+        let committed = gridsim_net::ctx::now();
+        send(&mut sp, 1);
+        sp.close().unwrap();
+        (asked, committed)
+    });
+    sim.run();
+    assert!(recv.is_finished() && send.is_finished());
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let o = Arc::clone(&out);
+    sim.spawn("collect", move || *o.lock() = Some(send.join()));
+    sim.run();
+    let (asked, committed) = out.lock().take().unwrap();
+    let landings = landings.lock();
+    let ack = landings.iter().rev().find(|&&t| t <= committed).unwrap();
+    assert!(
+        *ack > asked,
+        "nothing landed between the RECONFIG and its commit"
+    );
+    assert_eq!(
+        committed, *ack,
+        "the swap committed after the ack had landed, not as it landed"
     );
 }

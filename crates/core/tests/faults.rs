@@ -1489,3 +1489,85 @@ proptest! {
         );
     }
 }
+
+/// A receiver that never answers: the port's record names a listener that
+/// takes every byte and writes none. A RECONFIG there fails with
+/// `TimedOut` at the reply deadline and recovers the link. The recovery's
+/// proxied attempt waits the same deadline for its resume reply, fails
+/// with it, and the walk goes on to routed messages, which reach the real
+/// port: both messages arrive once, in order.
+#[test]
+fn a_receiver_that_never_answers_times_out_and_the_walk_goes_on() {
+    const REPLY_DEADLINE: Duration = Duration::from_secs(10);
+    let sim = Sim::new(seed(69));
+    let specs = vec![
+        topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan()),
+        topology::SiteSpec::firewalled("vu", 1, wan()),
+    ];
+    let (env, ha, hb, proxy) = fault_world(&sim, specs, true);
+    let profile_b = ConnectivityProfile::firewalled().with_proxy(proxy.unwrap());
+    let ready = gridsim_net::SimQueue::bounded(1);
+    let (env_b, ready_tx) = (env.clone(), ready.clone());
+    let recv = sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb.clone(), "mute-recv", profile_b).unwrap();
+        let rp = node
+            .create_receive_port("mute", StackSpec::plain())
+            .unwrap();
+        let mute = hb.listen(7000).unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("mute", move || {
+            while let Ok(mut conn) = mute.accept() {
+                gridsim_net::ctx::handle().spawn_daemon("mute-conn", move || {
+                    let mut buf = [0u8; 4096];
+                    while std::io::Read::read(&mut conn, &mut buf).is_ok_and(|n| n > 0) {}
+                });
+            }
+        });
+        let (ns, spec) = (node.ns(), StackSpec::plain().encode());
+        ns.unregister_port("mute").unwrap();
+        let mute_addr = SockAddr::new(hb.ip(), 7000);
+        ns.register_port(node.id(), "mute", Some(mute_addr), &spec)
+            .unwrap();
+        ready_tx.push(()).unwrap();
+        for i in 0..2u64 {
+            let got = rp.receive().unwrap().read_u64().unwrap();
+            assert_eq!(got, i, "exactly-once FIFO violated");
+        }
+    });
+    let send = sim.spawn("sender", move || {
+        ready.pop().unwrap();
+        let profile = ConnectivityProfile::natted(netgrid::NatClass::SymmetricRandom);
+        let node = GridNode::join(&env, ha, "mute-send", profile).unwrap();
+        let mut sp = node.create_send_port();
+        assert_eq!(sp.connect("mute").unwrap(), EstablishMethod::Proxy);
+        let send = |sp: &mut netgrid::SendPort, i: u64| {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.finish().unwrap();
+        };
+        send(&mut sp, 0);
+        let compressed = netgrid::PathParams {
+            compression_level: Some(1),
+            ..sp.path_params(0).unwrap()
+        };
+        let t0 = gridsim_net::ctx::now();
+        let err = sp.reconfigure(compressed).unwrap_err();
+        let took = gridsim_net::ctx::now() - t0;
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        assert_eq!(sp.connections()[0].1, EstablishMethod::Routed);
+        send(&mut sp, 1);
+        sp.close().unwrap();
+        took
+    });
+    sim.run();
+    assert!(recv.is_finished(), "receiver wedged");
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(send.join()));
+    sim.run();
+    let took = out.lock().take().unwrap();
+    // The ack's deadline, then the resume reply's, then a routed walk step.
+    assert!(
+        took >= 2 * REPLY_DEADLINE && took < 2 * REPLY_DEADLINE + Duration::from_secs(1),
+        "reconfig plus recovery took {took:?}"
+    );
+}

@@ -74,6 +74,13 @@ pub struct Nat {
 pub const NAT_PORT_BASE: u16 = 40_000;
 pub const NAT_PORT_SPAN: u16 = 20_000;
 
+/// The port a sequential NAT tries after `port`: the next one up, and
+/// [`NAT_PORT_BASE`] again after the top of the port space. A port
+/// predictor that has observed one mapping follows the same rule.
+pub fn next_sequential_port(port: u16) -> u16 {
+    port.checked_add(1).unwrap_or(NAT_PORT_BASE)
+}
+
 impl Nat {
     pub fn new(kind: NatKind, ext_ip: Ip) -> Nat {
         Nat {
@@ -114,10 +121,7 @@ impl Nat {
                 // Sequential allocation; skip ports still in use.
                 loop {
                     let p = self.next_port;
-                    self.next_port = self.next_port.wrapping_add(1);
-                    if self.next_port < NAT_PORT_BASE {
-                        self.next_port = NAT_PORT_BASE;
-                    }
+                    self.next_port = next_sequential_port(p);
                     if !self.by_external.contains_key(&p) {
                         return p;
                     }
@@ -184,6 +188,25 @@ mod tests {
     }
     fn ext(a: u8, p: u16) -> SockAddr {
         SockAddr::new(Ip::new(130, 37, 0, a), p)
+    }
+
+    /// A sequential NAT's allocations follow `next_sequential_port` also
+    /// where its counter wraps from the top of the port space to its base:
+    /// what a port predictor that observed the first of them computes.
+    #[test]
+    fn sequential_allocation_wraps_by_the_successor_rule() {
+        let mut r = rng();
+        let mut nat = Nat::new(NatKind::SymmetricSequential, Ip::new(131, 1, 1, 1));
+        nat.next_port = u16::MAX - 2;
+        let ports: Vec<u16> = (1..=5)
+            .map(|i| nat.outbound(int(5000), ext(i, 80), &mut r).port)
+            .collect();
+        let rule: Vec<u16> =
+            std::iter::successors(Some(ports[0]), |&p| Some(next_sequential_port(p)))
+                .take(5)
+                .collect();
+        assert_eq!(ports, rule);
+        assert_eq!(ports[3], NAT_PORT_BASE);
     }
 
     #[test]

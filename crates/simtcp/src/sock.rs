@@ -395,9 +395,10 @@ impl TcpStream {
         }
     }
 
-    /// Is data (or EOF/error) immediately available to a reader? Lets
-    /// callers poll with a timeout instead of committing to a blocking
-    /// read. Never blocks.
+    /// Is data (or EOF/error) immediately available to a reader? Never
+    /// blocks. No product code polls with it any more — a read with a
+    /// deadline stages its demand and parks beside one timer wake — but
+    /// tests use it to check that nothing was answered.
     pub fn readable(&self) -> bool {
         self.with_tcb(|tcb, _| tcb.readable()).unwrap_or(true)
     }
