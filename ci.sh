@@ -9,7 +9,10 @@
 #           link-frame field coded outside crates/core/src/wire/, no
 #           control frame parsed or opcode named outside it either, no
 #           request table, reply stash or redial loop outside link.rs, no
-#           second way to wait on a simulated socket in simtcp, no timer
+#           second way to wait on a simulated socket in simtcp, no second
+#           read path (a blocking read is a poll plus one park, in
+#           BlockRead::read_chunks_min or BlockReader::blocking, and a raw
+#           frame has one decoder; the retired twins' names), no timer
 #           named in simtcp's host stack, no second single-flight beside a
 #           data link's write gate, no probe field or accessor beside
 #           the world's metrics registry, no second event queue beside
@@ -152,6 +155,19 @@ stage_clippy() {
   # inline caller makes the poll alone and reports the would-block.
   if [ "$(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)" != "wait" ]; then
     echo "sock.rs parks outside TcpStream::wait: $(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)"
+    return 1
+  fi
+  # A source is read one way (DESIGN.md §5b): a pollable one through its
+  # poll, blocking as that poll plus one park — in the trait's
+  # read_chunks_min, or a restartable decode under BlockReader::blocking —
+  # and a raw frame through one decoder, BlockReader::frame. No twin of
+  # either comes back, nor simtcp's scalar staging beside its block path.
+  if grep -rnE 'read_frame_within|fn polling|read_some_staged|write_some_staged|collect_read_some|write_all_blocking' crates/*/src; then
+    echo "a second read path (lines above); poll, and block through BlockRead::read_chunks_min / BlockReader::blocking"
+    return 1
+  fi
+  if [ "$(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)" != "read_chunks_min blocking" ]; then
+    echo "blockio.rs parks outside BlockRead::read_chunks_min / BlockReader::blocking: $(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)"
     return 1
   fi
   # The receive pump is one step function with one host (DESIGN.md §6a):

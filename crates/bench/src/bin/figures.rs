@@ -488,7 +488,7 @@ struct CostedWriter<'a> {
 impl Write for CostedWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         gridsim_net::ctx::sleep(self.syscall);
-        self.s.write_all_blocking(buf)?;
+        self.s.write_some(buf)?;
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -569,7 +569,7 @@ fn ww_read_latency(nodelay: bool) -> Duration {
             if s.read_exact(&mut buf).is_err() {
                 return;
             }
-            s.write_all_blocking(&[0xee]).unwrap();
+            (&s).write_all(&[0xee]).unwrap();
         }
     });
     sim.spawn("client", move || {
@@ -582,8 +582,8 @@ fn ww_read_latency(nodelay: bool) -> Duration {
             let t0 = gridsim_net::ctx::now();
             // Two separate small writes: with Nagle, the second waits for
             // the ACK of the first.
-            s.write_all_blocking(&[1]).unwrap();
-            s.write_all_blocking(&[2]).unwrap();
+            (&s).write_all(&[1]).unwrap();
+            (&s).write_all(&[2]).unwrap();
             s.read_some(&mut buf).unwrap();
             total += gridsim_net::ctx::now().since(t0);
         }

@@ -19,10 +19,20 @@
 //! either path. Layers with nothing of their own to hand on (the
 //! `CpuWrite`/`CpuRead` charge meters, the compressing writer) keep the
 //! copying defaults, which route through `Write::write`/`Read::read`.
+//!
+//! A source is read one way. One that can be polled (a socket, a routed
+//! stream, a plain wire over either) has only its poll; blocking on it is
+//! that poll plus one park, in the trait's provided `read_chunks_min` or,
+//! for a decode over a [`BlockReader`], [`BlockReader::blocking`] — the
+//! only two places here that park. Every raw `[varint len][payload]` frame
+//! is read by one restartable decoder, [`BlockReader::frame`].
 
 use bytes::Bytes;
+use gridsim_net::ctx;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
+use std::time::Duration;
 
 use gridzip::varint;
 
@@ -39,21 +49,51 @@ pub trait BlockWrite: Write {
 }
 
 /// A byte source that can also hand data out as refcounted chunks.
+///
+/// A source that can be read without parking says so
+/// ([`pollable`](Self::pollable)) and implements only the poll,
+/// [`poll_read_chunks_min`](Self::poll_read_chunks_min): its blocking
+/// read is the provided [`read_chunks_min`](Self::read_chunks_min), that
+/// poll plus one park. A source that parks for other reasons (a CPU
+/// charge, a stripe's reader tasks, a GTLS record) cannot be polled and
+/// keeps a blocking read of its own: the provided one copies through
+/// `read`, a zero-copy reader overrides it.
 pub trait BlockRead: Read {
     /// Pull at least `min` bytes unless EOF intervenes, with up to `max`
     /// bytes of read-ahead past the demand, appending them to `out` as
     /// chunks. Returns the byte count appended; less than `min` means EOF.
     /// Stating the real demand lets a demand-aware source (the simulated
     /// TCP socket) satisfy it with one parked wait serviced at event time
-    /// instead of one wakeup per arriving chunk. The default copies
-    /// through `read`; zero-copy readers override.
+    /// instead of one wakeup per arriving chunk.
+    ///
+    /// Provided: a pollable source is polled, parked on under its reason
+    /// when it would block, and asked again for the rest of the demand;
+    /// any other is read through `read`, one fresh buffer per chunk.
     fn read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        copy_read_chunks(self, min, max, out)
+        let Some(reason) = self.pollable() else {
+            return copy_read_chunks(self, min, max, out);
+        };
+        let mut got = 0;
+        loop {
+            let start = out.len();
+            match self.poll_read_chunks_min(min - got, max, out) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // A staged TCP read holds `out` until it is collected:
+                    // what a would-block appended counts only while `out`
+                    // still holds it.
+                    got += out
+                        .get(start..)
+                        .map_or(0, |c| c.iter().map(Bytes::len).sum());
+                    ctx::park(reason);
+                }
+                read => return read.map(|n| got + n),
+            }
+        }
     }
 
     /// Pull up to `max` bytes: a demand of one byte. `Ok(0)` means EOF.
@@ -63,19 +103,17 @@ pub trait BlockRead: Read {
 
     /// Can this source be read without parking? `Some(reason)` when
     /// [`poll_read_chunks_min`](Self::poll_read_chunks_min) works, with the
-    /// park reason its would-block stands for: the one `read_chunks_min`
-    /// would have parked under. A source that parks for other reasons (a
-    /// CPU charge, a stripe's reader tasks) is not pollable.
+    /// park reason its would-block stands for.
     fn pollable(&self) -> Option<&'static str> {
         None
     }
 
     /// [`read_chunks_min`](Self::read_chunks_min) for a caller that must
-    /// not park: the same calls on the source below, but where that would
-    /// park, `Err(WouldBlock)` with the calling task's waker registered.
-    /// Chunks appended to `out` before it are the caller's, and the demand
-    /// still unmet is smaller by their length, so asking again for the
-    /// rest makes the calls the blocking form would have made.
+    /// not park: where the read would park, `Err(WouldBlock)` with the
+    /// calling task's waker registered. Chunks appended to `out` before it
+    /// are the caller's, and the demand still unmet is smaller by their
+    /// length, so asking again for the rest makes the calls one blocking
+    /// read would have made.
     fn poll_read_chunks_min(
         &mut self,
         _min: usize,
@@ -107,10 +145,9 @@ pub(crate) fn chunks_until(
     Ok(got)
 }
 
-/// The copying `read_chunks_min` fallback, callable by name from enum
-/// impls that delegate only some variants to a zero-copy source: each
+/// The copying `read_chunks_min` of a source that cannot be polled: each
 /// chunk is one `read` into a fresh zeroed buffer.
-pub fn copy_read_chunks<R: Read + ?Sized>(
+fn copy_read_chunks<R: Read + ?Sized>(
     r: &mut R,
     min: usize,
     max: usize,
@@ -313,7 +350,7 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 }
 
 /// Buffered reader over a [`BlockRead`] source: refcounted chunks buffered
-/// in front, `read_chunks_min` behind. As a byte reader it mirrors
+/// in front, the source's chunk reads behind. As a byte reader it mirrors
 /// `std::io::BufReader` — small reads are served from buffered chunks,
 /// reads at least as large as the capacity bypass it — and chunked
 /// consumers get the chunks back out copy-free via `read_chunks`.
@@ -328,11 +365,12 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 /// are what the byte-oriented parser produced. Only bytes that have
 /// arrived are ever held.
 ///
-/// A [`polling`](Self::polling) reader over a pollable source asks it
-/// through `poll_read_chunks_min` instead: a shortfall the source cannot
-/// meet now is `Err(WouldBlock)`, and every decoder here ([`Parse`]) is
-/// restartable — it consumes nothing until its whole unit has arrived,
-/// and asked again it states the demand it would have stated blocking.
+/// A source that can be polled is polled: a shortfall it cannot meet now
+/// is `Err(WouldBlock)`, and every decoder here ([`Parse`],
+/// [`frame`](Self::frame)) is restartable — it consumes nothing until its
+/// whole unit has arrived, and asked again it states the demand it would
+/// have stated blocking. A caller that may park runs its decode under
+/// [`blocking`](Self::blocking); any other source is read blocking.
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
@@ -340,31 +378,22 @@ pub struct BlockReader<R: BlockRead> {
     avail: usize,
     /// Read-ahead unit.
     cap: usize,
-    /// Reused landing pad for `read_chunks_min`, drained into `chunks`.
+    /// Reused landing pad for the source's chunk reads, drained into
+    /// `chunks`.
     scratch: Vec<Bytes>,
-    /// The source's would-block reason when this reader polls it.
+    /// The source's would-block reason when it can be polled.
     polls: Option<&'static str>,
 }
 
 impl<R: BlockRead> BlockReader<R> {
     pub fn new(inner: R, cap: usize) -> BlockReader<R> {
         BlockReader {
+            polls: inner.pollable(),
             inner,
             chunks: VecDeque::new(),
             avail: 0,
             cap: cap.max(1),
             scratch: Vec::new(),
-            polls: None,
-        }
-    }
-
-    /// A reader that polls its source when the source is pollable, and
-    /// blocks on it otherwise.
-    pub fn polling(inner: R, cap: usize) -> BlockReader<R> {
-        let polls = inner.pollable();
-        BlockReader {
-            polls,
-            ..BlockReader::new(inner, cap)
         }
     }
 
@@ -377,6 +406,41 @@ impl<R: BlockRead> BlockReader<R> {
     /// Bytes buffered and not yet consumed.
     pub(crate) fn buffered(&self) -> usize {
         self.avail
+    }
+
+    /// Run `unit`, a restartable decode, to its end: each time the source
+    /// would block, park under its reason and run `unit` again, which finds
+    /// what arrived buffered and states what it still lacks. With `within`,
+    /// a would-block that much sim time after the call is `TimedOut`; the
+    /// deadline is one timer event, a no-op once the unit is in.
+    pub(crate) fn blocking<T>(
+        &mut self,
+        within: Option<Duration>,
+        mut unit: impl FnMut(&mut Self) -> io::Result<T>,
+    ) -> io::Result<T> {
+        // `waiting` lives as long as this call: the timer wakes only a
+        // reader still parked here.
+        let deadline = within.map(|within| {
+            let (sched, waker, waiting) = (ctx::handle(), ctx::waker(), Arc::new(()));
+            let (at, timer) = (sched.now() + within, Arc::downgrade(&waiting));
+            sched.call_at(at, move || {
+                if timer.upgrade().is_some() {
+                    waker.wake();
+                }
+            });
+            (at, waiting)
+        });
+        loop {
+            match (unit(self), self.polls) {
+                (Err(e), Some(reason)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if deadline.as_ref().is_some_and(|(at, _)| ctx::now() >= *at) {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    ctx::park(reason);
+                }
+                (done, _) => return done,
+            }
+        }
     }
 
     /// Buffer at least `need` bytes; false if the source ends first, its
@@ -429,18 +493,18 @@ impl<R: BlockRead> BlockReader<R> {
         Parse { r: self, at: 0 }
     }
 
-    /// Decode one varint; an encoding past 64 bits is `InvalidData`.
-    pub(crate) fn read_varint(&mut self) -> io::Result<u64> {
+    /// One `[varint len][payload]` frame, the payload by reference where it
+    /// lies in one received chunk. Restartable: nothing is consumed until
+    /// the whole frame has arrived. A length over `limit` is `InvalidData`
+    /// before anything is buffered for it, a source ending inside the frame
+    /// `UnexpectedEof`.
+    pub fn frame(&mut self, limit: usize) -> io::Result<Bytes> {
         let mut p = self.parse();
-        let v = p.varint()?;
+        let len = usize::try_from(p.varint()?).ok().filter(|&n| n <= limit);
+        let len =
+            len.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
+        p.r.require(p.at + len)?;
         p.commit();
-        Ok(v)
-    }
-
-    /// Pull exactly `len` bytes: a slice when they lie in one received
-    /// chunk, one gather otherwise.
-    pub(crate) fn read_exact_bytes(&mut self, len: usize) -> io::Result<Bytes> {
-        self.require(len)?;
         if self.chunks.front().is_some_and(|front| front.len() >= len) {
             return Ok(self.pop_front(len));
         }
@@ -521,7 +585,7 @@ impl<R: BlockRead> Read for BlockReader<R> {
             // BufReader bypass: large reads skip the buffer entirely.
             return self.inner.read(buf);
         }
-        if !self.ensure(1)? {
+        if !self.blocking(None, |r| r.ensure(1))? {
             return Ok(0);
         }
         let part = self.pop_front(buf.len());
@@ -686,35 +750,53 @@ mod tests {
             let read = gridzip::varint::read_from(&mut &bytes[..]);
             assert_eq!(read.map_err(|e| e.kind()), want, "read_from {bytes:02x?}");
             let mut cur = BlockReader::new(&bytes[..], 1);
-            let block = cur.read_varint().map_err(|e| e.kind());
-            assert_eq!(block, want, "read_varint {bytes:02x?}");
+            let block = cur.parse().varint().map_err(|e| e.kind());
+            assert_eq!(block, want, "Parse::varint {bytes:02x?}");
         }
     }
 
-    /// A source that hands out `fragments` one chunk call at a time, each
-    /// cut to the call's cap, and logs every cap asked for. Blocking, it
-    /// takes the next fragment as it arrives; polled, only those `arrived`
-    /// so far, and would block past them — a routed stream's shape.
-    struct Fragments {
+    /// What a [`Fragments`] source hands out, and what it was asked.
+    #[derive(Default)]
+    struct Feed {
         fragments: VecDeque<Bytes>,
+        /// Fragments that have arrived and are not yet taken whole.
         arrived: usize,
         caps: Vec<usize>,
+        waker: Option<gridsim_net::Waker>,
     }
 
+    /// A source that can only be polled — a routed stream's shape: it hands
+    /// out fragments that have arrived one chunk call at a time, each cut
+    /// to the call's cap, logs every cap asked for, and would block past
+    /// them with the caller's waker kept for the next arrival.
+    #[derive(Clone, Default)]
+    struct Fragments(Arc<parking_lot::Mutex<Feed>>);
+
     impl Fragments {
-        fn next(&mut self, cap: usize, polled: bool) -> io::Result<Bytes> {
-            let Some(front) = self.fragments.front_mut() else {
+        fn arrive(&self) {
+            let mut feed = self.0.lock();
+            feed.arrived += 1;
+            if let Some(w) = feed.waker.take() {
+                w.wake();
+            }
+        }
+
+        fn next(&self, cap: usize) -> io::Result<Bytes> {
+            let mut feed = self.0.lock();
+            if feed.fragments.is_empty() {
                 return Ok(Bytes::new());
-            };
-            if polled && self.arrived == 0 {
+            }
+            if feed.arrived == 0 {
+                feed.waker = Some(ctx::waker());
                 return Err(io::ErrorKind::WouldBlock.into());
             }
-            self.caps.push(cap);
+            feed.caps.push(cap);
+            let front = feed.fragments.front_mut().expect("not empty");
             if front.len() > cap {
                 return Ok(front.split_to(cap));
             }
-            self.arrived = self.arrived.saturating_sub(1);
-            Ok(self.fragments.pop_front().expect("front"))
+            feed.arrived -= 1;
+            Ok(feed.fragments.pop_front().expect("not empty"))
         }
     }
 
@@ -725,15 +807,6 @@ mod tests {
     }
 
     impl BlockRead for Fragments {
-        fn read_chunks_min(
-            &mut self,
-            min: usize,
-            max: usize,
-            out: &mut Vec<Bytes>,
-        ) -> io::Result<usize> {
-            chunks_until(min, max, out, |cap| self.next(cap, false))
-        }
-
         fn pollable(&self) -> Option<&'static str> {
             Some("fragments")
         }
@@ -744,14 +817,36 @@ mod tests {
             max: usize,
             out: &mut Vec<Bytes>,
         ) -> io::Result<usize> {
-            chunks_until(min, max, out, |cap| self.next(cap, true))
+            chunks_until(min, max, out, |cap| self.next(cap))
+        }
+    }
+
+    /// A source read only through its blocking `read_chunks_min`: the
+    /// trait's provided one, for a [`Fragments`].
+    struct Blocking(Fragments);
+
+    impl Read for Blocking {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("read as chunks")
+        }
+    }
+
+    impl BlockRead for Blocking {
+        fn read_chunks_min(
+            &mut self,
+            min: usize,
+            max: usize,
+            out: &mut Vec<Bytes>,
+        ) -> io::Result<usize> {
+            self.0.read_chunks_min(min, max, out)
         }
     }
 
     /// Frames and payloads decoded off a polled reader, restarted after
     /// every would-block with one more fragment arrived, come out as a
-    /// blocking reader decodes them, from the same chunk calls with the
-    /// same caps.
+    /// blocking reader decodes them in a task whose fragments arrive by
+    /// timer — through the provided `read_chunks_min`, which parks and asks
+    /// again for the rest — from the same chunk calls with the same caps.
     #[test]
     fn a_polled_frame_decode_restarts_where_a_blocking_one_would_wait() {
         use crate::wire::Frame;
@@ -786,27 +881,20 @@ mod tests {
             }
             fragments.push_back(rest.split_to(n.min(rest.len())));
         }
-        let decode = |polled: bool| {
-            let source = Fragments {
-                fragments: fragments.clone(),
-                arrived: 0,
-                caps: Vec::new(),
-            };
-            let mut cur = match polled {
-                true => BlockReader::polling(source, 64),
-                false => BlockReader::new(source, 64),
-            };
-            let (mut got, mut stalls) = (Vec::new(), 0);
-            let mut retry = |cur: &mut BlockReader<Fragments>, e: io::Error| {
-                assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
-                cur.inner.arrived += 1;
-                stalls += 1;
-            };
-            while got.len() < frames.len() {
-                let frame = match Frame::read(&mut cur) {
+        type Decoded = Vec<(Frame, Option<Vec<u8>>)>;
+        // Each frame and its payload, each decode run until it is in;
+        // `stalled` sees every would-block.
+        fn decode<R: BlockRead>(
+            cur: &mut BlockReader<R>,
+            n: usize,
+            mut stalled: impl FnMut(io::Error),
+        ) -> Decoded {
+            let mut got = Vec::new();
+            while got.len() < n {
+                let frame = match Frame::read(cur) {
                     Ok(frame) => frame,
                     Err(e) => {
-                        retry(&mut cur, e);
+                        stalled(e);
                         continue;
                     }
                 };
@@ -816,16 +904,49 @@ mod tests {
                     };
                     match cur.read_exact_vec(len) {
                         Ok(data) => break Some(data),
-                        Err(e) => retry(&mut cur, e),
+                        Err(e) => stalled(e),
                     }
                 };
                 got.push((frame, payload));
             }
             assert!(cur.at_eof().unwrap());
-            (got, cur.inner.caps, stalls)
+            got
+        }
+        let n = frames.len();
+        let run = |polled: bool| {
+            let (sim, source) = (Sim::new(1), Fragments::default());
+            source.0.lock().fragments = fragments.clone();
+            let (feed, count) = (source.clone(), fragments.len());
+            let (done, result) = std::sync::mpsc::channel();
+            sim.spawn("decode", move || {
+                if polled {
+                    let mut cur = BlockReader::new(feed.clone(), 64);
+                    let mut stalls = 0;
+                    let got = decode(&mut cur, n, |e| {
+                        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
+                        feed.arrive();
+                        stalls += 1;
+                    });
+                    done.send((got, stalls)).unwrap();
+                } else {
+                    let sched = ctx::handle();
+                    for i in 1..=count {
+                        let feed = feed.clone();
+                        sched.call_at(sched.now() + Duration::from_millis(i as u64), move || {
+                            feed.arrive()
+                        });
+                    }
+                    let mut cur = BlockReader::new(Blocking(feed), 64);
+                    let got = decode(&mut cur, n, |e| panic!("blocking: {e}"));
+                    done.send((got, 0)).unwrap();
+                }
+            });
+            sim.run();
+            let caps = std::mem::take(&mut source.0.lock().caps);
+            (result.recv().unwrap(), caps)
         };
-        let (blocking, blocking_caps, _) = decode(false);
-        let (polled, polled_caps, stalls) = decode(true);
+        let ((blocking, _), blocking_caps) = run(false);
+        let ((polled, stalls), polled_caps) = run(true);
         assert!(stalls >= fragments.len() / 2, "{stalls} stalls");
         assert_eq!(polled_caps, blocking_caps);
         assert!(polled == blocking);

@@ -40,9 +40,7 @@ use crate::pool::BlockPool;
 use crate::relay::RoutedStream;
 use crate::wire::{FrameReader, FrameWriter};
 
-pub use blockio::{
-    copy_read_chunks, BlockRead, BlockReader, BlockWrite, BlockWriter, CpuRead, CpuWrite,
-};
+pub use blockio::{BlockRead, BlockReader, BlockWrite, BlockWriter, CpuRead, CpuWrite};
 pub use stripe::{StripeQuiesce, StripeReader, StripeTerminator, StripeWriter};
 
 /// A raw, established link: either a native TCP socket (client/server,
@@ -172,21 +170,8 @@ impl BlockWrite for RawLink {
     }
 }
 
+// Both kinds of link can be polled; their blocking read is the trait's.
 impl BlockRead for RawLink {
-    fn read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        match self {
-            // Demand-aware drain: the socket parks once and is serviced at
-            // event time until `min` bytes (or EOF) accumulated.
-            RawLink::Tcp(s) => s.read_chunks_min(min, max, out),
-            RawLink::Routed(s) => s.read_chunks_min(min, max, out),
-        }
-    }
-
     fn pollable(&self) -> Option<&'static str> {
         match self {
             RawLink::Tcp(_) => Some(TcpStream::READ_WAIT),
@@ -413,19 +398,9 @@ impl BlockWrite for WireStream {
     }
 }
 
+// A GTLS wire cannot be polled (a record is opened whole): it is read
+// through `read`, in the trait's copying chunks.
 impl BlockRead for WireStream {
-    fn read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        match self {
-            WireStream::Plain(s) => s.read_chunks_min(min, max, out),
-            WireStream::Secure(s) => copy_read_chunks(s, min, max, out),
-        }
-    }
-
     fn pollable(&self) -> Option<&'static str> {
         match self {
             WireStream::Plain(s) => s.pollable(),
@@ -540,39 +515,33 @@ pub fn build_sender(
     );
     let block = spec.block_size() as usize;
     let pool = BlockPool::new(block);
-    let mut wires = secure_wires(links, spec, &cpu, sec, true)?;
     // Per-stream crypto cost wrapper.
     let crypt_rate = cpu.rates.crypt;
+    let wires: Vec<Box<dyn BlockWrite + Send>> = secure_wires(links, spec, &cpu, sec, true)?
+        .into_iter()
+        .map(|w| -> Box<dyn BlockWrite + Send> {
+            if spec.secure {
+                Box::new(CpuWrite::new(w, cpu.clone(), crypt_rate))
+            } else {
+                Box::new(w)
+            }
+        })
+        .collect();
     let mut term = None;
-    let base: Box<dyn BlockWrite + Send> = if wires.len() == 1 {
-        let w = wires.pop().unwrap();
-        let w: Box<dyn BlockWrite + Send> = if spec.secure {
-            Box::new(CpuWrite::new(w, cpu.clone(), crypt_rate))
-        } else {
-            Box::new(w)
-        };
+    let base: Box<dyn BlockWrite + Send> = match <[_; 1]>::try_from(wires) {
         // TCP_Block: user-space aggregation with explicit flush (§4.1).
-        Box::new(BlockWriter::new(w, pool.clone()))
-    } else {
-        let wires: Vec<Box<dyn BlockWrite + Send>> = wires
-            .into_iter()
-            .map(|w| -> Box<dyn BlockWrite + Send> {
-                if spec.secure {
-                    Box::new(CpuWrite::new(w, cpu.clone(), crypt_rate))
-                } else {
-                    Box::new(w)
-                }
-            })
-            .collect();
-        let sw = StripeWriter::with_pool(
-            wires,
-            pool.clone(),
-            cpu.clone(),
-            cpu.rates.copy,
-            &gridsim_net::ctx::handle(),
-        );
-        term = Some(sw.terminator());
-        Box::new(sw)
+        Ok([w]) => Box::new(BlockWriter::new(w, pool.clone())),
+        Err(wires) => {
+            let sw = StripeWriter::with_pool(
+                wires,
+                pool.clone(),
+                cpu.clone(),
+                cpu.rates.copy,
+                &gridsim_net::ctx::handle(),
+            );
+            term = Some(sw.terminator());
+            Box::new(sw)
+        }
     };
     let stack: SenderStack = match spec.compress() {
         Some(level) => {
@@ -605,31 +574,25 @@ pub fn build_receiver(
         "link count must match spec.streams()"
     );
     let block = spec.block_size() as usize;
-    let mut wires = secure_wires(links, spec, &cpu, sec, false)?;
     let crypt_rate = cpu.rates.crypt;
+    let wires: Vec<Box<dyn BlockRead + Send>> = secure_wires(links, spec, &cpu, sec, false)?
+        .into_iter()
+        .map(|w| -> Box<dyn BlockRead + Send> {
+            if spec.secure {
+                Box::new(CpuRead::new(w, cpu.clone(), crypt_rate))
+            } else {
+                Box::new(w)
+            }
+        })
+        .collect();
     let mut quiesce = None;
-    let base: Box<dyn BlockRead + Send> = if wires.len() == 1 {
-        let w = wires.pop().unwrap();
-        let w: Box<dyn BlockRead + Send> = if spec.secure {
-            Box::new(CpuRead::new(w, cpu.clone(), crypt_rate))
-        } else {
-            Box::new(w)
-        };
-        Box::new(BlockReader::new(w, block))
-    } else {
-        let wires: Vec<Box<dyn BlockRead + Send>> = wires
-            .into_iter()
-            .map(|w| -> Box<dyn BlockRead + Send> {
-                if spec.secure {
-                    Box::new(CpuRead::new(w, cpu.clone(), crypt_rate))
-                } else {
-                    Box::new(w)
-                }
-            })
-            .collect();
-        let sr = StripeReader::new(wires, sched);
-        quiesce = Some(sr.quiesce());
-        Box::new(sr)
+    let base: Box<dyn BlockRead + Send> = match <[_; 1]>::try_from(wires) {
+        Ok([w]) => Box::new(BlockReader::new(w, block)),
+        Err(wires) => {
+            let sr = StripeReader::new(wires, sched);
+            quiesce = Some(sr.quiesce());
+            Box::new(sr)
+        }
     };
     let stack: ReceiverStack = match spec.compress() {
         Some(_) => {

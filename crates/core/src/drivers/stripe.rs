@@ -331,26 +331,18 @@ impl StripeQuiesce {
 
 /// Read one `[varint len][bytes]` block; `Ok(None)` on clean EOF at a block
 /// boundary or on the in-band segment terminator (a zero-length block —
-/// see [`StripeTerminator`]; data blocks are never empty). A block that
+/// see [`StripeTerminator`]; data blocks are never empty). One restartable
+/// unit, run to its end under [`BlockReader::blocking`]. A block that
 /// arrived as one chunk is handed on as a view of it; one that spans
-/// chunks is gathered here, the one copy of the stripe receive path.
+/// chunks is gathered, the one copy of the stripe receive path.
 fn read_block<R: BlockRead>(cur: &mut BlockReader<R>) -> io::Result<Option<Bytes>> {
-    if cur.at_eof()? {
-        return Ok(None);
-    }
-    let len = cur.read_varint()?;
-    if len == 0 {
-        // Segment terminator: the sender retired this stripe layout (live
-        // reconfiguration). Clean end-of-segment, same as EOF.
-        return Ok(None);
-    }
-    if len > (64 << 20) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "stripe block too large",
-        ));
-    }
-    cur.read_exact_bytes(len as usize).map(Some)
+    cur.blocking(None, |cur| {
+        if cur.at_eof()? {
+            return Ok(None);
+        }
+        let block = cur.frame(64 << 20)?;
+        Ok((!block.is_empty()).then_some(block))
+    })
 }
 
 impl Read for StripeReader {

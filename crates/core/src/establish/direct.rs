@@ -11,8 +11,8 @@ use std::sync::Arc;
 use super::{BootstrapSocketFactory, BrokeredSocketFactory, Target};
 use crate::drivers::{RawLink, StackSpec};
 use crate::node::NodeCtx;
-use crate::port::ReceivePortInner;
-use crate::wire::{read_frame, Preamble, Put, ResumeMeta, Wire};
+use crate::port::{ReceivePortInner, PENDING_STREAMS_DEADLINE};
+use crate::wire::{link_frame, Preamble, Put, ResumeMeta, Wire};
 
 /// Client/server, or TCP proxy when `PROXIED`: through the target's site
 /// proxy to reach inward, or through our own for a strictly firewalled
@@ -67,13 +67,16 @@ pub(super) fn send_preamble(
 
 /// The other end of [`send_preamble`], for a connection accepted by a
 /// receive port's listener or spliced towards it: read the preamble and
-/// register the link with the port.
+/// register the link with the port. A preamble that has not arrived whole
+/// by the port's [`PENDING_STREAMS_DEADLINE`] is an error, and the
+/// connection is dropped — closed as a partial assembly's streams are.
 pub(crate) fn accept(
     ctx: &NodeCtx,
     port: &Arc<ReceivePortInner>,
     stream: TcpStream,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let pre = Preamble::decode(&read_frame(&mut stream.clone())?.into())?;
-    port.add_link(ctx, pre, RawLink::Tcp(stream))
+    let link = RawLink::Tcp(stream);
+    let pre = link_frame(&link, PENDING_STREAMS_DEADLINE, "stream preamble")?;
+    port.add_link(ctx, Preamble::decode(&pre)?, link)
 }

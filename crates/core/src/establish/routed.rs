@@ -6,8 +6,9 @@ use std::io;
 use super::{BrokeredSocketFactory, Target};
 use crate::drivers::{RawLink, StackSpec};
 use crate::node::NodeCtx;
+use crate::port::PENDING_STREAMS_DEADLINE;
 use crate::relay::RoutedStream;
-use crate::wire::{read_frame, Preamble, Put, ResumeMeta};
+use crate::wire::{link_frame, Preamble, Put, ResumeMeta};
 
 /// One stream whatever the spec asks: the relay carries a routed link's
 /// only connection. The channel (and whether resume fields follow) rides
@@ -38,7 +39,8 @@ pub(super) fn routed(
 /// The acceptor's half, for `RelayDelegate::on_open`: admit a routed link
 /// to one of our receive ports. Reading the resume fields and assembling
 /// the stack block, so they run in a task; the opener hears of a failure
-/// there through a late refusal.
+/// there — resume fields that have not arrived by the port's
+/// [`PENDING_STREAMS_DEADLINE`] among them — through a late refusal.
 pub(crate) fn on_open(
     ctx: NodeCtx,
     port_name: &str,
@@ -49,8 +51,9 @@ pub(crate) fn on_open(
         (ctx.resolve)(port_name).ok_or_else(|| format!("unknown receive port '{port_name}'"))?;
     gridsim_net::ctx::handle().spawn_daemon("routed-open", move || {
         let link = RawLink::Routed(stream.clone());
-        let opened = Preamble::decode_routed(channel, || read_frame(&mut stream.clone()))
-            .and_then(|pre| port.add_link(&ctx, pre, link));
+        let first_frame = || link_frame(&link, PENDING_STREAMS_DEADLINE, "resume fields");
+        let opened = Preamble::decode_routed(channel, first_frame)
+            .and_then(|pre| port.add_link(&ctx, pre, link.clone()));
         if let Err(e) = opened {
             stream.refuse(&e.to_string());
         }

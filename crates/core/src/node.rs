@@ -37,7 +37,7 @@ use crate::profile::{ConnectivityProfile, FirewallClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
 use crate::tune::{PathControlConfig, PathController};
-use crate::wire::{read_frame_within, Frame, Put, ReconfigAck, ResumeMeta, ResumeReply};
+use crate::wire::{link_frame, Frame, Put, ReconfigAck, ResumeMeta, ResumeReply};
 use crate::wire::{SvcMsg, Wire};
 
 /// Reconnect schedule for failed data links.
@@ -601,7 +601,7 @@ impl GridNode {
         let deliveries = match resume {
             // The receiver replies once every stream arrived.
             Some(meta) => {
-                let frame = read_frame_within(&links[0], RESUME_REPLY_TIMEOUT, "resume reply")?;
+                let frame = link_frame(&links[0], RESUME_REPLY_TIMEOUT, "resume reply")?;
                 ResumeReply::decode(&frame, 1 + meta.extras.len())?.0
             }
             None => Vec::new(),
@@ -678,8 +678,8 @@ impl GridNode {
         io.write_reconfig(epoch, params)?;
         // Block for the receiver's ack: it proves the receiver consumed
         // every old-format byte and swapped.
-        let ack = read_frame_within(&io.links[0], RESUME_REPLY_TIMEOUT, "reconfig ack")?;
-        let ack = ReconfigAck::decode(&ack.into())?;
+        let ack = link_frame(&io.links[0], RESUME_REPLY_TIMEOUT, "reconfig ack")?;
+        let ack = ReconfigAck::decode(&ack)?;
         if ack.epoch != epoch {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

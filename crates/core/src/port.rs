@@ -800,7 +800,7 @@ impl Pump {
             return false;
         };
         self.quiesce = q;
-        self.cur = BlockReader::polling(stack, spec.block_size() as usize);
+        self.cur = BlockReader::new(stack, spec.block_size() as usize);
         self.last_epoch = epoch;
         true
     }
@@ -833,7 +833,7 @@ fn reply_on_stream0(links: &[RawLink], reply: FrameWriter) -> io::Result<()> {
 /// closes its sockets, so a peer that opens stream 0 of N and stops cannot
 /// hold them for the port's life. A sender dials its streams back to back:
 /// a link completes in round trips, not seconds.
-const PENDING_STREAMS_DEADLINE: Duration = Duration::from_secs(10);
+pub(crate) const PENDING_STREAMS_DEADLINE: Duration = Duration::from_secs(10);
 
 impl ReceivePortInner {
     pub(crate) fn new(
@@ -968,7 +968,7 @@ impl ReceivePortInner {
             *self.connections.lock() += 1;
             let pump = Pump {
                 port: Arc::clone(self),
-                cur: BlockReader::polling(stack, self.spec.block_size() as usize),
+                cur: BlockReader::new(stack, self.spec.block_size() as usize),
                 quiesce,
                 probes,
                 init,

@@ -1409,17 +1409,6 @@ impl Read for RoutedStream {
 
 /// Received DATA payloads are handed on as they sit in the pump's read.
 impl BlockRead for RoutedStream {
-    fn read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        chunks_until(min, max, out, |cap| {
-            Ok(self.next_chunk(cap).unwrap_or_default())
-        })
-    }
-
     fn pollable(&self) -> Option<&'static str> {
         Some(SimQueue::<Bytes>::POP_WAIT)
     }

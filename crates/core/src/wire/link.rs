@@ -5,6 +5,7 @@
 //! every limit on a count or length a peer supplies are named here and
 //! nowhere else.
 
+use bytes::Bytes;
 use gridzip::varint;
 use std::io::{self, Write};
 
@@ -72,10 +73,10 @@ impl Preamble {
     /// the field says the resume fields follow.
     pub fn decode_routed(
         field: u64,
-        first_frame: impl FnOnce() -> io::Result<Vec<u8>>,
+        first_frame: impl FnOnce() -> io::Result<Bytes>,
     ) -> io::Result<Preamble> {
         let resume = (field & RESUME_FLAG != 0)
-            .then(|| ResumeMeta::decode(&first_frame()?.into()))
+            .then(|| ResumeMeta::decode(&first_frame()?))
             .transpose()?;
         let channel = field & !RESUME_FLAG;
         Ok(Preamble {
@@ -249,8 +250,8 @@ impl Frame {
     /// a declared count or length, only for bytes that arrived.
     ///
     /// Restartable: the frame is consumed only once all of it has arrived,
-    /// so over a [`polling`](BlockReader::polling) reader a `WouldBlock`
-    /// leaves it to be read again whole, with the same demands stated.
+    /// so over a polled source a `WouldBlock` leaves it to be read again
+    /// whole, with the same demands stated.
     pub fn read<R: BlockRead>(cur: &mut BlockReader<R>) -> io::Result<Frame> {
         let mut p = cur.parse();
         let frame = Frame::decode(&mut p)?;

@@ -7,15 +7,15 @@
 //! A control frame is `[varint len][payload]`, one write (header and
 //! payload in one block: a header on its own leaves as its own segment and
 //! under Nagle holds the payload back a round trip) and one stated read
-//! ([`FrameStream`], or [`read_frame`] on a data link). [`FrameWriter`]
+//! ([`FrameStream`], or `link_frame` for the one frame a data link
+//! carries raw), both [`BlockReader::frame`]. [`FrameWriter`]
 //! and [`FrameReader`] are public as the toolkit for malformed input.
 
 use bytes::Bytes;
-use gridsim_net::{ctx, Ip, SockAddr};
+use gridsim_net::{Ip, SockAddr};
 use gridsim_tcp::TcpStream;
 use gridzip::varint;
-use std::io::{self, Read};
-use std::sync::Arc;
+use std::io;
 use std::time::Duration;
 
 use crate::drivers::{BlockReader, BlockWrite, RawLink};
@@ -269,57 +269,18 @@ fn frame_onto(run: &mut Vec<u8>, op: u8, ids: &[u64], tail: &[u8]) {
     run.extend_from_slice(tail);
 }
 
-/// Read one length-prefixed frame and not a byte more: for frames on data
-/// links (and non-TCP readers). Frame-only connections use [`FrameStream`].
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let len = varint::read_from(r)?;
-    if len > MAX_FRAME as u64 {
-        return Err(bad("control frame too large"));
-    }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-/// [`read_frame`] for the one frame a peer writes raw on a data link in the
-/// reverse direction (a resume reply, a RECONFIG ack), with a sim-time
-/// deadline: parks until the frame has landed whole or `within` has passed
-/// — then `TimedOut`, so a link that dies again right there cannot wedge
-/// the reader. Takes exactly the frame's bytes off the link. The deadline
-/// is one timer event, which fires as a no-op once the frame is in.
-pub(crate) fn read_frame_within(l: &RawLink, within: Duration, what: &str) -> io::Result<Vec<u8>> {
-    let sched = ctx::handle();
-    let deadline = sched.now() + within;
-    let (waiting, waker) = (Arc::new(()), ctx::waker());
-    let timer = Arc::downgrade(&waiting);
-    sched.call_at(deadline, move || {
-        if timer.upgrade().is_some() {
-            waker.wake();
-        }
-    });
-    // No read-ahead, and a decode cut short consumes nothing: each demand
-    // is what the frame still lacks.
-    let mut r = BlockReader::polling(l.clone(), 1);
-    let parked_on = r.polls().unwrap_or(TcpStream::READ_WAIT);
-    loop {
-        let mut p = r.parse();
-        let frame = p.varint().and_then(|len| {
-            let len = usize::try_from(len).ok().filter(|&n| n <= MAX_FRAME);
-            p.vec(len.ok_or_else(|| bad("control frame too large"))?)
-        });
-        match frame {
-            Ok(frame) => {
-                p.commit();
-                return Ok(frame);
-            }
-            Err(e) if e.kind() != io::ErrorKind::WouldBlock => return Err(e),
-            Err(_) if sched.now() >= deadline => {
-                let why = format!("no {what} from receiver");
-                return Err(io::Error::new(io::ErrorKind::TimedOut, why));
-            }
-            Err(_) => ctx::park(parked_on),
-        }
-    }
+/// The one frame a peer writes raw on a data link, outside any driver
+/// stack: a stream preamble, the resume fields of a routed stream, a resume
+/// reply, a RECONFIG ack. Read with no read-ahead, so it takes exactly the
+/// frame's bytes off the link, and with a sim-time deadline: `TimedOut`
+/// when it has not landed whole `within`, so a peer that never writes it
+/// (or a link that dies again right there) cannot wedge the reader.
+pub(crate) fn link_frame(l: &RawLink, within: Duration, what: &str) -> io::Result<Bytes> {
+    let frame = BlockReader::new(l.clone(), 1).blocking(Some(within), |r| r.frame(MAX_FRAME));
+    frame.map_err(|e| match e.kind() {
+        io::ErrorKind::TimedOut => io::Error::new(e.kind(), format!("no {what} in {within:?}")),
+        _ => e,
+    })
 }
 
 /// Most bytes one read takes off the socket beyond the frame in hand.
@@ -339,11 +300,7 @@ impl FrameStream {
     /// frame `UnexpectedEof`; memory is held for bytes that have arrived,
     /// never for a declared length.
     pub fn next_frame(&mut self) -> io::Result<Bytes> {
-        let len = self.0.read_varint()?;
-        if len > MAX_FRAME as u64 {
-            return Err(bad("control frame too large"));
-        }
-        self.0.read_exact_bytes(len as usize)
+        self.0.blocking(None, |r| r.frame(MAX_FRAME))
     }
 }
 
@@ -442,8 +399,7 @@ mod tests {
             .bytes(b"\x00\x01\x02")
             .send(&mut wire)
             .unwrap();
-        let mut cur = io::Cursor::new(wire);
-        let frame = read_frame(&mut cur).unwrap();
+        let frame = BlockReader::new(&wire[..], 1).frame(MAX_FRAME).unwrap();
         let mut r = FrameReader::new(&frame);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), 123456789);
@@ -477,7 +433,7 @@ mod tests {
     fn truncated_fields_error_cleanly() {
         let mut wire = Vec::new();
         FrameWriter::new().str("abcdef").send(&mut wire).unwrap();
-        let frame = read_frame(&mut io::Cursor::new(wire)).unwrap();
+        let frame = BlockReader::new(&wire[..], 1).frame(MAX_FRAME).unwrap();
         let mut r = FrameReader::new(&frame[..3]);
         assert!(r.str().is_err());
     }
@@ -486,7 +442,8 @@ mod tests {
     fn oversized_frame_rejected() {
         let mut wire = Vec::new();
         varint::put(&mut wire, (MAX_FRAME + 1) as u64);
-        assert!(read_frame(&mut io::Cursor::new(wire)).is_err());
+        let err = BlockReader::new(&wire[..], 1).frame(MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -494,9 +451,9 @@ mod tests {
         let mut wire = Vec::new();
         FrameWriter::new().u64(1).send(&mut wire).unwrap();
         FrameWriter::new().u64(2).send(&mut wire).unwrap();
-        let mut cur = io::Cursor::new(wire);
-        let f1 = read_frame(&mut cur).unwrap();
-        let f2 = read_frame(&mut cur).unwrap();
+        let mut cur = BlockReader::new(&wire[..], 1);
+        let f1 = cur.frame(MAX_FRAME).unwrap();
+        let f2 = cur.frame(MAX_FRAME).unwrap();
         assert_eq!(FrameReader::new(&f1).u64().unwrap(), 1);
         assert_eq!(FrameReader::new(&f2).u64().unwrap(), 2);
     }

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
-use netgrid::wire::{read_frame, Put, RelayMsg, Reply, SvcMsg, Wire};
+use netgrid::wire::{FrameStream, Put, RelayMsg, Reply, SvcMsg, Wire};
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, spawn_relay_mesh, ConnectivityProfile,
     EstablishMethod, GridNode, NsClient, RelayClient, RelayConfig, RelayDelegate, StackSpec,
@@ -270,8 +270,8 @@ fn say(s: &gridsim_tcp::TcpStream, msg: RelayMsg) {
 }
 
 /// The next frame on a raw relay connection.
-fn heard(s: &gridsim_tcp::TcpStream) -> std::io::Result<RelayMsg> {
-    RelayMsg::decode(&read_frame(&mut s.clone())?.into())
+fn heard(s: &mut FrameStream) -> std::io::Result<RelayMsg> {
+    RelayMsg::decode(&s.next_frame()?)
 }
 
 /// A reconnecting client must not be unregistered by its stale predecessor:
@@ -313,7 +313,11 @@ fn relay_stale_connection_does_not_unregister_successor() {
             },
         );
         let delivered = RelayMsg::Recv { from: 9, inner };
-        assert_eq!(heard(&c2).unwrap(), delivered, "expected delivery");
+        assert_eq!(
+            heard(&mut FrameStream::new(c2)).unwrap(),
+            delivered,
+            "expected delivery"
+        );
     });
     sim.run();
     assert!(done.is_finished(), "raw relay scenario wedged");
@@ -375,7 +379,8 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
         let watch_stale = |s: gridsim_tcp::TcpStream, tag: usize| {
             let flag = flag.clone();
             sched.spawn_daemon(format!("stale-{tag}"), move || {
-                while let Ok(msg) = heard(&s) {
+                let mut frames = FrameStream::new(s);
+                while let Ok(msg) = heard(&mut frames) {
                     if let RelayMsg::Recv { .. } = msg {
                         eprintln!("stale registration #{tag} got a delivery");
                         flag.store(true, Ordering::SeqCst);
@@ -413,7 +418,11 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
             },
         );
         let delivered = RelayMsg::Recv { from: 9, inner };
-        assert_eq!(heard(&cur).unwrap(), delivered, "expected delivery");
+        assert_eq!(
+            heard(&mut FrameStream::new(cur.clone())).unwrap(),
+            delivered,
+            "expected delivery"
+        );
         // Give any mis-routed duplicate time to surface before judging.
         gridsim_net::ctx::sleep(Duration::from_millis(300));
     });

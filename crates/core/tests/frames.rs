@@ -4,7 +4,7 @@
 
 use gridsim_net::{topology, LinkParams, Sim};
 use gridsim_tcp::SimHost;
-use netgrid::wire::{read_frame, FrameReader, FrameStream, FrameWriter};
+use netgrid::wire::{FrameReader, FrameStream, FrameWriter};
 use std::time::Duration;
 
 const PORT: u16 = 700;
@@ -66,7 +66,7 @@ fn a_frame_round_trip_is_one_rtt() {
         let mut s = ha.connect(addr).unwrap();
         let sent = gridsim_net::ctx::now();
         FrameWriter::new().u64(41).send(&mut s).unwrap();
-        let reply = read_frame(&mut s).unwrap();
+        let reply = FrameStream::new(s.clone()).next_frame().unwrap();
         assert_eq!(FrameReader::new(&reply).u64().unwrap(), 42);
         done.send(gridsim_net::ctx::now() - sent).unwrap();
     });

@@ -2,10 +2,10 @@
 
 use bytes::Bytes;
 use gridsim_net::{Ip, SockAddr};
-use netgrid::drivers::BlockReader;
-use netgrid::wire::{read_frame, Frame, FrameReader, FrameWriter, Preamble, ReconfigAck};
+use netgrid::drivers::{BlockRead, BlockReader};
 use netgrid::wire::{Choice, Greeting, SocksReply, SocksRequest};
 use netgrid::wire::{Envelope, NodeRecord, NsRequest, PortRecord, RelayMsg, Reply, SvcMsg};
+use netgrid::wire::{Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, MAX_FRAME};
 use netgrid::wire::{Put, ResumeMeta, ResumeReply, RpcReply, RpcRequest, Wire, MAX_MESSAGE};
 use netgrid::{ConnectivityProfile, FirewallClass, NatClass, PathParams, StackSpec};
 use proptest::prelude::*;
@@ -221,7 +221,7 @@ proptest! {
             .opt_addr(None)
             .send(&mut wire)
             .unwrap();
-        let frame = read_frame(&mut std::io::Cursor::new(wire)).unwrap();
+        let frame = BlockReader::new(&wire[..], 1).frame(MAX_FRAME).unwrap();
         let mut r = FrameReader::new(&frame);
         prop_assert_eq!(r.u8().unwrap(), a);
         prop_assert_eq!(r.u64().unwrap(), b);
@@ -322,7 +322,7 @@ proptest! {
         holds(&pre, flip, &garbage)?;
         let routed = Preamble { idx: 0, total: 1, ..pre };
         let meta = routed.resume.as_ref();
-        let first_frame = || Ok(meta.expect("asked for only then").encode().into_bytes());
+        let first_frame = || Ok(meta.expect("asked for only then").encode().into_bytes().into());
         let back = Preamble::decode_routed(routed.routed_channel(), first_frame).unwrap();
         prop_assert_eq!(back, routed);
     }
@@ -610,5 +610,105 @@ fn wide_addresses_are_refused() {
         let record = FrameWriter::new().u64(7).str("port").u8(1).u64(ip).u64(80);
         let record = record.bytes(b"").into_bytes();
         assert_eq!(PortRecord::dec(&record).map_err(kind), Err(invalid));
+    }
+}
+
+/// A polled source of fragments, as a routed stream hands them out: only
+/// those that have arrived, each chunk call cut to its cap, and a
+/// would-block past them. Counts the bytes it has handed out.
+#[derive(Clone, Default)]
+struct Arrivals(std::sync::Arc<std::sync::Mutex<Feed>>);
+
+#[derive(Default)]
+struct Feed {
+    fragments: std::collections::VecDeque<Bytes>,
+    arrived: usize,
+    taken: usize,
+}
+
+impl io::Read for Arrivals {
+    fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+        unreachable!("read as chunks")
+    }
+}
+
+impl BlockRead for Arrivals {
+    fn pollable(&self) -> Option<&'static str> {
+        Some("arrivals")
+    }
+
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        let feed = &mut *self.0.lock().unwrap();
+        let mut got = 0;
+        while got < min {
+            if feed.arrived == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let Some(front) = feed.fragments.front_mut() else {
+                break;
+            };
+            let cap = (min - got).max(max);
+            let chunk = if front.len() > cap {
+                front.split_to(cap)
+            } else {
+                feed.arrived -= 1;
+                feed.fragments.pop_front().expect("front")
+            };
+            (got, feed.taken) = (got + chunk.len(), feed.taken + chunk.len());
+            out.push(chunk);
+        }
+        Ok(got)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one `[varint len][payload]` decoder, `BlockReader::frame`, with
+    /// read-ahead 1 over arbitrary fragments, restarted at every
+    /// would-block with one more fragment arrived: it returns the payload
+    /// and leaves the next byte in the source, and a length over its limit
+    /// is `InvalidData` before a byte of payload is pulled for it.
+    #[test]
+    fn the_frame_decoder_restarts_and_takes_only_its_frame(
+        payload in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(1usize..80, 1..24),
+        limit in 0usize..800,
+    ) {
+        let mut wire = Vec::new();
+        gridzip::varint::put(&mut wire, payload.len() as u64);
+        let header = wire.len();
+        wire.extend_from_slice(&payload);
+        wire.push(0xa5); // the next frame's first byte
+        let (mut rest, source) = (Bytes::from(wire), Arrivals::default());
+        for n in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let fragment = rest.split_to((*n).min(rest.len()));
+            source.0.lock().unwrap().fragments.push_back(fragment);
+        }
+        let mut cur = BlockReader::new(source.clone(), 1);
+        let got = loop {
+            match cur.frame(limit) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    source.0.lock().unwrap().arrived += 1
+                }
+                got => break got,
+            }
+        };
+        let taken = source.0.lock().unwrap().taken;
+        if payload.len() <= limit {
+            prop_assert_eq!(&got.unwrap()[..], &payload[..]);
+            prop_assert_eq!(taken, header + payload.len());
+        } else {
+            prop_assert_eq!(got.unwrap_err().kind(), io::ErrorKind::InvalidData);
+            prop_assert_eq!(taken, header);
+        }
     }
 }

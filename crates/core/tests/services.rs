@@ -210,7 +210,7 @@ fn hostile_requests_end_their_own_connection_only() {
 
         for (i, bytes) in hostile.into_iter().enumerate() {
             let raw = hb.connect(ns_addr).unwrap();
-            raw.write_all_blocking(&bytes).unwrap();
+            (&raw).write_all(&bytes).unwrap();
             // An error reply, or the server closed the connection.
             if let Ok(reply) = FrameStream::new(raw.clone()).next_frame() {
                 assert_eq!(reply.first(), Some(&0), "case {i} answered {reply:?}");
@@ -282,7 +282,7 @@ fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
                     if std::mem::take(&mut stray) {
                         out.extend(reply(999));
                     }
-                    if conn.write_all_blocking(&out).is_err() {
+                    if (&conn).write_all(&out).is_err() {
                         break;
                     }
                 }
@@ -477,7 +477,7 @@ fn socks_proxy_connect_and_refusal() {
                     match s.read_some(&mut buf) {
                         Ok(0) | Err(_) => break,
                         Ok(n) => {
-                            if s.write_all_blocking(&buf[..n]).is_err() {
+                            if (&s).write_all(&buf[..n]).is_err() {
                                 break;
                             }
                         }
@@ -530,7 +530,7 @@ fn grid_builder_all_sites_reach_public_host() {
         let l = hs.listen(9000).unwrap();
         for _ in 0..3 {
             let s = l.accept().unwrap();
-            s.write_all_blocking(b"ok").unwrap();
+            (&s).write_all(b"ok").unwrap();
         }
     });
     let oks = Arc::new(Mutex::new(0));

@@ -234,43 +234,28 @@ impl TcpStream {
         })?
     }
 
-    /// Blocking write of all of `buf`; returns `buf.len()`. What fits the
-    /// send buffer is copied in at once; a copy of the rest is staged on
-    /// the TCB like [`write_block`](Self::write_block)'s remainder, and the
-    /// call parks once, until every byte is queued or the connection dies.
+    /// Blocking write of all of `buf`; returns `buf.len()`: a
+    /// [`write_block`](Self::write_block) of one copy of `buf`, counted in
+    /// `bytes_copied`.
     pub fn write_some(&self, buf: &[u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut first = Some(buf);
-        self.wait_tcb("tcp write", |tcb, now| match first.take() {
-            Some(buf) => tcb.write_some_staged(now, buf, ctx::waker()),
-            None => tcb.collect_staged_write(now),
-        })??;
+        self.stage_write(Bytes::copy_from_slice(buf), buf.len())?;
         Ok(buf.len())
     }
 
-    /// Blocking read; `Ok(0)` means EOF. Buffered bytes are copied out at
-    /// once; otherwise a demand for 1 to `buf.len()` bytes is staged on the
-    /// TCB like [`read_chunks_min`](Self::read_chunks_min)'s, and what it
-    /// collects is copied into `buf` on pickup.
+    /// Blocking read; `Ok(0)` means EOF. One demand for 1 to `buf.len()`
+    /// bytes, staged on the TCB like
+    /// [`read_chunks_min`](Self::read_chunks_min)'s, whose pickup is
+    /// copied into `buf`.
     pub fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut first = true;
         self.wait_tcb(Self::READ_WAIT, |tcb, now| {
-            if std::mem::take(&mut first) {
-                tcb.read_some_staged(now, buf, ctx::waker())
-            } else {
-                tcb.collect_read_some(now, buf)
-            }
+            tcb.read_copy(now, buf, ctx::waker())
         })?
-    }
-
-    /// Write the entire buffer (blocking).
-    pub fn write_all_blocking(&self, buf: &[u8]) -> io::Result<()> {
-        self.write_some(buf).map(drop)
     }
 
     /// Blocking write of one whole block, zero-copy: accepted bytes enter
@@ -280,9 +265,18 @@ impl TcpStream {
     /// at event time and this call parks just once, waking when every byte
     /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
+        self.stage_write(block, 0)
+    }
+
+    /// [`write_block`](Self::write_block) of a block the caller made by
+    /// copying `copied` bytes.
+    fn stage_write(&self, block: Bytes, copied: usize) -> io::Result<()> {
         let mut first = Some(block);
         self.wait_tcb("tcp write", |tcb, now| match first.take() {
-            Some(block) => tcb.write_staged(now, block, ctx::waker()),
+            Some(block) => {
+                tcb.stats.bytes_copied += copied as u64;
+                tcb.write_staged(now, block, ctx::waker())
+            }
             None => tcb.collect_staged_write(now),
         })?
     }

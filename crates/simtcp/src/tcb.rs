@@ -558,8 +558,8 @@ struct Receiver {
     fin: bool,
     /// Staged chunk-read demand serviced at event time ([`PendingRead`]).
     pending: Option<PendingRead>,
-    /// The chunk list a staged `read_some` collects into, kept between
-    /// reads so a scalar read allocates nothing.
+    /// The chunk list a scalar read ([`Tcb::read_copy`]) collects into,
+    /// kept between reads so it allocates nothing.
     scratch: Vec<Bytes>,
 }
 
@@ -748,7 +748,7 @@ impl Timers {
     }
 }
 
-/// A write parked in `TcpStream::write_block` or `write_some` with its
+/// A write parked in `TcpStream::write_block` with its
 /// un-queued remainder staged on the TCB. While staged, every
 /// [`Tcb::service_pending`] pass (run from `flush_conn` after each stack
 /// mutation) refills freed send-buffer space *at event time*, under the
@@ -1163,25 +1163,6 @@ impl Tcb {
         None
     }
 
-    /// Write all of `buf`: copy in what fits, then stage a copy of the rest
-    /// as [`write_staged`](Self::write_staged) stages a block's. Both copies
-    /// are counted in `bytes_copied`.
-    pub(crate) fn write_some_staged(
-        &mut self,
-        now: SimTime,
-        buf: &[u8],
-        waker: Waker,
-    ) -> Option<io::Result<()>> {
-        let n = match self.try_write(now, buf) {
-            Ok(WriteOutcome::Wrote(n)) => n,
-            Ok(WriteOutcome::Full) => 0,
-            Err(e) => return Some(Err(e)),
-        };
-        let rest = &buf[n..];
-        self.stats.bytes_copied += rest.len() as u64;
-        self.write_staged(now, Bytes::copy_from_slice(rest), waker)
-    }
-
     /// Read at least `min` bytes as zero-copy chunks appended to `out`:
     /// drain what is queued now and stage the rest of the demand. `None` =
     /// staged, `out` taken; the reader parks until
@@ -1217,26 +1198,31 @@ impl Tcb {
         self.rcv.pending.is_some()
     }
 
-    /// Read into `buf`: copy out what is queued, or stage a demand for 1 to
-    /// `buf.len()` bytes into the TCB's own chunk list (`None`; pick it up
-    /// with [`collect_read_some`](Self::collect_read_some)).
-    pub(crate) fn read_some_staged(
+    /// Read into `buf`: a demand for 1 to `buf.len()` bytes staged as
+    /// [`read_staged`](Self::read_staged) stages one, into the TCB's own
+    /// chunk list, or picked up once it is staged; `None` = still short.
+    /// What it collected is copied into `buf` and counted in
+    /// `bytes_copied`.
+    pub(crate) fn read_copy(
         &mut self,
         now: SimTime,
         buf: &mut [u8],
         waker: Waker,
     ) -> Option<io::Result<usize>> {
-        match self.try_read(now, buf) {
-            Ok(ReadOutcome::Read(n)) => Some(Ok(n)),
-            Ok(ReadOutcome::Eof) => Some(Ok(0)),
-            Ok(ReadOutcome::Empty) => {
-                let mut scratch = std::mem::take(&mut self.rcv.scratch);
-                let staged = self.read_staged(now, 1, buf.len(), &mut scratch, waker);
-                debug_assert!(staged.is_none(), "an empty queue stages");
-                None
-            }
-            Err(e) => Some(Err(e)),
+        let (mut chunks, read) = if self.read_is_staged() {
+            self.collect_staged_read(now)?
+        } else {
+            let mut scratch = std::mem::take(&mut self.rcv.scratch);
+            self.read_staged(now, 1, buf.len(), &mut scratch, waker)?
+        };
+        let mut n = 0;
+        for c in chunks.drain(..) {
+            buf[n..n + c.len()].copy_from_slice(&c);
+            n += c.len();
         }
+        self.stats.bytes_copied += n as u64;
+        self.rcv.scratch = chunks;
+        Some(read)
     }
 
     /// Queue as much of `pw`'s remainder as fits; `true` once it is done.
@@ -1312,26 +1298,6 @@ impl Tcb {
             return None;
         }
         self.rcv.pending.take().map(PendingRead::result)
-    }
-
-    /// Pickup of a [`read_some_staged`](Self::read_some_staged) read, as
-    /// [`collect_staged_read`](Self::collect_staged_read), with what
-    /// arrived copied into `buf` (never more than it holds) and counted in
-    /// `bytes_copied`, as `try_read` counts its copy.
-    pub(crate) fn collect_read_some(
-        &mut self,
-        now: SimTime,
-        buf: &mut [u8],
-    ) -> Option<io::Result<usize>> {
-        let (mut chunks, read) = self.collect_staged_read(now)?;
-        let mut n = 0;
-        for c in chunks.drain(..) {
-            buf[n..n + c.len()].copy_from_slice(&c);
-            n += c.len();
-        }
-        self.stats.bytes_copied += n as u64;
-        self.rcv.scratch = chunks;
-        Some(read)
     }
 
     // ---------------- the state machine ----------------
@@ -2656,20 +2622,26 @@ mod tests {
         assert!(matches!(a.collect_staged_write(T0), Some(Ok(()))));
     }
 
-    /// `TcpStream::read_some` on an empty queue: the staged demand takes
-    /// no more than the caller's buffer, the pickup copies it there, and
-    /// the rest stays queued for the next read.
+    /// `TcpStream::read_some`: the staged demand takes no more than the
+    /// caller's buffer, the pickup copies it there, and the rest stays
+    /// queued for the next read, which finds it at once.
     #[test]
     fn scalar_read_stages_and_takes_at_most_its_buffer() {
         let (mut a, mut b) = established_pair();
         let mut buf = [0u8; 10];
-        assert!(b.read_some_staged(T0, &mut buf, idle_waker()).is_none());
-        assert!(b.collect_read_some(T0, &mut buf).is_none(), "nothing yet");
+        assert!(b.read_copy(T0, &mut buf, idle_waker()).is_none());
+        assert!(
+            b.read_copy(T0, &mut buf, idle_waker()).is_none(),
+            "nothing yet"
+        );
         a.try_write(T0, b"hello, staged world").unwrap();
         pump(&mut a, &mut b, T0);
-        assert_eq!(b.collect_read_some(T0, &mut buf).unwrap().unwrap(), 10);
+        assert_eq!(
+            b.read_copy(T0, &mut buf, idle_waker()).unwrap().unwrap(),
+            10
+        );
         assert_eq!(&buf, b"hello, sta");
-        assert_eq!(b.try_read(T0, &mut buf).unwrap(), ReadOutcome::Read(9));
+        assert_eq!(b.read_copy(T0, &mut buf, idle_waker()).unwrap().unwrap(), 9);
         assert_eq!(&buf[..9], b"ged world");
         assert_eq!(b.stats.bytes_copied, 19, "both copies counted");
     }

@@ -41,7 +41,7 @@ fn measure_bulk(wan: LinkParams, cfg: TcpConfig, total: usize, seed: u64) -> f64
         let mut left = total;
         while left > 0 {
             let n = chunk.len().min(left);
-            s.write_all_blocking(&chunk[..n]).unwrap();
+            (&s).write_all(&chunk[..n]).unwrap();
             left -= n;
         }
         s.shutdown_write().unwrap();
@@ -283,7 +283,7 @@ fn splicing_succeeds_through_double_firewall() {
                 },
             )
             .unwrap();
-        s.write_all_blocking(b"from-a").unwrap();
+        (&s).write_all(b"from-a").unwrap();
         let mut buf = [0u8; 6];
         let mut r = &s;
         r.read_exact(&mut buf).unwrap();
@@ -299,7 +299,7 @@ fn splicing_succeeds_through_double_firewall() {
                 },
             )
             .unwrap();
-        s.write_all_blocking(b"from-b").unwrap();
+        (&s).write_all(b"from-b").unwrap();
         let mut buf = [0u8; 6];
         let mut r = &s;
         r.read_exact(&mut buf).unwrap();
@@ -399,7 +399,7 @@ fn many_parallel_streams_share_one_link_fairly() {
                 let mut left = per_stream;
                 while left > 0 {
                     let n = chunk.len().min(left);
-                    s.write_all_blocking(&chunk[..n]).unwrap();
+                    (&s).write_all(&chunk[..n]).unwrap();
                     left -= n;
                 }
                 s.shutdown_write().unwrap();

@@ -4,7 +4,7 @@
 use gridsim_net::{topology, LinkParams, Sim, SockAddr};
 use gridsim_tcp::{crash_node, ConnectOpts, SimHost, TcpConfig};
 use parking_lot::Mutex;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,7 +73,7 @@ fn backlog_overflow_clients_eventually_connect() {
             for _ in 0..CLIENTS {
                 let s = l.accept().unwrap();
                 gridsim_net::ctx::sleep(Duration::from_millis(20));
-                s.write_all_blocking(b"k").unwrap();
+                (&s).write_all(b"k").unwrap();
                 *served.lock() += 1;
             }
         });
@@ -119,7 +119,7 @@ fn same_four_tuple_reusable_after_close() {
                     },
                 )
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
-            s.write_all_blocking(b"x").unwrap();
+            (&s).write_all(b"x").unwrap();
             drop(s);
             // Wait out TIME_WAIT (500 ms in the sim config) so the tuple
             // frees up.
@@ -153,7 +153,7 @@ fn concurrent_connections_between_same_hosts_are_isolated() {
                         }
                     }
                     // Echo the checksum back.
-                    let _ = s.write_all_blocking(&sum.to_le_bytes());
+                    let _ = (&s).write_all(&sum.to_le_bytes());
                 });
             }
         });
@@ -164,7 +164,7 @@ fn concurrent_connections_between_same_hosts_are_isolated() {
         sim.spawn(format!("client{i}"), move || {
             let s = ha.connect(SockAddr::new(b_ip, 5000)).unwrap();
             let payload = vec![i + 1; 10_000];
-            s.write_all_blocking(&payload).unwrap();
+            (&s).write_all(&payload).unwrap();
             s.shutdown_write().unwrap();
             let mut buf = [0u8; 8];
             let mut r = &s;
@@ -278,7 +278,7 @@ fn config_is_per_connection_snapshot() {
         // ACKed; nodelay emits four.
         for s in [&s1, &s2] {
             for b in [b"a", b"b", b"c", b"d"] {
-                s.write_all_blocking(b).unwrap();
+                s.write_some(b).unwrap();
             }
         }
         gridsim_net::ctx::sleep(Duration::from_millis(200));

@@ -266,13 +266,14 @@ fn datapath_counts_are_the_recorded_ones() {
         "e2e/stripe4 (segs_sent, bytes_copied)"
     );
     // Every GTLS record crosses the scalar `write_some` / `read_some` path.
-    // A write's copied remainder is staged as one chunk that refills grow
-    // in place, so few carves straddle chunks. More bytes copied: the
-    // remainder is being queued one copied sliver per ACK.
+    // A write is one copy of the record, written as one block: it enters
+    // the send queue as one chunk that refills grow in place, so few
+    // carves straddle chunks. More bytes copied: a record is being queued
+    // as a copied head plus a separately staged tail again.
     let gtls = allocs_within("e2e/gtls", e2e_bytes, 57.6, || {
         e2e_run(StackSpec::plain().with_security())
     });
-    assert_eq!(gtls, (6136, 10653366), "e2e/gtls (segs_sent, bytes_copied)");
+    assert_eq!(gtls, (6136, 9991986), "e2e/gtls (segs_sent, bytes_copied)");
 
     // Compressible grid payload, cut into pooled blocks outside the counted
     // region: a stage's allocations are its own.

@@ -9,6 +9,7 @@ use netgrid::{
     spawn_name_service, spawn_relay, spawn_relay_mesh, ConnectivityProfile, EstablishMethod,
     GridEnv, GridNode, NatClass, RelayConfig, StackSpec,
 };
+use std::io::Write;
 use std::time::Duration;
 
 const NS: u16 = 563;
@@ -243,7 +244,7 @@ fn malformed_frames_end_their_own_connection_only() {
                 };
                 hello.encode().send(&mut s.clone()).unwrap();
             }
-            s.write_all_blocking(&bytes).unwrap();
+            (&s).write_all(&bytes).unwrap();
             if !fatal {
                 // A frame that is still arriving is no error: the relay
                 // waits (holding the ten bytes, not the declared MiB) until

@@ -8,9 +8,13 @@
 use gridsim_net::{topology, Sim, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use gridzip::varint;
-use netgrid::wire::{read_frame, FrameReader, FrameWriter, MAX_MESSAGE};
-use netgrid::{spawn_name_service, ConnectivityProfile, GridEnv, GridNode, ReceivePort, StackSpec};
+use netgrid::relay::RelayClient;
+use netgrid::wire::{FrameReader, FrameStream, FrameWriter, MAX_MESSAGE};
+use netgrid::{
+    spawn_name_service, spawn_relay, ConnectivityProfile, GridEnv, GridNode, ReceivePort, StackSpec,
+};
 use std::io::Write;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const NS: u16 = 563;
@@ -20,15 +24,26 @@ const CLOSE: u64 = 2;
 const RECONFIG: u64 = 4;
 const RESUME_FLAG: u64 = 1 << 63;
 
-/// Dial `port`'s listener and send the stream preamble: one
-/// length-prefixed frame of varint `fields`.
-fn dial(node: &GridNode, port: &str, fields: &[u64]) -> TcpStream {
+/// Dial `port`'s listener and send `sent`.
+fn dial_with(node: &GridNode, port: &str, sent: &[u8]) -> TcpStream {
     let (rec, _, _) = node.ns().lookup_port(port).unwrap();
     let mut s = node.host().connect(rec.listener.unwrap()).unwrap();
     s.set_nodelay(true).unwrap();
-    let preamble = fields.iter().fold(FrameWriter::new(), |fw, &f| fw.u64(f));
-    preamble.send(&mut s).unwrap();
+    s.write_all(sent).unwrap();
     s
+}
+
+/// A stream preamble: one length-prefixed frame of varint `fields`.
+fn preamble(fields: &[u64]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let preamble = fields.iter().fold(FrameWriter::new(), |fw, &f| fw.u64(f));
+    preamble.send(&mut wire).unwrap();
+    wire
+}
+
+/// Dial `port`'s listener and send the stream preamble of `fields`.
+fn dial(node: &GridNode, port: &str, fields: &[u64]) -> TcpStream {
+    dial_with(node, port, &preamble(fields))
 }
 
 fn put(buf: &mut Vec<u8>, fields: &[u64]) {
@@ -108,10 +123,12 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
         // replay: no second ack, and nothing behind it is delivered.
         ("RECONFIG with a stale epoch", vec![vec![A, 0, 1]], |s| {
             write(s, reconfig_1);
-            let ack = read_frame(s).expect("the first is acked");
+            let ack = FrameStream::new(s.clone()).next_frame();
+            let ack = ack.expect("the first is acked");
             assert_eq!(FrameReader::new(&ack).u64().unwrap(), 1);
             write(s, reconfig_1);
-            assert!(read_frame(s).is_err(), "the replay is not");
+            let replay = FrameStream::new(s.clone()).next_frame();
+            assert!(replay.is_err(), "the replay is not");
             write(s, |b| msg(b, A, b"hostile"));
         }),
         // `as u16` read these two as stream 0 of a 1-stream link.
@@ -221,11 +238,17 @@ fn hand_encoded_frames_deliver_and_malformed_ones_do_not() {
 
 #[test]
 fn a_link_whose_other_streams_never_arrive_is_dropped_at_its_deadline() {
-    // A raw client opens stream 0 of a 4-stream link and sends nothing
-    // else. The receiver holds that stream only until the assembly's
-    // deadline, 10 s after its first stream, then closes it: the client
-    // reads EOF.
+    // A raw client dials the port and stops: after stream 0 of a 4-stream
+    // link, before the first byte of its preamble, or halfway through it.
+    // The receiver holds the connection only until a deadline, 10 s after
+    // the stream arrived, then closes it: the client reads EOF.
     const DEADLINE: Duration = Duration::from_secs(10);
+    let half = preamble(&[0x0700_0002, 0, 1]);
+    let cases = [
+        ("stream 0 of 4", preamble(&[0x0700_0001, 0, 4])),
+        ("no preamble", Vec::new()),
+        ("half a preamble", half[..half.len() / 2].to_vec()),
+    ];
     let sim = Sim::new(29);
     let net = sim.net();
     let (a, b) = net.with(topology::lan_pair);
@@ -243,14 +266,63 @@ fn a_link_whose_other_streams_never_arrive_is_dropped_at_its_deadline() {
     let client = sim.spawn("client", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(100));
         let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
-        let mut s = dial(&node, "wire", &[0x0700_0001, 0, 4]);
+        for (case, sent) in cases {
+            let mut s = dial_with(&node, "wire", &sent);
+            let t0 = gridsim_net::ctx::now();
+            let got = std::io::Read::read(&mut s, &mut [0u8; 16]).unwrap();
+            let waited = gridsim_net::ctx::now() - t0;
+            assert_eq!(got, 0, "{case}: EOF, not bytes");
+            assert!(
+                waited > DEADLINE / 2 && waited <= DEADLINE + Duration::from_secs(1),
+                "{case}: EOF after {waited:?}"
+            );
+        }
+    });
+    sim.run();
+    assert!(client.is_finished());
+}
+
+#[test]
+fn a_routed_resume_whose_fields_never_arrive_is_refused_at_its_deadline() {
+    // A raw relay client opens a routed stream to a receive port with the
+    // resume flag in the OPEN's channel field, and never writes the resume
+    // fields that must follow as the stream's first frame. The receiver
+    // refuses the stream 10 s after the open: the opener reads its end.
+    const DEADLINE: Duration = Duration::from_secs(10);
+    const RELAY: u16 = 600;
+    let sim = Sim::new(31);
+    let net = sim.net();
+    let (a, b) = net.with(topology::lan_pair);
+    let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+    let relay_addr = SockAddr::new(hb.ip(), RELAY);
+    let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), NS)).with_relay(relay_addr);
+    let receiver_id = Arc::new(Mutex::new(None));
+    let id_slot = Arc::clone(&receiver_id);
+    net.sched().spawn_daemon("receiver", move || {
+        spawn_name_service(&hb, NS).unwrap();
+        spawn_relay(&hb, RELAY).unwrap();
+        let node = GridNode::join(&env, hb, "rx", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("wire", StackSpec::plain())
+            .unwrap();
+        *id_slot.lock().unwrap() = Some(node.id());
+        assert!(rp.receive().is_err(), "nothing is ever delivered");
+    });
+    let client = sim.spawn("client", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let to = receiver_id.lock().unwrap().expect("the receiver joined");
+        let rc = RelayClient::connect(&ha, relay_addr, None, 1 << 40).unwrap();
+        let mut s = rc
+            .open_stream(to, "wire", 0x0700_0001 | RESUME_FLAG)
+            .unwrap();
         let t0 = gridsim_net::ctx::now();
         let got = std::io::Read::read(&mut s, &mut [0u8; 16]).unwrap();
         let waited = gridsim_net::ctx::now() - t0;
-        assert_eq!(got, 0, "EOF, not bytes");
+        assert_eq!(got, 0, "the end of the stream, not bytes");
+        assert!(!s.fin_received(), "refused, not closed");
         assert!(
             waited > DEADLINE / 2 && waited <= DEADLINE + Duration::from_secs(1),
-            "EOF after {waited:?}"
+            "refused after {waited:?}"
         );
     });
     sim.run();
@@ -302,7 +374,7 @@ fn reconfig_level_is_bounded_by_the_ladder() {
             msg(&mut wire, ch, first);
             put(&mut wire, &[RECONFIG, 1, 1, 32 * 1024, level + 1]);
             s.write_all(&wire).unwrap();
-            let ack = read_frame(&mut s);
+            let ack = FrameStream::new(s.clone()).next_frame();
             let mut frame = Vec::new();
             msg(&mut frame, ch, second);
             let mut block = vec![0u8];
