@@ -18,8 +18,11 @@
 #           the world's metrics registry, no second event queue beside
 #           the scheduler's (nor a lock around its hooks or clock), no
 #           Fig-4 method's internals named in node.rs (they live in
-#           crates/core/src/establish/), and no poll loop that sleeps
-#           (`wait_until`) in crates/core/src
+#           crates/core/src/establish/), no poll loop that sleeps
+#           (`wait_until`) in crates/core/src, no OS thread started in
+#           simnet, simtcp or core outside the scheduler's workers
+#           (runtime.rs), and no SOCKS tunnel direction on a thread of
+#           its own (socks.rs spawns daemons in `spawn_proxy` only)
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -212,6 +215,23 @@ stage_clippy() {
   if grep -nE 'BinaryHeap|PendingDelivery' crates/simnet/src/world.rs \
     || grep -nE 'hooks: Mutex|hooks\.lock|state\.lock\(\)\.now' crates/simnet/src/runtime.rs; then
     echo "a second event queue beside the scheduler's (lines above); pass the packet's slot as the hook argument instead"
+    return 1
+  fi
+  # A task that needs a thread gets one of the scheduler's workers
+  # (runtime.rs): no OS thread of its own in the product crates' non-test
+  # code. And the SOCKS proxy's two directions are inline steps: only the
+  # accept loop and each handshake, in spawn_proxy, are thread tasks.
+  local threads
+  threads=$(find crates/{simnet,simtcp,core}/src -name '*.rs' ! -name runtime.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }')
+  if [ -n "$threads" ]; then
+    echo "$threads"
+    echo "an OS thread started outside the scheduler's workers (lines above); spawn a task instead"
+    return 1
+  fi
+  if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy spawn_proxy" ]; then
+    echo "socks.rs spawns a daemon outside spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
+    echo "  a tunnel direction is an inline step (pump_one_way)"
     return 1
   fi
 }

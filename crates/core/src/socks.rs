@@ -4,8 +4,11 @@
 //! to run on a site gateway host (visible from both sides of the firewall)
 //! and a client-side dialer. No authentication method beyond "none" — site
 //! proxies of the paper's era gated access by network position.
+//! A client's handshake blocks, so it is a task; a tunnel's two directions
+//! are then inline tasks (DESIGN.md §6a), stepped where their bytes land.
 
-use gridsim_net::{SchedHandle, SockAddr};
+use bytes::Bytes;
+use gridsim_net::{ctx, SockAddr, Step};
 use gridsim_tcp::{SimHost, TcpStream};
 use std::io::{self, Write};
 
@@ -14,17 +17,34 @@ use crate::wire::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_RE
 
 /// Move bytes one way until EOF, then propagate the EOF: received chunks
 /// go into the other socket's send queue as they are, by refcount.
-fn pump_one_way(sched: &SchedHandle, from: TcpStream, to: TcpStream, label: &'static str) {
-    sched.spawn_daemon(format!("socks-pump-{label}"), move || {
-        let mut chunks = Vec::new();
-        'pump: while matches!(from.read_chunks_min(1, 64 * 1024, &mut chunks), Ok(1..)) {
-            for chunk in chunks.drain(..) {
-                if to.write_block(chunk).is_err() {
-                    break 'pump;
+fn pump_one_way(from: TcpStream, to: TcpStream, label: &'static str) {
+    let mut ends = Some((from, to));
+    // Chunks read and unwritten, last first; whether a write is staged.
+    let (mut chunks, mut writing) = (Vec::<Bytes>::new(), false);
+    ctx::handle().spawn_inline(format!("socks-pump-{label}"), move || {
+        let (from, to) = ends.as_ref().expect("a pump steps until it is done");
+        loop {
+            let (wait, res) = if writing || !chunks.is_empty() {
+                let first = if writing { None } else { chunks.pop() };
+                let wrote = to.poll_write_block(first).map(|()| 1);
+                (TcpStream::WRITE_WAIT, wrote)
+            } else {
+                let read = from.poll_read_chunks_min(1, 64 * 1024, &mut chunks);
+                chunks.reverse();
+                (TcpStream::READ_WAIT, read)
+            };
+            match res {
+                Ok(1..) => writing = false,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    writing = wait == TcpStream::WRITE_WAIT;
+                    return Step::Blocked(wait);
                 }
+                _ => break,
             }
         }
         let _ = to.shutdown_write();
+        ends = None;
+        Step::Done
     });
 }
 
@@ -36,19 +56,17 @@ pub fn spawn_proxy(host: &SimHost, port: u16) -> io::Result<()> {
     let listener = host.listen(port)?;
     let host = host.clone();
     let sched = host.net().sched().clone();
-    let sched2 = sched.clone();
     sched.spawn_daemon(format!("socks-proxy-{}", host.ip()), move || loop {
         let Ok(client) = listener.accept() else { break };
         let host = host.clone();
-        let sched3 = sched2.clone();
-        sched2.spawn_daemon("socks-conn", move || {
-            let _ = serve_one(&sched3, &host, client);
+        ctx::handle().spawn_daemon("socks-conn", move || {
+            let _ = serve_one(&host, client);
         });
     });
     Ok(())
 }
 
-fn serve_one(sched: &SchedHandle, host: &SimHost, client: TcpStream) -> io::Result<()> {
+fn serve_one(host: &SimHost, client: TcpStream) -> io::Result<()> {
     let mut c = client.clone();
     let reply = |c: &mut TcpStream, rep| c.write_all(&SocksReply(rep).encode());
     let Greeting(methods) = Greeting::read(&mut c)?;
@@ -73,8 +91,8 @@ fn serve_one(sched: &SchedHandle, host: &SimHost, client: TcpStream) -> io::Resu
     match host.connect(req.target) {
         Ok(upstream) => {
             reply(&mut c, REP_OK)?;
-            pump_one_way(sched, client.clone(), upstream.clone(), "c2s");
-            pump_one_way(sched, upstream, client, "s2c");
+            pump_one_way(client.clone(), upstream.clone(), "c2s");
+            pump_one_way(upstream, client, "s2c");
             Ok(())
         }
         Err(e) => {

@@ -504,6 +504,62 @@ fn socks_proxy_connect_and_refusal() {
     assert!(done.is_finished());
 }
 
+/// A 1 MiB upload through the proxy with 64 KiB socket buffers everywhere,
+/// so the pump's writes into the slower upstream stage and would block,
+/// then a half-close from the client: the target sees EOF after the last
+/// byte, answers and closes, and the client reads the answer and then EOF.
+/// Each EOF is a pump's last act, so both pumps have run to their end. The
+/// parks are the thread-form pumps' to the count.
+#[test]
+fn socks_proxy_tunnels_under_backpressure_and_half_close() {
+    const LEN: usize = 1 << 20;
+    let sim = Sim::new(74);
+    let (ha, hb, hs) = star(&sim);
+    for h in [&ha, &hb, &hs] {
+        let mut cfg = h.tcp_config();
+        (cfg.send_buf, cfg.recv_buf) = (64 * 1024, 64 * 1024);
+        h.set_tcp_config(cfg);
+    }
+    let proxy_addr = SockAddr::new(hs.ip(), 1080);
+    let target = SockAddr::new(hb.ip(), 7000);
+    let upload = |i: usize| (i % 251) as u8;
+    sim.spawn("services", move || {
+        spawn_proxy(&hs, 1080).unwrap();
+        let l = hb.listen(7000).unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("target", move || {
+            let s = l.accept().unwrap();
+            let (mut got, mut buf) = (0, vec![0; 16 * 1024]);
+            loop {
+                let n = s.read_some(&mut buf).unwrap();
+                if n == 0 {
+                    break;
+                }
+                assert!(buf[..n].iter().zip(got..).all(|(&b, i)| b == upload(i)));
+                got += n;
+            }
+            (&s).write_all(format!("got {got}").as_bytes()).unwrap();
+            s.shutdown_write().unwrap();
+        });
+    });
+    sim.run();
+    let done = sim.spawn("client", move || {
+        let s = socks_connect(&ha, proxy_addr, target).unwrap();
+        s.write_block((0..LEN).map(upload).collect::<Vec<u8>>().into())
+            .unwrap();
+        s.shutdown_write().unwrap();
+        let mut reply = String::new();
+        (&s).read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, format!("got {LEN}"));
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let parks = |why| {
+        let parks = gridsim_net::Metric("task/parks", None, why);
+        sim.scheduler().handle().metric(parks)
+    };
+    assert_eq!([parks("tcp read"), parks("tcp write")], [1447, 38]);
+}
+
 /// Topology sanity: the qualitative grid builder gives every host a
 /// working route to the public services host and back.
 #[test]

@@ -57,6 +57,7 @@ pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};
 pub use runtime::{
     ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, Step, TaskId, Waker, GRANTS,
+    THREADS,
 };
 pub use sync::{SimMutex, SimMutexGuard, SimQueue};
 pub use time::SimTime;

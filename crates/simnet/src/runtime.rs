@@ -1,21 +1,25 @@
 //! Deterministic cooperative runtime.
 //!
-//! Simulated processes are real OS threads, but *exactly one* of them runs at
+//! Simulated processes run on OS threads, but *exactly one* of them runs at
 //! any moment: the one holding the baton. There is no scheduler thread. A
 //! task that blocks (parks), sleeps or yields runs the scheduler loop
 //! itself ([`SchedCore::drive`]) — pop the run queue, else fire the next
 //! event — until the loop names the next task. If that is the caller, it
 //! simply returns: no syscall, no thread switch (a reader parked on a socket
 //! whose next event wakes it; a `sleep`). Otherwise the caller grants that
-//! task's baton and waits on its own: one switch. A task that finishes
-//! hands the baton to the next runnable task or else to the thread that
-//! called `run_until` (the root), which drives on. When nothing is left to
-//! do before the `run_until` limit the baton goes back to the root, which
-//! alone computes the [`RunOutcome`].
+//! task's baton and waits on its own: one switch. A task that finishes runs
+//! the loop the same way. When nothing is left to do before the `run_until`
+//! limit the baton goes back to the thread that called `run_until` (the
+//! root), which alone computes the [`RunOutcome`].
 //! Combined with a totally ordered event queue (time, then insertion
 //! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
 //! reproducible — the run-queue and event order do not depend on which thread
 //! happens to drive.
+//!
+//! The threads are workers (`sim-worker`): one whose task has finished waits
+//! on an idle list for the next task, so a task starts an OS thread only
+//! when every worker is busy. Dropping the [`Scheduler`] ends and joins the
+//! idle ones.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -145,30 +149,24 @@ enum TaskState {
 }
 
 /// The right to run, one per thread that takes part in a simulation (each
-/// task thread, and the caller of `run_until` for the length of that call).
+/// worker, and the caller of `run_until` for the length of that call).
 ///
 /// Exactly one baton is ever in the `go` state or held by a running thread.
 /// The holder decides who is next ([`SchedCore::drive`]), calls
 /// [`Baton::grant`] on that thread's baton and [`Baton::wait`] on its own.
+#[derive(Default)]
 struct Baton {
     /// Set by the granter (`Release`), read and cleared by the owner
     /// (`Acquire`): everything the granter did happens-before the owner's
     /// next step.
     go: AtomicBool,
-    /// The one thread that waits on this baton. For a task it is filled in
-    /// by the spawner before the task first becomes runnable, so no granter
-    /// can find it empty.
+    /// The one thread that waits on this baton. For a worker it is filled in
+    /// by the spawner before the worker's first task becomes runnable, so
+    /// no granter can find it empty.
     owner: OnceLock<std::thread::Thread>,
 }
 
 impl Baton {
-    fn new(owner: Option<std::thread::Thread>) -> Arc<Self> {
-        Arc::new(Baton {
-            go: AtomicBool::new(false),
-            owner: owner.map_or_else(OnceLock::new, OnceLock::from),
-        })
-    }
-
     /// Let the owner run. The caller must stop touching simulation state
     /// and wait on its own baton (or exit).
     fn grant(&self) {
@@ -197,6 +195,20 @@ impl Baton {
     }
 }
 
+/// A task given a thread, and the body it runs there.
+type Job = (TaskId, Box<dyn FnOnce() + Send>);
+
+/// An OS thread that runs tasks, one after another.
+#[derive(Default)]
+struct Worker {
+    /// Its own for life: granted to run its job, or with no job to exit.
+    baton: Arc<Baton>,
+    /// The task it runs next and its body, set before the baton is granted.
+    job: Mutex<Option<Job>>,
+    /// Taken to join it when the scheduler drops.
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
 struct TaskSlot {
     /// Emptied when the task finishes.
     name: String,
@@ -206,11 +218,11 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
-    /// `None` once the task has finished, and for an inline task.
+    /// The baton of the worker running the task; `None` once the task has
+    /// finished, and for an inline task.
     baton: Option<Arc<Baton>>,
     /// An inline task's step, in the slot while it is not running.
     step: Option<InlineStep>,
-    join_handle: Option<std::thread::JoinHandle<()>>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
     /// Human-readable reason the task is parked (deadlock diagnostics);
@@ -232,10 +244,10 @@ struct SchedState {
     /// the heap, and `root` is its caller's baton.
     limit: SimTime,
     root: Option<Arc<Baton>>,
-    /// Thread of the most recently finished task. Each finishing task
-    /// joins its predecessor and `run_until`'s caller joins the last, so
-    /// no finished thread outlives the run.
-    last_finished: Option<std::thread::JoinHandle<()>>,
+    /// Workers whose task has finished, waiting for the next one. A
+    /// worker goes here only after it has chosen its successor, so no
+    /// `drive` it runs can hand it a job of its own.
+    idle: Vec<Arc<Worker>>,
     /// Callbacks by [`HookId`]. A firing clones its `Arc` out under the
     /// lock it pops the event with, so it runs without holding the lock.
     hooks: Vec<Hook>,
@@ -263,6 +275,9 @@ pub struct Metric(pub &'static str, pub Option<u64>, pub &'static str);
 /// increment.
 pub const GRANTS: Metric = Metric("sched", None, "grants");
 
+/// The registry's count of the worker threads the scheduler has started.
+pub const THREADS: Metric = Metric("sched", None, "threads");
+
 impl std::fmt::Display for Metric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.1 {
@@ -289,18 +304,15 @@ impl SchedState {
         }
     }
 
-    /// Mark `tid` finished, wake its joiners and hand back its thread's
-    /// join handle, if it had a thread.
-    fn retire(&mut self, tid: TaskId) -> Option<std::thread::JoinHandle<()>> {
+    /// Mark `tid` finished and wake its joiners.
+    fn retire(&mut self, tid: TaskId) {
         let slot = &mut self.tasks[tid.index()];
         slot.state = TaskState::Finished;
         slot.name = String::new();
         slot.baton = None;
-        let me = slot.join_handle.take();
         for j in std::mem::take(&mut slot.joiners) {
             self.wake(j);
         }
-        me
     }
 
     /// Count one park of a task under `reason`.
@@ -326,13 +338,8 @@ pub struct SchedCore {
 enum Driver {
     /// The thread inside `run_until`.
     Root,
-    /// A task thread that has just parked or yielded.
+    /// The worker of a task that has just parked, yielded or finished.
     Task(TaskId),
-    /// A task thread that has just finished. It hands the baton to the
-    /// next runnable task, or else back to the root, but fires no event:
-    /// what an event allocates would sit in the malloc arena of a thread
-    /// about to exit, where no live thread reuses the space it frees.
-    Exiting,
 }
 
 impl SchedCore {
@@ -360,8 +367,7 @@ impl SchedCore {
     /// otherwise the baton the caller must grant: the next task's (a task
     /// an inline step just promoted to a thread included), or the root's
     /// when the run is over (a panic is pending, the event heap is empty,
-    /// or the next event lies past the `run_until` limit) or when an
-    /// exiting caller finds no task runnable.
+    /// or the next event lies past the `run_until` limit).
     fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
         loop {
             let callback = {
@@ -383,8 +389,7 @@ impl SchedCore {
                                 slot.baton.as_ref().expect("a runnable task has a baton"),
                             ));
                         }
-                        let fires = me != Driver::Exiting;
-                        if fires && st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
+                        if st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
                             let ev = st.events.pop().expect("peeked");
                             debug_assert!(ev.at >= self.now(), "time went backwards");
                             self.clock.store(ev.at.0, Ordering::Relaxed);
@@ -464,11 +469,8 @@ impl SchedCore {
                     return None;
                 }
                 Ok(Step::Promote(body)) => {
-                    let name = st.tasks[tid.index()].name.clone();
-                    let (baton, thread) = self.start_thread(tid, &name, body);
-                    let slot = &mut st.tasks[tid.index()];
-                    slot.baton = Some(Arc::clone(&baton));
-                    slot.join_handle = Some(thread);
+                    let baton = self.start_thread(&mut st, tid, body);
+                    st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
                     st.grants += 1;
                     drop(st);
                     // The step's captures go with the caller's context, as
@@ -488,61 +490,65 @@ impl SchedCore {
         }
     }
 
-    /// Start the thread of task `tid`, which runs `body` once its baton is
-    /// first granted and then finishes the task. The caller holds the
-    /// state lock and records the baton and the join handle in the slot;
-    /// the thread touches no state before its first grant.
+    /// Give task `tid` a worker, idle or else new, that runs `body` once
+    /// the returned baton is first granted and then finishes the task. The
+    /// caller records the baton; the worker touches no state before then.
     fn start_thread(
         self: &Arc<Self>,
+        st: &mut SchedState,
         tid: TaskId,
-        name: &str,
-        body: impl FnOnce() + Send + 'static,
-    ) -> (Arc<Baton>, std::thread::JoinHandle<()>) {
-        let baton = Baton::new(None);
-        let thread = {
-            let baton = Arc::clone(&baton);
-            let handle = SchedHandle {
-                core: Arc::clone(self),
-            };
-            std::thread::Builder::new()
-                .name(format!("sim:{name}"))
-                .spawn(move || {
-                    baton.wait();
-                    CURRENT.set(Some(Current {
-                        handle: handle.clone(),
-                        tid,
-                        baton: Some(baton),
-                    }));
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(body));
-                    CURRENT.set(None);
-                    handle.core.finish(tid, out.err());
-                })
-                .expect("spawn sim task thread")
-        };
-        baton
-            .owner
-            .set(thread.thread().clone())
-            .expect("a fresh baton has no owner");
-        (baton, thread)
+        body: Box<dyn FnOnce() + Send>,
+    ) -> Arc<Baton> {
+        let worker = st.idle.pop().unwrap_or_else(|| {
+            let worker = Arc::new(Worker::default());
+            let (core, w) = (Arc::clone(self), Arc::clone(&worker));
+            let thread = std::thread::Builder::new()
+                .name("sim-worker".into())
+                .spawn(move || core.work(&w))
+                .expect("spawn sim worker thread");
+            worker
+                .baton
+                .owner
+                .set(thread.thread().clone())
+                .expect("a fresh baton has no owner");
+            *worker.thread.lock() = Some(thread);
+            *st.metrics.entry(THREADS).or_insert(0) += 1;
+            worker
+        });
+        *worker.job.lock() = Some((tid, body));
+        Arc::clone(&worker.baton)
     }
 
-    /// End of a task's thread: record the outcome, wake the joiners, hand
-    /// the baton on and join the previously finished thread.
-    fn finish(self: &Arc<Self>, tid: TaskId, panic: Option<Box<dyn std::any::Any + Send>>) {
-        let predecessor = {
+    /// A worker's life: run each job it is granted and finish its task;
+    /// return at a grant that brings no job.
+    fn work(self: &Arc<Self>, worker: &Arc<Worker>) {
+        loop {
+            worker.baton.wait();
+            let Some((tid, body)) = worker.job.lock().take() else {
+                return;
+            };
+            CURRENT.set(Some(Current {
+                handle: SchedHandle {
+                    core: Arc::clone(self),
+                },
+                tid,
+                baton: Some(Arc::clone(&worker.baton)),
+            }));
+            let out = std::panic::catch_unwind(AssertUnwindSafe(body));
+            CURRENT.set(None);
             let mut st = self.state.lock();
-            if let Some(p) = panic {
+            if let Err(p) = out {
                 st.panic.get_or_insert(p);
             }
-            let me = st.retire(tid);
-            std::mem::replace(&mut st.last_finished, me)
-        };
-        self.drive(Driver::Exiting)
-            .expect("an exiting thread always hands the baton on")
-            .grant();
-        if let Some(jh) = predecessor {
-            // It has handed the baton on, so it is exiting or gone.
-            let _ = jh.join();
+            st.retire(tid);
+            drop(st);
+            // Choose the successor, only then go idle, and only then hand
+            // the baton on: no `drive` here can give this worker a job.
+            let next = self
+                .drive(Driver::Task(tid))
+                .expect("a finished task is not the one to run next");
+            self.state.lock().idle.push(Arc::clone(worker));
+            next.grant();
         }
     }
 }
@@ -628,7 +634,7 @@ impl Scheduler {
                     panic: None,
                     limit: SimTime::ZERO,
                     root: None,
-                    last_finished: None,
+                    idle: Vec::new(),
                     hooks: Vec::new(),
                     grants: 0,
                     metrics: BTreeMap::new(),
@@ -671,19 +677,21 @@ impl Scheduler {
     /// whichever task holds the baton continues it, and the caller sleeps
     /// until the loop has nothing left to do within `limit`.
     pub fn run_until(&self, limit: SimTime) -> RunOutcome {
-        let root = Baton::new(Some(std::thread::current()));
+        let root = Arc::new(Baton {
+            owner: OnceLock::from(std::thread::current()),
+            ..Baton::default()
+        });
         {
             let mut st = self.core.state.lock();
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
         }
-        // Granted back, the root drives on: it may only be standing in for
-        // a thread that finished.
-        while let Some(first) = self.core.drive(Driver::Root) {
+        // Whoever drives grants the root back only when the run is over.
+        if let Some(first) = self.core.drive(Driver::Root) {
             first.grant();
             root.wait();
         }
-        let (last_finished, panic, outcome) = {
+        let (panic, outcome) = {
             let mut st = self.core.state.lock();
             let outcome = match st.events.peek() {
                 Some(_) => RunOutcome::TimeLimit,
@@ -701,11 +709,8 @@ impl Scheduler {
                     }
                 }
             };
-            (st.last_finished.take(), st.panic.take(), outcome)
+            (st.panic.take(), outcome)
         };
-        if let Some(jh) = last_finished {
-            let _ = jh.join();
-        }
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
@@ -730,6 +735,20 @@ impl Scheduler {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core.now()
+    }
+}
+
+impl Drop for Scheduler {
+    /// End every idle worker and join it. A worker whose task is still
+    /// parked (a server's accept loop) stays parked, detached.
+    fn drop(&mut self) {
+        // An ending worker touches no state, so the lock can stay held.
+        for worker in std::mem::take(&mut self.core.state.lock().idle) {
+            worker.baton.grant();
+            if let Some(thread) = worker.thread.lock().take() {
+                let _ = thread.join();
+            }
+        }
     }
 }
 
@@ -842,9 +861,8 @@ impl SchedHandle {
         let mut st = self.core.state.lock();
         let tid = TaskId(st.tasks.len() as u64);
         let out = Arc::clone(&result);
-        let (baton, thread) = self
-            .core
-            .start_thread(tid, &name, move || *out.lock() = Some(f()));
+        let body = Box::new(move || *out.lock() = Some(f()));
+        let baton = self.core.start_thread(&mut st, tid, body);
         st.tasks.push(TaskSlot {
             name,
             daemon,
@@ -852,7 +870,6 @@ impl SchedHandle {
             notified: false,
             baton: Some(baton),
             step: None,
-            join_handle: Some(thread),
             joiners: Vec::new(),
             blocked_on: "",
         });
@@ -886,7 +903,6 @@ impl SchedHandle {
             notified: false,
             baton: None,
             step: Some(Box::new(step)),
-            join_handle: None,
             joiners: Vec::new(),
             blocked_on: "",
         });
@@ -1494,7 +1510,7 @@ mod tests {
     }
 
     #[test]
-    fn finished_threads_are_joined_before_run_returns() {
+    fn workers_are_reused_and_joined_when_the_scheduler_drops() {
         struct CountOnExit(Arc<AtomicUsize>);
         impl Drop for CountOnExit {
             fn drop(&mut self) {
@@ -1505,23 +1521,125 @@ mod tests {
             static ON_EXIT: std::cell::RefCell<Option<CountOnExit>> =
                 const { std::cell::RefCell::new(None) };
         }
-        const TASKS: usize = 40;
+        // Dropped by the thread-local destructor, i.e. when the OS thread
+        // is really going away; set once per thread.
+        let count_exit = |exited: &Arc<AtomicUsize>| {
+            let exited = Arc::clone(exited);
+            move || {
+                ON_EXIT.with_borrow_mut(|c| {
+                    c.get_or_insert_with(|| CountOnExit(exited));
+                })
+            }
+        };
         let exited = Arc::new(AtomicUsize::new(0));
         let sched = Scheduler::new();
-        for i in 0..TASKS {
-            let exited = Arc::clone(&exited);
+        let h = sched.handle();
+        for i in 0..40u64 {
+            let on_exit = count_exit(&exited);
             sched.spawn(format!("t{i}"), move || {
-                // Dropped by the thread-local destructor, i.e. when the OS
-                // thread is really going away.
-                ON_EXIT.set(Some(CountOnExit(exited)));
-                ctx::sleep(Duration::from_millis(i as u64 % 7));
+                on_exit();
+                ctx::sleep(Duration::from_millis(i % 7));
+            });
+            assert_eq!(sched.run(), RunOutcome::Idle);
+        }
+        assert_eq!(h.metric(THREADS), 1, "one task after another, one thread");
+        for i in 0..8u64 {
+            let on_exit = count_exit(&exited);
+            sched.spawn(format!("u{i}"), move || {
+                on_exit();
+                ctx::sleep(Duration::from_millis(i % 3));
             });
         }
         assert_eq!(sched.run(), RunOutcome::Idle);
-        assert_eq!(exited.load(Ordering::SeqCst), TASKS);
-        let st = sched.core.state.lock();
-        assert!(st.last_finished.is_none());
-        assert!(st.tasks.iter().all(|t| t.join_handle.is_none()));
+        assert_eq!(h.metric(THREADS), 8, "eight at once, the first reused");
+        assert_eq!(exited.load(Ordering::SeqCst), 0, "idle, not gone");
+        drop(sched);
+        assert_eq!(exited.load(Ordering::SeqCst), 8);
+    }
+
+    /// The OS thread a task ran on, as seen from inside it.
+    fn thread_of_task(
+        sched: &Scheduler,
+        f: impl FnOnce() + Send + 'static,
+    ) -> std::thread::ThreadId {
+        let task = sched.spawn("probe", move || {
+            f();
+            std::thread::current().id()
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let id = task.result.lock().take();
+        id.expect("the probe task finished")
+    }
+
+    #[test]
+    fn a_finishing_task_whose_successor_promotes_does_not_run_it_itself() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let first = thread_of_task(&sched, || {});
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let (l, h2) = (Arc::clone(&log), h.clone());
+        sched.spawn("finisher", move || {
+            assert_eq!(std::thread::current().id(), first, "the idle worker");
+            let l = Arc::clone(&l);
+            // Runnable behind this task: its finish pops it, steps it and
+            // starts its thread before this worker is idle.
+            h2.spawn_inline("promotes", move || {
+                let l = Arc::clone(&l);
+                Step::Promote(Box::new(move || {
+                    let other = std::thread::current().id() != first;
+                    l.lock().push(format!("promoted, other thread: {other}"));
+                    ctx::sleep(Duration::from_millis(1));
+                    l.lock().push(format!("woken at {}", ctx::now().as_nanos()));
+                }))
+            });
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(
+            *log.lock(),
+            ["promoted, other thread: true", "woken at 1000000"]
+        );
+        assert_eq!(h.metric(THREADS), 2);
+    }
+
+    #[test]
+    fn a_promoted_body_lands_on_an_idle_worker() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let first = thread_of_task(&sched, || {});
+        let ran_on = Arc::new(Mutex::new(None));
+        let r = Arc::clone(&ran_on);
+        let mut woken = false;
+        let tid = h.spawn_inline("promoted", move || {
+            if !woken {
+                woken = true;
+                let me = ctx::waker();
+                let h = ctx::handle();
+                h.call_at(h.now() + Duration::from_millis(1), move || me.wake());
+                return Step::Blocked("first");
+            }
+            let r = Arc::clone(&r);
+            Step::Promote(Box::new(move || {
+                ctx::sleep(Duration::from_millis(1));
+                *r.lock() = Some((std::thread::current().id(), ctx::waker().task()));
+            }))
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(ran_on.lock().take(), Some((first, tid)));
+        assert_eq!(h.metric(THREADS), 1);
+    }
+
+    #[test]
+    fn a_panicking_tasks_payload_reaches_the_caller_and_its_worker_runs_on() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let sched = Scheduler::new();
+        sched.spawn("boom", || std::panic::panic_any(Payload(7)));
+        let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+        assert_eq!(p.downcast_ref::<Payload>(), Some(&Payload(7)));
+        let boom = thread_of_task(&sched, || {});
+        let again = thread_of_task(&sched, || ctx::sleep(Duration::from_millis(1)));
+        assert_eq!(boom, again);
+        assert_eq!(sched.handle().metric(THREADS), 1);
     }
 
     #[test]
@@ -1537,7 +1655,8 @@ mod tests {
             let names: Vec<_> = h.metrics().keys().map(Metric::to_string).collect();
             names.join(" ")
         };
-        let expect = "node/3/links node/12/walks sched/grants task/parks/sleep world/walk_peak";
+        let expect = "node/3/links node/12/walks sched/grants sched/threads task/parks/sleep \
+                      world/walk_peak";
         assert_eq!(names(), expect);
         assert_eq!(names(), expect);
     }

@@ -241,7 +241,8 @@ impl TcpStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        self.stage_write(Bytes::copy_from_slice(buf), buf.len())?;
+        let mut first = Some((Bytes::copy_from_slice(buf), buf.len()));
+        Self::wait(Self::WRITE_WAIT, || self.poll_write(first.take()))??;
         Ok(buf.len())
     }
 
@@ -265,20 +266,32 @@ impl TcpStream {
     /// at event time and this call parks just once, waking when every byte
     /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
-        self.stage_write(block, 0)
+        let mut first = Some((block, 0));
+        Self::wait(Self::WRITE_WAIT, || self.poll_write(first.take()))?
     }
 
-    /// [`write_block`](Self::write_block) of a block the caller made by
-    /// copying `copied` bytes.
-    fn stage_write(&self, block: Bytes, copied: usize) -> io::Result<()> {
-        let mut first = Some(block);
-        self.wait_tcb("tcp write", |tcb, now| match first.take() {
-            Some(block) => {
+    /// The park reason of every blocking write, and the would-block reason
+    /// of [`poll_write_block`](Self::poll_write_block).
+    pub const WRITE_WAIT: &'static str = "tcp write";
+
+    /// [`write_block`](Self::write_block) for a caller that must not park:
+    /// `Some(block)` stages it, `None` collects it. `Err(WouldBlock)` while
+    /// bytes of it are unqueued; woken when none are or the connection dies.
+    pub fn poll_write_block(&self, first: Option<Bytes>) -> io::Result<()> {
+        self.poll_write(first.map(|block| (block, 0)))?
+            .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+    }
+
+    /// One look at a block write: stage a block the caller made by copying
+    /// `copied` bytes, or collect the one staged. `None` = not all queued.
+    fn poll_write(&self, first: Option<(Bytes, usize)>) -> io::Result<Option<io::Result<()>>> {
+        self.with_tcb(|tcb, now| match first {
+            Some((block, copied)) => {
                 tcb.stats.bytes_copied += copied as u64;
                 tcb.write_staged(now, block, ctx::waker())
             }
             None => tcb.collect_staged_write(now),
-        })?
+        })
     }
 
     /// Blocking read of at least `min` bytes (unless EOF intervenes),

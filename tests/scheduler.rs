@@ -3,11 +3,11 @@
 //! while it waits. Which thread drives must not show on the simulated
 //! clock, on the wire, or in delivery order.
 
-use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr, GRANTS};
+use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr, GRANTS, THREADS};
 use gridsim_tcp::SimHost;
 use netgrid::{
-    spawn_name_service, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv, GridNode,
-    NatClass, StackSpec,
+    spawn_name_service, spawn_proxy, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv,
+    GridNode, NatClass, StackSpec,
 };
 use std::time::Duration;
 
@@ -31,6 +31,44 @@ fn world(sim: &Sim, specs: &[topology::SiteSpec]) -> (GridEnv, SimHost, SimHost)
     });
     sim.run();
     (env, SimHost::new(&net, a), SimHost::new(&net, b))
+}
+
+/// A SOCKS proxy on the gateway of site `site`, listening on its public
+/// address, which is returned.
+fn proxy_on_gateway(sim: &Sim, site: &str) -> SockAddr {
+    let net = sim.net();
+    let (gw, public) = net.with(|w| {
+        let gw = w
+            .find_node(&format!("{site}-gw"))
+            .expect("the site's gateway");
+        (gw, w.node(gw).addrs[1])
+    });
+    let gw = SimHost::new(&net, gw);
+    sim.spawn("proxy", move || spawn_proxy(&gw, 1080).unwrap());
+    sim.run();
+    SockAddr::new(public, 1080)
+}
+
+/// An open site `a` and a site `b` behind a random symmetric NAT whose
+/// gateway runs a SOCKS proxy, with their profiles: `a` reaches `b`
+/// through the proxy, `b` reaches `a` directly.
+fn proxied_world(
+    sim: &Sim,
+) -> (
+    (GridEnv, SimHost, SimHost),
+    (ConnectivityProfile, ConnectivityProfile),
+) {
+    let wan = LinkParams::mbps(8.0, Duration::from_millis(12));
+    let hosts = world(
+        sim,
+        &[
+            topology::SiteSpec::open("a", 1, wan),
+            topology::SiteSpec::natted("b", 1, NatKind::SymmetricRandom, wan),
+        ],
+    );
+    let proxy = proxy_on_gateway(sim, "b");
+    let profile_b = ConnectivityProfile::natted(NatClass::SymmetricRandom).with_proxy(proxy);
+    (hosts, (ConnectivityProfile::open(), profile_b))
 }
 
 /// Body of message `i`: distinct per message, compressible like grid data.
@@ -217,4 +255,65 @@ fn a_round_trip_through_the_relay_costs_its_pinned_grants() {
     let (method, spent) = ping_pong(&sim, hosts, profiles, ROUNDS, 256);
     assert_eq!(method, EstablishMethod::Routed);
     assert_eq!(spent, 8 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+}
+
+/// Through a SOCKS proxy: its two pumps are inline tasks, stepped by whoever
+/// delivered their bytes, so they cost no switch. What is left is the
+/// direct link's two; with the pumps on threads of their own it was three.
+#[test]
+fn a_round_trip_over_a_proxied_link_costs_two_grants() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let (hosts, profiles) = proxied_world(&sim);
+    let (method, spent) = ping_pong(&sim, hosts, profiles, ROUNDS, 256);
+    assert_eq!(method, EstablishMethod::Proxy);
+    assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+}
+
+/// A proxied connect → send → close starts tasks on both nodes and on the
+/// proxy (the handshake, the receive side's handlers), all finished by the
+/// close: after one warm-up round every one of them runs on a worker an
+/// earlier round left idle, so the rounds start no OS thread.
+#[test]
+fn proxied_connects_after_a_warm_up_start_no_threads() {
+    const ROUNDS: u64 = 50;
+    let sim = Sim::new(42);
+    let ((env, ha, hb), (pa, pb)) = proxied_world(&sim);
+    let env_b = env.clone();
+    sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "recv", pb).unwrap();
+        let rp = node
+            .create_receive_port("sink", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("drain", move || {
+            while let Ok(m) = rp.receive() {
+                drop(m);
+            }
+        });
+        // Stays joined for the rounds.
+        gridsim_net::ctx::sleep(Duration::from_secs(3600));
+    });
+    let threads = || gridsim_net::ctx::handle().metric(THREADS);
+    let started = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "send", pa).unwrap();
+        let round = |i: u64| {
+            let mut sp = node.create_send_port();
+            assert_eq!(sp.connect("sink").unwrap(), EstablishMethod::Proxy);
+            sp.send(&body(i, 256)).unwrap();
+            sp.close().unwrap();
+            gridsim_net::ctx::sleep(Duration::from_secs(1));
+        };
+        round(0);
+        let before = threads();
+        (1..=ROUNDS).for_each(round);
+        threads() - before
+    });
+    sim.run_for(Duration::from_secs(600));
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(started.join()));
+    sim.run_for(Duration::from_secs(1));
+    let started = out.lock().take().expect("sender finished");
+    assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
 }
