@@ -138,7 +138,7 @@ stage_clippy() {
   # service, rpc, SOCKS): one enum each, decoded whole; handlers match on
   # its values and name no opcode, reply flag or SOCKS constant.
   if grep -nE 'FrameReader::new|FrameWriter::new|relay_op|inner_op|mod op\b|svc::|const (VER|CMD_CONNECT|ATYP_V4|REP_)' \
-    crates/core/src/{relay,nameservice,node,port,rpc,socks,session}.rs; then
+    crates/core/src/relay/*.rs crates/core/src/{nameservice,node,port,rpc,socks,session}.rs; then
     echo "control frame parsed outside wire/; match on its codec's enum"
     return 1
   fi
