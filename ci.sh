@@ -21,8 +21,13 @@
 #           crates/core/src/establish/), no poll loop that sleeps
 #           (`wait_until`) in crates/core/src, no OS thread started in
 #           simnet, simtcp or core outside the scheduler's workers
-#           (runtime.rs), and no SOCKS tunnel direction on a thread of
-#           its own (socks.rs spawns daemons in `spawn_proxy` only)
+#           (runtime.rs), no SOCKS tunnel direction on a thread of
+#           its own (socks.rs spawns daemons in `spawn_proxy` only), and
+#           no service reader on one either: the service links' pumps,
+#           the relay's readers and shard writers and the name server's
+#           readers are inline steps, so link.rs spawns no daemon,
+#           nameservice.rs only in `spawn_name_service`, relay/server.rs
+#           only in `spawn_relay_mesh` and `query_route`
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -232,6 +237,19 @@ stage_clippy() {
   if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy spawn_proxy" ]; then
     echo "socks.rs spawns a daemon outside spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
     echo "  a tunnel direction is an inline step (pump_one_way)"
+    return 1
+  fi
+  # The service links' pumps, the relay's connection readers and shard
+  # writers and the name server's connection readers are inline steps too
+  # (link.rs spawn_steps): daemons are only the accept loops, a relay's
+  # mesh-peer dials and its route-pull timeout.
+  local ns relay
+  ns=$(fns_calling 'spawn_daemon\(' crates/core/src/nameservice.rs)
+  relay=$(fns_calling 'spawn_daemon\(' crates/core/src/relay/server.rs)
+  if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ "$ns" != "spawn_name_service" ] \
+    || [ "$relay" != "spawn_relay_mesh spawn_relay_mesh query_route" ]; then
+    echo "a service reader on a thread of its own: link.rs [$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)]," \
+      "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_steps"
     return 1
   fi
 }

@@ -4,9 +4,13 @@
 //! ordered address list, read by one pump that hands every frame to its
 //! [`LinkOwner`], and redialed along a [`Backoff`] ladder once lost.
 //! Requests wait on their answers in one id-keyed table, [`Pending`].
+//!
+//! The pump is an inline task ([`spawn_steps`], DESIGN.md §6a), as are the
+//! relay's and the name server's readers: a frame whose handler cannot
+//! park is handled where it lands, any other on a thread for that handler.
 
 use bytes::Bytes;
-use gridsim_net::{SimMutex, SockAddr, Waker};
+use gridsim_net::{ctx, SchedHandle, SimMutex, SockAddr, Step, Waker};
 use gridsim_tcp::TcpStream;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -16,6 +20,51 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::wire::FrameStream;
+
+/// What one step of a [`spawn_steps`] task did.
+pub(crate) enum Next<S> {
+    /// As [`Step::Blocked`]: it would park here, its waker left behind.
+    Blocked(&'static str),
+    /// The task is over.
+    Done,
+    /// Run this handler, which may park, on a thread, and step on after it
+    /// — unless it returns false: then the task is over.
+    Promote(Box<dyn FnOnce(&mut S) -> bool + Send>),
+}
+
+/// Spawn an inline task over `state`: `step` runs wherever its wake lands
+/// and never parks; a handler that may park runs promoted, with the state,
+/// and then the task steps on. The state drops where the task ends.
+pub(crate) fn spawn_steps<S: Send + 'static>(
+    sched: &SchedHandle,
+    name: String,
+    state: S,
+    step: fn(&mut S) -> Next<S>,
+) {
+    let state = Arc::new(Mutex::new(Some(state)));
+    sched.spawn_inline(name, move || {
+        let mut held = state.lock();
+        let Some(s) = held.as_mut() else {
+            return Step::Done;
+        };
+        match step(s) {
+            Next::Blocked(why) => Step::Blocked(why),
+            Next::Done => {
+                *held = None;
+                Step::Done
+            }
+            Next::Promote(handler) => {
+                let state = Arc::clone(&state);
+                Step::Promote(Box::new(move || {
+                    let mut held = state.lock();
+                    if !handler(held.as_mut().expect("a promoted task has its state")) {
+                        *held = None;
+                    }
+                }))
+            }
+        }
+    });
+}
 
 /// An attempt-counted retry schedule: `attempts` delays, doubling from
 /// `base` up to `cap`.
@@ -111,9 +160,9 @@ impl<T> Pending<T> {
                     slots.remove(&id);
                     return Ok(result);
                 }
-                slot.waker = Some(gridsim_net::ctx::waker());
+                slot.waker = Some(ctx::waker());
             }
-            gridsim_net::ctx::park(reason);
+            ctx::park(reason);
         }
     }
 
@@ -166,8 +215,10 @@ impl<T> Pending<T> {
 pub(crate) trait LinkOwner: Clone + Send + 'static {
     /// Connect to `addr` and greet the service there.
     fn dial(&self, addr: SockAddr) -> io::Result<TcpStream>;
-    /// One frame off connection `gen`. An error ends the connection.
-    fn dispatch(&self, gen: u64, frame: Bytes) -> io::Result<()>;
+    /// One frame off connection `gen`. An error ends the connection. With
+    /// `inline` the caller cannot park: a frame whose handling may is
+    /// `Err(WouldBlock)`, and nothing has been done.
+    fn dispatch(&self, gen: u64, frame: &Bytes, inline: bool) -> io::Result<()>;
     /// Connection `gen` is gone: fail what was in flight on it.
     fn lost(&self, gen: u64);
 }
@@ -230,10 +281,16 @@ impl ServiceLink {
             }
             let stream = self.dial(owner, self.addrs.len())?;
             let gen = self.install(&mut conn, stream.clone());
-            let (link, owner) = (Arc::downgrade(self), owner.clone());
-            gridsim_net::ctx::handle().spawn_daemon(self.name.clone(), move || {
-                Self::pump(link, owner, stream, gen)
-            });
+            let frames = FrameStream::new(stream.clone());
+            let link = Arc::downgrade(self);
+            let pump = Pump {
+                link,
+                owner: owner.clone(),
+                stream,
+                gen,
+                frames,
+            };
+            spawn_steps(&ctx::handle(), self.name.clone(), pump, Pump::step);
         }
         let gen = conn.gen;
         let stream = conn.stream.as_mut().ok_or(io::ErrorKind::NotConnected)?;
@@ -265,48 +322,13 @@ impl ServiceLink {
         conn.gen
     }
 
-    /// Read connection after connection: hand each frame to the owner.
-    /// When one ends, take it out of service — so no request goes out on it
-    /// once the owner has failed those in flight — and redial, unless a
-    /// request has dialed a new one already.
-    fn pump(link: Weak<Self>, owner: impl LinkOwner, mut stream: TcpStream, mut gen: u64) {
-        loop {
-            let mut frames = FrameStream::new(stream.clone());
-            let end = loop {
-                let read = frames.next_frame();
-                if let Err(e) = read.and_then(|frame| owner.dispatch(gen, frame)) {
-                    break e;
-                }
-            };
-            // Out of step with its owner (a malformed frame, or one nobody
-            // asked for), the connection is reset; one that ended or
-            // failed stays as it is.
-            if end.kind() == io::ErrorKind::InvalidData {
-                stream.abort();
-            }
-            let me = link.upgrade().filter(|me| {
-                let mut conn = me.conn.lock();
-                let current = conn.gen == gen;
-                if current {
-                    conn.stream = None;
-                }
-                current
-            });
-            owner.lost(gen);
-            let Some(next) = me.and_then(|me| me.redial(&owner)) else {
-                return;
-            };
-            (stream, gen) = next;
-        }
-    }
-
     /// Redial along the ladder. The first attempt targets only the address
     /// that just died (a restart is the common case), every later one the
     /// whole list from there — the failover the ordered list promises. Out
     /// of attempts, the link waits for its next request.
     fn redial(&self, owner: &impl LinkOwner) -> Option<(TcpStream, u64)> {
         for (attempt, delay) in self.redial.delays().enumerate() {
-            gridsim_net::ctx::sleep(delay);
+            ctx::sleep(delay);
             let span = if attempt == 0 { 1 } else { self.addrs.len() };
             if let Ok(stream) = self.dial(owner, span) {
                 return Some((stream.clone(), self.install(&mut self.conn.lock(), stream)));
@@ -314,6 +336,70 @@ impl ServiceLink {
         }
         self.conn.lock().pump_redials = false;
         None
+    }
+}
+
+/// A link's reader: the connection it reads, and that connection's number.
+struct Pump<O> {
+    link: Weak<ServiceLink>,
+    owner: O,
+    stream: TcpStream,
+    gen: u64,
+    frames: FrameStream,
+}
+
+impl<O: LinkOwner> Pump<O> {
+    /// Hand each frame to the owner until the connection would block. A
+    /// dispatch that may park, and the end of a connection, run promoted.
+    fn step(&mut self) -> Next<Self> {
+        let end = loop {
+            let frame = match self.frames.poll_frame() {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Next::Blocked(TcpStream::READ_WAIT)
+                }
+                Err(e) => break e,
+                Ok(frame) => frame,
+            };
+            match self.owner.dispatch(self.gen, &frame, true) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Next::Promote(Box::new(move |p: &mut Self| {
+                        let res = p.owner.dispatch(p.gen, &frame, false);
+                        res.map_or_else(|e| p.end(e), |()| true)
+                    }))
+                }
+                Err(e) => break e,
+            }
+        };
+        Next::Promote(Box::new(move |p: &mut Self| p.end(end)))
+    }
+
+    /// The connection ended: take it out of service — so no request goes
+    /// out on it once the owner has failed those in flight — and redial,
+    /// unless a request has dialed a new one already. False when the pump
+    /// is over.
+    fn end(&mut self, end: io::Error) -> bool {
+        // Out of step with its owner (a malformed frame, or one nobody
+        // asked for), the connection is reset; one that ended or failed
+        // stays as it is.
+        if end.kind() == io::ErrorKind::InvalidData {
+            self.stream.abort();
+        }
+        let me = self.link.upgrade().filter(|me| {
+            let mut conn = me.conn.lock();
+            let current = conn.gen == self.gen;
+            if current {
+                conn.stream = None;
+            }
+            current
+        });
+        self.owner.lost(self.gen);
+        let Some((stream, gen)) = me.and_then(|me| me.redial(&self.owner)) else {
+            return false;
+        };
+        self.frames = FrameStream::new(stream.clone());
+        (self.stream, self.gen) = (stream, gen);
+        true
     }
 }
 

@@ -27,9 +27,9 @@ use std::io::{self};
 use std::sync::Arc;
 
 use crate::establish::factory::{BootstrapSocketFactory, NatGate};
-use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
+use crate::link::{spawn_steps, Backoff, LinkOwner, Next, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
-use crate::wire::{FrameStream, NsRequest, Put, Reply, Wire};
+use crate::wire::{FrameStream, FrameWriter, NsRequest, Put, Reply, Wire};
 pub use crate::wire::{NodeRecord, PortRecord};
 
 /// A registered node's identity.
@@ -54,22 +54,76 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
         let sched2 = sched.clone();
         sched.spawn_daemon(format!("ns-accept-{p}"), move || loop {
             let Ok(conn) = listener.accept() else { break };
-            let state = Arc::clone(&state);
-            let host3 = host2.clone();
-            sched2.spawn_daemon("ns-conn", move || {
-                let _ = serve_conn(&state, &host3, conn);
-            });
+            let (state, host, requests) = (
+                Arc::clone(&state),
+                host2.clone(),
+                FrameStream::new(conn.clone()),
+            );
+            let reader = NsConn {
+                state,
+                host,
+                conn,
+                requests,
+                writing: false,
+            };
+            spawn_steps(&sched2, "ns-conn".into(), reader, NsConn::step);
         });
     }
     Ok(())
 }
 
-fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Result<()> {
-    let (mut stream, mut requests) = (conn.clone(), FrameStream::new(conn.clone()));
-    // Until the client closes; a request that does not decode ends the
-    // connection.
-    while let Ok(req) = requests.next_frame() {
-        let reply = match NsRequest::decode(&req)? {
+/// One client connection's reader: requests in, replies out, in order.
+struct NsConn {
+    state: Arc<Mutex<NsState>>,
+    host: SimHost,
+    conn: TcpStream,
+    requests: FrameStream,
+    /// A reply is staged on the socket and not yet all queued.
+    writing: bool,
+}
+
+impl NsConn {
+    /// Answer requests until the connection would block, and until the
+    /// client closes; a request that does not decode ends the connection.
+    /// A CONNECT_BACK, whose dial blocks, runs promoted.
+    fn step(&mut self) -> Next<Self> {
+        loop {
+            let written = if self.writing {
+                self.conn.poll_write_block(None)
+            } else {
+                let req = match self.requests.poll_frame() {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        return Next::Blocked(TcpStream::READ_WAIT)
+                    }
+                    Err(_) => return Next::Done,
+                    Ok(req) => req,
+                };
+                let reply = match NsRequest::decode(&req) {
+                    Ok(req @ NsRequest::ConnectBack { .. }) => {
+                        return Next::Promote(Box::new(move |c: &mut Self| {
+                            c.answer(req).send(&mut c.conn).is_ok()
+                        }))
+                    }
+                    Ok(req) => self.answer(req),
+                    Err(_) => return Next::Done,
+                };
+                self.conn.poll_write_block(Some(reply.into_frame()))
+            };
+            match written {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.writing = true;
+                    return Next::Blocked(TcpStream::WRITE_WAIT);
+                }
+                Err(_) => return Next::Done,
+                Ok(()) => self.writing = false,
+            }
+        }
+    }
+
+    /// The reply to `req`; only CONNECT_BACK's, a dial, may park.
+    fn answer(&self, req: NsRequest) -> FrameWriter {
+        let state = &self.state;
+        match req {
             NsRequest::Register { node } => {
                 let mut st = state.lock();
                 let id = st.nodes.len() as GridId + 1;
@@ -105,22 +159,20 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
                 node.ok_or_else(|| "unknown node".to_string()).encode()
             }
             // STUN-like: tell the caller how we see it (post-NAT).
-            NsRequest::Observed => Reply::Ok(conn.peer_addr()).encode(),
+            NsRequest::Observed => Reply::Ok(self.conn.peer_addr()).encode(),
             NsRequest::ConnectBack { target } => {
                 // Short-fused attempt: one SYN retry is enough to separate
                 // "reachable" from "firewalled" (refused counts as
                 // reachable at the network layer — a host answered).
                 let cfg = TcpConfig {
                     syn_retries: 1,
-                    ..host.tcp_config()
+                    ..self.host.tcp_config()
                 };
-                let outcome = host.connect_opts(
-                    target,
-                    ConnectOpts {
-                        local_port: None,
-                        cfg: Some(cfg),
-                    },
-                );
+                let opts = ConnectOpts {
+                    local_port: None,
+                    cfg: Some(cfg),
+                };
+                let outcome = self.host.connect_opts(target, opts);
                 let refused = |e: io::Error| e.kind() == io::ErrorKind::ConnectionRefused;
                 Reply::Ok(outcome.map_or_else(refused, |_| true)).encode()
             }
@@ -128,10 +180,8 @@ fn serve_conn(state: &Mutex<NsState>, host: &SimHost, conn: TcpStream) -> io::Re
                 let names: Vec<_> = state.lock().ports.keys().cloned().collect();
                 Reply::Ok(names).encode()
             }
-        };
-        reply.send(&mut stream)?;
+        }
     }
-    Ok(())
 }
 
 /// Client handle over the node's *bootstrap link* (paper §5): one
@@ -169,8 +219,8 @@ impl LinkOwner for Tickets {
         self.factory.connect(addr)
     }
 
-    fn dispatch(&self, gen: u64, frame: Bytes) -> io::Result<()> {
-        if self.pending.resolve_oldest(gen, frame) {
+    fn dispatch(&self, gen: u64, frame: &Bytes, _inline: bool) -> io::Result<()> {
+        if self.pending.resolve_oldest(gen, frame.clone()) {
             return Ok(());
         }
         let stray = "name service: reply with no request outstanding";

@@ -587,7 +587,10 @@ impl Pump {
         }
         let mut pump = Some(self);
         sched.spawn_inline(name, move || {
-            let p = pump.as_mut().expect("a pump steps inline until it leaves");
+            // Promoted, the pump ran its thread form to the end.
+            let Some(p) = pump.as_mut() else {
+                return Step::Done;
+            };
             match p.step() {
                 Stop::Blocked(why) => Step::Blocked(why),
                 Stop::End if !p.exit_parks() => {

@@ -306,9 +306,13 @@ impl RelayClient {
         self.inner.open_waits.fail(towards, gone);
     }
 
-    /// Act on an envelope from node `from`, decoded whole.
-    fn dispatch_inner(&self, from: GridId, env: Envelope) -> io::Result<()> {
+    /// Act on an envelope from node `from`, decoded whole. With `inline`,
+    /// one whose handling may park is `Err(WouldBlock)`, untouched: an
+    /// answer (it is a send), DATA into a full queue, and a FIN that drops
+    /// a stream's last handle (its drop sends our FIN).
+    fn dispatch_inner(&self, from: GridId, env: Envelope, inline: bool) -> io::Result<()> {
         let stream = |sid, dir| self.inner.streams.lock().get(&(from, sid, dir)).cloned();
+        let parks = || Err(io::ErrorKind::WouldBlock.into());
         let answer = match env {
             Envelope::SvcReq { id, body } => {
                 let delegate = self.inner.delegate.lock().clone();
@@ -325,6 +329,7 @@ impl RelayClient {
                 self.inner.pending.resolve(id, answer);
                 return Ok(());
             }
+            Envelope::Open { .. } | Envelope::Sync { .. } if inline => return parks(),
             Envelope::Open { sid, port, channel } => {
                 let Some(d) = self.inner.delegate.lock().clone() else {
                     let why = "no delegate".into();
@@ -365,10 +370,15 @@ impl RelayClient {
                 // push blocks under backpressure, stalling the pump — and
                 // therefore the relay TCP connection. Crude but faithful to
                 // a single multiplexed relay link.
+                Some(s) if inline => {
+                    let full = s.inner.rx.try_push(payload).is_err() && !s.is_closed();
+                    return if full { parks() } else { Ok(()) };
+                }
                 Some(s) => {
                     let _ = s.inner.rx.push(payload);
                     return Ok(());
                 }
+                None if inline => return parks(),
                 None => Envelope::Fin { dir: !dir, sid },
             },
             // This pump dispatches in arrival order, so every chunk the peer
@@ -384,6 +394,9 @@ impl RelayClient {
                 return Ok(());
             }
             Envelope::Fin { dir, sid } => {
+                if inline && stream(sid, dir).is_some_and(|s| s.owes_fin_at_drop(2)) {
+                    return parks();
+                }
                 let stream = self.inner.streams.lock().remove(&(from, sid, dir));
                 if let Some(s) = stream {
                     s.inner.fin_received.store(true, Ordering::Relaxed);
@@ -416,10 +429,10 @@ impl LinkOwner for RelayClient {
         Ok(stream)
     }
 
-    fn dispatch(&self, _gen: u64, frame: Bytes) -> io::Result<()> {
-        match RelayMsg::decode(&frame)? {
+    fn dispatch(&self, _gen: u64, frame: &Bytes, inline: bool) -> io::Result<()> {
+        match RelayMsg::decode(frame)? {
             RelayMsg::Recv { from, inner } => match Envelope::decode(&inner) {
-                Ok(env) => return self.dispatch_inner(from, env),
+                Ok(env) => return self.dispatch_inner(from, env, inline),
                 // The sending peer's fault, not the relay's: the link stays.
                 Err(_) => {
                     let bad = Metric("node", Some(self.inner.id), "bad_envelopes");
@@ -428,7 +441,9 @@ impl LinkOwner for RelayClient {
             },
             // The relay echoes the undeliverable envelope, letting us fail
             // only what it belonged to. Without the echo (or if it does not
-            // decode), fail everything outstanding towards that peer.
+            // decode), fail everything outstanding towards that peer. Either
+            // may drop a stream's last handle, so it is never inline.
+            RelayMsg::Nopeer { .. } if inline => return Err(io::ErrorKind::WouldBlock.into()),
             RelayMsg::Nopeer { to, echo } => match echo.map(|e| Envelope::decode(&e)) {
                 Some(Ok(echo)) => self.nopeer_precise(to, echo),
                 _ => self.nopeer_all(to),
@@ -500,6 +515,82 @@ mod tests {
         });
         sim.run();
         assert!(client.is_finished());
+    }
+
+    /// Accepts every routed stream and hands it over.
+    struct Accept(gridsim_net::SimQueue<RoutedStream>);
+
+    impl RelayDelegate for Accept {
+        fn on_service_request(&self, _: GridId, _: &[u8]) -> Vec<u8> {
+            Vec::new()
+        }
+        fn on_open(&self, _: GridId, _: &str, _: u64, s: RoutedStream) -> Result<(), String> {
+            self.0.try_push(s).map_err(|_| "no room".to_string())
+        }
+    }
+
+    /// The receiving client's relay connection is aborted mid-transfer.
+    /// The relay ends it (`conn_dead`), and the frames still queued for it
+    /// are re-routed: the client is registered nowhere until its pump has
+    /// redialed, so each draws a NOPEER, which fails the sending stream.
+    /// The receiver has a prefix of what was sent, once and in order; the
+    /// parks are the thread forms'.
+    #[test]
+    fn an_aborted_receiver_connection_reroutes_the_frames_queued_for_it() {
+        const LEN: usize = 1 << 20;
+        let byte = |i: usize| (i % 253) as u8;
+        let sim = Sim::new(5);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let relay = SockAddr::new(hb.ip(), 600);
+        let done = sim.spawn("driver", move || {
+            spawn_relay(&hb, 600).unwrap();
+            let sender = RelayClient::connect(&ha, relay, None, 1).unwrap();
+            let receiver = RelayClient::connect(&hb, relay, None, 2).unwrap();
+            let accepted = gridsim_net::SimQueue::bounded(1);
+            receiver.set_delegate(Arc::new(Accept(accepted.clone())));
+            gridsim_net::ctx::sleep(std::time::Duration::from_millis(50));
+            let h = gridsim_net::ctx::handle();
+            let writer = h.spawn("writer", move || {
+                let mut s = sender.open_stream(2, "bulk", 1).unwrap();
+                let data: Vec<u8> = (0..LEN).map(byte).collect();
+                std::io::Write::write_all(&mut s, &data).is_err()
+            });
+            let mut s = accepted.pop().unwrap();
+            let mut got = vec![0; 64 * 1024];
+            std::io::Read::read_exact(&mut s, &mut got).unwrap();
+            let abort = |w: &mut TcpStream, _| {
+                w.abort();
+                io::Result::Ok(())
+            };
+            receiver.inner.link.send(&receiver, abort).unwrap();
+            let mut rest = Vec::new();
+            let _ = std::io::Read::read_to_end(&mut s, &mut rest);
+            got.extend(rest);
+            assert!(got.len() < LEN, "the abort came too late: {}", got.len());
+            assert!(got.iter().enumerate().all(|(i, &b)| b == byte(i)));
+            assert!(writer.join(), "the sender's stream did not fail");
+        });
+        sim.run();
+        assert!(done.is_finished());
+        let metrics = sim.scheduler().handle().metrics();
+        let parks: Vec<_> = metrics
+            .iter()
+            .filter(|(m, _)| m.0 == "task/parks")
+            .map(|(m, &n)| (m.2, n))
+            .collect();
+        let pinned = [
+            ("join", 1),
+            ("queue pop", 23),
+            ("relay open", 1),
+            ("sleep", 2),
+            ("tcp accept", 4),
+            ("tcp connect", 3),
+            ("tcp read", 65),
+            ("tcp write", 28),
+        ];
+        assert_eq!(parks, pinned);
     }
 
     /// An open that fails before any answer can arrive must leave nothing

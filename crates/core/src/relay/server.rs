@@ -4,16 +4,17 @@
 //! keep a node-id → home-relay routing table.
 
 use bytes::Bytes;
-use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr};
+use gridsim_net::{SchedHandle, SimMutex, SimMutexGuard, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::establish::factory::BootstrapSocketFactory;
-use crate::link::Backoff;
+use crate::link::{spawn_steps, Backoff, Next};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
 
@@ -85,10 +86,19 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
     let acceptor = Arc::clone(&relay);
     relay.sched.spawn_daemon("mesh-relay-accept", move || loop {
         let Ok(conn) = listener.accept() else { break };
-        let r = Arc::clone(&acceptor);
-        acceptor.sched.spawn_daemon("mesh-relay-conn", move || {
-            let _ = r.serve_conn(conn);
-        });
+        let (relay, frames) = (Arc::clone(&acceptor), FrameStream::new(conn.clone()));
+        let reader = Reader {
+            relay,
+            conn,
+            frames,
+            client: None,
+        };
+        spawn_steps(
+            &acceptor.sched,
+            "mesh-relay-conn".into(),
+            reader,
+            Reader::step,
+        );
     });
     for addr in cfg.peers {
         let (r, h) = (Arc::clone(&relay), host.clone());
@@ -195,44 +205,6 @@ struct MeshRelay {
 impl MeshRelay {
     // -------------------------------------------------------- connections
 
-    fn serve_conn(self: &Arc<Self>, conn: TcpStream) -> io::Result<()> {
-        let mut reader = FrameStream::new(conn.clone());
-        match RelayMsg::decode(&reader.next_frame()?)? {
-            RelayMsg::Hello { id } => {
-                let q = self.spawn_shard(Owner::Client(id), conn);
-                self.assert_local(id, &q);
-                let res = self.serve_client(id, &q, reader);
-                self.conn_dead(&q);
-                res
-            }
-            RelayMsg::PeerHello { mesh_id } => {
-                self.peer_hello(&conn)?;
-                self.run_peer(mesh_id, conn, reader)
-            }
-            _ => Err(io::ErrorKind::InvalidData.into()),
-        }
-    }
-
-    fn serve_client(
-        self: &Arc<Self>,
-        id: GridId,
-        q: &OutQueue,
-        mut reader: FrameStream,
-    ) -> io::Result<()> {
-        loop {
-            match RelayMsg::decode(&reader.next_frame()?)? {
-                RelayMsg::Send { to, inner } => {
-                    self.handle_send(id, to, inner, Origin::Local, false)
-                }
-                // Re-HELLO probe: re-assert the registration (it may have
-                // been evicted towards this still-live connection) and
-                // re-push the route so the mesh heals with it.
-                RelayMsg::Hello { .. } => self.assert_local(id, q),
-                _ => return Err(io::ErrorKind::InvalidData.into()),
-            }
-        }
-    }
-
     /// A fresh shard on `conn`, with the worker task that drains it.
     fn spawn_shard(self: &Arc<Self>, owner: Owner, conn: TcpStream) -> OutQueue {
         let cap = self.cfg.queue_frames.max(2);
@@ -249,8 +221,16 @@ impl MeshRelay {
             Owner::Client(id) => format!("mesh-shard-{id}"),
             Owner::Peer(pid) => format!("mesh-peer-out-{pid}"),
         };
-        let (me, q2) = (Arc::clone(self), Arc::clone(&q));
-        self.sched.spawn_daemon(name, move || me.out_worker(q2));
+        let (relay, q2) = (Arc::clone(self), Arc::clone(&q));
+        let writer = Writer {
+            relay,
+            q: q2,
+            broken: false,
+            items: Vec::new(),
+            run: None,
+            writing: None,
+        };
+        spawn_steps(&self.sched, name, writer, Writer::step);
         q
     }
 
@@ -323,7 +303,7 @@ impl MeshRelay {
         let RelayMsg::PeerHello { mesh_id } = RelayMsg::decode(&reader.next_frame()?)? else {
             return Err(io::ErrorKind::InvalidData.into());
         };
-        self.run_peer(mesh_id, conn, reader)
+        self.run_peer(mesh_id, conn, &mut reader)
     }
 
     /// Introduce ourselves on a mesh link: the first frame, both ways.
@@ -339,7 +319,7 @@ impl MeshRelay {
         self: &Arc<Self>,
         pid: u64,
         conn: TcpStream,
-        reader: FrameStream,
+        reader: &mut FrameStream,
     ) -> io::Result<()> {
         let q = self.spawn_shard(Owner::Peer(pid), conn);
         // Both ends dial, so a pair may hold two links; the latest wins for
@@ -363,7 +343,7 @@ impl MeshRelay {
         res
     }
 
-    fn serve_peer(self: &Arc<Self>, pid: u64, mut reader: FrameStream) -> io::Result<()> {
+    fn serve_peer(self: &Arc<Self>, pid: u64, reader: &mut FrameStream) -> io::Result<()> {
         loop {
             match RelayMsg::decode(&reader.next_frame()?)? {
                 RelayMsg::RouteAdd { node, epoch } => self.route_add(pid, node, epoch),
@@ -578,6 +558,20 @@ impl MeshRelay {
         }
     }
 
+    /// [`handle_send`](Self::handle_send) of a local client's frame, when
+    /// it cannot park: into a local shard the push leaves below its high
+    /// watermark, so it draws no BUSY and is no full push. False, with
+    /// nothing done, otherwise.
+    fn send_inline(self: &Arc<Self>, from: GridId, to: GridId, inner: &Bytes) -> bool {
+        let Some(q) = self.local.lock().get(&to).map(|e| Arc::clone(&e.q)) else {
+            return false;
+        };
+        let backlog = q.q.len() + q.in_hand.load(Ordering::Relaxed);
+        backlog + 1 < q.cap - q.cap / 4
+            && !q.q.is_closed()
+            && self.deliver_local(&q, from, to, inner)
+    }
+
     /// Enqueue into a recipient shard with typed backpressure: BUSY at the
     /// high watermark, a parked push (never a drop — per-sender FIFO) when
     /// full. False when the shard closed.
@@ -649,58 +643,6 @@ impl MeshRelay {
         }
     }
 
-    /// Shard worker: drain one queue into one connection, a run at a time —
-    /// whatever is queued when it wakes, up to one send buffer, encoded into
-    /// one buffer (the one copy a forwarded payload gets here) and written
-    /// as one block. On death or supersession, leftovers are re-resolved
-    /// through the routing table — a moved node's frames follow it to its
-    /// new home relay.
-    fn out_worker(self: Arc<Self>, q: OutQueue) {
-        let mut broken = false;
-        while let Some(first) = q.q.pop() {
-            let mut bytes = first.bytes.len();
-            let mut items = vec![first];
-            while bytes < RUN_BYTES {
-                let Some(next) = q.q.try_pop() else { break };
-                bytes += next.bytes.len();
-                items.push(next);
-            }
-            if !(broken || q.dead.load(Ordering::Relaxed)) {
-                let mut run = Vec::with_capacity(bytes + 32 * items.len());
-                for item in &items {
-                    let Some((from, to)) = item.route else {
-                        run.extend_from_slice(&item.bytes);
-                        continue;
-                    };
-                    let inner = item.bytes.clone();
-                    let msg = match q.owner {
-                        Owner::Client(_) => RelayMsg::Recv { from, inner },
-                        Owner::Peer(_) => RelayMsg::Fwd { from, to, inner },
-                    };
-                    msg.frame_onto(&mut run);
-                }
-                q.in_hand.store(items.len(), Ordering::Relaxed);
-                let written = q.w.lock().write_block(run.into());
-                q.in_hand.store(0, Ordering::Relaxed);
-                if written.is_ok() {
-                    if q.q.len() <= q.cap / 4 {
-                        self.release_throttled(&q);
-                    }
-                    continue;
-                }
-                broken = true;
-                self.conn_dead(&q);
-            }
-            for item in items {
-                self.reroute_item(item);
-            }
-        }
-        // Whatever ends this shard, parked senders must not stay throttled
-        // forever: their next DATA will fail fast through the normal
-        // NOPEER/teardown path instead.
-        self.release_throttled(&q);
-    }
-
     fn release_throttled(&self, q: &OutQueue) {
         // Only client shards ever throttle anyone.
         let Owner::Client(id) = q.owner else { return };
@@ -717,5 +659,194 @@ impl MeshRelay {
         if let Some((from, to)) = item.route {
             self.handle_send(from, to, item.bytes, Origin::Local, false);
         }
+    }
+}
+
+/// One connection's reader. Nobody's until its first frame: a client's
+/// HELLO registers a shard and the reader serves that client, a mesh
+/// peer's link runs promoted for its life.
+struct Reader {
+    relay: Arc<MeshRelay>,
+    conn: TcpStream,
+    frames: FrameStream,
+    /// The client that said HELLO here, and its shard.
+    client: Option<(GridId, OutQueue)>,
+}
+
+impl Reader {
+    /// Act on frames until the connection would block. A SEND that cannot
+    /// park is forwarded here ([`MeshRelay::send_inline`]); any other, a
+    /// HELLO, a mesh link and the end of a client's connection run
+    /// promoted.
+    fn step(&mut self) -> Next<Self> {
+        loop {
+            let msg = match self.frames.poll_frame() {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Next::Blocked(TcpStream::READ_WAIT)
+                }
+                read => read.and_then(|frame| RelayMsg::decode(&frame)),
+            };
+            let handler: Box<dyn FnOnce(&mut Self) -> bool + Send> =
+                match (self.client.as_ref().map(|&(id, _)| id), msg) {
+                    (Some(id), Ok(RelayMsg::Send { to, inner })) => {
+                        if self.relay.send_inline(id, to, &inner) {
+                            continue;
+                        }
+                        Box::new(move |r| {
+                            r.relay.handle_send(id, to, inner, Origin::Local, false);
+                            true
+                        })
+                    }
+                    // Re-HELLO probe: re-assert the registration (it may have
+                    // been evicted towards this still-live connection) and
+                    // re-push the route so the mesh heals with it.
+                    (Some(_), Ok(RelayMsg::Hello { .. })) => Box::new(|r| {
+                        let (id, q) = r.client.as_ref().expect("a client's reader");
+                        r.relay.assert_local(*id, q);
+                        true
+                    }),
+                    (None, Ok(RelayMsg::Hello { id })) => Box::new(move |r| {
+                        let q = r.relay.spawn_shard(Owner::Client(id), r.conn.clone());
+                        r.relay.assert_local(id, &q);
+                        r.client = Some((id, q));
+                        true
+                    }),
+                    (None, Ok(RelayMsg::PeerHello { mesh_id })) => Box::new(move |r| {
+                        if r.relay.peer_hello(&r.conn).is_ok() {
+                            let _ = r.relay.run_peer(mesh_id, r.conn.clone(), &mut r.frames);
+                        }
+                        false
+                    }),
+                    // The end: a client's shard is unregistered, and what it
+                    // still held re-resolved.
+                    (Some(_), _) => Box::new(|r| {
+                        let (_, q) = r.client.as_ref().expect("a client's reader");
+                        r.relay.conn_dead(q);
+                        false
+                    }),
+                    (None, _) => return Next::Done,
+                };
+            return Next::Promote(handler);
+        }
+    }
+}
+
+/// A shard's worker: drains one queue into one connection, a run at a
+/// time — whatever is queued when it wakes, up to one send buffer, encoded
+/// into one buffer (the one copy a forwarded payload gets here) and
+/// written as one block under the writer lock. On death or supersession,
+/// leftovers are re-resolved through the routing table — a moved node's
+/// frames follow it to its new home relay.
+struct Writer {
+    relay: Arc<MeshRelay>,
+    q: OutQueue,
+    /// A write failed: the connection is dead, and what is left goes
+    /// elsewhere.
+    broken: bool,
+    /// The run in hand.
+    items: Vec<OutItem>,
+    /// Its encoding, until the write is staged.
+    run: Option<Bytes>,
+    /// The writer lock, held while the staged write goes out.
+    writing: Option<SimMutexGuard<TcpStream>>,
+}
+
+impl Writer {
+    /// Pop a run, take the writer lock, write the run; again, until one of
+    /// them would block. What may park runs promoted: READYs owed, and the
+    /// re-routing of leftovers.
+    fn step(&mut self) -> Next<Self> {
+        let q = Arc::clone(&self.q);
+        loop {
+            if self.items.is_empty() {
+                let first = match q.q.poll_pop() {
+                    Poll::Pending => return Next::Blocked(SimQueue::<OutItem>::POP_WAIT),
+                    // Whatever ends this shard, parked senders must not stay
+                    // throttled forever: their next DATA will fail fast
+                    // through the normal NOPEER/teardown path instead.
+                    Poll::Ready(None) if q.throttled.lock().is_empty() => return Next::Done,
+                    Poll::Ready(None) => {
+                        return Next::Promote(Box::new(|w| {
+                            w.relay.release_throttled(&w.q);
+                            false
+                        }))
+                    }
+                    Poll::Ready(Some(first)) => first,
+                };
+                let mut bytes = first.bytes.len();
+                self.items.push(first);
+                while bytes < RUN_BYTES {
+                    let Some(next) = q.q.try_pop() else { break };
+                    bytes += next.bytes.len();
+                    self.items.push(next);
+                }
+                if self.broken || q.dead.load(Ordering::Relaxed) {
+                    if self.items.iter().all(|item| item.route.is_none()) {
+                        self.items.clear();
+                        continue;
+                    }
+                    return Next::Promote(Box::new(|w| w.reroute()));
+                }
+                self.run = Some(self.encode(bytes));
+                q.in_hand.store(self.items.len(), Ordering::Relaxed);
+            }
+            let guard = match self.writing.take() {
+                Some(guard) => guard,
+                None => match q.w.poll_lock() {
+                    Poll::Pending => return Next::Blocked(SimMutex::<TcpStream>::LOCK_WAIT),
+                    Poll::Ready(guard) => guard,
+                },
+            };
+            let written = guard.poll_write_block(self.run.take());
+            if written
+                .as_ref()
+                .is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock)
+            {
+                self.writing = Some(guard);
+                return Next::Blocked(TcpStream::WRITE_WAIT);
+            }
+            drop(guard);
+            q.in_hand.store(0, Ordering::Relaxed);
+            if written.is_err() {
+                self.broken = true;
+                return Next::Promote(Box::new(|w| {
+                    w.relay.conn_dead(&w.q);
+                    w.reroute()
+                }));
+            }
+            self.items.clear();
+            if q.q.len() <= q.cap / 4 && !q.throttled.lock().is_empty() {
+                return Next::Promote(Box::new(|w| {
+                    w.relay.release_throttled(&w.q);
+                    true
+                }));
+            }
+        }
+    }
+
+    /// The run in hand as one buffer, `bytes` of payload plus headers.
+    fn encode(&self, bytes: usize) -> Bytes {
+        let mut run = Vec::with_capacity(bytes + 32 * self.items.len());
+        for item in &self.items {
+            let Some((from, to)) = item.route else {
+                run.extend_from_slice(&item.bytes);
+                continue;
+            };
+            let inner = item.bytes.clone();
+            let msg = match self.q.owner {
+                Owner::Client(_) => RelayMsg::Recv { from, inner },
+                Owner::Peer(_) => RelayMsg::Fwd { from, to, inner },
+            };
+            msg.frame_onto(&mut run);
+        }
+        run.into()
+    }
+
+    /// Re-resolve the run in hand; always steps on.
+    fn reroute(&mut self) -> bool {
+        for item in std::mem::take(&mut self.items) {
+            self.relay.reroute_item(item);
+        }
+        true
     }
 }

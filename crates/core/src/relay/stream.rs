@@ -107,6 +107,12 @@ impl RoutedStream {
         }
     }
 
+    /// Would dropping `handles` handles of this stream drop its last and
+    /// send our FIN?
+    pub(super) fn owes_fin_at_drop(&self, handles: usize) -> bool {
+        Arc::strong_count(&self.inner) <= handles && !self.inner.fin_sent.load(Ordering::Relaxed)
+    }
+
     /// Has the stream been torn down (FIN, relay loss, or peer death)?
     pub fn is_closed(&self) -> bool {
         self.inner.rx.is_closed()

@@ -398,7 +398,7 @@ impl SharedLink {
 
     /// Acquire the write gate. FIFO and sim-aware: contending channel
     /// writers line up in arrival order, behind a recovery if one runs.
-    pub fn io(&self) -> SimMutexGuard<'_, LinkIo> {
+    pub fn io(&self) -> SimMutexGuard<LinkIo> {
         self.io.lock()
     }
 

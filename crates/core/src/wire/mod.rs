@@ -302,6 +302,13 @@ impl FrameStream {
     pub fn next_frame(&mut self) -> io::Result<Bytes> {
         self.0.blocking(None, |r| r.frame(MAX_FRAME))
     }
+
+    /// [`next_frame`](Self::next_frame) without parking: `WouldBlock`
+    /// stands for a park under [`TcpStream::READ_WAIT`], with the task's
+    /// waker left on the socket.
+    pub fn poll_frame(&mut self) -> io::Result<Bytes> {
+        self.0.frame(MAX_FRAME)
+    }
 }
 
 /// Cursor-style decoder over a frame payload.

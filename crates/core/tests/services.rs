@@ -560,6 +560,188 @@ fn socks_proxy_tunnels_under_backpressure_and_half_close() {
     assert_eq!([parks("tcp read"), parks("tcp write")], [1447, 38]);
 }
 
+/// Accepts every routed stream on any port and hands it over.
+struct Accept(gridsim_net::SimQueue<RoutedStream>);
+
+impl RelayDelegate for Accept {
+    fn on_service_request(&self, _from: u64, _payload: &[u8]) -> Vec<u8> {
+        Vec::new()
+    }
+    fn on_open(&self, _: u64, _: &str, _: u64, stream: RoutedStream) -> Result<(), String> {
+        self.0.try_push(stream).map_err(|_| "no room".to_string())
+    }
+}
+
+/// Every `task/parks/<reason>` the run counted, by reason.
+fn all_parks(sim: &Sim) -> Vec<(String, i64)> {
+    let metrics = sim.scheduler().handle().metrics();
+    let parks = metrics.iter().filter(|(m, _)| m.0 == "task/parks");
+    parks.map(|(m, &n)| (m.2.to_string(), n)).collect()
+}
+
+/// Byte `i` of a routed transfer.
+fn routed_byte(i: usize) -> u8 {
+    (i % 253) as u8
+}
+
+/// Clients 1 on `ha` and 2 on `hb` of a relay on `hs`, node 2 accepting
+/// routed streams into the returned queue, registered at the relay.
+fn relay_pair(
+    ha: &SimHost,
+    hb: &SimHost,
+    relay: SockAddr,
+) -> (
+    RelayClient,
+    RelayClient,
+    gridsim_net::SimQueue<RoutedStream>,
+) {
+    let ca = RelayClient::connect(ha, relay, None, 1).unwrap();
+    let cb = RelayClient::connect(hb, relay, None, 2).unwrap();
+    let accepted = gridsim_net::SimQueue::bounded(4);
+    ca.set_delegate(Arc::new(Accept(accepted.clone())));
+    cb.set_delegate(Arc::new(Accept(accepted.clone())));
+    gridsim_net::ctx::sleep(Duration::from_millis(50));
+    (ca, cb, accepted)
+}
+
+/// Read `s` to its end, after `pause`, and check it is `len` routed bytes.
+fn drain_after(mut s: RoutedStream, pause: Duration, len: usize) {
+    gridsim_net::ctx::sleep(pause);
+    let mut got = Vec::new();
+    s.read_to_end(&mut got).unwrap();
+    assert_eq!(got.len(), len);
+    assert!(got.iter().enumerate().all(|(i, &b)| b == routed_byte(i)));
+}
+
+/// A routed receiver that stops reading until its stream's queue is full:
+/// its relay client's pump cannot push the next DATA where it lands, so it
+/// promotes that dispatch, which parks until the reader drains — stalling
+/// the relay connection, as one multiplexed link must. Every byte arrives
+/// once, in order, and the parks are the thread-form pump's to the count.
+#[test]
+fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
+    const LEN: usize = 1 << 20;
+    let sim = Sim::new(75);
+    let (ha, hb, hs) = star(&sim);
+    let relay = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let done = sim.spawn("driver", move || {
+        let (ca, _cb, accepted) = relay_pair(&ha, &hb, relay);
+        let reader = gridsim_net::ctx::handle().spawn("reader", move || {
+            drain_after(accepted.pop().unwrap(), Duration::from_secs(1), LEN)
+        });
+        let mut s = ca.open_stream(2, "bulk", 1).unwrap();
+        s.write_all(&(0..LEN).map(routed_byte).collect::<Vec<u8>>())
+            .unwrap();
+        s.shutdown_write().unwrap();
+        reader.join();
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let pinned = [
+        ("join", 1),
+        ("queue pop", 108),
+        ("queue push", 1),
+        ("relay open", 1),
+        ("relay peer busy", 1),
+        ("sleep", 2),
+        ("tcp accept", 3),
+        ("tcp connect", 2),
+        ("tcp read", 265),
+        ("tcp write", 164),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
+    assert_eq!(all_parks(&sim), pinned);
+}
+
+/// Both ends of a pair send 1 MiB at once. Node 2 reads only after a
+/// second, so its shard passes the high watermark and the relay's reader
+/// promotes the SENDs towards it; node 1 reads at once, so the worker of
+/// node 1's shard spends the transfer mid-write, holding the writer lock
+/// that the BUSY and the READY towards node 1 must take. Every byte
+/// arrives once, in order; the throttles and parks are the thread forms'.
+#[test]
+fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
+    const LEN: usize = 1 << 20;
+    let sim = Sim::new(76);
+    let (ha, hb, hs) = star(&sim);
+    let relay = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let done = sim.spawn("driver", move || {
+        let (ca, cb, accepted) = relay_pair(&ha, &hb, relay);
+        let h = gridsim_net::ctx::handle();
+        let writers: Vec<_> = [(ca, 2), (cb, 1)]
+            .into_iter()
+            .map(|(c, to)| {
+                h.spawn("writer", move || {
+                    let mut s = c.open_stream(to, "bulk", to).unwrap();
+                    s.write_all(&(0..LEN).map(routed_byte).collect::<Vec<u8>>())
+                        .unwrap();
+                    s.shutdown_write().unwrap();
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let s = accepted.pop().unwrap();
+                let pause = Duration::from_secs(if s.peer() == 1 { 1 } else { 0 });
+                h.spawn("reader", move || drain_after(s, pause, LEN))
+            })
+            .collect();
+        writers.into_iter().chain(readers).for_each(|t| t.join());
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let h = sim.scheduler().handle();
+    let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
+    assert_eq!([throttles(1), throttles(2)], [1, 0]);
+    let pinned = [
+        ("join", 2),
+        ("queue pop", 249),
+        ("queue push", 1),
+        ("relay open", 2),
+        ("relay peer busy", 1),
+        ("sim-mutex", 7),
+        ("sleep", 2),
+        ("tcp accept", 3),
+        ("tcp connect", 2),
+        ("tcp read", 518),
+        ("tcp write", 271),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
+    assert_eq!(all_parks(&sim), pinned);
+}
+
+/// CONNECT_BACK is the one name-service request whose answer blocks (a
+/// dial back to the asker): the server's reader promotes it, answers, and
+/// steps on — the next request on the same connection is answered too.
+#[test]
+fn a_connect_back_request_is_answered_and_the_connection_steps_on() {
+    let sim = Sim::new(77);
+    let (ha, _hb, hs) = star(&sim);
+    let ns_addr = SockAddr::new(hs.ip(), 563);
+    sim.spawn("ns", move || spawn_name_service(&hs, 563).unwrap());
+    sim.run();
+    let done = sim.spawn("client", move || {
+        let ns = NsClient::new(ha, ns_addr, None);
+        let profile = ns.detect_profile().unwrap();
+        assert_eq!(profile, ConnectivityProfile::open());
+        assert_eq!(ns.register("a", &profile, &[]).unwrap(), 1);
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let pinned = [
+        ("ns reply", 2),
+        ("tcp accept", 4),
+        ("tcp connect", 3),
+        ("tcp read", 9),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
+    assert_eq!(all_parks(&sim), pinned);
+}
+
 /// Topology sanity: the qualitative grid builder gives every host a
 /// working route to the public services host and back.
 #[test]

@@ -16,10 +16,10 @@
 //! reproducible — the run-queue and event order do not depend on which thread
 //! happens to drive.
 //!
-//! The threads are workers (`sim-worker`): one whose task has finished waits
-//! on an idle list for the next task, so a task starts an OS thread only
-//! when every worker is busy. Dropping the [`Scheduler`] ends and joins the
-//! idle ones.
+//! The threads are workers (`sim-worker`): one whose task has finished, or
+//! blocked inline again after a promotion, waits on an idle list for the
+//! next task, so a task starts an OS thread only when every worker is
+//! busy. Dropping the [`Scheduler`] ends and joins the idle ones.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -39,8 +39,9 @@
 //!   A step never parks; it registers a waker and returns
 //!   [`Step::Blocked`], and the scheduler counts that as the park its
 //!   thread form would have made. A step that must block for real returns
-//!   [`Step::Promote`], and the rest of the task runs on a thread of its
-//!   own under the same id, next.
+//!   [`Step::Promote`] with what blocks: that runs on a worker under the
+//!   same id, next, and when it returns the same worker runs the step
+//!   again at once — the task is inline once more.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
@@ -90,8 +91,11 @@ pub enum Step {
     Blocked(&'static str),
     /// The task is over.
     Done,
-    /// Continue as a thread running this closure: same [`TaskId`], so
-    /// every waker stays valid, and it runs next, so nothing reorders.
+    /// Run this closure on a thread, where it may park: same [`TaskId`],
+    /// so every waker stays valid, and it runs next, so nothing reorders.
+    /// When it returns, the same thread runs the step again at once and
+    /// the task is inline once more; a task whose closure ran it to its
+    /// end has its step return `Done` there.
     Promote(Box<dyn FnOnce() + Send>),
 }
 
@@ -195,8 +199,12 @@ impl Baton {
     }
 }
 
-/// A task given a thread, and the body it runs there.
-type Job = (TaskId, Box<dyn FnOnce() + Send>);
+/// What a thread task runs, or a promoted inline task runs for a while.
+type Body = Box<dyn FnOnce() + Send>;
+
+/// A task given a thread: the body it runs there and, for a promoted
+/// inline task, the step it resumes when the body returns.
+type Job = (TaskId, Body, Option<InlineStep>);
 
 /// An OS thread that runs tasks, one after another.
 #[derive(Default)]
@@ -416,8 +424,12 @@ impl SchedCore {
             };
             match callback {
                 Callback::Step(tid, step) => {
-                    if let Some(promoted) = self.run_inline(tid, step) {
-                        return Some(promoted);
+                    if let Some((body, step)) = self.run_inline(tid, step) {
+                        let mut st = self.state.lock();
+                        let baton = self.start_thread(&mut st, tid, body, Some(step));
+                        st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
+                        st.grants += 1;
+                        return Some(baton);
                     }
                 }
                 other => self.fire(other),
@@ -441,10 +453,15 @@ impl SchedCore {
 
     /// Run inline task `tid`'s step on the calling thread, with the task's
     /// context in place of the driver's (none), until it blocks without a
-    /// wake pending, ends or asks for a thread. Returns the new thread's
-    /// baton on promotion: that task runs next. A panic in the step is kept
-    /// for `run_until`'s caller, as an event's is, and ends the task.
-    fn run_inline(self: &Arc<Self>, tid: TaskId, mut step: InlineStep) -> Option<Arc<Baton>> {
+    /// wake pending, ends or asks for a thread. On promotion, returns the
+    /// body and the step to resume after it, the task still running: it
+    /// runs next. A panic in the step is kept for `run_until`'s caller, as
+    /// an event's is, and ends the task.
+    fn run_inline(
+        self: &Arc<Self>,
+        tid: TaskId,
+        mut step: InlineStep,
+    ) -> Option<(Body, InlineStep)> {
         loop {
             let driver = CURRENT.replace(Some(Current {
                 handle: SchedHandle {
@@ -468,16 +485,7 @@ impl SchedCore {
                     st.count_park(reason);
                     return None;
                 }
-                Ok(Step::Promote(body)) => {
-                    let baton = self.start_thread(&mut st, tid, body);
-                    st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
-                    st.grants += 1;
-                    drop(st);
-                    // The step's captures go with the caller's context, as
-                    // a finished event's do.
-                    drop(step);
-                    return Some(baton);
-                }
+                Ok(Step::Promote(body)) => return Some((body, step)),
                 Ok(Step::Done) => {}
                 Err(p) => {
                     st.panic.get_or_insert(p);
@@ -491,13 +499,15 @@ impl SchedCore {
     }
 
     /// Give task `tid` a worker, idle or else new, that runs `body` once
-    /// the returned baton is first granted and then finishes the task. The
-    /// caller records the baton; the worker touches no state before then.
+    /// the returned baton is first granted and then finishes the task, or
+    /// resumes its `step`. The caller records the baton; the worker touches
+    /// no state before then.
     fn start_thread(
         self: &Arc<Self>,
         st: &mut SchedState,
         tid: TaskId,
-        body: Box<dyn FnOnce() + Send>,
+        body: Body,
+        step: Option<InlineStep>,
     ) -> Arc<Baton> {
         let worker = st.idle.pop().unwrap_or_else(|| {
             let worker = Arc::new(Worker::default());
@@ -515,38 +525,57 @@ impl SchedCore {
             *st.metrics.entry(THREADS).or_insert(0) += 1;
             worker
         });
-        *worker.job.lock() = Some((tid, body));
+        *worker.job.lock() = Some((tid, body, step));
         Arc::clone(&worker.baton)
     }
 
-    /// A worker's life: run each job it is granted and finish its task;
-    /// return at a grant that brings no job.
+    /// A worker's life: run each job it is granted, to the task's end;
+    /// return at a grant that brings no job. A promoted task's step
+    /// resumes the moment its body returns, as its thread form would go
+    /// round its loop, and a promotion from there runs here too; a panic
+    /// in a body ends the task.
     fn work(self: &Arc<Self>, worker: &Arc<Worker>) {
         loop {
             worker.baton.wait();
-            let Some((tid, body)) = worker.job.lock().take() else {
+            let Some((tid, mut body, mut step)) = worker.job.lock().take() else {
                 return;
             };
-            CURRENT.set(Some(Current {
-                handle: SchedHandle {
-                    core: Arc::clone(self),
-                },
-                tid,
-                baton: Some(Arc::clone(&worker.baton)),
-            }));
-            let out = std::panic::catch_unwind(AssertUnwindSafe(body));
-            CURRENT.set(None);
-            let mut st = self.state.lock();
-            if let Err(p) = out {
-                st.panic.get_or_insert(p);
+            loop {
+                CURRENT.set(Some(Current {
+                    handle: SchedHandle {
+                        core: Arc::clone(self),
+                    },
+                    tid,
+                    baton: Some(Arc::clone(&worker.baton)),
+                }));
+                let out = std::panic::catch_unwind(AssertUnwindSafe(body));
+                CURRENT.set(None);
+                let mut st = self.state.lock();
+                let resume = match (out, step.take()) {
+                    (Ok(()), Some(resume)) => resume,
+                    (out, step) => {
+                        if let Err(p) = out {
+                            st.panic.get_or_insert(p);
+                        }
+                        st.retire(tid);
+                        drop(st);
+                        drop(step);
+                        break;
+                    }
+                };
+                st.tasks[tid.index()].baton = None;
+                drop(st);
+                let Some((next, again)) = self.run_inline(tid, resume) else {
+                    break;
+                };
+                self.state.lock().tasks[tid.index()].baton = Some(Arc::clone(&worker.baton));
+                (body, step) = (next, Some(again));
             }
-            st.retire(tid);
-            drop(st);
             // Choose the successor, only then go idle, and only then hand
             // the baton on: no `drive` here can give this worker a job.
             let next = self
                 .drive(Driver::Task(tid))
-                .expect("a finished task is not the one to run next");
+                .expect("a task off its worker is not the one to run next");
             self.state.lock().idle.push(Arc::clone(worker));
             next.grant();
         }
@@ -862,7 +891,7 @@ impl SchedHandle {
         let tid = TaskId(st.tasks.len() as u64);
         let out = Arc::clone(&result);
         let body = Box::new(move || *out.lock() = Some(f()));
-        let baton = self.core.start_thread(&mut st, tid, body);
+        let baton = self.core.start_thread(&mut st, tid, body, None);
         st.tasks.push(TaskSlot {
             name,
             daemon,
@@ -1065,7 +1094,7 @@ pub mod ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn tasks_run_in_spawn_order_and_time_advances() {
@@ -1583,7 +1612,11 @@ mod tests {
             let l = Arc::clone(&l);
             // Runnable behind this task: its finish pops it, steps it and
             // starts its thread before this worker is idle.
+            let mut promoted = false;
             h2.spawn_inline("promotes", move || {
+                if std::mem::replace(&mut promoted, true) {
+                    return Step::Done;
+                }
                 let l = Arc::clone(&l);
                 Step::Promote(Box::new(move || {
                     let other = std::thread::current().id() != first;
@@ -1608,8 +1641,11 @@ mod tests {
         let first = thread_of_task(&sched, || {});
         let ran_on = Arc::new(Mutex::new(None));
         let r = Arc::clone(&ran_on);
-        let mut woken = false;
+        let (mut woken, mut promoted) = (false, false);
         let tid = h.spawn_inline("promoted", move || {
+            if std::mem::replace(&mut promoted, woken) {
+                return Step::Done;
+            }
             if !woken {
                 woken = true;
                 let me = ctx::waker();
@@ -1672,11 +1708,21 @@ mod tests {
         assert_eq!([h.metric(up), h.metric(peak), never], [0, 3, 0]);
     }
 
+    /// How the relay task of [`relay_scenario`] runs.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Form {
+        Thread,
+        Inline,
+        /// Inline, but each odd item's push runs promoted: a blocking
+        /// push on a thread, after which the task steps on.
+        Promoting,
+    }
+
     /// The producer → relay → consumer scenario of the inline-task tests:
     /// a relay task moves items from `inbox` to a one-slot `outbox`, on a
     /// thread or inline, with the same queue calls in the same order. The
     /// log notes every slice and event, and the parks by reason close it.
-    fn relay_scenario(inline: bool) -> (Vec<String>, u64) {
+    fn relay_scenario(form: Form) -> (Vec<String>, u64) {
         use crate::sync::SimQueue;
         use std::task::Poll;
         let sched = Scheduler::new();
@@ -1700,9 +1746,21 @@ mod tests {
             q.close();
         });
         let (from, to, n) = (inbox, outbox.clone(), note.clone());
-        if inline {
-            let mut held = None;
+        if form != Form::Thread {
+            let (mut held, closed) = (None, Arc::new(AtomicBool::new(false)));
+            let promotes = form == Form::Promoting;
             h.spawn_inline("relay", move || loop {
+                if closed.load(Ordering::SeqCst) {
+                    return Step::Done;
+                }
+                if let Some(i) = held.filter(|i| promotes && i % 2 == 1) {
+                    held = None;
+                    let (to, closed, n) = (to.clone(), Arc::clone(&closed), n.clone());
+                    return Step::Promote(Box::new(move || {
+                        n(&format!("promoted push {i}"));
+                        closed.store(to.push(i).is_err(), Ordering::SeqCst);
+                    }));
+                }
                 if held.is_some() {
                     match to.poll_push(&mut held) {
                         Poll::Pending => return Step::Blocked(SimQueue::<u32>::PUSH_WAIT),
@@ -1726,6 +1784,9 @@ mod tests {
             sched.spawn_daemon("relay", move || {
                 while let Some(i) = from.pop() {
                     n(&format!("relay {i}"));
+                    if i % 2 == 1 {
+                        n(&format!("promoted push {i}"));
+                    }
                     if to.push(i).is_err() {
                         return;
                     }
@@ -1757,9 +1818,17 @@ mod tests {
 
     #[test]
     fn an_inline_task_reproduces_its_thread_forms_slices_events_and_parks() {
-        let (threaded, thread_grants) = relay_scenario(false);
-        let (inline, inline_grants) = relay_scenario(true);
-        assert_eq!(inline, threaded);
+        let (threaded, thread_grants) = relay_scenario(Form::Thread);
+        let (inline, inline_grants) = relay_scenario(Form::Inline);
+        let (promoting, _) = relay_scenario(Form::Promoting);
+        // The log of the inline form has no promotion lines to skip: its
+        // slices and events are the thread form's but for those notes.
+        let unnoted = |log: &[String]| -> Vec<String> {
+            let kept = log.iter().filter(|l| !l.contains("promoted push"));
+            kept.cloned().collect()
+        };
+        assert_eq!(inline, unnoted(&threaded));
+        assert_eq!(promoting, threaded, "promoting mid-life and resuming");
         assert!(
             threaded.iter().any(|l| l == "task/parks/queue push 1"),
             "the scenario fills the outbox: {threaded:?}"
@@ -1768,7 +1837,7 @@ mod tests {
             inline_grants < thread_grants,
             "{inline_grants} vs {thread_grants}"
         );
-        assert_eq!(relay_scenario(true), (inline, inline_grants));
+        assert_eq!(relay_scenario(Form::Inline), (inline, inline_grants));
     }
 
     #[test]
@@ -1819,9 +1888,12 @@ mod tests {
         let h = sched.handle();
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let (l, h2) = (Arc::clone(&log), h.clone());
-        let mut waker = None;
+        let (mut waker, mut promoted) = (None, false);
         let tid = h.spawn_inline("promoted", move || {
             let me = ctx::waker();
+            if promoted {
+                return Step::Done;
+            }
             if waker.is_none() {
                 // First step: leave a waker behind, as a socket read would.
                 waker = Some(me);
@@ -1832,6 +1904,7 @@ mod tests {
                 return Step::Blocked("first");
             }
             let (l, stale) = (Arc::clone(&l), waker.take().expect("set"));
+            promoted = true;
             Step::Promote(Box::new(move || {
                 assert_eq!(ctx::waker().task(), stale.task(), "same id on the thread");
                 l.lock().push(format!("thread {}", ctx::now().as_nanos()));
@@ -1855,6 +1928,85 @@ mod tests {
             ["thread 1000000", "other", "woken 2000000"],
             "task {tid:?}"
         );
+    }
+
+    /// When a promoted body returns, its worker runs the step at once —
+    /// before a task made runnable at the same instant — and a second
+    /// promotion from there runs on the same worker, with no switch.
+    #[test]
+    fn a_resumed_step_runs_at_once_on_its_worker_and_may_promote_again() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let thread = || format!("{:?}", std::thread::current().id());
+        let (l, mut steps) = (Arc::clone(&log), 0);
+        h.spawn_inline("twice", move || {
+            steps += 1;
+            l.lock().push(format!("step {steps} on {}", thread()));
+            if steps == 3 {
+                return Step::Done;
+            }
+            let l = Arc::clone(&l);
+            Step::Promote(Box::new(move || {
+                l.lock().push(format!("body on {}", thread()));
+                ctx::sleep(Duration::from_millis(1));
+            }))
+        });
+        let l = Arc::clone(&log);
+        sched.spawn("other", move || {
+            ctx::sleep(Duration::from_millis(1));
+            l.lock().push(format!("other at {}", ctx::now().as_nanos()));
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let log = log.lock().clone();
+        let worker = log[1]
+            .strip_prefix("body on ")
+            .expect("a body ran")
+            .to_string();
+        let on = |what: &str| format!("{what} on {worker}");
+        let expect = [
+            log[0].clone(),
+            on("body"),
+            on("step 2"),
+            on("body"),
+            "other at 1000000".to_string(),
+            on("step 3"),
+        ];
+        assert_eq!(log, expect);
+        assert_eq!(h.metric(THREADS), 2, "one worker for both bodies");
+    }
+
+    #[test]
+    fn a_panic_in_a_promoted_body_surfaces_and_ends_its_task() {
+        let sched = Scheduler::new();
+        let steps = Arc::new(AtomicUsize::new(0));
+        let s2 = Arc::clone(&steps);
+        sched.handle().spawn_inline("boom", move || {
+            s2.fetch_add(1, Ordering::SeqCst);
+            Step::Promote(Box::new(|| panic!("promoted and blew up")))
+        });
+        let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"promoted and blew up"));
+        assert_eq!(sched.run(), RunOutcome::Idle, "the task is over");
+        assert_eq!(steps.load(Ordering::SeqCst), 1, "no step after the panic");
+    }
+
+    /// A wake that lands while the promoted body runs — the task is running
+    /// then — is kept: the step that follows runs again instead of parking.
+    #[test]
+    fn a_wake_during_a_promoted_body_is_not_lost() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let steps = Arc::new(AtomicUsize::new(0));
+        let s2 = Arc::clone(&steps);
+        h.spawn_inline("woken", move || match s2.fetch_add(1, Ordering::SeqCst) {
+            0 => Step::Promote(Box::new(|| ctx::waker().wake())),
+            1 => Step::Blocked("test-wait"),
+            _ => Step::Done,
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(steps.load(Ordering::SeqCst), 3);
+        assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 0);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! FIFO order when the guard drops. Use it whenever a lock is held across
 //! blocking I/O (socket writes, sleeps); plain `parking_lot` locks remain
 //! fine for short, non-parking critical sections.
+//!
+//! Each blocking call is its poll plus one park: [`SimMutex::lock`] is
+//! [`SimMutex::poll_lock`], [`SimQueue::push`] / [`SimQueue::pop`] are
+//! `poll_push` / `poll_pop`. An inline task's step (`crate::Step`) makes
+//! the poll alone and returns `Blocked` with the same reason; a mutex
+//! guard owns its mutex, so a step can hold it across that `Blocked`.
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -61,19 +67,36 @@ impl<T: ?Sized> Clone for SimMutex<T> {
 }
 
 impl<T: ?Sized> SimMutex<T> {
+    /// What a task blocked in [`lock`](Self::lock) is parked on: the park
+    /// reason, and what a `Pending` from [`poll_lock`](Self::poll_lock)
+    /// stands for.
+    pub const LOCK_WAIT: &'static str = "sim-mutex";
+
     /// Acquire the lock, parking the calling task while contended.
-    pub fn lock(&self) -> SimMutexGuard<'_, T> {
+    pub fn lock(&self) -> SimMutexGuard<T> {
         loop {
-            {
-                let mut ctl = self.inner.ctl.lock();
-                if !ctl.locked {
-                    ctl.locked = true;
-                    return SimMutexGuard { m: self };
-                }
-                ctl.waiters.push_back(ctx::waker());
+            if let Poll::Ready(guard) = self.poll_lock() {
+                return guard;
             }
-            ctx::park("sim-mutex");
+            ctx::park(Self::LOCK_WAIT);
         }
+    }
+
+    /// Acquire the lock without parking: the guard, or `Pending` with the
+    /// calling task's waker queued, once, for an unlock. The guard holds
+    /// the mutex itself, so an inline step can keep it across its
+    /// `Blocked`.
+    pub fn poll_lock(&self) -> Poll<SimMutexGuard<T>> {
+        let mut ctl = self.inner.ctl.lock();
+        if !ctl.locked {
+            ctl.locked = true;
+            return Poll::Ready(SimMutexGuard { m: self.clone() });
+        }
+        let me = ctx::waker();
+        if !ctl.waiters.iter().any(|w| w.task() == me.task()) {
+            ctl.waiters.push_back(me);
+        }
+        Poll::Pending
     }
 
     /// Are any tasks parked waiting for this lock? Release wakes the
@@ -87,11 +110,11 @@ impl<T: ?Sized> SimMutex<T> {
 }
 
 /// RAII guard; unlocks and wakes the next waiter on drop.
-pub struct SimMutexGuard<'a, T: ?Sized> {
-    m: &'a SimMutex<T>,
+pub struct SimMutexGuard<T: ?Sized> {
+    m: SimMutex<T>,
 }
 
-impl<T: ?Sized> Drop for SimMutexGuard<'_, T> {
+impl<T: ?Sized> Drop for SimMutexGuard<T> {
     fn drop(&mut self) {
         let mut ctl = self.m.inner.ctl.lock();
         ctl.locked = false;
@@ -101,7 +124,7 @@ impl<T: ?Sized> Drop for SimMutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Deref for SimMutexGuard<'_, T> {
+impl<T: ?Sized> Deref for SimMutexGuard<T> {
     type Target = T;
     fn deref(&self) -> &T {
         // Safety: guard holds the lock.
@@ -109,7 +132,7 @@ impl<T: ?Sized> Deref for SimMutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> DerefMut for SimMutexGuard<'_, T> {
+impl<T: ?Sized> DerefMut for SimMutexGuard<T> {
     fn deref_mut(&mut self) -> &mut T {
         // Safety: guard holds the lock exclusively.
         unsafe { &mut *self.m.inner.value.get() }
@@ -404,14 +427,87 @@ mod tests {
         sched.run();
     }
 
+    /// An inline step takes the lock with `poll_lock` and holds the guard
+    /// across a `Blocked`; two tasks block in `lock` meanwhile. Released,
+    /// the lock goes to them in the order they asked, and the step, asking
+    /// again while both are ahead of it, gets it last — one park each.
+    #[test]
+    fn poll_lock_hands_off_in_fifo_order_across_a_held_step() {
+        use crate::runtime::Step;
+        use std::sync::Mutex as StdMutex;
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let m = SimMutex::new(());
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let note = {
+            let (log, h) = (Arc::clone(&log), h.clone());
+            move |who: &str| {
+                log.lock()
+                    .unwrap()
+                    .push((who.to_string(), h.now().as_nanos()))
+            }
+        };
+        let (m2, n, mut guard, mut stage) = (m.clone(), note.clone(), None, 0);
+        h.spawn_inline("step", move || {
+            let wake_at = |ms| {
+                let (h, w) = (ctx::handle(), ctx::waker());
+                h.call_at(h.now() + Duration::from_millis(ms), move || w.wake());
+            };
+            stage += 1;
+            match stage {
+                1 => {
+                    let Poll::Ready(g) = m2.poll_lock() else {
+                        unreachable!("the lock is free at first")
+                    };
+                    guard = Some(g);
+                    n("step");
+                    wake_at(1);
+                    Step::Blocked("hold")
+                }
+                2 => {
+                    drop(guard.take().expect("held since the first step"));
+                    wake_at(1);
+                    Step::Blocked("pause")
+                }
+                _ => match m2.poll_lock() {
+                    Poll::Pending => Step::Blocked(SimMutex::<()>::LOCK_WAIT),
+                    Poll::Ready(_g) => {
+                        n("step again");
+                        Step::Done
+                    }
+                },
+            }
+        });
+        for who in ["a", "b"] {
+            let (m, n) = (m.clone(), note.clone());
+            sched.spawn(who, move || {
+                let _g = m.lock();
+                n(who);
+                ctx::sleep(Duration::from_millis(2));
+            });
+        }
+        sched.run();
+        let ms = 1_000_000;
+        let expect = [
+            ("step", 0),
+            ("a", ms),
+            ("b", 3 * ms),
+            ("step again", 5 * ms),
+        ];
+        let expect: Vec<_> = expect.iter().map(|&(w, t)| (w.to_string(), t)).collect();
+        assert_eq!(*log.lock().unwrap(), expect);
+        let parks = h.metric(crate::runtime::Metric("task/parks", None, "sim-mutex"));
+        assert_eq!(parks, 3);
+    }
+
     impl<T> SimMutex<T> {
         /// Test helper: lock from outside the simulation (single-threaded
         /// by then).
-        fn lock_outside(&self) -> SimMutexGuard<'_, T> {
+        fn lock_outside(&self) -> SimMutexGuard<T> {
             let mut ctl = self.inner.ctl.lock();
             assert!(!ctl.locked, "uncontended after run");
             ctl.locked = true;
-            SimMutexGuard { m: self }
+            SimMutexGuard { m: self.clone() }
         }
     }
 }

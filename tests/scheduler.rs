@@ -233,11 +233,13 @@ fn a_round_trip_over_a_direct_link_costs_two_grants() {
     assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
 }
 
-/// The same through the relay: its reader and shard worker and each end's
-/// relay client still take their turns, eight switches a round trip; the
-/// pumps, polling their routed streams, no longer do (ten with them).
+/// The same through the relay: its per-connection reader and shard
+/// writers, and each end's relay-client pump, are inline tasks too
+/// (DESIGN.md §6a), stepped by whoever delivered their bytes, so a routed
+/// round trip costs the direct link's two switches. With those four on
+/// threads of their own it cost eight, and ten with the receive pumps.
 #[test]
-fn a_round_trip_through_the_relay_costs_its_pinned_grants() {
+fn a_round_trip_through_the_relay_costs_two_grants() {
     const ROUNDS: u64 = 100;
     let sim = Sim::new(42);
     let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
@@ -254,7 +256,65 @@ fn a_round_trip_through_the_relay_costs_its_pinned_grants() {
     );
     let (method, spent) = ping_pong(&sim, hosts, profiles, ROUNDS, 256);
     assert_eq!(method, EstablishMethod::Routed);
-    assert_eq!(spent, 8 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+    assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+}
+
+/// A warmed-up routed connect → send → close, as `grid_mesh`'s churn makes
+/// them: the name-service lookup, the brokering through the relay, the
+/// OPEN, one message and the close. Every reader on the way — both name
+/// service links' and the name server's, both relay pumps and the relay's
+/// readers and shard writers — is an inline task; what switches is the
+/// sender, the receiver's handlers and its message drain: six switches a
+/// round, where those readers on threads of their own took twenty-two.
+#[test]
+fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 20;
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
+    let (env, ha, hb) = world(
+        &sim,
+        &[
+            topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
+            topology::SiteSpec::firewalled("walled", 1, wan),
+        ],
+    );
+    let env_b = env.clone();
+    sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::firewalled()).unwrap();
+        let rp = node
+            .create_receive_port("sink", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("drain", move || {
+            while let Ok(m) = rp.receive() {
+                drop(m);
+            }
+        });
+        gridsim_net::ctx::sleep(Duration::from_secs(3600));
+    });
+    let grants = || gridsim_net::ctx::handle().metric(GRANTS);
+    let spent = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let profile = ConnectivityProfile::natted(NatClass::SymmetricRandom);
+        let node = GridNode::join(&env, ha, "send", profile).unwrap();
+        let round = |i: u64| {
+            let mut sp = node.create_send_port();
+            assert_eq!(sp.connect("sink").unwrap(), EstablishMethod::Routed);
+            sp.send(&body(i, 256)).unwrap();
+            sp.close().unwrap();
+            gridsim_net::ctx::sleep(Duration::from_secs(1));
+        };
+        round(0);
+        let before = grants();
+        (1..=ROUNDS).for_each(round);
+        grants() - before
+    });
+    sim.run_for(Duration::from_secs(600));
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(spent.join()));
+    sim.run_for(Duration::from_secs(1));
+    let spent = out.lock().take().expect("sender finished");
+    assert_eq!(spent, 6 * ROUNDS as i64, "grants over {ROUNDS} rounds");
 }
 
 /// Through a SOCKS proxy: its two pumps are inline tasks, stepped by whoever
