@@ -88,28 +88,23 @@ impl NsConn {
     /// A CONNECT_BACK, whose dial blocks, runs promoted.
     fn step(&mut self) -> Next<Self> {
         loop {
-            let written = if self.writing {
-                self.conn.poll_write_block(None)
+            let reply = if self.writing {
+                None
             } else {
-                let req = match self.requests.poll_frame() {
+                match self.requests.poll_frame().map(|r| NsRequest::decode(&r)) {
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         return Next::Blocked(TcpStream::READ_WAIT)
                     }
-                    Err(_) => return Next::Done,
-                    Ok(req) => req,
-                };
-                let reply = match NsRequest::decode(&req) {
-                    Ok(req @ NsRequest::ConnectBack { .. }) => {
+                    Ok(Ok(req @ NsRequest::ConnectBack { .. })) => {
                         return Next::Promote(Box::new(move |c: &mut Self| {
                             c.answer(req).send(&mut c.conn).is_ok()
                         }))
                     }
-                    Ok(req) => self.answer(req),
-                    Err(_) => return Next::Done,
-                };
-                self.conn.poll_write_block(Some(reply.into_frame()))
+                    Ok(Ok(req)) => Some(self.answer(req).into_frame()),
+                    _ => return Next::Done,
+                }
             };
-            match written {
+            match self.conn.poll_write_block(reply) {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.writing = true;
                     return Next::Blocked(TcpStream::WRITE_WAIT);

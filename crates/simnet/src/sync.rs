@@ -83,7 +83,7 @@ impl<T: ?Sized> SimMutex<T> {
     }
 
     /// Acquire the lock without parking: the guard, or `Pending` with the
-    /// calling task's waker queued, once, for an unlock. The guard holds
+    /// calling task's waker queued for an unlock. The guard holds
     /// the mutex itself, so an inline step can keep it across its
     /// `Blocked`.
     pub fn poll_lock(&self) -> Poll<SimMutexGuard<T>> {
@@ -92,10 +92,7 @@ impl<T: ?Sized> SimMutex<T> {
             ctl.locked = true;
             return Poll::Ready(SimMutexGuard { m: self.clone() });
         }
-        let me = ctx::waker();
-        if !ctl.waiters.iter().any(|w| w.task() == me.task()) {
-            ctl.waiters.push_back(me);
-        }
+        ctl.waiters.push_back(ctx::waker());
         Poll::Pending
     }
 
