@@ -54,11 +54,8 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
         let sched2 = sched.clone();
         sched.spawn_daemon(format!("ns-accept-{p}"), move || loop {
             let Ok(conn) = listener.accept() else { break };
-            let (state, host, requests) = (
-                Arc::clone(&state),
-                host2.clone(),
-                FrameStream::new(conn.clone()),
-            );
+            let requests = FrameStream::new(conn.clone());
+            let (state, host) = (Arc::clone(&state), host2.clone());
             let reader = NsConn {
                 state,
                 host,
@@ -163,11 +160,13 @@ impl NsConn {
                     syn_retries: 1,
                     ..self.host.tcp_config()
                 };
-                let opts = ConnectOpts {
-                    local_port: None,
-                    cfg: Some(cfg),
-                };
-                let outcome = self.host.connect_opts(target, opts);
+                let outcome = self.host.connect_opts(
+                    target,
+                    ConnectOpts {
+                        local_port: None,
+                        cfg: Some(cfg),
+                    },
+                );
                 let refused = |e: io::Error| e.kind() == io::ErrorKind::ConnectionRefused;
                 Reply::Ok(outcome.map_or_else(refused, |_| true)).encode()
             }

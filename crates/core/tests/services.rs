@@ -130,7 +130,7 @@ fn pipelined_replies_reach_their_own_requests() {
     assert!(tasks.iter().all(|t| t.is_finished()));
 }
 
-/// Hostile request bodies as `serve_conn` reads them. A raw client sends,
+/// Hostile request bodies as the server's connection reader reads them. A raw client sends,
 /// each on a connection of its own, for every opcode with a body a
 /// truncated and a damaged one (damaged so that it cannot decode as some
 /// other valid request), then an unknown opcode, an empty frame and a
