@@ -394,10 +394,12 @@ impl RelayClient {
                 return Ok(());
             }
             Envelope::Fin { dir, sid } => {
-                if inline && stream(sid, dir).is_some_and(|s| s.owes_fin_at_drop(2)) {
+                let (key, mut streams) = ((from, sid, dir), self.inner.streams.lock());
+                if inline && streams.get(&key).is_some_and(RoutedStream::last_owes_fin) {
                     return parks();
                 }
-                let stream = self.inner.streams.lock().remove(&(from, sid, dir));
+                let stream = streams.remove(&key);
+                drop(streams);
                 if let Some(s) = stream {
                     s.inner.fin_received.store(true, Ordering::Relaxed);
                     s.close_rx();

@@ -107,10 +107,9 @@ impl RoutedStream {
         }
     }
 
-    /// Would dropping `handles` handles of this stream drop its last and
-    /// send our FIN?
-    pub(super) fn owes_fin_at_drop(&self, handles: usize) -> bool {
-        Arc::strong_count(&self.inner) <= handles && !self.inner.fin_sent.load(Ordering::Relaxed)
+    /// Is this the stream's last handle, whose drop sends our FIN?
+    pub(super) fn last_owes_fin(&self) -> bool {
+        Arc::strong_count(&self.inner) == 1 && !self.inner.fin_sent.load(Ordering::Relaxed)
     }
 
     /// Has the stream been torn down (FIN, relay loss, or peer death)?

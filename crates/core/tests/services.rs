@@ -714,6 +714,58 @@ fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
     assert_eq!(all_parks(&sim), pinned);
 }
 
+/// Node 1 drops its end of a stream node 2 opened, unclosed: only its
+/// stream table holds it now. Node 2's FIN arrives while node 1 is
+/// writing 1 MiB to node 2, its relay link's writer lock held mid-write;
+/// taking the stream out of the table drops its last handle, whose drop
+/// sends node 1's FIN — a send, so the pump promotes that dispatch. Node 2
+/// reads that FIN as the end of the stream; the 1 MiB arrives once, in
+/// order; the parks are the thread-form pump's.
+#[test]
+fn a_fin_that_drops_a_streams_last_handle_is_answered_from_a_promoted_dispatch() {
+    const LEN: usize = 1 << 20;
+    let sim = Sim::new(78);
+    let (ha, hb, hs) = star(&sim);
+    let relay = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let done = sim.spawn("driver", move || {
+        let (ca, cb, accepted) = relay_pair(&ha, &hb, relay);
+        let mut back = cb.open_stream(1, "back", 1).unwrap();
+        drop(accepted.pop().unwrap());
+        let h = gridsim_net::ctx::handle();
+        let writer = h.spawn("writer", move || {
+            let mut s = ca.open_stream(2, "bulk", 2).unwrap();
+            s.write_all(&(0..LEN).map(routed_byte).collect::<Vec<u8>>())
+                .unwrap();
+            s.shutdown_write().unwrap();
+        });
+        let s = accepted.pop().unwrap();
+        let reader = h.spawn("reader", move || drain_after(s, Duration::ZERO, LEN));
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        back.shutdown_write().unwrap();
+        let mut rest = Vec::new();
+        back.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty() && back.fin_received(), "node 1's FIN");
+        writer.join();
+        reader.join();
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let pinned = [
+        ("queue pop", 153),
+        ("relay open", 2),
+        ("sim-mutex", 42),
+        ("sleep", 2),
+        ("tcp accept", 3),
+        ("tcp connect", 2),
+        ("tcp read", 276),
+        ("tcp write", 238),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
+    assert_eq!(all_parks(&sim), pinned);
+}
+
 /// CONNECT_BACK is the one name-service request whose answer blocks (a
 /// dial back to the asker): the server's reader promotes it, answers, and
 /// steps on — the next request on the same connection is answered too.
