@@ -19,7 +19,10 @@
 #           the scheduler's (nor a lock around its hooks or clock), no
 #           Fig-4 method's internals named in node.rs (they live in
 #           crates/core/src/establish/), no poll loop that sleeps
-#           (`wait_until`) in crates/core/src, no OS thread started in
+#           (`wait_until`) in crates/core/src, no fire-and-forget
+#           `call_at` in crates/core/src outside tests (a deadline is a
+#           `Timer` owned by the record it guards, cancelled with it, so
+#           it never asks whether it still applies), no OS thread started in
 #           simnet, simtcp or core outside the scheduler's workers
 #           (runtime.rs), no SOCKS tunnel direction on a thread of
 #           its own (socks.rs spawns daemons in `spawn_proxy` only), and
@@ -211,7 +214,18 @@ stage_clippy() {
   # condition plus one sim-time wake, never a sleep-and-look loop.
   if grep -nE 'splice_initiate|predict_endpoints|socks_connect|retry_addr_in_use|PendingSplice|SPLICE_PORT_BASE|fn try_method' crates/core/src/node.rs \
     || grep -rn 'wait_until' crates/core/src; then
-    echo "a method's internals in node.rs, or a sleeping poll loop (lines above); use establish/'s connectors and a call_at wake"
+    echo "a method's internals in node.rs, or a sleeping poll loop (lines above); use establish/'s connectors and a Timer wake"
+    return 1
+  fi
+  # A deadline lives in the record it guards, as a Timer (SchedHandle::timer)
+  # that dies with it: no fire-and-forget call_at that must look up whether
+  # it still applies, nor one that fires after its wait is over.
+  local calls
+  calls=$(find crates/core/src -name '*.rs' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /call_at\(/ { print FILENAME ":" FNR ": " $0 }')
+  if [ -n "$calls" ]; then
+    echo "$calls"
+    echo "a fire-and-forget call_at in core (lines above); keep a SchedHandle::timer in the record it guards"
     return 1
   fi
   # A packet in flight is one scheduler event whose hook argument names

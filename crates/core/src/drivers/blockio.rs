@@ -31,7 +31,6 @@ use bytes::Bytes;
 use gridsim_net::ctx;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
 use gridzip::varint;
@@ -412,23 +411,17 @@ impl<R: BlockRead> BlockReader<R> {
     /// would block, park under its reason and run `unit` again, which finds
     /// what arrived buffered and states what it still lacks. With `within`,
     /// a would-block that much sim time after the call is `TimedOut`; the
-    /// deadline is one timer event, a no-op once the unit is in.
+    /// deadline is one [`Timer`](gridsim_net::Timer), cancelled when the
+    /// call returns.
     pub(crate) fn blocking<T>(
         &mut self,
         within: Option<Duration>,
         mut unit: impl FnMut(&mut Self) -> io::Result<T>,
     ) -> io::Result<T> {
-        // `waiting` lives as long as this call: the timer wakes only a
-        // reader still parked here.
         let deadline = within.map(|within| {
-            let (sched, waker, waiting) = (ctx::handle(), ctx::waker(), Arc::new(()));
-            let (at, timer) = (sched.now() + within, Arc::downgrade(&waiting));
-            sched.call_at(at, move || {
-                if timer.upgrade().is_some() {
-                    waker.wake();
-                }
-            });
-            (at, waiting)
+            let (sched, waker) = (ctx::handle(), ctx::waker());
+            let at = sched.now() + within;
+            (at, sched.timer(at, move || waker.wake()))
         });
         loop {
             match (unit(self), self.polls) {
@@ -649,6 +642,7 @@ mod tests {
     use super::*;
     use crate::cpu::{CpuModel, CpuRates};
     use gridsim_net::{ctx, NodeId, Sim};
+    use std::sync::Arc;
 
     fn host_cpu() -> (Sim, HostCpu) {
         let sim = Sim::new(1);

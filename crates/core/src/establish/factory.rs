@@ -22,30 +22,29 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub(crate) use super::splice::Splices;
+use crate::link::Backoff;
 use crate::nameservice::NsClient;
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::relay::RelayClient;
 use crate::socks::socks_connect;
 
-/// Retry budget for transient local dial failures (`AddrInUse`: the
+/// Nine dials, 50 ms after each transient local failure (`AddrInUse`: the
 /// ephemeral port space is momentarily exhausted during a connection
 /// storm). Ports recycle as in-flight connects finish, so a short backoff
 /// and retry degrades gracefully where the node used to fall over.
-const DIAL_RETRIES: u32 = 8;
-const DIAL_BACKOFF: Duration = Duration::from_millis(50);
+pub(crate) const DIAL_RETRY: Backoff = Backoff::ms(9, 50, 50);
 
 /// Run `dial` with a bounded retry on [`io::ErrorKind::AddrInUse`]. Every
 /// other error — and exhaustion that outlives the budget — propagates.
 fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut last = None;
-    for _ in 0..=DIAL_RETRIES {
+    for delay in DIAL_RETRY.delays() {
         match dial() {
             Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
                 last = Some(e);
-                gridsim_net::ctx::sleep(DIAL_BACKOFF);
+                gridsim_net::ctx::sleep(delay);
             }
             r => return r,
         }

@@ -11,7 +11,7 @@
 //!    (and releases its gate).
 
 use gridsim_net::nat::next_sequential_port;
-use gridsim_net::SockAddr;
+use gridsim_net::{SockAddr, Timer};
 use gridsim_tcp::{ConnectOpts, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -77,6 +77,8 @@ struct PendingSplice {
     /// The NAT gate, held from REQ until the negotiation is dropped: on
     /// GO, ABORT, a duplicate REQ or [`SPLICE_GO_DEADLINE`].
     _gate: Option<GateHold>,
+    /// Drops the negotiation, and the gate with it, at [`SPLICE_GO_DEADLINE`].
+    _deadline: Option<Timer>,
 }
 
 impl Splices {
@@ -240,26 +242,19 @@ pub(crate) fn on_request(
     let gate = f.gate.hold();
     let my_ports = f.splices.alloc_ports(total);
     let my_endpoints = predict_endpoints(f, &my_ports)?;
-    if gate.is_some() {
-        // Drop this negotiation, if it is still waiting, at the
-        // deadline. Its ports are fresh, so they tell it from a later
-        // REQ's for the same channel.
-        let (pending, ports) = (Arc::downgrade(&f.splices.pending), my_ports.clone());
-        let sched = &ctx.sched;
-        sched.call_at(sched.now() + SPLICE_GO_DEADLINE, move || {
-            let Some(pending) = pending.upgrade() else {
-                return;
-            };
-            let mut pending = pending.lock();
-            if pending.get(&channel).is_some_and(|p| p.my_ports == ports) {
-                pending.remove(&channel);
+    let _deadline = gate.as_ref().map(|_| {
+        let (pending, sched) = (Arc::downgrade(&f.splices.pending), &ctx.sched);
+        sched.timer(sched.now() + SPLICE_GO_DEADLINE, move || {
+            if let Some(pending) = pending.upgrade() {
+                pending.lock().remove(&channel);
             }
-        });
-    }
+        })
+    });
     let negotiation = PendingSplice {
         port,
         my_ports,
         _gate: gate,
+        _deadline,
     };
     f.splices.pending.lock().insert(channel, negotiation);
     Ok(my_endpoints)

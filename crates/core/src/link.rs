@@ -425,6 +425,9 @@ mod tests {
         assert_eq!(ms(crate::node::RECOVER), recover);
         let peer = [200, 400, 800, 1600, 2000, 2000, 2000, 2000, 2000];
         assert_eq!(ms(crate::relay::PEER_DIAL), peer);
+        // Flat: the sleep after each failed dial, the last one's included.
+        assert_eq!(ms(crate::establish::factory::DIAL_RETRY), [50; 9]);
+        assert_eq!(ms(crate::relay::HELLO_SWEEPS), [100, 100]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the same effective stack spec multiplexes over ONE established link.
 
 use bytes::Bytes;
-use gridsim_net::{ctx, SchedHandle, SimQueue, Step};
+use gridsim_net::{ctx, SchedHandle, SimQueue, Step, Timer};
 use gridzip::varint;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -271,8 +271,13 @@ impl RxShared {
         };
         r.closed |= closed;
         r.pumps -= 1;
-        if r.pumps == 0 && (clean || r.closed) {
-            rx.remove(&channel);
+        if r.pumps == 0 {
+            // The idle flush stops with the last pump; a resumed one re-arms
+            // it on its next delivery.
+            r.flush = None;
+            if clean || r.closed {
+                rx.remove(&channel);
+            }
         }
     }
 }
@@ -453,6 +458,8 @@ struct PendingChannel {
     received: usize,
     /// Reconnect generation this assembly belongs to (0 = first connect).
     gen: u64,
+    /// Drops a multi-stream assembly at [`PENDING_STREAMS_DEADLINE`].
+    _deadline: Option<Timer>,
 }
 
 /// How a receive port reports `CACK{channel, delivered}` back to the
@@ -501,10 +508,10 @@ struct RxChannel {
     bytes_since: usize,
     /// Total delivered bytes, for idle detection.
     total: u64,
-    /// `total` when the pending idle timer was scheduled.
+    /// `total` when the pending idle flush was armed.
     seen: u64,
-    /// An idle-flush timer is pending.
-    timer: bool,
+    /// The pending idle flush, if any.
+    flush: Option<Timer>,
 }
 
 /// One channel a pump is routing: its next expected sequence number and
@@ -882,25 +889,19 @@ impl ReceivePortInner {
             if pending.get(&channel).is_some_and(|e| e.gen < gen) {
                 pending.remove(&channel);
             }
-            let entry = pending.entry(channel).or_insert_with(|| {
-                if total > 1 {
-                    // A no-op once the assembly completed or a newer
-                    // generation superseded it.
+            let entry = pending.entry(channel).or_insert_with(|| PendingChannel {
+                links: (0..total).map(|_| None).collect(),
+                received: 0,
+                gen,
+                _deadline: (total > 1).then(|| {
                     let weak = Arc::downgrade(self);
                     let at = ctx.sched.now() + PENDING_STREAMS_DEADLINE;
-                    ctx.sched.call_at(at, move || {
-                        let Some(me) = weak.upgrade() else { return };
-                        let mut pending = me.pending.lock();
-                        if pending.get(&channel).is_some_and(|e| e.gen == gen) {
-                            pending.remove(&channel);
+                    ctx.sched.timer(at, move || {
+                        if let Some(me) = weak.upgrade() {
+                            me.pending.lock().remove(&channel);
                         }
-                    });
-                }
-                PendingChannel {
-                    links: (0..total).map(|_| None).collect(),
-                    received: 0,
-                    gen,
-                }
+                    })
+                }),
             });
             if gen < entry.gen {
                 return Err(io::Error::new(
@@ -992,73 +993,47 @@ impl ReceivePortInner {
     fn note_delivered(self: &Arc<Self>, channel: u64, watermark: u64, bytes: usize) {
         let Some(ack) = &self.ack else { return };
         let mut send = false;
-        let mut arm = false;
         self.rx.with(channel, |e| {
             e.total += bytes as u64;
             e.bytes_since += bytes;
             if e.bytes_since >= ack.every {
                 e.bytes_since = 0;
                 send = true;
-            } else if !e.timer {
-                e.timer = true;
+            } else if e.flush.is_none() {
                 e.seen = e.total;
-                arm = true;
+                e.flush = Some(self.idle_flush(&ack.sched, channel));
             }
         });
         if send {
             ack.send(channel, watermark);
         }
-        if arm {
-            self.schedule_idle_flush(channel);
-        }
     }
 
-    fn schedule_idle_flush(self: &Arc<Self>, channel: u64) {
-        let Some(ack) = &self.ack else { return };
+    /// The idle flush, [`ACK_IDLE_FLUSH`] from now (scheduler context —
+    /// never blocks). Re-arms only while the channel is progressing, so a
+    /// finished simulation still quiesces; sends only when genuinely idle,
+    /// so fault-free transfers never emit timer-driven acks mid-flight.
+    fn idle_flush(self: &Arc<Self>, sched: &SchedHandle, channel: u64) -> Timer {
         let weak = Arc::downgrade(self);
-        ack.sched
-            .call_at(ack.sched.now() + ACK_IDLE_FLUSH, move || {
-                if let Some(me) = weak.upgrade() {
-                    me.idle_flush(channel);
+        sched.timer(sched.now() + ACK_IDLE_FLUSH, move || {
+            let Some(me) = weak.upgrade() else { return };
+            let ack = me.ack.as_ref().expect("only an acking port arms a flush");
+            let send = {
+                let mut rx = me.rx.0.lock();
+                let e = rx.get_mut(&channel).expect("flush outlived its record");
+                if e.total != e.seen {
+                    // Still progressing: the byte cadence covers acking.
+                    e.seen = e.total;
+                    e.flush = Some(me.idle_flush(&ack.sched, channel));
+                    return;
                 }
-            });
-    }
-
-    /// Idle-flush timer body (scheduler context — never blocks). Re-arms
-    /// only while the channel is open and progressing, so a finished
-    /// simulation still quiesces; sends only when genuinely idle, so
-    /// fault-free transfers never emit timer-driven acks mid-flight.
-    fn idle_flush(self: &Arc<Self>, channel: u64) {
-        let Some(ack) = &self.ack else { return };
-        let mut send = None;
-        let mut rearm = false;
-        {
-            let mut rx = self.rx.0.lock();
-            let Some(e) = rx.get_mut(&channel) else {
-                return;
+                e.flush = None;
+                (std::mem::take(&mut e.bytes_since) > 0).then_some(e.delivered)
             };
-            if e.pumps == 0 {
-                // Channel closed (or a resume not yet re-established):
-                // stop. A resumed pump re-arms on its next delivery.
-                e.timer = false;
-            } else if e.total != e.seen {
-                // Still progressing: the byte cadence covers acking.
-                e.seen = e.total;
-                rearm = true;
-            } else if e.bytes_since > 0 {
-                e.bytes_since = 0;
-                e.timer = false;
-                send = Some(e.delivered);
-            } else {
-                e.timer = false;
+            if let Some(delivered) = send {
+                ack.send(channel, delivered);
             }
-        }
-        if let Some(delivered) = send {
-            ack.send(channel, delivered);
-        }
-        if rearm {
-            self.schedule_idle_flush(channel);
-        }
+        })
     }
 
     /// Messages waiting.

@@ -54,10 +54,9 @@ pub(super) struct RcInner {
 
 /// Before each redial of a lost relay connection.
 pub(crate) const REDIAL: Backoff = Backoff::ms(6, 100, 2000);
-/// Sweeps of the ordered relay list at join: a login storm can refuse dials
-/// (accept backlog full) to a healthy relay.
-const HELLO_SWEEPS: u32 = 3;
-const HELLO_SWEEP_BACKOFF: std::time::Duration = std::time::Duration::from_millis(100);
+/// Between sweeps of the ordered relay list at join, three sweeps in all: a
+/// login storm can refuse dials (accept backlog full) to a healthy relay.
+pub(crate) const HELLO_SWEEPS: Backoff = Backoff::ms(2, 100, 100);
 /// In-flight service requests failed by a relay loss are retried for this
 /// long (spanning the redial backoff) before the error surfaces.
 const SVC_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(6);
@@ -112,16 +111,16 @@ impl RelayClient {
                 sched: host.net().sched().clone(),
             }),
         };
-        // Up to `HELLO_SWEEPS` sweeps of the list (a send with the link
-        // down dials it); ephemeral-port exhaustion is retried inside each
-        // dial.
+        // Sweeps of the list (a send with the link down dials it), one more
+        // than `HELLO_SWEEPS` has delays; ephemeral-port exhaustion is
+        // retried inside each dial.
         let join = || client.inner.link.send(&client, |_, _| Ok(()));
         let mut joined = join();
-        for _ in 1..HELLO_SWEEPS {
+        for delay in HELLO_SWEEPS.delays() {
             if joined.is_ok() {
                 break;
             }
-            gridsim_net::ctx::sleep(HELLO_SWEEP_BACKOFF);
+            gridsim_net::ctx::sleep(delay);
             joined = join();
         }
         joined.map(|()| client)
@@ -209,18 +208,17 @@ impl RelayClient {
         payload: &[u8],
         timeout: Option<std::time::Duration>,
     ) -> io::Result<Vec<u8>> {
-        let id = self.inner.pending.next_id();
-        if let Some(dt) = timeout {
+        let (id, sched) = (self.inner.pending.next_id(), &self.inner.sched);
+        // Held until the answer is in.
+        let _deadline = timeout.map(|dt| {
             let weak = Arc::downgrade(&self.inner);
-            self.inner
-                .sched
-                .call_at(self.inner.sched.now() + dt, move || {
-                    if let Some(inner) = weak.upgrade() {
-                        let timed_out = || Err(io::ErrorKind::TimedOut.into());
-                        inner.pending.fail(|i, _| i == id, timed_out);
-                    }
-                });
-        }
+            sched.timer(sched.now() + dt, move || {
+                if let Some(inner) = weak.upgrade() {
+                    let timed_out = || Err(io::ErrorKind::TimedOut.into());
+                    inner.pending.fail(|i, _| i == id, timed_out);
+                }
+            })
+        });
         let req = Envelope::SvcReq { id, body: payload };
         let pending = &self.inner.pending;
         pending.post(id, to, || self.send_inner(to, req))?;

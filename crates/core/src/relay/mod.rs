@@ -24,7 +24,7 @@ pub use client::{RelayClient, RelayDelegate};
 pub use server::{spawn_relay, spawn_relay_mesh, RelayConfig};
 pub use stream::RoutedStream;
 #[cfg(test)]
-pub(crate) use {client::REDIAL, server::PEER_DIAL};
+pub(crate) use {client::HELLO_SWEEPS, client::REDIAL, server::PEER_DIAL};
 
 /// Maximum payload per routed DATA frame.
 pub const ROUTED_CHUNK: usize = 8 * 1024;

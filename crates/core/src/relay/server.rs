@@ -4,7 +4,7 @@
 //! keep a node-id → home-relay routing table.
 
 use bytes::Bytes;
-use gridsim_net::{SchedHandle, SimMutex, SimMutexGuard, SimQueue, SockAddr};
+use gridsim_net::{SchedHandle, SimMutex, SimMutexGuard, SimQueue, SockAddr, Timer};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -188,6 +188,8 @@ struct PendingRoute {
     /// Peer answers still expected; the entry resolves on the first
     /// positive one, fails when all are negative (or on timeout).
     outstanding: usize,
+    /// Fails the pull at [`ROUTE_QUERY_TIMEOUT`].
+    _deadline: Timer,
 }
 
 struct MeshRelay {
@@ -470,22 +472,19 @@ impl MeshRelay {
                 drop(w);
                 return self.undeliverable(from, to, inner, Origin::Local);
             }
+            let (weak, at) = (Arc::downgrade(self), self.sched.now() + ROUTE_QUERY_TIMEOUT);
             let pull = PendingRoute {
                 frames: vec![(from, inner)],
                 outstanding: peer_qs.len(),
-            };
-            w.insert(to, pull);
-        }
-        let weak = Arc::downgrade(self);
-        self.sched
-            .call_at(self.sched.now() + ROUTE_QUERY_TIMEOUT, move || {
-                let Some(me) = weak.upgrade() else { return };
-                if me.waiting.lock().contains_key(&to) {
+                _deadline: self.sched.timer(at, move || {
+                    let Some(me) = weak.upgrade() else { return };
                     // Drain in a task: NOPEER writes may park.
                     let sched = me.sched.clone();
                     sched.spawn_daemon("route-timeout", move || me.fail_waiting(to));
-                }
-            });
+                }),
+            };
+            w.insert(to, pull);
+        }
         let f = RelayMsg::RouteQuery { node: to }.encode().into_frame();
         for pq in peer_qs {
             let (route, bytes) = (None, f.clone());

@@ -138,6 +138,8 @@ impl RoutedStream {
             st.sent
         };
         let mut resend_at = gridsim_net::ctx::now();
+        // The wake for the next resend, cancelled when the answer is in.
+        let mut _resend = None;
         loop {
             {
                 let mut st = s.sync.lock();
@@ -153,11 +155,8 @@ impl RoutedStream {
                 s.client
                     .send_inner(s.peer, Envelope::Sync { dir, sid, n })?;
                 resend_at = gridsim_net::ctx::now() + SYNC_RESEND;
-                let timer = gridsim_net::ctx::waker();
-                s.client
-                    .inner
-                    .sched
-                    .call_at(resend_at, move || timer.wake());
+                let waker = gridsim_net::ctx::waker();
+                _resend = Some(s.client.inner.sched.timer(resend_at, move || waker.wake()));
                 // The send may have parked: look again before parking.
                 continue;
             }

@@ -7,7 +7,7 @@ use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAdd
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
 use netgrid::{
     spawn_name_service, spawn_relay_mesh, ConnectivityProfile, EstablishMethod, GridNode,
-    RelayConfig, StackSpec,
+    RelayClient, RelayConfig, StackSpec,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -523,5 +523,50 @@ fn mesh_route_query_timeout_late_reply() {
     assert!(
         *failures.lock() >= 1,
         "the mid-flap connect should have timed out at least once"
+    );
+}
+
+/// A route pull owns its deadline. A request to an unknown node draws a
+/// pull that every peer denies at once; a second request for the same node
+/// follows 200 ms later, while the mesh path is down, so its pull is still
+/// open when the first one's window would have closed. It must fail at its
+/// own deadline (500 ms after it opened), not at the first pull's.
+#[test]
+fn a_second_route_pull_for_a_node_fails_at_its_own_deadline() {
+    let sim = Sim::new(seed(66));
+    let (net, _ns, relays, relay_nodes, hsend, _) = mesh_world_cfg(&sim, 2, 1, None, None);
+    // The mesh path's own links: the asker still reaches its relay.
+    let links: Vec<_> = net.with(|w| {
+        let own = w.path_links(hsend[0].node(), relay_nodes[0]);
+        let mesh = w.path_links(relay_nodes[0], relay_nodes[1]);
+        mesh.into_iter().filter(|l| !own.contains(l)).collect()
+    });
+    let (h, out) = (hsend[0].clone(), Arc::new(parking_lot::Mutex::new(None)));
+    let took = Arc::clone(&out);
+    sim.spawn("asker", move || {
+        let client = RelayClient::connect(&h, relays[0], None, 1).unwrap();
+        let ask = || {
+            let t0 = gridsim_net::ctx::now();
+            let err = client.service_request(99, b"?").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+            gridsim_net::ctx::now() - t0
+        };
+        let denied = ask();
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let plan = links.iter().fold(FaultPlan::new(), |p, &l| {
+            p.flap(Duration::ZERO, l, Duration::from_millis(1500))
+        });
+        net.with(|w| w.install_faults(plan));
+        *took.lock() = Some((denied, ask()));
+    });
+    sim.run();
+    let (denied, timed_out) = out.lock().take().expect("both requests answered");
+    assert!(
+        denied < Duration::from_millis(100),
+        "the first pull is denied at once: {denied:?}"
+    );
+    assert!(
+        timed_out >= Duration::from_millis(500),
+        "the second pull failed {timed_out:?} after it opened, at the first one's deadline"
     );
 }

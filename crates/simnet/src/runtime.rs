@@ -30,6 +30,10 @@
 //!   closure events on the thread holding the baton, never concurrently with
 //!   a task, and with task context masked: inside an event `ctx::in_task()`
 //!   is false and `ctx::park`/`ctx::now` panic, whichever thread fires it.
+//!   A deadline that may be met first is a [`Timer`]
+//!   ([`SchedHandle::timer`]), kept in the record it guards: dropping it
+//!   cancels the event, whose heap entry is then discarded unseen — it
+//!   neither runs nor moves the clock, so a run ends at its last real event.
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
@@ -70,8 +74,8 @@ impl TaskId {
 enum EventAction {
     /// Wake a parked task (used by `sleep`).
     WakeTask(TaskId),
-    /// Run an arbitrary one-shot closure on the thread holding the baton.
-    Call(Box<dyn FnOnce() + Send>),
+    /// Run a one-shot closure on the thread holding the baton, if armed.
+    Call(Armed),
     /// Fire a pre-registered callback ([`SchedHandle::register_hook`])
     /// with its argument. Unlike `Call`, the event itself carries no
     /// allocation — the hot packet-delivery path schedules one of these
@@ -81,6 +85,21 @@ enum EventAction {
 
 /// A registered recurring callback.
 type Hook = Arc<dyn Fn(u64) + Send + Sync>;
+
+/// A closure event's code, emptied when it runs or its [`Timer`] drops.
+type Armed = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+/// A closure event armed by [`SchedHandle::timer`]. Dropping it cancels
+/// the event, if it has not fired, and drops the closure at once.
+#[must_use = "dropping a Timer cancels it"]
+pub struct Timer(Armed);
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        let f = self.0.lock().take();
+        drop(f);
+    }
+}
 
 /// What one step of an inline task did.
 pub enum Step {
@@ -121,6 +140,13 @@ struct EventEntry {
     at: SimTime,
     seq: u64,
     action: EventAction,
+}
+
+impl EventEntry {
+    /// A cancelled timer's entry, discarded unseen when it comes up.
+    fn cancelled(&self) -> bool {
+        matches!(&self.action, EventAction::Call(f) if f.lock().is_none())
+    }
 }
 
 // BinaryHeap is a max-heap; invert the ordering to pop the earliest event.
@@ -397,6 +423,10 @@ impl SchedCore {
                                 slot.baton.as_ref().expect("a runnable task has a baton"),
                             ));
                         }
+                        // The clock never stops at a cancelled timer's time.
+                        while st.events.peek().is_some_and(EventEntry::cancelled) {
+                            st.events.pop();
+                        }
                         if st.events.peek().is_some_and(|ev| ev.at <= st.limit) {
                             let ev = st.events.pop().expect("peeked");
                             debug_assert!(ev.at >= self.now(), "time went backwards");
@@ -406,7 +436,9 @@ impl SchedCore {
                                     st.wake(tid);
                                     continue;
                                 }
-                                EventAction::Call(f) => break Callback::Call(f),
+                                EventAction::Call(f) => {
+                                    break Callback::Call(f.lock().take().expect("not cancelled"))
+                                }
                                 EventAction::Hook(hook, arg) => {
                                     break Callback::Hook(Arc::clone(&st.hooks[hook.0]), arg)
                                 }
@@ -827,7 +859,17 @@ impl SchedHandle {
     /// (`ctx::in_task()` is false). A panic in `f` surfaces from
     /// `run_until`.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + Send + 'static) {
-        self.core.schedule(at, EventAction::Call(Box::new(f)));
+        let f: Armed = Arc::new(Mutex::new(Some(Box::new(f))));
+        self.core.schedule(at, EventAction::Call(f));
+    }
+
+    /// [`call_at`](Self::call_at) for a deadline that may be met first:
+    /// dropping the [`Timer`] cancels the event. A closure that reaches the
+    /// record owning its timer does so by a `Weak`: no cycle through the heap.
+    pub fn timer(&self, at: SimTime, f: impl FnOnce() + Send + 'static) -> Timer {
+        let f: Armed = Arc::new(Mutex::new(Some(Box::new(f))));
+        self.core.schedule(at, EventAction::Call(Arc::clone(&f)));
+        Timer(f)
     }
 
     /// Register a recurring callback and get a handle for scheduling it.
@@ -1225,8 +1267,10 @@ mod tests {
             h.register_hook(move |arg| note(format!("hook {arg}")))
         };
         let ms = |n: u64| SimTime::ZERO + Duration::from_millis(n);
-        // Task i schedules hook(10 + i), then a closure, then its own sleep
-        // wake, in spawn order: the three kinds interleave in schedule order.
+        // Task i schedules hook(10 + i), then a timer it cancels, then a
+        // closure, then its own sleep wake, in spawn order: the three kinds
+        // that fire interleave in schedule order, and the cancelled timers
+        // neither run nor move anything.
         for (i, (hook_at, call_at, sleep)) in [(5, 5, 5), (1, 5, 1), (5, 1, 5), (3, 3, 5)]
             .into_iter()
             .enumerate()
@@ -1234,6 +1278,8 @@ mod tests {
             let (h, note) = (h.clone(), note.clone());
             sched.spawn(format!("t{i}"), move || {
                 h.call_hook_at(ms(hook_at), hook, 10 + i as u64);
+                let n = note.clone();
+                drop(h.timer(ms(call_at), move || n(format!("timer {i}"))));
                 let n = note.clone();
                 h.call_at(ms(call_at), move || n(format!("call {i}")));
                 ctx::sleep(Duration::from_millis(sleep));
@@ -1257,6 +1303,75 @@ mod tests {
                 "5 wake 2",
                 "5 wake 3",
             ]
+        );
+    }
+
+    #[test]
+    fn dropping_a_timer_cancels_its_event_and_drops_its_closure_at_once() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let (held, ran) = (Arc::new(()), Arc::new(AtomicBool::new(false)));
+        let (h2, r2) = (Arc::clone(&held), Arc::clone(&ran));
+        let timer = h.timer(h.now() + Duration::from_millis(5), move || {
+            drop(h2);
+            r2.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(Arc::strong_count(&held), 2);
+        drop(timer);
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "the closure outlived its timer"
+        );
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert!(!ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_timer_cancelled_by_an_event_at_its_own_instant_does_not_run() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let at = h.now() + Duration::from_millis(5);
+        let log: Arc<Mutex<Vec<&str>>> = Arc::new(Mutex::new(Vec::new()));
+        let slot: Arc<Mutex<Option<Timer>>> = Arc::new(Mutex::new(None));
+        let (l1, s1) = (Arc::clone(&log), Arc::clone(&slot));
+        h.call_at(at, move || {
+            l1.lock().push("canceller");
+            drop(s1.lock().take());
+        });
+        let l2 = Arc::clone(&log);
+        *slot.lock() = Some(h.timer(at, move || l2.lock().push("timer")));
+        let l3 = Arc::clone(&log);
+        h.call_at(at, move || l3.lock().push("after"));
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(*log.lock(), ["canceller", "after"]);
+    }
+
+    #[test]
+    fn the_clock_never_stops_at_a_cancelled_time() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let ms = |n: u64| SimTime::ZERO + Duration::from_millis(n);
+        let late = h.timer(ms(7), || {});
+        let early = h.timer(ms(1), || {});
+        h.call_at(ms(3), move || drop(late));
+        drop(early);
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(sched.now(), ms(3));
+    }
+
+    #[test]
+    fn a_run_with_only_cancelled_events_left_is_idle_or_a_deadlock() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        drop(h.timer(h.now() + Duration::from_secs(10), || {}));
+        assert_eq!(sched.run_for(Duration::from_secs(5)), RunOutcome::Idle);
+        assert_eq!(sched.now(), SimTime::ZERO);
+        sched.spawn("stuck", || ctx::park("forever"));
+        drop(h.timer(h.now() + Duration::from_secs(10), || {}));
+        assert_eq!(
+            sched.run_for(Duration::from_secs(5)),
+            RunOutcome::Deadlock(vec![("stuck".to_string(), "forever")])
         );
     }
 

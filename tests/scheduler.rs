@@ -3,7 +3,9 @@
 //! while it waits. Which thread drives must not show on the simulated
 //! clock, on the wire, or in delivery order.
 
-use gridsim_net::{topology, LinkParams, NatKind, Sim, SockAddr, GRANTS, THREADS};
+use gridsim_net::{
+    topology, LinkParams, Metric, NatKind, RunOutcome, Sim, SockAddr, GRANTS, THREADS,
+};
 use gridsim_tcp::SimHost;
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv,
@@ -376,4 +378,102 @@ fn proxied_connects_after_a_warm_up_start_no_threads() {
     sim.run_for(Duration::from_secs(1));
     let started = out.lock().take().expect("sender finished");
     assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
+}
+
+/// A routed close waits for its stream's drain (a SYNC the peer answers in
+/// a round trip) and leaves no wake behind: parked afterwards under a
+/// reason of its own, the sender is woken once, by its own event three
+/// seconds later. A SYNC-resend wake armed for one second after the SYNC
+/// and left to fire woke it a second time.
+#[test]
+fn a_finished_drain_leaves_no_wake_behind() {
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
+    let (env, ha, hb) = world(
+        &sim,
+        &[
+            topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
+            topology::SiteSpec::firewalled("walled", 1, wan),
+        ],
+    );
+    let env_b = env.clone();
+    sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::firewalled()).unwrap();
+        let rp = node
+            .create_receive_port("sink", StackSpec::plain())
+            .unwrap();
+        while let Ok(m) = rp.receive() {
+            drop(m);
+        }
+    });
+    let sender = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let profile = ConnectivityProfile::natted(NatClass::SymmetricRandom);
+        let node = GridNode::join(&env, ha, "send", profile).unwrap();
+        let mut sp = node.create_send_port();
+        assert_eq!(sp.connect("sink").unwrap(), EstablishMethod::Routed);
+        sp.send(&body(0, 256)).unwrap();
+        sp.close().unwrap();
+        let (h, waker) = (gridsim_net::ctx::handle(), gridsim_net::ctx::waker());
+        let until = h.now() + Duration::from_secs(3);
+        h.call_at(until, move || waker.wake());
+        while h.now() < until {
+            gridsim_net::ctx::park("after close");
+        }
+        h.metric(Metric("task/parks", None, "after close"))
+    });
+    sim.run_for(Duration::from_secs(60));
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(sender.join()));
+    sim.run_for(Duration::from_secs(1));
+    let parks = out.lock().take().expect("sender finished");
+    assert_eq!(parks, 1, "parks after the close");
+}
+
+/// An idle run ends at its last real event. Quickstart's exchange: two open
+/// sites, three messages over a client/server link, then the close. Every
+/// deadline met on the way, the accepted stream's 10 s preamble deadline
+/// among them, is cancelled with the record it guards, so `run` returns
+/// within one initial RTO (1 s) of the last delivery: at the last of
+/// simtcp's own timer events, which ride their slots (DESIGN.md §5d). A met
+/// deadline that still fired kept the run going for 10 s after the accept.
+#[test]
+fn an_idle_run_ends_at_its_last_real_event() {
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
+    let open = |name| topology::SiteSpec::open(name, 1, wan);
+    let (env, ha, hb) = world(&sim, &[open("site-a"), open("site-b")]);
+    let (env_b, last) = (
+        env.clone(),
+        std::sync::Arc::new(parking_lot::Mutex::new(None)),
+    );
+    let delivered = last.clone();
+    sim.spawn("bob", move || {
+        let node = GridNode::join(&env_b, hb, "bob", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("inbox", StackSpec::plain())
+            .unwrap();
+        for i in 1..=3 {
+            assert_eq!(rp.receive().unwrap().as_slice(), body(i, 64));
+        }
+        *delivered.lock() = Some(gridsim_net::ctx::now());
+    });
+    sim.spawn("alice", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let node = GridNode::join(&env, ha, "alice", ConnectivityProfile::open()).unwrap();
+        let mut sp = node.create_send_port();
+        assert_eq!(sp.connect("inbox").unwrap(), EstablishMethod::ClientServer);
+        for i in 1..=3 {
+            sp.send(&body(i, 64)).unwrap();
+        }
+        sp.close().unwrap();
+    });
+    assert_eq!(sim.run(), RunOutcome::Idle);
+    let last = last.lock().take().expect("bob received all three");
+    let tail = sim.now() - last;
+    assert!(
+        tail < Duration::from_secs(1),
+        "the run ended {tail:?} after the last delivery"
+    );
 }
