@@ -30,7 +30,10 @@
 #           the relay's readers and shard writers and the name server's
 #           readers are inline steps, so link.rs spawns no daemon,
 #           nameservice.rs only in `spawn_name_service`, relay/server.rs
-#           only in `spawn_relay_mesh` and `query_route`
+#           only in `spawn_relay_mesh` and `query_route`; and no
+#           `unsafe` in a product crate's non-test code outside
+#           crates/simnet/src/sync.rs, nor an OS mutex back around the
+#           scheduler's state or the world (the baton is their lock)
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
 #           `./ci.sh --bless` (or `--stage golden --bless`) regenerates
@@ -51,7 +54,8 @@
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
 #           command is printed on failure).
-#   test    full workspace test suite (debug); the gridzip and gridcrypt
+#   test    full workspace test suite (debug, as tier 1's `cargo test -q`
+#           is, so the baton cells' ownership checks run there); the gridzip and gridcrypt
 #           suites again in release, where the vectorised ChaCha20 pass
 #           and the bounds-check-free matcher loops actually exist, and
 #           the wire-codec properties (core's prop.rs) with them, where
@@ -248,6 +252,17 @@ stage_clippy() {
     echo "an OS thread started outside the scheduler's workers (lines above); spawn a task instead"
     return 1
   fi
+  # The scheduler's state and the world are baton-owned cells (DESIGN.md
+  # §6): their soundness argument lives in sync.rs, and no other product
+  # code needs one; nor does an OS lock come back around either.
+  local unsafes
+  unsafes=$(find crates/{simnet,simtcp,gridzip,gridcrypt,core}/src -name '*.rs' ! -path crates/simnet/src/sync.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ { print FILENAME ":" FNR ": " $0 }')
+  if [ -n "$unsafes" ] || grep -rnE 'Mutex<(World|SchedState)>' crates/ src/ tests/ examples/; then
+    echo "$unsafes"
+    echo "unsafe outside sync.rs, or an OS mutex around the scheduler's state or the world (lines above); borrow the BatonCell"
+    return 1
+  fi
   if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy spawn_proxy" ]; then
     echo "socks.rs spawns a daemon outside spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
     echo "  a tunnel direction is an inline step (pump_one_way)"
@@ -356,6 +371,8 @@ stage_faults() {
 }
 
 stage_test() {
+  # A debug build, like tier 1's `cargo test -q`: every baton-cell borrow
+  # checks that its thread holds the baton while a run is in progress.
   cargo test -q --workspace
   # The kernels' differential and boundary tests against release codegen.
   cargo test -q --release -p gridzip -p gridcrypt

@@ -48,11 +48,6 @@ impl LinkParams {
     pub fn mbps(megabytes_per_sec: f64, delay: Duration) -> LinkParams {
         LinkParams::new(megabytes_per_sec * 1e6, delay)
     }
-
-    /// Time to serialize `len` bytes onto the wire.
-    fn tx_time(&self, len: u32) -> Duration {
-        Duration::from_secs_f64(len as f64 / self.bandwidth_bps)
-    }
 }
 
 /// Counters for one link direction.
@@ -81,25 +76,54 @@ pub struct LinkDir {
     /// it (fault injection). Packets already propagating still arrive.
     pub up: bool,
     pub stats: LinkStats,
+    tx_memo: ((u32, u64), Duration),
 }
 
 impl LinkDir {
+    /// An idle, up direction towards `to_node`'s interface `to_iface`.
+    pub fn new(params: LinkParams, to_node: crate::world::NodeId, to_iface: usize) -> LinkDir {
+        LinkDir {
+            params,
+            to_node,
+            to_iface,
+            busy_until: SimTime::ZERO,
+            up: true,
+            stats: LinkStats::default(),
+            tx_memo: ((0, 0), Duration::ZERO),
+        }
+    }
+
     /// Admit a packet to the queue. Returns `Some(delivery_time)` if the
     /// packet is accepted (and occupies the wire), `None` if the drop-tail
     /// queue is full.
     pub fn admit(&mut self, now: SimTime, wire_len: u32) -> Option<SimTime> {
-        let backlog_secs = self.busy_until.since(now).as_secs_f64();
-        let backlog_bytes = backlog_secs * self.params.bandwidth_bps;
+        // An idle wire has no backlog, and no float to compute it from.
+        let backlog_bytes = if self.busy_until > now {
+            self.busy_until.since(now).as_secs_f64() * self.params.bandwidth_bps
+        } else {
+            0.0
+        };
         if backlog_bytes + wire_len as f64 > self.params.queue_bytes as f64 {
             self.stats.queue_drops += 1;
             return None;
         }
         let start = self.busy_until.max(now);
-        let done = start + self.params.tx_time(wire_len);
+        let done = start + self.tx_time(wire_len);
         self.busy_until = done;
         self.stats.tx_packets += 1;
         self.stats.tx_bytes += wire_len as u64;
         Some(done + self.params.delay)
+    }
+
+    /// Time to serialize `len` bytes, memoised by length and bandwidth bits:
+    /// a direction sees nearly one length all run (segments one way, ACKs back).
+    fn tx_time(&mut self, len: u32) -> Duration {
+        let key = (len, self.params.bandwidth_bps.to_bits());
+        if self.tx_memo.0 != key {
+            let secs = len as f64 / self.params.bandwidth_bps;
+            self.tx_memo = (key, Duration::from_secs_f64(secs));
+        }
+        self.tx_memo.1
     }
 }
 
@@ -109,14 +133,7 @@ mod tests {
     use crate::world::NodeId;
 
     fn dir(params: LinkParams) -> LinkDir {
-        LinkDir {
-            params,
-            to_node: NodeId(0),
-            to_iface: 0,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        }
+        LinkDir::new(params, NodeId(0), 0)
     }
 
     #[test]
@@ -142,6 +159,20 @@ mod tests {
         // After the wire drains, packets are admitted again.
         let later = SimTime::ZERO + Duration::from_millis(2);
         assert!(d.admit(later, 1000).is_some());
+    }
+
+    /// A bandwidth change, as `FaultPlan::bandwidth_ramp` makes one, re-times
+    /// the very next packet of a length already seen.
+    #[test]
+    fn a_bandwidth_change_re_times_the_next_packet() {
+        let mut d = dir(LinkParams::mbps(1.0, Duration::ZERO).with_queue(1 << 20));
+        assert_eq!(d.admit(SimTime::ZERO, 1000).unwrap().as_nanos(), 1_000_000);
+        d.params.bandwidth_bps = 4e6;
+        let at = d.admit(SimTime::ZERO + Duration::from_millis(1), 1000);
+        assert_eq!(at.unwrap().as_nanos(), 1_250_000, "1000 B at 4 MB/s");
+        d.params.bandwidth_bps = 1e6;
+        let at = d.admit(SimTime::ZERO + Duration::from_secs(1), 1000);
+        assert_eq!(at.unwrap().as_nanos(), 1_001_000_000, "and back");
     }
 
     #[test]

@@ -53,10 +53,11 @@
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use crate::sync::BatonCell;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process.
@@ -84,7 +85,7 @@ enum EventAction {
 }
 
 /// A registered recurring callback.
-type Hook = Arc<dyn Fn(u64) + Send + Sync>;
+type Hook = Box<dyn Fn(u64) + Send>;
 
 /// A closure event's code, emptied when it runs or its [`Timer`] drops.
 type Armed = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
@@ -121,11 +122,11 @@ pub enum Step {
 /// An inline task's step function.
 type InlineStep = Box<dyn FnMut() -> Step + Send>;
 
-/// An event's or an inline task's code, taken out from under the state
-/// lock to run.
+/// An event's or an inline task's code, taken out of the scheduler's
+/// state to run; a hook goes back into its slot when it returns.
 enum Callback {
     Call(Box<dyn FnOnce() + Send>),
-    Hook(Hook, u64),
+    Hook(HookId, Hook, u64),
     Step(TaskId, InlineStep),
 }
 
@@ -133,7 +134,7 @@ enum Callback {
 /// [`SchedHandle::register_hook`]; pass it to
 /// [`SchedHandle::call_hook_at`] to fire it without a per-event
 /// allocation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HookId(usize);
 
 struct EventEntry {
@@ -264,6 +265,7 @@ struct TaskSlot {
     blocked_on: &'static str,
 }
 
+#[derive(Default)]
 struct SchedState {
     seq: u64,
     events: BinaryHeap<EventEntry>,
@@ -282,9 +284,9 @@ struct SchedState {
     /// worker goes here only after it has chosen its successor, so no
     /// `drive` it runs can hand it a job of its own.
     idle: Vec<Arc<Worker>>,
-    /// Callbacks by [`HookId`]. A firing clones its `Arc` out under the
-    /// lock it pops the event with, so it runs without holding the lock.
-    hooks: Vec<Hook>,
+    /// Callbacks by [`HookId`], only appended to in a run. A firing takes its
+    /// hook out to run it and puts it back: registering moves no other.
+    hooks: Vec<Option<Hook>>,
     /// Cross-thread baton grants so far: one thread handing the baton to
     /// another. A task that parks, sleeps or yields and is itself the next
     /// to run costs none (the in-file tests pin exactly that), and neither
@@ -360,9 +362,9 @@ impl SchedState {
 
 /// Shared core of the scheduler; cheap to clone via [`SchedHandle`].
 pub struct SchedCore {
-    state: Mutex<SchedState>,
-    /// Simulated time in nanoseconds, read without the state lock. Only
-    /// the baton holder stores it, and every baton handoff is
+    state: BatonCell<SchedState>,
+    /// Simulated time in nanoseconds, read without borrowing the state.
+    /// Only the baton holder stores it, and every baton handoff is
     /// Release/Acquire, so a relaxed load on any thread that runs sees it.
     clock: AtomicU64,
 }
@@ -377,7 +379,7 @@ enum Driver {
 }
 
 impl SchedCore {
-    /// Current simulated time, without the state lock.
+    /// Current simulated time, without borrowing the state.
     fn now(&self) -> SimTime {
         SimTime(self.clock.load(Ordering::Relaxed))
     }
@@ -386,7 +388,7 @@ impl SchedCore {
     /// fire in scheduling order.
     fn schedule(&self, at: SimTime, action: EventAction) {
         let at = at.max(self.now());
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow();
         let seq = st.seq;
         st.seq += 1;
         st.events.push(EventEntry { at, seq, action });
@@ -405,7 +407,7 @@ impl SchedCore {
     fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
         loop {
             let callback = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow();
                 let st = &mut *st;
                 loop {
                     if st.panic.is_none() {
@@ -439,8 +441,9 @@ impl SchedCore {
                                 EventAction::Call(f) => {
                                     break Callback::Call(f.lock().take().expect("not cancelled"))
                                 }
-                                EventAction::Hook(hook, arg) => {
-                                    break Callback::Hook(Arc::clone(&st.hooks[hook.0]), arg)
+                                EventAction::Hook(id, arg) => {
+                                    let hook = st.hooks[id.0].take();
+                                    break Callback::Hook(id, hook.expect("not firing"), arg);
                                 }
                             }
                         }
@@ -457,14 +460,18 @@ impl SchedCore {
             match callback {
                 Callback::Step(tid, step) => {
                     if let Some((body, step)) = self.run_inline(tid, step) {
-                        let mut st = self.state.lock();
+                        let mut st = self.state.borrow();
                         let baton = self.start_thread(&mut st, tid, body, Some(step));
                         st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
                         st.grants += 1;
                         return Some(baton);
                     }
                 }
-                other => self.fire(other),
+                Callback::Call(f) => self.fire(f),
+                Callback::Hook(id, hook, arg) => {
+                    self.fire(|| hook(arg));
+                    self.state.borrow().hooks[id.0] = Some(hook);
+                }
             }
         }
     }
@@ -472,14 +479,9 @@ impl SchedCore {
     /// Run one closure or hook event. The thread may be a task's, so a
     /// panic must not unwind into it: it is caught and kept (first one
     /// wins, as for task panics) for `run_until`'s caller.
-    fn fire(&self, callback: Callback) {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match callback {
-            Callback::Call(f) => f(),
-            Callback::Hook(f, arg) => f(arg),
-            Callback::Step(..) => unreachable!("inline steps run in `run_inline`"),
-        }));
-        if let Err(p) = outcome {
-            self.state.lock().panic.get_or_insert(p);
+    fn fire(&self, f: impl FnOnce()) {
+        if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(f)) {
+            self.state.borrow().panic.get_or_insert(p);
         }
     }
 
@@ -504,7 +506,7 @@ impl SchedCore {
             }));
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(&mut step));
             CURRENT.set(driver);
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow();
             match outcome {
                 Ok(Step::Blocked(reason)) => {
                     let slot = &mut st.tasks[tid.index()];
@@ -572,6 +574,7 @@ impl SchedCore {
             let Some((tid, mut body, mut step)) = worker.job.lock().take() else {
                 return;
             };
+            self.state.hold(true);
             loop {
                 CURRENT.set(Some(Current {
                     handle: SchedHandle {
@@ -582,7 +585,7 @@ impl SchedCore {
                 }));
                 let out = std::panic::catch_unwind(AssertUnwindSafe(body));
                 CURRENT.set(None);
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow();
                 let resume = match (out, step.take()) {
                     (Ok(()), Some(resume)) => resume,
                     (out, step) => {
@@ -600,7 +603,7 @@ impl SchedCore {
                 let Some((next, again)) = self.run_inline(tid, resume) else {
                     break;
                 };
-                self.state.lock().tasks[tid.index()].baton = Some(Arc::clone(&worker.baton));
+                self.state.borrow().tasks[tid.index()].baton = Some(Arc::clone(&worker.baton));
                 (body, step) = (next, Some(again));
             }
             // Choose the successor, only then go idle, and only then hand
@@ -608,7 +611,7 @@ impl SchedCore {
             let next = self
                 .drive(Driver::Task(tid))
                 .expect("a task off its worker is not the one to run next");
-            self.state.lock().idle.push(Arc::clone(worker));
+            self.state.borrow().idle.push(Arc::clone(worker));
             next.grant();
         }
     }
@@ -687,19 +690,7 @@ impl Scheduler {
     pub fn new() -> Self {
         Scheduler {
             core: Arc::new(SchedCore {
-                state: Mutex::new(SchedState {
-                    seq: 0,
-                    events: BinaryHeap::new(),
-                    runnable: VecDeque::new(),
-                    tasks: Vec::new(),
-                    panic: None,
-                    limit: SimTime::ZERO,
-                    root: None,
-                    idle: Vec::new(),
-                    hooks: Vec::new(),
-                    grants: 0,
-                    metrics: BTreeMap::new(),
-                }),
+                state: BatonCell::new("SchedState", Arc::default(), SchedState::default()),
                 clock: AtomicU64::new(0),
             }),
         }
@@ -743,7 +734,8 @@ impl Scheduler {
             ..Baton::default()
         });
         {
-            let mut st = self.core.state.lock();
+            self.core.state.hold(true);
+            let mut st = self.core.state.borrow();
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
         }
@@ -751,9 +743,10 @@ impl Scheduler {
         if let Some(first) = self.core.drive(Driver::Root) {
             first.grant();
             root.wait();
+            self.core.state.hold(true);
         }
         let (panic, outcome) = {
-            let mut st = self.core.state.lock();
+            let mut st = self.core.state.borrow();
             let outcome = match st.events.peek() {
                 Some(_) => RunOutcome::TimeLimit,
                 None => {
@@ -772,6 +765,7 @@ impl Scheduler {
             };
             (st.panic.take(), outcome)
         };
+        self.core.state.hold(false);
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
@@ -800,11 +794,13 @@ impl Scheduler {
 }
 
 impl Drop for Scheduler {
-    /// End every idle worker and join it. A worker whose task is still
-    /// parked (a server's accept loop) stays parked, detached.
+    /// Drop the hooks (a world's delivery hook holds the world, which holds a handle to
+    /// this one), then end and join every idle worker; one whose task is parked stays.
     fn drop(&mut self) {
-        // An ending worker touches no state, so the lock can stay held.
-        for worker in std::mem::take(&mut self.core.state.lock().idle) {
+        let hooks = std::mem::take(&mut self.core.state.borrow().hooks);
+        drop(hooks);
+        // An ending worker touches no state, so the borrow can stay out.
+        for worker in std::mem::take(&mut self.core.state.borrow().idle) {
             worker.baton.grant();
             if let Some(thread) = worker.thread.lock().take() {
                 let _ = thread.join();
@@ -821,7 +817,7 @@ impl SchedHandle {
 
     /// Add `delta` to the named counter or gauge; returns its new value.
     pub fn metric_add(&self, name: Metric, delta: i64) -> i64 {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow();
         let v = st.metrics.entry(name).or_insert(0);
         *v += delta;
         *v
@@ -829,14 +825,14 @@ impl SchedHandle {
 
     /// Raise the named peak to `v` if that is higher.
     pub fn metric_max(&self, name: Metric, v: i64) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow();
         let peak = st.metrics.entry(name).or_insert(v);
         *peak = v.max(*peak);
     }
 
     /// The named value: 0 for a name that never moved.
     pub fn metric(&self, name: Metric) -> i64 {
-        let st = self.core.state.lock();
+        let st = self.core.state.borrow();
         if name == GRANTS {
             return st.grants as i64;
         }
@@ -846,7 +842,7 @@ impl SchedHandle {
     /// Every name moved so far with its value, in name order, and
     /// [`GRANTS`]. A phase's deltas are two snapshots subtracted.
     pub fn metrics(&self) -> BTreeMap<Metric, i64> {
-        let st = self.core.state.lock();
+        let st = self.core.state.borrow();
         let mut snapshot = st.metrics.clone();
         snapshot.insert(GRANTS, st.grants as i64);
         snapshot
@@ -876,10 +872,15 @@ impl SchedHandle {
     /// The callback stays registered for the scheduler's lifetime. Like a
     /// `call_at` closure it runs on the thread holding the baton, never
     /// concurrently with a task, with task context masked.
-    pub fn register_hook(&self, f: impl Fn(u64) + Send + Sync + 'static) -> HookId {
-        let mut st = self.core.state.lock();
-        st.hooks.push(Arc::new(f));
+    pub fn register_hook(&self, f: impl Fn(u64) + Send + 'static) -> HookId {
+        let mut st = self.core.state.borrow();
+        st.hooks.push(Some(Box::new(f)));
         HookId(st.hooks.len() - 1)
+    }
+
+    /// Its baton holder, for a [`BatonCell`] that belongs to it.
+    pub(crate) fn holder(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.core.state.holder)
     }
 
     /// Schedule a registered hook to fire as `hook(arg)` at absolute time
@@ -892,7 +893,7 @@ impl SchedHandle {
 
     /// Wake `tid` per unpark semantics.
     fn wake_task(&self, tid: TaskId) {
-        self.core.state.lock().wake(tid);
+        self.core.state.borrow().wake(tid);
     }
 
     /// A waker for the given task.
@@ -929,7 +930,7 @@ impl SchedHandle {
     {
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         // One critical section from id to run queue keeps the table dense.
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow();
         let tid = TaskId(st.tasks.len() as u64);
         let out = Arc::clone(&result);
         let body = Box::new(move || *out.lock() = Some(f()));
@@ -965,7 +966,7 @@ impl SchedHandle {
         name: impl Into<String>,
         step: impl FnMut() -> Step + Send + 'static,
     ) -> TaskId {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow();
         let tid = TaskId(st.tasks.len() as u64);
         st.tasks.push(TaskSlot {
             name: name.into(),
@@ -998,7 +999,7 @@ impl<T> JoinHandle<T> {
 
     /// Has the task finished?
     pub fn is_finished(&self) -> bool {
-        let st = self.handle.core.state.lock();
+        let st = self.handle.core.state.borrow();
         st.tasks[self.tid.index()].state == TaskState::Finished
     }
 
@@ -1009,7 +1010,7 @@ impl<T> JoinHandle<T> {
         let mut registered = false;
         loop {
             {
-                let mut st = self.handle.core.state.lock();
+                let mut st = self.handle.core.state.borrow();
                 let target = &mut st.tasks[self.tid.index()];
                 if target.state == TaskState::Finished {
                     break;
@@ -1071,17 +1072,18 @@ pub mod ctx {
     fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) {
         let cur = CURRENT.take().expect("not inside a simulated task");
         let Some(baton) = &cur.baton else {
-            let name = cur.handle.core.state.lock().tasks[cur.tid.index()]
+            let name = cur.handle.core.state.borrow().tasks[cur.tid.index()]
                 .name
                 .clone();
             CURRENT.set(Some(cur));
             panic!("inline task `{name}` cannot park, sleep or yield");
         };
-        let left = leave(&mut cur.handle.core.state.lock(), cur.tid);
+        let left = leave(&mut cur.handle.core.state.borrow(), cur.tid);
         if left {
             if let Some(next) = cur.handle.core.drive(Driver::Task(cur.tid)) {
                 next.grant();
                 baton.wait();
+                cur.handle.core.state.hold(true);
             }
         }
         CURRENT.set(Some(cur));
@@ -1391,6 +1393,23 @@ mod tests {
     }
 
     #[test]
+    fn run_for_the_longest_duration_once_the_clock_has_moved_runs_to_idle() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let f2 = Arc::clone(&fired);
+        h.call_at(SimTime::from_secs(1), || {});
+        h.call_at(SimTime::from_secs(2), move || {
+            f2.store(1, Ordering::SeqCst);
+        });
+        let one_s = SimTime::from_secs(1);
+        assert_eq!(sched.run_until(one_s), RunOutcome::TimeLimit);
+        assert_eq!(sched.now(), one_s);
+        assert_eq!(sched.run_for(Duration::MAX), RunOutcome::Idle);
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
     fn task_panic_propagates() {
         let sched = Scheduler::new();
         sched.spawn("boom", || panic!("exploded"));
@@ -1417,7 +1436,7 @@ mod tests {
 
     /// This scheduler's cross-thread grants so far.
     fn grants(h: &SchedHandle) -> u64 {
-        h.core.state.lock().grants
+        h.core.state.borrow().grants
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! guard owns its mutex, so a step can hold it across that `Blocked`.
 
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::Poll;
 
@@ -302,6 +303,81 @@ impl<T> SimQueue<T> {
     }
 }
 
+/// A scheduler's table or world, owned by its baton holder (DESIGN.md §6): a
+/// nested borrow panics naming it, as in debug builds does one off the baton.
+pub(crate) struct BatonCell<T> {
+    name: &'static str,
+    busy: Cell<bool>,
+    /// The [`thread_token`] of the baton's holder in a run, else 0.
+    pub(crate) holder: Arc<AtomicUsize>,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `name` and `holder` are `Sync`. `busy` and `value` are touched, by
+// the runtime's rule, in a run only by the thread holding the baton and between
+// runs only by the thread that drives the simulation. The baton passes by a
+// Release store of its `go` flag after the granter's last touch and an Acquire
+// swap before the grantee's first, so each touch happens-before the next, and
+// `busy` makes a re-entered borrow a panic, not an aliased `&mut`.
+unsafe impl<T: Send> Sync for BatonCell<T> {}
+
+impl<T> BatonCell<T> {
+    pub(crate) fn new(name: &'static str, holder: Arc<AtomicUsize>, value: T) -> Self {
+        BatonCell {
+            name,
+            busy: Cell::new(false),
+            holder,
+            value: UnsafeCell::new(value),
+        }
+    }
+
+    pub(crate) fn borrow(&self) -> BatonRef<'_, T> {
+        let name = self.name;
+        debug_assert!(
+            [0, thread_token()].contains(&self.holder.load(Ordering::Relaxed)),
+            "`{name}` touched during a run by a thread that does not hold the baton"
+        );
+        assert!(!self.busy.replace(true), "`{name}` borrowed re-entrantly");
+        BatonRef(self, std::marker::PhantomData)
+    }
+
+    /// The calling thread holds the baton from now on, or (`false`) the run is over.
+    pub(crate) fn hold(&self, holding: bool) {
+        let token = if holding { thread_token() } else { 0 };
+        self.holder.store(token, Ordering::Relaxed);
+    }
+}
+
+/// A borrow of a [`BatonCell`]; it stays on the thread that made it.
+pub(crate) struct BatonRef<'a, T>(&'a BatonCell<T>, std::marker::PhantomData<*const ()>);
+
+impl<T> Drop for BatonRef<'_, T> {
+    fn drop(&mut self) {
+        self.0.busy.set(false);
+    }
+}
+
+impl<T> Deref for BatonRef<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: the guard is the one borrow out (`busy`), on the owning thread.
+        unsafe { &*self.0.value.get() }
+    }
+}
+
+impl<T> DerefMut for BatonRef<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as for `deref`, and the guard itself is borrowed mutably.
+        unsafe { &mut *self.0.value.get() }
+    }
+}
+
+/// The address of a thread-local: distinct for every live thread, never 0.
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|t| std::ptr::from_ref(t) as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,6 +571,58 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), expect);
         let parks = h.metric(crate::runtime::Metric("task/parks", None, "sim-mutex"));
         assert_eq!(parks, 3);
+    }
+
+    /// A packet for `net`'s one host `a` (1.0.0.1) from itself, and its
+    /// UDP dispatcher `on_packet`.
+    fn loopback(net: &crate::Net, on_packet: impl Fn() + Send + Sync + 'static) {
+        use crate::{proto, Ip, Packet, RawBytes, SockAddr};
+        net.with(|w| {
+            let a = w.add_host("a", vec![Ip::new(1, 0, 0, 1)]);
+            w.register_proto(proto::UDP, Arc::new(move |_w, _n, _p| on_packet()));
+            let me = SockAddr::new(Ip::new(1, 0, 0, 1), 9);
+            let bytes = Box::new(RawBytes(vec![0; 8]));
+            w.send_from(a, Packet::new(me, me, proto::UDP, bytes));
+        });
+    }
+
+    #[test]
+    fn a_dispatcher_that_borrows_the_world_again_panics_naming_it() {
+        let sim = crate::Sim::new(1);
+        let net = sim.net();
+        let again = net.clone();
+        loopback(&net, move || again.with(|_| ()));
+        let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        let p = p.expect_err("a second borrow of the world");
+        let msg = p.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("`World` borrowed re-entrantly"));
+    }
+
+    /// The check is a debug build's: in release such a touch is a data race.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_thread_without_the_baton_touching_the_world_during_a_run_panics() {
+        let sim = crate::Sim::new(1);
+        let net = sim.net();
+        let seen = Arc::new(Mutex::new(None));
+        let (n, s) = (net.clone(), Arc::clone(&seen));
+        loopback(&net, move || {
+            let n = n.clone();
+            let foreign = std::thread::spawn(move || n.with(|w| w.node_count()));
+            let p = foreign.join().expect_err("the foreign thread panics");
+            *s.lock() = p.downcast_ref::<String>().cloned();
+        });
+        sim.run();
+        let expect = "`World` touched during a run by a thread that does not hold the baton";
+        assert_eq!(seen.lock().as_deref(), Some(expect));
+        // Between runs any one thread may.
+        let n = net.clone();
+        assert_eq!(
+            std::thread::spawn(move || n.with(|w| w.node_count()))
+                .join()
+                .ok(),
+            Some(1)
+        );
     }
 
     impl<T> SimMutex<T> {

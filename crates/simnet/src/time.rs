@@ -53,14 +53,14 @@ impl Add<Duration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, d: Duration) -> SimTime {
-        SimTime(self.0 + dur_nanos(d))
+        SimTime(self.0.saturating_add(dur_nanos(d)))
     }
 }
 
 impl AddAssign<Duration> for SimTime {
     #[inline]
     fn add_assign(&mut self, d: Duration) {
-        self.0 += dur_nanos(d);
+        *self = *self + d;
     }
 }
 
@@ -96,6 +96,15 @@ mod tests {
         let t2 = t + Duration::from_micros(5);
         assert_eq!(t2.since(t), Duration::from_micros(5));
         assert_eq!(t.since(t2), Duration::ZERO, "since saturates");
+    }
+
+    #[test]
+    fn adding_past_the_end_of_time_saturates() {
+        let mut t = SimTime::from_secs(1);
+        assert_eq!(t + Duration::MAX, SimTime::MAX);
+        assert_eq!(t + Duration::from_nanos(u64::MAX), SimTime::MAX);
+        t += Duration::MAX;
+        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]

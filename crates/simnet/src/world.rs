@@ -2,11 +2,11 @@
 //! the packet forwarding engine, including firewall and NAT processing at
 //! gateways.
 //!
-//! The [`World`] lives behind a single mutex shared by all simulated tasks
-//! and scheduled events. Because the runtime executes exactly one thread at
-//! a time, the mutex is never contended; it only provides `Send` plumbing.
+//! The [`World`] is shared by all simulated tasks and scheduled events and
+//! takes no lock: it is owned by whoever holds the scheduler's baton, or
+//! between runs by the thread that drives the simulation (DESIGN.md §6).
+//! [`Net::with`] borrows it; a re-entered borrow panics.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -18,6 +18,7 @@ use crate::link::{LinkDir, LinkDirId, LinkParams, LinkStats};
 use crate::nat::{Nat, NatKind};
 use crate::packet::Packet;
 use crate::runtime::{HookId, SchedHandle};
+use crate::sync::BatonCell;
 use crate::time::SimTime;
 
 /// Identifier of a node in the world.
@@ -123,7 +124,7 @@ type ProtoDispatch = Arc<dyn Fn(&mut World, NodeId, Packet) + Send + Sync>;
 /// The simulated internet.
 pub struct World {
     sched: SchedHandle,
-    self_ref: Weak<Mutex<World>>,
+    self_ref: Weak<BatonCell<World>>,
     /// In-flight packets, each parked in a slot whose index is the
     /// argument of its one hook event: the scheduler's (time, schedule
     /// order) is the only delivery order, and a hop allocates nothing.
@@ -152,39 +153,38 @@ enum Delivery {
 #[derive(Clone)]
 pub struct Net {
     sched: SchedHandle,
-    world: Arc<Mutex<World>>,
+    world: Arc<BatonCell<World>>,
 }
 
 impl Net {
     /// Create an empty world bound to a scheduler.
     pub fn new(sched: SchedHandle, seed: u64) -> Net {
-        let world = Arc::new_cyclic(|weak: &Weak<Mutex<World>>| {
-            let hook_ref = weak.clone();
-            let delivery_hook = sched.register_hook(move |slot| {
-                if let Some(m) = hook_ref.upgrade() {
-                    m.lock().deliver(slot as usize);
-                }
-            });
-            Mutex::new(World {
+        let world = Arc::new_cyclic(|weak| {
+            let world = World {
                 sched: sched.clone(),
                 self_ref: weak.clone(),
                 in_flight: Vec::new(),
                 free_slots: Vec::new(),
-                delivery_hook,
+                delivery_hook: HookId::default(),
                 nodes: Vec::new(),
                 links: Vec::new(),
                 dispatch: [const { None }; 256],
                 rng: StdRng::seed_from_u64(seed),
                 stats: WorldStats::default(),
                 tracer: None,
-            })
+            };
+            BatonCell::new("World", sched.holder(), world)
         });
+        // The hook holds the world (no upgrade per hop); a dropped scheduler drops it.
+        let hook_world = Arc::clone(&world);
+        world.borrow().delivery_hook =
+            sched.register_hook(move |slot| hook_world.borrow().deliver(slot as usize));
         Net { sched, world }
     }
 
-    /// Run `f` with exclusive access to the world.
+    /// Run `f` with exclusive access to the world (a nested `with` panics).
     pub fn with<R>(&self, f: impl FnOnce(&mut World) -> R) -> R {
-        f(&mut self.world.lock())
+        f(&mut self.world.borrow())
     }
 
     /// The scheduler handle.
@@ -254,24 +254,10 @@ impl World {
     ) -> (usize, usize) {
         let ab = LinkDirId(self.links.len());
         let iface_b = self.nodes[b.0].ifaces.len();
-        self.links.push(LinkDir {
-            params: a_to_b,
-            to_node: b,
-            to_iface: iface_b,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        });
+        self.links.push(LinkDir::new(a_to_b, b, iface_b));
         let ba = LinkDirId(self.links.len());
         let iface_a = self.nodes[a.0].ifaces.len();
-        self.links.push(LinkDir {
-            params: b_to_a,
-            to_node: a,
-            to_iface: iface_a,
-            busy_until: SimTime::ZERO,
-            up: true,
-            stats: LinkStats::default(),
-        });
+        self.links.push(LinkDir::new(b_to_a, a, iface_a));
         self.nodes[a.0].ifaces.push(Iface {
             link_out: ab,
             peer: b,
@@ -441,7 +427,7 @@ impl World {
         let weak = self.self_ref.clone();
         self.sched.call_at(at, move || {
             if let Some(m) = weak.upgrade() {
-                f(&mut m.lock());
+                f(&mut m.borrow());
             }
         });
     }
@@ -498,13 +484,13 @@ impl World {
             self.push_delivery(at, Delivery::Local { node }, pkt);
             return;
         }
-        self.emit(node, pkt);
+        self.emit(node, None, pkt);
     }
 
     /// Route + transmit one packet out of `node` (already past middlebox
-    /// processing if any).
-    fn emit(&mut self, node: NodeId, pkt: Packet) {
-        let Some(iface) = self.nodes[node.0].route_for(pkt.dst.ip) else {
+    /// processing if any), on `iface` if its route is known already.
+    fn emit(&mut self, node: NodeId, iface: Option<usize>, pkt: Packet) {
+        let Some(iface) = iface.or_else(|| self.nodes[node.0].route_for(pkt.dst.ip)) else {
             self.stats.drop_no_route += 1;
             self.trace(TraceKind::DropNoRoute, &pkt);
             return;
@@ -572,7 +558,7 @@ impl World {
                     }
                     self.stats.forwarded += 1;
                     self.trace(TraceKind::Forwarded, &pkt);
-                    self.emit(node, pkt);
+                    self.emit(node, None, pkt);
                     return;
                 }
                 // NAT present but no admitting mapping: packets aimed at
@@ -643,7 +629,7 @@ impl World {
             }
             self.stats.forwarded += 1;
             self.trace(TraceKind::Forwarded, &pkt);
-            self.emit(node, pkt);
+            self.emit(node, Some(out_iface), pkt);
             return;
         }
 
@@ -672,13 +658,15 @@ impl World {
     fn local_deliver(&mut self, node: NodeId, pkt: Packet) {
         self.stats.delivered += 1;
         self.trace(TraceKind::Delivered, &pkt);
-        match self.dispatch[usize::from(pkt.proto)].clone() {
-            Some(f) => f(self, node, pkt),
-            None => {
-                self.stats.drop_no_handler += 1;
-                self.trace(TraceKind::DropNoHandler, &pkt);
-            }
-        }
+        // Out of its slot while it runs; back after, unless it registered a successor.
+        let proto = usize::from(pkt.proto);
+        let Some(f) = self.dispatch[proto].take() else {
+            self.stats.drop_no_handler += 1;
+            self.trace(TraceKind::DropNoHandler, &pkt);
+            return;
+        };
+        f(self, node, pkt);
+        self.dispatch[proto].get_or_insert(f);
     }
 }
 
@@ -687,6 +675,7 @@ mod tests {
     use super::*;
     use crate::packet::{proto, RawBytes};
     use crate::runtime::Scheduler;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -787,6 +776,31 @@ mod tests {
             })
             .collect();
         assert_eq!(*log.lock(), expect);
+    }
+
+    #[test]
+    fn dropping_a_sim_frees_its_world() {
+        let sim = crate::Sim::new(42);
+        let net = sim.net();
+        let world = Arc::downgrade(&net.world);
+        net.with(|w| {
+            let a = w.add_host("a", vec![Ip::new(1, 0, 0, 1)]);
+            let b = w.add_host("b", vec![Ip::new(2, 0, 0, 1)]);
+            let (ia, _) = w.connect(a, b, LinkParams::mbps(1.0, Duration::from_millis(1)));
+            w.default_route(a, ia);
+            w.register_proto(proto::UDP, Arc::new(|_w, _n, _p| {}));
+            let (src, dst) = (
+                SockAddr::new(w.addr_of(a), 1),
+                SockAddr::new(w.addr_of(b), 2),
+            );
+            w.send_from(a, pkt(src, dst, 100));
+        });
+        sim.run();
+        assert_eq!(net.with(|w| w.stats.delivered), 1);
+        drop(net);
+        assert!(world.upgrade().is_some(), "the delivery hook holds it");
+        drop(sim);
+        assert!(world.upgrade().is_none(), "the scheduler dropped its hooks");
     }
 
     #[test]
