@@ -55,11 +55,12 @@
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
 #           command is printed on failure).
 #   test    full workspace test suite (debug, as tier 1's `cargo test -q`
-#           is, so the baton cells' ownership checks run there); the gridzip and gridcrypt
-#           suites again in release, where the vectorised ChaCha20 pass
-#           and the bounds-check-free matcher loops actually exist, and
-#           the wire-codec properties (core's prop.rs) with them, where
-#           arithmetic on a peer's lengths wraps instead of panicking; then,
+#           is; the baton cells' ownership checks run in every build);
+#           the gridzip and gridcrypt suites again in release, where
+#           the vectorised ChaCha20 pass and the bounds-check-free
+#           matcher loops actually exist, and the wire-codec
+#           properties (core's prop.rs) with them, where arithmetic on
+#           a peer's lengths wraps instead of panicking; then,
 #           where `taskset` exists, the scheduler's own tests and the root
 #           scheduler, relay and relay park-count smokes again on one CPU,
 #           the regime gridbench measures; with them the connection storm
@@ -371,8 +372,8 @@ stage_faults() {
 }
 
 stage_test() {
-  # A debug build, like tier 1's `cargo test -q`: every baton-cell borrow
-  # checks that its thread holds the baton while a run is in progress.
+  # A debug build, like tier 1's `cargo test -q`, so simtcp's debug_assert
+  # invariants run; the baton cells' ownership checks run in every build.
   cargo test -q --workspace
   # The kernels' differential and boundary tests against release codegen.
   cargo test -q --release -p gridzip -p gridcrypt

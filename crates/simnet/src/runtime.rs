@@ -574,7 +574,7 @@ impl SchedCore {
             let Some((tid, mut body, mut step)) = worker.job.lock().take() else {
                 return;
             };
-            self.state.hold(true);
+            self.state.hold();
             loop {
                 CURRENT.set(Some(Current {
                     handle: SchedHandle {
@@ -734,7 +734,6 @@ impl Scheduler {
             ..Baton::default()
         });
         {
-            self.core.state.hold(true);
             let mut st = self.core.state.borrow();
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
@@ -743,7 +742,7 @@ impl Scheduler {
         if let Some(first) = self.core.drive(Driver::Root) {
             first.grant();
             root.wait();
-            self.core.state.hold(true);
+            self.core.state.hold();
         }
         let (panic, outcome) = {
             let mut st = self.core.state.borrow();
@@ -765,7 +764,6 @@ impl Scheduler {
             };
             (st.panic.take(), outcome)
         };
-        self.core.state.hold(false);
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
@@ -1083,7 +1081,7 @@ pub mod ctx {
             if let Some(next) = cur.handle.core.drive(Driver::Task(cur.tid)) {
                 next.grant();
                 baton.wait();
-                cur.handle.core.state.hold(true);
+                cur.handle.core.state.hold();
             }
         }
         CURRENT.set(Some(cur));

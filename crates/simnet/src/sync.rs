@@ -18,7 +18,8 @@ use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{Acquire, Relaxed};
 use std::sync::Arc;
 use std::task::Poll;
 
@@ -303,22 +304,22 @@ impl<T> SimQueue<T> {
     }
 }
 
-/// A scheduler's table or world, owned by its baton holder (DESIGN.md §6): a
-/// nested borrow panics naming it, as in debug builds does one off the baton.
+/// A scheduler's table or world, owned by one thread (DESIGN.md §6): a borrow
+/// while one is out, or from a thread that does not own it, panics naming it.
 pub(crate) struct BatonCell<T> {
     name: &'static str,
     busy: Cell<bool>,
-    /// The [`thread_token`] of the baton's holder in a run, else 0.
+    /// The [`thread_token`] of its owner: the baton's holder in a run, else the driving thread.
     pub(crate) holder: Arc<AtomicUsize>,
     value: UnsafeCell<T>,
 }
 
-// SAFETY: `name` and `holder` are `Sync`. `busy` and `value` are touched, by
-// the runtime's rule, in a run only by the thread holding the baton and between
-// runs only by the thread that drives the simulation. The baton passes by a
-// Release store of its `go` flag after the granter's last touch and an Acquire
-// swap before the grantee's first, so each touch happens-before the next, and
-// `busy` makes a re-entered borrow a panic, not an aliased `&mut`.
+// SAFETY: `name` and `holder` are `Sync`. Only the owner, the thread whose token is in
+// `holder`, touches `busy` and `value`; an unowned cell is taken by an Acquire CAS from 0.
+// In a run the baton's holder stores its token after the Acquire that takes it, and a
+// granter (a Release) runs nothing until granted again; a dead owner's token reaches a
+// new thread only through the exit and spawn that reuse it. So each owner's touches
+// happen-before the next's; `busy` makes a nested borrow a panic.
 unsafe impl<T: Send> Sync for BatonCell<T> {}
 
 impl<T> BatonCell<T> {
@@ -332,19 +333,25 @@ impl<T> BatonCell<T> {
     }
 
     pub(crate) fn borrow(&self) -> BatonRef<'_, T> {
+        if self.holder.load(Relaxed) != thread_token() {
+            self.claim();
+        }
         let name = self.name;
-        debug_assert!(
-            [0, thread_token()].contains(&self.holder.load(Ordering::Relaxed)),
-            "`{name}` touched during a run by a thread that does not hold the baton"
-        );
         assert!(!self.busy.replace(true), "`{name}` borrowed re-entrantly");
         BatonRef(self, std::marker::PhantomData)
     }
 
-    /// The calling thread holds the baton from now on, or (`false`) the run is over.
-    pub(crate) fn hold(&self, holding: bool) {
-        let token = if holding { thread_token() } else { 0 };
-        self.holder.store(token, Ordering::Relaxed);
+    /// The calling thread takes the cell if nobody owns it yet, else panics.
+    #[cold]
+    fn claim(&self) {
+        let (me, name) = (thread_token(), self.name);
+        let cas = self.holder.compare_exchange(0, me, Acquire, Relaxed);
+        assert!(cas.is_ok(), "`{name}` touched by a thread not its owner");
+    }
+
+    /// The calling thread has just taken the baton: it owns the cell.
+    pub(crate) fn hold(&self) {
+        self.holder.store(thread_token(), Relaxed);
     }
 }
 
@@ -598,10 +605,8 @@ mod tests {
         assert_eq!(msg, Some("`World` borrowed re-entrantly"));
     }
 
-    /// The check is a debug build's: in release such a touch is a data race.
-    #[cfg(debug_assertions)]
     #[test]
-    fn a_thread_without_the_baton_touching_the_world_during_a_run_panics() {
+    fn a_thread_that_does_not_own_the_world_touching_it_panics() {
         let sim = crate::Sim::new(1);
         let net = sim.net();
         let seen = Arc::new(Mutex::new(None));
@@ -613,16 +618,14 @@ mod tests {
             *s.lock() = p.downcast_ref::<String>().cloned();
         });
         sim.run();
-        let expect = "`World` touched during a run by a thread that does not hold the baton";
+        let expect = "`World` touched by a thread not its owner";
         assert_eq!(seen.lock().as_deref(), Some(expect));
-        // Between runs any one thread may.
+        // Between runs it belongs to the thread that drives them, and no other.
         let n = net.clone();
-        assert_eq!(
-            std::thread::spawn(move || n.with(|w| w.node_count()))
-                .join()
-                .ok(),
-            Some(1)
-        );
+        let p = std::thread::spawn(move || n.with(|_| ())).join();
+        let p = p.expect_err("the world is the driving thread's");
+        assert_eq!(p.downcast_ref::<String>().map(String::as_str), Some(expect));
+        assert_eq!(net.with(|w| w.node_count()), 1);
     }
 
     impl<T> SimMutex<T> {

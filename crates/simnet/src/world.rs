@@ -3,9 +3,9 @@
 //! gateways.
 //!
 //! The [`World`] is shared by all simulated tasks and scheduled events and
-//! takes no lock: it is owned by whoever holds the scheduler's baton, or
-//! between runs by the thread that drives the simulation (DESIGN.md §6).
-//! [`Net::with`] borrows it; a re-entered borrow panics.
+//! takes no lock: it belongs to whoever holds the scheduler's baton, between
+//! runs to the thread that drives the simulation (DESIGN.md §6). [`Net::with`]
+//! borrows it; from any other thread, or re-entered, a borrow panics.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,7 +182,7 @@ impl Net {
         Net { sched, world }
     }
 
-    /// Run `f` with exclusive access to the world (a nested `with` panics).
+    /// Run `f` with exclusive access to the world, from its owner's thread; nested, it panics.
     pub fn with<R>(&self, f: impl FnOnce(&mut World) -> R) -> R {
         f(&mut self.world.borrow())
     }
@@ -658,15 +658,16 @@ impl World {
     fn local_deliver(&mut self, node: NodeId, pkt: Packet) {
         self.stats.delivered += 1;
         self.trace(TraceKind::Delivered, &pkt);
-        // Out of its slot while it runs; back after, unless it registered a successor.
+        // Out of its slot while it runs, back after (a panic too) unless it registered a successor.
         let proto = usize::from(pkt.proto);
         let Some(f) = self.dispatch[proto].take() else {
             self.stats.drop_no_handler += 1;
             self.trace(TraceKind::DropNoHandler, &pkt);
             return;
         };
-        f(self, node, pkt);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self, node, pkt)));
         self.dispatch[proto].get_or_insert(f);
+        out.unwrap_or_else(|p| std::panic::resume_unwind(p));
     }
 }
 
@@ -801,6 +802,37 @@ mod tests {
         assert!(world.upgrade().is_some(), "the delivery hook holds it");
         drop(sim);
         assert!(world.upgrade().is_none(), "the scheduler dropped its hooks");
+    }
+
+    /// A dispatcher that panics stays registered: the run passes the panic
+    /// on, and the next packet of its protocol still reaches it.
+    #[test]
+    fn a_dispatcher_that_panics_stays_registered() {
+        let sim = crate::Sim::new(42);
+        let net = sim.net();
+        let seen = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&seen);
+        let me = SockAddr::new(Ip::new(1, 0, 0, 1), 9);
+        let a = net.with(|w| {
+            let a = w.add_host("a", vec![me.ip]);
+            w.register_proto(
+                proto::UDP,
+                Arc::new(move |_w, _n, _p| {
+                    assert_ne!(s.fetch_add(1, Ordering::SeqCst), 0, "the first packet");
+                }),
+            );
+            a
+        });
+        net.with(|w| w.send_from(a, pkt(me, me, 8)));
+        let p = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        assert!(p.is_err(), "the dispatcher's panic surfaces from the run");
+        net.with(|w| w.send_from(a, pkt(me, me, 8)));
+        sim.run();
+        assert_eq!(seen.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            net.with(|w| (w.stats.delivered, w.stats.drop_no_handler)),
+            (2, 0)
+        );
     }
 
     #[test]
