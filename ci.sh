@@ -14,7 +14,9 @@
 #           BlockRead::read_chunks_min or BlockReader::blocking, and a raw
 #           frame has one decoder; the retired twins' names), no timer
 #           named in simtcp's host stack, no second single-flight beside a
-#           data link's write gate, no probe field or accessor beside
+#           data link's write gate, no exactly-once bookkeeping
+#           outside resume.rs (the retired watermark twins' names), no
+#           probe field or accessor beside
 #           the world's metrics registry, no second event queue beside
 #           the scheduler's (nor a lock around its hooks or clock), no
 #           Fig-4 method's internals named in node.rs (they live in
@@ -53,7 +55,10 @@
 #   faults  fault-matrix smoke under three fixed RNG seeds, over the
 #           faults, storm, relay_mesh and adaptive suites
 #           (NETGRID_TEST_SEED shifts every Sim seed; the replay
-#           command is printed on failure).
+#           command is printed on failure); then the exactly-once
+#           machine's exhaustive checker (crates/core/src/resume.rs) over
+#           its wider scopes, in release, printing each scope's state
+#           count (libtest prints the wall time).
 #   test    full workspace test suite (debug, as tier 1's `cargo test -q`
 #           is; the baton cells' ownership checks run in every build);
 #           the gridzip and gridcrypt suites again in release, where
@@ -145,6 +150,14 @@ stage_clippy() {
   # port.rs are the application's own, in ReadMessage / WriteMessage).
   if grep -nE 'read_varint|varint::put_slice|RESUME_FLAG|mux::' crates/core/src/{port,session,node}.rs; then
     echo "data-link field coded outside wire/ (lines above); use its codec"
+    return 1
+  fi
+  # Which sequence numbers are delivered, acknowledged and retained is
+  # resume.rs's (DESIGN.md §7a): the session layer, the pump and recovery
+  # call its machines and keep no watermark of their own.
+  if grep -nE 'AckCell|ack_cells|wire_seq|advance_wire|prepare_replay|fn prune|fetch_max' \
+    crates/core/src/{port,session,node}.rs; then
+    echo "exactly-once bookkeeping outside resume.rs (lines above); call TxChannel / RxChannel"
     return 1
   fi
   # So is every control protocol (relay, envelope, name service, node
@@ -369,6 +382,8 @@ stage_faults() {
       fi
     done
   done
+  echo "--- exactly-once checker, wider scopes (release)"
+  cargo test -q --release -p netgrid --lib resume::tests::wider_scopes -- --ignored --nocapture
 }
 
 stage_test() {

@@ -80,6 +80,7 @@ pub mod pool;
 pub mod port;
 pub mod profile;
 pub mod relay;
+pub(crate) mod resume;
 pub mod rpc;
 pub(crate) mod session;
 pub mod socks;
@@ -92,11 +93,12 @@ pub use establish::{choose_methods, EstablishMethod, LinkPurpose};
 pub use nameservice::{spawn_name_service, GridId, NsClient};
 pub use node::{GridEnv, GridNode};
 pub use pool::{BlockBuf, BlockPool, PoolStats};
-pub use port::{ReadMessage, ReceivePort, ResendOverflow, SendPort, WriteMessage};
+pub use port::{ReadMessage, ReceivePort, SendPort, WriteMessage};
 pub use profile::{ConnectivityProfile, FirewallClass, NatClass};
 pub use relay::{
     spawn_relay, spawn_relay_mesh, RelayClient, RelayConfig, RelayDelegate, RoutedStream,
 };
+pub use resume::ResendOverflow;
 pub use rpc::RpcClient;
 pub use socks::{socks_connect, spawn_proxy};
 pub use tune::{PathControlConfig, PathController, PathStats};

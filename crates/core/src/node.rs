@@ -9,7 +9,8 @@
 //! `(peer node, stack spec)`, and every channel between one node pair
 //! rides ONE shared, supervised link. Concurrent `connect()`s to the same
 //! peer are deduplicated to a single Figure-4 walk, and a link failure
-//! triggers ONE re-establishment that replays every attached channel.
+//! triggers ONE re-establishment that replays every attached channel
+//! from the receiver's RESUME reply ([`crate::resume`]).
 //! There is one establishment path (`connect()` is a batch of one): the
 //! walk ([`GridNode::walk_on`]) runs the methods' connectors, which live in
 //! [`crate::establish`] with their responder halves.
@@ -30,9 +31,7 @@ use crate::establish::factory::{NatGate, Splices};
 use crate::establish::{self, BrokeredSocketFactory, EstablishMethod, LinkKey, Target, Walk};
 use crate::link::Backoff;
 use crate::nameservice::{GridId, NsClient};
-use crate::port::{
-    AckCell, AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort,
-};
+use crate::port::{AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort};
 use crate::profile::{ConnectivityProfile, FirewallClass};
 use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
@@ -197,17 +196,14 @@ pub(crate) struct NodeInner {
     /// The node's host, profile and service links, with what its Figure-4
     /// methods share: the NAT gate, splice ports and negotiations.
     brokered: BrokeredSocketFactory,
-    /// Cumulative-ack watermarks of this node's open send channels by channel
-    /// id, each beside the one receiver whose CACK frames advance it.
-    ack_cells: Mutex<HashMap<u64, (GridId, Arc<AckCell>)>>,
+    /// This node's open send channels by id, each beside the one receiver
+    /// whose CACK frames it takes.
+    senders: Mutex<HashMap<u64, (GridId, Arc<Channel>)>>,
     /// The session layer's cache of established data links (at most one
     /// per peer + stack spec).
     links: LinkTable,
-    /// Receive-side per-channel state shared across this node's receive
-    /// ports (delivered watermarks + ack bookkeeping): mux links can carry
-    /// channels of several ports, and a resume can re-anchor a channel on
-    /// a different port's listener.
-    rx: Arc<RxShared>,
+    /// The receive side of every channel this node's ports carry.
+    rx: Arc<Mutex<RxShared>>,
 }
 
 /// A node participating in the grid.
@@ -272,9 +268,9 @@ impl GridNode {
                 gate,
                 splices: Splices::default(),
             },
-            ack_cells: Mutex::new(HashMap::new()),
+            senders: Mutex::new(HashMap::new()),
             links: LinkTable::new(env.net.sched().clone(), Metric("node", Some(id), "links")),
-            rx: RxShared::new(),
+            rx: Arc::default(),
         });
         let node = GridNode { inner };
         if let Some(r) = relay {
@@ -495,13 +491,12 @@ impl GridNode {
             }));
             break conns;
         };
-        // Register the channels' ack watermarks so the receiver's CACK
-        // service frames arriving on the relay pump reach them. Survives
-        // recovery: the cell rides the channel, not the link.
-        self.inner.ack_cells.lock().extend(
+        // Register the channels so the receiver's CACK service frames
+        // arriving on the relay pump reach them, whatever link they ride.
+        self.inner.senders.lock().extend(
             conns
                 .iter()
-                .map(|c| (c.chan.channel, (key.peer, Arc::clone(&c.chan.acked)))),
+                .map(|c| (c.chan.channel, (key.peer, Arc::clone(&c.chan)))),
         );
         Ok(conns)
     }
@@ -688,12 +683,12 @@ impl GridNode {
         }
         // The ack carries the receiver's delivered watermarks — the
         // exactly-once handshake. Everything we wrote happened-before the
-        // RECONFIG frame, so these cover every sent message; advancing
-        // the ack cells prunes the resend buffers for free.
+        // RECONFIG frame, so these cover every sent message, and the
+        // channels' next sends prune their resend buffers for free.
         let chans = link.replay_order();
         for (ch, delivered) in ack.delivered {
             if let Some(c) = chans.iter().find(|c| c.channel == ch) {
-                c.acked.advance(delivered);
+                self.ack(c, delivered);
             }
         }
         // Rebuild the sender stack over the first `stripes` connections.
@@ -746,17 +741,17 @@ impl GridNode {
     /// Send one message payload on a channel, written under the link's
     /// FIFO gate. A failure before or during the write is recovered in
     /// place ([`on_link`](Self::on_link)), and the recovery's replay covers
-    /// this message: the `wire_seq` check notices that and skips the
-    /// duplicate write.
+    /// this message: the machine then no longer owes it, and the duplicate
+    /// write is skipped.
     pub(crate) fn send_on(&self, c: &SendConnection, payload: &bytes::Bytes) -> io::Result<()> {
-        let seq = c.chan.retain(payload);
+        let seq = c.chan.tx.lock().send(payload);
         let contended = self.on_link(&c.link, true, |io| {
-            if c.chan.wire_seq() > seq {
+            if !c.chan.tx.lock().owes(seq) {
                 return Ok(false);
             }
             io.check()?;
             io.write_msg(c.chan.channel, payload)?;
-            c.chan.advance_wire(seq + 1);
+            c.chan.tx.lock().written(seq);
             Ok(c.link.io_contended())
         })?;
         if contended {
@@ -786,11 +781,11 @@ impl GridNode {
 
     /// Abrupt release (port dropped without `close()`): detach without
     /// touching the wire (tearing the link down if it was the last
-    /// channel) and unregister the channel's ack watermark.
+    /// channel) and stop taking the channel's CACKs.
     pub(crate) fn drop_channel(&self, c: &SendConnection) {
         c.link.detach(c.chan.channel);
         self.gc_link_if_empty(&c.link.key, &c.link);
-        self.inner.ack_cells.lock().remove(&c.chan.channel);
+        self.inner.senders.lock().remove(&c.chan.channel);
     }
 
     fn gc_link_if_empty(&self, key: &LinkKey, link: &Arc<SharedLink>) {
@@ -909,7 +904,7 @@ impl GridNode {
                 let replays = chans
                     .iter()
                     .zip(&deliveries)
-                    .map(|(c, &e)| c.prepare_replay(e))
+                    .map(|(c, &e)| c.tx.lock().resume(c.channel, e))
                     .collect::<io::Result<Vec<_>>>()?;
                 let active = fresh.active as u16;
                 match cur.swap_and_replay(fresh, &chans, &replays) {
@@ -937,16 +932,24 @@ impl GridNode {
         Err(walk.into_error(what))
     }
 
-    /// Handle `CACK{channel, delivered}`: advance the matching send channel's
-    /// cumulative-ack watermark if `from` is that channel's receiver. Anything
-    /// else (a closed channel, another sender) still gets an ack: the frame is
-    /// advisory and a stale CACK needs no error.
+    /// Handle `CACK{channel, delivered}`: the matching send channel takes
+    /// it if `from` is that channel's receiver. Anything else (a closed
+    /// channel, another sender) still gets an ack: the frame is advisory
+    /// and a stale CACK needs no error.
     fn handle_cack(&self, from: GridId, channel: u64, delivered: u64) -> io::Result<()> {
-        let cells = self.inner.ack_cells.lock();
-        if let Some((_, cell)) = cells.get(&channel).filter(|(peer, _)| *peer == from) {
-            cell.advance(delivered);
+        let senders = self.inner.senders.lock();
+        if let Some((_, c)) = senders.get(&channel).filter(|(peer, _)| *peer == from) {
+            self.ack(c, delivered);
         }
         Ok(())
+    }
+
+    /// A receiver's watermark for `c`, from a CACK or a RECONFIG ack; one
+    /// beyond what was sent is refused and counted (`node/<id>/bad_acks`).
+    fn ack(&self, c: &Channel, delivered: u64) {
+        if !c.tx.lock().ack(delivered) {
+            self.count("bad_acks");
+        }
     }
 }
 
@@ -1004,5 +1007,75 @@ impl RelayDelegate for NodeDelegate {
     ) -> Result<(), String> {
         let node = self.node().ok_or("node gone")?;
         establish::on_open(node.ctx(), port_name, channel, stream)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spawn_name_service;
+    use gridsim_net::{topology, FaultPlan, Sim};
+    use gridsim_tcp::TcpConfig;
+
+    /// A CACK from the channel's own receiver that claims more than was
+    /// sent is refused and counted. Taken, it pruned every retained message
+    /// at the next send, and the flap after it failed `ResendOverflow`
+    /// instead of replaying them.
+    #[test]
+    fn a_cack_beyond_what_was_sent_is_refused_and_the_flap_after_it_replays() {
+        const MSGS: u64 = 50;
+        let ms = Duration::from_millis;
+        let sim = Sim::new(11);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        // A dead path is found in about a second.
+        let fast = TcpConfig {
+            initial_rto: ms(200),
+            min_rto: ms(200),
+            max_rto: ms(400),
+            max_rto_strikes: 2,
+            ..TcpConfig::default()
+        };
+        ha.set_tcp_config(fast);
+        hb.set_tcp_config(fast);
+        let links = net.with(|w| w.path_links(a, b));
+        let plan = (links.into_iter()).fold(FaultPlan::new(), |p, l| p.flap(ms(1500), l, ms(1200)));
+        net.with(|w| w.install_faults(plan));
+        let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), 563));
+        let env_b = env.clone();
+        let receiver = sim.spawn("receiver", move || {
+            spawn_name_service(&hb, 563).unwrap();
+            let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::open()).unwrap();
+            let rp = node.create_receive_port("sink", StackSpec::plain());
+            let rp = rp.unwrap();
+            for i in 0..MSGS {
+                let mut m = rp.receive().unwrap();
+                assert_eq!(m.read_u64().unwrap(), i, "exactly-once FIFO violated");
+            }
+        });
+        let sender = sim.spawn("sender", move || {
+            gridsim_net::ctx::sleep(ms(100));
+            let node = GridNode::join(&env, ha, "send", ConnectivityProfile::open()).unwrap();
+            let mut sp = node.create_send_port();
+            sp.connect("sink").unwrap();
+            let channel = sp.connections()[0].2;
+            let receiver = node.ns().lookup_port("sink").unwrap().0.owner;
+            for i in 0..MSGS {
+                if i == 5 {
+                    node.handle_cack(receiver, channel, 1 << 40).unwrap();
+                }
+                let mut m = sp.message();
+                m.write_u64(i);
+                m.finish().unwrap();
+                gridsim_net::ctx::sleep(ms(40));
+            }
+            sp.close().unwrap();
+            let count =
+                |name| gridsim_net::ctx::handle().metric(Metric("node", Some(node.id()), name));
+            assert_eq!((count("bad_acks"), count("recoveries")), (1, 1));
+        });
+        sim.run();
+        assert!(receiver.is_finished() && sender.is_finished());
     }
 }

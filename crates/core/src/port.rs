@@ -11,14 +11,15 @@
 //! Connections are *channels* riding shared session-layer links
 //! ([`crate::session`]): every channel a node opens to the same peer with
 //! the same effective stack spec multiplexes over ONE established link.
+//! The receive pump and `add_link` drive the receiver's half of the
+//! exactly-once machine ([`crate::resume`]), one record per channel.
 
 use bytes::Bytes;
 use gridsim_net::{ctx, SchedHandle, SimQueue, Step, Timer};
 use gridzip::varint;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Poll;
 use std::time::Duration;
@@ -30,6 +31,7 @@ use crate::establish::EstablishMethod;
 use crate::node::{GridNode, NodeCtx};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::relay::RelayClient;
+use crate::resume::{Cadence, Cursor, RxChannel};
 use crate::session::{Channel, SharedLink};
 use crate::wire::{
     Frame, FrameWriter, Preamble, Put, ReconfigAck, ResumeReply, SvcMsg, MAX_MESSAGE,
@@ -166,8 +168,9 @@ impl WriteMessage<'_> {
 /// [`GridEnv::with_resend_budget`]). With the cumulative-ack protocol the
 /// buffer is continuously pruned to the receiver's watermark, so this is a
 /// backstop, not the steady-state size; if eviction ever discards a
-/// message recovery later needs, the resume fails with [`ResendOverflow`]
-/// rather than violating exactly-once.
+/// message recovery later needs, the resume fails with
+/// [`ResendOverflow`](crate::ResendOverflow) rather than violating
+/// exactly-once.
 ///
 /// [`GridEnv::with_resend_budget`]: crate::node::GridEnv::with_resend_budget
 pub(crate) const RESEND_BUDGET: usize = 8 * 1024 * 1024;
@@ -189,52 +192,6 @@ const ACK_IDLE_FLUSH: Duration = Duration::from_secs(2);
 /// cumulative: a lost or timed-out one is subsumed by the next.
 const ACK_SVC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Monotonic cumulative-ack watermark, shared between a send channel and
-/// the node's CACK service handler. CACK frames can arrive reordered
-/// (independent service round-trips); only the maximum matters.
-pub(crate) struct AckCell(AtomicU64);
-
-impl AckCell {
-    pub(crate) fn new() -> AckCell {
-        AckCell(AtomicU64::new(0))
-    }
-
-    pub(crate) fn advance(&self, delivered: u64) {
-        self.0.fetch_max(delivered, Ordering::Relaxed);
-    }
-
-    pub(crate) fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Typed error: a resume needed messages the resend buffer had already
-/// evicted past its byte budget, so replay would leave a gap. Carried as
-/// the source of an `InvalidData` [`io::Error`]; retrieve it with
-/// `err.get_ref().and_then(|s| s.downcast_ref::<ResendOverflow>())`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResendOverflow {
-    /// The channel whose replay gap is unrecoverable.
-    pub channel: u64,
-    /// The receiver's delivered watermark at the failed resume.
-    pub acked: u64,
-    /// Oldest sequence number still retained; `[acked, oldest)` is gone.
-    pub oldest: u64,
-}
-
-impl std::fmt::Display for ResendOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "resend buffer overflowed on channel {}: receiver delivered {}, \
-             oldest retained message is {} — the gap was evicted past the budget",
-            self.channel, self.acked, self.oldest
-        )
-    }
-}
-
-impl std::error::Error for ResendOverflow {}
-
 /// One logical connection of a [`SendPort`]: a channel attached to a
 /// shared session-layer link.
 pub(crate) struct SendConnection {
@@ -242,44 +199,51 @@ pub(crate) struct SendConnection {
     pub chan: Arc<Channel>,
 }
 
-/// Receive-side state of every channel a node's receive ports carry: one
-/// [`RxChannel`] record per channel under one lock. Node-wide because a
-/// multiplexed link can carry channels of several ports, and a resume can
-/// re-anchor a channel on a different port's listener — the watermark must
-/// follow the channel, not the port.
-pub(crate) struct RxShared(Mutex<HashMap<u64, RxChannel>>);
+/// Receive side of every channel a node's receive ports carry, one record
+/// per channel, under one lock. Node-wide because a multiplexed link can
+/// carry channels of several ports, and a resume can re-anchor a channel
+/// on a different port's listener — the watermark must follow the channel.
+#[derive(Default)]
+pub(crate) struct RxShared {
+    recs: HashMap<u64, RxRecord>,
+    /// Resumes so far: a link's generation ([`Cursor`]) is the count when
+    /// it assembled, a resumed link counting itself.
+    epoch: u64,
+    /// The generations of the live pumps.
+    born: Vec<u64>,
+}
 
 impl RxShared {
-    pub(crate) fn new() -> Arc<RxShared> {
-        Arc::new(RxShared(Mutex::new(HashMap::new())))
+    /// The machine of `channel`, created on first use.
+    fn rec(&mut self, channel: u64) -> &mut RxChannel {
+        &mut self.recs.entry(channel).or_default().m
     }
 
-    /// The record of `channel`, created on first use.
-    fn with<R>(&self, channel: u64, f: impl FnOnce(&mut RxChannel) -> R) -> R {
-        f(self.0.lock().entry(channel).or_default())
+    /// The generation of the oldest live pump.
+    fn oldest(&self) -> u64 {
+        self.born.iter().copied().min().unwrap_or(u64::MAX)
     }
 
-    /// A pump lets go of `channel`: at its CLOSE frame (`closed`) or when
-    /// the pump exits (`clean`: every link under it ended in a clean EOF).
-    /// The last pump to let go drops the record once the channel cannot
-    /// resume: it was closed in-band, or its link ended cleanly. Any
-    /// aborted link keeps it for the resume handshake.
-    fn release(&self, channel: u64, closed: bool, clean: bool) {
-        let mut rx = self.0.lock();
-        let Some(r) = rx.get_mut(&channel) else {
+    /// A pump lets go of `channel` ([`RxChannel::release`]).
+    fn release(&mut self, channel: u64, closed: bool, clean: bool) {
+        let oldest = self.oldest();
+        let Some(r) = self.recs.get_mut(&channel) else {
             return;
         };
-        r.closed |= closed;
-        r.pumps -= 1;
-        if r.pumps == 0 {
-            // The idle flush stops with the last pump; a resumed one re-arms
-            // it on its next delivery.
+        if r.m.release(closed, clean) {
             r.flush = None;
-            if clean || r.closed {
-                rx.remove(&channel);
-            }
+        }
+        if r.m.spent(oldest) {
+            self.recs.remove(&channel);
         }
     }
+}
+
+/// One channel's receiver machine and the idle flush it asked for.
+#[derive(Default)]
+struct RxRecord {
+    m: RxChannel,
+    flush: Option<Timer>,
 }
 
 /// Nominal checkout size of the message pool. Messages may grow past it
@@ -375,7 +339,10 @@ impl SendPort {
     /// Peak is measured before eviction, so `peak <= cap` proves the ack
     /// protocol — not the eviction cliff — kept the buffer bounded.
     pub fn resend_stats(&self) -> Vec<(usize, usize)> {
-        self.conns.iter().map(|c| c.chan.resend_stats()).collect()
+        self.conns
+            .iter()
+            .map(|c| c.chan.tx.lock().stats())
+            .collect()
     }
 
     /// Start a new message.
@@ -448,9 +415,8 @@ pub struct ReceivePortInner {
     connections: Mutex<u64>,
     /// CACK transport + cadence (`None`: no relay, or acks disabled).
     ack: Option<AckSender>,
-    /// Node-wide per-channel records (channels can migrate between ports'
-    /// pumps via mux routing).
-    rx: Arc<RxShared>,
+    /// The node's receive records ([`RxShared`]).
+    rx: Arc<Mutex<RxShared>>,
 }
 
 struct PendingChannel {
@@ -493,38 +459,17 @@ impl AckSender {
     }
 }
 
-/// One channel's receive-side record.
-#[derive(Default)]
-struct RxChannel {
-    /// Messages delivered — the exactly-once watermark a resuming sender
-    /// replays from.
-    delivered: u64,
-    /// Live pump tasks (briefly 2 while a resume supersedes a stale pump).
-    pumps: u32,
-    /// The sender announced a clean close (a CLOSE frame) — the channel
-    /// will never resume even though its link stays up.
-    closed: bool,
-    /// Delivered bytes not yet covered by a sent CACK.
-    bytes_since: usize,
-    /// Total delivered bytes, for idle detection.
-    total: u64,
-    /// `total` when the pending idle flush was armed.
-    seen: u64,
-    /// The pending idle flush, if any.
-    flush: Option<Timer>,
-}
-
 /// One channel a pump is routing: its next expected sequence number and
 /// the receive port it delivers to (`None` after that port closed — the
 /// channel's bytes still drain to keep the link's other channels alive).
 struct LiveChan {
-    seq: u64,
+    seq: Cursor,
     inner: Option<Arc<ReceivePortInner>>,
 }
 
 /// The receive pump: one task per assembled link, a state machine over the
-/// link's decoded [`Frame`]s that routes messages to channels. `init` holds
-/// the channels the preamble named; OPEN/CLOSE manage the set from there.
+/// link's decoded [`Frame`]s that routes messages to channels. It starts
+/// with the channels the preamble named; OPEN/CLOSE manage the set.
 ///
 /// Decoding runs over a [`BlockReader`], which states the whole-message
 /// byte demand to the stack in one call: the simulated socket is serviced
@@ -544,9 +489,9 @@ struct Pump {
     /// (clones sharing the sockets, like the sender's), and stream 0
     /// carries the RECONFIG ack.
     probes: Vec<RawLink>,
-    /// The preamble's channels, registered by the first step.
-    init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)>,
     live: HashMap<u64, LiveChan>,
+    /// The link's generation (see [`RxShared`]).
+    born: u64,
     /// Epoch of the last committed RECONFIG this pump saw. Starts at 0 for
     /// every (re-)established pump: the link-level epoch is monotonic for
     /// the link's life, so any epoch > 0 is acceptable to a fresh pump and
@@ -563,7 +508,7 @@ struct Pump {
 struct Held {
     port: Arc<ReceivePortInner>,
     channel: u64,
-    seq: u64,
+    seq: Cursor,
     bytes: usize,
     msg: Option<ReadMessage>,
 }
@@ -647,10 +592,6 @@ impl Pump {
     /// Never parks: every wait is a [`Stop::Blocked`] with a waker left
     /// behind, and the step asked again picks up where it stopped.
     fn step(&mut self) -> Stop {
-        for (ch, seq, inner) in self.init.drain(..) {
-            self.port.rx.with(ch, |r| r.pumps += 1);
-            self.live.insert(ch, LiveChan { seq, inner });
-        }
         loop {
             if let Some(stop) = self.deliver_held() {
                 return stop;
@@ -665,7 +606,7 @@ impl Pump {
                     }
                     Ok(Frame::Close { channel }) => {
                         if self.live.remove(&channel).is_some() {
-                            self.port.rx.release(channel, true, false);
+                            self.port.rx.lock().release(channel, true, false);
                         }
                         continue;
                     }
@@ -683,27 +624,22 @@ impl Pump {
             let Some(lc) = self.live.get_mut(&ch) else {
                 return Stop::End; // MSG on a channel never opened: corrupt
             };
-            let seq = lc.seq;
-            lc.seq += 1;
-            // Exactly-once dedupe: advance the watermark under the lock,
-            // then deliver. A message an earlier link of this channel
-            // already delivered is dropped.
-            let fresh = self.port.rx.with(ch, |r| {
-                let fresh = seq >= r.delivered;
-                if fresh {
-                    r.delivered = seq + 1;
+            // A message an earlier link of this channel already delivered
+            // is dropped; `inner: None` channels are drained and dropped.
+            let mut rx = self.port.rx.lock();
+            let r = rx.rec(ch);
+            match (r.arrive(&mut lc.seq), lc.inner.clone()) {
+                (Some(seq), Some(port)) => {
+                    self.held = Some(Held {
+                        port,
+                        channel: ch,
+                        seq,
+                        bytes: data.len(),
+                        msg: Some(ReadMessage::new(ch, data)),
+                    })
                 }
-                fresh
-            });
-            // `inner: None` channels are drained and dropped.
-            if let (true, Some(port)) = (fresh, lc.inner.clone()) {
-                self.held = Some(Held {
-                    port,
-                    channel: ch,
-                    seq,
-                    bytes: data.len(),
-                    msg: Some(ReadMessage::new(ch, data)),
-                });
+                (Some(seq), None) => r.claim(seq),
+                (None, _) => {}
             }
         }
     }
@@ -721,6 +657,11 @@ impl Pump {
     /// destination left.
     fn deliver_held(&mut self) -> Option<Stop> {
         let held = self.held.as_mut()?;
+        // Another pump holding the channel may have delivered it meanwhile.
+        if !self.port.rx.lock().rec(held.channel).due(held.seq) {
+            self.held = None;
+            return None;
+        }
         let pushed = match held.port.msgq.poll_push(&mut held.msg) {
             Poll::Pending => return Some(Stop::Blocked(SimQueue::<ReadMessage>::PUSH_WAIT)),
             Poll::Ready(pushed) => pushed,
@@ -733,12 +674,13 @@ impl Pump {
             ..
         } = self.held.take()?;
         if pushed.is_ok() {
-            port.note_delivered(channel, seq + 1, bytes);
+            port.note_delivered(channel, seq, bytes);
             return None;
         }
         // That port closed. Keep draining its channel's bytes (the link's
         // other channels live on), but if no live channel has a
         // destination left, the pump has no reason to exist.
+        self.port.rx.lock().rec(channel).claim(seq);
         if let Some(lc) = self.live.get_mut(&channel) {
             lc.inner = None;
         }
@@ -754,12 +696,9 @@ impl Pump {
     fn open(&mut self, chans: Vec<(u64, String)>) {
         for (ch, name) in chans {
             if let std::collections::hash_map::Entry::Vacant(slot) = self.live.entry(ch) {
-                let seq = self.port.rx.with(ch, |r| {
-                    r.pumps += 1;
-                    r.delivered
-                });
+                self.port.rx.lock().rec(ch).open();
                 slot.insert(LiveChan {
-                    seq,
+                    seq: Cursor::default(),
                     inner: (self.ctx.resolve)(&name),
                 });
             }
@@ -791,11 +730,11 @@ impl Pump {
         // then rebuild the receiver stack from the new parameters over the
         // first `stripes` connections; the rest stay parked. GTLS
         // re-handshakes deterministically from the per-stream salt.
-        let mut delivered: Vec<(u64, u64)> = self
-            .live
-            .keys()
-            .map(|&ch| (ch, self.port.rx.with(ch, |r| r.delivered)))
+        let mut rx = self.port.rx.lock();
+        let mut delivered: Vec<(u64, u64)> = (self.live.keys())
+            .map(|&ch| (ch, rx.rec(ch).mark()))
             .collect();
+        drop(rx);
         delivered.sort_unstable_by_key(|&(ch, _)| ch);
         let ack = ReconfigAck { epoch, delivered };
         if reply_on_stream0(&self.probes, ack.encode()).is_err() {
@@ -825,9 +764,15 @@ impl Pump {
     fn finish(&mut self) {
         *self.port.connections.lock() -= 1;
         let clean = self.probes.iter().all(|l| l.closed_cleanly());
+        let mut rx = self.port.rx.lock();
+        let me = rx.born.iter().position(|&b| b == self.born);
+        rx.born.swap_remove(me.expect("a live pump"));
         for &ch in self.live.keys() {
-            self.port.rx.release(ch, false, clean);
+            rx.release(ch, false, clean);
         }
+        // Records kept for this pump's sake (RxChannel::spent) go too.
+        let oldest = rx.oldest();
+        rx.recs.retain(|_, r| !r.m.spent(oldest));
     }
 }
 
@@ -850,7 +795,7 @@ impl ReceivePortInner {
         name: String,
         spec: StackSpec,
         ack: Option<AckSender>,
-        rx: Arc<RxShared>,
+        rx: Arc<Mutex<RxShared>>,
     ) -> Arc<ReceivePortInner> {
         Arc::new(ReceivePortInner {
             name,
@@ -943,18 +888,25 @@ impl ReceivePortInner {
             // anchor first, preamble order — so it replays exactly the
             // gaps. Written before the stack assembles (raw, ahead of any
             // handshake) and only on resumed connections.
-            let mut init: Vec<(u64, u64, Option<Arc<ReceivePortInner>>)> = Vec::new();
+            let mut init: Vec<(u64, Cursor, Option<Arc<ReceivePortInner>>)> = Vec::new();
+            let born = {
+                let mut rx = self.rx.lock();
+                rx.epoch += resume.is_some() as u64;
+                rx.epoch
+            };
             if let Some(meta) = &resume {
                 let chans = std::iter::once(channel).chain(meta.extras.iter().map(|(ch, _)| *ch));
-                let reply =
-                    ResumeReply(chans.map(|ch| self.rx.with(ch, |r| r.delivered)).collect());
+                let marks: Vec<Cursor> = chans
+                    .map(|ch| self.rx.lock().rec(ch).resume(born))
+                    .collect();
+                let reply = ResumeReply(marks.iter().map(|&m| m.into()).collect());
                 reply_on_stream0(&links, reply.frame())?;
-                init.push((channel, reply.0[0], Some(Arc::clone(self))));
-                for ((ch, name), w) in meta.extras.iter().zip(&reply.0[1..]) {
-                    init.push((*ch, *w, (ctx.resolve)(name)));
+                init.push((channel, marks[0], Some(Arc::clone(self))));
+                for ((ch, name), &m) in meta.extras.iter().zip(&marks[1..]) {
+                    init.push((*ch, m, (ctx.resolve)(name)));
                 }
             } else {
-                init.push((channel, 0, Some(Arc::clone(self))));
+                init.push((channel, Cursor::default(), Some(Arc::clone(self))));
             }
             // Routed links arrive as a single stream regardless of the
             // spec; the preamble's `total` is authoritative.
@@ -970,13 +922,23 @@ impl ReceivePortInner {
                 &ctx.sched,
             )?;
             *self.connections.lock() += 1;
+            // The pump takes the preamble's channels on as it is spawned.
+            let mut rx = self.rx.lock();
+            rx.born.push(born);
+            let live = (init.into_iter())
+                .map(|(ch, seq, inner)| {
+                    rx.rec(ch).open();
+                    (ch, LiveChan { seq, inner })
+                })
+                .collect();
+            drop(rx);
             let pump = Pump {
                 port: Arc::clone(self),
                 cur: BlockReader::new(stack, self.spec.block_size() as usize),
                 quiesce,
                 probes,
-                init,
-                live: HashMap::new(),
+                live,
+                born,
                 last_epoch: 0,
                 ctx: ctx.clone(),
                 head: None,
@@ -987,53 +949,55 @@ impl ReceivePortInner {
         Ok(())
     }
 
-    /// Ack bookkeeping after delivering one message: send a CACK when the
-    /// byte cadence is crossed, and keep an idle-flush timer armed so a
+    /// Message `seq` reached the application. At an acking port the
+    /// machine's cadence sends a CACK or keeps an idle flush armed, so a
     /// sender stalled mid-transfer still learns the watermark.
-    fn note_delivered(self: &Arc<Self>, channel: u64, watermark: u64, bytes: usize) {
-        let Some(ack) = &self.ack else { return };
-        let mut send = false;
-        self.rx.with(channel, |e| {
-            e.total += bytes as u64;
-            e.bytes_since += bytes;
-            if e.bytes_since >= ack.every {
-                e.bytes_since = 0;
-                send = true;
-            } else if e.flush.is_none() {
-                e.seen = e.total;
-                e.flush = Some(self.idle_flush(&ack.sched, channel));
-            }
-        });
-        if send {
-            ack.send(channel, watermark);
-        }
+    fn note_delivered(self: &Arc<Self>, channel: u64, seq: Cursor, bytes: usize) {
+        let mut rx = self.rx.lock();
+        let r = rx.rec(channel);
+        let Some(ack) = &self.ack else {
+            return r.claim(seq);
+        };
+        let c = r.deliver(seq, bytes, ack.every);
+        self.act(rx, channel, c);
     }
 
     /// The idle flush, [`ACK_IDLE_FLUSH`] from now (scheduler context —
-    /// never blocks). Re-arms only while the channel is progressing, so a
-    /// finished simulation still quiesces; sends only when genuinely idle,
-    /// so fault-free transfers never emit timer-driven acks mid-flight.
+    /// never blocks). It re-arms only while the channel is progressing, so
+    /// a finished simulation still quiesces, and sends only when genuinely
+    /// idle, so fault-free transfers never emit timer-driven acks mid-flight.
     fn idle_flush(self: &Arc<Self>, sched: &SchedHandle, channel: u64) -> Timer {
         let weak = Arc::downgrade(self);
         sched.timer(sched.now() + ACK_IDLE_FLUSH, move || {
             let Some(me) = weak.upgrade() else { return };
-            let ack = me.ack.as_ref().expect("only an acking port arms a flush");
-            let send = {
-                let mut rx = me.rx.0.lock();
-                let e = rx.get_mut(&channel).expect("flush outlived its record");
-                if e.total != e.seen {
-                    // Still progressing: the byte cadence covers acking.
-                    e.seen = e.total;
-                    e.flush = Some(me.idle_flush(&ack.sched, channel));
-                    return;
-                }
-                e.flush = None;
-                (std::mem::take(&mut e.bytes_since) > 0).then_some(e.delivered)
-            };
-            if let Some(delivered) = send {
+            let mut rx = me.rx.lock();
+            let c = rx
+                .recs
+                .get_mut(&channel)
+                .expect("flush outlived its record");
+            let c = c.m.idle();
+            me.act(rx, channel, c);
+        })
+    }
+
+    /// Do what the cadence asks: arm the idle flush under the records'
+    /// lock `rx`, or send a CACK once it is released.
+    fn act(self: &Arc<Self>, mut rx: MutexGuard<'_, RxShared>, channel: u64, c: Cadence) {
+        let ack = self
+            .ack
+            .as_ref()
+            .expect("only an acking port counts deliveries");
+        match c {
+            Cadence::Arm => {
+                let r = rx.recs.get_mut(&channel).expect("the record delivering");
+                r.flush = Some(self.idle_flush(&ack.sched, channel));
+            }
+            Cadence::Cack(delivered) => {
+                drop(rx);
                 ack.send(channel, delivered);
             }
-        })
+            Cadence::Quiet => {}
+        }
     }
 
     /// Messages waiting.

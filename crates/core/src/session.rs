@@ -9,10 +9,9 @@
 //! run ONE Figure-4 walk and share the result). A [`SharedLink`] owns the
 //! assembled driver stack and multiplexes the channels attached to it with
 //! channel-tagged frames ([`crate::wire::Frame`]) — the one format a data
-//! link speaks, from its first byte, however many channels ride it;
-//! per-channel state — sequence numbers, the resend buffer, the
-//! cumulative-ack watermark — lives in [`Channel`] and survives link
-//! re-establishment.
+//! link speaks, from its first byte, however many channels ride it. A
+//! [`Channel`] drives its sender's exactly-once machine
+//! ([`crate::resume`]), which survives link re-establishment.
 //!
 //! Concurrency model: the shared stack sits behind a [`SimMutex`], the
 //! simulator's FIFO parking lock, so writers from many channels interleave
@@ -25,49 +24,28 @@
 use bytes::Bytes;
 use gridsim_net::{Metric, SchedHandle, SimMutex, SimMutexGuard, Waker};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::drivers::{PathParams, RawLink, SenderStack, StackSpec, StripeTerminator};
 use crate::establish::{EstablishMethod, LinkKey};
-use crate::port::{AckCell, ResendOverflow};
+use crate::resume::TxChannel;
 use crate::tune::PathStats;
 use crate::wire::Frame;
 
 // ------------------------------------------------------------- channels
 
-/// Sender-side state of one logical channel riding a [`SharedLink`].
-/// Everything here survives link failure: after a re-establishment the
-/// retained tail is replayed from `resend` through the fresh stack.
+/// Sender side of one logical channel riding a [`SharedLink`]: its
+/// exactly-once record ([`TxChannel`]) survives link failure, and a
+/// recovery replays the retained tail through the fresh stack.
 pub(crate) struct Channel {
     /// Globally unique channel id (the sender's grid id in the high bits).
     pub channel: u64,
     /// The receive port this channel is bound to.
     pub peer_port: String,
-    /// Receiver-confirmed delivery watermark, advanced by CACK frames.
-    pub acked: Arc<AckCell>,
-    state: Mutex<ChanState>,
-}
-
-struct ChanState {
-    /// Messages sent on this channel so far; doubles as the next implicit
-    /// sequence number (never on the wire in fault-free runs).
-    next_seq: u64,
-    /// First sequence number NOT yet written to the current stack. A
-    /// recovery replay advances it past everything it replayed, so a
-    /// sender that waited on the gate through the recovery simply skips.
-    wire_seq: u64,
-    /// Retained `(seq, payload)` pairs for post-reconnect replay.
-    resend: VecDeque<(u64, Bytes)>,
-    resend_bytes: usize,
-    /// Resend-buffer byte budget ([`GridEnv::resend_budget`]).
-    ///
-    /// [`GridEnv::resend_budget`]: crate::node::GridEnv::resend_budget
-    budget: usize,
-    /// High-water mark of retained bytes, measured before eviction.
-    peak: usize,
+    pub tx: Mutex<TxChannel>,
 }
 
 impl Channel {
@@ -75,96 +53,7 @@ impl Channel {
         Channel {
             channel,
             peer_port: peer_port.to_string(),
-            acked: Arc::new(AckCell::new()),
-            state: Mutex::new(ChanState {
-                next_seq: 0,
-                wire_seq: 0,
-                resend: VecDeque::new(),
-                resend_bytes: 0,
-                budget,
-                peak: 0,
-            }),
-        }
-    }
-
-    /// Allocate the next sequence number and retain the payload for
-    /// replay, evicting the oldest past the byte budget (the in-flight
-    /// message itself is always kept). Everything the receiver has
-    /// cumulatively acked is pruned first, so steady-state memory follows
-    /// the ack cadence, not the transfer size.
-    pub fn retain(&self, payload: &Bytes) -> u64 {
-        let acked = self.acked.get();
-        let mut st = self.state.lock();
-        prune(&mut st, acked);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.resend_bytes += payload.len();
-        st.resend.push_back((seq, payload.clone()));
-        st.peak = st.peak.max(st.resend_bytes);
-        while st.resend_bytes > st.budget && st.resend.len() > 1 {
-            if let Some((_, old)) = st.resend.pop_front() {
-                st.resend_bytes -= old.len();
-            }
-        }
-        seq
-    }
-
-    pub fn wire_seq(&self) -> u64 {
-        self.state.lock().wire_seq
-    }
-
-    pub fn advance_wire(&self, past: u64) {
-        let mut st = self.state.lock();
-        st.wire_seq = st.wire_seq.max(past);
-    }
-
-    /// `(current_bytes, peak_bytes)` of the resend buffer.
-    pub fn resend_stats(&self) -> (usize, usize) {
-        let st = self.state.lock();
-        (st.resend_bytes, st.peak)
-    }
-
-    /// Prepare a recovery replay given the receiver's delivered count `e`:
-    /// validate the bounds, prune the confirmed prefix, advance `wire_seq`
-    /// past everything about to be replayed, and hand back the payloads.
-    pub fn prepare_replay(&self, e: u64) -> io::Result<Vec<Bytes>> {
-        let mut st = self.state.lock();
-        let oldest = st.next_seq - st.resend.len() as u64;
-        if e < oldest {
-            // The replay gap includes messages the resend buffer evicted
-            // past its budget: unrecoverable without violating
-            // exactly-once. Typed, so callers can size budgets (or flag a
-            // lost receiver) programmatically.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                ResendOverflow {
-                    channel: self.channel,
-                    acked: e,
-                    oldest,
-                },
-            ));
-        }
-        if e > st.next_seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "cannot resume channel {}: receiver delivered {e}, \
-                     but only {} were sent",
-                    self.channel, st.next_seq
-                ),
-            ));
-        }
-        prune(&mut st, e);
-        st.wire_seq = st.next_seq;
-        Ok(st.resend.iter().map(|(_, p)| p.clone()).collect())
-    }
-}
-
-/// Drop retained messages the receiver confirmed (seq < `e`).
-fn prune(st: &mut ChanState, e: u64) {
-    while st.resend.front().is_some_and(|(s, _)| *s < e) {
-        if let Some((_, old)) = st.resend.pop_front() {
-            st.resend_bytes -= old.len();
+            tx: Mutex::new(TxChannel::new(budget)),
         }
     }
 }

@@ -79,6 +79,7 @@ impl Preamble {
             .then(|| ResumeMeta::decode(&first_frame()?))
             .transpose()?;
         let channel = field & !RESUME_FLAG;
+        let resume = once_each(channel, resume)?;
         Ok(Preamble {
             channel,
             idx: 0,
@@ -99,8 +100,27 @@ wire!(<> Preamble, |w, v| {
         _ => return Err(bad("bad stream preamble")),
     };
     let resume = (field & RESUME_FLAG != 0).then(|| ResumeMeta::get(r)).transpose()?;
-    Ok(Preamble { channel: field & !RESUME_FLAG, idx, total, resume })
+    let channel = field & !RESUME_FLAG;
+    Ok(Preamble { channel, idx, total, resume: once_each(channel, resume)? })
 });
+
+/// A resume names each channel once: one listed twice (the anchor among
+/// the extras, or an extra again) would be taken on twice by one pump.
+fn once_each(channel: u64, resume: Option<ResumeMeta>) -> io::Result<Option<ResumeMeta>> {
+    if let Some(m) = &resume {
+        let mut ids: Vec<u64> = m
+            .extras
+            .iter()
+            .map(|(ch, _)| *ch)
+            .chain([channel])
+            .collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return Err(bad("resume lists a channel twice"));
+        }
+    }
+    Ok(resume)
+}
 
 /// The receiver's answer to a resume preamble, raw on stream 0 once every
 /// stream of the link arrived: how many messages it has delivered on the

@@ -595,6 +595,34 @@ fn declared_counts_are_not_believed() {
     assert_eq!(msg(MAX_MESSAGE + 1).map_err(kind), Err(invalid));
 }
 
+/// A resume preamble names each channel once. Its anchor among the extras,
+/// or an extra listed twice, would have one pump take the channel on twice
+/// and never let go of its record: refused on a TCP stream and on a routed
+/// one alike, while the same list without the repeat decodes.
+#[test]
+fn a_resume_naming_a_channel_twice_is_refused() {
+    let kind = |e: io::Error| e.kind();
+    for (ids, twice) in [(&[9, 8][..], false), (&[9, 7], true), (&[9, 8, 9], true)] {
+        let extras = ids.iter().map(|&ch| (ch, "port".to_string())).collect();
+        let resume = Some(ResumeMeta { gen: 1, extras });
+        let pre = Preamble {
+            channel: 7,
+            idx: 0,
+            total: 1,
+            resume,
+        };
+        let meta = pre.resume.as_ref().unwrap().encode().into_bytes();
+        let routed = Preamble::decode_routed(pre.routed_channel(), || Ok(meta.into()));
+        let want = if twice {
+            Err(io::ErrorKind::InvalidData)
+        } else {
+            Ok(pre.clone())
+        };
+        assert_eq!(Preamble::dec(&pre.enc()).map_err(kind), want, "{ids:?}");
+        assert_eq!(routed.map_err(kind), want, "routed {ids:?}");
+    }
+}
+
 /// An IP is 32 bits: a wider varint is refused, not truncated to another
 /// host — alone, in a name-service record and in an address list (splice
 /// endpoints, relay lists) alike. The port beside it always was checked.
