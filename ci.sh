@@ -30,9 +30,11 @@
 #           its own (socks.rs spawns daemons in `spawn_proxy` only), and
 #           no service reader on one either: the service links' pumps,
 #           the relay's readers and shard writers and the name server's
-#           readers are inline steps, so link.rs spawns no daemon,
+#           readers are async tasks, so link.rs spawns no daemon,
 #           nameservice.rs only in `spawn_name_service`, relay/server.rs
-#           only in `spawn_relay_mesh` and `query_route`; and no
+#           only in `spawn_relay_mesh` and `query_route`; no hand-written
+#           inline step in core (`spawn_steps`, `Next<`, or a non-test
+#           `spawn_inline` outside port.rs's receive pump); and no
 #           `unsafe` in a product crate's non-test code outside
 #           crates/simnet/src/sync.rs, nor an OS mutex back around the
 #           scheduler's state or the world (the baton is their lock)
@@ -279,20 +281,32 @@ stage_clippy() {
   fi
   if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy spawn_proxy" ]; then
     echo "socks.rs spawns a daemon outside spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
-    echo "  a tunnel direction is an inline step (pump_one_way)"
+    echo "  a tunnel direction is an async task (pump_one_way)"
     return 1
   fi
   # The service links' pumps, the relay's connection readers and shard
-  # writers and the name server's connection readers are inline steps too
-  # (link.rs spawn_steps): daemons are only the accept loops, a relay's
-  # mesh-peer dials and its route-pull timeout.
+  # writers and the name server's connection readers are async tasks too
+  # (SchedHandle::spawn_async): daemons are only the accept loops, a
+  # relay's mesh-peer dials and its route-pull timeout.
   local ns relay
   ns=$(fns_calling 'spawn_daemon\(' crates/core/src/nameservice.rs)
   relay=$(fns_calling 'spawn_daemon\(' crates/core/src/relay/server.rs)
   if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ "$ns" != "spawn_name_service" ] \
     || [ "$relay" != "spawn_relay_mesh spawn_relay_mesh query_route" ]; then
     echo "a service reader on a thread of its own: link.rs [$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)]," \
-      "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_steps"
+      "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_async"
+    return 1
+  fi
+  # A task that must not block is an async body: no hand-written step
+  # convention (the retired spawn_steps / Next<S>) anywhere in core, and
+  # spawn_inline outside tests only for port.rs's receive pump.
+  local steps
+  steps=$(grep -rnE 'spawn_steps|Next<' crates/core/src || true)
+  steps+=$(find crates/core/src -name '*.rs' ! -path crates/core/src/port.rs -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /spawn_inline/ { print FILENAME ":" FNR ": " $0 }')
+  if [ -n "$steps" ]; then
+    echo "$steps"
+    echo "a hand-written inline step in crates/core/src (lines above); spawn it with SchedHandle::spawn_async"
     return 1
   fi
 }

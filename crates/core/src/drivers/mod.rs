@@ -77,6 +77,15 @@ impl RawLink {
         }
     }
 
+    /// End the link abortively: an RST on a native link; a routed one
+    /// sends no FIN, so its peer never sees a clean end.
+    pub fn abort(&self) {
+        match self {
+            RawLink::Tcp(s) => s.abort(),
+            RawLink::Routed(s) => s.abort(),
+        }
+    }
+
     /// Has the transport detected a failure on this link? Costs nothing on
     /// the wire — it reads error state the transport already recorded (RTO
     /// abort, reset, closed relay stream). The session layer probes every

@@ -5,65 +5,36 @@
 //! [`LinkOwner`], and redialed along a [`Backoff`] ladder once lost.
 //! Requests wait on their answers in one id-keyed table, [`Pending`].
 //!
-//! The pump is an inline task ([`spawn_steps`], DESIGN.md §6a), as are the
-//! relay's and the name server's readers: a frame whose handler cannot
-//! park is handled where it lands, any other on a thread for that handler.
+//! The pump is an async task (DESIGN.md §6a), as are the relay's and the
+//! name server's readers: a frame whose handler cannot park is handled
+//! where it lands, any other in a blocking section, on a worker.
 
 use bytes::Bytes;
-use gridsim_net::{ctx, SchedHandle, SimMutex, SockAddr, Step, Waker};
+use gridsim_net::ctx::{self, blocking};
+use gridsim_net::{SimMutex, SockAddr, Waker};
 use gridsim_tcp::TcpStream;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::wire::FrameStream;
 
-/// What one step of a [`spawn_steps`] task did.
-pub(crate) enum Next<S> {
-    /// As [`Step::Blocked`]: it would park here, its waker left behind.
-    Blocked(&'static str),
-    /// The task is over.
-    Done,
-    /// Run this handler, which may park, on a thread, and step on after it
-    /// — unless it returns false: then the task is over.
-    Promote(Box<dyn FnOnce(&mut S) -> bool + Send>),
-}
-
-/// Spawn an inline task over `state`: `step` runs wherever its wake lands
-/// and never parks; a handler that may park runs promoted, with the state,
-/// and then the task steps on. The state drops where the task ends.
-pub(crate) fn spawn_steps<S: Send + 'static>(
-    sched: &SchedHandle,
-    name: String,
-    state: S,
-    step: fn(&mut S) -> Next<S>,
-) {
-    let state = Arc::new(Mutex::new(Some(state)));
-    sched.spawn_inline(name, move || {
-        let mut held = state.lock();
-        let Some(s) = held.as_mut() else {
-            return Step::Done;
-        };
-        match step(s) {
-            Next::Blocked(why) => Step::Blocked(why),
-            Next::Done => {
-                *held = None;
-                Step::Done
-            }
-            Next::Promote(handler) => {
-                let state = Arc::clone(&state);
-                Step::Promote(Box::new(move || {
-                    let mut held = state.lock();
-                    if !handler(held.as_mut().expect("a promoted task has its state")) {
-                        *held = None;
-                    }
-                }))
-            }
-        }
-    });
+/// Await `poll`, a socket's or a frame stream's one read or write, where
+/// `WouldBlock` stands for a park under `reason`, the task's waker left
+/// behind.
+pub(crate) fn io_wait<T>(
+    reason: &'static str,
+    mut poll: impl FnMut() -> io::Result<T>,
+) -> impl Future<Output = io::Result<T>> {
+    ctx::wait(reason, move || match poll() {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Poll::Pending,
+        done => Poll::Ready(done),
+    })
 }
 
 /// An attempt-counted retry schedule: `attempts` delays, doubling from
@@ -212,7 +183,7 @@ impl<T> Pending<T> {
 
 /// What a supervised link's owner does: dial one of its addresses, take
 /// what arrives, and clean up after a lost connection.
-pub(crate) trait LinkOwner: Clone + Send + 'static {
+pub(crate) trait LinkOwner: Clone + Send + Sync + 'static {
     /// Connect to `addr` and greet the service there.
     fn dial(&self, addr: SockAddr) -> io::Result<TcpStream>;
     /// One frame off connection `gen`. An error ends the connection. With
@@ -281,16 +252,8 @@ impl ServiceLink {
             }
             let stream = self.dial(owner, self.addrs.len())?;
             let gen = self.install(&mut conn, stream.clone());
-            let frames = FrameStream::new(stream.clone());
-            let link = Arc::downgrade(self);
-            let pump = Pump {
-                link,
-                owner: owner.clone(),
-                stream,
-                gen,
-                frames,
-            };
-            spawn_steps(&ctx::handle(), self.name.clone(), pump, Pump::step);
+            let pump = pump(Arc::downgrade(self), owner.clone(), stream, gen);
+            ctx::handle().spawn_async(self.name.clone(), pump);
         }
         let gen = conn.gen;
         let stream = conn.stream.as_mut().ok_or(io::ErrorKind::NotConnected)?;
@@ -339,68 +302,66 @@ impl ServiceLink {
     }
 }
 
-/// A link's reader: the connection it reads, and that connection's number.
-struct Pump<O> {
+/// A link's reader: hand each frame off connection `gen` to the owner,
+/// and once the connection ends, read the one redialed. A dispatch that
+/// may park, and the end of a connection, are blocking sections.
+async fn pump<O: LinkOwner>(
     link: Weak<ServiceLink>,
     owner: O,
-    stream: TcpStream,
-    gen: u64,
-    frames: FrameStream,
+    mut stream: TcpStream,
+    mut gen: u64,
+) {
+    let mut frames = FrameStream::new(stream.clone());
+    loop {
+        let end = loop {
+            let frame = match io_wait(TcpStream::READ_WAIT, || frames.poll_frame()).await {
+                Ok(frame) => frame,
+                Err(e) => break e,
+            };
+            let dispatched = match owner.dispatch(gen, &frame, true) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    blocking(|| owner.dispatch(gen, &frame, false)).await
+                }
+                done => done,
+            };
+            if let Err(e) = dispatched {
+                break e;
+            }
+        };
+        let Some(next) = blocking(|| lose(&link, &owner, &stream, gen, end)).await else {
+            return;
+        };
+        frames = FrameStream::new(next.0.clone());
+        (stream, gen) = next;
+    }
 }
 
-impl<O: LinkOwner> Pump<O> {
-    /// Hand each frame to the owner until the connection would block. A
-    /// dispatch that may park, and the end of a connection, run promoted.
-    fn step(&mut self) -> Next<Self> {
-        let end = loop {
-            let frame = match self.frames.poll_frame() {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Next::Blocked(TcpStream::READ_WAIT)
-                }
-                Err(e) => break e,
-                Ok(frame) => frame,
-            };
-            match self.owner.dispatch(self.gen, &frame, true) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Next::Promote(Box::new(move |p: &mut Self| {
-                        let res = p.owner.dispatch(p.gen, &frame, false);
-                        res.map_or_else(|e| p.end(e), |()| true)
-                    }))
-                }
-                Err(e) => break e,
-            }
-        };
-        Next::Promote(Box::new(move |p: &mut Self| p.end(end)))
+/// Connection `gen` ended: take it out of service — so no request goes out
+/// on it once the owner has failed those in flight — and redial, unless a
+/// request has dialed a new one already. `None` when the pump is over.
+fn lose(
+    link: &Weak<ServiceLink>,
+    owner: &impl LinkOwner,
+    stream: &TcpStream,
+    gen: u64,
+    end: io::Error,
+) -> Option<(TcpStream, u64)> {
+    // Out of step with its owner (a malformed frame, or one nobody asked
+    // for), the connection is reset; one that ended or failed stays as it
+    // is.
+    if end.kind() == io::ErrorKind::InvalidData {
+        stream.abort();
     }
-
-    /// The connection ended: take it out of service — so no request goes
-    /// out on it once the owner has failed those in flight — and redial,
-    /// unless a request has dialed a new one already. False when the pump
-    /// is over.
-    fn end(&mut self, end: io::Error) -> bool {
-        // Out of step with its owner (a malformed frame, or one nobody
-        // asked for), the connection is reset; one that ended or failed
-        // stays as it is.
-        if end.kind() == io::ErrorKind::InvalidData {
-            self.stream.abort();
+    let me = link.upgrade().filter(|me| {
+        let mut conn = me.conn.lock();
+        let current = conn.gen == gen;
+        if current {
+            conn.stream = None;
         }
-        let me = self.link.upgrade().filter(|me| {
-            let mut conn = me.conn.lock();
-            let current = conn.gen == self.gen;
-            if current {
-                conn.stream = None;
-            }
-            current
-        });
-        self.owner.lost(self.gen);
-        let Some((stream, gen)) = me.and_then(|me| me.redial(&self.owner)) else {
-            return false;
-        };
-        self.frames = FrameStream::new(stream.clone());
-        (self.stream, self.gen) = (stream, gen);
-        true
-    }
+        current
+    });
+    owner.lost(gen);
+    me.and_then(|me| me.redial(owner))
 }
 
 impl Drop for ServiceLink {

@@ -19,6 +19,7 @@
 //! proper communication methods").
 
 use bytes::Bytes;
+use gridsim_net::ctx::blocking;
 use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
@@ -27,7 +28,7 @@ use std::io::{self};
 use std::sync::Arc;
 
 use crate::establish::factory::{BootstrapSocketFactory, NatGate};
-use crate::link::{spawn_steps, Backoff, LinkOwner, Next, Pending, ServiceLink};
+use crate::link::{io_wait, Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameStream, FrameWriter, NsRequest, Put, Reply, Wire};
 pub use crate::wire::{NodeRecord, PortRecord};
@@ -54,60 +55,47 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
         let sched2 = sched.clone();
         sched.spawn_daemon(format!("ns-accept-{p}"), move || loop {
             let Ok(conn) = listener.accept() else { break };
-            let requests = FrameStream::new(conn.clone());
             let (state, host) = (Arc::clone(&state), host2.clone());
-            let reader = NsConn {
-                state,
-                host,
-                conn,
-                requests,
-                writing: false,
-            };
-            spawn_steps(&sched2, "ns-conn".into(), reader, NsConn::step);
+            sched2.spawn_async("ns-conn", NsConn { state, host, conn }.serve());
         });
     }
     Ok(())
 }
 
-/// One client connection's reader: requests in, replies out, in order.
+/// One client connection: requests in, replies out, in order.
 struct NsConn {
     state: Arc<Mutex<NsState>>,
     host: SimHost,
     conn: TcpStream,
-    requests: FrameStream,
-    /// A reply is staged on the socket and not yet all queued.
-    writing: bool,
 }
 
 impl NsConn {
-    /// Answer requests until the connection would block, and until the
-    /// client closes; a request that does not decode ends the connection.
-    /// A CONNECT_BACK, whose dial blocks, runs promoted.
-    fn step(&mut self) -> Next<Self> {
+    /// Answer requests until the client closes; a request that does not
+    /// decode ends the connection. A CONNECT_BACK, whose dial blocks, is
+    /// answered in a blocking section.
+    async fn serve(mut self) {
+        let mut requests = FrameStream::new(self.conn.clone());
         loop {
-            let reply = if self.writing {
-                None
-            } else {
-                match self.requests.poll_frame().map(|r| NsRequest::decode(&r)) {
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return Next::Blocked(TcpStream::READ_WAIT)
+            let read = io_wait(TcpStream::READ_WAIT, || requests.poll_frame()).await;
+            let reply = match read.map(|r| NsRequest::decode(&r)) {
+                Ok(Ok(req @ NsRequest::ConnectBack { .. })) => {
+                    let answered = blocking(|| {
+                        let reply = self.answer(req);
+                        reply.send(&mut self.conn)
+                    })
+                    .await;
+                    if answered.is_err() {
+                        return;
                     }
-                    Ok(Ok(req @ NsRequest::ConnectBack { .. })) => {
-                        return Next::Promote(Box::new(move |c: &mut Self| {
-                            c.answer(req).send(&mut c.conn).is_ok()
-                        }))
-                    }
-                    Ok(Ok(req)) => Some(self.answer(req).into_frame()),
-                    _ => return Next::Done,
+                    continue;
                 }
+                Ok(Ok(req)) => self.answer(req).into_frame(),
+                _ => return,
             };
-            match self.conn.poll_write_block(reply) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.writing = true;
-                    return Next::Blocked(TcpStream::WRITE_WAIT);
-                }
-                Err(_) => return Next::Done,
-                Ok(()) => self.writing = false,
+            let mut reply = Some(reply);
+            let write = || self.conn.poll_write_block(reply.take());
+            if io_wait(TcpStream::WRITE_WAIT, write).await.is_err() {
+                return;
             }
         }
     }

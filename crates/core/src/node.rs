@@ -901,11 +901,15 @@ impl GridNode {
                 // Validate every channel's replay BEFORE swapping the
                 // stack in: a resume-bounds violation (evicted gap,
                 // impossible watermark) is fatal and must not be retried.
+                // It aborts the fresh link: a clean end would tell the
+                // receiver that none of its channels resumes, and it would
+                // forget their watermarks.
                 let replays = chans
                     .iter()
                     .zip(&deliveries)
                     .map(|(c, &e)| c.tx.lock().resume(c.channel, e))
-                    .collect::<io::Result<Vec<_>>>()?;
+                    .collect::<io::Result<Vec<_>>>()
+                    .inspect_err(|_| fresh.links.iter().for_each(RawLink::abort))?;
                 let active = fresh.active as u16;
                 match cur.swap_and_replay(fresh, &chans, &replays) {
                     Ok(()) => {

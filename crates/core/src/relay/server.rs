@@ -4,17 +4,17 @@
 //! keep a node-id → home-relay routing table.
 
 use bytes::Bytes;
-use gridsim_net::{SchedHandle, SimMutex, SimMutexGuard, SimQueue, SockAddr, Timer};
+use gridsim_net::ctx::{blocking, wait};
+use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr, Timer};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::Poll;
 
 use crate::establish::factory::BootstrapSocketFactory;
-use crate::link::{spawn_steps, Backoff, Next};
+use crate::link::{io_wait, Backoff};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
 
@@ -86,19 +86,8 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
     let acceptor = Arc::clone(&relay);
     relay.sched.spawn_daemon("mesh-relay-accept", move || loop {
         let Ok(conn) = listener.accept() else { break };
-        let (relay, frames) = (Arc::clone(&acceptor), FrameStream::new(conn.clone()));
-        let reader = Reader {
-            relay,
-            conn,
-            frames,
-            client: None,
-        };
-        spawn_steps(
-            &acceptor.sched,
-            "mesh-relay-conn".into(),
-            reader,
-            Reader::step,
-        );
+        let reader = Arc::clone(&acceptor).read(conn);
+        acceptor.sched.spawn_async("mesh-relay-conn", reader);
     });
     for addr in cfg.peers {
         let (r, h) = (Arc::clone(&relay), host.clone());
@@ -167,6 +156,24 @@ impl Shard {
         self.dead.store(true, Ordering::Relaxed);
         self.q.close();
     }
+
+    /// A run, `bytes` of payload, as one buffer with its headers.
+    fn encode(&self, items: &[OutItem], bytes: usize) -> Bytes {
+        let mut run = Vec::with_capacity(bytes + 32 * items.len());
+        for item in items {
+            let Some((from, to)) = item.route else {
+                run.extend_from_slice(&item.bytes);
+                continue;
+            };
+            let inner = item.bytes.clone();
+            let msg = match self.owner {
+                Owner::Client(_) => RelayMsg::Recv { from, inner },
+                Owner::Peer(_) => RelayMsg::Fwd { from, to, inner },
+            };
+            msg.frame_onto(&mut run);
+        }
+        run.into()
+    }
 }
 
 struct LocalEntry {
@@ -223,16 +230,8 @@ impl MeshRelay {
             Owner::Client(id) => format!("mesh-shard-{id}"),
             Owner::Peer(pid) => format!("mesh-peer-out-{pid}"),
         };
-        let (relay, q2) = (Arc::clone(self), Arc::clone(&q));
-        let writer = Writer {
-            relay,
-            q: q2,
-            broken: false,
-            items: Vec::new(),
-            run: None,
-            writing: None,
-        };
-        spawn_steps(&self.sched, name, writer, Writer::step);
+        let writer = Arc::clone(self).write(Arc::clone(&q));
+        self.sched.spawn_async(name, writer);
         q
     }
 
@@ -659,193 +658,112 @@ impl MeshRelay {
             self.handle_send(from, to, item.bytes, Origin::Local, false);
         }
     }
-}
 
-/// One connection's reader. Nobody's until its first frame: a client's
-/// HELLO registers a shard and the reader serves that client, a mesh
-/// peer's link runs promoted for its life.
-struct Reader {
-    relay: Arc<MeshRelay>,
-    conn: TcpStream,
-    frames: FrameStream,
-    /// The client that said HELLO here, and its shard.
-    client: Option<(GridId, OutQueue)>,
-}
+    // -------------------------------------------------------------- tasks
 
-impl Reader {
-    /// Act on frames until the connection would block. A SEND that cannot
-    /// park is forwarded here ([`MeshRelay::send_inline`]); any other, a
-    /// HELLO, a mesh link and the end of a client's connection run
-    /// promoted.
-    fn step(&mut self) -> Next<Self> {
+    /// One connection's reader. Nobody's until its first frame: a client's
+    /// HELLO registers a shard and the reader serves that client, a mesh
+    /// peer's link is served in a blocking section for its life. A SEND that
+    /// cannot park is forwarded in place ([`MeshRelay::send_inline`]); any
+    /// other, a HELLO and the end of a client's connection are blocking
+    /// sections.
+    async fn read(self: Arc<Self>, conn: TcpStream) {
+        let mut frames = FrameStream::new(conn.clone());
+        // The client that said HELLO here, and its shard.
+        let mut client: Option<(GridId, OutQueue)> = None;
         loop {
-            let msg = match self.frames.poll_frame() {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return Next::Blocked(TcpStream::READ_WAIT)
-                }
-                read => read.and_then(|frame| RelayMsg::decode(&frame)),
-            };
-            let handler: Box<dyn FnOnce(&mut Self) -> bool + Send> =
-                match (self.client.as_ref().map(|&(id, _)| id), msg) {
-                    (Some(id), Ok(RelayMsg::Send { to, inner })) => {
-                        if self.relay.send_inline(id, to, &inner) {
-                            continue;
-                        }
-                        Box::new(move |r| {
-                            r.relay.handle_send(id, to, inner, Origin::Local, false);
-                            true
-                        })
+            let read = io_wait(TcpStream::READ_WAIT, || frames.poll_frame()).await;
+            match (&client, read.and_then(|frame| RelayMsg::decode(&frame))) {
+                (&Some((id, _)), Ok(RelayMsg::Send { to, inner })) => {
+                    if !self.send_inline(id, to, &inner) {
+                        blocking(|| self.handle_send(id, to, inner, Origin::Local, false)).await;
                     }
-                    // Re-HELLO probe: re-assert the registration (it may have
-                    // been evicted towards this still-live connection) and
-                    // re-push the route so the mesh heals with it.
-                    (Some(_), Ok(RelayMsg::Hello { .. })) => Box::new(|r| {
-                        let (id, q) = r.client.as_ref().expect("a client's reader");
-                        r.relay.assert_local(*id, q);
-                        true
-                    }),
-                    (None, Ok(RelayMsg::Hello { id })) => Box::new(move |r| {
-                        let q = r.relay.spawn_shard(Owner::Client(id), r.conn.clone());
-                        r.relay.assert_local(id, &q);
-                        r.client = Some((id, q));
-                        true
-                    }),
-                    (None, Ok(RelayMsg::PeerHello { mesh_id })) => Box::new(move |r| {
-                        if r.relay.peer_hello(&r.conn).is_ok() {
-                            let _ = r.relay.run_peer(mesh_id, r.conn.clone(), &mut r.frames);
+                }
+                // Re-HELLO probe: re-assert the registration (it may have
+                // been evicted towards this still-live connection) and
+                // re-push the route so the mesh heals with it.
+                (Some((id, q)), Ok(RelayMsg::Hello { .. })) => {
+                    blocking(|| self.assert_local(*id, q)).await
+                }
+                (None, Ok(RelayMsg::Hello { id })) => {
+                    let q = blocking(|| {
+                        let q = self.spawn_shard(Owner::Client(id), conn.clone());
+                        self.assert_local(id, &q);
+                        q
+                    });
+                    client = Some((id, q.await));
+                }
+                (None, Ok(RelayMsg::PeerHello { mesh_id })) => {
+                    return blocking(|| {
+                        if self.peer_hello(&conn).is_ok() {
+                            let _ = self.run_peer(mesh_id, conn.clone(), &mut frames);
                         }
-                        false
-                    }),
-                    // The end: a client's shard is unregistered, and what it
-                    // still held re-resolved.
-                    (Some(_), _) => Box::new(|r| {
-                        let (_, q) = r.client.as_ref().expect("a client's reader");
-                        r.relay.conn_dead(q);
-                        false
-                    }),
-                    (None, _) => return Next::Done,
-                };
-            return Next::Promote(handler);
+                    })
+                    .await;
+                }
+                // The end: a client's shard is unregistered, and what it
+                // still held re-resolved.
+                (Some((_, q)), _) => return blocking(|| self.conn_dead(q)).await,
+                (None, _) => return,
+            }
         }
     }
-}
 
-/// A shard's worker: drains one queue into one connection, a run at a
-/// time — whatever is queued when it wakes, up to one send buffer, encoded
-/// into one buffer (the one copy a forwarded payload gets here) and
-/// written as one block under the writer lock. On death or supersession,
-/// leftovers are re-resolved through the routing table — a moved node's
-/// frames follow it to its new home relay.
-struct Writer {
-    relay: Arc<MeshRelay>,
-    q: OutQueue,
-    /// A write failed: the connection is dead, and what is left goes
-    /// elsewhere.
-    broken: bool,
-    /// The run in hand.
-    items: Vec<OutItem>,
-    /// Its encoding, until the write is staged.
-    run: Option<Bytes>,
-    /// The writer lock, held while the staged write goes out.
-    writing: Option<SimMutexGuard<TcpStream>>,
-}
-
-impl Writer {
-    /// Pop a run, take the writer lock, write the run; again, until one of
-    /// them would block. What may park runs promoted: READYs owed, and the
-    /// re-routing of leftovers.
-    fn step(&mut self) -> Next<Self> {
-        let q = Arc::clone(&self.q);
+    /// A shard's worker: drains one queue into one connection, a run at a
+    /// time — whatever is queued when it wakes, up to one send buffer,
+    /// encoded into one buffer (the one copy a forwarded payload gets here)
+    /// and written as one block under the writer lock. On death or
+    /// supersession, leftovers are re-resolved through the routing table —
+    /// a moved node's frames follow it to its new home relay. READYs owed,
+    /// and the re-routing of leftovers, are blocking sections.
+    async fn write(self: Arc<Self>, q: OutQueue) {
+        // A write failed: the connection is dead, and what is left goes
+        // elsewhere.
+        let mut broken = false;
+        let mut items = Vec::new();
         loop {
-            if self.items.is_empty() {
-                let first = match q.q.poll_pop() {
-                    Poll::Pending => return Next::Blocked(SimQueue::<OutItem>::POP_WAIT),
-                    // Whatever ends this shard, parked senders must not stay
-                    // throttled forever: their next DATA will fail fast
-                    // through the normal NOPEER/teardown path instead.
-                    Poll::Ready(None) if q.throttled.lock().is_empty() => return Next::Done,
-                    Poll::Ready(None) => {
-                        return Next::Promote(Box::new(|w| {
-                            w.relay.release_throttled(&w.q);
-                            false
-                        }))
-                    }
-                    Poll::Ready(Some(first)) => first,
-                };
-                let mut bytes = first.bytes.len();
-                self.items.push(first);
-                while bytes < RUN_BYTES {
-                    let Some(next) = q.q.try_pop() else { break };
-                    bytes += next.bytes.len();
-                    self.items.push(next);
+            let Some(first) = wait(SimQueue::<OutItem>::POP_WAIT, || q.q.poll_pop()).await else {
+                // Whatever ends this shard, parked senders must not stay
+                // throttled forever: their next DATA will fail fast through
+                // the normal NOPEER/teardown path instead.
+                if !q.throttled.lock().is_empty() {
+                    blocking(|| self.release_throttled(&q)).await;
                 }
-                if self.broken || q.dead.load(Ordering::Relaxed) {
-                    if self.items.iter().all(|item| item.route.is_none()) {
-                        self.items.clear();
-                        continue;
-                    }
-                    return Next::Promote(Box::new(|w| w.reroute()));
-                }
-                self.run = Some(self.encode(bytes));
-                q.in_hand.store(self.items.len(), Ordering::Relaxed);
-            }
-            let guard = match self.writing.take() {
-                Some(guard) => guard,
-                None => match q.w.poll_lock() {
-                    Poll::Pending => return Next::Blocked(SimMutex::<TcpStream>::LOCK_WAIT),
-                    Poll::Ready(guard) => guard,
-                },
+                return;
             };
-            let written = guard.poll_write_block(self.run.take());
-            if written
-                .as_ref()
-                .is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock)
-            {
-                self.writing = Some(guard);
-                return Next::Blocked(TcpStream::WRITE_WAIT);
+            let mut bytes = first.bytes.len();
+            items.push(first);
+            while bytes < RUN_BYTES {
+                let Some(next) = q.q.try_pop() else { break };
+                bytes += next.bytes.len();
+                items.push(next);
             }
-            drop(guard);
+            if broken || q.dead.load(Ordering::Relaxed) {
+                if items.iter().any(|item| item.route.is_some()) {
+                    blocking(|| items.drain(..).for_each(|item| self.reroute_item(item))).await;
+                }
+                items.clear();
+                continue;
+            }
+            let mut run = Some(q.encode(&items, bytes));
+            q.in_hand.store(items.len(), Ordering::Relaxed);
+            let guard = wait(SimMutex::<TcpStream>::LOCK_WAIT, || q.w.poll_lock()).await;
+            let write = move || guard.poll_write_block(run.take());
+            let written = io_wait(TcpStream::WRITE_WAIT, write).await;
             q.in_hand.store(0, Ordering::Relaxed);
             if written.is_err() {
-                self.broken = true;
-                return Next::Promote(Box::new(|w| {
-                    w.relay.conn_dead(&w.q);
-                    w.reroute()
-                }));
-            }
-            self.items.clear();
-            if q.q.len() <= q.cap / 4 && !q.throttled.lock().is_empty() {
-                return Next::Promote(Box::new(|w| {
-                    w.relay.release_throttled(&w.q);
-                    true
-                }));
-            }
-        }
-    }
-
-    /// The run in hand as one buffer, `bytes` of payload plus headers.
-    fn encode(&self, bytes: usize) -> Bytes {
-        let mut run = Vec::with_capacity(bytes + 32 * self.items.len());
-        for item in &self.items {
-            let Some((from, to)) = item.route else {
-                run.extend_from_slice(&item.bytes);
+                broken = true;
+                blocking(|| {
+                    self.conn_dead(&q);
+                    items.drain(..).for_each(|item| self.reroute_item(item));
+                })
+                .await;
                 continue;
-            };
-            let inner = item.bytes.clone();
-            let msg = match self.q.owner {
-                Owner::Client(_) => RelayMsg::Recv { from, inner },
-                Owner::Peer(_) => RelayMsg::Fwd { from, to, inner },
-            };
-            msg.frame_onto(&mut run);
+            }
+            items.clear();
+            if q.q.len() <= q.cap / 4 && !q.throttled.lock().is_empty() {
+                blocking(|| self.release_throttled(&q)).await;
+            }
         }
-        run.into()
-    }
-
-    /// Re-resolve the run in hand; always steps on.
-    fn reroute(&mut self) -> bool {
-        for item in std::mem::take(&mut self.items) {
-            self.relay.reroute_item(item);
-        }
-        true
     }
 }

@@ -112,6 +112,11 @@ impl RoutedStream {
         Arc::strong_count(&self.inner) == 1 && !self.inner.fin_sent.load(Ordering::Relaxed)
     }
 
+    /// Give the stream up without our FIN: its last handle's drop sends none.
+    pub(crate) fn abort(&self) {
+        self.inner.fin_sent.store(true, Ordering::Relaxed);
+    }
+
     /// Has the stream been torn down (FIN, relay loss, or peer death)?
     pub fn is_closed(&self) -> bool {
         self.inner.rx.is_closed()

@@ -5,46 +5,35 @@
 //! and a client-side dialer. No authentication method beyond "none" — site
 //! proxies of the paper's era gated access by network position.
 //! A client's handshake blocks, so it is a task; a tunnel's two directions
-//! are then inline tasks (DESIGN.md §6a), stepped where their bytes land.
+//! are then async tasks (DESIGN.md §6a), polled where their bytes land.
 
-use bytes::Bytes;
-use gridsim_net::{ctx, SockAddr, Step};
+use gridsim_net::{ctx, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use std::io::{self, Write};
 
+use crate::link::io_wait;
 use crate::wire::{Choice, Greeting, SocksReply, SocksRequest};
 use crate::wire::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_REFUSED};
 
 /// Move bytes one way until EOF, then propagate the EOF: received chunks
 /// go into the other socket's send queue as they are, by refcount.
 fn pump_one_way(from: TcpStream, to: TcpStream, label: &'static str) {
-    let mut ends = Some((from, to));
-    // Chunks read and unwritten, last first; whether a write is staged.
-    let (mut chunks, mut writing) = (Vec::<Bytes>::new(), false);
-    ctx::handle().spawn_inline(format!("socks-pump-{label}"), move || {
-        let (from, to) = ends.as_ref().expect("a pump steps until it is done");
-        loop {
-            let (wait, res) = if writing || !chunks.is_empty() {
-                let first = if writing { None } else { chunks.pop() };
-                let wrote = to.poll_write_block(first).map(|()| 1);
-                (TcpStream::WRITE_WAIT, wrote)
-            } else {
-                let read = from.poll_read_chunks_min(1, 64 * 1024, &mut chunks);
-                chunks.reverse();
-                (TcpStream::READ_WAIT, read)
-            };
-            match res {
-                Ok(1..) => writing = false,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    writing = wait == TcpStream::WRITE_WAIT;
-                    return Step::Blocked(wait);
+    ctx::handle().spawn_async(format!("socks-pump-{label}"), async move {
+        let mut chunks = Vec::new();
+        'tunnel: loop {
+            let read = || from.poll_read_chunks_min(1, 64 * 1024, &mut chunks);
+            if !matches!(io_wait(TcpStream::READ_WAIT, read).await, Ok(1..)) {
+                break;
+            }
+            for chunk in chunks.drain(..) {
+                let mut first = Some(chunk);
+                let write = || to.poll_write_block(first.take());
+                if io_wait(TcpStream::WRITE_WAIT, write).await.is_err() {
+                    break 'tunnel;
                 }
-                _ => break,
             }
         }
         let _ = to.shutdown_write();
-        ends = None;
-        Step::Done
     });
 }
 

@@ -1390,6 +1390,84 @@ fn a_failed_recovery_fails_its_waiters_and_the_next_send_walks_again() {
     assert!(done.is_finished());
 }
 
+/// A recovery that one channel's replay refuses ends the fresh link with an
+/// abort, not a clean close: a clean end tells the receiver that every
+/// channel on it will not resume, and it forgets their watermarks. Two
+/// channels share a link; the sender resets it while one channel's burst
+/// is still mostly unsent, past a budget that kept only its last message.
+/// That channel's replay is refused; once it is gone, the other channel's
+/// next send recovers from where its receiver stood, exactly once.
+#[test]
+fn a_refused_replay_leaves_the_other_channels_watermarks() {
+    let sim = Sim::new(seed(73));
+    let specs = vec![
+        topology::SiteSpec::open("site-a", 1, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    let mut env = env.with_resend_budget(20 * 1024);
+    env.ack_bytes = usize::MAX; // nothing acked: every small message stays retained
+    let env_b = env.clone();
+    let net = ha.net().clone();
+    let peer = hb.ip();
+    let done = sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "kept-recv", ConnectivityProfile::open()).unwrap();
+        let bulk = node
+            .create_receive_port("bulk", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("bulk", move || while bulk.receive().is_ok() {});
+        let kept = node
+            .create_receive_port("kept", StackSpec::plain())
+            .unwrap();
+        for i in 0..6 {
+            let got = kept.receive().unwrap().read_u64().unwrap();
+            assert_eq!(got, i, "exactly-once FIFO violated");
+        }
+    });
+    sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha.clone(), "kept-send", ConnectivityProfile::open());
+        let node = node.unwrap();
+        let (mut kept, mut bulk) = (node.create_send_port(), node.create_send_port());
+        kept.connect("kept").unwrap();
+        bulk.connect("bulk").unwrap();
+        let links = Metric("node", Some(node.id()), "links");
+        assert_eq!(
+            gridsim_net::ctx::handle().metric(links),
+            1,
+            "one shared link"
+        );
+        let seq = |sp: &mut netgrid::SendPort, i: u64| {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.finish().map(drop)
+        };
+        for i in 0..4 {
+            seq(&mut kept, i).unwrap();
+        }
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        for _ in 0..3 {
+            bulk.send(&[0x5a; 16 * 1024]).unwrap();
+        }
+        net.with(|w| {
+            gridsim_tcp::stack::with_host(w, ha.node(), |h, w| {
+                let now = w.sched().now();
+                let to_peer = h.conns.iter_mut().filter(|(_, tcb)| tcb.remote.ip == peer);
+                let ids: Vec<_> = to_peer.map(|(&id, tcb)| (id, tcb.abort(now)).0).collect();
+                ids.into_iter().for_each(|id| h.flush_conn(w, id));
+            })
+        });
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let refused = seq(&mut kept, 4).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData, "{refused}");
+        drop(bulk);
+        seq(&mut kept, 5).unwrap();
+        kept.close().unwrap();
+    });
+    sim.run();
+    assert!(done.is_finished());
+}
+
 // ----------------------------------------------------- property: no wedge
 
 use proptest::prelude::*;

@@ -37,24 +37,30 @@
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
-//! * An *inline* task ([`SchedHandle::spawn_inline`]) has a [`TaskId`], a
+//! * An *async* task ([`SchedHandle::spawn_async`]) has a [`TaskId`], a
 //!   run-queue slot and [`Waker`]s like any task, but no thread and no
-//!   baton: a step function that whoever pops it runs on its own stack.
-//!   A step never parks; it registers a waker and returns
-//!   [`Step::Blocked`], and the scheduler counts that as the park its
-//!   thread form would have made. A step that must block for real returns
-//!   [`Step::Promote`] with what blocks: that runs on a worker under the
-//!   same id, next, and when it returns the same worker runs the step
-//!   again at once — the task is inline once more.
+//!   baton: a future that whoever pops it polls on its own stack. It
+//!   awaits two things only. [`ctx::wait`] asks a `poll_*` source, which
+//!   leaves the task's waker behind when it returns `Pending`; the
+//!   scheduler counts that as the park its thread form would have made.
+//!   [`ctx::blocking`] runs a closure that may park: the whole future moves
+//!   to a worker under the same id, next, runs the closure there and goes
+//!   on to its next wait — and the task is inline once more. Underneath,
+//!   it is an inline step ([`SchedHandle::spawn_inline`], [`Step`]), which
+//!   the receive pump also writes by hand.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
 
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::future::Future;
 use std::panic::AssertUnwindSafe;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
 use crate::sync::BatonCell;
@@ -121,6 +127,68 @@ pub enum Step {
 
 /// An inline task's step function.
 type InlineStep = Box<dyn FnMut() -> Step + Send>;
+
+thread_local! {
+    /// The park under which an async task's future returned `Pending`: set
+    /// by [`ctx::wait`], left empty by [`ctx::blocking`], which asks for a
+    /// thread.
+    static PEND: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// An async task's future, shared by its step and, while a blocking
+/// section runs, its worker.
+#[derive(Default)]
+struct AsyncTask {
+    /// Dropped where it returns `Ready`, as a thread's locals are.
+    fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
+    /// Over the task's own [`Waker`].
+    waker: Option<std::task::Waker>,
+    /// How the poll on a worker ended, for the step that resumes after it.
+    resumed: Option<Step>,
+}
+
+impl AsyncTask {
+    /// Poll the future once; `None` when a blocking section asks for a
+    /// thread.
+    fn poll(&mut self) -> Option<Step> {
+        let fut = self.fut.as_mut().expect("an ended task is not polled");
+        let waker = self
+            .waker
+            .get_or_insert_with(|| Arc::new(ctx::waker()).into());
+        let polled = fut.as_mut().poll(&mut Context::from_waker(waker));
+        if polled.is_ready() {
+            self.fut = None;
+            return Some(Step::Done);
+        }
+        PEND.take().map(Step::Blocked)
+    }
+
+    /// The task's step: poll inline, or promote to poll on a worker, where
+    /// a blocking section runs in place and the task runs on to its next
+    /// wait; the step that resumes after it returns how that poll ended.
+    fn step(task: &Arc<Mutex<AsyncTask>>) -> Step {
+        let mut t = task.lock();
+        if let Some(after) = t.resumed.take() {
+            return after;
+        }
+        t.poll().unwrap_or_else(|| {
+            let task = Arc::clone(task);
+            Step::Promote(Box::new(move || {
+                let mut t = task.lock();
+                let after = t
+                    .poll()
+                    .expect("an async task awaits ctx::wait and ctx::blocking only");
+                t.resumed = Some(after);
+            }))
+        })
+    }
+}
+
+impl std::task::Wake for Waker {
+    fn wake(self: Arc<Self>) {
+        Waker::wake(&self);
+    }
+}
 
 /// An event's or an inline task's code, taken out of the scheduler's
 /// state to run; a hook goes back into its slot when it returns.
@@ -979,6 +1047,21 @@ impl SchedHandle {
         st.runnable.push_back(tid);
         tid
     }
+
+    /// Spawn an async task: an inline task whose step polls `fut` with the
+    /// task's context. It awaits [`ctx::wait`] and [`ctx::blocking`].
+    pub fn spawn_async(
+        &self,
+        name: impl Into<String>,
+        fut: impl Future<Output = ()> + Send + 'static,
+    ) -> TaskId {
+        let fut = Some(Box::pin(fut) as Pin<Box<dyn Future<Output = ()> + Send>>);
+        let task = Arc::new(Mutex::new(AsyncTask {
+            fut,
+            ..AsyncTask::default()
+        }));
+        self.spawn_inline(name, move || AsyncTask::step(&task))
+    }
 }
 
 /// Handle to a spawned simulated process; `join` blocks the *calling task*
@@ -1130,6 +1213,36 @@ pub mod ctx {
                 break;
             }
         }
+    }
+
+    /// Await `poll` until it is ready. In an async task a `Pending`, with
+    /// the task's waker left where the wake will come from, blocks the task:
+    /// a park under `task/parks/<reason>`. The next wake asks `poll` again.
+    pub fn wait<T>(
+        reason: &'static str,
+        mut poll: impl FnMut() -> Poll<T>,
+    ) -> impl Future<Output = T> {
+        std::future::poll_fn(move |_| {
+            let out = poll();
+            if out.is_pending() {
+                PEND.set(Some(reason));
+            }
+            out
+        })
+    }
+
+    /// Run `f`, which may park, on a thread. Awaited in an async task's
+    /// inline step, it moves the whole task to a worker (a promotion: same
+    /// [`TaskId`], next to run); `f` runs there, borrowing the task's locals,
+    /// and the task steps inline again from its next wait.
+    pub fn blocking<R>(f: impl FnOnce() -> R) -> impl Future<Output = R> {
+        let mut f = Some(f);
+        std::future::poll_fn(move |_| {
+            if CURRENT.with_borrow(|c| c.as_ref().is_some_and(|c| c.baton.is_none())) {
+                return Poll::Pending;
+            }
+            Poll::Ready(f.take().expect("a blocking section runs once")())
+        })
     }
 }
 
@@ -1848,6 +1961,8 @@ mod tests {
         /// Inline, but each odd item's push runs promoted: a blocking
         /// push on a thread, after which the task steps on.
         Promoting,
+        /// An async task, each odd item's push a blocking section.
+        Async,
     }
 
     /// The producer → relay → consumer scenario of the inline-task tests:
@@ -1878,7 +1993,27 @@ mod tests {
             q.close();
         });
         let (from, to, n) = (inbox, outbox.clone(), note.clone());
-        if form != Form::Thread {
+        if form == Form::Async {
+            h.spawn_async("relay", async move {
+                while let Some(i) = ctx::wait(SimQueue::<u32>::POP_WAIT, || from.poll_pop()).await {
+                    n(&format!("relay {i}"));
+                    let pushed = if i % 2 == 1 {
+                        ctx::blocking(|| {
+                            n(&format!("promoted push {i}"));
+                            to.push(i)
+                        })
+                        .await
+                    } else {
+                        let mut held = Some(i);
+                        ctx::wait(SimQueue::<u32>::PUSH_WAIT, || to.poll_push(&mut held)).await
+                    };
+                    if pushed.is_err() {
+                        return;
+                    }
+                }
+                to.close();
+            });
+        } else if form != Form::Thread {
             let (mut held, closed) = (None, Arc::new(AtomicBool::new(false)));
             let promotes = form == Form::Promoting;
             h.spawn_inline("relay", move || loop {
@@ -1953,6 +2088,7 @@ mod tests {
         let (threaded, thread_grants) = relay_scenario(Form::Thread);
         let (inline, inline_grants) = relay_scenario(Form::Inline);
         let (promoting, _) = relay_scenario(Form::Promoting);
+        let (async_form, _) = relay_scenario(Form::Async);
         // The log of the inline form has no promotion lines to skip: its
         // slices and events are the thread form's but for those notes.
         let unnoted = |log: &[String]| -> Vec<String> {
@@ -1961,6 +2097,7 @@ mod tests {
         };
         assert_eq!(inline, unnoted(&threaded));
         assert_eq!(promoting, threaded, "promoting mid-life and resuming");
+        assert_eq!(async_form, threaded, "an async task with blocking sections");
         assert!(
             threaded.iter().any(|l| l == "task/parks/queue push 1"),
             "the scenario fills the outbox: {threaded:?}"
@@ -2139,6 +2276,67 @@ mod tests {
         assert_eq!(sched.run(), RunOutcome::Idle);
         assert_eq!(steps.load(Ordering::SeqCst), 3);
         assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 0);
+    }
+
+    /// A blocking section runs on a worker under its task's id; a wake it
+    /// delivers is kept for the wait after it; and a second section, once
+    /// that worker is idle (the run stopped in between), takes it again.
+    #[test]
+    fn a_blocking_section_runs_on_a_worker_under_its_task_and_keeps_its_wakes() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s2 = Arc::clone(&seen);
+        let tid = h.spawn_async("blocks", async move {
+            let on = |what: &'static str| {
+                let thread = std::thread::current().name().map(str::to_string);
+                s2.lock().push((what, thread, ctx::waker().task()));
+            };
+            ctx::blocking(|| {
+                on("first");
+                ctx::waker().wake();
+            })
+            .await;
+            // The first ask would block: the wake above runs the step again.
+            let mut asked = 0;
+            ctx::wait("test-wait", || {
+                asked += 1;
+                if asked == 1 {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await;
+            let (me, at) = (ctx::waker(), ctx::now() + Duration::from_millis(1));
+            let timer = ctx::handle().timer(at, move || me.wake());
+            ctx::wait("timer", || {
+                if ctx::now() < at {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await;
+            drop(timer);
+            let threads = ctx::handle().metric(THREADS);
+            ctx::blocking(|| {
+                on("second");
+                ctx::sleep(Duration::from_millis(1));
+            })
+            .await;
+            assert_eq!(ctx::handle().metric(THREADS), threads, "a warm world");
+        });
+        let stop = Duration::from_micros(500);
+        assert_eq!(sched.run_for(stop), RunOutcome::TimeLimit);
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let worker = Some("sim-worker".to_string());
+        let expect = [("first", worker.clone(), tid), ("second", worker, tid)];
+        assert_eq!(*seen.lock(), expect);
+        assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 0);
+        assert_eq!(h.metric(Metric("task/parks", None, "timer")), 1);
+        assert_eq!(h.metric(THREADS), 1);
+        assert_eq!(sched.now().as_nanos(), 2_000_000);
     }
 
     #[test]

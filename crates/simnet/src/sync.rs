@@ -86,8 +86,8 @@ impl<T: ?Sized> SimMutex<T> {
 
     /// Acquire the lock without parking: the guard, or `Pending` with the
     /// calling task's waker queued for an unlock. The guard holds
-    /// the mutex itself, so an inline step can keep it across its
-    /// `Blocked`.
+    /// the mutex itself, so an inline task can keep it across its
+    /// `Blocked` (an async one, across a wait).
     pub fn poll_lock(&self) -> Poll<SimMutexGuard<T>> {
         let mut ctl = self.inner.ctl.lock();
         if !ctl.locked {

@@ -1,7 +1,7 @@
 //! What a routed frame costs in scheduler trips (DESIGN.md §5c, §10): the
 //! relay's reader, its shard worker and both clients state whole-frame
 //! demands and write whole frames, so a frame parks them a handful of
-//! times, not once per segment and ACK. All four are inline steps (§6a),
+//! times, not once per segment and ACK. All four are inline tasks (§6a),
 //! whose `Blocked` counts as the park their thread forms made: these
 //! counts did not move when they stopped being threads, only
 //! `sched/grants` did.
