@@ -248,12 +248,15 @@ stage_clippy() {
     echo "a fire-and-forget call_at in core (lines above); keep a SchedHandle::timer in the record it guards"
     return 1
   fi
-  # A packet in flight is one scheduler event whose hook argument names
-  # its slot: no heap in the world kept in step with the scheduler's, and
-  # hooks and the clock are read without a lock of their own.
-  if grep -nE 'BinaryHeap|PendingDelivery' crates/simnet/src/world.rs \
+  # A packet in flight waits in its link's FIFO, and the scheduler holds
+  # one event per busy link, the head's, in the place the packet took when
+  # it was sent: no heap kept in step with the scheduler's, no slot table
+  # beside the FIFOs, and hooks and the clock are read without a lock of
+  # their own.
+  if grep -nE 'BinaryHeap|PendingDelivery|in_flight|free_slots|push_delivery' \
+    crates/simnet/src/world.rs crates/simnet/src/link.rs \
     || grep -nE 'hooks: Mutex|hooks\.lock|state\.lock\(\)\.now' crates/simnet/src/runtime.rs; then
-    echo "a second event queue beside the scheduler's (lines above); pass the packet's slot as the hook argument instead"
+    echo "a second event queue or slot table (lines above); a packet in flight lives in its link's FIFO, and the scheduler holds one entry per busy link"
     return 1
   fi
   # A task that needs a thread gets one of the scheduler's workers

@@ -501,15 +501,16 @@ impl<R: BlockRead> BlockReader<R> {
         if self.chunks.front().is_some_and(|front| front.len() >= len) {
             return Ok(self.pop_front(len));
         }
-        self.read_exact_vec(len).map(Bytes::from)
+        let mut data = Vec::new();
+        self.read_exact_into(len, &mut data).map(|()| data.into())
     }
 
-    /// Pull exactly `len` bytes as an owned buffer.
-    pub(crate) fn read_exact_vec(&mut self, len: usize) -> io::Result<Vec<u8>> {
+    /// Pull exactly `len` bytes onto the end of `out`.
+    pub(crate) fn read_exact_into(&mut self, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
         let mut p = self.parse();
-        let data = p.vec(len)?;
+        p.append(len, out)?;
         p.commit();
-        Ok(data)
+        Ok(())
     }
 }
 
@@ -542,25 +543,25 @@ impl<R: BlockRead> Parse<'_, R> {
         })
     }
 
-    /// The next `len` bytes, copied out.
-    pub(crate) fn vec(&mut self, len: usize) -> io::Result<Vec<u8>> {
+    /// The next `len` bytes, copied onto the end of `data`.
+    pub(crate) fn append(&mut self, len: usize, data: &mut Vec<u8>) -> io::Result<()> {
         self.r.require(self.at + len)?;
-        let mut data = Vec::with_capacity(len);
-        let mut skip = self.at;
+        data.reserve_exact(len);
+        let (mut skip, mut left) = (self.at, len);
         for c in &self.r.chunks {
-            if data.len() == len {
+            if left == 0 {
                 break;
             }
             if skip >= c.len() {
                 skip -= c.len();
                 continue;
             }
-            let take = (c.len() - skip).min(len - data.len());
+            let take = (c.len() - skip).min(left);
             data.extend_from_slice(&c[skip..skip + take]);
-            skip = 0;
+            (skip, left) = (0, left - take);
         }
         self.at += len;
-        Ok(data)
+        Ok(())
     }
 
     /// Consume what this decode read.
@@ -896,8 +897,9 @@ mod tests {
                     let Frame::Msg { len, .. } = frame else {
                         break None;
                     };
-                    match cur.read_exact_vec(len) {
-                        Ok(data) => break Some(data),
+                    let mut data = Vec::new();
+                    match cur.read_exact_into(len, &mut data) {
+                        Ok(()) => break Some(data),
                         Err(e) => stalled(e),
                     }
                 };

@@ -120,7 +120,7 @@ impl BlockPool {
 /// the pool when dropped unfrozen, or — after [`freeze`](BlockBuf::freeze)
 /// — when the last `Bytes` view dies.
 pub struct BlockBuf {
-    // Option only so Drop and freeze() can move the Vec out.
+    // Option only so Drop, freeze() and into_vec() can move the Vec out.
     vec: Option<Vec<u8>>,
     pool: BlockPool,
 }
@@ -141,6 +141,11 @@ impl BlockBuf {
             vec,
             pool: self.pool.clone(),
         })
+    }
+
+    /// Take the storage out for good: it does not go back to the pool.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.vec.take().expect("buf invariant")
     }
 }
 

@@ -37,16 +37,16 @@ use crate::wire::{
     Frame, FrameWriter, Preamble, Put, ReconfigAck, ResumeReply, SvcMsg, MAX_MESSAGE,
 };
 
-/// A received message with typed readers.
+/// A received message with typed readers; its buffer returns to its port's pool.
 pub struct ReadMessage {
     /// The sender's channel id (unique per logical connection).
     pub channel: u64,
-    data: Vec<u8>,
+    data: BlockBuf,
     pos: usize,
 }
 
 impl ReadMessage {
-    pub(crate) fn new(channel: u64, data: Vec<u8>) -> ReadMessage {
+    pub(crate) fn new(channel: u64, data: BlockBuf) -> ReadMessage {
         ReadMessage {
             channel,
             data,
@@ -109,8 +109,9 @@ impl ReadMessage {
             .map_err(|_| io::ErrorKind::InvalidData.into())
     }
 
+    /// The body, kept: its buffer does not go back to the pool.
     pub fn into_vec(self) -> Vec<u8> {
-        self.data
+        self.data.into_vec()
     }
 }
 
@@ -250,6 +251,9 @@ struct RxRecord {
 /// (a pooled buffer is an ordinary `Vec`); recycled buffers keep their
 /// grown capacity, so steady-state sends of any size stop allocating.
 const MSG_POOL_BLOCK: usize = 32 * 1024;
+
+/// Spare [`ReadMessage`] buffers a receive port keeps, each message-sized.
+const RX_POOL_SPARE: usize = 4;
 
 /// The sending endpoint of a message channel.
 pub struct SendPort {
@@ -410,6 +414,7 @@ pub struct ReceivePortInner {
     pub name: String,
     pub spec: StackSpec,
     msgq: SimQueue<ReadMessage>,
+    msg_pool: BlockPool,
     /// Streams collected per channel until a connection is complete.
     pending: Mutex<HashMap<u64, PendingChannel>>,
     connections: Mutex<u64>,
@@ -616,10 +621,10 @@ impl Pump {
                     Err(e) => return self.read_failed(e),
                 },
             };
-            let data = match self.cur.read_exact_vec(len) {
-                Ok(data) => data,
-                Err(e) => return self.read_failed(e),
-            };
+            let mut data = self.port.msg_pool.checkout();
+            if let Err(e) = self.cur.read_exact_into(len, &mut data) {
+                return self.read_failed(e);
+            }
             self.head = None;
             let Some(lc) = self.live.get_mut(&ch) else {
                 return Stop::End; // MSG on a channel never opened: corrupt
@@ -801,6 +806,7 @@ impl ReceivePortInner {
             name,
             spec,
             msgq: SimQueue::bounded(64),
+            msg_pool: BlockPool::with_max_free(0, RX_POOL_SPARE),
             pending: Mutex::new(HashMap::new()),
             connections: Mutex::new(0),
             ack,
@@ -1057,6 +1063,12 @@ impl ReceivePort {
 mod tests {
     use super::*;
 
+    fn message(channel: u64, body: &[u8]) -> ReadMessage {
+        let mut data = BlockPool::new(0).checkout();
+        data.extend_from_slice(body);
+        ReadMessage::new(channel, data)
+    }
+
     /// A corrupt varint length near `u64::MAX` (e.g. from a damaged or
     /// hostile frame) must surface as an error from every typed reader, not
     /// overflow the cursor and panic.
@@ -1066,14 +1078,14 @@ mod tests {
         let mut data = Vec::new();
         gridzip::varint::put(&mut data, u64::MAX);
         data.extend_from_slice(b"xyz");
-        let mut m = ReadMessage::new(1, data.clone());
+        let mut m = message(1, &data);
         assert_eq!(
             m.read_str().unwrap_err().kind(),
             io::ErrorKind::InvalidData,
             "length beyond MAX_MESSAGE is invalid, not a panic"
         );
         // Direct read_bytes with a huge count: checked add, clean error.
-        let mut m = ReadMessage::new(1, data);
+        let mut m = message(1, &data);
         assert_eq!(
             m.read_bytes(usize::MAX).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
@@ -1082,7 +1094,7 @@ mod tests {
         let mut short = Vec::new();
         gridzip::varint::put(&mut short, 64);
         short.extend_from_slice(b"only-9ch");
-        let mut m = ReadMessage::new(1, short);
+        let mut m = message(1, &short);
         assert!(m.read_str().is_err());
     }
 
@@ -1090,7 +1102,7 @@ mod tests {
     /// the end) and keeps failing rather than panicking.
     #[test]
     fn truncated_message_reads_fail_not_panic() {
-        let mut m = ReadMessage::new(7, vec![0x80]); // dangling varint byte
+        let mut m = message(7, &[0x80]); // dangling varint byte
         assert!(m.read_u64().is_err());
         assert!(m.read_str().is_err());
         assert!(m.read_bytes(2).is_err(), "read past the truncated end");

@@ -299,7 +299,8 @@ impl Frame {
                     if name_len > MAX_OPEN {
                         return Err(bad("port name too long"));
                     }
-                    let name = p.vec(name_len as usize)?;
+                    let mut name = Vec::new();
+                    p.append(name_len as usize, &mut name)?;
                     let name = String::from_utf8(name).map_err(|_| bad("invalid utf-8"))?;
                     Ok((channel, name))
                 };

@@ -3,6 +3,8 @@
 
 use std::time::Duration;
 
+use crate::packet::Packet;
+use crate::runtime::HookQueue;
 use crate::time::SimTime;
 
 /// Parameters of one direction of a link.
@@ -77,6 +79,8 @@ pub struct LinkDir {
     pub up: bool,
     pub stats: LinkStats,
     tx_memo: ((u32, u64), Duration),
+    /// Packets admitted and not yet delivered, in delivery order.
+    pub(crate) wire: HookQueue<Packet>,
 }
 
 impl LinkDir {
@@ -90,12 +94,17 @@ impl LinkDir {
             up: true,
             stats: LinkStats::default(),
             tx_memo: ((0, 0), Duration::ZERO),
+            wire: HookQueue::new(),
         }
     }
 
     /// Admit a packet to the queue. Returns `Some(delivery_time)` if the
     /// packet is accepted (and occupies the wire), `None` if the drop-tail
     /// queue is full.
+    ///
+    /// Delivery times never go down, so a direction's packets wait in one
+    /// FIFO, `wire`, whose push checks it: `busy_until` only grows, and the
+    /// delay stays put (a [`crate::FaultPlan`] changes bandwidth only).
     pub fn admit(&mut self, now: SimTime, wire_len: u32) -> Option<SimTime> {
         // An idle wire has no backlog, and no float to compute it from.
         let backlog_bytes = if self.busy_until > now {

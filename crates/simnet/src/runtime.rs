@@ -85,8 +85,8 @@ enum EventAction {
     Call(Armed),
     /// Fire a pre-registered callback ([`SchedHandle::register_hook`])
     /// with its argument. Unlike `Call`, the event itself carries no
-    /// allocation — the hot packet-delivery path schedules one of these
-    /// per hop instead of boxing a closure.
+    /// allocation — the hot packet-delivery path keeps one of these per
+    /// busy link ([`HookQueue`]) instead of boxing a closure per hop.
     Hook(HookId, u64),
 }
 
@@ -199,11 +199,47 @@ enum Callback {
 }
 
 /// Handle to a recurring callback registered with
-/// [`SchedHandle::register_hook`]; pass it to
-/// [`SchedHandle::call_hook_at`] to fire it without a per-event
-/// allocation.
+/// [`SchedHandle::register_hook`]; a [`HookQueue`] fires it without a
+/// per-event allocation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HookId(usize);
+
+/// Items fired one by one as a hook's event, each at its own time, which
+/// never goes down, from one heap entry: the head's. An item takes its place
+/// in scheduling order when pushed, and each pop schedules the next head in
+/// that place, so events fire exactly as with one heap entry per item.
+#[derive(Debug)]
+pub(crate) struct HookQueue<T>(VecDeque<(SimTime, u64, T)>);
+
+impl<T> HookQueue<T> {
+    pub(crate) const fn new() -> Self {
+        HookQueue(VecDeque::new())
+    }
+
+    /// Queue `item`, due at `at`, in the place it takes now, reserved for
+    /// the event `hook(arg)` that fires for it once it is the head. An `at`
+    /// before the tail's panics.
+    pub(crate) fn push(&mut self, sched: &SchedHandle, event: (HookId, u64), at: SimTime, item: T) {
+        let tail = self.0.back().map_or(at, |&(tail, ..)| tail);
+        assert!(tail <= at, "an item would overtake the one ahead of it");
+        let mut st = sched.core.state.borrow();
+        let seq = st.seq;
+        st.seq += 1;
+        if self.0.is_empty() {
+            st.call_hook(at, seq, event);
+        }
+        self.0.push_back((at, seq, item));
+    }
+
+    /// Take the head, whose event fired, and schedule the next head's.
+    pub(crate) fn pop(&mut self, sched: &SchedHandle, event: (HookId, u64)) -> T {
+        let (_, _, item) = self.0.pop_front().expect("fired while it holds one");
+        if let Some(&(at, seq, _)) = self.0.front() {
+            sched.core.state.borrow().call_hook(at, seq, event);
+        }
+        item
+    }
+}
 
 struct EventEntry {
     at: SimTime,
@@ -417,6 +453,13 @@ impl SchedState {
         for j in std::mem::take(&mut slot.joiners) {
             self.wake(j);
         }
+    }
+
+    /// Schedule `hook(arg)` at `at`, no earlier than now, in the place `seq`
+    /// taken earlier. Allocation-free apart from amortized heap growth.
+    fn call_hook(&mut self, at: SimTime, seq: u64, (hook, arg): (HookId, u64)) {
+        let action = EventAction::Hook(hook, arg);
+        self.events.push(EventEntry { at, seq, action });
     }
 
     /// Count one park of a task under `reason`.
@@ -934,7 +977,7 @@ impl SchedHandle {
         Timer(f)
     }
 
-    /// Register a recurring callback and get a handle for scheduling it.
+    /// Register a recurring callback and get a handle for a [`HookQueue`].
     /// The callback stays registered for the scheduler's lifetime. Like a
     /// `call_at` closure it runs on the thread holding the baton, never
     /// concurrently with a task, with task context masked.
@@ -947,14 +990,6 @@ impl SchedHandle {
     /// Its baton holder, for a [`BatonCell`] that belongs to it.
     pub(crate) fn holder(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.core.state.holder)
-    }
-
-    /// Schedule a registered hook to fire as `hook(arg)` at absolute time
-    /// `at` (clamped to be no earlier than now). Allocation-free apart from
-    /// amortized event-heap growth; ties with other events break in
-    /// schedule order, exactly like `call_at`.
-    pub fn call_hook_at(&self, at: SimTime, hook: HookId, arg: u64) {
-        self.core.schedule(at, EventAction::Hook(hook, arg));
     }
 
     /// Wake `tid` per unpark semantics.
@@ -1390,7 +1425,7 @@ mod tests {
         {
             let (h, note) = (h.clone(), note.clone());
             sched.spawn(format!("t{i}"), move || {
-                h.call_hook_at(ms(hook_at), hook, 10 + i as u64);
+                HookQueue::new().push(&h, (hook, 10 + i as u64), ms(hook_at), ());
                 let n = note.clone();
                 drop(h.timer(ms(call_at), move || n(format!("timer {i}"))));
                 let n = note.clone();

@@ -17,7 +17,7 @@ use crate::firewall::{Direction, Firewall, FirewallPolicy, Verdict};
 use crate::link::{LinkDir, LinkDirId, LinkParams, LinkStats};
 use crate::nat::{Nat, NatKind};
 use crate::packet::Packet;
-use crate::runtime::{HookId, SchedHandle};
+use crate::runtime::{HookId, HookQueue, SchedHandle};
 use crate::sync::BatonCell;
 use crate::time::SimTime;
 
@@ -125,11 +125,10 @@ type ProtoDispatch = Arc<dyn Fn(&mut World, NodeId, Packet) + Send + Sync>;
 pub struct World {
     sched: SchedHandle,
     self_ref: Weak<BatonCell<World>>,
-    /// In-flight packets, each parked in a slot whose index is the
-    /// argument of its one hook event: the scheduler's (time, schedule
-    /// order) is the only delivery order, and a hop allocates nothing.
-    in_flight: Vec<Option<(Delivery, Packet)>>,
-    free_slots: Vec<usize>,
+    /// Loopback sends in flight, each due at the instant it was sent.
+    loopback: HookQueue<(NodeId, Packet)>,
+    /// Fires for the head of a busy link's wire (argument: the link's
+    /// index) or of `loopback` ([`LOOPBACK`]).
     delivery_hook: HookId,
     nodes: Vec<NodeState>,
     links: Vec<LinkDir>,
@@ -140,13 +139,9 @@ pub struct World {
     tracer: Option<Tracer>,
 }
 
-/// Where an in-flight packet lands when its delivery event fires.
-enum Delivery {
-    /// Came over a link: run gateway processing, then deliver or forward.
-    Arrive { node: NodeId, iface: usize },
-    /// Loopback / own-address send: skip the forwarding engine.
-    Local { node: NodeId },
-}
+/// The delivery hook's argument for the loopback queue; any other is a
+/// link's index.
+const LOOPBACK: u64 = u64::MAX;
 
 /// Shared handle to the world plus its scheduler: the object every socket,
 /// protocol stack and topology builder holds.
@@ -163,8 +158,7 @@ impl Net {
             let world = World {
                 sched: sched.clone(),
                 self_ref: weak.clone(),
-                in_flight: Vec::new(),
-                free_slots: Vec::new(),
+                loopback: HookQueue::new(),
                 delivery_hook: HookId::default(),
                 nodes: Vec::new(),
                 links: Vec::new(),
@@ -178,7 +172,7 @@ impl Net {
         // The hook holds the world (no upgrade per hop); a dropped scheduler drops it.
         let hook_world = Arc::clone(&world);
         world.borrow().delivery_hook =
-            sched.register_hook(move |slot| hook_world.borrow().deliver(slot as usize));
+            sched.register_hook(move |from| hook_world.borrow().deliver(from));
         Net { sched, world }
     }
 
@@ -441,29 +435,17 @@ impl World {
         self.schedule_at(self.sched.now() + d, f);
     }
 
-    /// Queue `pkt` for dispatch at `at` (≥ now): park it in a free slot
-    /// and schedule the delivery hook with the slot's index. Delivery order
-    /// is identical to scheduling a closure per hop — without the per-hop
-    /// allocation.
-    fn push_delivery(&mut self, at: SimTime, to: Delivery, pkt: Packet) {
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.in_flight.push(None);
-            self.in_flight.len() - 1
-        });
-        self.in_flight[slot] = Some((to, pkt));
-        self.sched.call_hook_at(at, self.delivery_hook, slot as u64);
-    }
-
-    /// The delivery hook fired for `slot`: free it, then land its packet.
-    fn deliver(&mut self, slot: usize) {
-        let (to, pkt) = self.in_flight[slot]
-            .take()
-            .expect("a slot's one event fires once");
-        self.free_slots.push(slot);
-        match to {
-            Delivery::Arrive { node, iface } => self.arrive(node, iface, pkt),
-            Delivery::Local { node } => self.local_deliver(node, pkt),
+    /// The delivery hook fired for the head of `from`'s queue: land it.
+    fn deliver(&mut self, from: u64) {
+        let event = (self.delivery_hook, from);
+        if from == LOOPBACK {
+            let (node, pkt) = self.loopback.pop(&self.sched, event);
+            return self.local_deliver(node, pkt);
         }
+        let link = &mut self.links[from as usize];
+        let pkt = link.wire.pop(&self.sched, event);
+        let (node, iface) = (link.to_node, link.to_iface);
+        self.arrive(node, iface, pkt);
     }
 
     fn trace(&self, kind: TraceKind, pkt: &Packet) {
@@ -480,8 +462,8 @@ impl World {
         self.trace(TraceKind::Sent, &pkt);
         // Local delivery (loopback or own address).
         if self.nodes[node.0].owns(pkt.dst.ip) {
-            let at = self.sched.now();
-            self.push_delivery(at, Delivery::Local { node }, pkt);
+            let (event, now) = ((self.delivery_hook, LOOPBACK), self.sched.now());
+            self.loopback.push(&self.sched, event, now, (node, pkt));
             return;
         }
         self.emit(node, None, pkt);
@@ -516,18 +498,9 @@ impl World {
             self.trace(TraceKind::DropLoss, &pkt);
             return;
         }
-        let (to_node, to_iface) = {
-            let l = &self.links[link_id.0];
-            (l.to_node, l.to_iface)
-        };
-        self.push_delivery(
-            deliver_at,
-            Delivery::Arrive {
-                node: to_node,
-                iface: to_iface,
-            },
-            pkt,
-        );
+        let event = (self.delivery_hook, link_id.0 as u64);
+        let wire = &mut self.links[link_id.0].wire;
+        wire.push(&self.sched, event, deliver_at, pkt);
     }
 
     /// A packet arrived at `node` on interface `iface`.
@@ -722,6 +695,86 @@ mod tests {
         let _ = b;
     }
 
+    type Log = Arc<Mutex<Vec<(u64, u16)>>>;
+
+    /// Host `a` sends to host `b` over one link; the dispatcher logs each
+    /// arrival as (ns, source port).
+    fn logged_pair(params: LinkParams) -> (Scheduler, Net, NodeId, Log) {
+        let sched = Scheduler::new();
+        let net = Net::new(sched.handle(), 42);
+        let log: Log = Arc::default();
+        let l2 = Arc::clone(&log);
+        let a = net.with(|w| {
+            let a = w.add_host("a", vec![Ip::new(1, 0, 0, 1)]);
+            let b = w.add_host("b", vec![Ip::new(2, 0, 0, 1)]);
+            let (ia, _) = w.connect(a, b, params);
+            w.default_route(a, ia);
+            w.register_proto(
+                proto::UDP,
+                Arc::new(move |w, _n, p| l2.lock().push((w.sched().now().as_nanos(), p.src.port))),
+            );
+            a
+        });
+        (sched, net, a, log)
+    }
+
+    fn to_b(port: u16) -> Packet {
+        let (src, dst) = (Ip::new(1, 0, 0, 1), Ip::new(2, 0, 0, 1));
+        pkt(SockAddr::new(src, port), SockAddr::new(dst, 80), 980)
+    }
+
+    /// A packet waiting in its link keeps the place it took when it was
+    /// sent: P2 lands before a closure scheduled after it for the same
+    /// instant, although its event is scheduled only when P1 lands.
+    #[test]
+    fn a_queued_packet_lands_in_the_place_it_took_when_sent() {
+        // 1000 wire bytes at 0.1 MB/s: 10 ms each.
+        let (sched, net, a, log) = logged_pair(LinkParams::mbps(0.1, Duration::ZERO));
+        net.with(|w| {
+            w.send_from(a, to_b(1));
+            w.send_from(a, to_b(2));
+            let log = Arc::clone(&log);
+            w.schedule_at(SimTime::ZERO + Duration::from_millis(20), move |w| {
+                log.lock().push((w.sched().now().as_nanos(), 0));
+            });
+        });
+        sched.run();
+        assert_eq!(
+            *log.lock(),
+            [(10_000_000, 1), (20_000_000, 2), (20_000_000, 0)]
+        );
+    }
+
+    /// Bandwidth ramps up and back down while a backlog is on the wire:
+    /// each packet's landing time follows the bandwidth it was admitted
+    /// at, and they still land in the order they were sent.
+    #[test]
+    fn packets_on_the_wire_through_a_bandwidth_ramp_land_in_send_order() {
+        let p = LinkParams::mbps(1.0, Duration::from_millis(1)).with_queue(1 << 30);
+        let (sched, net, a, log) = logged_pair(p);
+        let ms = Duration::from_millis;
+        net.with(|w| {
+            w.install_faults(
+                crate::FaultPlan::new()
+                    .bandwidth_ramp(ms(5), LinkDirId(0), 8e6, ms(10), 4)
+                    .bandwidth_ramp(ms(20), LinkDirId(0), 0.5e6, ms(5), 2),
+            );
+            // Three packets a millisecond, three times what 1 MB/s carries.
+            for port in 1..=90 {
+                let at = SimTime::ZERO + ms(u64::from(port) / 3);
+                w.schedule_at(at, move |w| w.send_from(a, to_b(port)));
+            }
+        });
+        sched.run();
+        let log = log.lock();
+        let ports: Vec<u16> = log.iter().map(|&(_, port)| port).collect();
+        assert_eq!(ports, (1..=90).collect::<Vec<_>>());
+        let mut gaps: Vec<u64> = log.windows(2).map(|w| w[1].0 - w[0].0).collect();
+        gaps.sort_unstable();
+        gaps.dedup();
+        assert!(gaps.len() > 2, "landing times follow the ramp: {gaps:?}");
+    }
+
     #[test]
     fn same_instant_arrivals_over_three_links_land_in_send_order() {
         const ROUNDS: u16 = 20;
@@ -745,8 +798,8 @@ mod tests {
                     s
                 })
                 .collect();
-            // Each arrival frees its slot, and the hub's echo to itself
-            // takes it again within the same instant.
+            // Each arrival hands its link's queue on, and the hub's echo to
+            // itself rides the loopback queue within the same instant.
             w.register_proto(
                 proto::UDP,
                 Arc::new(move |w, hub, p| {
