@@ -33,8 +33,9 @@
 #           readers are async tasks, so link.rs spawns no daemon,
 #           nameservice.rs only in `spawn_name_service`, relay/server.rs
 #           only in `spawn_relay_mesh` and `query_route`; no hand-written
-#           inline step in core (`spawn_steps`, `Next<`, or a non-test
-#           `spawn_inline` outside port.rs's receive pump); and no
+#           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
+#           `Step::`), the receive pump an async body that only
+#           `add_link` starts, with no `ctx::park` in port.rs; and no
 #           `unsafe` in a product crate's non-test code outside
 #           crates/simnet/src/sync.rs, nor an OS mutex back around the
 #           scheduler's state or the world (the baton is their lock)
@@ -201,12 +202,13 @@ stage_clippy() {
     echo "blockio.rs parks outside BlockRead::read_chunks_min / BlockReader::blocking: $(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)"
     return 1
   fi
-  # The receive pump is one step function with one host (DESIGN.md §6a):
-  # `Pump::host` alone starts it, and only its thread form parks.
-  if [ "$(fns_calling 'spawn_(daemon|inline)\(' crates/core/src/port.rs)" != "send host host" ] \
-    || [ "$(fns_calling 'ctx::park\(' crates/core/src/port.rs)" != "settle" ]; then
-    echo "port.rs starts or parks a pump outside Pump::host / Pump::settle:"
-    echo "  spawns in: $(fns_calling 'spawn_(daemon|inline)\(' crates/core/src/port.rs)"
+  # The receive pump is one async body (DESIGN.md §6a), started in
+  # `add_link` alone (`AckSender::send`'s daemon is the CACK's), and
+  # nothing in port.rs parks: what may block is a blocking section.
+  if [ "$(fns_calling 'spawn_(daemon|async)\(' crates/core/src/port.rs)" != "send add_link" ] \
+    || [ -n "$(fns_calling 'ctx::park\(' crates/core/src/port.rs)" ]; then
+    echo "port.rs starts a task outside AckSender::send / add_link, or parks:"
+    echo "  spawns in: $(fns_calling 'spawn_(daemon|async)\(' crates/core/src/port.rs)"
     echo "  parks in: $(fns_calling 'ctx::park\(' crates/core/src/port.rs)"
     return 1
   fi
@@ -301,12 +303,10 @@ stage_clippy() {
     return 1
   fi
   # A task that must not block is an async body: no hand-written step
-  # convention (the retired spawn_steps / Next<S>) anywhere in core, and
-  # spawn_inline outside tests only for port.rs's receive pump.
+  # (the retired spawn_steps / Next<S>, spawn_inline / Step) anywhere in
+  # core, tests included.
   local steps
-  steps=$(grep -rnE 'spawn_steps|Next<' crates/core/src || true)
-  steps+=$(find crates/core/src -name '*.rs' ! -path crates/core/src/port.rs -print0 \
-    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /spawn_inline/ { print FILENAME ":" FNR ": " $0 }')
+  steps=$(grep -rnE 'spawn_steps|Next<|spawn_inline|Step::' crates/core/src || true)
   if [ -n "$steps" ]; then
     echo "$steps"
     echo "a hand-written inline step in crates/core/src (lines above); spawn it with SchedHandle::spawn_async"

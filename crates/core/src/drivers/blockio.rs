@@ -36,6 +36,7 @@ use std::time::Duration;
 use gridzip::varint;
 
 use crate::cpu::HostCpu;
+use crate::link::io_wait;
 use crate::pool::{BlockBuf, BlockPool};
 
 /// A byte sink that can also accept whole blocks by ownership handoff.
@@ -369,7 +370,8 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 /// [`frame`](Self::frame)) is restartable — it consumes nothing until its
 /// whole unit has arrived, and asked again it states the demand it would
 /// have stated blocking. A caller that may park runs its decode under
-/// [`blocking`](Self::blocking); any other source is read blocking.
+/// [`blocking`](Self::blocking), an async task awaits it with
+/// [`read`](Self::read); any other source is read blocking.
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
@@ -396,15 +398,24 @@ impl<R: BlockRead> BlockReader<R> {
         }
     }
 
-    /// `Some(reason)` when this reader polls: a shortfall is
-    /// `Err(WouldBlock)` standing for a park under `reason`.
-    pub fn polls(&self) -> Option<&'static str> {
-        self.polls
-    }
-
     /// Bytes buffered and not yet consumed.
     pub(crate) fn buffered(&self) -> usize {
         self.avail
+    }
+
+    /// Await `unit`, a restartable decode, in an async task. Over a source
+    /// that polls, each would-block is a wait under its reason, the task's
+    /// waker left behind ([`io_wait`]), and the next wake runs `unit`
+    /// again; any other source is read in a blocking section
+    /// ([`ctx::blocking`]), on a worker.
+    pub(crate) async fn read<T>(
+        &mut self,
+        mut unit: impl FnMut(&mut Self) -> io::Result<T>,
+    ) -> io::Result<T> {
+        match self.polls {
+            Some(reason) => io_wait(reason, || unit(self)).await,
+            None => ctx::blocking(|| unit(self)).await,
+        }
     }
 
     /// Run `unit`, a restartable decode, to its end: each time the source

@@ -771,9 +771,9 @@ impl GridNode {
         let r = self.on_link(&c.link, true, |io| {
             io.writer.flush()?;
             io.write_control(&Frame::Close { channel })?;
-            // Settle under the gate: no concurrent writer can queue fresh
+            // Drain under the gate: no concurrent writer can queue fresh
             // bytes between our CLOSE and the drain check.
-            io.settle()
+            io.drain()
         });
         self.drop_channel(c);
         r

@@ -15,7 +15,7 @@
 //! exactly-once machine ([`crate::resume`]), one record per channel.
 
 use bytes::Bytes;
-use gridsim_net::{ctx, SchedHandle, SimQueue, Step, Timer};
+use gridsim_net::{ctx, SchedHandle, SimQueue, Timer};
 use gridzip::varint;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -472,7 +472,7 @@ struct LiveChan {
     inner: Option<Arc<ReceivePortInner>>,
 }
 
-/// The receive pump: one task per assembled link, a state machine over the
+/// The receive pump: one async task per assembled link, a loop over the
 /// link's decoded [`Frame`]s that routes messages to channels. It starts
 /// with the channels the preamble named; OPEN/CLOSE manage the set.
 ///
@@ -481,11 +481,13 @@ struct LiveChan {
 /// at event time until it is met, so one wakeup drains everything
 /// available instead of the pump waking per delivered segment.
 ///
-/// One body, [`step`](Self::step), runs until the pump would block, and
-/// [`host`](Self::host) places it where its bytes land: over a stack that
-/// can be polled (one plain stream, TCP or routed) it is an inline task,
-/// stepped on the stack of whoever delivered the bytes; otherwise a thread
-/// that parks between steps. Both make the same calls in the same order.
+/// Every read is awaited through [`BlockReader::read`]: over a stack that
+/// can be polled (one plain stream, TCP or routed) the pump is inline,
+/// polled on the stack of whoever delivered its bytes; over any other the
+/// read is a blocking section, on a worker. What else blocks — a RECONFIG
+/// and, over a routed stream, the end, whose drop sends the stream's FIN —
+/// is a blocking section too, and the pump is inline again after it
+/// wherever its stack can be polled.
 struct Pump {
     port: Arc<ReceivePortInner>,
     cur: BlockReader<ReceiverStack>,
@@ -503,196 +505,100 @@ struct Pump {
     /// stale duplicates are rejected.
     last_epoch: u64,
     ctx: NodeCtx,
-    /// A MSG whose head is decoded and whose payload has not all arrived.
-    head: Option<(u64, usize)>,
-    /// A fresh message waiting for room in its port's queue.
-    held: Option<Held>,
-}
-
-/// A message the pump has taken off the link and not yet queued.
-struct Held {
-    port: Arc<ReceivePortInner>,
-    channel: u64,
-    seq: Cursor,
-    bytes: usize,
-    msg: Option<ReadMessage>,
-}
-
-/// Why a pump step returned.
-enum Stop {
-    /// The stack or a full port queue would block; the pump's waker is
-    /// registered there. The park reason a thread uses.
-    Blocked(&'static str),
-    /// A RECONFIG frame: quiescing, acking and rebuilding all block.
-    Reconfig { epoch: u64, params: PathParams },
-    /// EOF (a read error), a corrupt frame, or one this pump's state
-    /// forbids.
-    End,
 }
 
 impl Pump {
-    /// Start the pump as a task named `name`: inline while its stack can
-    /// be polled, a thread otherwise. An inline pump moves to a thread of
-    /// its own (a promotion: same task, next to run) for what blocks — a
-    /// RECONFIG and, over a routed stream, the end, whose drop sends the
-    /// stream's FIN.
-    fn host(self, name: String) {
-        let sched = self.ctx.sched.clone();
-        if self.cur.polls().is_none() {
-            sched.spawn_daemon(name, move || self.run());
-            return;
-        }
-        let mut pump = Some(self);
-        sched.spawn_inline(name, move || {
-            // Promoted, the pump ran its thread form to the end.
-            let Some(p) = pump.as_mut() else {
-                return Step::Done;
-            };
-            match p.step() {
-                Stop::Blocked(why) => Step::Blocked(why),
-                Stop::End if !p.exit_parks() => {
-                    p.finish();
-                    pump = None;
-                    Step::Done
-                }
-                stop => {
-                    let mut p = pump.take().expect("checked above");
-                    Step::Promote(Box::new(move || {
-                        if p.settle(stop) {
-                            p.run();
-                        }
-                    }))
-                }
-            }
-        });
-    }
-
-    /// The thread host: step, and settle each stop.
-    fn run(mut self) {
+    /// Route frames until the link ends (EOF, a read error), a frame is
+    /// corrupt or this pump's state forbids it, or no live channel has a
+    /// destination left; then finish.
+    async fn run(mut self) {
         loop {
-            let stop = self.step();
-            if !self.settle(stop) {
-                return;
+            let routed = match self.cur.read(Frame::read).await {
+                Ok(Frame::Msg { channel, len }) => self.deliver(channel, len).await,
+                Ok(Frame::Open(chans)) => {
+                    self.open(chans);
+                    true
+                }
+                Ok(Frame::Close { channel }) => {
+                    if self.live.remove(&channel).is_some() {
+                        self.port.rx.lock().release(channel, true, false);
+                    }
+                    true
+                }
+                Ok(Frame::Reconfig { epoch, params }) => {
+                    ctx::blocking(|| self.reconfigure(epoch, params)).await
+                }
+                Err(_) => false,
+            };
+            if !routed {
+                break;
             }
+        }
+        if self.exit_parks() {
+            ctx::blocking(move || self.finish()).await;
+        } else {
+            self.finish();
         }
     }
 
-    /// What a thread does with a step's stop: park until woken, or
-    /// reconfigure; false when the pump has ended.
-    fn settle(&mut self, stop: Stop) -> bool {
-        match stop {
-            Stop::Blocked(why) => {
-                ctx::park(why);
+    /// A MSG's payload: read it and queue it for its channel's port. False
+    /// when the pump ends here: the payload is cut short, the channel was
+    /// never opened (corrupt), or the port closed and no live channel has a
+    /// destination left.
+    async fn deliver(&mut self, channel: u64, len: usize) -> bool {
+        let pool = &self.port.msg_pool;
+        let read = self.cur.read(|cur| {
+            let mut data = pool.checkout();
+            cur.read_exact_into(len, &mut data).map(|()| data)
+        });
+        let Ok(data) = read.await else {
+            return false;
+        };
+        let Some(lc) = self.live.get_mut(&channel) else {
+            return false;
+        };
+        // A message an earlier link of this channel already delivered
+        // is dropped; `inner: None` channels are drained and dropped.
+        let (seq, port) = {
+            let mut rx = self.port.rx.lock();
+            let r = rx.rec(channel);
+            match (r.arrive(&mut lc.seq), lc.inner.clone()) {
+                (Some(seq), Some(port)) => (seq, port),
+                (Some(seq), None) => {
+                    r.claim(seq);
+                    return true;
+                }
+                (None, _) => return true,
+            }
+        };
+        let bytes = data.len();
+        let mut msg = Some(ReadMessage::new(channel, data));
+        // Another pump holding the channel may deliver it while this one
+        // waits for room: asked on every poll.
+        let rx = &self.port.rx;
+        let pushed = ctx::wait(SimQueue::<ReadMessage>::PUSH_WAIT, || {
+            if !rx.lock().rec(channel).due(seq) {
+                return Poll::Ready(None);
+            }
+            port.msgq.poll_push(&mut msg).map(Some)
+        });
+        match pushed.await {
+            None => true,
+            Some(Ok(())) => {
+                port.note_delivered(channel, seq, bytes);
                 true
             }
-            Stop::Reconfig { epoch, params } if self.reconfigure(epoch, params) => true,
-            _ => {
-                self.finish();
-                false
-            }
-        }
-    }
-
-    /// Route frames until the link would block, ends or reconfigures.
-    /// Never parks: every wait is a [`Stop::Blocked`] with a waker left
-    /// behind, and the step asked again picks up where it stopped.
-    fn step(&mut self) -> Stop {
-        loop {
-            if let Some(stop) = self.deliver_held() {
-                return stop;
-            }
-            let (ch, len) = match self.head {
-                Some(head) => head,
-                None => match Frame::read(&mut self.cur) {
-                    Ok(Frame::Msg { channel, len }) => *self.head.insert((channel, len)),
-                    Ok(Frame::Open(chans)) => {
-                        self.open(chans);
-                        continue;
-                    }
-                    Ok(Frame::Close { channel }) => {
-                        if self.live.remove(&channel).is_some() {
-                            self.port.rx.lock().release(channel, true, false);
-                        }
-                        continue;
-                    }
-                    Ok(Frame::Reconfig { epoch, params }) => {
-                        return Stop::Reconfig { epoch, params }
-                    }
-                    Err(e) => return self.read_failed(e),
-                },
-            };
-            let mut data = self.port.msg_pool.checkout();
-            if let Err(e) = self.cur.read_exact_into(len, &mut data) {
-                return self.read_failed(e);
-            }
-            self.head = None;
-            let Some(lc) = self.live.get_mut(&ch) else {
-                return Stop::End; // MSG on a channel never opened: corrupt
-            };
-            // A message an earlier link of this channel already delivered
-            // is dropped; `inner: None` channels are drained and dropped.
-            let mut rx = self.port.rx.lock();
-            let r = rx.rec(ch);
-            match (r.arrive(&mut lc.seq), lc.inner.clone()) {
-                (Some(seq), Some(port)) => {
-                    self.held = Some(Held {
-                        port,
-                        channel: ch,
-                        seq,
-                        bytes: data.len(),
-                        msg: Some(ReadMessage::new(ch, data)),
-                    })
+            // That port closed. Keep draining its channel's bytes (the
+            // link's other channels live on), but if no live channel has a
+            // destination left, the pump has no reason to exist.
+            Some(Err(_)) => {
+                self.port.rx.lock().rec(channel).claim(seq);
+                if let Some(lc) = self.live.get_mut(&channel) {
+                    lc.inner = None;
                 }
-                (Some(seq), None) => r.claim(seq),
-                (None, _) => {}
+                self.live.values().any(|l| l.inner.is_some())
             }
         }
-    }
-
-    /// A decode error: the stack would block, or the link is over.
-    fn read_failed(&self, e: io::Error) -> Stop {
-        match self.cur.polls() {
-            Some(why) if e.kind() == io::ErrorKind::WouldBlock => Stop::Blocked(why),
-            _ => Stop::End,
-        }
-    }
-
-    /// Queue the held message, if any. `Some` when the pump stops here:
-    /// the queue is full, or the port closed and no live channel has a
-    /// destination left.
-    fn deliver_held(&mut self) -> Option<Stop> {
-        let held = self.held.as_mut()?;
-        // Another pump holding the channel may have delivered it meanwhile.
-        if !self.port.rx.lock().rec(held.channel).due(held.seq) {
-            self.held = None;
-            return None;
-        }
-        let pushed = match held.port.msgq.poll_push(&mut held.msg) {
-            Poll::Pending => return Some(Stop::Blocked(SimQueue::<ReadMessage>::PUSH_WAIT)),
-            Poll::Ready(pushed) => pushed,
-        };
-        let Held {
-            port,
-            channel,
-            seq,
-            bytes,
-            ..
-        } = self.held.take()?;
-        if pushed.is_ok() {
-            port.note_delivered(channel, seq, bytes);
-            return None;
-        }
-        // That port closed. Keep draining its channel's bytes (the link's
-        // other channels live on), but if no live channel has a
-        // destination left, the pump has no reason to exist.
-        self.port.rx.lock().rec(channel).claim(seq);
-        if let Some(lc) = self.live.get_mut(&channel) {
-            lc.inner = None;
-        }
-        self.live
-            .values()
-            .all(|l| l.inner.is_none())
-            .then_some(Stop::End)
     }
 
     /// OPEN: channels join the link. Idempotent: a recovery replays OPENs
@@ -947,10 +853,9 @@ impl ReceivePortInner {
                 born,
                 last_epoch: 0,
                 ctx: ctx.clone(),
-                head: None,
-                held: None,
             };
-            pump.host(format!("rp-pump-{}-{}", self.name, channel));
+            let name = format!("rp-pump-{}-{}", self.name, channel);
+            ctx.sched.spawn_async(name, pump.run());
         }
         Ok(())
     }

@@ -441,7 +441,7 @@ mod tests {
     }
 
     #[derive(Clone, Copy, Debug)]
-    enum Step {
+    enum Move {
         Send(u8),
         Write(u8),
         Close(u8),
@@ -533,7 +533,7 @@ mod tests {
             self.links.last_mut().expect("a link")
         }
 
-        fn enabled(&self, sc: &Scope) -> Vec<Step> {
+        fn enabled(&self, sc: &Scope) -> Vec<Move> {
             let mut v = Vec::new();
             if self.failed {
                 return v;
@@ -544,47 +544,47 @@ mod tests {
                 let i = c as usize;
                 let idle = !self.closed[i] && self.pend[i].is_none();
                 if idle && self.tx[i].nxt < sc.msgs {
-                    v.push(Step::Send(c));
+                    v.push(Move::Send(c));
                 }
                 if up && self.pend[i].is_some() {
-                    v.push(Step::Write(c));
+                    v.push(Move::Write(c));
                 }
                 if up && idle && self.tx[i].nxt == sc.msgs {
-                    v.push(Step::Close(c));
+                    v.push(Move::Close(c));
                 }
                 if sc.cacks && self.rx[i].as_ref().is_some_and(|r| r.armed) {
-                    v.push(Step::Idle(c));
+                    v.push(Move::Idle(c));
                 }
             }
             if self.losses < sc.losses && cur.up && !cur.eof && self.phase != Phase::Down {
-                v.extend((cur.floor..=cur.q.len()).map(|keep| Step::Lose { keep }));
+                v.extend((cur.floor..=cur.q.len()).map(|keep| Move::Lose { keep }));
             }
             match self.phase {
-                Phase::Down if self.closed.contains(&false) => v.push(Step::Resume),
-                Phase::Resuming => v.push(Step::Replay),
-                Phase::Up if self.reconfigs < sc.reconfigs && !cur.eof => v.push(Step::Reconfig),
-                Phase::Reconfiguring if cur.rack.is_some() => v.push(Step::ReconfigAck),
+                Phase::Down if self.closed.contains(&false) => v.push(Move::Resume),
+                Phase::Resuming => v.push(Move::Replay),
+                Phase::Up if self.reconfigs < sc.reconfigs && !cur.eof => v.push(Move::Reconfig),
+                Phase::Reconfiguring if cur.rack.is_some() => v.push(Move::ReconfigAck),
                 _ => {}
             }
             for (l, link) in self.links.iter().enumerate() {
                 if link.held.is_some() {
-                    v.push(Step::Deliver(l));
+                    v.push(Move::Deliver(l));
                 } else if !link.done && (!link.q.is_empty() || !link.up || link.eof) {
-                    v.push(Step::Pump(l));
+                    v.push(Move::Pump(l));
                 }
             }
             // A CACK is lost by never being delivered.
             for i in 0..self.cacks.len() {
                 if i == 0 || self.cacks[i - 1] != self.cacks[i] {
-                    v.push(Step::Cack(i));
+                    v.push(Move::Cack(i));
                 }
             }
             v
         }
 
-        fn apply(&mut self, step: Step, sc: &Scope) -> Checked<()> {
+        fn apply(&mut self, step: Move, sc: &Scope) -> Checked<()> {
             match step {
-                Step::Send(c) => {
+                Move::Send(c) => {
                     let tx = &mut self.tx[c as usize];
                     // One byte a message: the send evicts past the budget,
                     // and only then, what the receiver has not acked.
@@ -596,17 +596,17 @@ mod tests {
                     // With the gate free the write follows at once.
                     self.pend[c as usize] = Some((seq, p));
                     if self.phase == Phase::Up {
-                        self.apply(Step::Write(c), sc)?;
+                        self.apply(Move::Write(c), sc)?;
                     }
                 }
-                Step::Write(c) => {
+                Move::Write(c) => {
                     let (seq, p) = self.pend[c as usize].take().expect("enabled");
                     if self.tx[c as usize].owes(seq) {
                         self.cur().q.push_back(Frame::Msg(c, p));
                         self.tx[c as usize].written(seq);
                     }
                 }
-                Step::Close(c) => {
+                Move::Close(c) => {
                     self.closed[c as usize] = true;
                     let all = !self.closed.contains(&false);
                     let cur = self.cur();
@@ -614,7 +614,7 @@ mod tests {
                     cur.floor = cur.q.len();
                     cur.eof = all;
                 }
-                Step::Lose { keep } => {
+                Move::Lose { keep } => {
                     self.losses += 1;
                     let cur = self.cur();
                     cur.q.truncate(keep);
@@ -622,7 +622,7 @@ mod tests {
                     self.reply.clear();
                     self.phase = Phase::Down;
                 }
-                Step::Resume => {
+                Move::Resume => {
                     self.gen += 1;
                     let mut live = Vec::new();
                     self.reply.clear();
@@ -635,7 +635,7 @@ mod tests {
                     self.link(live, VecDeque::new());
                     self.phase = Phase::Resuming;
                 }
-                Step::Replay => {
+                Move::Replay => {
                     let mut frames = Vec::new();
                     for &(c, e) in &self.reply {
                         let tx = &mut self.tx[c as usize];
@@ -662,12 +662,12 @@ mod tests {
                     self.reply.clear();
                     self.phase = Phase::Up;
                 }
-                Step::Reconfig => {
+                Move::Reconfig => {
                     self.reconfigs += 1;
                     self.cur().q.push_back(Frame::Reconfig);
                     self.phase = Phase::Reconfiguring;
                 }
-                Step::ReconfigAck => {
+                Move::ReconfigAck => {
                     for (c, w) in self.cur().rack.take().expect("enabled") {
                         if !self.closed[c as usize] && !self.tx[c as usize].ack(w) {
                             return Err(format!("channel {c} refused the RECONFIG ack {w}"));
@@ -675,8 +675,8 @@ mod tests {
                     }
                     self.phase = Phase::Up;
                 }
-                Step::Pump(l) => self.pump(l)?,
-                Step::Deliver(l) => {
+                Move::Pump(l) => self.pump(l)?,
+                Move::Deliver(l) => {
                     let (c, at, p) = self.links[l].held.take().expect("enabled");
                     let rx = self.rx[c as usize]
                         .as_mut()
@@ -698,7 +698,7 @@ mod tests {
                 }
                 // The channel stays idle until a tick finds it so: a tick that
                 // finds progress only re-arms, unseen.
-                Step::Idle(c) => {
+                Move::Idle(c) => {
                     let rx = self.rx[c as usize].as_mut().expect("enabled");
                     let mut tick = rx.idle();
                     if tick == Cadence::Arm {
@@ -708,7 +708,7 @@ mod tests {
                         self.cacks.push((c, w));
                     }
                 }
-                Step::Cack(i) => {
+                Move::Cack(i) => {
                     let (c, w) = self.cacks.remove(i);
                     if !self.tx[c as usize].ack(w) {
                         return Err(format!("channel {c} refused the CACK {w}"));
@@ -890,9 +890,9 @@ mod tests {
     }
 
     /// The steps that led to a state, shared with its siblings.
-    struct Path(Option<Rc<Path>>, Step);
+    struct Path(Option<Rc<Path>>, Move);
 
-    fn trace(mut p: Option<&Rc<Path>>) -> Vec<Step> {
+    fn trace(mut p: Option<&Rc<Path>>) -> Vec<Move> {
         let mut steps = Vec::new();
         while let Some(node) = p {
             steps.push(node.1);
@@ -918,7 +918,7 @@ mod tests {
             let mut next = Vec::new();
             for (w, path) in std::mem::take(&mut level) {
                 let steps = w.enabled(&sc);
-                let only_cacks = steps.iter().all(|s| matches!(s, Step::Cack(_)));
+                let only_cacks = steps.iter().all(|s| matches!(s, Move::Cack(_)));
                 let done = if only_cacks { w.finished(&sc) } else { Ok(()) };
                 if let Err(e) = done {
                     let n = seen.len();

@@ -94,7 +94,7 @@ impl LinkIo {
 
     /// Wait until the peer host has everything written so far
     /// ([`RawLink::drain`]) and check the links survived.
-    pub fn settle(&self) -> io::Result<()> {
+    pub fn drain(&self) -> io::Result<()> {
         for l in &self.links[..self.active] {
             l.drain()?;
         }

@@ -322,3 +322,184 @@ proptest! {
         prop_assert_eq!(got.finalize(), want.finalize());
     }
 }
+
+/// GTLS's handshake fed hostile bytes. Each end reads what an in-memory
+/// duplex holds, then EOF, and keeps what it writes. A valid exchange is
+/// replayed from fixed seeds; cut short, with bytes flipped, or replaced by
+/// arbitrary bytes, each end's input must end the handshake in a typed
+/// `io::Error` — never a panic, never a session — and no allocation on the
+/// way may exceed one record, whose length field is 16 bits.
+mod hostile_handshake {
+    use gridcrypt::{SecureConfig, SecureStream};
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::io::{self, Read, Write};
+
+    thread_local!(static LARGEST: Cell<usize> = const { Cell::new(0) });
+
+    /// Notes each thread's largest allocation in `LARGEST`.
+    struct LargestAlloc;
+
+    // SAFETY: every call goes to `System` with the caller's arguments
+    // unchanged; the high-water mark is a statistic and guards nothing.
+    unsafe impl GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = LARGEST.try_with(|m| m.set(m.get().max(new_size)));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: LargestAlloc = LargestAlloc;
+
+    /// One record: a 3-byte header and at most `u16::MAX` body bytes.
+    const RECORD: usize = 64 * 1024;
+
+    /// One end of an in-memory duplex.
+    struct Duplex {
+        input: io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    pub enum End {
+        Client,
+        Server,
+    }
+
+    /// Run `end`'s handshake over `input` from its fixed seed: what it
+    /// wrote, whether it made a session, and its largest allocation.
+    fn handshake(end: End, input: &[u8]) -> (Vec<u8>, io::Result<()>, usize) {
+        let cfg = SecureConfig::new("vo-secret");
+        let mut duplex = Duplex {
+            input: io::Cursor::new(input.to_vec()),
+            output: Vec::new(),
+        };
+        LARGEST.with(|m| m.set(0));
+        let made = match end {
+            End::Client => {
+                let rng = &mut StdRng::seed_from_u64(1);
+                SecureStream::client(&mut duplex, &cfg, rng).map(drop)
+            }
+            End::Server => {
+                let rng = &mut StdRng::seed_from_u64(2);
+                SecureStream::server(&mut duplex, &cfg, rng).map(drop)
+            }
+        };
+        (duplex.output, made, LARGEST.with(Cell::get))
+    }
+
+    /// The valid inputs: the server's hello for the client, the client's
+    /// hello and Finished for the server. Each end is run until its input
+    /// runs out and handed what the other wrote.
+    fn valid() -> (Vec<u8>, Vec<u8>) {
+        let (hello, ..) = handshake(End::Client, &[]);
+        let (server_hello, ..) = handshake(End::Server, &hello);
+        let (client_flight, made, _) = handshake(End::Client, &server_hello);
+        made.expect("the client accepts the replayed server hello");
+        let (_, made, _) = handshake(End::Server, &client_flight);
+        made.expect("the server accepts the replayed client flight");
+        (server_hello, client_flight)
+    }
+
+    /// `end` refuses `input` as a handshake must: a typed error — the input
+    /// ran out, or the handshake was refused — and no allocation over a
+    /// record.
+    pub fn refuses(end: End, input: &[u8]) -> Result<(), String> {
+        let (_, made, largest) = handshake(end, input);
+        match made {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::UnexpectedEof | io::ErrorKind::PermissionDenied
+                ) => {}
+            other => return Err(format!("{end:?} on {input:02x?}: {other:?}")),
+        }
+        if largest > RECORD {
+            return Err(format!("{end:?} allocated {largest} B on {input:02x?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_flight_is_refused() {
+        let (server_hello, client_flight) = valid();
+        for (end, input) in [(End::Client, server_hello), (End::Server, client_flight)] {
+            for cut in 0..input.len() {
+                refuses(end, &input[..cut]).unwrap();
+            }
+        }
+    }
+
+    /// Every byte of a valid flight, its low bit, its high bit or all of it
+    /// flipped, is refused by the end that reads it: each field is checked
+    /// or bound into the transcript the other end's authenticator covers.
+    #[test]
+    fn every_flipped_byte_of_a_valid_flight_is_refused() {
+        let (server_hello, client_flight) = valid();
+        for (end, input) in [(End::Client, server_hello), (End::Server, client_flight)] {
+            for at in 0..input.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut flipped = input.clone();
+                    flipped[at] ^= mask;
+                    refuses(end, &flipped).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_that_declares_the_most_it_can_allocates_one_record() {
+        for end in [End::Client, End::Server] {
+            refuses(end, &[1, 0xff, 0xff, 2, 0]).unwrap();
+            let (_, _, largest) = handshake(end, &[1, 0xff, 0xff]);
+            assert!(largest >= usize::from(u16::MAX), "{end:?}: {largest} B");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, alone or as the body of a handshake record of each
+    /// message type, are refused by either end.
+    #[test]
+    fn arbitrary_handshake_bytes_are_refused(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        msg in 0u8..4,
+        server in any::<bool>(),
+    ) {
+        use hostile_handshake::{refuses, End};
+        let end = if server { End::Server } else { End::Client };
+        let input = match msg {
+            0 => bytes,
+            _ => [&[1, 0, bytes.len() as u8 + 1, msg][..], &bytes].concat(),
+        };
+        let refused = refuses(end, &input);
+        prop_assert!(refused.is_ok(), "{:?}", refused);
+    }
+}

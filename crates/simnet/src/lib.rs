@@ -56,8 +56,8 @@ pub use link::{LinkDirId, LinkParams, LinkStats};
 pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};
 pub use runtime::{
-    ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, Step, TaskId, Timer, Waker,
-    GRANTS, THREADS,
+    ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, TaskId, Timer, Waker, GRANTS,
+    THREADS,
 };
 pub use sync::{SimMutex, SimMutexGuard, SimQueue};
 pub use time::SimTime;

@@ -17,9 +17,9 @@
 //! happens to drive.
 //!
 //! The threads are workers (`sim-worker`): one whose task has finished, or
-//! blocked inline again after a promotion, waits on an idle list for the
-//! next task, so a task starts an OS thread only when every worker is
-//! busy. Dropping the [`Scheduler`] ends and joins the idle ones.
+//! whose async task waits again after a blocking section, waits on an idle
+//! list for the next task, so a task starts an OS thread only when every
+//! worker is busy. Dropping the [`Scheduler`] ends and joins the idle ones.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -45,9 +45,8 @@
 //!   scheduler counts that as the park its thread form would have made.
 //!   [`ctx::blocking`] runs a closure that may park: the whole future moves
 //!   to a worker under the same id, next, runs the closure there and goes
-//!   on to its next wait — and the task is inline once more. Underneath,
-//!   it is an inline step ([`SchedHandle::spawn_inline`], [`Step`]), which
-//!   the receive pump also writes by hand.
+//!   on to its next wait — and the task is inline once more. The future is
+//!   the one inline task form: its slot holds it while it waits.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
@@ -108,26 +107,6 @@ impl Drop for Timer {
     }
 }
 
-/// What one step of an inline task did.
-pub enum Step {
-    /// It would block, and it has left a waker where the wake will come
-    /// from. Counted as a park under this reason (`task/parks/<reason>`),
-    /// unless a wake arrived during the step: then it runs again at once,
-    /// as `ctx::park` returns at once on a pending wake.
-    Blocked(&'static str),
-    /// The task is over.
-    Done,
-    /// Run this closure on a thread, where it may park: same [`TaskId`],
-    /// so every waker stays valid, and it runs next, so nothing reorders.
-    /// When it returns, the same thread runs the step again at once and
-    /// the task is inline once more; a task whose closure ran it to its
-    /// end has its step return `Done` there.
-    Promote(Box<dyn FnOnce() + Send>),
-}
-
-/// An inline task's step function.
-type InlineStep = Box<dyn FnMut() -> Step + Send>;
-
 thread_local! {
     /// The park under which an async task's future returned `Pending`: set
     /// by [`ctx::wait`], left empty by [`ctx::blocking`], which asks for a
@@ -135,52 +114,39 @@ thread_local! {
     static PEND: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
-/// An async task's future, shared by its step and, while a blocking
-/// section runs, its worker.
-#[derive(Default)]
+/// An async task: its future and the waker it is polled with. Its slot
+/// holds it while it waits; a blocking section hands it to a worker.
 struct AsyncTask {
-    /// Dropped where it returns `Ready`, as a thread's locals are.
-    fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
+    fut: Pin<Box<dyn Future<Output = ()> + Send>>,
     /// Over the task's own [`Waker`].
-    waker: Option<std::task::Waker>,
-    /// How the poll on a worker ended, for the step that resumes after it.
-    resumed: Option<Step>,
+    waker: std::task::Waker,
+}
+
+/// How one poll of an async task ended.
+enum Polled {
+    /// Pending in [`ctx::wait`], the task's waker left where the wake will
+    /// come from: a park under this reason (`task/parks/<reason>`), unless
+    /// a wake arrived during the poll — then it is polled again at once, as
+    /// `ctx::park` returns at once on a pending wake.
+    Blocked(&'static str, AsyncTask),
+    /// Pending in [`ctx::blocking`], polled inline: the task needs a worker.
+    Blocking(AsyncTask),
+    /// Ready.
+    Done,
 }
 
 impl AsyncTask {
-    /// Poll the future once; `None` when a blocking section asks for a
-    /// thread.
-    fn poll(&mut self) -> Option<Step> {
-        let fut = self.fut.as_mut().expect("an ended task is not polled");
-        let waker = self
-            .waker
-            .get_or_insert_with(|| Arc::new(ctx::waker()).into());
-        let polled = fut.as_mut().poll(&mut Context::from_waker(waker));
-        if polled.is_ready() {
-            self.fut = None;
-            return Some(Step::Done);
+    /// Poll the future once. One that is ready is dropped here, as a
+    /// thread's locals are where it returns.
+    fn poll(mut self) -> Polled {
+        let cx = &mut Context::from_waker(&self.waker);
+        if self.fut.as_mut().poll(cx).is_ready() {
+            return Polled::Done;
         }
-        PEND.take().map(Step::Blocked)
-    }
-
-    /// The task's step: poll inline, or promote to poll on a worker, where
-    /// a blocking section runs in place and the task runs on to its next
-    /// wait; the step that resumes after it returns how that poll ended.
-    fn step(task: &Arc<Mutex<AsyncTask>>) -> Step {
-        let mut t = task.lock();
-        if let Some(after) = t.resumed.take() {
-            return after;
+        match PEND.take() {
+            Some(reason) => Polled::Blocked(reason, self),
+            None => Polled::Blocking(self),
         }
-        t.poll().unwrap_or_else(|| {
-            let task = Arc::clone(task);
-            Step::Promote(Box::new(move || {
-                let mut t = task.lock();
-                let after = t
-                    .poll()
-                    .expect("an async task awaits ctx::wait and ctx::blocking only");
-                t.resumed = Some(after);
-            }))
-        })
     }
 }
 
@@ -190,12 +156,12 @@ impl std::task::Wake for Waker {
     }
 }
 
-/// An event's or an inline task's code, taken out of the scheduler's
-/// state to run; a hook goes back into its slot when it returns.
+/// An event's code or an async task, taken out of the scheduler's state
+/// to run; a hook goes back into its slot when it returns.
 enum Callback {
     Call(Box<dyn FnOnce() + Send>),
     Hook(HookId, Hook, u64),
-    Step(TaskId, InlineStep),
+    Poll(TaskId, AsyncTask),
 }
 
 /// Handle to a recurring callback registered with
@@ -330,20 +296,24 @@ impl Baton {
     }
 }
 
-/// What a thread task runs, or a promoted inline task runs for a while.
+/// What a thread task runs.
 type Body = Box<dyn FnOnce() + Send>;
 
-/// A task given a thread: the body it runs there and, for a promoted
-/// inline task, the step it resumes when the body returns.
-type Job = (TaskId, Body, Option<InlineStep>);
+/// What a task given a thread runs there: a thread task's body, or an
+/// async task whose blocking section asked for it, polled on to its next
+/// wait.
+enum Job {
+    Body(Body),
+    Async(AsyncTask),
+}
 
 /// An OS thread that runs tasks, one after another.
 #[derive(Default)]
 struct Worker {
     /// Its own for life: granted to run its job, or with no job to exit.
     baton: Arc<Baton>,
-    /// The task it runs next and its body, set before the baton is granted.
-    job: Mutex<Option<Job>>,
+    /// The task it runs next and its job, set before the baton is granted.
+    job: Mutex<Option<(TaskId, Job)>>,
     /// Taken to join it when the scheduler drops.
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -358,10 +328,10 @@ struct TaskSlot {
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
     /// The baton of the worker running the task; `None` once the task has
-    /// finished, and for an inline task.
+    /// finished, and for an async task outside a blocking section.
     baton: Option<Arc<Baton>>,
-    /// An inline task's step, in the slot while it is not running.
-    step: Option<InlineStep>,
+    /// An async task, in the slot while it is not running.
+    task: Option<AsyncTask>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
     /// Human-readable reason the task is parked (deadlock diagnostics);
@@ -394,7 +364,7 @@ struct SchedState {
     /// Cross-thread baton grants so far: one thread handing the baton to
     /// another. A task that parks, sleeps or yields and is itself the next
     /// to run costs none (the in-file tests pin exactly that), and neither
-    /// does an inline step. Read into snapshots as [`GRANTS`].
+    /// does an async task's poll. Read into snapshots as [`GRANTS`].
     grants: u64,
     /// The metrics registry, in name order. Among its names,
     /// `task/parks/<reason>` counts the times tasks actually parked
@@ -507,14 +477,14 @@ impl SchedCore {
 
     /// Run the scheduler loop on the calling thread, which holds the baton:
     /// run-queue head first, else the next event, until someone is to run.
-    /// An inline task at the head runs its step right here, like an event.
+    /// An async task at the head is polled right here, like an event.
     ///
     /// Returns `None` when that someone is the caller — its own task came
     /// off the run queue, or it is the root and the run is over — and
-    /// otherwise the baton the caller must grant: the next task's (a task
-    /// an inline step just promoted to a thread included), or the root's
-    /// when the run is over (a panic is pending, the event heap is empty,
-    /// or the next event lies past the `run_until` limit).
+    /// otherwise the baton the caller must grant: the next task's (an
+    /// async task just given a worker for a blocking section included), or
+    /// the root's when the run is over (a panic is pending, the event heap
+    /// is empty, or the next event lies past the `run_until` limit).
     fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
         loop {
             let callback = {
@@ -525,8 +495,8 @@ impl SchedCore {
                         if let Some(tid) = st.runnable.pop_front() {
                             let slot = &mut st.tasks[tid.index()];
                             slot.state = TaskState::Running;
-                            if let Some(step) = slot.step.take() {
-                                break Callback::Step(tid, step);
+                            if let Some(task) = slot.task.take() {
+                                break Callback::Poll(tid, task);
                             }
                             if me == Driver::Task(tid) {
                                 return None;
@@ -569,10 +539,10 @@ impl SchedCore {
                 }
             };
             match callback {
-                Callback::Step(tid, step) => {
-                    if let Some((body, step)) = self.run_inline(tid, step) {
+                Callback::Poll(tid, task) => {
+                    if let Some(task) = self.poll_task(tid, task, None) {
                         let mut st = self.state.borrow();
-                        let baton = self.start_thread(&mut st, tid, body, Some(step));
+                        let baton = self.start_thread(&mut st, tid, Job::Async(task));
                         st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
                         st.grants += 1;
                         return Some(baton);
@@ -596,64 +566,58 @@ impl SchedCore {
         }
     }
 
-    /// Run inline task `tid`'s step on the calling thread, with the task's
-    /// context in place of the driver's (none), until it blocks without a
-    /// wake pending, ends or asks for a thread. On promotion, returns the
-    /// body and the step to resume after it, the task still running: it
-    /// runs next. A panic in the step is kept for `run_until`'s caller, as
+    /// Poll async task `tid` on the calling thread, with the task's context
+    /// in place of the driver's (none), until it blocks without a wake
+    /// pending or ends. On its worker (`baton`), a blocking section runs in
+    /// place. Inline, one returns the task, still running, to be given a
+    /// worker: it runs next. A panic is kept for `run_until`'s caller, as
     /// an event's is, and ends the task.
-    fn run_inline(
+    fn poll_task(
         self: &Arc<Self>,
         tid: TaskId,
-        mut step: InlineStep,
-    ) -> Option<(Body, InlineStep)> {
+        mut task: AsyncTask,
+        baton: Option<&Arc<Baton>>,
+    ) -> Option<AsyncTask> {
         loop {
             let driver = CURRENT.replace(Some(Current {
                 handle: SchedHandle {
                     core: Arc::clone(self),
                 },
                 tid,
-                baton: None,
+                baton: baton.cloned(),
             }));
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(&mut step));
+            let polled = std::panic::catch_unwind(AssertUnwindSafe(move || task.poll()));
             CURRENT.set(driver);
             let mut st = self.state.borrow();
-            match outcome {
-                Ok(Step::Blocked(reason)) => {
+            match polled {
+                Ok(Polled::Blocked(reason, again)) => {
                     let slot = &mut st.tasks[tid.index()];
                     if std::mem::take(&mut slot.notified) {
+                        task = again;
                         continue;
                     }
                     slot.state = TaskState::Blocked;
                     slot.blocked_on = reason;
-                    slot.step = Some(step);
+                    slot.baton = None;
+                    slot.task = Some(again);
                     st.count_park(reason);
                     return None;
                 }
-                Ok(Step::Promote(body)) => return Some((body, step)),
-                Ok(Step::Done) => {}
+                Ok(Polled::Blocking(task)) => return Some(task),
+                Ok(Polled::Done) => {}
                 Err(p) => {
                     st.panic.get_or_insert(p);
                 }
             }
             st.retire(tid);
-            drop(st);
-            drop(step);
             return None;
         }
     }
 
-    /// Give task `tid` a worker, idle or else new, that runs `body` once
-    /// the returned baton is first granted and then finishes the task, or
-    /// resumes its `step`. The caller records the baton; the worker touches
-    /// no state before then.
-    fn start_thread(
-        self: &Arc<Self>,
-        st: &mut SchedState,
-        tid: TaskId,
-        body: Body,
-        step: Option<InlineStep>,
-    ) -> Arc<Baton> {
+    /// Give task `tid` a worker, idle or else new, that runs `job` once the
+    /// returned baton is first granted. The caller grants it; the worker
+    /// touches no state before then.
+    fn start_thread(self: &Arc<Self>, st: &mut SchedState, tid: TaskId, job: Job) -> Arc<Baton> {
         let worker = st.idle.pop().unwrap_or_else(|| {
             let worker = Arc::new(Worker::default());
             let (core, w) = (Arc::clone(self), Arc::clone(&worker));
@@ -670,52 +634,42 @@ impl SchedCore {
             *st.metrics.entry(THREADS).or_insert(0) += 1;
             worker
         });
-        *worker.job.lock() = Some((tid, body, step));
+        *worker.job.lock() = Some((tid, job));
         Arc::clone(&worker.baton)
     }
 
-    /// A worker's life: run each job it is granted, to the task's end;
-    /// return at a grant that brings no job. A promoted task's step
-    /// resumes the moment its body returns, as its thread form would go
-    /// round its loop, and a promotion from there runs here too; a panic
-    /// in a body ends the task.
+    /// A worker's life: run each job it is granted — a thread task to its
+    /// end, an async task to its next wait, every blocking section on the
+    /// way run in place — and return at a grant that brings no job. A
+    /// panic ends the task.
     fn work(self: &Arc<Self>, worker: &Arc<Worker>) {
         loop {
             worker.baton.wait();
-            let Some((tid, mut body, mut step)) = worker.job.lock().take() else {
+            let Some((tid, job)) = worker.job.lock().take() else {
                 return;
             };
             self.state.hold();
-            loop {
-                CURRENT.set(Some(Current {
-                    handle: SchedHandle {
-                        core: Arc::clone(self),
-                    },
-                    tid,
-                    baton: Some(Arc::clone(&worker.baton)),
-                }));
-                let out = std::panic::catch_unwind(AssertUnwindSafe(body));
-                CURRENT.set(None);
-                let mut st = self.state.borrow();
-                let resume = match (out, step.take()) {
-                    (Ok(()), Some(resume)) => resume,
-                    (out, step) => {
-                        if let Err(p) = out {
-                            st.panic.get_or_insert(p);
-                        }
-                        st.retire(tid);
-                        drop(st);
-                        drop(step);
-                        break;
+            match job {
+                Job::Body(body) => {
+                    CURRENT.set(Some(Current {
+                        handle: SchedHandle {
+                            core: Arc::clone(self),
+                        },
+                        tid,
+                        baton: Some(Arc::clone(&worker.baton)),
+                    }));
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(body));
+                    CURRENT.set(None);
+                    let mut st = self.state.borrow();
+                    if let Err(p) = out {
+                        st.panic.get_or_insert(p);
                     }
-                };
-                st.tasks[tid.index()].baton = None;
-                drop(st);
-                let Some((next, again)) = self.run_inline(tid, resume) else {
-                    break;
-                };
-                self.state.borrow().tasks[tid.index()].baton = Some(Arc::clone(&worker.baton));
-                (body, step) = (next, Some(again));
+                    st.retire(tid);
+                }
+                Job::Async(task) => {
+                    let left = self.poll_task(tid, task, Some(&worker.baton));
+                    debug_assert!(left.is_none(), "a worker runs blocking sections in place");
+                }
             }
             // Choose the successor, only then go idle, and only then hand
             // the baton on: no `drive` here can give this worker a job.
@@ -771,11 +725,11 @@ pub enum RunOutcome {
 
 /// What a task knows about itself. Taken out of `CURRENT` while its thread
 /// drives the scheduler loop, so events it fires see no task context; put
-/// in for the length of an inline task's step, with no baton.
+/// in for the length of an async task's poll.
 struct Current {
     handle: SchedHandle,
     tid: TaskId,
-    /// `None` for an inline task, which cannot park.
+    /// `None` for an async task polled inline, which cannot park.
     baton: Option<Arc<Baton>>,
 }
 
@@ -1035,14 +989,14 @@ impl SchedHandle {
         let tid = TaskId(st.tasks.len() as u64);
         let out = Arc::clone(&result);
         let body = Box::new(move || *out.lock() = Some(f()));
-        let baton = self.core.start_thread(&mut st, tid, body, None);
+        let baton = self.core.start_thread(&mut st, tid, Job::Body(body));
         st.tasks.push(TaskSlot {
             name,
             daemon,
             state: TaskState::Runnable,
             notified: false,
             baton: Some(baton),
-            step: None,
+            task: None,
             joiners: Vec::new(),
             blocked_on: "",
         });
@@ -1055,47 +1009,36 @@ impl SchedHandle {
         }
     }
 
-    /// Spawn an inline task: `step` runs on the stack of whoever pops the
-    /// task off the run queue, with the task's context (`ctx::waker`,
-    /// `ctx::now`, `ctx::handle`), each time the task is woken, until it
-    /// returns [`Step::Done`] or [`Step::Promote`]. It takes the run-queue
+    /// Spawn an async task: `fut` is polled on the stack of whoever pops
+    /// the task off the run queue, with the task's context (`ctx::waker`,
+    /// `ctx::now`, `ctx::handle`), each time the task is woken, and awaits
+    /// [`ctx::wait`] and [`ctx::blocking`] only. It takes the run-queue
     /// place a [`spawn_daemon`](Self::spawn_daemon) would, and counts as a
     /// daemon: blocked, it is no deadlock. `ctx::park`, `sleep` and
-    /// `yield_now` panic inside a step.
-    pub fn spawn_inline(
+    /// `yield_now` panic in it outside a blocking section.
+    pub fn spawn_async(
         &self,
         name: impl Into<String>,
-        step: impl FnMut() -> Step + Send + 'static,
+        fut: impl Future<Output = ()> + Send + 'static,
     ) -> TaskId {
         let mut st = self.core.state.borrow();
         let tid = TaskId(st.tasks.len() as u64);
+        let task = AsyncTask {
+            fut: Box::pin(fut),
+            waker: Arc::new(self.waker(tid)).into(),
+        };
         st.tasks.push(TaskSlot {
             name: name.into(),
             daemon: true,
             state: TaskState::Runnable,
             notified: false,
             baton: None,
-            step: Some(Box::new(step)),
+            task: Some(task),
             joiners: Vec::new(),
             blocked_on: "",
         });
         st.runnable.push_back(tid);
         tid
-    }
-
-    /// Spawn an async task: an inline task whose step polls `fut` with the
-    /// task's context. It awaits [`ctx::wait`] and [`ctx::blocking`].
-    pub fn spawn_async(
-        &self,
-        name: impl Into<String>,
-        fut: impl Future<Output = ()> + Send + 'static,
-    ) -> TaskId {
-        let fut = Some(Box::pin(fut) as Pin<Box<dyn Future<Output = ()> + Send>>);
-        let task = Arc::new(Mutex::new(AsyncTask {
-            fut,
-            ..AsyncTask::default()
-        }));
-        self.spawn_inline(name, move || AsyncTask::step(&task))
     }
 }
 
@@ -1266,10 +1209,10 @@ pub mod ctx {
         })
     }
 
-    /// Run `f`, which may park, on a thread. Awaited in an async task's
-    /// inline step, it moves the whole task to a worker (a promotion: same
-    /// [`TaskId`], next to run); `f` runs there, borrowing the task's locals,
-    /// and the task steps inline again from its next wait.
+    /// Run `f`, which may park, on a thread. Awaited in an async task polled
+    /// inline, it moves the whole task to a worker (same [`TaskId`], next to
+    /// run); `f` runs there, borrowing the task's locals, the task is polled
+    /// on there to its next wait, and is inline again after it.
     pub fn blocking<R>(f: impl FnOnce() -> R) -> impl Future<Output = R> {
         let mut f = Some(f);
         std::future::poll_fn(move |_| {
@@ -1890,20 +1833,16 @@ mod tests {
         sched.spawn("finisher", move || {
             assert_eq!(std::thread::current().id(), first, "the idle worker");
             let l = Arc::clone(&l);
-            // Runnable behind this task: its finish pops it, steps it and
+            // Runnable behind this task: its finish pops it, polls it and
             // starts its thread before this worker is idle.
-            let mut promoted = false;
-            h2.spawn_inline("promotes", move || {
-                if std::mem::replace(&mut promoted, true) {
-                    return Step::Done;
-                }
-                let l = Arc::clone(&l);
-                Step::Promote(Box::new(move || {
+            h2.spawn_async("promotes", async move {
+                ctx::blocking(|| {
                     let other = std::thread::current().id() != first;
                     l.lock().push(format!("promoted, other thread: {other}"));
                     ctx::sleep(Duration::from_millis(1));
                     l.lock().push(format!("woken at {}", ctx::now().as_nanos()));
-                }))
+                })
+                .await;
             });
         });
         assert_eq!(sched.run(), RunOutcome::Idle);
@@ -1921,23 +1860,15 @@ mod tests {
         let first = thread_of_task(&sched, || {});
         let ran_on = Arc::new(Mutex::new(None));
         let r = Arc::clone(&ran_on);
-        let (mut woken, mut promoted) = (false, false);
-        let tid = h.spawn_inline("promoted", move || {
-            if std::mem::replace(&mut promoted, woken) {
-                return Step::Done;
-            }
-            if !woken {
-                woken = true;
-                let me = ctx::waker();
-                let h = ctx::handle();
-                h.call_at(h.now() + Duration::from_millis(1), move || me.wake());
-                return Step::Blocked("first");
-            }
-            let r = Arc::clone(&r);
-            Step::Promote(Box::new(move || {
+        let tid = h.spawn_async("promoted", async move {
+            let (me, h) = (ctx::waker(), ctx::handle());
+            h.call_at(h.now() + Duration::from_millis(1), move || me.wake());
+            once_pending("first").await;
+            ctx::blocking(|| {
                 ctx::sleep(Duration::from_millis(1));
                 *r.lock() = Some((std::thread::current().id(), ctx::waker().task()));
-            }))
+            })
+            .await;
         });
         assert_eq!(sched.run(), RunOutcome::Idle);
         assert_eq!(ran_on.lock().take(), Some((first, tid)));
@@ -1988,16 +1919,25 @@ mod tests {
         assert_eq!([h.metric(up), h.metric(peak), never], [0, 3, 0]);
     }
 
+    /// A wait that is pending the first time it is asked, under `reason`,
+    /// and ready from the next: one park, unless a wake is already pending.
+    fn once_pending(reason: &'static str) -> impl Future<Output = ()> {
+        let mut asked = false;
+        ctx::wait(reason, move || match std::mem::replace(&mut asked, true) {
+            true => Poll::Ready(()),
+            false => Poll::Pending,
+        })
+    }
+
     /// How the relay task of [`relay_scenario`] runs.
     #[derive(Clone, Copy, PartialEq)]
     enum Form {
         Thread,
+        /// An async task that only waits.
         Inline,
-        /// Inline, but each odd item's push runs promoted: a blocking
-        /// push on a thread, after which the task steps on.
+        /// An async task, each odd item's push a blocking section: a
+        /// blocking push on a thread, after which the task goes on inline.
         Promoting,
-        /// An async task, each odd item's push a blocking section.
-        Async,
     }
 
     /// The producer → relay → consumer scenario of the inline-task tests:
@@ -2006,7 +1946,6 @@ mod tests {
     /// log notes every slice and event, and the parks by reason close it.
     fn relay_scenario(form: Form) -> (Vec<String>, u64) {
         use crate::sync::SimQueue;
-        use std::task::Poll;
         let sched = Scheduler::new();
         let h = sched.handle();
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -2028,11 +1967,24 @@ mod tests {
             q.close();
         });
         let (from, to, n) = (inbox, outbox.clone(), note.clone());
-        if form == Form::Async {
+        if form == Form::Thread {
+            sched.spawn_daemon("relay", move || {
+                while let Some(i) = from.pop() {
+                    n(&format!("relay {i}"));
+                    if i % 2 == 1 {
+                        n(&format!("promoted push {i}"));
+                    }
+                    if to.push(i).is_err() {
+                        return;
+                    }
+                }
+                to.close();
+            });
+        } else {
             h.spawn_async("relay", async move {
                 while let Some(i) = ctx::wait(SimQueue::<u32>::POP_WAIT, || from.poll_pop()).await {
                     n(&format!("relay {i}"));
-                    let pushed = if i % 2 == 1 {
+                    let pushed = if form == Form::Promoting && i % 2 == 1 {
                         ctx::blocking(|| {
                             n(&format!("promoted push {i}"));
                             to.push(i)
@@ -2043,53 +1995,6 @@ mod tests {
                         ctx::wait(SimQueue::<u32>::PUSH_WAIT, || to.poll_push(&mut held)).await
                     };
                     if pushed.is_err() {
-                        return;
-                    }
-                }
-                to.close();
-            });
-        } else if form != Form::Thread {
-            let (mut held, closed) = (None, Arc::new(AtomicBool::new(false)));
-            let promotes = form == Form::Promoting;
-            h.spawn_inline("relay", move || loop {
-                if closed.load(Ordering::SeqCst) {
-                    return Step::Done;
-                }
-                if let Some(i) = held.filter(|i| promotes && i % 2 == 1) {
-                    held = None;
-                    let (to, closed, n) = (to.clone(), Arc::clone(&closed), n.clone());
-                    return Step::Promote(Box::new(move || {
-                        n(&format!("promoted push {i}"));
-                        closed.store(to.push(i).is_err(), Ordering::SeqCst);
-                    }));
-                }
-                if held.is_some() {
-                    match to.poll_push(&mut held) {
-                        Poll::Pending => return Step::Blocked(SimQueue::<u32>::PUSH_WAIT),
-                        Poll::Ready(Err(_)) => return Step::Done,
-                        Poll::Ready(Ok(())) => {}
-                    }
-                }
-                match from.poll_pop() {
-                    Poll::Pending => return Step::Blocked(SimQueue::<u32>::POP_WAIT),
-                    Poll::Ready(None) => {
-                        to.close();
-                        return Step::Done;
-                    }
-                    Poll::Ready(Some(i)) => {
-                        n(&format!("relay {i}"));
-                        held = Some(i);
-                    }
-                }
-            });
-        } else {
-            sched.spawn_daemon("relay", move || {
-                while let Some(i) = from.pop() {
-                    n(&format!("relay {i}"));
-                    if i % 2 == 1 {
-                        n(&format!("promoted push {i}"));
-                    }
-                    if to.push(i).is_err() {
                         return;
                     }
                 }
@@ -2123,7 +2028,6 @@ mod tests {
         let (threaded, thread_grants) = relay_scenario(Form::Thread);
         let (inline, inline_grants) = relay_scenario(Form::Inline);
         let (promoting, _) = relay_scenario(Form::Promoting);
-        let (async_form, _) = relay_scenario(Form::Async);
         // The log of the inline form has no promotion lines to skip: its
         // slices and events are the thread form's but for those notes.
         let unnoted = |log: &[String]| -> Vec<String> {
@@ -2131,8 +2035,10 @@ mod tests {
             kept.cloned().collect()
         };
         assert_eq!(inline, unnoted(&threaded));
-        assert_eq!(promoting, threaded, "promoting mid-life and resuming");
-        assert_eq!(async_form, threaded, "an async task with blocking sections");
+        assert_eq!(
+            promoting, threaded,
+            "an async task with blocking sections, promoted mid-life and resuming"
+        );
         assert!(
             threaded.iter().any(|l| l == "task/parks/queue push 1"),
             "the scenario fills the outbox: {threaded:?}"
@@ -2153,10 +2059,7 @@ mod tests {
         ];
         for call in calls {
             let sched = Scheduler::new();
-            sched.handle().spawn_inline("pumpish", move || {
-                call();
-                Step::Done
-            });
+            sched.handle().spawn_async("pumpish", async move { call() });
             let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
             let msg = p.downcast_ref::<String>().map(String::as_str);
             assert_eq!(
@@ -2172,18 +2075,21 @@ mod tests {
         let h = sched.handle();
         let steps = Arc::new(AtomicUsize::new(0));
         let s2 = Arc::clone(&steps);
-        h.spawn_inline("self-waker", move || {
-            // Two steps wake themselves before blocking; the third blocks
-            // for good. None of them is a park.
-            if s2.fetch_add(1, Ordering::SeqCst) < 2 {
-                ctx::waker().wake();
-            }
-            Step::Blocked("test-wait")
-        });
+        h.spawn_async(
+            "self-waker",
+            // Two polls wake the task before it blocks; the third blocks for
+            // good. Only that one is a park.
+            ctx::wait("test-wait", move || {
+                if s2.fetch_add(1, Ordering::SeqCst) < 2 {
+                    ctx::waker().wake();
+                }
+                Poll::<()>::Pending
+            }),
+        );
         assert_eq!(sched.run(), RunOutcome::Idle);
         assert_eq!(steps.load(Ordering::SeqCst), 3);
         assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 1);
-        assert_eq!(h.metric(GRANTS), 0, "the root ran every step itself");
+        assert_eq!(h.metric(GRANTS), 0, "the root ran every poll itself");
     }
 
     #[test]
@@ -2192,24 +2098,13 @@ mod tests {
         let h = sched.handle();
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let (l, h2) = (Arc::clone(&log), h.clone());
-        let (mut waker, mut promoted) = (None, false);
-        let tid = h.spawn_inline("promoted", move || {
-            let me = ctx::waker();
-            if promoted {
-                return Step::Done;
-            }
-            if waker.is_none() {
-                // First step: leave a waker behind, as a socket read would.
-                waker = Some(me);
-                let w = waker.clone();
-                h2.call_at(h2.now() + Duration::from_millis(1), move || {
-                    w.expect("set").wake()
-                });
-                return Step::Blocked("first");
-            }
-            let (l, stale) = (Arc::clone(&l), waker.take().expect("set"));
-            promoted = true;
-            Step::Promote(Box::new(move || {
+        let tid = h.spawn_async("promoted", async move {
+            // First poll: leave a waker behind, as a socket read would.
+            let stale = ctx::waker();
+            let w = stale.clone();
+            h2.call_at(h2.now() + Duration::from_millis(1), move || w.wake());
+            once_pending("first").await;
+            ctx::blocking(|| {
                 assert_eq!(ctx::waker().task(), stale.task(), "same id on the thread");
                 l.lock().push(format!("thread {}", ctx::now().as_nanos()));
                 // The waker taken inline still reaches the thread.
@@ -2217,7 +2112,8 @@ mod tests {
                 h.call_at(ctx::now() + Duration::from_millis(1), move || stale.wake());
                 ctx::park("second");
                 l.lock().push(format!("woken {}", ctx::now().as_nanos()));
-            }))
+            })
+            .await;
         });
         // Runnable behind the promoted task when it is woken: it must not
         // run in between.
@@ -2234,27 +2130,28 @@ mod tests {
         );
     }
 
-    /// When a promoted body returns, its worker runs the step at once —
-    /// before a task made runnable at the same instant — and a second
-    /// promotion from there runs on the same worker, with no switch.
+    /// When a blocking section returns, its worker polls the task on at
+    /// once — before a task made runnable at the same instant — and a
+    /// second section from there runs on the same worker, with no switch.
     #[test]
     fn a_resumed_step_runs_at_once_on_its_worker_and_may_promote_again() {
         let sched = Scheduler::new();
         let h = sched.handle();
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let thread = || format!("{:?}", std::thread::current().id());
-        let (l, mut steps) = (Arc::clone(&log), 0);
-        h.spawn_inline("twice", move || {
-            steps += 1;
-            l.lock().push(format!("step {steps} on {}", thread()));
-            if steps == 3 {
-                return Step::Done;
+        let l = Arc::clone(&log);
+        h.spawn_async("twice", async move {
+            for steps in 1..=3 {
+                l.lock().push(format!("step {steps} on {}", thread()));
+                if steps == 3 {
+                    return;
+                }
+                ctx::blocking(|| {
+                    l.lock().push(format!("body on {}", thread()));
+                    ctx::sleep(Duration::from_millis(1));
+                })
+                .await;
             }
-            let l = Arc::clone(&l);
-            Step::Promote(Box::new(move || {
-                l.lock().push(format!("body on {}", thread()));
-                ctx::sleep(Duration::from_millis(1));
-            }))
         });
         let l = Arc::clone(&log);
         sched.spawn("other", move || {
@@ -2285,9 +2182,11 @@ mod tests {
         let sched = Scheduler::new();
         let steps = Arc::new(AtomicUsize::new(0));
         let s2 = Arc::clone(&steps);
-        sched.handle().spawn_inline("boom", move || {
-            s2.fetch_add(1, Ordering::SeqCst);
-            Step::Promote(Box::new(|| panic!("promoted and blew up")))
+        sched.handle().spawn_async("boom", async move {
+            loop {
+                s2.fetch_add(1, Ordering::SeqCst);
+                ctx::blocking(|| std::panic::panic_any("promoted and blew up")).await
+            }
         });
         let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
         assert_eq!(p.downcast_ref::<&str>(), Some(&"promoted and blew up"));
@@ -2295,18 +2194,23 @@ mod tests {
         assert_eq!(steps.load(Ordering::SeqCst), 1, "no step after the panic");
     }
 
-    /// A wake that lands while the promoted body runs — the task is running
-    /// then — is kept: the step that follows runs again instead of parking.
+    /// A wake that lands while a blocking section runs — the task is running
+    /// then — is kept: the wait that follows is asked again instead of
+    /// parking.
     #[test]
     fn a_wake_during_a_promoted_body_is_not_lost() {
         let sched = Scheduler::new();
         let h = sched.handle();
         let steps = Arc::new(AtomicUsize::new(0));
         let s2 = Arc::clone(&steps);
-        h.spawn_inline("woken", move || match s2.fetch_add(1, Ordering::SeqCst) {
-            0 => Step::Promote(Box::new(|| ctx::waker().wake())),
-            1 => Step::Blocked("test-wait"),
-            _ => Step::Done,
+        h.spawn_async("woken", async move {
+            s2.fetch_add(1, Ordering::SeqCst);
+            ctx::blocking(|| ctx::waker().wake()).await;
+            ctx::wait("test-wait", || match s2.fetch_add(1, Ordering::SeqCst) {
+                1 => Poll::Pending,
+                _ => Poll::Ready(()),
+            })
+            .await;
         });
         assert_eq!(sched.run(), RunOutcome::Idle);
         assert_eq!(steps.load(Ordering::SeqCst), 3);
@@ -2332,7 +2236,7 @@ mod tests {
                 ctx::waker().wake();
             })
             .await;
-            // The first ask would block: the wake above runs the step again.
+            // The first ask would block: the wake above polls the task again.
             let mut asked = 0;
             ctx::wait("test-wait", || {
                 asked += 1;
@@ -2377,9 +2281,8 @@ mod tests {
     #[test]
     fn a_blocked_inline_task_is_not_a_deadlock() {
         let sched = Scheduler::new();
-        sched
-            .handle()
-            .spawn_inline("idle-pump", || Step::Blocked("tcp read"));
+        let idle = || ctx::wait("tcp read", || Poll::<()>::Pending);
+        sched.handle().spawn_async("idle-pump", idle());
         sched.spawn("stuck", || ctx::park("never-signalled"));
         match sched.run_until(SimTime::MAX) {
             RunOutcome::Deadlock(v) => {
@@ -2388,16 +2291,16 @@ mod tests {
             o => panic!("expected deadlock, got {o:?}"),
         }
         let sched = Scheduler::new();
-        sched
-            .handle()
-            .spawn_inline("idle-pump", || Step::Blocked("tcp read"));
+        sched.handle().spawn_async("idle-pump", idle());
         assert_eq!(sched.run(), RunOutcome::Idle);
     }
 
     #[test]
     fn a_panic_in_an_inline_step_surfaces_from_run() {
         let sched = Scheduler::new();
-        sched.handle().spawn_inline("boom", || panic!("stepped on"));
+        sched
+            .handle()
+            .spawn_async("boom", async { std::panic::panic_any("stepped on") });
         let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
         assert_eq!(p.downcast_ref::<&str>(), Some(&"stepped on"));
         assert_eq!(sched.run(), RunOutcome::Idle, "the task is over");

@@ -10,9 +10,9 @@
 //!
 //! Each blocking call is its poll plus one park: [`SimMutex::lock`] is
 //! [`SimMutex::poll_lock`], [`SimQueue::push`] / [`SimQueue::pop`] are
-//! `poll_push` / `poll_pop`. An inline task's step (`crate::Step`) makes
-//! the poll alone and returns `Blocked` with the same reason; a mutex
-//! guard owns its mutex, so a step can hold it across that `Blocked`.
+//! `poll_push` / `poll_pop`. An async task awaits the poll alone
+//! (`ctx::wait`, with the same reason); a mutex guard owns its mutex, so
+//! the task can hold it across that wait.
 
 use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
@@ -86,8 +86,7 @@ impl<T: ?Sized> SimMutex<T> {
 
     /// Acquire the lock without parking: the guard, or `Pending` with the
     /// calling task's waker queued for an unlock. The guard holds
-    /// the mutex itself, so an inline task can keep it across its
-    /// `Blocked` (an async one, across a wait).
+    /// the mutex itself, so an async task can keep it across a wait.
     pub fn poll_lock(&self) -> Poll<SimMutexGuard<T>> {
         let mut ctl = self.inner.ctl.lock();
         if !ctl.locked {
@@ -507,13 +506,12 @@ mod tests {
         sched.run();
     }
 
-    /// An inline step takes the lock with `poll_lock` and holds the guard
-    /// across a `Blocked`; two tasks block in `lock` meanwhile. Released,
-    /// the lock goes to them in the order they asked, and the step, asking
+    /// An async task takes the lock with `poll_lock` and holds the guard
+    /// across a wait; two tasks block in `lock` meanwhile. Released, the
+    /// lock goes to them in the order they asked, and the task, asking
     /// again while both are ahead of it, gets it last — one park each.
     #[test]
     fn poll_lock_hands_off_in_fifo_order_across_a_held_step() {
-        use crate::runtime::Step;
         use std::sync::Mutex as StdMutex;
         let sched = Scheduler::new();
         let h = sched.handle();
@@ -527,36 +525,27 @@ mod tests {
                     .push((who.to_string(), h.now().as_nanos()))
             }
         };
-        let (m2, n, mut guard, mut stage) = (m.clone(), note.clone(), None, 0);
-        h.spawn_inline("step", move || {
-            let wake_at = |ms| {
-                let (h, w) = (ctx::handle(), ctx::waker());
-                h.call_at(h.now() + Duration::from_millis(ms), move || w.wake());
+        // Pending until a wake 1 ms from now asks again.
+        let pause = |reason| {
+            let (h, w) = (ctx::handle(), ctx::waker());
+            h.call_at(h.now() + Duration::from_millis(1), move || w.wake());
+            let mut asked = false;
+            ctx::wait(reason, move || match std::mem::replace(&mut asked, true) {
+                true => Poll::Ready(()),
+                false => Poll::Pending,
+            })
+        };
+        let (m2, n) = (m.clone(), note.clone());
+        h.spawn_async("step", async move {
+            let Poll::Ready(guard) = m2.poll_lock() else {
+                unreachable!("the lock is free at first")
             };
-            stage += 1;
-            match stage {
-                1 => {
-                    let Poll::Ready(g) = m2.poll_lock() else {
-                        unreachable!("the lock is free at first")
-                    };
-                    guard = Some(g);
-                    n("step");
-                    wake_at(1);
-                    Step::Blocked("hold")
-                }
-                2 => {
-                    drop(guard.take().expect("held since the first step"));
-                    wake_at(1);
-                    Step::Blocked("pause")
-                }
-                _ => match m2.poll_lock() {
-                    Poll::Pending => Step::Blocked(SimMutex::<()>::LOCK_WAIT),
-                    Poll::Ready(_g) => {
-                        n("step again");
-                        Step::Done
-                    }
-                },
-            }
+            n("step");
+            pause("hold").await;
+            drop(guard);
+            pause("pause").await;
+            let _g = ctx::wait(SimMutex::<()>::LOCK_WAIT, || m2.poll_lock()).await;
+            n("step again");
         });
         for who in ["a", "b"] {
             let (m, n) = (m.clone(), note.clone());

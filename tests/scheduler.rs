@@ -9,8 +9,9 @@ use gridsim_net::{
 use gridsim_tcp::SimHost;
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv,
-    GridNode, NatClass, StackSpec,
+    GridNode, NatClass, PathParams, SendPort, StackSpec,
 };
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 const NS: u16 = 563;
@@ -165,26 +166,34 @@ fn relay_routed_pair_delivers_exactly_once_fifo() {
     assert_eq!(method, EstablishMethod::Routed);
 }
 
-/// Cross-thread baton grants so far in the calling task's world.
-fn grants() -> i64 {
-    gridsim_net::ctx::handle().metric(GRANTS)
+/// What a phase cost in the calling task's world: every registry name
+/// that moved, two snapshots subtracted.
+fn spent_since(before: &BTreeMap<Metric, i64>) -> BTreeMap<Metric, i64> {
+    let now = gridsim_net::ctx::handle().metrics();
+    let moved = now
+        .into_iter()
+        .map(|(name, v)| (name, v - before.get(&name).unwrap_or(&0)));
+    moved.filter(|&(_, d)| d != 0).collect()
 }
 
 /// `rounds` closed-loop round trips of `len` bytes between two nodes over
-/// `hosts`, after one warm-up: the grants they cost, read on the pinger.
-fn ping_pong(
+/// `hosts`, both ports on `spec`, after one warm-up: what they cost, read
+/// on the pinger. With `reconfig`, the ping link is then reconfigured to
+/// it, warmed up once more and measured again: a second phase.
+fn round_trips(
     sim: &Sim,
     (env, ha, hb): (GridEnv, SimHost, SimHost),
     (pa, pb): (ConnectivityProfile, ConnectivityProfile),
+    spec: StackSpec,
     rounds: u64,
     len: usize,
-) -> (EstablishMethod, i64) {
+    reconfig: Option<PathParams>,
+) -> (EstablishMethod, Vec<BTreeMap<Metric, i64>>) {
     let env_b = env.clone();
+    let spec_b = spec.clone();
     sim.spawn("echo", move || {
         let node = GridNode::join(&env_b, hb, "echo", pb).unwrap();
-        let rp = node
-            .create_receive_port("ping", StackSpec::plain())
-            .unwrap();
+        let rp = node.create_receive_port("ping", spec_b).unwrap();
         gridsim_net::ctx::sleep(Duration::from_millis(400));
         let mut sp = node.create_send_port();
         sp.connect("pong").unwrap();
@@ -195,19 +204,26 @@ fn ping_pong(
     let pinger = sim.spawn("ping", move || {
         gridsim_net::ctx::sleep(Duration::from_millis(200));
         let node = GridNode::join(&env, ha, "ping", pa).unwrap();
-        let rp = node
-            .create_receive_port("pong", StackSpec::plain())
-            .unwrap();
+        let rp = node.create_receive_port("pong", spec).unwrap();
         let mut sp = node.create_send_port();
         let method = sp.connect("ping").unwrap();
-        let mut round_trip = |i: u64| {
+        let round_trip = |sp: &mut SendPort, i: u64| {
             sp.send(&body(i, len)).unwrap();
             assert!(rp.receive().unwrap().as_slice() == body(i, len));
         };
-        round_trip(0);
-        let before = grants();
-        (1..=rounds).for_each(&mut round_trip);
-        (method, grants() - before)
+        let phase = |sp: &mut SendPort| {
+            round_trip(sp, 0);
+            let before = gridsim_net::ctx::handle().metrics();
+            (1..=rounds).for_each(|i| round_trip(sp, i));
+            spent_since(&before)
+        };
+        let mut phases = vec![phase(&mut sp)];
+        if let Some(params) = reconfig {
+            let changed = sp.reconfigure(params).unwrap();
+            assert!(changed, "the reconfig changed nothing");
+            phases.push(phase(&mut sp));
+        }
+        (method, phases)
     });
     sim.run_for(Duration::from_secs(600));
     let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
@@ -218,26 +234,111 @@ fn ping_pong(
     spent
 }
 
+/// [`round_trips`] on plain stacks: the grants they cost.
+fn ping_pong(
+    sim: &Sim,
+    hosts: (GridEnv, SimHost, SimHost),
+    profiles: (ConnectivityProfile, ConnectivityProfile),
+    rounds: u64,
+    len: usize,
+) -> (EstablishMethod, i64) {
+    let plain = StackSpec::plain();
+    let (method, phases) = round_trips(sim, hosts, profiles, plain, rounds, len, None);
+    (method, phases[0][&GRANTS])
+}
+
 /// Where the receive pump runs (DESIGN.md §6a): over one plain stream it is
-/// an inline task, stepped by whoever delivered its bytes, so a message
+/// an inline task, polled by whoever delivered its bytes, so a message
 /// costs one thread switch — to the task that receives it. With the pump
 /// on a thread of its own each message took two: driver → pump → receiver.
 #[test]
 fn a_round_trip_over_a_direct_link_costs_two_grants() {
     const ROUNDS: u64 = 100;
     let sim = Sim::new(42);
-    let wan = LinkParams::mbps(8.0, Duration::from_millis(12));
-    let open = |name| topology::SiteSpec::open(name, 1, wan);
-    let hosts = world(&sim, &[open("a"), open("b")]);
+    let hosts = open_pair(&sim);
     let open = ConnectivityProfile::open;
     let (method, spent) = ping_pong(&sim, hosts, (open(), open()), ROUNDS, 256);
     assert_eq!(method, EstablishMethod::ClientServer);
     assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
 }
 
+/// Two open sites on an 8 Mbit/s, 12 ms path: direct links.
+fn open_pair(sim: &Sim) -> (GridEnv, SimHost, SimHost) {
+    let wan = LinkParams::mbps(8.0, Duration::from_millis(12));
+    let open = |name| topology::SiteSpec::open(name, 1, wan);
+    world(sim, &[open("a"), open("b")])
+}
+
+/// A RECONFIG is one blocking section of the receive pump's body
+/// (DESIGN.md §6a): over a plain stack the pump is inline again after it,
+/// so a round trip after the block size changed costs what one before it
+/// did. A pump that stayed on a thread for the rest of its life after a
+/// RECONFIG cost three.
+#[test]
+fn a_round_trip_after_a_reconfig_costs_two_grants() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let hosts = open_pair(&sim);
+    let open = ConnectivityProfile::open;
+    let smaller = PathParams {
+        block_size: 16 * 1024,
+        ..PathParams::default()
+    };
+    let (method, phases) = round_trips(
+        &sim,
+        hosts,
+        (open(), open()),
+        StackSpec::plain(),
+        ROUNDS,
+        256,
+        Some(smaller),
+    );
+    assert_eq!(method, EstablishMethod::ClientServer);
+    let grants: Vec<i64> = phases.iter().map(|p| p[&GRANTS]).collect();
+    assert_eq!(
+        grants,
+        [2 * ROUNDS as i64; 2],
+        "before and after the RECONFIG"
+    );
+}
+
+/// Over GTLS the pump's stack cannot be polled (a record's CPU charge
+/// sleeps), so each of its reads is a blocking section, run on a worker
+/// that the pump keeps while it has room to deliver. A warm round trip
+/// costs what the pump on a thread of its own cost: four grants, and per
+/// message one receive, two CPU-charge sleeps and two socket reads parked;
+/// the rounds start no thread.
+#[test]
+fn a_round_trip_over_a_gtls_link_costs_its_pinned_grants_and_parks() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let hosts = open_pair(&sim);
+    let open = ConnectivityProfile::open;
+    let gtls = StackSpec::plain().with_security();
+    let (method, phases) = round_trips(&sim, hosts, (open(), open()), gtls, ROUNDS, 256, None);
+    assert_eq!(method, EstablishMethod::ClientServer);
+    let spent = &phases[0];
+    let parks: Vec<String> = (spent.iter())
+        .filter(|(name, _)| name.0 == "task/parks")
+        .map(|(name, v)| format!("{name} {v}"))
+        .collect();
+    assert_eq!(
+        spent[&GRANTS],
+        4 * ROUNDS as i64,
+        "grants over {ROUNDS} round trips"
+    );
+    let expect = ["queue pop 200", "sleep 400", "tcp read 400"].map(|p| format!("task/parks/{p}"));
+    assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
+    assert_eq!(
+        spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
+}
+
 /// The same through the relay: its per-connection reader and shard
 /// writers, and each end's relay-client pump, are inline tasks too
-/// (DESIGN.md §6a), stepped by whoever delivered their bytes, so a routed
+/// (DESIGN.md §6a), polled by whoever delivered their bytes, so a routed
 /// round trip costs the direct link's two switches. With those four on
 /// threads of their own it cost eight, and ten with the receive pumps.
 #[test]
@@ -319,7 +420,7 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     assert_eq!(spent, 6 * ROUNDS as i64, "grants over {ROUNDS} rounds");
 }
 
-/// Through a SOCKS proxy: its two pumps are inline tasks, stepped by whoever
+/// Through a SOCKS proxy: its two pumps are inline tasks, polled by whoever
 /// delivered their bytes, so they cost no switch. What is left is the
 /// direct link's two; with the pumps on threads of their own it was three.
 #[test]
