@@ -26,13 +26,17 @@
 #           `Timer` owned by the record it guards, cancelled with it, so
 #           it never asks whether it still applies), no OS thread started in
 #           simnet, simtcp or core outside the scheduler's workers
-#           (runtime.rs), no SOCKS tunnel direction on a thread of
-#           its own (socks.rs spawns daemons in `spawn_proxy` only), and
-#           no service reader on one either: the service links' pumps,
-#           the relay's readers and shard writers and the name server's
-#           readers are async tasks, so link.rs spawns no daemon,
-#           nameservice.rs only in `spawn_name_service`, relay/server.rs
-#           only in `spawn_relay_mesh` and `query_route`; no hand-written
+#           (runtime.rs), and no task that takes a worker before its
+#           first blocking poll (`start_thread` called from `drive`
+#           alone, no `Job::Body` or `type Body`); no blocking
+#           `.accept()` in core outside tests (an accept loop awaits
+#           `poll_accept`), no SOCKS tunnel direction on a thread of its
+#           own (socks.rs spawns `socks-conn` only, in `spawn_proxy`),
+#           and no service reader on one either: the service links'
+#           pumps, the relay's readers and shard writers and the name
+#           server's readers are async tasks, so link.rs and
+#           nameservice.rs spawn no daemon, relay/server.rs only in
+#           `spawn_relay_mesh` (peer dials) and `query_route`; no hand-written
 #           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
 #           `Step::`), the receive pump an async body that only
 #           `add_link` starts, with no `ctx::park` in port.rs; and no
@@ -263,8 +267,7 @@ stage_clippy() {
   fi
   # A task that needs a thread gets one of the scheduler's workers
   # (runtime.rs): no OS thread of its own in the product crates' non-test
-  # code. And the SOCKS proxy's two directions are inline steps: only the
-  # accept loop and each handshake, in spawn_proxy, are thread tasks.
+  # code.
   local threads
   threads=$(find crates/{simnet,simtcp,core}/src -name '*.rs' ! -name runtime.rs -print0 \
     | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }')
@@ -284,20 +287,43 @@ stage_clippy() {
     echo "unsafe outside sync.rs, or an OS mutex around the scheduler's state or the world (lines above); borrow the BatonCell"
     return 1
   fi
-  if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy spawn_proxy" ]; then
-    echo "socks.rs spawns a daemon outside spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
-    echo "  a tunnel direction is an async task (pump_one_way)"
+  # Every task is a future (DESIGN.md §6a): a closure task is one blocking
+  # section, which takes a worker when a poll in `drive` reaches it, never
+  # at spawn, and no second job form comes back beside the future.
+  if [ "$(fns_calling '(\.|::)start_thread\(' crates/simnet/src/runtime.rs)" != "drive" ] \
+    || grep -nE 'Job::Body|type Body' crates/simnet/src/runtime.rs; then
+    echo "a worker taken outside drive, or a closure job beside the future:" \
+      "start_thread called in [$(fns_calling '(\.|::)start_thread\(' crates/simnet/src/runtime.rs)]"
+    return 1
+  fi
+  # An accept loop waits on its listener alone, so it is an async task
+  # awaiting `poll_accept` (link.rs's `next_conn`): no blocking accept in
+  # core's non-test code.
+  local accepts
+  accepts=$(find crates/core/src -name '*.rs' -print0 \
+    | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /\.accept\(\)/ { print FILENAME ":" FNR ": " $0 }')
+  if [ -n "$accepts" ]; then
+    echo "$accepts"
+    echo "a blocking accept in core (lines above); await next_conn in an async task instead"
+    return 1
+  fi
+  # The SOCKS proxy's accept loop and its two tunnel directions are async
+  # tasks: its one daemon is each client's handshake, in spawn_proxy.
+  if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy" ] \
+    || ! grep -q 'spawn_daemon("socks-conn"' crates/core/src/socks.rs; then
+    echo "socks.rs spawns a daemon other than socks-conn in spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
+    echo "  an accept loop or a tunnel direction is an async task (next_conn, pump_one_way)"
     return 1
   fi
   # The service links' pumps, the relay's connection readers and shard
-  # writers and the name server's connection readers are async tasks too
-  # (SchedHandle::spawn_async): daemons are only the accept loops, a
-  # relay's mesh-peer dials and its route-pull timeout.
+  # writers, the name server's connection readers and both servers' accept
+  # loops are async tasks too (SchedHandle::spawn_async): daemons are only
+  # a relay's mesh-peer dials and its route-pull timeout.
   local ns relay
   ns=$(fns_calling 'spawn_daemon\(' crates/core/src/nameservice.rs)
   relay=$(fns_calling 'spawn_daemon\(' crates/core/src/relay/server.rs)
-  if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ "$ns" != "spawn_name_service" ] \
-    || [ "$relay" != "spawn_relay_mesh spawn_relay_mesh query_route" ]; then
+  if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ -n "$ns" ] \
+    || [ "$relay" != "spawn_relay_mesh query_route" ]; then
     echo "a service reader on a thread of its own: link.rs [$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)]," \
       "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_async"
     return 1

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use gridsim_net::ctx::{self, blocking};
 use gridsim_net::{SimMutex, SockAddr, Waker};
-use gridsim_tcp::TcpStream;
+use gridsim_tcp::{TcpListener, TcpStream};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::future::Future;
@@ -35,6 +35,12 @@ pub(crate) fn io_wait<T>(
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => Poll::Pending,
         done => Poll::Ready(done),
     })
+}
+
+/// Await `listener`'s next connection: an accept loop is an async task,
+/// parked under `tcp accept` in between; an error once the listener closes.
+pub(crate) async fn next_conn(listener: &TcpListener) -> io::Result<TcpStream> {
+    io_wait(TcpListener::ACCEPT_WAIT, || listener.poll_accept()).await
 }
 
 /// An attempt-counted retry schedule: `attempts` delays, doubling from

@@ -19,7 +19,7 @@
 //! proper communication methods").
 
 use bytes::Bytes;
-use gridsim_net::ctx::blocking;
+use gridsim_net::ctx::{self, blocking};
 use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
@@ -28,7 +28,7 @@ use std::io::{self};
 use std::sync::Arc;
 
 use crate::establish::factory::{BootstrapSocketFactory, NatGate};
-use crate::link::{io_wait, Backoff, LinkOwner, Pending, ServiceLink};
+use crate::link::{io_wait, next_conn, Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameStream, FrameWriter, NsRequest, Put, Reply, Wire};
 pub use crate::wire::{NodeRecord, PortRecord};
@@ -49,15 +49,16 @@ pub fn spawn_name_service(host: &SimHost, port: u16) -> io::Result<()> {
     let state = Arc::new(Mutex::new(NsState::default()));
     for p in [port, port + 1] {
         let listener = host.listen(p)?;
-        let state = Arc::clone(&state);
-        let host2 = host.clone();
-        let sched = host.net().sched().clone();
-        let sched2 = sched.clone();
-        sched.spawn_daemon(format!("ns-accept-{p}"), move || loop {
-            let Ok(conn) = listener.accept() else { break };
-            let (state, host) = (Arc::clone(&state), host2.clone());
-            sched2.spawn_async("ns-conn", NsConn { state, host, conn }.serve());
-        });
+        let (state, host2) = (Arc::clone(&state), host.clone());
+        let accept = async move {
+            while let Ok(conn) = next_conn(&listener).await {
+                let (state, host) = (Arc::clone(&state), host2.clone());
+                ctx::handle().spawn_async("ns-conn", NsConn { state, host, conn }.serve());
+            }
+        };
+        host.net()
+            .sched()
+            .spawn_async(format!("ns-accept-{p}"), accept);
     }
     Ok(())
 }

@@ -29,7 +29,7 @@ use crate::cpu::{CpuModel, CpuRates, HostCpu};
 use crate::drivers::{build_sender, PathParams, RawLink, SecurityContext, StackSpec};
 use crate::establish::factory::{NatGate, Splices};
 use crate::establish::{self, BrokeredSocketFactory, EstablishMethod, LinkKey, Target, Walk};
-use crate::link::Backoff;
+use crate::link::{next_conn, Backoff};
 use crate::nameservice::{GridId, NsClient};
 use crate::port::{AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort};
 use crate::profile::{ConnectivityProfile, FirewallClass};
@@ -375,14 +375,15 @@ impl GridNode {
         // Accept loop: native-TCP connections (client/server and proxied).
         let port = Arc::clone(&inner);
         let node = self.clone();
-        let sched = self.inner.env.net.sched().clone();
+        let sched = self.inner.env.net.sched();
         let sched2 = sched.clone();
-        sched.spawn_daemon(format!("rp-accept-{name}"), move || loop {
-            let Ok(stream) = listener.accept() else { break };
-            let (port, ctx) = (Arc::clone(&port), node.ctx());
-            sched2.spawn_daemon("rp-incoming", move || {
-                let _ = establish::accept(&ctx, &port, stream);
-            });
+        sched.spawn_async(format!("rp-accept-{name}"), async move {
+            while let Ok(stream) = next_conn(&listener).await {
+                let (port, ctx) = (Arc::clone(&port), node.ctx());
+                sched2.spawn_daemon("rp-incoming", move || {
+                    let _ = establish::accept(&ctx, &port, stream);
+                });
+            }
         });
         Ok(ReceivePort {
             node: self.clone(),

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::establish::factory::BootstrapSocketFactory;
-use crate::link::{io_wait, Backoff};
+use crate::link::{io_wait, next_conn, Backoff};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
 
@@ -84,10 +84,11 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
         waiting: Mutex::new(HashMap::new()),
     });
     let acceptor = Arc::clone(&relay);
-    relay.sched.spawn_daemon("mesh-relay-accept", move || loop {
-        let Ok(conn) = listener.accept() else { break };
-        let reader = Arc::clone(&acceptor).read(conn);
-        acceptor.sched.spawn_async("mesh-relay-conn", reader);
+    relay.sched.spawn_async("mesh-relay-accept", async move {
+        while let Ok(conn) = next_conn(&listener).await {
+            let reader = Arc::clone(&acceptor).read(conn);
+            acceptor.sched.spawn_async("mesh-relay-conn", reader);
+        }
     });
     for addr in cfg.peers {
         let (r, h) = (Arc::clone(&relay), host.clone());

@@ -4,14 +4,14 @@
 //! to run on a site gateway host (visible from both sides of the firewall)
 //! and a client-side dialer. No authentication method beyond "none" — site
 //! proxies of the paper's era gated access by network position.
-//! A client's handshake blocks, so it is a task; a tunnel's two directions
-//! are then async tasks (DESIGN.md §6a), polled where their bytes land.
+//! The accept loop and a tunnel's two directions are async tasks (DESIGN.md
+//! §6a), polled where their bytes land; a client's handshake blocks.
 
 use gridsim_net::{ctx, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use std::io::{self, Write};
 
-use crate::link::io_wait;
+use crate::link::{io_wait, next_conn};
 use crate::wire::{Choice, Greeting, SocksReply, SocksRequest};
 use crate::wire::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_REFUSED};
 
@@ -45,12 +45,13 @@ pub fn spawn_proxy(host: &SimHost, port: u16) -> io::Result<()> {
     let listener = host.listen(port)?;
     let host = host.clone();
     let sched = host.net().sched().clone();
-    sched.spawn_daemon(format!("socks-proxy-{}", host.ip()), move || loop {
-        let Ok(client) = listener.accept() else { break };
-        let host = host.clone();
-        ctx::handle().spawn_daemon("socks-conn", move || {
-            let _ = serve_one(&host, client);
-        });
+    sched.spawn_async(format!("socks-proxy-{}", host.ip()), async move {
+        while let Ok(client) = next_conn(&listener).await {
+            let host = host.clone();
+            ctx::handle().spawn_daemon("socks-conn", move || {
+                let _ = serve_one(&host, client);
+            });
+        }
     });
     Ok(())
 }

@@ -16,14 +16,20 @@
 //! reproducible — the run-queue and event order do not depend on which thread
 //! happens to drive.
 //!
-//! The threads are workers (`sim-worker`): one whose task has finished, or
-//! whose async task waits again after a blocking section, waits on an idle
-//! list for the next task, so a task starts an OS thread only when every
-//! worker is busy. Dropping the [`Scheduler`] ends and joins the idle ones.
+//! Every task is a future: its slot holds it while it waits, and whoever
+//! pops it off the run queue polls it on its own stack. A closure task is
+//! one blocking section ([`ctx::blocking`]). The threads are workers
+//! (`sim-worker`), taken by a poll that reaches a blocking section, not at
+//! spawn: a task that never blocks never holds one. A worker whose task
+//! has finished, or waits inline again, waits on an idle list for the
+//! next, so a task starts an OS thread only when every worker is busy.
+//! Dropping the [`Scheduler`] ends and joins the idle ones.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
-//! * [`Scheduler::spawn`] creates a simulated process from a closure.
+//! * [`Scheduler::spawn`] creates a simulated process from a closure: a
+//!   task whose whole body is one blocking section, given a worker when it
+//!   first runs.
 //! * Inside a process, [`crate::ctx`] functions (`now`, `sleep`, `park`) block
 //!   the process in *simulated* time.
 //! * Protocol code (packet delivery, retransmit timers) runs as scheduled
@@ -37,16 +43,15 @@
 //! * A [`Waker`] moves a parked task back to the run queue; wakes delivered to
 //!   a running task are remembered (`unpark` semantics), so the standard
 //!   `while !condition { park() }` loop is race-free.
-//! * An *async* task ([`SchedHandle::spawn_async`]) has a [`TaskId`], a
-//!   run-queue slot and [`Waker`]s like any task, but no thread and no
-//!   baton: a future that whoever pops it polls on its own stack. It
-//!   awaits two things only. [`ctx::wait`] asks a `poll_*` source, which
-//!   leaves the task's waker behind when it returns `Pending`; the
-//!   scheduler counts that as the park its thread form would have made.
-//!   [`ctx::blocking`] runs a closure that may park: the whole future moves
-//!   to a worker under the same id, next, runs the closure there and goes
-//!   on to its next wait — and the task is inline once more. The future is
-//!   the one inline task form: its slot holds it while it waits.
+//! * An *async* task ([`SchedHandle::spawn_async`]) is that future as
+//!   written: it has a [`TaskId`], a run-queue slot and [`Waker`]s like any
+//!   task, and a thread only inside a blocking section. It awaits two
+//!   things only. [`ctx::wait`] asks a `poll_*` source, which leaves the
+//!   task's waker behind when it returns `Pending`; the scheduler counts
+//!   that as the park a blocking call would have made. [`ctx::blocking`]
+//!   runs a closure that may park: the whole future moves to a worker
+//!   under the same id, next, runs the closure there and goes on to its
+//!   next wait — and the task is inline once more.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
@@ -108,21 +113,21 @@ impl Drop for Timer {
 }
 
 thread_local! {
-    /// The park under which an async task's future returned `Pending`: set
-    /// by [`ctx::wait`], left empty by [`ctx::blocking`], which asks for a
+    /// The park under which a task's future returned `Pending`: set by
+    /// [`ctx::wait`], left empty by [`ctx::blocking`], which asks for a
     /// thread.
     static PEND: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
-/// An async task: its future and the waker it is polled with. Its slot
-/// holds it while it waits; a blocking section hands it to a worker.
+/// A task: its future and the waker it is polled with. Its slot holds it
+/// while it waits; a blocking section hands it to a worker.
 struct AsyncTask {
     fut: Pin<Box<dyn Future<Output = ()> + Send>>,
     /// Over the task's own [`Waker`].
     waker: std::task::Waker,
 }
 
-/// How one poll of an async task ended.
+/// How one poll of a task ended.
 enum Polled {
     /// Pending in [`ctx::wait`], the task's waker left where the wake will
     /// come from: a park under this reason (`task/parks/<reason>`), unless
@@ -156,7 +161,7 @@ impl std::task::Wake for Waker {
     }
 }
 
-/// An event's code or an async task, taken out of the scheduler's state
+/// An event's code or a task, taken out of the scheduler's state
 /// to run; a hook goes back into its slot when it returns.
 enum Callback {
     Call(Box<dyn FnOnce() + Send>),
@@ -262,8 +267,8 @@ struct Baton {
     /// next step.
     go: AtomicBool,
     /// The one thread that waits on this baton. For a worker it is filled in
-    /// by the spawner before the worker's first task becomes runnable, so
-    /// no granter can find it empty.
+    /// when its thread starts, before the baton is first granted, so no
+    /// granter can find it empty.
     owner: OnceLock<std::thread::Thread>,
 }
 
@@ -296,24 +301,14 @@ impl Baton {
     }
 }
 
-/// What a thread task runs.
-type Body = Box<dyn FnOnce() + Send>;
-
-/// What a task given a thread runs there: a thread task's body, or an
-/// async task whose blocking section asked for it, polled on to its next
-/// wait.
-enum Job {
-    Body(Body),
-    Async(AsyncTask),
-}
-
 /// An OS thread that runs tasks, one after another.
 #[derive(Default)]
 struct Worker {
     /// Its own for life: granted to run its job, or with no job to exit.
     baton: Arc<Baton>,
-    /// The task it runs next and its job, set before the baton is granted.
-    job: Mutex<Option<(TaskId, Job)>>,
+    /// The task whose blocking section asked for it, set before the baton
+    /// is granted: polled on there to its next wait.
+    job: Mutex<Option<(TaskId, AsyncTask)>>,
     /// Taken to join it when the scheduler drops.
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -327,10 +322,10 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
-    /// The baton of the worker running the task; `None` once the task has
-    /// finished, and for an async task outside a blocking section.
+    /// The baton of the worker running the task; `None` outside a blocking
+    /// section (before the first, between two, once finished).
     baton: Option<Arc<Baton>>,
-    /// An async task, in the slot while it is not running.
+    /// The task, in the slot while it is not running.
     task: Option<AsyncTask>,
     /// Tasks waiting for this one to finish.
     joiners: Vec<TaskId>,
@@ -354,9 +349,9 @@ struct SchedState {
     /// the heap, and `root` is its caller's baton.
     limit: SimTime,
     root: Option<Arc<Baton>>,
-    /// Workers whose task has finished, waiting for the next one. A
-    /// worker goes here only after it has chosen its successor, so no
-    /// `drive` it runs can hand it a job of its own.
+    /// Workers whose task has finished or waits inline again, waiting for
+    /// the next one. A worker goes here only after it has chosen its
+    /// successor, so no `drive` it runs can hand it a job of its own.
     idle: Vec<Arc<Worker>>,
     /// Callbacks by [`HookId`], only appended to in a run. A firing takes its
     /// hook out to run it and puts it back: registering moves no other.
@@ -364,7 +359,7 @@ struct SchedState {
     /// Cross-thread baton grants so far: one thread handing the baton to
     /// another. A task that parks, sleeps or yields and is itself the next
     /// to run costs none (the in-file tests pin exactly that), and neither
-    /// does an async task's poll. Read into snapshots as [`GRANTS`].
+    /// does a task's inline poll. Read into snapshots as [`GRANTS`].
     grants: u64,
     /// The metrics registry, in name order. Among its names,
     /// `task/parks/<reason>` counts the times tasks actually parked
@@ -477,12 +472,12 @@ impl SchedCore {
 
     /// Run the scheduler loop on the calling thread, which holds the baton:
     /// run-queue head first, else the next event, until someone is to run.
-    /// An async task at the head is polled right here, like an event.
+    /// A task at the head with no worker is polled right here, like an event.
     ///
     /// Returns `None` when that someone is the caller — its own task came
     /// off the run queue, or it is the root and the run is over — and
-    /// otherwise the baton the caller must grant: the next task's (an
-    /// async task just given a worker for a blocking section included), or
+    /// otherwise the baton the caller must grant: the next task's (one
+    /// just given a worker for a blocking section included), or
     /// the root's when the run is over (a panic is pending, the event heap
     /// is empty, or the next event lies past the `run_until` limit).
     fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
@@ -542,7 +537,7 @@ impl SchedCore {
                 Callback::Poll(tid, task) => {
                     if let Some(task) = self.poll_task(tid, task, None) {
                         let mut st = self.state.borrow();
-                        let baton = self.start_thread(&mut st, tid, Job::Async(task));
+                        let baton = self.start_thread(&mut st, (tid, task));
                         st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
                         st.grants += 1;
                         return Some(baton);
@@ -566,7 +561,7 @@ impl SchedCore {
         }
     }
 
-    /// Poll async task `tid` on the calling thread, with the task's context
+    /// Poll task `tid` on the calling thread, with the task's context
     /// in place of the driver's (none), until it blocks without a wake
     /// pending or ends. On its worker (`baton`), a blocking section runs in
     /// place. Inline, one returns the task, still running, to be given a
@@ -614,10 +609,10 @@ impl SchedCore {
         }
     }
 
-    /// Give task `tid` a worker, idle or else new, that runs `job` once the
+    /// Give a task a worker, idle or else new, that polls it on once the
     /// returned baton is first granted. The caller grants it; the worker
     /// touches no state before then.
-    fn start_thread(self: &Arc<Self>, st: &mut SchedState, tid: TaskId, job: Job) -> Arc<Baton> {
+    fn start_thread(self: &Arc<Self>, st: &mut SchedState, job: (TaskId, AsyncTask)) -> Arc<Baton> {
         let worker = st.idle.pop().unwrap_or_else(|| {
             let worker = Arc::new(Worker::default());
             let (core, w) = (Arc::clone(self), Arc::clone(&worker));
@@ -634,47 +629,34 @@ impl SchedCore {
             *st.metrics.entry(THREADS).or_insert(0) += 1;
             worker
         });
-        *worker.job.lock() = Some((tid, job));
+        *worker.job.lock() = Some(job);
         Arc::clone(&worker.baton)
     }
 
-    /// A worker's life: run each job it is granted — a thread task to its
-    /// end, an async task to its next wait, every blocking section on the
-    /// way run in place — and return at a grant that brings no job. A
-    /// panic ends the task.
+    /// A worker's life: poll each task it is granted on to its next wait,
+    /// every blocking section on the way run in place, and return at a
+    /// grant that brings no task. A panic ends the task; one in the
+    /// scheduler loop after it, which no task catches, is kept for
+    /// `run_until`'s caller as a task's is.
     fn work(self: &Arc<Self>, worker: &Arc<Worker>) {
         loop {
             worker.baton.wait();
-            let Some((tid, job)) = worker.job.lock().take() else {
+            let Some((tid, task)) = worker.job.lock().take() else {
                 return;
             };
             self.state.hold();
-            match job {
-                Job::Body(body) => {
-                    CURRENT.set(Some(Current {
-                        handle: SchedHandle {
-                            core: Arc::clone(self),
-                        },
-                        tid,
-                        baton: Some(Arc::clone(&worker.baton)),
-                    }));
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(body));
-                    CURRENT.set(None);
-                    let mut st = self.state.borrow();
-                    if let Err(p) = out {
-                        st.panic.get_or_insert(p);
-                    }
-                    st.retire(tid);
-                }
-                Job::Async(task) => {
-                    let left = self.poll_task(tid, task, Some(&worker.baton));
-                    debug_assert!(left.is_none(), "a worker runs blocking sections in place");
-                }
-            }
+            let left = self.poll_task(tid, task, Some(&worker.baton));
+            debug_assert!(left.is_none(), "a worker runs blocking sections in place");
             // Choose the successor, only then go idle, and only then hand
-            // the baton on: no `drive` here can give this worker a job.
-            let next = self
-                .drive(Driver::Task(tid))
+            // the baton on: no `drive` here can give this worker a job. A
+            // panic in the loop is kept, and the loop run again then ends
+            // the run: it grants the root.
+            let drive = || self.drive(Driver::Task(tid));
+            let next = std::panic::catch_unwind(AssertUnwindSafe(drive))
+                .unwrap_or_else(|p| {
+                    self.state.borrow().panic.get_or_insert(p);
+                    drive()
+                })
                 .expect("a task off its worker is not the one to run next");
             self.state.borrow().idle.push(Arc::clone(worker));
             next.grant();
@@ -725,11 +707,11 @@ pub enum RunOutcome {
 
 /// What a task knows about itself. Taken out of `CURRENT` while its thread
 /// drives the scheduler loop, so events it fires see no task context; put
-/// in for the length of an async task's poll.
+/// in for the length of a task's poll.
 struct Current {
     handle: SchedHandle,
     tid: TaskId,
-    /// `None` for an async task polled inline, which cannot park.
+    /// `None` for a task polled inline, which cannot park.
     baton: Option<Arc<Baton>>,
 }
 
@@ -769,7 +751,8 @@ impl Scheduler {
     }
 
     /// Spawn a simulated process. It becomes runnable immediately (at the
-    /// current simulated time) and runs when the scheduler reaches it.
+    /// current simulated time) and runs when the scheduler reaches it, as
+    /// one blocking section: it takes a worker then, not now.
     pub fn spawn<F, T>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
@@ -965,7 +948,7 @@ impl SchedHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        self.spawn_inner(name.into(), false, f)
+        self.spawn_blocking(name.into(), false, f)
     }
 
     /// Spawn a daemon process: a server or pump loop that may stay parked
@@ -975,36 +958,22 @@ impl SchedHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        self.spawn_inner(name.into(), true, f)
+        self.spawn_blocking(name.into(), true, f)
     }
 
-    fn spawn_inner<F, T>(&self, name: String, daemon: bool, f: F) -> JoinHandle<T>
+    /// A task whose whole body is `f`, one blocking section, its result
+    /// kept for the [`JoinHandle`].
+    fn spawn_blocking<F, T>(&self, name: String, daemon: bool, f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        // One critical section from id to run queue keeps the table dense.
-        let mut st = self.core.state.borrow();
-        let tid = TaskId(st.tasks.len() as u64);
         let out = Arc::clone(&result);
-        let body = Box::new(move || *out.lock() = Some(f()));
-        let baton = self.core.start_thread(&mut st, tid, Job::Body(body));
-        st.tasks.push(TaskSlot {
-            name,
-            daemon,
-            state: TaskState::Runnable,
-            notified: false,
-            baton: Some(baton),
-            task: None,
-            joiners: Vec::new(),
-            blocked_on: "",
-        });
-        st.runnable.push_back(tid);
-        drop(st);
+        let body = async move { *out.lock() = Some(ctx::blocking(f).await) };
         JoinHandle {
             handle: self.clone(),
-            tid,
+            tid: self.push_task(name, daemon, body),
             result,
         }
     }
@@ -1021,6 +990,17 @@ impl SchedHandle {
         name: impl Into<String>,
         fut: impl Future<Output = ()> + Send + 'static,
     ) -> TaskId {
+        self.push_task(name.into(), true, fut)
+    }
+
+    /// Put a new task at the back of the run queue, its slot holding `fut`.
+    fn push_task(
+        &self,
+        name: String,
+        daemon: bool,
+        fut: impl Future<Output = ()> + Send + 'static,
+    ) -> TaskId {
+        // One critical section from id to run queue keeps the table dense.
         let mut st = self.core.state.borrow();
         let tid = TaskId(st.tasks.len() as u64);
         let task = AsyncTask {
@@ -1028,8 +1008,8 @@ impl SchedHandle {
             waker: Arc::new(self.waker(tid)).into(),
         };
         st.tasks.push(TaskSlot {
-            name: name.into(),
-            daemon: true,
+            name,
+            daemon,
             state: TaskState::Runnable,
             notified: false,
             baton: None,
@@ -1209,7 +1189,7 @@ pub mod ctx {
         })
     }
 
-    /// Run `f`, which may park, on a thread. Awaited in an async task polled
+    /// Run `f`, which may park, on a thread. Awaited in a task polled
     /// inline, it moves the whole task to a worker (same [`TaskId`], next to
     /// run); `f` runs there, borrowing the task's locals, the task is polled
     /// on there to its next wait, and is inline again after it.
@@ -1807,6 +1787,51 @@ mod tests {
         assert_eq!(exited.load(Ordering::SeqCst), 0, "idle, not gone");
         drop(sched);
         assert_eq!(exited.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn a_task_takes_a_worker_when_it_first_runs() {
+        let sched = Scheduler::new();
+        let h = sched.handle();
+        sched.spawn("never-run", || {});
+        assert_eq!(h.metric(THREADS), 0, "a task spawned and never run");
+        drop(sched);
+        // The first runs on one worker; each finishing one picks the next
+        // before it is idle, so the next takes a second, and the two take
+        // turns.
+        let sched = Scheduler::new();
+        for i in 0..16 {
+            sched.spawn(format!("t{i}"), || {});
+        }
+        assert_eq!(sched.handle().metric(THREADS), 0, "spawned, not yet run");
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert_eq!(sched.handle().metric(THREADS), 2, "sixteen tasks in turn");
+    }
+
+    /// A panic in the scheduler loop itself reaches `run_until`'s caller
+    /// like a task's, whether the loop runs in a task's sleep or on its
+    /// worker after the task ended: here an event whose hook was never
+    /// registered. The run is on a helper thread, so a hang fails the test.
+    #[test]
+    fn a_panic_in_the_loop_on_a_worker_reaches_the_caller() {
+        for (hook_ms, sleep_ms) in [(1, 2), (2, 1)] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let sched = Scheduler::new();
+                let h = sched.handle();
+                sched.spawn("pusher", move || {
+                    let at = h.now() + Duration::from_millis(hook_ms);
+                    HookQueue::new().push(&h, (HookId(7), 0), at, ());
+                    ctx::sleep(Duration::from_millis(sleep_ms));
+                });
+                let out = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run()));
+                let _ = tx.send(out.map_err(|p| p.downcast_ref::<String>().cloned()));
+            });
+            let out = rx.recv_timeout(Duration::from_secs(30));
+            let msg = out.expect("run_until hung").expect_err("the run panicked");
+            let msg = msg.expect("an index panic formats its message");
+            assert!(msg.contains("index out of bounds"), "{msg}");
+        }
     }
 
     /// The OS thread a task ran on, as seen from inside it.

@@ -49,39 +49,44 @@ impl TcpListener {
         self.addr
     }
 
+    /// What a task blocked in an accept is parked on, and the would-block
+    /// reason of [`poll_accept`](Self::poll_accept).
+    pub const ACCEPT_WAIT: &'static str = "tcp accept";
+
     /// Block until a fully established connection is available.
     pub fn accept(&self) -> io::Result<TcpStream> {
+        TcpStream::wait(Self::ACCEPT_WAIT, || self.poll_queue())
+    }
+
+    /// [`accept`](Self::accept) for a caller that must not park:
+    /// `Err(WouldBlock)` while no connection is pending, the calling task
+    /// woken when one is or the listener closes.
+    pub fn poll_accept(&self) -> io::Result<TcpStream> {
+        self.poll_queue()?
+            .ok_or_else(|| io::ErrorKind::WouldBlock.into())
+    }
+
+    /// One look at the accept queue. `None` = empty, with the task's waker
+    /// on the listener.
+    fn poll_queue(&self) -> io::Result<Option<TcpStream>> {
         let port = self.addr.port;
-        let id = TcpStream::wait("tcp accept", || {
-            self.net.with(|w| {
-                with_host(w, self.node, |h, _w| match h.listeners.get_mut(&port) {
-                    Some(l) => {
-                        if let Some(id) = l.pending.pop_front() {
-                            return Ok(Some(id));
-                        }
-                        if l.closed {
-                            return Err(io::Error::from(io::ErrorKind::NotConnected));
-                        }
-                        l.accept_wakers.push(ctx::waker());
-                        Ok(None)
-                    }
-                    None => Err(io::Error::from(io::ErrorKind::NotConnected)),
-                })
+        self.net.with(|w| {
+            with_host(w, self.node, |h, _w| {
+                let Some(l) = h.listeners.get_mut(&port) else {
+                    return Err(io::Error::from(io::ErrorKind::NotConnected));
+                };
+                if let Some(id) = l.pending.pop_front() {
+                    let t = h.conns.get(&id).expect("accepted conn");
+                    let (net, node) = (self.net.clone(), self.node);
+                    return Ok(Some(TcpStream::attach(net, node, id, t.local, t.remote)));
+                }
+                if l.closed {
+                    return Err(io::Error::from(io::ErrorKind::NotConnected));
+                }
+                l.accept_wakers.push(ctx::waker());
+                Ok(None)
             })
-        })?;
-        let (local, remote) = self.net.with(|w| {
-            with_host(w, self.node, |h, _| {
-                let t = h.conns.get(&id).expect("accepted conn");
-                (t.local, t.remote)
-            })
-        });
-        Ok(TcpStream::attach(
-            self.net.clone(),
-            self.node,
-            id,
-            local,
-            remote,
-        ))
+        })
     }
 }
 

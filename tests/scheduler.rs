@@ -362,6 +362,54 @@ fn a_round_trip_through_the_relay_costs_two_grants() {
     assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
 }
 
+/// `rounds` connect → send → close rounds from `a` to a receive port on
+/// `b`, each a fresh send port, one message and a second's pause, after one
+/// warm-up round: what they cost, read on the sender.
+fn connect_rounds(
+    sim: &Sim,
+    (env, ha, hb): (GridEnv, SimHost, SimHost),
+    (pa, pb): (ConnectivityProfile, ConnectivityProfile),
+    method: EstablishMethod,
+    rounds: u64,
+) -> BTreeMap<Metric, i64> {
+    let env_b = env.clone();
+    sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "recv", pb).unwrap();
+        let rp = node
+            .create_receive_port("sink", StackSpec::plain())
+            .unwrap();
+        gridsim_net::ctx::handle().spawn_daemon("drain", move || {
+            while let Ok(m) = rp.receive() {
+                drop(m);
+            }
+        });
+        // Stays joined for the rounds.
+        gridsim_net::ctx::sleep(Duration::from_secs(3600));
+    });
+    let spent = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "send", pa).unwrap();
+        let round = |i: u64| {
+            let mut sp = node.create_send_port();
+            assert_eq!(sp.connect("sink").unwrap(), method);
+            sp.send(&body(i, 256)).unwrap();
+            sp.close().unwrap();
+            gridsim_net::ctx::sleep(Duration::from_secs(1));
+        };
+        round(0);
+        let before = gridsim_net::ctx::handle().metrics();
+        (1..=rounds).for_each(round);
+        spent_since(&before)
+    });
+    sim.run_for(Duration::from_secs(600));
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(spent.join()));
+    sim.run_for(Duration::from_secs(1));
+    let spent = out.lock().take().expect("sender finished");
+    spent
+}
+
 /// A warmed-up routed connect → send → close, as `grid_mesh`'s churn makes
 /// them: the name-service lookup, the brokering through the relay, the
 /// OPEN, one message and the close. Every reader on the way — both name
@@ -374,50 +422,53 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
     let sim = Sim::new(42);
     let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
-    let (env, ha, hb) = world(
+    let hosts = world(
         &sim,
         &[
             topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
             topology::SiteSpec::firewalled("walled", 1, wan),
         ],
     );
-    let env_b = env.clone();
-    sim.spawn("receiver", move || {
-        let node = GridNode::join(&env_b, hb, "recv", ConnectivityProfile::firewalled()).unwrap();
-        let rp = node
-            .create_receive_port("sink", StackSpec::plain())
-            .unwrap();
-        gridsim_net::ctx::handle().spawn_daemon("drain", move || {
-            while let Ok(m) = rp.receive() {
-                drop(m);
-            }
-        });
-        gridsim_net::ctx::sleep(Duration::from_secs(3600));
-    });
-    let grants = || gridsim_net::ctx::handle().metric(GRANTS);
-    let spent = sim.spawn("sender", move || {
-        gridsim_net::ctx::sleep(Duration::from_millis(200));
-        let profile = ConnectivityProfile::natted(NatClass::SymmetricRandom);
-        let node = GridNode::join(&env, ha, "send", profile).unwrap();
-        let round = |i: u64| {
-            let mut sp = node.create_send_port();
-            assert_eq!(sp.connect("sink").unwrap(), EstablishMethod::Routed);
-            sp.send(&body(i, 256)).unwrap();
-            sp.close().unwrap();
-            gridsim_net::ctx::sleep(Duration::from_secs(1));
-        };
-        round(0);
-        let before = grants();
-        (1..=ROUNDS).for_each(round);
-        grants() - before
-    });
-    sim.run_for(Duration::from_secs(600));
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let o = out.clone();
-    sim.spawn("collect", move || *o.lock() = Some(spent.join()));
-    sim.run_for(Duration::from_secs(1));
-    let spent = out.lock().take().expect("sender finished");
-    assert_eq!(spent, 6 * ROUNDS as i64, "grants over {ROUNDS} rounds");
+    let profiles = (
+        ConnectivityProfile::natted(NatClass::SymmetricRandom),
+        ConnectivityProfile::firewalled(),
+    );
+    let spent = connect_rounds(&sim, hosts, profiles, EstablishMethod::Routed, ROUNDS);
+    assert_eq!(
+        spent[&GRANTS],
+        6 * ROUNDS as i64,
+        "grants over {ROUNDS} rounds"
+    );
+}
+
+/// A warmed-up client/server connect → send → close: the lookup, the dial,
+/// the receive port's accept, one message and the close. The port's accept
+/// loop is an async task, polled where the connection completes, which
+/// parks once a round under `tcp accept`; the accepted connection's handler
+/// (`rp-incoming`) runs on a worker an earlier round left idle. Three
+/// switches a round, where the accept loop on a thread of its own took four.
+#[test]
+fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 20;
+    let sim = Sim::new(42);
+    let open = ConnectivityProfile::open;
+    let method = EstablishMethod::ClientServer;
+    let spent = connect_rounds(&sim, open_pair(&sim), (open(), open()), method, ROUNDS);
+    let accepts = Metric("task/parks", None, "tcp accept");
+    assert_eq!(
+        spent[&GRANTS],
+        3 * ROUNDS as i64,
+        "grants over {ROUNDS} rounds"
+    );
+    assert_eq!(
+        spent[&accepts], ROUNDS as i64,
+        "accept parks over {ROUNDS} rounds"
+    );
+    assert_eq!(
+        spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
 }
 
 /// Through a SOCKS proxy: its two pumps are inline tasks, polled by whoever
@@ -441,43 +492,9 @@ fn a_round_trip_over_a_proxied_link_costs_two_grants() {
 fn proxied_connects_after_a_warm_up_start_no_threads() {
     const ROUNDS: u64 = 50;
     let sim = Sim::new(42);
-    let ((env, ha, hb), (pa, pb)) = proxied_world(&sim);
-    let env_b = env.clone();
-    sim.spawn("receiver", move || {
-        let node = GridNode::join(&env_b, hb, "recv", pb).unwrap();
-        let rp = node
-            .create_receive_port("sink", StackSpec::plain())
-            .unwrap();
-        gridsim_net::ctx::handle().spawn_daemon("drain", move || {
-            while let Ok(m) = rp.receive() {
-                drop(m);
-            }
-        });
-        // Stays joined for the rounds.
-        gridsim_net::ctx::sleep(Duration::from_secs(3600));
-    });
-    let threads = || gridsim_net::ctx::handle().metric(THREADS);
-    let started = sim.spawn("sender", move || {
-        gridsim_net::ctx::sleep(Duration::from_millis(200));
-        let node = GridNode::join(&env, ha, "send", pa).unwrap();
-        let round = |i: u64| {
-            let mut sp = node.create_send_port();
-            assert_eq!(sp.connect("sink").unwrap(), EstablishMethod::Proxy);
-            sp.send(&body(i, 256)).unwrap();
-            sp.close().unwrap();
-            gridsim_net::ctx::sleep(Duration::from_secs(1));
-        };
-        round(0);
-        let before = threads();
-        (1..=ROUNDS).for_each(round);
-        threads() - before
-    });
-    sim.run_for(Duration::from_secs(600));
-    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
-    let o = out.clone();
-    sim.spawn("collect", move || *o.lock() = Some(started.join()));
-    sim.run_for(Duration::from_secs(1));
-    let started = out.lock().take().expect("sender finished");
+    let (hosts, profiles) = proxied_world(&sim);
+    let spent = connect_rounds(&sim, hosts, profiles, EstablishMethod::Proxy, ROUNDS);
+    let started = spent.get(&THREADS).copied().unwrap_or(0);
     assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
 }
 
