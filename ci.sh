@@ -12,7 +12,10 @@
 #           second way to wait on a simulated socket in simtcp, no second
 #           read path (a blocking read is a poll plus one park, in
 #           BlockRead::read_chunks_min or BlockReader::blocking, and a raw
-#           frame has one decoder; the retired twins' names), no timer
+#           frame has one decoder; the retired twins' names), every
+#           receive stack polled (no `pollable` in crates/*/src, no
+#           `ctx::blocking` in blockio.rs, and no daemon in the drivers
+#           but each stream's writer, in StripeWriter::with_pool), no timer
 #           named in simtcp's host stack, no second single-flight beside a
 #           data link's write gate, no exactly-once bookkeeping
 #           outside resume.rs (the retired watermark twins' names), no
@@ -204,6 +207,17 @@ stage_clippy() {
   fi
   if [ "$(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)" != "read_chunks_min blocking" ]; then
     echo "blockio.rs parks outside BlockRead::read_chunks_min / BlockReader::blocking: $(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)"
+    return 1
+  fi
+  # Every receive stack polls (DESIGN.md §5b): no source says whether it
+  # can be, no stack is read in a blocking section in blockio.rs, and no
+  # stream reader holds a thread — the drivers' one daemon is each
+  # stream's writer, in StripeWriter::with_pool.
+  local driver_daemons
+  driver_daemons=$(for f in crates/core/src/drivers/*.rs; do fns_calling 'spawn_daemon\(' "$f"; echo; done | xargs)
+  if grep -rn 'pollable' crates/*/src || grep -n 'ctx::blocking' crates/core/src/drivers/blockio.rs \
+    || [ "$driver_daemons" != "with_pool" ]; then
+    echo "a receive layer that cannot be polled (lines above), or a daemon in the drivers outside StripeWriter::with_pool: [$driver_daemons]"
     return 1
   fi
   # The receive pump is one async body (DESIGN.md §6a), started in

@@ -84,19 +84,26 @@ impl CpuModel {
     /// the calling task for queueing + service time. Must be called from a
     /// simulated task.
     pub fn consume(&self, node: NodeId, bytes: usize, rate: f64) {
+        if let Some(end) = self.charge(node, bytes, rate) {
+            ctx::sleep(end - ctx::now());
+        }
+    }
+
+    /// Queue `bytes` of work at `rate` bytes/sec on `node`'s CPU without
+    /// waiting: the simulated time it ends, `None` for work that is free.
+    pub fn charge(&self, node: NodeId, bytes: usize, rate: f64) -> Option<SimTime> {
         if bytes == 0 || !rate.is_finite() {
-            return;
+            return None;
         }
         let service = Duration::from_secs_f64(bytes as f64 / rate);
-        let now = ctx::now();
-        let end = {
-            let mut busy = self.busy_until.lock();
-            let start = busy.get(&node).copied().unwrap_or(SimTime::ZERO).max(now);
-            let end = start + service;
-            busy.insert(node, end);
-            end
-        };
-        ctx::sleep(end - now);
+        let mut busy = self.busy_until.lock();
+        let start = busy
+            .get(&node)
+            .copied()
+            .unwrap_or(SimTime::ZERO)
+            .max(ctx::now());
+        busy.insert(node, start + service);
+        Some(start + service)
     }
 }
 
@@ -116,6 +123,11 @@ impl HostCpu {
     /// Charge `bytes` at `rate` to this host.
     pub fn consume(&self, bytes: usize, rate: f64) {
         self.model.consume(self.node, bytes, rate);
+    }
+
+    /// [`CpuModel::charge`] on this host.
+    pub fn charge(&self, bytes: usize, rate: f64) -> Option<SimTime> {
+        self.model.charge(self.node, bytes, rate)
     }
 
     pub fn node(&self) -> NodeId {

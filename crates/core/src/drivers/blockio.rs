@@ -20,11 +20,18 @@
 //! `CpuWrite`/`CpuRead` charge meters, the compressing writer) keep the
 //! copying defaults, which route through `Write::write`/`Read::read`.
 //!
-//! A source is read one way. One that can be polled (a socket, a routed
-//! stream, a plain wire over either) has only its poll; blocking on it is
-//! that poll plus one park, in the trait's provided `read_chunks_min` or,
-//! for a decode over a [`BlockReader`], [`BlockReader::blocking`] — the
-//! only two places here that park. Every raw `[varint len][payload]` frame
+//! Every source is read one way: polled. A read that cannot finish now is
+//! `Err(WouldBlock)`, its source having left the calling task's waker where
+//! the wake will come from and named the park it stands for
+//! ([`ctx::would_block`]: `tcp read`, `queue pop`, `sleep`). Each layer
+//! keeps its partial unit across it — a GTLS record, a gridzip block, a
+//! CPU charge with the bytes it covers, a stripe block — and asked again
+//! makes the same inner call, with the same length, that the blocking read
+//! would have resumed inside, so the simulated clock cannot tell the two
+//! apart. A caller that may park blocks in one place: the poll plus one
+//! park of the trait's provided `read_chunks_min` or, for a decode over a
+//! [`BlockReader`], [`BlockReader::blocking`]; an async task awaits
+//! `BlockReader::read` instead. Every raw `[varint len][payload]` frame
 //! is read by one restartable decoder, [`BlockReader::frame`].
 
 use bytes::Bytes;
@@ -33,10 +40,10 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use gridsim_net::SimTime;
 use gridzip::varint;
 
 use crate::cpu::HostCpu;
-use crate::link::io_wait;
 use crate::pool::{BlockBuf, BlockPool};
 
 /// A byte sink that can also accept whole blocks by ownership handoff.
@@ -50,14 +57,11 @@ pub trait BlockWrite: Write {
 
 /// A byte source that can also hand data out as refcounted chunks.
 ///
-/// A source that can be read without parking says so
-/// ([`pollable`](Self::pollable)) and implements only the poll,
-/// [`poll_read_chunks_min`](Self::poll_read_chunks_min): its blocking
-/// read is the provided [`read_chunks_min`](Self::read_chunks_min), that
-/// poll plus one park. A source that parks for other reasons (a CPU
-/// charge, a stripe's reader tasks, a GTLS record) cannot be polled and
-/// keeps a blocking read of its own: the provided one copies through
-/// `read`, a zero-copy reader overrides it.
+/// Its `read` and [`poll_read_chunks_min`](Self::poll_read_chunks_min) do
+/// not park: where they would, they are `Err(WouldBlock)` (see the module
+/// doc). The poll's provided form copies through `read`, a zero-copy
+/// reader overrides it; the blocking read is the provided
+/// [`read_chunks_min`](Self::read_chunks_min), that poll plus one park.
 pub trait BlockRead: Read {
     /// Pull at least `min` bytes unless EOF intervenes, with up to `max`
     /// bytes of read-ahead past the demand, appending them to `out` as
@@ -66,18 +70,14 @@ pub trait BlockRead: Read {
     /// TCP socket) satisfy it with one parked wait serviced at event time
     /// instead of one wakeup per arriving chunk.
     ///
-    /// Provided: a pollable source is polled, parked on under its reason
-    /// when it would block, and asked again for the rest of the demand;
-    /// any other is read through `read`, one fresh buffer per chunk.
+    /// Provided: the source is polled, parked on under the reason its
+    /// would-block named, and asked again for the rest of the demand.
     fn read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        let Some(reason) = self.pollable() else {
-            return copy_read_chunks(self, min, max, out);
-        };
         let mut got = 0;
         loop {
             let start = out.len();
@@ -89,7 +89,7 @@ pub trait BlockRead: Read {
                     got += out
                         .get(start..)
                         .map_or(0, |c| c.iter().map(Bytes::len).sum());
-                    ctx::park(reason);
+                    ctx::park(ctx::blocked_on());
                 }
                 read => return read.map(|n| got + n),
             }
@@ -101,26 +101,20 @@ pub trait BlockRead: Read {
         self.read_chunks_min(1, max, out)
     }
 
-    /// Can this source be read without parking? `Some(reason)` when
-    /// [`poll_read_chunks_min`](Self::poll_read_chunks_min) works, with the
-    /// park reason its would-block stands for.
-    fn pollable(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// [`read_chunks_min`](Self::read_chunks_min) for a caller that must
-    /// not park: where the read would park, `Err(WouldBlock)` with the
-    /// calling task's waker registered. Chunks appended to `out` before it
-    /// are the caller's, and the demand still unmet is smaller by their
-    /// length, so asking again for the rest makes the calls one blocking
-    /// read would have made.
+    /// [`read_chunks_min`](Self::read_chunks_min) without parking: where
+    /// the read would park, `Err(WouldBlock)`. Chunks appended to `out`
+    /// before it are the caller's, and the demand still unmet is smaller by
+    /// their length, so asking again for the rest makes the calls one
+    /// blocking read would have made.
+    ///
+    /// Provided: each chunk is one `read` into a fresh buffer.
     fn poll_read_chunks_min(
         &mut self,
-        _min: usize,
-        _max: usize,
-        _out: &mut Vec<Bytes>,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        Err(io::ErrorKind::Unsupported.into())
+        copy_read_chunks(self, min, max, out)
     }
 }
 
@@ -145,9 +139,9 @@ pub(crate) fn chunks_until(
     Ok(got)
 }
 
-/// The copying `read_chunks_min` of a source that cannot be polled: each
-/// chunk is one `read` into a fresh zeroed buffer.
-fn copy_read_chunks<R: Read + ?Sized>(
+/// The copying `poll_read_chunks_min`: each chunk is one `read` into a
+/// fresh zeroed buffer.
+pub(crate) fn copy_read_chunks<R: Read + ?Sized>(
     r: &mut R,
     min: usize,
     max: usize,
@@ -171,19 +165,6 @@ impl BlockWrite for Box<dyn BlockWrite + Send> {
 }
 
 impl BlockRead for Box<dyn BlockRead + Send> {
-    fn read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        (**self).read_chunks_min(min, max, out)
-    }
-
-    fn pollable(&self) -> Option<&'static str> {
-        (**self).pollable()
-    }
-
     fn poll_read_chunks_min(
         &mut self,
         min: usize,
@@ -234,32 +215,90 @@ impl<W: Write> Write for CpuWrite<W> {
     }
 }
 
-/// A reader charging CPU time per byte read from the inner stream.
+/// A reader charging CPU time per byte read from the inner stream: one
+/// charge per read, for the bytes it returned, waited out before they are
+/// handed on.
 pub struct CpuRead<R> {
     inner: R,
     cpu: HostCpu,
     rate: f64,
+    /// The last read while its charge runs: its byte count, and when the
+    /// charge ends.
+    charging: Option<(usize, SimTime)>,
+    /// The buffer a chunk read whose charge runs holds its bytes in.
+    held: Option<Vec<u8>>,
 }
 
 impl<R: Read> CpuRead<R> {
     pub fn new(inner: R, cpu: HostCpu, rate: f64) -> CpuRead<R> {
-        CpuRead { inner, cpu, rate }
+        let (charging, held) = (None, None);
+        CpuRead {
+            inner,
+            cpu,
+            rate,
+            charging,
+            held,
+        }
     }
 }
 
 impl<R: Read> Read for CpuRead<R> {
+    /// While the charge for the bytes read runs, `WouldBlock` under
+    /// [`ctx::SLEEP_WAIT`], the task woken at its end by the event
+    /// `ctx::sleep` schedules. The bytes are in `buf` meanwhile: asked
+    /// again with the same buffer, the read returns their count.
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.cpu.consume(n, self.rate);
+        let (n, end) = match self.charging.take() {
+            Some(charging) => charging,
+            None => {
+                let n = self.inner.read(buf)?;
+                match self.cpu.charge(n, self.rate) {
+                    Some(end) if end > ctx::now() => {
+                        ctx::wake_at(end);
+                        (n, end)
+                    }
+                    _ => return Ok(n),
+                }
+            }
+        };
+        if ctx::now() < end {
+            self.charging = Some((n, end));
+            return Err(ctx::would_block(ctx::SLEEP_WAIT));
+        }
         Ok(n)
     }
 }
 
-// The crypto filters transform every byte, so the copying defaults are the
-// honest model: block handoff through them still pays the per-chunk CPU
-// charge via `Write::write`/`Read::read`.
+// The crypto filters transform every byte, so copying is the honest model:
+// a block read through the charge meter pays the per-chunk CPU charge via
+// `Read::read`, each chunk in a buffer of its own that a running charge
+// keeps for the next call.
+impl<R: Read> BlockRead for CpuRead<R> {
+    fn poll_read_chunks_min(
+        &mut self,
+        min: usize,
+        max: usize,
+        out: &mut Vec<Bytes>,
+    ) -> io::Result<usize> {
+        chunks_until(min, max, out, |cap| {
+            let mut chunk = self.held.take().unwrap_or_else(|| vec![0u8; cap]);
+            match self.read(&mut chunk) {
+                Ok(n) => {
+                    chunk.truncate(n);
+                    Ok(chunk.into())
+                }
+                Err(e) => {
+                    if self.charging.is_some() {
+                        self.held = Some(chunk);
+                    }
+                    Err(e)
+                }
+            }
+        })
+    }
+}
+
 impl<W: Write> BlockWrite for CpuWrite<W> {}
-impl<R: Read> BlockRead for CpuRead<R> {}
 
 // The compression layer recodes blocks entering it, so the copying default
 // routes them through the framing path unchanged. Coming out, the decoder
@@ -268,7 +307,7 @@ impl<R: Read> BlockRead for CpuRead<R> {}
 // reads (and `CpuRead` charges), minus the zeroed bounce buffer and copy.
 impl<W: Write> BlockWrite for gridzip::CompressWriter<W> {}
 impl<R: Read> BlockRead for gridzip::DecompressReader<R> {
-    fn read_chunks_min(
+    fn poll_read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
@@ -365,13 +404,13 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 /// are what the byte-oriented parser produced. Only bytes that have
 /// arrived are ever held.
 ///
-/// A source that can be polled is polled: a shortfall it cannot meet now
-/// is `Err(WouldBlock)`, and every decoder here ([`Parse`],
+/// The source is polled: a shortfall it cannot meet now is
+/// `Err(WouldBlock)`, and every decoder here ([`Parse`],
 /// [`frame`](Self::frame)) is restartable — it consumes nothing until its
 /// whole unit has arrived, and asked again it states the demand it would
 /// have stated blocking. A caller that may park runs its decode under
 /// [`blocking`](Self::blocking), an async task awaits it with
-/// [`read`](Self::read); any other source is read blocking.
+/// [`read`](Self::read).
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
@@ -382,14 +421,11 @@ pub struct BlockReader<R: BlockRead> {
     /// Reused landing pad for the source's chunk reads, drained into
     /// `chunks`.
     scratch: Vec<Bytes>,
-    /// The source's would-block reason when it can be polled.
-    polls: Option<&'static str>,
 }
 
 impl<R: BlockRead> BlockReader<R> {
     pub fn new(inner: R, cap: usize) -> BlockReader<R> {
         BlockReader {
-            polls: inner.pollable(),
             inner,
             chunks: VecDeque::new(),
             avail: 0,
@@ -403,27 +439,23 @@ impl<R: BlockRead> BlockReader<R> {
         self.avail
     }
 
-    /// Await `unit`, a restartable decode, in an async task. Over a source
-    /// that polls, each would-block is a wait under its reason, the task's
-    /// waker left behind ([`io_wait`]), and the next wake runs `unit`
-    /// again; any other source is read in a blocking section
-    /// ([`ctx::blocking`]), on a worker.
+    /// Await `unit`, a restartable decode, in an async task: each
+    /// would-block is a wait under the reason its source named, the task's
+    /// waker left behind ([`ctx::wait_io`]), and the next wake runs `unit`
+    /// again.
     pub(crate) async fn read<T>(
         &mut self,
         mut unit: impl FnMut(&mut Self) -> io::Result<T>,
     ) -> io::Result<T> {
-        match self.polls {
-            Some(reason) => io_wait(reason, || unit(self)).await,
-            None => ctx::blocking(|| unit(self)).await,
-        }
+        ctx::wait_io(|| unit(self)).await
     }
 
     /// Run `unit`, a restartable decode, to its end: each time the source
-    /// would block, park under its reason and run `unit` again, which finds
-    /// what arrived buffered and states what it still lacks. With `within`,
-    /// a would-block that much sim time after the call is `TimedOut`; the
-    /// deadline is one [`Timer`](gridsim_net::Timer), cancelled when the
-    /// call returns.
+    /// would block, park under the reason it named and run `unit` again,
+    /// which finds what arrived buffered and states what it still lacks.
+    /// With `within`, a would-block that much sim time after the call is
+    /// `TimedOut`; the deadline is one [`Timer`](gridsim_net::Timer),
+    /// cancelled when the call returns.
     pub(crate) fn blocking<T>(
         &mut self,
         within: Option<Duration>,
@@ -435,30 +467,28 @@ impl<R: BlockRead> BlockReader<R> {
             (at, sched.timer(at, move || waker.wake()))
         });
         loop {
-            match (unit(self), self.polls) {
-                (Err(e), Some(reason)) if e.kind() == io::ErrorKind::WouldBlock => {
+            match unit(self) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let reason = ctx::blocked_on();
                     if deadline.as_ref().is_some_and(|(at, _)| ctx::now() >= *at) {
                         return Err(io::ErrorKind::TimedOut.into());
                     }
                     ctx::park(reason);
                 }
-                (done, _) => return done,
+                done => return done,
             }
         }
     }
 
     /// Buffer at least `need` bytes; false if the source ends first, its
-    /// own error if it fails first — `WouldBlock` from a polled source,
-    /// whose chunks handed out so far stay buffered.
+    /// own error if it fails first — `WouldBlock` included, the chunks it
+    /// handed out so far buffered.
     fn ensure(&mut self, need: usize) -> io::Result<bool> {
         if self.avail < need {
             let (want, cap) = (need - self.avail, self.cap);
-            let res = match self.polls {
-                Some(_) => self
-                    .inner
-                    .poll_read_chunks_min(want, cap, &mut self.scratch),
-                None => self.inner.read_chunks_min(want, cap, &mut self.scratch),
-            };
+            let res = self
+                .inner
+                .poll_read_chunks_min(want, cap, &mut self.scratch);
             // Data handed out before an error still counts.
             self.avail += self.scratch.iter().map(|c| c.len()).sum::<usize>();
             self.chunks.extend(self.scratch.drain(..));
@@ -590,7 +620,7 @@ impl<R: BlockRead> Read for BlockReader<R> {
             // BufReader bypass: large reads skip the buffer entirely.
             return self.inner.read(buf);
         }
-        if !self.blocking(None, |r| r.ensure(1))? {
+        if !self.ensure(1)? {
             return Ok(0);
         }
         let part = self.pop_front(buf.len());
@@ -613,27 +643,9 @@ impl<R: BlockRead> BlockReader<R> {
 }
 
 impl<R: BlockRead> BlockRead for BlockReader<R> {
-    fn read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        // Serve what is buffered, then state the remaining demand to the
-        // source in one call (not a per-chunk loop) so a demand-aware
-        // source can satisfy it zero-copy with a single parked wait.
-        let got = self.serve(min, max, out);
-        if got >= min {
-            return Ok(got);
-        }
-        let n = self.inner.read_chunks_min(min - got, max, out)?;
-        Ok(got + n)
-    }
-
-    fn pollable(&self) -> Option<&'static str> {
-        self.inner.pollable()
-    }
-
+    /// Serve what is buffered, then state the remaining demand to the
+    /// source in one call (not a per-chunk loop) so a demand-aware source
+    /// can satisfy it zero-copy with a single parked wait.
     fn poll_read_chunks_min(
         &mut self,
         min: usize,
@@ -650,7 +662,7 @@ impl<R: BlockRead> BlockRead for BlockReader<R> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cpu::{CpuModel, CpuRates};
     use gridsim_net::{ctx, NodeId, Sim};
@@ -701,7 +713,7 @@ mod tests {
                         let n = if native {
                             r.read_chunks_min(min, max, &mut chunks)
                         } else {
-                            copy_read_chunks(&mut r, min, max, &mut chunks)
+                            Copying(&mut r).read_chunks_min(min, max, &mut chunks)
                         };
                         if n.unwrap() < min {
                             break;
@@ -723,8 +735,19 @@ mod tests {
         }
     }
 
-    /// Every varint decoder — gridzip's slice and `Read` forms and the
-    /// block reader's — takes the same encodings and refuses the same: a
+    /// A reader read through the trait's copying chunks.
+    struct Copying<R>(R);
+
+    impl<R: Read> Read for Copying<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl<R: Read> BlockRead for Copying<R> {}
+
+    /// Every varint decoder — gridzip's slice form and the block
+    /// reader's — takes the same encodings and refuses the same: a
     /// tenth byte may carry bit 63 only, so `ff×9 7f` is not a truncated
     /// `u64` but an error.
     #[test]
@@ -753,8 +776,6 @@ mod tests {
             let used = want.map(|_| bytes.len());
             let sliced = gridzip::varint::get(&bytes);
             assert_eq!(sliced, want.ok().zip(used.ok()), "get {bytes:02x?}");
-            let read = gridzip::varint::read_from(&mut &bytes[..]);
-            assert_eq!(read.map_err(|e| e.kind()), want, "read_from {bytes:02x?}");
             let mut cur = BlockReader::new(&bytes[..], 1);
             let block = cur.parse().varint().map_err(|e| e.kind());
             assert_eq!(block, want, "Parse::varint {bytes:02x?}");
@@ -794,7 +815,7 @@ mod tests {
             }
             if feed.arrived == 0 {
                 feed.waker = Some(ctx::waker());
-                return Err(io::ErrorKind::WouldBlock.into());
+                return Err(ctx::would_block("fragments"));
             }
             feed.caps.push(cap);
             let front = feed.fragments.front_mut().expect("not empty");
@@ -813,10 +834,6 @@ mod tests {
     }
 
     impl BlockRead for Fragments {
-        fn pollable(&self) -> Option<&'static str> {
-            Some("fragments")
-        }
-
         fn poll_read_chunks_min(
             &mut self,
             min: usize,
@@ -827,8 +844,8 @@ mod tests {
         }
     }
 
-    /// A source read only through its blocking `read_chunks_min`: the
-    /// trait's provided one, for a [`Fragments`].
+    /// A source whose poll blocks: the trait's provided `read_chunks_min`,
+    /// for a [`Fragments`].
     struct Blocking(Fragments);
 
     impl Read for Blocking {
@@ -838,7 +855,7 @@ mod tests {
     }
 
     impl BlockRead for Blocking {
-        fn read_chunks_min(
+        fn poll_read_chunks_min(
             &mut self,
             min: usize,
             max: usize,
@@ -961,6 +978,104 @@ mod tests {
         assert_eq!(heads, frames.iter().collect::<Vec<_>>());
     }
 
+    /// A source serving its data `step` bytes per read, logging each
+    /// serving read's length. With `stalls` each of them comes after a
+    /// would-block (the calling task woken at once, as by a source whose
+    /// bytes arrive that instant), and must be asked for again with the
+    /// same length.
+    #[derive(Clone)]
+    pub(crate) struct Trickle(Arc<parking_lot::Mutex<Trickled>>);
+
+    struct Trickled {
+        data: Bytes,
+        step: usize,
+        stalls: bool,
+        stalled: Option<usize>,
+        reads: Vec<usize>,
+    }
+
+    impl Trickle {
+        pub(crate) fn new(data: &[u8], step: usize, stalls: bool) -> Trickle {
+            let data = Bytes::copy_from_slice(data);
+            let (stalled, reads) = (None, Vec::new());
+            Trickle(Arc::new(parking_lot::Mutex::new(Trickled {
+                data,
+                step,
+                stalls,
+                stalled,
+                reads,
+            })))
+        }
+
+        pub(crate) fn reads(&self) -> Vec<usize> {
+            self.0.lock().reads.clone()
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let t = &mut *self.0.lock();
+            if let Some(len) = t.stalled.take() {
+                assert_eq!(buf.len(), len, "asked again for another length");
+            } else if t.stalls {
+                t.stalled = Some(buf.len());
+                ctx::waker().wake();
+                return Err(ctx::would_block("trickle"));
+            }
+            t.reads.push(buf.len());
+            let n = buf.len().min(t.step).min(t.data.len());
+            buf[..n].copy_from_slice(&t.data.split_to(n));
+            Ok(n)
+        }
+    }
+
+    impl BlockRead for Trickle {}
+
+    /// The charge meter, polled in an async task, over a source that would
+    /// block before every read and over one that never does: the same
+    /// bytes, from the same reads, each charge ending at the same simulated
+    /// time — through `read` and through the chunk poll alike.
+    #[test]
+    fn a_charge_resumes_where_its_source_or_its_own_wait_would_block() {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let run = |stalls: bool| {
+            let (sim, cpu) = host_cpu();
+            let source = Trickle::new(&data, 3, stalls);
+            let (log, (done, result)) = (source.clone(), std::sync::mpsc::channel());
+            let read = async move {
+                let mut r = CpuRead::new(source, cpu, 5e6);
+                let (mut got, mut ends) = (Vec::new(), Vec::new());
+                for i in 0.. {
+                    let n = if i % 2 == 0 {
+                        let mut buf = [0u8; 7];
+                        let n = ctx::wait_io(|| r.read(&mut buf)).await.unwrap();
+                        got.extend_from_slice(&buf[..n]);
+                        n
+                    } else {
+                        let mut chunks = Vec::new();
+                        let n = ctx::wait_io(|| r.poll_read_chunks_min(1, 5, &mut chunks));
+                        let n = n.await.unwrap();
+                        got.extend_from_slice(&chunks.concat());
+                        n
+                    };
+                    if n == 0 {
+                        break;
+                    }
+                    ends.push(ctx::now());
+                }
+                done.send((got, ends)).unwrap();
+            };
+            sim.scheduler().handle().spawn_async("r", read);
+            sim.run();
+            let (got, ends) = result.recv().unwrap();
+            (got, ends, log.reads())
+        };
+        let (got, ends, reads) = run(false);
+        assert!(got == data);
+        assert!(ends.windows(2).all(|w| w[0] < w[1]), "a charge per read");
+        assert!(run(true) == (got, ends, reads));
+    }
+
     #[test]
     fn read_charges_simulated_time() {
         let (sim, cpu) = host_cpu();
@@ -968,8 +1083,8 @@ mod tests {
             let data = vec![7u8; 500_000];
             let mut r = CpuRead::new(io::Cursor::new(data), cpu, 5e6);
             let mut out = Vec::new();
-            r.read_to_end(&mut out).unwrap();
-            assert_eq!(out.len(), 500_000);
+            while r.read_chunks(64 * 1024, &mut out).unwrap() > 0 {}
+            assert_eq!(out.concat().len(), 500_000);
             assert_eq!(
                 ctx::now().as_nanos(),
                 100_000_000,

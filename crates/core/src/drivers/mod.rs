@@ -23,6 +23,12 @@
 //! Establishment and utilization stay orthogonal: the stack builders accept
 //! any [`RawLink`] — native TCP from any establishment method, or a routed
 //! relay stream.
+//!
+//! The receiver stack is read without parking, layer by layer (see
+//! [`blockio`]): the port's pump and each stream's reader are async tasks,
+//! so no stack needs a thread to read. The sender side blocks: each
+//! stream's writer is a task of its own ([`StripeWriter`]), and so is each
+//! stream's GTLS handshake.
 
 pub mod blockio;
 pub mod stripe;
@@ -139,11 +145,12 @@ impl RawLink {
     }
 }
 
+/// A stack layer's read: it does not park ([`BlockRead`]).
 impl Read for RawLink {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            RawLink::Tcp(s) => s.read_some(buf),
-            RawLink::Routed(s) => s.read(buf),
+            RawLink::Tcp(s) => s.poll_read_some(buf),
+            RawLink::Routed(s) => s.poll_read(buf),
         }
     }
 }
@@ -179,15 +186,7 @@ impl BlockWrite for RawLink {
     }
 }
 
-// Both kinds of link can be polled; their blocking read is the trait's.
 impl BlockRead for RawLink {
-    fn pollable(&self) -> Option<&'static str> {
-        match self {
-            RawLink::Tcp(_) => Some(TcpStream::READ_WAIT),
-            RawLink::Routed(s) => s.pollable(),
-        }
-    }
-
     fn poll_read_chunks_min(
         &mut self,
         min: usize,
@@ -407,16 +406,9 @@ impl BlockWrite for WireStream {
     }
 }
 
-// A GTLS wire cannot be polled (a record is opened whole): it is read
+// A GTLS wire opens each record into a buffer of its own, so it is read
 // through `read`, in the trait's copying chunks.
 impl BlockRead for WireStream {
-    fn pollable(&self) -> Option<&'static str> {
-        match self {
-            WireStream::Plain(s) => s.pollable(),
-            WireStream::Secure(_) => None,
-        }
-    }
-
     fn poll_read_chunks_min(
         &mut self,
         min: usize,
@@ -425,7 +417,7 @@ impl BlockRead for WireStream {
     ) -> io::Result<usize> {
         match self {
             WireStream::Plain(s) => s.poll_read_chunks_min(min, max, out),
-            WireStream::Secure(_) => Err(io::ErrorKind::Unsupported.into()),
+            WireStream::Secure(s) => blockio::copy_read_chunks(s, min, max, out),
         }
     }
 }
@@ -452,12 +444,38 @@ fn secure_handshake(
     // CPU; charged as 64 KiB of crypto work.
     cpu.consume(64 * 1024, cpu.rates.crypt);
     let mut rng = StdRng::seed_from_u64(seed ^ (i as u64) << 32 | is_initiator as u64);
+    let link = Handshake(link);
     let s = if is_initiator {
         SecureStream::client(link, config, &mut rng)?
     } else {
         SecureStream::server(link, config, &mut rng)?
     };
-    Ok(WireStream::Secure(Box::new(s)))
+    Ok(WireStream::Secure(Box::new(
+        s.map_inner(|Handshake(link)| link),
+    )))
+}
+
+/// A link read blocking, by its socket's own blocking read: what a GTLS
+/// handshake, run in a blocking section, reads through. The session it
+/// makes reads the link itself, without parking.
+struct Handshake(RawLink);
+
+impl Read for Handshake {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match &mut self.0 {
+            RawLink::Tcp(s) => s.read_some(buf),
+            RawLink::Routed(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Handshake {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
 }
 
 fn secure_wires(
@@ -606,21 +624,12 @@ pub fn build_receiver(
     let stack: ReceiverStack = match spec.compress() {
         Some(_) => {
             let rate = cpu.rates.decompress;
-            let cr = CpuRead::new(ReadAdapter(base), cpu, rate);
+            let cr = CpuRead::new(base, cpu, rate);
             Box::new(gridzip::DecompressReader::new(cr))
         }
         None => base,
     };
     Ok((stack, quiesce))
-}
-
-/// Newtype so the boxed stack itself implements `Read` by value.
-struct ReadAdapter(Box<dyn BlockRead + Send>);
-
-impl Read for ReadAdapter {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
-    }
 }
 
 #[cfg(test)]

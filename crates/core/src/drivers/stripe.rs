@@ -15,8 +15,10 @@
 //! the receive side hands decoded blocks out as refcounted views.
 
 use bytes::Bytes;
+use gridsim_net::{ctx, SimQueue};
 use gridzip::varint;
 use std::io::{self, Read, Write};
+use std::task::Poll;
 
 use super::blockio::{BlockRead, BlockReader, BlockWrite};
 use crate::cpu::HostCpu;
@@ -220,11 +222,14 @@ impl StripeTerminator {
 }
 
 /// The receiver half: per-stream pump tasks drain the TCP streams eagerly
-/// into bounded block queues (keeping every stream's receive window open —
-/// NetIbis used one thread per connection the same way), while `read`
-/// consumes blocks in the writer's round-robin order.
+/// into bounded block queues (keeping every stream's receive window open,
+/// as NetIbis's thread per connection did), while `read` consumes blocks in
+/// the writer's round-robin order. Each pump is an async task, polled by
+/// whoever delivered its stream's bytes: a stack this wide needs no thread
+/// to read. `read` does not park either: an empty queue is `WouldBlock`
+/// under `queue pop`, the reader's place in the rotation kept.
 pub struct StripeReader {
-    queues: Vec<gridsim_net::SimQueue<io::Result<Bytes>>>,
+    queues: Vec<Blocks>,
     next: usize,
     current: Bytes,
     eof: bool,
@@ -241,33 +246,8 @@ impl StripeReader {
         assert!(streams.len() >= 2, "striping needs at least two streams");
         let mut queues = Vec::with_capacity(streams.len());
         for (i, s) in streams.into_iter().enumerate() {
-            let q: gridsim_net::SimQueue<io::Result<Bytes>> =
-                gridsim_net::SimQueue::bounded(READER_QUEUE_BLOCKS);
-            let q2 = q.clone();
-            sched.spawn_daemon(format!("stripe-pump-{i}"), move || {
-                // Read-ahead of one byte: every read states its exact
-                // demand, so the socket drains as the header and the block
-                // call for and the wire is the byte-wise reader's.
-                let mut cur = BlockReader::new(s, 1);
-                loop {
-                    match read_block(&mut cur) {
-                        Ok(Some(block)) => {
-                            if q2.push(Ok(block)).is_err() {
-                                break; // consumer gone
-                            }
-                        }
-                        Ok(None) => {
-                            q2.close();
-                            break;
-                        }
-                        Err(e) => {
-                            let _ = q2.push(Err(e));
-                            q2.close();
-                            break;
-                        }
-                    }
-                }
-            });
+            let q = SimQueue::bounded(READER_QUEUE_BLOCKS);
+            sched.spawn_async(format!("stripe-pump-{i}"), pump(s, q.clone()));
             queues.push(q);
         }
         StripeReader {
@@ -289,23 +269,55 @@ impl StripeReader {
     }
 
     /// Pop blocks in round-robin order until `current` is non-empty;
-    /// `Ok(false)` on EOF.
+    /// `Ok(false)` on EOF, `WouldBlock` while the next stream's queue is
+    /// empty.
     fn refill(&mut self) -> io::Result<bool> {
         while self.current.is_empty() {
-            match self.queues[self.next].pop() {
-                Some(Ok(block)) => {
+            match self.queues[self.next].poll_pop() {
+                Poll::Ready(Some(Ok(block))) => {
                     self.current = block;
                     self.next = (self.next + 1) % self.queues.len();
                 }
-                Some(Err(e)) => return Err(e),
-                None => {
+                Poll::Ready(Some(Err(e))) => return Err(e),
+                Poll::Ready(None) => {
                     self.eof = true;
                     return Ok(false);
                 }
+                Poll::Pending => return Err(ctx::would_block(Blocks::POP_WAIT)),
             }
         }
         Ok(true)
     }
+}
+
+/// A stream's decoded blocks, or the error that ended it, in arrival order.
+type Blocks = SimQueue<io::Result<Bytes>>;
+
+/// One stream's pump: its blocks into `q` until the stream ends at a block
+/// boundary or on the segment terminator (the queue closed), fails (the
+/// error queued, then the queue closed) or the consumer closed `q`.
+async fn pump(stream: Box<dyn BlockRead + Send>, q: Blocks) {
+    // Read-ahead of one byte: every read states its exact demand, so the
+    // socket drains as the header and the block call for and the wire is
+    // the byte-wise reader's.
+    let mut cur = BlockReader::new(stream, 1);
+    loop {
+        let item = match cur.read(read_block).await {
+            Ok(Some(block)) => Ok(block),
+            Ok(None) => break,
+            Err(e) => Err(e),
+        };
+        let failed = item.is_err();
+        let mut held = Some(item);
+        let pushed = ctx::wait(Blocks::PUSH_WAIT, || q.poll_push(&mut held)).await;
+        if failed {
+            break;
+        }
+        if pushed.is_err() {
+            return; // consumer gone
+        }
+    }
+    q.close();
 }
 
 /// Receiver-side handle paired with a retired [`StripeReader`]: waiting on
@@ -315,7 +327,7 @@ impl StripeReader {
 /// reconfiguration must wait here before acking the sender — otherwise a
 /// zombie pump would steal the first new-format bytes.
 pub struct StripeQuiesce {
-    queues: Vec<gridsim_net::SimQueue<io::Result<Bytes>>>,
+    queues: Vec<Blocks>,
 }
 
 impl StripeQuiesce {
@@ -332,17 +344,15 @@ impl StripeQuiesce {
 /// Read one `[varint len][bytes]` block; `Ok(None)` on clean EOF at a block
 /// boundary or on the in-band segment terminator (a zero-length block —
 /// see [`StripeTerminator`]; data blocks are never empty). One restartable
-/// unit, run to its end under [`BlockReader::blocking`]. A block that
-/// arrived as one chunk is handed on as a view of it; one that spans
-/// chunks is gathered, the one copy of the stripe receive path.
+/// unit, awaited with [`BlockReader::read`]. A block that arrived as one
+/// chunk is handed on as a view of it; one that spans chunks is gathered,
+/// the one copy of the stripe receive path.
 fn read_block<R: BlockRead>(cur: &mut BlockReader<R>) -> io::Result<Option<Bytes>> {
-    cur.blocking(None, |cur| {
-        if cur.at_eof()? {
-            return Ok(None);
-        }
-        let block = cur.frame(64 << 20)?;
-        Ok((!block.is_empty()).then_some(block))
-    })
+    if cur.at_eof()? {
+        return Ok(None);
+    }
+    let block = cur.frame(64 << 20)?;
+    Ok((!block.is_empty()).then_some(block))
 }
 
 impl Read for StripeReader {
@@ -358,7 +368,7 @@ impl Read for StripeReader {
 }
 
 impl BlockRead for StripeReader {
-    fn read_chunks_min(
+    fn poll_read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
@@ -431,6 +441,14 @@ mod tests {
             .collect()
     }
 
+    /// What `r` delivers, read blocking (a park at each would-block), or
+    /// the error that ends it.
+    fn drain(r: &mut StripeReader) -> io::Result<Vec<u8>> {
+        let mut chunks = Vec::new();
+        while r.read_chunks(64 * 1024, &mut chunks)? > 0 {}
+        Ok(chunks.concat())
+    }
+
     fn stripe_roundtrip(n_streams: usize, block: usize, payload: &[u8]) -> Vec<u8> {
         let pipes: Vec<MemPipe> = (0..n_streams).map(|_| MemPipe::default()).collect();
         let writers = block_writers(&pipes);
@@ -447,11 +465,9 @@ mod tests {
             drop(w); // close queues so the pumps drain and hang up
             gridsim_net::ctx::sleep(std::time::Duration::from_millis(1));
             let mut r = StripeReader::new(readers, &gridsim_net::ctx::handle());
-            let mut got = Vec::new();
             // MemPipe returns Ok(0) when drained, which StripeReader treats
             // as stream EOF — fine for this lock-step test.
-            r.read_to_end(&mut got).unwrap();
-            *o2.lock() = got;
+            *o2.lock() = drain(&mut r).unwrap();
         });
         sim.run();
         let x = out.lock().clone();
@@ -510,37 +526,80 @@ mod tests {
         sim.run();
     }
 
+    /// What `payload` striped over `n` streams in `block`-byte units puts
+    /// on each stream, through `write_block` or `write`.
+    fn wire_of(n: usize, block: usize, payload: &[u8], use_block: bool) -> Vec<Vec<u8>> {
+        let pipes: Vec<MemPipe> = (0..n).map(|_| MemPipe::default()).collect();
+        let writers = block_writers(&pipes);
+        let sim = Sim::new(0);
+        let cpu = free_cpu();
+        let payload = payload.to_vec();
+        let pipes2 = pipes.clone();
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let o2 = Arc::clone(&out);
+        sim.spawn("w", move || {
+            let mut w = StripeWriter::new(writers, block, cpu, f64::INFINITY);
+            if use_block {
+                w.write_block(Bytes::from(payload)).unwrap();
+            } else {
+                w.write_all(&payload).unwrap();
+            }
+            w.flush().unwrap();
+            drop(w);
+            gridsim_net::ctx::sleep(std::time::Duration::from_millis(1));
+            *o2.lock() = pipes2.iter().map(|p| p.0.lock().0.clone()).collect();
+        });
+        sim.run();
+        let x = out.lock().clone();
+        x
+    }
+
     #[test]
     fn write_block_zero_copy_path_matches_write() {
         // The same payload through `write` (copying) and `write_block`
         // (slicing) must produce byte-identical per-stream wire data.
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
-        let wire_of = |use_block: bool| -> Vec<Vec<u8>> {
-            let pipes: Vec<MemPipe> = (0..3).map(|_| MemPipe::default()).collect();
-            let writers = block_writers(&pipes);
+        assert_eq!(
+            wire_of(3, 1024, &payload, true),
+            wire_of(3, 1024, &payload, false)
+        );
+    }
+
+    /// The stripe readers over streams that would block before every byte
+    /// make the reads, and hand the consumer the bytes, they do over
+    /// streams that never do; the consumer, polled in an async task, would
+    /// block on an empty queue in between.
+    #[test]
+    fn stripe_readers_resume_where_their_streams_would_block() {
+        use crate::drivers::blockio::tests::Trickle;
+        let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
+        let wire = wire_of(3, 1024, &payload, false);
+        let run = |stalls: bool| {
             let sim = Sim::new(0);
-            let cpu = free_cpu();
-            let payload = payload.clone();
-            let pipes2 = pipes.clone();
-            let out = Arc::new(Mutex::new(Vec::new()));
-            let o2 = Arc::clone(&out);
-            sim.spawn("w", move || {
-                let mut w = StripeWriter::new(writers, 1024, cpu, f64::INFINITY);
-                if use_block {
-                    w.write_block(Bytes::from(payload)).unwrap();
-                } else {
-                    w.write_all(&payload).unwrap();
-                }
-                w.flush().unwrap();
-                drop(w);
-                gridsim_net::ctx::sleep(std::time::Duration::from_millis(1));
-                *o2.lock() = pipes2.iter().map(|p| p.0.lock().0.clone()).collect();
-            });
+            let sources: Vec<Trickle> = wire.iter().map(|w| Trickle::new(w, 1, stalls)).collect();
+            let readers = sources.iter().cloned();
+            let readers = readers
+                .map(|t| Box::new(t) as Box<dyn BlockRead + Send>)
+                .collect();
+            let (done, result) = std::sync::mpsc::channel();
+            let consume = async move {
+                let mut r = StripeReader::new(readers, &gridsim_net::ctx::handle());
+                let mut chunks = Vec::new();
+                while ctx::wait_io(|| r.poll_read_chunks_min(1, 4096, &mut chunks))
+                    .await
+                    .unwrap()
+                    > 0
+                {}
+                done.send(chunks.concat()).unwrap();
+            };
+            sim.scheduler().handle().spawn_async("consume", consume);
             sim.run();
-            let x = out.lock().clone();
-            x
+            let reads: Vec<Vec<usize>> = sources.iter().map(Trickle::reads).collect();
+            (result.recv().unwrap(), reads)
         };
-        assert_eq!(wire_of(true), wire_of(false));
+        let (got, reads) = run(false);
+        assert!(got == payload);
+        assert!(run(true) == (got, reads));
     }
 
     #[test]
@@ -600,8 +659,8 @@ mod tests {
             pipes2[1].0.lock().0.truncate(500);
             let readers = block_readers(&pipes2);
             let mut r = StripeReader::new(readers, &gridsim_net::ctx::handle());
-            let mut got = Vec::new();
-            assert!(r.read_to_end(&mut got).is_err());
+            let err = drain(&mut r).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         });
         sim.run();
     }

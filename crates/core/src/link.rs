@@ -15,32 +15,17 @@ use gridsim_net::{SimMutex, SockAddr, Waker};
 use gridsim_tcp::{TcpListener, TcpStream};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::future::Future;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::task::Poll;
 use std::time::Duration;
 
 use crate::wire::FrameStream;
 
-/// Await `poll`, a socket's or a frame stream's one read or write, where
-/// `WouldBlock` stands for a park under `reason`, the task's waker left
-/// behind.
-pub(crate) fn io_wait<T>(
-    reason: &'static str,
-    mut poll: impl FnMut() -> io::Result<T>,
-) -> impl Future<Output = io::Result<T>> {
-    ctx::wait(reason, move || match poll() {
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Poll::Pending,
-        done => Poll::Ready(done),
-    })
-}
-
 /// Await `listener`'s next connection: an accept loop is an async task,
 /// parked under `tcp accept` in between; an error once the listener closes.
 pub(crate) async fn next_conn(listener: &TcpListener) -> io::Result<TcpStream> {
-    io_wait(TcpListener::ACCEPT_WAIT, || listener.poll_accept()).await
+    ctx::wait_io(|| listener.poll_accept()).await
 }
 
 /// An attempt-counted retry schedule: `attempts` delays, doubling from
@@ -320,7 +305,7 @@ async fn pump<O: LinkOwner>(
     let mut frames = FrameStream::new(stream.clone());
     loop {
         let end = loop {
-            let frame = match io_wait(TcpStream::READ_WAIT, || frames.poll_frame()).await {
+            let frame = match ctx::wait_io(|| frames.poll_frame()).await {
                 Ok(frame) => frame,
                 Err(e) => break e,
             };

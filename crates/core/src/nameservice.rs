@@ -28,7 +28,7 @@ use std::io::{self};
 use std::sync::Arc;
 
 use crate::establish::factory::{BootstrapSocketFactory, NatGate};
-use crate::link::{io_wait, next_conn, Backoff, LinkOwner, Pending, ServiceLink};
+use crate::link::{next_conn, Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameStream, FrameWriter, NsRequest, Put, Reply, Wire};
 pub use crate::wire::{NodeRecord, PortRecord};
@@ -77,7 +77,7 @@ impl NsConn {
     async fn serve(mut self) {
         let mut requests = FrameStream::new(self.conn.clone());
         loop {
-            let read = io_wait(TcpStream::READ_WAIT, || requests.poll_frame()).await;
+            let read = ctx::wait_io(|| requests.poll_frame()).await;
             let reply = match read.map(|r| NsRequest::decode(&r)) {
                 Ok(Ok(req @ NsRequest::ConnectBack { .. })) => {
                     let answered = blocking(|| {
@@ -95,7 +95,7 @@ impl NsConn {
             };
             let mut reply = Some(reply);
             let write = || self.conn.poll_write_block(reply.take());
-            if io_wait(TcpStream::WRITE_WAIT, write).await.is_err() {
+            if ctx::wait_io(write).await.is_err() {
                 return;
             }
         }

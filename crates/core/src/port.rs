@@ -481,13 +481,12 @@ struct LiveChan {
 /// at event time until it is met, so one wakeup drains everything
 /// available instead of the pump waking per delivered segment.
 ///
-/// Every read is awaited through [`BlockReader::read`]: over a stack that
-/// can be polled (one plain stream, TCP or routed) the pump is inline,
-/// polled on the stack of whoever delivered its bytes; over any other the
-/// read is a blocking section, on a worker. What else blocks — a RECONFIG
-/// and, over a routed stream, the end, whose drop sends the stream's FIN —
-/// is a blocking section too, and the pump is inline again after it
-/// wherever its stack can be polled.
+/// Every read is awaited through [`BlockReader::read`], over every stack
+/// (striped, compressed and GTLS ones included): the pump is inline,
+/// polled on the stack of whoever delivered its bytes. What else blocks —
+/// a RECONFIG and, over a routed stream, the end, whose drop sends the
+/// stream's FIN — is a blocking section, and the pump is inline again
+/// after it.
 struct Pump {
     port: Arc<ReceivePortInner>,
     cur: BlockReader<ReceiverStack>,

@@ -4,7 +4,7 @@
 //! keep a node-id → home-relay routing table.
 
 use bytes::Bytes;
-use gridsim_net::ctx::{blocking, wait};
+use gridsim_net::ctx::{self, blocking, wait};
 use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr, Timer};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::establish::factory::BootstrapSocketFactory;
-use crate::link::{io_wait, next_conn, Backoff};
+use crate::link::{next_conn, Backoff};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
 
@@ -673,7 +673,7 @@ impl MeshRelay {
         // The client that said HELLO here, and its shard.
         let mut client: Option<(GridId, OutQueue)> = None;
         loop {
-            let read = io_wait(TcpStream::READ_WAIT, || frames.poll_frame()).await;
+            let read = ctx::wait_io(|| frames.poll_frame()).await;
             match (&client, read.and_then(|frame| RelayMsg::decode(&frame))) {
                 (&Some((id, _)), Ok(RelayMsg::Send { to, inner })) => {
                     if !self.send_inline(id, to, &inner) {
@@ -750,7 +750,7 @@ impl MeshRelay {
             q.in_hand.store(items.len(), Ordering::Relaxed);
             let guard = wait(SimMutex::<TcpStream>::LOCK_WAIT, || q.w.poll_lock()).await;
             let write = move || guard.poll_write_block(run.take());
-            let written = io_wait(TcpStream::WRITE_WAIT, write).await;
+            let written = ctx::wait_io(write).await;
             q.in_hand.store(0, Ordering::Relaxed);
             if written.is_err() {
                 broken = true;

@@ -2,7 +2,7 @@
 //! relay, one end on each of two nodes' relay clients.
 
 use bytes::Bytes;
-use gridsim_net::SimQueue;
+use gridsim_net::{ctx, SimQueue};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -229,22 +229,33 @@ impl Read for RoutedStream {
     }
 }
 
-/// Received DATA payloads are handed on as they sit in the pump's read.
-impl BlockRead for RoutedStream {
-    fn pollable(&self) -> Option<&'static str> {
-        Some(SimQueue::<Bytes>::POP_WAIT)
+impl RoutedStream {
+    /// [`Read::read`] without parking: `WouldBlock` while nothing is
+    /// queued, the task's waker on the receive queue.
+    pub(crate) fn poll_read(&self, buf: &mut [u8]) -> io::Result<usize> {
+        let chunk = self.poll_next(buf.len())?;
+        buf[..chunk.len()].copy_from_slice(&chunk);
+        Ok(chunk.len())
     }
 
+    /// [`poll_chunk`](Self::poll_chunk) as a read: empty at end of stream.
+    fn poll_next(&self, cap: usize) -> io::Result<Bytes> {
+        match self.poll_chunk(cap) {
+            Poll::Ready(chunk) => Ok(chunk.unwrap_or_default()),
+            Poll::Pending => Err(ctx::would_block(SimQueue::<Bytes>::POP_WAIT)),
+        }
+    }
+}
+
+/// Received DATA payloads are handed on as they sit in the pump's read.
+impl BlockRead for RoutedStream {
     fn poll_read_chunks_min(
         &mut self,
         min: usize,
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        chunks_until(min, max, out, |cap| match self.poll_chunk(cap) {
-            Poll::Ready(chunk) => Ok(chunk.unwrap_or_default()),
-            Poll::Pending => Err(io::ErrorKind::WouldBlock.into()),
-        })
+        chunks_until(min, max, out, |cap| self.poll_next(cap))
     }
 }
 

@@ -11,7 +11,7 @@ use gridsim_net::{ctx, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use std::io::{self, Write};
 
-use crate::link::{io_wait, next_conn};
+use crate::link::next_conn;
 use crate::wire::{Choice, Greeting, SocksReply, SocksRequest};
 use crate::wire::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_REFUSED};
 
@@ -22,13 +22,13 @@ fn pump_one_way(from: TcpStream, to: TcpStream, label: &'static str) {
         let mut chunks = Vec::new();
         'tunnel: loop {
             let read = || from.poll_read_chunks_min(1, 64 * 1024, &mut chunks);
-            if !matches!(io_wait(TcpStream::READ_WAIT, read).await, Ok(1..)) {
+            if !matches!(ctx::wait_io(read).await, Ok(1..)) {
                 break;
             }
             for chunk in chunks.drain(..) {
                 let mut first = Some(chunk);
                 let write = || to.poll_write_block(first.take());
-                if io_wait(TcpStream::WRITE_WAIT, write).await.is_err() {
+                if ctx::wait_io(write).await.is_err() {
                     break 'tunnel;
                 }
             }

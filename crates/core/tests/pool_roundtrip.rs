@@ -111,9 +111,10 @@ fn stripe_roundtrip(data: &[u8], n_streams: usize, block: usize, chunks: &[usize
             .map(|v| Box::new(SliceReader(io::Cursor::new(v))) as Box<dyn BlockRead + Send>)
             .collect();
         let mut r = StripeReader::new(readers, &gridsim_net::ctx::handle());
+        // Its `read` does not park: read blocking through the chunk API.
         let mut back = Vec::new();
-        r.read_to_end(&mut back).unwrap();
-        *out2.lock() = Some(back);
+        while r.read_chunks(64 * 1024, &mut back).unwrap() > 0 {}
+        *out2.lock() = Some(back.concat());
     });
     sim.run();
     let got = out.lock().take().expect("roundtrip task finished");

@@ -661,10 +661,6 @@ impl io::Read for Arrivals {
 }
 
 impl BlockRead for Arrivals {
-    fn pollable(&self) -> Option<&'static str> {
-        Some("arrivals")
-    }
-
     fn poll_read_chunks_min(
         &mut self,
         min: usize,

@@ -85,6 +85,7 @@ pub struct SecureStream<S> {
     recv: DirectionKeys,
     read_buf: Vec<u8>,
     read_pos: usize,
+    incoming: Incoming,
     peer_closed: bool,
     close_sent: bool,
 }
@@ -105,13 +106,44 @@ fn write_record<S: Write>(s: &mut S, rtype: u8, body: &[u8]) -> io::Result<()> {
     s.write_all(body)
 }
 
-fn read_record<S: Read>(s: &mut S) -> io::Result<(u8, Vec<u8>)> {
-    let mut hdr = [0u8; 3];
-    s.read_exact(&mut hdr)?;
-    let len = u16::from_be_bytes([hdr[1], hdr[2]]) as usize;
-    let mut body = vec![0u8; len];
-    s.read_exact(&mut body)?;
-    Ok((hdr[0], body))
+/// A record on its way in: its header, then its body, each filled in place
+/// as the stream below delivers. An error from below — `WouldBlock` from a
+/// stream that must not park included — leaves what arrived, and the next
+/// read goes on with the same call the failed one made.
+#[derive(Default)]
+struct Incoming {
+    hdr: [u8; 3],
+    /// The body, sized once the header is in.
+    body: Option<Vec<u8>>,
+    /// Bytes of the part in hand (header, then body) read so far.
+    got: usize,
+}
+
+impl Incoming {
+    /// The next record, each read asking for the rest of the part in hand:
+    /// the calls `read_exact` makes, resumed where an error stopped them.
+    fn read<S: Read>(&mut self, s: &mut S) -> io::Result<(u8, Vec<u8>)> {
+        if self.body.is_none() {
+            fill(s, &mut self.hdr, &mut self.got)?;
+            let len = u16::from_be_bytes([self.hdr[1], self.hdr[2]]);
+            (self.body, self.got) = (Some(vec![0u8; len.into()]), 0);
+        }
+        fill(s, self.body.as_mut().expect("sized"), &mut self.got)?;
+        self.got = 0;
+        Ok((self.hdr[0], self.body.take().expect("sized")))
+    }
+}
+
+/// `read_exact` that keeps its place in `got`: a source that ends first is
+/// `UnexpectedEof`, and any other error leaves `got` as far as it came.
+fn fill<S: Read>(s: &mut S, buf: &mut [u8], got: &mut usize) -> io::Result<()> {
+    while *got < buf.len() {
+        match s.read(&mut buf[*got..])? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => *got += n,
+        }
+    }
+    Ok(())
 }
 
 struct Schedule {
@@ -173,7 +205,7 @@ impl<S: Read + Write> SecureStream<S> {
         write_record(&mut inner, TYPE_HANDSHAKE, &ch)?;
         inner.flush()?;
 
-        let (rtype, sh) = read_record(&mut inner)?;
+        let (rtype, sh) = Incoming::default().read(&mut inner)?;
         if rtype != TYPE_HANDSHAKE || sh.len() != 1 + 32 + 32 + 32 || sh[0] != MSG_SERVER_HELLO {
             return Err(hs_error("malformed ServerHello"));
         }
@@ -216,6 +248,7 @@ impl<S: Read + Write> SecureStream<S> {
             },
             read_buf: Vec::new(),
             read_pos: 0,
+            incoming: Incoming::default(),
             peer_closed: false,
             close_sent: false,
         })
@@ -223,7 +256,7 @@ impl<S: Read + Write> SecureStream<S> {
 
     /// Run the server side of the handshake.
     pub fn server(mut inner: S, cfg: &SecureConfig, rng: &mut impl Rng) -> io::Result<Self> {
-        let (rtype, ch) = read_record(&mut inner)?;
+        let (rtype, ch) = Incoming::default().read(&mut inner)?;
         if rtype != TYPE_HANDSHAKE || ch.len() != 65 || ch[0] != MSG_CLIENT_HELLO {
             return Err(hs_error("malformed ClientHello"));
         }
@@ -252,7 +285,7 @@ impl<S: Read + Write> SecureStream<S> {
         write_record(&mut inner, TYPE_HANDSHAKE, &sh)?;
         inner.flush()?;
 
-        let (rtype, fin) = read_record(&mut inner)?;
+        let (rtype, fin) = Incoming::default().read(&mut inner)?;
         if rtype != TYPE_HANDSHAKE || fin.len() != 33 || fin[0] != MSG_FINISHED {
             return Err(hs_error("malformed Finished"));
         }
@@ -276,6 +309,7 @@ impl<S: Read + Write> SecureStream<S> {
             },
             read_buf: Vec::new(),
             read_pos: 0,
+            incoming: Incoming::default(),
             peer_closed: false,
             close_sent: false,
         })
@@ -294,9 +328,10 @@ impl<S: Read + Write> SecureStream<S> {
         write_record(&mut self.inner, rtype, &body)
     }
 
-    /// Decrypt the next record; fills `read_buf` for data records.
+    /// Decrypt the next record; fills `read_buf` for data records. A
+    /// `WouldBlock` from below keeps the record's partial bytes.
     fn pump(&mut self) -> io::Result<()> {
-        let (rtype, mut body) = read_record(&mut self.inner)?;
+        let (rtype, mut body) = self.incoming.read(&mut self.inner)?;
         if rtype != TYPE_DATA && rtype != TYPE_CLOSE {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -341,6 +376,21 @@ impl<S: Read + Write> SecureStream<S> {
 
     pub fn get_mut(&mut self) -> &mut S {
         &mut self.inner
+    }
+
+    /// The same session over `f(inner)`: a transport read one way during
+    /// the handshake and another after it (blocking, then polled).
+    pub fn map_inner<T>(self, f: impl FnOnce(S) -> T) -> SecureStream<T> {
+        SecureStream {
+            inner: f(self.inner),
+            send: self.send,
+            recv: self.recv,
+            read_buf: self.read_buf,
+            read_pos: self.read_pos,
+            incoming: self.incoming,
+            peer_closed: self.peer_closed,
+            close_sent: self.close_sent,
+        }
     }
 }
 

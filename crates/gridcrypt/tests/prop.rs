@@ -323,18 +323,11 @@ proptest! {
     }
 }
 
-/// GTLS's handshake fed hostile bytes. Each end reads what an in-memory
-/// duplex holds, then EOF, and keeps what it writes. A valid exchange is
-/// replayed from fixed seeds; cut short, with bytes flipped, or replaced by
-/// arbitrary bytes, each end's input must end the handshake in a typed
-/// `io::Error` — never a panic, never a session — and no allocation on the
-/// way may exceed one record, whose length field is 16 bits.
-mod hostile_handshake {
-    use gridcrypt::{SecureConfig, SecureStream};
-    use rand::{rngs::StdRng, SeedableRng};
+/// Each thread's largest allocation: no allocation on the way through
+/// hostile bytes may exceed the bound their format sets.
+mod largest {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
-    use std::io::{self, Read, Write};
 
     thread_local!(static LARGEST: Cell<usize> = const { Cell::new(0) });
 
@@ -360,13 +353,94 @@ mod hostile_handshake {
     #[global_allocator]
     static GLOBAL: LargestAlloc = LargestAlloc;
 
+    /// `f`'s result, and the largest allocation it made.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|m| m.set(0));
+        let out = f();
+        (out, LARGEST.with(Cell::get))
+    }
+}
+
+/// A source that serves its input, from byte `from` on one byte per read,
+/// logging those reads' lengths; with `stalls`, each of them comes after a
+/// `WouldBlock`, as from a socket that must not park, and must be asked
+/// for again with the same length. Before `from` it serves what it is
+/// asked for. What is written to it is dropped.
+pub struct Trickle {
+    input: Vec<u8>,
+    at: usize,
+    from: usize,
+    stalls: bool,
+    stalled: Option<usize>,
+    pub reads: Vec<usize>,
+}
+
+impl Trickle {
+    pub fn new(input: &[u8], from: usize, stalls: bool) -> Trickle {
+        let (at, stalled, reads) = (0, None, Vec::new());
+        let input = input.to_vec();
+        Trickle {
+            input,
+            at,
+            from,
+            stalls,
+            stalled,
+            reads,
+        }
+    }
+}
+
+impl std::io::Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.input.len() - self.at;
+        let n = if self.at < self.from {
+            buf.len().min(self.from - self.at)
+        } else {
+            if let Some(len) = self.stalled.take() {
+                assert_eq!(buf.len(), len, "asked again for another length");
+            } else if self.stalls {
+                self.stalled = Some(buf.len());
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.reads.push(buf.len());
+            buf.len().min(1)
+        };
+        let n = n.min(left);
+        buf[..n].copy_from_slice(&self.input[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+impl std::io::Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// GTLS's handshake fed hostile bytes. Each end reads what an in-memory
+/// duplex holds, then EOF, and keeps what it writes. A valid exchange is
+/// replayed from fixed seeds; cut short, with bytes flipped, or replaced by
+/// arbitrary bytes, each end's input must end the handshake in a typed
+/// `io::Error` — never a panic, never a session — and no allocation on the
+/// way may exceed one record, whose length field is 16 bits.
+mod hostile_handshake {
+    use super::largest;
+    use gridcrypt::{SecureConfig, SecureStream};
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::io::{self, Read, Write};
+
     /// One record: a 3-byte header and at most `u16::MAX` body bytes.
-    const RECORD: usize = 64 * 1024;
+    pub const RECORD: usize = 64 * 1024;
 
     /// One end of an in-memory duplex.
-    struct Duplex {
-        input: io::Cursor<Vec<u8>>,
-        output: Vec<u8>,
+    #[derive(Default)]
+    pub struct Duplex {
+        pub input: io::Cursor<Vec<u8>>,
+        pub output: Vec<u8>,
     }
 
     impl Read for Duplex {
@@ -399,8 +473,7 @@ mod hostile_handshake {
             input: io::Cursor::new(input.to_vec()),
             output: Vec::new(),
         };
-        LARGEST.with(|m| m.set(0));
-        let made = match end {
+        let (made, largest) = largest::measure(|| match end {
             End::Client => {
                 let rng = &mut StdRng::seed_from_u64(1);
                 SecureStream::client(&mut duplex, &cfg, rng).map(drop)
@@ -409,14 +482,14 @@ mod hostile_handshake {
                 let rng = &mut StdRng::seed_from_u64(2);
                 SecureStream::server(&mut duplex, &cfg, rng).map(drop)
             }
-        };
-        (duplex.output, made, LARGEST.with(Cell::get))
+        });
+        (duplex.output, made, largest)
     }
 
     /// The valid inputs: the server's hello for the client, the client's
     /// hello and Finished for the server. Each end is run until its input
     /// runs out and handed what the other wrote.
-    fn valid() -> (Vec<u8>, Vec<u8>) {
+    pub fn valid() -> (Vec<u8>, Vec<u8>) {
         let (hello, ..) = handshake(End::Client, &[]);
         let (server_hello, ..) = handshake(End::Server, &hello);
         let (client_flight, made, _) = handshake(End::Client, &server_hello);
@@ -479,6 +552,252 @@ mod hostile_handshake {
             let (_, _, largest) = handshake(end, &[1, 0xff, 0xff]);
             assert!(largest >= usize::from(u16::MAX), "{end:?}: {largest} B");
         }
+    }
+}
+
+/// GTLS records after the handshake, read from a source that serves one
+/// byte per read and, in the polled case, would block before each: the
+/// record read resumes where it stopped, so the session delivers what it
+/// delivers over a source that never blocks, from the same reads; and
+/// hostile records end in a typed error with no allocation past a record.
+mod records {
+    use super::hostile_handshake::{valid, Duplex, RECORD};
+    use super::{largest, Trickle};
+    use gridcrypt::{SecureConfig, SecureStream};
+    use rand::{rngs::StdRng, SeedableRng};
+    use std::io::{self, Read, Write};
+
+    const DATA: [&[u8]; 2] = [b"first", b"and the second record"];
+
+    /// What the server of the replayed handshake reads when its client
+    /// sent `DATA` and closed: the client's flight, then its records; and
+    /// where the records start.
+    fn client_stream() -> (Vec<u8>, usize) {
+        let (server_hello, _) = valid();
+        let mut duplex = Duplex {
+            input: io::Cursor::new(server_hello),
+            output: Vec::new(),
+        };
+        let cfg = SecureConfig::new("vo-secret");
+        let rng = &mut StdRng::seed_from_u64(1);
+        let mut client = SecureStream::client(&mut duplex, &cfg, rng).unwrap();
+        let flight = client.get_ref().output.len();
+        DATA.iter().for_each(|d| client.write_all(d).unwrap());
+        client.close().unwrap();
+        drop(client);
+        (duplex.output, flight)
+    }
+
+    /// The server's session over `input`, read until it ends: what it
+    /// delivered, the lengths the records were read with, how it ended,
+    /// and the largest allocation reading them took.
+    fn serve(
+        input: &[u8],
+        flight: usize,
+        stalls: bool,
+    ) -> (Vec<u8>, Vec<usize>, io::Result<()>, usize) {
+        let cfg = SecureConfig::new("vo-secret");
+        let source = Trickle::new(input, flight, stalls);
+        let rng = &mut StdRng::seed_from_u64(2);
+        let mut s = SecureStream::server(source, &cfg, rng).expect("the replayed flight");
+        let ((got, end), largest) = largest::measure(|| {
+            let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+            let end = loop {
+                match s.read(&mut buf) {
+                    Ok(0) => break Ok(()),
+                    Ok(n) => got.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => break Err(e),
+                }
+            };
+            (got, end)
+        });
+        (got, std::mem::take(&mut s.get_mut().reads), end, largest)
+    }
+
+    #[test]
+    fn a_record_resumes_where_its_source_would_block() {
+        let (input, flight) = client_stream();
+        let (got, reads, end, _) = serve(&input, flight, false);
+        end.unwrap();
+        assert_eq!(got, DATA.concat());
+        let (stalled, stalled_reads, end, _) = serve(&input, flight, true);
+        end.unwrap();
+        assert_eq!(stalled, got);
+        assert_eq!(stalled_reads, reads);
+    }
+
+    /// `input`, its records fed one byte per poll, ends in `InvalidData` or
+    /// `UnexpectedEof`, with no allocation over a record.
+    fn refused(input: &[u8], flight: usize, what: &str) -> usize {
+        let (_, _, end, largest) = serve(input, flight, true);
+        let kind = end.expect_err(what).kind();
+        assert!(
+            matches!(
+                kind,
+                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+            ),
+            "{what}: {kind:?}"
+        );
+        assert!(largest <= RECORD, "{what}: allocated {largest} B");
+        largest
+    }
+
+    #[test]
+    fn every_truncated_or_flipped_record_is_refused() {
+        let (input, flight) = client_stream();
+        for cut in flight..input.len() {
+            refused(&input[..cut], flight, &format!("cut at {cut}"));
+        }
+        for at in flight..input.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = input.clone();
+                flipped[at] ^= mask;
+                refused(&flipped, flight, &format!("byte {at} ^ {mask:#x}"));
+            }
+        }
+    }
+
+    /// A record that declares the most a length field can hold costs one
+    /// record's buffer, sized after its header, and ends at the EOF.
+    #[test]
+    fn a_record_that_declares_the_most_it_can_allocates_one_record() {
+        let (mut input, flight) = client_stream();
+        input[flight + 1..flight + 3].copy_from_slice(&[0xff, 0xff]);
+        let largest = refused(&input, flight, "length 0xffff");
+        assert!(largest >= usize::from(u16::MAX), "{largest} B");
+    }
+}
+
+/// gridzip's framing rides under GTLS in a compressed secure stack, and is
+/// checked here beside it with the same allocation counter: a framed
+/// stream fed one byte per poll, each after a would-block, cut short, with
+/// bytes flipped or with its declared lengths inflated, ends in a typed
+/// error or a clean end (a flipped payload byte is data to the framing) —
+/// never a panic — and no allocation exceeds what `DecompressReader` bounds
+/// a block's declared lengths by, each checked before it is allocated.
+mod frames {
+    use super::{largest, Trickle};
+    use gridzip::{synth, varint, CompressWriter, DecompressReader};
+    use std::io::{self, Read, Write};
+
+    /// `DecompressReader`'s bound on a block's decoded size, and on its
+    /// payload (with the stored fallback's slack).
+    const MAX_BLOCK: usize = 16 << 20;
+    const MAX_PAYLOAD: usize = MAX_BLOCK + MAX_BLOCK / 8 + 64;
+
+    /// A framed stream of LZSS and stored blocks, and its bytes.
+    fn framed() -> (Vec<u8>, Vec<u8>) {
+        let data = [&synth::grid_payload(700, 0.6, 3)[..], &[0x5a; 1][..]].concat();
+        let mut noise = 0x9e37_79b9u32;
+        let noise: Vec<u8> = (0..200)
+            .map(|_| {
+                noise = noise.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (noise >> 24) as u8
+            })
+            .collect();
+        let data = [data, noise].concat();
+        let mut w = CompressWriter::with_block_size(Vec::new(), 1, 256);
+        w.write_all(&data).unwrap();
+        (w.finish().unwrap(), data)
+    }
+
+    /// Decode `input`, one byte per poll: what it delivered or how it
+    /// failed, and the largest allocation on the way.
+    fn decode(input: &[u8]) -> (io::Result<Vec<u8>>, usize) {
+        let mut r = DecompressReader::new(Trickle::new(input, 0, true));
+        largest::measure(|| {
+            let (mut got, mut buf) = (Vec::new(), [0u8; 512]);
+            loop {
+                match r.read(&mut buf) {
+                    Ok(0) => return Ok(got),
+                    Ok(n) => got.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        })
+    }
+
+    /// `input` ends in `InvalidData` or `UnexpectedEof` — or, where
+    /// `clean` allows it, a clean end — within the block bound.
+    fn ends_typed(input: &[u8], clean: impl Fn(&[u8]) -> bool, what: &str) -> usize {
+        let (end, largest) = decode(input);
+        match end {
+            Ok(got) => assert!(clean(&got), "{what}: a clean end"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{what}: {e:?}"
+            ),
+        }
+        assert!(largest <= MAX_PAYLOAD, "{what}: allocated {largest} B");
+        largest
+    }
+
+    #[test]
+    fn every_truncated_or_flipped_frame_ends_typed() {
+        let (framed, data) = framed();
+        assert_eq!(decode(&framed).0.unwrap(), data);
+        // A cut at a block boundary is a shorter stream.
+        for cut in 0..framed.len() {
+            ends_typed(
+                &framed[..cut],
+                |got| data.starts_with(got),
+                &format!("cut at {cut}"),
+            );
+        }
+        for at in 0..framed.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut flipped = framed.clone();
+                flipped[at] ^= mask;
+                ends_typed(&flipped, |_| true, &format!("byte {at} ^ {mask:#x}"));
+            }
+        }
+    }
+
+    /// One block's header with the given lengths, then `payload`.
+    fn block(flag: u8, orig_len: u64, payload_len: u64, payload: &[u8]) -> Vec<u8> {
+        let mut b = vec![flag];
+        varint::put(&mut b, orig_len);
+        varint::put(&mut b, payload_len);
+        [b, payload.to_vec()].concat()
+    }
+
+    #[test]
+    fn inflated_lengths_are_refused_before_they_are_allocated() {
+        let small = 64 * 1024;
+        let over = [
+            block(0, MAX_BLOCK as u64 + 1, 3, b"abc"),
+            block(1, u64::MAX, 3, b"abc"),
+            block(0, 3, MAX_PAYLOAD as u64 + 1, b"abc"),
+            block(1, 3, u64::MAX, b"abc"),
+            [&[0u8][..], &[0xff; 9], &[0x7f]].concat(),
+        ];
+        for input in over {
+            let what = format!("{:02x?}", &input[..input.len().min(12)]);
+            let (end, largest) = decode(&input);
+            assert_eq!(
+                end.unwrap_err().kind(),
+                io::ErrorKind::InvalidData,
+                "{what}"
+            );
+            assert!(largest < small, "{what}: allocated {largest} B");
+        }
+        // At the bound a payload is allocated, then the stream ends in it.
+        let largest = ends_typed(
+            &block(0, 3, MAX_PAYLOAD as u64, b"abc"),
+            |_| false,
+            "at the bound",
+        );
+        assert!(largest >= MAX_PAYLOAD, "{largest} B");
+        ends_typed(
+            &block(1, MAX_BLOCK as u64, 3, &[0x20, b'h', b'i']),
+            |_| false,
+            "orig_len",
+        );
     }
 }
 

@@ -41,54 +41,106 @@ fn frame_block(c: &mut Compressor, data: &[u8], out: &mut Vec<u8>, scratch: &mut
     out.extend_from_slice(payload);
 }
 
-/// Read and decode one framed block from `r`. Returns `None` on clean EOF
-/// at a block boundary. `max_block` bounds the decoded size; `payload` is
-/// reused scratch for the compressed bytes (the decoded block is returned
-/// owned).
-fn read_block<R: Read>(
-    r: &mut R,
-    max_block: usize,
-    payload: &mut Vec<u8>,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut flag = [0u8];
-    if r.read(&mut flag)? == 0 {
-        return Ok(None);
-    }
-    let orig_len = varint::read_from(r)? as usize;
-    let payload_len = varint::read_from(r)? as usize;
-    if orig_len > max_block || payload_len > max_block + max_block / 8 + 64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "block exceeds size bound",
-        ));
-    }
-    payload.clear();
-    payload.resize(payload_len, 0);
-    r.read_exact(payload)?;
-    match flag[0] {
-        FLAG_STORED => {
-            if payload.len() != orig_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stored length mismatch",
-                ));
+/// A framed block on its way in: header bytes as they arrive, one per read,
+/// then the payload, filled in place. An error from below — `WouldBlock`
+/// from a source that must not park included — leaves what arrived, and
+/// the next read goes on with the call the failed one made.
+#[derive(Default)]
+struct Incoming {
+    /// The flag and the two varints: at most 1 + 10 + 10 bytes.
+    head: [u8; 21],
+    head_len: usize,
+    /// `(orig_len, payload_len)` once the header is in and passed its bounds.
+    lens: Option<(usize, usize)>,
+    /// Reused scratch for the compressed bytes, while `lens` is set the
+    /// block's payload, `got` bytes of it read.
+    payload: Vec<u8>,
+    got: usize,
+}
+
+impl Incoming {
+    /// Read and decode one framed block from `r`, making the calls a
+    /// byte-wise header and a `read_exact` payload make. `None` on clean
+    /// EOF at a block boundary. `max_block` bounds the decoded size, and
+    /// is checked before the payload is allocated; the decoded block is
+    /// returned owned.
+    fn read_block<R: Read>(&mut self, r: &mut R, max_block: usize) -> io::Result<Option<Vec<u8>>> {
+        let (orig_len, payload_len) = match self.lens {
+            Some(lens) => lens,
+            None => {
+                let Some((orig_len, payload_len)) = self.header(r)? else {
+                    return Ok(None);
+                };
+                if orig_len > max_block || payload_len > max_block + max_block / 8 + 64 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "block exceeds size bound",
+                    ));
+                }
+                self.payload.clear();
+                self.payload.resize(payload_len, 0);
+                (self.lens, self.got) = (Some((orig_len, payload_len)), 0);
+                (orig_len, payload_len)
             }
-            Ok(Some(std::mem::take(payload)))
-        }
-        FLAG_LZSS => {
-            let out = decompress(payload, orig_len)?;
-            if out.len() != orig_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "decoded length mismatch",
-                ));
+        };
+        while self.got < payload_len {
+            match r.read(&mut self.payload[self.got..])? {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n => self.got += n,
             }
-            Ok(Some(out))
         }
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unknown block flag",
-        )),
+        (self.lens, self.head_len) = (None, 0);
+        let payload = &mut self.payload;
+        match self.head[0] {
+            FLAG_STORED => {
+                if payload.len() != orig_len {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "stored length mismatch",
+                    ));
+                }
+                Ok(Some(std::mem::take(payload)))
+            }
+            FLAG_LZSS => {
+                let out = decompress(payload, orig_len)?;
+                if out.len() != orig_len {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "decoded length mismatch",
+                    ));
+                }
+                Ok(Some(out))
+            }
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "unknown block flag",
+            )),
+        }
+    }
+
+    /// The header's two lengths, decoded from its bytes as they are read,
+    /// one per read, into `head`: asked again, the decoder is handed the
+    /// ones already in. `None` on clean EOF before the flag.
+    fn header<R: Read>(&mut self, r: &mut R) -> io::Result<Option<(usize, usize)>> {
+        if self.head_len == 0 {
+            if r.read(&mut self.head[..1])? == 0 {
+                return Ok(None);
+            }
+            self.head_len = 1;
+        }
+        let (head, len, mut at) = (&mut self.head, &mut self.head_len, 1);
+        let mut next = || {
+            if at == *len {
+                if r.read(&mut head[at..at + 1])? == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                *len += 1;
+            }
+            at += 1;
+            Ok(head[at - 1])
+        };
+        let orig_len = varint::decode(&mut next)? as usize;
+        Ok(Some((orig_len, varint::decode(&mut next)? as usize)))
     }
 }
 
@@ -185,14 +237,15 @@ impl<W: Write> Write for CompressWriter<W> {
     }
 }
 
-/// A decompressing reader over a framed stream.
+/// A decompressing reader over a framed stream. Over a source that may
+/// report `WouldBlock` it is a resumable reader too: the block in hand
+/// keeps what arrived, and the next read goes on with the same call.
 pub struct DecompressReader<R: Read> {
     inner: R,
     current: Vec<u8>,
     pos: usize,
     max_block: usize,
-    /// Reused compressed-payload scratch for [`read_block`].
-    payload: Vec<u8>,
+    incoming: Incoming,
     pub bytes_in_compressed: u64,
     pub bytes_out: u64,
 }
@@ -204,7 +257,7 @@ impl<R: Read> DecompressReader<R> {
             current: Vec::new(),
             pos: 0,
             max_block: 16 << 20,
-            payload: Vec::new(),
+            incoming: Incoming::default(),
             bytes_out: 0,
             bytes_in_compressed: 0,
         }
@@ -220,7 +273,7 @@ impl<R: Read> DecompressReader<R> {
     /// when [`Read::read`] would. `false` means clean EOF.
     fn refill(&mut self) -> io::Result<bool> {
         if self.pos == self.current.len() {
-            match read_block(&mut self.inner, self.max_block, &mut self.payload)? {
+            match self.incoming.read_block(&mut self.inner, self.max_block)? {
                 Some(b) => {
                     self.bytes_out += b.len() as u64;
                     self.current = b;
@@ -392,6 +445,73 @@ mod tests {
             }
             assert_eq!(by_chunk.bytes_out, data.len() as u64);
         }
+    }
+
+    /// A source serving `data` one byte per read and logging each read's
+    /// length. With `stalls` it is `WouldBlock` before every byte, and
+    /// then must be asked again for the same length.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        stalls: bool,
+        stalled: Option<usize>,
+        reads: Vec<usize>,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if let Some(len) = self.stalled.take() {
+                assert_eq!(buf.len(), len, "asked again for another length");
+            } else if self.stalls {
+                self.stalled = Some(buf.len());
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.reads.push(buf.len());
+            let n = buf.len().min(1).min(self.data.len() - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// A block whose source would block before every byte — inside the
+    /// flag, each varint and the payload — is decoded as it is from one
+    /// that never does: the same bytes, from the same reads.
+    #[test]
+    fn a_block_resumes_where_its_source_would_block() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let noise: Vec<u8> = (0..3000).map(|_| rng.random()).collect();
+        let data = [synth::grid_payload(9000, 0.6, 4), noise].concat();
+        let mut w = CompressWriter::with_block_size(Vec::new(), 1, 4096);
+        w.write_all(&data).unwrap();
+        let framed = w.finish().unwrap();
+        assert!(framed.contains(&FLAG_STORED) && framed.contains(&FLAG_LZSS));
+        let drain = |stalls| {
+            let (at, stalled, reads) = (0, None, Vec::new());
+            let source = Trickle {
+                data: framed.clone(),
+                at,
+                stalls,
+                stalled,
+                reads,
+            };
+            let mut r = DecompressReader::new(source);
+            let (mut out, mut buf) = (Vec::new(), [0u8; 1000]);
+            loop {
+                match r.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => out.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("stalls {stalls}: {e}"),
+                }
+            }
+            (out, std::mem::take(&mut r.inner.reads))
+        };
+        let (plain, plain_reads) = drain(false);
+        let (stalled, stalled_reads) = drain(true);
+        assert!(plain == data && stalled == data);
+        assert_eq!(stalled_reads, plain_reads);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! LEB128-style unsigned varints, shared by the gridzip framing and the
 //! netgrid wire protocols.
 
-use std::io::{self, Read};
+use std::io;
 
 /// Append `v` to `out` as a varint (7 bits per byte, LSB first).
 pub fn put(out: &mut Vec<u8>, mut v: u64) {
@@ -67,15 +67,6 @@ pub fn get(buf: &[u8]) -> Option<(u64, usize)> {
     Some((v.ok()?, used))
 }
 
-/// Read a varint from an `io::Read`.
-pub fn read_from<R: Read>(r: &mut R) -> io::Result<u64> {
-    decode(|| {
-        let mut b = [0u8];
-        r.read_exact(&mut b)?;
-        Ok(b[0])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,18 +83,6 @@ mod tests {
             let n = put_slice(&mut arr, v);
             assert_eq!(&arr[..n], &buf[..], "put_slice matches put for {v}");
         }
-    }
-
-    #[test]
-    fn io_roundtrip() {
-        let mut buf = Vec::new();
-        for v in [0u64, 300, 1 << 40] {
-            put(&mut buf, v);
-        }
-        let mut cur = std::io::Cursor::new(buf);
-        assert_eq!(read_from(&mut cur).unwrap(), 0);
-        assert_eq!(read_from(&mut cur).unwrap(), 300);
-        assert_eq!(read_from(&mut cur).unwrap(), 1 << 40);
     }
 
     #[test]

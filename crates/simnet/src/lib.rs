@@ -72,6 +72,15 @@ pub struct Sim {
     net: Net,
 }
 
+impl Drop for Sim {
+    /// The scheduler drops the tasks still waiting, and their sockets close
+    /// as they go: packets no run will carry, so the world's tracer, which
+    /// records the run, is gone first.
+    fn drop(&mut self) {
+        self.net.with(|w| w.tracer = None);
+    }
+}
+
 impl Sim {
     /// Create a simulation with the given RNG seed (drives link loss, NAT
     /// port draws, and anything protocols pull from [`World::rng`]).

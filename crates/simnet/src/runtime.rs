@@ -117,6 +117,9 @@ thread_local! {
     /// [`ctx::wait`], left empty by [`ctx::blocking`], which asks for a
     /// thread.
     static PEND: Cell<Option<&'static str>> = const { Cell::new(None) };
+    /// The park the last [`ctx::would_block`] on this thread stands for,
+    /// until a wait takes it ([`ctx::blocked_on`]).
+    static WHY: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
 /// A task: its future and the waker it is polled with. Its slot holds it
@@ -841,10 +844,17 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     /// Drop the hooks (a world's delivery hook holds the world, which holds a handle to
-    /// this one), then end and join every idle worker; one whose task is parked stays.
+    /// this one) and every task waiting in its slot (its future holds its own waker, and so
+    /// this scheduler), then end and join every idle worker; a task parked on one stays.
     fn drop(&mut self) {
-        let hooks = std::mem::take(&mut self.core.state.borrow().hooks);
+        let (hooks, tasks) = {
+            let mut st = self.core.state.borrow();
+            let tasks: Vec<AsyncTask> = st.tasks.iter_mut().filter_map(|t| t.task.take()).collect();
+            (std::mem::take(&mut st.hooks), tasks)
+        };
+        // With the state free: a dropped Timer or listener borrows it again.
         drop(hooks);
+        drop(tasks);
         // An ending worker touches no state, so the borrow can stay out.
         for worker in std::mem::take(&mut self.core.state.borrow().idle) {
             worker.baton.grant();
@@ -1071,6 +1081,7 @@ impl<T> JoinHandle<T> {
 /// scheduler loop; calling them elsewhere panics.
 pub mod ctx {
     use super::*;
+    use std::io;
 
     fn with_current<R>(f: impl FnOnce(&SchedHandle, TaskId) -> R) -> R {
         CURRENT.with(|c| {
@@ -1153,24 +1164,62 @@ pub mod ctx {
         });
     }
 
+    /// What a task in [`sleep`] is parked on, and the would-block reason
+    /// of a poll that waits out a time ([`wake_at`]).
+    pub const SLEEP_WAIT: &str = "sleep";
+
     /// Sleep for `d` of simulated time.
     pub fn sleep(d: Duration) {
         if d.is_zero() {
             yield_now();
             return;
         }
-        let at = with_current(|h, tid| {
-            let at = h.now() + d;
-            h.core.schedule(at, EventAction::WakeTask(tid));
-            at
-        });
+        let at = now() + d;
+        wake_at(at);
         // A stray wake token could end the sleep early; loop on the clock.
         loop {
-            park("sleep");
+            park(SLEEP_WAIT);
             if now() >= at {
                 break;
             }
         }
+    }
+
+    /// Wake the calling task at `at`: the event [`sleep`] schedules, for a
+    /// poll that waits out a time and would block under [`SLEEP_WAIT`]
+    /// until then (a CPU charge).
+    pub fn wake_at(at: SimTime) {
+        with_current(|h, tid| h.core.schedule(at, EventAction::WakeTask(tid)));
+    }
+
+    /// `Err(WouldBlock)` from a source that left the calling task's waker
+    /// where the wake will come from, standing for a park under `reason`:
+    /// whoever waits on it, however many readers up, parks under that name
+    /// ([`blocked_on`], [`wait_io`]).
+    pub fn would_block(reason: &'static str) -> io::Error {
+        WHY.set(Some(reason));
+        io::ErrorKind::WouldBlock.into()
+    }
+
+    /// The park the would-block the calling task just saw stands for.
+    pub fn blocked_on() -> &'static str {
+        WHY.take()
+            .expect("a would-block names its park (ctx::would_block)")
+    }
+
+    /// Await `poll`, an I/O poll, until it is ready: an `Err(WouldBlock)`
+    /// is a wait, in an async task a park, under the reason its source
+    /// named ([`would_block`]). The next wake asks `poll` again.
+    pub fn wait_io<T>(
+        mut poll: impl FnMut() -> io::Result<T>,
+    ) -> impl Future<Output = io::Result<T>> {
+        std::future::poll_fn(move |_| match poll() {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                PEND.set(Some(blocked_on()));
+                Poll::Pending
+            }
+            done => Poll::Ready(done),
+        })
     }
 
     /// Await `poll` until it is ready. In an async task a `Pending`, with
@@ -1787,6 +1836,26 @@ mod tests {
         assert_eq!(exited.load(Ordering::SeqCst), 0, "idle, not gone");
         drop(sched);
         assert_eq!(exited.load(Ordering::SeqCst), 8);
+    }
+
+    /// A task that waits forever in its slot holds its future, the future
+    /// its own waker, and the waker the scheduler's core: dropping the
+    /// scheduler drops the future, so the core goes with it. A task that
+    /// finished holds nothing either way.
+    #[test]
+    fn dropping_the_scheduler_drops_the_tasks_waiting_in_their_slots() {
+        for waits in [false, true] {
+            let sched = Scheduler::new();
+            let core = Arc::downgrade(&sched.core);
+            let forever = ctx::wait("never", move || match waits {
+                true => Poll::Pending,
+                false => Poll::Ready(()),
+            });
+            sched.handle().spawn_async("forever", forever);
+            assert_eq!(sched.run(), RunOutcome::Idle);
+            drop(sched);
+            assert!(core.upgrade().is_none(), "the core outlives its scheduler");
+        }
     }
 
     #[test]

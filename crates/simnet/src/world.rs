@@ -136,7 +136,7 @@ pub struct World {
     dispatch: [Option<ProtoDispatch>; 256],
     rng: StdRng,
     pub stats: WorldStats,
-    tracer: Option<Tracer>,
+    pub(crate) tracer: Option<Tracer>,
 }
 
 /// The delivery hook's argument for the loopback queue; any other is a

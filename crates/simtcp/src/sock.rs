@@ -63,7 +63,7 @@ impl TcpListener {
     /// woken when one is or the listener closes.
     pub fn poll_accept(&self) -> io::Result<TcpStream> {
         self.poll_queue()?
-            .ok_or_else(|| io::ErrorKind::WouldBlock.into())
+            .ok_or_else(|| ctx::would_block(Self::ACCEPT_WAIT))
     }
 
     /// One look at the accept queue. `None` = empty, with the task's waker
@@ -256,12 +256,26 @@ impl TcpStream {
     /// [`read_chunks_min`](Self::read_chunks_min)'s, whose pickup is
     /// copied into `buf`.
     pub fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
+        Self::wait(Self::READ_WAIT, || self.poll_copy(buf))?
+    }
+
+    /// [`read_some`](Self::read_some) for a caller that must not park: the
+    /// same demand staged on the TCB, or picked up if this socket has one
+    /// staged. `Err(WouldBlock)` while it is unmet, the calling task woken
+    /// when it is met; asked again with a buffer as long, the call collects
+    /// what the blocking one would have.
+    pub fn poll_read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
+        self.poll_copy(buf)?
+            .unwrap_or_else(|| Err(ctx::would_block(Self::READ_WAIT)))
+    }
+
+    /// One look at a scalar read. `None` = still short, with the demand
+    /// and the task's waker on the TCB.
+    fn poll_copy(&self, buf: &mut [u8]) -> io::Result<Option<io::Result<usize>>> {
         if buf.is_empty() {
-            return Ok(0);
+            return Ok(Some(Ok(0)));
         }
-        self.wait_tcb(Self::READ_WAIT, |tcb, now| {
-            tcb.read_copy(now, buf, ctx::waker())
-        })?
+        self.with_tcb(|tcb, now| tcb.read_copy(now, buf, ctx::waker()))
     }
 
     /// Blocking write of one whole block, zero-copy: accepted bytes enter
@@ -284,7 +298,7 @@ impl TcpStream {
     /// bytes of it are unqueued; woken when none are or the connection dies.
     pub fn poll_write_block(&self, first: Option<Bytes>) -> io::Result<()> {
         self.poll_write(first.map(|block| (block, 0)))?
-            .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+            .unwrap_or_else(|| Err(ctx::would_block(Self::WRITE_WAIT)))
     }
 
     /// One look at a block write: stage a block the caller made by copying
@@ -335,7 +349,7 @@ impl TcpStream {
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
         self.poll_chunks(min, max, out)?
-            .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+            .unwrap_or_else(|| Err(ctx::would_block(Self::READ_WAIT)))
     }
 
     /// One look at a chunked read: stage the demand, or collect the one

@@ -302,12 +302,13 @@ fn a_round_trip_after_a_reconfig_costs_two_grants() {
     );
 }
 
-/// Over GTLS the pump's stack cannot be polled (a record's CPU charge
-/// sleeps), so each of its reads is a blocking section, run on a worker
-/// that the pump keeps while it has room to deliver. A warm round trip
-/// costs what the pump on a thread of its own cost: four grants, and per
-/// message one receive, two CPU-charge sleeps and two socket reads parked;
-/// the rounds start no thread.
+/// Over GTLS the pump polls its stack like a plain one (DESIGN.md §6a): a
+/// record read and its CPU charge each resume where they would block, so
+/// the pump is inline and a warm round trip costs the direct link's two
+/// grants (four while each read was a blocking section on a worker). The
+/// parks are the ones a pump on a thread made, by name: per message one
+/// receive, two CPU-charge sleeps and two socket reads; the rounds start no
+/// thread.
 #[test]
 fn a_round_trip_over_a_gtls_link_costs_its_pinned_grants_and_parks() {
     const ROUNDS: u64 = 100;
@@ -324,10 +325,50 @@ fn a_round_trip_over_a_gtls_link_costs_its_pinned_grants_and_parks() {
         .collect();
     assert_eq!(
         spent[&GRANTS],
-        4 * ROUNDS as i64,
+        2 * ROUNDS as i64,
         "grants over {ROUNDS} round trips"
     );
     let expect = ["queue pop 200", "sleep 400", "tcp read 400"].map(|p| format!("task/parks/{p}"));
+    assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
+    assert_eq!(
+        spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
+}
+
+/// Over `wan_integrated`'s stack — four streams, each under GTLS, and
+/// gridzip level 1 above them — every receive layer resumes where it would
+/// block, so the pump and each stream's reader are inline tasks. A warm
+/// round trip costs four grants, as over a plain four-stream stack: the
+/// direct link's two, and one per message for the stream writer that
+/// sends it (a task with a worker). The parent's blocking pump reads and
+/// thread stripe readers cost eight. The parks are the same by name, and
+/// the rounds start no thread (nor did the parent's: their workers were
+/// taken when the link was set up).
+#[test]
+fn a_round_trip_over_a_compressed_striped_gtls_link_costs_its_pinned_grants_and_parks() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let hosts = open_pair(&sim);
+    let open = ConnectivityProfile::open;
+    let wan = StackSpec::plain()
+        .with_streams(4)
+        .with_compression(1)
+        .with_security();
+    let (method, phases) = round_trips(&sim, hosts, (open(), open()), wan, ROUNDS, 256, None);
+    assert_eq!(method, EstablishMethod::ClientServer);
+    let spent = &phases[0];
+    let parks: Vec<String> = (spent.iter())
+        .filter(|(name, _)| name.0 == "task/parks")
+        .map(|(name, v)| format!("{name} {v}"))
+        .collect();
+    assert_eq!(
+        spent[&GRANTS],
+        4 * ROUNDS as i64,
+        "grants over {ROUNDS} round trips"
+    );
+    let expect = ["queue pop 600", "sleep 2800", "tcp read 800"].map(|p| format!("task/parks/{p}"));
     assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
     assert_eq!(
         spent.get(&THREADS),
