@@ -15,7 +15,9 @@
 #           frame has one decoder; the retired twins' names), every
 #           receive stack polled (no `pollable` in crates/*/src, no
 #           `ctx::blocking` in blockio.rs, and no daemon in the drivers
-#           but each stream's writer, in StripeWriter::with_pool), no timer
+#           but each stream's writer, in StripeWriter::with_pool), one
+#           GTLS handshake path (no `map_inner` or `gtls-hs` in
+#           crates/*/src, no task spawned in drivers/mod.rs), no timer
 #           named in simtcp's host stack, no second single-flight beside a
 #           data link's write gate, no exactly-once bookkeeping
 #           outside resume.rs (the retired watermark twins' names), no
@@ -218,6 +220,16 @@ stage_clippy() {
   if grep -rn 'pollable' crates/*/src || grep -n 'ctx::blocking' crates/core/src/drivers/blockio.rs \
     || [ "$driver_daemons" != "with_pool" ]; then
     echo "a receive layer that cannot be polled (lines above), or a daemon in the drivers outside StripeWriter::with_pool: [$driver_daemons]"
+    return 1
+  fi
+  # A GTLS handshake resumes like its records (DESIGN.md §5b): it is
+  # state in the SecureStream, polled over the link that does not park, so
+  # no blocking twin of the link wraps it for the handshake and no stream
+  # is moved across after it; and every stream count runs its handshakes
+  # in the task that assembles the stack, so drivers/mod.rs starts no task.
+  if grep -rnE 'map_inner|gtls-hs' crates/*/src \
+    || grep -nE '\bspawn(_daemon|_async)?\(' crates/core/src/drivers/mod.rs; then
+    echo "a second handshake path or a task per handshake (lines above); poll SecureStream::poll_handshake in secure_wires"
     return 1
   fi
   # The receive pump is one async body (DESIGN.md §6a), started in

@@ -114,7 +114,12 @@ pub trait BlockRead: Read {
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        copy_read_chunks(self, min, max, out)
+        chunks_until(min, max, out, |cap| {
+            let mut v = vec![0u8; cap];
+            let n = self.read(&mut v)?;
+            v.truncate(n);
+            Ok(v.into())
+        })
     }
 }
 
@@ -137,22 +142,6 @@ pub(crate) fn chunks_until(
         out.push(chunk);
     }
     Ok(got)
-}
-
-/// The copying `poll_read_chunks_min`: each chunk is one `read` into a
-/// fresh zeroed buffer.
-pub(crate) fn copy_read_chunks<R: Read + ?Sized>(
-    r: &mut R,
-    min: usize,
-    max: usize,
-    out: &mut Vec<Bytes>,
-) -> io::Result<usize> {
-    chunks_until(min, max, out, |cap| {
-        let mut v = vec![0u8; cap];
-        let n = r.read(&mut v)?;
-        v.truncate(n);
-        Ok(v.into())
-    })
 }
 
 // Trait-object plumbing: the assembled stacks are boxed, and a boxed
@@ -303,7 +292,7 @@ impl<W: Write> BlockWrite for CpuWrite<W> {}
 // The compression layer recodes blocks entering it, so the copying default
 // routes them through the framing path unchanged. Coming out, the decoder
 // already owns each decoded block as a `Vec`: it is handed on as it is, in
-// the chunking `copy_read_chunks` would produce and with the same inner
+// the chunking the copying default would produce and with the same inner
 // reads (and `CpuRead` charges), minus the zeroed bounce buffer and copy.
 impl<W: Write> BlockWrite for gridzip::CompressWriter<W> {}
 impl<R: Read> BlockRead for gridzip::DecompressReader<R> {

@@ -26,16 +26,17 @@
 //!
 //! The receiver stack is read without parking, layer by layer (see
 //! [`blockio`]): the port's pump and each stream's reader are async tasks,
-//! so no stack needs a thread to read. The sender side blocks: each
-//! stream's writer is a task of its own ([`StripeWriter`]), and so is each
-//! stream's GTLS handshake.
+//! so no stack needs a thread to read. A GTLS handshake is polled the same
+//! way, every stream's in one loop of the task that assembles the stack.
+//! The sender side blocks: each stream's writer is a task of its own
+//! ([`StripeWriter`]).
 
 pub mod blockio;
 pub mod stripe;
 
 use bytes::Bytes;
-use gridcrypt::{SecureConfig, SecureStream};
-use gridsim_net::SockAddr;
+use gridcrypt::{Role, SecureConfig, SecureStream};
+use gridsim_net::{ctx, SockAddr};
 use gridsim_tcp::TcpStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -366,61 +367,15 @@ pub struct SecurityContext {
 }
 
 /// One assembled, per-stream wire: TCP/routed, possibly under GTLS.
-enum WireStream {
-    Plain(RawLink),
-    Secure(Box<SecureStream<RawLink>>),
-}
+trait Wire: BlockRead + BlockWrite + Send {}
 
-impl Read for WireStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Plain(s) => s.read(buf),
-            WireStream::Secure(s) => s.read(buf),
-        }
-    }
-}
+impl<W: BlockRead + BlockWrite + Send> Wire for W {}
 
-impl Write for WireStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Plain(s) => s.write(buf),
-            WireStream::Secure(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            WireStream::Plain(s) => s.flush(),
-            WireStream::Secure(s) => s.flush(),
-        }
-    }
-}
-
-// Plain wires pass blocks straight through; GTLS recodes every byte, so it
-// keeps the copying defaults (records are built from the plaintext anyway).
-impl BlockWrite for WireStream {
-    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
-        match self {
-            WireStream::Plain(s) => s.write_block(block),
-            WireStream::Secure(s) => s.write_all(&block),
-        }
-    }
-}
-
-// A GTLS wire opens each record into a buffer of its own, so it is read
-// through `read`, in the trait's copying chunks.
-impl BlockRead for WireStream {
-    fn poll_read_chunks_min(
-        &mut self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<usize> {
-        match self {
-            WireStream::Plain(s) => s.poll_read_chunks_min(min, max, out),
-            WireStream::Secure(s) => blockio::copy_read_chunks(s, min, max, out),
-        }
-    }
-}
+// Plain wires pass blocks straight through; GTLS recodes every byte, so a
+// session keeps the copying defaults: records are built from the plaintext
+// and opened into a buffer of their own, read in the trait's chunks.
+impl BlockWrite for SecureStream<RawLink> {}
+impl BlockRead for SecureStream<RawLink> {}
 
 /// The assembled sender side of a connection. The `BlockWrite` vtable lets
 /// whole pooled blocks travel the stack without per-layer copies; plain
@@ -429,64 +384,23 @@ pub type SenderStack = Box<dyn BlockWrite + Send>;
 /// The assembled receiver side of a connection.
 pub type ReceiverStack = Box<dyn BlockRead + Send>;
 
-/// One stream's GTLS handshake. Stream index `i` salts the handshake RNG
-/// so parallel handshakes stay deterministic per stream regardless of
-/// completion order.
-fn secure_handshake(
-    link: RawLink,
-    i: usize,
-    config: &SecureConfig,
-    seed: u64,
-    cpu: &HostCpu,
-    is_initiator: bool,
-) -> io::Result<WireStream> {
-    // Handshake cost: two X25519 ops + hashes, ≈ a few ms of 2004
-    // CPU; charged as 64 KiB of crypto work.
-    cpu.consume(64 * 1024, cpu.rates.crypt);
-    let mut rng = StdRng::seed_from_u64(seed ^ (i as u64) << 32 | is_initiator as u64);
-    let link = Handshake(link);
-    let s = if is_initiator {
-        SecureStream::client(link, config, &mut rng)?
-    } else {
-        SecureStream::server(link, config, &mut rng)?
-    };
-    Ok(WireStream::Secure(Box::new(
-        s.map_inner(|Handshake(link)| link),
-    )))
-}
-
-/// A link read blocking, by its socket's own blocking read: what a GTLS
-/// handshake, run in a blocking section, reads through. The session it
-/// makes reads the link itself, without parking.
-struct Handshake(RawLink);
-
-impl Read for Handshake {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match &mut self.0 {
-            RawLink::Tcp(s) => s.read_some(buf),
-            RawLink::Routed(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Handshake {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
+/// GTLS over each of a link's streams, every handshake run by the calling
+/// task, a blocking context, whatever the stream count. Each stream's
+/// handshake CPU is charged in stream order and its handshake starts where
+/// its charge ends; every handshake started and not yet open is polled over
+/// its non-parking link, and the task parks between polls under the reason
+/// the first would-block in stream order named. Stream index `i` salts the
+/// handshake RNG, so each stream's handshake is the same whatever the
+/// order its flights arrive in.
 fn secure_wires(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: &HostCpu,
     sec: Option<&SecurityContext>,
-    is_initiator: bool,
-) -> io::Result<Vec<WireStream>> {
+    role: Role,
+) -> io::Result<Vec<Box<dyn Wire>>> {
     if !spec.secure {
-        return Ok(links.into_iter().map(WireStream::Plain).collect());
+        return Ok(links.into_iter().map(|l| Box::new(l) as _).collect());
     }
     let sc = sec.ok_or_else(|| {
         io::Error::new(
@@ -494,32 +408,40 @@ fn secure_wires(
             "stack requires a security context",
         )
     })?;
-    if links.len() <= 1 {
-        return links
-            .into_iter()
-            .enumerate()
-            .map(|(i, link)| secure_handshake(link, i, &sc.config, sc.seed, cpu, is_initiator))
-            .collect();
-    }
-    // Multi-stream: pipeline the handshakes instead of serializing them.
-    // Each stream's handshake is an independent RTT + crypto exchange on
-    // its own socket, so they overlap; link setup pays ~one handshake of
-    // latency instead of `streams` of them. Collected in stream order, so
-    // the assembled stack is identical to the sequential build.
-    let sched = gridsim_net::ctx::handle();
-    let handles: Vec<_> = links
-        .into_iter()
-        .enumerate()
+    // Handshake cost: two X25519 ops + hashes, ≈ a few ms of 2004 CPU;
+    // charged as 64 KiB of crypto work per stream. Charged back to back,
+    // so each stream starts no earlier than the one before it.
+    let charged: Vec<_> = (links.into_iter().enumerate())
         .map(|(i, link)| {
-            let config = sc.config.clone();
-            let seed = sc.seed;
-            let cpu = cpu.clone();
-            sched.spawn(format!("gtls-hs-{i}"), move || {
-                secure_handshake(link, i, &config, seed, &cpu, is_initiator)
-            })
+            let at = cpu.charge(64 * 1024, cpu.rates.crypt);
+            at.inspect(|&at| ctx::wake_at(at));
+            (i, at.unwrap_or_else(ctx::now), link)
         })
         .collect();
-    handles.into_iter().map(|h| h.join()).collect()
+    let mut charging = charged.into_iter().peekable();
+    let mut wires = Vec::new();
+    loop {
+        while let Some((i, _, link)) = charging.next_if(|&(_, at, _)| at <= ctx::now()) {
+            let client = (role == Role::Client) as u64;
+            let mut rng = StdRng::seed_from_u64(sc.seed ^ (i as u64) << 32 | client);
+            wires.push(SecureStream::start(link, &sc.config, &mut rng, role)?);
+        }
+        let mut why = None;
+        for w in &mut wires {
+            match w.poll_handshake() {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let reason = ctx::blocked_on();
+                    why.get_or_insert(reason);
+                }
+                open => open?,
+            }
+        }
+        match why.or(charging.peek().map(|_| ctx::SLEEP_WAIT)) {
+            Some(why) => ctx::park(why),
+            None => break,
+        }
+    }
+    Ok(wires.into_iter().map(|w| Box::new(w) as _).collect())
 }
 
 /// Assemble the sender stack over established raw links.
@@ -544,16 +466,17 @@ pub fn build_sender(
     let pool = BlockPool::new(block);
     // Per-stream crypto cost wrapper.
     let crypt_rate = cpu.rates.crypt;
-    let wires: Vec<Box<dyn BlockWrite + Send>> = secure_wires(links, spec, &cpu, sec, true)?
-        .into_iter()
-        .map(|w| -> Box<dyn BlockWrite + Send> {
-            if spec.secure {
-                Box::new(CpuWrite::new(w, cpu.clone(), crypt_rate))
-            } else {
-                Box::new(w)
-            }
-        })
-        .collect();
+    let wires: Vec<Box<dyn BlockWrite + Send>> =
+        secure_wires(links, spec, &cpu, sec, Role::Client)?
+            .into_iter()
+            .map(|w| -> Box<dyn BlockWrite + Send> {
+                if spec.secure {
+                    Box::new(CpuWrite::new(w, cpu.clone(), crypt_rate))
+                } else {
+                    w
+                }
+            })
+            .collect();
     let mut term = None;
     let base: Box<dyn BlockWrite + Send> = match <[_; 1]>::try_from(wires) {
         // TCP_Block: user-space aggregation with explicit flush (§4.1).
@@ -602,13 +525,13 @@ pub fn build_receiver(
     );
     let block = spec.block_size() as usize;
     let crypt_rate = cpu.rates.crypt;
-    let wires: Vec<Box<dyn BlockRead + Send>> = secure_wires(links, spec, &cpu, sec, false)?
+    let wires: Vec<Box<dyn BlockRead + Send>> = secure_wires(links, spec, &cpu, sec, Role::Server)?
         .into_iter()
         .map(|w| -> Box<dyn BlockRead + Send> {
             if spec.secure {
                 Box::new(CpuRead::new(w, cpu.clone(), crypt_rate))
             } else {
-                Box::new(w)
+                w
             }
         })
         .collect();

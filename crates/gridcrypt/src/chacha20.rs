@@ -134,11 +134,10 @@ fn xor_wide(state: &[u32; 16], data: &mut [u8; WIDE_LEN]) {
         quarter_round_wide(&mut x, 2, 7, 8, 13);
         quarter_round_wide(&mut x, 3, 4, 9, 14);
     }
-    for (l, blk) in data.chunks_exact_mut(BLOCK_LEN).enumerate() {
-        for (word, bytes) in blk.chunks_exact_mut(4).enumerate() {
+    for (l, blk) in data.as_chunks_mut::<BLOCK_LEN>().0.iter_mut().enumerate() {
+        for (word, bytes) in blk.as_chunks_mut::<4>().0.iter_mut().enumerate() {
             let ks = x[word][l].wrapping_add(init[word][l]);
-            let v = u32::from_le_bytes((&*bytes).try_into().expect("4 bytes")) ^ ks;
-            bytes.copy_from_slice(&v.to_le_bytes());
+            *bytes = (u32::from_le_bytes(*bytes) ^ ks).to_le_bytes();
         }
     }
 }
@@ -164,12 +163,12 @@ pub fn xor_in_place(
     data: &mut [u8],
 ) {
     let mut state = initial_state(key, nonce, initial_counter);
-    let mut wide = data.chunks_exact_mut(WIDE_LEN);
-    for stretch in &mut wide {
-        xor_wide(&state, stretch.try_into().expect("WIDE_LEN bytes"));
+    let (wide, rest) = data.as_chunks_mut::<WIDE_LEN>();
+    for stretch in wide {
+        xor_wide(&state, stretch);
         state[12] = state[12].wrapping_add(LANES as u32);
     }
-    xor_by_blocks(key, nonce, state[12], wide.into_remainder());
+    xor_by_blocks(key, nonce, state[12], rest);
 }
 
 #[cfg(test)]

@@ -27,11 +27,30 @@
 //! `server_auth = HMAC(K_auth, "gtls server" || transcript)` proves PSK
 //! knowledge and binds the DH exchange; `client_auth` does the same in the
 //! other direction (it also covers `server_auth`).
+//!
+//! The handshake is state kept in the [`SecureStream`] from
+//! [`start`](SecureStream::start) on, each flight read through the same
+//! resumable record reader as the records, so a stream that must not park
+//! runs it by polling ([`poll_handshake`](SecureStream::poll_handshake)).
+//! Its states, each left when the flight it waits for is in:
+//!
+//! ```text
+//! client: start, ClientHello written -> Hello --ServerHello,
+//!         Finished written--> Open
+//! server: start -> Hello --ClientHello, ServerHello written--> Finished
+//!         --Finished--> Open
+//! ```
+//!
+//! An error from the stream below, a would-block included, keeps the state
+//! and the partial record, as it does in a record read; a flight that is in
+//! but refused, or whose answer cannot be written, leaves the handshake
+//! `Failed`. Records move only once it is `Open`: a read before then goes
+//! on with the handshake, a write is `NotConnected`.
 
 use rand::Rng;
 use std::io::{self, Read, Write};
 
-use crate::aead;
+use crate::aead::{self, AEAD_TAG_LEN};
 use crate::hkdf;
 use crate::hmac::{ct_eq, hmac_sha256};
 use crate::sha256::sha256;
@@ -60,6 +79,14 @@ impl SecureConfig {
     }
 }
 
+/// Which end of the handshake a stream plays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    Client,
+    Server,
+}
+
+#[derive(Default)]
 struct DirectionKeys {
     key: [u8; 32],
     iv: [u8; 12],
@@ -67,20 +94,54 @@ struct DirectionKeys {
 }
 
 impl DirectionKeys {
-    fn nonce(&mut self) -> [u8; 12] {
-        let mut n = self.iv;
-        let seq = self.seq.to_be_bytes();
-        for i in 0..8 {
-            n[4 + i] ^= seq[i];
-        }
-        self.seq = self.seq.checked_add(1).expect("record sequence overflow");
-        n
+    /// Keys for one direction: the first 44 bytes HKDF expands from `prk`
+    /// under `label` and the transcript hash `th`.
+    fn derive(prk: &[u8; 32], label: &[u8], th: &[u8; 32]) -> DirectionKeys {
+        let mut okm = [0u8; 44];
+        hkdf::expand(prk, &[label, th].concat(), &mut okm);
+        let key = std::array::from_fn(|i| okm[i]);
+        let iv = std::array::from_fn(|i| okm[32 + i]);
+        DirectionKeys { key, iv, seq: 0 }
     }
+
+    /// The next record's nonce; a direction that has used every sequence
+    /// number carries no more records.
+    fn nonce(&mut self) -> io::Result<[u8; 12]> {
+        let mut n = self.iv;
+        for (b, s) in n[4..].iter_mut().zip(self.seq.to_be_bytes()) {
+            *b ^= s;
+        }
+        self.seq = (self.seq.checked_add(1))
+            .ok_or_else(|| io::Error::other("gtls record sequence exhausted"))?;
+        Ok(n)
+    }
+}
+
+/// Where a handshake stands: the flight it waits for, and what this end
+/// kept to answer it.
+enum Handshake {
+    /// Waiting for the peer's hello.
+    Hello(Hello),
+    /// A server that sent its hello, waiting for the Finished that carries
+    /// this authenticator.
+    Finished([u8; 32]),
+    Open,
+    Failed,
+}
+
+/// What an end keeps until the peer's hello: its secret key, its own hello
+/// (a server's still without its authenticator) and the PSK.
+struct Hello {
+    role: Role,
+    sk: [u8; 32],
+    hello: Vec<u8>,
+    psk: Vec<u8>,
 }
 
 /// An authenticated, encrypted byte stream.
 pub struct SecureStream<S> {
     inner: S,
+    hs: Handshake,
     send: DirectionKeys,
     recv: DirectionKeys,
     read_buf: Vec<u8>,
@@ -114,7 +175,8 @@ fn write_record<S: Write>(s: &mut S, rtype: u8, body: &[u8]) -> io::Result<()> {
 struct Incoming {
     hdr: [u8; 3],
     /// The body, sized once the header is in.
-    body: Option<Vec<u8>>,
+    body: Vec<u8>,
+    in_body: bool,
     /// Bytes of the part in hand (header, then body) read so far.
     got: usize,
 }
@@ -123,14 +185,14 @@ impl Incoming {
     /// The next record, each read asking for the rest of the part in hand:
     /// the calls `read_exact` makes, resumed where an error stopped them.
     fn read<S: Read>(&mut self, s: &mut S) -> io::Result<(u8, Vec<u8>)> {
-        if self.body.is_none() {
+        if !self.in_body {
             fill(s, &mut self.hdr, &mut self.got)?;
             let len = u16::from_be_bytes([self.hdr[1], self.hdr[2]]);
-            (self.body, self.got) = (Some(vec![0u8; len.into()]), 0);
+            (self.body, self.in_body, self.got) = (vec![0u8; len.into()], true, 0);
         }
-        fill(s, self.body.as_mut().expect("sized"), &mut self.got)?;
-        self.got = 0;
-        Ok((self.hdr[0], self.body.take().expect("sized")))
+        fill(s, &mut self.body, &mut self.got)?;
+        (self.in_body, self.got) = (false, 0);
+        Ok((self.hdr[0], std::mem::take(&mut self.body)))
     }
 }
 
@@ -146,36 +208,6 @@ fn fill<S: Read>(s: &mut S, buf: &mut [u8], got: &mut usize) -> io::Result<()> {
     Ok(())
 }
 
-struct Schedule {
-    k_auth: [u8; 32],
-    c2s: ([u8; 32], [u8; 12]),
-    s2c: ([u8; 32], [u8; 12]),
-}
-
-fn key_schedule(psk: &[u8], shared: &[u8; 32], transcript_hash: &[u8; 32]) -> Schedule {
-    let prk = hkdf::extract(psk, shared);
-    let mut k_auth = [0u8; 32];
-    hkdf::expand(&prk, b"gtls auth", &mut k_auth);
-    let mut info = Vec::with_capacity(48);
-    info.extend_from_slice(b"gtls c2s");
-    info.extend_from_slice(transcript_hash);
-    let mut c2s = [0u8; 44];
-    hkdf::expand(&prk, &info, &mut c2s);
-    let mut info = Vec::with_capacity(48);
-    info.extend_from_slice(b"gtls s2c");
-    info.extend_from_slice(transcript_hash);
-    let mut s2c = [0u8; 44];
-    hkdf::expand(&prk, &info, &mut s2c);
-    let split = |raw: &[u8; 44]| -> ([u8; 32], [u8; 12]) {
-        (raw[..32].try_into().unwrap(), raw[32..].try_into().unwrap())
-    };
-    Schedule {
-        k_auth,
-        c2s: split(&c2s),
-        s2c: split(&s2c),
-    }
-}
-
 fn auth_tag(k_auth: &[u8; 32], label: &[u8], transcript: &[u8]) -> [u8; 32] {
     let mut msg = Vec::with_capacity(label.len() + transcript.len());
     msg.extend_from_slice(label);
@@ -183,69 +215,53 @@ fn auth_tag(k_auth: &[u8; 32], label: &[u8], transcript: &[u8]) -> [u8; 32] {
     hmac_sha256(k_auth, &msg)
 }
 
-/// Reject the all-zero shared secret (contributory behaviour, RFC 7748 §6).
-fn check_shared(shared: &[u8; 32]) -> io::Result<()> {
-    if shared.iter().all(|&b| b == 0) {
-        return Err(hs_error("low-order peer public key"));
-    }
-    Ok(())
-}
-
 impl<S: Read + Write> SecureStream<S> {
-    /// Run the client side of the handshake.
-    pub fn client(mut inner: S, cfg: &SecureConfig, rng: &mut impl Rng) -> io::Result<Self> {
+    /// Run the client side of the handshake over a stream that does not
+    /// would-block.
+    pub fn client(inner: S, cfg: &SecureConfig, rng: &mut impl Rng) -> io::Result<Self> {
+        let mut s = Self::start(inner, cfg, rng, Role::Client)?;
+        s.poll_handshake().map(|()| s)
+    }
+
+    /// Run the server side of the handshake over a stream that does not
+    /// would-block.
+    pub fn server(inner: S, cfg: &SecureConfig, rng: &mut impl Rng) -> io::Result<Self> {
+        let mut s = Self::start(inner, cfg, rng, Role::Server)?;
+        s.poll_handshake().map(|()| s)
+    }
+
+    /// Begin the handshake as `role`: this end's keypair and random drawn
+    /// from `rng`, and a client's hello written.
+    /// [`poll_handshake`](Self::poll_handshake) goes on from there.
+    pub fn start(
+        mut inner: S,
+        cfg: &SecureConfig,
+        rng: &mut impl Rng,
+        role: Role,
+    ) -> io::Result<Self> {
         let (sk, pk) = x25519::keypair(rng);
         let mut random = [0u8; 32];
         rng.fill(&mut random[..]);
-
-        let mut ch = Vec::with_capacity(65);
-        ch.push(MSG_CLIENT_HELLO);
-        ch.extend_from_slice(&random);
-        ch.extend_from_slice(&pk);
-        write_record(&mut inner, TYPE_HANDSHAKE, &ch)?;
-        inner.flush()?;
-
-        let (rtype, sh) = Incoming::default().read(&mut inner)?;
-        if rtype != TYPE_HANDSHAKE || sh.len() != 1 + 32 + 32 + 32 || sh[0] != MSG_SERVER_HELLO {
-            return Err(hs_error("malformed ServerHello"));
+        let msg = match role {
+            Role::Client => MSG_CLIENT_HELLO,
+            Role::Server => MSG_SERVER_HELLO,
+        };
+        let hello = [&[msg][..], &random, &pk].concat();
+        if role == Role::Client {
+            write_record(&mut inner, TYPE_HANDSHAKE, &hello)?;
+            inner.flush()?;
         }
-        let server_pk: [u8; 32] = sh[33..65].try_into().unwrap();
-        let server_auth: [u8; 32] = sh[65..97].try_into().unwrap();
-        let sh_core = &sh[..65];
-
-        let shared = x25519::x25519(&sk, &server_pk);
-        check_shared(&shared)?;
-        let mut transcript = Vec::with_capacity(ch.len() + sh_core.len());
-        transcript.extend_from_slice(&ch);
-        transcript.extend_from_slice(sh_core);
-        let th = sha256(&transcript);
-        let sched = key_schedule(&cfg.psk, &shared, &th);
-
-        let expect = auth_tag(&sched.k_auth, b"gtls server", &transcript);
-        if !ct_eq(&expect, &server_auth) {
-            return Err(hs_error("server authentication failed (wrong PSK?)"));
-        }
-
-        transcript.extend_from_slice(&server_auth);
-        let client_auth = auth_tag(&sched.k_auth, b"gtls client", &transcript);
-        let mut fin = Vec::with_capacity(33);
-        fin.push(MSG_FINISHED);
-        fin.extend_from_slice(&client_auth);
-        write_record(&mut inner, TYPE_HANDSHAKE, &fin)?;
-        inner.flush()?;
-
+        let psk = cfg.psk.clone();
         Ok(SecureStream {
             inner,
-            send: DirectionKeys {
-                key: sched.c2s.0,
-                iv: sched.c2s.1,
-                seq: 0,
-            },
-            recv: DirectionKeys {
-                key: sched.s2c.0,
-                iv: sched.s2c.1,
-                seq: 0,
-            },
+            hs: Handshake::Hello(Hello {
+                role,
+                sk,
+                hello,
+                psk,
+            }),
+            send: DirectionKeys::default(),
+            recv: DirectionKeys::default(),
             read_buf: Vec::new(),
             read_pos: 0,
             incoming: Incoming::default(),
@@ -254,75 +270,98 @@ impl<S: Read + Write> SecureStream<S> {
         })
     }
 
-    /// Run the server side of the handshake.
-    pub fn server(mut inner: S, cfg: &SecureConfig, rng: &mut impl Rng) -> io::Result<Self> {
-        let (rtype, ch) = Incoming::default().read(&mut inner)?;
-        if rtype != TYPE_HANDSHAKE || ch.len() != 65 || ch[0] != MSG_CLIENT_HELLO {
-            return Err(hs_error("malformed ClientHello"));
+    /// Go on with the handshake: read the flight it waits for, and write
+    /// the next one once it is in. `Ok` once the session is open; a
+    /// `WouldBlock` from the stream keeps its place, and asked again it
+    /// resumes there.
+    pub fn poll_handshake(&mut self) -> io::Result<()> {
+        loop {
+            match self.hs {
+                Handshake::Open => return Ok(()),
+                Handshake::Failed => return Err(hs_error("refused earlier")),
+                _ => {}
+            }
+            let (rtype, msg) = self.incoming.read(&mut self.inner)?;
+            self.hs = match std::mem::replace(&mut self.hs, Handshake::Failed) {
+                Handshake::Hello(hello) => self.answer_hello(hello, rtype, &msg)?,
+                Handshake::Finished(expect) => {
+                    if rtype != TYPE_HANDSHAKE || msg.len() != 33 || msg[0] != MSG_FINISHED {
+                        return Err(hs_error("malformed Finished"));
+                    }
+                    if !ct_eq(&expect, &msg[1..]) {
+                        return Err(hs_error("client authentication failed (wrong PSK?)"));
+                    }
+                    Handshake::Open
+                }
+                open_or_failed => open_or_failed,
+            };
         }
-        let client_pk: [u8; 32] = ch[33..65].try_into().unwrap();
+    }
 
-        let (sk, pk) = x25519::keypair(rng);
-        let mut random = [0u8; 32];
-        rng.fill(&mut random[..]);
-        let shared = x25519::x25519(&sk, &client_pk);
-        check_shared(&shared)?;
-
-        let mut sh_core = Vec::with_capacity(65);
-        sh_core.push(MSG_SERVER_HELLO);
-        sh_core.extend_from_slice(&random);
-        sh_core.extend_from_slice(&pk);
-
-        let mut transcript = Vec::with_capacity(ch.len() + sh_core.len());
-        transcript.extend_from_slice(&ch);
-        transcript.extend_from_slice(&sh_core);
+    /// The peer's hello, `peer`, has arrived: derive the session's keys, a
+    /// client checks the server's authenticator, and each end writes its
+    /// answer — a client its Finished, a server its authenticated hello.
+    fn answer_hello(&mut self, own: Hello, rtype: u8, peer: &[u8]) -> io::Result<Handshake> {
+        let (msg, len, malformed) = match own.role {
+            Role::Client => (MSG_SERVER_HELLO, 97, "malformed ServerHello"),
+            Role::Server => (MSG_CLIENT_HELLO, 65, "malformed ClientHello"),
+        };
+        if rtype != TYPE_HANDSHAKE || peer.len() != len || peer[0] != msg {
+            return Err(hs_error(malformed));
+        }
+        let peer_pk = peer[33..65].try_into().map_err(|_| hs_error(malformed))?;
+        let shared = x25519::x25519(&own.sk, peer_pk);
+        // Reject the all-zero shared secret (contributory behaviour, RFC
+        // 7748 §6).
+        if shared.iter().all(|&b| b == 0) {
+            return Err(hs_error("low-order peer public key"));
+        }
+        let (ch, sh) = match own.role {
+            Role::Client => (&own.hello[..], peer),
+            Role::Server => (peer, &own.hello[..]),
+        };
+        let mut transcript = [ch, &sh[..65]].concat();
         let th = sha256(&transcript);
-        let sched = key_schedule(&cfg.psk, &shared, &th);
-
-        let server_auth = auth_tag(&sched.k_auth, b"gtls server", &transcript);
-        let mut sh = sh_core;
-        sh.extend_from_slice(&server_auth);
-        write_record(&mut inner, TYPE_HANDSHAKE, &sh)?;
-        inner.flush()?;
-
-        let (rtype, fin) = Incoming::default().read(&mut inner)?;
-        if rtype != TYPE_HANDSHAKE || fin.len() != 33 || fin[0] != MSG_FINISHED {
-            return Err(hs_error("malformed Finished"));
-        }
+        let prk = hkdf::extract(&own.psk, &shared);
+        let mut k_auth = [0u8; 32];
+        hkdf::expand(&prk, b"gtls auth", &mut k_auth);
+        let c2s = DirectionKeys::derive(&prk, b"gtls c2s", &th);
+        let s2c = DirectionKeys::derive(&prk, b"gtls s2c", &th);
+        let server_auth = auth_tag(&k_auth, b"gtls server", &transcript);
         transcript.extend_from_slice(&server_auth);
-        let expect = auth_tag(&sched.k_auth, b"gtls client", &transcript);
-        if !ct_eq(&expect, &fin[1..33]) {
-            return Err(hs_error("client authentication failed (wrong PSK?)"));
-        }
-
-        Ok(SecureStream {
-            inner,
-            send: DirectionKeys {
-                key: sched.s2c.0,
-                iv: sched.s2c.1,
-                seq: 0,
-            },
-            recv: DirectionKeys {
-                key: sched.c2s.0,
-                iv: sched.c2s.1,
-                seq: 0,
-            },
-            read_buf: Vec::new(),
-            read_pos: 0,
-            incoming: Incoming::default(),
-            peer_closed: false,
-            close_sent: false,
-        })
+        let client_auth = auth_tag(&k_auth, b"gtls client", &transcript);
+        let next = match own.role {
+            Role::Client => {
+                if !ct_eq(&server_auth, &peer[65..]) {
+                    return Err(hs_error("server authentication failed (wrong PSK?)"));
+                }
+                let fin = [&[MSG_FINISHED][..], &client_auth].concat();
+                write_record(&mut self.inner, TYPE_HANDSHAKE, &fin)?;
+                (self.send, self.recv) = (c2s, s2c);
+                Handshake::Open
+            }
+            Role::Server => {
+                let sh = [&own.hello[..], &server_auth].concat();
+                write_record(&mut self.inner, TYPE_HANDSHAKE, &sh)?;
+                (self.send, self.recv) = (s2c, c2s);
+                Handshake::Finished(client_auth)
+            }
+        };
+        self.inner.flush()?;
+        Ok(next)
     }
 
     fn send_record(&mut self, rtype: u8, plaintext: &[u8]) -> io::Result<()> {
+        if !matches!(self.hs, Handshake::Open) {
+            return Err(io::ErrorKind::NotConnected.into());
+        }
         // One allocation for ciphertext and tag.
-        let sealed_len = plaintext.len() + aead::AEAD_TAG_LEN;
+        let sealed_len = plaintext.len() + AEAD_TAG_LEN;
         let mut body = Vec::with_capacity(sealed_len);
         body.extend_from_slice(plaintext);
         let len = sealed_len as u16;
         let aad = [rtype, (len >> 8) as u8, len as u8];
-        let nonce = self.send.nonce();
+        let nonce = self.send.nonce()?;
         let tag = aead::seal_in_place(&self.send.key, &nonce, &aad, &mut body);
         body.extend_from_slice(&tag);
         write_record(&mut self.inner, rtype, &body)
@@ -338,18 +377,16 @@ impl<S: Read + Write> SecureStream<S> {
                 "unexpected record type",
             ));
         }
-        if body.len() < aead::AEAD_TAG_LEN {
+        let Some(&tag) = body.last_chunk::<AEAD_TAG_LEN>() else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "record too short",
             ));
-        }
+        };
         let len = body.len() as u16;
         let aad = [rtype, (len >> 8) as u8, len as u8];
-        let tag_off = body.len() - aead::AEAD_TAG_LEN;
-        let tag: [u8; 16] = body[tag_off..].try_into().unwrap();
-        body.truncate(tag_off);
-        let nonce = self.recv.nonce();
+        body.truncate(body.len() - AEAD_TAG_LEN);
+        let nonce = self.recv.nonce()?;
         aead::open_in_place(&self.recv.key, &nonce, &aad, &mut body, &tag)?;
         if rtype == TYPE_CLOSE {
             self.peer_closed = true;
@@ -377,29 +414,16 @@ impl<S: Read + Write> SecureStream<S> {
     pub fn get_mut(&mut self) -> &mut S {
         &mut self.inner
     }
-
-    /// The same session over `f(inner)`: a transport read one way during
-    /// the handshake and another after it (blocking, then polled).
-    pub fn map_inner<T>(self, f: impl FnOnce(S) -> T) -> SecureStream<T> {
-        SecureStream {
-            inner: f(self.inner),
-            send: self.send,
-            recv: self.recv,
-            read_buf: self.read_buf,
-            read_pos: self.read_pos,
-            incoming: self.incoming,
-            peer_closed: self.peer_closed,
-            close_sent: self.close_sent,
-        }
-    }
 }
 
+/// A read before the handshake is over goes on with the handshake first.
 impl<S: Read + Write> Read for SecureStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         while self.read_pos == self.read_buf.len() {
             if self.peer_closed {
                 return Ok(0);
             }
+            self.poll_handshake()?;
             self.pump()?;
         }
         let n = buf.len().min(self.read_buf.len() - self.read_pos);
@@ -557,6 +581,25 @@ mod tests {
         // The server fails too: either it never gets a valid Finished or
         // the pipe EOFs.
         assert!(server.is_err());
+    }
+
+    /// Records wait for an open session: a write before the handshake is
+    /// over is refused, and a handshake that refused a flight stays
+    /// refused rather than reading on.
+    #[test]
+    fn records_wait_for_an_open_handshake() {
+        let (pc, mut ps) = pipe_pair();
+        let rng = &mut rand::rngs::StdRng::seed_from_u64(1);
+        let mut client =
+            SecureStream::start(pc, &SecureConfig::new("k"), rng, Role::Client).unwrap();
+        let early = client.write(b"early").unwrap_err();
+        assert_eq!(early.kind(), io::ErrorKind::NotConnected);
+        ps.write_all(&[TYPE_HANDSHAKE, 0, 1, MSG_FINISHED]).unwrap();
+        drop(ps); // a read past the refused flight would see EOF
+        for _ in 0..2 {
+            let refused = client.poll_handshake().unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::PermissionDenied);
+        }
     }
 
     #[test]

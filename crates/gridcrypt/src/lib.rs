@@ -37,5 +37,5 @@ pub mod sha256;
 pub mod x25519;
 
 pub use aead::{open_in_place, seal_in_place, AeadError};
-pub use gtls::{SecureConfig, SecureStream, MAX_RECORD};
+pub use gtls::{Role, SecureConfig, SecureStream, MAX_RECORD};
 pub use hmac::ct_eq;

@@ -365,19 +365,20 @@ mod largest {
 /// logging those reads' lengths; with `stalls`, each of them comes after a
 /// `WouldBlock`, as from a socket that must not park, and must be asked
 /// for again with the same length. Before `from` it serves what it is
-/// asked for. What is written to it is dropped.
+/// asked for. What is written to it is kept in `output`.
 pub struct Trickle {
-    input: Vec<u8>,
+    pub input: Vec<u8>,
     at: usize,
     from: usize,
     stalls: bool,
     stalled: Option<usize>,
     pub reads: Vec<usize>,
+    pub output: Vec<u8>,
 }
 
 impl Trickle {
     pub fn new(input: &[u8], from: usize, stalls: bool) -> Trickle {
-        let (at, stalled, reads) = (0, None, Vec::new());
+        let (at, stalled, reads, output) = (0, None, Vec::new(), Vec::new());
         let input = input.to_vec();
         Trickle {
             input,
@@ -386,6 +387,7 @@ impl Trickle {
             stalls,
             stalled,
             reads,
+            output,
         }
     }
 }
@@ -414,6 +416,7 @@ impl std::io::Read for Trickle {
 
 impl std::io::Write for Trickle {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.output.extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -421,99 +424,79 @@ impl std::io::Write for Trickle {
     }
 }
 
-/// GTLS's handshake fed hostile bytes. Each end reads what an in-memory
-/// duplex holds, then EOF, and keeps what it writes. A valid exchange is
-/// replayed from fixed seeds; cut short, with bytes flipped, or replaced by
-/// arbitrary bytes, each end's input must end the handshake in a typed
-/// `io::Error` — never a panic, never a session — and no allocation on the
-/// way may exceed one record, whose length field is 16 bits.
-mod hostile_handshake {
-    use super::largest;
-    use gridcrypt::{SecureConfig, SecureStream};
+/// `role`'s handshake over `source` from its fixed seed, polled until it
+/// ends: the session, or how the handshake failed.
+pub fn shake<S: std::io::Read + std::io::Write>(
+    role: gridcrypt::Role,
+    source: S,
+) -> std::io::Result<gridcrypt::SecureStream<S>> {
     use rand::{rngs::StdRng, SeedableRng};
+    let seed = match role {
+        gridcrypt::Role::Client => 1,
+        gridcrypt::Role::Server => 2,
+    };
+    let cfg = gridcrypt::SecureConfig::new("vo-secret");
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let mut s = gridcrypt::SecureStream::start(source, &cfg, rng, role)?;
+    loop {
+        match s.poll_handshake() {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            end => return end.map(|()| s),
+        }
+    }
+}
+
+/// GTLS's handshake fed hostile bytes. Each end reads its input one byte
+/// per poll, each after a would-block, then EOF, and keeps what it writes.
+/// A valid exchange is replayed from fixed seeds; cut short, with bytes
+/// flipped, or replaced by arbitrary bytes, each end's input must end the
+/// handshake in a typed `io::Error` — never a panic, never a session — and
+/// no allocation on the way may exceed one record, whose length field is
+/// 16 bits. Fed a valid flight, the handshake resumes where it stalled.
+mod hostile_handshake {
+    use super::{largest, shake, Trickle};
+    use gridcrypt::Role;
     use std::io::{self, Read, Write};
 
     /// One record: a 3-byte header and at most `u16::MAX` body bytes.
     pub const RECORD: usize = 64 * 1024;
 
-    /// One end of an in-memory duplex.
-    #[derive(Default)]
-    pub struct Duplex {
-        pub input: io::Cursor<Vec<u8>>,
-        pub output: Vec<u8>,
-    }
-
-    impl Read for Duplex {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.input.read(buf)
-        }
-    }
-
-    impl Write for Duplex {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[derive(Clone, Copy, Debug)]
-    pub enum End {
-        Client,
-        Server,
-    }
-
-    /// Run `end`'s handshake over `input` from its fixed seed: what it
-    /// wrote, whether it made a session, and its largest allocation.
-    fn handshake(end: End, input: &[u8]) -> (Vec<u8>, io::Result<()>, usize) {
-        let cfg = SecureConfig::new("vo-secret");
-        let mut duplex = Duplex {
-            input: io::Cursor::new(input.to_vec()),
-            output: Vec::new(),
-        };
-        let (made, largest) = largest::measure(|| match end {
-            End::Client => {
-                let rng = &mut StdRng::seed_from_u64(1);
-                SecureStream::client(&mut duplex, &cfg, rng).map(drop)
-            }
-            End::Server => {
-                let rng = &mut StdRng::seed_from_u64(2);
-                SecureStream::server(&mut duplex, &cfg, rng).map(drop)
-            }
-        });
-        (duplex.output, made, largest)
+    /// Run `role`'s handshake over `input`: what it wrote, whether it made
+    /// a session, and its largest allocation.
+    fn handshake(role: Role, input: &[u8]) -> (Vec<u8>, io::Result<()>, usize) {
+        let mut source = Trickle::new(input, 0, true);
+        let (made, largest) = largest::measure(|| shake(role, &mut source).map(drop));
+        (source.output, made, largest)
     }
 
     /// The valid inputs: the server's hello for the client, the client's
     /// hello and Finished for the server. Each end is run until its input
     /// runs out and handed what the other wrote.
     pub fn valid() -> (Vec<u8>, Vec<u8>) {
-        let (hello, ..) = handshake(End::Client, &[]);
-        let (server_hello, ..) = handshake(End::Server, &hello);
-        let (client_flight, made, _) = handshake(End::Client, &server_hello);
+        let (hello, ..) = handshake(Role::Client, &[]);
+        let (server_hello, ..) = handshake(Role::Server, &hello);
+        let (client_flight, made, _) = handshake(Role::Client, &server_hello);
         made.expect("the client accepts the replayed server hello");
-        let (_, made, _) = handshake(End::Server, &client_flight);
+        let (_, made, _) = handshake(Role::Server, &client_flight);
         made.expect("the server accepts the replayed client flight");
         (server_hello, client_flight)
     }
 
-    /// `end` refuses `input` as a handshake must: a typed error — the input
-    /// ran out, or the handshake was refused — and no allocation over a
-    /// record.
-    pub fn refuses(end: End, input: &[u8]) -> Result<(), String> {
-        let (_, made, largest) = handshake(end, input);
+    /// `role` refuses `input` as a handshake must: a typed error — the
+    /// input ran out, or the handshake was refused — and no allocation
+    /// over a record.
+    pub fn refuses(role: Role, input: &[u8]) -> Result<(), String> {
+        let (_, made, largest) = handshake(role, input);
         match made {
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::UnexpectedEof | io::ErrorKind::PermissionDenied
                 ) => {}
-            other => return Err(format!("{end:?} on {input:02x?}: {other:?}")),
+            other => return Err(format!("{role:?} on {input:02x?}: {other:?}")),
         }
         if largest > RECORD {
-            return Err(format!("{end:?} allocated {largest} B on {input:02x?}"));
+            return Err(format!("{role:?} allocated {largest} B on {input:02x?}"));
         }
         Ok(())
     }
@@ -521,9 +504,9 @@ mod hostile_handshake {
     #[test]
     fn every_truncation_of_a_valid_flight_is_refused() {
         let (server_hello, client_flight) = valid();
-        for (end, input) in [(End::Client, server_hello), (End::Server, client_flight)] {
+        for (role, input) in [(Role::Client, server_hello), (Role::Server, client_flight)] {
             for cut in 0..input.len() {
-                refuses(end, &input[..cut]).unwrap();
+                refuses(role, &input[..cut]).unwrap();
             }
         }
     }
@@ -534,12 +517,12 @@ mod hostile_handshake {
     #[test]
     fn every_flipped_byte_of_a_valid_flight_is_refused() {
         let (server_hello, client_flight) = valid();
-        for (end, input) in [(End::Client, server_hello), (End::Server, client_flight)] {
+        for (role, input) in [(Role::Client, server_hello), (Role::Server, client_flight)] {
             for at in 0..input.len() {
                 for mask in [0x01, 0x80, 0xff] {
                     let mut flipped = input.clone();
                     flipped[at] ^= mask;
-                    refuses(end, &flipped).unwrap();
+                    refuses(role, &flipped).unwrap();
                 }
             }
         }
@@ -547,24 +530,69 @@ mod hostile_handshake {
 
     #[test]
     fn a_record_that_declares_the_most_it_can_allocates_one_record() {
-        for end in [End::Client, End::Server] {
-            refuses(end, &[1, 0xff, 0xff, 2, 0]).unwrap();
-            let (_, _, largest) = handshake(end, &[1, 0xff, 0xff]);
-            assert!(largest >= usize::from(u16::MAX), "{end:?}: {largest} B");
+        for role in [Role::Client, Role::Server] {
+            refuses(role, &[1, 0xff, 0xff, 2, 0]).unwrap();
+            let (_, _, largest) = handshake(role, &[1, 0xff, 0xff]);
+            assert!(largest >= usize::from(u16::MAX), "{role:?}: {largest} B");
         }
+    }
+
+    /// `msg` sealed by `from` and opened by `to`, its record fed to `to`'s
+    /// source: the record.
+    fn pass(
+        from: &mut gridcrypt::SecureStream<Trickle>,
+        to: &mut gridcrypt::SecureStream<Trickle>,
+        msg: &[u8],
+    ) -> Vec<u8> {
+        let at = from.get_ref().output.len();
+        from.write_all(msg).unwrap();
+        let record = from.get_ref().output[at..].to_vec();
+        to.get_mut().input.extend_from_slice(&record);
+        let mut got = vec![0u8; msg.len()];
+        let n = loop {
+            match to.read(&mut got) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                read => break read.unwrap(),
+            }
+        };
+        assert_eq!(&got[..n], msg);
+        record
+    }
+
+    /// Each end fed its peer's flight one byte per poll, each after a
+    /// would-block from byte 0 on, writes what it writes fed without a
+    /// stall, from reads of the same lengths, and opens the same session:
+    /// a record each end seals is the same bytes, and opens at the other.
+    #[test]
+    fn a_handshake_resumes_where_its_source_would_block() {
+        let (server_hello, client_flight) = valid();
+        let open = |stalls| {
+            let client = shake(Role::Client, Trickle::new(&server_hello, 0, stalls));
+            let server = shake(Role::Server, Trickle::new(&client_flight, 0, stalls));
+            (client.unwrap(), server.unwrap())
+        };
+        let ((mut c, mut s), (mut stalled_c, mut stalled_s)) = (open(false), open(true));
+        for (end, stalled) in [(&c, &stalled_c), (&s, &stalled_s)] {
+            assert_eq!(stalled.get_ref().output, end.get_ref().output);
+            assert_eq!(stalled.get_ref().reads, end.get_ref().reads);
+        }
+        let ping = pass(&mut c, &mut s, b"ping");
+        assert_eq!(pass(&mut stalled_c, &mut stalled_s, b"ping"), ping);
+        let pong = pass(&mut s, &mut c, b"pong");
+        assert_eq!(pass(&mut stalled_s, &mut stalled_c, b"pong"), pong);
     }
 }
 
 /// GTLS records after the handshake, read from a source that serves one
-/// byte per read and, in the polled case, would block before each: the
-/// record read resumes where it stopped, so the session delivers what it
-/// delivers over a source that never blocks, from the same reads; and
-/// hostile records end in a typed error with no allocation past a record.
+/// byte per read and, in the polled case, would block before each — the
+/// handshake's flight included: the record read resumes where it stopped,
+/// so the session delivers what it delivers over a source that never
+/// blocks, from the same reads; and hostile records end in a typed error
+/// with no allocation past a record.
 mod records {
-    use super::hostile_handshake::{valid, Duplex, RECORD};
-    use super::{largest, Trickle};
-    use gridcrypt::{SecureConfig, SecureStream};
-    use rand::{rngs::StdRng, SeedableRng};
+    use super::hostile_handshake::{valid, RECORD};
+    use super::{largest, shake, Trickle};
+    use gridcrypt::Role;
     use std::io::{self, Read, Write};
 
     const DATA: [&[u8]; 2] = [b"first", b"and the second record"];
@@ -574,32 +602,19 @@ mod records {
     /// where the records start.
     fn client_stream() -> (Vec<u8>, usize) {
         let (server_hello, _) = valid();
-        let mut duplex = Duplex {
-            input: io::Cursor::new(server_hello),
-            output: Vec::new(),
-        };
-        let cfg = SecureConfig::new("vo-secret");
-        let rng = &mut StdRng::seed_from_u64(1);
-        let mut client = SecureStream::client(&mut duplex, &cfg, rng).unwrap();
+        let mut client = shake(Role::Client, Trickle::new(&server_hello, 0, false)).unwrap();
         let flight = client.get_ref().output.len();
         DATA.iter().for_each(|d| client.write_all(d).unwrap());
         client.close().unwrap();
-        drop(client);
-        (duplex.output, flight)
+        (std::mem::take(&mut client.get_mut().output), flight)
     }
 
     /// The server's session over `input`, read until it ends: what it
-    /// delivered, the lengths the records were read with, how it ended,
-    /// and the largest allocation reading them took.
-    fn serve(
-        input: &[u8],
-        flight: usize,
-        stalls: bool,
-    ) -> (Vec<u8>, Vec<usize>, io::Result<()>, usize) {
-        let cfg = SecureConfig::new("vo-secret");
-        let source = Trickle::new(input, flight, stalls);
-        let rng = &mut StdRng::seed_from_u64(2);
-        let mut s = SecureStream::server(source, &cfg, rng).expect("the replayed flight");
+    /// delivered, the lengths the flight and the records were read with,
+    /// how it ended, and the largest allocation reading the records took.
+    fn serve(input: &[u8], stalls: bool) -> (Vec<u8>, Vec<usize>, io::Result<()>, usize) {
+        let source = Trickle::new(input, 0, stalls);
+        let mut s = shake(Role::Server, source).expect("the replayed flight");
         let ((got, end), largest) = largest::measure(|| {
             let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
             let end = loop {
@@ -617,20 +632,20 @@ mod records {
 
     #[test]
     fn a_record_resumes_where_its_source_would_block() {
-        let (input, flight) = client_stream();
-        let (got, reads, end, _) = serve(&input, flight, false);
+        let (input, _) = client_stream();
+        let (got, reads, end, _) = serve(&input, false);
         end.unwrap();
         assert_eq!(got, DATA.concat());
-        let (stalled, stalled_reads, end, _) = serve(&input, flight, true);
+        let (stalled, stalled_reads, end, _) = serve(&input, true);
         end.unwrap();
         assert_eq!(stalled, got);
         assert_eq!(stalled_reads, reads);
     }
 
-    /// `input`, its records fed one byte per poll, ends in `InvalidData` or
+    /// `input`, fed one byte per poll, ends in `InvalidData` or
     /// `UnexpectedEof`, with no allocation over a record.
-    fn refused(input: &[u8], flight: usize, what: &str) -> usize {
-        let (_, _, end, largest) = serve(input, flight, true);
+    fn refused(input: &[u8], what: &str) -> usize {
+        let (_, _, end, largest) = serve(input, true);
         let kind = end.expect_err(what).kind();
         assert!(
             matches!(
@@ -647,13 +662,13 @@ mod records {
     fn every_truncated_or_flipped_record_is_refused() {
         let (input, flight) = client_stream();
         for cut in flight..input.len() {
-            refused(&input[..cut], flight, &format!("cut at {cut}"));
+            refused(&input[..cut], &format!("cut at {cut}"));
         }
         for at in flight..input.len() {
             for mask in [0x01, 0x80, 0xff] {
                 let mut flipped = input.clone();
                 flipped[at] ^= mask;
-                refused(&flipped, flight, &format!("byte {at} ^ {mask:#x}"));
+                refused(&flipped, &format!("byte {at} ^ {mask:#x}"));
             }
         }
     }
@@ -664,7 +679,7 @@ mod records {
     fn a_record_that_declares_the_most_it_can_allocates_one_record() {
         let (mut input, flight) = client_stream();
         input[flight + 1..flight + 3].copy_from_slice(&[0xff, 0xff]);
-        let largest = refused(&input, flight, "length 0xffff");
+        let largest = refused(&input, "length 0xffff");
         assert!(largest >= usize::from(u16::MAX), "{largest} B");
     }
 }
@@ -812,13 +827,13 @@ proptest! {
         msg in 0u8..4,
         server in any::<bool>(),
     ) {
-        use hostile_handshake::{refuses, End};
-        let end = if server { End::Server } else { End::Client };
+        use hostile_handshake::refuses;
+        let role = if server { gridcrypt::Role::Server } else { gridcrypt::Role::Client };
         let input = match msg {
             0 => bytes,
             _ => [&[1, 0, bytes.len() as u8 + 1, msg][..], &bytes].concat(),
         };
-        let refused = refuses(end, &input);
+        let refused = refuses(role, &input);
         prop_assert!(refused.is_ok(), "{:?}", refused);
     }
 }

@@ -404,21 +404,20 @@ fn a_round_trip_through_the_relay_costs_two_grants() {
 }
 
 /// `rounds` connect → send → close rounds from `a` to a receive port on
-/// `b`, each a fresh send port, one message and a second's pause, after one
-/// warm-up round: what they cost, read on the sender.
+/// `b` declaring `spec`, each a fresh send port, one message and a second's
+/// pause, after one warm-up round: what they cost, read on the sender.
 fn connect_rounds(
     sim: &Sim,
     (env, ha, hb): (GridEnv, SimHost, SimHost),
     (pa, pb): (ConnectivityProfile, ConnectivityProfile),
     method: EstablishMethod,
+    spec: StackSpec,
     rounds: u64,
 ) -> BTreeMap<Metric, i64> {
     let env_b = env.clone();
     sim.spawn("receiver", move || {
         let node = GridNode::join(&env_b, hb, "recv", pb).unwrap();
-        let rp = node
-            .create_receive_port("sink", StackSpec::plain())
-            .unwrap();
+        let rp = node.create_receive_port("sink", spec).unwrap();
         gridsim_net::ctx::handle().spawn_daemon("drain", move || {
             while let Ok(m) = rp.receive() {
                 drop(m);
@@ -474,7 +473,14 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
         ConnectivityProfile::natted(NatClass::SymmetricRandom),
         ConnectivityProfile::firewalled(),
     );
-    let spent = connect_rounds(&sim, hosts, profiles, EstablishMethod::Routed, ROUNDS);
+    let spent = connect_rounds(
+        &sim,
+        hosts,
+        profiles,
+        EstablishMethod::Routed,
+        StackSpec::plain(),
+        ROUNDS,
+    );
     assert_eq!(
         spent[&GRANTS],
         6 * ROUNDS as i64,
@@ -494,7 +500,14 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
     let sim = Sim::new(42);
     let open = ConnectivityProfile::open;
     let method = EstablishMethod::ClientServer;
-    let spent = connect_rounds(&sim, open_pair(&sim), (open(), open()), method, ROUNDS);
+    let spent = connect_rounds(
+        &sim,
+        open_pair(&sim),
+        (open(), open()),
+        method,
+        StackSpec::plain(),
+        ROUNDS,
+    );
     let accepts = Metric("task/parks", None, "tcp accept");
     assert_eq!(
         spent[&GRANTS],
@@ -505,6 +518,41 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
         spent[&accepts], ROUNDS as i64,
         "accept parks over {ROUNDS} rounds"
     );
+    assert_eq!(
+        spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
+}
+
+/// The same over four streams, each under GTLS: each end runs the four
+/// handshakes in the task that assembles its stack, polled in one loop over
+/// the links that do not park, so a round costs the plain four-stream
+/// connect's 22 switches and six more — and no `join`. With a task per
+/// stream's handshake, joined in stream order, it cost 58 (160 `join` parks
+/// over the rounds); one stream under GTLS costs 5.
+#[test]
+fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 20;
+    let sim = Sim::new(42);
+    let open = ConnectivityProfile::open;
+    let method = EstablishMethod::ClientServer;
+    let spec = StackSpec::plain().with_streams(4).with_security();
+    let spent = connect_rounds(
+        &sim,
+        open_pair(&sim),
+        (open(), open()),
+        method,
+        spec,
+        ROUNDS,
+    );
+    assert_eq!(
+        spent[&GRANTS],
+        28 * ROUNDS as i64,
+        "grants over {ROUNDS} rounds"
+    );
+    let joins = Metric("task/parks", None, "join");
+    assert_eq!(spent.get(&joins), None, "join parks over {ROUNDS} rounds");
     assert_eq!(
         spent.get(&THREADS),
         None,
@@ -534,7 +582,14 @@ fn proxied_connects_after_a_warm_up_start_no_threads() {
     const ROUNDS: u64 = 50;
     let sim = Sim::new(42);
     let (hosts, profiles) = proxied_world(&sim);
-    let spent = connect_rounds(&sim, hosts, profiles, EstablishMethod::Proxy, ROUNDS);
+    let spent = connect_rounds(
+        &sim,
+        hosts,
+        profiles,
+        EstablishMethod::Proxy,
+        StackSpec::plain(),
+        ROUNDS,
+    );
     let started = spent.get(&THREADS).copied().unwrap_or(0);
     assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
 }
