@@ -9,13 +9,16 @@
 #           link-frame field coded outside crates/core/src/wire/, no
 #           control frame parsed or opcode named outside it either, no
 #           request table, reply stash or redial loop outside link.rs, no
-#           second way to wait on a simulated socket in simtcp, no second
-#           read path (a blocking read is a poll plus one park, in
-#           BlockRead::read_chunks_min or BlockReader::blocking, and a raw
-#           frame has one decoder; the retired twins' names), every
-#           receive stack polled (no `pollable` in crates/*/src, no
-#           `ctx::blocking` in blockio.rs, and no daemon in the drivers
-#           but each stream's writer, in StripeWriter::with_pool), one
+#           second way to wait on a simulated socket in simtcp (each is
+#           its poll under `ctx::park_io`; sock.rs parks nowhere else), no
+#           second read or write path (a blocking read or write is a poll
+#           plus one park, `ctx::park_io`, which blockio.rs calls only in
+#           BlockWrite::write_block, BlockRead::read_chunks_min,
+#           BlockWriter's passthrough, Parked and BlockReader::blocking,
+#           and a raw frame has one decoder; the retired twins' names),
+#           every stream polled, reading and writing (no `pollable` in
+#           crates/*/src, no `ctx::blocking` nor a blocking `consume(` in
+#           blockio.rs, and no daemon in the drivers), one
 #           GTLS handshake path (no `map_inner` or `gtls-hs` in
 #           crates/*/src, no task spawned in drivers/mod.rs), no timer
 #           named in simtcp's host stack, no second single-flight beside a
@@ -187,39 +190,44 @@ stage_clippy() {
     return 1
   fi
   # A socket call waits one way: its demand staged on the TCB, serviced at
-  # event time (TcpStream::wait). No per-ACK waker lists beside it.
+  # event time (`Tcb::write_staged` / `read_staged`). No per-ACK waker lists beside it.
   if grep -rnE 'read_wakers|write_wakers|LegacyPark' crates/simtcp/src; then
     echo "a second socket wait path in simtcp (lines above); stage on the TCB instead"
     return 1
   fi
-  # ... and parks in one place: `TcpStream::wait` (poll, then park). An
-  # inline caller makes the poll alone and reports the would-block.
-  if [ "$(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)" != "wait" ]; then
-    echo "sock.rs parks outside TcpStream::wait: $(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)"
+  # ... and parks one way: its poll under `ctx::park_io`, which reports
+  # the would-block an inline caller sees as one park. No loop of its own.
+  if [ -n "$(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)" ]; then
+    echo "sock.rs parks outside ctx::park_io: $(fns_calling 'ctx::park\(' crates/simtcp/src/sock.rs)"
     return 1
   fi
-  # A source is read one way (DESIGN.md §5b): a pollable one through its
-  # poll, blocking as that poll plus one park — in the trait's
-  # read_chunks_min, or a restartable decode under BlockReader::blocking —
-  # and a raw frame through one decoder, BlockReader::frame. No twin of
-  # either comes back, nor simtcp's scalar staging beside its block path.
+  # A source is read and a sink written one way (DESIGN.md §5b): through
+  # its poll, blocking as that poll plus one park (`ctx::park_io`) — in the
+  # traits' read_chunks_min and write_block, BlockWriter's passthrough,
+  # the Parked top of a stack, or a restartable decode under
+  # BlockReader::blocking — and a raw frame through one decoder,
+  # BlockReader::frame. No twin of either comes back, nor simtcp's scalar
+  # staging beside its block path.
   if grep -rnE 'read_frame_within|fn polling|read_some_staged|write_some_staged|collect_read_some|write_all_blocking' crates/*/src; then
     echo "a second read path (lines above); poll, and block through BlockRead::read_chunks_min / BlockReader::blocking"
     return 1
   fi
-  if [ "$(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)" != "read_chunks_min blocking" ]; then
-    echo "blockio.rs parks outside BlockRead::read_chunks_min / BlockReader::blocking: $(fns_calling 'ctx::park\(' crates/core/src/drivers/blockio.rs)"
+  local blockio_parks
+  blockio_parks="$(fns_calling 'ctx::park(_io)?\(' crates/core/src/drivers/blockio.rs)"
+  if [ "$blockio_parks" != "write_block read_chunks_min write write flush blocking" ]; then
+    echo "blockio.rs parks outside BlockWrite::write_block / BlockRead::read_chunks_min /"
+    echo "  BlockWriter::write / Parked / BlockReader::blocking: $blockio_parks"
     return 1
   fi
-  # Every receive stack polls (DESIGN.md §5b): no source says whether it
-  # can be, no stack is read in a blocking section in blockio.rs, and no
-  # stream reader holds a thread — the drivers' one daemon is each
-  # stream's writer, in StripeWriter::with_pool.
+  # Every stream polls, reading and writing (DESIGN.md §5b): no source
+  # says whether it can be, no stack is read in a blocking section or
+  # charged by a blocking `consume` in blockio.rs, and no stream's reader
+  # or writer holds a thread — the drivers start no daemon.
   local driver_daemons
   driver_daemons=$(for f in crates/core/src/drivers/*.rs; do fns_calling 'spawn_daemon\(' "$f"; echo; done | xargs)
-  if grep -rn 'pollable' crates/*/src || grep -n 'ctx::blocking' crates/core/src/drivers/blockio.rs \
-    || [ "$driver_daemons" != "with_pool" ]; then
-    echo "a receive layer that cannot be polled (lines above), or a daemon in the drivers outside StripeWriter::with_pool: [$driver_daemons]"
+  if grep -rn 'pollable' crates/*/src || grep -nE 'ctx::blocking|\bconsume\(' crates/core/src/drivers/blockio.rs \
+    || [ -n "$driver_daemons" ]; then
+    echo "a stream layer that cannot be polled (lines above), or a daemon in the drivers: [$driver_daemons]"
     return 1
   fi
   # A GTLS handshake resumes like its records (DESIGN.md §5b): it is

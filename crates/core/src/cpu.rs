@@ -79,32 +79,6 @@ impl CpuModel {
     pub fn new() -> CpuModel {
         CpuModel::default()
     }
-
-    /// Charge `bytes` of work at `rate` bytes/sec to `node`'s CPU, blocking
-    /// the calling task for queueing + service time. Must be called from a
-    /// simulated task.
-    pub fn consume(&self, node: NodeId, bytes: usize, rate: f64) {
-        if let Some(end) = self.charge(node, bytes, rate) {
-            ctx::sleep(end - ctx::now());
-        }
-    }
-
-    /// Queue `bytes` of work at `rate` bytes/sec on `node`'s CPU without
-    /// waiting: the simulated time it ends, `None` for work that is free.
-    pub fn charge(&self, node: NodeId, bytes: usize, rate: f64) -> Option<SimTime> {
-        if bytes == 0 || !rate.is_finite() {
-            return None;
-        }
-        let service = Duration::from_secs_f64(bytes as f64 / rate);
-        let mut busy = self.busy_until.lock();
-        let start = busy
-            .get(&node)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(ctx::now());
-        busy.insert(node, start + service);
-        Some(start + service)
-    }
 }
 
 /// A handle binding the model to one host, carried by driver stacks.
@@ -120,14 +94,23 @@ impl HostCpu {
         HostCpu { model, node, rates }
     }
 
-    /// Charge `bytes` at `rate` to this host.
-    pub fn consume(&self, bytes: usize, rate: f64) {
-        self.model.consume(self.node, bytes, rate);
-    }
-
-    /// [`CpuModel::charge`] on this host.
-    pub fn charge(&self, bytes: usize, rate: f64) -> Option<SimTime> {
-        self.model.charge(self.node, bytes, rate)
+    /// Queue `bytes` of work at `rate` bytes/sec on this host's CPU
+    /// without waiting: when it ends (now, for free work), the calling task
+    /// woken then by the event `ctx::sleep` schedules, so the charge is
+    /// waited out by polling `ctx::reached`.
+    pub fn begin(&self, bytes: usize, rate: f64) -> SimTime {
+        let now = ctx::now();
+        if bytes == 0 || !rate.is_finite() {
+            return now;
+        }
+        let service = Duration::from_secs_f64(bytes as f64 / rate);
+        let mut busy = self.model.busy_until.lock();
+        let end = busy.get(&self.node).map_or(now, |&free| free.max(now)) + service;
+        busy.insert(self.node, end);
+        if end > now {
+            ctx::wake_at(end);
+        }
+        end
     }
 
     pub fn node(&self) -> NodeId {
@@ -140,14 +123,32 @@ mod tests {
     use super::*;
     use gridsim_net::Sim;
 
+    /// A charge that blocks: `begin`, then its poll plus one park.
+    struct Host(HostCpu);
+
+    impl Host {
+        fn consume(&self, bytes: usize, rate: f64) {
+            let end = self.0.begin(bytes, rate);
+            ctx::park_io(|| ctx::reached(end)).unwrap();
+        }
+    }
+
+    fn host(model: &CpuModel, node: usize) -> Host {
+        Host(HostCpu::new(
+            model.clone(),
+            NodeId(node),
+            CpuRates::default(),
+        ))
+    }
+
     #[test]
     fn consume_advances_time_by_service() {
         let sim = Sim::new(1);
         let model = CpuModel::new();
-        let m = model.clone();
+        let m = host(&model, 0);
         sim.spawn("worker", move || {
             // 1 MB at 5.5 MB/s ≈ 181.8 ms.
-            m.consume(NodeId(0), 1 << 20, 5.5e6);
+            m.consume(1 << 20, 5.5e6);
             let t = ctx::now().as_secs_f64();
             assert!((0.18..0.20).contains(&t), "t = {t}");
         });
@@ -159,9 +160,9 @@ mod tests {
         let sim = Sim::new(1);
         let model = CpuModel::new();
         for i in 0..2 {
-            let m = model.clone();
+            let m = host(&model, 0);
             sim.spawn(format!("w{i}"), move || {
-                m.consume(NodeId(0), 1_000_000, 10e6); // 100 ms each
+                m.consume(1_000_000, 10e6); // 100 ms each
             });
         }
         sim.run();
@@ -174,9 +175,9 @@ mod tests {
         let sim = Sim::new(1);
         let model = CpuModel::new();
         for i in 0..2 {
-            let m = model.clone();
+            let m = host(&model, i);
             sim.spawn(format!("w{i}"), move || {
-                m.consume(NodeId(i), 1_000_000, 10e6);
+                m.consume(1_000_000, 10e6);
             });
         }
         sim.run();
@@ -187,9 +188,9 @@ mod tests {
     fn unlimited_rates_are_free() {
         let sim = Sim::new(1);
         let model = CpuModel::new();
-        let m = model.clone();
+        let m = host(&model, 0);
         sim.spawn("w", move || {
-            m.consume(NodeId(0), 10 << 20, f64::INFINITY);
+            m.consume(10 << 20, f64::INFINITY);
             assert_eq!(ctx::now().as_nanos(), 0);
         });
         sim.run();

@@ -20,19 +20,19 @@
 //! `CpuWrite`/`CpuRead` charge meters, the compressing writer) keep the
 //! copying defaults, which route through `Write::write`/`Read::read`.
 //!
-//! Every source is read one way: polled. A read that cannot finish now is
-//! `Err(WouldBlock)`, its source having left the calling task's waker where
-//! the wake will come from and named the park it stands for
-//! ([`ctx::would_block`]: `tcp read`, `queue pop`, `sleep`). Each layer
-//! keeps its partial unit across it — a GTLS record, a gridzip block, a
-//! CPU charge with the bytes it covers, a stripe block — and asked again
-//! makes the same inner call, with the same length, that the blocking read
-//! would have resumed inside, so the simulated clock cannot tell the two
-//! apart. A caller that may park blocks in one place: the poll plus one
-//! park of the trait's provided `read_chunks_min` or, for a decode over a
-//! [`BlockReader`], [`BlockReader::blocking`]; an async task awaits
-//! `BlockReader::read` instead. Every raw `[varint len][payload]` frame
-//! is read by one restartable decoder, [`BlockReader::frame`].
+//! Every source is read, and every stream's sink written, one way: polled.
+//! A call that cannot finish now is `Err(WouldBlock)`, the source or sink
+//! having left the calling task's waker where the wake will come from and
+//! named the park ([`ctx::would_block`]: `tcp read`, `tcp write`, `queue
+//! pop`, `sleep`). Each layer keeps its partial unit across it — a GTLS
+//! record, a gridzip block, a CPU charge with its bytes, a stripe block —
+//! and asked again makes the same inner call, with the same length, that
+//! the blocking code would have made, so the simulated clock cannot tell
+//! the two apart. A caller that may park blocks one way, the poll plus one
+//! park (`ctx::park_io`): the traits' provided `read_chunks_min` and
+//! `write_block`, or [`BlockReader::blocking`] for a decode; an async task
+//! awaits `BlockReader::read` or `ctx::wait_io`. Every raw `[varint
+//! len][payload]` frame is read by one decoder, [`BlockReader::frame`].
 
 use bytes::Bytes;
 use gridsim_net::ctx;
@@ -47,11 +47,23 @@ use crate::cpu::HostCpu;
 use crate::pool::{BlockBuf, BlockPool};
 
 /// A byte sink that can also accept whole blocks by ownership handoff.
+///
+/// A stream's sink does not park: its `write` and
+/// [`poll_write_block`](Self::poll_write_block) take all they are given or
+/// fail, `Err(WouldBlock)` where they would park, keeping what they took
+/// for the same bytes asked again (see the module doc). The blocking write
+/// is the provided [`write_block`](Self::write_block): the poll plus one park.
 pub trait BlockWrite: Write {
-    /// Write one whole block. The default copies via `write_all`, which is
-    /// correct for every byte-stream writer; zero-copy writers override.
+    /// Write all of `block` without parking, by ownership where the sink
+    /// can keep it. Provided: its bytes through `write_all`, one call to a
+    /// sink whose writes take all or nothing.
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
+        self.write_all(block)
+    }
+
+    /// Write one whole block, parking where the sink would block.
     fn write_block(&mut self, block: Bytes) -> io::Result<()> {
-        self.write_all(&block)
+        ctx::park_io(|| self.poll_write_block(&block))
     }
 }
 
@@ -79,21 +91,18 @@ pub trait BlockRead: Read {
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
         let mut got = 0;
-        loop {
+        ctx::park_io(|| {
             let start = out.len();
-            match self.poll_read_chunks_min(min - got, max, out) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // A staged TCP read holds `out` until it is collected:
-                    // what a would-block appended counts only while `out`
-                    // still holds it.
-                    got += out
-                        .get(start..)
-                        .map_or(0, |c| c.iter().map(Bytes::len).sum());
-                    ctx::park(ctx::blocked_on());
-                }
-                read => return read.map(|n| got + n),
+            let read = self.poll_read_chunks_min(min - got, max, out);
+            // A staged TCP read holds `out` until it is collected: what a
+            // would-block appended counts only while `out` still holds it.
+            if matches!(&read, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
+                got += out
+                    .get(start..)
+                    .map_or(0, |c| c.iter().map(Bytes::len).sum());
             }
-        }
+            read.map(|n| got + n)
+        })
     }
 
     /// Pull up to `max` bytes: a demand of one byte. `Ok(0)` means EOF.
@@ -148,8 +157,8 @@ pub(crate) fn chunks_until(
 // block writer/reader must forward the block methods (the std blanket
 // `Write for Box<W>` would silently fall back to the copying defaults).
 impl BlockWrite for Box<dyn BlockWrite + Send> {
-    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
-        (**self).write_block(block)
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
+        (**self).poll_write_block(block)
     }
 }
 
@@ -174,16 +183,26 @@ impl BlockRead for &[u8] {}
 /// (as zlib does) rather than stalling for a whole message up front.
 const CPU_CHUNK: usize = 8 * 1024;
 
-/// A writer charging CPU time per byte written before passing it on.
+/// A writer charging CPU time per byte written before passing it on: one
+/// charge per chunk, waited out before the chunk is written.
 pub struct CpuWrite<W> {
     inner: W,
     cpu: HostCpu,
     rate: f64,
+    /// Bytes of the write in hand passed on, and when the charge for the
+    /// chunk after them ends, once it is made.
+    done: (usize, Option<SimTime>),
 }
 
 impl<W: Write> CpuWrite<W> {
     pub fn new(inner: W, cpu: HostCpu, rate: f64) -> CpuWrite<W> {
-        CpuWrite { inner, cpu, rate }
+        let done = (0, None);
+        CpuWrite {
+            inner,
+            cpu,
+            rate,
+            done,
+        }
     }
 
     pub fn get_ref(&self) -> &W {
@@ -192,11 +211,17 @@ impl<W: Write> CpuWrite<W> {
 }
 
 impl<W: Write> Write for CpuWrite<W> {
+    /// `WouldBlock` while a chunk's charge runs (under `sleep`, woken at its
+    /// end) or where the sink would block, the place kept: asked again with
+    /// the same bytes, the write goes on there.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for chunk in buf.chunks(CPU_CHUNK) {
-            self.cpu.consume(chunk.len(), self.rate);
+        while let Some(chunk) = buf[self.done.0..].chunks(CPU_CHUNK).next() {
+            let end = (self.done.1).get_or_insert_with(|| self.cpu.begin(chunk.len(), self.rate));
+            ctx::reached(*end)?;
             self.inner.write_all(chunk)?;
+            self.done = (self.done.0 + chunk.len(), None);
         }
+        self.done = (0, None);
         Ok(buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -241,18 +266,12 @@ impl<R: Read> Read for CpuRead<R> {
             Some(charging) => charging,
             None => {
                 let n = self.inner.read(buf)?;
-                match self.cpu.charge(n, self.rate) {
-                    Some(end) if end > ctx::now() => {
-                        ctx::wake_at(end);
-                        (n, end)
-                    }
-                    _ => return Ok(n),
-                }
+                (n, self.cpu.begin(n, self.rate))
             }
         };
-        if ctx::now() < end {
+        if let Err(e) = ctx::reached(end) {
             self.charging = Some((n, end));
-            return Err(ctx::would_block(ctx::SLEEP_WAIT));
+            return Err(e);
         }
         Ok(n)
     }
@@ -339,13 +358,13 @@ impl<W: BlockWrite> Write for BlockWriter<W> {
             self.flush_buf()?;
         }
         if data.len() >= cap {
-            // BufWriter passthrough: forward directly, partial writes
-            // propagate to the caller's write_all loop.
-            self.inner.write(data)
+            // BufWriter passthrough: forward directly, parking where the
+            // sink would block, as `write_block` does.
+            ctx::park_io(|| self.inner.write_all(data))?;
         } else {
             self.buf.extend_from_slice(data);
-            Ok(data.len())
         }
+        Ok(data.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -355,20 +374,36 @@ impl<W: BlockWrite> Write for BlockWriter<W> {
 }
 
 impl<W: BlockWrite> BlockWrite for BlockWriter<W> {
-    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
         let cap = self.pool.block_size();
         if self.buf.len() + block.len() > cap {
             self.flush_buf()?;
         }
         if block.len() >= cap {
             // Zero-copy passthrough of an already-assembled block.
-            self.inner.write_block(block)
+            self.inner.write_block(block.clone())
         } else {
-            self.buf.extend_from_slice(&block);
+            self.buf.extend_from_slice(block);
             Ok(())
         }
     }
 }
+
+/// The top of a sender stack whose layer polls (a charge meter), made a
+/// sink the sending task writes as it writes any other: each write and
+/// flush its poll plus one park.
+pub struct Parked<W>(pub W);
+
+impl<W: Write> Write for Parked<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        ctx::park_io(|| self.0.write_all(buf)).map(|()| buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        ctx::park_io(|| self.0.flush())
+    }
+}
+
+impl<W: Write> BlockWrite for Parked<W> {}
 
 impl<W: BlockWrite> Drop for BlockWriter<W> {
     fn drop(&mut self) {
@@ -455,18 +490,14 @@ impl<R: BlockRead> BlockReader<R> {
             let at = sched.now() + within;
             (at, sched.timer(at, move || waker.wake()))
         });
-        loop {
-            match unit(self) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let reason = ctx::blocked_on();
-                    if deadline.as_ref().is_some_and(|(at, _)| ctx::now() >= *at) {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                    ctx::park(reason);
-                }
-                done => return done,
+        let late = || deadline.as_ref().is_some_and(|(at, _)| ctx::now() >= *at);
+        ctx::park_io(|| match unit(self) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && late() => {
+                ctx::blocked_on();
+                Err(io::ErrorKind::TimedOut.into())
             }
-        }
+            read => read,
+        })
     }
 
     /// Buffer at least `need` bytes; false if the source ends first, its
@@ -667,14 +698,14 @@ pub(crate) mod tests {
     fn write_charges_simulated_time() {
         let (sim, cpu) = host_cpu();
         sim.spawn("w", move || {
-            let mut w = CpuWrite::new(Vec::new(), cpu, 10e6);
+            let mut w = Parked(CpuWrite::new(Vec::new(), cpu, 10e6));
             w.write_all(&[0u8; 1_000_000]).unwrap();
             assert_eq!(
                 ctx::now().as_nanos(),
                 100_000_000,
                 "1 MB at 10 MB/s = 100 ms"
             );
-            assert_eq!(w.get_ref().len(), 1_000_000);
+            assert_eq!(w.0.get_ref().len(), 1_000_000);
         });
         sim.run();
     }
@@ -968,49 +999,67 @@ pub(crate) mod tests {
     }
 
     /// A source serving its data `step` bytes per read, logging each
-    /// serving read's length. With `stalls` each of them comes after a
-    /// would-block (the calling task woken at once, as by a source whose
-    /// bytes arrive that instant), and must be asked for again with the
-    /// same length.
+    /// serving read's length; and a sink taking each write whole, as a
+    /// socket does, logging its length and the simulated time it was taken
+    /// at. With `stalls` each read and write comes after a would-block (the
+    /// calling task woken at once, as by a source whose bytes arrive, or a
+    /// sink whose room opens, that instant), and must be asked for again
+    /// with the same length.
     #[derive(Clone)]
     pub(crate) struct Trickle(Arc<parking_lot::Mutex<Trickled>>);
 
+    #[derive(Default)]
     struct Trickled {
         data: Bytes,
         step: usize,
         stalls: bool,
         stalled: Option<usize>,
         reads: Vec<usize>,
+        written: Vec<u8>,
+        writes: Vec<(usize, SimTime)>,
+    }
+
+    impl Trickled {
+        /// Would-block before a call of `len` bytes, if this one stalls
+        /// and the call is not the one asked again.
+        fn stall(&mut self, len: usize) -> io::Result<()> {
+            if let Some(asked) = self.stalled.take() {
+                assert_eq!(len, asked, "asked again for another length");
+            } else if self.stalls {
+                self.stalled = Some(len);
+                ctx::waker().wake();
+                return Err(ctx::would_block("trickle"));
+            }
+            Ok(())
+        }
     }
 
     impl Trickle {
         pub(crate) fn new(data: &[u8], step: usize, stalls: bool) -> Trickle {
             let data = Bytes::copy_from_slice(data);
-            let (stalled, reads) = (None, Vec::new());
             Trickle(Arc::new(parking_lot::Mutex::new(Trickled {
                 data,
                 step,
                 stalls,
-                stalled,
-                reads,
+                ..Trickled::default()
             })))
         }
 
         pub(crate) fn reads(&self) -> Vec<usize> {
             self.0.lock().reads.clone()
         }
+
+        /// What was written, and each write's length and time.
+        pub(crate) fn written(&self) -> (Vec<u8>, Vec<(usize, SimTime)>) {
+            let t = self.0.lock();
+            (t.written.clone(), t.writes.clone())
+        }
     }
 
     impl Read for Trickle {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             let t = &mut *self.0.lock();
-            if let Some(len) = t.stalled.take() {
-                assert_eq!(buf.len(), len, "asked again for another length");
-            } else if t.stalls {
-                t.stalled = Some(buf.len());
-                ctx::waker().wake();
-                return Err(ctx::would_block("trickle"));
-            }
+            t.stall(buf.len())?;
             t.reads.push(buf.len());
             let n = buf.len().min(t.step).min(t.data.len());
             buf[..n].copy_from_slice(&t.data.split_to(n));
@@ -1018,7 +1067,56 @@ pub(crate) mod tests {
         }
     }
 
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let t = &mut *self.0.lock();
+            t.stall(buf.len())?;
+            t.writes.push((buf.len(), ctx::now()));
+            t.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     impl BlockRead for Trickle {}
+    impl BlockWrite for Trickle {}
+
+    /// The charge meter, polled in an async task, over a sink that would
+    /// block before every write and over one that never does: the same
+    /// bytes, from writes of the same lengths, each chunk written when its
+    /// charge ends — the same simulated times — whether a write spans one
+    /// chunk or several.
+    #[test]
+    fn a_charge_resumes_where_its_sink_or_its_own_wait_would_block() {
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let run = |stalls: bool| {
+            let (sim, cpu) = host_cpu();
+            let sink = Trickle::new(&[], 1, stalls);
+            let (log, data) = (sink.clone(), data.clone());
+            let write = async move {
+                let mut w = CpuWrite::new(sink, cpu, 5e6);
+                for part in [&data[..3], &data[3..20_003], &data[20_003..]] {
+                    ctx::wait_io(|| w.write_all(part)).await.unwrap();
+                }
+                let block = Bytes::copy_from_slice(&data[..9_000]);
+                ctx::wait_io(|| w.poll_write_block(&block)).await.unwrap();
+            };
+            sim.scheduler().handle().spawn_async("w", write);
+            sim.run();
+            log.written()
+        };
+        let (bytes, writes) = run(false);
+        assert!(bytes == [&data[..], &data[..9_000]].concat());
+        let lens: Vec<usize> = writes.iter().map(|&(n, _)| n).collect();
+        assert_eq!(lens, [3, 8192, 8192, 3616, 8192, 8192, 3613, 8192, 808]);
+        assert!(
+            writes.windows(2).all(|w| w[0].1 < w[1].1),
+            "a charge per chunk"
+        );
+        assert!(run(true) == (bytes, writes));
+    }
 
     /// The charge meter, polled in an async task, over a source that would
     /// block before every read and over one that never does: the same

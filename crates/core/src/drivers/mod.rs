@@ -24,12 +24,12 @@
 //! any [`RawLink`] — native TCP from any establishment method, or a routed
 //! relay stream.
 //!
-//! The receiver stack is read without parking, layer by layer (see
-//! [`blockio`]): the port's pump and each stream's reader are async tasks,
-//! so no stack needs a thread to read. A GTLS handshake is polled the same
-//! way, every stream's in one loop of the task that assembles the stack.
-//! The sender side blocks: each stream's writer is a task of its own
-//! ([`StripeWriter`]).
+//! Every stream is read and written without parking, layer by layer (see
+//! [`blockio`]): the port's pump and each stream's reader and writer
+//! ([`StripeWriter`]) are async tasks, so no stack needs a thread of its
+//! own. A GTLS handshake is polled the same way, every stream's in one loop
+//! of the task that assembles the stack. The sending task writes the layers
+//! above the streams, parking in a stream's poll where it would block.
 
 pub mod blockio;
 pub mod stripe;
@@ -47,7 +47,7 @@ use crate::pool::BlockPool;
 use crate::relay::RoutedStream;
 use crate::wire::{FrameReader, FrameWriter};
 
-pub use blockio::{BlockRead, BlockReader, BlockWrite, BlockWriter, CpuRead, CpuWrite};
+pub use blockio::{BlockRead, BlockReader, BlockWrite, BlockWriter, CpuRead, CpuWrite, Parked};
 pub use stripe::{StripeQuiesce, StripeReader, StripeTerminator, StripeWriter};
 
 /// A raw, established link: either a native TCP socket (client/server,
@@ -156,10 +156,14 @@ impl Read for RawLink {
     }
 }
 
+/// A stack layer's write: on a native link it does not park
+/// ([`BlockWrite`]). A routed stream's write parks: a routed link is never
+/// striped (`establish/routed.rs` opens one stream), so only the sending
+/// task, which may park, writes one.
 impl Write for RawLink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            RawLink::Tcp(s) => s.write_some(buf),
+            RawLink::Tcp(s) => s.poll_write_some(buf),
             RawLink::Routed(s) => s.write(buf),
         }
     }
@@ -173,16 +177,16 @@ impl Write for RawLink {
 // of received segments. A routed stream cuts a block into DATA frames and
 // hands received chunks on by ownership (DESIGN.md §5b).
 impl BlockWrite for TcpStream {
-    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
-        TcpStream::write_block(self, block)
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
+        TcpStream::poll_write_block(self, block)
     }
 }
 
 impl BlockWrite for RawLink {
-    fn write_block(&mut self, block: Bytes) -> io::Result<()> {
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
         match self {
-            RawLink::Tcp(s) => s.write_block(block),
-            RawLink::Routed(s) => s.write_block(block),
+            RawLink::Tcp(s) => s.poll_write_block(block),
+            RawLink::Routed(s) => s.write_all(block),
         }
     }
 }
@@ -412,15 +416,11 @@ fn secure_wires(
     // charged as 64 KiB of crypto work per stream. Charged back to back,
     // so each stream starts no earlier than the one before it.
     let charged: Vec<_> = (links.into_iter().enumerate())
-        .map(|(i, link)| {
-            let at = cpu.charge(64 * 1024, cpu.rates.crypt);
-            at.inspect(|&at| ctx::wake_at(at));
-            (i, at.unwrap_or_else(ctx::now), link)
-        })
+        .map(|(i, link)| (i, cpu.begin(64 * 1024, cpu.rates.crypt), link))
         .collect();
     let mut charging = charged.into_iter().peekable();
     let mut wires = Vec::new();
-    loop {
+    ctx::park_io(|| {
         while let Some((i, _, link)) = charging.next_if(|&(_, at, _)| at <= ctx::now()) {
             let client = (role == Role::Client) as u64;
             let mut rng = StdRng::seed_from_u64(sc.seed ^ (i as u64) << 32 | client);
@@ -430,17 +430,16 @@ fn secure_wires(
         for w in &mut wires {
             match w.poll_handshake() {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let reason = ctx::blocked_on();
-                    why.get_or_insert(reason);
+                    why.get_or_insert(ctx::blocked_on());
                 }
                 open => open?,
             }
         }
         match why.or(charging.peek().map(|_| ctx::SLEEP_WAIT)) {
-            Some(why) => ctx::park(why),
-            None => break,
+            Some(why) => Err(ctx::would_block(why)),
+            None => Ok(()),
         }
-    }
+    })?;
     Ok(wires.into_iter().map(|w| Box::new(w) as _).collect())
 }
 
@@ -497,7 +496,7 @@ pub fn build_sender(
         Some(level) => {
             let rate = cpu.rates.compress_at_level(level);
             let cw = gridzip::CompressWriter::with_block_size(base, level, block);
-            Box::new(CpuWrite::new(cw, cpu, rate))
+            Box::new(Parked(CpuWrite::new(cw, cpu, rate)))
         }
         None => base,
     };

@@ -24,14 +24,16 @@ use super::blockio::{BlockRead, BlockReader, BlockWrite};
 use crate::cpu::HostCpu;
 use crate::pool::{BlockBuf, BlockPool};
 
-/// The sender half of the parallel-stream driver. Each stream gets a pump
-/// task and a bounded block queue, so one stream's congestion-recovery
-/// stall does not idle the others (NetIbis likewise wrote each connection
-/// from its own thread); the producer parks only when the *target* queue
-/// of the round-robin order is full.
+/// The sender half of the parallel-stream driver. Each stream gets a
+/// writer task and a bounded block queue, so one stream's
+/// congestion-recovery stall does not idle the others (NetIbis likewise
+/// wrote each connection from its own thread; here an async task, polled
+/// by whatever wakes it, as the stream's sink resumes where it would block,
+/// [`BlockWrite`]); the producer parks only when the *target* queue of the
+/// round-robin order is full.
 pub struct StripeWriter {
-    queues: Vec<gridsim_net::SimQueue<Bytes>>,
-    error: std::sync::Arc<parking_lot::Mutex<Option<(io::ErrorKind, String)>>>,
+    queues: Vec<SimQueue<Bytes>>,
+    error: Failure,
     block: usize,
     pool: BlockPool,
     buf: BlockBuf,
@@ -43,18 +45,11 @@ pub struct StripeWriter {
 /// Blocks buffered per stream before the producer backpressures.
 const WRITER_QUEUE_BLOCKS: usize = 8;
 
-impl StripeWriter {
-    pub fn new(
-        streams: Vec<Box<dyn BlockWrite + Send>>,
-        block: usize,
-        cpu: HostCpu,
-        copy_rate: f64,
-    ) -> StripeWriter {
-        let sched = gridsim_net::ctx::handle();
-        Self::with_pool(streams, BlockPool::new(block), cpu, copy_rate, &sched)
-    }
+/// The error that ended a stream's writer, kept for the producer.
+type Failure = std::sync::Arc<parking_lot::Mutex<Option<(io::ErrorKind, String)>>>;
 
-    /// Like [`new`](Self::new) on `sched`, drawing staging buffers from a
+impl StripeWriter {
+    /// A writer task per stream on `sched`, staging buffers drawn from a
     /// caller-supplied pool (shared across the stack's layers); the
     /// striping unit is the pool's block size.
     pub fn with_pool(
@@ -67,29 +62,12 @@ impl StripeWriter {
         let block = pool.block_size();
         assert!(streams.len() >= 2, "striping needs at least two streams");
         assert!(block > 0);
-        let error: std::sync::Arc<parking_lot::Mutex<Option<(io::ErrorKind, String)>>> =
-            std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let error = Failure::default();
         let mut queues = Vec::with_capacity(streams.len());
-        for (i, mut stream) in streams.into_iter().enumerate() {
-            let q: gridsim_net::SimQueue<Bytes> =
-                gridsim_net::SimQueue::bounded(WRITER_QUEUE_BLOCKS);
-            let q2 = q.clone();
-            let error = std::sync::Arc::clone(&error);
-            sched.spawn_daemon(format!("stripe-out-{i}"), move || {
-                while let Some(block) = q2.pop() {
-                    let mut hdr = Vec::with_capacity(4);
-                    varint::put(&mut hdr, block.len() as u64);
-                    if let Err(e) = stream
-                        .write_all(&hdr)
-                        .and_then(|_| stream.write_block(block))
-                    {
-                        *error.lock() = Some((e.kind(), e.to_string()));
-                        q2.close();
-                        break;
-                    }
-                }
-                let _ = stream.flush();
-            });
+        for (i, stream) in streams.into_iter().enumerate() {
+            let q = SimQueue::bounded(WRITER_QUEUE_BLOCKS);
+            let out = write_out(stream, q.clone(), error.clone());
+            sched.spawn_async(format!("stripe-out-{i}"), out);
             queues.push(q);
         }
         let buf = pool.checkout();
@@ -123,7 +101,8 @@ impl StripeWriter {
         if let Some((kind, msg)) = self.error.lock().clone() {
             return Err(io::Error::new(kind, msg));
         }
-        self.cpu.consume(block.len(), self.copy_rate);
+        let end = self.cpu.begin(block.len(), self.copy_rate);
+        ctx::park_io(|| ctx::reached(end))?;
         if self.queues[self.next].push(block).is_err() {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -141,6 +120,27 @@ impl StripeWriter {
         let full = std::mem::replace(&mut self.buf, self.pool.checkout());
         self.emit_ready(full.freeze())
     }
+}
+
+/// One stream's writer: each block off `q` as `[varint length][bytes]`,
+/// the header and the block each written whole before the next is asked
+/// for, until `q` closes (the stream then flushed) or a write fails (the
+/// error kept in `error` for the producer, `q` closed).
+async fn write_out(mut stream: Box<dyn BlockWrite + Send>, q: SimQueue<Bytes>, error: Failure) {
+    while let Some(block) = ctx::wait(SimQueue::<Bytes>::POP_WAIT, || q.poll_pop()).await {
+        let mut hdr = [0u8; 10];
+        let n = varint::put_slice(&mut hdr, block.len() as u64);
+        let mut written = ctx::wait_io(|| stream.write_all(&hdr[..n])).await;
+        if written.is_ok() {
+            written = ctx::wait_io(|| stream.poll_write_block(&block)).await;
+        }
+        if let Err(e) = written {
+            *error.lock() = Some((e.kind(), e.to_string()));
+            q.close();
+            break;
+        }
+    }
+    let _ = stream.flush();
 }
 
 impl Drop for StripeWriter {
@@ -173,7 +173,8 @@ impl Write for StripeWriter {
 }
 
 impl BlockWrite for StripeWriter {
-    fn write_block(&mut self, mut block: Bytes) -> io::Result<()> {
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
+        let mut block = block.clone();
         while !block.is_empty() {
             if self.buf.is_empty() && block.len() >= self.block {
                 // Block-aligned fast path: carve a striping unit off the
@@ -202,7 +203,7 @@ impl BlockWrite for StripeWriter {
 /// sockets. Writers never emit zero-length data blocks, so the terminator
 /// is unambiguous on the wire.
 pub struct StripeTerminator {
-    queues: Vec<gridsim_net::SimQueue<Bytes>>,
+    queues: Vec<SimQueue<Bytes>>,
 }
 
 impl StripeTerminator {
@@ -425,6 +426,17 @@ mod tests {
         HostCpu::new(CpuModel::new(), NodeId(0), CpuRates::unlimited())
     }
 
+    /// A writer over `streams` striping in `block`-byte units.
+    fn writer(
+        streams: Vec<Box<dyn BlockWrite + Send>>,
+        block: usize,
+        cpu: HostCpu,
+        copy_rate: f64,
+    ) -> StripeWriter {
+        let (pool, sched) = (BlockPool::new(block), ctx::handle());
+        StripeWriter::with_pool(streams, pool, cpu, copy_rate, &sched)
+    }
+
     fn block_writers(pipes: &[MemPipe]) -> Vec<Box<dyn BlockWrite + Send>> {
         pipes
             .iter()
@@ -459,7 +471,7 @@ mod tests {
         let out = Arc::new(Mutex::new(Vec::new()));
         let o2 = Arc::clone(&out);
         sim.spawn("roundtrip", move || {
-            let mut w = StripeWriter::new(writers, block, cpu, f64::INFINITY);
+            let mut w = writer(writers, block, cpu, f64::INFINITY);
             w.write_all(&payload).unwrap();
             w.flush().unwrap();
             drop(w); // close queues so the pumps drain and hang up
@@ -508,7 +520,7 @@ mod tests {
         let cpu = free_cpu();
         let pipes2 = pipes.clone();
         sim.spawn("w", move || {
-            let mut w = StripeWriter::new(writers, 1000, cpu, f64::INFINITY);
+            let mut w = writer(writers, 1000, cpu, f64::INFINITY);
             w.write_all(&vec![1u8; 8000]).unwrap();
             w.flush().unwrap();
             drop(w);
@@ -538,7 +550,7 @@ mod tests {
         let out = Arc::new(Mutex::new(Vec::new()));
         let o2 = Arc::clone(&out);
         sim.spawn("w", move || {
-            let mut w = StripeWriter::new(writers, block, cpu, f64::INFINITY);
+            let mut w = writer(writers, block, cpu, f64::INFINITY);
             if use_block {
                 w.write_block(Bytes::from(payload)).unwrap();
             } else {
@@ -602,6 +614,41 @@ mod tests {
         assert!(run(true) == (got, reads));
     }
 
+    /// A writer over four streams that would block before every write puts
+    /// on each what it puts over four that never do — the same headers and
+    /// blocks, in writes of the same lengths taken at the same simulated
+    /// times — each stream's writer task resuming where its stream stalled.
+    #[test]
+    fn stripe_writers_resume_where_their_streams_would_block() {
+        use crate::drivers::blockio::tests::Trickle;
+        let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 239) as u8).collect();
+        let run = |stalls: bool| {
+            let sim = Sim::new(0);
+            let sinks: Vec<Trickle> = (0..4).map(|_| Trickle::new(&[], 1, stalls)).collect();
+            let streams = (sinks.iter())
+                .map(|t| Box::new(t.clone()) as Box<dyn BlockWrite + Send>)
+                .collect();
+            let cpu = HostCpu::new(CpuModel::new(), NodeId(0), CpuRates::default());
+            let payload = payload.clone();
+            sim.spawn("w", move || {
+                let mut w = writer(streams, 1024, cpu, 10e6);
+                w.write_all(&payload).unwrap();
+                w.write_block(Bytes::from(payload)).unwrap();
+                w.flush().unwrap();
+            });
+            sim.run();
+            sinks.iter().map(Trickle::written).collect::<Vec<_>>()
+        };
+        let wrote = run(false);
+        let blocks: usize = wrote.iter().map(|(_, writes)| writes.len() / 2).sum();
+        assert_eq!(
+            blocks,
+            100_000usize.div_ceil(1024),
+            "a header and a block each"
+        );
+        assert!(run(true) == wrote);
+    }
+
     #[test]
     fn copy_cost_is_charged() {
         let pipes: Vec<MemPipe> = (0..2).map(|_| MemPipe::default()).collect();
@@ -609,7 +656,7 @@ mod tests {
         let sim = Sim::new(0);
         let cpu = free_cpu();
         sim.spawn("w", move || {
-            let mut w = StripeWriter::new(writers, 1024, cpu, 10e6);
+            let mut w = writer(writers, 1024, cpu, 10e6);
             w.write_all(&vec![0u8; 1_000_000]).unwrap();
             w.flush().unwrap();
             let t = gridsim_net::ctx::now().as_secs_f64();
@@ -630,7 +677,7 @@ mod tests {
         let sim = Sim::new(0);
         let cpu = free_cpu();
         sim.spawn("w", move || {
-            let mut w = StripeWriter::new(writers, 1024, cpu, 10e6);
+            let mut w = writer(writers, 1024, cpu, 10e6);
             w.write_block(Bytes::from(vec![0u8; 1_000_000])).unwrap();
             w.flush().unwrap();
             let t = gridsim_net::ctx::now().as_secs_f64();
@@ -650,7 +697,7 @@ mod tests {
         let cpu = free_cpu();
         let pipes2 = pipes.clone();
         sim.spawn("t", move || {
-            let mut w = StripeWriter::new(writers, 1000, cpu, f64::INFINITY);
+            let mut w = writer(writers, 1000, cpu, f64::INFINITY);
             w.write_all(&vec![1u8; 3000]).unwrap();
             w.flush().unwrap();
             drop(w);

@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
+use std::task::Poll;
 
 pub(crate) use super::splice::Splices;
 use crate::link::Backoff;
@@ -106,17 +107,15 @@ impl NatGate {
         if !self.serializes {
             return None;
         }
-        loop {
-            {
-                let mut st = self.state.lock();
-                if !st.0 {
-                    st.0 = true;
-                    return Some(GateHold(Arc::clone(self)));
-                }
-                st.1.push_back(gridsim_net::ctx::waker());
+        Some(gridsim_net::ctx::park_until("nat gate", || {
+            let mut st = self.state.lock();
+            if !st.0 {
+                st.0 = true;
+                return Poll::Ready(GateHold(Arc::clone(self)));
             }
-            gridsim_net::ctx::park("nat gate");
-        }
+            st.1.push_back(gridsim_net::ctx::waker());
+            Poll::Pending
+        }))
     }
 }
 

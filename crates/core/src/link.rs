@@ -111,21 +111,19 @@ impl<T> Pending<T> {
     /// Park until request `id` has its outcome and take it. A slot that
     /// vanished — its connection was lost — is `ConnectionReset`.
     pub(crate) fn wait(&self, id: u64, reason: &'static str) -> io::Result<T> {
-        loop {
-            {
-                let mut slots = self.slots.lock();
-                let Some(slot) = slots.get_mut(&id) else {
-                    let lost = "request dropped: its connection was lost";
-                    return Err(io::Error::new(io::ErrorKind::ConnectionReset, lost));
-                };
-                if let Some(result) = slot.result.take() {
-                    slots.remove(&id);
-                    return Ok(result);
-                }
-                slot.waker = Some(ctx::waker());
+        ctx::park_io(|| {
+            let mut slots = self.slots.lock();
+            let Some(slot) = slots.get_mut(&id) else {
+                let lost = "request dropped: its connection was lost";
+                return Err(io::Error::new(io::ErrorKind::ConnectionReset, lost));
+            };
+            if let Some(result) = slot.result.take() {
+                slots.remove(&id);
+                return Ok(result);
             }
-            ctx::park(reason);
-        }
+            slot.waker = Some(ctx::waker());
+            Err(ctx::would_block(reason))
+        })
     }
 
     /// The answer to request `id`. False when nobody waits on `id` any

@@ -93,9 +93,8 @@ impl NsConn {
                 Ok(Ok(req)) => self.answer(req).into_frame(),
                 _ => return,
             };
-            let mut reply = Some(reply);
-            let write = || self.conn.poll_write_block(reply.take());
-            if ctx::wait_io(write).await.is_err() {
+            let written = ctx::wait_io(|| self.conn.poll_write_block(&reply)).await;
+            if written.is_err() {
                 return;
             }
         }

@@ -746,10 +746,10 @@ impl MeshRelay {
                 items.clear();
                 continue;
             }
-            let mut run = Some(q.encode(&items, bytes));
+            let run = q.encode(&items, bytes);
             q.in_hand.store(items.len(), Ordering::Relaxed);
             let guard = wait(SimMutex::<TcpStream>::LOCK_WAIT, || q.w.poll_lock()).await;
-            let write = move || guard.poll_write_block(run.take());
+            let write = move || guard.poll_write_block(&run);
             let written = ctx::wait_io(write).await;
             q.in_hand.store(0, Ordering::Relaxed);
             if written.is_err() {

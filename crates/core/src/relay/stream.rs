@@ -186,19 +186,9 @@ impl RoutedStream {
             .send_inner(s.peer, Envelope::OpenErr { sid: s.sid, why });
     }
 
-    /// The next received chunk, up to `cap` bytes of it, by ownership;
-    /// parks while none is queued. `None` at end of stream.
-    fn next_chunk(&self, cap: usize) -> Option<Bytes> {
-        loop {
-            if let Poll::Ready(chunk) = self.poll_chunk(cap) {
-                return chunk;
-            }
-            gridsim_net::ctx::park(SimQueue::<Bytes>::POP_WAIT);
-        }
-    }
-
-    /// [`next_chunk`](Self::next_chunk) without parking: `Pending` with
-    /// the task's waker registered on the receive queue.
+    /// The next received chunk, up to `cap` bytes of it, by ownership, or
+    /// `None` at end of stream: `Pending` while none is queued, the task's
+    /// waker registered on the receive queue.
     fn poll_chunk(&self, cap: usize) -> Poll<Option<Bytes>> {
         let mut chunk = std::mem::take(&mut *self.inner.cursor.lock());
         while chunk.is_empty() {
@@ -223,9 +213,7 @@ impl RoutedStream {
 
 impl Read for RoutedStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let chunk = self.next_chunk(buf.len()).unwrap_or_default();
-        buf[..chunk.len()].copy_from_slice(&chunk);
-        Ok(chunk.len())
+        ctx::park_io(|| self.poll_read(buf))
     }
 }
 

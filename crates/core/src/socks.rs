@@ -26,9 +26,7 @@ fn pump_one_way(from: TcpStream, to: TcpStream, label: &'static str) {
                 break;
             }
             for chunk in chunks.drain(..) {
-                let mut first = Some(chunk);
-                let write = || to.poll_write_block(first.take());
-                if ctx::wait_io(write).await.is_err() {
+                if ctx::wait_io(|| to.poll_write_block(&chunk)).await.is_err() {
                     break 'tunnel;
                 }
             }

@@ -48,6 +48,7 @@
 //! on with the handshake, a write is `NotConnected`.
 
 use rand::Rng;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use crate::aead::{self, AEAD_TAG_LEN};
@@ -146,7 +147,9 @@ pub struct SecureStream<S> {
     recv: DirectionKeys,
     read_buf: Vec<u8>,
     read_pos: usize,
-    incoming: Incoming,
+    incoming: Record,
+    /// Records sealed and not yet all written, oldest first.
+    outgoing: VecDeque<Record>,
     peer_closed: bool,
     close_sent: bool,
 }
@@ -158,30 +161,31 @@ fn hs_error(msg: &'static str) -> io::Error {
     )
 }
 
-fn write_record<S: Write>(s: &mut S, rtype: u8, body: &[u8]) -> io::Result<()> {
-    assert!(body.len() <= u16::MAX as usize);
-    let mut hdr = [0u8; 3];
-    hdr[0] = rtype;
-    hdr[1..3].copy_from_slice(&(body.len() as u16).to_be_bytes());
-    s.write_all(&hdr)?;
-    s.write_all(body)
-}
-
-/// A record on its way in: its header, then its body, each filled in place
-/// as the stream below delivers. An error from below — `WouldBlock` from a
-/// stream that must not park included — leaves what arrived, and the next
-/// read goes on with the same call the failed one made.
+/// A record on its way in or out: its header, then its body, each moved
+/// whole — filled in place as the stream below delivers, or written as it
+/// takes them. An error from below — `WouldBlock` from a stream that must
+/// not park included — leaves what has moved, and the next call goes on
+/// with the same inner call the failed one made.
 #[derive(Default)]
-struct Incoming {
+struct Record {
     hdr: [u8; 3],
     /// The body, sized once the header is in.
     body: Vec<u8>,
     in_body: bool,
-    /// Bytes of the part in hand (header, then body) read so far.
+    /// Bytes of the part in hand (header, then body) moved so far.
     got: usize,
 }
 
-impl Incoming {
+impl Record {
+    /// A record to write.
+    fn out(rtype: u8, body: Vec<u8>) -> Record {
+        assert!(body.len() <= u16::MAX as usize);
+        let [hi, lo] = (body.len() as u16).to_be_bytes();
+        let mut out = Record::default();
+        (out.hdr, out.body) = ([rtype, hi, lo], body);
+        out
+    }
+
     /// The next record, each read asking for the rest of the part in hand:
     /// the calls `read_exact` makes, resumed where an error stopped them.
     fn read<S: Read>(&mut self, s: &mut S) -> io::Result<(u8, Vec<u8>)> {
@@ -194,6 +198,17 @@ impl Incoming {
         (self.in_body, self.got) = (false, 0);
         Ok((self.hdr[0], std::mem::take(&mut self.body)))
     }
+
+    /// The rest of this record, each write asking for the rest of the part
+    /// in hand: the calls `write_all` makes, resumed where an error stopped
+    /// them.
+    fn write<S: Write>(&mut self, s: &mut S) -> io::Result<()> {
+        if !self.in_body {
+            drain(s, &self.hdr, &mut self.got)?;
+            (self.in_body, self.got) = (true, 0);
+        }
+        drain(s, &self.body, &mut self.got)
+    }
 }
 
 /// `read_exact` that keeps its place in `got`: a source that ends first is
@@ -203,6 +218,18 @@ fn fill<S: Read>(s: &mut S, buf: &mut [u8], got: &mut usize) -> io::Result<()> {
         match s.read(&mut buf[*got..])? {
             0 => return Err(io::ErrorKind::UnexpectedEof.into()),
             n => *got += n,
+        }
+    }
+    Ok(())
+}
+
+/// `write_all` that keeps its place in `sent`: any error leaves `sent` as
+/// far as it came.
+fn drain<S: Write>(s: &mut S, buf: &[u8], sent: &mut usize) -> io::Result<()> {
+    while *sent < buf.len() {
+        match s.write(&buf[*sent..])? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => *sent += n,
         }
     }
     Ok(())
@@ -231,14 +258,9 @@ impl<S: Read + Write> SecureStream<S> {
     }
 
     /// Begin the handshake as `role`: this end's keypair and random drawn
-    /// from `rng`, and a client's hello written.
-    /// [`poll_handshake`](Self::poll_handshake) goes on from there.
-    pub fn start(
-        mut inner: S,
-        cfg: &SecureConfig,
-        rng: &mut impl Rng,
-        role: Role,
-    ) -> io::Result<Self> {
+    /// from `rng`, and a client's hello written, or kept where the stream
+    /// would block. [`poll_handshake`](Self::poll_handshake) goes on from there.
+    pub fn start(inner: S, cfg: &SecureConfig, rng: &mut impl Rng, role: Role) -> io::Result<Self> {
         let (sk, pk) = x25519::keypair(rng);
         let mut random = [0u8; 32];
         rng.fill(&mut random[..]);
@@ -247,12 +269,9 @@ impl<S: Read + Write> SecureStream<S> {
             Role::Server => MSG_SERVER_HELLO,
         };
         let hello = [&[msg][..], &random, &pk].concat();
-        if role == Role::Client {
-            write_record(&mut inner, TYPE_HANDSHAKE, &hello)?;
-            inner.flush()?;
-        }
+        let outgoing = (role == Role::Client).then(|| Record::out(TYPE_HANDSHAKE, hello.clone()));
         let psk = cfg.psk.clone();
-        Ok(SecureStream {
+        let mut s = SecureStream {
             inner,
             hs: Handshake::Hello(Hello {
                 role,
@@ -264,18 +283,24 @@ impl<S: Read + Write> SecureStream<S> {
             recv: DirectionKeys::default(),
             read_buf: Vec::new(),
             read_pos: 0,
-            incoming: Incoming::default(),
+            incoming: Record::default(),
+            outgoing: outgoing.into_iter().collect(),
             peer_closed: false,
             close_sent: false,
-        })
+        };
+        match s.send_pending() {
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e),
+            _ => Ok(s),
+        }
     }
 
-    /// Go on with the handshake: read the flight it waits for, and write
-    /// the next one once it is in. `Ok` once the session is open; a
-    /// `WouldBlock` from the stream keeps its place, and asked again it
-    /// resumes there.
+    /// Go on with the handshake: finish this end's last flight, read the
+    /// flight it waits for, and write the next one once it is in. `Ok` once
+    /// the session is open; a `WouldBlock` from the stream keeps its place,
+    /// and asked again it resumes there.
     pub fn poll_handshake(&mut self) -> io::Result<()> {
         loop {
+            self.send_pending()?;
             match self.hs {
                 Handshake::Open => return Ok(()),
                 Handshake::Failed => return Err(hs_error("refused earlier")),
@@ -336,22 +361,35 @@ impl<S: Read + Write> SecureStream<S> {
                     return Err(hs_error("server authentication failed (wrong PSK?)"));
                 }
                 let fin = [&[MSG_FINISHED][..], &client_auth].concat();
-                write_record(&mut self.inner, TYPE_HANDSHAKE, &fin)?;
+                self.outgoing.push_back(Record::out(TYPE_HANDSHAKE, fin));
                 (self.send, self.recv) = (c2s, s2c);
                 Handshake::Open
             }
             Role::Server => {
                 let sh = [&own.hello[..], &server_auth].concat();
-                write_record(&mut self.inner, TYPE_HANDSHAKE, &sh)?;
+                self.outgoing.push_back(Record::out(TYPE_HANDSHAKE, sh));
                 (self.send, self.recv) = (s2c, c2s);
                 Handshake::Finished(client_auth)
             }
         };
-        self.inner.flush()?;
         Ok(next)
     }
 
-    fn send_record(&mut self, rtype: u8, plaintext: &[u8]) -> io::Result<()> {
+    /// Write the records sealed and not yet written, a handshake flight and
+    /// a close each flushed after it.
+    fn send_pending(&mut self) -> io::Result<()> {
+        while let Some(out) = self.outgoing.front_mut() {
+            out.write(&mut self.inner)?;
+            if out.hdr[0] != TYPE_DATA {
+                self.inner.flush()?;
+            }
+            self.outgoing.pop_front();
+        }
+        Ok(())
+    }
+
+    /// Seal `plaintext` as the next record to go out.
+    fn seal(&mut self, rtype: u8, plaintext: &[u8]) -> io::Result<()> {
         if !matches!(self.hs, Handshake::Open) {
             return Err(io::ErrorKind::NotConnected.into());
         }
@@ -364,7 +402,8 @@ impl<S: Read + Write> SecureStream<S> {
         let nonce = self.send.nonce()?;
         let tag = aead::seal_in_place(&self.send.key, &nonce, &aad, &mut body);
         body.extend_from_slice(&tag);
-        write_record(&mut self.inner, rtype, &body)
+        self.outgoing.push_back(Record::out(rtype, body));
+        Ok(())
     }
 
     /// Decrypt the next record; fills `read_buf` for data records. A
@@ -401,10 +440,9 @@ impl<S: Read + Write> SecureStream<S> {
     pub fn close(&mut self) -> io::Result<()> {
         if !self.close_sent {
             self.close_sent = true;
-            self.send_record(TYPE_CLOSE, &[])?;
-            self.inner.flush()?;
+            self.seal(TYPE_CLOSE, &[])?;
         }
-        Ok(())
+        self.send_pending()
     }
 
     pub fn get_ref(&self) -> &S {
@@ -433,15 +471,21 @@ impl<S: Read + Write> Read for SecureStream<S> {
     }
 }
 
+/// A write seals `buf` as one record per 16 KiB and writes them in order,
+/// taking all of `buf` or failing. A `WouldBlock` from below keeps the
+/// records not yet written, and asked again with the same bytes the write
+/// goes on with them: records on their way out are the write in hand's.
 impl<S: Read + Write> Write for SecureStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if self.close_sent {
             return Err(io::ErrorKind::BrokenPipe.into());
         }
-        for chunk in buf.chunks(MAX_RECORD) {
-            self.send_record(TYPE_DATA, chunk)?;
+        if self.outgoing.is_empty() {
+            for record in buf.chunks(MAX_RECORD) {
+                self.seal(TYPE_DATA, record)?;
+            }
         }
-        Ok(buf.len())
+        self.send_pending().map(|()| buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
@@ -452,7 +496,6 @@ impl<S: Read + Write> Write for SecureStream<S> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
 
     /// An in-memory full-duplex blocking pipe for testing without a

@@ -365,7 +365,9 @@ mod largest {
 /// logging those reads' lengths; with `stalls`, each of them comes after a
 /// `WouldBlock`, as from a socket that must not park, and must be asked
 /// for again with the same length. Before `from` it serves what it is
-/// asked for. What is written to it is kept in `output`.
+/// asked for. What is written to it is kept in `output`: once `writes` is
+/// set, one byte per write, each write's length logged there and, with
+/// `stalls`, asked again after a `WouldBlock` as a read is.
 pub struct Trickle {
     pub input: Vec<u8>,
     at: usize,
@@ -374,6 +376,7 @@ pub struct Trickle {
     stalled: Option<usize>,
     pub reads: Vec<usize>,
     pub output: Vec<u8>,
+    pub writes: Option<Vec<usize>>,
 }
 
 impl Trickle {
@@ -388,6 +391,7 @@ impl Trickle {
             stalled,
             reads,
             output,
+            writes: None,
         }
     }
 }
@@ -416,8 +420,20 @@ impl std::io::Read for Trickle {
 
 impl std::io::Write for Trickle {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.output.extend_from_slice(buf);
-        Ok(buf.len())
+        let Some(writes) = &mut self.writes else {
+            self.output.extend_from_slice(buf);
+            return Ok(buf.len());
+        };
+        if let Some(len) = self.stalled.take() {
+            assert_eq!(buf.len(), len, "asked again for another length");
+        } else if self.stalls {
+            self.stalled = Some(buf.len());
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        writes.push(buf.len());
+        let n = buf.len().min(1);
+        self.output.extend_from_slice(&buf[..n]);
+        Ok(n)
     }
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
@@ -628,6 +644,47 @@ mod records {
             (got, end)
         });
         (got, std::mem::take(&mut s.get_mut().reads), end, largest)
+    }
+
+    /// The client's records written into a sink that takes one byte per
+    /// write and, in the polled case, would block before each: the same
+    /// bytes from writes of the same lengths as into one that never blocks
+    /// — two per record, header then body, each resumed where it stopped.
+    #[test]
+    fn a_record_write_resumes_where_its_sink_would_block() {
+        let (server_hello, _) = valid();
+        let (want, _) = client_stream();
+        let written = |stalls| {
+            let mut client = shake(Role::Client, Trickle::new(&server_hello, 0, stalls)).unwrap();
+            client.get_mut().writes = Some(Vec::new());
+            let polled = |write: &mut dyn FnMut() -> io::Result<()>| loop {
+                match write() {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    done => break done.unwrap(),
+                }
+            };
+            for d in DATA {
+                polled(&mut || client.write(d).map(|n| assert_eq!(n, d.len())));
+            }
+            polled(&mut || client.close());
+            let sink = client.get_mut();
+            (
+                std::mem::take(&mut sink.output),
+                sink.writes.take().unwrap(),
+            )
+        };
+        let (bytes, writes) = written(false);
+        assert_eq!(bytes, want, "the flight, then the records");
+        // A record's header, then its body (plaintext and tag), a byte a write.
+        let record = |len: usize| (1..=3).rev().chain((1..=len + 16).rev());
+        let lens: Vec<usize> = DATA
+            .iter()
+            .map(|d| d.len())
+            .chain([0])
+            .flat_map(record)
+            .collect();
+        assert_eq!(writes, lens);
+        assert_eq!(written(true), (bytes, writes));
     }
 
     #[test]

@@ -73,10 +73,13 @@ fn lazy_for_level(level: u8) -> bool {
     level >= 4
 }
 
-/// The four bytes at `i` as one little-endian word.
+/// The four bytes at `i` as one little-endian word. Every caller keeps
+/// `i + 4 <= data.len()`; a word that would run past the end reads 0.
 #[inline(always)]
 fn word4(data: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
+    data[i..]
+        .first_chunk()
+        .map_or(0, |w| u32::from_le_bytes(*w))
 }
 
 #[inline(always)]
@@ -125,10 +128,7 @@ impl Compressor {
     fn with_base(level: u8, base: u32) -> Compressor {
         Compressor {
             level: level.clamp(1, MAX_LEVEL),
-            head: vec![0; HASH_SIZE]
-                .into_boxed_slice()
-                .try_into()
-                .expect("HASH_SIZE entries"),
+            head: Box::new([0; HASH_SIZE]),
             chain: Vec::new(),
             base,
         }
@@ -194,8 +194,9 @@ impl Compressor {
             let last = end.min(hash_limit);
             let stamps = base + (i + 1) as u32..;
             let links = &mut chain[i + 1..last];
-            for ((w, link), stamp) in data[i + 1..last + 3].windows(4).zip(links).zip(stamps) {
-                let h = hash_of(u32::from_le_bytes(w.try_into().expect("4 bytes")));
+            let words = data[i + 1..last + 3].array_windows();
+            for ((&w, link), stamp) in words.zip(links).zip(stamps) {
+                let h = hash_of(u32::from_le_bytes(w));
                 *link = head[h];
                 head[h] = stamp;
             }
@@ -257,10 +258,8 @@ fn find_match(
 #[inline(always)]
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let mut l = 0usize;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let x = u64::from_le_bytes(x.try_into().expect("8 bytes"));
-        let y = u64::from_le_bytes(y.try_into().expect("8 bytes"));
-        let diff = x ^ y;
+    for (&x, &y) in a.as_chunks().0.iter().zip(b.as_chunks().0) {
+        let diff = u64::from_le_bytes(x) ^ u64::from_le_bytes(y);
         if diff != 0 {
             return l + (diff.trailing_zeros() / 8) as usize;
         }

@@ -1057,21 +1057,19 @@ impl<T> JoinHandle<T> {
     pub fn join(self) -> T {
         let me = ctx::current_task();
         let mut registered = false;
-        loop {
-            {
-                let mut st = self.handle.core.state.borrow();
-                let target = &mut st.tasks[self.tid.index()];
-                if target.state == TaskState::Finished {
-                    break;
-                }
-                // Once: a stray wake token must not queue a second wake.
-                if !registered {
-                    target.joiners.push(me);
-                    registered = true;
-                }
+        ctx::park_until("join", || {
+            let mut st = self.handle.core.state.borrow();
+            let target = &mut st.tasks[self.tid.index()];
+            if target.state == TaskState::Finished {
+                return Poll::Ready(());
             }
-            ctx::park("join");
-        }
+            // Once: a stray wake token must not queue a second wake.
+            if !registered {
+                target.joiners.push(me);
+                registered = true;
+            }
+            Poll::Pending
+        });
         self.result.lock().take().expect("joined task result")
     }
 }
@@ -1176,13 +1174,17 @@ pub mod ctx {
         }
         let at = now() + d;
         wake_at(at);
-        // A stray wake token could end the sleep early; loop on the clock.
-        loop {
-            park(SLEEP_WAIT);
-            if now() >= at {
-                break;
-            }
+        let _ = park_io(|| reached(at));
+    }
+
+    /// Has the clock reached `at`? `WouldBlock` under [`SLEEP_WAIT`] until
+    /// it has: the poll of a wait for a time (a sleep, a CPU charge), asked
+    /// again on every wake, so a stray one cannot end it early.
+    pub fn reached(at: SimTime) -> io::Result<()> {
+        if now() < at {
+            return Err(would_block(SLEEP_WAIT));
         }
+        Ok(())
     }
 
     /// Wake the calling task at `at`: the event [`sleep`] schedules, for a
@@ -1220,6 +1222,29 @@ pub mod ctx {
             }
             done => Poll::Ready(done),
         })
+    }
+
+    /// [`wait`] in a task that may park: each `Pending` is one park under
+    /// `reason`, and the wake asks `poll` again.
+    pub fn park_until<T>(reason: &'static str, mut poll: impl FnMut() -> Poll<T>) -> T {
+        loop {
+            if let Poll::Ready(out) = poll() {
+                return out;
+            }
+            park(reason);
+        }
+    }
+
+    /// [`wait_io`] in a task that may park: each `Err(WouldBlock)` is one
+    /// park under the reason its source named, and the wake asks `poll`
+    /// again.
+    pub fn park_io<T>(mut poll: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        loop {
+            match poll() {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => park(blocked_on()),
+                done => return done,
+            }
+        }
     }
 
     /// Await `poll` until it is ready. In an async task a `Pending`, with

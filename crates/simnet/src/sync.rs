@@ -76,12 +76,7 @@ impl<T: ?Sized> SimMutex<T> {
 
     /// Acquire the lock, parking the calling task while contended.
     pub fn lock(&self) -> SimMutexGuard<T> {
-        loop {
-            if let Poll::Ready(guard) = self.poll_lock() {
-                return guard;
-            }
-            ctx::park(Self::LOCK_WAIT);
-        }
+        ctx::park_until(Self::LOCK_WAIT, || self.poll_lock())
     }
 
     /// Acquire the lock without parking: the guard, or `Pending` with the
@@ -189,12 +184,7 @@ impl<T> SimQueue<T> {
     /// Push, parking while the queue is full. Returns `Err(item)` if closed.
     pub fn push(&self, item: T) -> Result<(), T> {
         let mut slot = Some(item);
-        loop {
-            if let Poll::Ready(pushed) = self.poll_push(&mut slot) {
-                return pushed;
-            }
-            ctx::park(Self::PUSH_WAIT);
-        }
+        ctx::park_until(Self::PUSH_WAIT, || self.poll_push(&mut slot))
     }
 
     /// Push the item in `slot` without parking: `Ready(Ok)` with `slot`
@@ -238,12 +228,7 @@ impl<T> SimQueue<T> {
 
     /// Pop, parking while empty. `None` when closed and drained.
     pub fn pop(&self) -> Option<T> {
-        loop {
-            if let Poll::Ready(item) = self.poll_pop() {
-                return item;
-            }
-            ctx::park(Self::POP_WAIT);
-        }
+        ctx::park_until(Self::POP_WAIT, || self.poll_pop())
     }
 
     /// Pop without parking: `Ready(Some)`, `Ready(None)` when closed and

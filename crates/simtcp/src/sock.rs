@@ -55,20 +55,13 @@ impl TcpListener {
 
     /// Block until a fully established connection is available.
     pub fn accept(&self) -> io::Result<TcpStream> {
-        TcpStream::wait(Self::ACCEPT_WAIT, || self.poll_queue())
+        ctx::park_io(|| self.poll_accept())
     }
 
     /// [`accept`](Self::accept) for a caller that must not park:
     /// `Err(WouldBlock)` while no connection is pending, the calling task
     /// woken when one is or the listener closes.
     pub fn poll_accept(&self) -> io::Result<TcpStream> {
-        self.poll_queue()?
-            .ok_or_else(|| ctx::would_block(Self::ACCEPT_WAIT))
-    }
-
-    /// One look at the accept queue. `None` = empty, with the task's waker
-    /// on the listener.
-    fn poll_queue(&self) -> io::Result<Option<TcpStream>> {
         let port = self.addr.port;
         self.net.with(|w| {
             with_host(w, self.node, |h, _w| {
@@ -78,13 +71,13 @@ impl TcpListener {
                 if let Some(id) = l.pending.pop_front() {
                     let t = h.conns.get(&id).expect("accepted conn");
                     let (net, node) = (self.net.clone(), self.node);
-                    return Ok(Some(TcpStream::attach(net, node, id, t.local, t.remote)));
+                    return Ok(TcpStream::attach(net, node, id, t.local, t.remote));
                 }
                 if l.closed {
                     return Err(io::Error::from(io::ErrorKind::NotConnected));
                 }
                 l.accept_wakers.push(ctx::waker());
-                Ok(None)
+                Err(ctx::would_block(Self::ACCEPT_WAIT))
             })
         })
     }
@@ -172,15 +165,6 @@ impl TcpStream {
         self.inner.remote
     }
 
-    /// [`wait`](Self::wait) with `poll` run on this connection's TCB.
-    fn wait_tcb<R>(
-        &self,
-        why: &'static str,
-        mut poll: impl FnMut(&mut Tcb, SimTime) -> Option<R>,
-    ) -> io::Result<R> {
-        Self::wait(why, || self.with_tcb(&mut poll))
-    }
-
     /// Run `f` on the connection's TCB, then flush any produced segments.
     fn with_tcb<R>(&self, f: impl FnOnce(&mut Tcb, SimTime) -> R) -> io::Result<R> {
         let id = self.inner.id;
@@ -203,52 +187,41 @@ impl TcpStream {
     /// [`poll_read_chunks_min`](Self::poll_read_chunks_min).
     pub const READ_WAIT: &'static str = "tcp read";
 
-    /// The one way a call waits on a socket: poll, and park in between.
-    /// `poll` looks once — on a TCB through [`with_tcb`](Self::with_tcb),
-    /// on a listener's queue — and before answering `None` leaves the task
-    /// a way to be woken: a waker on a TCB or listener list, or its work
-    /// staged on the TCB. A caller that must not park (an inline task)
-    /// makes the same poll itself and reports the would-block.
-    fn wait<R>(
-        why: &'static str,
-        mut poll: impl FnMut() -> io::Result<Option<R>>,
-    ) -> io::Result<R> {
-        loop {
-            if let Some(r) = poll()? {
-                return Ok(r);
-            }
-            ctx::park(why);
-        }
-    }
-
     /// Block until the connection is established (used right after
     /// `connect`). Returns immediately if already established.
     pub fn wait_established(&self) -> io::Result<()> {
-        self.wait_tcb("tcp connect", |tcb, _| {
-            if let Some(e) = tcb.error() {
-                return Some(Err(io::Error::from(e)));
-            }
-            if tcb.is_established() || tcb.state.can_send() {
-                return Some(Ok(()));
-            }
-            if tcb.state.is_terminal() {
-                return Some(Err(io::Error::from(io::ErrorKind::NotConnected)));
-            }
-            tcb.conn_wakers.push(ctx::waker());
-            None
-        })?
+        ctx::park_io(|| {
+            self.with_tcb(|tcb, _| {
+                if let Some(e) = tcb.error() {
+                    return Err(io::Error::from(e));
+                }
+                if tcb.is_established() || tcb.state.can_send() {
+                    return Ok(());
+                }
+                if tcb.state.is_terminal() {
+                    return Err(io::Error::from(io::ErrorKind::NotConnected));
+                }
+                tcb.conn_wakers.push(ctx::waker());
+                Err(ctx::would_block("tcp connect"))
+            })?
+        })
     }
 
     /// Blocking write of all of `buf`; returns `buf.len()`: a
     /// [`write_block`](Self::write_block) of one copy of `buf`, counted in
     /// `bytes_copied`.
     pub fn write_some(&self, buf: &[u8]) -> io::Result<usize> {
+        ctx::park_io(|| self.poll_write_some(buf))
+    }
+
+    /// [`write_some`](Self::write_some) for a caller that must not park,
+    /// as [`poll_write_block`](Self::poll_write_block) is for a block.
+    pub fn poll_write_some(&self, buf: &[u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut first = Some((Bytes::copy_from_slice(buf), buf.len()));
-        Self::wait(Self::WRITE_WAIT, || self.poll_write(first.take()))??;
-        Ok(buf.len())
+        let copy = || (Bytes::copy_from_slice(buf), buf.len());
+        self.poll_write(copy).map(|()| buf.len())
     }
 
     /// Blocking read; `Ok(0)` means EOF. One demand for 1 to `buf.len()`
@@ -256,7 +229,7 @@ impl TcpStream {
     /// [`read_chunks_min`](Self::read_chunks_min)'s, whose pickup is
     /// copied into `buf`.
     pub fn read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        Self::wait(Self::READ_WAIT, || self.poll_copy(buf))?
+        ctx::park_io(|| self.poll_read_some(buf))
     }
 
     /// [`read_some`](Self::read_some) for a caller that must not park: the
@@ -265,17 +238,11 @@ impl TcpStream {
     /// when it is met; asked again with a buffer as long, the call collects
     /// what the blocking one would have.
     pub fn poll_read_some(&self, buf: &mut [u8]) -> io::Result<usize> {
-        self.poll_copy(buf)?
-            .unwrap_or_else(|| Err(ctx::would_block(Self::READ_WAIT)))
-    }
-
-    /// One look at a scalar read. `None` = still short, with the demand
-    /// and the task's waker on the TCB.
-    fn poll_copy(&self, buf: &mut [u8]) -> io::Result<Option<io::Result<usize>>> {
         if buf.is_empty() {
-            return Ok(Some(Ok(0)));
+            return Ok(0);
         }
-        self.with_tcb(|tcb, now| tcb.read_copy(now, buf, ctx::waker()))
+        let read = self.with_tcb(|tcb, now| tcb.read_copy(now, buf, ctx::waker()))?;
+        read.unwrap_or_else(|| Err(ctx::would_block(Self::READ_WAIT)))
     }
 
     /// Blocking write of one whole block, zero-copy: accepted bytes enter
@@ -285,8 +252,7 @@ impl TcpStream {
     /// at event time and this call parks just once, waking when every byte
     /// is queued (or the connection dies) instead of once per ACK.
     pub fn write_block(&self, block: Bytes) -> io::Result<()> {
-        let mut first = Some((block, 0));
-        Self::wait(Self::WRITE_WAIT, || self.poll_write(first.take()))?
+        ctx::park_io(|| self.poll_write_block(&block))
     }
 
     /// The park reason of every blocking write, and the would-block reason
@@ -294,23 +260,17 @@ impl TcpStream {
     pub const WRITE_WAIT: &'static str = "tcp write";
 
     /// [`write_block`](Self::write_block) for a caller that must not park:
-    /// `Some(block)` stages it, `None` collects it. `Err(WouldBlock)` while
-    /// bytes of it are unqueued; woken when none are or the connection dies.
-    pub fn poll_write_block(&self, first: Option<Bytes>) -> io::Result<()> {
-        self.poll_write(first.map(|block| (block, 0)))?
-            .unwrap_or_else(|| Err(ctx::would_block(Self::WRITE_WAIT)))
+    /// `block` staged, or the write this socket has staged collected.
+    /// `Err(WouldBlock)` while bytes of it are unqueued; woken when none
+    /// are or the connection dies, and asked again with the same block.
+    pub fn poll_write_block(&self, block: &Bytes) -> io::Result<()> {
+        self.poll_write(|| (block.clone(), 0))
     }
 
-    /// One look at a block write: stage a block the caller made by copying
-    /// `copied` bytes, or collect the one staged. `None` = not all queued.
-    fn poll_write(&self, first: Option<(Bytes, usize)>) -> io::Result<Option<io::Result<()>>> {
-        self.with_tcb(|tcb, now| match first {
-            Some((block, copied)) => {
-                tcb.stats.bytes_copied += copied as u64;
-                tcb.write_staged(now, block, ctx::waker())
-            }
-            None => tcb.collect_staged_write(now),
-        })
+    /// One look at a write: [`Tcb::write_staged`] of `block()`.
+    fn poll_write(&self, block: impl FnOnce() -> (Bytes, usize)) -> io::Result<()> {
+        let written = self.with_tcb(|tcb, now| tcb.write_staged(now, block, ctx::waker()))?;
+        written.unwrap_or_else(|| Err(ctx::would_block(Self::WRITE_WAIT)))
     }
 
     /// Blocking read of at least `min` bytes (unless EOF intervenes),
@@ -334,7 +294,7 @@ impl TcpStream {
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        Self::wait(Self::READ_WAIT, || self.poll_chunks(min, max, out))?
+        ctx::park_io(|| self.poll_read_chunks_min(min, max, out))
     }
 
     /// [`read_chunks_min`](Self::read_chunks_min) without parking, for a
@@ -348,22 +308,11 @@ impl TcpStream {
         max: usize,
         out: &mut Vec<Bytes>,
     ) -> io::Result<usize> {
-        self.poll_chunks(min, max, out)?
-            .unwrap_or_else(|| Err(ctx::would_block(Self::READ_WAIT)))
-    }
-
-    /// One look at a chunked read: stage the demand, or collect the one
-    /// staged (a connection has one reader at a time). `None` = still
-    /// short, with the demand and the task's waker on the TCB.
-    fn poll_chunks(
-        &self,
-        min: usize,
-        max: usize,
-        out: &mut Vec<Bytes>,
-    ) -> io::Result<Option<io::Result<usize>>> {
         if max == 0 || min == 0 {
-            return Ok(Some(Ok(0)));
+            return Ok(0);
         }
+        // Stage the demand, or collect the one staged (a connection has
+        // one reader at a time).
         let staged = self.with_tcb(|tcb, now| {
             if tcb.read_is_staged() {
                 tcb.collect_staged_read(now)
@@ -371,10 +320,9 @@ impl TcpStream {
                 tcb.read_staged(now, min, max, out, ctx::waker())
             }
         })?;
-        Ok(staged.map(|(chunks, read)| {
-            *out = chunks;
-            read
-        }))
+        let (chunks, read) = staged.ok_or_else(|| ctx::would_block(Self::READ_WAIT))?;
+        *out = chunks;
+        read
     }
 
     /// Toggle Nagle's algorithm (paper §4.1: NetIbis disables it and
@@ -432,13 +380,15 @@ impl TcpStream {
     /// Block until all written data has been acknowledged by the peer —
     /// useful for bandwidth measurements that must not count buffered bytes.
     pub fn drain(&self) -> io::Result<()> {
-        self.wait_tcb("tcp drain", |tcb, _| {
-            if tcb.error().is_some() || tcb.send_space() == tcb.cfg.send_buf as usize {
-                return Some(());
-            }
-            // Woken once when the queue empties, not on every ACK.
-            tcb.drain_wakers.push(ctx::waker());
-            None
+        ctx::park_io(|| {
+            self.with_tcb(|tcb, _| {
+                if tcb.error().is_some() || tcb.send_space() == tcb.cfg.send_buf as usize {
+                    return Ok(());
+                }
+                // Woken once when the queue empties, not on every ACK.
+                tcb.drain_wakers.push(ctx::waker());
+                Err(ctx::would_block("tcp drain"))
+            })?
         })
     }
 }

@@ -1141,24 +1141,31 @@ impl Tcb {
     // A connection has one reader and one writer at a time; where several
     // tasks write one socket, they already take turns under a lock.
 
-    /// Write `block` zero-copy: queue what the send buffer takes now and
-    /// stage the rest. `None` = staged; the writer parks until
-    /// [`collect_staged_write`](Self::collect_staged_write) answers.
+    /// Write `block()` zero-copy — the block, and how many of its bytes the
+    /// caller copied to make it — queuing what the send buffer takes now
+    /// and staging the rest; or, with a write staged (a connection has one
+    /// writer at a time), collect that one as
+    /// [`collect_staged_write`](Self::collect_staged_write) does. `None` =
+    /// not all queued; the writer parks, and asked again collects it.
     pub(crate) fn write_staged(
         &mut self,
         now: SimTime,
-        block: Bytes,
+        block: impl FnOnce() -> (Bytes, usize),
         waker: Waker,
     ) -> Option<io::Result<()>> {
+        if self.snd.pending.is_some() {
+            return self.collect_staged_write(now);
+        }
+        let (rest, copied) = block();
+        self.stats.bytes_copied += copied as u64;
         let mut pw = PendingWrite {
-            rest: block,
+            rest,
             err: None,
             waker,
         };
         if self.refill(now, &mut pw) {
             return Some(pw.result());
         }
-        debug_assert!(self.snd.pending.is_none(), "one writer at a time");
         self.snd.pending = Some(pw);
         None
     }
@@ -2614,7 +2621,9 @@ mod tests {
     fn block_larger_than_send_buffer_stages_once_and_completes() {
         let (mut a, mut b) = established_pair();
         let block = Bytes::from((0..300_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-        assert!(a.write_staged(T0, block.clone(), idle_waker()).is_none());
+        assert!(a
+            .write_staged(T0, || (block.clone(), 0), idle_waker())
+            .is_none());
         assert_eq!(a.snd.q.len(), a.cfg.send_buf as usize, "a prefix is queued");
         assert!(a.collect_staged_write(T0).is_none(), "buffer still full");
         let (_, delivered) = clocked_transfer(&mut a, &mut b, |a| a.service_pending(T0), None);

@@ -128,24 +128,18 @@ impl UdpSocket {
 
     /// Receive one datagram, blocking in simulated time.
     pub fn recv_from(&self) -> io::Result<(SockAddr, Vec<u8>)> {
-        loop {
-            let port = self.addr.port;
-            let got = self.net.with(|w| {
+        let port = self.addr.port;
+        ctx::park_io(|| {
+            self.net.with(|w| {
                 with_udp(w, self.node, |h, _| {
                     let s = h.sockets.get_mut(&port).expect("bound socket state");
-                    if let Some(x) = s.queue.pop_front() {
-                        Some(x)
-                    } else {
+                    s.queue.pop_front().ok_or_else(|| {
                         s.wakers.push(ctx::waker());
-                        None
-                    }
+                        ctx::would_block("udp recv")
+                    })
                 })
-            });
-            match got {
-                Some(x) => return Ok(x),
-                None => ctx::park("udp recv"),
-            }
-        }
+            })
+        })
     }
 }
 

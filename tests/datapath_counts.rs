@@ -201,7 +201,7 @@ fn stage_agg(blocks: Vec<Bytes>) {
     in_sim(move || write_all_blocks(BlockWriter::new(NullSink, BlockPool::new(BLOCK)), &blocks));
 }
 
-/// Striping stage alone: 4 per-stream daemons splitting the run.
+/// Striping stage alone: 4 per-stream writer tasks splitting the run.
 fn stage_stripe4(blocks: Vec<Bytes>) {
     in_sim(move || {
         let cpu = HostCpu::new(CpuModel::new(), NodeId(0), CpuRates::unlimited());
@@ -257,7 +257,7 @@ fn datapath_counts_are_the_recorded_ones() {
         (6114, 48749),
         "e2e/tcp_block_plain (segs_sent, bytes_copied)"
     );
-    let stripe4 = allocs_within("e2e/stripe4", e2e_bytes, 16.2, || {
+    let stripe4 = allocs_within("e2e/stripe4", e2e_bytes, 13.2, || {
         e2e_run(StackSpec::plain().with_streams(4))
     });
     assert_eq!(
@@ -291,7 +291,7 @@ fn datapath_counts_are_the_recorded_ones() {
     type Stage = fn(Vec<Bytes>);
     let stages: [(&str, f64, Stage); 3] = [
         ("stage/agg", 0.1, stage_agg),
-        ("stage/stripe4", 1.3, stage_stripe4),
+        ("stage/stripe4", 0.2, stage_stripe4),
         ("stage/gridzip", 0.6, stage_gridzip),
     ];
     for (row, recorded, stage) in stages {

@@ -338,14 +338,13 @@ fn a_round_trip_over_a_gtls_link_costs_its_pinned_grants_and_parks() {
 }
 
 /// Over `wan_integrated`'s stack — four streams, each under GTLS, and
-/// gridzip level 1 above them — every receive layer resumes where it would
-/// block, so the pump and each stream's reader are inline tasks. A warm
-/// round trip costs four grants, as over a plain four-stream stack: the
-/// direct link's two, and one per message for the stream writer that
-/// sends it (a task with a worker). The parent's blocking pump reads and
-/// thread stripe readers cost eight. The parks are the same by name, and
-/// the rounds start no thread (nor did the parent's: their workers were
-/// taken when the link was set up).
+/// gridzip level 1 above them — every layer of a stream resumes where it
+/// would block, reading and writing, so the pump and each stream's reader
+/// and writer are inline tasks. A warm round trip costs the direct link's
+/// two grants; with each stream's writer a task on a worker it cost four,
+/// and eight with the pump's reads and the stream readers on workers too.
+/// The parks are the ones the threads made, by name, and the rounds start
+/// no thread.
 #[test]
 fn a_round_trip_over_a_compressed_striped_gtls_link_costs_its_pinned_grants_and_parks() {
     const ROUNDS: u64 = 100;
@@ -365,13 +364,38 @@ fn a_round_trip_over_a_compressed_striped_gtls_link_costs_its_pinned_grants_and_
         .collect();
     assert_eq!(
         spent[&GRANTS],
-        4 * ROUNDS as i64,
+        2 * ROUNDS as i64,
         "grants over {ROUNDS} round trips"
     );
     let expect = ["queue pop 600", "sleep 2800", "tcp read 800"].map(|p| format!("task/parks/{p}"));
     assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
     assert_eq!(
         spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
+}
+
+/// Over four plain streams the same: each stream's writer is an inline
+/// task, woken by the block pushed into its queue, so a warm round trip
+/// costs the direct link's two grants (four with the writers on workers),
+/// and the rounds start no thread.
+#[test]
+fn a_round_trip_over_a_plain_four_stream_link_costs_two_grants() {
+    const ROUNDS: u64 = 100;
+    let sim = Sim::new(42);
+    let hosts = open_pair(&sim);
+    let open = ConnectivityProfile::open;
+    let four = StackSpec::plain().with_streams(4);
+    let (method, phases) = round_trips(&sim, hosts, (open(), open()), four, ROUNDS, 256, None);
+    assert_eq!(method, EstablishMethod::ClientServer);
+    assert_eq!(
+        phases[0][&GRANTS],
+        2 * ROUNDS as i64,
+        "grants over {ROUNDS} round trips"
+    );
+    assert_eq!(
+        phases[0].get(&THREADS),
         None,
         "threads started over {ROUNDS} rounds"
     );
@@ -527,10 +551,11 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
 
 /// The same over four streams, each under GTLS: each end runs the four
 /// handshakes in the task that assembles its stack, polled in one loop over
-/// the links that do not park, so a round costs the plain four-stream
-/// connect's 22 switches and six more — and no `join`. With a task per
-/// stream's handshake, joined in stream order, it cost 58 (160 `join` parks
-/// over the rounds); one stream under GTLS costs 5.
+/// the links that do not park, and each stream's writer is an inline task,
+/// so a round costs the plain four-stream connect's 9 switches and two
+/// more — and no `join`. With the writers on workers it cost 28 (the plain
+/// connect 22), and 58 with a task per stream's handshake, joined in stream
+/// order; one stream under GTLS costs 5.
 #[test]
 fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
@@ -548,7 +573,7 @@ fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
     );
     assert_eq!(
         spent[&GRANTS],
-        28 * ROUNDS as i64,
+        11 * ROUNDS as i64,
         "grants over {ROUNDS} rounds"
     );
     let joins = Metric("task/parks", None, "join");
