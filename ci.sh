@@ -41,10 +41,12 @@
 #           `poll_accept`), no SOCKS tunnel direction on a thread of its
 #           own (socks.rs spawns `socks-conn` only, in `spawn_proxy`),
 #           and no service reader on one either: the service links'
-#           pumps, the relay's readers and shard writers and the name
-#           server's readers are async tasks, so link.rs and
-#           nameservice.rs spawn no daemon, relay/server.rs only in
-#           `spawn_relay_mesh` (peer dials) and `query_route`; no hand-written
+#           pumps, the relay's readers, shard writers, mesh-peer dials and
+#           route-pull timeouts and the name server's readers are async
+#           tasks, so link.rs, nameservice.rs and relay/server.rs spawn no
+#           daemon; the relay and the name server poll end to end, with
+#           no blocking section (`blocking(`) in relay/server.rs or
+#           nameservice.rs and no `send_inline` fork in core; no hand-written
 #           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
 #           `Step::`), the receive pump an async body that only
 #           `add_link` starts, with no `ctx::park` in port.rs; and no
@@ -349,17 +351,25 @@ stage_clippy() {
     echo "  an accept loop or a tunnel direction is an async task (next_conn, pump_one_way)"
     return 1
   fi
-  # The service links' pumps, the relay's connection readers and shard
-  # writers, the name server's connection readers and both servers' accept
-  # loops are async tasks too (SchedHandle::spawn_async): daemons are only
-  # a relay's mesh-peer dials and its route-pull timeout.
+  # The service links' pumps, the relay's connection readers, shard
+  # writers, mesh-peer dials and route-pull timeouts, the name server's
+  # connection readers and both servers' accept loops are async tasks too
+  # (SchedHandle::spawn_async): none of the three files spawns a daemon.
   local ns relay
   ns=$(fns_calling 'spawn_daemon\(' crates/core/src/nameservice.rs)
   relay=$(fns_calling 'spawn_daemon\(' crates/core/src/relay/server.rs)
   if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ -n "$ns" ] \
-    || [ "$relay" != "spawn_relay_mesh query_route" ]; then
+    || [ -n "$relay" ]; then
     echo "a service reader on a thread of its own: link.rs [$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)]," \
       "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_async"
+    return 1
+  fi
+  # The relay and the name server poll end to end (DESIGN.md §6a): every
+  # handler that may wait is awaited, so a frame has one path — no
+  # blocking section in either, and no inline twin of a relay handler.
+  if grep -nE '\bblocking\(' crates/core/src/relay/server.rs crates/core/src/nameservice.rs \
+    || grep -rn 'send_inline' crates/core/src; then
+    echo "a blocking section in the relay or the name server, or a second path per frame (lines above); await the poll instead"
     return 1
   fi
   # A task that must not block is an async body: no hand-written step

@@ -6,9 +6,10 @@
 //!
 //! * [`BootstrapSocketFactory`] — builds connections *without* any
 //!   pre-existing link: plain client/server TCP, optionally through a
-//!   SOCKS proxy. Its dial is the only one: name-service and relay
+//!   SOCKS proxy. Its dial is a node's only one: name-service and relay
 //!   connections, and the streams of the client/server and proxy
-//!   connectors.
+//!   connectors. (A relay dials its mesh peers, and the name server a
+//!   CONNECT_BACK, with `SimHost::connect_start`, awaited.)
 //! * [`BrokeredSocketFactory`] — one per node, what its Figure-4
 //!   connectors share ([`EstablishMethod::connector`]): the NAT gate, the
 //!   splice ports and negotiations, and the service link to the relay that

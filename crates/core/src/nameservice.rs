@@ -10,7 +10,8 @@
 //! pipelines every request on it ([`NsClient`]), so a lookup costs one
 //! round trip and no new NAT flow. Only NAT-prediction probes (`OBSERVED`)
 //! open fresh connections: what they measure is the mapping a new flow
-//! gets.
+//! gets. The server's accept loops and readers are async tasks, and every
+//! request, CONNECT_BACK's dial included, is answered in its reader's poll.
 //!
 //! The server listens on two consecutive ports; probing both from the same
 //! local port distinguishes cone NAT (same external port observed twice)
@@ -19,7 +20,7 @@
 //! proper communication methods").
 
 use bytes::Bytes;
-use gridsim_net::ctx::{self, blocking};
+use gridsim_net::ctx;
 use gridsim_net::SockAddr;
 use gridsim_tcp::{ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
@@ -72,27 +73,15 @@ struct NsConn {
 
 impl NsConn {
     /// Answer requests until the client closes; a request that does not
-    /// decode ends the connection. A CONNECT_BACK, whose dial blocks, is
-    /// answered in a blocking section.
-    async fn serve(mut self) {
+    /// decode ends the connection.
+    async fn serve(self) {
         let mut requests = FrameStream::new(self.conn.clone());
         loop {
             let read = ctx::wait_io(|| requests.poll_frame()).await;
-            let reply = match read.map(|r| NsRequest::decode(&r)) {
-                Ok(Ok(req @ NsRequest::ConnectBack { .. })) => {
-                    let answered = blocking(|| {
-                        let reply = self.answer(req);
-                        reply.send(&mut self.conn)
-                    })
-                    .await;
-                    if answered.is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(Ok(req)) => self.answer(req).into_frame(),
-                _ => return,
+            let Ok(req) = read.and_then(|r| NsRequest::decode(&r)) else {
+                return;
             };
+            let reply = self.answer(req).await.into_frame();
             let written = ctx::wait_io(|| self.conn.poll_write_block(&reply)).await;
             if written.is_err() {
                 return;
@@ -100,8 +89,8 @@ impl NsConn {
         }
     }
 
-    /// The reply to `req`; only CONNECT_BACK's, a dial, may park.
-    fn answer(&self, req: NsRequest) -> FrameWriter {
+    /// The reply to `req`; only CONNECT_BACK's, a dial, waits.
+    async fn answer(&self, req: NsRequest) -> FrameWriter {
         let state = &self.state;
         match req {
             NsRequest::Register { node } => {
@@ -148,15 +137,16 @@ impl NsConn {
                     syn_retries: 1,
                     ..self.host.tcp_config()
                 };
-                let outcome = self.host.connect_opts(
-                    target,
-                    ConnectOpts {
-                        local_port: None,
-                        cfg: Some(cfg),
-                    },
-                );
+                let opts = ConnectOpts {
+                    local_port: None,
+                    cfg: Some(cfg),
+                };
+                let outcome = match self.host.connect_start(target, opts) {
+                    Ok(conn) => ctx::wait_io(|| conn.poll_established()).await,
+                    Err(e) => Err(e),
+                };
                 let refused = |e: io::Error| e.kind() == io::ErrorKind::ConnectionRefused;
-                Reply::Ok(outcome.map_or_else(refused, |_| true)).encode()
+                Reply::Ok(outcome.map_or_else(refused, |()| true)).encode()
             }
             NsRequest::ListPorts => {
                 let names: Vec<_> = state.lock().ports.keys().cloned().collect();

@@ -1,19 +1,26 @@
-//! The relay server: an accept loop, one reader per connection, and per
-//! recipient a shard — a bounded queue and the worker that drains it into
+//! The relay server: an accept loop, one reader per connection — a
+//! client's or a mesh link's, its role fixed by its first frame — and per
+//! recipient a shard, a bounded queue and the worker that drains it into
 //! the recipient's connection. Meshed relays forward to each other and
 //! keep a node-id → home-relay routing table.
+//!
+//! Every task here is an async task (DESIGN.md §6a): the accept loop, the
+//! readers, the shard writers, each mesh peer's dial loop and a route
+//! pull's timeout. Whatever may park — a full shard queue, a writer lock,
+//! a socket write, a dial, a redial's backoff — is awaited as the poll its
+//! blocking form parks on, so a frame has one path and no task takes a
+//! thread.
 
 use bytes::Bytes;
-use gridsim_net::ctx::{self, blocking, wait};
+use gridsim_net::ctx::{self, wait};
 use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr, Timer};
-use gridsim_tcp::{SimHost, TcpStream};
+use gridsim_tcp::{ConnectOpts, SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::establish::factory::BootstrapSocketFactory;
 use crate::link::{next_conn, Backoff};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
@@ -86,16 +93,15 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
     let acceptor = Arc::clone(&relay);
     relay.sched.spawn_async("mesh-relay-accept", async move {
         while let Ok(conn) = next_conn(&listener).await {
-            let reader = Arc::clone(&acceptor).read(conn);
+            let reader = Arc::clone(&acceptor).read(conn, Role::Accepted);
             acceptor.sched.spawn_async("mesh-relay-conn", reader);
         }
     });
     for addr in cfg.peers {
-        let (r, h) = (Arc::clone(&relay), host.clone());
-        let name = format!("mesh-peer-dial-{addr}");
+        let dials = Arc::clone(&relay).peer_dial_loop(host.clone(), addr);
         relay
             .sched
-            .spawn_daemon(name, move || r.peer_dial_loop(&h, addr));
+            .spawn_async(format!("mesh-peer-dial-{addr}"), dials);
     }
     Ok(())
 }
@@ -105,6 +111,19 @@ pub fn spawn_relay_mesh(host: &SimHost, port: u16, cfg: RelayConfig) -> io::Resu
 enum Owner {
     Client(GridId),
     Peer(u64),
+}
+
+/// What a connection is to this relay: fixed by its first frame, and a
+/// frame its role does not take ends the connection.
+enum Role {
+    /// Accepted, nothing said yet: a HELLO makes it a client's, a
+    /// PEER_HELLO a mesh link.
+    Accepted,
+    /// Dialed to a mesh peer, our PEER_HELLO said: the peer's makes it a
+    /// mesh link.
+    Dialed,
+    Client(GridId, OutQueue),
+    Peer(u64, OutQueue),
 }
 
 /// Where a frame entered this relay, deciding how a failure is reported:
@@ -156,6 +175,16 @@ impl Shard {
     fn kill(&self) {
         self.dead.store(true, Ordering::Relaxed);
         self.q.close();
+    }
+
+    /// Queue `item`, waiting while the queue is full: [`SimQueue::push`],
+    /// awaited. `Err(item)` when the queue closed.
+    async fn push(&self, item: OutItem) -> Result<(), OutItem> {
+        let mut slot = Some(item);
+        wait(SimQueue::<OutItem>::PUSH_WAIT, || {
+            self.q.poll_push(&mut slot)
+        })
+        .await
     }
 
     /// A run, `bytes` of payload, as one buffer with its headers.
@@ -238,7 +267,7 @@ impl MeshRelay {
 
     /// (Re-)register `id` as homed here on `q`, superseding any older
     /// registration, and push the route to the mesh.
-    fn assert_local(self: &Arc<Self>, id: GridId, q: &OutQueue) {
+    async fn assert_local(self: &Arc<Self>, id: GridId, q: &OutQueue) {
         let epoch = self.sched.now().as_nanos();
         let entry = LocalEntry {
             q: Arc::clone(q),
@@ -251,14 +280,15 @@ impl MeshRelay {
             old.q.kill();
         }
         self.remote.lock().remove(&id);
-        self.broadcast_route(RelayMsg::RouteAdd { node: id, epoch });
-        self.flush_waiting(id);
+        self.broadcast_route(RelayMsg::RouteAdd { node: id, epoch })
+            .await;
+        self.flush_waiting(id).await;
     }
 
     /// A connection ended: unregister its shard — only if the table still
     /// holds *this* one, a reconnect may have superseded it — and re-resolve
     /// what the shard still held.
-    fn conn_dead(self: &Arc<Self>, q: &OutQueue) {
+    async fn conn_dead(self: &Arc<Self>, q: &OutQueue) {
         let unregistered = match q.owner {
             Owner::Client(id) => {
                 let mut l = self.local.lock();
@@ -275,60 +305,57 @@ impl MeshRelay {
         };
         q.kill();
         while let Some(item) = q.q.try_pop() {
-            self.reroute_item(item);
+            self.reroute_item(item).await;
         }
         if let Some((id, epoch)) = unregistered {
-            self.broadcast_route(RelayMsg::RouteDel { node: id, epoch });
+            self.broadcast_route(RelayMsg::RouteDel { node: id, epoch })
+                .await;
         }
     }
 
     /// Dial a mesh peer (which may restart at any time) along
-    /// [`PEER_DIAL`]. Every dial counts, one whose link served and then
-    /// died included: a peer dead past the whole ladder is assumed gone for
-    /// good (its clients fail over to the survivors), and giving up lets a
-    /// simulation with a crashed relay wind down instead of redialing
-    /// forever.
-    fn peer_dial_loop(self: &Arc<Self>, host: &SimHost, addr: SockAddr) {
-        let _ = self.peer_dial_once(host, addr);
+    /// [`PEER_DIAL`], waiting out each delay as `ctx::sleep` does. Every
+    /// dial counts, one whose link served and then died included: a peer
+    /// dead past the whole ladder is assumed gone for good (its clients
+    /// fail over to the survivors), and giving up lets a simulation with a
+    /// crashed relay wind down instead of redialing forever.
+    async fn peer_dial_loop(self: Arc<Self>, host: SimHost, addr: SockAddr) {
+        let _ = self.peer_dial_once(&host, addr).await;
         for delay in PEER_DIAL.delays() {
-            gridsim_net::ctx::sleep(delay);
-            let _ = self.peer_dial_once(host, addr);
+            let at = ctx::now() + delay;
+            ctx::wake_at(at);
+            let _ = ctx::wait_io(|| ctx::reached(at)).await;
+            let _ = self.peer_dial_once(&host, addr).await;
         }
     }
 
-    /// Dial one mesh peer, handshake, and serve the link until it dies.
-    fn peer_dial_once(self: &Arc<Self>, host: &SimHost, addr: SockAddr) -> io::Result<()> {
-        let factory = BootstrapSocketFactory::new(host.clone(), None);
-        let conn = factory.connect(addr)?;
-        self.peer_hello(&conn)?;
-        let mut reader = FrameStream::new(conn.clone());
-        let RelayMsg::PeerHello { mesh_id } = RelayMsg::decode(&reader.next_frame()?)? else {
-            return Err(io::ErrorKind::InvalidData.into());
-        };
-        self.run_peer(mesh_id, conn, &mut reader)
+    /// Dial one mesh peer, say PEER_HELLO, and read the link until it dies.
+    /// The dial is `SimHost::connect`'s: a relay dials with no proxy, and
+    /// under no NAT gate that serializes. A local `AddrInUse` is not
+    /// retried at 50 ms as a node's dial is: the ladder redials.
+    async fn peer_dial_once(self: &Arc<Self>, host: &SimHost, addr: SockAddr) -> io::Result<()> {
+        let conn = host.connect_start(addr, ConnectOpts::default())?;
+        ctx::wait_io(|| conn.poll_established()).await?;
+        self.peer_hello(&conn).await?;
+        Arc::clone(self).read(conn, Role::Dialed).await;
+        Ok(())
     }
 
     /// Introduce ourselves on a mesh link: the first frame, both ways.
-    fn peer_hello(&self, conn: &TcpStream) -> io::Result<()> {
+    async fn peer_hello(&self, conn: &TcpStream) -> io::Result<()> {
         let mesh_id = self.cfg.mesh_id;
-        RelayMsg::PeerHello { mesh_id }
-            .encode()
-            .send(&mut conn.clone())
+        let hello = RelayMsg::PeerHello { mesh_id }.encode().into_frame();
+        ctx::wait_io(|| conn.poll_write_block(&hello)).await
     }
 
-    /// Register a handshaken mesh link and serve it until it dies.
-    fn run_peer(
-        self: &Arc<Self>,
-        pid: u64,
-        conn: TcpStream,
-        reader: &mut FrameStream,
-    ) -> io::Result<()> {
+    /// Register a handshaken mesh link: its shard, and our whole local
+    /// table queued on it — the "push on register" half of the protocol,
+    /// batched so a (re)joining peer converges immediately.
+    async fn start_peer(self: &Arc<Self>, pid: u64, conn: TcpStream) -> Role {
         let q = self.spawn_shard(Owner::Peer(pid), conn);
         // Both ends dial, so a pair may hold two links; the latest wins for
         // sends, the older one keeps draining until its connection dies.
         self.peers.lock().insert(pid, q.clone());
-        // Push our whole local table — the "push on register" half of the
-        // protocol, batched so a (re)joining peer converges immediately.
         let table: Vec<(GridId, u64)> = self
             .local
             .lock()
@@ -336,59 +363,15 @@ impl MeshRelay {
             .map(|(id, e)| (*id, e.epoch))
             .collect();
         for (node, epoch) in table {
-            let f = RelayMsg::RouteAdd { node, epoch }.encode();
-            let (route, bytes) = (None, f.into_frame());
-            let _ = q.q.push(OutItem { route, bytes });
+            let bytes = RelayMsg::RouteAdd { node, epoch }.encode().into_frame();
+            let _ = q.push(OutItem { route: None, bytes }).await;
         }
-        let res = self.serve_peer(pid, reader);
-        self.conn_dead(&q);
-        res
-    }
-
-    fn serve_peer(self: &Arc<Self>, pid: u64, reader: &mut FrameStream) -> io::Result<()> {
-        loop {
-            match RelayMsg::decode(&reader.next_frame()?)? {
-                RelayMsg::RouteAdd { node, epoch } => self.route_add(pid, node, epoch),
-                RelayMsg::RouteDel { node, epoch } => {
-                    let mut rt = self.remote.lock();
-                    if rt
-                        .get(&node)
-                        .is_some_and(|e| e.relay == pid && e.epoch <= epoch)
-                    {
-                        rt.remove(&node);
-                    }
-                }
-                RelayMsg::RouteQuery { node } => {
-                    let ans = self.local.lock().get(&node).map(|e| e.epoch);
-                    let (found, epoch) = (ans.is_some(), ans.unwrap_or(0));
-                    self.frame_to_peer(pid, RelayMsg::RouteRsp { node, found, epoch });
-                }
-                RelayMsg::RouteRsp { node, found, epoch } => {
-                    self.route_rsp(pid, node, found, epoch)
-                }
-                RelayMsg::Fwd { from, to, inner } => {
-                    self.handle_send(from, to, inner, Origin::Peer(pid), false)
-                }
-                RelayMsg::FwdFail { from, to, inner } => {
-                    // Our route was stale: drop it and re-resolve — the
-                    // node may have re-registered at a third relay (or back
-                    // here) between our FWD and the bounce.
-                    {
-                        let mut rt = self.remote.lock();
-                        if rt.get(&to).is_some_and(|e| e.relay == pid) {
-                            rt.remove(&to);
-                        }
-                    }
-                    self.handle_send(from, to, inner, Origin::Local, false);
-                }
-                _ => return Err(io::ErrorKind::InvalidData.into()),
-            }
-        }
+        Role::Peer(pid, q)
     }
 
     // ------------------------------------------------------------ routing
 
-    fn route_add(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
+    async fn route_add(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
         // Conflict with a local registration: the newer (epoch, mesh-id)
         // wins; the loser's shard is killed so nothing more is delivered to
         // the stale registration.
@@ -403,12 +386,20 @@ impl MeshRelay {
         if let Some(e) = evicted {
             e.q.kill();
         }
-        self.learn_route(pid, node, epoch);
+        self.learn_route(pid, node, epoch).await;
+    }
+
+    /// Forget `node`'s route if it is `stale`.
+    fn forget_route(&self, node: GridId, stale: impl FnOnce(&RemoteEntry) -> bool) {
+        let mut rt = self.remote.lock();
+        if rt.get(&node).is_some_and(stale) {
+            rt.remove(&node);
+        }
     }
 
     /// Note that `node` is homed at relay `pid` since `epoch`, unless a
     /// newer route is known, and re-resolve the frames parked for it.
-    fn learn_route(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
+    async fn learn_route(self: &Arc<Self>, pid: u64, node: GridId, epoch: u64) {
         {
             let mut rt = self.remote.lock();
             match rt.get(&node) {
@@ -418,10 +409,10 @@ impl MeshRelay {
                 }
             }
         }
-        self.flush_waiting(node);
+        self.flush_waiting(node).await;
     }
 
-    fn route_rsp(self: &Arc<Self>, pid: u64, node: GridId, found: bool, epoch: u64) {
+    async fn route_rsp(self: &Arc<Self>, pid: u64, node: GridId, found: bool, epoch: u64) {
         if found {
             // Only act on a reply we are still waiting for. A reply that
             // straggles in after the query window closed (frames already
@@ -430,7 +421,7 @@ impl MeshRelay {
             // unsolicited learning goes through ADD broadcasts, which
             // carry eviction semantics this path lacks.
             if self.waiting.lock().contains_key(&node) {
-                self.learn_route(pid, node, epoch);
+                self.learn_route(pid, node, epoch).await;
             }
         } else {
             let all_denied = {
@@ -441,72 +432,61 @@ impl MeshRelay {
                 })
             };
             if all_denied {
-                self.fail_waiting(node);
+                self.fail_waiting(node).await;
             }
         }
     }
 
     /// Give up on a route pull: NOPEER every frame parked for `node`.
-    fn fail_waiting(self: &Arc<Self>, node: GridId) {
+    async fn fail_waiting(self: &Arc<Self>, node: GridId) {
         let pend = self.waiting.lock().remove(&node);
         for (from, inner) in pend.map_or(Vec::new(), |p| p.frames) {
-            self.undeliverable(from, node, inner, Origin::Local);
+            self.undeliverable(from, node, inner, Origin::Local).await;
         }
     }
 
     /// Pull: park the frame, ask every peer, resolve on the first positive
     /// answer, NOPEER when all deny or the window closes.
-    fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Bytes) {
+    async fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Bytes) {
         let peer_qs = self.peer_queues();
         if peer_qs.is_empty() {
-            return self.undeliverable(from, to, inner, Origin::Local);
+            return self.undeliverable(from, to, inner, Origin::Local).await;
         }
-        {
-            let mut w = self.waiting.lock();
-            if let Some(p) = w.get_mut(&to) {
-                // A pull for `to` is out already: ride it, up to the cap.
-                if p.frames.len() < ROUTE_WAIT_CAP {
-                    p.frames.push((from, inner));
-                    return;
-                }
-                drop(w);
-                return self.undeliverable(from, to, inner, Origin::Local);
-            }
-            let (weak, at) = (Arc::downgrade(self), self.sched.now() + ROUTE_QUERY_TIMEOUT);
-            let pull = PendingRoute {
-                frames: vec![(from, inner)],
-                outstanding: peer_qs.len(),
-                _deadline: self.sched.timer(at, move || {
-                    let Some(me) = weak.upgrade() else { return };
-                    // Drain in a task: NOPEER writes may park.
-                    let sched = me.sched.clone();
-                    sched.spawn_daemon("route-timeout", move || me.fail_waiting(to));
-                }),
-            };
-            w.insert(to, pull);
+        // A pull for `to` is out already: ride it, up to the cap.
+        let overflow = match self.waiting.lock().get_mut(&to) {
+            Some(p) if p.frames.len() < ROUTE_WAIT_CAP => return p.frames.push((from, inner)),
+            riding => riding.is_some(),
+        };
+        if overflow {
+            return self.undeliverable(from, to, inner, Origin::Local).await;
         }
+        let (weak, at) = (Arc::downgrade(self), self.sched.now() + ROUTE_QUERY_TIMEOUT);
+        let pull = PendingRoute {
+            frames: vec![(from, inner)],
+            outstanding: peer_qs.len(),
+            _deadline: self.sched.timer(at, move || {
+                let Some(me) = weak.upgrade() else { return };
+                // Drain in a task: NOPEER writes may park.
+                let sched = me.sched.clone();
+                sched.spawn_async("route-timeout", async move { me.fail_waiting(to).await });
+            }),
+        };
+        self.waiting.lock().insert(to, pull);
         let f = RelayMsg::RouteQuery { node: to }.encode().into_frame();
-        for pq in peer_qs {
-            let (route, bytes) = (None, f.clone());
-            let _ = pq.q.push(OutItem { route, bytes });
-        }
+        push_all(peer_qs, f).await;
     }
 
     /// Re-resolve frames parked for `node` (route learned, or the node
     /// registered here).
-    fn flush_waiting(self: &Arc<Self>, node: GridId) {
+    async fn flush_waiting(self: &Arc<Self>, node: GridId) {
         let pend = self.waiting.lock().remove(&node);
         for (from, inner) in pend.map_or(Vec::new(), |p| p.frames) {
-            self.handle_send(from, node, inner, Origin::Local, false);
+            self.handle_send(from, node, inner, Origin::Local).await;
         }
     }
 
-    fn broadcast_route(self: &Arc<Self>, route: RelayMsg) {
-        let f = route.encode().into_frame();
-        for pq in self.peer_queues() {
-            let (route, bytes) = (None, f.clone());
-            let _ = pq.q.push(OutItem { route, bytes });
-        }
+    async fn broadcast_route(&self, route: RelayMsg) {
+        push_all(self.peer_queues(), route.encode().into_frame()).await;
     }
 
     /// Every live mesh link, snapshotted: pushing may park.
@@ -517,64 +497,45 @@ impl MeshRelay {
     // --------------------------------------------------------- forwarding
 
     /// Route one client frame: local shard, known remote relay, or pull.
-    /// `retried` bounds the one re-lookup allowed when a registration
-    /// churns between lookup and enqueue.
-    fn handle_send(
-        self: &Arc<Self>,
-        from: GridId,
-        to: GridId,
-        inner: Bytes,
-        origin: Origin,
-        retried: bool,
-    ) {
-        let shard = self.local.lock().get(&to).map(|e| e.q.clone());
-        if let Some(q) = shard {
-            return match self.deliver_local(&q, from, to, &inner) {
-                true => (),
-                // Shard closed under us: the registration died or moved
-                // this instant. Re-resolve once, then give up.
-                false if !retried => self.handle_send(from, to, inner, origin, true),
-                false => self.undeliverable(from, to, inner, origin),
-            };
+    /// A registration that churns between lookup and enqueue gets one
+    /// re-lookup.
+    async fn handle_send(self: &Arc<Self>, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
+        for retried in [false, true] {
+            let shard = self.local.lock().get(&to).map(|e| e.q.clone());
+            let Some(q) = shard else { break };
+            if self.deliver_local(&q, from, to, &inner).await {
+                return;
+            }
+            // Shard closed under us: the registration died or moved this
+            // instant. Re-resolve once, then give up.
+            if retried {
+                return self.undeliverable(from, to, inner, origin).await;
+            }
         }
         match origin {
             // A FWD is never re-forwarded — the origin re-resolves — so a
             // stale mesh route can bounce but never loop.
-            Origin::Peer(_) => self.undeliverable(from, to, inner, origin),
+            Origin::Peer(_) => self.undeliverable(from, to, inner, origin).await,
             Origin::Local => {
                 let hop = self.remote.lock().get(&to).map(|e| e.relay);
                 if let Some(relay) = hop {
                     let pq = self.peers.lock().get(&relay).cloned();
                     if let Some(pq) = pq {
                         let (route, bytes) = (Some((from, to)), inner.clone());
-                        if pq.q.push(OutItem { route, bytes }).is_ok() {
+                        if pq.push(OutItem { route, bytes }).await.is_ok() {
                             return;
                         }
                     }
                 }
-                self.query_route(to, from, inner);
+                self.query_route(to, from, inner).await;
             }
         }
     }
 
-    /// [`handle_send`](Self::handle_send) of a local client's frame, when
-    /// it cannot park: into a local shard the push leaves below its high
-    /// watermark, so it draws no BUSY and is no full push. False, with
-    /// nothing done, otherwise.
-    fn send_inline(self: &Arc<Self>, from: GridId, to: GridId, inner: &Bytes) -> bool {
-        let Some(q) = self.local.lock().get(&to).map(|e| Arc::clone(&e.q)) else {
-            return false;
-        };
-        let backlog = q.q.len() + q.in_hand.load(Ordering::Relaxed);
-        backlog + 1 < q.cap - q.cap / 4
-            && !q.q.is_closed()
-            && self.deliver_local(&q, from, to, inner)
-    }
-
     /// Enqueue into a recipient shard with typed backpressure: BUSY at the
-    /// high watermark, a parked push (never a drop — per-sender FIFO) when
+    /// high watermark, a waiting push (never a drop — per-sender FIFO) when
     /// full. False when the shard closed.
-    fn deliver_local(
+    async fn deliver_local(
         self: &Arc<Self>,
         q: &OutQueue,
         from: GridId,
@@ -586,7 +547,7 @@ impl MeshRelay {
         let item = match q.q.try_push(OutItem { route, bytes }) {
             Ok(()) => {
                 if is_data && q.q.len() + q.in_hand.load(Ordering::Relaxed) >= q.cap - q.cap / 4 {
-                    self.throttle(from, to, q);
+                    self.throttle(from, to, q).await;
                 }
                 return true;
             }
@@ -596,16 +557,17 @@ impl MeshRelay {
             return false;
         }
         if is_data {
-            self.throttle(from, to, q);
+            self.throttle(from, to, q).await;
         }
-        q.q.push(item).is_ok()
+        q.push(item).await.is_ok()
     }
 
-    /// Tell a (local) sender that `to` is running hot. Senders that came
-    /// in over the mesh are backpressured by the FWD path instead.
-    fn throttle(self: &Arc<Self>, from: GridId, to: GridId, q: &OutQueue) {
+    /// Tell a (local) sender that `to` is running hot: the throttle set
+    /// first, then the BUSY. Senders that came in over the mesh are
+    /// backpressured by the FWD path instead.
+    async fn throttle(&self, from: GridId, to: GridId, q: &OutQueue) {
         if q.throttled.lock().insert(from) {
-            self.ctl_to_local(from, RelayMsg::Busy { peer: to });
+            self.ctl_to_local(from, RelayMsg::Busy { peer: to }).await;
         }
     }
 
@@ -614,99 +576,126 @@ impl MeshRelay {
     /// FWD_FAIL back to the origin relay otherwise. A non-local sender on
     /// the Local path (a re-routed leftover) has nowhere to report to; the
     /// sender's own timeout/stream-teardown machinery recovers.
-    fn undeliverable(self: &Arc<Self>, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
+    async fn undeliverable(&self, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
         match origin {
             Origin::Local => {
                 let echo = Some(inner);
-                self.ctl_to_local(from, RelayMsg::Nopeer { to, echo });
+                self.ctl_to_local(from, RelayMsg::Nopeer { to, echo }).await;
             }
-            Origin::Peer(pid) => self.frame_to_peer(pid, RelayMsg::FwdFail { from, to, inner }),
+            Origin::Peer(pid) => {
+                self.frame_to_peer(pid, RelayMsg::FwdFail { from, to, inner })
+                    .await
+            }
         }
     }
 
-    /// Synchronous control write (BUSY/READY/NOPEER) to a local client,
-    /// bypassing its shard queue — these must not sit behind the very
-    /// backlog they report on.
-    fn ctl_to_local(&self, to: GridId, msg: RelayMsg) {
+    /// Control write (BUSY/READY/NOPEER) to a local client, under its
+    /// writer lock, bypassing its shard queue — these must not sit behind
+    /// the very backlog they report on.
+    async fn ctl_to_local(&self, to: GridId, msg: RelayMsg) {
         let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
         if let Some(shard) = shard {
-            let _ = msg.encode().send(&mut *shard.w.lock());
+            let frame = msg.encode().into_frame();
+            let w = wait(SimMutex::<TcpStream>::LOCK_WAIT, || shard.w.poll_lock()).await;
+            let _ = ctx::wait_io(|| w.poll_write_block(&frame)).await;
         }
     }
 
-    fn frame_to_peer(&self, pid: u64, msg: RelayMsg) {
+    async fn frame_to_peer(&self, pid: u64, msg: RelayMsg) {
         let pq = self.peers.lock().get(&pid).cloned();
         if let Some(pq) = pq {
-            let (route, bytes) = (None, msg.encode().into_frame());
-            let _ = pq.q.push(OutItem { route, bytes });
+            let bytes = msg.encode().into_frame();
+            let _ = pq.push(OutItem { route: None, bytes }).await;
         }
     }
 
-    fn release_throttled(&self, q: &OutQueue) {
+    async fn release_throttled(&self, q: &OutQueue) {
         // Only client shards ever throttle anyone.
         let Owner::Client(id) = q.owner else { return };
         let drained: Vec<GridId> = q.throttled.lock().drain().collect();
         for s in drained {
-            self.ctl_to_local(s, RelayMsg::Ready { peer: id });
+            self.ctl_to_local(s, RelayMsg::Ready { peer: id }).await;
         }
     }
 
     /// Re-resolve a queue leftover after its connection died or moved: an
     /// undelivered client frame chases its recipient through whatever route
     /// resolution finds now. Control frames are dropped with their link.
-    fn reroute_item(self: &Arc<Self>, item: OutItem) {
+    async fn reroute_item(self: &Arc<Self>, item: OutItem) {
         if let Some((from, to)) = item.route {
-            self.handle_send(from, to, item.bytes, Origin::Local, false);
+            self.handle_send(from, to, item.bytes, Origin::Local).await;
         }
     }
 
     // -------------------------------------------------------------- tasks
 
-    /// One connection's reader. Nobody's until its first frame: a client's
-    /// HELLO registers a shard and the reader serves that client, a mesh
-    /// peer's link is served in a blocking section for its life. A SEND that
-    /// cannot park is forwarded in place ([`MeshRelay::send_inline`]); any
-    /// other, a HELLO and the end of a client's connection are blocking
-    /// sections.
-    async fn read(self: Arc<Self>, conn: TcpStream) {
+    /// One connection's reader, a client's or a mesh link's: `role` is
+    /// what it is so far, and its first frame fixes the rest. A client's
+    /// HELLO registers a shard and the reader forwards that client's SENDs;
+    /// a peer's PEER_HELLO, answered in kind on an accepted link, makes it
+    /// a mesh link, and the reader applies its route updates and forwards
+    /// its FWDs. A frame the role does not take, or the connection's end,
+    /// ends the reader: a registered shard is unregistered, and what it
+    /// still held re-resolved.
+    async fn read(self: Arc<Self>, conn: TcpStream, mut role: Role) {
         let mut frames = FrameStream::new(conn.clone());
-        // The client that said HELLO here, and its shard.
-        let mut client: Option<(GridId, OutQueue)> = None;
         loop {
             let read = ctx::wait_io(|| frames.poll_frame()).await;
-            match (&client, read.and_then(|frame| RelayMsg::decode(&frame))) {
-                (&Some((id, _)), Ok(RelayMsg::Send { to, inner })) => {
-                    if !self.send_inline(id, to, &inner) {
-                        blocking(|| self.handle_send(id, to, inner, Origin::Local, false)).await;
-                    }
+            let Ok(msg) = read.and_then(|frame| RelayMsg::decode(&frame)) else {
+                break;
+            };
+            match (&role, msg) {
+                (&Role::Client(id, _), RelayMsg::Send { to, inner }) => {
+                    self.handle_send(id, to, inner, Origin::Local).await
                 }
                 // Re-HELLO probe: re-assert the registration (it may have
                 // been evicted towards this still-live connection) and
                 // re-push the route so the mesh heals with it.
-                (Some((id, q)), Ok(RelayMsg::Hello { .. })) => {
-                    blocking(|| self.assert_local(*id, q)).await
+                (Role::Client(id, q), RelayMsg::Hello { .. }) => self.assert_local(*id, q).await,
+                (Role::Accepted, RelayMsg::Hello { id }) => {
+                    let q = self.spawn_shard(Owner::Client(id), conn.clone());
+                    self.assert_local(id, &q).await;
+                    role = Role::Client(id, q);
                 }
-                (None, Ok(RelayMsg::Hello { id })) => {
-                    let q = blocking(|| {
-                        let q = self.spawn_shard(Owner::Client(id), conn.clone());
-                        self.assert_local(id, &q);
-                        q
-                    });
-                    client = Some((id, q.await));
+                (Role::Accepted, RelayMsg::PeerHello { mesh_id }) => {
+                    if self.peer_hello(&conn).await.is_err() {
+                        return;
+                    }
+                    role = self.start_peer(mesh_id, conn.clone()).await;
                 }
-                (None, Ok(RelayMsg::PeerHello { mesh_id })) => {
-                    return blocking(|| {
-                        if self.peer_hello(&conn).is_ok() {
-                            let _ = self.run_peer(mesh_id, conn.clone(), &mut frames);
-                        }
-                    })
-                    .await;
+                (Role::Dialed, RelayMsg::PeerHello { mesh_id }) => {
+                    role = self.start_peer(mesh_id, conn.clone()).await
                 }
-                // The end: a client's shard is unregistered, and what it
-                // still held re-resolved.
-                (Some((_, q)), _) => return blocking(|| self.conn_dead(q)).await,
-                (None, _) => return,
+                (&Role::Peer(pid, _), RelayMsg::RouteAdd { node, epoch }) => {
+                    self.route_add(pid, node, epoch).await
+                }
+                (&Role::Peer(pid, _), RelayMsg::RouteDel { node, epoch }) => {
+                    self.forget_route(node, |e| e.relay == pid && e.epoch <= epoch)
+                }
+                (&Role::Peer(pid, _), RelayMsg::RouteQuery { node }) => {
+                    let ans = self.local.lock().get(&node).map(|e| e.epoch);
+                    let (found, epoch) = (ans.is_some(), ans.unwrap_or(0));
+                    self.frame_to_peer(pid, RelayMsg::RouteRsp { node, found, epoch })
+                        .await;
+                }
+                (&Role::Peer(pid, _), RelayMsg::RouteRsp { node, found, epoch }) => {
+                    self.route_rsp(pid, node, found, epoch).await
+                }
+                (&Role::Peer(pid, _), RelayMsg::Fwd { from, to, inner }) => {
+                    self.handle_send(from, to, inner, Origin::Peer(pid)).await
+                }
+                (&Role::Peer(pid, _), RelayMsg::FwdFail { from, to, inner }) => {
+                    // Our route was stale: drop it and re-resolve — the
+                    // node may have re-registered at a third relay (or back
+                    // here) between our FWD and the bounce.
+                    self.forget_route(to, |e| e.relay == pid);
+                    self.handle_send(from, to, inner, Origin::Local).await;
+                }
+                _ => break,
             }
+        }
+        if let Role::Client(_, q) | Role::Peer(_, q) = &role {
+            self.conn_dead(q).await;
         }
     }
 
@@ -715,8 +704,7 @@ impl MeshRelay {
     /// encoded into one buffer (the one copy a forwarded payload gets here)
     /// and written as one block under the writer lock. On death or
     /// supersession, leftovers are re-resolved through the routing table —
-    /// a moved node's frames follow it to its new home relay. READYs owed,
-    /// and the re-routing of leftovers, are blocking sections.
+    /// a moved node's frames follow it to its new home relay.
     async fn write(self: Arc<Self>, q: OutQueue) {
         // A write failed: the connection is dead, and what is left goes
         // elsewhere.
@@ -727,10 +715,7 @@ impl MeshRelay {
                 // Whatever ends this shard, parked senders must not stay
                 // throttled forever: their next DATA will fail fast through
                 // the normal NOPEER/teardown path instead.
-                if !q.throttled.lock().is_empty() {
-                    blocking(|| self.release_throttled(&q)).await;
-                }
-                return;
+                return self.release_throttled(&q).await;
             };
             let mut bytes = first.bytes.len();
             items.push(first);
@@ -740,10 +725,9 @@ impl MeshRelay {
                 items.push(next);
             }
             if broken || q.dead.load(Ordering::Relaxed) {
-                if items.iter().any(|item| item.route.is_some()) {
-                    blocking(|| items.drain(..).for_each(|item| self.reroute_item(item))).await;
+                for item in items.drain(..) {
+                    self.reroute_item(item).await;
                 }
-                items.clear();
                 continue;
             }
             let run = q.encode(&items, bytes);
@@ -754,17 +738,28 @@ impl MeshRelay {
             q.in_hand.store(0, Ordering::Relaxed);
             if written.is_err() {
                 broken = true;
-                blocking(|| {
-                    self.conn_dead(&q);
-                    items.drain(..).for_each(|item| self.reroute_item(item));
-                })
-                .await;
+                self.conn_dead(&q).await;
+                for item in items.drain(..) {
+                    self.reroute_item(item).await;
+                }
                 continue;
             }
             items.clear();
-            if q.q.len() <= q.cap / 4 && !q.throttled.lock().is_empty() {
-                blocking(|| self.release_throttled(&q)).await;
+            if q.q.len() <= q.cap / 4 {
+                self.release_throttled(&q).await;
             }
         }
+    }
+}
+
+/// Queue one encoded control frame on each of `qs`, in turn.
+async fn push_all(qs: Vec<OutQueue>, frame: Bytes) {
+    for q in qs {
+        let _ = q
+            .push(OutItem {
+                route: None,
+                bytes: frame.clone(),
+            })
+            .await;
     }
 }

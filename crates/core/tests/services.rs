@@ -1,7 +1,7 @@
 //! Component tests of the grid services over the simulator: name service,
 //! relay, and SOCKS proxy, exercised directly (below the GridNode layer).
 
-use gridsim_net::{topology, Ip, LinkParams, Sim, SockAddr, Trust};
+use gridsim_net::{topology, Ip, LinkParams, Sim, SockAddr, Trust, GRANTS, THREADS};
 use gridsim_tcp::SimHost;
 use netgrid::relay::{RelayClient, RelayDelegate, RoutedStream};
 use netgrid::{
@@ -657,7 +657,7 @@ fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
 
 /// Both ends of a pair send 1 MiB at once. Node 2 reads only after a
 /// second, so its shard passes the high watermark and the relay's reader
-/// promotes the SENDs towards it; node 1 reads at once, so the worker of
+/// waits out the SENDs towards it; node 1 reads at once, so the worker of
 /// node 1's shard spends the transfer mid-write, holding the writer lock
 /// that the BUSY and the READY towards node 1 must take. Every byte
 /// arrives once, in order; the throttles and parks are the thread forms'.
@@ -712,6 +712,11 @@ fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
+    // The relay's reader awaits each SEND, its BUSY included, where every
+    // SEND past the watermark was a blocking section (256 grants, 7
+    // threads); the threads left are the test's tasks and the clients'
+    // link pumps'.
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [230, 6]);
 }
 
 /// Node 1 drops its end of a stream node 2 opened, unclosed: only its
@@ -766,9 +771,9 @@ fn a_fin_that_drops_a_streams_last_handle_is_answered_from_a_promoted_dispatch()
     assert_eq!(all_parks(&sim), pinned);
 }
 
-/// CONNECT_BACK is the one name-service request whose answer blocks (a
-/// dial back to the asker): the server's reader promotes it, answers, and
-/// steps on — the next request on the same connection is answered too.
+/// CONNECT_BACK is the one name-service request whose answer waits (a
+/// dial back to the asker): the server's reader awaits the dial, answers,
+/// and steps on — the next request on the same connection is answered too.
 #[test]
 fn a_connect_back_request_is_answered_and_the_connection_steps_on() {
     let sim = Sim::new(77);
@@ -792,6 +797,12 @@ fn a_connect_back_request_is_answered_and_the_connection_steps_on() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
+    // The dial back is awaited in the server's reader, where it was a
+    // blocking section (7 grants). The two threads are the `ns` task's,
+    // whose idle worker the client takes, and the client link pump's end
+    // of connection, a blocking section in link.rs.
+    let h = sim.scheduler().handle();
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [5, 2]);
 }
 
 /// Topology sanity: the qualitative grid builder gives every host a

@@ -187,24 +187,34 @@ impl TcpStream {
     /// [`poll_read_chunks_min`](Self::poll_read_chunks_min).
     pub const READ_WAIT: &'static str = "tcp read";
 
+    /// What a task blocked in a connect is parked on, and the would-block
+    /// reason of [`poll_established`](Self::poll_established).
+    pub const CONNECT_WAIT: &'static str = "tcp connect";
+
     /// Block until the connection is established (used right after
     /// `connect`). Returns immediately if already established.
     pub fn wait_established(&self) -> io::Result<()> {
-        ctx::park_io(|| {
-            self.with_tcb(|tcb, _| {
-                if let Some(e) = tcb.error() {
-                    return Err(io::Error::from(e));
-                }
-                if tcb.is_established() || tcb.state.can_send() {
-                    return Ok(());
-                }
-                if tcb.state.is_terminal() {
-                    return Err(io::Error::from(io::ErrorKind::NotConnected));
-                }
-                tcb.conn_wakers.push(ctx::waker());
-                Err(ctx::would_block("tcp connect"))
-            })?
-        })
+        ctx::park_io(|| self.poll_established())
+    }
+
+    /// [`wait_established`](Self::wait_established) for a caller that must
+    /// not park: `Err(WouldBlock)` while the handshake is under way, the
+    /// calling task woken when it ends either way; asked again, the call
+    /// answers as the blocking one would.
+    pub fn poll_established(&self) -> io::Result<()> {
+        self.with_tcb(|tcb, _| {
+            if let Some(e) = tcb.error() {
+                return Err(io::Error::from(e));
+            }
+            if tcb.is_established() || tcb.state.can_send() {
+                return Ok(());
+            }
+            if tcb.state.is_terminal() {
+                return Err(io::Error::from(io::ErrorKind::NotConnected));
+            }
+            tcb.conn_wakers.push(ctx::waker());
+            Err(ctx::would_block(Self::CONNECT_WAIT))
+        })?
     }
 
     /// Blocking write of all of `buf`; returns `buf.len()`: a
@@ -497,7 +507,8 @@ impl SimHost {
 
     /// Begin a connection without waiting for establishment: the SYN is
     /// emitted before this returns (NAT traversal needs the mapping to
-    /// exist *now*); call [`TcpStream::wait_established`] to finish.
+    /// exist *now*); call [`TcpStream::wait_established`] to finish, or
+    /// await [`TcpStream::poll_established`].
     pub fn connect_start(&self, remote: SockAddr, opts: ConnectOpts) -> io::Result<TcpStream> {
         let (id, local) = self.net.with(|w| {
             with_host(w, self.node, |h, w| {

@@ -1,8 +1,9 @@
 //! Socket-lifecycle edge cases: listener backlog, port conflicts, listener
-//! teardown, and connection reuse after TIME-WAIT.
+//! teardown, connection reuse after TIME-WAIT, and a connect awaited
+//! against a blocking one.
 
-use gridsim_net::{topology, LinkParams, Sim, SockAddr};
-use gridsim_tcp::{crash_node, ConnectOpts, SimHost, TcpConfig};
+use gridsim_net::{ctx, topology, Ip, LinkParams, Metric, Sim, SockAddr};
+use gridsim_tcp::{crash_node, ConnectOpts, SimHost, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -291,4 +292,64 @@ fn config_is_per_connection_snapshot() {
     });
     sim.run();
     assert!(done.is_finished());
+}
+
+/// What a connect ended with, when, and its `tcp connect` parks.
+type Connected = (Result<(), std::io::ErrorKind>, gridsim_net::SimTime, i64);
+
+/// One connect to `target` on a fresh pair, one SYN retry allowed:
+/// awaited over `poll_established` in an async task, or blocking through
+/// `connect_opts` in a closure task.
+fn connect_once(target: (Option<Ip>, u16), polled: bool) -> Connected {
+    let sim = Sim::new(83);
+    let (ha, hb) = pair(&sim);
+    let _listener = hb.listen(5000).unwrap();
+    let to = SockAddr::new(target.0.unwrap_or(hb.ip()), target.1);
+    let cfg = TcpConfig {
+        syn_retries: 1,
+        ..ha.tcp_config()
+    };
+    let opts = ConnectOpts {
+        local_port: None,
+        cfg: Some(cfg),
+    };
+    let out = Arc::new(Mutex::new(None));
+    let o = Arc::clone(&out);
+    let end = move |r: std::io::Result<()>| *o.lock() = Some((r.map_err(|e| e.kind()), ctx::now()));
+    if polled {
+        let connect = async move {
+            let r = match ha.connect_start(to, opts) {
+                Ok(s) => ctx::wait_io(|| s.poll_established()).await,
+                Err(e) => Err(e),
+            };
+            end(r);
+        };
+        sim.scheduler().handle().spawn_async("connect", connect);
+    } else {
+        sim.spawn("connect", move || end(ha.connect_opts(to, opts).map(drop)));
+    }
+    sim.run();
+    let (result, at) = out.lock().take().expect("the connect ended");
+    let parks = Metric("task/parks", None, TcpStream::CONNECT_WAIT);
+    (result, at, sim.scheduler().handle().metric(parks))
+}
+
+/// `poll_established` resumes as the blocking connect does: an established
+/// connect, a refused one and one that times out after its SYN retry end,
+/// awaited in an async task, with the result the blocking `connect_opts`
+/// gets, at the same simulated time, after one `tcp connect` park each.
+#[test]
+fn a_polled_connect_ends_as_the_blocking_one_does() {
+    use std::io::ErrorKind::{ConnectionRefused, TimedOut};
+    let nobody = Some(Ip::new(131, 2, 0, 99));
+    let cases = [
+        ((None, 5000), Ok(())),
+        ((None, 5001), Err(ConnectionRefused)),
+        ((nobody, 5000), Err(TimedOut)),
+    ];
+    for (target, want) in cases {
+        let polled = connect_once(target, true);
+        assert_eq!(polled, connect_once(target, false), "{target:?}");
+        assert_eq!((polled.0, polled.2), (want, 1), "{target:?}");
+    }
 }

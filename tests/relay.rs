@@ -270,3 +270,108 @@ fn malformed_frames_end_their_own_connection_only() {
         "the bystander pair did not get every message"
     );
 }
+
+/// A connection's first frame fixes its role (DESIGN.md §10): a HELLO
+/// makes it a client's, a PEER_HELLO a mesh link, and one reader serves
+/// either. A well-formed frame its role does not take — a SEND before any
+/// HELLO, a PEER_HELLO, ROUTE_ADD or FWD from a client, a HELLO or SEND on
+/// a mesh link — ends that connection and no other, and is forwarded
+/// nowhere: the bystander pair through the same relay keeps delivering
+/// exactly once, in order, and no node is handed an envelope it cannot
+/// read.
+#[test]
+fn a_frame_outside_its_connections_role_ends_that_connection_only() {
+    use bytes::Bytes;
+    use netgrid::wire::{Put, RelayMsg};
+
+    let sim = Sim::new(14);
+    let (net, ns, relays, senders, receivers) = world(&sim, 1, 2);
+    let env = GridEnv::new(net, ns).with_relay(relays[0]);
+    let bystander = start_pair(
+        &sim,
+        (env.clone(), senders[0].clone()),
+        (env, receivers[0].clone()),
+        "bystander",
+        (400, 4096),
+        Duration::from_millis(200),
+        Duration::from_millis(10),
+    );
+    let (hostile, relay) = (senders[1].clone(), relays[0]);
+    // Addressed to both nodes of the pair, ids 1 and 2: forwarded, the
+    // byte would reach one as an envelope it cannot decode.
+    let inner = || Bytes::from_static(&[0xff]);
+    let hello = |id| RelayMsg::Hello { id };
+    let peer_hello = |mesh_id| RelayMsg::PeerHello { mesh_id };
+    let cases: Vec<(&str, Vec<RelayMsg>)> = vec![
+        (
+            "SEND before HELLO",
+            vec![RelayMsg::Send {
+                to: 1,
+                inner: inner(),
+            }],
+        ),
+        ("PEER_HELLO after HELLO", vec![hello(9001), peer_hello(77)]),
+        (
+            "ROUTE_ADD from a client",
+            vec![hello(9002), RelayMsg::RouteAdd { node: 1, epoch: 1 }],
+        ),
+        (
+            "FWD from a client",
+            vec![
+                hello(9003),
+                RelayMsg::Fwd {
+                    from: 9003,
+                    to: 2,
+                    inner: inner(),
+                },
+            ],
+        ),
+        ("HELLO on a mesh link", vec![peer_hello(78), hello(9004)]),
+        (
+            "SEND on a mesh link",
+            vec![
+                peer_hello(79),
+                RelayMsg::Send {
+                    to: 1,
+                    inner: inner(),
+                },
+            ],
+        ),
+    ];
+    let done = sim.spawn("hostile", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(500));
+        for (what, frames) in cases {
+            let s = hostile.connect(relay).unwrap();
+            for frame in frames {
+                frame.encode().send(&mut s.clone()).unwrap();
+            }
+            // Read to the relay's hang-up: a mesh link is answered in
+            // kind, with the relay's routes, before it.
+            let mut buf = [0u8; 256];
+            let end = loop {
+                match s.read_some(&mut buf) {
+                    Ok(0) => break None,
+                    Ok(_) => continue,
+                    Err(e) => break Some(e.kind()),
+                }
+            };
+            assert_eq!(end, None, "{what}: the relay reset instead of closing");
+        }
+    });
+    sim.run();
+    assert!(
+        done.is_finished(),
+        "a frame outside its role left its connection open"
+    );
+    assert!(
+        bystander.lock().0.is_some(),
+        "the bystander pair did not get every message"
+    );
+    let metrics = sim.scheduler().handle().metrics();
+    let bad = metrics.iter().filter(|(m, _)| m.2 == "bad_envelopes");
+    assert_eq!(
+        bad.map(|(_, n)| n).sum::<i64>(),
+        0,
+        "an envelope reached a node"
+    );
+}

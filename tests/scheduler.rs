@@ -8,8 +8,8 @@ use gridsim_net::{
 };
 use gridsim_tcp::SimHost;
 use netgrid::{
-    spawn_name_service, spawn_proxy, spawn_relay, ConnectivityProfile, EstablishMethod, GridEnv,
-    GridNode, NatClass, PathParams, SendPort, StackSpec,
+    spawn_name_service, spawn_proxy, spawn_relay, spawn_relay_mesh, ConnectivityProfile,
+    EstablishMethod, GridEnv, GridNode, NatClass, PathParams, RelayConfig, SendPort, StackSpec,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -425,6 +425,120 @@ fn a_round_trip_through_the_relay_costs_two_grants() {
     let (method, spent) = ping_pong(&sim, hosts, profiles, ROUNDS, 256);
     assert_eq!(method, EstablishMethod::Routed);
     assert_eq!(spent, 2 * ROUNDS as i64, "grants over {ROUNDS} round trips");
+}
+
+/// `n` relays on public hosts, fully meshed (each lists every other as a
+/// peer), and the name service on another, spawned from the root, beside
+/// the sites `specs`: the name service's and the relays' addresses, and
+/// each site's first host.
+fn mesh_world(
+    sim: &Sim,
+    n: usize,
+    specs: &[topology::SiteSpec],
+) -> (SockAddr, Vec<SockAddr>, Vec<SimHost>) {
+    let net = sim.net();
+    let (srv, relays, firsts) = net.with(|w| {
+        let mut grid = topology::Grid::build(w, specs);
+        let (srv, _) = grid.add_public_host(w, "services");
+        let relays: Vec<_> = (0..n)
+            .map(|i| grid.add_public_host(w, &format!("relay{i}")).0)
+            .collect();
+        let firsts: Vec<_> = grid.sites.iter().map(|s| s.hosts[0]).collect();
+        (srv, relays, firsts)
+    });
+    let host = |n| SimHost::new(&net, n);
+    let hsrv = host(srv);
+    spawn_name_service(&hsrv, NS).unwrap();
+    let relays: Vec<SimHost> = relays.into_iter().map(host).collect();
+    let addrs: Vec<SockAddr> = relays
+        .iter()
+        .map(|h| SockAddr::new(h.ip(), RELAY))
+        .collect();
+    for (i, h) in relays.iter().enumerate() {
+        let cfg = RelayConfig {
+            mesh_id: i as u64 + 1,
+            peers: addrs.iter().copied().filter(|a| a.ip != h.ip()).collect(),
+            ..RelayConfig::default()
+        };
+        spawn_relay_mesh(h, RELAY, cfg).unwrap();
+    }
+    let firsts = firsts.into_iter().map(host).collect();
+    (SockAddr::new(hsrv.ip(), NS), addrs, firsts)
+}
+
+/// Three full-meshed relays with no client, for 5 s: each dials its two
+/// peers and reads every mesh link, its own dials' and the accepted ones,
+/// in async tasks polled by the root, so the mesh starts no thread and
+/// takes no grant. With each dial a daemon and each accepted link served
+/// in a blocking section it started 12 threads and took 25 grants.
+#[test]
+fn a_relay_mesh_starts_no_thread() {
+    let sim = Sim::new(42);
+    mesh_world(&sim, 3, &[]);
+    sim.run_for(Duration::from_secs(5));
+    let h = sim.scheduler().handle();
+    assert_eq!(h.metric(THREADS), 0, "threads started by the mesh");
+    assert_eq!(h.metric(GRANTS), 0, "grants in the mesh's 5 s");
+}
+
+/// 64 × 64 KiB routed from a node homed at one relay of a two-relay mesh
+/// to one homed at the other: every frame crosses the mesh link, read by
+/// the one relay reader and written by a shard writer, in async tasks. The
+/// four threads left are the ends': the test's sender and receiver, a
+/// relay client pump's promoted dispatch and a `routed-open` handler. With
+/// the idle mesh's four (two dials, two accepted links) it started 8 and
+/// took 1 218 grants.
+#[test]
+fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
+    const MESSAGES: u64 = 64;
+    const LEN: usize = 64 * 1024;
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(8.0, Duration::from_millis(10));
+    let (ns, relays, hosts) = mesh_world(
+        &sim,
+        2,
+        &[
+            topology::SiteSpec::natted("senders", 1, NatKind::SymmetricRandom, wan),
+            topology::SiteSpec::firewalled("receivers", 1, wan),
+        ],
+    );
+    let (net, ha, hb) = (sim.net(), hosts[0].clone(), hosts[1].clone());
+    let homed = |order: [SockAddr; 2]| GridEnv::new(net.clone(), ns).with_relays(&order);
+    let (env_a, env_b) = (homed([relays[0], relays[1]]), homed([relays[1], relays[0]]));
+    let receiver = sim.spawn("receiver", move || {
+        let profile = ConnectivityProfile::firewalled();
+        let node = GridNode::join(&env_b, hb, "recv", profile).unwrap();
+        let rp = node
+            .create_receive_port("across", StackSpec::plain())
+            .unwrap();
+        for want in 0..MESSAGES {
+            let mut m = rp.receive().unwrap();
+            assert_eq!(m.read_u64().unwrap(), want, "out of order or repeated");
+            assert!(
+                m.read_bytes(LEN).unwrap() == body(want, LEN),
+                "message {want} torn"
+            );
+        }
+    });
+    sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let profile = ConnectivityProfile::natted(NatClass::SymmetricRandom);
+        let node = GridNode::join(&env_a, ha, "send", profile).unwrap();
+        let mut sp = node.create_send_port();
+        assert_eq!(sp.connect("across").unwrap(), EstablishMethod::Routed);
+        for i in 0..MESSAGES {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.write_bytes(&body(i, LEN));
+            m.finish().unwrap();
+        }
+        sp.close().unwrap();
+    });
+    sim.run();
+    assert!(receiver.is_finished(), "receiver did not get every message");
+    let h = sim.scheduler().handle();
+    assert_eq!(h.metric(THREADS), 4, "threads started");
+    assert_eq!(h.metric(GRANTS), 135, "grants");
 }
 
 /// `rounds` connect → send → close rounds from `a` to a receive port on
