@@ -46,10 +46,16 @@
 #           tasks, so link.rs, nameservice.rs and relay/server.rs spawn no
 #           daemon; the relay and the name server poll end to end, with
 #           no blocking section (`blocking(`) in relay/server.rs or
-#           nameservice.rs and no `send_inline` fork in core; no hand-written
+#           nameservice.rs and no `send_inline` fork in core; the
+#           service links dispatch every frame in their pump's poll: no
+#           `inline` parameter on a `fn dispatch` in core, no `parks()`
+#           in relay/client.rs, and link.rs's one `blocking(` in
+#           `redial` (its dial); no hand-written
 #           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
 #           `Step::`), the receive pump an async body that only
-#           `add_link` starts, with no `ctx::park` in port.rs; and no
+#           `add_link` starts, with no `ctx::park` in port.rs, no
+#           `exit_parks` and its one `ctx::blocking` in `run`'s RECONFIG
+#           arm; and no
 #           `unsafe` in a product crate's non-test code outside
 #           crates/simnet/src/sync.rs, nor an OS mutex back around the
 #           scheduler's state or the world (the baton is their lock)
@@ -370,6 +376,31 @@ stage_clippy() {
   if grep -nE '\bblocking\(' crates/core/src/relay/server.rs crates/core/src/nameservice.rs \
     || grep -rn 'send_inline' crates/core/src; then
     echo "a blocking section in the relay or the name server, or a second path per frame (lines above); await the poll instead"
+    return 1
+  fi
+  # A service link's pump dispatches every frame in its poll, awaiting
+  # what the frame waits on (DESIGN.md §6a): no `inline` fork of a
+  # dispatch, no refusal to promote, and link.rs's one blocking section is
+  # the redial's dial (the factory's SOCKS / NAT-gate connect).
+  local dispatch_inline
+  dispatch_inline=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    /fn dispatch/ { sig = 1; text = "" }
+    sig { text = text $0 }
+    sig && /[{;]/ { sig = 0; if (text ~ /[(,] *inline *:/) print FILENAME ":" FNR ": " text }
+  ')
+  if [ -n "$dispatch_inline" ] || grep -n 'parks()' crates/core/src/relay/client.rs \
+    || [ "$(fns_calling '(^|[^A-Za-z_])blocking\(' crates/core/src/link.rs)" != "redial" ]; then
+    echo "$dispatch_inline"
+    echo "a dispatch forked on whether it may park (lines above), or a blocking section in link.rs" \
+      "outside the redial's dial: [$(fns_calling '(^|[^A-Za-z_])blocking\(' crates/core/src/link.rs)]; await the poll instead"
+    return 1
+  fi
+  # The receive pump's end awaits a routed stream's FIN; RECONFIG's
+  # receiver rebuild is its one blocking section.
+  if grep -n 'exit_parks' crates/core/src/port.rs \
+    || grep -n 'ctx::blocking' crates/core/src/port.rs | grep -vE '^[0-9]+: *//|ctx::blocking\(\|\| self\.reconfigure\(' \
+    || [ "$(fns_calling 'ctx::blocking' crates/core/src/port.rs)" != "run" ]; then
+    echo "a blocking section in port.rs outside run's RECONFIG arm (lines above); await the poll instead"
     return 1
   fi
   # A task that must not block is an async body: no hand-written step

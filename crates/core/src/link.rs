@@ -6,18 +6,20 @@
 //! Requests wait on their answers in one id-keyed table, [`Pending`].
 //!
 //! The pump is an async task (DESIGN.md §6a), as are the relay's and the
-//! name server's readers: a frame whose handler cannot park is handled
-//! where it lands, any other in a blocking section, on a worker.
+//! name server's readers: every frame is dispatched in its poll, and so is
+//! a connection's end. Only the redial's dial is a blocking section.
 
 use bytes::Bytes;
 use gridsim_net::ctx::{self, blocking};
-use gridsim_net::{SimMutex, SockAddr, Waker};
+use gridsim_net::{SimMutex, SimMutexGuard, SockAddr, Waker};
 use gridsim_tcp::{TcpListener, TcpStream};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::wire::FrameStream;
@@ -171,27 +173,41 @@ impl<T> Pending<T> {
 }
 
 /// What a supervised link's owner does: dial one of its addresses, take
-/// what arrives, and clean up after a lost connection.
+/// what arrives, and clean up after a lost connection. Both handlers are
+/// awaited in the pump's poll.
 pub(crate) trait LinkOwner: Clone + Send + Sync + 'static {
     /// Connect to `addr` and greet the service there.
     fn dial(&self, addr: SockAddr) -> io::Result<TcpStream>;
-    /// One frame off connection `gen`. An error ends the connection. With
-    /// `inline` the caller cannot park: a frame whose handling may is
-    /// `Err(WouldBlock)`, and nothing has been done.
-    fn dispatch(&self, gen: u64, frame: &Bytes, inline: bool) -> io::Result<()>;
+    /// One frame off connection `gen`. An error ends the connection.
+    fn dispatch(&self, gen: u64, frame: &Bytes) -> impl Future<Output = io::Result<()>> + Send;
     /// Connection `gen` is gone: fail what was in flight on it.
-    fn lost(&self, gen: u64);
+    fn lost(&self, gen: u64) -> impl Future<Output = ()> + Send;
 }
 
 /// The link's connection, numbered by dial.
 #[derive(Default)]
-struct Conn {
+pub(crate) struct Conn {
     /// `None` once its pump has taken it out of service.
     stream: Option<TcpStream>,
-    gen: u64,
+    pub(crate) gen: u64,
     /// Its pump redials it once lost: until the ladder runs out, a request
     /// that finds the link down fails instead of dialing a second one.
     pump_redials: bool,
+}
+
+/// The writer lock, held.
+pub(crate) type Writer = SimMutexGuard<Conn>;
+
+impl Conn {
+    /// The live connection: `ConnectionReset` when there is none or it
+    /// failed, as for the requests in flight on a lost one.
+    fn live(&self) -> io::Result<&TcpStream> {
+        let down = || io::Error::new(io::ErrorKind::ConnectionReset, "service link down");
+        self.stream
+            .as_ref()
+            .filter(|s| s.health().is_none())
+            .ok_or_else(down)
+    }
 }
 
 /// One long-lived connection to a service, supervised. One party at a time
@@ -224,29 +240,56 @@ impl ServiceLink {
         Arc::new(link)
     }
 
-    /// Run `write` on the live connection, and its number, under the writer
-    /// lock. A link that is down is dialed first, over the whole list —
-    /// unless its pump is redialing it: then the request fails with
-    /// `ConnectionReset`, as those in flight on the lost connection did.
-    pub(crate) fn send<R>(
-        self: &Arc<Self>,
-        owner: &impl LinkOwner,
-        write: impl FnOnce(&mut TcpStream, u64) -> io::Result<R>,
-    ) -> io::Result<R> {
+    /// The writer lock, over a live connection. A link that is down is
+    /// dialed first, over the whole list — unless its pump is redialing it:
+    /// then the request fails with `ConnectionReset`, as those in flight on
+    /// the lost connection did.
+    pub(crate) fn hold(self: &Arc<Self>, owner: &impl LinkOwner) -> io::Result<Writer> {
         let mut conn = self.conn.lock();
-        if conn.stream.as_ref().is_none_or(|s| s.health().is_some()) {
+        if let Err(down) = conn.live().map(drop) {
             if conn.pump_redials {
-                let down = "service link down: its pump is redialing";
-                return Err(io::Error::new(io::ErrorKind::ConnectionReset, down));
+                return Err(down);
             }
             let stream = self.dial(owner, self.addrs.len())?;
             let gen = self.install(&mut conn, stream.clone());
             let pump = pump(Arc::downgrade(self), owner.clone(), stream, gen);
             ctx::handle().spawn_async(self.name.clone(), pump);
         }
-        let gen = conn.gen;
-        let stream = conn.stream.as_mut().ok_or(io::ErrorKind::NotConnected)?;
-        write(stream, gen)
+        Ok(conn)
+    }
+
+    /// Write `frame` on the live connection under the writer lock, which
+    /// `held` keeps between polls: `WouldBlock` while the lock is taken or
+    /// bytes of the frame are unqueued, and asked again with the same
+    /// frame. A link that is down is not dialed: only [`hold`](Self::hold)
+    /// dials.
+    pub(crate) fn poll_send(&self, held: &mut Option<Writer>, frame: &Bytes) -> io::Result<()> {
+        if held.is_none() {
+            let Poll::Ready(conn) = self.conn.poll_lock() else {
+                return Err(ctx::would_block(SimMutex::<Conn>::LOCK_WAIT));
+            };
+            conn.live()?;
+            *held = Some(conn);
+        }
+        let stream = held.as_ref().and_then(|conn| conn.stream.as_ref());
+        let written = stream
+            .ok_or(io::ErrorKind::NotConnected)?
+            .poll_write_block(frame);
+        if !matches!(&written, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
+            *held = None;
+        }
+        written
+    }
+
+    /// [`hold`](Self::hold), then `frame` written, parking where it waits.
+    pub(crate) fn send(self: &Arc<Self>, owner: &impl LinkOwner, frame: &Bytes) -> io::Result<()> {
+        let mut held = Some(self.hold(owner)?);
+        ctx::park_io(|| self.poll_send(&mut held, frame))
+    }
+
+    /// Await the writer lock, in the pump's poll.
+    async fn lock(&self) -> Writer {
+        ctx::wait(SimMutex::<Conn>::LOCK_WAIT, || self.conn.poll_lock()).await
     }
 
     /// One attempt at each of `span` addresses from the current one, in
@@ -277,23 +320,28 @@ impl ServiceLink {
     /// Redial along the ladder. The first attempt targets only the address
     /// that just died (a restart is the common case), every later one the
     /// whole list from there — the failover the ordered list promises. Out
-    /// of attempts, the link waits for its next request.
-    fn redial(&self, owner: &impl LinkOwner) -> Option<(TcpStream, u64)> {
+    /// of attempts, the link waits for its next request. Each dial is a
+    /// blocking section: it is the owner's, through the bootstrap socket
+    /// factory's SOCKS and NAT-gate connect, which the data links share.
+    async fn redial(&self, owner: &impl LinkOwner) -> Option<(TcpStream, u64)> {
         for (attempt, delay) in self.redial.delays().enumerate() {
-            ctx::sleep(delay);
+            let at = ctx::now() + delay;
+            ctx::wake_at(at);
+            let _ = ctx::wait_io(|| ctx::reached(at)).await;
             let span = if attempt == 0 { 1 } else { self.addrs.len() };
-            if let Ok(stream) = self.dial(owner, span) {
-                return Some((stream.clone(), self.install(&mut self.conn.lock(), stream)));
+            if let Ok(stream) = blocking(|| self.dial(owner, span)).await {
+                let gen = self.install(&mut *self.lock().await, stream.clone());
+                return Some((stream, gen));
             }
         }
-        self.conn.lock().pump_redials = false;
+        self.lock().await.pump_redials = false;
         None
     }
 }
 
 /// A link's reader: hand each frame off connection `gen` to the owner,
-/// and once the connection ends, read the one redialed. A dispatch that
-/// may park, and the end of a connection, are blocking sections.
+/// and once the connection ends, read the one redialed — all of it in the
+/// pump's poll, but the redial's dials.
 async fn pump<O: LinkOwner>(
     link: Weak<ServiceLink>,
     owner: O,
@@ -307,17 +355,11 @@ async fn pump<O: LinkOwner>(
                 Ok(frame) => frame,
                 Err(e) => break e,
             };
-            let dispatched = match owner.dispatch(gen, &frame, true) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    blocking(|| owner.dispatch(gen, &frame, false)).await
-                }
-                done => done,
-            };
-            if let Err(e) = dispatched {
+            if let Err(e) = owner.dispatch(gen, &frame).await {
                 break e;
             }
         };
-        let Some(next) = blocking(|| lose(&link, &owner, &stream, gen, end)).await else {
+        let Some(next) = lose(&link, &owner, &stream, gen, end).await else {
             return;
         };
         frames = FrameStream::new(next.0.clone());
@@ -328,7 +370,7 @@ async fn pump<O: LinkOwner>(
 /// Connection `gen` ended: take it out of service — so no request goes out
 /// on it once the owner has failed those in flight — and redial, unless a
 /// request has dialed a new one already. `None` when the pump is over.
-fn lose(
+async fn lose(
     link: &Weak<ServiceLink>,
     owner: &impl LinkOwner,
     stream: &TcpStream,
@@ -341,16 +383,17 @@ fn lose(
     if end.kind() == io::ErrorKind::InvalidData {
         stream.abort();
     }
-    let me = link.upgrade().filter(|me| {
-        let mut conn = me.conn.lock();
-        let current = conn.gen == gen;
-        if current {
+    let mut me = link.upgrade();
+    if let Some(link) = &me {
+        let mut conn = link.lock().await;
+        if conn.gen == gen {
             conn.stream = None;
+        } else {
+            me = None;
         }
-        current
-    });
-    owner.lost(gen);
-    me.and_then(|me| me.redial(owner))
+    }
+    owner.lost(gen).await;
+    me?.redial(owner).await
 }
 
 impl Drop for ServiceLink {
@@ -358,6 +401,16 @@ impl Drop for ServiceLink {
         if let Some(stream) = &self.conn.lock().stream {
             let _ = stream.shutdown_write();
         }
+    }
+}
+
+#[cfg(test)]
+impl ServiceLink {
+    /// Abort the live connection under the link, dialing one if it is down.
+    pub(crate) fn abort(self: &Arc<Self>, owner: &impl LinkOwner) -> io::Result<()> {
+        let conn = self.hold(owner)?;
+        conn.stream.iter().for_each(TcpStream::abort);
+        Ok(())
     }
 }
 

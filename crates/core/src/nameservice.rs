@@ -191,7 +191,7 @@ impl LinkOwner for Tickets {
         self.factory.connect(addr)
     }
 
-    fn dispatch(&self, gen: u64, frame: &Bytes, _inline: bool) -> io::Result<()> {
+    async fn dispatch(&self, gen: u64, frame: &Bytes) -> io::Result<()> {
         if self.pending.resolve_oldest(gen, frame.clone()) {
             return Ok(());
         }
@@ -199,7 +199,7 @@ impl LinkOwner for Tickets {
         Err(io::Error::new(io::ErrorKind::InvalidData, stray))
     }
 
-    fn lost(&self, gen: u64) {
+    async fn lost(&self, gen: u64) {
         self.pending.reset(|tag| tag == gen);
     }
 }
@@ -237,13 +237,11 @@ impl NsClient {
     /// dial, once per attempt). No holder of the gate issues a link
     /// request — the probes it covers dial their own connections.
     fn request<T: Wire>(&self, req: NsRequest) -> io::Result<T> {
-        let (pending, frame) = (&self.tickets.pending, req.encode());
-        let ticket = self.link.send(&self.tickets, |stream, gen| {
-            let ticket = pending.next_id();
-            pending
-                .post(ticket, gen, || frame.send(stream))
-                .map(|()| ticket)
-        })?;
+        let (pending, frame) = (&self.tickets.pending, req.encode().into_frame());
+        let conn = self.link.hold(&self.tickets)?;
+        let (ticket, gen, mut held) = (pending.next_id(), conn.gen, Some(conn));
+        let send = || ctx::park_io(|| self.link.poll_send(&mut held, &frame));
+        pending.post(ticket, gen, send)?;
         answer(&pending.wait(ticket, "ns reply")?)
     }
 
@@ -445,11 +443,7 @@ mod tests {
                 racing.lookup_port("p").map(|_| ()).unwrap_err().kind()
             });
             gridsim_net::ctx::sleep(Duration::from_micros(1)); // its request is out
-            let abort = |s: &mut TcpStream, _| {
-                s.abort();
-                io::Result::Ok(())
-            };
-            ns.link.send(&ns.tickets, abort).unwrap();
+            ns.link.abort(&ns.tickets).unwrap();
             assert_eq!(ns.lookup_port("p").unwrap().0.owner, id);
             assert_eq!(in_flight.join(), io::ErrorKind::ConnectionReset);
         });

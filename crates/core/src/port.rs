@@ -426,7 +426,6 @@ pub struct ReceivePortInner {
 
 struct PendingChannel {
     links: Vec<Option<RawLink>>,
-    received: usize,
     /// Reconnect generation this assembly belongs to (0 = first connect).
     gen: u64,
     /// Drops a multi-stream assembly at [`PENDING_STREAMS_DEADLINE`].
@@ -436,6 +435,7 @@ struct PendingChannel {
 /// How a receive port reports `CACK{channel, delivered}` back to the
 /// sending node: as service requests on the relay link — never on the data
 /// path, so fault-free data-path wire traces stay byte-identical.
+#[derive(Clone)]
 pub(crate) struct AckSender {
     pub(crate) relay: RelayClient,
     pub(crate) sched: SchedHandle,
@@ -483,10 +483,9 @@ struct LiveChan {
 ///
 /// Every read is awaited through [`BlockReader::read`], over every stack
 /// (striped, compressed and GTLS ones included): the pump is inline,
-/// polled on the stack of whoever delivered its bytes. What else blocks —
-/// a RECONFIG and, over a routed stream, the end, whose drop sends the
-/// stream's FIN — is a blocking section, and the pump is inline again
-/// after it.
+/// polled on the stack of whoever delivered its bytes. So is its end over
+/// a routed stream, which awaits the FIN the stream's last handle owes.
+/// A RECONFIG is a blocking section, and the pump is inline again after it.
 struct Pump {
     port: Arc<ReceivePortInner>,
     cur: BlockReader<ReceiverStack>,
@@ -524,6 +523,9 @@ impl Pump {
                     }
                     true
                 }
+                // The pump's one blocking section: the rebuilt receiver runs
+                // each stream's GTLS handshake through `secure_wires`' park
+                // loop.
                 Ok(Frame::Reconfig { epoch, params }) => {
                     ctx::blocking(|| self.reconfigure(epoch, params)).await
                 }
@@ -533,10 +535,18 @@ impl Pump {
                 break;
             }
         }
-        if self.exit_parks() {
-            ctx::blocking(move || self.finish()).await;
-        } else {
-            self.finish();
+        // A routed stream's last handle sends our FIN as it drops, which
+        // may park: one is kept past the pump's drop, to await it here.
+        let routed: Vec<_> = (self.probes.iter())
+            .filter_map(|l| match l {
+                RawLink::Routed(s) => Some(s.clone()),
+                RawLink::Tcp(_) => None,
+            })
+            .collect();
+        self.finish();
+        drop(self);
+        for s in routed {
+            s.fin_if_last().await;
         }
     }
 
@@ -664,19 +674,16 @@ impl Pump {
         true
     }
 
-    /// Dropping a routed stream sends its FIN, which may park.
-    fn exit_parks(&self) -> bool {
-        self.probes.iter().any(|l| matches!(l, RawLink::Routed(_)))
-    }
-
     /// The pump is over. Clean EOF — every link closed gracefully — means
     /// the sender flushed and closed its channels: they will never resume.
     fn finish(&mut self) {
         *self.port.connections.lock() -= 1;
         let clean = self.probes.iter().all(|l| l.closed_cleanly());
         let mut rx = self.port.rx.lock();
+        // `add_link` files the pump's generation, and only its end takes it.
         let me = rx.born.iter().position(|&b| b == self.born);
-        rx.born.swap_remove(me.expect("a live pump"));
+        debug_assert!(me.is_some(), "pump {} not among the born", self.born);
+        me.map(|me| rx.born.swap_remove(me));
         for &ch in self.live.keys() {
             rx.release(ch, false, clean);
         }
@@ -747,7 +754,6 @@ impl ReceivePortInner {
             }
             let entry = pending.entry(channel).or_insert_with(|| PendingChannel {
                 links: (0..total).map(|_| None).collect(),
-                received: 0,
                 gen,
                 _deadline: (total > 1).then(|| {
                     let weak = Arc::downgrade(self);
@@ -779,19 +785,13 @@ impl ReceivePortInner {
                 ));
             }
             *slot = Some(link);
-            entry.received += 1;
-            if entry.received == total as usize {
-                let entry = pending.remove(&channel).expect("entry exists");
-                Some(
-                    entry
-                        .links
-                        .into_iter()
-                        .map(|l| l.expect("all present"))
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                None
+            // Each slot fills once (a duplicate is refused above): the
+            // assembly is complete when none is empty.
+            let links: Option<Vec<RawLink>> = entry.links.iter().cloned().collect();
+            if links.is_some() {
+                pending.remove(&channel);
             }
+            links
         };
         if let Some(links) = ready {
             // Resume handshake: tell the sender how many messages were
@@ -869,38 +869,39 @@ impl ReceivePortInner {
             return r.claim(seq);
         };
         let c = r.deliver(seq, bytes, ack.every);
-        self.act(rx, channel, c);
+        self.act(ack, rx, channel, c);
     }
 
     /// The idle flush, [`ACK_IDLE_FLUSH`] from now (scheduler context —
     /// never blocks). It re-arms only while the channel is progressing, so
     /// a finished simulation still quiesces, and sends only when genuinely
     /// idle, so fault-free transfers never emit timer-driven acks mid-flight.
-    fn idle_flush(self: &Arc<Self>, sched: &SchedHandle, channel: u64) -> Timer {
-        let weak = Arc::downgrade(self);
+    fn idle_flush(self: &Arc<Self>, ack: &AckSender, channel: u64) -> Timer {
+        let (weak, sched, ack) = (Arc::downgrade(self), &ack.sched, ack.clone());
         sched.timer(sched.now() + ACK_IDLE_FLUSH, move || {
             let Some(me) = weak.upgrade() else { return };
             let mut rx = me.rx.lock();
-            let c = rx
-                .recs
-                .get_mut(&channel)
-                .expect("flush outlived its record");
-            let c = c.m.idle();
-            me.act(rx, channel, c);
+            // The timer is the record's (`RxRecord::flush`) and dies with
+            // it: the record is there.
+            let c = rx.rec(channel).idle();
+            me.act(&ack, rx, channel, c);
         })
     }
 
     /// Do what the cadence asks: arm the idle flush under the records'
     /// lock `rx`, or send a CACK once it is released.
-    fn act(self: &Arc<Self>, mut rx: MutexGuard<'_, RxShared>, channel: u64, c: Cadence) {
-        let ack = self
-            .ack
-            .as_ref()
-            .expect("only an acking port counts deliveries");
+    fn act(
+        self: &Arc<Self>,
+        ack: &AckSender,
+        mut rx: MutexGuard<'_, RxShared>,
+        channel: u64,
+        c: Cadence,
+    ) {
         match c {
+            // Into the record the cadence came from, under the same lock.
             Cadence::Arm => {
-                let r = rx.recs.get_mut(&channel).expect("the record delivering");
-                r.flush = Some(self.idle_flush(&ack.sched, channel));
+                let flush = self.idle_flush(ack, channel);
+                rx.recs.entry(channel).or_default().flush = Some(flush);
             }
             Cadence::Cack(delivered) => {
                 drop(rx);

@@ -2,7 +2,7 @@
 //! requests it carries, and the routed streams it multiplexes.
 
 use bytes::Bytes;
-use gridsim_net::{Metric, SchedHandle, SockAddr};
+use gridsim_net::{ctx, Metric, SchedHandle, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -21,9 +21,9 @@ pub trait RelayDelegate: Send + Sync {
     /// Handle a service (brokering) request; return the response payload.
     fn on_service_request(&self, from: GridId, payload: &[u8]) -> Vec<u8>;
     /// An incoming routed link targeting `port_name`: admit or refuse it.
-    /// Runs in the relay pump, before the OPEN is answered, so it must not
-    /// block — whatever does (handshakes, reading the stream) goes into a
-    /// task of the delegate's own, which reports a late failure with
+    /// Runs in the relay pump's poll, before the OPEN is answered, so it
+    /// must not park — whatever does (handshakes, reading the stream) goes
+    /// into a task of the delegate's own, which reports a late failure with
     /// [`RoutedStream::refuse`].
     fn on_open(
         &self,
@@ -114,7 +114,7 @@ impl RelayClient {
         // Sweeps of the list (a send with the link down dials it), one more
         // than `HELLO_SWEEPS` has delays; ephemeral-port exhaustion is
         // retried inside each dial.
-        let join = || client.inner.link.send(&client, |_, _| Ok(()));
+        let join = || client.inner.link.hold(&client).map(drop);
         let mut joined = join();
         for delay in HELLO_SWEEPS.delays() {
             if joined.is_ok() {
@@ -134,8 +134,8 @@ impl RelayClient {
     /// are ignored — the pump owns reconnection; a link whose ladder ran
     /// out is dialed again here, as by any request.
     pub fn nudge(&self) {
-        let hello = RelayMsg::Hello { id: self.inner.id }.encode();
-        let _ = self.inner.link.send(self, |w, _| hello.send(w));
+        let hello = RelayMsg::Hello { id: self.inner.id }.encode().into_frame();
+        let _ = self.inner.link.send(self, &hello);
     }
 
     pub fn id(&self) -> GridId {
@@ -149,8 +149,14 @@ impl RelayClient {
 
     /// Send one envelope to `to` through the relay, as one block.
     pub(super) fn send_inner(&self, to: GridId, env: Envelope<&[u8]>) -> io::Result<()> {
-        let send = env.send_to(to);
-        self.inner.link.send(self, |w, _| send.send(w))
+        self.inner.link.send(self, &env.send_to(to).into_frame())
+    }
+
+    /// [`send_inner`](Self::send_inner), awaited in the pump's poll. A link
+    /// that is down is not dialed: it is this pump's to redial.
+    pub(super) async fn answer(&self, to: GridId, env: Envelope<&[u8]>) -> io::Result<()> {
+        let (frame, mut held) = (env.send_to(to).into_frame(), None);
+        ctx::wait_io(|| self.inner.link.poll_send(&mut held, &frame)).await
     }
 
     /// Blocking service request/response — the brokering channel.
@@ -268,7 +274,7 @@ impl RelayClient {
 
     /// Fail exactly what the echoed envelope, ours, belonged to. An
     /// answer of ours that bounced leaves nobody waiting on our side.
-    fn nopeer_precise(&self, to: GridId, echo: Envelope) {
+    async fn nopeer_precise(&self, to: GridId, echo: Envelope) {
         match echo {
             // An id nobody waits on any more is already resolved; there is
             // nothing else to fail.
@@ -288,6 +294,7 @@ impl RelayClient {
                 let stream = self.inner.streams.lock().remove(&(to, sid, !dir));
                 if let Some(s) = stream {
                     s.close_rx();
+                    s.fin_if_last().await;
                 }
             }
             Envelope::SvcRsp { .. } | Envelope::OpenOk { .. } | Envelope::OpenErr { .. } => {}
@@ -304,13 +311,11 @@ impl RelayClient {
         self.inner.open_waits.fail(towards, gone);
     }
 
-    /// Act on an envelope from node `from`, decoded whole. With `inline`,
-    /// one whose handling may park is `Err(WouldBlock)`, untouched: an
-    /// answer (it is a send), DATA into a full queue, and a FIN that drops
-    /// a stream's last handle (its drop sends our FIN).
-    fn dispatch_inner(&self, from: GridId, env: Envelope, inline: bool) -> io::Result<()> {
+    /// Act on an envelope from node `from`, decoded whole, in the pump's
+    /// poll: an answer's send, DATA into a full queue and the FIN of a
+    /// stream whose last handle leaves the table are awaited in place.
+    async fn dispatch_inner(&self, from: GridId, env: Envelope) -> io::Result<()> {
         let stream = |sid, dir| self.inner.streams.lock().get(&(from, sid, dir)).cloned();
-        let parks = || Err(io::ErrorKind::WouldBlock.into());
         let answer = match env {
             Envelope::SvcReq { id, body } => {
                 let delegate = self.inner.delegate.lock().clone();
@@ -327,11 +332,11 @@ impl RelayClient {
                 self.inner.pending.resolve(id, answer);
                 return Ok(());
             }
-            Envelope::Open { .. } | Envelope::Sync { .. } if inline => return parks(),
             Envelope::Open { sid, port, channel } => {
-                let Some(d) = self.inner.delegate.lock().clone() else {
+                let delegate = self.inner.delegate.lock().clone();
+                let Some(d) = delegate else {
                     let why = "no delegate".into();
-                    return self.send_inner(from, Envelope::OpenErr { sid, why });
+                    return self.answer(from, Envelope::OpenErr { sid, why }).await;
                 };
                 let stream = RoutedStream::new(self.clone(), from, sid, false);
                 // Exactly one answer: the delegate admits or refuses here,
@@ -347,7 +352,7 @@ impl RelayClient {
                         Envelope::OpenErr { sid, why }
                     }
                 };
-                return self.send_inner(from, answer);
+                return self.answer(from, answer).await;
             }
             Envelope::OpenOk { sid } => {
                 self.inner.open_waits.resolve(sid, Ok(()));
@@ -365,18 +370,15 @@ impl RelayClient {
             // Per-stream envelopes: `dir` says whether their sender is the
             // end that opened the stream.
             Envelope::Data { dir, sid, payload } => match stream(sid, dir) {
-                // push blocks under backpressure, stalling the pump — and
-                // therefore the relay TCP connection. Crude but faithful to
-                // a single multiplexed relay link.
-                Some(s) if inline => {
-                    let full = s.inner.rx.try_push(payload).is_err() && !s.is_closed();
-                    return if full { parks() } else { Ok(()) };
-                }
+                // A full queue parks the pump — and therefore the relay
+                // connection. Crude but faithful to a single multiplexed
+                // relay link.
                 Some(s) => {
-                    let _ = s.inner.rx.push(payload);
+                    let mut slot = Some(payload);
+                    let push = || s.inner.rx.poll_push(&mut slot);
+                    let _ = ctx::wait(SimQueue::<Bytes>::PUSH_WAIT, push).await;
                     return Ok(());
                 }
-                None if inline => return parks(),
                 None => Envelope::Fin { dir: !dir, sid },
             },
             // This pump dispatches in arrival order, so every chunk the peer
@@ -392,15 +394,11 @@ impl RelayClient {
                 return Ok(());
             }
             Envelope::Fin { dir, sid } => {
-                let (key, mut streams) = ((from, sid, dir), self.inner.streams.lock());
-                if inline && streams.get(&key).is_some_and(RoutedStream::last_owes_fin) {
-                    return parks();
-                }
-                let stream = streams.remove(&key);
-                drop(streams);
+                let stream = self.inner.streams.lock().remove(&(from, sid, dir));
                 if let Some(s) = stream {
                     s.inner.fin_received.store(true, Ordering::Relaxed);
                     s.close_rx();
+                    s.fin_if_last().await;
                 }
                 return Ok(());
             }
@@ -410,7 +408,7 @@ impl RelayClient {
         // still-healthy relay. Answer FIN so its write side closes and its
         // session layer recovers, instead of silently eating the bytes. FIN
         // for an unknown stream is a no-op on the peer, so this cannot loop.
-        let _ = self.send_inner(from, answer);
+        let _ = self.answer(from, answer).await;
         Ok(())
     }
 }
@@ -429,10 +427,10 @@ impl LinkOwner for RelayClient {
         Ok(stream)
     }
 
-    fn dispatch(&self, _gen: u64, frame: &Bytes, inline: bool) -> io::Result<()> {
+    async fn dispatch(&self, _gen: u64, frame: &Bytes) -> io::Result<()> {
         match RelayMsg::decode(frame)? {
             RelayMsg::Recv { from, inner } => match Envelope::decode(&inner) {
-                Ok(env) => return self.dispatch_inner(from, env, inline),
+                Ok(env) => return self.dispatch_inner(from, env).await,
                 // The sending peer's fault, not the relay's: the link stays.
                 Err(_) => {
                     let bad = Metric("node", Some(self.inner.id), "bad_envelopes");
@@ -441,11 +439,9 @@ impl LinkOwner for RelayClient {
             },
             // The relay echoes the undeliverable envelope, letting us fail
             // only what it belonged to. Without the echo (or if it does not
-            // decode), fail everything outstanding towards that peer. Either
-            // may drop a stream's last handle, so it is never inline.
-            RelayMsg::Nopeer { .. } if inline => return Err(io::ErrorKind::WouldBlock.into()),
+            // decode), fail everything outstanding towards that peer.
             RelayMsg::Nopeer { to, echo } => match echo.map(|e| Envelope::decode(&e)) {
-                Some(Ok(echo)) => self.nopeer_precise(to, echo),
+                Some(Ok(echo)) => self.nopeer_precise(to, echo).await,
                 _ => self.nopeer_all(to),
             },
             RelayMsg::Busy { peer } => {
@@ -469,7 +465,7 @@ impl LinkOwner for RelayClient {
     /// Relay connection gone: everything in flight fails `ConnectionReset`
     /// (retryable once the pump has redialed), and what the connection
     /// asserted dies with it.
-    fn lost(&self, _gen: u64) {
+    async fn lost(&self, _gen: u64) {
         self.inner.pending.reset(|_| true);
         self.inner.open_waits.reset(|_| true);
         // Congestion gates die with the connection that asserted them.
@@ -481,6 +477,7 @@ impl LinkOwner for RelayClient {
         let streams = std::mem::take(&mut *self.inner.streams.lock());
         for s in streams.into_values() {
             s.close_rx();
+            s.fin_if_last().await;
         }
     }
 }
@@ -506,11 +503,7 @@ mod tests {
         let client = sim.spawn("client", move || {
             spawn_relay(&hb, 600).unwrap();
             let rc = RelayClient::connect(&ha, relay, None, 1).unwrap();
-            let abort = |w: &mut TcpStream, _| {
-                w.abort();
-                io::Result::Ok(())
-            };
-            rc.inner.link.send(&rc, abort).unwrap();
+            rc.inner.link.abort(&rc).unwrap();
             f(rc);
         });
         sim.run();
@@ -560,11 +553,7 @@ mod tests {
             let mut s = accepted.pop().unwrap();
             let mut got = vec![0; 64 * 1024];
             std::io::Read::read_exact(&mut s, &mut got).unwrap();
-            let abort = |w: &mut TcpStream, _| {
-                w.abort();
-                io::Result::Ok(())
-            };
-            receiver.inner.link.send(&receiver, abort).unwrap();
+            receiver.inner.link.abort(&receiver).unwrap();
             let mut rest = Vec::new();
             let _ = std::io::Read::read_to_end(&mut s, &mut rest);
             got.extend(rest);
@@ -611,7 +600,7 @@ mod tests {
     #[test]
     fn a_request_leaves_the_redial_to_the_pump() {
         with_aborted_link(|rc| {
-            let gen = || rc.inner.link.send(&rc, |_, gen| Ok(gen));
+            let gen = || rc.inner.link.hold(&rc).map(|conn| conn.gen);
             gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap() / 2);
             assert_eq!(gen().unwrap_err().kind(), io::ErrorKind::ConnectionReset);
             gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap());

@@ -158,6 +158,9 @@ struct Shard {
     /// this lock, so they never interleave mid-frame.
     w: SimMutex<TcpStream>,
     throttled: Mutex<std::collections::HashSet<GridId>>,
+    /// Times the throttle set was drained: a BUSY that waited out a drain
+    /// for its writer lock is moot.
+    drains: AtomicUsize,
     /// Set when the registration this queue fed was superseded or died:
     /// the worker stops writing and re-routes what is left.
     dead: AtomicBool,
@@ -252,6 +255,7 @@ impl MeshRelay {
             q: SimQueue::bounded(cap),
             w: SimMutex::new(conn),
             throttled: Mutex::default(),
+            drains: AtomicUsize::new(0),
             dead: AtomicBool::new(false),
             cap,
             in_hand: AtomicUsize::new(0),
@@ -562,12 +566,17 @@ impl MeshRelay {
         q.push(item).await.is_ok()
     }
 
-    /// Tell a (local) sender that `to` is running hot: the throttle set
-    /// first, then the BUSY. Senders that came in over the mesh are
-    /// backpressured by the FWD path instead.
+    /// Tell a (local) sender that `to` is running hot: under the writer
+    /// lock its BUSY and READYs take, so no READY overtakes the BUSY, it
+    /// joins the throttle set — unless the set drained while this waited.
+    /// Senders that came in over the mesh are backpressured by the FWD path.
     async fn throttle(&self, from: GridId, to: GridId, q: &OutQueue) {
-        if q.throttled.lock().insert(from) {
-            self.ctl_to_local(from, RelayMsg::Busy { peer: to }).await;
+        let drains = q.drains.load(Ordering::Relaxed);
+        if !q.throttled.lock().contains(&from) {
+            let record =
+                || q.drains.load(Ordering::Relaxed) == drains && q.throttled.lock().insert(from);
+            self.ctl_to_local(from, RelayMsg::Busy { peer: to }, record)
+                .await;
         }
     }
 
@@ -580,7 +589,8 @@ impl MeshRelay {
         match origin {
             Origin::Local => {
                 let echo = Some(inner);
-                self.ctl_to_local(from, RelayMsg::Nopeer { to, echo }).await;
+                let nopeer = RelayMsg::Nopeer { to, echo };
+                self.ctl_to_local(from, nopeer, || true).await;
             }
             Origin::Peer(pid) => {
                 self.frame_to_peer(pid, RelayMsg::FwdFail { from, to, inner })
@@ -591,13 +601,16 @@ impl MeshRelay {
 
     /// Control write (BUSY/READY/NOPEER) to a local client, under its
     /// writer lock, bypassing its shard queue — these must not sit behind
-    /// the very backlog they report on.
-    async fn ctl_to_local(&self, to: GridId, msg: RelayMsg) {
+    /// the very backlog they report on. It goes out if `due()`, asked under
+    /// that lock.
+    async fn ctl_to_local(&self, to: GridId, msg: RelayMsg, due: impl FnOnce() -> bool) {
         let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
         if let Some(shard) = shard {
             let frame = msg.encode().into_frame();
             let w = wait(SimMutex::<TcpStream>::LOCK_WAIT, || shard.w.poll_lock()).await;
-            let _ = ctx::wait_io(|| w.poll_write_block(&frame)).await;
+            if due() {
+                let _ = ctx::wait_io(|| w.poll_write_block(&frame)).await;
+            }
         }
     }
 
@@ -612,9 +625,11 @@ impl MeshRelay {
     async fn release_throttled(&self, q: &OutQueue) {
         // Only client shards ever throttle anyone.
         let Owner::Client(id) = q.owner else { return };
+        q.drains.fetch_add(1, Ordering::Relaxed);
         let drained: Vec<GridId> = q.throttled.lock().drain().collect();
         for s in drained {
-            self.ctl_to_local(s, RelayMsg::Ready { peer: id }).await;
+            self.ctl_to_local(s, RelayMsg::Ready { peer: id }, || true)
+                .await;
         }
     }
 

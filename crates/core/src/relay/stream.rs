@@ -107,9 +107,13 @@ impl RoutedStream {
         }
     }
 
-    /// Is this the stream's last handle, whose drop sends our FIN?
-    pub(super) fn last_owes_fin(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1 && !self.inner.fin_sent.load(Ordering::Relaxed)
+    /// If this is the stream's last handle, whose drop would send our FIN,
+    /// send it here, awaited in the caller's poll: the drop then sends none.
+    pub(crate) async fn fin_if_last(&self) {
+        let last = Arc::strong_count(&self.inner) == 1;
+        if let Some(fin) = last.then(|| self.inner.fin()).flatten() {
+            let _ = self.inner.client.answer(self.inner.peer, fin).await;
+        }
     }
 
     /// Give the stream up without our FIN: its last handle's drop sends none.
@@ -274,14 +278,17 @@ impl Write for RoutedStream {
 }
 
 impl RsInner {
+    /// Our FIN, the first time only.
+    fn fin(&self) -> Option<Envelope<&'static [u8]>> {
+        let (dir, sid) = (self.opener, self.sid);
+        let due = !self.fin_sent.swap(true, Ordering::Relaxed);
+        due.then_some(Envelope::Fin { dir, sid })
+    }
+
     /// Send our FIN, once.
     fn send_fin(&self) -> io::Result<()> {
-        if self.fin_sent.swap(true, Ordering::Relaxed) {
-            return Ok(());
-        }
-        let (dir, sid) = (self.opener, self.sid);
-        self.client
-            .send_inner(self.peer, Envelope::Fin { dir, sid })
+        self.fin()
+            .map_or(Ok(()), |fin| self.client.send_inner(self.peer, fin))
     }
 }
 

@@ -614,10 +614,10 @@ fn drain_after(mut s: RoutedStream, pause: Duration, len: usize) {
 }
 
 /// A routed receiver that stops reading until its stream's queue is full:
-/// its relay client's pump cannot push the next DATA where it lands, so it
-/// promotes that dispatch, which parks until the reader drains — stalling
-/// the relay connection, as one multiplexed link must. Every byte arrives
-/// once, in order, and the parks are the thread-form pump's to the count.
+/// its relay client's pump awaits room for the next DATA until the reader
+/// drains — stalling the relay connection, as one multiplexed link must.
+/// Every byte arrives once, in order, and the parks are the thread-form
+/// pump's to the count.
 #[test]
 fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
     const LEN: usize = 1 << 20;
@@ -655,16 +655,12 @@ fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
     assert_eq!(all_parks(&sim), pinned);
 }
 
-/// Both ends of a pair send 1 MiB at once. Node 2 reads only after a
-/// second, so its shard passes the high watermark and the relay's reader
-/// waits out the SENDs towards it; node 1 reads at once, so the worker of
-/// node 1's shard spends the transfer mid-write, holding the writer lock
-/// that the BUSY and the READY towards node 1 must take. Every byte
-/// arrives once, in order; the throttles and parks are the thread forms'.
-#[test]
-fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
+/// Both ends of a pair send 1 MiB at once, and the reader of the stream
+/// from node `i` starts after `pause(i)`. Every byte arrives once, in
+/// order; the run returns once every task is done.
+fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Sim {
     const LEN: usize = 1 << 20;
-    let sim = Sim::new(76);
+    let sim = Sim::new(seed);
     let (ha, hb, hs) = star(&sim);
     let relay = SockAddr::new(hs.ip(), 600);
     sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
@@ -686,14 +682,27 @@ fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let s = accepted.pop().unwrap();
-                let pause = Duration::from_secs(if s.peer() == 1 { 1 } else { 0 });
+                let pause = pause(s.peer());
                 h.spawn("reader", move || drain_after(s, pause, LEN))
             })
             .collect();
         writers.into_iter().chain(readers).for_each(|t| t.join());
     });
     sim.run();
-    assert!(done.is_finished());
+    assert!(done.is_finished(), "a sender was left congested");
+    sim
+}
+
+/// Node 2 reads only after a second, so its shard passes the high
+/// watermark and the relay's reader waits out the SENDs towards it; node
+/// 1 reads at once, so the worker of node 1's shard spends the transfer
+/// mid-write, holding the writer lock that the BUSY and the READY towards
+/// node 1 must take. The throttles and parks are the thread forms'.
+#[test]
+fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
+    let sim = exchange(76, |from| {
+        Duration::from_secs(if from == 1 { 1 } else { 0 })
+    });
     let h = sim.scheduler().handle();
     let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
     assert_eq!([throttles(1), throttles(2)], [1, 0]);
@@ -712,22 +721,93 @@ fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
-    // The relay's reader awaits each SEND, its BUSY included, where every
-    // SEND past the watermark was a blocking section (256 grants, 7
-    // threads); the threads left are the test's tasks and the clients'
-    // link pumps'.
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [230, 6]);
+    // The relay's reader awaits each SEND, its BUSY included, and the
+    // clients' link pumps each frame: the threads are the test's tasks'.
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [224, 5]);
+}
+
+/// Both readers start after a second, so both shards run hot, and each
+/// BUSY waits for its sender's writer lock, held mid-write by that
+/// sender's shard worker, until after the shard it reports on has
+/// drained. Recorded before that wait, the sender got the drain's READY
+/// ahead of the BUSY and stayed congested for good; recorded under the
+/// lock but past the drain, it would get a BUSY no READY follows. The
+/// drain in between makes each BUSY moot: none is sent.
+#[test]
+fn a_ready_never_overtakes_its_busy() {
+    let sim = exchange(76, |_| Duration::from_secs(1));
+    let h = sim.scheduler().handle();
+    let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
+    assert_eq!([throttles(1), throttles(2)], [0, 0]);
+}
+
+/// Node 2 reads its stream only after a second, so its queue fills and
+/// its relay client's pump waits for room for the next DATA in its poll,
+/// taking no thread. The reply to a service request node 2 makes
+/// meanwhile arrives behind that DATA on the same link and is dispatched
+/// after it: once the reader has made room, never before.
+#[test]
+fn data_into_a_full_queue_waits_in_the_pump_and_what_follows_waits_behind_it() {
+    const LEN: usize = 1 << 20;
+    let sim = Sim::new(79);
+    let (ha, hb, hs) = star(&sim);
+    let relay = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let done = sim.spawn("driver", move || {
+        let (ca, cb, accepted) = relay_pair(&ha, &hb, relay);
+        let h = gridsim_net::ctx::handle();
+        let writer = h.spawn("writer", move || {
+            let mut s = ca.open_stream(2, "bulk", 1).unwrap();
+            s.write_all(&(0..LEN).map(routed_byte).collect::<Vec<u8>>())
+                .unwrap();
+            s.shutdown_write().unwrap();
+        });
+        let (s, pause) = (accepted.pop().unwrap(), Duration::from_secs(1));
+        let reads_at = gridsim_net::ctx::now() + pause;
+        let reader = h.spawn("reader", move || drain_after(s, pause, LEN));
+        gridsim_net::ctx::sleep(Duration::from_millis(800));
+        assert_eq!(cb.service_request(1, b"ping").unwrap(), b"");
+        let replied = gridsim_net::ctx::now();
+        assert!(
+            replied > reads_at,
+            "the reply overtook the DATA ahead of it"
+        );
+        writer.join();
+        reader.join();
+    });
+    sim.run();
+    assert!(done.is_finished());
+    let pinned = [
+        ("join", 2),
+        ("queue pop", 110),
+        ("queue push", 1),
+        ("relay open", 1),
+        ("relay peer busy", 1),
+        ("relay svc rsp", 1),
+        ("sleep", 3),
+        ("tcp accept", 3),
+        ("tcp connect", 2),
+        ("tcp read", 268),
+        ("tcp write", 167),
+    ];
+    let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
+    assert_eq!(all_parks(&sim), pinned);
+    // The four threads are the test's `relay`, `writer` and `reader` and
+    // node 1's `svc-handler`: none is the pump's.
+    let h = sim.scheduler().handle();
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [46, 4]);
 }
 
 /// Node 1 drops its end of a stream node 2 opened, unclosed: only its
 /// stream table holds it now. Node 2's FIN arrives while node 1 is
 /// writing 1 MiB to node 2, its relay link's writer lock held mid-write;
-/// taking the stream out of the table drops its last handle, whose drop
-/// sends node 1's FIN — a send, so the pump promotes that dispatch. Node 2
-/// reads that FIN as the end of the stream; the 1 MiB arrives once, in
-/// order; the parks are the thread-form pump's.
+/// the pump takes the stream's last handle out of the table and awaits
+/// node 1's FIN in its poll, through that lock, so the handle's drop sends
+/// none. Node 2 reads that FIN as the end of the stream; the 1 MiB arrives
+/// once, in order; the parks are the thread-form pump's.
 #[test]
-fn a_fin_that_drops_a_streams_last_handle_is_answered_from_a_promoted_dispatch() {
+fn a_fin_that_takes_a_streams_last_handle_is_answered_in_the_pumps_poll() {
     const LEN: usize = 1 << 20;
     let sim = Sim::new(78);
     let (ha, hb, hs) = star(&sim);
@@ -797,12 +877,11 @@ fn a_connect_back_request_is_answered_and_the_connection_steps_on() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
-    // The dial back is awaited in the server's reader, where it was a
-    // blocking section (7 grants). The two threads are the `ns` task's,
-    // whose idle worker the client takes, and the client link pump's end
-    // of connection, a blocking section in link.rs.
+    // The dial back is awaited in the server's reader, and the client
+    // link's end of connection in its pump: the one thread is the `ns`
+    // task's, whose idle worker the client takes.
     let h = sim.scheduler().handle();
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [5, 2]);
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [4, 1]);
 }
 
 /// Topology sanity: the qualitative grid builder gives every host a

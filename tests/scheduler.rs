@@ -483,11 +483,10 @@ fn a_relay_mesh_starts_no_thread() {
 
 /// 64 × 64 KiB routed from a node homed at one relay of a two-relay mesh
 /// to one homed at the other: every frame crosses the mesh link, read by
-/// the one relay reader and written by a shard writer, in async tasks. The
-/// four threads left are the ends': the test's sender and receiver, a
-/// relay client pump's promoted dispatch and a `routed-open` handler. With
-/// the idle mesh's four (two dials, two accepted links) it started 8 and
-/// took 1 218 grants.
+/// the one relay reader and written by a shard writer, and the relay
+/// clients' pumps dispatch each frame, in async tasks. The three threads
+/// left are the ends': the test's sender and receiver and a `routed-open`
+/// handler.
 #[test]
 fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
     const MESSAGES: u64 = 64;
@@ -537,8 +536,8 @@ fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
     sim.run();
     assert!(receiver.is_finished(), "receiver did not get every message");
     let h = sim.scheduler().handle();
-    assert_eq!(h.metric(THREADS), 4, "threads started");
-    assert_eq!(h.metric(GRANTS), 135, "grants");
+    assert_eq!(h.metric(THREADS), 3, "threads started");
+    assert_eq!(h.metric(GRANTS), 131, "grants");
 }
 
 /// `rounds` connect → send → close rounds from `a` to a receive port on
@@ -592,9 +591,9 @@ fn connect_rounds(
 /// them: the name-service lookup, the brokering through the relay, the
 /// OPEN, one message and the close. Every reader on the way — both name
 /// service links' and the name server's, both relay pumps and the relay's
-/// readers and shard writers — is an inline task; what switches is the
-/// sender, the receiver's handlers and its message drain: six switches a
-/// round, where those readers on threads of their own took twenty-two.
+/// readers and shard writers — is an inline task, every frame dispatched
+/// in its poll; what switches is the sender, the receiver's handlers and
+/// its message drain: four switches a round.
 #[test]
 fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
@@ -621,7 +620,7 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     );
     assert_eq!(
         spent[&GRANTS],
-        6 * ROUNDS as i64,
+        4 * ROUNDS as i64,
         "grants over {ROUNDS} rounds"
     );
 }
