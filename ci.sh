@@ -14,8 +14,8 @@
 #           second read or write path (a blocking read or write is a poll
 #           plus one park, `ctx::park_io`, which blockio.rs calls only in
 #           BlockWrite::write_block, BlockRead::read_chunks_min,
-#           BlockWriter's passthrough, Parked and BlockReader::blocking,
-#           and a raw frame has one decoder; the retired twins' names),
+#           BlockWriter's passthrough and Parked, and a raw frame has
+#           one decoder; the retired twins' names),
 #           every stream polled, reading and writing (no `pollable` in
 #           crates/*/src, no `ctx::blocking` nor a blocking `consume(` in
 #           blockio.rs, and no daemon in the drivers), one
@@ -38,24 +38,19 @@
 #           first blocking poll (`start_thread` called from `drive`
 #           alone, no `Job::Body` or `type Body`); no blocking
 #           `.accept()` in core outside tests (an accept loop awaits
-#           `poll_accept`), no SOCKS tunnel direction on a thread of its
-#           own (socks.rs spawns `socks-conn` only, in `spawn_proxy`),
-#           and no service reader on one either: the service links'
-#           pumps, the relay's readers, shard writers, mesh-peer dials and
-#           route-pull timeouts and the name server's readers are async
-#           tasks, so link.rs, nameservice.rs and relay/server.rs spawn no
-#           daemon; the relay and the name server poll end to end, with
-#           no blocking section (`blocking(`) in relay/server.rs or
-#           nameservice.rs and no `send_inline` fork in core; the
-#           service links dispatch every frame in their pump's poll: no
-#           `inline` parameter on a `fn dispatch` in core, no `parks()`
-#           in relay/client.rs, and link.rs's one `blocking(` in
-#           `redial` (its dial); no hand-written
+#           `poll_accept`); every worker core takes on the allow-list: each
+#           `spawn_daemon` and blocking section (`ctx::blocking`,
+#           `blocking(`) in non-test crates/core/src is a listed (file fn)
+#           site — socks.rs's `socks-conn` handshake, link.rs's redial
+#           dial, the CACK sender, the path controller, the svc handler
+#           and rpc's tasks — and each listed site exists, so the list
+#           only shrinks; every frame has one path: no `send_inline` fork
+#           in core, no `inline` parameter on a `fn dispatch`, no
+#           `parks()` in relay/client.rs and no `exit_parks` in port.rs;
+#           no hand-written
 #           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
 #           `Step::`), the receive pump an async body that only
-#           `add_link` starts, with no `ctx::park` in port.rs, no
-#           `exit_parks` and its one `ctx::blocking` in `run`'s RECONFIG
-#           arm; and no
+#           `add_link` starts, with no `ctx::park` in port.rs; and no
 #           `unsafe` in a product crate's non-test code outside
 #           crates/simnet/src/sync.rs, nor an OS mutex back around the
 #           scheduler's state or the world (the baton is their lock)
@@ -211,20 +206,19 @@ stage_clippy() {
   fi
   # A source is read and a sink written one way (DESIGN.md §5b): through
   # its poll, blocking as that poll plus one park (`ctx::park_io`) — in the
-  # traits' read_chunks_min and write_block, BlockWriter's passthrough,
-  # the Parked top of a stack, or a restartable decode under
-  # BlockReader::blocking — and a raw frame through one decoder,
+  # traits' read_chunks_min and write_block, BlockWriter's passthrough or
+  # the Parked top of a stack — and a raw frame through one decoder,
   # BlockReader::frame. No twin of either comes back, nor simtcp's scalar
   # staging beside its block path.
   if grep -rnE 'read_frame_within|fn polling|read_some_staged|write_some_staged|collect_read_some|write_all_blocking' crates/*/src; then
-    echo "a second read path (lines above); poll, and block through BlockRead::read_chunks_min / BlockReader::blocking"
+    echo "a second read path (lines above); poll, and block through BlockRead::read_chunks_min / ctx::park_io"
     return 1
   fi
   local blockio_parks
   blockio_parks="$(fns_calling 'ctx::park(_io)?\(' crates/core/src/drivers/blockio.rs)"
-  if [ "$blockio_parks" != "write_block read_chunks_min write write flush blocking" ]; then
+  if [ "$blockio_parks" != "write_block read_chunks_min write write flush" ]; then
     echo "blockio.rs parks outside BlockWrite::write_block / BlockRead::read_chunks_min /"
-    echo "  BlockWriter::write / Parked / BlockReader::blocking: $blockio_parks"
+    echo "  BlockWriter::write / Parked: $blockio_parks"
     return 1
   fi
   # Every stream polls, reading and writing (DESIGN.md §5b): no source
@@ -250,7 +244,7 @@ stage_clippy() {
   fi
   # The receive pump is one async body (DESIGN.md §6a), started in
   # `add_link` alone (`AckSender::send`'s daemon is the CACK's), and
-  # nothing in port.rs parks: what may block is a blocking section.
+  # nothing in port.rs parks: what waits is awaited.
   if [ "$(fns_calling 'spawn_(daemon|async)\(' crates/core/src/port.rs)" != "send add_link" ] \
     || [ -n "$(fns_calling 'ctx::park\(' crates/core/src/port.rs)" ]; then
     echo "port.rs starts a task outside AckSender::send / add_link, or parks:"
@@ -349,58 +343,48 @@ stage_clippy() {
     echo "a blocking accept in core (lines above); await next_conn in an async task instead"
     return 1
   fi
-  # The SOCKS proxy's accept loop and its two tunnel directions are async
-  # tasks: its one daemon is each client's handshake, in spawn_proxy.
-  if [ "$(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)" != "spawn_proxy" ] \
-    || ! grep -q 'spawn_daemon("socks-conn"' crates/core/src/socks.rs; then
-    echo "socks.rs spawns a daemon other than socks-conn in spawn_proxy: $(fns_calling 'spawn_daemon\(' crates/core/src/socks.rs)"
-    echo "  an accept loop or a tunnel direction is an async task (next_conn, pump_one_way)"
+  # What still takes a worker in core (DESIGN.md §6a): every `spawn_daemon`
+  # and every blocking section (`ctx::blocking`, `blocking(`) in non-test
+  # crates/core/src is one of these (file fn) sites. Every other task is an
+  # async body over the polls that exist — the accept loops and acceptors,
+  # the SOCKS tunnel, the service links' pumps, the relay and the name
+  # server, the receive pump and its RECONFIG. A site not listed fails, and
+  # so does a listed one that is gone: the list only shrinks with the code.
+  local allowed sites
+  allowed="crates/core/src/link.rs redial
+crates/core/src/node.rs spawn_path_controller
+crates/core/src/port.rs send
+crates/core/src/relay/client.rs dispatch_inner
+crates/core/src/rpc.rs connect
+crates/core/src/rpc.rs serve
+crates/core/src/socks.rs spawn_proxy"
+  sites=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { f = "" }
+    /^#\[cfg\(test\)\]/ { nextfile }
+    match($0, /fn [A-Za-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    $0 !~ /^ *\/\// && /spawn_daemon\(|(^|[^A-Za-z_])blocking\(/ { print FILENAME " " f }
+  ' | LC_ALL=C sort -u)
+  if [ "$sites" != "$allowed" ]; then
+    diff <(echo "$allowed") <(echo "$sites") | grep '^[<>]' \
+      | sed 's/^>/  not listed:/; s/^</  listed, gone:/'
+    echo "a worker taken at a site the allow-list does not name, or a listed site gone (lines above);"
+    echo "  await the poll instead, or take the gone site off the list"
     return 1
   fi
-  # The service links' pumps, the relay's connection readers, shard
-  # writers, mesh-peer dials and route-pull timeouts, the name server's
-  # connection readers and both servers' accept loops are async tasks too
-  # (SchedHandle::spawn_async): none of the three files spawns a daemon.
-  local ns relay
-  ns=$(fns_calling 'spawn_daemon\(' crates/core/src/nameservice.rs)
-  relay=$(fns_calling 'spawn_daemon\(' crates/core/src/relay/server.rs)
-  if [ -n "$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)" ] || [ -n "$ns" ] \
-    || [ -n "$relay" ]; then
-    echo "a service reader on a thread of its own: link.rs [$(fns_calling 'spawn_daemon\(' crates/core/src/link.rs)]," \
-      "nameservice.rs [$ns], relay/server.rs [$relay]; spawn it with spawn_async"
-    return 1
-  fi
-  # The relay and the name server poll end to end (DESIGN.md §6a): every
-  # handler that may wait is awaited, so a frame has one path — no
-  # blocking section in either, and no inline twin of a relay handler.
-  if grep -nE '\bblocking\(' crates/core/src/relay/server.rs crates/core/src/nameservice.rs \
-    || grep -rn 'send_inline' crates/core/src; then
-    echo "a blocking section in the relay or the name server, or a second path per frame (lines above); await the poll instead"
-    return 1
-  fi
-  # A service link's pump dispatches every frame in its poll, awaiting
-  # what the frame waits on (DESIGN.md §6a): no `inline` fork of a
-  # dispatch, no refusal to promote, and link.rs's one blocking section is
-  # the redial's dial (the factory's SOCKS / NAT-gate connect).
+  # Each frame has one path (DESIGN.md §6a): no inline twin of a relay
+  # handler (`send_inline`), no `inline` fork of a service link's dispatch
+  # nor a refusal to promote (`parks()` in relay/client.rs), and no
+  # `exit_parks` section at the receive pump's end.
   local dispatch_inline
   dispatch_inline=$(find crates/core/src -name '*.rs' -print0 | xargs -0 awk '
     /fn dispatch/ { sig = 1; text = "" }
     sig { text = text $0 }
     sig && /[{;]/ { sig = 0; if (text ~ /[(,] *inline *:/) print FILENAME ":" FNR ": " text }
   ')
-  if [ -n "$dispatch_inline" ] || grep -n 'parks()' crates/core/src/relay/client.rs \
-    || [ "$(fns_calling '(^|[^A-Za-z_])blocking\(' crates/core/src/link.rs)" != "redial" ]; then
+  if [ -n "$dispatch_inline" ] || grep -rn 'send_inline' crates/core/src \
+    || grep -n 'parks()' crates/core/src/relay/client.rs || grep -n 'exit_parks' crates/core/src/port.rs; then
     echo "$dispatch_inline"
-    echo "a dispatch forked on whether it may park (lines above), or a blocking section in link.rs" \
-      "outside the redial's dial: [$(fns_calling '(^|[^A-Za-z_])blocking\(' crates/core/src/link.rs)]; await the poll instead"
-    return 1
-  fi
-  # The receive pump's end awaits a routed stream's FIN; RECONFIG's
-  # receiver rebuild is its one blocking section.
-  if grep -n 'exit_parks' crates/core/src/port.rs \
-    || grep -n 'ctx::blocking' crates/core/src/port.rs | grep -vE '^[0-9]+: *//|ctx::blocking\(\|\| self\.reconfigure\(' \
-    || [ "$(fns_calling 'ctx::blocking' crates/core/src/port.rs)" != "run" ]; then
-    echo "a blocking section in port.rs outside run's RECONFIG arm (lines above); await the poll instead"
+    echo "a second path per frame, forked on whether it may park (lines above); await the poll instead"
     return 1
   fi
   # A task that must not block is an async body: no hand-written step

@@ -30,15 +30,15 @@
 //! the blocking code would have made, so the simulated clock cannot tell
 //! the two apart. A caller that may park blocks one way, the poll plus one
 //! park (`ctx::park_io`): the traits' provided `read_chunks_min` and
-//! `write_block`, or [`BlockReader::blocking`] for a decode; an async task
-//! awaits `BlockReader::read` or `ctx::wait_io`. Every raw `[varint
+//! `write_block`; an async task awaits `BlockReader::read` or
+//! `ctx::wait_io`, and a blocking caller of an `async fn` runs it under
+//! `ctx::block_on`. Every raw `[varint
 //! len][payload]` frame is read by one decoder, [`BlockReader::frame`].
 
 use bytes::Bytes;
 use gridsim_net::ctx;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 use gridsim_net::SimTime;
 use gridzip::varint;
@@ -432,9 +432,8 @@ impl<W: BlockWrite> Drop for BlockWriter<W> {
 /// `Err(WouldBlock)`, and every decoder here ([`Parse`],
 /// [`frame`](Self::frame)) is restartable — it consumes nothing until its
 /// whole unit has arrived, and asked again it states the demand it would
-/// have stated blocking. A caller that may park runs its decode under
-/// [`blocking`](Self::blocking), an async task awaits it with
-/// [`read`](Self::read).
+/// have stated blocking. A task awaits it with [`read`](Self::read), or
+/// parks on it with `ctx::park_io`.
 pub struct BlockReader<R: BlockRead> {
     inner: R,
     chunks: VecDeque<Bytes>,
@@ -472,32 +471,6 @@ impl<R: BlockRead> BlockReader<R> {
         mut unit: impl FnMut(&mut Self) -> io::Result<T>,
     ) -> io::Result<T> {
         ctx::wait_io(|| unit(self)).await
-    }
-
-    /// Run `unit`, a restartable decode, to its end: each time the source
-    /// would block, park under the reason it named and run `unit` again,
-    /// which finds what arrived buffered and states what it still lacks.
-    /// With `within`, a would-block that much sim time after the call is
-    /// `TimedOut`; the deadline is one [`Timer`](gridsim_net::Timer),
-    /// cancelled when the call returns.
-    pub(crate) fn blocking<T>(
-        &mut self,
-        within: Option<Duration>,
-        mut unit: impl FnMut(&mut Self) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let deadline = within.map(|within| {
-            let (sched, waker) = (ctx::handle(), ctx::waker());
-            let at = sched.now() + within;
-            (at, sched.timer(at, move || waker.wake()))
-        });
-        let late = || deadline.as_ref().is_some_and(|(at, _)| ctx::now() >= *at);
-        ctx::park_io(|| match unit(self) {
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock && late() => {
-                ctx::blocked_on();
-                Err(io::ErrorKind::TimedOut.into())
-            }
-            read => read,
-        })
     }
 
     /// Buffer at least `need` bytes; false if the source ends first, its
@@ -687,6 +660,7 @@ pub(crate) mod tests {
     use crate::cpu::{CpuModel, CpuRates};
     use gridsim_net::{ctx, NodeId, Sim};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn host_cpu() -> (Sim, HostCpu) {
         let sim = Sim::new(1);

@@ -156,15 +156,13 @@ impl Read for RawLink {
     }
 }
 
-/// A stack layer's write: on a native link it does not park
-/// ([`BlockWrite`]). A routed stream's write parks: a routed link is never
-/// striped (`establish/routed.rs` opens one stream), so only the sending
-/// task, which may park, writes one.
+/// A stack layer's write: it does not park ([`BlockWrite`]), on a native
+/// link or a routed one.
 impl Write for RawLink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
             RawLink::Tcp(s) => s.poll_write_some(buf),
-            RawLink::Routed(s) => s.write(buf),
+            RawLink::Routed(s) => s.poll_write(buf).map(|()| buf.len()),
         }
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -186,7 +184,7 @@ impl BlockWrite for RawLink {
     fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
         match self {
             RawLink::Tcp(s) => s.poll_write_block(block),
-            RawLink::Routed(s) => s.write_all(block),
+            RawLink::Routed(s) => s.poll_write(block),
         }
     }
 }
@@ -388,15 +386,16 @@ pub type SenderStack = Box<dyn BlockWrite + Send>;
 /// The assembled receiver side of a connection.
 pub type ReceiverStack = Box<dyn BlockRead + Send>;
 
-/// GTLS over each of a link's streams, every handshake run by the calling
-/// task, a blocking context, whatever the stream count. Each stream's
-/// handshake CPU is charged in stream order and its handshake starts where
-/// its charge ends; every handshake started and not yet open is polled over
-/// its non-parking link, and the task parks between polls under the reason
-/// the first would-block in stream order named. Stream index `i` salts the
+/// GTLS over each of a link's streams, every handshake awaited in the
+/// calling task whatever the stream count: the receiver's assembly awaits
+/// it, a sender runs it under `ctx::block_on`. Each stream's handshake CPU
+/// is charged in stream order and its handshake starts where its charge
+/// ends; every handshake started and not yet open is polled over its
+/// non-parking link, and the task waits between polls under the reason the
+/// first would-block in stream order named. Stream index `i` salts the
 /// handshake RNG, so each stream's handshake is the same whatever the
 /// order its flights arrive in.
-fn secure_wires(
+async fn secure_wires(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: &HostCpu,
@@ -420,7 +419,7 @@ fn secure_wires(
         .collect();
     let mut charging = charged.into_iter().peekable();
     let mut wires = Vec::new();
-    ctx::park_io(|| {
+    ctx::wait_io(|| {
         while let Some((i, _, link)) = charging.next_if(|&(_, at, _)| at <= ctx::now()) {
             let client = (role == Role::Client) as u64;
             let mut rng = StdRng::seed_from_u64(sc.seed ^ (i as u64) << 32 | client);
@@ -439,7 +438,8 @@ fn secure_wires(
             Some(why) => Err(ctx::would_block(why)),
             None => Ok(()),
         }
-    })?;
+    })
+    .await?;
     Ok(wires.into_iter().map(|w| Box::new(w) as _).collect())
 }
 
@@ -466,7 +466,7 @@ pub fn build_sender(
     // Per-stream crypto cost wrapper.
     let crypt_rate = cpu.rates.crypt;
     let wires: Vec<Box<dyn BlockWrite + Send>> =
-        secure_wires(links, spec, &cpu, sec, Role::Client)?
+        ctx::block_on(secure_wires(links, spec, &cpu, sec, Role::Client))?
             .into_iter()
             .map(|w| -> Box<dyn BlockWrite + Send> {
                 if spec.secure {
@@ -504,18 +504,17 @@ pub fn build_sender(
 }
 
 /// Assemble the receiver stack over accepted raw links (same order as the
-/// sender's streams).
+/// sender's streams), awaited by the acceptor's or the receive pump's task.
 ///
 /// Also returns the striped layer's quiesce handle (None for single-stream
 /// stacks). The pump holds it so a live reconfiguration can wait for the
 /// retired stack's reader tasks to exit before a replacement stack reads
 /// the same sockets.
-pub fn build_receiver(
+pub async fn build_receiver(
     links: Vec<RawLink>,
     spec: &StackSpec,
     cpu: HostCpu,
     sec: Option<&SecurityContext>,
-    sched: &gridsim_net::SchedHandle,
 ) -> io::Result<(ReceiverStack, Option<stripe::StripeQuiesce>)> {
     assert_eq!(
         links.len(),
@@ -524,7 +523,8 @@ pub fn build_receiver(
     );
     let block = spec.block_size() as usize;
     let crypt_rate = cpu.rates.crypt;
-    let wires: Vec<Box<dyn BlockRead + Send>> = secure_wires(links, spec, &cpu, sec, Role::Server)?
+    let wires: Vec<Box<dyn BlockRead + Send>> = secure_wires(links, spec, &cpu, sec, Role::Server)
+        .await?
         .into_iter()
         .map(|w| -> Box<dyn BlockRead + Send> {
             if spec.secure {
@@ -538,7 +538,7 @@ pub fn build_receiver(
     let base: Box<dyn BlockRead + Send> = match <[_; 1]>::try_from(wires) {
         Ok([w]) => Box::new(BlockReader::new(w, block)),
         Err(wires) => {
-            let sr = StripeReader::new(wires, sched);
+            let sr = StripeReader::new(wires, &ctx::handle());
             quiesce = Some(sr.quiesce());
             Box::new(sr)
         }

@@ -321,8 +321,8 @@ async fn pump(stream: Box<dyn BlockRead + Send>, q: Blocks) {
     q.close();
 }
 
-/// Receiver-side handle paired with a retired [`StripeReader`]: waiting on
-/// it parks until every pump task consumed its segment terminator (or hit
+/// Receiver-side handle paired with a retired [`StripeReader`]: awaiting
+/// it waits until every pump task consumed its segment terminator (or hit
 /// a stream error) and closed its queue. Until that point the pumps are
 /// still entitled to read from the underlying sockets, so a live
 /// reconfiguration must wait here before acking the sender — otherwise a
@@ -332,12 +332,12 @@ pub struct StripeQuiesce {
 }
 
 impl StripeQuiesce {
-    /// Park until every pump exited, discarding any residual blocks or
+    /// Wait until every pump exited, discarding any residual blocks or
     /// errors (by the reconfiguration protocol there are none: the
     /// terminator is the last thing the sender wrote in the old format).
-    pub fn wait(self) {
+    pub async fn wait(self) {
         for q in &self.queues {
-            while q.pop().is_some() {}
+            while ctx::wait(Blocks::POP_WAIT, || q.poll_pop()).await.is_some() {}
         }
     }
 }

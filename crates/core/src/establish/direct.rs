@@ -70,13 +70,13 @@ pub(super) fn send_preamble(
 /// register the link with the port. A preamble that has not arrived whole
 /// by the port's [`PENDING_STREAMS_DEADLINE`] is an error, and the
 /// connection is dropped — closed as a partial assembly's streams are.
-pub(crate) fn accept(
+pub(crate) async fn accept(
     ctx: &NodeCtx,
     port: &Arc<ReceivePortInner>,
     stream: TcpStream,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let link = RawLink::Tcp(stream);
-    let pre = link_frame(&link, PENDING_STREAMS_DEADLINE, "stream preamble")?;
-    port.add_link(ctx, Preamble::decode(&pre)?, link)
+    let pre = link_frame(&link, PENDING_STREAMS_DEADLINE, "stream preamble").await?;
+    port.add_link(ctx, Preamble::decode(&pre)?, link).await
 }

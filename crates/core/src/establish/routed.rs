@@ -38,8 +38,8 @@ pub(super) fn routed(
 
 /// The acceptor's half, for `RelayDelegate::on_open`: admit a routed link
 /// to one of our receive ports. Reading the resume fields and assembling
-/// the stack block, so they run in a task; the opener hears of a failure
-/// there — resume fields that have not arrived by the port's
+/// the stack wait, so they are awaited in a task; the opener hears of a
+/// failure there — resume fields that have not arrived by the port's
 /// [`PENDING_STREAMS_DEADLINE`] among them — through a late refusal.
 pub(crate) fn on_open(
     ctx: NodeCtx,
@@ -49,14 +49,18 @@ pub(crate) fn on_open(
 ) -> Result<(), String> {
     let port =
         (ctx.resolve)(port_name).ok_or_else(|| format!("unknown receive port '{port_name}'"))?;
-    gridsim_net::ctx::handle().spawn_daemon("routed-open", move || {
+    gridsim_net::ctx::handle().spawn_async("routed-open", async move {
         let link = RawLink::Routed(stream.clone());
-        let first_frame = || link_frame(&link, PENDING_STREAMS_DEADLINE, "resume fields");
-        let opened = Preamble::decode_routed(channel, first_frame)
-            .and_then(|pre| port.add_link(&ctx, pre, link.clone()));
-        if let Err(e) = opened {
-            stream.refuse(&e.to_string());
+        let opened = async move {
+            let first_frame = link_frame(&link, PENDING_STREAMS_DEADLINE, "resume fields");
+            let pre = Preamble::decode_routed(channel, first_frame).await?;
+            port.add_link(&ctx, pre, link).await
+        };
+        if let Err(e) = opened.await {
+            stream.refuse(&e.to_string()).await;
         }
+        // The last handle's FIN, awaited here rather than sent by its drop.
+        stream.fin_if_last().await;
     });
     Ok(())
 }

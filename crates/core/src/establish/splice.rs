@@ -11,7 +11,7 @@
 //!    (and releases its gate).
 
 use gridsim_net::nat::next_sequential_port;
-use gridsim_net::{SockAddr, Timer};
+use gridsim_net::{ctx, SockAddr, Timer};
 use gridsim_tcp::{ConnectOpts, TcpConfig, TcpStream};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -280,10 +280,10 @@ pub(crate) fn on_go(
         let stream = connect_from(f, lp, ep)?;
         let (ctx2, port) = (ctx.clone(), Arc::clone(&pending.port));
         ctx.sched
-            .spawn_daemon(format!("splice-accept-{i}"), move || {
+            .spawn_async(format!("splice-accept-{i}"), async move {
                 // Once established, the same as an accepted connection.
-                if stream.wait_established().is_ok() {
-                    let _ = accept(&ctx2, &port, stream);
+                if ctx::wait_io(|| stream.poll_established()).await.is_ok() {
+                    let _ = accept(&ctx2, &port, stream).await;
                 }
             });
     }

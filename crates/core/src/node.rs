@@ -380,8 +380,8 @@ impl GridNode {
         sched.spawn_async(format!("rp-accept-{name}"), async move {
             while let Ok(stream) = next_conn(&listener).await {
                 let (port, ctx) = (Arc::clone(&port), node.ctx());
-                sched2.spawn_daemon("rp-incoming", move || {
-                    let _ = establish::accept(&ctx, &port, stream);
+                sched2.spawn_async("rp-incoming", async move {
+                    let _ = establish::accept(&ctx, &port, stream).await;
                 });
             }
         });
@@ -597,7 +597,8 @@ impl GridNode {
         let deliveries = match resume {
             // The receiver replies once every stream arrived.
             Some(meta) => {
-                let frame = link_frame(&links[0], RESUME_REPLY_TIMEOUT, "resume reply")?;
+                let reply = link_frame(&links[0], RESUME_REPLY_TIMEOUT, "resume reply");
+                let frame = gridsim_net::ctx::block_on(reply)?;
                 ResumeReply::decode(&frame, 1 + meta.extras.len())?.0
             }
             None => Vec::new(),
@@ -674,7 +675,8 @@ impl GridNode {
         io.write_reconfig(epoch, params)?;
         // Block for the receiver's ack: it proves the receiver consumed
         // every old-format byte and swapped.
-        let ack = link_frame(&io.links[0], RESUME_REPLY_TIMEOUT, "reconfig ack")?;
+        let ack = link_frame(&io.links[0], RESUME_REPLY_TIMEOUT, "reconfig ack");
+        let ack = gridsim_net::ctx::block_on(ack)?;
         let ack = ReconfigAck::decode(&ack)?;
         if ack.epoch != epoch {
             return Err(io::Error::new(

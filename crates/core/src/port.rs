@@ -25,7 +25,8 @@ use std::task::Poll;
 use std::time::Duration;
 
 use crate::drivers::{
-    build_receiver, BlockReader, PathParams, RawLink, ReceiverStack, StackSpec, StripeQuiesce,
+    build_receiver, BlockReader, BlockWrite, PathParams, RawLink, ReceiverStack, StackSpec,
+    StripeQuiesce,
 };
 use crate::establish::EstablishMethod;
 use crate::node::{GridNode, NodeCtx};
@@ -484,8 +485,9 @@ struct LiveChan {
 /// Every read is awaited through [`BlockReader::read`], over every stack
 /// (striped, compressed and GTLS ones included): the pump is inline,
 /// polled on the stack of whoever delivered its bytes. So is its end over
-/// a routed stream, which awaits the FIN the stream's last handle owes.
-/// A RECONFIG is a blocking section, and the pump is inline again after it.
+/// a routed stream, which awaits the FIN the stream's last handle owes,
+/// and a RECONFIG: the quiesce, the ack and the rebuilt receiver's
+/// handshakes are awaited, so the pump never takes a worker.
 struct Pump {
     port: Arc<ReceivePortInner>,
     cur: BlockReader<ReceiverStack>,
@@ -523,12 +525,7 @@ impl Pump {
                     }
                     true
                 }
-                // The pump's one blocking section: the rebuilt receiver runs
-                // each stream's GTLS handshake through `secure_wires`' park
-                // loop.
-                Ok(Frame::Reconfig { epoch, params }) => {
-                    ctx::blocking(|| self.reconfigure(epoch, params)).await
-                }
+                Ok(Frame::Reconfig { epoch, params }) => self.reconfigure(epoch, params).await,
                 Err(_) => false,
             };
             if !routed {
@@ -632,7 +629,7 @@ impl Pump {
     /// `try_reconfigure`) or leftover old-format bytes after the frame are
     /// corrupt, and the sender's ack wait times out and recovery
     /// resynchronizes.
-    fn reconfigure(&mut self, epoch: u64, params: PathParams) -> bool {
+    async fn reconfigure(&mut self, epoch: u64, params: PathParams) -> bool {
         if epoch <= self.last_epoch
             || !params.valid_for(self.probes.len())
             || self.cur.buffered() != 0
@@ -644,28 +641,26 @@ impl Pump {
         // terminator (written right after the RECONFIG frame). Ack first
         // and a still-parked pump would steal the new stack's first bytes.
         if let Some(q) = self.quiesce.take() {
-            q.wait();
+            q.wait().await;
         }
         // Ack with the delivered watermarks (the exactly-once handshake),
         // then rebuild the receiver stack from the new parameters over the
         // first `stripes` connections; the rest stay parked. GTLS
         // re-handshakes deterministically from the per-stream salt.
-        let mut rx = self.port.rx.lock();
+        let rx = &self.port.rx;
         let mut delivered: Vec<(u64, u64)> = (self.live.keys())
-            .map(|&ch| (ch, rx.rec(ch).mark()))
+            .map(|&ch| (ch, rx.lock().rec(ch).mark()))
             .collect();
-        drop(rx);
         delivered.sort_unstable_by_key(|&(ch, _)| ch);
         let ack = ReconfigAck { epoch, delivered };
-        if reply_on_stream0(&self.probes, ack.encode()).is_err() {
+        if reply_on_stream0(&self.probes, ack.encode()).await.is_err() {
             return false;
         }
         let spec = self.port.spec.clone().with_path(params);
         let sec = self.ctx.security(&spec);
-        let links: Vec<RawLink> = self.probes[..params.stripes as usize].to_vec();
-        let cpu = self.ctx.cpu.clone();
-        let Ok((stack, q)) = build_receiver(links, &spec, cpu, sec.as_ref(), &self.ctx.sched)
-        else {
+        let links = self.probes[..params.stripes as usize].to_vec();
+        let built = build_receiver(links, &spec, self.ctx.cpu.clone(), sec.as_ref());
+        let Ok((stack, q)) = built.await else {
             return false;
         };
         self.quiesce = q;
@@ -696,8 +691,9 @@ impl Pump {
 /// Answer the link's sender raw on stream 0, in the reverse direction and
 /// outside the driver stack — how a resume preamble and a RECONFIG are
 /// both answered, while neither end has a stack assembled to speak through.
-fn reply_on_stream0(links: &[RawLink], reply: FrameWriter) -> io::Result<()> {
-    reply.send(&mut links[0].clone())
+async fn reply_on_stream0(links: &[RawLink], reply: FrameWriter) -> io::Result<()> {
+    let (mut link, frame) = (links[0].clone(), reply.into_frame());
+    ctx::wait_io(|| link.poll_write_block(&frame)).await
 }
 
 /// How long the first stream of a multi-stream link waits for the others
@@ -731,7 +727,7 @@ impl ReceivePortInner {
     /// when all streams have arrived. A preamble with resume fields comes
     /// from a sender that reconnected after a failure (its generation and
     /// channel list).
-    pub(crate) fn add_link(
+    pub(crate) async fn add_link(
         self: &Arc<Self>,
         ctx: &NodeCtx,
         pre: Preamble,
@@ -811,7 +807,7 @@ impl ReceivePortInner {
                     .map(|ch| self.rx.lock().rec(ch).resume(born))
                     .collect();
                 let reply = ResumeReply(marks.iter().map(|&m| m.into()).collect());
-                reply_on_stream0(&links, reply.frame())?;
+                reply_on_stream0(&links, reply.frame()).await?;
                 init.push((channel, marks[0], Some(Arc::clone(self))));
                 for ((ch, name), &m) in meta.extras.iter().zip(&marks[1..]) {
                     init.push((*ch, m, (ctx.resolve)(name)));
@@ -825,13 +821,9 @@ impl ReceivePortInner {
             // Health probes for the GC decision at pump exit: clones
             // sharing the underlying sockets, like the sender's.
             let probes = links.clone();
-            let (stack, quiesce) = build_receiver(
-                links,
-                &spec,
-                ctx.cpu.clone(),
-                ctx.security(&spec).as_ref(),
-                &ctx.sched,
-            )?;
+            let sec = ctx.security(&spec);
+            let (stack, quiesce) =
+                build_receiver(links, &spec, ctx.cpu.clone(), sec.as_ref()).await?;
             *self.connections.lock() += 1;
             // The pump takes the preamble's channels on as it is spawned.
             let mut rx = self.rx.lock();

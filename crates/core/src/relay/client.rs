@@ -37,7 +37,7 @@ pub trait RelayDelegate: Send + Sync {
 pub(super) struct RcInner {
     id: GridId,
     /// The service link, redialed along [`REDIAL`].
-    link: Arc<ServiceLink>,
+    pub(super) link: Arc<ServiceLink>,
     factory: BootstrapSocketFactory,
     /// Service requests by id, filed under the peer they went to.
     pending: Pending<io::Result<Vec<u8>>>,
@@ -46,7 +46,7 @@ pub(super) struct RcInner {
     /// Live routed streams, ours and the peers'.
     streams: Mutex<BTreeMap<StreamKey, RoutedStream>>,
     delegate: Mutex<Option<Arc<dyn RelayDelegate>>>,
-    /// Peers the relay flagged BUSY: DATA writes towards them park here
+    /// Peers the relay flagged BUSY: DATA writes towards them wait here
     /// until the READY, with the wakers to release.
     congested: Mutex<HashMap<GridId, Vec<gridsim_net::Waker>>>,
     pub(super) sched: SchedHandle,
@@ -256,19 +256,18 @@ impl RelayClient {
         opened.map(|()| stream)
     }
 
-    /// Park while the relay holds `to` BUSY. A lost READY cannot strand the
-    /// caller: the relay re-READYs when the shard drains or dies, and a
-    /// relay-connection loss clears the whole map (`lost`).
-    pub(super) fn wait_ready(&self, to: GridId) {
-        loop {
-            {
-                let mut c = self.inner.congested.lock();
-                match c.get_mut(&to) {
-                    None => return,
-                    Some(wakers) => wakers.push(gridsim_net::ctx::waker()),
-                }
+    /// Ready to send DATA to `to`: `WouldBlock` under `relay peer busy`
+    /// while the relay holds it BUSY, the task's waker filed for the READY. A
+    /// lost READY cannot strand the caller: the relay re-READYs when the
+    /// shard drains or dies, and a relay-connection loss clears the whole
+    /// map (`lost`).
+    pub(super) fn poll_ready(&self, to: GridId) -> io::Result<()> {
+        match self.inner.congested.lock().get_mut(&to) {
+            None => Ok(()),
+            Some(wakers) => {
+                wakers.push(ctx::waker());
+                Err(ctx::would_block("relay peer busy"))
             }
-            gridsim_net::ctx::park("relay peer busy");
         }
     }
 

@@ -12,6 +12,7 @@ use std::task::Poll;
 use super::{RelayClient, ROUTED_CHUNK};
 use crate::drivers::blockio::chunks_until;
 use crate::drivers::{BlockRead, BlockWrite};
+use crate::link::Writer;
 use crate::nameservice::GridId;
 use crate::wire::Envelope;
 
@@ -61,12 +62,32 @@ const SYNC_RESEND: std::time::Duration = std::time::Duration::from_secs(1);
 /// Cloneable; implements `Read`/`Write` like a socket.
 #[derive(Clone)]
 pub struct RoutedStream {
+    /// This handle's write in progress ([`poll_write`](Self::poll_write)),
+    /// dropped first: a last handle's FIN takes the writer lock it may hold.
+    tx: Tx,
     pub(super) inner: Arc<RsInner>,
+}
+
+/// A routed write that would block: the caller's bytes that are out, the
+/// DATA frame going out now and the writer lock it is written under.
+#[derive(Default)]
+struct Tx {
+    sent: usize,
+    frame: Option<Bytes>,
+    held: Option<Writer>,
+}
+
+/// A handle's clone shares the stream, not the write in progress.
+impl Clone for Tx {
+    fn clone(&self) -> Tx {
+        Tx::default()
+    }
 }
 
 impl RoutedStream {
     pub(super) fn new(client: RelayClient, peer: GridId, sid: u64, opener: bool) -> RoutedStream {
         RoutedStream {
+            tx: Tx::default(),
             inner: Arc::new(RsInner {
                 client,
                 peer,
@@ -180,14 +201,14 @@ impl RoutedStream {
             || !self.inner.cursor.lock().is_empty()
     }
 
-    /// The acceptor's late refusal: what admitted the stream in `on_open`
-    /// failed afterwards. The opener's end closes as on an abort.
-    pub(crate) fn refuse(&self, msg: &str) {
+    /// The acceptor's late refusal, awaited in its task: what admitted the
+    /// stream in `on_open` failed afterwards. The opener's end closes as on
+    /// an abort.
+    pub(crate) async fn refuse(&self, msg: &str) {
         let s = &self.inner;
         let why = msg.to_string();
-        let _ = s
-            .client
-            .send_inner(s.peer, Envelope::OpenErr { sid: s.sid, why });
+        let refusal = Envelope::OpenErr { sid: s.sid, why };
+        let _ = s.client.answer(s.peer, refusal).await;
     }
 
     /// The next received chunk, up to `cap` bytes of it, by ownership, or
@@ -230,6 +251,43 @@ impl RoutedStream {
         Ok(chunk.len())
     }
 
+    /// Write all of `buf` as DATA frames, a [`ROUTED_CHUNK`] each, without
+    /// parking: `WouldBlock` while the relay holds the peer BUSY, the
+    /// writer lock is taken or a frame's bytes are unqueued, and asked again
+    /// with the same bytes it goes on with the chunk it stopped in. A link
+    /// that is down is `ConnectionReset`, never dialed.
+    pub(crate) fn poll_write(&mut self, buf: &[u8]) -> io::Result<()> {
+        let (s, tx) = (&self.inner, &mut self.tx);
+        let mut write = || -> io::Result<()> {
+            while tx.sent < buf.len() {
+                let end = buf.len().min(tx.sent + ROUTED_CHUNK);
+                if tx.frame.is_none() {
+                    // An abortive teardown (relay loss, dead peer, reply-FIN
+                    // from a failed-over peer) must fail the writer —
+                    // otherwise a zombie stream keeps pumping DATA into the
+                    // relay after a redial. After a graceful peer FIN,
+                    // writes stay fire-and-forget.
+                    if s.rx.is_closed() && !s.fin_received.load(Ordering::Relaxed) {
+                        return Err(io::ErrorKind::ConnectionReset.into());
+                    }
+                    s.client.poll_ready(s.peer)?;
+                    let (dir, sid, payload) = (s.opener, s.sid, &buf[tx.sent..end]);
+                    let data = Envelope::Data { dir, sid, payload };
+                    tx.frame = Some(data.send_to(s.peer).into_frame());
+                }
+                let frame = tx.frame.as_ref().expect("a frame going out");
+                s.client.inner.link.poll_send(&mut tx.held, frame)?;
+                (tx.sent, tx.frame) = (end, None);
+            }
+            Ok(())
+        };
+        let written = write();
+        if !matches!(&written, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
+            *tx = Tx::default();
+        }
+        written
+    }
+
     /// [`poll_chunk`](Self::poll_chunk) as a read: empty at end of stream.
     fn poll_next(&self, cap: usize) -> io::Result<Bytes> {
         match self.poll_chunk(cap) {
@@ -252,25 +310,17 @@ impl BlockRead for RoutedStream {
 }
 
 /// A block goes out as DATA frames, each chunk copied once, into its frame.
-impl BlockWrite for RoutedStream {}
+impl BlockWrite for RoutedStream {
+    fn poll_write_block(&mut self, block: &Bytes) -> io::Result<()> {
+        self.poll_write(block)
+    }
+}
 
+/// The blocking write: [`poll_write`](RoutedStream::poll_write) plus one
+/// park.
 impl Write for RoutedStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for payload in buf.chunks(ROUTED_CHUNK) {
-            // An abortive teardown (relay loss, dead peer, reply-FIN from a
-            // failed-over peer) must fail the writer — otherwise a zombie
-            // stream keeps pumping DATA into the relay after a redial.
-            // After a graceful peer FIN, writes stay fire-and-forget.
-            if self.inner.rx.is_closed() && !self.fin_received() {
-                return Err(io::ErrorKind::ConnectionReset.into());
-            }
-            self.inner.client.wait_ready(self.inner.peer);
-            let s = &self.inner;
-            let (dir, sid) = (s.opener, s.sid);
-            s.client
-                .send_inner(s.peer, Envelope::Data { dir, sid, payload })?;
-        }
-        Ok(buf.len())
+        ctx::park_io(|| self.poll_write(buf)).map(|()| buf.len())
     }
     fn flush(&mut self) -> io::Result<()> {
         Ok(())

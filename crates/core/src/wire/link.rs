@@ -7,6 +7,7 @@
 
 use bytes::Bytes;
 use gridzip::varint;
+use std::future::Future;
 use std::io::{self, Write};
 
 use super::{bad, wire, FrameReader, FrameWriter, Put, Wire};
@@ -69,15 +70,16 @@ impl Preamble {
     }
 
     /// A routed stream's preamble from the relay OPEN's channel `field`;
-    /// `first_frame` reads the stream's first frame and is called only if
+    /// `first_frame` reads the stream's first frame and is awaited only if
     /// the field says the resume fields follow.
-    pub fn decode_routed(
+    pub async fn decode_routed(
         field: u64,
-        first_frame: impl FnOnce() -> io::Result<Bytes>,
+        first_frame: impl Future<Output = io::Result<Bytes>>,
     ) -> io::Result<Preamble> {
-        let resume = (field & RESUME_FLAG != 0)
-            .then(|| ResumeMeta::decode(&first_frame()?))
-            .transpose()?;
+        let resume = match field & RESUME_FLAG != 0 {
+            true => Some(ResumeMeta::decode(&first_frame.await?)?),
+            false => None,
+        };
         let channel = field & !RESUME_FLAG;
         let resume = once_each(channel, resume)?;
         Ok(Preamble {

@@ -12,7 +12,7 @@
 //! and [`FrameReader`] are public as the toolkit for malformed input.
 
 use bytes::Bytes;
-use gridsim_net::{Ip, SockAddr};
+use gridsim_net::{ctx, Ip, SockAddr};
 use gridsim_tcp::TcpStream;
 use gridzip::varint;
 use std::io;
@@ -272,15 +272,26 @@ fn frame_onto(run: &mut Vec<u8>, op: u8, ids: &[u64], tail: &[u8]) {
 /// The one frame a peer writes raw on a data link, outside any driver
 /// stack: a stream preamble, the resume fields of a routed stream, a resume
 /// reply, a RECONFIG ack. Read with no read-ahead, so it takes exactly the
-/// frame's bytes off the link, and with a sim-time deadline: `TimedOut`
-/// when it has not landed whole `within`, so a peer that never writes it
-/// (or a link that dies again right there) cannot wedge the reader.
-pub(crate) fn link_frame(l: &RawLink, within: Duration, what: &str) -> io::Result<Bytes> {
-    let frame = BlockReader::new(l.clone(), 1).blocking(Some(within), |r| r.frame(MAX_FRAME));
-    frame.map_err(|e| match e.kind() {
-        io::ErrorKind::TimedOut => io::Error::new(e.kind(), format!("no {what} in {within:?}")),
-        _ => e,
+/// frame's bytes off the link, and with a sim-time deadline, one
+/// [`Timer`](gridsim_net::Timer) armed at the first poll: a would-block at
+/// or after it is `TimedOut`, so a peer that never writes the frame (or a
+/// link that dies again right there) cannot wedge the reader. A blocking
+/// caller runs it under `ctx::block_on`.
+pub(crate) async fn link_frame(l: &RawLink, within: Duration, what: &str) -> io::Result<Bytes> {
+    let (sched, waker, mut r) = (ctx::handle(), ctx::waker(), BlockReader::new(l.clone(), 1));
+    let at = sched.now() + within;
+    let _deadline = sched.timer(at, move || waker.wake());
+    r.read(|r| match r.frame(MAX_FRAME) {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock && ctx::now() >= at => {
+            ctx::blocked_on();
+            Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no {what} in {within:?}"),
+            ))
+        }
+        read => read,
     })
+    .await
 }
 
 /// Most bytes one read takes off the socket beyond the frame in hand.
@@ -300,7 +311,7 @@ impl FrameStream {
     /// frame `UnexpectedEof`; memory is held for bytes that have arrived,
     /// never for a declared length.
     pub fn next_frame(&mut self) -> io::Result<Bytes> {
-        self.0.blocking(None, |r| r.frame(MAX_FRAME))
+        ctx::park_io(|| self.poll_frame())
     }
 
     /// [`next_frame`](Self::next_frame) without parking: `WouldBlock`

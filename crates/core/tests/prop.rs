@@ -109,6 +109,16 @@ fn total<T: Codec>(bytes: &[u8]) -> Result<Option<T>, TestCaseError> {
     }
 }
 
+/// The output of a future that is ready at its first poll: a decode whose
+/// input is in hand.
+fn ready<T>(fut: impl std::future::Future<Output = T>) -> T {
+    let cx = &mut std::task::Context::from_waker(std::task::Waker::noop());
+    match std::pin::pin!(fut).poll(cx) {
+        std::task::Poll::Ready(out) => out,
+        std::task::Poll::Pending => panic!("a decode with its input in hand waits"),
+    }
+}
+
 /// `decode(encode(x)) == x`; every strict prefix of the encoding is a typed
 /// error; the encoding with one byte damaged (`flip` picks the byte and the
 /// bits) and `garbage` on its own are a value or a typed error.
@@ -322,8 +332,8 @@ proptest! {
         holds(&pre, flip, &garbage)?;
         let routed = Preamble { idx: 0, total: 1, ..pre };
         let meta = routed.resume.as_ref();
-        let first_frame = || Ok(meta.expect("asked for only then").encode().into_bytes().into());
-        let back = Preamble::decode_routed(routed.routed_channel(), first_frame).unwrap();
+        let first_frame = async { Ok(meta.expect("awaited only then").encode().into_bytes().into()) };
+        let back = ready(Preamble::decode_routed(routed.routed_channel(), first_frame)).unwrap();
         prop_assert_eq!(back, routed);
     }
 
@@ -612,7 +622,9 @@ fn a_resume_naming_a_channel_twice_is_refused() {
             resume,
         };
         let meta = pre.resume.as_ref().unwrap().encode().into_bytes();
-        let routed = Preamble::decode_routed(pre.routed_channel(), || Ok(meta.into()));
+        let routed = ready(Preamble::decode_routed(pre.routed_channel(), async {
+            Ok(meta.into())
+        }));
         let want = if twice {
             Err(io::ErrorKind::InvalidData)
         } else {

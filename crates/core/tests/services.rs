@@ -741,6 +741,91 @@ fn a_ready_never_overtakes_its_busy() {
     assert_eq!([throttles(1), throttles(2)], [0, 0]);
 }
 
+/// A segment sent: the instant, its sequence number, its bytes.
+type Sent = (gridsim_net::SimTime, u64, bytes::Bytes);
+
+/// Node 1 writes two routed streams to node 2 at once, 512 KiB each, by
+/// `write`, its own task per stream; node 2 reads the first only after a
+/// second. Every segment node 1 sends — the instant it leaves, its
+/// sequence number and its bytes — and the parks of the whole run.
+fn two_writers(polled: bool) -> (Vec<Sent>, Vec<(String, i64)>) {
+    const LEN: usize = 512 << 10;
+    let sim = Sim::new(77);
+    let (ha, hb, hs) = star(&sim);
+    let (relay, a_ip) = (SockAddr::new(hs.ip(), 600), ha.ip());
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&sent);
+    sim.net().with(|w| {
+        w.set_tracer(Box::new(move |t, kind, pkt| {
+            let seg = pkt.payload.as_any().downcast_ref::<gridsim_tcp::Segment>();
+            if let Some(seg) = seg.filter(|_| kind == gridsim_net::TraceKind::Sent) {
+                if pkt.src.ip == a_ip && !seg.data.is_empty() {
+                    log.lock().push((t, seg.seq, seg.data.clone()));
+                }
+            }
+        }))
+    });
+    let done = sim.spawn("driver", move || {
+        let (ca, _cb, accepted) = relay_pair(&ha, &hb, relay);
+        let h = gridsim_net::ctx::handle();
+        let written = gridsim_net::SimQueue::bounded(2);
+        let mut streams = Vec::new();
+        for (sid, pause) in [(1, 1), (2, 0)] {
+            let mut s = ca.open_stream(2, "bulk", sid).unwrap();
+            streams.push(s.clone());
+            let r = accepted.pop().unwrap();
+            h.spawn("reader", move || {
+                drain_after(r, Duration::from_secs(pause), LEN)
+            });
+            let block = bytes::Bytes::from((0..LEN).map(routed_byte).collect::<Vec<u8>>());
+            let done = written.clone();
+            if polled {
+                h.spawn_async("writer", async move {
+                    use netgrid::drivers::BlockWrite;
+                    let sent = gridsim_net::ctx::wait_io(|| s.poll_write_block(&block));
+                    sent.await.unwrap();
+                    let _ = done.try_push(());
+                });
+            } else {
+                h.spawn("writer", move || {
+                    s.write_all(&block).unwrap();
+                    let _ = done.try_push(());
+                });
+            }
+        }
+        for _ in 0..2 {
+            written.pop();
+        }
+        streams.iter().for_each(|s| s.shutdown_write().unwrap());
+    });
+    sim.run();
+    assert!(done.is_finished(), "a writer was left congested");
+    let sent = sent.lock().clone();
+    (sent, all_parks(&sim))
+}
+
+/// [`two_writers`], polled: the writes run as async tasks over
+/// `poll_write_block`, which keeps its chunk, its DATA frame and the
+/// writer lock across a would-block. They wait out the relay's BUSY and
+/// each other's hold on the service link's writer lock, and send the
+/// same DATA frames, in the same order, at the same instants as the
+/// blocking writes, with the same parks.
+#[test]
+fn a_polled_routed_write_sends_what_the_blocking_one_sends_when_it_sends_it() {
+    let (blocking, parks) = two_writers(false);
+    let (polled, polled_parks) = two_writers(true);
+    let count = |why: &str| parks.iter().find(|(r, _)| r == why).map_or(0, |p| p.1);
+    assert!(
+        count("relay peer busy") > 0 && count("sim-mutex") > 0,
+        "{parks:?}"
+    );
+    assert!(blocking.len() > 500, "{} segments", blocking.len());
+    assert!(polled == blocking, "the polled write's segments differ");
+    assert_eq!(polled_parks, parks);
+}
+
 /// Node 2 reads its stream only after a second, so its queue fills and
 /// its relay client's pump waits for room for the next DATA in its poll,
 /// taking no thread. The reply to a service request node 2 makes

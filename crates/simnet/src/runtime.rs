@@ -1077,6 +1077,11 @@ impl<T> JoinHandle<T> {
 /// Task-side context functions. Valid only on threads spawned through the
 /// scheduler, and not inside events those threads fire while they drive the
 /// scheduler loop; calling them elsewhere panics.
+///
+/// A wait is written once, as a future over [`ctx::wait`] or
+/// [`ctx::wait_io`]: an async task awaits it, and a task that may park runs
+/// it under [`ctx::block_on`], the one park loop ([`ctx::park_io`] and
+/// [`ctx::park_until`] are it over a single poll).
 pub mod ctx {
     use super::*;
     use std::io;
@@ -1226,24 +1231,38 @@ pub mod ctx {
 
     /// [`wait`] in a task that may park: each `Pending` is one park under
     /// `reason`, and the wake asks `poll` again.
-    pub fn park_until<T>(reason: &'static str, mut poll: impl FnMut() -> Poll<T>) -> T {
-        loop {
-            if let Poll::Ready(out) = poll() {
-                return out;
-            }
-            park(reason);
-        }
+    pub fn park_until<T>(reason: &'static str, poll: impl FnMut() -> Poll<T>) -> T {
+        park_on(wait(reason, poll), std::task::Waker::noop())
     }
 
     /// [`wait_io`] in a task that may park: each `Err(WouldBlock)` is one
     /// park under the reason its source named, and the wake asks `poll`
     /// again.
-    pub fn park_io<T>(mut poll: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    pub fn park_io<T>(poll: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        park_on(wait_io(poll), std::task::Waker::noop())
+    }
+
+    /// Run `fut`, polled with the calling task's waker, to its end in a task
+    /// that may park: how an `async fn` keeps one body for its blocking
+    /// callers too.
+    pub fn block_on<F: Future>(fut: F) -> F::Output {
+        park_on(fut, &Arc::new(waker()).into())
+    }
+
+    /// The one park loop: poll `fut` with `waker`; each `Pending` is one
+    /// park under the reason its [`wait`] or [`wait_io`] named (they leave
+    /// the task's own waker where the wake will come from), and the wake
+    /// polls it again.
+    fn park_on<F: Future>(fut: F, waker: &std::task::Waker) -> F::Output {
+        let (mut fut, cx) = (std::pin::pin!(fut), &mut Context::from_waker(waker));
         loop {
-            match poll() {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => park(blocked_on()),
-                done => return done,
+            if let Poll::Ready(out) = fut.as_mut().poll(cx) {
+                return out;
             }
+            park(
+                PEND.take()
+                    .expect("a pending future names its park (ctx::wait)"),
+            );
         }
     }
 

@@ -269,10 +269,9 @@ fn open_pair(sim: &Sim) -> (GridEnv, SimHost, SimHost) {
     world(sim, &[open("a"), open("b")])
 }
 
-/// A RECONFIG is one blocking section of the receive pump's body
-/// (DESIGN.md §6a): over a plain stack the pump is inline again after it,
-/// so a round trip after the block size changed costs what one before it
-/// did. A pump that stayed on a thread for the rest of its life after a
+/// A RECONFIG is awaited in the receive pump's poll (DESIGN.md §6a), so a
+/// round trip after the block size changed costs what one before it did.
+/// A pump that stayed on a thread for the rest of its life after a
 /// RECONFIG cost three.
 #[test]
 fn a_round_trip_after_a_reconfig_costs_two_grants() {
@@ -484,9 +483,9 @@ fn a_relay_mesh_starts_no_thread() {
 /// 64 × 64 KiB routed from a node homed at one relay of a two-relay mesh
 /// to one homed at the other: every frame crosses the mesh link, read by
 /// the one relay reader and written by a shard writer, and the relay
-/// clients' pumps dispatch each frame, in async tasks. The three threads
-/// left are the ends': the test's sender and receiver and a `routed-open`
-/// handler.
+/// clients' pumps dispatch each frame, in async tasks, and so is the
+/// routed link accepted and assembled. The two threads left are the
+/// test's sender and receiver.
 #[test]
 fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
     const MESSAGES: u64 = 64;
@@ -536,8 +535,8 @@ fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
     sim.run();
     assert!(receiver.is_finished(), "receiver did not get every message");
     let h = sim.scheduler().handle();
-    assert_eq!(h.metric(THREADS), 3, "threads started");
-    assert_eq!(h.metric(GRANTS), 131, "grants");
+    assert_eq!(h.metric(THREADS), 2, "threads started");
+    assert_eq!(h.metric(GRANTS), 129, "grants");
 }
 
 /// `rounds` connect → send → close rounds from `a` to a receive port on
@@ -592,8 +591,9 @@ fn connect_rounds(
 /// OPEN, one message and the close. Every reader on the way — both name
 /// service links' and the name server's, both relay pumps and the relay's
 /// readers and shard writers — is an inline task, every frame dispatched
-/// in its poll; what switches is the sender, the receiver's handlers and
-/// its message drain: four switches a round.
+/// in its poll, and so is the routed link's acceptor, which assembles the
+/// receiver there; what switches is the sender and the receiver's message
+/// drain: two switches a round, where the acceptor on a worker took four.
 #[test]
 fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
@@ -620,7 +620,7 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
     );
     assert_eq!(
         spent[&GRANTS],
-        4 * ROUNDS as i64,
+        2 * ROUNDS as i64,
         "grants over {ROUNDS} rounds"
     );
 }
@@ -628,9 +628,11 @@ fn a_routed_connect_send_close_round_costs_its_pinned_grants() {
 /// A warmed-up client/server connect → send → close: the lookup, the dial,
 /// the receive port's accept, one message and the close. The port's accept
 /// loop is an async task, polled where the connection completes, which
-/// parks once a round under `tcp accept`; the accepted connection's handler
-/// (`rp-incoming`) runs on a worker an earlier round left idle. Three
-/// switches a round, where the accept loop on a thread of its own took four.
+/// parks once a round under `tcp accept`, and so is the accepted
+/// connection's acceptor, which reads its preamble and assembles the
+/// receiver in its poll. Two switches a round, the sender's and the
+/// drain's; with the acceptor on a worker it took three, and four with the
+/// accept loop on a thread of its own.
 #[test]
 fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
@@ -648,7 +650,7 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
     let accepts = Metric("task/parks", None, "tcp accept");
     assert_eq!(
         spent[&GRANTS],
-        3 * ROUNDS as i64,
+        2 * ROUNDS as i64,
         "grants over {ROUNDS} rounds"
     );
     assert_eq!(
@@ -664,11 +666,11 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
 
 /// The same over four streams, each under GTLS: each end runs the four
 /// handshakes in the task that assembles its stack, polled in one loop over
-/// the links that do not park, and each stream's writer is an inline task,
-/// so a round costs the plain four-stream connect's 9 switches and two
-/// more — and no `join`. With the writers on workers it cost 28 (the plain
-/// connect 22), and 58 with a task per stream's handshake, joined in stream
-/// order; one stream under GTLS costs 5.
+/// the links that do not park, each stream's writer is an inline task, and
+/// the receiver's acceptors and its assembly are too, so a round costs the
+/// client/server connect's two switches — and no `join`. With the
+/// acceptors on workers it cost 11, with the writers on workers 28, and 58
+/// with a task per stream's handshake, joined in stream order.
 #[test]
 fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
     const ROUNDS: u64 = 20;
@@ -686,7 +688,7 @@ fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
     );
     assert_eq!(
         spent[&GRANTS],
-        11 * ROUNDS as i64,
+        2 * ROUNDS as i64,
         "grants over {ROUNDS} rounds"
     );
     let joins = Metric("task/parks", None, "join");
@@ -730,6 +732,130 @@ fn proxied_connects_after_a_warm_up_start_no_threads() {
     );
     let started = spent.get(&THREADS).copied().unwrap_or(0);
     assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
+}
+
+/// `n` numbered messages of 4 KiB from `a` to `b` over `spec`, the link
+/// reconfigured to `params` halfway, once the receiver has taken the first
+/// half: what the reconfiguration cost, read on the sender, whose thread
+/// drives the run while it waits. The receiver
+/// checks that each message arrives once, whole and in order.
+fn reconfigured_midway(
+    sim: &Sim,
+    (env, ha, hb): (GridEnv, SimHost, SimHost),
+    (pa, pb): (ConnectivityProfile, ConnectivityProfile),
+    spec: StackSpec,
+    params: PathParams,
+) -> (EstablishMethod, BTreeMap<Metric, i64>) {
+    const N: u64 = 40;
+    const LEN: usize = 4096;
+    let env_b = env.clone();
+    let receiver = sim.spawn("receiver", move || {
+        let node = GridNode::join(&env_b, hb, "recv", pb).unwrap();
+        let rp = node.create_receive_port("sink", spec).unwrap();
+        for want in 0..N {
+            let mut m = rp.receive().unwrap();
+            assert_eq!(m.read_u64().unwrap(), want, "out of order or repeated");
+            assert!(m.read_bytes(LEN).unwrap() == body(want, LEN), "torn");
+        }
+    });
+    let sender = sim.spawn("sender", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(200));
+        let node = GridNode::join(&env, ha, "send", pa).unwrap();
+        let mut sp = node.create_send_port();
+        let method = sp.connect("sink").unwrap();
+        let send = |sp: &mut SendPort, i: u64| {
+            let mut m = sp.message();
+            m.write_u64(i);
+            m.write_bytes(&body(i, LEN));
+            m.finish().unwrap();
+        };
+        (0..N / 2).for_each(|i| send(&mut sp, i));
+        gridsim_net::ctx::sleep(Duration::from_secs(1));
+        let before = gridsim_net::ctx::handle().metrics();
+        assert!(
+            sp.reconfigure(params).unwrap(),
+            "the reconfig changed nothing"
+        );
+        let spent = spent_since(&before);
+        (N / 2..N).for_each(|i| send(&mut sp, i));
+        sp.close().unwrap();
+        (method, spent)
+    });
+    sim.run_for(Duration::from_secs(600));
+    assert!(receiver.is_finished(), "receiver did not get every message");
+    let out = std::sync::Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(sender.join()));
+    sim.run_for(Duration::from_secs(1));
+    let spent = out.lock().take().expect("sender finished");
+    spent
+}
+
+/// Does `spent` hold `want` and nothing else, each name as the registry
+/// prints it?
+fn named<const N: usize>(spent: &BTreeMap<Metric, i64>, want: [(&str, i64); N]) -> bool {
+    spent
+        .iter()
+        .map(|(m, &n)| (m.to_string(), n))
+        .eq(want.map(|(m, n)| (m.into(), n)))
+}
+
+/// A RECONFIG over a routed link: the receive pump quiesces, acks on the
+/// stream and rebuilds its receiver in its poll, so the exchange costs
+/// only parks and starts no thread: no grant, as the sender's thread is
+/// the one left to drive. As a blocking section the pump took a worker
+/// for it.
+#[test]
+fn a_reconfig_over_a_routed_link_is_acked_and_rebuilt_in_the_pumps_poll() {
+    let sim = Sim::new(42);
+    let wan = LinkParams::mbps(2.0, Duration::from_millis(10));
+    let hosts = world(
+        &sim,
+        &[
+            topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
+            topology::SiteSpec::firewalled("walled", 1, wan),
+        ],
+    );
+    let profiles = (
+        ConnectivityProfile::natted(NatClass::SymmetricRandom),
+        ConnectivityProfile::firewalled(),
+    );
+    let smaller = PathParams {
+        block_size: 16 * 1024,
+        ..PathParams::default()
+    };
+    let (method, spent) = reconfigured_midway(&sim, hosts, profiles, StackSpec::plain(), smaller);
+    assert_eq!(method, EstablishMethod::Routed);
+    let parks = [("task/parks/queue pop", 4), ("task/parks/tcp read", 4)];
+    assert!(
+        named(&spent, parks),
+        "no thread or grant, only parks: {spent:?}"
+    );
+}
+
+/// The same over four streams under GTLS, down to two: the pump awaits
+/// the retired stripes' queues, acks on stream 0 and runs the two new
+/// handshakes in its poll.
+#[test]
+fn a_reconfig_over_a_gtls_four_stream_link_is_acked_and_rebuilt_in_the_pumps_poll() {
+    let sim = Sim::new(42);
+    let open = ConnectivityProfile::open;
+    let spec = StackSpec::plain().with_streams(4).with_security();
+    let two = PathParams {
+        stripes: 2,
+        ..PathParams::default()
+    };
+    let (method, spent) = reconfigured_midway(&sim, open_pair(&sim), (open(), open()), spec, two);
+    assert_eq!(method, EstablishMethod::ClientServer);
+    let parks = [
+        ("task/parks/queue pop", 5),
+        ("task/parks/sleep", 15),
+        ("task/parks/tcp read", 20),
+    ];
+    assert!(
+        named(&spent, parks),
+        "no thread or grant, only parks: {spent:?}"
+    );
 }
 
 /// A routed close waits for its stream's drain (a SYNC the peer answers in

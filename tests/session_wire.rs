@@ -5,7 +5,7 @@
 //! input must end in no delivery and no panic, and must leave a
 //! well-behaved link on the same port unharmed.
 
-use gridsim_net::{topology, Sim, SockAddr};
+use gridsim_net::{topology, Sim, SockAddr, GRANTS, THREADS};
 use gridsim_tcp::{SimHost, TcpStream};
 use gridzip::varint;
 use netgrid::relay::RelayClient;
@@ -282,6 +282,58 @@ fn a_link_whose_other_streams_never_arrive_is_dropped_at_its_deadline() {
     assert!(client.is_finished());
 }
 
+/// What a wait of the calling task costs the world: OS threads started
+/// and baton grants, across `wait`.
+fn workers_across<T>(wait: impl FnOnce() -> T) -> (T, [i64; 2]) {
+    let h = gridsim_net::ctx::handle();
+    let before = [h.metric(THREADS), h.metric(GRANTS)];
+    let out = wait();
+    let spent = [h.metric(THREADS) - before[0], h.metric(GRANTS) - before[1]];
+    (out, spent)
+}
+
+#[test]
+fn a_connection_without_its_preamble_is_closed_at_the_deadline_by_an_acceptor_on_no_worker() {
+    // A raw client dials the port and never writes its preamble. The
+    // connection's acceptor, an async task, reads for it until the port's
+    // deadline, then drops the connection: the client reads EOF. Parked
+    // in that read, the client drives the run, the acceptor's polls
+    // included, so the wait takes no grant and starts no thread; an
+    // acceptor on a worker took that worker at the connection and at the
+    // deadline.
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let sim = Sim::new(29);
+    let net = sim.net();
+    let (a, b) = net.with(topology::lan_pair);
+    let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+    let env = GridEnv::new(net.clone(), SockAddr::new(hb.ip(), NS));
+    let env_b = env.clone();
+    net.sched().spawn_daemon("receiver", move || {
+        spawn_name_service(&hb, NS).unwrap();
+        let node = GridNode::join(&env_b, hb, "rx", ConnectivityProfile::open()).unwrap();
+        let rp = node
+            .create_receive_port("wire", StackSpec::plain())
+            .unwrap();
+        assert!(rp.receive().is_err(), "nothing is ever delivered");
+    });
+    let client = sim.spawn("client", move || {
+        gridsim_net::ctx::sleep(Duration::from_millis(100));
+        let node = GridNode::join(&env, ha, "tx", ConnectivityProfile::open()).unwrap();
+        let mut s = dial_with(&node, "wire", &[]);
+        let t0 = gridsim_net::ctx::now();
+        let (got, spent) = workers_across(|| std::io::Read::read(&mut s, &mut [0u8; 16]));
+        let waited = gridsim_net::ctx::now() - t0;
+        assert_eq!(got.unwrap(), 0, "EOF, not bytes");
+        assert!(
+            waited > DEADLINE / 2 && waited <= DEADLINE + Duration::from_secs(1),
+            "EOF after {waited:?}"
+        );
+        assert_eq!(spent, [0, 0], "threads started and grants over the wait");
+    });
+    sim.run();
+    assert!(client.is_finished());
+}
+
 #[test]
 fn a_routed_resume_whose_fields_never_arrive_is_refused_at_its_deadline() {
     // A raw relay client opens a routed stream to a receive port with the
@@ -316,14 +368,17 @@ fn a_routed_resume_whose_fields_never_arrive_is_refused_at_its_deadline() {
             .open_stream(to, "wire", 0x0700_0001 | RESUME_FLAG)
             .unwrap();
         let t0 = gridsim_net::ctx::now();
-        let got = std::io::Read::read(&mut s, &mut [0u8; 16]).unwrap();
+        let (got, spent) = workers_across(|| std::io::Read::read(&mut s, &mut [0u8; 16]));
         let waited = gridsim_net::ctx::now() - t0;
-        assert_eq!(got, 0, "the end of the stream, not bytes");
+        assert_eq!(got.unwrap(), 0, "the end of the stream, not bytes");
         assert!(!s.fin_received(), "refused, not closed");
         assert!(
             waited > DEADLINE / 2 && waited <= DEADLINE + Duration::from_secs(1),
             "refused after {waited:?}"
         );
+        // The acceptor reads the resume fields, refuses the stream and
+        // hands back its last handle in its poll, on no worker.
+        assert_eq!(spent, [0, 0], "threads started and grants over the wait");
     });
     sim.run();
     assert!(client.is_finished());
