@@ -39,7 +39,7 @@ pub(super) fn connect<const PROXIED: bool>(
     let dial = BootstrapSocketFactory::new(f.host.clone(), via).under(Arc::clone(&f.gate));
     (0..spec.streams())
         .map(|idx| {
-            let s = dial.connect(listener)?;
+            let s = gridsim_net::ctx::block_on(dial.connect(listener))?;
             send_preamble(&s, channel, idx, spec.streams(), resume)?;
             Ok(RawLink::Tcp(s))
         })

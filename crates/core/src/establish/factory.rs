@@ -17,16 +17,14 @@
 //!
 //! [`EstablishMethod::connector`]: super::EstablishMethod::connector
 
-use gridsim_net::{SockAddr, Waker};
-use gridsim_tcp::{SimHost, TcpStream};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use gridsim_net::{ctx, SimMutex, SimMutexGuard, SockAddr};
+use gridsim_tcp::{ConnectOpts, SimHost, TcpStream};
+use std::future::Future;
 use std::io;
 use std::sync::Arc;
-use std::task::Poll;
 
 pub(crate) use super::splice::Splices;
-use crate::link::Backoff;
+use crate::link::{dial, Backoff};
 use crate::nameservice::NsClient;
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::relay::RelayClient;
@@ -38,20 +36,21 @@ use crate::socks::socks_connect;
 /// and retry degrades gracefully where the node used to fall over.
 pub(crate) const DIAL_RETRY: Backoff = Backoff::ms(9, 50, 50);
 
-/// Run `dial` with a bounded retry on [`io::ErrorKind::AddrInUse`]. Every
+/// Await `dial` with a bounded retry on [`io::ErrorKind::AddrInUse`]. Every
 /// other error — and exhaustion that outlives the budget — propagates.
-fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-    let mut last = None;
+async fn retry_addr_in_use<T, F>(mut dial: impl FnMut() -> F) -> io::Result<T>
+where
+    F: Future<Output = io::Result<T>>,
+{
+    let mut last = Err(io::ErrorKind::AddrInUse.into());
     for delay in DIAL_RETRY.delays() {
-        match dial() {
-            Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
-                last = Some(e);
-                gridsim_net::ctx::sleep(delay);
-            }
-            r => return r,
+        last = dial().await;
+        if !matches!(&last, Err(e) if e.kind() == io::ErrorKind::AddrInUse) {
+            break;
         }
+        ctx::delay(delay).await;
     }
-    Err(last.expect("retry loop ran at least once"))
+    last
 }
 
 /// Serializes a node's NAT-mapping-creating operations so that splicing
@@ -64,30 +63,14 @@ fn retry_addr_in_use<T>(mut dial: impl FnMut() -> io::Result<T>) -> io::Result<T
 /// maps per internal endpoint, so concurrent flows cannot shift each
 /// other's mappings, and gating them would serialize a connection storm
 /// for nothing.
-pub(crate) struct NatGate {
-    serializes: bool,
-    state: Mutex<(bool, VecDeque<Waker>)>,
-}
+pub(crate) struct NatGate(Option<SimMutex<()>>);
 
 /// A held [`NatGate`]; dropping it releases the gate to the next waiter.
-pub(crate) struct GateHold(Arc<NatGate>);
-
-impl Drop for GateHold {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock();
-        st.0 = false;
-        if let Some(w) = st.1.pop_front() {
-            w.wake();
-        }
-    }
-}
+pub(crate) type GateHold = SimMutexGuard<()>;
 
 impl NatGate {
     pub(crate) fn new(serializes: bool) -> NatGate {
-        NatGate {
-            serializes,
-            state: Mutex::default(),
-        }
+        NatGate(serializes.then(|| SimMutex::new(())))
     }
 
     /// The gate of a node with this profile. Only symmetric NATs allocate
@@ -103,20 +86,11 @@ impl NatGate {
         Arc::new(NatGate::new(symmetric))
     }
 
-    /// Take the gate, waiting in FIFO order, if this gate serializes.
-    pub(crate) fn hold(self: &Arc<Self>) -> Option<GateHold> {
-        if !self.serializes {
-            return None;
-        }
-        Some(gridsim_net::ctx::park_until("nat gate", || {
-            let mut st = self.state.lock();
-            if !st.0 {
-                st.0 = true;
-                return Poll::Ready(GateHold(Arc::clone(self)));
-            }
-            st.1.push_back(gridsim_net::ctx::waker());
-            Poll::Pending
-        }))
+    /// Take the gate, waiting in FIFO order under `nat gate`, if this gate
+    /// serializes.
+    pub(crate) async fn hold(&self) -> Option<GateHold> {
+        let gate = self.0.as_ref()?;
+        Some(ctx::wait("nat gate", || gate.poll_lock()).await)
     }
 }
 
@@ -151,14 +125,15 @@ impl BootstrapSocketFactory {
     /// transiently exhaust the ephemeral port space; that surfaces as
     /// `AddrInUse` and is retried after a short backoff, outside the gate,
     /// so a symmetric-NAT node never sleeps while holding it.
-    pub fn connect(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        retry_addr_in_use(|| {
-            let _hold = self.gate.hold();
+    pub async fn connect(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        retry_addr_in_use(|| async {
+            let _hold = self.gate.hold().await;
             match self.via_proxy {
-                Some(proxy) => socks_connect(&self.host, proxy, addr),
-                None => self.host.connect(addr),
+                Some(proxy) => socks_connect(&self.host, proxy, addr).await,
+                None => dial(&self.host, addr, ConnectOpts::default()).await,
             }
         })
+        .await
     }
 }
 
@@ -183,5 +158,136 @@ impl BrokeredSocketFactory {
         let why = "no relay configured (needed for brokering/routing)";
         let none = || io::Error::new(io::ErrorKind::AddrNotAvailable, why);
         self.relay.as_ref().ok_or_else(none)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{Choice, Greeting, SocksMsg, SocksReply, SocksRequest, CMD_CONNECT};
+    use crate::wire::{METHOD_NONE, REP_OK};
+    use gridsim_net::{topology, LinkParams, Sim, SimTime, TraceKind};
+    use gridsim_tcp::Segment;
+    use parking_lot::Mutex;
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    /// How the dial runs.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Form {
+        /// Awaited in an async task.
+        Polled,
+        /// Under `ctx::block_on`, in a task that parks.
+        Blocking,
+        /// The dial as a blocking body, written out: the gate's park loop,
+        /// `SimHost::connect`, the SOCKS messages by `Write` and `Read`.
+        Written,
+    }
+
+    fn written_dial(f: &BootstrapSocketFactory, addr: SockAddr) -> io::Result<TcpStream> {
+        let gate = f.gate.0.as_ref();
+        let _hold = gate.map(|g| ctx::park_until("nat gate", || g.poll_lock()));
+        let s = f.host.connect(f.via_proxy.expect("a proxy"))?;
+        (&s).write_all(&Greeting(vec![METHOD_NONE]).encode())?;
+        let mut choice = [0; 2];
+        (&s).read_exact(&mut choice)?;
+        assert_eq!(Choice::decode(&choice)?, Choice(Some(METHOD_NONE)));
+        let cmd = CMD_CONNECT;
+        (&s).write_all(&SocksRequest { cmd, target: addr }.encode())?;
+        let mut reply = [0; 10];
+        (&s).read_exact(&mut reply)?;
+        assert_eq!(SocksReply::decode(&reply)?, SocksReply(REP_OK));
+        Ok(s)
+    }
+
+    /// A dial through a SOCKS proxy on a public host, from a host whose
+    /// serializing NAT gate another task holds for the first 5 ms, to a
+    /// listener on a second site, in `form`: every TCP segment the world
+    /// sent — instant, ends, flags, numbers, payload — every park of the
+    /// run, and the instant the dial returned.
+    fn gated_proxied_dial(form: Form) -> (Vec<String>, Vec<(String, i64)>, SimTime) {
+        let sim = Sim::new(3);
+        let net = sim.net();
+        let wan = LinkParams::mbps(8.0, Duration::from_millis(5));
+        let (a, b, p, p_ip) = net.with(|w| {
+            let open = |name| topology::SiteSpec::open(name, 1, wan);
+            let mut grid = topology::Grid::build(w, &[open("a"), open("b")]);
+            let (p, ip) = grid.add_public_host(w, "proxy");
+            (grid.sites[0].hosts[0], grid.sites[1].hosts[0], p, ip)
+        });
+        let (ha, hb, hp) = (
+            SimHost::new(&net, a),
+            SimHost::new(&net, b),
+            SimHost::new(&net, p),
+        );
+        let target = SockAddr::new(hb.ip(), 7000);
+        sim.spawn("servers", move || {
+            crate::socks::spawn_proxy(&hp, 1080).unwrap();
+            let listener = hb.listen(7000).unwrap();
+            ctx::handle().spawn_async("accept", async move {
+                let _kept = crate::link::next_conn(&listener).await;
+                ctx::delay(Duration::from_secs(1)).await;
+            });
+        });
+        sim.run();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&sent);
+        net.with(|w| {
+            w.set_tracer(Box::new(move |t, kind, pkt| {
+                let seg = pkt.payload.as_any().downcast_ref::<Segment>();
+                if let Some(s) = seg.filter(|_| kind == TraceKind::Sent) {
+                    let (src, dst, f, n) = (pkt.src, pkt.dst, s.flags, s.data.len());
+                    let seg = format!("{t:?} {src}>{dst} {f:?} {} {} {} {n}", s.seq, s.ack, s.wnd);
+                    log.lock().push(seg);
+                }
+            }))
+        });
+        let gate = Arc::new(NatGate::new(true));
+        let proxy = SockAddr::new(p_ip, 1080);
+        let f = BootstrapSocketFactory::new(ha, Some(proxy)).under(Arc::clone(&gate));
+        sim.spawn("holder", move || {
+            let _hold = ctx::block_on(gate.hold());
+            ctx::sleep(Duration::from_millis(5));
+        });
+        let done = Arc::new(Mutex::new(None));
+        let d = Arc::clone(&done);
+        let note = move |s: io::Result<TcpStream>| *d.lock() = s.ok().map(|_| ctx::now());
+        let h = sim.scheduler().handle();
+        match form {
+            Form::Polled => {
+                h.spawn_async("dial", async move { note(f.connect(target).await) });
+            }
+            Form::Blocking => {
+                h.spawn("dial", move || note(ctx::block_on(f.connect(target))));
+            }
+            Form::Written => {
+                h.spawn("dial", move || note(written_dial(&f, target)));
+            }
+        }
+        sim.run();
+        let parks = h.metrics().into_iter().filter(|(m, _)| m.0 == "task/parks");
+        let parks = parks.map(|(m, n)| (m.2.to_string(), n)).collect();
+        let at = done.lock().expect("the dial went through");
+        let sent = sent.lock().clone();
+        (sent, parks, at)
+    }
+
+    /// The dial through the proxy and the NAT gate, awaited, sends the
+    /// packets the blocking dial sends when it sends them, waits on the
+    /// gate until the holder lets go, parks where it parked, and returns
+    /// when it returned — whether it is polled in an async task, run under
+    /// `ctx::block_on`, or written out as the blocking body it replaced.
+    #[test]
+    fn the_awaited_dial_through_a_proxy_and_the_gate_sends_what_the_blocking_one_sent() {
+        let written = gated_proxied_dial(Form::Written);
+        assert!(written.0.len() > 10, "{} segments", written.0.len());
+        assert!(written.2.as_nanos() > 5_000_000, "the dial beat the gate");
+        let nat_gate = written.1.iter().find(|(why, _)| why == "nat gate");
+        assert_eq!(nat_gate.map(|p| p.1), Some(1), "{:?}", written.1);
+        for form in [Form::Polled, Form::Blocking] {
+            let (sent, parks, at) = gated_proxied_dial(form);
+            assert!(sent == written.0, "{form:?}: the segments differ");
+            assert_eq!((parks, at), (written.1.clone(), written.2), "{form:?}");
+        }
     }
 }

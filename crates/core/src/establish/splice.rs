@@ -102,7 +102,7 @@ pub(super) fn splicing(
         match initiate(f, &target.rec, spec, channel, resume) {
             Err(_) if attempt < ATTEMPTS => {
                 let slot = (channel % STAGGER_SLOTS) as u32;
-                gridsim_net::ctx::sleep(STAGGER * attempt + STAGGER_SLOT * slot);
+                ctx::sleep(STAGGER * attempt + STAGGER_SLOT * slot);
                 attempt += 1;
             }
             done => return done,
@@ -130,15 +130,15 @@ fn initiate(
         port,
         streams,
     };
-    let peer_eps: Vec<SockAddr> = relay.service_call(rec.owner, &req, svc_timeout)?;
+    let peer_eps: Vec<SockAddr> = ctx::block_on(relay.service_call(rec.owner, &req, svc_timeout))?;
     if peer_eps.len() != total as usize {
         return Err(io::Error::new(io::ErrorKind::InvalidData, MISMATCH));
     }
     // 2. Predict and emit SYNs under the NAT gate.
     let launched = {
-        let _gate = f.gate.hold();
+        let _gate = ctx::block_on(f.gate.hold());
         let my_ports = f.splices.alloc_ports(total);
-        predict_endpoints(f, &my_ports).and_then(|my_eps| {
+        ctx::block_on(predict_endpoints(f, &my_ports)).and_then(|my_eps| {
             let syns = my_ports.iter().zip(&peer_eps);
             let streams = syns.map(|(&lp, &ep)| connect_from(f, lp, ep));
             Ok((streams.collect::<io::Result<Vec<_>>>()?, my_eps))
@@ -148,11 +148,11 @@ fn initiate(
         // Tell the responder to abandon the negotiation (it may be
         // holding its NAT gate).
         let abort = SvcMsg::SpliceAbort { channel };
-        let _ = relay.service_call::<_, ()>(rec.owner, &abort, None);
+        let _ = ctx::block_on(relay.service_call::<_, ()>(rec.owner, &abort, None));
     })?;
     // 3. GO: the responder connects towards us.
     let go = SvcMsg::SpliceGo { channel, endpoints };
-    relay.service_call::<_, ()>(rec.owner, &go, svc_timeout)?;
+    ctx::block_on(relay.service_call::<_, ()>(rec.owner, &go, svc_timeout))?;
     // Wait for establishment, then send the stream preambles.
     let preamble = |(idx, stream): (usize, TcpStream)| {
         stream.wait_established()?;
@@ -175,22 +175,28 @@ fn connect_from(f: &BrokeredSocketFactory, lp: u16, ep: SockAddr) -> io::Result<
 }
 
 /// Compute the public endpoints peers must dial for our upcoming
-/// connects from `local_ports` (paper §6's NAT port prediction).
-fn predict_endpoints(f: &BrokeredSocketFactory, local_ports: &[u16]) -> io::Result<Vec<SockAddr>> {
-    let ports = local_ports.iter();
+/// connects from local `ports` (paper §6's NAT port prediction).
+async fn predict_endpoints(f: &BrokeredSocketFactory, ports: &[u16]) -> io::Result<Vec<SockAddr>> {
     match f.profile.nat {
-        None => Ok(ports.map(|&p| SockAddr::new(f.host.ip(), p)).collect()),
+        None => Ok(ports
+            .iter()
+            .map(|&p| SockAddr::new(f.host.ip(), p))
+            .collect()),
         // One probe per port: the cone mapping persists for any
         // destination.
-        Some(NatClass::Cone) => ports
-            .map(|&p| f.ns.probe_observed(Some(p), false))
-            .collect(),
+        Some(NatClass::Cone) => {
+            let mut eps = Vec::with_capacity(ports.len());
+            for &p in ports {
+                eps.push(f.ns.probe_observed(Some(p), false).await?);
+            }
+            Ok(eps)
+        }
         // One probe from an ephemeral port reveals the allocation counter;
         // our next `n` outbound connections (in order) will take the
         // following ports.
         Some(NatClass::SymmetricPredictable) => {
-            let observed = f.ns.probe_observed(None, false)?;
-            Ok(sequential_after(observed, local_ports.len()))
+            let observed = f.ns.probe_observed(None, false).await?;
+            Ok(sequential_after(observed, ports.len()))
         }
         Some(NatClass::SymmetricRandom) => {
             let why = "unpredictable NAT: splicing not possible";
@@ -211,11 +217,11 @@ fn sequential_after(observed: SockAddr, n: usize) -> Vec<SockAddr> {
 
 // ------------------------------------------------------ responder side
 
-/// `SPLICE_REQ`: allocate ports, predict endpoints (taking the NAT gate,
+/// `SPLICE_REQ`: allocate ports, predict endpoints (awaiting the NAT gate,
 /// held until GO, ABORT or the deadline), reply with the predictions. The
 /// stream count must be the named port's own, so a peer cannot make us
 /// allocate (and probe for) more.
-pub(crate) fn on_request(
+pub(crate) async fn on_request(
     f: &BrokeredSocketFactory,
     ctx: &NodeCtx,
     from: GridId,
@@ -239,9 +245,9 @@ pub(crate) fn on_request(
     // was lost to a relay failover: drop the stale negotiation (and
     // its gate hold) instead of deadlocking on a second acquire.
     f.splices.pending.lock().remove(&channel);
-    let gate = f.gate.hold();
+    let gate = f.gate.hold().await;
     let my_ports = f.splices.alloc_ports(total);
-    let my_endpoints = predict_endpoints(f, &my_ports)?;
+    let my_endpoints = predict_endpoints(f, &my_ports).await?;
     let _deadline = gate.as_ref().map(|_| {
         let (pending, sched) = (Arc::downgrade(&f.splices.pending), &ctx.sched);
         sched.timer(sched.now() + SPLICE_GO_DEADLINE, move || {

@@ -96,7 +96,7 @@ pub use pool::{BlockBuf, BlockPool, PoolStats};
 pub use port::{ReadMessage, ReceivePort, SendPort, WriteMessage};
 pub use profile::{ConnectivityProfile, FirewallClass, NatClass};
 pub use relay::{
-    spawn_relay, spawn_relay_mesh, RelayClient, RelayConfig, RelayDelegate, RoutedStream,
+    spawn_relay, spawn_relay_mesh, RelayClient, RelayConfig, RelayDelegate, RoutedStream, SvcReply,
 };
 pub use resume::ResendOverflow;
 pub use rpc::RpcClient;

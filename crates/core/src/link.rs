@@ -7,12 +7,12 @@
 //!
 //! The pump is an async task (DESIGN.md §6a), as are the relay's and the
 //! name server's readers: every frame is dispatched in its poll, and so is
-//! a connection's end. Only the redial's dial is a blocking section.
+//! a connection's end and its redial, the owner's dial included.
 
 use bytes::Bytes;
-use gridsim_net::ctx::{self, blocking};
+use gridsim_net::ctx;
 use gridsim_net::{SimMutex, SimMutexGuard, SockAddr, Waker};
-use gridsim_tcp::{TcpListener, TcpStream};
+use gridsim_tcp::{ConnectOpts, SimHost, TcpListener, TcpStream};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::future::Future;
@@ -28,6 +28,14 @@ use crate::wire::FrameStream;
 /// parked under `tcp accept` in between; an error once the listener closes.
 pub(crate) async fn next_conn(listener: &TcpListener) -> io::Result<TcpStream> {
     ctx::wait_io(|| listener.poll_accept()).await
+}
+
+/// Connect to `to` from `host`, parked under `tcp connect` until the
+/// handshake ends: [`SimHost::connect_opts`], awaited.
+pub(crate) async fn dial(host: &SimHost, to: SockAddr, opts: ConnectOpts) -> io::Result<TcpStream> {
+    let conn = host.connect_start(to, opts)?;
+    ctx::wait_io(|| conn.poll_established()).await?;
+    Ok(conn)
 }
 
 /// An attempt-counted retry schedule: `attempts` delays, doubling from
@@ -93,13 +101,13 @@ impl<T> Pending<T> {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// File request `id` under `tag` and `send` it; a send error takes the
-    /// slot out again.
-    pub(crate) fn post(
+    /// File request `id` under `tag` and await its `send`; a send error
+    /// takes the slot out again.
+    pub(crate) async fn post(
         &self,
         id: u64,
         tag: u64,
-        send: impl FnOnce() -> io::Result<()>,
+        send: impl Future<Output = io::Result<()>>,
     ) -> io::Result<()> {
         let slot = Slot {
             tag,
@@ -107,13 +115,14 @@ impl<T> Pending<T> {
             waker: None,
         };
         self.slots.lock().insert(id, slot);
-        send().inspect_err(|_| drop(self.slots.lock().remove(&id)))
+        let sent = send.await;
+        sent.inspect_err(|_| drop(self.slots.lock().remove(&id)))
     }
 
-    /// Park until request `id` has its outcome and take it. A slot that
-    /// vanished — its connection was lost — is `ConnectionReset`.
-    pub(crate) fn wait(&self, id: u64, reason: &'static str) -> io::Result<T> {
-        ctx::park_io(|| {
+    /// Await request `id`'s outcome, parked under `reason`, and take it. A
+    /// slot that vanished — its connection was lost — is `ConnectionReset`.
+    pub(crate) async fn wait(&self, id: u64, reason: &'static str) -> io::Result<T> {
+        ctx::wait_io(|| {
             let mut slots = self.slots.lock();
             let Some(slot) = slots.get_mut(&id) else {
                 let lost = "request dropped: its connection was lost";
@@ -126,6 +135,7 @@ impl<T> Pending<T> {
             slot.waker = Some(ctx::waker());
             Err(ctx::would_block(reason))
         })
+        .await
     }
 
     /// The answer to request `id`. False when nobody waits on `id` any
@@ -173,11 +183,12 @@ impl<T> Pending<T> {
 }
 
 /// What a supervised link's owner does: dial one of its addresses, take
-/// what arrives, and clean up after a lost connection. Both handlers are
-/// awaited in the pump's poll.
+/// what arrives, and clean up after a lost connection. All three are
+/// awaited, the handlers in the pump's poll.
 pub(crate) trait LinkOwner: Clone + Send + Sync + 'static {
-    /// Connect to `addr` and greet the service there.
-    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream>;
+    /// Connect to `addr` and greet the service there: awaited by a request
+    /// that finds the link down ([`ServiceLink::hold`]) and by the redial.
+    fn dial(&self, addr: SockAddr) -> impl Future<Output = io::Result<TcpStream>> + Send;
     /// One frame off connection `gen`. An error ends the connection.
     fn dispatch(&self, gen: u64, frame: &Bytes) -> impl Future<Output = io::Result<()>> + Send;
     /// Connection `gen` is gone: fail what was in flight on it.
@@ -244,13 +255,13 @@ impl ServiceLink {
     /// dialed first, over the whole list — unless its pump is redialing it:
     /// then the request fails with `ConnectionReset`, as those in flight on
     /// the lost connection did.
-    pub(crate) fn hold(self: &Arc<Self>, owner: &impl LinkOwner) -> io::Result<Writer> {
-        let mut conn = self.conn.lock();
+    pub(crate) async fn hold(self: &Arc<Self>, owner: &impl LinkOwner) -> io::Result<Writer> {
+        let mut conn = self.lock().await;
         if let Err(down) = conn.live().map(drop) {
             if conn.pump_redials {
                 return Err(down);
             }
-            let stream = self.dial(owner, self.addrs.len())?;
+            let stream = self.dial(owner, self.addrs.len()).await?;
             let gen = self.install(&mut conn, stream.clone());
             let pump = pump(Arc::downgrade(self), owner.clone(), stream, gen);
             ctx::handle().spawn_async(self.name.clone(), pump);
@@ -281,24 +292,28 @@ impl ServiceLink {
         written
     }
 
-    /// [`hold`](Self::hold), then `frame` written, parking where it waits.
-    pub(crate) fn send(self: &Arc<Self>, owner: &impl LinkOwner, frame: &Bytes) -> io::Result<()> {
-        let mut held = Some(self.hold(owner)?);
-        ctx::park_io(|| self.poll_send(&mut held, frame))
+    /// [`hold`](Self::hold), then `frame` written, awaited where it waits.
+    pub(crate) async fn send(
+        self: &Arc<Self>,
+        owner: &impl LinkOwner,
+        frame: &Bytes,
+    ) -> io::Result<()> {
+        let mut held = Some(self.hold(owner).await?);
+        ctx::wait_io(|| self.poll_send(&mut held, frame)).await
     }
 
-    /// Await the writer lock, in the pump's poll.
+    /// Await the writer lock.
     async fn lock(&self) -> Writer {
         ctx::wait(SimMutex::<Conn>::LOCK_WAIT, || self.conn.poll_lock()).await
     }
 
     /// One attempt at each of `span` addresses from the current one, in
     /// order; the first that answers becomes the current one.
-    fn dial(&self, owner: &impl LinkOwner, span: usize) -> io::Result<TcpStream> {
+    async fn dial(&self, owner: &impl LinkOwner, span: usize) -> io::Result<TcpStream> {
         let start = self.current.load(Ordering::Relaxed);
         let mut last = io::ErrorKind::AddrNotAvailable.into();
         for idx in (start..start + span).map(|i| i % self.addrs.len()) {
-            match owner.dial(self.addrs[idx]) {
+            match owner.dial(self.addrs[idx]).await {
                 Ok(stream) => {
                     self.current.store(idx, Ordering::Relaxed);
                     return Ok(stream);
@@ -320,16 +335,12 @@ impl ServiceLink {
     /// Redial along the ladder. The first attempt targets only the address
     /// that just died (a restart is the common case), every later one the
     /// whole list from there — the failover the ordered list promises. Out
-    /// of attempts, the link waits for its next request. Each dial is a
-    /// blocking section: it is the owner's, through the bootstrap socket
-    /// factory's SOCKS and NAT-gate connect, which the data links share.
+    /// of attempts, the link waits for its next request.
     async fn redial(&self, owner: &impl LinkOwner) -> Option<(TcpStream, u64)> {
         for (attempt, delay) in self.redial.delays().enumerate() {
-            let at = ctx::now() + delay;
-            ctx::wake_at(at);
-            let _ = ctx::wait_io(|| ctx::reached(at)).await;
+            ctx::delay(delay).await;
             let span = if attempt == 0 { 1 } else { self.addrs.len() };
-            if let Ok(stream) = blocking(|| self.dial(owner, span)).await {
+            if let Ok(stream) = self.dial(owner, span).await {
                 let gen = self.install(&mut *self.lock().await, stream.clone());
                 return Some((stream, gen));
             }
@@ -341,7 +352,7 @@ impl ServiceLink {
 
 /// A link's reader: hand each frame off connection `gen` to the owner,
 /// and once the connection ends, read the one redialed — all of it in the
-/// pump's poll, but the redial's dials.
+/// pump's poll.
 async fn pump<O: LinkOwner>(
     link: Weak<ServiceLink>,
     owner: O,
@@ -408,7 +419,7 @@ impl Drop for ServiceLink {
 impl ServiceLink {
     /// Abort the live connection under the link, dialing one if it is down.
     pub(crate) fn abort(self: &Arc<Self>, owner: &impl LinkOwner) -> io::Result<()> {
-        let conn = self.hold(owner)?;
+        let conn = ctx::block_on(self.hold(owner))?;
         conn.stream.iter().for_each(TcpStream::abort);
         Ok(())
     }
@@ -418,6 +429,21 @@ impl ServiceLink {
 mod tests {
     use super::*;
     use gridsim_net::Sim;
+
+    /// The output of a future that is ready at its first poll: a request
+    /// whose outcome is in.
+    fn ready<T>(fut: impl Future<Output = T>) -> T {
+        let cx = &mut std::task::Context::from_waker(std::task::Waker::noop());
+        match std::pin::pin!(fut).poll(cx) {
+            Poll::Ready(out) => out,
+            Poll::Pending => panic!("a request with its outcome in waits"),
+        }
+    }
+
+    /// A send that succeeds at once.
+    async fn sent() -> io::Result<()> {
+        Ok(())
+    }
 
     /// Each doubling ladder yields the delays of the loop it replaced.
     #[test]
@@ -436,19 +462,19 @@ mod tests {
     #[test]
     fn the_first_outcome_stands() {
         let p = Pending::new();
-        p.post(1, 0, || Ok(())).unwrap();
+        ready(p.post(1, 0, sent())).unwrap();
         assert!(p.resolve(1, "answer"));
         assert!(!p.resolve(1, "late answer"));
         p.fail(|_, _| true, || "timeout");
         p.reset(|_| true);
-        assert_eq!(p.wait(1, "test").unwrap(), "answer");
+        assert_eq!(ready(p.wait(1, "test")).unwrap(), "answer");
         assert!(p.is_empty(), "slot outlived its wait");
     }
 
     #[test]
     fn a_send_error_removes_its_slot() {
         let p = Pending::<()>::new();
-        let refused = p.post(1, 0, || Err(io::ErrorKind::BrokenPipe.into()));
+        let refused = ready(p.post(1, 0, async { Err(io::ErrorKind::BrokenPipe.into()) }));
         assert_eq!(refused.unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         assert!(p.is_empty(), "slot leaked");
     }
@@ -456,9 +482,9 @@ mod tests {
     #[test]
     fn a_vanished_slot_is_connection_reset() {
         let p = Pending::<()>::new();
-        p.post(1, 0, || Ok(())).unwrap();
+        ready(p.post(1, 0, sent())).unwrap();
         p.reset(|_| true);
-        let lost = p.wait(1, "test").unwrap_err();
+        let lost = ready(p.wait(1, "test")).unwrap_err();
         assert_eq!(lost.kind(), io::ErrorKind::ConnectionReset);
     }
 
@@ -470,10 +496,10 @@ mod tests {
         let p = Arc::new(Pending::<()>::new());
         let woke = Arc::new(Mutex::new(Vec::new()));
         for id in [3, 1, 2] {
-            p.post(id, 0, || Ok(())).unwrap();
+            ready(p.post(id, 0, sent())).unwrap();
             let (p, woke) = (Arc::clone(&p), Arc::clone(&woke));
             sim.spawn("waiter", move || {
-                let kind = p.wait(id, "test").unwrap_err().kind();
+                let kind = ctx::block_on(p.wait(id, "test")).unwrap_err().kind();
                 woke.lock().push((id, kind));
             });
         }

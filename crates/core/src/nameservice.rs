@@ -29,7 +29,7 @@ use std::io::{self};
 use std::sync::Arc;
 
 use crate::establish::factory::{BootstrapSocketFactory, NatGate};
-use crate::link::{next_conn, Backoff, LinkOwner, Pending, ServiceLink};
+use crate::link::{dial, next_conn, Backoff, LinkOwner, Pending, ServiceLink};
 use crate::profile::{ConnectivityProfile, NatClass};
 use crate::wire::{FrameStream, FrameWriter, NsRequest, Put, Reply, Wire};
 pub use crate::wire::{NodeRecord, PortRecord};
@@ -141,12 +141,9 @@ impl NsConn {
                     local_port: None,
                     cfg: Some(cfg),
                 };
-                let outcome = match self.host.connect_start(target, opts) {
-                    Ok(conn) => ctx::wait_io(|| conn.poll_established()).await,
-                    Err(e) => Err(e),
-                };
+                let outcome = dial(&self.host, target, opts).await;
                 let refused = |e: io::Error| e.kind() == io::ErrorKind::ConnectionRefused;
-                Reply::Ok(outcome.map_or_else(refused, |()| true)).encode()
+                Reply::Ok(outcome.map_or_else(refused, |_| true)).encode()
             }
             NsRequest::ListPorts => {
                 let names: Vec<_> = state.lock().ports.keys().cloned().collect();
@@ -187,8 +184,8 @@ struct Tickets {
 }
 
 impl LinkOwner for Tickets {
-    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        self.factory.connect(addr)
+    async fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        self.factory.connect(addr).await
     }
 
     async fn dispatch(&self, gen: u64, frame: &Bytes) -> io::Result<()> {
@@ -238,11 +235,13 @@ impl NsClient {
     /// request — the probes it covers dial their own connections.
     fn request<T: Wire>(&self, req: NsRequest) -> io::Result<T> {
         let (pending, frame) = (&self.tickets.pending, req.encode().into_frame());
-        let conn = self.link.hold(&self.tickets)?;
-        let (ticket, gen, mut held) = (pending.next_id(), conn.gen, Some(conn));
-        let send = || ctx::park_io(|| self.link.poll_send(&mut held, &frame));
-        pending.post(ticket, gen, send)?;
-        answer(&pending.wait(ticket, "ns reply")?)
+        ctx::block_on(async {
+            let conn = self.link.hold(&self.tickets).await?;
+            let (ticket, gen, mut held) = (pending.next_id(), conn.gen, Some(conn));
+            let send = ctx::wait_io(|| self.link.poll_send(&mut held, &frame));
+            pending.post(ticket, gen, send).await?;
+            answer(&pending.wait(ticket, "ns reply").await?)
+        })
     }
 
     /// Register this node; returns its grid-wide id. `relays` is the
@@ -310,7 +309,7 @@ impl NsClient {
 
     /// Probe the observed (post-NAT) address of a connection made from
     /// `local_port`. `second_server` probes the NS's second listener.
-    pub fn probe_observed(
+    pub async fn probe_observed(
         &self,
         local_port: Option<u16>,
         second_server: bool,
@@ -325,24 +324,27 @@ impl NsClient {
             syn_retries: 2,
             ..self.host.tcp_config()
         };
-        let mut stream = match self.via_proxy {
+        let stream = match self.via_proxy {
             // Observed-through-proxy shows the proxy, which is what a
             // strict-firewall site genuinely looks like from outside. Like
             // every probe it dials outside the gate: a predictor probes
             // while holding it.
             Some(_) => {
-                BootstrapSocketFactory::new(self.host.clone(), self.via_proxy).connect(target)?
+                let proxied = BootstrapSocketFactory::new(self.host.clone(), self.via_proxy);
+                proxied.connect(target).await?
             }
-            None => self.host.connect_opts(
-                target,
-                ConnectOpts {
+            None => {
+                let opts = ConnectOpts {
                     local_port,
                     cfg: Some(cfg),
-                },
-            )?,
+                };
+                dial(&self.host, target, opts).await?
+            }
         };
-        NsRequest::Observed.encode().send(&mut stream)?;
-        answer(&FrameStream::new(stream).next_frame()?)
+        let req = NsRequest::Observed.encode().into_frame();
+        ctx::wait_io(|| stream.poll_write_block(&req)).await?;
+        let mut frames = FrameStream::new(stream);
+        answer(&ctx::wait_io(|| frames.poll_frame()).await?)
     }
 
     /// Fully automated connectivity-profile discovery (paper §8 future
@@ -392,11 +394,11 @@ impl NsClient {
     /// local port and compare the observed mappings.
     pub fn detect_nat(&self, probe_port: u16) -> io::Result<Option<NatClass>> {
         let my_ip = self.host.ip();
-        let o1 = self.probe_observed(Some(probe_port), false)?;
+        let o1 = ctx::block_on(self.probe_observed(Some(probe_port), false))?;
         if o1.ip == my_ip {
             return Ok(None); // no translation at all
         }
-        let o2 = self.probe_observed(Some(probe_port), true)?;
+        let o2 = ctx::block_on(self.probe_observed(Some(probe_port), true))?;
         if o1.port == o2.port {
             // Same mapping for two destinations: cone.
             return Ok(Some(NatClass::Cone));

@@ -33,7 +33,7 @@ use crate::link::{next_conn, Backoff};
 use crate::nameservice::{GridId, NsClient};
 use crate::port::{AckSender, ReceivePort, ReceivePortInner, RxShared, SendConnection, SendPort};
 use crate::profile::{ConnectivityProfile, FirewallClass};
-use crate::relay::{RelayClient, RelayDelegate, RoutedStream};
+use crate::relay::{RelayClient, RelayDelegate, RoutedStream, SvcReply};
 use crate::session::{Channel, Claim, LinkIo, LinkTable, SharedLink};
 use crate::tune::{PathControlConfig, PathController};
 use crate::wire::{link_frame, Frame, Put, ReconfigAck, ResumeMeta, ResumeReply};
@@ -861,7 +861,7 @@ impl GridNode {
         // swallowed). Probe it now so incoming service traffic — the
         // receiver's CACKs in particular — finds us registered again.
         if let Some(relay) = &self.inner.brokered.relay {
-            relay.nudge();
+            gridsim_net::ctx::block_on(relay.nudge());
         }
         let peer_desc = link
             .replay_order()
@@ -973,36 +973,36 @@ impl NodeDelegate {
 }
 
 impl RelayDelegate for NodeDelegate {
-    fn on_service_request(&self, from: GridId, payload: &[u8]) -> Vec<u8> {
+    fn on_service_request<'a>(&'a self, from: GridId, payload: &'a [u8]) -> SvcReply<'a> {
         fn reply<T: Wire>(r: io::Result<T>) -> Vec<u8> {
             r.map_err(|e| e.to_string()).encode().into_bytes()
         }
-        let Some(node) = self.node() else {
-            return reply::<()>(Err(io::Error::other("node gone")));
-        };
-        // The splice responder's port lookups and accept tasks need the
-        // node's context; a CACK does not build one.
-        let f = &node.inner.brokered;
-        match SvcMsg::decode(&payload.to_vec().into()) {
-            Ok(SvcMsg::SpliceReq {
-                channel,
-                port,
-                streams,
-            }) => {
-                let ctx = node.ctx();
-                reply(establish::on_request(
-                    f, &ctx, from, channel, &port, streams,
-                ))
+        Box::pin(async move {
+            let Some(node) = self.node() else {
+                return reply::<()>(Err(io::Error::other("node gone")));
+            };
+            // The splice responder's port lookups and accept tasks need the
+            // node's context; a CACK does not build one.
+            let f = &node.inner.brokered;
+            match SvcMsg::decode(&payload.to_vec().into()) {
+                Ok(SvcMsg::SpliceReq {
+                    channel,
+                    port,
+                    streams,
+                }) => {
+                    let ctx = node.ctx();
+                    reply(establish::on_request(f, &ctx, from, channel, &port, streams).await)
+                }
+                Ok(SvcMsg::SpliceGo { channel, endpoints }) => {
+                    reply(establish::on_go(f, &node.ctx(), from, channel, &endpoints))
+                }
+                Ok(SvcMsg::SpliceAbort { channel }) => reply(establish::on_abort(f, from, channel)),
+                Ok(SvcMsg::Cack { channel, delivered }) => {
+                    reply(node.handle_cack(from, channel, delivered))
+                }
+                Err(e) => reply::<()>(Err(e)),
             }
-            Ok(SvcMsg::SpliceGo { channel, endpoints }) => {
-                reply(establish::on_go(f, &node.ctx(), from, channel, &endpoints))
-            }
-            Ok(SvcMsg::SpliceAbort { channel }) => reply(establish::on_abort(f, from, channel)),
-            Ok(SvcMsg::Cack { channel, delivered }) => {
-                reply(node.handle_cack(from, channel, delivered))
-            }
-            Err(e) => reply::<()>(Err(e)),
-        }
+        })
     }
 
     fn on_open(

@@ -445,21 +445,22 @@ pub(crate) struct AckSender {
 }
 
 impl AckSender {
-    /// Fire-and-forget from a fresh daemon (a service round-trip parks,
-    /// and the callers — the pump and the idle timer — must not). A lost
-    /// or timed-out CACK is subsumed by the next: the watermark is
-    /// cumulative and the handler takes the max.
+    /// Fire-and-forget from a task of its own (a service round trip waits,
+    /// and the callers — the pump and the idle timer — go on). A lost or
+    /// timed-out CACK is subsumed by the next: the watermark is cumulative
+    /// and the handler takes the max.
     fn send(&self, channel: u64, delivered: u64) {
         let relay = self.relay.clone();
-        self.sched.spawn_daemon("cack-send", move || {
+        self.sched.spawn_async("cack-send", async move {
             let cack = SvcMsg::Cack { channel, delivered };
             // Channel ids embed the sender's grid id in the high bits.
-            let sent = relay.service_call::<_, ()>(channel >> 24, &cack, Some(ACK_SVC_TIMEOUT));
+            let (to, timeout) = (channel >> 24, Some(ACK_SVC_TIMEOUT));
+            let sent: io::Result<()> = relay.service_call(to, &cack, timeout).await;
             // Silence may be our own service link gone half-open (an idle
             // receiver writes nothing else that would tell it): the probe
             // draws the reset, and the pump redials and re-registers.
             if sent.is_err_and(|e| e.kind() == io::ErrorKind::TimedOut) {
-                relay.nudge();
+                relay.nudge().await;
             }
         });
     }

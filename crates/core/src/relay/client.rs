@@ -6,9 +6,12 @@ use gridsim_net::{ctx, Metric, SchedHandle, SimQueue, SockAddr};
 use gridsim_tcp::{SimHost, TcpStream};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::future::Future;
 use std::io;
+use std::pin::Pin;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use super::stream::{RoutedStream, StreamKey};
 use crate::establish::factory::BootstrapSocketFactory;
@@ -16,10 +19,15 @@ use crate::link::{Backoff, LinkOwner, Pending, ServiceLink};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, Put, RelayMsg, Reply, Wire};
 
+/// A service request's response payload, awaited (boxed: the delegate is
+/// a trait object).
+pub type SvcReply<'a> = Pin<Box<dyn Future<Output = Vec<u8>> + Send + 'a>>;
+
 /// Callbacks from the relay client into the node runtime.
 pub trait RelayDelegate: Send + Sync {
-    /// Handle a service (brokering) request; return the response payload.
-    fn on_service_request(&self, from: GridId, payload: &[u8]) -> Vec<u8>;
+    /// Handle a service (brokering) request, awaited in a task of its own:
+    /// it may wait on what the relay pump carries (a GO releasing a gate).
+    fn on_service_request<'a>(&'a self, from: GridId, payload: &'a [u8]) -> SvcReply<'a>;
     /// An incoming routed link targeting `port_name`: admit or refuse it.
     /// Runs in the relay pump's poll, before the OPEN is answered, so it
     /// must not park — whatever does (handshakes, reading the stream) goes
@@ -59,8 +67,8 @@ pub(crate) const REDIAL: Backoff = Backoff::ms(6, 100, 2000);
 pub(crate) const HELLO_SWEEPS: Backoff = Backoff::ms(2, 100, 100);
 /// In-flight service requests failed by a relay loss are retried for this
 /// long (spanning the redial backoff) before the error surfaces.
-const SVC_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(6);
-const SVC_RETRY_DELAY: std::time::Duration = std::time::Duration::from_millis(250);
+const SVC_RETRY_WINDOW: Duration = Duration::from_secs(6);
+const SVC_RETRY_DELAY: Duration = Duration::from_millis(250);
 
 /// A node's connection to the relay.
 #[derive(Clone)]
@@ -114,13 +122,13 @@ impl RelayClient {
         // Sweeps of the list (a send with the link down dials it), one more
         // than `HELLO_SWEEPS` has delays; ephemeral-port exhaustion is
         // retried inside each dial.
-        let join = || client.inner.link.hold(&client).map(drop);
+        let join = || ctx::block_on(client.inner.link.hold(&client)).map(drop);
         let mut joined = join();
         for delay in HELLO_SWEEPS.delays() {
             if joined.is_ok() {
                 break;
             }
-            gridsim_net::ctx::sleep(delay);
+            ctx::sleep(delay);
             joined = join();
         }
         joined.map(|()| client)
@@ -133,9 +141,9 @@ impl RelayClient {
     /// reset that wakes the pump into its redial-and-re-HELLO path. Errors
     /// are ignored — the pump owns reconnection; a link whose ladder ran
     /// out is dialed again here, as by any request.
-    pub fn nudge(&self) {
+    pub async fn nudge(&self) {
         let hello = RelayMsg::Hello { id: self.inner.id }.encode().into_frame();
-        let _ = self.inner.link.send(self, &hello);
+        let _ = self.inner.link.send(self, &hello).await;
     }
 
     pub fn id(&self) -> GridId {
@@ -147,9 +155,11 @@ impl RelayClient {
         *self.inner.delegate.lock() = Some(d);
     }
 
-    /// Send one envelope to `to` through the relay, as one block.
-    pub(super) fn send_inner(&self, to: GridId, env: Envelope<&[u8]>) -> io::Result<()> {
-        self.inner.link.send(self, &env.send_to(to).into_frame())
+    /// Send one envelope to `to` through the relay, as one block: a link
+    /// that is down is dialed first.
+    pub(super) async fn send_inner(&self, to: GridId, env: Envelope<&[u8]>) -> io::Result<()> {
+        let frame = env.send_to(to).into_frame();
+        self.inner.link.send(self, &frame).await
     }
 
     /// [`send_inner`](Self::send_inner), awaited in the pump's poll. A link
@@ -173,62 +183,64 @@ impl RelayClient {
         &self,
         to: GridId,
         payload: &[u8],
-        timeout: Option<std::time::Duration>,
+        timeout: Option<Duration>,
     ) -> io::Result<Vec<u8>> {
-        // A request failed by a relay-connection loss (`ConnectionReset`,
-        // from `lost` or a dead writer) is retried while the pump
-        // redials — possibly onto a failover relay — until the window
-        // closes. Fault-free requests resolve on the first try and never
-        // enter the loop; other errors (TimedOut, NotFound, refusals)
-        // surface immediately.
-        let deadline = gridsim_net::ctx::now() + SVC_RETRY_WINDOW;
-        loop {
-            match self.try_service_request(to, payload, timeout) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionReset
-                        && gridsim_net::ctx::now() < deadline =>
-                {
-                    gridsim_net::ctx::sleep(SVC_RETRY_DELAY);
-                }
-                r => return r,
-            }
-        }
+        ctx::block_on(self.request(to, payload, timeout))
     }
 
     /// A service request in a typed protocol: `msg` out, the body of its
     /// [`Reply`] back; a refusal is `ConnectionRefused`, for its reason.
-    pub(crate) fn service_call<M: Put, T: Wire>(
+    pub(crate) async fn service_call<M: Put, T: Wire>(
         &self,
         to: GridId,
         msg: &M,
-        timeout: Option<std::time::Duration>,
+        timeout: Option<Duration>,
     ) -> io::Result<T> {
-        let rsp = self.service_request_timeout(to, msg.encode().payload(), timeout)?;
+        let rsp = self.request(to, msg.encode().payload(), timeout).await?;
         let refused = |why| io::Error::new(io::ErrorKind::ConnectionRefused, why);
         Reply::decode(&rsp.into())?.map_err(refused)
     }
 
-    fn try_service_request(
+    /// The one service round trip, `payload` out and the answer's body
+    /// back, each try under its own `timeout`. A request failed by a
+    /// relay-connection loss (`ConnectionReset`, from `lost` or a dead
+    /// writer) is tried again while the pump redials — possibly onto a
+    /// failover relay — until the window closes. Fault-free requests
+    /// resolve on the first try; other errors (TimedOut, NotFound,
+    /// refusals) surface at once.
+    async fn request(
         &self,
         to: GridId,
         payload: &[u8],
-        timeout: Option<std::time::Duration>,
+        timeout: Option<Duration>,
     ) -> io::Result<Vec<u8>> {
-        let (id, sched) = (self.inner.pending.next_id(), &self.inner.sched);
-        // Held until the answer is in.
-        let _deadline = timeout.map(|dt| {
-            let weak = Arc::downgrade(&self.inner);
-            sched.timer(sched.now() + dt, move || {
-                if let Some(inner) = weak.upgrade() {
-                    let timed_out = || Err(io::ErrorKind::TimedOut.into());
-                    inner.pending.fail(|i, _| i == id, timed_out);
+        let window = ctx::now() + SVC_RETRY_WINDOW;
+        let (pending, sched) = (&self.inner.pending, &self.inner.sched);
+        loop {
+            let id = pending.next_id();
+            // Held until the answer is in.
+            let deadline = timeout.map(|dt| {
+                let weak = Arc::downgrade(&self.inner);
+                sched.timer(sched.now() + dt, move || {
+                    if let Some(inner) = weak.upgrade() {
+                        let timed_out = || Err(io::ErrorKind::TimedOut.into());
+                        inner.pending.fail(|i, _| i == id, timed_out);
+                    }
+                })
+            });
+            let req = Envelope::SvcReq { id, body: payload };
+            let answer = match pending.post(id, to, self.send_inner(to, req)).await {
+                Ok(()) => pending.wait(id, "relay svc rsp").await.and_then(|r| r),
+                Err(e) => Err(e),
+            };
+            drop(deadline);
+            match answer {
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset && ctx::now() < window => {
+                    ctx::delay(SVC_RETRY_DELAY).await
                 }
-            })
-        });
-        let req = Envelope::SvcReq { id, body: payload };
-        let pending = &self.inner.pending;
-        pending.post(id, to, || self.send_inner(to, req))?;
-        pending.wait(id, "relay svc rsp")?
+                answer => return answer,
+            }
+        }
     }
 
     /// Open a routed byte stream to `port_name` on node `to`.
@@ -246,8 +258,10 @@ impl RelayClient {
         let open = Envelope::Open { sid, port, channel };
         let refused = |msg| io::Error::new(io::ErrorKind::ConnectionRefused, msg);
         let waits = &self.inner.open_waits;
-        let posted = waits.post(sid, to, || self.send_inner(to, open));
-        let opened = posted.and_then(|()| waits.wait(sid, "relay open")?.map_err(refused));
+        let opened = ctx::block_on(async {
+            waits.post(sid, to, self.send_inner(to, open)).await?;
+            waits.wait(sid, "relay open").await?.map_err(refused)
+        });
         if opened.is_err() {
             // The table entry holds the stream, and the stream this client:
             // a failed open must not leave that cycle behind.
@@ -319,10 +333,12 @@ impl RelayClient {
             Envelope::SvcReq { id, body } => {
                 let delegate = self.inner.delegate.lock().clone();
                 let me = self.clone();
-                self.inner.sched.spawn_daemon("svc-handler", move || {
-                    let rsp = delegate.map(|d| d.on_service_request(from, &body));
+                // A task of its own: the handler may wait on what this pump
+                // carries (a splice responder's NAT gate, released by a GO).
+                self.inner.sched.spawn_async("svc-handler", async move {
+                    let rsp = async { Some(delegate?.on_service_request(from, &body).await) }.await;
                     let reply = rsp.as_deref().ok_or_else(|| "no service handler".into());
-                    let _ = me.send_inner(from, Envelope::SvcRsp { id, reply });
+                    let _ = me.send_inner(from, Envelope::SvcRsp { id, reply }).await;
                 });
                 return Ok(());
             }
@@ -418,11 +434,10 @@ impl LinkOwner for RelayClient {
     /// Dial outside the node's NAT gate — a splice responder holds the gate
     /// across a relay round trip, so a dial under it could wait on itself —
     /// and say HELLO.
-    fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
-        let stream = self.inner.factory.connect(addr)?;
-        RelayMsg::Hello { id: self.inner.id }
-            .encode()
-            .send(&mut stream.clone())?;
+    async fn dial(&self, addr: SockAddr) -> io::Result<TcpStream> {
+        let stream = self.inner.factory.connect(addr).await?;
+        let hello = RelayMsg::Hello { id: self.inner.id }.encode().into_frame();
+        ctx::wait_io(|| stream.poll_write_block(&hello)).await?;
         Ok(stream)
     }
 
@@ -513,12 +528,93 @@ mod tests {
     struct Accept(gridsim_net::SimQueue<RoutedStream>);
 
     impl RelayDelegate for Accept {
-        fn on_service_request(&self, _: GridId, _: &[u8]) -> Vec<u8> {
-            Vec::new()
+        fn on_service_request<'a>(&'a self, _: GridId, _: &'a [u8]) -> SvcReply<'a> {
+            Box::pin(async { Vec::new() })
         }
         fn on_open(&self, _: GridId, _: &str, _: u64, s: RoutedStream) -> Result<(), String> {
             self.0.try_push(s).map_err(|_| "no room".to_string())
         }
+    }
+
+    /// Never answers: its handler waits for good.
+    struct Silent;
+
+    impl RelayDelegate for Silent {
+        fn on_service_request<'a>(&'a self, _: GridId, _: &'a [u8]) -> SvcReply<'a> {
+            Box::pin(ctx::wait("silent", || std::task::Poll::Pending))
+        }
+        fn on_open(&self, _: GridId, _: &str, _: u64, _: RoutedStream) -> Result<(), String> {
+            Err("no ports".into())
+        }
+    }
+
+    /// A service request with a one-second deadline to a peer that never
+    /// answers, awaited in an async task (`polled`) or run under
+    /// `ctx::block_on` by a task that parks: every TCP segment the world
+    /// sent, every park of the run, and when and how the request ended.
+    fn a_request_that_times_out(polled: bool) -> (Vec<String>, Vec<(String, i64)>, String) {
+        let sim = Sim::new(9);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let relay = SockAddr::new(hb.ip(), 600);
+        let clients = gridsim_net::SimQueue::bounded(1);
+        let c = clients.clone();
+        sim.spawn("clients", move || {
+            spawn_relay(&hb, 600).unwrap();
+            let asker = RelayClient::connect(&ha, relay, None, 1).unwrap();
+            let silent = RelayClient::connect(&hb, relay, None, 2).unwrap();
+            silent.set_delegate(Arc::new(Silent));
+            assert!(c.try_push((asker, silent)).is_ok());
+        });
+        sim.run();
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&sent);
+        net.with(|w| {
+            w.set_tracer(Box::new(move |t, kind, pkt| {
+                let seg = pkt.payload.as_any().downcast_ref::<gridsim_tcp::Segment>();
+                if let Some(s) = seg.filter(|_| kind == gridsim_net::TraceKind::Sent) {
+                    let (src, dst, f, n) = (pkt.src, pkt.dst, s.flags, s.data.len());
+                    let seg = format!("{t:?} {src}>{dst} {f:?} {} {} {} {n}", s.seq, s.ack, s.wnd);
+                    log.lock().push(seg);
+                }
+            }))
+        });
+        let (asker, _silent) = clients.try_pop().expect("both clients joined");
+        let out = Arc::new(Mutex::new(String::new()));
+        let o = Arc::clone(&out);
+        let note = move |r: io::Result<Vec<u8>>| *o.lock() = format!("{:?} {r:?}", ctx::now());
+        let (h, timeout) = (sim.scheduler().handle(), Some(Duration::from_secs(1)));
+        if polled {
+            h.spawn_async("ask", async move {
+                note(asker.request(2, b"ping", timeout).await)
+            });
+        } else {
+            h.spawn("ask", move || {
+                note(asker.service_request_timeout(2, b"ping", timeout))
+            });
+        }
+        sim.run();
+        let parks = h.metrics().into_iter().filter(|(m, _)| m.0 == "task/parks");
+        let parks = parks.map(|(m, n)| (m.2.to_string(), n)).collect();
+        let (sent, out) = (sent.lock().clone(), out.lock().clone());
+        (sent, parks, out)
+    }
+
+    /// The service call, awaited, sends what the blocking call sends when
+    /// it sends it, parks where it parks, and its deadline ends it at the
+    /// same instant, `TimedOut`.
+    #[test]
+    fn an_awaited_service_call_whose_deadline_fires_matches_the_blocking_one() {
+        let blocking = a_request_that_times_out(false);
+        assert!(blocking.2.contains("TimedOut"), "{}", blocking.2);
+        assert!(blocking.0.len() >= 2, "{} segments", blocking.0.len());
+        let svc_rsp = blocking.1.iter().find(|(why, _)| why == "relay svc rsp");
+        assert_eq!(svc_rsp.map(|p| p.1), Some(1), "{:?}", blocking.1);
+        let polled = a_request_that_times_out(true);
+        assert!(polled.0 == blocking.0, "the segments differ");
+        assert_eq!(polled.1, blocking.1);
+        assert_eq!(polled.2, blocking.2);
     }
 
     /// The receiving client's relay connection is aborted mid-transfer.
@@ -599,7 +695,7 @@ mod tests {
     #[test]
     fn a_request_leaves_the_redial_to_the_pump() {
         with_aborted_link(|rc| {
-            let gen = || rc.inner.link.hold(&rc).map(|conn| conn.gen);
+            let gen = || ctx::block_on(rc.inner.link.hold(&rc)).map(|conn| conn.gen);
             gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap() / 2);
             assert_eq!(gen().unwrap_err().kind(), io::ErrorKind::ConnectionReset);
             gridsim_net::ctx::sleep(REDIAL.delays().next().unwrap());

@@ -20,7 +20,7 @@ mod client;
 mod server;
 mod stream;
 
-pub use client::{RelayClient, RelayDelegate};
+pub use client::{RelayClient, RelayDelegate, SvcReply};
 pub use server::{spawn_relay, spawn_relay_mesh, RelayConfig};
 pub use stream::RoutedStream;
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::link::{next_conn, Backoff};
+use crate::link::{dial, next_conn, Backoff};
 use crate::nameservice::GridId;
 use crate::wire::{Envelope, FrameStream, Put, RelayMsg, Wire};
 
@@ -318,7 +318,7 @@ impl MeshRelay {
     }
 
     /// Dial a mesh peer (which may restart at any time) along
-    /// [`PEER_DIAL`], waiting out each delay as `ctx::sleep` does. Every
+    /// [`PEER_DIAL`], waiting out each delay with `ctx::delay`. Every
     /// dial counts, one whose link served and then died included: a peer
     /// dead past the whole ladder is assumed gone for good (its clients
     /// fail over to the survivors), and giving up lets a simulation with a
@@ -326,9 +326,7 @@ impl MeshRelay {
     async fn peer_dial_loop(self: Arc<Self>, host: SimHost, addr: SockAddr) {
         let _ = self.peer_dial_once(&host, addr).await;
         for delay in PEER_DIAL.delays() {
-            let at = ctx::now() + delay;
-            ctx::wake_at(at);
-            let _ = ctx::wait_io(|| ctx::reached(at)).await;
+            ctx::delay(delay).await;
             let _ = self.peer_dial_once(&host, addr).await;
         }
     }
@@ -338,8 +336,7 @@ impl MeshRelay {
     /// under no NAT gate that serializes. A local `AddrInUse` is not
     /// retried at 50 ms as a node's dial is: the ladder redials.
     async fn peer_dial_once(self: &Arc<Self>, host: &SimHost, addr: SockAddr) -> io::Result<()> {
-        let conn = host.connect_start(addr, ConnectOpts::default())?;
-        ctx::wait_io(|| conn.poll_established()).await?;
+        let conn = dial(host, addr, ConnectOpts::default()).await?;
         self.peer_hello(&conn).await?;
         Arc::clone(self).read(conn, Role::Dialed).await;
         Ok(())

@@ -182,8 +182,8 @@ impl RoutedStream {
                 st.waker = Some(gridsim_net::ctx::waker());
             }
             if gridsim_net::ctx::now() >= resend_at {
-                s.client
-                    .send_inner(s.peer, Envelope::Sync { dir, sid, n })?;
+                let sync = Envelope::Sync { dir, sid, n };
+                ctx::block_on(s.client.send_inner(s.peer, sync))?;
                 resend_at = gridsim_net::ctx::now() + SYNC_RESEND;
                 let waker = gridsim_net::ctx::waker();
                 _resend = Some(s.client.inner.sched.timer(resend_at, move || waker.wake()));
@@ -337,8 +337,8 @@ impl RsInner {
 
     /// Send our FIN, once.
     fn send_fin(&self) -> io::Result<()> {
-        self.fin()
-            .map_or(Ok(()), |fin| self.client.send_inner(self.peer, fin))
+        let fin = self.fin().map(|fin| self.client.send_inner(self.peer, fin));
+        fin.map_or(Ok(()), ctx::block_on)
     }
 }
 

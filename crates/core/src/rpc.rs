@@ -108,8 +108,10 @@ impl RpcClient {
             id,
             payload: Bytes::copy_from_slice(payload),
         };
-        let send = || self.request_port.lock().send(req.encode().payload());
-        self.pending.post(id, 0, send)?;
-        self.pending.wait(id, "rpc reply")
+        let send = async { self.request_port.lock().send(req.encode().payload()) };
+        gridsim_net::ctx::block_on(async {
+            self.pending.post(id, 0, send).await?;
+            self.pending.wait(id, "rpc reply").await
+        })
     }
 }

@@ -31,7 +31,7 @@ pub use link::{Frame, Preamble, ReconfigAck, ResumeMeta, ResumeReply, MAX_MESSAG
 pub use ns::{NodeRecord, NsRequest, PortRecord};
 pub use relay::{Envelope, RelayMsg};
 pub use rpc::{RpcReply, RpcRequest};
-pub use socks::{Choice, Greeting, SocksReply, SocksRequest};
+pub use socks::{Choice, Greeting, SocksMsg, SocksReply, SocksRequest};
 pub use socks::{CMD_CONNECT, METHOD_NONE, REP_FAIL, REP_NO_CMD, REP_OK, REP_REFUSED};
 pub use svc::SvcMsg;
 

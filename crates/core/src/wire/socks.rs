@@ -1,10 +1,12 @@
 //! SOCKS5's messages (RFC 1928): the CONNECT subset, IPv4 targets, no
 //! authentication (DESIGN.md §13). SOCKS is a byte stream, not frames:
-//! each message is read whole, its version and address type checked,
-//! before the side that reads it acts.
+//! each message is read in two parts, a head of fixed length and the rest
+//! the head announces ([`SocksMsg`]), its version and address type checked
+//! on the head, so a reader never reads past the message.
 
 use gridsim_net::{Ip, SockAddr};
-use std::io::{self, Read};
+use std::cmp::Ordering;
+use std::io;
 
 use super::bad;
 
@@ -18,13 +20,37 @@ pub const REP_FAIL: u8 = 1;
 pub const REP_REFUSED: u8 = 5;
 pub const REP_NO_CMD: u8 = 7;
 
-/// `N` bytes off `r`, the first SOCKS5's version when `ver`.
-fn take<const N: usize>(r: &mut impl Read, ver: bool) -> io::Result<[u8; N]> {
-    let mut b = [0u8; N];
-    r.read_exact(&mut b)?;
-    match ver && b[0] != VER {
-        true => Err(bad("not SOCKS5")),
-        false => Ok(b),
+/// A SOCKS message: [`HEAD`](Self::HEAD) bytes, then as many as
+/// [`rest`](Self::rest) makes of them.
+pub trait SocksMsg: Sized {
+    const HEAD: usize;
+    fn encode(&self) -> Vec<u8>;
+    /// How many bytes follow `head`: `InvalidData` for another version or
+    /// address type.
+    fn rest(head: &[u8]) -> io::Result<usize>;
+    /// The message in `bytes`, head and rest, both checked.
+    fn parse(bytes: &[u8]) -> Self;
+
+    /// The message that is all of `bytes`: a short one is `UnexpectedEof`,
+    /// bytes past its end `InvalidData` (they are the next message's).
+    fn decode(bytes: &[u8]) -> io::Result<Self> {
+        let short = || io::ErrorKind::UnexpectedEof.into();
+        let head = bytes.get(..Self::HEAD).ok_or_else(short)?;
+        match bytes.len().cmp(&(Self::HEAD + Self::rest(head)?)) {
+            Ordering::Less => Err(short()),
+            Ordering::Greater => Err(bad("bytes past a SOCKS message")),
+            Ordering::Equal => Ok(Self::parse(bytes)),
+        }
+    }
+}
+
+/// `head`, SOCKS5's version first, and with `v4` the IPv4 address type
+/// fourth.
+fn check(head: &[u8], v4: bool) -> io::Result<&[u8]> {
+    match (head[0], v4 && head[3] != ATYP_V4) {
+        (VER, false) => Ok(head),
+        (VER, true) => Err(bad("SOCKS address not IPv4")),
+        _ => Err(bad("not SOCKS5")),
     }
 }
 
@@ -32,14 +58,16 @@ fn take<const N: usize>(r: &mut impl Read, ver: bool) -> io::Result<[u8; N]> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Greeting(pub Vec<u8>);
 
-impl Greeting {
-    pub fn encode(&self) -> Vec<u8> {
+impl SocksMsg for Greeting {
+    const HEAD: usize = 2;
+    fn encode(&self) -> Vec<u8> {
         [&[VER, self.0.len() as u8], &self.0[..]].concat()
     }
-    pub fn read(r: &mut impl Read) -> io::Result<Greeting> {
-        let [_, n] = take(r, true)?;
-        let mut methods = vec![0u8; n as usize];
-        r.read_exact(&mut methods).map(|()| Greeting(methods))
+    fn rest(head: &[u8]) -> io::Result<usize> {
+        check(head, false).map(|h| h[1] as usize)
+    }
+    fn parse(b: &[u8]) -> Greeting {
+        Greeting(b[2..].to_vec())
     }
 }
 
@@ -48,13 +76,16 @@ impl Greeting {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Choice(pub Option<u8>);
 
-impl Choice {
-    pub fn encode(&self) -> [u8; 2] {
-        [VER, self.0.unwrap_or(NONE_TAKEN)]
+impl SocksMsg for Choice {
+    const HEAD: usize = 2;
+    fn encode(&self) -> Vec<u8> {
+        vec![VER, self.0.unwrap_or(NONE_TAKEN)]
     }
-    pub fn read(r: &mut impl Read) -> io::Result<Choice> {
-        let [_, m] = take(r, true)?;
-        Ok(Choice(Some(m).filter(|&m| m != NONE_TAKEN)))
+    fn rest(head: &[u8]) -> io::Result<usize> {
+        check(head, false).map(|_| 0)
+    }
+    fn parse(b: &[u8]) -> Choice {
+        Choice(Some(b[1]).filter(|&m| m != NONE_TAKEN))
     }
 }
 
@@ -66,18 +97,20 @@ pub struct SocksRequest {
     pub target: SockAddr,
 }
 
-impl SocksRequest {
-    pub fn encode(&self) -> Vec<u8> {
+impl SocksMsg for SocksRequest {
+    const HEAD: usize = 4;
+    fn encode(&self) -> Vec<u8> {
         let SockAddr { ip, port } = self.target;
         let head = [VER, self.cmd, 0, ATYP_V4];
         [&head[..], &ip.0.to_be_bytes(), &port.to_be_bytes()].concat()
     }
-    pub fn read(r: &mut impl Read) -> io::Result<SocksRequest> {
-        let [_, cmd, _, atyp] = take(r, true)?;
-        let [a, b, c, d, p, q] = v4(atyp).and_then(|()| take(r, false))?;
-        let ip = Ip(u32::from_be_bytes([a, b, c, d]));
-        let target = SockAddr::new(ip, u16::from_be_bytes([p, q]));
-        Ok(SocksRequest { cmd, target })
+    fn rest(head: &[u8]) -> io::Result<usize> {
+        check(head, true).map(|_| 6)
+    }
+    fn parse(b: &[u8]) -> SocksRequest {
+        let ip = Ip(u32::from_be_bytes([b[4], b[5], b[6], b[7]]));
+        let target = SockAddr::new(ip, u16::from_be_bytes([b[8], b[9]]));
+        SocksRequest { cmd: b[1], target }
     }
 }
 
@@ -86,18 +119,15 @@ impl SocksRequest {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SocksReply(pub u8);
 
-impl SocksReply {
-    pub fn encode(&self) -> [u8; 10] {
-        [VER, self.0, 0, ATYP_V4, 0, 0, 0, 0, 0, 0]
+impl SocksMsg for SocksReply {
+    const HEAD: usize = 10;
+    fn encode(&self) -> Vec<u8> {
+        vec![VER, self.0, 0, ATYP_V4, 0, 0, 0, 0, 0, 0]
     }
-    pub fn read(r: &mut impl Read) -> io::Result<SocksReply> {
-        let [_, rep, _, atyp, ..] = take::<10>(r, true)?;
-        v4(atyp).map(|()| SocksReply(rep))
+    fn rest(head: &[u8]) -> io::Result<usize> {
+        check(head, true).map(|_| 0)
     }
-}
-
-fn v4(atyp: u8) -> io::Result<()> {
-    (atyp == ATYP_V4)
-        .then_some(())
-        .ok_or_else(|| bad("SOCKS address not IPv4"))
+    fn parse(b: &[u8]) -> SocksReply {
+        SocksReply(b[1])
+    }
 }

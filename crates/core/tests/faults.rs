@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use gridsim_net::{topology, FaultPlan, LinkParams, Metric, NatKind, Sim, SockAddr};
 use gridsim_tcp::{crash_node, SimHost, TcpConfig};
-use netgrid::wire::{FrameStream, Put, RelayMsg, Reply, SvcMsg, Wire};
+use netgrid::wire::{Envelope, FrameStream, Put, RelayMsg, Reply, SvcMsg, Wire};
 use netgrid::{
     spawn_name_service, spawn_proxy, spawn_relay, spawn_relay_mesh, ConnectivityProfile,
     EstablishMethod, GridNode, NsClient, RelayClient, RelayConfig, RelayDelegate, StackSpec,
@@ -437,8 +437,8 @@ fn relay_mesh_churn_never_delivers_to_stale_registration() {
 /// Immediate echo for a service delegate.
 struct Echo;
 impl RelayDelegate for Echo {
-    fn on_service_request(&self, _from: u64, payload: &[u8]) -> Vec<u8> {
-        payload.to_vec()
+    fn on_service_request<'a>(&'a self, _from: u64, payload: &'a [u8]) -> netgrid::SvcReply<'a> {
+        Box::pin(std::future::ready(payload.to_vec()))
     }
     fn on_open(
         &self,
@@ -1182,6 +1182,69 @@ fn unanswered_splice_request_releases_the_nat_gate() {
         waited <= GO_DEADLINE + Duration::from_secs(1),
         "connect took {waited:?} behind the gate"
     );
+}
+
+/// 64 SPLICE_REQs from one peer, sent at once, at a symmetric-NAT
+/// responder: the first negotiation holds the NAT gate until its GO
+/// deadline, and the 63 service handlers behind it wait for the gate as
+/// async tasks, each parked under `nat gate`, so the burst starts no
+/// thread. With each handler on a worker, every one queued held a thread.
+#[test]
+fn splice_requests_queued_on_a_held_nat_gate_start_no_thread() {
+    const REQS: u64 = 64;
+    let sim = Sim::new(seed(74));
+    let specs = vec![
+        topology::SiteSpec::natted("nat", 1, NatKind::SymmetricSequential, wan()),
+        topology::SiteSpec::open("site-b", 1, wan()),
+    ];
+    let (env, ha, hb, _) = fault_world(&sim, specs, false);
+    let relay = env.relay_addr.unwrap();
+    let ids = gridsim_net::SimQueue::bounded(1);
+    let id_tx = ids.clone();
+    sim.spawn("responder", move || {
+        let profile = ConnectivityProfile::natted(netgrid::NatClass::SymmetricPredictable);
+        let node = GridNode::join(&env, ha, "responder", profile).unwrap();
+        let _port = node.create_receive_port("one", StackSpec::plain());
+        id_tx.push(node.id()).unwrap();
+        gridsim_net::ctx::sleep(Duration::from_secs(3600)); // stays joined
+    });
+    let burst = sim.spawn("burst", move || {
+        let to = ids.pop().unwrap();
+        // A raw relay client: HELLO, then every REQ, no answer awaited.
+        let (s, me) = (hb.connect(relay).unwrap(), 9_990);
+        RelayMsg::Hello { id: me }
+            .encode()
+            .send(&mut s.clone())
+            .unwrap();
+        for i in 0..REQS {
+            let port = "one".into();
+            let req = SvcMsg::SpliceReq {
+                channel: me << 24 | i,
+                port,
+                streams: 1,
+            };
+            let body = req.encode().into_bytes();
+            let env = Envelope::SvcReq {
+                id: i + 1,
+                body: &body[..],
+            };
+            env.send_to(to).send(&mut s.clone()).unwrap();
+        }
+        let h = gridsim_net::ctx::handle();
+        let threads = h.metric(gridsim_net::THREADS);
+        // Well inside the first negotiation's GO deadline.
+        gridsim_net::ctx::sleep(Duration::from_secs(5));
+        let gate_waits = h.metric(Metric("task/parks", None, "nat gate"));
+        (h.metric(gridsim_net::THREADS) - threads, gate_waits)
+    });
+    sim.run_for(Duration::from_secs(20));
+    let out = Arc::new(parking_lot::Mutex::new(None));
+    let o = out.clone();
+    sim.spawn("collect", move || *o.lock() = Some(burst.join()));
+    sim.run_for(Duration::from_secs(1));
+    let (threads, gate_waits) = out.lock().take().expect("the burst went out");
+    assert_eq!(gate_waits, REQS as i64 - 1, "handlers queued on the gate");
+    assert_eq!(threads, 0, "threads the burst started");
 }
 
 /// The reason a node's service reply, its body a `T`, gives for refusing;

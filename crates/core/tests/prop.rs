@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use gridsim_net::{Ip, SockAddr};
 use netgrid::drivers::{BlockRead, BlockReader};
-use netgrid::wire::{Choice, Greeting, SocksReply, SocksRequest};
+use netgrid::wire::{Choice, Greeting, SocksMsg, SocksReply, SocksRequest};
 use netgrid::wire::{Envelope, NodeRecord, NsRequest, PortRecord, RelayMsg, Reply, SvcMsg};
 use netgrid::wire::{Frame, FrameReader, FrameWriter, Preamble, ReconfigAck, MAX_FRAME};
 use netgrid::wire::{Put, ResumeMeta, ResumeReply, RpcReply, RpcRequest, Wire, MAX_MESSAGE};
@@ -71,17 +71,15 @@ wire_codec!(
 );
 
 /// [`Codec`] for SOCKS's messages, read off a stream: bytes behind the
-/// message are the next one's, so here they are refused.
+/// message are the next one's, so its decoder refuses them.
 macro_rules! socks_codec {
     ($($t:ty),*) => {$(
         impl Codec for $t {
             fn enc(&self) -> Vec<u8> {
                 self.encode().to_vec()
             }
-            fn dec(mut bytes: &[u8]) -> io::Result<Self> {
-                let v = <$t>::read(&mut bytes)?;
-                let trailing = io::Error::new(io::ErrorKind::InvalidData, "trailing bytes");
-                bytes.is_empty().then_some(v).ok_or(trailing)
+            fn dec(bytes: &[u8]) -> io::Result<Self> {
+                <$t as SocksMsg>::decode(bytes)
             }
         }
     )*};

@@ -1,9 +1,10 @@
 //! Component tests of the grid services over the simulator: name service,
 //! relay, and SOCKS proxy, exercised directly (below the GridNode layer).
 
+use gridsim_net::ctx::block_on;
 use gridsim_net::{topology, Ip, LinkParams, Sim, SockAddr, Trust, GRANTS, THREADS};
 use gridsim_tcp::SimHost;
-use netgrid::relay::{RelayClient, RelayDelegate, RoutedStream};
+use netgrid::relay::{RelayClient, RelayDelegate, RoutedStream, SvcReply};
 use netgrid::{
     socks_connect, spawn_name_service, spawn_proxy, spawn_relay, ConnectivityProfile, NsClient,
 };
@@ -81,7 +82,7 @@ fn name_service_crud() {
         assert!(ns.lookup_port("nope").is_err());
         assert!(ns.lookup_node(999).is_err());
         // Observed address: no NAT here, so it is our own.
-        let obs = ns.probe_observed(None, false).unwrap();
+        let obs = block_on(ns.probe_observed(None, false)).unwrap();
         assert_eq!(obs.ip, ha.ip());
     });
     sim.run();
@@ -305,10 +306,10 @@ fn a_stray_reply_kills_the_link_instead_of_answering_the_next_request() {
 struct EchoDelegate;
 
 impl RelayDelegate for EchoDelegate {
-    fn on_service_request(&self, _from: u64, payload: &[u8]) -> Vec<u8> {
+    fn on_service_request<'a>(&'a self, _from: u64, payload: &'a [u8]) -> SvcReply<'a> {
         let mut v = payload.to_vec();
         v.reverse();
-        v
+        Box::pin(std::future::ready(v))
     }
     fn on_open(
         &self,
@@ -491,13 +492,13 @@ fn socks_proxy_connect_and_refusal() {
     let refused_target = SockAddr::new(hb.ip(), 7999);
     let done = sim.spawn("client", move || {
         // Tunneled echo.
-        let mut s = socks_connect(&ha, proxy_addr, target).unwrap();
+        let mut s = block_on(socks_connect(&ha, proxy_addr, target)).unwrap();
         s.write_all(b"tunnel me").unwrap();
         let mut buf = [0u8; 9];
         s.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"tunnel me");
         // Closed target port: the proxy reports connection refused.
-        let err = socks_connect(&ha, proxy_addr, refused_target).unwrap_err();
+        let err = block_on(socks_connect(&ha, proxy_addr, refused_target)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     });
     sim.run();
@@ -543,7 +544,7 @@ fn socks_proxy_tunnels_under_backpressure_and_half_close() {
     });
     sim.run();
     let done = sim.spawn("client", move || {
-        let s = socks_connect(&ha, proxy_addr, target).unwrap();
+        let s = block_on(socks_connect(&ha, proxy_addr, target)).unwrap();
         s.write_block((0..LEN).map(upload).collect::<Vec<u8>>().into())
             .unwrap();
         s.shutdown_write().unwrap();
@@ -560,12 +561,128 @@ fn socks_proxy_tunnels_under_backpressure_and_half_close() {
     assert_eq!([parks("tcp read"), parks("tcp write")], [1447, 38]);
 }
 
+/// A SOCKS proxy on `hs` and a listener on `hb`. `hostile`, an async task
+/// over a connection to the proxy, starts at once; an honest client dials
+/// the listener through the proxy a second later. How long the honest dial
+/// took, and the workers the run started.
+fn after_a_hostile_socks_client<F>(
+    hostile: impl FnOnce(gridsim_tcp::TcpStream) -> F + Send + 'static,
+) -> (Duration, i64)
+where
+    F: std::future::Future<Output = ()> + Send + 'static,
+{
+    let sim = Sim::new(73);
+    let (ha, hb, hs) = star(&sim);
+    let (proxy, target) = (SockAddr::new(hs.ip(), 1080), SockAddr::new(hb.ip(), 7000));
+    let listener = hb.listen(7000).unwrap();
+    let h = sim.scheduler().handle();
+    sim.spawn("proxy", move || spawn_proxy(&hs, 1080).unwrap());
+    h.spawn_async("accept", async move {
+        while let Ok(conn) = gridsim_net::ctx::wait_io(|| listener.poll_accept()).await {
+            drop(conn);
+        }
+    });
+    let ha2 = ha.clone();
+    h.spawn_async("hostile", async move {
+        let conn = ha2.connect_start(proxy, Default::default()).unwrap();
+        gridsim_net::ctx::wait_io(|| conn.poll_established())
+            .await
+            .unwrap();
+        hostile(conn).await;
+    });
+    let honest = sim.spawn("honest", move || {
+        gridsim_net::ctx::sleep(Duration::from_secs(1));
+        let t0 = gridsim_net::ctx::now();
+        block_on(socks_connect(&ha, proxy, target)).unwrap();
+        gridsim_net::ctx::now() - t0
+    });
+    sim.run();
+    let took = Arc::new(Mutex::new(None));
+    let t = Arc::clone(&took);
+    sim.spawn("collect", move || *t.lock() = Some(honest.join()));
+    sim.run();
+    let took = took.lock().take().expect("the honest dial returned");
+    (took, h.metric(THREADS))
+}
+
+/// `bytes` written on `s`, awaited.
+async fn send_raw(s: &gridsim_tcp::TcpStream, bytes: &[u8]) {
+    let block = bytes::Bytes::copy_from_slice(bytes);
+    let sent = gridsim_net::ctx::wait_io(|| s.poll_write_block(&block));
+    sent.await.unwrap();
+}
+
+/// What arrives on `s` until it ends.
+async fn read_to_end(s: &gridsim_tcp::TcpStream) -> Vec<u8> {
+    let (mut got, mut chunks) = (Vec::new(), Vec::new());
+    loop {
+        let read = gridsim_net::ctx::wait_io(|| s.poll_read_chunks_min(1, 64, &mut chunks));
+        if !matches!(read.await, Ok(1..)) {
+            return got;
+        }
+        chunks.drain(..).for_each(|c| got.extend_from_slice(&c));
+    }
+}
+
+/// A client that sends half a greeting and stalls holds up nobody: the
+/// proxy's handshake for it is an async task waiting on its read, so it
+/// takes no worker, and the next client's dial takes as long as beside a
+/// client that hung up at once. With the handshake on a worker, the
+/// stalled one kept a worker for good and the next took another.
+#[test]
+fn a_socks_client_that_stalls_mid_greeting_takes_no_worker_and_holds_up_no_one() {
+    let (baseline, threads) = after_a_hostile_socks_client(|conn| async move { drop(conn) });
+    let (took, stalled_threads) = after_a_hostile_socks_client(|conn| async move {
+        send_raw(&conn, &[5]).await;
+        gridsim_net::ctx::wait("stalled", || std::task::Poll::<()>::Pending).await;
+    });
+    assert_eq!(took, baseline, "the stalled client held up the next one");
+    assert_eq!(stalled_threads, threads, "workers started");
+}
+
+/// A greeting that arrives in two segments, its version a moment before
+/// the rest, is read exactly: the proxy takes the greeting and no byte
+/// past it, and answers its choice.
+#[test]
+fn a_socks_greeting_in_two_segments_is_read_exactly() {
+    let (baseline, _) = after_a_hostile_socks_client(|conn| async move { drop(conn) });
+    let split = after_a_hostile_socks_client(|conn| async move {
+        send_raw(&conn, &[5]).await;
+        gridsim_net::ctx::delay(Duration::from_millis(20)).await;
+        send_raw(&conn, &[1, 0]).await;
+        conn.shutdown_write().unwrap();
+        assert_eq!(read_to_end(&conn).await, [5, 0], "the choice");
+    });
+    assert_eq!(split.0, baseline);
+}
+
+/// A client that sends garbage for a greeting, or asks for an address type
+/// other than IPv4, gets a typed refusal — none for garbage, a general
+/// failure for the address — and its connection closed; the proxy goes on
+/// serving (a panic in its task would end the run).
+#[test]
+fn a_socks_client_that_sends_garbage_or_another_address_type_is_closed() {
+    let (baseline, _) = after_a_hostile_socks_client(|conn| async move { drop(conn) });
+    let garbage = after_a_hostile_socks_client(|conn| async move {
+        send_raw(&conn, &[4, 1, 0]).await;
+        assert_eq!(read_to_end(&conn).await, [], "an answer to garbage");
+    });
+    assert_eq!(garbage.0, baseline);
+    let by_name = after_a_hostile_socks_client(|conn| async move {
+        send_raw(&conn, &[5, 1, 0]).await;
+        send_raw(&conn, &[5, 1, 0, 3, 1, b'a', 0, 80]).await;
+        let choice_then_failure = [5, 0, 5, 1, 0, 1, 0, 0, 0, 0, 0, 0];
+        assert_eq!(read_to_end(&conn).await, choice_then_failure);
+    });
+    assert_eq!(by_name.0, baseline);
+}
+
 /// Accepts every routed stream on any port and hands it over.
 struct Accept(gridsim_net::SimQueue<RoutedStream>);
 
 impl RelayDelegate for Accept {
-    fn on_service_request(&self, _from: u64, _payload: &[u8]) -> Vec<u8> {
-        Vec::new()
+    fn on_service_request<'a>(&'a self, _from: u64, _payload: &'a [u8]) -> SvcReply<'a> {
+        Box::pin(std::future::ready(Vec::new()))
     }
     fn on_open(&self, _: u64, _: &str, _: u64, stream: RoutedStream) -> Result<(), String> {
         self.0.try_push(stream).map_err(|_| "no room".to_string())
@@ -878,10 +995,10 @@ fn data_into_a_full_queue_waits_in_the_pump_and_what_follows_waits_behind_it() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
-    // The four threads are the test's `relay`, `writer` and `reader` and
-    // node 1's `svc-handler`: none is the pump's.
+    // The three threads are the test's `relay`, `writer` and `reader`:
+    // none is the pump's, nor node 1's `svc-handler`, an async task.
     let h = sim.scheduler().handle();
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [46, 4]);
+    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [45, 3]);
 }
 
 /// Node 1 drops its end of a stream node 2 opened, unclosed: only its

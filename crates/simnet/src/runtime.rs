@@ -1171,15 +1171,26 @@ pub mod ctx {
     /// of a poll that waits out a time ([`wake_at`]).
     pub const SLEEP_WAIT: &str = "sleep";
 
-    /// Sleep for `d` of simulated time.
+    /// Sleep for `d` of simulated time: [`delay`] run to its end, or a
+    /// yield for a zero `d`. The delay's wake is its event, not a waker, so
+    /// it runs in the park loop with none: a sleep allocates nothing.
     pub fn sleep(d: Duration) {
+        match d.is_zero() {
+            true => yield_now(),
+            false => park_on(delay(d), std::task::Waker::noop()),
+        }
+    }
+
+    /// Await `d` of simulated time: one wake at its end ([`wake_at`]), and
+    /// [`reached`] asked on every wake, under [`SLEEP_WAIT`]. A zero `d` is
+    /// over at once.
+    pub async fn delay(d: Duration) {
         if d.is_zero() {
-            yield_now();
             return;
         }
         let at = now() + d;
         wake_at(at);
-        let _ = park_io(|| reached(at));
+        let _ = wait_io(|| reached(at)).await;
     }
 
     /// Has the clock reached `at`? `WouldBlock` under [`SLEEP_WAIT`] until

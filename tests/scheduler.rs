@@ -715,8 +715,8 @@ fn a_round_trip_over_a_proxied_link_costs_two_grants() {
 
 /// A proxied connect → send → close starts tasks on both nodes and on the
 /// proxy (the handshake, the receive side's handlers), all finished by the
-/// close: after one warm-up round every one of them runs on a worker an
-/// earlier round left idle, so the rounds start no OS thread.
+/// close and all async tasks: after one warm-up round the rounds start no
+/// OS thread.
 #[test]
 fn proxied_connects_after_a_warm_up_start_no_threads() {
     const ROUNDS: u64 = 50;
@@ -732,6 +732,113 @@ fn proxied_connects_after_a_warm_up_start_no_threads() {
     );
     let started = spent.get(&THREADS).copied().unwrap_or(0);
     assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
+}
+
+/// Two firewalled sites on `grid_mesh`'s 2 MB/s, 8 ms uplinks: spliced
+/// links, brokered over the relay.
+fn firewalled_pair(sim: &Sim) -> (GridEnv, SimHost, SimHost) {
+    let wan = LinkParams::mbps(16.0, Duration::from_millis(8));
+    let walled = |name| topology::SiteSpec::firewalled(name, 1, wan);
+    world(sim, &[walled("a"), walled("b")])
+}
+
+/// A warmed-up spliced connect → send → close, as `grid_mesh`'s churn
+/// makes them between its firewalled sites: the lookup, the SPLICE_REQ and
+/// SPLICE_GO, each answered by a service handler on the responder, the
+/// simultaneous open, one message and the close. Each handler is an async
+/// task awaiting its reply's send, and so is the initiator's relay pump, so
+/// a round costs the client/server connect's two switches and starts no
+/// thread; with the handlers on workers it cost six.
+#[test]
+fn a_spliced_connect_send_close_round_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 20;
+    let sim = Sim::new(42);
+    let walled = ConnectivityProfile::firewalled;
+    let spent = connect_rounds(
+        &sim,
+        firewalled_pair(&sim),
+        (walled(), walled()),
+        EstablishMethod::Splicing,
+        StackSpec::plain(),
+        ROUNDS,
+    );
+    assert_eq!(
+        spent[&GRANTS],
+        2 * ROUNDS as i64,
+        "grants over {ROUNDS} rounds"
+    );
+    assert_eq!(
+        spent.get(&THREADS),
+        None,
+        "threads started over {ROUNDS} rounds"
+    );
+}
+
+/// The same through a SOCKS proxy: the proxy serves each client's
+/// greeting, request and upstream dial in an async task (`socks-conn`), so
+/// a round costs two switches, where the handshake on a worker cost six.
+#[test]
+fn a_proxied_connect_send_close_round_costs_its_pinned_grants() {
+    const ROUNDS: u64 = 20;
+    let sim = Sim::new(42);
+    let (hosts, profiles) = proxied_world(&sim);
+    let spent = connect_rounds(
+        &sim,
+        hosts,
+        profiles,
+        EstablishMethod::Proxy,
+        StackSpec::plain(),
+        ROUNDS,
+    );
+    assert_eq!(
+        spent[&GRANTS],
+        2 * ROUNDS as i64,
+        "grants over {ROUNDS} rounds"
+    );
+}
+
+/// A routed transfer's CACKs, one per 64 KiB delivered: the receiver's
+/// `cack-send` and the sender's `svc-handler` are async tasks, each
+/// awaiting its service round trip or its answer's send, so the CACKs add
+/// no grant and start no thread to the same transfer without them. With
+/// both on workers the 64 CACKs cost 1 268 grants and 121 threads.
+#[test]
+fn a_routed_transfers_cacks_take_no_grant_and_start_no_thread() {
+    let run = |ack_bytes: usize| {
+        let sim = Sim::new(42);
+        let wan = LinkParams::mbps(8.0, Duration::from_millis(10));
+        let (mut env, ha, hb) = world(
+            &sim,
+            &[
+                topology::SiteSpec::natted("broken", 1, NatKind::SymmetricRandom, wan),
+                topology::SiteSpec::firewalled("walled", 1, wan),
+            ],
+        );
+        env.ack_bytes = ack_bytes;
+        let profiles = (
+            ConnectivityProfile::natted(NatClass::SymmetricRandom),
+            ConnectivityProfile::firewalled(),
+        );
+        let method = transfer(
+            &sim,
+            (env, ha, hb),
+            profiles,
+            StackSpec::plain(),
+            64,
+            64 * 1024,
+        );
+        assert_eq!(method, EstablishMethod::Routed);
+        let h = sim.scheduler().handle();
+        let cacks = h.metric(Metric("task/parks", None, "relay svc rsp"));
+        [cacks, h.metric(GRANTS), h.metric(THREADS)]
+    };
+    let [none, grants, threads] = run(usize::MAX);
+    assert_eq!(none, 0, "CACKs with acks off");
+    assert_eq!(
+        run(64 * 1024),
+        [64, grants, threads],
+        "[CACKs, grants, threads]"
+    );
 }
 
 /// `n` numbered messages of 4 KiB from `a` to `b` over `spec`, the link
