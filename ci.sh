@@ -47,7 +47,8 @@
 #           wire/socks.rs); every frame has one path: no `send_inline` fork
 #           in core, no `inline` parameter on a `fn dispatch`, no
 #           `parks()` in relay/client.rs and no `exit_parks` in port.rs;
-#           no hand-written
+#           one writer per relay connection, its shard's worker (no
+#           `SimMutex` or `poll_lock` in relay/server.rs); no hand-written
 #           inline step in core (`spawn_steps`, `Next<`, `spawn_inline`,
 #           `Step::`), the receive pump an async body that only
 #           `add_link` starts, with no `ctx::park` in port.rs; and no
@@ -388,6 +389,13 @@ crates/core/src/rpc.rs serve"
     || grep -n 'parks()' crates/core/src/relay/client.rs || grep -n 'exit_parks' crates/core/src/port.rs; then
     echo "$dispatch_inline"
     echo "a second path per frame, forked on whether it may park (lines above); await the poll instead"
+    return 1
+  fi
+  # A relay connection has one writer, its shard's worker (DESIGN.md
+  # §10): whoever decides a BUSY, READY or NOPEER owes it to the worker's
+  # control slot, so no writer lock comes back beside it.
+  if grep -nE 'SimMutex|poll_lock' crates/core/src/relay/server.rs; then
+    echo "a second writer on a relay connection; queue it to the shard's worker"
     return 1
   fi
   # A task that must not block is an async body: no hand-written step

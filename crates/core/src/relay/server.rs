@@ -5,21 +5,22 @@
 //! keep a node-id → home-relay routing table.
 //!
 //! Every task here is an async task (DESIGN.md §6a): the accept loop, the
-//! readers, the shard writers, each mesh peer's dial loop and a route
-//! pull's timeout. Whatever may park — a full shard queue, a writer lock,
-//! a socket write, a dial, a redial's backoff — is awaited as the poll its
-//! blocking form parks on, so a frame has one path and no task takes a
-//! thread.
+//! readers, the shard writers and each mesh peer's dial loop. Whatever may
+//! park — a full shard queue, a socket write, a dial, a redial's backoff —
+//! is awaited as the poll its blocking form parks on, so a frame has one
+//! path and no task takes a thread. A connection's one writer is its
+//! shard's worker: whoever decides a BUSY, READY or NOPEER only owes it.
 
 use bytes::Bytes;
 use gridsim_net::ctx::{self, wait};
-use gridsim_net::{SchedHandle, SimMutex, SimQueue, SockAddr, Timer};
+use gridsim_net::{Metric, SchedHandle, SimQueue, SockAddr, Timer, Waker};
 use gridsim_tcp::{ConnectOpts, SimHost, TcpStream};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::link::{dial, next_conn, Backoff};
 use crate::nameservice::GridId;
@@ -33,8 +34,11 @@ pub fn spawn_relay(host: &SimHost, port: u16) -> io::Result<()> {
 
 /// Bounded frames per recipient shard queue before senders park.
 const MESH_QUEUE_FRAMES: usize = 64;
-/// Most a shard worker encodes into one write: one (default) send buffer.
+/// Most a shard worker encodes into one write: one (default) send buffer;
+/// also the NOPEER bytes owed to a client past which its reader waits.
 const RUN_BYTES: usize = 64 * 1024;
+/// Senders in the relays' throttle sets, a gauge.
+const THROTTLED: Metric = Metric("relay", None, "throttled");
 /// Frames parked per unresolved route pull before overflow is bounced.
 const ROUTE_WAIT_CAP: usize = 256;
 /// A route pull that no peer answers within this window fails its parked
@@ -147,23 +151,14 @@ struct OutItem {
     bytes: Bytes,
 }
 
-/// One shard: a connection, the bounded queue its worker drains into it,
-/// and the throttle set of senders that were told BUSY and are owed a READY
-/// when the queue drains.
+/// One shard: the bounded queue its worker — the connection's one writer
+/// — drains into a connection, and its flow control.
 struct Shard {
     owner: Owner,
+    /// Closed when the registration it fed was superseded or died: the
+    /// worker stops writing and re-routes what is left.
     q: SimQueue<OutItem>,
-    /// The connection's write half. The worker's frames and the synchronous
-    /// control frames (BUSY/READY/NOPEER) towards a client take turns under
-    /// this lock, so they never interleave mid-frame.
-    w: SimMutex<TcpStream>,
-    throttled: Mutex<std::collections::HashSet<GridId>>,
-    /// Times the throttle set was drained: a BUSY that waited out a drain
-    /// for its writer lock is moot.
-    drains: AtomicUsize,
-    /// Set when the registration this queue fed was superseded or died:
-    /// the worker stops writing and re-routes what is left.
-    dead: AtomicBool,
+    ctl: Mutex<Ctl>,
     cap: usize,
     /// Frames the worker has popped into the run it is writing: still
     /// backlog, as far as the high watermark is concerned.
@@ -174,12 +169,26 @@ struct Shard {
 /// remove one: a superseded connection must not unregister its successor.
 type OutQueue = Arc<Shard>;
 
-impl Shard {
-    fn kill(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        self.q.close();
-    }
+/// A shard's flow control. The BUSY, READY and NOPEER frames owed to a
+/// client are added without waiting by whoever decides them, and written
+/// at the head of the worker's next run, ahead of the data they report on.
+#[derive(Default)]
+struct Ctl {
+    /// Senders told BUSY about this client, owed a READY when it drains.
+    throttled: BTreeSet<GridId>,
+    /// The latest flow word per peer, made in one step with that peer's
+    /// throttle set: it replaces one not yet written.
+    flow: BTreeMap<GridId, RelayMsg>,
+    /// NOPEERs, encoded. The client's reader takes its next frame only
+    /// while they are under [`RUN_BYTES`], so those its SENDs draw stay
+    /// under that plus one; a frame the relay already held (in a route
+    /// pull, a FWD_FAIL, a re-routed leftover) bounces without waiting.
+    nopeers: Vec<u8>,
+    /// The client's reader, waiting for NOPEER room.
+    reader: Option<Waker>,
+}
 
+impl Shard {
     /// Queue `item`, waiting while the queue is full: [`SimQueue::push`],
     /// awaited. `Err(item)` when the queue closed.
     async fn push(&self, item: OutItem) -> Result<(), OutItem> {
@@ -190,9 +199,45 @@ impl Shard {
         .await
     }
 
-    /// A run, `bytes` of payload, as one buffer with its headers.
-    fn encode(&self, items: &[OutItem], bytes: usize) -> Bytes {
-        let mut run = Vec::with_capacity(bytes + 32 * items.len());
+    /// Owe the client a control frame, `add`ed to its slot, and wake the
+    /// worker if it waits for an item.
+    fn owe<R>(&self, add: impl FnOnce(&mut Ctl) -> R) {
+        add(&mut self.ctl.lock());
+        self.q.wake_popper();
+    }
+
+    /// The worker's wait: the frames owed, encoded — NOPEERs, then flow
+    /// words — once there are any, the slot emptied and a reader waiting
+    /// for room woken; else the queue's next item (`None` once closed and
+    /// drained), the worker's one waker filed there: an item, the end or
+    /// a frame owed wakes it.
+    fn poll_work(&self) -> Poll<(Vec<u8>, Option<OutItem>)> {
+        let mut ctl = self.ctl.lock();
+        if ctl.flow.is_empty() && ctl.nopeers.is_empty() {
+            return self.q.poll_pop().map(|item| (Vec::new(), item));
+        }
+        let mut owed = std::mem::take(&mut ctl.nopeers);
+        for word in std::mem::take(&mut ctl.flow).into_values() {
+            word.frame_onto(&mut owed);
+        }
+        ctl.reader.take().iter().for_each(Waker::wake);
+        Poll::Ready((owed, None))
+    }
+
+    /// A client's reader, before its next frame: ready while the NOPEERs
+    /// owed to the client are under [`RUN_BYTES`].
+    fn poll_room(&self) -> Poll<()> {
+        let mut ctl = self.ctl.lock();
+        if ctl.nopeers.len() < RUN_BYTES {
+            return Poll::Ready(());
+        }
+        ctl.reader = Some(ctx::waker());
+        Poll::Pending
+    }
+
+    /// A run — `owed`, then `items`, `bytes` of payload — as one buffer.
+    fn encode(&self, mut run: Vec<u8>, items: &[OutItem], bytes: usize) -> Bytes {
+        run.reserve(bytes + 32 * items.len());
         for item in items {
             let Some((from, to)) = item.route else {
                 run.extend_from_slice(&item.bytes);
@@ -253,10 +298,7 @@ impl MeshRelay {
         let q = Arc::new(Shard {
             owner,
             q: SimQueue::bounded(cap),
-            w: SimMutex::new(conn),
-            throttled: Mutex::default(),
-            drains: AtomicUsize::new(0),
-            dead: AtomicBool::new(false),
+            ctl: Mutex::default(),
             cap,
             in_hand: AtomicUsize::new(0),
         });
@@ -264,7 +306,7 @@ impl MeshRelay {
             Owner::Client(id) => format!("mesh-shard-{id}"),
             Owner::Peer(pid) => format!("mesh-peer-out-{pid}"),
         };
-        let writer = Arc::clone(self).write(Arc::clone(&q));
+        let writer = Arc::clone(self).write(Arc::clone(&q), conn);
         self.sched.spawn_async(name, writer);
         q
     }
@@ -281,7 +323,7 @@ impl MeshRelay {
         if let Some(old) = old.filter(|old| !Arc::ptr_eq(&old.q, q)) {
             // The superseded shard's worker re-routes its leftovers —
             // which now resolve to this fresh registration.
-            old.q.kill();
+            old.q.q.close();
         }
         self.remote.lock().remove(&id);
         self.broadcast_route(RelayMsg::RouteAdd { node: id, epoch })
@@ -307,7 +349,7 @@ impl MeshRelay {
                 None
             }
         };
-        q.kill();
+        q.q.close();
         while let Some(item) = q.q.try_pop() {
             self.reroute_item(item).await;
         }
@@ -385,7 +427,7 @@ impl MeshRelay {
             }
         };
         if let Some(e) = evicted {
-            e.q.kill();
+            e.q.q.close();
         }
         self.learn_route(pid, node, epoch).await;
     }
@@ -433,16 +475,16 @@ impl MeshRelay {
                 })
             };
             if all_denied {
-                self.fail_waiting(node).await;
+                self.fail_waiting(node);
             }
         }
     }
 
     /// Give up on a route pull: NOPEER every frame parked for `node`.
-    async fn fail_waiting(self: &Arc<Self>, node: GridId) {
+    fn fail_waiting(&self, node: GridId) {
         let pend = self.waiting.lock().remove(&node);
         for (from, inner) in pend.map_or(Vec::new(), |p| p.frames) {
-            self.undeliverable(from, node, inner, Origin::Local).await;
+            self.nopeer(from, node, inner);
         }
     }
 
@@ -451,25 +493,22 @@ impl MeshRelay {
     async fn query_route(self: &Arc<Self>, to: GridId, from: GridId, inner: Bytes) {
         let peer_qs = self.peer_queues();
         if peer_qs.is_empty() {
-            return self.undeliverable(from, to, inner, Origin::Local).await;
+            return self.nopeer(from, to, inner);
         }
         // A pull for `to` is out already: ride it, up to the cap.
-        let overflow = match self.waiting.lock().get_mut(&to) {
+        match self.waiting.lock().get_mut(&to) {
             Some(p) if p.frames.len() < ROUTE_WAIT_CAP => return p.frames.push((from, inner)),
-            riding => riding.is_some(),
-        };
-        if overflow {
-            return self.undeliverable(from, to, inner, Origin::Local).await;
+            Some(_) => return self.nopeer(from, to, inner),
+            None => {}
         }
         let (weak, at) = (Arc::downgrade(self), self.sched.now() + ROUTE_QUERY_TIMEOUT);
         let pull = PendingRoute {
             frames: vec![(from, inner)],
             outstanding: peer_qs.len(),
             _deadline: self.sched.timer(at, move || {
-                let Some(me) = weak.upgrade() else { return };
-                // Drain in a task: NOPEER writes may park.
-                let sched = me.sched.clone();
-                sched.spawn_async("route-timeout", async move { me.fail_waiting(to).await });
+                if let Some(me) = weak.upgrade() {
+                    me.fail_waiting(to);
+                }
             }),
         };
         self.waiting.lock().insert(to, pull);
@@ -502,8 +541,7 @@ impl MeshRelay {
     /// re-lookup.
     async fn handle_send(self: &Arc<Self>, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
         for retried in [false, true] {
-            let shard = self.local.lock().get(&to).map(|e| e.q.clone());
-            let Some(q) = shard else { break };
+            let Some(q) = self.client(to) else { break };
             if self.deliver_local(&q, from, to, &inner).await {
                 return;
             }
@@ -548,7 +586,7 @@ impl MeshRelay {
         let item = match q.q.try_push(OutItem { route, bytes }) {
             Ok(()) => {
                 if is_data && q.q.len() + q.in_hand.load(Ordering::Relaxed) >= q.cap - q.cap / 4 {
-                    self.throttle(from, to, q).await;
+                    self.throttle(from, to, q);
                 }
                 return true;
             }
@@ -558,37 +596,33 @@ impl MeshRelay {
             return false;
         }
         if is_data {
-            self.throttle(from, to, q).await;
+            self.throttle(from, to, q);
         }
         q.push(item).await.is_ok()
     }
 
-    /// Tell a (local) sender that `to` is running hot: under the writer
-    /// lock its BUSY and READYs take, so no READY overtakes the BUSY, it
-    /// joins the throttle set — unless the set drained while this waited.
-    /// Senders that came in over the mesh are backpressured by the FWD path.
-    async fn throttle(&self, from: GridId, to: GridId, q: &OutQueue) {
-        let drains = q.drains.load(Ordering::Relaxed);
-        if !q.throttled.lock().contains(&from) {
-            let record =
-                || q.drains.load(Ordering::Relaxed) == drains && q.throttled.lock().insert(from);
-            self.ctl_to_local(from, RelayMsg::Busy { peer: to }, record)
-                .await;
+    /// The shard of client `id`, if it is registered here.
+    fn client(&self, id: GridId) -> Option<OutQueue> {
+        self.local.lock().get(&id).map(|e| Arc::clone(&e.q))
+    }
+
+    /// Tell a local sender that `to` runs hot: it joins `to`'s throttle set
+    /// and is owed its BUSY in one step, before any drain can owe its READY.
+    /// A sender over the mesh is backpressured by the FWD path.
+    fn throttle(&self, from: GridId, to: GridId, q: &OutQueue) {
+        let Some(src) = self.client(from) else { return };
+        if q.ctl.lock().throttled.insert(from) {
+            self.sched.metric_add(THROTTLED, 1);
+            src.owe(|c| c.flow.insert(to, RelayMsg::Busy { peer: to }));
         }
     }
 
     /// Failure report for an undeliverable frame, shaped by where it came
-    /// from: NOPEER with the echoed inner frame towards a local sender,
-    /// FWD_FAIL back to the origin relay otherwise. A non-local sender on
-    /// the Local path (a re-routed leftover) has nowhere to report to; the
-    /// sender's own timeout/stream-teardown machinery recovers.
+    /// from: NOPEER towards a local sender, FWD_FAIL back to the origin
+    /// relay otherwise.
     async fn undeliverable(&self, from: GridId, to: GridId, inner: Bytes, origin: Origin) {
         match origin {
-            Origin::Local => {
-                let echo = Some(inner);
-                let nopeer = RelayMsg::Nopeer { to, echo };
-                self.ctl_to_local(from, nopeer, || true).await;
-            }
+            Origin::Local => self.nopeer(from, to, inner),
             Origin::Peer(pid) => {
                 self.frame_to_peer(pid, RelayMsg::FwdFail { from, to, inner })
                     .await
@@ -596,18 +630,13 @@ impl MeshRelay {
         }
     }
 
-    /// Control write (BUSY/READY/NOPEER) to a local client, under its
-    /// writer lock, bypassing its shard queue — these must not sit behind
-    /// the very backlog they report on. It goes out if `due()`, asked under
-    /// that lock.
-    async fn ctl_to_local(&self, to: GridId, msg: RelayMsg, due: impl FnOnce() -> bool) {
-        let shard = self.local.lock().get(&to).map(|e| Arc::clone(&e.q));
-        if let Some(shard) = shard {
-            let frame = msg.encode().into_frame();
-            let w = wait(SimMutex::<TcpStream>::LOCK_WAIT, || shard.w.poll_lock()).await;
-            if due() {
-                let _ = ctx::wait_io(|| w.poll_write_block(&frame)).await;
-            }
+    /// Owe a local sender the NOPEER for `inner`, echoed. One not local (a
+    /// re-routed leftover's) recovers by its own timeout or teardown.
+    fn nopeer(&self, from: GridId, to: GridId, inner: Bytes) {
+        let echo = Some(inner);
+        let nopeer = RelayMsg::Nopeer { to, echo };
+        if let Some(sender) = self.client(from) {
+            sender.owe(|c| nopeer.frame_onto(&mut c.nopeers));
         }
     }
 
@@ -619,20 +648,19 @@ impl MeshRelay {
         }
     }
 
-    async fn release_throttled(&self, q: &OutQueue) {
+    /// `q` drained or ended: every sender it throttled is owed its READY.
+    fn release_throttled(&self, q: &OutQueue) {
         // Only client shards ever throttle anyone.
         let Owner::Client(id) = q.owner else { return };
-        q.drains.fetch_add(1, Ordering::Relaxed);
-        let drained: Vec<GridId> = q.throttled.lock().drain().collect();
-        for s in drained {
-            self.ctl_to_local(s, RelayMsg::Ready { peer: id }, || true)
-                .await;
+        let drained = std::mem::take(&mut q.ctl.lock().throttled);
+        self.sched.metric_add(THROTTLED, -(drained.len() as i64));
+        for sender in drained.into_iter().filter_map(|s| self.client(s)) {
+            sender.owe(|c| c.flow.insert(id, RelayMsg::Ready { peer: id }));
         }
     }
 
-    /// Re-resolve a queue leftover after its connection died or moved: an
-    /// undelivered client frame chases its recipient through whatever route
-    /// resolution finds now. Control frames are dropped with their link.
+    /// Re-resolve a leftover whose connection died or moved: a client frame
+    /// chases its recipient; a control frame is dropped with its link.
     async fn reroute_item(self: &Arc<Self>, item: OutItem) {
         if let Some((from, to)) = item.route {
             self.handle_send(from, to, item.bytes, Origin::Local).await;
@@ -643,7 +671,8 @@ impl MeshRelay {
 
     /// One connection's reader, a client's or a mesh link's: `role` is
     /// what it is so far, and its first frame fixes the rest. A client's
-    /// HELLO registers a shard and the reader forwards that client's SENDs;
+    /// HELLO registers a shard and the reader forwards that client's SENDs,
+    /// each once the NOPEERs owed to the client are under [`RUN_BYTES`];
     /// a peer's PEER_HELLO, answered in kind on an accepted link, makes it
     /// a mesh link, and the reader applies its route updates and forwards
     /// its FWDs. A frame the role does not take, or the connection's end,
@@ -652,6 +681,9 @@ impl MeshRelay {
     async fn read(self: Arc<Self>, conn: TcpStream, mut role: Role) {
         let mut frames = FrameStream::new(conn.clone());
         loop {
+            if let Role::Client(_, q) = &role {
+                wait("relay nopeer room", || q.poll_room()).await;
+            }
             let read = ctx::wait_io(|| frames.poll_frame()).await;
             let Ok(msg) = read.and_then(|frame| RelayMsg::decode(&frame)) else {
                 break;
@@ -711,54 +743,46 @@ impl MeshRelay {
         }
     }
 
-    /// A shard's worker: drains one queue into one connection, a run at a
-    /// time — whatever is queued when it wakes, up to one send buffer,
-    /// encoded into one buffer (the one copy a forwarded payload gets here)
-    /// and written as one block under the writer lock. On death or
-    /// supersession, leftovers are re-resolved through the routing table —
+    /// A shard's worker, its connection's one writer: a run at a time, the
+    /// frames owed, then what is queued, up to one send buffer, encoded into
+    /// one buffer (the one copy a forwarded payload gets here) and written
+    /// as one block. On death or supersession, leftovers are re-resolved:
     /// a moved node's frames follow it to its new home relay.
-    async fn write(self: Arc<Self>, q: OutQueue) {
-        // A write failed: the connection is dead, and what is left goes
-        // elsewhere.
-        let mut broken = false;
+    async fn write(self: Arc<Self>, q: OutQueue, conn: TcpStream) {
         let mut items = Vec::new();
         loop {
-            let Some(first) = wait(SimQueue::<OutItem>::POP_WAIT, || q.q.poll_pop()).await else {
-                // Whatever ends this shard, parked senders must not stay
-                // throttled forever: their next DATA will fail fast through
-                // the normal NOPEER/teardown path instead.
-                return self.release_throttled(&q).await;
-            };
-            let mut bytes = first.bytes.len();
-            items.push(first);
+            let (owed, first) = wait(SimQueue::<OutItem>::POP_WAIT, || q.poll_work()).await;
+            let mut bytes = first.as_ref().map_or(0, |item| item.bytes.len());
+            items.extend(first);
             while bytes < RUN_BYTES {
                 let Some(next) = q.q.try_pop() else { break };
                 bytes += next.bytes.len();
                 items.push(next);
             }
-            if broken || q.dead.load(Ordering::Relaxed) {
+            if owed.is_empty() && items.is_empty() {
+                // Closed and drained. Whatever ends this shard, parked
+                // senders must not stay throttled forever: their next DATA
+                // will fail fast through the normal NOPEER/teardown path.
+                return self.release_throttled(&q);
+            }
+            if q.q.is_closed() {
                 for item in items.drain(..) {
                     self.reroute_item(item).await;
                 }
                 continue;
             }
-            let run = q.encode(&items, bytes);
+            let run = q.encode(owed, &items, bytes);
             q.in_hand.store(items.len(), Ordering::Relaxed);
-            let guard = wait(SimMutex::<TcpStream>::LOCK_WAIT, || q.w.poll_lock()).await;
-            let write = move || guard.poll_write_block(&run);
-            let written = ctx::wait_io(write).await;
+            let written = ctx::wait_io(|| conn.poll_write_block(&run)).await;
             q.in_hand.store(0, Ordering::Relaxed);
             if written.is_err() {
-                broken = true;
+                // Dead: the run goes elsewhere, after what queued behind.
                 self.conn_dead(&q).await;
-                for item in items.drain(..) {
-                    self.reroute_item(item).await;
-                }
                 continue;
             }
             items.clear();
             if q.q.len() <= q.cap / 4 {
-                self.release_throttled(&q).await;
+                self.release_throttled(&q);
             }
         }
     }
@@ -773,5 +797,124 @@ async fn push_all(qs: Vec<OutQueue>, frame: Bytes) {
                 bytes: frame.clone(),
             })
             .await;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsim_net::{topology, Sim};
+
+    /// What [`spawn_relay_mesh`] starts on `host:600`, with no peers, and
+    /// a handle on its state.
+    fn relay_at(host: &SimHost) -> Arc<MeshRelay> {
+        let listener = host.listen(600).unwrap();
+        let relay = Arc::new(MeshRelay {
+            cfg: RelayConfig::default(),
+            sched: host.net().sched().clone(),
+            local: Mutex::default(),
+            remote: Mutex::default(),
+            peers: Mutex::default(),
+            waiting: Mutex::default(),
+        });
+        let acceptor = Arc::clone(&relay);
+        relay.sched.spawn_async("mesh-relay-accept", async move {
+            while let Ok(conn) = next_conn(&listener).await {
+                let reader = Arc::clone(&acceptor).read(conn, Role::Accepted);
+                acceptor.sched.spawn_async("mesh-relay-conn", reader);
+            }
+        });
+        relay
+    }
+
+    /// A raw client of the relay at `to`, registered as `id`.
+    fn raw_client(host: &SimHost, to: SockAddr, id: GridId) -> TcpStream {
+        let conn = ctx::block_on(dial(host, to, ConnectOpts::default())).unwrap();
+        write(&conn, RelayMsg::Hello { id }.encode().into_frame());
+        conn
+    }
+
+    fn write(conn: &TcpStream, block: Bytes) {
+        ctx::park_io(|| conn.poll_write_block(&block)).unwrap();
+    }
+
+    /// The envelope of the `i`th SEND: 1000 bytes, its index first.
+    fn envelope(i: u32) -> Bytes {
+        let mut inner = vec![0xab; 1000];
+        inner[..4].copy_from_slice(&i.to_be_bytes());
+        inner.into()
+    }
+
+    /// A client that does not read sends 400 envelopes to an id registered
+    /// nowhere, each drawing a NOPEER, and one of its peers runs hot and
+    /// cold a hundred times. Its slot stays in its bound: one flow word
+    /// for the peer, the latest, and NOPEERs under RUN_BYTES plus one,
+    /// its reader at the relay waiting for room meanwhile. Once it reads,
+    /// every NOPEER arrives, in order, and its last word about the peer is
+    /// the throttle set's.
+    #[test]
+    fn the_control_slot_stays_in_its_bound_and_drops_nothing() {
+        const SENDS: u32 = 400;
+        let sim = Sim::new(3);
+        let net = sim.net();
+        let (a, b) = net.with(topology::lan_pair);
+        let (ha, hb) = (SimHost::new(&net, a), SimHost::new(&net, b));
+        let addr = SockAddr::new(hb.ip(), 600);
+        let done = sim.spawn("driver", move || {
+            let relay = relay_at(&hb);
+            let (quiet, _peer) = (raw_client(&ha, addr, 1), raw_client(&hb, addr, 2));
+            ctx::sleep(std::time::Duration::from_millis(50));
+            let sender = quiet.clone();
+            ctx::handle().spawn("sends", move || {
+                for i in 0..SENDS {
+                    let inner = envelope(i);
+                    write(
+                        &sender,
+                        RelayMsg::Send { to: 99, inner }.encode().into_frame(),
+                    );
+                }
+            });
+            ctx::sleep(std::time::Duration::from_secs(2));
+            let (q1, q2) = (relay.client(1).unwrap(), relay.client(2).unwrap());
+            let nopeer = RelayMsg::Nopeer {
+                to: 99,
+                echo: Some(envelope(0)),
+            };
+            let one = nopeer.encode().into_frame().len();
+            let owed = q1.ctl.lock().nopeers.len();
+            assert!((RUN_BYTES..RUN_BYTES + one).contains(&owed), "{owed} B");
+            let room = ctx::handle().metric(Metric("task/parks", None, "relay nopeer room"));
+            assert_eq!(room, 1, "the reader waits for room once");
+            let words = |q: &Shard| q.ctl.lock().flow.clone().into_iter().collect::<Vec<_>>();
+            for hot in (0..200).map(|i| i % 2 == 0) {
+                let word = if hot {
+                    relay.throttle(1, 2, &q2);
+                    RelayMsg::Busy { peer: 2 }
+                } else {
+                    relay.release_throttled(&q2);
+                    RelayMsg::Ready { peer: 2 }
+                };
+                assert_eq!(words(&q1), [(2, word)]);
+                assert_eq!(q2.ctl.lock().throttled.contains(&1), hot);
+            }
+            let mut frames = FrameStream::new(quiet);
+            let (mut echoed, mut last_word) = (0, None);
+            while echoed < SENDS {
+                let frame = ctx::park_io(|| frames.poll_frame()).unwrap();
+                match RelayMsg::decode(&frame).unwrap() {
+                    RelayMsg::Nopeer { to: 99, echo } => {
+                        assert_eq!(echo, Some(envelope(echoed)));
+                        echoed += 1;
+                    }
+                    word @ (RelayMsg::Busy { .. } | RelayMsg::Ready { .. }) => {
+                        last_word = Some(word)
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+            assert_eq!(last_word, Some(RelayMsg::Ready { peer: 2 }));
+        });
+        sim.run();
+        assert!(done.is_finished());
     }
 }

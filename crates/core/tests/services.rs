@@ -734,7 +734,8 @@ fn drain_after(mut s: RoutedStream, pause: Duration, len: usize) {
 /// its relay client's pump awaits room for the next DATA until the reader
 /// drains — stalling the relay connection, as one multiplexed link must.
 /// Every byte arrives once, in order, and the parks are the thread-form
-/// pump's to the count.
+/// pump's to the count; the relay's worker towards the sender, which
+/// writes its BUSY and its READY, waits once more for each.
 #[test]
 fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
     const LEN: usize = 1 << 20;
@@ -758,7 +759,7 @@ fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
     assert!(done.is_finished());
     let pinned = [
         ("join", 1),
-        ("queue pop", 108),
+        ("queue pop", 110),
         ("queue push", 1),
         ("relay open", 1),
         ("relay peer busy", 1),
@@ -772,18 +773,35 @@ fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
     assert_eq!(all_parks(&sim), pinned);
 }
 
+/// Senders in the relay's throttle sets.
+const THROTTLED: gridsim_net::Metric = gridsim_net::Metric("relay", None, "throttled");
+
+/// What an [`exchange`] left behind: the run, and its parks, grants and
+/// threads before the probe.
+struct Exchange {
+    sim: Sim,
+    parks: Vec<(String, i64)>,
+    grants_threads: [i64; 2],
+}
+
 /// Both ends of a pair send 1 MiB at once, and the reader of the stream
 /// from node `i` starts after `pause(i)`. Every byte arrives once, in
-/// order; the run returns once every task is done.
-fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Sim {
+/// order; the run returns once every task is done, with the relay's
+/// throttle sets empty. Then each client sends its peer one more byte: a
+/// client left congested, its last word from the relay about that peer a
+/// BUSY, would wait for a READY for good.
+fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Exchange {
     const LEN: usize = 1 << 20;
     let sim = Sim::new(seed);
     let (ha, hb, hs) = star(&sim);
     let relay = SockAddr::new(hs.ip(), 600);
     sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
     sim.run();
+    let clients = Arc::new(Mutex::new(Vec::new()));
+    let kept = Arc::clone(&clients);
     let done = sim.spawn("driver", move || {
         let (ca, cb, accepted) = relay_pair(&ha, &hb, relay);
+        *kept.lock() = vec![(ca.clone(), 2), (cb.clone(), 1)];
         let h = gridsim_net::ctx::handle();
         let writers: Vec<_> = [(ca, 2), (cb, 1)]
             .into_iter()
@@ -807,20 +825,40 @@ fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Sim {
     });
     sim.run();
     assert!(done.is_finished(), "a sender was left congested");
-    sim
+    let h = sim.scheduler().handle();
+    assert_eq!(
+        h.metric(THROTTLED),
+        0,
+        "a sender is still in a throttle set"
+    );
+    let (parks, grants_threads) = (all_parks(&sim), [h.metric(GRANTS), h.metric(THREADS)]);
+    let probe = sim.spawn("probe", move || {
+        for (c, to) in clients.lock().drain(..) {
+            let mut s = c.open_stream(to, "probe", 9).unwrap();
+            s.write_all(&[0]).unwrap();
+        }
+    });
+    sim.run();
+    assert!(probe.is_finished(), "a client was left congested");
+    Exchange {
+        sim,
+        parks,
+        grants_threads,
+    }
 }
 
 /// Node 2 reads only after a second, so its shard passes the high
-/// watermark and the relay's reader waits out the SENDs towards it; node
-/// 1 reads at once, so the worker of node 1's shard spends the transfer
-/// mid-write, holding the writer lock that the BUSY and the READY towards
-/// node 1 must take. The throttles and parks are the thread forms'.
+/// watermark and node 1 is owed a BUSY; node 1 reads at once, so the
+/// worker of node 1's shard spends the transfer mid-write, and writes the
+/// BUSY and the READY at the head of its next runs. No reader waits for
+/// it: the parks are the thread forms' but for the worker's waits between
+/// those runs, and no `sim-mutex`.
 #[test]
-fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
-    let sim = exchange(76, |from| {
+fn busy_and_ready_reach_a_sender_whose_worker_is_mid_write() {
+    let ex = exchange(76, |from| {
         Duration::from_secs(if from == 1 { 1 } else { 0 })
     });
-    let h = sim.scheduler().handle();
+    let h = ex.sim.scheduler().handle();
     let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
     assert_eq!([throttles(1), throttles(2)], [1, 0]);
     let pinned = [
@@ -829,33 +867,109 @@ fn busy_and_ready_wait_for_a_writer_that_holds_its_lock_mid_write() {
         ("queue push", 1),
         ("relay open", 2),
         ("relay peer busy", 1),
-        ("sim-mutex", 7),
         ("sleep", 2),
         ("tcp accept", 3),
         ("tcp connect", 2),
-        ("tcp read", 518),
+        ("tcp read", 527),
         ("tcp write", 271),
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
-    assert_eq!(all_parks(&sim), pinned);
-    // The relay's reader awaits each SEND, its BUSY included, and the
-    // clients' link pumps each frame: the threads are the test's tasks'.
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [224, 5]);
+    assert_eq!(ex.parks, pinned);
+    // The relay's reader awaits each SEND, and the clients' link pumps
+    // each frame: the threads are the test's tasks'.
+    assert_eq!(ex.grants_threads, [231, 5]);
 }
 
-/// Both readers start after a second, so both shards run hot, and each
-/// BUSY waits for its sender's writer lock, held mid-write by that
-/// sender's shard worker, until after the shard it reports on has
-/// drained. Recorded before that wait, the sender got the drain's READY
-/// ahead of the BUSY and stayed congested for good; recorded under the
-/// lock but past the drain, it would get a BUSY no READY follows. The
-/// drain in between makes each BUSY moot: none is sent.
+/// Both readers start after a second, so both shards run hot and each
+/// sender is owed a BUSY while its own shard's worker is stalled mid-write
+/// towards it. The throttle decision and the BUSY owed are one step, and
+/// the drain owes its READY after it in the same slot, where the latest
+/// word about a peer replaces one not yet written: no READY overtakes its
+/// BUSY, and no sender is left congested.
 #[test]
 fn a_ready_never_overtakes_its_busy() {
-    let sim = exchange(76, |_| Duration::from_secs(1));
+    let ex = exchange(76, |_| Duration::from_secs(1));
+    let h = ex.sim.scheduler().handle();
+    let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
+    assert_eq!([throttles(1), throttles(2)], [1, 1]);
+}
+
+/// Node 1 stops reading its relay link: a stream from node 2 fills, node
+/// 1's pump waits for room, and the relay's worker towards node 1 stalls
+/// mid-run. Then node 1 sends to node 2, which reads late, so node 2's
+/// queue runs hot and node 1 is owed a BUSY it cannot read yet, and to
+/// node 3, which reads at once. Node 3 gets node 1's stream in full while
+/// node 1 is still not reading: the BUSY waits in node 1's slot, and node
+/// 1's reader at the relay forwards on. (With the BUSY written under node
+/// 1's writer lock, that reader waited for the stalled run, and node 3's
+/// stream with it, until node 1 read.)
+#[test]
+fn a_busy_owed_to_a_stalled_sender_holds_up_none_of_its_sends() {
+    const LEN: usize = 256 << 10;
+    let sim = Sim::new(80);
+    let (ha, hb, hs) = star(&sim);
+    let relay = SockAddr::new(hs.ip(), 600);
+    sim.spawn("relay", move || spawn_relay(&hs, 600).unwrap());
+    sim.run();
+    let done = sim.spawn("driver", move || {
+        let (c1, c2, accepted) = relay_pair(&ha, &hb, relay);
+        let c3 = RelayClient::connect(&hb, relay, None, 3).unwrap();
+        let at3 = gridsim_net::SimQueue::bounded(1);
+        c3.set_delegate(Arc::new(Accept(at3.clone())));
+        let h = gridsim_net::ctx::handle();
+        let start = gridsim_net::ctx::now();
+        // Two seconds in, node 2 is throttled on node 1's stalled shard and
+        // node 1 on node 2's: node 1 is owed its BUSY, unread.
+        let throttled = h.spawn("watch", move || {
+            gridsim_net::ctx::sleep(Duration::from_secs(2));
+            gridsim_net::ctx::handle().metric(THROTTLED)
+        });
+        let node1_reads_at = start + Duration::from_secs(7);
+        // Every stream is open before node 1 stops reading.
+        let send = |c: &RelayClient, to, after, len| {
+            let mut s = c.open_stream(to, "bulk", to).unwrap();
+            h.spawn("writer", move || {
+                gridsim_net::ctx::sleep(after);
+                s.write_all(&(0..len).map(routed_byte).collect::<Vec<u8>>())
+                    .unwrap();
+                s.shutdown_write().unwrap();
+            })
+        };
+        let second = Duration::from_millis(500);
+        let writers = [
+            send(&c1, 2, second, 4 * LEN),
+            send(&c1, 3, second, LEN),
+            send(&c2, 1, Duration::ZERO, 4 * LEN),
+        ];
+        let mut readers: Vec<_> = (0..2)
+            .map(|_| {
+                let s = accepted.pop().unwrap();
+                let (pause, len) = match s.peer() {
+                    2 => (node1_reads_at - gridsim_net::ctx::now(), 4 * LEN),
+                    _ => (Duration::from_secs(3), 4 * LEN),
+                };
+                h.spawn("reader", move || drain_after(s, pause, len))
+            })
+            .collect();
+        let s3 = at3.pop().unwrap();
+        drain_after(s3, Duration::ZERO, LEN);
+        let node3_done = gridsim_net::ctx::now();
+        assert!(
+            node3_done < node1_reads_at,
+            "node 3's stream ended at {node3_done:?}, node 1 reads from {node1_reads_at:?}"
+        );
+        readers.extend(writers);
+        readers.into_iter().for_each(|t| t.join());
+        assert_eq!(throttled.join(), 2);
+    });
+    sim.run();
+    assert!(done.is_finished(), "a sender was left congested");
+    // Node 2 read its BUSY at once. Node 1's, owed while it did not read,
+    // was replaced unwritten by the READY of node 2's drain: its last word
+    // about node 2, as the emptied throttle set has it.
     let h = sim.scheduler().handle();
     let throttles = |id| h.metric(gridsim_net::Metric("node", Some(id), "busy_throttles"));
-    assert_eq!([throttles(1), throttles(2)], [0, 0]);
+    assert_eq!([throttles(1), throttles(2), h.metric(THROTTLED)], [0, 1, 0]);
 }
 
 /// A segment sent: the instant, its sequence number, its bytes.
@@ -947,7 +1061,8 @@ fn a_polled_routed_write_sends_what_the_blocking_one_sends_when_it_sends_it() {
 /// its relay client's pump waits for room for the next DATA in its poll,
 /// taking no thread. The reply to a service request node 2 makes
 /// meanwhile arrives behind that DATA on the same link and is dispatched
-/// after it: once the reader has made room, never before.
+/// after it: once the reader has made room, never before. The sender's
+/// BUSY and READY are its relay worker's to write, a wait more each.
 #[test]
 fn data_into_a_full_queue_waits_in_the_pump_and_what_follows_waits_behind_it() {
     const LEN: usize = 1 << 20;
@@ -982,7 +1097,7 @@ fn data_into_a_full_queue_waits_in_the_pump_and_what_follows_waits_behind_it() {
     assert!(done.is_finished());
     let pinned = [
         ("join", 2),
-        ("queue pop", 110),
+        ("queue pop", 112),
         ("queue push", 1),
         ("relay open", 1),
         ("relay peer busy", 1),

@@ -249,6 +249,12 @@ impl<T> SimQueue<T> {
         Poll::Pending
     }
 
+    /// Wake the task waiting to pop, as a push would, without pushing.
+    pub fn wake_popper(&self) {
+        let popper = self.inner.state.lock().pop_waiters.pop_front();
+        popper.iter().for_each(Waker::wake);
+    }
+
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
         let mut st = self.inner.state.lock();
