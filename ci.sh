@@ -33,10 +33,10 @@
 #           `call_at` in crates/core/src outside tests (a deadline is a
 #           `Timer` owned by the record it guards, cancelled with it, so
 #           it never asks whether it still applies), no OS thread started in
-#           simnet, simtcp or core outside the scheduler's workers
-#           (runtime.rs), and no task that takes a worker before its
-#           first blocking poll (`start_thread` called from `drive`
-#           alone, no `Job::Body` or `type Body`); no blocking
+#           simnet, simtcp or core's non-test code (runtime.rs included: a
+#           blocking task runs on a stack of its own), and no task that
+#           takes a worker before its first blocking poll (`start_stack`
+#           called from `drive` alone, no `Job::Body` or `type Body`); no blocking
 #           `.accept()` in core outside tests (an accept loop awaits
 #           `poll_accept`); every worker core takes on the allow-list: each
 #           `spawn_daemon` and blocking section (`ctx::blocking`,
@@ -53,7 +53,8 @@
 #           `Step::`), the receive pump an async body that only
 #           `add_link` starts, with no `ctx::park` in port.rs; and no
 #           `unsafe` in a product crate's non-test code outside
-#           crates/simnet/src/sync.rs, nor an OS mutex back around the
+#           crates/simnet/src/sync.rs and fiber.rs, no `asm!` or
+#           `global_asm!` outside fiber.rs, nor an OS mutex back around the
 #           scheduler's state or the world (the baton is their lock)
 #   golden  golden wire-trace gate: re-run the traced scenarios and
 #           byte-diff their digests against tests/golden/*.trace.
@@ -84,13 +85,9 @@
 #           the vectorised ChaCha20 pass and the bounds-check-free
 #           matcher loops actually exist, and the wire-codec
 #           properties (core's prop.rs) with them, where arithmetic on
-#           a peer's lengths wraps instead of panicking; then,
-#           where `taskset` exists, the scheduler's own tests and the root
-#           scheduler, relay and relay park-count smokes again on one CPU,
-#           the regime gridbench measures; with them the connection storm
-#           and E10's establishment budget, whose ticketed name-service
-#           replies interleave differently when pinned, and simtcp and GTLS
-#           over it, whose staged socket waits do too.
+#           a peer's lengths wraps instead of panicking; and the
+#           scheduler's own tests in release, where registers live across
+#           the stack switch under optimised codegen.
 #
 # `./ci.sh` runs everything in the order above (golden and bench build
 # the release workspace first). `./ci.sh --stage bench` runs one stage;
@@ -302,35 +299,41 @@ stage_clippy() {
     echo "a second event queue or slot table (lines above); a packet in flight lives in its link's FIFO, and the scheduler holds one entry per busy link"
     return 1
   fi
-  # A task that needs a thread gets one of the scheduler's workers
-  # (runtime.rs): no OS thread of its own in the product crates' non-test
-  # code.
+  # A simulation runs on the thread that drives it, a blocking task on a
+  # stack of its own (runtime.rs, fiber.rs): no OS thread started in the
+  # product crates' non-test code, the scheduler included.
   local threads
-  threads=$(find crates/{simnet,simtcp,core}/src -name '*.rs' ! -name runtime.rs -print0 \
+  threads=$(find crates/{simnet,simtcp,core}/src -name '*.rs' -print0 \
     | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }')
   if [ -n "$threads" ]; then
     echo "$threads"
-    echo "an OS thread started outside the scheduler's workers (lines above); spawn a task instead"
+    echo "an OS thread started in a product crate (lines above); spawn a task instead"
     return 1
   fi
   # The scheduler's state and the world are baton-owned cells (DESIGN.md
-  # §6): their soundness argument lives in sync.rs, and no other product
-  # code needs one; nor does an OS lock come back around either.
-  local unsafes
-  unsafes=$(find crates/{simnet,simtcp,gridzip,gridcrypt,core}/src -name '*.rs' ! -path crates/simnet/src/sync.rs -print0 \
+  # §6) and a blocking task's stack is switched to in fiber.rs: their
+  # soundness arguments live in sync.rs and fiber.rs, and no other product
+  # code needs one, nor assembly outside the switch; nor does an OS lock
+  # come back around the state or the world.
+  local unsafes asms
+  unsafes=$(find crates/{simnet,simtcp,gridzip,gridcrypt,core}/src -name '*.rs' \
+    ! -path crates/simnet/src/sync.rs ! -path crates/simnet/src/fiber.rs -print0 \
     | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ { print FILENAME ":" FNR ": " $0 }')
-  if [ -n "$unsafes" ] || grep -rnE 'Mutex<(World|SchedState)>' crates/ src/ tests/ examples/; then
+  asms=$(grep -rnE '(^|[^A-Za-z_])(global_)?asm!' crates/*/src src tests examples | grep -v '^crates/simnet/src/fiber.rs:' || true)
+  if [ -n "$unsafes$asms" ] || grep -rnE 'Mutex<(World|SchedState)>' crates/ src/ tests/ examples/; then
     echo "$unsafes"
-    echo "unsafe outside sync.rs, or an OS mutex around the scheduler's state or the world (lines above); borrow the BatonCell"
+    echo "$asms"
+    echo "unsafe outside sync.rs and fiber.rs, assembly outside fiber.rs, or an OS mutex around the"
+    echo "  scheduler's state or the world (lines above); borrow the BatonCell"
     return 1
   fi
   # Every task is a future (DESIGN.md §6a): a closure task is one blocking
   # section, which takes a worker when a poll in `drive` reaches it, never
   # at spawn, and no second job form comes back beside the future.
-  if [ "$(fns_calling '(\.|::)start_thread\(' crates/simnet/src/runtime.rs)" != "drive" ] \
+  if [ "$(fns_calling '(\.|::)start_stack\(' crates/simnet/src/runtime.rs)" != "drive" ] \
     || grep -nE 'Job::Body|type Body' crates/simnet/src/runtime.rs; then
     echo "a worker taken outside drive, or a closure job beside the future:" \
-      "start_thread called in [$(fns_calling '(\.|::)start_thread\(' crates/simnet/src/runtime.rs)]"
+      "start_stack called in [$(fns_calling '(\.|::)start_stack\(' crates/simnet/src/runtime.rs)]"
     return 1
   fi
   # An accept loop waits on its listener alone, so it is an async task
@@ -506,28 +509,9 @@ stage_test() {
   # The kernels' differential and boundary tests against release codegen.
   cargo test -q --release -p gridzip -p gridcrypt
   cargo test -q --release -p netgrid --test prop
-  # CI machines have >= 2 cores, gridbench pins every rep to one: there a
-  # granted thread runs only once its granter sleeps, a different
-  # interleaving of the same handoff. First CPU of the allowed set.
-  if command -v taskset > /dev/null; then
-    local cpu
-    cpu=$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')
-    echo "--- scheduler tests pinned to CPU $cpu"
-    taskset -c "$cpu" cargo test -q --release -p gridsim-net
-    taskset -c "$cpu" cargo test -q --release --test scheduler
-    # The relay's reader -> shard worker -> client pump handoffs interleave
-    # differently there too; the park counts must not.
-    taskset -c "$cpu" cargo test -q --release --test relay --test relay_parks
-    # So do the name-service link's pipelined replies: the storm's 16
-    # concurrent walks must still overlap, and each method keep its
-    # round-trip budget.
-    taskset -c "$cpu" cargo test -q --release --test establish_budget
-    taskset -c "$cpu" cargo test -q --release -p netgrid --test storm
-    # A granted thread runs only after its granter sleeps, so a staged
-    # socket pickup interleaves differently there.
-    taskset -c "$cpu" cargo test -q --release -p gridsim-tcp
-    taskset -c "$cpu" cargo test -q --release -p gridcrypt --test gtls_over_simtcp
-  fi
+  # Registers live across the stack switch (fiber.rs) under optimised
+  # codegen: the scheduler's own tests again in release.
+  cargo test -q --release -p gridsim-net
 }
 
 SUMMARY=""

@@ -686,8 +686,8 @@ impl GridNode {
         }
         // The ack carries the receiver's delivered watermarks — the
         // exactly-once handshake. Everything we wrote happened-before the
-        // RECONFIG frame, so these cover every sent message, and the
-        // channels' next sends prune their resend buffers for free.
+        // RECONFIG frame, so these cover every sent message, and each
+        // prunes its channel's resend buffer.
         let chans = link.replay_order();
         for (ch, delivered) in ack.delivered {
             if let Some(c) = chans.iter().find(|c| c.channel == ch) {
@@ -1025,9 +1025,9 @@ mod tests {
     use gridsim_tcp::TcpConfig;
 
     /// A CACK from the channel's own receiver that claims more than was
-    /// sent is refused and counted. Taken, it pruned every retained message
-    /// at the next send, and the flap after it failed `ResendOverflow`
-    /// instead of replaying them.
+    /// sent is refused and counted. Taken, it pruned every retained
+    /// message, and the flap after it failed `ResendOverflow` instead of
+    /// replaying them.
     #[test]
     fn a_cack_beyond_what_was_sent_is_refused_and_the_flap_after_it_replays() {
         const MSGS: u64 = 50;

@@ -71,11 +71,10 @@ impl TxChannel {
         }
     }
 
-    /// Send: number `payload` and retain it for replay. What the receiver
-    /// acked is pruned first; past the budget the oldest are evicted, never
-    /// this message. The driver writes the returned `seq` if [`owes`](Self::owes).
+    /// Send: number `payload` and retain it for replay. Past the budget the
+    /// oldest are evicted, never this message. The driver writes the
+    /// returned `seq` if [`owes`](Self::owes).
     pub(crate) fn send(&mut self, payload: &Bytes) -> Seq {
-        self.prune(self.una);
         let seq = self.nxt;
         self.nxt += 1;
         self.bytes += payload.len();
@@ -99,13 +98,16 @@ impl TxChannel {
         self.check();
     }
 
-    /// The receiver's delivered count from a CACK or a RECONFIG ack.
-    /// Cumulative, so a late one changes nothing. One beyond what was sent
-    /// is refused (false): it would prune what the receiver never had.
+    /// The receiver's delivered count from a CACK or a RECONFIG ack, and
+    /// what it covers pruned at once: a channel that stops sending keeps
+    /// nothing its receiver has. Cumulative, so a late one changes nothing.
+    /// One beyond what was sent is refused (false): it would prune what the
+    /// receiver never had.
     pub(crate) fn ack(&mut self, delivered: u64) -> bool {
         let ok = delivered <= self.nxt;
         if ok {
             self.una = self.una.max(delivered);
+            self.prune(self.una);
         }
         self.check();
         ok

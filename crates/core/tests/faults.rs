@@ -1231,11 +1231,11 @@ fn splice_requests_queued_on_a_held_nat_gate_start_no_thread() {
             env.send_to(to).send(&mut s.clone()).unwrap();
         }
         let h = gridsim_net::ctx::handle();
-        let threads = h.metric(gridsim_net::THREADS);
+        let stacks = h.metric(gridsim_net::STACKS);
         // Well inside the first negotiation's GO deadline.
         gridsim_net::ctx::sleep(Duration::from_secs(5));
         let gate_waits = h.metric(Metric("task/parks", None, "nat gate"));
-        (h.metric(gridsim_net::THREADS) - threads, gate_waits)
+        (h.metric(gridsim_net::STACKS) - stacks, gate_waits)
     });
     sim.run_for(Duration::from_secs(20));
     let out = Arc::new(parking_lot::Mutex::new(None));

@@ -2,7 +2,7 @@
 //! relay, and SOCKS proxy, exercised directly (below the GridNode layer).
 
 use gridsim_net::ctx::block_on;
-use gridsim_net::{topology, Ip, LinkParams, Sim, SockAddr, Trust, GRANTS, THREADS};
+use gridsim_net::{topology, Ip, LinkParams, Sim, SockAddr, Trust, GRANTS, STACKS};
 use gridsim_tcp::SimHost;
 use netgrid::relay::{RelayClient, RelayDelegate, RoutedStream, SvcReply};
 use netgrid::{
@@ -602,7 +602,7 @@ where
     sim.spawn("collect", move || *t.lock() = Some(honest.join()));
     sim.run();
     let took = took.lock().take().expect("the honest dial returned");
-    (took, h.metric(THREADS))
+    (took, h.metric(STACKS))
 }
 
 /// `bytes` written on `s`, awaited.
@@ -631,13 +631,13 @@ async fn read_to_end(s: &gridsim_tcp::TcpStream) -> Vec<u8> {
 /// stalled one kept a worker for good and the next took another.
 #[test]
 fn a_socks_client_that_stalls_mid_greeting_takes_no_worker_and_holds_up_no_one() {
-    let (baseline, threads) = after_a_hostile_socks_client(|conn| async move { drop(conn) });
-    let (took, stalled_threads) = after_a_hostile_socks_client(|conn| async move {
+    let (baseline, stacks) = after_a_hostile_socks_client(|conn| async move { drop(conn) });
+    let (took, stalled_stacks) = after_a_hostile_socks_client(|conn| async move {
         send_raw(&conn, &[5]).await;
         gridsim_net::ctx::wait("stalled", || std::task::Poll::<()>::Pending).await;
     });
     assert_eq!(took, baseline, "the stalled client held up the next one");
-    assert_eq!(stalled_threads, threads, "workers started");
+    assert_eq!(stalled_stacks, stacks, "workers started");
 }
 
 /// A greeting that arrives in two segments, its version a moment before
@@ -777,11 +777,11 @@ fn a_routed_receiver_that_stops_reading_fills_its_queue_and_then_drains() {
 const THROTTLED: gridsim_net::Metric = gridsim_net::Metric("relay", None, "throttled");
 
 /// What an [`exchange`] left behind: the run, and its parks, grants and
-/// threads before the probe.
+/// stacks before the probe.
 struct Exchange {
     sim: Sim,
     parks: Vec<(String, i64)>,
-    grants_threads: [i64; 2],
+    grants_stacks: [i64; 2],
 }
 
 /// Both ends of a pair send 1 MiB at once, and the reader of the stream
@@ -831,7 +831,7 @@ fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Exchange {
         0,
         "a sender is still in a throttle set"
     );
-    let (parks, grants_threads) = (all_parks(&sim), [h.metric(GRANTS), h.metric(THREADS)]);
+    let (parks, grants_stacks) = (all_parks(&sim), [h.metric(GRANTS), h.metric(STACKS)]);
     let probe = sim.spawn("probe", move || {
         for (c, to) in clients.lock().drain(..) {
             let mut s = c.open_stream(to, "probe", 9).unwrap();
@@ -843,7 +843,7 @@ fn exchange(seed: u64, pause: fn(u64) -> Duration) -> Exchange {
     Exchange {
         sim,
         parks,
-        grants_threads,
+        grants_stacks,
     }
 }
 
@@ -876,8 +876,8 @@ fn busy_and_ready_reach_a_sender_whose_worker_is_mid_write() {
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(ex.parks, pinned);
     // The relay's reader awaits each SEND, and the clients' link pumps
-    // each frame: the threads are the test's tasks'.
-    assert_eq!(ex.grants_threads, [231, 5]);
+    // each frame: the stacks are the test's tasks'.
+    assert_eq!(ex.grants_stacks, [231, 5]);
 }
 
 /// Both readers start after a second, so both shards run hot and each
@@ -1110,10 +1110,10 @@ fn data_into_a_full_queue_waits_in_the_pump_and_what_follows_waits_behind_it() {
     ];
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
-    // The three threads are the test's `relay`, `writer` and `reader`:
+    // The three stacks are the test's `relay`, `writer` and `reader`:
     // none is the pump's, nor node 1's `svc-handler`, an async task.
     let h = sim.scheduler().handle();
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [45, 3]);
+    assert_eq!([h.metric(GRANTS), h.metric(STACKS)], [45, 3]);
 }
 
 /// Node 1 drops its end of a stream node 2 opened, unclosed: only its
@@ -1195,10 +1195,10 @@ fn a_connect_back_request_is_answered_and_the_connection_steps_on() {
     let pinned: Vec<_> = pinned.iter().map(|&(r, n)| (r.to_string(), n)).collect();
     assert_eq!(all_parks(&sim), pinned);
     // The dial back is awaited in the server's reader, and the client
-    // link's end of connection in its pump: the one thread is the `ns`
+    // link's end of connection in its pump: the one stack is the `ns`
     // task's, whose idle worker the client takes.
     let h = sim.scheduler().handle();
-    assert_eq!([h.metric(GRANTS), h.metric(THREADS)], [4, 1]);
+    assert_eq!([h.metric(GRANTS), h.metric(STACKS)], [4, 1]);
 }
 
 /// Topology sanity: the qualitative grid builder gives every host a

@@ -3,8 +3,9 @@
 //! The substrate underneath the NetIbis (HPDC 2004) reproduction: a
 //! packet-level simulated internet with
 //!
-//! * a deterministic cooperative [`runtime`] where simulated processes are
-//!   OS threads scheduled one at a time in virtual time,
+//! * a deterministic cooperative [`runtime`] where simulated processes run
+//!   one at a time in virtual time on one OS thread, each that blocks on a
+//!   stack of its own,
 //! * point-to-point [`link`]s with bandwidth, propagation delay, random loss
 //!   and drop-tail queues,
 //! * gateways combining a stateful [`firewall`] (allow out, drop unsolicited
@@ -37,6 +38,7 @@
 
 pub mod addr;
 pub mod fault;
+mod fiber;
 pub mod firewall;
 pub mod hash;
 pub mod link;
@@ -57,7 +59,7 @@ pub use nat::{Nat, NatKind};
 pub use packet::{proto, Packet, Payload, RawBytes};
 pub use runtime::{
     ctx, JoinHandle, Metric, RunOutcome, SchedHandle, Scheduler, TaskId, Timer, Waker, GRANTS,
-    THREADS,
+    STACKS,
 };
 pub use sync::{SimMutex, SimMutexGuard, SimQueue};
 pub use time::SimTime;

@@ -1,29 +1,30 @@
 //! Deterministic cooperative runtime.
 //!
-//! Simulated processes run on OS threads, but *exactly one* of them runs at
-//! any moment: the one holding the baton. There is no scheduler thread. A
-//! task that blocks (parks), sleeps or yields runs the scheduler loop
-//! itself ([`SchedCore::drive`]) — pop the run queue, else fire the next
-//! event — until the loop names the next task. If that is the caller, it
-//! simply returns: no syscall, no thread switch (a reader parked on a socket
-//! whose next event wakes it; a `sleep`). Otherwise the caller grants that
-//! task's baton and waits on its own: one switch. A task that finishes runs
-//! the loop the same way. When nothing is left to do before the `run_until`
-//! limit the baton goes back to the thread that called `run_until` (the
-//! root), which alone computes the [`RunOutcome`].
-//! Combined with a totally ordered event queue (time, then insertion
-//! sequence) and seeded RNGs, every run of a simulation is bit-for-bit
-//! reproducible — the run-queue and event order do not depend on which thread
-//! happens to drive.
+//! Simulated processes run on one OS thread, the one that called
+//! `run_until`, each blocking one on a stack of its own (`fiber.rs`), and
+//! *exactly one* of them runs at any moment: the one holding the baton.
+//! There is no scheduler stack. A task that blocks (parks), sleeps or
+//! yields runs the scheduler loop itself ([`SchedCore::drive`]) — pop the
+//! run queue, else fire the next event — until the loop names the next
+//! task. If that is the caller, it simply returns: no switch at all (a
+//! reader parked on a socket whose next event wakes it; a `sleep`).
+//! Otherwise the caller switches to that task's stack: a grant, the cost
+//! of a function call. A task that finishes runs the loop the same way.
+//! When nothing is left to do before the `run_until` limit the baton goes
+//! back to the caller's own stack (the root), which alone computes the
+//! [`RunOutcome`]. Combined with a totally ordered event queue (time, then
+//! insertion sequence) and seeded RNGs, every run of a simulation is
+//! bit-for-bit reproducible — the run-queue and event order do not depend
+//! on which stack happens to drive.
 //!
 //! Every task is a future: its slot holds it while it waits, and whoever
 //! pops it off the run queue polls it on its own stack. A closure task is
-//! one blocking section ([`ctx::blocking`]). The threads are workers
-//! (`sim-worker`), taken by a poll that reaches a blocking section, not at
-//! spawn: a task that never blocks never holds one. A worker whose task
-//! has finished, or waits inline again, waits on an idle list for the
-//! next, so a task starts an OS thread only when every worker is busy.
-//! Dropping the [`Scheduler`] ends and joins the idle ones.
+//! one blocking section ([`ctx::blocking`]). The stacks are workers, taken
+//! by a poll that reaches a blocking section, not at spawn: a task that
+//! never blocks never holds one. A worker whose task has finished, or waits
+//! inline again, waits on an idle list for the next, so a task maps a new
+//! stack only when every worker is busy. Dropping the [`Scheduler`] ends
+//! the idle ones and unmaps their stacks.
 //!
 //! The design mirrors classic conservative process-oriented simulators:
 //!
@@ -33,9 +34,9 @@
 //! * Inside a process, [`crate::ctx`] functions (`now`, `sleep`, `park`) block
 //!   the process in *simulated* time.
 //! * Protocol code (packet delivery, retransmit timers) runs as scheduled
-//!   closure events on the thread holding the baton, never concurrently with
+//!   closure events on the stack holding the baton, never concurrently with
 //!   a task, and with task context masked: inside an event `ctx::in_task()`
-//!   is false and `ctx::park`/`ctx::now` panic, whichever thread fires it.
+//!   is false and `ctx::park`/`ctx::now` panic, whichever stack fires it.
 //!   A deadline that may be met first is a [`Timer`]
 //!   ([`SchedHandle::timer`]), kept in the record it guards: dropping it
 //!   cancels the event, whose heap entry is then discarded unseen — it
@@ -45,13 +46,13 @@
 //!   `while !condition { park() }` loop is race-free.
 //! * An *async* task ([`SchedHandle::spawn_async`]) is that future as
 //!   written: it has a [`TaskId`], a run-queue slot and [`Waker`]s like any
-//!   task, and a thread only inside a blocking section. It awaits two
-//!   things only. [`ctx::wait`] asks a `poll_*` source, which leaves the
-//!   task's waker behind when it returns `Pending`; the scheduler counts
-//!   that as the park a blocking call would have made. [`ctx::blocking`]
-//!   runs a closure that may park: the whole future moves to a worker
-//!   under the same id, next, runs the closure there and goes on to its
-//!   next wait — and the task is inline once more.
+//!   task, and a stack of its own only inside a blocking section. It
+//!   awaits two things only. [`ctx::wait`] asks a `poll_*` source, which
+//!   leaves the task's waker behind when it returns `Pending`; the
+//!   scheduler counts that as the park a blocking call would have made.
+//!   [`ctx::blocking`] runs a closure that may park: the whole future
+//!   moves to a worker under the same id, next, runs the closure there and
+//!   goes on to its next wait — and the task is inline once more.
 //! * The world's one metrics registry, named counters and gauges
 //!   ([`Metric`]), sits beside the task table: [`SchedHandle::metric_add`]
 //!   and friends. Only counters move; nothing in the simulation reads them.
@@ -62,11 +63,12 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
+use crate::fiber::Stack;
 use crate::sync::BatonCell;
 use crate::time::SimTime;
 
@@ -85,7 +87,7 @@ impl TaskId {
 enum EventAction {
     /// Wake a parked task (used by `sleep`).
     WakeTask(TaskId),
-    /// Run a one-shot closure on the thread holding the baton, if armed.
+    /// Run a one-shot closure on the stack holding the baton, if armed.
     Call(Armed),
     /// Fire a pre-registered callback ([`SchedHandle::register_hook`])
     /// with its argument. Unlike `Call`, the event itself carries no
@@ -257,65 +259,6 @@ enum TaskState {
     Finished,
 }
 
-/// The right to run, one per thread that takes part in a simulation (each
-/// worker, and the caller of `run_until` for the length of that call).
-///
-/// Exactly one baton is ever in the `go` state or held by a running thread.
-/// The holder decides who is next ([`SchedCore::drive`]), calls
-/// [`Baton::grant`] on that thread's baton and [`Baton::wait`] on its own.
-#[derive(Default)]
-struct Baton {
-    /// Set by the granter (`Release`), read and cleared by the owner
-    /// (`Acquire`): everything the granter did happens-before the owner's
-    /// next step.
-    go: AtomicBool,
-    /// The one thread that waits on this baton. For a worker it is filled in
-    /// when its thread starts, before the baton is first granted, so no
-    /// granter can find it empty.
-    owner: OnceLock<std::thread::Thread>,
-}
-
-impl Baton {
-    /// Let the owner run. The caller must stop touching simulation state
-    /// and wait on its own baton (or exit).
-    fn grant(&self) {
-        self.go.store(true, Ordering::Release);
-        // std's park token makes a too-early unpark safe: the owner's next
-        // `park` returns immediately and it re-checks `go`.
-        self.owner
-            .get()
-            .expect("a baton's owner is registered before its first grant")
-            .unpark();
-    }
-
-    /// Owner side: sleep until granted, then take the baton.
-    ///
-    /// No spin phase, on any host. With one CPU in the affinity mask the
-    /// granter cannot run while the owner spins; with more, measurements
-    /// (EXPERIMENTS.md, "Baton holder drives") have a spin window lose on
-    /// every datapath row: each thread that handed the baton on within the
-    /// window is spinning too, and a sleeping owner is woken next to its
-    /// granter, cache-warm, instead of across cores.
-    fn wait(&self) {
-        // Only the owner clears `go`, and `park` may return spuriously.
-        while !self.go.swap(false, Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
-}
-
-/// An OS thread that runs tasks, one after another.
-#[derive(Default)]
-struct Worker {
-    /// Its own for life: granted to run its job, or with no job to exit.
-    baton: Arc<Baton>,
-    /// The task whose blocking section asked for it, set before the baton
-    /// is granted: polled on there to its next wait.
-    job: Mutex<Option<(TaskId, AsyncTask)>>,
-    /// Taken to join it when the scheduler drops.
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
 struct TaskSlot {
     /// Emptied when the task finishes.
     name: String,
@@ -325,9 +268,9 @@ struct TaskSlot {
     state: TaskState,
     /// Park/unpark token: a wake delivered while the task is not blocked.
     notified: bool,
-    /// The baton of the worker running the task; `None` outside a blocking
+    /// The stack of the worker running the task; `None` outside a blocking
     /// section (before the first, between two, once finished).
-    baton: Option<Arc<Baton>>,
+    stack: Option<Arc<Stack>>,
     /// The task, in the slot while it is not running.
     task: Option<AsyncTask>,
     /// Tasks waiting for this one to finish.
@@ -343,26 +286,29 @@ struct SchedState {
     events: BinaryHeap<EventEntry>,
     runnable: VecDeque<TaskId>,
     /// Indexed by `TaskId`: slots are pushed in spawn order and never
-    /// removed (a finished slot drops its baton and name).
+    /// removed (a finished slot drops its stack and name).
     tasks: Vec<TaskSlot>,
     /// First panic observed in a task or an event; stops the loop and is
     /// resumed on `run_until`'s caller.
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// The `run_until` call in progress: events later than `limit` stay in
-    /// the heap, and `root` is its caller's baton.
+    /// the heap, and `root` is its caller's own stack.
     limit: SimTime,
-    root: Option<Arc<Baton>>,
+    root: Option<Arc<Stack>>,
     /// Workers whose task has finished or waits inline again, waiting for
     /// the next one. A worker goes here only after it has chosen its
     /// successor, so no `drive` it runs can hand it a job of its own.
-    idle: Vec<Arc<Worker>>,
+    idle: Vec<Arc<Stack>>,
+    /// The task a worker is given, set just before it is switched to and
+    /// taken by it then: polled on there to its next wait.
+    job: Option<(TaskId, AsyncTask)>,
     /// Callbacks by [`HookId`], only appended to in a run. A firing takes its
     /// hook out to run it and puts it back: registering moves no other.
     hooks: Vec<Option<Hook>>,
-    /// Cross-thread baton grants so far: one thread handing the baton to
-    /// another. A task that parks, sleeps or yields and is itself the next
-    /// to run costs none (the in-file tests pin exactly that), and neither
-    /// does a task's inline poll. Read into snapshots as [`GRANTS`].
+    /// Baton grants so far: one stack switching to another. A task that
+    /// parks, sleeps or yields and is itself the next to run costs none
+    /// (the in-file tests pin exactly that), and neither does a task's
+    /// inline poll. Read into snapshots as [`GRANTS`].
     grants: u64,
     /// The metrics registry, in name order. Among its names,
     /// `task/parks/<reason>` counts the times tasks actually parked
@@ -378,13 +324,13 @@ struct SchedState {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Metric(pub &'static str, pub Option<u64>, pub &'static str);
 
-/// The registry name under which snapshots report [`SchedState::grants`].
-/// It is read when a snapshot is taken, so the grant itself stays a bare
-/// increment.
+/// The registry name under which snapshots report [`SchedState::grants`],
+/// each one stack switch. It is read when a snapshot is taken, so the
+/// grant itself stays a bare increment.
 pub const GRANTS: Metric = Metric("sched", None, "grants");
 
-/// The registry's count of the worker threads the scheduler has started.
-pub const THREADS: Metric = Metric("sched", None, "threads");
+/// The registry's count of the worker stacks the scheduler has mapped.
+pub const STACKS: Metric = Metric("sched", None, "stacks");
 
 impl std::fmt::Display for Metric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -417,7 +363,7 @@ impl SchedState {
         let slot = &mut self.tasks[tid.index()];
         slot.state = TaskState::Finished;
         slot.name = String::new();
-        slot.baton = None;
+        slot.stack = None;
         for j in std::mem::take(&mut slot.joiners) {
             self.wake(j);
         }
@@ -443,15 +389,15 @@ impl SchedState {
 pub struct SchedCore {
     state: BatonCell<SchedState>,
     /// Simulated time in nanoseconds, read without borrowing the state.
-    /// Only the baton holder stores it, and every baton handoff is
-    /// Release/Acquire, so a relaxed load on any thread that runs sees it.
+    /// Only the baton holder stores it, on the one thread every stack of
+    /// the simulation runs on.
     clock: AtomicU64,
 }
 
 /// Who is running the scheduler loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Driver {
-    /// The thread inside `run_until`.
+    /// The stack inside `run_until`.
     Root,
     /// The worker of a task that has just parked, yielded or finished.
     Task(TaskId),
@@ -473,17 +419,17 @@ impl SchedCore {
         st.events.push(EventEntry { at, seq, action });
     }
 
-    /// Run the scheduler loop on the calling thread, which holds the baton:
+    /// Run the scheduler loop on the calling stack, which holds the baton:
     /// run-queue head first, else the next event, until someone is to run.
     /// A task at the head with no worker is polled right here, like an event.
     ///
     /// Returns `None` when that someone is the caller — its own task came
     /// off the run queue, or it is the root and the run is over — and
-    /// otherwise the baton the caller must grant: the next task's (one
+    /// otherwise the stack the caller must switch to: the next task's (one
     /// just given a worker for a blocking section included), or
     /// the root's when the run is over (a panic is pending, the event heap
     /// is empty, or the next event lies past the `run_until` limit).
-    fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Baton>> {
+    fn drive(self: &Arc<Self>, me: Driver) -> Option<Arc<Stack>> {
         loop {
             let callback = {
                 let mut st = self.state.borrow();
@@ -501,7 +447,7 @@ impl SchedCore {
                             }
                             st.grants += 1;
                             return Some(Arc::clone(
-                                slot.baton.as_ref().expect("a runnable task has a baton"),
+                                slot.stack.as_ref().expect("a runnable task has a stack"),
                             ));
                         }
                         // The clock never stops at a cancelled timer's time.
@@ -540,10 +486,10 @@ impl SchedCore {
                 Callback::Poll(tid, task) => {
                     if let Some(task) = self.poll_task(tid, task, None) {
                         let mut st = self.state.borrow();
-                        let baton = self.start_thread(&mut st, (tid, task));
-                        st.tasks[tid.index()].baton = Some(Arc::clone(&baton));
+                        let stack = self.start_stack(&mut st, (tid, task));
+                        st.tasks[tid.index()].stack = Some(Arc::clone(&stack));
                         st.grants += 1;
-                        return Some(baton);
+                        return Some(stack);
                     }
                 }
                 Callback::Call(f) => self.fire(f),
@@ -555,7 +501,7 @@ impl SchedCore {
         }
     }
 
-    /// Run one closure or hook event. The thread may be a task's, so a
+    /// Run one closure or hook event. The stack may be a task's, so a
     /// panic must not unwind into it: it is caught and kept (first one
     /// wins, as for task panics) for `run_until`'s caller.
     fn fire(&self, f: impl FnOnce()) {
@@ -564,9 +510,9 @@ impl SchedCore {
         }
     }
 
-    /// Poll task `tid` on the calling thread, with the task's context
+    /// Poll task `tid` on the calling stack, with the task's context
     /// in place of the driver's (none), until it blocks without a wake
-    /// pending or ends. On its worker (`baton`), a blocking section runs in
+    /// pending or ends. On its worker (`stack`), a blocking section runs in
     /// place. Inline, one returns the task, still running, to be given a
     /// worker: it runs next. A panic is kept for `run_until`'s caller, as
     /// an event's is, and ends the task.
@@ -574,7 +520,7 @@ impl SchedCore {
         self: &Arc<Self>,
         tid: TaskId,
         mut task: AsyncTask,
-        baton: Option<&Arc<Baton>>,
+        stack: Option<&Arc<Stack>>,
     ) -> Option<AsyncTask> {
         loop {
             let driver = CURRENT.replace(Some(Current {
@@ -582,7 +528,7 @@ impl SchedCore {
                     core: Arc::clone(self),
                 },
                 tid,
-                baton: baton.cloned(),
+                stack: stack.cloned(),
             }));
             let polled = std::panic::catch_unwind(AssertUnwindSafe(move || task.poll()));
             CURRENT.set(driver);
@@ -596,7 +542,7 @@ impl SchedCore {
                     }
                     slot.state = TaskState::Blocked;
                     slot.blocked_on = reason;
-                    slot.baton = None;
+                    slot.stack = None;
                     slot.task = Some(again);
                     st.count_park(reason);
                     return None;
@@ -612,48 +558,40 @@ impl SchedCore {
         }
     }
 
-    /// Give a task a worker, idle or else new, that polls it on once the
-    /// returned baton is first granted. The caller grants it; the worker
-    /// touches no state before then.
-    fn start_thread(self: &Arc<Self>, st: &mut SchedState, job: (TaskId, AsyncTask)) -> Arc<Baton> {
-        let worker = st.idle.pop().unwrap_or_else(|| {
-            let worker = Arc::new(Worker::default());
-            let (core, w) = (Arc::clone(self), Arc::clone(&worker));
-            let thread = std::thread::Builder::new()
-                .name("sim-worker".into())
-                .spawn(move || core.work(&w))
-                .expect("spawn sim worker thread");
-            worker
-                .baton
-                .owner
-                .set(thread.thread().clone())
-                .expect("a fresh baton has no owner");
-            *worker.thread.lock() = Some(thread);
-            *st.metrics.entry(THREADS).or_insert(0) += 1;
-            worker
-        });
-        *worker.job.lock() = Some(job);
-        Arc::clone(&worker.baton)
+    /// Give a task a worker, idle or else new, that polls it on once its
+    /// returned stack is switched to. The caller switches to it; the
+    /// worker touches no state before then.
+    fn start_stack(self: &Arc<Self>, st: &mut SchedState, job: (TaskId, AsyncTask)) -> Arc<Stack> {
+        st.job = Some(job);
+        st.idle.pop().unwrap_or_else(|| {
+            *st.metrics.entry(STACKS).or_insert(0) += 1;
+            let core = Arc::clone(self);
+            Arc::new(Stack::new(move || {
+                core.work();
+                let root = core.state.borrow().root.clone();
+                root.expect("a worker ends in its scheduler's drop")
+            }))
+        })
     }
 
-    /// A worker's life: poll each task it is granted on to its next wait,
-    /// every blocking section on the way run in place, and return at a
-    /// grant that brings no task. A panic ends the task; one in the
+    /// A worker's life: poll each task it is switched to on to its next
+    /// wait, every blocking section on the way run in place, and return
+    /// when switched to with no task. A panic ends the task; one in the
     /// scheduler loop after it, which no task catches, is kept for
     /// `run_until`'s caller as a task's is.
-    fn work(self: &Arc<Self>, worker: &Arc<Worker>) {
+    fn work(self: &Arc<Self>) {
         loop {
-            worker.baton.wait();
-            let Some((tid, task)) = worker.job.lock().take() else {
+            let Some((tid, task)) = self.state.borrow().job.take() else {
                 return;
             };
-            self.state.hold();
-            let left = self.poll_task(tid, task, Some(&worker.baton));
+            let me = self.state.borrow().tasks[tid.index()].stack.clone();
+            let me = me.expect("a task given a worker holds its stack");
+            let left = self.poll_task(tid, task, Some(&me));
             debug_assert!(left.is_none(), "a worker runs blocking sections in place");
             // Choose the successor, only then go idle, and only then hand
             // the baton on: no `drive` here can give this worker a job. A
             // panic in the loop is kept, and the loop run again then ends
-            // the run: it grants the root.
+            // the run: it switches to the root.
             let drive = || self.drive(Driver::Task(tid));
             let next = std::panic::catch_unwind(AssertUnwindSafe(drive))
                 .unwrap_or_else(|p| {
@@ -661,8 +599,8 @@ impl SchedCore {
                     drive()
                 })
                 .expect("a task off its worker is not the one to run next");
-            self.state.borrow().idle.push(Arc::clone(worker));
-            next.grant();
+            self.state.borrow().idle.push(Arc::clone(&me));
+            me.switch_to(&next);
         }
     }
 }
@@ -708,14 +646,14 @@ pub enum RunOutcome {
     Deadlock(Vec<(String, &'static str)>),
 }
 
-/// What a task knows about itself. Taken out of `CURRENT` while its thread
+/// What a task knows about itself. Taken out of `CURRENT` while its stack
 /// drives the scheduler loop, so events it fires see no task context; put
 /// in for the length of a task's poll.
 struct Current {
     handle: SchedHandle,
     tid: TaskId,
-    /// `None` for a task polled inline, which cannot park.
-    baton: Option<Arc<Baton>>,
+    /// Its worker's; `None` for a task polled inline, which cannot park.
+    stack: Option<Arc<Stack>>,
 }
 
 thread_local! {
@@ -777,23 +715,18 @@ impl Scheduler {
     /// simulated time would exceed `limit`.
     ///
     /// The caller starts the scheduler loop; from the first task slice on,
-    /// whichever task holds the baton continues it, and the caller sleeps
-    /// until the loop has nothing left to do within `limit`.
+    /// whichever task holds the baton continues it, and the caller's stack
+    /// stays suspended until the loop has nothing left to do within `limit`.
     pub fn run_until(&self, limit: SimTime) -> RunOutcome {
-        let root = Arc::new(Baton {
-            owner: OnceLock::from(std::thread::current()),
-            ..Baton::default()
-        });
+        let root = Arc::new(Stack::default());
         {
             let mut st = self.core.state.borrow();
             st.limit = limit;
             st.root = Some(Arc::clone(&root));
         }
-        // Whoever drives grants the root back only when the run is over.
+        // Whoever drives switches back to the root only when the run is over.
         if let Some(first) = self.core.drive(Driver::Root) {
-            first.grant();
-            root.wait();
-            self.core.state.hold();
+            root.switch_to(&first);
         }
         let (panic, outcome) = {
             let mut st = self.core.state.borrow();
@@ -845,7 +778,8 @@ impl Scheduler {
 impl Drop for Scheduler {
     /// Drop the hooks (a world's delivery hook holds the world, which holds a handle to
     /// this one) and every task waiting in its slot (its future holds its own waker, and so
-    /// this scheduler), then end and join every idle worker; a task parked on one stays.
+    /// this scheduler), then end every idle worker and unmap its stack; a task parked on one
+    /// stays, and its stack with it.
     fn drop(&mut self) {
         let (hooks, tasks) = {
             let mut st = self.core.state.borrow();
@@ -855,12 +789,12 @@ impl Drop for Scheduler {
         // With the state free: a dropped Timer or listener borrows it again.
         drop(hooks);
         drop(tasks);
-        // An ending worker touches no state, so the borrow can stay out.
-        for worker in std::mem::take(&mut self.core.state.borrow().idle) {
-            worker.baton.grant();
-            if let Some(thread) = worker.thread.lock().take() {
-                let _ = thread.join();
-            }
+        // Switched to with no job, a worker returns and leaves for the root.
+        let idle = std::mem::take(&mut self.core.state.borrow().idle);
+        let me = Arc::new(Stack::default());
+        self.core.state.borrow().root = Some(Arc::clone(&me));
+        for stack in idle {
+            me.switch_to(&stack);
         }
     }
 }
@@ -905,8 +839,8 @@ impl SchedHandle {
     }
 
     /// Schedule `f` to run at absolute time `at` (clamped to be no earlier
-    /// than now). It runs on the thread holding the baton — `run_until`'s
-    /// caller or whichever task thread is driving the scheduler loop — never
+    /// than now). It runs on the stack holding the baton — `run_until`'s
+    /// caller's or whichever task's is driving the scheduler loop — never
     /// concurrently with a task, with task context masked
     /// (`ctx::in_task()` is false). A panic in `f` surfaces from
     /// `run_until`.
@@ -926,7 +860,7 @@ impl SchedHandle {
 
     /// Register a recurring callback and get a handle for a [`HookQueue`].
     /// The callback stays registered for the scheduler's lifetime. Like a
-    /// `call_at` closure it runs on the thread holding the baton, never
+    /// `call_at` closure it runs on the stack holding the baton, never
     /// concurrently with a task, with task context masked.
     pub fn register_hook(&self, f: impl Fn(u64) + Send + 'static) -> HookId {
         let mut st = self.core.state.borrow();
@@ -1022,7 +956,7 @@ impl SchedHandle {
             daemon,
             state: TaskState::Runnable,
             notified: false,
-            baton: None,
+            stack: None,
             task: Some(task),
             joiners: Vec::new(),
             blocked_on: "",
@@ -1124,7 +1058,7 @@ pub mod ctx {
     /// task context masked until this task is the one to run again.
     fn reschedule(leave: impl FnOnce(&mut SchedState, TaskId) -> bool) {
         let cur = CURRENT.take().expect("not inside a simulated task");
-        let Some(baton) = &cur.baton else {
+        let Some(stack) = &cur.stack else {
             let name = cur.handle.core.state.borrow().tasks[cur.tid.index()]
                 .name
                 .clone();
@@ -1134,9 +1068,7 @@ pub mod ctx {
         let left = leave(&mut cur.handle.core.state.borrow(), cur.tid);
         if left {
             if let Some(next) = cur.handle.core.drive(Driver::Task(cur.tid)) {
-                next.grant();
-                baton.wait();
-                cur.handle.core.state.hold();
+                stack.switch_to(&next);
             }
         }
         CURRENT.set(Some(cur));
@@ -1300,7 +1232,7 @@ pub mod ctx {
     pub fn blocking<R>(f: impl FnOnce() -> R) -> impl Future<Output = R> {
         let mut f = Some(f);
         std::future::poll_fn(move |_| {
-            if CURRENT.with_borrow(|c| c.as_ref().is_some_and(|c| c.baton.is_none())) {
+            if CURRENT.with_borrow(|c| c.as_ref().is_some_and(|c| c.stack.is_none())) {
                 return Poll::Pending;
             }
             Poll::Ready(f.take().expect("a blocking section runs once")())
@@ -1311,6 +1243,7 @@ pub mod ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::SimQueue;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
@@ -1846,51 +1779,45 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_reused_and_joined_when_the_scheduler_drops() {
-        struct CountOnExit(Arc<AtomicUsize>);
-        impl Drop for CountOnExit {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        thread_local! {
-            static ON_EXIT: std::cell::RefCell<Option<CountOnExit>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        // Dropped by the thread-local destructor, i.e. when the OS thread
-        // is really going away; set once per thread.
-        let count_exit = |exited: &Arc<AtomicUsize>| {
-            let exited = Arc::clone(exited);
-            move || {
-                ON_EXIT.with_borrow_mut(|c| {
-                    c.get_or_insert_with(|| CountOnExit(exited));
-                })
-            }
-        };
-        let exited = Arc::new(AtomicUsize::new(0));
+    fn workers_are_reused_and_unmapped_when_the_scheduler_drops() {
         let sched = Scheduler::new();
-        let h = sched.handle();
+        let on = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
         for i in 0..40u64 {
-            let on_exit = count_exit(&exited);
+            let on = Arc::clone(&on);
             sched.spawn(format!("t{i}"), move || {
-                on_exit();
+                on.lock().insert(my_stack());
                 ctx::sleep(Duration::from_millis(i % 7));
             });
             assert_eq!(sched.run(), RunOutcome::Idle);
         }
-        assert_eq!(h.metric(THREADS), 1, "one task after another, one thread");
+        assert_eq!(on.lock().len(), 1, "one task after another, one stack");
+        assert_eq!(sched.handle().metric(STACKS), 1);
         for i in 0..8u64 {
-            let on_exit = count_exit(&exited);
+            let on = Arc::clone(&on);
             sched.spawn(format!("u{i}"), move || {
-                on_exit();
+                on.lock().insert(my_stack());
                 ctx::sleep(Duration::from_millis(i % 3));
             });
         }
         assert_eq!(sched.run(), RunOutcome::Idle);
-        assert_eq!(h.metric(THREADS), 8, "eight at once, the first reused");
-        assert_eq!(exited.load(Ordering::SeqCst), 0, "idle, not gone");
+        assert_eq!(on.lock().len(), 8, "eight at once, the first reused");
+        assert_eq!(sched.handle().metric(STACKS), 8);
+        let idle: Vec<_> = sched
+            .core
+            .state
+            .borrow()
+            .idle
+            .iter()
+            .map(Arc::downgrade)
+            .collect();
+        let core = Arc::downgrade(&sched.core);
+        assert_eq!(idle.len(), 8, "idle, not gone");
         drop(sched);
-        assert_eq!(exited.load(Ordering::SeqCst), 8);
+        assert!(
+            idle.iter().all(|s| s.upgrade().is_none()),
+            "every idle stack unmapped"
+        );
+        assert!(core.upgrade().is_none(), "every worker's body returned");
     }
 
     /// A task that waits forever in its slot holds its future, the future
@@ -1918,7 +1845,7 @@ mod tests {
         let sched = Scheduler::new();
         let h = sched.handle();
         sched.spawn("never-run", || {});
-        assert_eq!(h.metric(THREADS), 0, "a task spawned and never run");
+        assert_eq!(h.metric(STACKS), 0, "a task spawned and never run");
         drop(sched);
         // The first runs on one worker; each finishing one picks the next
         // before it is idle, so the next takes a second, and the two take
@@ -1927,9 +1854,9 @@ mod tests {
         for i in 0..16 {
             sched.spawn(format!("t{i}"), || {});
         }
-        assert_eq!(sched.handle().metric(THREADS), 0, "spawned, not yet run");
+        assert_eq!(sched.handle().metric(STACKS), 0, "spawned, not yet run");
         assert_eq!(sched.run(), RunOutcome::Idle);
-        assert_eq!(sched.handle().metric(THREADS), 2, "sixteen tasks in turn");
+        assert_eq!(sched.handle().metric(STACKS), 2, "sixteen tasks in turn");
     }
 
     /// A panic in the scheduler loop itself reaches `run_until`'s caller
@@ -1958,36 +1885,42 @@ mod tests {
         }
     }
 
-    /// The OS thread a task ran on, as seen from inside it.
-    fn thread_of_task(
-        sched: &Scheduler,
-        f: impl FnOnce() + Send + 'static,
-    ) -> std::thread::ThreadId {
+    /// The worker stack the calling task runs on, by address: `None` for a
+    /// task polled inline.
+    fn my_stack() -> Option<usize> {
+        CURRENT.with_borrow(|c| {
+            let stack = c.as_ref().and_then(|c| c.stack.as_ref());
+            stack.map(|s| Arc::as_ptr(s) as usize)
+        })
+    }
+
+    /// The worker stack a task ran on, as seen from inside it.
+    fn stack_of_task(sched: &Scheduler, f: impl FnOnce() + Send + 'static) -> usize {
         let task = sched.spawn("probe", move || {
             f();
-            std::thread::current().id()
+            my_stack()
         });
         assert_eq!(sched.run(), RunOutcome::Idle);
-        let id = task.result.lock().take();
-        id.expect("the probe task finished")
+        let on = task.result.lock().take();
+        on.expect("the probe task finished").expect("on a worker")
     }
 
     #[test]
     fn a_finishing_task_whose_successor_promotes_does_not_run_it_itself() {
         let sched = Scheduler::new();
         let h = sched.handle();
-        let first = thread_of_task(&sched, || {});
+        let first = stack_of_task(&sched, || {});
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let (l, h2) = (Arc::clone(&log), h.clone());
         sched.spawn("finisher", move || {
-            assert_eq!(std::thread::current().id(), first, "the idle worker");
+            assert_eq!(my_stack(), Some(first), "the idle worker");
             let l = Arc::clone(&l);
             // Runnable behind this task: its finish pops it, polls it and
-            // starts its thread before this worker is idle.
+            // maps its stack before this worker is idle.
             h2.spawn_async("promotes", async move {
                 ctx::blocking(|| {
-                    let other = std::thread::current().id() != first;
-                    l.lock().push(format!("promoted, other thread: {other}"));
+                    let other = my_stack().is_some_and(|s| s != first);
+                    l.lock().push(format!("promoted, other stack: {other}"));
                     ctx::sleep(Duration::from_millis(1));
                     l.lock().push(format!("woken at {}", ctx::now().as_nanos()));
                 })
@@ -1997,16 +1930,16 @@ mod tests {
         assert_eq!(sched.run(), RunOutcome::Idle);
         assert_eq!(
             *log.lock(),
-            ["promoted, other thread: true", "woken at 1000000"]
+            ["promoted, other stack: true", "woken at 1000000"]
         );
-        assert_eq!(h.metric(THREADS), 2);
+        assert_eq!(h.metric(STACKS), 2);
     }
 
     #[test]
     fn a_promoted_body_lands_on_an_idle_worker() {
         let sched = Scheduler::new();
         let h = sched.handle();
-        let first = thread_of_task(&sched, || {});
+        let first = stack_of_task(&sched, || {});
         let ran_on = Arc::new(Mutex::new(None));
         let r = Arc::clone(&ran_on);
         let tid = h.spawn_async("promoted", async move {
@@ -2015,13 +1948,13 @@ mod tests {
             once_pending("first").await;
             ctx::blocking(|| {
                 ctx::sleep(Duration::from_millis(1));
-                *r.lock() = Some((std::thread::current().id(), ctx::waker().task()));
+                *r.lock() = Some((my_stack(), ctx::waker().task()));
             })
             .await;
         });
         assert_eq!(sched.run(), RunOutcome::Idle);
-        assert_eq!(ran_on.lock().take(), Some((first, tid)));
-        assert_eq!(h.metric(THREADS), 1);
+        assert_eq!(ran_on.lock().take(), Some((Some(first), tid)));
+        assert_eq!(h.metric(STACKS), 1);
     }
 
     #[test]
@@ -2032,10 +1965,10 @@ mod tests {
         sched.spawn("boom", || std::panic::panic_any(Payload(7)));
         let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run())).unwrap_err();
         assert_eq!(p.downcast_ref::<Payload>(), Some(&Payload(7)));
-        let boom = thread_of_task(&sched, || {});
-        let again = thread_of_task(&sched, || ctx::sleep(Duration::from_millis(1)));
+        let boom = stack_of_task(&sched, || {});
+        let again = stack_of_task(&sched, || ctx::sleep(Duration::from_millis(1)));
         assert_eq!(boom, again);
-        assert_eq!(sched.handle().metric(THREADS), 1);
+        assert_eq!(sched.handle().metric(STACKS), 1);
     }
 
     #[test]
@@ -2051,7 +1984,7 @@ mod tests {
             let names: Vec<_> = h.metrics().keys().map(Metric::to_string).collect();
             names.join(" ")
         };
-        let expect = "node/3/links node/12/walks sched/grants sched/threads task/parks/sleep \
+        let expect = "node/3/links node/12/walks sched/grants sched/stacks task/parks/sleep \
                       world/walk_peak";
         assert_eq!(names(), expect);
         assert_eq!(names(), expect);
@@ -2287,16 +2220,16 @@ mod tests {
         let sched = Scheduler::new();
         let h = sched.handle();
         let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let thread = || format!("{:?}", std::thread::current().id());
+        let stack = || format!("{:?}", my_stack());
         let l = Arc::clone(&log);
         h.spawn_async("twice", async move {
             for steps in 1..=3 {
-                l.lock().push(format!("step {steps} on {}", thread()));
+                l.lock().push(format!("step {steps} on {}", stack()));
                 if steps == 3 {
                     return;
                 }
                 ctx::blocking(|| {
-                    l.lock().push(format!("body on {}", thread()));
+                    l.lock().push(format!("body on {}", stack()));
                     ctx::sleep(Duration::from_millis(1));
                 })
                 .await;
@@ -2315,7 +2248,7 @@ mod tests {
             .to_string();
         let on = |what: &str| format!("{what} on {worker}");
         let expect = [
-            log[0].clone(),
+            "step 1 on None".to_string(),
             on("body"),
             on("step 2"),
             on("body"),
@@ -2323,7 +2256,7 @@ mod tests {
             on("step 3"),
         ];
         assert_eq!(log, expect);
-        assert_eq!(h.metric(THREADS), 2, "one worker for both bodies");
+        assert_eq!(h.metric(STACKS), 2, "one worker for both bodies");
     }
 
     #[test]
@@ -2376,10 +2309,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s2 = Arc::clone(&seen);
         let tid = h.spawn_async("blocks", async move {
-            let on = |what: &'static str| {
-                let thread = std::thread::current().name().map(str::to_string);
-                s2.lock().push((what, thread, ctx::waker().task()));
-            };
+            let on = |what: &'static str| s2.lock().push((what, my_stack(), ctx::waker().task()));
             ctx::blocking(|| {
                 on("first");
                 ctx::waker().wake();
@@ -2407,24 +2337,128 @@ mod tests {
             })
             .await;
             drop(timer);
-            let threads = ctx::handle().metric(THREADS);
+            let threads = ctx::handle().metric(STACKS);
             ctx::blocking(|| {
                 on("second");
                 ctx::sleep(Duration::from_millis(1));
             })
             .await;
-            assert_eq!(ctx::handle().metric(THREADS), threads, "a warm world");
+            assert_eq!(ctx::handle().metric(STACKS), threads, "a warm world");
         });
         let stop = Duration::from_micros(500);
         assert_eq!(sched.run_for(stop), RunOutcome::TimeLimit);
         assert_eq!(sched.run(), RunOutcome::Idle);
-        let worker = Some("sim-worker".to_string());
-        let expect = [("first", worker.clone(), tid), ("second", worker, tid)];
+        let worker = seen.lock()[0].1;
+        assert!(worker.is_some(), "on a worker");
+        let expect = [("first", worker, tid), ("second", worker, tid)];
         assert_eq!(*seen.lock(), expect);
         assert_eq!(h.metric(Metric("task/parks", None, "test-wait")), 0);
         assert_eq!(h.metric(Metric("task/parks", None, "timer")), 1);
-        assert_eq!(h.metric(THREADS), 1);
+        assert_eq!(h.metric(STACKS), 1);
         assert_eq!(sched.now().as_nanos(), 2_000_000);
+    }
+
+    /// Every blocking task, promoted bodies and a task a ping-pong wakes
+    /// included, runs on the OS thread that called `run_until`.
+    #[test]
+    fn every_blocking_task_runs_on_the_thread_of_run_until() {
+        let sched = Scheduler::new();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let note = {
+            let r = Arc::clone(&ran_on);
+            move || r.lock().push((std::thread::current().id(), my_stack()))
+        };
+        let (ping, pong) = (SimQueue::<u32>::bounded(1), SimQueue::<u32>::bounded(1));
+        let (p, q, n) = (ping.clone(), pong.clone(), note.clone());
+        sched.spawn("echo", move || {
+            while let Some(v) = p.pop() {
+                n();
+                q.push(v).unwrap();
+            }
+        });
+        let n = note.clone();
+        sched.spawn("client", move || {
+            for i in 0..3 {
+                ping.push(i).unwrap();
+                pong.pop().unwrap();
+                n();
+            }
+            ping.close();
+        });
+        let n = note.clone();
+        sched.handle().spawn_async("promoted", async move {
+            ctx::blocking(|| {
+                ctx::sleep(Duration::from_millis(1));
+                n();
+            })
+            .await;
+        });
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let ran_on = ran_on.lock();
+        let stacks: std::collections::BTreeSet<_> = ran_on.iter().map(|&(_, s)| s).collect();
+        assert_eq!(stacks.len(), 3, "three workers: {ran_on:?}");
+        assert!(!stacks.contains(&None), "every note from a worker");
+        let me = std::thread::current().id();
+        assert!(ran_on.iter().all(|&(t, _)| t == me), "{ran_on:?} vs {me:?}");
+    }
+
+    /// A blocking task recurses through a mebibyte of its stack, sleeps at
+    /// the bottom while another task runs, and returns.
+    #[test]
+    fn a_task_recursing_through_a_mebibyte_of_stack_completes() {
+        fn dig(top: usize) -> usize {
+            let frame = std::hint::black_box([1u8; 1024]);
+            if top - std::ptr::addr_of!(frame) as usize >= 1 << 20 {
+                ctx::sleep(Duration::from_millis(1));
+                return 0;
+            }
+            dig(top) + usize::from(frame[1023])
+        }
+        let sched = Scheduler::new();
+        let deep = sched.spawn("deep", || {
+            let top = 0u8;
+            dig(std::ptr::addr_of!(top) as usize)
+        });
+        sched.spawn("other", || ctx::sleep(Duration::from_millis(1)));
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        let frames = deep.result.lock().take().expect("the deep task returned");
+        assert!((100..1024).contains(&frames), "{frames} frames");
+    }
+
+    /// A simulation whose task is parked mid-stack belongs to its thread:
+    /// driven from another, it panics naming its table before any switch,
+    /// and the stack resumes only back on the owner.
+    #[test]
+    fn a_parked_stack_never_resumes_on_another_thread() {
+        let sched = Scheduler::new();
+        let resumed = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&resumed);
+        sched.spawn("parked", move || {
+            ctx::sleep(Duration::from_millis(1));
+            r.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(
+            sched.run_for(Duration::from_micros(500)),
+            RunOutcome::TimeLimit
+        );
+        let (sched, p) = std::thread::spawn(move || {
+            let p = std::panic::catch_unwind(AssertUnwindSafe(|| sched.run()));
+            let msg = p
+                .expect_err("a foreign driver")
+                .downcast_ref::<String>()
+                .cloned();
+            (sched, msg)
+        })
+        .join()
+        .expect("the foreign thread returns the scheduler");
+        let expect = "`SchedState` touched by a thread not its owner";
+        assert_eq!(p.as_deref(), Some(expect));
+        assert!(
+            !resumed.load(Ordering::SeqCst),
+            "resumed on the foreign thread"
+        );
+        assert_eq!(sched.run(), RunOutcome::Idle);
+        assert!(resumed.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -296,20 +296,21 @@ impl<T> SimQueue<T> {
 
 /// A scheduler's table or world, owned by one thread (DESIGN.md §6): a borrow
 /// while one is out, or from a thread that does not own it, panics naming it.
+/// That check also keeps every stack of a simulation on its owner: each
+/// switch follows a borrow of the scheduler's table.
 pub(crate) struct BatonCell<T> {
     name: &'static str,
     busy: Cell<bool>,
-    /// The [`thread_token`] of its owner: the baton's holder in a run, else the driving thread.
+    /// The [`thread_token`] of its owner, the first thread to borrow it, for good.
     pub(crate) holder: Arc<AtomicUsize>,
     value: UnsafeCell<T>,
 }
 
 // SAFETY: `name` and `holder` are `Sync`. Only the owner, the thread whose token is in
-// `holder`, touches `busy` and `value`; an unowned cell is taken by an Acquire CAS from 0.
-// In a run the baton's holder stores its token after the Acquire that takes it, and a
-// granter (a Release) runs nothing until granted again; a dead owner's token reaches a
-// new thread only through the exit and spawn that reuse it. So each owner's touches
-// happen-before the next's; `busy` makes a nested borrow a panic.
+// `holder`, touches `busy` and `value`; an unowned cell is taken by an Acquire CAS from 0
+// and never changes hands after. A dead owner's token reaches a new thread only through
+// the exit and spawn that reuse it. So each owner's touches happen-before the next's;
+// `busy` makes a nested borrow a panic.
 unsafe impl<T: Send> Sync for BatonCell<T> {}
 
 impl<T> BatonCell<T> {
@@ -338,11 +339,6 @@ impl<T> BatonCell<T> {
         let cas = self.holder.compare_exchange(0, me, Acquire, Relaxed);
         assert!(cas.is_ok(), "`{name}` touched by a thread not its owner");
     }
-
-    /// The calling thread has just taken the baton: it owns the cell.
-    pub(crate) fn hold(&self) {
-        self.holder.store(thread_token(), Relaxed);
-    }
 }
 
 /// A borrow of a [`BatonCell`]; it stays on the thread that made it.
@@ -370,7 +366,7 @@ impl<T> DerefMut for BatonRef<'_, T> {
 }
 
 /// The address of a thread-local: distinct for every live thread, never 0.
-fn thread_token() -> usize {
+pub(crate) fn thread_token() -> usize {
     thread_local!(static TOKEN: u8 = const { 0 });
     TOKEN.with(|t| std::ptr::from_ref(t) as usize)
 }

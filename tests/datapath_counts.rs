@@ -125,7 +125,7 @@ fn sched_yield_self() {
 }
 
 /// Two tasks answering each other over a pair of one-slot queues: every
-/// slice ends in a park and one cross-thread grant.
+/// slice ends in a park and one grant, a stack switch.
 fn sched_pingpong2() {
     let sim = Sim::new(3);
     let ping = SimQueue::<usize>::bounded(1);

@@ -2,7 +2,7 @@
 //! a LAN pair on each link-utilization method of the paper's §4 and on all
 //! of them together must arrive byte-exact and in order.
 
-use gridsim_net::{topology, RunOutcome, Sim, SockAddr, THREADS};
+use gridsim_net::{topology, RunOutcome, Sim, SockAddr, STACKS};
 use gridsim_tcp::SimHost;
 use netgrid::{spawn_name_service, ConnectivityProfile, GridEnv, GridNode, StackSpec};
 use std::sync::{Arc, Mutex};
@@ -99,7 +99,7 @@ fn foreign_connect(spec: StackSpec) -> (std::io::ErrorKind, RunOutcome, i64) {
     });
     let outcome = sim.run();
     let kind = ended.lock().unwrap().expect("the sender finished");
-    (kind, outcome, sim.scheduler().handle().metric(THREADS))
+    (kind, outcome, sim.scheduler().handle().metric(STACKS))
 }
 
 /// Neither end parks for good on a refused GTLS handshake, however many

@@ -1,10 +1,10 @@
 //! Tier-1 smoke for the `gridsim-net` scheduler as the upper layers use it:
-//! dozens of task threads passing one baton, each running the event loop
-//! while it waits. Which thread drives must not show on the simulated
+//! dozens of task stacks passing one baton, each running the event loop
+//! while it waits. Which stack drives must not show on the simulated
 //! clock, on the wire, or in delivery order.
 
 use gridsim_net::{
-    topology, LinkParams, Metric, NatKind, RunOutcome, Sim, SockAddr, GRANTS, THREADS,
+    topology, LinkParams, Metric, NatKind, RunOutcome, Sim, SockAddr, GRANTS, STACKS,
 };
 use gridsim_tcp::SimHost;
 use netgrid::{
@@ -330,9 +330,9 @@ fn a_round_trip_over_a_gtls_link_costs_its_pinned_grants_and_parks() {
     let expect = ["queue pop 200", "sleep 400", "tcp read 400"].map(|p| format!("task/parks/{p}"));
     assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
     assert_eq!(
-        spent.get(&THREADS),
+        spent.get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -369,9 +369,9 @@ fn a_round_trip_over_a_compressed_striped_gtls_link_costs_its_pinned_grants_and_
     let expect = ["queue pop 600", "sleep 2800", "tcp read 800"].map(|p| format!("task/parks/{p}"));
     assert_eq!(parks, expect, "parks over {ROUNDS} round trips");
     assert_eq!(
-        spent.get(&THREADS),
+        spent.get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -394,9 +394,9 @@ fn a_round_trip_over_a_plain_four_stream_link_costs_two_grants() {
         "grants over {ROUNDS} round trips"
     );
     assert_eq!(
-        phases[0].get(&THREADS),
+        phases[0].get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -476,7 +476,7 @@ fn a_relay_mesh_starts_no_thread() {
     mesh_world(&sim, 3, &[]);
     sim.run_for(Duration::from_secs(5));
     let h = sim.scheduler().handle();
-    assert_eq!(h.metric(THREADS), 0, "threads started by the mesh");
+    assert_eq!(h.metric(STACKS), 0, "stacks mapped by the mesh");
     assert_eq!(h.metric(GRANTS), 0, "grants in the mesh's 5 s");
 }
 
@@ -535,7 +535,7 @@ fn a_routed_transfer_across_a_relay_mesh_starts_only_its_ends_threads() {
     sim.run();
     assert!(receiver.is_finished(), "receiver did not get every message");
     let h = sim.scheduler().handle();
-    assert_eq!(h.metric(THREADS), 2, "threads started");
+    assert_eq!(h.metric(STACKS), 2, "stacks mapped");
     assert_eq!(h.metric(GRANTS), 129, "grants");
 }
 
@@ -658,9 +658,9 @@ fn a_client_server_connect_send_close_round_costs_its_pinned_grants() {
         "accept parks over {ROUNDS} rounds"
     );
     assert_eq!(
-        spent.get(&THREADS),
+        spent.get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -694,9 +694,9 @@ fn a_gtls_four_stream_connect_send_close_round_costs_its_pinned_grants() {
     let joins = Metric("task/parks", None, "join");
     assert_eq!(spent.get(&joins), None, "join parks over {ROUNDS} rounds");
     assert_eq!(
-        spent.get(&THREADS),
+        spent.get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -730,8 +730,8 @@ fn proxied_connects_after_a_warm_up_start_no_threads() {
         StackSpec::plain(),
         ROUNDS,
     );
-    let started = spent.get(&THREADS).copied().unwrap_or(0);
-    assert_eq!(started, 0, "threads started over {ROUNDS} rounds");
+    let started = spent.get(&STACKS).copied().unwrap_or(0);
+    assert_eq!(started, 0, "stacks mapped over {ROUNDS} rounds");
 }
 
 /// Two firewalled sites on `grid_mesh`'s 2 MB/s, 8 ms uplinks: spliced
@@ -768,9 +768,9 @@ fn a_spliced_connect_send_close_round_costs_its_pinned_grants() {
         "grants over {ROUNDS} rounds"
     );
     assert_eq!(
-        spent.get(&THREADS),
+        spent.get(&STACKS),
         None,
-        "threads started over {ROUNDS} rounds"
+        "stacks mapped over {ROUNDS} rounds"
     );
 }
 
@@ -830,14 +830,14 @@ fn a_routed_transfers_cacks_take_no_grant_and_start_no_thread() {
         assert_eq!(method, EstablishMethod::Routed);
         let h = sim.scheduler().handle();
         let cacks = h.metric(Metric("task/parks", None, "relay svc rsp"));
-        [cacks, h.metric(GRANTS), h.metric(THREADS)]
+        [cacks, h.metric(GRANTS), h.metric(STACKS)]
     };
     let [none, grants, threads] = run(usize::MAX);
     assert_eq!(none, 0, "CACKs with acks off");
     assert_eq!(
         run(64 * 1024),
         [64, grants, threads],
-        "[CACKs, grants, threads]"
+        "[CACKs, grants, stacks]"
     );
 }
 

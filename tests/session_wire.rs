@@ -5,7 +5,7 @@
 //! input must end in no delivery and no panic, and must leave a
 //! well-behaved link on the same port unharmed.
 
-use gridsim_net::{topology, Sim, SockAddr, GRANTS, THREADS};
+use gridsim_net::{topology, Sim, SockAddr, GRANTS, STACKS};
 use gridsim_tcp::{SimHost, TcpStream};
 use gridzip::varint;
 use netgrid::relay::RelayClient;
@@ -282,13 +282,13 @@ fn a_link_whose_other_streams_never_arrive_is_dropped_at_its_deadline() {
     assert!(client.is_finished());
 }
 
-/// What a wait of the calling task costs the world: OS threads started
+/// What a wait of the calling task costs the world: worker stacks mapped
 /// and baton grants, across `wait`.
 fn workers_across<T>(wait: impl FnOnce() -> T) -> (T, [i64; 2]) {
     let h = gridsim_net::ctx::handle();
-    let before = [h.metric(THREADS), h.metric(GRANTS)];
+    let before = [h.metric(STACKS), h.metric(GRANTS)];
     let out = wait();
-    let spent = [h.metric(THREADS) - before[0], h.metric(GRANTS) - before[1]];
+    let spent = [h.metric(STACKS) - before[0], h.metric(GRANTS) - before[1]];
     (out, spent)
 }
 
